@@ -3,6 +3,7 @@ package apsp
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -179,10 +180,11 @@ func TestCompact32Delta(t *testing.T) {
 	}
 }
 
-// TestOracleSnapshotReadsV1 hand-rolls the v1 payload layout (no meta
-// flags, untagged float64 tables) and checks this build still restores it
-// — the compatibility promise oracleMinReadVersion makes.
-func TestOracleSnapshotReadsV1(t *testing.T) {
+// TestOracleSnapshotRejectsV1 hand-rolls a complete v1 payload (no meta
+// flags, untagged float64 tables) and checks it is refused as version
+// skew, not half-decoded: there is no in-place migration, a snapshot from
+// an older release is rebuilt.
+func TestOracleSnapshotRejectsV1(t *testing.T) {
 	g := compactTestGraph(t)
 	o := NewOracle(g)
 
@@ -225,22 +227,7 @@ func TestOracleSnapshotReadsV1(t *testing.T) {
 		t.Fatalf("write v1: %v", err)
 	}
 
-	back, err := ReadOracle(&buf)
-	if err != nil {
-		t.Fatalf("read v1: %v", err)
-	}
-	if back.Compact() {
-		t.Fatal("v1 snapshot decoded as compact")
-	}
-	if err := back.CheckInvariants(); err != nil {
-		t.Fatalf("v1 restored invariants: %v", err)
-	}
-	n := g.NumVertices()
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if got, want := back.Query(int32(u), int32(v)), o.Query(int32(u), int32(v)); got != want {
-				t.Fatalf("d(%d,%d) = %v restored, %v original", u, v, got, want)
-			}
-		}
+	if _, err := ReadOracle(&buf); !errors.Is(err, snapshot.ErrVersionSkew) {
+		t.Fatalf("read v1: err = %v, want ErrVersionSkew", err)
 	}
 }

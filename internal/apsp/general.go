@@ -27,6 +27,22 @@ type BlockAPSP struct {
 // local resolves a parent vertex ID to this block's local ID (-1 outside).
 func (b *BlockAPSP) local(v int32) int32 { return b.loc.local(b.bi, v) }
 
+// row writes the in-block distance row d_b(src, v) for every vertex v of
+// the block, in ToParentVertex order, into out (len = the block's vertex
+// count). src is a parent vertex ID; one outside the block yields an
+// all-Inf row, mirroring QueryParent. It is the single inner loop behind
+// both the monolith's rows and a shard daemon's BlockRow.
+func (b *BlockAPSP) row(src int32, out []graph.Weight) {
+	lu := b.local(src)
+	if lu < 0 {
+		for i := range out {
+			out[i] = Inf
+		}
+		return
+	}
+	b.Ear.Row(lu, out)
+}
+
 // QueryParent answers an in-block distance query in parent vertex IDs.
 func (b *BlockAPSP) QueryParent(u, v int32) graph.Weight {
 	lu, lv := b.local(u), b.local(v)
@@ -359,18 +375,21 @@ func compressTable(t []graph.Weight) []float32 {
 	return out
 }
 
-// apAt reads the AP table in either precision. Compact entries above
-// MaxFloat32 are the stored +Inf and read back as the exact Inf sentinel.
-func (o *Oracle) apAt(i, j int32) graph.Weight {
-	if o.a32 != nil {
-		v := o.a32[int(i)*o.numA+int(j)]
+// apAt reads entry (i, j) of an a×a AP table stored in either precision.
+// Compact entries above MaxFloat32 are the stored +Inf and read back as
+// the exact Inf sentinel.
+func apAt(a64 []graph.Weight, a32 []float32, a int, i, j int32) graph.Weight {
+	if a32 != nil {
+		v := a32[int(i)*a+int(j)]
 		if v > math.MaxFloat32 {
 			return Inf
 		}
 		return graph.Weight(v)
 	}
-	return o.A[int(i)*o.numA+int(j)]
+	return a64[int(i)*a+int(j)]
 }
+
+func (o *Oracle) apAt(i, j int32) graph.Weight { return apAt(o.A, o.a32, o.numA, i, j) }
 
 // Compact reports whether the oracle stores its tables as float32.
 func (o *Oracle) Compact() bool { return o.compact }

@@ -34,6 +34,10 @@ type locIndex struct {
 	ovVert  []int32
 	ovBlock []int32
 	ovLocal []int32
+
+	// verts[b] is block b's vertex list (its subgraph's ToParentVertex),
+	// the per-block row order the stitch kernel's view exposes.
+	verts [][]int32
 }
 
 // newLocIndex builds the index over the given partition.
@@ -42,12 +46,14 @@ func newLocIndex(bct *bcc.BlockCutTree, blocks []*BlockAPSP) *locIndex {
 	ix := &locIndex{
 		home:    make([]int32, n),
 		blockOf: bct.BlockOf,
+		verts:   make([][]int32, len(blocks)),
 	}
 	for i := range ix.home {
 		ix.home[i] = -1
 	}
 	overflow := 0
 	for bi, blk := range blocks {
+		ix.verts[bi] = blk.Sub.ToParentVertex
 		for _, parent := range blk.Sub.ToParentVertex {
 			if bct.BlockOf[parent] == int32(bi) {
 				continue

@@ -5,26 +5,12 @@ import "repro/internal/graph"
 // Row-granular query surface.
 //
 // A distance row d_G(u, ·) is the natural unit of reuse for a serving
-// layer: queries sharing a source share almost all of their work. Computing
-// a row by n calls to Query pays the block-cut forest navigation (an
-// O(log n) LCA plus gateway lookup) once per *pair*; the row algorithms
-// here pay it once per *block*, by the Section 2.2 case analysis run in
-// aggregate:
-//
-//   - distances from u to every articulation point are computed first
-//     (for an AP source that is one row of the precomputed a×a table A;
-//     for a regular source it is a min over the source block's cut
-//     vertices, each a constant-time in-block query plus a table row);
-//   - every other block b is then extended in one pass: its gateway cut
-//     vertex toward u is found once (one LCA), and each vertex v of b
-//     costs one in-block query d_b(gate, v) added to the gateway's AP
-//     distance.
-//
-// Total: O(n + a·|cuts(b_u)| + B log n) table operations per row, versus
-// O(n log n) map/LCA work for n independent Query calls — and each
-// in-block query is itself O(1) against the reduced tables S^r, so a row
-// never re-runs Dijkstra (the paper's "compute once, extend per query"
-// discipline of Section 2 applied at row granularity).
+// layer: queries sharing a source share almost all of their work, and the
+// stitch kernel (stitch.go) computes a row far cheaper than n calls to
+// Query. This file is only the oracle's side of that kernel: the view over
+// its block-cut tree and the provider that reads in-block rows from its own
+// tables. A sharded frontend (internal/shard) drives the same kernel with
+// rows fetched from shard daemons.
 //
 // Like Query, Row is pure: it only reads the immutable oracle tables, is
 // safe for any number of concurrent callers, and never panics.
@@ -37,18 +23,24 @@ func (o *Oracle) NumVertices() int { return o.G.NumVertices() }
 // NumVertices returns the vertex count of the underlying graph.
 func (a *EarAPSP) NumVertices() int { return a.G.NumVertices() }
 
-// RowCost estimates the table operations Row(u) will perform, the size
-// measure a work-queue scheduler sorts row units by. It is a cheap upper
-// bound, not a promise: n for the extension pass plus the AP sweep.
-func (o *Oracle) RowCost(u int32) int64 {
-	cost := int64(o.G.NumVertices())
-	if u >= 0 && int(u) < len(o.BCT.BlockOf) {
-		if b := o.BCT.BlockOf[u]; b >= 0 {
-			cost += int64(o.numA) * int64(len(o.BCT.BlockCuts[b])+1)
-		}
+// StitchView returns the stitch kernel's read-only view of the oracle's
+// block-cut topology and AP table. It shares the oracle's slices.
+func (o *Oracle) StitchView() StitchView {
+	return StitchView{
+		CutVertices: o.BCT.CutVertices,
+		CutIndex:    o.BCT.CutIndex,
+		BlockOf:     o.BCT.BlockOf,
+		BlockCuts:   o.BCT.BlockCuts,
+		CutBlocks:   o.BCT.CutBlocks,
+		BlockVerts:  o.loc.verts,
+		A:           o.A,
+		A32:         o.a32,
 	}
-	return cost
 }
+
+// RowCost estimates the table operations Row(u) will perform; see
+// StitchView.RowCost.
+func (o *Oracle) RowCost(u int32) int64 { return o.StitchView().RowCost(u) }
 
 // RowCost estimates the table operations Row(u) will perform.
 func (a *EarAPSP) RowCost(int32) int64 { return int64(a.G.NumVertices()) }
@@ -57,130 +49,27 @@ func (a *EarAPSP) RowCost(int32) int64 { return int64(a.G.NumVertices()) }
 // the number of table operations performed. An out-of-range u yields an
 // all-Inf row; use RowChecked to surface that as an error instead.
 func (o *Oracle) Row(u int32, out []graph.Weight) int64 {
-	n := o.G.NumVertices()
-	out = out[:n]
-	for i := range out {
-		out[i] = Inf
-	}
-	if u < 0 || int(u) >= n {
-		return 0
-	}
-	out[u] = 0
-	ops := int64(n)
-	if iu := o.BCT.CutIndex[u]; iu >= 0 {
-		return ops + o.rowFromAP(iu, out)
-	}
-	bu := o.BCT.BlockOf[u]
-	if bu < 0 {
-		return ops // isolated vertex: everything else stays Inf
-	}
-	return ops + o.rowFromRegular(u, bu, out)
-}
-
-// rowFromAP fills the row for an articulation-point source: AP distances
-// come straight from table A, and each block is extended through its
-// gateway toward the source's forest node.
-func (o *Oracle) rowFromAP(iu int32, out []graph.Weight) int64 {
-	a := o.numA
-	u := o.BCT.CutVertices[iu]
-	for j := 0; j < a; j++ {
-		out[o.BCT.CutVertices[j]] = o.apAt(iu, int32(j))
-	}
-	ops := int64(a)
-	apNode := int32(len(o.Blocks)) + iu
-	for b, blk := range o.Blocks {
-		if blk.local(u) >= 0 {
-			// u lies on this block: in-block distances are exact.
-			for _, pv := range blk.Sub.ToParentVertex {
-				if o.BCT.CutIndex[pv] >= 0 {
-					continue // APs already filled from A
-				}
-				out[pv] = blk.QueryParent(u, pv)
-			}
-			ops += int64(len(blk.Sub.ToParentVertex))
-			continue
+	ops, err := o.RowChecked(u, out)
+	if err != nil {
+		out = out[:o.G.NumVertices()]
+		for i := range out {
+			out[i] = Inf
 		}
-		if o.nodeRoot[b] != o.nodeRoot[apNode] {
-			continue // different component: stays Inf
-		}
-		ops += o.extendBlock(int32(b), apNode, func(a2 int32) graph.Weight {
-			return o.apAt(iu, a2)
-		}, out)
 	}
 	return ops
-}
-
-// rowFromRegular fills the row for a non-articulation source u in block bu.
-func (o *Oracle) rowFromRegular(u int32, bu int32, out []graph.Weight) int64 {
-	blk := o.Blocks[bu]
-	// In-block distances, including the block's own cut vertices, are
-	// exact: a shortest path between two vertices of one biconnected
-	// component never leaves it.
-	for _, pv := range blk.Sub.ToParentVertex {
-		out[pv] = blk.QueryParent(u, pv)
-	}
-	ops := int64(len(blk.Sub.ToParentVertex))
-	cuts := o.BCT.BlockCuts[bu]
-	if len(cuts) == 0 {
-		return ops // the whole component is this one block
-	}
-	// Distance from u to every AP: any path out of bu passes one of its
-	// cut vertices, so the min over cuts of (in-block leg + A row) is
-	// exact — and for bu's own cuts it degenerates to the in-block value.
-	dcut := make([]graph.Weight, len(cuts))
-	for i, ci := range cuts {
-		dcut[i] = blk.QueryParent(u, o.BCT.CutVertices[ci])
-	}
-	dAP := make([]graph.Weight, o.numA)
-	for j := range dAP {
-		best := Inf
-		for i, ci := range cuts {
-			if s := addInf(dcut[i], o.apAt(ci, int32(j)), 0); s < best {
-				best = s
-			}
-		}
-		dAP[j] = best
-		if v := o.BCT.CutVertices[j]; dAP[j] < out[v] {
-			out[v] = dAP[j]
-		}
-	}
-	ops += int64(o.numA) * int64(len(cuts))
-	buNode := bu
-	for b := range o.Blocks {
-		if int32(b) == bu || o.nodeRoot[b] != o.nodeRoot[buNode] {
-			continue
-		}
-		ops += o.extendBlock(int32(b), buNode, func(a2 int32) graph.Weight {
-			return dAP[a2]
-		}, out)
-	}
-	return ops
-}
-
-// extendBlock fills the interior (non-AP) vertices of block b: the gateway
-// cut vertex toward the source's forest node src is found once, its AP
-// distance is read through srcToAP, and every interior vertex costs one
-// in-block query.
-func (o *Oracle) extendBlock(b, src int32, srcToAP func(ap int32) graph.Weight, out []graph.Weight) int64 {
-	blk := o.Blocks[b]
-	a2 := o.gatewayCut(b, src)
-	gate := o.BCT.CutVertices[a2]
-	pre := srcToAP(a2)
-	for _, pv := range blk.Sub.ToParentVertex {
-		if o.BCT.CutIndex[pv] >= 0 {
-			continue
-		}
-		out[pv] = addInf(pre, blk.QueryParent(gate, pv), 0)
-	}
-	return int64(len(blk.Sub.ToParentVertex))
 }
 
 // RowChecked is Row with vertex validation: an out-of-range u comes back
 // as a *QueryError wrapping ErrVertexRange and out is left untouched.
 func (o *Oracle) RowChecked(u int32, out []graph.Weight) (int64, error) {
-	n := o.G.NumVertices()
-	if u < 0 || int(u) >= n {
-		return 0, &QueryError{Op: "Row", U: u, V: u, N: n, Err: ErrVertexRange}
+	return o.StitchView().Row(u, out, o.blockRows)
+}
+
+// blockRows is the oracle's BlockRowsFunc: in-block rows straight from
+// the resident S^r tables. It cannot fail.
+func (o *Oracle) blockRows(want []BlockWant, rows [][]graph.Weight) error {
+	for i, w := range want {
+		o.Blocks[w.Block].row(w.Src, rows[i])
 	}
-	return o.Row(u, out), nil
+	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/bcc"
-	"repro/internal/ear"
 	"repro/internal/graph"
 	"repro/internal/snapshot"
 )
@@ -21,9 +20,9 @@ import (
 //
 // Because the tables are copied from the built oracle rather than
 // recomputed, a shard's in-block answers are bitwise identical to the
-// monolith's: ShardBlocks.BlockRow runs the same QueryParent code over
-// the same bytes. That is what lets the frontend's stitching (see
-// internal/shard) promise byte-identical rows.
+// monolith's: ShardBlocks.BlockRow and Oracle.Row fill rows through the
+// same BlockAPSP.row loop over the same bytes, and both hand them to the
+// one stitch kernel (stitch.go).
 //
 // Sections ("meta" first, the rest in fixed order):
 //
@@ -75,12 +74,7 @@ func (o *Oracle) WriteShardSnapshot(w io.Writer, meta ShardMeta, owned []bool) (
 
 	o.G.EncodeSnapshot(sw.Section("graph"))
 
-	be := sw.Section("bcc")
-	be.U64(uint64(len(o.Dec.Components)))
-	for _, comp := range o.Dec.Components {
-		be.I32s(comp)
-	}
-	be.Bools(o.Dec.IsArticulation)
+	o.encodeDecomposition(sw.Section("bcc"))
 
 	sw.Section("owned").Bools(owned)
 
@@ -90,13 +84,7 @@ func (o *Oracle) WriteShardSnapshot(w io.Writer, meta ShardMeta, owned []bool) (
 			continue
 		}
 		blk.Ear.Red.EncodeSnapshot(bl)
-		if o.compact {
-			bl.U32(tableKindF32)
-			bl.F32s(blk.Ear.sr32)
-		} else {
-			bl.U32(tableKindF64)
-			bl.F64s(blk.Ear.SR)
-		}
+		EncodeTable(bl, o.compact, blk.Ear.SR, blk.Ear.sr32)
 	}
 
 	return sw.WriteTo(w)
@@ -156,8 +144,8 @@ var ErrNotOwned = fmt.Errorf("apsp: block not owned by this shard")
 // v of block b, in the block's ToParentVertex order, into out (which
 // must hold exactly BlockLen(b) entries). src is a parent-graph vertex
 // ID; a src outside the block yields an all-Inf row, mirroring
-// QueryParent. The values are the exact bytes the monolith oracle's
-// QueryParent would produce.
+// QueryParent. The values are the exact bytes the monolith oracle
+// stitches its own rows from.
 func (s *ShardBlocks) BlockRow(b int32, src int32, out []graph.Weight) error {
 	if b < 0 || int(b) >= len(s.blocks) {
 		return fmt.Errorf("apsp: block %d of %d out of range", b, len(s.blocks))
@@ -170,9 +158,7 @@ func (s *ShardBlocks) BlockRow(b int32, src int32, out []graph.Weight) error {
 		return fmt.Errorf("apsp: block %d row has %d vertices, buffer holds %d",
 			b, len(blk.Sub.ToParentVertex), len(out))
 	}
-	for i, pv := range blk.Sub.ToParentVertex {
-		out[i] = blk.QueryParent(src, pv)
-	}
+	blk.row(src, out)
 	return nil
 }
 
@@ -272,36 +258,9 @@ func ReadShardSnapshot(r io.Reader) (s *ShardBlocks, err error) {
 			continue
 		}
 		s.ownedN++
-		red, err := ear.DecodeReduced(bd, sub.G)
-		if err != nil {
+		if blk.Ear, err = decodeBlock(bd, sub, s.compact, bi); err != nil {
 			return nil, err
 		}
-		nr := red.R.NumVertices()
-		ea := &EarAPSP{G: sub.G, Red: red, nr: nr}
-		var srLen int
-		switch kind := bd.U32(); kind {
-		case tableKindF64:
-			if s.compact {
-				return nil, snapshot.Corruptf("apsp: block %d stores float64 in a compact shard snapshot", bi)
-			}
-			ea.SR = bd.F64s()
-			srLen = len(ea.SR)
-		case tableKindF32:
-			if !s.compact {
-				return nil, snapshot.Corruptf("apsp: block %d stores float32 in a non-compact shard snapshot", bi)
-			}
-			ea.sr32 = bd.F32s()
-			srLen = len(ea.sr32)
-		default:
-			return nil, snapshot.Corruptf("apsp: block %d has unknown table kind %d", bi, kind)
-		}
-		if err := bd.Err(); err != nil {
-			return nil, err
-		}
-		if srLen != nr*nr {
-			return nil, snapshot.Corruptf("apsp: block %d has %d table entries for nr=%d", bi, srLen, nr)
-		}
-		blk.Ear = ea
 	}
 	if err := bd.Finish(); err != nil {
 		return nil, err
@@ -316,12 +275,3 @@ func ReadShardSnapshot(r io.Reader) (s *ShardBlocks, err error) {
 	}
 	return s, nil
 }
-
-// APTableRaw exposes the articulation-point table in its stored
-// precision — exactly one of the returns is non-nil (float64 table, or
-// the compact float32 one; both nil only when the graph has no
-// articulation points and the oracle is compact). The shard planner
-// copies it into the plan manifest so the frontend's table reads are
-// bit-identical to the monolith's apAt. Read-only: callers must not
-// mutate the returned slices.
-func (o *Oracle) APTableRaw() ([]graph.Weight, []float32) { return o.A, o.a32 }

@@ -42,20 +42,15 @@ import (
 // section's byte layout changes; readers reject any other version with
 // snapshot.ErrVersionSkew rather than guessing.
 //
-// v2 adds compact (float32) table support: meta gains a trailing flags
+// v2 added compact (float32) table support: meta carries a trailing flags
 // word, and the blocks/aptable sections tag every distance table with a
-// storage-kind word (0 = float64, 1 = float32). v1 snapshots are still
-// read — they simply carry no flags and always-float64 tables.
+// storage-kind word (0 = float64, 1 = float32). v1 is not read.
 const oracleFormatVersion = 2
 
-// oracleMinReadVersion is the oldest payload layout this build still
-// decodes.
-const oracleMinReadVersion = 1
-
-// Meta flag bits (v2+).
+// Meta flag bits.
 const metaFlagCompact = 1 << 0
 
-// Table storage-kind tags (v2+ blocks/aptable sections).
+// Table storage-kind tags (blocks/aptable sections).
 const (
 	tableKindF64 = 0
 	tableKindF32 = 1
@@ -89,23 +84,12 @@ func (o *Oracle) writeSnapshot(w io.Writer, deltas []Delta, chainVersion uint32)
 
 	o.G.EncodeSnapshot(sw.Section("graph"))
 
-	be := sw.Section("bcc")
-	be.U64(uint64(len(o.Dec.Components)))
-	for _, comp := range o.Dec.Components {
-		be.I32s(comp)
-	}
-	be.Bools(o.Dec.IsArticulation)
+	o.encodeDecomposition(sw.Section("bcc"))
 
 	bl := sw.Section("blocks")
 	for _, blk := range o.Blocks {
 		blk.Ear.Red.EncodeSnapshot(bl)
-		if o.compact {
-			bl.U32(tableKindF32)
-			bl.F32s(blk.Ear.sr32)
-		} else {
-			bl.U32(tableKindF64)
-			bl.F64s(blk.Ear.SR)
-		}
+		EncodeTable(bl, o.compact, blk.Ear.SR, blk.Ear.sr32)
 		bl.I64(blk.Ear.Relaxations)
 		bl.U64(uint64(blk.Ear.sweeps))
 	}
@@ -116,13 +100,7 @@ func (o *Oracle) writeSnapshot(w io.Writer, deltas []Delta, chainVersion uint32)
 	fe.I32s(o.nodeRoot)
 
 	ae := sw.Section("aptable")
-	if o.compact {
-		ae.U32(tableKindF32)
-		ae.F32s(o.a32)
-	} else {
-		ae.U32(tableKindF64)
-		ae.F64s(o.A)
-	}
+	EncodeTable(ae, o.compact, o.A, o.a32)
 	if o.apGraph != nil {
 		ae.U32(1)
 		o.apGraph.EncodeSnapshot(ae)
@@ -171,18 +149,15 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 		return nil, err
 	}
 	ver := md.U32()
-	if md.Err() == nil && (ver < oracleMinReadVersion || ver > oracleFormatVersion) {
-		return nil, fmt.Errorf("apsp: oracle snapshot format v%d, this build reads v%d–v%d: %w",
-			ver, oracleMinReadVersion, oracleFormatVersion, snapshot.ErrVersionSkew)
+	if md.Err() == nil && ver != oracleFormatVersion {
+		return nil, fmt.Errorf("apsp: oracle snapshot format v%d, this build reads v%d: %w",
+			ver, oracleFormatVersion, snapshot.ErrVersionSkew)
 	}
 	n := md.U64()
 	numBlocks := md.U64()
 	numA := md.U64()
 	relax := md.I64()
-	var flags uint32
-	if ver >= 2 {
-		flags = md.U32()
-	}
+	flags := md.U32()
 	if err := md.Finish(); err != nil {
 		return nil, err
 	}
@@ -223,13 +198,13 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 		BuildPhases: &obs.Phases{},
 	}
 
-	if err := o.decodeBlocks(sr, ver); err != nil {
+	if err := o.decodeBlocks(sr); err != nil {
 		return nil, err
 	}
 	if err := o.decodeForest(sr); err != nil {
 		return nil, err
 	}
-	if err := o.decodeAPTable(sr, ver); err != nil {
+	if err := o.decodeAPTable(sr); err != nil {
 		return nil, err
 	}
 	// A delta-chain snapshot replays its ordered records on top of the
@@ -243,6 +218,66 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 	obs.Default.Phases("snapshot").Record("load", d)
 	obs.Default.Counter("snapshot.loads").Inc()
 	return o, nil
+}
+
+// EncodeTable appends a distance table behind its storage-kind tag: f32
+// in compact mode, f64 otherwise.
+func EncodeTable(e *snapshot.Encoder, compact bool, f64 []graph.Weight, f32 []float32) {
+	if compact {
+		e.U32(tableKindF32)
+		e.F32s(f32)
+		return
+	}
+	e.U32(tableKindF64)
+	e.F64s(f64)
+}
+
+// DecodeTable reads a kind-tagged distance table of want entries,
+// rejecting one whose precision disagrees with the snapshot's compact
+// flag.
+func DecodeTable(d *snapshot.Decoder, compact bool, want int, what string) (f64 []graph.Weight, f32 []float32, err error) {
+	var got int
+	switch kind := d.U32(); {
+	case d.Err() != nil: // truncated before the tag: reported below
+	case kind == tableKindF64 && !compact:
+		f64 = d.F64s()
+		got = len(f64)
+	case kind == tableKindF32 && compact:
+		f32 = d.F32s()
+		got = len(f32)
+	default:
+		return nil, nil, snapshot.Corruptf("apsp: %s has table kind %d in a snapshot with compact=%v", what, kind, compact)
+	}
+	if err := d.Err(); err != nil {
+		return nil, nil, err
+	}
+	if got != want {
+		return nil, nil, snapshot.Corruptf("apsp: %s has %d table entries, want %d", what, got, want)
+	}
+	return f64, f32, nil
+}
+
+// encodeDecomposition writes the BCC section: per-component edge-ID
+// lists plus articulation flags.
+func (o *Oracle) encodeDecomposition(e *snapshot.Encoder) {
+	e.U64(uint64(len(o.Dec.Components)))
+	for _, comp := range o.Dec.Components {
+		e.I32s(comp)
+	}
+	e.Bools(o.Dec.IsArticulation)
+}
+
+// decodeBlock reads one block's ear reduction and S^r table, the layout
+// oracle and shard snapshots share.
+func decodeBlock(bd *snapshot.Decoder, sub *graph.Subgraph, compact bool, bi int) (*EarAPSP, error) {
+	red, err := ear.DecodeReduced(bd, sub.G)
+	if err != nil {
+		return nil, err
+	}
+	nr := red.R.NumVertices()
+	ea := &EarAPSP{G: sub.G, Red: red, nr: nr}
+	ea.SR, ea.sr32, err = DecodeTable(bd, compact, nr*nr, fmt.Sprintf("block %d", bi))
+	return ea, err
 }
 
 // decodeDecomposition reads the BCC section and checks it is a genuine
@@ -297,7 +332,7 @@ func decodeDecomposition(sr *snapshot.Reader, g *graph.Graph, numBlocks uint64) 
 // decodeBlocks reads each block's ear reduction and S^r table, rebuilding
 // the subgraphs from the already-validated edge partition and the shared
 // flat vertex index at the end.
-func (o *Oracle) decodeBlocks(sr *snapshot.Reader, ver uint32) error {
+func (o *Oracle) decodeBlocks(sr *snapshot.Reader) error {
 	bd, err := sr.Section("blocks")
 	if err != nil {
 		return err
@@ -305,40 +340,14 @@ func (o *Oracle) decodeBlocks(sr *snapshot.Reader, ver uint32) error {
 	subs := o.Dec.Subgraphs(o.G)
 	o.Blocks = make([]*BlockAPSP, len(subs))
 	for bi, sub := range subs {
-		red, err := ear.DecodeReduced(bd, sub.G)
+		ea, err := decodeBlock(bd, sub, o.compact, bi)
 		if err != nil {
 			return err
-		}
-		nr := red.R.NumVertices()
-		ea := &EarAPSP{G: sub.G, Red: red, nr: nr}
-		var srLen int
-		kind := uint32(tableKindF64)
-		if ver >= 2 {
-			kind = bd.U32()
-		}
-		switch kind {
-		case tableKindF64:
-			if o.compact {
-				return snapshot.Corruptf("apsp: block %d stores float64 in a compact snapshot", bi)
-			}
-			ea.SR = bd.F64s()
-			srLen = len(ea.SR)
-		case tableKindF32:
-			if !o.compact {
-				return snapshot.Corruptf("apsp: block %d stores float32 in a non-compact snapshot", bi)
-			}
-			ea.sr32 = bd.F32s()
-			srLen = len(ea.sr32)
-		default:
-			return snapshot.Corruptf("apsp: block %d has unknown table kind %d", bi, kind)
 		}
 		ea.Relaxations = bd.I64()
 		sweeps := bd.U64()
 		if err := bd.Err(); err != nil {
 			return err
-		}
-		if srLen != nr*nr {
-			return snapshot.Corruptf("apsp: block %d has %d table entries for nr=%d", bi, srLen, nr)
 		}
 		if sweeps > 1<<40 {
 			return snapshot.Corruptf("apsp: block %d sweep count %d", bi, sweeps)
@@ -392,38 +401,17 @@ func (o *Oracle) decodeForest(sr *snapshot.Reader) error {
 
 // decodeAPTable reads the articulation table, the AP graph, and the
 // edge→block map.
-func (o *Oracle) decodeAPTable(sr *snapshot.Reader, ver uint32) error {
+func (o *Oracle) decodeAPTable(sr *snapshot.Reader) error {
 	ad, err := sr.Section("aptable")
 	if err != nil {
 		return err
 	}
-	kind := uint32(tableKindF64)
-	if ver >= 2 {
-		kind = ad.U32()
-	}
-	var aLen int
-	switch kind {
-	case tableKindF64:
-		if o.compact {
-			return snapshot.Corruptf("apsp: float64 AP table in a compact snapshot")
-		}
-		o.A = ad.F64s()
-		aLen = len(o.A)
-	case tableKindF32:
-		if !o.compact {
-			return snapshot.Corruptf("apsp: float32 AP table in a non-compact snapshot")
-		}
-		o.a32 = ad.F32s()
-		aLen = len(o.a32)
-	default:
-		return snapshot.Corruptf("apsp: unknown AP table kind %d", kind)
+	if o.A, o.a32, err = DecodeTable(ad, o.compact, o.numA*o.numA, "AP table"); err != nil {
+		return err
 	}
 	has := ad.U32()
 	if err := ad.Err(); err != nil {
 		return err
-	}
-	if aLen != o.numA*o.numA {
-		return snapshot.Corruptf("apsp: AP table has %d entries for a=%d", aLen, o.numA)
 	}
 	if (has == 1) != (o.numA > 0) {
 		return snapshot.Corruptf("apsp: AP graph flag %d with a=%d", has, o.numA)

@@ -1,0 +1,266 @@
+package apsp
+
+import (
+	"sync"
+
+	"repro/internal/graph"
+)
+
+// The stitch kernel: the one implementation of "combine per-block rows
+// with the articulation table A along the block-cut forest" — Section 2.2
+// run at row granularity, the assembly half of a disassembly/assembly
+// APSP. Both row sources call it: the monolith oracle hands it rows read
+// from its own tables, a sharded frontend rows fetched from shard
+// daemons, so the two answer identically because they are the same code
+// over the same per-block bytes, not two copies kept in step.
+//
+// n calls to Query pay the forest navigation (an O(log n) LCA plus gateway
+// lookup) once per pair; the kernel walks the forest from the source once
+// and runs the case analysis in aggregate:
+//
+//   - distances from u to every articulation point come first (for an AP
+//     source, one row of A; for a regular source, a min over its block's
+//     cut vertices of an in-block distance plus a row of A);
+//   - every other block b is then extended in one pass: each vertex v of b
+//     costs one in-block distance d_b(gate, v) added to the gateway's AP
+//     distance.
+//
+// Total: O(n + a·|cuts(b_u)| + B) table operations per row, each in-block
+// distance O(1) against the reduced tables S^r — a row never re-runs
+// Dijkstra (the paper's "compute once, extend per query" discipline).
+
+// StitchView is the read-only block-cut topology the kernel walks: the
+// articulation points, the forest adjacency in both directions, each
+// block's vertex list in the order its rows are emitted, and the a×a
+// table A in its stored precision. The slices are shared with their
+// owner (an Oracle's BlockCutTree, a shard plan) and never written.
+type StitchView struct {
+	CutVertices []int32   // AP index → vertex
+	CutIndex    []int32   // vertex → AP index, -1 for regular vertices; len n
+	BlockOf     []int32   // vertex → home block, -1 for isolated vertices
+	BlockCuts   [][]int32 // block → AP indices of the cut vertices on it
+	CutBlocks   [][]int32 // AP index → blocks it lies on (BlockCuts reversed)
+	BlockVerts  [][]int32 // block → its vertices, in row order
+
+	// Exactly one is non-nil unless the graph has no articulation points.
+	A   []graph.Weight
+	A32 []float32
+}
+
+// BlockWant names one in-block row the kernel needs: d_Block(Src, ·), in
+// BlockVerts[Block] order. Src is a parent-graph vertex lying on Block.
+type BlockWant struct {
+	Block, Src int32
+}
+
+// BlockRowsFunc supplies in-block rows: it fills rows[i] (already sized
+// to want[i].Block's vertex count) for every i, or returns an error and
+// the whole row fails. want is ascending by block. Both slices are pooled
+// scratch, valid only until the call returns.
+type BlockRowsFunc func(want []BlockWant, rows [][]graph.Weight) error
+
+// Gate markers of the forest walk; a non-negative gate is an AP index.
+const (
+	gateSelf = -1 // the source lies on the block
+	gateNone = -2 // not reached: another component
+)
+
+// stitchScratch is the per-call working set, pooled so a steady-state row
+// allocates nothing.
+type stitchScratch struct {
+	gate, queue []int32
+	want        []BlockWant
+	rows        [][]graph.Weight
+	flat        []graph.Weight // backing store of rows
+	dcut, dAP   []graph.Weight
+}
+
+var stitchPool = sync.Pool{New: func() any { return new(stitchScratch) }}
+
+// grow returns s resized to n, reallocating only when capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// RowCost estimates the table operations Row(u) will perform, the size
+// measure a work-queue scheduler sorts row units by. It is a cheap upper
+// bound, not a promise: n for the extension pass plus the AP sweep.
+func (v StitchView) RowCost(u int32) int64 {
+	cost := int64(len(v.CutIndex))
+	if u >= 0 && int(u) < len(v.BlockOf) {
+		if b := v.BlockOf[u]; b >= 0 {
+			cost += int64(len(v.CutVertices)) * int64(len(v.BlockCuts[b])+1)
+		}
+	}
+	return cost
+}
+
+// Row writes d_G(u, v) for every vertex v into out (len ≥ n) and returns
+// the number of table operations performed. An out-of-range u comes back
+// as a *QueryError wrapping ErrVertexRange with out untouched; a fetch
+// error is returned as is and leaves out unspecified.
+//
+// gate[b] is the first cut vertex on the forest path from block b back to
+// the source, so block b needs exactly one in-block row — from the source
+// itself if it lies on b, else from b's gate — and fetch supplies those.
+func (v StitchView) Row(u int32, out []graph.Weight, fetch BlockRowsFunc) (int64, error) {
+	n := len(v.CutIndex)
+	if u < 0 || int(u) >= n {
+		return 0, &QueryError{Op: "Row", U: u, V: u, N: n, Err: ErrVertexRange}
+	}
+	out = out[:n]
+	for i := range out {
+		out[i] = Inf
+	}
+	out[u] = 0
+	ops := int64(n)
+	iu, bu := v.CutIndex[u], v.BlockOf[u]
+	if iu < 0 && bu < 0 {
+		return ops, nil // isolated vertex: everything else stays Inf
+	}
+
+	sc := stitchPool.Get().(*stitchScratch)
+	defer stitchPool.Put(sc)
+
+	sc.gate = grow(sc.gate, len(v.BlockVerts))
+	gate := sc.gate
+	for b := range gate {
+		gate[b] = gateNone
+	}
+	queue := sc.queue[:0]
+	if iu >= 0 {
+		for _, b := range v.CutBlocks[iu] {
+			if gate[b] == gateNone {
+				gate[b] = gateSelf
+				queue = append(queue, b)
+			}
+		}
+	} else {
+		gate[bu] = gateSelf
+		queue = append(queue, bu)
+	}
+	for qi := 0; qi < len(queue); qi++ {
+		b := queue[qi]
+		for _, ci := range v.BlockCuts[b] {
+			if ci == gate[b] || ci == iu {
+				continue // the cut this block was entered through
+			}
+			for _, nb := range v.CutBlocks[ci] {
+				if gate[nb] == gateNone {
+					gate[nb] = ci
+					queue = append(queue, nb)
+				}
+			}
+		}
+	}
+	sc.queue = queue
+
+	// One in-block row per reached block, ascending, so a provider's
+	// request order is deterministic.
+	want := sc.want[:0]
+	home, total := -1, 0
+	for b, g := range gate {
+		if g == gateNone {
+			continue
+		}
+		src := u
+		if g >= 0 {
+			src = v.CutVertices[g]
+		} else if iu < 0 {
+			home = len(want)
+		}
+		want = append(want, BlockWant{Block: int32(b), Src: src})
+		total += len(v.BlockVerts[b])
+	}
+	sc.want = want
+	sc.flat = grow(sc.flat, total)
+	sc.rows = grow(sc.rows, len(want))
+	rows := sc.rows
+	off := 0
+	for i, w := range want {
+		k := len(v.BlockVerts[w.Block])
+		rows[i] = sc.flat[off : off+k : off+k]
+		off += k
+	}
+	if err := fetch(want, rows); err != nil {
+		return 0, err
+	}
+
+	// Distance from the source to every articulation point.
+	a := len(v.CutVertices)
+	sc.dAP = grow(sc.dAP, a)
+	dAP := sc.dAP
+	if iu >= 0 {
+		for j := range dAP {
+			dAP[j] = apAt(v.A, v.A32, a, iu, int32(j))
+			out[v.CutVertices[j]] = dAP[j]
+		}
+		ops += int64(a)
+	} else {
+		// In-block distances, including the home block's own cut vertices,
+		// are exact: a shortest path between two vertices of one
+		// biconnected component never leaves it.
+		verts := v.BlockVerts[bu]
+		for k, pv := range verts {
+			out[pv] = rows[home][k]
+		}
+		ops += int64(len(verts))
+		cuts := v.BlockCuts[bu]
+		if len(cuts) == 0 {
+			return ops, nil // the whole component is this one block
+		}
+		// Any path out of bu passes one of its cut vertices, so the min
+		// over cuts of (in-block leg + A row) is exact — and for bu's own
+		// cuts it degenerates to the in-block value. dcut is gathered
+		// dense: this a × |cuts| loop dominates the row.
+		sc.dcut = grow(sc.dcut, len(cuts))
+		dcut := sc.dcut
+		for i, ci := range cuts {
+			dcut[i] = out[v.CutVertices[ci]]
+		}
+		for j := range dAP {
+			best := Inf
+			for i, ci := range cuts {
+				if s := addInf(dcut[i], apAt(v.A, v.A32, a, ci, int32(j)), 0); s < best {
+					best = s
+				}
+			}
+			dAP[j] = best
+			if cv := v.CutVertices[j]; best < out[cv] {
+				out[cv] = best
+			}
+		}
+		ops += int64(a) * int64(len(cuts))
+	}
+
+	// Interior (non-AP) vertices of every other reached block: the gate's
+	// distance from the source plus one in-block entry each.
+	for i, w := range want {
+		if i == home {
+			continue // filled above
+		}
+		g := gate[w.Block]
+		verts, row := v.BlockVerts[w.Block], rows[i]
+		ops += int64(len(verts))
+		if g == gateSelf {
+			// The AP source lies on this block: in-block distances are
+			// exact (its APs came from A).
+			for k, pv := range verts {
+				if v.CutIndex[pv] < 0 {
+					out[pv] = row[k]
+				}
+			}
+			continue
+		}
+		pre := dAP[g]
+		for k, pv := range verts {
+			if v.CutIndex[pv] < 0 {
+				out[pv] = addInf(pre, row[k], 0)
+			}
+		}
+	}
+	return ops, nil
+}

@@ -1,0 +1,146 @@
+package apsp_test
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"math"
+	"testing"
+
+	"repro/internal/apsp"
+	"repro/internal/check"
+	"repro/internal/gen"
+	"repro/internal/graph"
+)
+
+// stitchCases is the kernel's table: the differential corpus plus the
+// topologies where the forest walk and the own-block rule are delicate.
+func stitchCases() []check.NamedGraph {
+	cfg := gen.Config{MaxWeight: 7}
+	rng := gen.NewRNG(0x571c4)
+	return append(check.Corpus(),
+		// 0 and 2 carry self-loop blocks: vertices on several blocks that
+		// are not articulation points.
+		check.NamedGraph{Name: "self-loop-non-ap", G: graph.FromEdges(5, []graph.Edge{
+			{U: 0, V: 0, W: 1}, {U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3},
+			{U: 2, V: 2, W: 4}, {U: 2, V: 3, W: 1},
+		})},
+		check.NamedGraph{Name: "disconnected", G: graph.FromEdges(8, []graph.Edge{
+			{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: 3}, {U: 2, V: 0, W: 4}, {U: 2, V: 3, W: 1},
+			{U: 4, V: 5, W: 1}, {U: 5, V: 6, W: 5}, {U: 6, V: 4, W: 2},
+		})}, // vertex 7 isolated
+		check.NamedGraph{Name: "isolated-only", G: graph.FromEdges(3, nil)},
+		check.NamedGraph{Name: "single-block", G: gen.Ring(9, cfg, rng)},
+		check.NamedGraph{Name: "star-of-blocks", G: gen.LoopFlower(5, 3, cfg, rng)},
+	)
+}
+
+// shardProvider serves the kernel from a one-shard snapshot of o through
+// ShardBlocks.BlockRow — the shard daemon's row path without the HTTP.
+func shardProvider(t *testing.T, o *apsp.Oracle) apsp.BlockRowsFunc {
+	t.Helper()
+	owned := make([]bool, len(o.Blocks))
+	for b := range owned {
+		owned[b] = true
+	}
+	var buf bytes.Buffer
+	if _, err := o.WriteShardSnapshot(&buf, apsp.ShardMeta{Epoch: 1, NumShards: 1}, owned); err != nil {
+		t.Fatalf("WriteShardSnapshot: %v", err)
+	}
+	sb, err := apsp.ReadShardSnapshot(&buf)
+	if err != nil {
+		t.Fatalf("ReadShardSnapshot: %v", err)
+	}
+	return func(want []apsp.BlockWant, rows [][]graph.Weight) error {
+		for i, w := range want {
+			if i > 0 && want[i-1].Block >= w.Block {
+				t.Errorf("want list not ascending: block %d after %d", w.Block, want[i-1].Block)
+			}
+			if err := sb.BlockRow(w.Block, w.Src, rows[i]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// TestStitchKernelProviders drives the kernel through both providers —
+// the oracle's resident tables and a decoded shard snapshot — and holds
+// every row to the independent references bit for bit, with equal
+// operation counts on the two paths.
+func TestStitchKernelProviders(t *testing.T) {
+	for _, tc := range stitchCases() {
+		for _, compact := range []bool{false, true} {
+			o, err := apsp.NewOracleOpts(context.Background(), tc.G, apsp.Options{Compact32: compact})
+			if err != nil {
+				t.Fatalf("%s: build: %v", tc.Name, err)
+			}
+			n := tc.G.NumVertices()
+			ref := apsp.FloydWarshall(tc.G)
+			fetch := shardProvider(t, o)
+			mono := make([]graph.Weight, n)
+			got := make([]graph.Weight, n)
+			for u := int32(0); int(u) < n; u++ {
+				mops := o.Row(u, mono)
+				gops, err := o.StitchView().Row(u, got, fetch)
+				if err != nil {
+					t.Fatalf("%s compact=%v: kernel row %d: %v", tc.Name, compact, u, err)
+				}
+				if gops != mops {
+					t.Errorf("%s compact=%v: row %d: %d ops via provider, %d via monolith", tc.Name, compact, u, gops, mops)
+				}
+				for v := 0; v < n; v++ {
+					want := o.Query(u, int32(v))
+					if !compact {
+						// float64 tables over integral weights are exact.
+						if fw := ref[int(u)*n+v]; math.Float64bits(float64(fw)) != math.Float64bits(float64(want)) {
+							t.Fatalf("%s: Query(%d,%d) = %v, Floyd–Warshall %v", tc.Name, u, v, want, fw)
+						}
+					}
+					if math.Float64bits(float64(got[v])) != math.Float64bits(float64(want)) ||
+						math.Float64bits(float64(mono[v])) != math.Float64bits(float64(want)) {
+						t.Fatalf("%s compact=%v: d(%d,%d) = %v via provider, %v via monolith, reference %v",
+							tc.Name, compact, u, v, got[v], mono[v], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStitchKernelErrors pins the kernel's two failure contracts: an
+// out-of-range source is a typed error that leaves out untouched (on the
+// kernel and on RowChecked; Row keeps its all-Inf contract), and a
+// provider failure comes back as is.
+func TestStitchKernelErrors(t *testing.T) {
+	g := stitchCases()[4].G // bridge-chain
+	o := apsp.NewOracle(g)
+	n := g.NumVertices()
+	out := make([]graph.Weight, n)
+	for _, u := range []int32{-1, int32(n)} {
+		for i := range out {
+			out[i] = 42
+		}
+		_, kerr := o.StitchView().Row(u, out, shardProvider(t, o))
+		_, cerr := o.RowChecked(u, out)
+		for _, err := range []error{kerr, cerr} {
+			var qe *apsp.QueryError
+			if !errors.Is(err, apsp.ErrVertexRange) || !errors.As(err, &qe) {
+				t.Fatalf("source %d: err = %v, want *QueryError wrapping ErrVertexRange", u, err)
+			}
+		}
+		for v, d := range out {
+			if d != 42 {
+				t.Fatalf("source %d: out[%d] overwritten with %v on a range error", u, v, d)
+			}
+		}
+		if ops := o.Row(u, out); ops != 0 || out[0] != apsp.Inf || out[n-1] != apsp.Inf {
+			t.Fatalf("Row(%d) = %d ops, out[0]=%v: want 0 ops and an all-Inf row", u, ops, out[0])
+		}
+	}
+	boom := errors.New("provider down")
+	_, err := o.StitchView().Row(0, out, func([]apsp.BlockWant, [][]graph.Weight) error { return boom })
+	if err != boom {
+		t.Fatalf("provider error came back as %v", err)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
-	"math"
 
 	"repro/internal/apsp"
 	"repro/internal/graph"
@@ -16,11 +15,6 @@ import (
 // checked independently of the container's own version.
 const planFormatVersion = 1
 
-const (
-	tableKindF64 = 0
-	tableKindF32 = 1
-)
-
 // Plan is the cluster's source of truth: which shard owns each block of
 // the block-cut forest, plus the boundary state the frontend needs to
 // stitch per-block rows into whole-graph rows — the articulation-point
@@ -28,8 +22,9 @@ const (
 // exact order shards emit row values. Everything else (graph edges, ear
 // reductions, S^r tables) lives only in the per-shard snapshots.
 //
-// A Plan answers no distance queries by itself; it is the routing and
-// assembly map. Fields are read-only after PlanShards/ReadPlan.
+// A Plan answers no distance queries by itself; it is the routing map
+// (BlockShard) plus the apsp.StitchView the stitch kernel assembles rows
+// over. Fields are read-only after PlanShards/ReadPlan.
 type Plan struct {
 	// Epoch identifies this plan's generation. Shard snapshots carved
 	// under the plan carry the same epoch, the row RPC validates it per
@@ -68,18 +63,15 @@ type Plan struct {
 	apF32 []float32
 
 	// Derived at load, never serialised.
-	numA      int
-	cutIndex  []int32   // vertex → AP index, -1 for regular vertices
-	cutBlocks [][]int32 // AP index → blocks listing it in BlockCuts (forest adjacency)
-	apBlocks  [][]int32 // AP index → blocks whose BlockVerts contain it (own-block membership)
-	cutPos    [][]int32 // per block: position of each BlockCuts vertex in BlockVerts
+	cutIndex []int32         // vertex → AP index, -1 for regular vertices
+	view     apsp.StitchView // what the stitch kernel walks; see derive
 }
 
 // NumBlocks returns the block count of the plan.
 func (p *Plan) NumBlocks() int { return len(p.BlockShard) }
 
 // NumAPs returns the articulation-point count a.
-func (p *Plan) NumAPs() int { return p.numA }
+func (p *Plan) NumAPs() int { return len(p.CutVertices) }
 
 // OwnedMask returns the per-block ownership flags for one shard, in the
 // form apsp.WriteShardSnapshot consumes.
@@ -102,20 +94,6 @@ func (p *Plan) ShardBlockCount(shard int32) int {
 	return n
 }
 
-// apAt reads the AP table in either precision — the exact replica of the
-// oracle's apAt, including the compact read rule that stored +Inf
-// (anything above MaxFloat32) restores the exact Inf sentinel.
-func (p *Plan) apAt(i, j int32) graph.Weight {
-	if p.apF32 != nil {
-		v := p.apF32[int(i)*p.numA+int(j)]
-		if v > math.MaxFloat32 {
-			return inf
-		}
-		return graph.Weight(v)
-	}
-	return p.apF64[int(i)*p.numA+int(j)]
-}
-
 // PlanOptions configures PlanShards.
 type PlanOptions struct {
 	// Shards is the shard count; it must be at least 1. More shards than
@@ -132,7 +110,7 @@ type PlanOptions struct {
 // to shards by weight-balanced partitioning of the quotient graph (one
 // vertex per block, edges where blocks share an articulation point), so
 // each shard carries a near-equal share of table memory and forest
-// neighbours tend to co-locate. The plan copies the oracle's boundary
+// neighbours tend to co-locate. The plan shares the oracle's boundary
 // state (AP table, forest topology, block vertex orders); carve the
 // per-shard table snapshots with o.WriteShardSnapshot(w, meta,
 // plan.OwnedMask(s)).
@@ -166,25 +144,19 @@ func PlanShards(o *apsp.Oracle, opts PlanOptions) (*Plan, error) {
 	}
 	assign := partition.PartitionWeighted(qb.Build(), opts.Shards, refine, weights)
 
+	// The oracle is immutable, so the plan shares its boundary slices.
+	v := o.StitchView()
 	p := &Plan{
 		NumShards:   int32(opts.Shards),
 		Compact:     o.Compact(),
 		NumVertices: o.G.NumVertices(),
-		CutVertices: append([]int32(nil), o.BCT.CutVertices...),
-		BlockOf:     append([]int32(nil), o.BCT.BlockOf...),
-		BlockCuts:   make([][]int32, numB),
-		BlockVerts:  make([][]int32, numB),
+		CutVertices: v.CutVertices,
+		BlockOf:     v.BlockOf,
+		BlockCuts:   v.BlockCuts,
+		BlockVerts:  v.BlockVerts,
 		BlockShard:  assign,
-	}
-	for b := 0; b < numB; b++ {
-		p.BlockCuts[b] = append([]int32(nil), o.BCT.BlockCuts[b]...)
-		p.BlockVerts[b] = append([]int32(nil), o.Blocks[b].Sub.ToParentVertex...)
-	}
-	a64, a32 := o.APTableRaw()
-	if p.Compact {
-		p.apF32 = append([]float32(nil), a32...)
-	} else {
-		p.apF64 = append([]graph.Weight(nil), a64...)
+		apF64:       v.A,
+		apF32:       v.A32,
 	}
 	if err := p.derive(); err != nil {
 		return nil, err
@@ -245,14 +217,7 @@ func (p *Plan) WriteTo(w io.Writer) (int64, error) {
 		be.I32s(p.BlockVerts[b])
 	}
 
-	at := sw.Section("aptable")
-	if p.Compact {
-		at.U32(tableKindF32)
-		at.F32s(p.apF32)
-	} else {
-		at.U32(tableKindF64)
-		at.F64s(p.apF64)
-	}
+	apsp.EncodeTable(sw.Section("aptable"), p.Compact, p.apF64, p.apF32)
 
 	return sw.WriteTo(w)
 }
@@ -366,34 +331,12 @@ func ReadPlan(r io.Reader) (p *Plan, err error) {
 	if err != nil {
 		return nil, err
 	}
-	var tlen int
-	switch kind := at.U32(); kind {
-	case tableKindF64:
-		if at.Err() == nil && p.Compact {
-			return nil, snapshot.Corruptf("shard: float64 AP table in a compact plan")
-		}
-		p.apF64 = at.F64s()
-		tlen = len(p.apF64)
-	case tableKindF32:
-		if at.Err() == nil && !p.Compact {
-			return nil, snapshot.Corruptf("shard: float32 AP table in a non-compact plan")
-		}
-		p.apF32 = at.F32s()
-		tlen = len(p.apF32)
-	default:
-		if err := at.Err(); err != nil {
-			return nil, err
-		}
-		return nil, snapshot.Corruptf("shard: unknown AP table kind %d", kind)
-	}
-	if err := at.Err(); err != nil {
+	a := len(p.CutVertices)
+	if p.apF64, p.apF32, err = apsp.DecodeTable(at, p.Compact, a*a, "plan AP table"); err != nil {
 		return nil, err
 	}
 	if err := at.Finish(); err != nil {
 		return nil, err
-	}
-	if uint64(tlen) != numA*numA {
-		return nil, snapshot.Corruptf("shard: AP table holds %d entries for a=%d", tlen, numA)
 	}
 
 	if err := p.derive(); err != nil {
@@ -402,13 +345,12 @@ func ReadPlan(r io.Reader) (p *Plan, err error) {
 	return p, nil
 }
 
-// derive builds the stitch indexes from the stored fields, validating the
-// cross-references it depends on (distinct APs, every block cut present
-// in its block's vertex list).
+// derive builds the stitch kernel's view from the stored fields,
+// validating the cross-references the kernel relies on: distinct APs,
+// and each block's cut list naming exactly the APs in its vertex list —
+// which is what lets the forest adjacency double as "the blocks an AP
+// source lies on", as it does in the oracle's own block-cut tree.
 func (p *Plan) derive() error {
-	numB := len(p.BlockShard)
-	p.numA = len(p.CutVertices)
-
 	p.cutIndex = make([]int32, p.NumVertices)
 	for i := range p.cutIndex {
 		p.cutIndex[i] = -1
@@ -423,37 +365,39 @@ func (p *Plan) derive() error {
 		p.cutIndex[v] = int32(j)
 	}
 
-	p.cutBlocks = make([][]int32, p.numA)
-	p.apBlocks = make([][]int32, p.numA)
-	p.cutPos = make([][]int32, numB)
-	for b := 0; b < numB; b++ {
-		for _, ci := range p.BlockCuts[b] {
-			p.cutBlocks[ci] = append(p.cutBlocks[ci], int32(b))
-		}
-		// Own-block membership comes from the vertex lists, not the cut
-		// lists: it must replicate the oracle's local(u) >= 0 test, which
-		// sees every vertex of a block.
-		pos := make([]int32, len(p.BlockCuts[b]))
-		for i := range pos {
-			pos[i] = -1
-		}
-		for k, v := range p.BlockVerts[b] {
-			if j := p.cutIndex[v]; j >= 0 {
-				p.apBlocks[j] = append(p.apBlocks[j], int32(b))
-				for i, ci := range p.BlockCuts[b] {
-					if ci == j {
-						pos[i] = int32(k)
-					}
-				}
+	cutBlocks := make([][]int32, len(p.CutVertices))
+	for b, cuts := range p.BlockCuts {
+		for _, ci := range cuts {
+			if bs := cutBlocks[ci]; len(bs) > 0 && bs[len(bs)-1] == int32(b) {
+				return snapshot.Corruptf("shard: block %d lists cut vertex %d twice", b, p.CutVertices[ci])
 			}
+			cutBlocks[ci] = append(cutBlocks[ci], int32(b))
 		}
-		for i, k := range pos {
-			if k < 0 {
-				return snapshot.Corruptf("shard: block %d cut vertex %d missing from its vertex list",
-					b, p.CutVertices[p.BlockCuts[b][i]])
+		onBlock := 0
+		for _, v := range p.BlockVerts[b] {
+			j := p.cutIndex[v]
+			if j < 0 {
+				continue
 			}
+			if bs := cutBlocks[j]; len(bs) == 0 || bs[len(bs)-1] != int32(b) {
+				return snapshot.Corruptf("shard: block %d holds AP vertex %d but does not list it as a cut", b, v)
+			}
+			onBlock++
 		}
-		p.cutPos[b] = pos
+		if onBlock != len(cuts) {
+			return snapshot.Corruptf("shard: block %d lists %d cut vertices, %d lie in its vertex list",
+				b, len(cuts), onBlock)
+		}
+	}
+	p.view = apsp.StitchView{
+		CutVertices: p.CutVertices,
+		CutIndex:    p.cutIndex,
+		BlockOf:     p.BlockOf,
+		BlockCuts:   p.BlockCuts,
+		CutBlocks:   cutBlocks,
+		BlockVerts:  p.BlockVerts,
+		A:           p.apF64,
+		A32:         p.apF32,
 	}
 	return nil
 }

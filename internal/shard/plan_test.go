@@ -110,12 +110,8 @@ func TestPlanManifestRoundtrip(t *testing.T) {
 		!reflect.DeepEqual(q.BlockShard, p.BlockShard) {
 		t.Fatal("topology mismatch after roundtrip")
 	}
-	for i := 0; i < p.numA; i++ {
-		for j := 0; j < p.numA; j++ {
-			if q.apAt(int32(i), int32(j)) != p.apAt(int32(i), int32(j)) {
-				t.Fatalf("AP table differs at (%d,%d)", i, j)
-			}
-		}
+	if !reflect.DeepEqual(q.view, p.view) {
+		t.Fatal("stitch view (AP table, derived forest adjacency) differs after roundtrip")
 	}
 	// A second serialisation of the decoded plan is byte-identical.
 	var buf2 bytes.Buffer

@@ -133,11 +133,29 @@ func (h *Handler) Health(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// rowsResponseLen is the exact size of a well-formed response carrying
+// rows of the given lengths: the container around rmeta (version, epoch,
+// count) and, per row, block, src, a length prefix and the values.
+func rowsResponseLen(lens []int) int64 {
+	n := int64(snapshot.Overhead(2)) + 4 + 8 + 8
+	for _, l := range lens {
+		n += 4 + 4 + 8 + 8*int64(l)
+	}
+	return n
+}
+
 // decodeRowsResponse parses and validates a row RPC response against the
 // request that produced it: the epoch, the row count, each row's
 // (block, src) echo, and each row's length (from lens) must all match.
+// It reads at most one byte past the size the request implies; a longer
+// body is a corrupt response no retry can fix.
 func decodeRowsResponse(r io.Reader, wantEpoch uint64, reqs [][2]int32, lens []int) ([][]graph.Weight, error) {
-	sr, err := snapshot.NewReader(r)
+	limit := rowsResponseLen(lens)
+	body := &io.LimitedReader{R: r, N: limit + 1}
+	sr, err := snapshot.NewReader(body)
+	if body.N == 0 {
+		return nil, &noRetryError{snapshot.Corruptf("shard: rows response exceeds the %d bytes its request allows", limit)}
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -27,19 +27,16 @@
 //   - Handler serves POST /internal/rows on a shard daemon: batched
 //     per-block distance rows, plan-epoch validated, binary response so
 //     Inf and exact float bits survive the wire.
-//   - RemoteSource is the frontend's fan-out qe.CtxRowSource: it routes
-//     row needs to shard owners over HTTP (bounded retries with backoff,
-//     hedged reads, per-shard health), stitches the responses with the
-//     exact arithmetic of apsp's Row, and surfaces outages as typed
-//     errors instead of wrong answers.
+//   - RemoteSource is the frontend's fan-out qe.CtxRowSource: it runs
+//     apsp's stitch kernel — the same code behind the monolith's Row —
+//     over the plan, supplying block rows from shard owners over HTTP
+//     (bounded retries with backoff, hedged reads, per-shard health), and
+//     surfaces outages as typed errors instead of wrong answers.
 package shard
 
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/apsp"
-	"repro/internal/graph"
 )
 
 // Typed failures of the fan-out path. The serving layer matches them
@@ -69,17 +66,3 @@ func (e *Error) Error() string {
 }
 
 func (e *Error) Unwrap() error { return e.Err }
-
-// Inf mirrors apsp.Inf: the stitching arithmetic must use the same
-// unreachable sentinel as the oracle it replicates.
-const inf = graph.Weight(apsp.Inf)
-
-// addInf is apsp's saturating three-way add, replicated bit-for-bit:
-// the frontend's stitch must combine table entries with the exact
-// arithmetic (and operand order) of the monolith's Row.
-func addInf(a, b, c graph.Weight) graph.Weight {
-	if a >= inf || b >= inf || c >= inf {
-		return inf
-	}
-	return a + b + c
-}

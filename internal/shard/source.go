@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/apsp"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
@@ -77,10 +78,11 @@ func (st *shardState) markBad(msg string) {
 }
 
 // RemoteSource is the frontend's distance-row source: it computes whole-
-// graph rows by fanning block-row fetches out to the shard daemons that
-// own them and stitching the responses at articulation points with the
-// exact arithmetic of the monolith oracle's Row — the answers are
-// byte-identical, or a typed error; never silently partial.
+// graph rows with apsp's stitch kernel — the code behind the monolith
+// oracle's Row — over the plan's view, fanning the block-row fetches the
+// kernel asks for out to the shard daemons that own them. The answers are
+// byte-identical to the monolith's, or a typed error; never silently
+// partial.
 //
 // It implements qe.RowSource, qe.CtxRowSource, and qe.Sizer, so the
 // existing engine stack (row cache, singleflight, admission, batching)
@@ -179,18 +181,10 @@ func (s *RemoteSource) Epoch() uint64 { return s.plan.Epoch }
 // NumVertices returns the full graph's vertex count.
 func (s *RemoteSource) NumVertices() int { return s.plan.NumVertices }
 
-// RowCost mirrors the monolith oracle's RowCost so the batch scheduler
-// orders sharded row builds the same way.
-func (s *RemoteSource) RowCost(u int32) int64 {
-	p := s.plan
-	cost := int64(p.NumVertices)
-	if u >= 0 && int(u) < len(p.BlockOf) {
-		if b := p.BlockOf[u]; b >= 0 {
-			cost += int64(p.numA) * int64(len(p.BlockCuts[b])+1)
-		}
-	}
-	return cost
-}
+// RowCost is the kernel's row-cost estimate, the same one the monolith
+// oracle reports, so the batch scheduler orders sharded row builds the
+// same way.
+func (s *RemoteSource) RowCost(u int32) int64 { return s.plan.view.RowCost(u) }
 
 // ShardStatus is one shard's serving state, as reported by /v1/cluster.
 type ShardStatus struct {
@@ -223,251 +217,88 @@ func (s *RemoteSource) Status() []ShardStatus {
 func (s *RemoteSource) Row(u int32, out []graph.Weight) int64 {
 	ops, err := s.RowCtx(context.Background(), u, out)
 	if err != nil {
-		return 0
+		out = out[:s.plan.NumVertices]
+		for i := range out {
+			out[i] = apsp.Inf
+		}
 	}
 	return ops
 }
 
 // RowCtx computes the whole-graph distance row d_G(u, ·) into out,
-// returning the stitch operation count. It fans the needed block rows
-// out to their owning shards in parallel and assembles them locally; on
-// any shard failure it returns a typed error (wrapping
-// ErrShardUnavailable or ErrEpochMismatch) and out is unspecified.
-//
-// The assembly replays apsp's Row step for step — same case analysis,
-// same table reads, same saturating adds in the same order — which is
-// what makes the sharded frontend byte-identical to the monolith.
+// returning the stitch operation count. The row is apsp's stitch kernel
+// run over the plan's view, with the needed block rows fanned out to
+// their owning shards in parallel; on any shard failure it returns a
+// typed error (wrapping ErrShardUnavailable or ErrEpochMismatch) and out
+// is unspecified. An out-of-range u is a *apsp.QueryError wrapping
+// apsp.ErrVertexRange, with out untouched.
 func (s *RemoteSource) RowCtx(ctx context.Context, u int32, out []graph.Weight) (int64, error) {
-	p := s.plan
-	n := p.NumVertices
-	out = out[:n]
-	for i := range out {
-		out[i] = inf
-	}
-	if u < 0 || int(u) >= n {
-		return 0, nil // mirror Oracle.Row: silent all-Inf row
-	}
-	out[u] = 0
-	ops := int64(n)
-	numB := len(p.BlockShard)
-
-	iu := int32(-1)
-	if int(u) < len(p.cutIndex) {
-		iu = p.cutIndex[u]
-	}
-	bu := p.BlockOf[u]
-	if iu < 0 && bu < 0 {
-		return ops, nil // isolated vertex: everything else stays Inf
-	}
-
-	// Walk the block-cut forest from the source's node. gate[b] is the
-	// AP index of the first cut vertex on the path from block b back to
-	// the source — exactly the oracle's gatewayCut — with -1 marking the
-	// source's home block and -2 unreached (other components).
-	gate := make([]int32, numB)
-	for i := range gate {
-		gate[i] = -2
-	}
-	cutSeen := make([]bool, p.numA)
-	queue := make([]int32, 0, 16)
-	var own []bool
-	if iu >= 0 {
-		cutSeen[iu] = true
-		queue = append(queue, int32(numB)+iu)
-		own = make([]bool, numB)
-		for _, b := range p.apBlocks[iu] {
-			own[b] = true
-		}
-	} else {
-		gate[bu] = -1
-		if len(p.BlockCuts[bu]) == 0 {
-			// The whole component is this one block; skip the walk, as
-			// the oracle's rowFromRegular returns early.
-			queue = queue[:0]
-		} else {
-			queue = append(queue, bu)
-		}
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		v := queue[qi]
-		if int(v) < numB {
-			for _, ci := range p.BlockCuts[v] {
-				if !cutSeen[ci] {
-					cutSeen[ci] = true
-					queue = append(queue, int32(numB)+ci)
-				}
-			}
-			continue
-		}
-		for _, b := range p.cutBlocks[v-int32(numB)] {
-			if gate[b] == -2 {
-				gate[b] = v - int32(numB)
-				queue = append(queue, b)
-			}
-		}
-	}
-
-	// Collect the block rows this row needs: for the source's own
-	// block(s) a row from u itself, for every other reached block a row
-	// from its gateway cut vertex. Blocks are visited ascending, so the
-	// per-shard request order is deterministic.
-	perShard := make(map[int32]*shardFetch)
-	want := func(b, src int32) {
-		sid := p.BlockShard[b]
-		f := perShard[sid]
-		if f == nil {
-			f = &shardFetch{}
-			perShard[sid] = f
-		}
-		f.reqs = append(f.reqs, [2]int32{b, src})
-		f.lens = append(f.lens, len(p.BlockVerts[b]))
-	}
-	for b := int32(0); int(b) < numB; b++ {
-		switch {
-		case iu >= 0 && own[b]:
-			want(b, u)
-		case iu >= 0 && gate[b] >= 0:
-			want(b, p.CutVertices[gate[b]])
-		case iu < 0 && b == bu:
-			want(b, u)
-		case iu < 0 && gate[b] >= 0:
-			want(b, p.CutVertices[gate[b]])
-		}
-	}
-
-	if err := s.fanOut(ctx, perShard); err != nil {
-		return 0, err
-	}
-	blockRow := make(map[int32][]graph.Weight)
-	for _, f := range perShard {
-		for i, pair := range f.reqs {
-			blockRow[pair[0]] = f.rows[i]
-		}
-	}
-
-	// Assembly, replaying rowFromAP / rowFromRegular.
-	if iu >= 0 {
-		for j := 0; j < p.numA; j++ {
-			out[p.CutVertices[j]] = p.apAt(iu, int32(j))
-		}
-		ops += int64(p.numA)
-		for b := int32(0); int(b) < numB; b++ {
-			row := blockRow[b]
-			if row == nil {
-				continue
-			}
-			if own[b] {
-				for k, pv := range p.BlockVerts[b] {
-					if p.cutIndex[pv] >= 0 {
-						continue // APs already filled from A
-					}
-					out[pv] = row[k]
-				}
-			} else {
-				pre := p.apAt(iu, gate[b])
-				for k, pv := range p.BlockVerts[b] {
-					if p.cutIndex[pv] >= 0 {
-						continue
-					}
-					out[pv] = addInf(pre, row[k], 0)
-				}
-			}
-			ops += int64(len(p.BlockVerts[b]))
+	return s.plan.view.Row(u, out, func(want []apsp.BlockWant, rows [][]graph.Weight) error {
+		if err := s.fanOut(ctx, want, rows); err != nil {
+			return err
 		}
 		s.stitched.Inc()
-		return ops, nil
-	}
-
-	rowU := blockRow[bu]
-	for k, pv := range p.BlockVerts[bu] {
-		out[pv] = rowU[k]
-	}
-	ops += int64(len(p.BlockVerts[bu]))
-	cuts := p.BlockCuts[bu]
-	if len(cuts) == 0 {
-		s.stitched.Inc()
-		return ops, nil
-	}
-	dcut := make([]graph.Weight, len(cuts))
-	for i := range cuts {
-		dcut[i] = rowU[p.cutPos[bu][i]]
-	}
-	dAP := make([]graph.Weight, p.numA)
-	for j := range dAP {
-		best := inf
-		for i, ci := range cuts {
-			if sum := addInf(dcut[i], p.apAt(ci, int32(j)), 0); sum < best {
-				best = sum
-			}
-		}
-		dAP[j] = best
-		if v := p.CutVertices[j]; dAP[j] < out[v] {
-			out[v] = dAP[j]
-		}
-	}
-	ops += int64(p.numA) * int64(len(cuts))
-	for b := int32(0); int(b) < numB; b++ {
-		if b == bu || gate[b] < 0 {
-			continue
-		}
-		row := blockRow[b]
-		pre := dAP[gate[b]]
-		for k, pv := range p.BlockVerts[b] {
-			if p.cutIndex[pv] >= 0 {
-				continue
-			}
-			out[pv] = addInf(pre, row[k], 0)
-		}
-		ops += int64(len(p.BlockVerts[b]))
-	}
-	s.stitched.Inc()
-	return ops, nil
-}
-
-// shardFetch is one shard's slice of a row's fan-out.
-type shardFetch struct {
-	reqs [][2]int32
-	lens []int
-	rows [][]graph.Weight
-}
-
-// fanOut fetches every shard's slice concurrently; the first failure
-// (typed) fails the row.
-func (s *RemoteSource) fanOut(ctx context.Context, perShard map[int32]*shardFetch) error {
-	if len(perShard) == 0 {
 		return nil
+	})
+}
+
+// fanOut routes each wanted block row to the shard owning its block and
+// fetches every shard's slice concurrently, copying the answers into
+// rows; the first failure (typed) fails the row. want is ascending by
+// block, so each shard's request order is deterministic.
+func (s *RemoteSource) fanOut(ctx context.Context, want []apsp.BlockWant, rows [][]graph.Weight) error {
+	perShard := make([][]int, len(s.shards)) // shard → indexes into want
+	busy := 0
+	for i, w := range want {
+		sid := s.plan.BlockShard[w.Block]
+		if perShard[sid] == nil {
+			busy++
+		}
+		perShard[sid] = append(perShard[sid], i)
 	}
-	if len(perShard) == 1 {
-		for sid, f := range perShard {
-			rows, err := s.fetchRows(ctx, sid, f.reqs, f.lens)
-			if err != nil {
-				return err
-			}
-			f.rows = rows
+	fetch := func(sid int, idx []int) error {
+		reqs := make([][2]int32, len(idx))
+		lens := make([]int, len(idx))
+		for k, i := range idx {
+			reqs[k] = [2]int32{want[i].Block, want[i].Src}
+			lens[k] = len(rows[i])
+		}
+		got, err := s.fetchRows(ctx, int32(sid), reqs, lens)
+		if err != nil {
+			return err
+		}
+		for k, i := range idx {
+			copy(rows[i], got[k])
 		}
 		return nil
 	}
 	var wg sync.WaitGroup
-	errCh := make(chan error, len(perShard))
-	for sid, f := range perShard {
+	errs := make([]error, len(perShard))
+	for sid, idx := range perShard {
+		if idx == nil {
+			continue
+		}
+		if busy == 1 {
+			return fetch(sid, idx) // no goroutine for a single-shard row
+		}
 		wg.Add(1)
-		go func(sid int32, f *shardFetch) {
+		go func(sid int, idx []int) {
 			defer wg.Done()
-			rows, err := s.fetchRows(ctx, sid, f.reqs, f.lens)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			f.rows = rows
-		}(sid, f)
+			errs[sid] = fetch(sid, idx)
+		}(sid, idx)
 	}
 	wg.Wait()
-	close(errCh)
-	return <-errCh // nil when the channel is empty
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // noRetryError marks a failure retrying cannot fix (epoch skew, a shard
-// rejecting the request as misrouted).
+// rejecting the request as misrouted, a response larger than its request
+// allows).
 type noRetryError struct{ err error }
 
 func (e *noRetryError) Error() string { return e.err.Error() }

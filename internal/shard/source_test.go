@@ -35,7 +35,7 @@ type clusterOpts struct {
 	sourceMod func(*SourceConfig)
 }
 
-func newCluster(t *testing.T, g *graph.Graph, shards int, opts clusterOpts) *cluster {
+func newCluster(t testing.TB, g *graph.Graph, shards int, opts clusterOpts) *cluster {
 	t.Helper()
 	var o *apsp.Oracle
 	if opts.compact {
@@ -140,9 +140,10 @@ func equivGraphs() []struct {
 }
 
 // TestRemoteSourceMatchesMonolith is the core byte-identity claim: every
-// row the fan-out source stitches — including out-of-range sources,
-// isolated vertices, and cross-component Infs — equals the monolith
-// oracle's Row output exactly, with the same operation count.
+// row the fan-out source stitches — including isolated vertices and
+// cross-component Infs — equals the monolith oracle's Row output exactly,
+// with the same operation count. (Out-of-range sources are a typed error
+// on this surface: TestRowCtxOutOfRangeTyped.)
 func TestRemoteSourceMatchesMonolith(t *testing.T) {
 	for _, tc := range equivGraphs() {
 		for _, shards := range []int{1, 2, 3} {
@@ -151,7 +152,7 @@ func TestRemoteSourceMatchesMonolith(t *testing.T) {
 				n := tc.g.NumVertices()
 				want := make([]graph.Weight, n)
 				got := make([]graph.Weight, n)
-				for u := int32(-1); int(u) <= n; u++ {
+				for u := int32(0); int(u) < n; u++ {
 					wops := c.o.Row(u, want)
 					gops, err := c.src.RowCtx(context.Background(), u, got)
 					if err != nil {

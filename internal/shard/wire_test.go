@@ -1,0 +1,291 @@
+package shard
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"hash/crc64"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"repro/internal/apsp"
+	"repro/internal/graph"
+	"repro/internal/snapshot"
+)
+
+// TestRowCtxOutOfRangeTyped: an out-of-range source on the frontend is
+// the kernel's typed range error with out untouched — not a silent
+// all-Inf row a caller could cache as an answer.
+func TestRowCtxOutOfRangeTyped(t *testing.T) {
+	c := newCluster(t, testGraph(), 2, clusterOpts{})
+	n := c.plan.NumVertices
+	out := make([]graph.Weight, n)
+	for _, u := range []int32{-1, int32(n)} {
+		for i := range out {
+			out[i] = 42
+		}
+		_, err := c.src.RowCtx(context.Background(), u, out)
+		var qe *apsp.QueryError
+		if !errors.Is(err, apsp.ErrVertexRange) || !errors.As(err, &qe) {
+			t.Fatalf("RowCtx(%d): err = %v, want *apsp.QueryError wrapping ErrVertexRange", u, err)
+		}
+		for v, d := range out {
+			if d != 42 {
+				t.Fatalf("RowCtx(%d) overwrote out[%d] with %v", u, v, d)
+			}
+		}
+	}
+	if got := c.reg.Counter("shard.rpc.requests").Value(); got != 0 {
+		t.Fatalf("range errors issued %d shard RPCs", got)
+	}
+}
+
+// countingBody streams size bytes of a plausible container prefix then
+// zeros, counting what the client actually read.
+type countingBody struct {
+	size, read int
+}
+
+func (b *countingBody) Read(p []byte) (int, error) {
+	if b.read >= b.size {
+		return 0, io.EOF
+	}
+	n := min(len(p), b.size-b.read)
+	for i := range p[:n] {
+		p[i] = 0
+	}
+	if b.read == 0 {
+		copy(p[:n], snapshot.Magic)
+	}
+	b.read += n
+	return n, nil
+}
+func (b *countingBody) Close() error { return nil }
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestOversizedResponseBounded: a shard that answers 200 with a body far
+// larger than the request's rows allow is cut off one byte past the
+// derived limit, reported as a corrupt response, not retried, and marked
+// unhealthy.
+func TestOversizedResponseBounded(t *testing.T) {
+	c := newCluster(t, testGraph(), 1, clusterOpts{
+		sourceMod: func(cfg *SourceConfig) { cfg.MaxRetries = 3 },
+	})
+	const oversized = 32 << 20
+	body := &countingBody{size: oversized}
+	c.src.client = &http.Client{Transport: roundTripFunc(func(*http.Request) (*http.Response, error) {
+		return &http.Response{StatusCode: http.StatusOK, Body: body, Header: http.Header{}}, nil
+	})}
+
+	out := make([]graph.Weight, c.plan.NumVertices)
+	_, err := c.src.RowCtx(context.Background(), 0, out)
+	if !errors.Is(err, ErrShardUnavailable) {
+		t.Fatalf("err = %v, want ErrShardUnavailable", err)
+	}
+	// Every block of this plan is wanted by row 0's component at most once.
+	var lens []int
+	for _, vs := range c.plan.BlockVerts {
+		lens = append(lens, len(vs))
+	}
+	if limit := int(rowsResponseLen(lens)); body.read > limit+1 {
+		t.Fatalf("read %d bytes of a %d-byte body; the request allows at most %d", body.read, oversized, limit)
+	}
+	if n := c.reg.Counter("shard.rpc.retries").Value(); n != 0 {
+		t.Fatalf("oversized response was retried %d times", n)
+	}
+	if st := c.src.Status()[0]; st.Healthy || st.LastError == "" {
+		t.Fatalf("shard not marked bad after an oversized response: %+v", st)
+	}
+
+	// The decoder itself names the failure with the snapshot sentinel.
+	_, derr := decodeRowsResponse(&countingBody{size: oversized}, c.plan.Epoch, [][2]int32{{0, 0}}, []int{3})
+	var nr *noRetryError
+	if !errors.Is(derr, snapshot.ErrCorrupt) || !errors.As(derr, &nr) {
+		t.Fatalf("decode err = %v, want a non-retryable ErrCorrupt", derr)
+	}
+}
+
+// rowsExchange performs one real /internal/rows exchange against shard 0
+// of a cluster, asking one row per owned block, and returns the request
+// and the raw response body.
+func rowsExchange(t testing.TB, p *Plan, url string) (reqs [][2]int32, lens []int, raw []byte) {
+	t.Helper()
+	for b := int32(0); int(b) < p.NumBlocks(); b++ {
+		if p.BlockShard[b] == 0 {
+			reqs = append(reqs, [2]int32{b, p.BlockVerts[b][0]})
+			lens = append(lens, len(p.BlockVerts[b]))
+		}
+	}
+	body, err := json.Marshal(rowsRequest{Epoch: p.Epoch, Rows: reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/internal/rows", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if raw, err = io.ReadAll(resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("rows exchange: HTTP %d, %v", resp.StatusCode, err)
+	}
+	return reqs, lens, raw
+}
+
+// TestWireGolden pins the three byte formats frontends and shard daemons
+// of different builds meet on, for one fixed small oracle: the plan
+// manifest (and so its content epoch), a shard snapshot, and a
+// /internal/rows response. The constants were recorded at the commit
+// before the stitch kernel was extracted; a change here means old and new
+// binaries no longer interoperate.
+func TestWireGolden(t *testing.T) {
+	o := apsp.NewOracle(testGraph())
+	p, err := PlanShards(o, PlanOptions{Shards: 2})
+	if err != nil {
+		t.Fatalf("PlanShards: %v", err)
+	}
+	tab := crc64.MakeTable(crc64.ECMA)
+	var manifest, snap bytes.Buffer
+	if _, err := p.WriteTo(&manifest); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.WriteShardSnapshot(&snap, apsp.ShardMeta{Epoch: p.Epoch, Shard: 0, NumShards: 2}, p.OwnedMask(0)); err != nil {
+		t.Fatal(err)
+	}
+	sb, err := apsp.ReadShardSnapshot(bytes.NewReader(snap.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	NewHandler(sb).Register(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	_, lens, raw := rowsExchange(t, p, srv.URL)
+
+	for _, g := range []struct {
+		what      string
+		got, want uint64
+	}{
+		{"plan epoch", p.Epoch, 0x62ca733ea9b1853b},
+		{"manifest bytes", crc64.Checksum(manifest.Bytes(), tab), 0xdab37cb9250a82e8},
+		{"shard 0 snapshot bytes", crc64.Checksum(snap.Bytes(), tab), 0x8462377f31dda257},
+		{"rows response bytes", crc64.Checksum(raw, tab), 0xdf932b7bd92a0df},
+		{"rows response length", uint64(len(raw)), uint64(rowsResponseLen(lens))},
+	} {
+		if g.got != g.want {
+			t.Errorf("%s: %#x, recorded %#x", g.what, g.got, g.want)
+		}
+	}
+}
+
+func typedWireErr(err error) bool {
+	return errors.Is(err, snapshot.ErrBadMagic) || errors.Is(err, snapshot.ErrVersionSkew) ||
+		errors.Is(err, snapshot.ErrChecksum) || errors.Is(err, snapshot.ErrCorrupt) ||
+		errors.Is(err, ErrEpochMismatch)
+}
+
+// FuzzDecodeRowsResponse: whatever a shard sends back, the frontend's
+// decoder returns rows matching the request or a typed error — never a
+// panic, never rows of the wrong shape.
+func FuzzDecodeRowsResponse(f *testing.F) {
+	c := newCluster(f, testGraph(), 1, clusterOpts{})
+	p := c.plan
+	reqs, lens, raw := rowsExchange(f, p, c.servers[0].URL)
+	f.Add(raw)
+	f.Add(raw[:len(raw)/2])
+	f.Add([]byte(snapshot.Magic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rows, err := decodeRowsResponse(bytes.NewReader(data), p.Epoch, reqs, lens)
+		if err != nil {
+			if !typedWireErr(err) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		if len(rows) != len(reqs) {
+			t.Fatalf("%d rows for %d requests", len(rows), len(reqs))
+		}
+		for i := range rows {
+			if len(rows[i]) != lens[i] {
+				t.Fatalf("row %d has %d values, want %d", i, len(rows[i]), lens[i])
+			}
+		}
+	})
+}
+
+// FuzzReadPlan: a manifest is rejected with a typed error or yields a
+// plan the stitch kernel can walk from any source without panicking.
+func FuzzReadPlan(f *testing.F) {
+	var mbuf bytes.Buffer
+	if _, err := newCluster(f, testGraph(), 1, clusterOpts{}).plan.WriteTo(&mbuf); err != nil {
+		f.Fatal(err)
+	}
+	manifest := mbuf.Bytes()
+	f.Add(manifest)
+	f.Add(manifest[:len(manifest)/3])
+	f.Add([]byte(snapshot.Magic))
+	// A manifest that passes every range check yet is no block-cut forest:
+	// three blocks in a cycle through three APs, and BlockOf naming blocks
+	// their vertices are not on.
+	hostile := &Plan{
+		Epoch: 1, NumShards: 1, NumVertices: 4,
+		CutVertices: []int32{1, 2, 3},
+		BlockOf:     []int32{0, 1, 2, 3},
+		BlockCuts:   [][]int32{{0, 1}, {1, 2}, {2, 0}, {}},
+		BlockVerts:  [][]int32{{1, 2}, {2, 3}, {3, 1}, {0}},
+		BlockShard:  []int32{0, 0, 0, 0},
+		apF64:       make([]graph.Weight, 9),
+	}
+	var hbuf bytes.Buffer
+	if _, err := hostile.WriteTo(&hbuf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(hbuf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ReadPlan(bytes.NewReader(data))
+		if err != nil {
+			if !typedWireErr(err) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		out := make([]graph.Weight, p.NumVertices)
+		zero := func(_ []apsp.BlockWant, rows [][]graph.Weight) error {
+			for _, r := range rows {
+				for i := range r {
+					r[i] = 0
+				}
+			}
+			return nil
+		}
+		for u := 0; u < p.NumVertices && u < 64; u++ {
+			if _, err := p.view.Row(int32(u), out, zero); err != nil {
+				t.Fatalf("kernel row %d over an accepted plan: %v", u, err)
+			}
+		}
+	})
+}
+
+// BenchmarkRemoteSourceRow measures one whole-graph row through a
+// frontend: the stitch kernel over the plan, with block rows fetched
+// from two real shard.Handlers on loopback httptest servers. Recorded in
+// CI, not gated — it is dominated by the HTTP exchange.
+func BenchmarkRemoteSourceRow(b *testing.B) {
+	c := newCluster(b, testGraph(), 2, clusterOpts{})
+	p, src := c.plan, c.src
+	n := int32(p.NumVertices)
+	row := make([]graph.Weight, n)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := src.RowCtx(ctx, int32(i)%n, row); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -133,6 +133,11 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 	return total, nil
 }
 
+// Overhead returns the bytes a container of n sections adds around their
+// payloads (header plus section table), so a caller that knows what
+// payload it expects from a peer can bound the read.
+func Overhead(sections int) int { return headerLen + entryLen*sections }
+
 // Reader parses a container, verifying every section checksum up front.
 type Reader struct {
 	secs map[string][]byte
