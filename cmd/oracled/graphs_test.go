@@ -99,7 +99,7 @@ func TestMultiTenantServing(t *testing.T) {
 		t.Fatalf("registry.hydrations = %d, want 2", got)
 	}
 	for name := range graphs {
-		if reg.Counter("g."+name+".qe.rows.built").Value() == 0 {
+		if reg.Counter("g."+name+".qe.pairs").Value() == 0 {
 			t.Fatalf("no prefixed qe metrics for %s", name)
 		}
 	}
@@ -232,7 +232,7 @@ func TestGraphAdminLifecycle(t *testing.T) {
 	if info["state"] != "live" {
 		t.Fatalf("uploaded info: %v", info)
 	}
-	if stats, ok := info["stats"].(map[string]interface{}); !ok || stats["qe.rows.built"] == nil {
+	if stats, ok := info["stats"].(map[string]interface{}); !ok || stats["qe.rows.built"] == nil || stats["qe.pairs"] != float64(1) {
 		t.Fatalf("uploaded stats: %v", info["stats"])
 	}
 

@@ -38,9 +38,12 @@
 // errors use one JSON envelope: {"error": ..., "code": ...,
 // "retry_after_ms": ...} (retry_after_ms present only on back-pressure).
 //
-// Queries are served through the internal/qe engine: per-source distance
-// rows are computed lazily, coalesced across concurrent requests, and kept
-// in an LRU cache; admission control bounds concurrent load and sheds the
+// Queries are served through the internal/qe engine. A point query
+// (/v1/distance, /v1/path) is one pair lookup over the oracle's tables
+// and builds no row; bulk queries (/v1/batch, batch_matrix and
+// betweenness jobs) compute per-source distance rows lazily, coalesce
+// them across concurrent requests, and keep them in an LRU cache.
+// Admission control bounds concurrent load of both kinds and sheds the
 // excess with 503 + Retry-After. Tune with -cache-rows, -max-inflight,
 // -queue-depth, and -deadline.
 //
@@ -146,9 +149,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "oracled: multi-tenant: %d snapshots in %s (max %d resident) — hydration is lazy\n",
 			len(rg.List()), rcfg.Dir, rg.MaxGraphs())
 	} else if *clusterPlan != "" {
-		// Frontend mode: no local oracle at all. Rows come from the shard
-		// daemons through the fan-out source; the engine stack (cache,
-		// coalescing, admission) applies to it unchanged.
+		// Frontend mode: no local oracle at all. Block rows come from the
+		// shard daemons through the fan-out source — all of a source's for a
+		// batch row, at most two for a point query — and the engine stack
+		// (admission, and cache + coalescing for rows) applies unchanged.
 		plan := loadClusterPlan(*clusterPlan)
 		scfg := shardCfg()
 		scfg.Plan = plan
@@ -263,7 +267,7 @@ func main() {
 	if err != nil {
 		cli.Fatalf("oracled", "listen: %v", err)
 	}
-	srv := &http.Server{Handler: s.mux}
+	srv := newHTTPServer(s.mux)
 	fmt.Printf("oracled: serving on http://%s\n", ln.Addr())
 	if err := serve(ctx, srv, ln, *drain); err != nil {
 		cli.Fatalf("oracled", "%v", err)
@@ -407,6 +411,32 @@ func saveOracleSnapshot(path string, o *apsp.Oracle) error {
 		return err
 	}
 	return os.Rename(tmp, path)
+}
+
+// Listener limits, the same for every boot mode. A peer gets
+// readHeaderTimeout to deliver its request line and headers (a stalled or
+// slow-loris connection is dropped instead of holding a goroutine and a
+// descriptor forever), an idle keep-alive connection is reclaimed after
+// idleTimeout, and a header block over maxHeaderBytes is refused with 431
+// — every route's parameters fit in a few hundred bytes, so net/http's
+// 1 MiB default only serves an attacker. Bodies have their own caps
+// (maxBatchBody, maxRowsBody, …); there is deliberately no whole-request
+// read or write timeout, which would cut snapshot uploads and NDJSON job
+// streams.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer wraps h in the hardened listener configuration.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 }
 
 // serve runs srv on ln until ctx is cancelled (SIGTERM/SIGINT), then shuts

@@ -459,6 +459,10 @@ func pairParam(r *http.Request) (int32, int32, error) {
 	return int32(u), int32(v), nil
 }
 
+// distance answers one pair through the engine's pair path: admission,
+// then O(1) table reads on a local oracle, or at most two block-row
+// fetches on a cluster frontend (whose shard failures surface here as
+// typed 503 envelopes, never as "unreachable").
 func (s *server) distance(e *registry.Entry, r *http.Request) (interface{}, error) {
 	u, v, err := pairParam(r)
 	if err != nil {
@@ -480,9 +484,9 @@ func (s *server) path(e *registry.Entry, r *http.Request) (interface{}, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The distance goes through the engine — admission applies and the
-	// row lands in the cache, where followup queries near this pair will
-	// find it; reconstruction then walks the oracle directly.
+	// The distance goes through the engine — admission applies, and the
+	// pair is answered from the oracle's tables without building a row;
+	// reconstruction then walks the oracle directly.
 	d, err := e.Engine().Query(r.Context(), u, v)
 	if err != nil {
 		return nil, err

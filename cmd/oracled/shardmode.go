@@ -44,7 +44,7 @@ func runShardMode(ctx context.Context, addr, path string, drain time.Duration) {
 	if err != nil {
 		cli.Fatalf("oracled", "listen: %v", err)
 	}
-	srv := &http.Server{Handler: mux}
+	srv := newHTTPServer(mux)
 	fmt.Printf("oracled: shard %d serving on http://%s\n", meta.Shard, ln.Addr())
 	if err := serve(ctx, srv, ln, drain); err != nil {
 		cli.Fatalf("oracled", "%v", err)

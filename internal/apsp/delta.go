@@ -327,8 +327,7 @@ func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int
 	n := &Oracle{
 		G: newG, Dec: o.Dec, BCT: o.BCT, numA: o.numA,
 		A: o.A, a32: o.a32, compact: o.compact, apGraph: o.apGraph, apEdgeBlock: o.apEdgeBlock,
-		nodeParent: o.nodeParent, nodeDepth: o.nodeDepth, nodeRoot: o.nodeRoot,
-		up: o.up, upLevels: o.upLevels, loc: o.loc,
+		Forest: o.Forest, loc: o.loc,
 		Relaxations: o.Relaxations,
 		BuildPhases: &obs.Phases{},
 	}

@@ -1,0 +1,144 @@
+package apsp
+
+import "math/bits"
+
+// Forest is the rooted bipartite block-cut forest with binary lifting for
+// LCA and level-ancestor queries — the O(log n) navigation that finds, for
+// a cross-block pair, the gateway articulation points of the unique tree
+// path between their blocks (Section 2.2). Node IDs: blocks are [0, B),
+// cut vertices are [B, B+a) by AP index.
+//
+// Both holders of a block-cut topology build it with BuildForest: the
+// oracle over its BlockCutTree, a shard plan over its manifest, so the
+// pair kernel (pair.go) looks gates up the same way on either.
+type Forest struct {
+	nodeParent []int32
+	nodeDepth  []int32
+	nodeRoot   []int32
+	// up is the binary-lifting ancestor table, flattened row-major:
+	// up[k*numNodes+v] is v's 2^k-th ancestor (-1 past the root).
+	up       []int32
+	upLevels int
+}
+
+// BuildForest roots the forest whose adjacency is blockCuts (block → AP
+// indices on it) and cutBlocks (its reverse) by BFS from the lowest
+// unvisited node, and prepares binary lifting. Every node is visited once,
+// so the arrays are consistent — and navigation in bounds — even when a
+// hostile manifest's adjacency is not a forest.
+func BuildForest(blockCuts, cutBlocks [][]int32) Forest {
+	numB := int32(len(blockCuts))
+	n := len(blockCuts) + len(cutBlocks)
+	f := Forest{
+		nodeParent: make([]int32, n),
+		nodeDepth:  make([]int32, n),
+		nodeRoot:   make([]int32, n),
+	}
+	for i := range f.nodeParent {
+		f.nodeParent[i] = -1
+		f.nodeRoot[i] = -1
+	}
+	var queue []int32
+	visit := func(u, from int32) {
+		if f.nodeRoot[u] >= 0 {
+			return
+		}
+		f.nodeRoot[u] = f.nodeRoot[from]
+		f.nodeParent[u] = from
+		f.nodeDepth[u] = f.nodeDepth[from] + 1
+		queue = append(queue, u)
+	}
+	for start := 0; start < n; start++ {
+		if f.nodeRoot[start] >= 0 {
+			continue
+		}
+		f.nodeRoot[start] = int32(start)
+		queue = append(queue[:0], int32(start))
+		for qi := 0; qi < len(queue); qi++ {
+			v := queue[qi]
+			if v < numB {
+				for _, c := range blockCuts[v] {
+					visit(numB+c, v)
+				}
+			} else {
+				for _, b := range cutBlocks[v-numB] {
+					visit(b, v)
+				}
+			}
+		}
+	}
+	f.buildLifting()
+	return f
+}
+
+// buildLifting derives the binary-lifting ancestor table from nodeParent.
+// It is shared by construction and snapshot load: the table is a pure
+// function of the parent array, so snapshots store only the latter. The
+// table is one flat row-major array (level k at up[k*n : (k+1)*n]) — a
+// single allocation the LCA walk strides through without pointer hops.
+func (f *Forest) buildLifting() {
+	n := len(f.nodeParent)
+	levels := 1
+	if n > 1 {
+		levels = bits.Len(uint(n))
+	}
+	f.upLevels = levels
+	f.up = make([]int32, levels*n)
+	copy(f.up[:n], f.nodeParent)
+	for k := 1; k < levels; k++ {
+		prev, cur := f.up[(k-1)*n:k*n], f.up[k*n:(k+1)*n]
+		for v := 0; v < n; v++ {
+			p := prev[v]
+			if p < 0 {
+				cur[v] = -1
+			} else {
+				cur[v] = prev[p]
+			}
+		}
+	}
+}
+
+func (f *Forest) ancestorAtDepth(v int32, depth int32) int32 {
+	n := int32(len(f.nodeParent))
+	diff := f.nodeDepth[v] - depth
+	for k := int32(0); diff > 0; k++ {
+		if diff&1 == 1 {
+			v = f.up[k*n+v]
+		}
+		diff >>= 1
+	}
+	return v
+}
+
+func (f *Forest) lca(u, v int32) int32 {
+	if f.nodeDepth[u] > f.nodeDepth[v] {
+		u, v = v, u
+	}
+	v = f.ancestorAtDepth(v, f.nodeDepth[u])
+	if u == v {
+		return u
+	}
+	n := int32(len(f.nodeParent))
+	for k := int32(f.upLevels) - 1; k >= 0; k-- {
+		if f.up[k*n+u] != f.up[k*n+v] {
+			u = f.up[k*n+u]
+			v = f.up[k*n+v]
+		}
+	}
+	return f.nodeParent[u]
+}
+
+// gate returns the cut node that is first on the forest path from block
+// node b toward node t (b != t, same tree).
+func (f *Forest) gate(b, t int32) int32 {
+	if f.lca(b, t) == b {
+		return f.ancestorAtDepth(t, f.nodeDepth[b]+1)
+	}
+	return f.nodeParent[b]
+}
+
+// adjacent reports whether block node b and cut node c share a forest
+// edge, i.e. the cut vertex lies on the block.
+func (f *Forest) adjacent(b, c int32) bool {
+	return f.nodeParent[b] == c || f.nodeParent[c] == b
+}

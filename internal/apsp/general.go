@@ -3,7 +3,7 @@ package apsp
 import (
 	"context"
 	"math"
-	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/bcc"
 	"repro/internal/graph"
@@ -85,15 +85,12 @@ type Oracle struct {
 	// loc is the flat parent→local vertex index shared by every block.
 	loc *locIndex
 
-	// Bipartite block-cut forest navigation. Node IDs: blocks are
-	// [0, B), cut vertices are [B, B+a).
-	nodeParent []int32
-	nodeDepth  []int32
-	nodeRoot   []int32
-	// up is the binary-lifting ancestor table, flattened row-major:
-	// up[k*numNodes+v] is v's 2^k-th ancestor (-1 past the root).
-	up       []int32
-	upLevels int
+	// Forest is the rooted block-cut forest Query navigates for gateway
+	// articulation points; the stitch view shares it.
+	Forest
+
+	// view caches StitchView(); see there.
+	view atomic.Pointer[StitchView]
 
 	// Relaxations is the total shortest-path work of construction.
 	Relaxations int64
@@ -204,122 +201,12 @@ func newOracle(ctx context.Context, g *graph.Graph, compact bool, mk func(contex
 	return o, nil
 }
 
-// buildForest roots the bipartite block-cut forest and prepares binary
-// lifting for LCA/level-ancestor queries.
-func (o *Oracle) buildForest() {
-	numB := len(o.Blocks)
-	n := numB + o.numA
-	o.nodeParent = make([]int32, n)
-	o.nodeDepth = make([]int32, n)
-	o.nodeRoot = make([]int32, n)
-	for i := range o.nodeParent {
-		o.nodeParent[i] = -1
-		o.nodeRoot[i] = -1
-	}
-	var queue []int32
-	for start := 0; start < n; start++ {
-		if o.nodeRoot[start] >= 0 {
-			continue
-		}
-		o.nodeRoot[start] = int32(start)
-		o.nodeDepth[start] = 0
-		queue = append(queue[:0], int32(start))
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			var neigh []int32
-			if int(v) < numB {
-				for _, c := range o.BCT.BlockCuts[v] {
-					neigh = append(neigh, int32(numB)+c)
-				}
-			} else {
-				for _, b := range o.BCT.CutBlocks[v-int32(numB)] {
-					neigh = append(neigh, b)
-				}
-			}
-			for _, u := range neigh {
-				if o.nodeRoot[u] >= 0 {
-					continue
-				}
-				o.nodeRoot[u] = o.nodeRoot[v]
-				o.nodeParent[u] = v
-				o.nodeDepth[u] = o.nodeDepth[v] + 1
-				queue = append(queue, u)
-			}
-		}
-	}
-	o.buildLifting()
-}
-
-// buildLifting derives the binary-lifting ancestor table from nodeParent.
-// It is shared by construction and snapshot load: the table is a pure
-// function of the parent array, so snapshots store only the latter. The
-// table is one flat row-major array (level k at up[k*n : (k+1)*n]) — a
-// single allocation the LCA walk strides through without pointer hops.
-func (o *Oracle) buildLifting() {
-	n := len(o.nodeParent)
-	levels := 1
-	if n > 1 {
-		levels = bits.Len(uint(n))
-	}
-	o.upLevels = levels
-	o.up = make([]int32, levels*n)
-	copy(o.up[:n], o.nodeParent)
-	for k := 1; k < levels; k++ {
-		prev, cur := o.up[(k-1)*n:k*n], o.up[k*n:(k+1)*n]
-		for v := 0; v < n; v++ {
-			p := prev[v]
-			if p < 0 {
-				cur[v] = -1
-			} else {
-				cur[v] = prev[p]
-			}
-		}
-	}
-}
-
-func (o *Oracle) ancestorAtDepth(v int32, depth int32) int32 {
-	n := int32(len(o.nodeParent))
-	diff := o.nodeDepth[v] - depth
-	for k := int32(0); diff > 0; k++ {
-		if diff&1 == 1 {
-			v = o.up[k*n+v]
-		}
-		diff >>= 1
-	}
-	return v
-}
-
-func (o *Oracle) lca(u, v int32) int32 {
-	if o.nodeDepth[u] > o.nodeDepth[v] {
-		u, v = v, u
-	}
-	v = o.ancestorAtDepth(v, o.nodeDepth[u])
-	if u == v {
-		return u
-	}
-	n := int32(len(o.nodeParent))
-	for k := int32(o.upLevels) - 1; k >= 0; k-- {
-		if o.up[k*n+u] != o.up[k*n+v] {
-			u = o.up[k*n+u]
-			v = o.up[k*n+v]
-		}
-	}
-	return o.nodeParent[u]
-}
+// buildForest roots the block-cut forest over the oracle's block-cut tree.
+func (o *Oracle) buildForest() { o.Forest = BuildForest(o.BCT.BlockCuts, o.BCT.CutBlocks) }
 
 // gatewayCut returns the articulation-point index of the first cut node on
 // the forest path from block node b toward node t (b != t, same tree).
-func (o *Oracle) gatewayCut(b, t int32) int32 {
-	numB := int32(len(o.Blocks))
-	l := o.lca(b, t)
-	var cutNode int32
-	if l == b {
-		cutNode = o.ancestorAtDepth(t, o.nodeDepth[b]+1)
-	} else {
-		cutNode = o.nodeParent[b]
-	}
-	return cutNode - numB
-}
+func (o *Oracle) gatewayCut(b, t int32) int32 { return o.gate(b, t) - int32(len(o.Blocks)) }
 
 // buildAPTable computes the a×a articulation point distance table by
 // running Dijkstra from each AP over the "AP graph": one vertex per AP,
@@ -394,62 +281,20 @@ func (o *Oracle) apAt(i, j int32) graph.Weight { return apAt(o.A, o.a32, o.numA,
 // Compact reports whether the oracle stores its tables as float32.
 func (o *Oracle) Compact() bool { return o.compact }
 
-// Query returns d_G(u, v) for arbitrary vertices. Out-of-range vertices
-// report Inf silently; new code should prefer QueryChecked, which surfaces
-// them as *QueryError instead.
+// Query returns d_G(u, v) for arbitrary vertices: the pair kernel's case
+// analysis (pair.go) fed from the resident per-block tables. Out-of-range
+// vertices report Inf silently; new code should prefer QueryChecked, which
+// surfaces them as *QueryError instead.
 func (o *Oracle) Query(u, v int32) graph.Weight {
-	if u < 0 || int(u) >= o.G.NumVertices() || v < 0 || int(v) >= o.G.NumVertices() {
+	p, err := o.StitchView().PlanPair(u, v)
+	if err != nil {
 		return Inf
 	}
-	if u == v {
-		return 0
+	var d [2]graph.Weight
+	for i, e := range p.Want[:p.N] {
+		d[i] = o.Blocks[e.Block].QueryParent(e.Src, e.Dst)
 	}
-	iu, iv := o.BCT.CutIndex[u], o.BCT.CutIndex[v]
-	switch {
-	case iu >= 0 && iv >= 0:
-		return o.apAt(iu, iv)
-	case iu >= 0:
-		return o.queryAPRegular(iu, v)
-	case iv >= 0:
-		return o.queryAPRegular(iv, u)
-	}
-	bu, bv := o.BCT.BlockOf[u], o.BCT.BlockOf[v]
-	if bu < 0 || bv < 0 {
-		return Inf // isolated vertex
-	}
-	if bu == bv {
-		return o.Blocks[bu].QueryParent(u, v)
-	}
-	if o.nodeRoot[bu] != o.nodeRoot[bv] {
-		return Inf // different connected components
-	}
-	a1 := o.gatewayCut(bu, bv)
-	a2 := o.gatewayCut(bv, bu)
-	d1 := o.Blocks[bu].QueryParent(u, o.BCT.CutVertices[a1])
-	d2 := o.Blocks[bv].QueryParent(o.BCT.CutVertices[a2], v)
-	mid := o.apAt(a1, a2)
-	return addInf(d1, mid, d2)
-}
-
-// queryAPRegular computes d(AP, regular vertex).
-func (o *Oracle) queryAPRegular(ia int32, v int32) graph.Weight {
-	bv := o.BCT.BlockOf[v]
-	if bv < 0 {
-		return Inf
-	}
-	apVertex := o.BCT.CutVertices[ia]
-	blk := o.Blocks[bv]
-	if blk.local(apVertex) >= 0 {
-		return blk.QueryParent(apVertex, v)
-	}
-	numB := int32(len(o.Blocks))
-	apNode := numB + ia
-	if o.nodeRoot[bv] != o.nodeRoot[apNode] {
-		return Inf
-	}
-	a2 := o.gatewayCut(bv, apNode)
-	d2 := blk.QueryParent(o.BCT.CutVertices[a2], v)
-	return addInf(o.apAt(ia, a2), d2, 0)
+	return p.Distance(d[0], d[1])
 }
 
 // NumArticulation returns a, the number of articulation points.

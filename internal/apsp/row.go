@@ -23,19 +23,34 @@ func (o *Oracle) NumVertices() int { return o.G.NumVertices() }
 // NumVertices returns the vertex count of the underlying graph.
 func (a *EarAPSP) NumVertices() int { return a.G.NumVertices() }
 
-// StitchView returns the stitch kernel's read-only view of the oracle's
-// block-cut topology and AP table. It shares the oracle's slices.
-func (o *Oracle) StitchView() StitchView {
-	return StitchView{
+// StitchView returns the stitch kernels' read-only view of the oracle's
+// block-cut topology and AP table. It shares the oracle's slices and is
+// built on first use: an oracle is immutable once its constructor returns,
+// so every later caller reads the same view, and Query does not pay for
+// assembling one per pair.
+func (o *Oracle) StitchView() *StitchView {
+	if v := o.view.Load(); v != nil {
+		return v
+	}
+	return o.buildView()
+}
+
+// buildView is StitchView's first-use path, kept apart so the cached path
+// inlines into Query.
+func (o *Oracle) buildView() *StitchView {
+	v := &StitchView{
 		CutVertices: o.BCT.CutVertices,
 		CutIndex:    o.BCT.CutIndex,
 		BlockOf:     o.BCT.BlockOf,
 		BlockCuts:   o.BCT.BlockCuts,
 		CutBlocks:   o.BCT.CutBlocks,
 		BlockVerts:  o.loc.verts,
+		Forest:      &o.Forest,
 		A:           o.A,
 		A32:         o.a32,
 	}
+	o.view.Store(v)
+	return v
 }
 
 // RowCost estimates the table operations Row(u) will perform; see

@@ -42,6 +42,10 @@ type StitchView struct {
 	CutBlocks   [][]int32 // AP index → blocks it lies on (BlockCuts reversed)
 	BlockVerts  [][]int32 // block → its vertices, in row order
 
+	// Forest is the same adjacency rooted for O(log n) gateway lookup; the
+	// pair kernel navigates it where Row walks from the source instead.
+	Forest *Forest
+
 	// Exactly one is non-nil unless the graph has no articulation points.
 	A   []graph.Weight
 	A32 []float32
@@ -88,7 +92,7 @@ func grow[T any](s []T, n int) []T {
 // RowCost estimates the table operations Row(u) will perform, the size
 // measure a work-queue scheduler sorts row units by. It is a cheap upper
 // bound, not a promise: n for the extension pass plus the AP sweep.
-func (v StitchView) RowCost(u int32) int64 {
+func (v *StitchView) RowCost(u int32) int64 {
 	cost := int64(len(v.CutIndex))
 	if u >= 0 && int(u) < len(v.BlockOf) {
 		if b := v.BlockOf[u]; b >= 0 {
@@ -106,7 +110,7 @@ func (v StitchView) RowCost(u int32) int64 {
 // gate[b] is the first cut vertex on the forest path from block b back to
 // the source, so block b needs exactly one in-block row — from the source
 // itself if it lies on b, else from b's gate — and fetch supplies those.
-func (v StitchView) Row(u int32, out []graph.Weight, fetch BlockRowsFunc) (int64, error) {
+func (v *StitchView) Row(u int32, out []graph.Weight, fetch BlockRowsFunc) (int64, error) {
 	n := len(v.CutIndex)
 	if u < 0 || int(u) >= n {
 		return 0, &QueryError{Op: "Row", U: u, V: u, N: n, Err: ErrVertexRange}

@@ -144,3 +144,73 @@ func TestStitchKernelErrors(t *testing.T) {
 		t.Fatalf("provider error came back as %v", err)
 	}
 }
+
+// TestPairKernelProviders drives the pair kernel through both entry
+// providers: the oracle's resident tables (that is Oracle.Query) and block
+// rows from a decoded shard snapshot read through EntryAt — a frontend's
+// pair path without the HTTP. Every pair must agree bit for bit with the
+// row kernel and the independent reference, ask for at most two block
+// rows, and for none when both ends are articulation points.
+func TestPairKernelProviders(t *testing.T) {
+	for _, tc := range stitchCases() {
+		for _, compact := range []bool{false, true} {
+			o, err := apsp.NewOracleOpts(context.Background(), tc.G, apsp.Options{Compact32: compact})
+			if err != nil {
+				t.Fatalf("%s: build: %v", tc.Name, err)
+			}
+			n := tc.G.NumVertices()
+			ref := apsp.FloydWarshall(tc.G)
+			fetch := shardProvider(t, o)
+			view := o.StitchView()
+			row := make([]graph.Weight, n)
+			for u := int32(0); int(u) < n; u++ {
+				o.Row(u, row)
+				for v := int32(0); int(v) < n; v++ {
+					p, err := view.PlanPair(u, v)
+					if err != nil {
+						t.Fatalf("%s: PlanPair(%d,%d): %v", tc.Name, u, v, err)
+					}
+					if bothAP := view.CutIndex[u] >= 0 && view.CutIndex[v] >= 0; p.N > 2 || (bothAP || u == v) && p.N != 0 {
+						t.Fatalf("%s: PlanPair(%d,%d) wants %d block rows (both APs: %v)", tc.Name, u, v, p.N, bothAP)
+					}
+					var d [2]graph.Weight
+					for i, e := range p.Want[:p.N] {
+						rows := [][]graph.Weight{make([]graph.Weight, len(view.BlockVerts[e.Block]))}
+						if err := fetch([]apsp.BlockWant{{Block: e.Block, Src: e.Src}}, rows); err != nil {
+							t.Fatalf("%s: block row (%d,%d): %v", tc.Name, e.Block, e.Src, err)
+						}
+						d[i] = view.EntryAt(e, rows[0])
+					}
+					got, want := p.Distance(d[0], d[1]), o.Query(u, v)
+					if !compact {
+						if fw := ref[int(u)*n+int(v)]; math.Float64bits(float64(fw)) != math.Float64bits(float64(want)) {
+							t.Fatalf("%s: Query(%d,%d) = %v, Floyd–Warshall %v", tc.Name, u, v, want, fw)
+						}
+					}
+					if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) ||
+						math.Float64bits(float64(row[v])) != math.Float64bits(float64(want)) {
+						t.Fatalf("%s compact=%v: d(%d,%d) = %v via block rows, %v via Query, %v via the row kernel",
+							tc.Name, compact, u, v, got, want, row[v])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPairKernelOutOfRange: a bad vertex is the same typed error the row
+// kernel reports, and Query keeps its silent-Inf contract.
+func TestPairKernelOutOfRange(t *testing.T) {
+	o := apsp.NewOracle(stitchCases()[4].G) // bridge-chain
+	n := int32(o.NumVertices())
+	for _, uv := range [][2]int32{{-1, 0}, {0, n}, {n, n}} {
+		_, err := o.StitchView().PlanPair(uv[0], uv[1])
+		var qe *apsp.QueryError
+		if !errors.Is(err, apsp.ErrVertexRange) || !errors.As(err, &qe) {
+			t.Fatalf("PlanPair(%d,%d): err = %v, want *QueryError wrapping ErrVertexRange", uv[0], uv[1], err)
+		}
+		if d := o.Query(uv[0], uv[1]); d != apsp.Inf {
+			t.Fatalf("Query(%d,%d) = %v, want Inf", uv[0], uv[1], d)
+		}
+	}
+}

@@ -84,9 +84,11 @@ func newShardCluster(o *apsp.Oracle, shards int) (*shardCluster, error) {
 // ShardEquivalence asserts that a sharded frontend answers Query and
 // Batch byte-identically to a monolith engine over the same graph: it
 // builds one oracle, carves it into the given shard count behind real
-// HTTP shard daemons, runs the full n×n distance matrix plus point
-// queries through both qe.Engine stacks, and compares every float
-// bit-for-bit (Inf included). A nil return means no pair diverged.
+// HTTP shard daemons, runs the full n×n distance matrix through both
+// qe.Engine stacks twice — once as a Batch (the row path), once as n²
+// point queries (the pair path) — and compares every float bit-for-bit
+// (Inf included) with each other and with Oracle.QueryChecked. A nil
+// return means no pair diverged.
 func ShardEquivalence(g *graph.Graph, shards int) error {
 	n := g.NumVertices()
 	o := apsp.NewOracle(g)
@@ -125,20 +127,30 @@ func ShardEquivalence(g *graph.Graph, shards int) error {
 			}
 		}
 	}
-	// Point queries go through the row-cache path the batch above warmed
-	// plus a couple of cold pairs; same bit-identity contract.
-	for _, uv := range [][2]int32{{0, int32(n - 1)}, {int32(n / 2), 0}, {int32(n - 1), int32(n / 2)}} {
-		dm, err := mono.Query(ctx, uv[0], uv[1])
-		if err != nil {
-			return fmt.Errorf("monolith query(%d,%d): %w", uv[0], uv[1], err)
-		}
-		ds, err := front.Query(ctx, uv[0], uv[1])
-		if err != nil {
-			return fmt.Errorf("sharded query(%d,%d): %w", uv[0], uv[1], err)
-		}
-		if math.Float64bits(float64(dm)) != math.Float64bits(float64(ds)) {
-			return fmt.Errorf("sharded query (%d shards) diverges at (%d,%d): %v, monolith %v",
-				shards, uv[0], uv[1], ds, dm)
+	// Point queries take the pair path on both stacks — the monolith reads
+	// its resident tables, the frontend fetches at most the pair's two
+	// block rows — and every one of the n×n must agree with the other and
+	// with the oracle's own QueryChecked, and with the row path above.
+	for u := int32(0); int(u) < n; u++ {
+		for v := int32(0); int(v) < n; v++ {
+			dm, err := mono.Query(ctx, u, v)
+			if err != nil {
+				return fmt.Errorf("monolith query(%d,%d): %w", u, v, err)
+			}
+			ds, err := front.Query(ctx, u, v)
+			if err != nil {
+				return fmt.Errorf("sharded query(%d,%d): %w", u, v, err)
+			}
+			do, err := o.QueryChecked(u, v)
+			if err != nil {
+				return fmt.Errorf("oracle QueryChecked(%d,%d): %w", u, v, err)
+			}
+			bits := math.Float64bits(float64(do))
+			if math.Float64bits(float64(dm)) != bits || math.Float64bits(float64(ds)) != bits ||
+				math.Float64bits(float64(want[u][v])) != bits {
+				return fmt.Errorf("pair (%d,%d) diverges at %d shards: sharded %v, monolith %v, oracle %v, row path %v",
+					u, v, shards, ds, dm, do, want[u][v])
+			}
 		}
 	}
 	return nil

@@ -16,13 +16,12 @@ package qe
 // (and evicted here) or rejected by its stale epoch — a row visible in
 // the cache after SwapSource returns is computed entirely against one
 // source, never a mix. In-flight queries that already hold an old row
-// return its (consistently old) answers; subsequent queries see the new
-// source. Evicted rows are accounted in qe.cache.evictions; the count of
+// or the old source's pair method return its (consistently old) answers;
+// subsequent queries see the new source. Evicted rows are accounted in qe.cache.evictions; the count of
 // rows dropped by this call is returned.
 func (e *Engine) SwapSource(src RowSource, stale []bool) int {
 	e.mu.Lock()
-	e.src = src
-	e.n = src.NumVertices()
+	e.setSource(src)
 	e.epoch++
 	e.mu.Unlock()
 	if e.cache == nil {

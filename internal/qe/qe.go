@@ -1,25 +1,32 @@
-// Package qe is the batched query engine that sits between a serving
-// layer (cmd/oracled) and a distance oracle (apsp.Oracle). The paper's
-// reduced-graph construction makes per-source work cheap enough to answer
-// on demand (Section 2); this package adds the serving discipline that
-// turns that into sustained throughput:
+// Package qe is the query engine that sits between a serving layer
+// (cmd/oracled) and a distance oracle (apsp.Oracle, or a sharded
+// frontend's shard.RemoteSource). The paper's construction makes a pair an
+// O(1) lookup over the O(a² + Σnᵢ²) tables and a source row cheap enough
+// to build on demand (Section 2); this package adds the serving discipline
+// around both, at the granularity each request needs:
 //
-//   - rows, not pairs: distances are materialised one source row at a
-//     time through the oracle's Row surface, so queries sharing a source
-//     share their work;
+//   - pairs for point queries: Query asks the source for exactly one pair
+//     (PairSource). A local oracle answers from its resident tables — the
+//     oracle is the cache — and a sharded frontend fetches at most the
+//     pair's two block rows; neither builds, caches or refcounts a row. A
+//     source without the pair method is served through the row path below;
+//   - rows for bulk work: Batch (and through it the batch_matrix and
+//     betweenness jobs) materialises distances one source row at a time,
+//     so targets sharing a source share their work;
 //   - coalescing: concurrent requests for the same uncached row wait on a
 //     single in-flight computation (singleflight) instead of duplicating
 //     it;
 //   - caching: completed rows live in a sharded, size-bounded LRU with
 //     hit/miss/eviction counters and an occupancy gauge in internal/obs;
-//   - buffer arena: rows are arena-backed and reference-counted, so the
-//     steady-state hot path — a cache-hit Query, or a Batch whose rows
-//     are all cached — allocates nothing beyond the caller's result
-//     matrix (pinned by AllocsPerRun tests and the CI bench gate);
+//   - buffer arena: rows are arena-backed and reference-counted, so a
+//     Batch whose rows are all cached allocates nothing beyond the
+//     caller's result matrix, and a pair Query allocates nothing at all
+//     (both pinned by AllocsPerRun tests and the CI bench gate);
 //   - admission control: at most MaxInflight requests are served
 //     concurrently, at most QueueDepth more may wait (with per-request
 //     deadlines), and everything beyond that is shed with the typed
-//     ErrOverloaded so the HTTP layer can answer 503 + Retry-After;
+//     ErrOverloaded so the HTTP layer can answer 503 + Retry-After. It
+//     applies to pairs and rows alike;
 //   - bulk queries: Batch answers an N×M many-to-many matrix with one row
 //     computation per distinct source, scheduled as hetero.Units through
 //     the paper's double-ended work queue so the largest rows go to the
@@ -73,6 +80,18 @@ type Sizer interface {
 // cancellation.
 type CtxRowSource interface {
 	RowCtx(ctx context.Context, src int32, out []graph.Weight) (int64, error)
+}
+
+// PairSource is the optional extension a RowSource implements when it can
+// answer one pair without building the row — apsp.Oracle and apsp.EarAPSP
+// from their resident tables, shard.RemoteSource by fetching only the
+// pair's own block rows. When the live source implements it, Query calls
+// Pair behind admission and touches neither the row cache, the arena nor
+// the flight map; Batch keeps building rows. u and v are already validated
+// against NumVertices(); ctx is the admitted request's context (engine
+// deadline applied). An error propagates to the caller as is.
+type PairSource interface {
+	Pair(ctx context.Context, u, v int32) (graph.Weight, error)
 }
 
 // Typed failures of the engine surface. The serving layer matches them
@@ -136,12 +155,14 @@ type Engine struct {
 	scratch  sync.Pool // *batchScratch
 	closed   atomic.Bool
 
-	// mu guards the live source, its vertex count, the swap epoch, and
-	// the in-flight map. src/n change only through SwapSource; epoch
-	// increments on every swap so a row built against a replaced source
-	// is never admitted to the cache (see rowRef and SwapSource).
+	// mu guards the live source, its pair seam and vertex count, the swap
+	// epoch, and the in-flight map. src/pair/n change only together,
+	// through setSource; epoch increments on every swap so a row built
+	// against a replaced source is never admitted to the cache (see rowRef
+	// and SwapSource).
 	mu     sync.Mutex
 	src    RowSource
+	pair   PairSource // src's pair method; nil when it has none
 	n      int
 	epoch  uint64
 	flight map[int32]*rowCall
@@ -151,6 +172,8 @@ type Engine struct {
 	buildErrs    *obs.Counter
 	coalesced    *obs.Counter
 	buildLat     *obs.Histogram
+	pairs        *obs.Counter
+	pairLat      *obs.Histogram
 	batchSources *obs.Counter
 	batchPairs   *obs.Counter
 }
@@ -188,8 +211,6 @@ func New(src RowSource, cfg Config) *Engine {
 		maxPairs = DefaultMaxBatchPairs
 	}
 	e := &Engine{
-		src:      src,
-		n:        src.NumVertices(),
 		adm:      newAdmission(workers, queue, reg),
 		deadline: cfg.Deadline,
 		workers:  workers,
@@ -201,9 +222,12 @@ func New(src RowSource, cfg Config) *Engine {
 		buildErrs:    reg.Counter("qe.rows.build.errors"),
 		coalesced:    reg.Counter("qe.rows.coalesced"),
 		buildLat:     reg.Histogram("qe.rows.build.latency"),
+		pairs:        reg.Counter("qe.pairs"),
+		pairLat:      reg.Histogram("qe.pairs.latency"),
 		batchSources: reg.Counter("qe.batch.sources"),
 		batchPairs:   reg.Counter("qe.batch.pairs"),
 	}
+	e.setSource(src)
 	e.scratch.New = func() any { return new(batchScratch) }
 	rows := cfg.CacheRows
 	if rows == 0 {
@@ -213,6 +237,15 @@ func New(src RowSource, cfg Config) *Engine {
 		e.cache = newRowCache(rows, reg, &e.arena)
 	}
 	return e
+}
+
+// setSource installs src with its vertex count and pair seam, resolved
+// here once so Query reads all three in one critical section. The caller
+// holds mu (or, in New, is the only goroutine).
+func (e *Engine) setSource(src RowSource) {
+	e.src = src
+	e.n = src.NumVertices()
+	e.pair, _ = src.(PairSource)
 }
 
 // NumVertices returns the vertex count of the current source.
@@ -243,20 +276,34 @@ func (e *Engine) withDeadline(ctx context.Context) (context.Context, context.Can
 	return context.WithTimeout(ctx, e.deadline)
 }
 
-// Query answers one pair through the row machinery: admission, then the
-// cached (or coalesced, or freshly built) row for u, then one read. The
-// error is ErrOverloaded, a context error from waiting for admission, or
-// ErrVertexRange; unreachable pairs report apsp Inf, not an error.
+// Query answers one pair: validation, admission, then one call to the
+// source's pair method — O(1) table reads on a local oracle, at most two
+// block-row fetches on a sharded frontend. No row is built, cached or
+// refcounted, and on a local oracle the call allocates nothing (beyond
+// the deadline context, when the engine imposes one). qe.pairs counts the
+// pairs answered, qe.pairs.latency times every call to the source,
+// failed ones included. The error is ErrClosed,
+// ErrVertexRange, ErrOverloaded, a context error from waiting for
+// admission, or the source's own (a frontend's typed shard failure);
+// unreachable pairs report apsp Inf, not an error.
 //
-// The cache-hit path allocates nothing: the entry is read in place under
-// the shard lock, no row escapes, no buffer changes hands. Admission is
-// never bypassed — a hit still occupies an inflight slot, so overload
-// shedding stays accurate under a hot cache.
+// The source, its vertex count and its pair method are read in one
+// critical section, so a Query racing a SwapSource is validated against
+// and answered by one source — the old or the new, never a mix.
+// Admission is never bypassed: a pair still occupies an inflight slot, so
+// overload shedding stays accurate under point traffic.
+//
+// A source without a pair method is answered through the row machinery
+// instead: the cached (or coalesced, or freshly built) row for u, then
+// one read; the cache-hit case reads the entry in place under the shard
+// lock and allocates nothing either.
 func (e *Engine) Query(ctx context.Context, u, v int32) (graph.Weight, error) {
 	if e.closed.Load() {
 		return inf, ErrClosed
 	}
-	n := e.NumVertices()
+	e.mu.Lock()
+	n, pair := e.n, e.pair
+	e.mu.Unlock()
 	if err := e.checkVertex("source", u, n); err != nil {
 		return inf, err
 	}
@@ -269,6 +316,16 @@ func (e *Engine) Query(ctx context.Context, u, v int32) (graph.Weight, error) {
 		return inf, err
 	}
 	defer e.adm.release()
+	if pair != nil {
+		t0 := time.Now()
+		d, err := pair.Pair(ctx, u, v)
+		e.pairLat.Observe(time.Since(t0))
+		if err != nil {
+			return inf, err
+		}
+		e.pairs.Inc()
+		return d, nil
+	}
 	if e.cache != nil {
 		if d, ok := e.cache.getAt(u, v); ok {
 			return d, nil

@@ -515,12 +515,12 @@ func TestStatsViewPrefix(t *testing.T) {
 	}
 	e.Release()
 	// The engine's metrics live under the graph prefix at the root…
-	if got := reg.Counter("g.a.qe.rows.built").Value(); got != 1 {
-		t.Fatalf("g.a.qe.rows.built = %d, want 1", got)
+	if got := reg.Counter("g.a.qe.pairs").Value(); got != 1 {
+		t.Fatalf("g.a.qe.pairs = %d, want 1", got)
 	}
 	// …and the per-graph stats view renders them unprefixed.
-	if s := r.StatsView("a").String(); !strings.Contains(s, `"qe.rows.built":1`) {
-		t.Fatalf("stats view missing qe.rows.built: %s", s)
+	if s := r.StatsView("a").String(); !strings.Contains(s, `"qe.pairs":1`) {
+		t.Fatalf("stats view missing qe.pairs: %s", s)
 	}
 }
 

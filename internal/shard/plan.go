@@ -64,7 +64,7 @@ type Plan struct {
 
 	// Derived at load, never serialised.
 	cutIndex []int32         // vertex → AP index, -1 for regular vertices
-	view     apsp.StitchView // what the stitch kernel walks; see derive
+	view     apsp.StitchView // what the stitch kernels walk; see derive
 }
 
 // NumBlocks returns the block count of the plan.
@@ -389,6 +389,7 @@ func (p *Plan) derive() error {
 				b, len(cuts), onBlock)
 		}
 	}
+	forest := apsp.BuildForest(p.BlockCuts, cutBlocks)
 	p.view = apsp.StitchView{
 		CutVertices: p.CutVertices,
 		CutIndex:    p.cutIndex,
@@ -396,6 +397,7 @@ func (p *Plan) derive() error {
 		BlockCuts:   p.BlockCuts,
 		CutBlocks:   cutBlocks,
 		BlockVerts:  p.BlockVerts,
+		Forest:      &forest,
 		A:           p.apF64,
 		A32:         p.apF32,
 	}

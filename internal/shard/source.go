@@ -84,11 +84,11 @@ func (st *shardState) markBad(msg string) {
 // byte-identical to the monolith's, or a typed error; never silently
 // partial.
 //
-// It implements qe.RowSource, qe.CtxRowSource, and qe.Sizer, so the
-// existing engine stack (row cache, singleflight, admission, batching)
-// applies unchanged; a failed fan-out surfaces from Query/Batch as an
-// error wrapping ErrShardUnavailable or ErrEpochMismatch and is never
-// cached.
+// It implements qe.RowSource, qe.CtxRowSource, qe.Sizer and
+// qe.PairSource, so the engine stack applies unchanged: Batch builds and
+// caches stitched rows, a point Query fetches only the pair's own ≤ 2
+// block rows. A failed fan-out surfaces from either as an error wrapping
+// ErrShardUnavailable or ErrEpochMismatch and is never cached.
 type RemoteSource struct {
 	plan       *Plan
 	client     *http.Client
@@ -103,6 +103,7 @@ type RemoteSource struct {
 	errTotal *obs.Counter
 	fetched  *obs.Counter
 	stitched *obs.Counter
+	pairs    *obs.Counter
 
 	stop      chan struct{}
 	probeWG   sync.WaitGroup
@@ -149,6 +150,7 @@ func NewRemoteSource(cfg SourceConfig) (*RemoteSource, error) {
 		errTotal:   reg.Counter("shard.rpc.errors"),
 		fetched:    reg.Counter("shard.rows.fetched"),
 		stitched:   reg.Counter("shard.rows.stitched"),
+		pairs:      reg.Counter("shard.pairs"),
 		stop:       make(chan struct{}),
 	}
 	s.shards = make([]*shardState, len(cfg.Addrs))
@@ -242,10 +244,42 @@ func (s *RemoteSource) RowCtx(ctx context.Context, u int32, out []graph.Weight) 
 	})
 }
 
+// Pair answers d_G(u, v) without building a row: apsp's pair kernel — the
+// case analysis behind the monolith's Query — plans the pair over the
+// plan's view, the ≤ 2 block rows it names (none for two articulation
+// points, whose answer is the frontend-resident A alone) are fetched from
+// their owning shards like any row's, and the kernel reads its entries out
+// of them. Failures are typed exactly as RowCtx's; no distance is returned
+// with an error.
+func (s *RemoteSource) Pair(ctx context.Context, u, v int32) (graph.Weight, error) {
+	view := &s.plan.view
+	p, err := view.PlanPair(u, v)
+	if err != nil {
+		return apsp.Inf, err
+	}
+	var d [2]graph.Weight
+	if p.N > 0 {
+		var want [2]apsp.BlockWant
+		var rows [2][]graph.Weight
+		for i, e := range p.Want[:p.N] {
+			want[i] = apsp.BlockWant{Block: e.Block, Src: e.Src}
+			rows[i] = make([]graph.Weight, len(view.BlockVerts[e.Block]))
+		}
+		if err := s.fanOut(ctx, want[:p.N], rows[:p.N]); err != nil {
+			return apsp.Inf, err
+		}
+		for i, e := range p.Want[:p.N] {
+			d[i] = view.EntryAt(e, rows[i])
+		}
+	}
+	s.pairs.Inc()
+	return p.Distance(d[0], d[1]), nil
+}
+
 // fanOut routes each wanted block row to the shard owning its block and
 // fetches every shard's slice concurrently, copying the answers into
-// rows; the first failure (typed) fails the row. want is ascending by
-// block, so each shard's request order is deterministic.
+// rows; the first failure (typed) fails the caller. A row's want-list is
+// ascending by block, so each shard's request order is deterministic.
 func (s *RemoteSource) fanOut(ctx context.Context, want []apsp.BlockWant, rows [][]graph.Weight) error {
 	perShard := make([][]int, len(s.shards)) // shard → indexes into want
 	busy := 0

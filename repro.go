@@ -250,9 +250,10 @@ func WriteOracleChain(w io.Writer, o *APSPOracle, deltas []Delta) (int64, error)
 
 // Query serving.
 type (
-	// QueryEngine is the batched query engine of the serving stack: rows
-	// are computed lazily, coalesced across concurrent requests, and kept
-	// in a bounded LRU; admission control sheds excess load with
+	// QueryEngine is the query engine of the serving stack: a point
+	// Query is one pair lookup on the source; Batch rows are computed
+	// lazily, coalesced across concurrent requests, and kept in a bounded
+	// LRU; admission control sheds excess load of either kind with
 	// ErrOverloaded.
 	QueryEngine = qe.Engine
 	// EngineConfig tunes a QueryEngine; the zero value is usable.
@@ -340,9 +341,10 @@ type (
 	// ShardSourceConfig configures NewRemoteRowSource: the plan, one
 	// address per shard, and retry/hedging/probing knobs.
 	ShardSourceConfig = shard.SourceConfig
-	// RemoteRowSource is the frontend's fan-out RowSource: it routes
-	// each row to its owning shard daemon, stitches cross-block answers
-	// through the plan's boundary table, and degrades into typed
+	// RemoteRowSource is the frontend's fan-out RowSource: it fetches
+	// block rows from their owning shard daemons — every reached block
+	// for a row, at most two for a point query — stitches cross-block
+	// answers through the plan's boundary table, and degrades into typed
 	// ErrShardUnavailable / ErrShardEpochMismatch failures. It satisfies
 	// RowSource, so NewQueryEngine serves it unchanged.
 	RemoteRowSource = shard.RemoteSource
