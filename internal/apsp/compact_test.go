@@ -180,54 +180,74 @@ func TestCompact32Delta(t *testing.T) {
 	}
 }
 
-// TestOracleSnapshotRejectsV1 hand-rolls a complete v1 payload (no meta
-// flags, untagged float64 tables) and checks it is refused as version
-// skew, not half-decoded: there is no in-place migration, a snapshot from
-// an older release is rebuilt.
+// TestOracleSnapshotRejectsV1 hand-rolls complete payloads in the
+// two retired layouts — v1 (no meta flags, untagged float64 tables) and v2
+// (flags and tagged tables); both with the stored forest and the AP graph
+// behind the table — and checks each is refused as version skew, not
+// half-decoded: there is no in-place migration, a snapshot from an older
+// release is rebuilt.
 func TestOracleSnapshotRejectsV1(t *testing.T) {
 	g := compactTestGraph(t)
 	o := NewOracle(g)
 
-	sw := snapshot.NewWriter()
-	meta := sw.Section("meta")
-	meta.U32(1) // v1: no flags word
-	meta.U64(uint64(o.G.NumVertices()))
-	meta.U64(uint64(len(o.Blocks)))
-	meta.U64(uint64(o.numA))
-	meta.I64(o.Relaxations)
-	o.G.EncodeSnapshot(sw.Section("graph"))
-	be := sw.Section("bcc")
-	be.U64(uint64(len(o.Dec.Components)))
-	for _, comp := range o.Dec.Components {
-		be.I32s(comp)
+	// The AP graph of buildAPTable, which old payloads carried.
+	apb := graph.NewBuilder(o.numA)
+	var edgeBlock []int32
+	for bi, blk := range o.Blocks {
+		cuts := o.BCT.BlockCuts[bi]
+		for i := range cuts {
+			for j := i + 1; j < len(cuts); j++ {
+				if w := blk.QueryParent(o.BCT.CutVertices[cuts[i]], o.BCT.CutVertices[cuts[j]]); w < Inf {
+					apb.AddEdge(cuts[i], cuts[j], w)
+					edgeBlock = append(edgeBlock, int32(bi))
+				}
+			}
+		}
 	}
-	be.Bools(o.Dec.IsArticulation)
-	bl := sw.Section("blocks")
-	for _, blk := range o.Blocks {
-		blk.Ear.Red.EncodeSnapshot(bl)
-		bl.F64s(blk.Ear.SR) // v1: always float64, no kind tag
-		bl.I64(blk.Ear.Relaxations)
-		bl.U64(uint64(blk.Ear.sweeps))
-	}
-	fe := sw.Section("forest")
-	fe.I32s(o.nodeParent)
-	fe.I32s(o.nodeDepth)
-	fe.I32s(o.nodeRoot)
-	ae := sw.Section("aptable")
-	ae.F64s(o.A) // v1: no kind tag
-	if o.apGraph != nil {
-		ae.U32(1)
-		o.apGraph.EncodeSnapshot(ae)
-		ae.I32s(o.apEdgeBlock)
-	} else {
-		ae.U32(0)
-	}
-	var buf bytes.Buffer
-	if _, err := sw.WriteTo(&buf); err != nil {
-		t.Fatalf("write v1: %v", err)
-	}
+	apGraph := apb.Build()
 
-	if _, err := ReadOracle(&buf); !errors.Is(err, snapshot.ErrVersionSkew) {
-		t.Fatalf("read v1: err = %v, want ErrVersionSkew", err)
+	for _, version := range []uint32{1, 2} {
+		table := func(e *snapshot.Encoder, f64 []graph.Weight) {
+			if version >= 2 {
+				e.U32(tableKindF64)
+			}
+			e.F64s(f64)
+		}
+		sw := snapshot.NewWriter()
+		meta := sw.Section("meta")
+		meta.U32(version)
+		meta.U64(uint64(o.G.NumVertices()))
+		meta.U64(uint64(len(o.Blocks)))
+		meta.U64(uint64(o.numA))
+		meta.I64(o.Relaxations)
+		if version >= 2 {
+			meta.U32(0) // flags: not compact
+		}
+		o.G.EncodeSnapshot(sw.Section("graph"))
+		o.encodeDecomposition(sw.Section("bcc"))
+		bl := sw.Section("blocks")
+		for _, blk := range o.Blocks {
+			blk.Ear.Red.EncodeSnapshot(bl)
+			table(bl, blk.Ear.SR)
+			bl.I64(blk.Ear.Relaxations)
+			bl.U64(uint64(blk.Ear.sweeps))
+		}
+		fe := sw.Section("forest")
+		fe.I32s(o.nodeParent)
+		fe.I32s(o.nodeDepth)
+		fe.I32s(o.nodeRoot)
+		ae := sw.Section("aptable")
+		table(ae, o.A)
+		ae.U32(1)
+		apGraph.EncodeSnapshot(ae)
+		ae.I32s(edgeBlock)
+		var buf bytes.Buffer
+		if _, err := sw.WriteTo(&buf); err != nil {
+			t.Fatalf("write v%d: %v", version, err)
+		}
+
+		if _, err := ReadOracle(&buf); !errors.Is(err, snapshot.ErrVersionSkew) {
+			t.Fatalf("read v%d: err = %v, want ErrVersionSkew", version, err)
+		}
 	}
 }

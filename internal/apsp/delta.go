@@ -326,7 +326,7 @@ func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int
 
 	n := &Oracle{
 		G: newG, Dec: o.Dec, BCT: o.BCT, numA: o.numA,
-		A: o.A, a32: o.a32, compact: o.compact, apGraph: o.apGraph, apEdgeBlock: o.apEdgeBlock,
+		A: o.A, a32: o.a32, compact: o.compact,
 		Forest: o.Forest, loc: o.loc,
 		Relaxations: o.Relaxations,
 		BuildPhases: &obs.Phases{},
@@ -358,7 +358,6 @@ func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int
 		}
 	}
 	if apRebuild {
-		n.A, n.a32, n.apGraph, n.apEdgeBlock = nil, nil, nil, nil
 		n.buildAPTable()
 	}
 	res := &DeltaResult{

@@ -72,9 +72,7 @@ func BuildForest(blockCuts, cutBlocks [][]int32) Forest {
 }
 
 // buildLifting derives the binary-lifting ancestor table from nodeParent.
-// It is shared by construction and snapshot load: the table is a pure
-// function of the parent array, so snapshots store only the latter. The
-// table is one flat row-major array (level k at up[k*n : (k+1)*n]) — a
+// The table is one flat row-major array (level k at up[k*n : (k+1)*n]) — a
 // single allocation the LCA walk strides through without pointer hops.
 func (f *Forest) buildLifting() {
 	n := len(f.nodeParent)
@@ -128,13 +126,25 @@ func (f *Forest) lca(u, v int32) int32 {
 	return f.nodeParent[u]
 }
 
-// gate returns the cut node that is first on the forest path from block
-// node b toward node t (b != t, same tree).
+// gate returns the node after b on the forest path toward node t (b != t,
+// same tree). From a block node that is the gateway cut node; from a cut
+// node the same step is already correct and yields the next block.
 func (f *Forest) gate(b, t int32) int32 {
 	if f.lca(b, t) == b {
 		return f.ancestorAtDepth(t, f.nodeDepth[b]+1)
 	}
 	return f.nodeParent[b]
+}
+
+// path returns the nodes of the unique forest path from s to t (same
+// tree), both ends included — blocks and cut nodes alternating, one gate
+// step each.
+func (f *Forest) path(s, t int32) []int32 {
+	nodes := make([]int32, 0, f.nodeDepth[s]+f.nodeDepth[t]+1)
+	for nodes = append(nodes, s); s != t; nodes = append(nodes, s) {
+		s = f.gate(s, t)
+	}
+	return nodes
 }
 
 // adjacent reports whether block node b and cut node c share a forest

@@ -54,9 +54,10 @@ func (b *BlockAPSP) QueryParent(u, v int32) graph.Weight {
 
 // Oracle is the paper's general-graph APSP structure (Section 2.2): one
 // ear-reduced APSP per biconnected component, an a×a distance table A over
-// the articulation points, and block-cut tree navigation to find, for any
-// cross-component pair, the two gateway articulation points of the unique
-// tree path between their blocks.
+// the articulation points, and one block-cut forest whose navigation finds,
+// for any cross-component pair, the two gateway articulation points of the
+// unique tree path between their blocks (distances) and every cut vertex
+// in between (paths).
 //
 // Storage is O(a² + Σ nr_i²), the paper's memory bound, rather than O(n²).
 type Oracle struct {
@@ -67,15 +68,10 @@ type Oracle struct {
 
 	// A is the articulation-point table, a×a row-major over BCT.CutVertices
 	// indices; in compact mode it lives in a32 instead (float32, +Inf for
-	// unreachable) and A is nil. apGraph is the graph it was computed on
-	// (one vertex per AP, per-block clique edges), retained for path
-	// reconstruction; apEdgeBlock maps each of its edges to the
-	// contributing block.
-	A           []graph.Weight
-	a32         []float32
-	numA        int
-	apGraph     *graph.Graph
-	apEdgeBlock []int32
+	// unreachable) and A is nil.
+	A    []graph.Weight
+	a32  []float32
+	numA int
 
 	// compact records that every distance table (A and each block's S^r)
 	// is stored as float32 — half the cache footprint, with the tolerance
@@ -86,7 +82,8 @@ type Oracle struct {
 	loc *locIndex
 
 	// Forest is the rooted block-cut forest Query navigates for gateway
-	// articulation points; the stitch view shares it.
+	// articulation points and Path for the cut chain between them; the
+	// stitch view shares it.
 	Forest
 
 	// view caches StitchView(); see there.
@@ -204,14 +201,11 @@ func newOracle(ctx context.Context, g *graph.Graph, compact bool, mk func(contex
 // buildForest roots the block-cut forest over the oracle's block-cut tree.
 func (o *Oracle) buildForest() { o.Forest = BuildForest(o.BCT.BlockCuts, o.BCT.CutBlocks) }
 
-// gatewayCut returns the articulation-point index of the first cut node on
-// the forest path from block node b toward node t (b != t, same tree).
-func (o *Oracle) gatewayCut(b, t int32) int32 { return o.gate(b, t) - int32(len(o.Blocks)) }
-
 // buildAPTable computes the a×a articulation point distance table by
 // running Dijkstra from each AP over the "AP graph": one vertex per AP,
 // and, for every block, an edge between each pair of its APs weighted by
-// their in-block distance (Section 2.2, Stage 2).
+// their in-block distance (Section 2.2, Stage 2). The AP graph dies with the
+// call: nothing navigates it afterwards, the forest is the navigation.
 func (o *Oracle) buildAPTable() {
 	a := o.numA
 	o.A = make([]graph.Weight, a*a)
@@ -231,15 +225,14 @@ func (o *Oracle) buildAPTable() {
 				w := blk.QueryParent(u, v)
 				if w < Inf {
 					b.AddEdge(cuts[i], cuts[j], w)
-					o.apEdgeBlock = append(o.apEdgeBlock, int32(bi))
 				}
 			}
 		}
 	}
-	o.apGraph = b.Build()
+	apGraph := b.Build()
 	sc := sssp.NewScratch(a)
 	for s := 0; s < a; s++ {
-		o.Relaxations += sssp.DistancesOnly(o.apGraph, int32(s), o.A[s*a:(s+1)*a], sc)
+		o.Relaxations += sssp.DistancesOnly(apGraph, int32(s), o.A[s*a:(s+1)*a], sc)
 	}
 	if o.compact {
 		o.a32 = compressTable(o.A)

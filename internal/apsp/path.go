@@ -3,35 +3,59 @@ package apsp
 import (
 	"repro/internal/ear"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/sssp"
 )
 
 // This file adds shortest *path* reconstruction on top of the
 // distance-only tables. The paper's pipeline stores S^r (reduced pairs)
 // and the articulation table A; a path is recovered without any extra
-// per-pair storage by greedy next-hop walks over those tables, expanding
-// each reduced edge back into its degree-2 chain and each block-cut hop
-// into an in-block walk.
+// per-pair storage. Inside a block it is a greedy next-hop walk over S^r
+// with each reduced edge expanded back into its degree-2 chain. Across
+// blocks nothing is searched: the chain of cut vertices between two blocks
+// is unique in the block-cut forest, so it is read off Forest.path — the
+// same navigation the distance kernels use — and each hop is an in-block
+// walk.
 //
 // The greedy descent relies on the Bellman equality d(cur, t) =
 // w(cur, v) + d(v, t) holding for some neighbour v. The table entries are
 // float sums computed by independent per-source Dijkstra runs, so on
-// non-integral weights the two sides can disagree by a few ULPs; ties and
-// zero-weight plateaus can additionally stall the descent. The walk
-// therefore (a) accepts next hops within a relative tolerance, (b) re-reads
-// the remaining distance from the table instead of maintaining it by
-// subtraction, (c) bounds the number of steps, and (d) falls back to an
-// exact Dijkstra run with parent pointers when the greedy walk still fails.
-// Reconstruction never panics; all failures surface as *QueryError.
+// non-integral weights the two sides can disagree by a few ULPs — or, in a
+// Compact32 table, by one float32 rounding each; ties and zero-weight
+// plateaus can additionally stall the descent. The walk therefore (a)
+// accepts next hops within a relative tolerance fitted to the table's
+// precision, (b) re-reads the remaining distance from the table instead of
+// maintaining it by subtraction, (c) bounds the number of steps, and (d)
+// falls back to an exact Dijkstra run with parent pointers when the greedy
+// walk still fails. Reconstruction never panics; all failures surface as
+// *QueryError.
+
+// Relative acceptance tolerances of a greedy step: generous enough to
+// absorb the drift between two table entries, far below any real weight
+// difference. float64 entries differ by ULPs of differently associated
+// sums; a float32 entry carries one rounding of 2⁻²⁴ ≈ 6e-8, so the two
+// sides of the Bellman equality can be 1.2e-7 apart.
+const (
+	pathTol64 = 1e-9
+	pathTol32 = 2.5e-7
+)
+
+// pathFallbacks counts greedy walks that gave up and re-ran Dijkstra
+// (keptPathExact) — orders of magnitude slower, so worth seeing without a
+// profile.
+var pathFallbacks = obs.Default.Counter("apsp.path.fallbacks")
 
 // pathTol returns the acceptance tolerance for a greedy step at remaining
-// distance r: generous enough to absorb ULP drift from differently
-// associated float sums, far below any real weight difference.
-func pathTol(r graph.Weight) graph.Weight {
+// distance r.
+func (a *EarAPSP) pathTol(r graph.Weight) graph.Weight {
 	if r < 0 {
 		r = -r
 	}
-	return 1e-9 * (1 + r)
+	tol := pathTol64
+	if a.sr32 != nil {
+		tol = pathTol32
+	}
+	return tol * (1 + r)
 }
 
 // Path returns the vertices of a shortest x→y walk in the original graph,
@@ -53,34 +77,39 @@ func (a *EarAPSP) PathChecked(x, y int32) ([]int32, error) {
 	if err := checkPair("Path", x, y, a.G.NumVertices()); err != nil {
 		return nil, err
 	}
-	if x == y {
-		return []int32{x}, nil
-	}
-	if a.Query(x, y) >= Inf {
+	if x != y && a.Query(x, y) >= Inf {
 		return nil, nil
 	}
-	red := a.Red
-	kx, ky := red.OrigToKept[x], red.OrigToKept[y]
-	var (
-		w   []int32
-		err error
-	)
-	switch {
-	case kx >= 0 && ky >= 0:
-		w, err = a.keptPath(kx, ky)
-	case kx >= 0:
-		// walk from the kept side and reverse
-		w, err = a.removedToKeptPath(y, kx)
-		w = reverseWalk(w)
-	case ky >= 0:
-		w, err = a.removedToKeptPath(x, ky)
-	default:
-		w, err = a.removedPairPath(x, y)
-	}
+	w, err := a.keptOrAnyPath(x, y)
 	if err != nil {
 		return nil, &QueryError{Op: "Path", U: x, V: y, N: a.G.NumVertices(), Err: ErrReconstruction}
 	}
 	return w, nil
+}
+
+// keptOrAnyPath is the case analysis behind PathChecked and the oracle's
+// in-block hops: either endpoint may be kept or removed by the reduction.
+// The pair is in range; an unreachable one is ErrReconstruction.
+func (a *EarAPSP) keptOrAnyPath(x, y int32) ([]int32, error) {
+	if x == y {
+		return []int32{x}, nil
+	}
+	if a.Query(x, y) >= Inf {
+		return nil, ErrReconstruction
+	}
+	red := a.Red
+	kx, ky := red.OrigToKept[x], red.OrigToKept[y]
+	switch {
+	case kx >= 0 && ky >= 0:
+		return a.keptPath(kx, ky)
+	case kx >= 0:
+		// walk from the kept side and reverse
+		w, err := a.removedToKeptPath(y, kx)
+		return reverseWalk(w), err
+	case ky >= 0:
+		return a.removedToKeptPath(x, ky)
+	}
+	return a.removedPairPath(x, y)
 }
 
 // keptPath reconstructs the walk between two kept vertices: a greedy
@@ -103,7 +132,7 @@ func (a *EarAPSP) keptPath(kx, ky int32) ([]int32, error) {
 		bestEdge := int32(-1)
 		bestVal := Inf
 		bestDist := Inf
-		tol := pathTol(remaining)
+		tol := a.pathTol(remaining)
 		for i := lo; i < hi; i++ {
 			v, eid := adjNode[i], adjEdge[i]
 			dv := a.srAt(v, ky)
@@ -135,6 +164,7 @@ func (a *EarAPSP) keptPath(kx, ky int32) ([]int32, error) {
 // defeated by float drift or zero-weight plateaus. It allocates per call
 // and is only reached on degenerate inputs.
 func (a *EarAPSP) keptPathExact(kx, ky int32) ([]int32, error) {
+	pathFallbacks.Inc()
 	res := sssp.Dijkstra(a.Red.R, kx, nil)
 	if res.Dist[ky] >= Inf {
 		return nil, ErrReconstruction
@@ -303,58 +333,37 @@ func (o *Oracle) PathChecked(u, v int32) ([]int32, error) {
 	return w, nil
 }
 
-func (o *Oracle) path(u, v int32) ([]int32, error) {
-	iu, iv := o.BCT.CutIndex[u], o.BCT.CutIndex[v]
-	switch {
-	case iu >= 0 && iv >= 0:
-		return o.apPath(iu, iv)
-	case iu >= 0:
-		w, err := o.regularToAPPath(v, iu)
-		return reverseWalk(w), err
-	case iv >= 0:
-		return o.regularToAPPath(u, iv)
+// forestNode returns v's node in the block-cut forest: its cut node for an
+// articulation point, else its home block.
+func (o *Oracle) forestNode(v int32) int32 {
+	if ci := o.BCT.CutIndex[v]; ci >= 0 {
+		return int32(len(o.Blocks)) + ci
 	}
-	bu, bv := o.BCT.BlockOf[u], o.BCT.BlockOf[v]
-	if bu == bv {
-		return o.blockPath(bu, u, v)
-	}
-	a1 := o.gatewayCut(bu, bv)
-	a2 := o.gatewayCut(bv, bu)
-	out, err := o.blockPath(bu, u, o.BCT.CutVertices[a1])
-	if err != nil {
-		return nil, err
-	}
-	mid, err := o.apPath(a1, a2)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, mid[1:]...)
-	tail, err := o.blockPath(bv, o.BCT.CutVertices[a2], v)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, tail[1:]...), nil
+	return o.BCT.BlockOf[v]
 }
 
-// regularToAPPath walks from regular vertex v... to articulation point ia,
-// returned in v→AP order.
-func (o *Oracle) regularToAPPath(v int32, ia int32) ([]int32, error) {
-	bv := o.BCT.BlockOf[v]
-	apVertex := o.BCT.CutVertices[ia]
-	blk := o.Blocks[bv]
-	if blk.local(apVertex) >= 0 {
-		return o.blockPath(bv, v, apVertex)
+// path walks the forest path between the nodes of u and v (distinct and
+// connected): every block node on it is one in-block hop, from the
+// previous cut vertex — or u — to the next cut vertex — or v.
+func (o *Oracle) path(u, v int32) ([]int32, error) {
+	numB := int32(len(o.Blocks))
+	nodes := o.Forest.path(o.forestNode(u), o.forestNode(v))
+	out := []int32{u}
+	for i, nd := range nodes {
+		if nd >= numB {
+			continue
+		}
+		to := v
+		if i+1 < len(nodes) {
+			to = o.BCT.CutVertices[nodes[i+1]-numB]
+		}
+		seg, err := o.blockPath(nd, out[len(out)-1], to)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, seg[1:]...)
 	}
-	a2 := o.gatewayCut(bv, int32(len(o.Blocks))+ia)
-	out, err := o.blockPath(bv, v, o.BCT.CutVertices[a2])
-	if err != nil {
-		return nil, err
-	}
-	mid, err := o.apPath(a2, ia)
-	if err != nil {
-		return nil, err
-	}
-	return append(out, mid[1:]...), nil
+	return out, nil
 }
 
 // blockPath answers an in-block path in parent vertex IDs.
@@ -371,106 +380,6 @@ func (o *Oracle) blockPath(bi int32, u, v int32) ([]int32, error) {
 	out := make([]int32, len(local))
 	for i, x := range local {
 		out[i] = blk.Sub.ToParentVertex[x]
-	}
-	return out, nil
-}
-
-// keptOrAnyPath is the in-block entry point of blockPath: the same case
-// analysis as PathChecked without re-validating the pair.
-func (a *EarAPSP) keptOrAnyPath(x, y int32) ([]int32, error) {
-	if x == y {
-		return []int32{x}, nil
-	}
-	if a.Query(x, y) >= Inf {
-		return nil, ErrReconstruction
-	}
-	red := a.Red
-	kx, ky := red.OrigToKept[x], red.OrigToKept[y]
-	switch {
-	case kx >= 0 && ky >= 0:
-		return a.keptPath(kx, ky)
-	case kx >= 0:
-		w, err := a.removedToKeptPath(y, kx)
-		return reverseWalk(w), err
-	case ky >= 0:
-		return a.removedToKeptPath(x, ky)
-	}
-	return a.removedPairPath(x, y)
-}
-
-// apPath reconstructs the articulation-point-level walk by greedy next-hop
-// descent on the AP graph, expanding each AP edge through its contributing
-// block. On greedy failure it falls back to apPathExact.
-func (o *Oracle) apPath(ia, ib int32) ([]int32, error) {
-	out := []int32{o.BCT.CutVertices[ia]}
-	cur := ia
-	g := o.apGraph
-	adjNode, adjEdge := g.AdjNode(), g.AdjEdge()
-	for steps := 0; cur != ib; steps++ {
-		if steps > o.numA {
-			return o.apPathExact(ia, ib)
-		}
-		remaining := o.apAt(cur, ib)
-		lo, hi := g.AdjacencyRange(cur)
-		best := int32(-1)
-		bestEdge := int32(-1)
-		bestVal := Inf
-		bestDist := Inf
-		tol := pathTol(remaining)
-		for i := lo; i < hi; i++ {
-			nb, eid := adjNode[i], adjEdge[i]
-			dnb := o.apAt(nb, ib)
-			val := g.Edge(eid).W + dnb
-			if val > remaining+tol {
-				continue
-			}
-			if dnb < bestDist || (dnb == bestDist && val < bestVal) {
-				bestDist = dnb
-				bestVal = val
-				best = nb
-				bestEdge = eid
-			}
-		}
-		if best < 0 {
-			return o.apPathExact(ia, ib)
-		}
-		blk := o.apEdgeBlock[bestEdge]
-		seg, err := o.blockPath(blk, o.BCT.CutVertices[cur], o.BCT.CutVertices[best])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, seg[1:]...)
-		cur = best
-	}
-	return out, nil
-}
-
-// apPathExact recomputes the AP-level walk with a fresh Dijkstra run on
-// the AP graph — the exact fallback mirroring keptPathExact.
-func (o *Oracle) apPathExact(ia, ib int32) ([]int32, error) {
-	res := sssp.Dijkstra(o.apGraph, ia, nil)
-	if res.Dist[ib] >= Inf {
-		return nil, ErrReconstruction
-	}
-	var hops []int32 // AP-graph edge IDs from ib back to ia
-	for v := ib; v != ia; v = res.Parent[v] {
-		hops = append(hops, res.ParentEdge[v])
-	}
-	out := []int32{o.BCT.CutVertices[ia]}
-	cur := ia
-	for i := len(hops) - 1; i >= 0; i-- {
-		eid := hops[i]
-		e := o.apGraph.Edge(eid)
-		next := e.U
-		if next == cur {
-			next = e.V
-		}
-		seg, err := o.blockPath(o.apEdgeBlock[eid], o.BCT.CutVertices[cur], o.BCT.CutVertices[next])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, seg[1:]...)
-		cur = next
 	}
 	return out, nil
 }

@@ -57,9 +57,6 @@ func (o *Oracle) buildView() *StitchView {
 // StitchView.RowCost.
 func (o *Oracle) RowCost(u int32) int64 { return o.StitchView().RowCost(u) }
 
-// RowCost estimates the table operations Row(u) will perform.
-func (a *EarAPSP) RowCost(int32) int64 { return int64(a.G.NumVertices()) }
-
 // Row writes d_G(u, v) for every vertex v into out (len ≥ n) and returns
 // the number of table operations performed. An out-of-range u yields an
 // all-Inf row; use RowChecked to surface that as an error instead.

@@ -14,28 +14,28 @@ import (
 
 // Oracle snapshots: build-once/serve-many persistence. WriteTo serialises
 // every expensive product of construction — the graph, the BCC edge
-// partition, the per-block ear reductions and S^r distance tables, the
-// rooted block-cut forest, and the a×a articulation table with its AP
-// graph — into one snapshot container. ReadOracle restores an oracle that
-// answers every query bit-identically to the one that was written, without
-// re-running any of the build phases (no Hopcroft–Tarjan, no ear
-// reduction, no Dijkstra): the only work on load is decoding plus cheap
-// deterministic restructuring (CSR assembly, inverse maps, the
-// binary-lifting table).
+// partition, the per-block ear reductions and S^r distance tables, and the
+// a×a articulation table — into one snapshot container. ReadOracle restores
+// an oracle that answers every query bit-identically to the one that was
+// written, without re-running any of the expensive build phases (no
+// Hopcroft–Tarjan, no ear reduction, no Dijkstra): the only work on load is
+// decoding plus cheap deterministic restructuring (CSR assembly, inverse
+// maps, rooting the block-cut forest).
 //
 // Sections ("meta" first, the rest in fixed order):
 //
-//	meta    oracle format version, n, #blocks, a, total relaxations
+//	meta    oracle format version, n, #blocks, a, total relaxations, flags
 //	graph   the original graph's edge array
 //	bcc     per-component edge-ID lists + articulation flags
 //	blocks  per block: ear reduction, S^r table, relaxations, sweeps
-//	forest  nodeParent / nodeDepth / nodeRoot of the block-cut forest
-//	aptable the a×a table A, the AP graph, and its edge→block map
+//	aptable the a×a table A behind its storage-kind tag
 //
-// The block-cut tree adjacency (bcc.BlockCutTree) and each block's
-// Subgraph are not stored: both are pure deterministic functions of the
-// graph and the BCC partition, so decode rebuilds them with the same code
-// construction uses.
+// Deliberately not stored, because each is a pure deterministic function
+// of the graph and the BCC partition that decode rebuilds with the same
+// code construction uses: the block-cut tree adjacency (bcc.BlockCutTree),
+// each block's Subgraph, the rooted block-cut forest (a stored forest could
+// disagree with the partition it is supposed to be derived from), and the
+// AP graph A was computed on (nothing reads it once A exists).
 
 // oracleFormatVersion is the version of the oracle payload layout, checked
 // independently of the container's own version. Bump it whenever a
@@ -44,8 +44,9 @@ import (
 //
 // v2 added compact (float32) table support: meta carries a trailing flags
 // word, and the blocks/aptable sections tag every distance table with a
-// storage-kind word (0 = float64, 1 = float32). v1 is not read.
-const oracleFormatVersion = 2
+// storage-kind word (0 = float64, 1 = float32). v3 dropped the forest
+// section and the AP graph from aptable. v1 and v2 are not read.
+const oracleFormatVersion = 3
 
 // Meta flag bits.
 const metaFlagCompact = 1 << 0
@@ -94,20 +95,7 @@ func (o *Oracle) writeSnapshot(w io.Writer, deltas []Delta, chainVersion uint32)
 		bl.U64(uint64(blk.Ear.sweeps))
 	}
 
-	fe := sw.Section("forest")
-	fe.I32s(o.nodeParent)
-	fe.I32s(o.nodeDepth)
-	fe.I32s(o.nodeRoot)
-
-	ae := sw.Section("aptable")
-	EncodeTable(ae, o.compact, o.A, o.a32)
-	if o.apGraph != nil {
-		ae.U32(1)
-		o.apGraph.EncodeSnapshot(ae)
-		ae.I32s(o.apEdgeBlock)
-	} else {
-		ae.U32(0)
-	}
+	EncodeTable(sw.Section("aptable"), o.compact, o.A, o.a32)
 
 	if len(deltas) > 0 {
 		encodeDeltaSection(sw.Section(deltaSection), chainVersion, deltas)
@@ -201,9 +189,7 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 	if err := o.decodeBlocks(sr); err != nil {
 		return nil, err
 	}
-	if err := o.decodeForest(sr); err != nil {
-		return nil, err
-	}
+	o.buildForest()
 	if err := o.decodeAPTable(sr); err != nil {
 		return nil, err
 	}
@@ -359,48 +345,7 @@ func (o *Oracle) decodeBlocks(sr *snapshot.Reader) error {
 	return bd.Finish()
 }
 
-// decodeForest reads the rooted block-cut forest and re-derives the
-// binary-lifting table. The parent/depth/root invariants are checked in
-// full: they are exactly what ancestorAtDepth and lca rely on to never
-// index out of range.
-func (o *Oracle) decodeForest(sr *snapshot.Reader) error {
-	fd, err := sr.Section("forest")
-	if err != nil {
-		return err
-	}
-	o.nodeParent = fd.I32s()
-	o.nodeDepth = fd.I32s()
-	o.nodeRoot = fd.I32s()
-	if err := fd.Err(); err != nil {
-		return err
-	}
-	nn := len(o.Blocks) + o.numA
-	if len(o.nodeParent) != nn || len(o.nodeDepth) != nn || len(o.nodeRoot) != nn {
-		return snapshot.Corruptf("apsp: forest arrays sized %d/%d/%d for %d nodes",
-			len(o.nodeParent), len(o.nodeDepth), len(o.nodeRoot), nn)
-	}
-	for v := 0; v < nn; v++ {
-		p := o.nodeParent[v]
-		switch {
-		case p < 0:
-			if o.nodeDepth[v] != 0 || o.nodeRoot[v] != int32(v) {
-				return snapshot.Corruptf("apsp: forest root %d has depth %d root %d",
-					v, o.nodeDepth[v], o.nodeRoot[v])
-			}
-		case int(p) >= nn:
-			return snapshot.Corruptf("apsp: forest node %d parent %d of %d", v, p, nn)
-		default:
-			if o.nodeDepth[v] != o.nodeDepth[p]+1 || o.nodeRoot[v] != o.nodeRoot[p] {
-				return snapshot.Corruptf("apsp: forest node %d inconsistent with parent %d", v, p)
-			}
-		}
-	}
-	o.buildLifting()
-	return fd.Finish()
-}
-
-// decodeAPTable reads the articulation table, the AP graph, and the
-// edge→block map.
+// decodeAPTable reads the articulation table.
 func (o *Oracle) decodeAPTable(sr *snapshot.Reader) error {
 	ad, err := sr.Section("aptable")
 	if err != nil {
@@ -408,36 +353,6 @@ func (o *Oracle) decodeAPTable(sr *snapshot.Reader) error {
 	}
 	if o.A, o.a32, err = DecodeTable(ad, o.compact, o.numA*o.numA, "AP table"); err != nil {
 		return err
-	}
-	has := ad.U32()
-	if err := ad.Err(); err != nil {
-		return err
-	}
-	if (has == 1) != (o.numA > 0) {
-		return snapshot.Corruptf("apsp: AP graph flag %d with a=%d", has, o.numA)
-	}
-	if has == 1 {
-		apg, err := graph.DecodeSnapshot(ad)
-		if err != nil {
-			return err
-		}
-		if apg.NumVertices() != o.numA {
-			return snapshot.Corruptf("apsp: AP graph has %d vertices for a=%d", apg.NumVertices(), o.numA)
-		}
-		o.apEdgeBlock = ad.I32s()
-		if err := ad.Err(); err != nil {
-			return err
-		}
-		if len(o.apEdgeBlock) != apg.NumEdges() {
-			return snapshot.Corruptf("apsp: %d edge→block entries for %d AP edges",
-				len(o.apEdgeBlock), apg.NumEdges())
-		}
-		for i, b := range o.apEdgeBlock {
-			if b < 0 || int(b) >= len(o.Blocks) {
-				return snapshot.Corruptf("apsp: AP edge %d maps to block %d of %d", i, b, len(o.Blocks))
-			}
-		}
-		o.apGraph = apg
 	}
 	return ad.Finish()
 }

@@ -2,9 +2,11 @@ package apsp
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
@@ -115,15 +117,11 @@ func TestSnapshotCorruptionTyped(t *testing.T) {
 	g := testGraphs(t)["chained-blocks"]
 	data := snapshotOf(t, NewOracle(g))
 
-	typed := func(err error) bool {
-		return errors.Is(err, snapshot.ErrBadMagic) || errors.Is(err, snapshot.ErrVersionSkew) ||
-			errors.Is(err, snapshot.ErrChecksum) || errors.Is(err, snapshot.ErrCorrupt)
-	}
 	for pos := 0; pos < len(data); pos += 37 {
 		for _, mask := range []byte{0x01, 0x80} {
 			mut := append([]byte(nil), data...)
 			mut[pos] ^= mask
-			if _, err := ReadOracle(bytes.NewReader(mut)); err != nil && !typed(err) {
+			if _, err := ReadOracle(bytes.NewReader(mut)); err != nil && !typedSnapshotErr(err) {
 				t.Fatalf("flip %#x at %d: untyped error %v", mask, pos, err)
 			}
 			// err == nil can only mean the flip landed in slack the checksum
@@ -136,8 +134,172 @@ func TestSnapshotCorruptionTyped(t *testing.T) {
 		}
 	}
 	for cut := 0; cut < len(data); cut += 41 {
-		if _, err := ReadOracle(bytes.NewReader(data[:cut])); err == nil || !typed(err) {
+		if _, err := ReadOracle(bytes.NewReader(data[:cut])); err == nil || !typedSnapshotErr(err) {
 			t.Fatalf("truncation at %d: err = %v, want typed", cut, err)
 		}
 	}
+}
+
+// sealOracle hand-writes an oracle snapshot the way writeSnapshot does,
+// except for the meta flags word, the aptable payload and any extra
+// sections, which the caller supplies — the hostile seeds of
+// FuzzReadOracle are checksum-valid containers a real writer never emits.
+func sealOracle(t testing.TB, o *Oracle, flags uint32, apTable func(*snapshot.Encoder), extra func(*snapshot.Writer)) []byte {
+	t.Helper()
+	sw := snapshot.NewWriter()
+	meta := sw.Section("meta")
+	meta.U32(oracleFormatVersion)
+	meta.U64(uint64(o.G.NumVertices()))
+	meta.U64(uint64(len(o.Blocks)))
+	meta.U64(uint64(o.numA))
+	meta.I64(o.Relaxations)
+	meta.U32(flags)
+	o.G.EncodeSnapshot(sw.Section("graph"))
+	o.encodeDecomposition(sw.Section("bcc"))
+	bl := sw.Section("blocks")
+	for _, blk := range o.Blocks {
+		blk.Ear.Red.EncodeSnapshot(bl)
+		EncodeTable(bl, o.compact, blk.Ear.SR, blk.Ear.sr32)
+		bl.I64(blk.Ear.Relaxations)
+		bl.U64(uint64(blk.Ear.sweeps))
+	}
+	apTable(sw.Section("aptable"))
+	if extra != nil {
+		extra(sw)
+	}
+	var buf bytes.Buffer
+	if _, err := sw.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// hostileSnapshot is a checksum-valid v3 container around an oracle's real
+// graph, partition and block tables that a writer never emits; corrupt
+// says whether ReadOracle must refuse it.
+type hostileSnapshot struct {
+	name    string
+	data    []byte
+	corrupt bool
+}
+
+func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
+	table := func(e *snapshot.Encoder) { EncodeTable(e, false, o.A, nil) }
+	return []hostileSnapshot{
+		{"AP table one entry short",
+			sealOracle(t, o, 0, func(e *snapshot.Encoder) { EncodeTable(e, false, o.A[1:], nil) }, nil), true},
+		{"float32 AP table in a float64 snapshot",
+			sealOracle(t, o, 0, func(e *snapshot.Encoder) { EncodeTable(e, true, nil, compressTable(o.A)) }, nil), true},
+		{"float64 tables under the compact flag",
+			sealOracle(t, o, metaFlagCompact, table, nil), true},
+		// Where v2 kept the AP graph.
+		{"bytes behind the AP table",
+			sealOracle(t, o, 0, func(e *snapshot.Encoder) { table(e); e.U32(0) }, nil), true},
+		// The v2 attack: a consistent rooted forest that is not the
+		// block-cut tree's — a leaf block re-hung under its grandparent
+		// block — passed every load check and CheckInvariants, then sent
+		// PlanPair's gate() - numB to -2. v3 derives the forest from the
+		// validated partition, so a stored one is an unknown section.
+		{"stored forest with a block under a block",
+			sealOracle(t, o, 0, table, func(sw *snapshot.Writer) {
+				parent := append([]int32(nil), o.nodeParent...)
+				depth := append([]int32(nil), o.nodeDepth...)
+				leaf := int32(len(o.Blocks) - 1)
+				parent[leaf] = parent[parent[leaf]]
+				depth[leaf] = depth[parent[leaf]] + 1
+				fe := sw.Section("forest")
+				fe.I32s(parent)
+				fe.I32s(depth)
+				fe.I32s(o.nodeRoot)
+			}), false},
+	}
+}
+
+// TestSnapshotHostilePayloads pins what FuzzReadOracle's hand-sealed seeds
+// are for: the aptable section is the tagged table and nothing else, and a
+// stored forest cannot reach navigation.
+func TestSnapshotHostilePayloads(t *testing.T) {
+	g := testGraphs(t)["chained-blocks"]
+	o := NewOracle(g)
+	for _, h := range hostileSnapshots(t, o) {
+		loaded, err := ReadOracle(bytes.NewReader(h.data))
+		if h.corrupt {
+			if !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Errorf("%s: err = %v, want ErrCorrupt", h.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", h.name, err)
+		}
+		checkPaths(t, g, h.name, loaded.Query, loaded.Path)
+	}
+}
+
+// FuzzReadOracle: an oracle snapshot is rejected with a typed error, or
+// yields an oracle that passes CheckInvariants and answers every distance,
+// path and row without panicking.
+func FuzzReadOracle(f *testing.F) {
+	cfg := gen.Config{MaxWeight: 7}
+	rng := gen.NewRNG(0xc0ffee)
+	chain := gen.BridgeChain(4, 4, cfg, rng)
+	blocks := gen.ChainBlocks([]*graph.Graph{
+		gen.CycleNecklace(3, 3, cfg, rng), gen.CycleNecklace(5, 3, cfg, rng),
+	}, cfg, rng)
+	for _, g := range []*graph.Graph{chain, blocks} {
+		for _, compact := range []bool{false, true} {
+			o, err := NewOracleOpts(context.Background(), g, Options{Compact32: compact})
+			if err != nil {
+				f.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := o.WriteTo(&buf); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+			f.Add(buf.Bytes()[:buf.Len()/2])
+		}
+	}
+	o := NewOracle(chain)
+	var cbuf bytes.Buffer
+	if _, err := o.WriteChainTo(&cbuf, []Delta{
+		{Kind: DeltaWeight, Edge: 1, W: 0.5},
+		{Kind: DeltaInsert, U: 0, V: int32(chain.NumVertices() - 1), W: 2},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(cbuf.Bytes())
+	f.Add([]byte(snapshot.Magic))
+
+	for _, h := range hostileSnapshots(f, o) {
+		f.Add(h.data)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		o, err := ReadOracle(bytes.NewReader(data))
+		if err != nil {
+			if !typedSnapshotErr(err) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		if err := o.CheckInvariants(); err != nil {
+			t.Fatalf("accepted oracle fails its invariants: %v", err)
+		}
+		n := int32(o.NumVertices())
+		row := make([]graph.Weight, n)
+		for u := int32(0); u < n && u < 64; u++ {
+			if _, err := o.RowChecked(u, row); err != nil {
+				t.Fatalf("RowChecked(%d): %v", u, err)
+			}
+			for v := int32(0); v < n && v < 64; v++ {
+				if _, err := o.QueryChecked(u, v); err != nil {
+					t.Fatalf("QueryChecked(%d,%d): %v", u, v, err)
+				}
+				if _, err := o.PathChecked(u, v); err != nil && !errors.Is(err, ErrReconstruction) {
+					t.Fatalf("PathChecked(%d,%d): %v", u, v, err)
+				}
+			}
+		}
+	})
 }

@@ -89,9 +89,12 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// RowCost estimates the table operations Row(u) will perform, the size
-// measure a work-queue scheduler sorts row units by. It is a cheap upper
-// bound, not a promise: n for the extension pass plus the AP sweep.
+// RowCost estimates the table operations Row(u) will perform: a cheap
+// upper bound, n for the extension pass plus the AP sweep. No scheduler
+// reads it any more (qe.Batch spreads rows with ParallelForCtx); it, and
+// its forwarders on Oracle and shard.RemoteSource, stay only because
+// bench/layers.go's rowSource interface names the method — delete all
+// three with ROADMAP item 1(b).
 func (v *StitchView) RowCost(u int32) int64 {
 	cost := int64(len(v.CutIndex))
 	if u >= 0 && int(u) < len(v.BlockOf) {

@@ -123,7 +123,7 @@ func (o *Oracle) CheckInvariants() error {
 			len(o.up), o.upLevels, nn)
 	}
 
-	// AP table: a×a, zero diagonal, edge→block map in range.
+	// AP table: a×a, zero diagonal.
 	aLen := len(o.A)
 	if o.compact {
 		aLen = len(o.a32)
@@ -139,23 +139,6 @@ func (o *Oracle) CheckInvariants() error {
 	for i := 0; i < o.numA; i++ {
 		if o.apAt(int32(i), int32(i)) != 0 {
 			return fmt.Errorf("apsp: AP table diagonal %d is %v", i, o.apAt(int32(i), int32(i)))
-		}
-	}
-	if (o.apGraph != nil) != (o.numA > 0) {
-		return fmt.Errorf("apsp: AP graph presence inconsistent with a=%d", o.numA)
-	}
-	if o.apGraph != nil {
-		if o.apGraph.NumVertices() != o.numA {
-			return fmt.Errorf("apsp: AP graph has %d vertices for a=%d", o.apGraph.NumVertices(), o.numA)
-		}
-		if len(o.apEdgeBlock) != o.apGraph.NumEdges() {
-			return fmt.Errorf("apsp: %d edge→block entries for %d AP edges",
-				len(o.apEdgeBlock), o.apGraph.NumEdges())
-		}
-		for i, b := range o.apEdgeBlock {
-			if b < 0 || int(b) >= len(o.Blocks) {
-				return fmt.Errorf("apsp: AP edge %d maps to block %d of %d", i, b, len(o.Blocks))
-			}
 		}
 	}
 	return nil

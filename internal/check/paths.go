@@ -1,20 +1,14 @@
 package check
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/apsp"
 	"repro/internal/graph"
 )
-
-// PathOracle is an oracle that can also reconstruct shortest walks through
-// the checked, error-returning surface.
-type PathOracle interface {
-	Oracle
-	QueryChecked(u, v int32) (graph.Weight, error)
-	PathChecked(u, v int32) ([]int32, error)
-}
 
 // walkWeight sums the cheapest edge per hop, or returns an error if some
 // hop is not an edge of g.
@@ -38,21 +32,26 @@ func walkWeight(g *graph.Graph, walk []int32) (graph.Weight, error) {
 }
 
 // weightsAgree compares a reconstructed walk weight against the queried
-// distance with a relative tolerance, because on non-integral weights the
-// two are float sums of the same edge multiset in different association
-// orders.
-func weightsAgree(a, b graph.Weight) bool {
+// distance with a relative tolerance: on non-integral weights the two are
+// float sums of the same edge multiset in different association orders,
+// and a Compact32 oracle's distance additionally carries its tables'
+// float32 roundings (CompactTol).
+func weightsAgree(a, b graph.Weight, compact bool) bool {
 	if a == b {
 		return true
 	}
-	return math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b))
+	tol := 1e-9
+	if compact {
+		tol = CompactTol
+	}
+	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
 }
 
 // pairPath exercises one (u, v) pair of the checked path surface and
 // returns a descriptive error on any contract violation: a panic, an
 // unexpected error, a broken walk, wrong endpoints, or a walk weight that
 // disagrees with the queried distance.
-func pairPath(g *graph.Graph, o PathOracle, u, v int32) (err error) {
+func pairPath(g *graph.Graph, o *apsp.Oracle, u, v int32) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("pair (%d,%d): panic: %v", u, v, r)
@@ -82,16 +81,18 @@ func pairPath(g *graph.Graph, o PathOracle, u, v int32) (err error) {
 	if werr != nil {
 		return fmt.Errorf("pair (%d,%d): %v", u, v, werr)
 	}
-	if !weightsAgree(got, d) {
+	if !weightsAgree(got, d, o.Compact()) {
 		return fmt.Errorf("pair (%d,%d): walk weight %v, query %v", u, v, got, d)
 	}
 	return nil
 }
 
 // Paths verifies the full checked path-reconstruction surface of the
-// block-cut oracle on g over every ordered pair, plus out-of-range probes.
-// On failure it shrinks g with ddmin to a locally edge-minimal witness and
-// reports both. It returns nil when every pair round-trips.
+// block-cut oracle on g over every ordered pair, plus out-of-range probes,
+// for every way an oracle comes to exist: built, restored from a snapshot,
+// and after a weight-only and a structural delta, each in float64 and
+// Compact32. On failure it shrinks g with ddmin to a locally edge-minimal
+// witness and reports both. It returns nil when every pair round-trips.
 func Paths(g *graph.Graph) error {
 	if err := pathsOnce(g); err != nil {
 		witness := MinimizeEdges(g.Edges(), func(edges []graph.Edge) bool {
@@ -110,9 +111,62 @@ func Paths(g *graph.Graph) error {
 	return nil
 }
 
-// pathsOnce runs the pair sweep without minimisation.
+// pathsOnce runs the matrix of pair sweeps without minimisation.
 func pathsOnce(g *graph.Graph) error {
-	o := apsp.NewOracle(g)
+	n, m := int32(g.NumVertices()), int32(g.NumEdges())
+	type stage struct {
+		name   string
+		script []apsp.Delta
+	}
+	stages := []stage{{name: "built"}}
+	if m > 0 {
+		stages = append(stages,
+			stage{"weight delta", []apsp.Delta{{Kind: apsp.DeltaWeight, Edge: m / 2, W: g.Edge(m/2).W + 1.5}}},
+			// The insert merges every block between its endpoints into
+			// one, the delete may split one.
+			stage{"structural delta", []apsp.Delta{
+				{Kind: apsp.DeltaInsert, U: 0, V: n - 1, W: 2.5},
+				{Kind: apsp.DeltaDelete, Edge: 0},
+			}})
+	}
+	ctx := context.Background()
+	for _, compact := range []bool{false, true} {
+		built, err := apsp.NewOracleOpts(ctx, g, apsp.Options{Compact32: compact})
+		if err != nil {
+			return err
+		}
+		var buf bytes.Buffer
+		if _, err := built.WriteTo(&buf); err != nil {
+			return err
+		}
+		loaded, err := apsp.ReadOracle(&buf)
+		if err != nil {
+			return fmt.Errorf("compact=%v: ReadOracle: %v", compact, err)
+		}
+		if err := sweepPaths(g, loaded); err != nil {
+			return fmt.Errorf("compact=%v, loaded: %v", compact, err)
+		}
+		for _, st := range stages {
+			h, o := g, built
+			if st.script != nil {
+				if h, err = apsp.MutateGraph(g, st.script); err != nil {
+					return err
+				}
+				if o, _, err = built.ApplyDelta(ctx, st.script); err != nil {
+					return fmt.Errorf("compact=%v, %s: %v", compact, st.name, err)
+				}
+			}
+			if err := sweepPaths(h, o); err != nil {
+				return fmt.Errorf("compact=%v, %s: %v", compact, st.name, err)
+			}
+		}
+	}
+	return nil
+}
+
+// sweepPaths checks every ordered pair of o against g, then the
+// out-of-range probes.
+func sweepPaths(g *graph.Graph, o *apsp.Oracle) error {
 	n := int32(g.NumVertices())
 	for u := int32(0); u < n; u++ {
 		for v := int32(0); v < n; v++ {
@@ -126,7 +180,7 @@ func pathsOnce(g *graph.Graph) error {
 
 // probeRange asserts the checked surface rejects out-of-range queries with
 // ErrVertexRange instead of panicking.
-func probeRange(o PathOracle, n int) (err error) {
+func probeRange(o *apsp.Oracle, n int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("out-of-range probe: panic: %v", r)

@@ -1,8 +1,11 @@
 package check
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
+	"repro/internal/apsp"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -23,8 +26,28 @@ func floatWeights(g *graph.Graph, seed uint64) *graph.Graph {
 	return graph.FromEdges(g.NumVertices(), out)
 }
 
+// pathOddballs are the degenerate block-cut shapes the corpus does not
+// carry: no tree at all, several trees, one block, and articulation points
+// of high degree in the forest.
+func pathOddballs() []NamedGraph {
+	tri := func(a, b, c int32) []graph.Edge {
+		return []graph.Edge{{U: a, V: b, W: 2}, {U: b, V: c, W: 3}, {U: c, V: a, W: 4}}
+	}
+	var fan []graph.Edge // three triangles on vertex 0, a tail behind one
+	fan = append(append(append(fan, tri(0, 1, 2)...), tri(0, 3, 4)...), tri(0, 5, 6)...)
+	fan = append(fan, graph.Edge{U: 6, V: 7, W: 1}, graph.Edge{U: 7, V: 8, W: 5})
+	return append(shardOddballs(),
+		NamedGraph{"isolated-only", graph.FromEdges(3, nil)},
+		NamedGraph{"single-block", graph.FromEdges(3, tri(0, 1, 2))},
+		NamedGraph{"star", graph.FromEdges(5, []graph.Edge{
+			{U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 2}, {U: 0, V: 3, W: 3}, {U: 0, V: 4, W: 4},
+		})},
+		NamedGraph{"ap-on-three-blocks", graph.FromEdges(9, fan)},
+	)
+}
+
 func TestPathsCorpus(t *testing.T) {
-	for _, ng := range Corpus() {
+	for _, ng := range append(Corpus(), pathOddballs()...) {
 		if err := Paths(ng.G); err != nil {
 			t.Errorf("%s: %v", ng.Name, err)
 		}
@@ -67,4 +90,117 @@ func TestPathsFloatNecklaces(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPathsFollowCutChain is the chain property of cross-block paths: for
+// every pair of articulation points — over the same graphs and table
+// precisions as the sweeps above, built and after a structural delta —
+// the walk is the forest's cut chain expanded block by block, and its
+// weight is the AP table's entry.
+func TestPathsFollowCutChain(t *testing.T) {
+	graphs := append(Corpus(), pathOddballs()...)
+	for seed := uint64(1); seed <= 40; seed++ {
+		graphs = append(graphs, NamedGraph{"random", floatWeights(RandomGraph(seed, 18), seed)})
+	}
+	chains := 0
+	for _, ng := range graphs {
+		for _, compact := range []bool{false, true} {
+			o, err := apsp.NewOracleOpts(context.Background(), ng.G, apsp.Options{Compact32: compact})
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracles := []*apsp.Oracle{o}
+			if n := int32(ng.G.NumVertices()); n >= 2 {
+				applied, _, err := o.ApplyDelta(context.Background(),
+					[]apsp.Delta{{Kind: apsp.DeltaInsert, U: n - 1, V: n, W: 1.5}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracles = append(oracles, applied)
+			}
+			for _, o := range oracles {
+				view := o.StitchView()
+				for ia, u := range view.CutVertices {
+					for ib, v := range view.CutVertices {
+						walk, err := o.PathChecked(u, v)
+						if err != nil {
+							t.Fatalf("%s: PathChecked(%d,%d): %v", ng.Name, u, v, err)
+						}
+						if ia == ib || walk == nil {
+							continue
+						}
+						chains++
+						if err := followsCutChain(o, walk); err != nil {
+							t.Errorf("%s compact=%v: walk %v %v", ng.Name, compact, walk, err)
+						}
+						var entry graph.Weight
+						if k := ia*len(view.CutVertices) + ib; compact {
+							entry = graph.Weight(view.A32[k])
+						} else {
+							entry = view.A[k]
+						}
+						if got, err := walkWeight(o.G, walk); err != nil || !weightsAgree(got, entry, compact) {
+							t.Errorf("%s compact=%v: walk %v weighs %v (%v), A[%d,%d] = %v",
+								ng.Name, compact, walk, got, err, ia, ib, entry)
+						}
+					}
+				}
+			}
+		}
+	}
+	if chains < 1000 {
+		t.Fatalf("only %d articulation-point pairs exercised", chains)
+	}
+}
+
+// followsCutChain checks a walk between two articulation points against
+// the block-cut tree: it must visit every cut vertex of the unique tree
+// path between them in order, and between two consecutive cuts stay on the
+// block that joins them. The tree path is found here by a BFS over the
+// BlockCutTree adjacency, independently of the apsp.Forest navigation the
+// oracle reads its chain from.
+func followsCutChain(o *apsp.Oracle, walk []int32) error {
+	bct := o.BCT
+	numB := int32(len(bct.BlockCuts))
+	src, dst := numB+bct.CutIndex[walk[0]], numB+bct.CutIndex[walk[len(walk)-1]]
+	// BFS back from dst, so that following from[] out of src reads forward.
+	from := make([]int32, int(numB)+len(bct.CutBlocks))
+	for i := range from {
+		from[i] = -1
+	}
+	from[dst] = dst
+	for queue := []int32{dst}; len(queue) > 0 && from[src] < 0; queue = queue[1:] {
+		nd := queue[0]
+		next, off := bct.BlockCuts, numB
+		if nd >= numB {
+			next, off, nd = bct.CutBlocks, 0, nd-numB
+		}
+		for _, nb := range next[nd] {
+			if from[nb+off] < 0 {
+				from[nb+off] = queue[0]
+				queue = append(queue, nb+off)
+			}
+		}
+	}
+	if from[src] < 0 {
+		return fmt.Errorf("joins articulation points of different trees")
+	}
+	pos := 0
+	for cut := src; cut != dst; {
+		blk := from[cut]
+		cut = from[blk]
+		onBlock := make(map[int32]bool)
+		for _, v := range o.Blocks[blk].Sub.ToParentVertex {
+			onBlock[v] = true
+		}
+		for target := bct.CutVertices[cut-numB]; walk[pos] != target; {
+			if pos++; pos == len(walk) || !onBlock[walk[pos]] {
+				return fmt.Errorf("leaves block %d before reaching cut vertex %d", blk, target)
+			}
+		}
+	}
+	if pos != len(walk)-1 {
+		return fmt.Errorf("continues past the last cut vertex")
+	}
+	return nil
 }

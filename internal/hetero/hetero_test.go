@@ -167,20 +167,6 @@ func TestLaunchOverheadCharged(t *testing.T) {
 	}
 }
 
-func TestHybridRunDrainsEverything(t *testing.T) {
-	units := make([]Unit, 200)
-	for i := range units {
-		units[i] = Unit{ID: int32(i), Size: int64(i)}
-	}
-	var cpuN, bigN int64
-	c, b := HybridRun(units, 4, 2, 16,
-		func(u Unit) { atomic.AddInt64(&cpuN, 1) },
-		func(u Unit) { atomic.AddInt64(&bigN, 1) })
-	if c+b != 200 || int(cpuN) != c || int(bigN) != b {
-		t.Fatalf("hybrid drained %d+%d, counts %d/%d", c, b, cpuN, bigN)
-	}
-}
-
 func TestGreedyBalance(t *testing.T) {
 	// With one fast and one slow device, the fast device must take more
 	// units under list scheduling.

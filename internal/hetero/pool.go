@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/obs"
 )
 
 // This file provides real goroutine-based parallel execution, used when the
@@ -67,60 +65,4 @@ func ParallelForCtx(ctx context.Context, workers, n int, fn func(worker, i int))
 	}
 	wg.Wait()
 	return ctx.Err()
-}
-
-// HybridRun drains the deque with cpuWorkers goroutines popping small
-// batches and one proxy goroutine popping big batches (standing in for the
-// GPU stream). execCPU and execBig run the CPU-structured and
-// GPU-structured kernels for one unit respectively. This is the wall-clock
-// analogue of Run; it returns per-side unit counts.
-func HybridRun(units []Unit, cpuWorkers, cpuBatch, bigBatch int, execCPU, execBig func(u Unit)) (cpuUnits, bigUnits int) {
-	d := NewDeque(units)
-	if cpuWorkers < 1 {
-		cpuWorkers = 1
-	}
-	if cpuBatch < 1 {
-		cpuBatch = 1
-	}
-	if bigBatch < 1 {
-		bigBatch = 1
-	}
-	var cpuCount, bigCount int64
-	var wg sync.WaitGroup
-	wg.Add(cpuWorkers + 1)
-	for w := 0; w < cpuWorkers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				batch := d.PopSmall(cpuBatch)
-				if len(batch) == 0 {
-					return
-				}
-				for _, u := range batch {
-					execCPU(u)
-				}
-				atomic.AddInt64(&cpuCount, int64(len(batch)))
-			}
-		}()
-	}
-	go func() {
-		defer wg.Done()
-		for {
-			batch := d.PopBig(bigBatch)
-			if len(batch) == 0 {
-				return
-			}
-			for _, u := range batch {
-				execBig(u)
-			}
-			atomic.AddInt64(&bigCount, int64(len(batch)))
-		}
-	}()
-	wg.Wait()
-	// Mirror Run's accounting so hybrid (wall-clock) executions show up in
-	// the same process-wide metrics as virtual-clock schedules.
-	obs.Default.Counter("hetero.hybrid.runs").Inc()
-	obs.Default.Counter("hetero.hybrid.units.cpu").Add(cpuCount)
-	obs.Default.Counter("hetero.hybrid.units.big").Add(bigCount)
-	return int(cpuCount), int(bigCount)
 }

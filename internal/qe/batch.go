@@ -4,23 +4,15 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ds"
 	"repro/internal/graph"
 	"repro/internal/hetero"
 )
 
-// Batch tuning: the CPU side of the work deque pops rows one at a time
-// (good balance for skewed row costs), the big-batch side claims chunks
-// so the largest rows are consumed in bulk first — the Section 2.3
-// work-queue discipline with the engine's row builds as work-units.
-const (
-	cpuBatchRows = 1
-	bigBatchRows = 8
-)
-
 // batchScratch is the pooled per-call working state of Batch: the dedup
-// index and the distinct/first/missing/unit slices. Pooling it keeps the
+// index and the distinct/first/missing slices. Pooling it keeps the
 // warm path's allocations down to the result matrix the caller receives
 // (out + flat); everything else is reused across calls.
 type batchScratch struct {
@@ -28,7 +20,6 @@ type batchScratch struct {
 	distinct []int32 // distinct sources, first-seen order
 	first    []int32 // per distinct: index in sources of its first occurrence
 	missing  []int32 // distinct indices whose rows were not cached
-	units    []hetero.Unit
 }
 
 func (s *batchScratch) reset() {
@@ -36,7 +27,6 @@ func (s *batchScratch) reset() {
 	s.distinct = s.distinct[:0]
 	s.first = s.first[:0]
 	s.missing = s.missing[:0]
-	s.units = s.units[:0]
 }
 
 // Batch answers the many-to-many query set sources × targets: the result
@@ -49,12 +39,11 @@ func (s *batchScratch) reset() {
 // over-cap request fails with ErrBatchTooLarge before anything is
 // allocated. Cached rows are copied straight into the result under the
 // cache's shard locks; only the rows actually missing are computed — at
-// most once per distinct source — by scheduling each as a hetero.Unit on
-// the double-ended work queue: a pool of workers drains the small end row
-// by row while a big-batch drainer claims the largest rows in chunks.
-// Concurrent point queries and other batches coalesce onto the same
-// builds through the engine's singleflight layer. A batch whose rows are
-// all cached allocates only the matrix it returns.
+// most once per distinct source — one row at a time across a pool of
+// workers (hetero.ParallelForCtx). Concurrent point queries and other
+// batches coalesce onto the same builds through the engine's singleflight
+// layer. A batch whose rows are all cached allocates only the matrix it
+// returns.
 //
 // On deadline expiry mid-batch the remaining rows are skipped and the
 // context error is returned; no partial matrix is produced.
@@ -88,7 +77,7 @@ func (e *Engine) BatchFlat(ctx context.Context, sources, targets []int32, flat [
 			len(flat), len(sources), len(targets), len(sources)*len(targets))
 	}
 	e.mu.Lock()
-	rs, n := e.src, e.n
+	n := e.n
 	e.mu.Unlock()
 	for _, u := range sources {
 		if err := e.checkVertex("source", u, n); err != nil {
@@ -145,44 +134,25 @@ func (e *Engine) BatchFlat(ctx context.Context, sources, targets []int32, flat [
 	}
 
 	if len(sc.missing) > 0 {
-		sizer, hasSizer := rs.(Sizer)
-		for _, di := range sc.missing {
-			size := int64(n)
-			if hasSizer {
-				size = sizer.RowCost(sc.distinct[di])
-			}
-			sc.units = append(sc.units, hetero.Unit{ID: di, Size: size})
-		}
-		workers := e.workers
-		if workers > len(sc.units) {
-			workers = len(sc.units)
-		}
-		if workers < 1 {
-			workers = 1
-		}
 		// One failed row build fails the whole batch: a partial matrix is
 		// indistinguishable from a complete one, so a fan-out source's
 		// shard outage must surface as an error, never as Inf-padded rows.
-		var failMu sync.Mutex
-		var failed error
-		exec := func(unit hetero.Unit) {
-			if ctx.Err() != nil {
-				return // deadline passed: skip remaining rows
+		// The first error is latched and the remaining rows are skipped,
+		// as they are once the deadline has passed.
+		var (
+			failOnce sync.Once
+			failed   atomic.Bool
+			failure  error
+		)
+		_ = hetero.ParallelForCtx(ctx, e.workers, len(sc.missing), func(_, i int) {
+			if failed.Load() {
+				return
 			}
-			failMu.Lock()
-			bail := failed != nil
-			failMu.Unlock()
-			if bail {
-				return // a row already failed: skip remaining rows
-			}
-			di := int(unit.ID)
+			di := int(sc.missing[i])
 			buf, err := e.rowRef(ctx, sc.distinct[di])
 			if err != nil {
-				failMu.Lock()
-				if failed == nil {
-					failed = err
-				}
-				failMu.Unlock()
+				failOnce.Do(func() { failure = err })
+				failed.Store(true)
 				return
 			}
 			dst := flat[int(sc.first[di])*nt : (int(sc.first[di])+1)*nt]
@@ -198,13 +168,14 @@ func (e *Engine) BatchFlat(ctx context.Context, sources, targets []int32, flat [
 				}
 			}
 			e.arena.release(buf)
-		}
-		hetero.HybridRun(sc.units, workers, cpuBatchRows, bigBatchRows, exec, exec)
+		})
+		// Read the context here, not ParallelForCtx's result: a deadline
+		// that passes during the last row abandons the batch too.
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("qe: batch abandoned: %w", err)
 		}
-		if failed != nil {
-			return fmt.Errorf("qe: batch row build failed: %w", failed)
+		if failed.Load() {
+			return fmt.Errorf("qe: batch row build failed: %w", failure)
 		}
 	}
 

@@ -33,7 +33,6 @@ type rowsOnly struct{ o *apsp.Oracle }
 
 func (r rowsOnly) NumVertices() int                        { return r.o.NumVertices() }
 func (r rowsOnly) Row(src int32, out []graph.Weight) int64 { return r.o.Row(src, out) }
-func (r rowsOnly) RowCost(src int32) int64                 { return r.o.RowCost(src) }
 
 // BenchmarkQEQueryPair measures the point-query path over an oracle:
 // admission + the oracle's O(1) pair lookup. No row is involved.

@@ -28,9 +28,8 @@
 //     ErrOverloaded so the HTTP layer can answer 503 + Retry-After. It
 //     applies to pairs and rows alike;
 //   - bulk queries: Batch answers an N×M many-to-many matrix with one row
-//     computation per distinct source, scheduled as hetero.Units through
-//     the paper's double-ended work queue so the largest rows go to the
-//     big-batch executor first (Section 2.3's discipline). Requests whose
+//     computation per distinct source, spread over the engine's workers
+//     by hetero.ParallelForCtx. Requests whose
 //     result matrix would exceed MaxBatchPairs are rejected with the
 //     typed ErrBatchTooLarge before anything is allocated.
 //
@@ -58,13 +57,6 @@ import (
 type RowSource interface {
 	NumVertices() int
 	Row(src int32, out []graph.Weight) int64
-}
-
-// Sizer is the optional extension a RowSource can implement to give the
-// batch scheduler a per-row cost estimate; without it every row weighs
-// NumVertices().
-type Sizer interface {
-	RowCost(src int32) int64
 }
 
 // CtxRowSource is the optional extension a RowSource implements when

@@ -3,6 +3,7 @@ package qe
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,8 +38,6 @@ func (s *stubSource) Row(src int32, out []graph.Weight) int64 {
 	}
 	return int64(s.n)
 }
-
-func (s *stubSource) RowCost(src int32) int64 { return int64(s.n + int(src)) }
 
 func newTestEngine(src RowSource, cfg Config) (*Engine, *obs.Registry) {
 	reg := obs.NewRegistry()
@@ -270,6 +269,32 @@ func TestBatchFlat(t *testing.T) {
 	}
 	if err := e.BatchFlat(context.Background(), []int32{1, 2, 3}, targets, flat); err == nil {
 		t.Fatal("mis-sized buffer accepted")
+	}
+}
+
+// TestBatchAbandonedOnDeadline: a deadline that passes while rows are
+// still being built abandons the batch with the context error — the rows
+// not yet started are skipped and no partial matrix comes back.
+func TestBatchAbandonedOnDeadline(t *testing.T) {
+	src := &stubSource{n: 16, gate: make(chan struct{}), began: make(chan int32, 8)}
+	e, _ := newTestEngine(src, Config{CacheRows: 8, MaxInflight: 2})
+	defer e.Close(context.Background())
+
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := e.Batch(ctx, []int32{0, 1, 2, 3, 4, 5}, []int32{7})
+		errc <- err
+	}()
+	<-src.began // a build is in flight and blocked on the gate
+	cancel()
+	close(src.gate)
+	err := <-errc
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "batch abandoned") {
+		t.Fatalf("Batch past its deadline: err=%v, want batch abandoned: context canceled", err)
+	}
+	if b := src.builds.Load(); b > 2 {
+		t.Fatalf("%d rows built after cancellation with 2 workers, want ≤ 2", b)
 	}
 }
 

@@ -84,10 +84,9 @@ func (st *shardState) markBad(msg string) {
 // byte-identical to the monolith's, or a typed error; never silently
 // partial.
 //
-// It implements qe.RowSource, qe.CtxRowSource, qe.Sizer and
-// qe.PairSource, so the engine stack applies unchanged: Batch builds and
-// caches stitched rows, a point Query fetches only the pair's own ≤ 2
-// block rows. A failed fan-out surfaces from either as an error wrapping
+// It implements qe.RowSource, qe.CtxRowSource and qe.PairSource, so the
+// engine stack applies unchanged: Batch builds and caches stitched rows, a
+// point Query fetches only the pair's own ≤ 2 block rows. A failed fan-out surfaces from either as an error wrapping
 // ErrShardUnavailable or ErrEpochMismatch and is never cached.
 type RemoteSource struct {
 	plan       *Plan
@@ -184,8 +183,7 @@ func (s *RemoteSource) Epoch() uint64 { return s.plan.Epoch }
 func (s *RemoteSource) NumVertices() int { return s.plan.NumVertices }
 
 // RowCost is the kernel's row-cost estimate, the same one the monolith
-// oracle reports, so the batch scheduler orders sharded row builds the
-// same way.
+// oracle reports; see apsp.StitchView.RowCost for why it is still here.
 func (s *RemoteSource) RowCost(u int32) int64 { return s.plan.view.RowCost(u) }
 
 // ShardStatus is one shard's serving state, as reported by /v1/cluster.
