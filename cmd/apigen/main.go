@@ -2,8 +2,8 @@
 // the OpenAPI document api/openapi.yaml. The spec is generated, never
 // hand-edited: -out writes the file, -check verifies the checked-in copy
 // matches the current route table byte-for-byte and exits non-zero on
-// drift (the CI gate). Because cmd/oracled's tests separately assert the
-// mux matches the same table, spec and server cannot disagree.
+// drift (the CI gate). Because cmd/oracled mounts its mux from the same
+// table, spec and server cannot disagree.
 //
 //	go run ./cmd/apigen -out api/openapi.yaml
 //	go run ./cmd/apigen -check api/openapi.yaml

@@ -21,6 +21,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/exp"
 	"repro/internal/hetero"
+	"repro/internal/snapshot"
 	"repro/internal/verify"
 )
 
@@ -142,15 +143,11 @@ func main() {
 
 // writeSnapshot persists the oracle for oracled -load-snapshot, returning
 // the byte count written.
-func writeSnapshot(path string, o *apsp.Oracle) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	n, err := o.WriteTo(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+func writeSnapshot(path string, o *apsp.Oracle) (n int64, err error) {
+	err = snapshot.WriteFile(path, func(f *os.File) (werr error) {
+		n, werr = o.WriteTo(f)
+		return werr
+	})
 	return n, err
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/apsp"
 	"repro/internal/registry"
+	"repro/internal/snapshot"
 )
 
 // maxDeltasBody and maxDeltasPerRequest bound one /v1/deltas request.
@@ -81,19 +82,16 @@ func (rec *deltaRecord) decode(i int) (apsp.Delta, error) {
 // Edge IDs are positional at application time, exactly as in the apsp
 // package: a delete shifts later IDs down, an insert appends. The whole
 // script validates before anything is built — a 400 (code "bad_request")
-// means no change was applied. Concurrent /v1/distance (or /path, /batch)
-// requests keep answering throughout: each sees either the pre-delta or
-// the post-delta oracle, never a mix. A loaded cycle basis describes the
-// pre-delta default graph, so a successful apply against the default
-// graph invalidates it ("mcb" flips to false in /healthz and
+// means no change was applied. Concurrent /v1/distance (or /v1/path,
+// /v1/batch) requests keep answering throughout: each sees either the
+// pre-delta or the post-delta oracle, never a mix. A loaded cycle basis
+// describes the pre-delta default graph, so a successful apply against the
+// default graph invalidates it ("mcb" flips to false in /v1/healthz and
 // /v1/mcb/cycle answers 503); chain persistence likewise records only
 // the default graph's history. Named graphs mutate in memory only — the
 // snapshot file keeps the base state, so an evict/rehydrate cycle resets
 // them to it.
 func (s *server) deltas(e *registry.Entry, r *http.Request) (interface{}, error) {
-	if r.Method != http.MethodPost {
-		return nil, &httpError{http.StatusMethodNotAllowed, fmt.Errorf("POST a JSON body to /v1/deltas")}
-	}
 	var req deltasRequest
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxDeltasBody))
 	dec.DisallowUnknownFields()
@@ -184,22 +182,11 @@ func (s *server) enableChain(path string, base *apsp.Oracle) error {
 	return writeChainSnapshot(path, base, nil)
 }
 
-// writeChainSnapshot persists base + deltas atomically: temp file, fsync
-// via Close, rename — a loader never observes a torn chain.
+// writeChainSnapshot persists base + deltas through the durable
+// publisher: a loader never observes a torn or unsynced chain.
 func writeChainSnapshot(path string, base *apsp.Oracle, deltas []apsp.Delta) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	return snapshot.WriteFile(path, func(f *os.File) error {
+		_, err := base.WriteChainTo(f, deltas)
 		return err
-	}
-	if _, err := base.WriteChainTo(f, deltas); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }

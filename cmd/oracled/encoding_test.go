@@ -66,14 +66,14 @@ func TestBatchTooLargeHTTP(t *testing.T) {
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 
-	out := postJSON(t, ts, "/batch", `{"sources":[0,1,2],"targets":[0,1,2]}`, 400)
+	out := postJSON(t, ts, "/v1/batch", `{"sources":[0,1,2],"targets":[0,1,2]}`, 400)
 	if out["code"] != "bad_request" || out["error"] == "" {
 		t.Fatalf("over-cap envelope: %v", out)
 	}
 	if built := reg.Counter("qe.rows.built").Value(); built != 0 {
 		t.Fatalf("over-cap batch built %d rows, want 0", built)
 	}
-	if ok := postJSON(t, ts, "/batch", `{"sources":[0,1],"targets":[0,1,2]}`, 200); ok["sources"] != float64(2) {
+	if ok := postJSON(t, ts, "/v1/batch", `{"sources":[0,1],"targets":[0,1,2]}`, 200); ok["sources"] != float64(2) {
 		t.Fatalf("under-cap batch: %v", ok)
 	}
 }

@@ -42,9 +42,6 @@ type removeResponse struct {
 
 // graphsList is GET /v1/graphs.
 func (s *server) graphsList(r *http.Request) (interface{}, error) {
-	if r.Method != http.MethodGet {
-		return nil, &httpError{http.StatusMethodNotAllowed, fmt.Errorf("GET /v1/graphs to list graphs")}
-	}
 	cursor, limit, err := pageParams(r)
 	if err != nil {
 		return nil, err
@@ -56,40 +53,59 @@ func (s *server) graphsList(r *http.Request) (interface{}, error) {
 	return graphsResponse{Items: items, NextCursor: next, Total: total, MaxGraphs: s.registry.MaxGraphs()}, nil
 }
 
-// graphAdmin is the per-graph admin resource: GET reads one graph's
-// lifecycle state and scoped metrics, PUT uploads (or atomically
-// replaces) its snapshot, DELETE unregisters it. Uploads stream to a
-// temporary file and are decode-validated before the rename, so a
-// half-written or corrupt body never becomes servable; replacement
-// retires the resident entry, whose in-flight requests drain on the old
-// oracle.
-func (s *server) graphAdmin(r *http.Request) (interface{}, error) {
+// adminName reads and validates the {name} of the per-graph admin
+// resource /v1/graphs/{name}.
+func adminName(r *http.Request) (string, error) {
 	name := r.PathValue("name")
 	if !registry.ValidName(name) {
-		return nil, graphError(fmt.Errorf("%q: %w", name, registry.ErrBadName))
+		return "", graphError(fmt.Errorf("%q: %w", name, registry.ErrBadName))
 	}
-	switch r.Method {
-	case http.MethodGet:
-		info, ok := s.registry.Info(name)
-		if !ok {
-			return nil, graphError(fmt.Errorf("%q: %w", name, registry.ErrUnknownGraph))
-		}
-		return graphDetailResponse{
-			GraphInfo: info,
-			Stats:     json.RawMessage(s.registry.StatsView(name).String()),
-		}, nil
-	case http.MethodPut:
-		nv, ne, err := s.registry.Register(name, http.MaxBytesReader(nil, r.Body, maxSnapshotBody))
-		if err != nil {
-			return nil, graphError(err)
-		}
-		return registerResponse{Name: name, Vertices: nv, Edges: ne}, nil
-	case http.MethodDelete:
-		if err := s.registry.Remove(name); err != nil {
-			return nil, graphError(err)
-		}
-		return removeResponse{Name: name, Removed: true}, nil
+	return name, nil
+}
+
+// graphInfo is GET /v1/graphs/{name}: one graph's lifecycle state and
+// scoped metrics.
+func (s *server) graphInfo(r *http.Request) (interface{}, error) {
+	name, err := adminName(r)
+	if err != nil {
+		return nil, err
 	}
-	return nil, &httpError{http.StatusMethodNotAllowed,
-		fmt.Errorf("GET, PUT, or DELETE /v1/graphs/{name}")}
+	info, ok := s.registry.Info(name)
+	if !ok {
+		return nil, graphError(fmt.Errorf("%q: %w", name, registry.ErrUnknownGraph))
+	}
+	return graphDetailResponse{
+		GraphInfo: info,
+		Stats:     json.RawMessage(s.registry.StatsView(name).String()),
+	}, nil
+}
+
+// graphRegister is PUT /v1/graphs/{name}: upload (or atomically replace)
+// the graph's snapshot. Uploads stream to a temporary file and are
+// decode-validated before the rename, so a half-written or corrupt body
+// never becomes servable; replacement retires the resident entry, whose
+// in-flight requests drain on the old oracle.
+func (s *server) graphRegister(r *http.Request) (interface{}, error) {
+	name, err := adminName(r)
+	if err != nil {
+		return nil, err
+	}
+	nv, ne, err := s.registry.Register(name, http.MaxBytesReader(nil, r.Body, maxSnapshotBody))
+	if err != nil {
+		return nil, graphError(err)
+	}
+	return registerResponse{Name: name, Vertices: nv, Edges: ne}, nil
+}
+
+// graphRemove is DELETE /v1/graphs/{name}: unregister the graph and
+// delete its snapshot.
+func (s *server) graphRemove(r *http.Request) (interface{}, error) {
+	name, err := adminName(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.registry.Remove(name); err != nil {
+		return nil, graphError(err)
+	}
+	return removeResponse{Name: name, Removed: true}, nil
 }

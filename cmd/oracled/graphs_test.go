@@ -132,31 +132,32 @@ func TestMultiTenantServing(t *testing.T) {
 	}
 
 	// Unknown graph 404, traversal-shaped name 400, and with no default
-	// graph pinned the legacy route is a 404 too.
+	// graph pinned the unnamed route is a 404 too.
 	if out := getJSON(t, ts, "/v1/graphs/nope/distance?u=0&v=1", 404); out["code"] != "not_found" {
 		t.Fatalf("unknown graph envelope: %v", out)
 	}
 	getJSON(t, ts, "/v1/graphs/..%2Fetc/distance?u=0&v=1", 404) // "../etc": no such graph, never a path
 	if out := getJSON(t, ts, "/v1/distance?u=0&v=1", 404); out["code"] != "not_found" {
-		t.Fatalf("default-less legacy route: %v", out)
+		t.Fatalf("default-less unnamed route: %v", out)
 	}
 
 	// healthz reports the registry's graph count.
-	h := getJSON(t, ts, "/healthz", 200)
+	h := getJSON(t, ts, "/v1/healthz", 200)
 	if h["graphs"].(float64) != 2 || h["status"] != "ok" {
 		t.Fatalf("healthz: %v", h)
 	}
 }
 
 // TestDefaultGraphEquivalence pins the compatibility contract: every
-// unnamed route answers byte-identically to its /v1/graphs/default twin.
+// unnamed route answers byte-identically to its /v1/graphs/default twin,
+// and — being one handler instance — both spellings feed one
+// oracled.<name>.* metrics family.
 func TestDefaultGraphEquivalence(t *testing.T) {
 	s, _, _ := testServer(t)
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 
 	for _, pair := range [][2]string{
-		{"/distance?u=0&v=3", "/v1/graphs/default/distance?u=0&v=3"},
 		{"/v1/distance?u=0&v=3", "/v1/graphs/default/distance?u=0&v=3"},
 		{"/v1/path?u=0&v=3", "/v1/graphs/default/path?u=0&v=3"},
 		{"/v1/mcb/cycle?i=0", "/v1/graphs/default/mcb/cycle?i=0"},
@@ -179,6 +180,12 @@ func TestDefaultGraphEquivalence(t *testing.T) {
 		}
 		if !bytes.Equal(bodies[0], bodies[1]) {
 			t.Fatalf("%s and %s differ:\n%s\n%s", pair[0], pair[1], bodies[0], bodies[1])
+		}
+	}
+	stats := getJSON(t, ts, "/v1/stats", 200)
+	for _, name := range []string{"distance", "path", "mcb.cycle"} {
+		if got := stats["oracled."+name+".requests"]; got != float64(2) {
+			t.Fatalf("oracled.%s.requests = %v, want 2 (one per spelling)", name, got)
 		}
 	}
 }

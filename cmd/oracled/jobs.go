@@ -75,71 +75,71 @@ func jobError(id string, err error) error {
 	return &httpError{http.StatusInternalServerError, err}
 }
 
-// jobsCollection serves /v1/jobs: GET lists a cursor page, POST submits
-// and answers 202 Accepted with the pending status (its id is the handle
-// everything else uses).
-func (s *server) jobsCollection(r *http.Request) (interface{}, error) {
+// jobsList is GET /v1/jobs: one cursor page of jobs.
+func (s *server) jobsList(r *http.Request) (interface{}, error) {
 	m, err := s.manager()
 	if err != nil {
 		return nil, err
 	}
-	switch r.Method {
-	case http.MethodGet:
-		cursor, limit, err := pageParams(r)
-		if err != nil {
-			return nil, err
-		}
-		items, next, total := m.ListPage(cursor, limit)
-		if items == nil {
-			items = []jobs.Status{}
-		}
-		return jobsListResponse{Items: items, NextCursor: next, Total: total}, nil
-	case http.MethodPost:
-		var spec jobs.Spec
-		dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxJobBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			return nil, fmt.Errorf("job spec: %w", err)
-		}
-		if spec.Graph == "" {
-			spec.Graph = registry.DefaultGraph
-		}
-		st, err := m.Submit(spec)
-		if err != nil {
-			return nil, jobError("", err)
-		}
-		return statusResponse{http.StatusAccepted, st}, nil
+	cursor, limit, err := pageParams(r)
+	if err != nil {
+		return nil, err
 	}
-	return nil, &httpError{http.StatusMethodNotAllowed,
-		fmt.Errorf("GET lists jobs, POST submits one")}
+	items, next, total := m.ListPage(cursor, limit)
+	if items == nil {
+		items = []jobs.Status{}
+	}
+	return jobsListResponse{Items: items, NextCursor: next, Total: total}, nil
 }
 
-// jobResource serves /v1/jobs/{id}: GET is the status poll (state,
-// progress fraction, row counters), DELETE cancels — context-first, so a
-// running job observes it at the next chunk boundary; cancelling a
-// terminal job is an idempotent no-op returning the terminal status.
-func (s *server) jobResource(r *http.Request) (interface{}, error) {
+// jobSubmit is POST /v1/jobs: submit and answer 202 Accepted with the
+// pending status (its id is the handle everything else uses).
+func (s *server) jobSubmit(r *http.Request) (interface{}, error) {
+	m, err := s.manager()
+	if err != nil {
+		return nil, err
+	}
+	var spec jobs.Spec
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxJobBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return nil, fmt.Errorf("job spec: %w", err)
+	}
+	if spec.Graph == "" {
+		spec.Graph = registry.DefaultGraph
+	}
+	st, err := m.Submit(spec)
+	if err != nil {
+		return nil, jobError("", err)
+	}
+	return statusResponse{http.StatusAccepted, st}, nil
+}
+
+// jobStatus is GET /v1/jobs/{id}: the status poll (state, progress
+// fraction, row counters).
+func (s *server) jobStatus(r *http.Request) (interface{}, error) {
+	return s.jobOp(r, (*jobs.Manager).Get)
+}
+
+// jobCancel is DELETE /v1/jobs/{id}: context-first, so a running job
+// observes it at the next chunk boundary; cancelling a terminal job is an
+// idempotent no-op returning the terminal status.
+func (s *server) jobCancel(r *http.Request) (interface{}, error) {
+	return s.jobOp(r, (*jobs.Manager).Cancel)
+}
+
+// jobOp runs one by-id manager call and maps its typed failures.
+func (s *server) jobOp(r *http.Request, op func(*jobs.Manager, string) (jobs.Status, error)) (interface{}, error) {
 	m, err := s.manager()
 	if err != nil {
 		return nil, err
 	}
 	id := r.PathValue("id")
-	switch r.Method {
-	case http.MethodGet:
-		st, err := m.Get(id)
-		if err != nil {
-			return nil, jobError(id, err)
-		}
-		return st, nil
-	case http.MethodDelete:
-		st, err := m.Cancel(id)
-		if err != nil {
-			return nil, jobError(id, err)
-		}
-		return st, nil
+	st, err := op(m, id)
+	if err != nil {
+		return nil, jobError(id, err)
 	}
-	return nil, &httpError{http.StatusMethodNotAllowed,
-		fmt.Errorf("GET polls status, DELETE cancels")}
+	return st, nil
 }
 
 // flushWriter forwards NDJSON chunks to the client as they become
@@ -199,10 +199,6 @@ func (s *server) jobResults(w http.ResponseWriter, r *http.Request) {
 	m, err := s.manager()
 	if err != nil {
 		fail(err)
-		return
-	}
-	if r.Method != http.MethodGet {
-		fail(&httpError{http.StatusMethodNotAllowed, fmt.Errorf("GET streams job results")})
 		return
 	}
 	id := r.PathValue("id")

@@ -148,9 +148,14 @@ func TestJobsHTTPLifecycle(t *testing.T) {
 	if n := int64(fin["results_bytes"].(float64)); n != int64(len(body)) {
 		t.Fatalf("results_bytes %d, body %d", n, len(body))
 	}
-	tail := fetch(t, ts, "/v1/jobs/"+id+"/results?offset="+itoa(len(body)))
-	if tail.status != 200 || tail.body != "" {
-		t.Fatalf("resume at end: status %d body %q", tail.status, tail.body)
+	tail, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/results?offset=" + itoa(len(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest, _ := io.ReadAll(tail.Body)
+	tail.Body.Close()
+	if tail.StatusCode != 200 || len(rest) != 0 {
+		t.Fatalf("resume at end: status %d body %q", tail.StatusCode, rest)
 	}
 	if out := getJSON(t, ts, "/v1/jobs/"+id+"/results?offset=1", 400); out["code"] != "bad_request" {
 		t.Fatalf("mid-line offset envelope: %v", out)

@@ -32,11 +32,13 @@
 // rewrites FILE as base-oracle + delta-chain — a checksummed snapshot that
 // -load-snapshot replays back to the daemon's current state.
 //
-// The API is versioned under /v1/. The original unversioned paths still
-// answer identically but are deprecated aliases: they add a
-// "Deprecation: true" header and a Link to the /v1 successor route. All
-// errors use one JSON envelope: {"error": ..., "code": ...,
-// "retry_after_ms": ...} (retry_after_ms present only on back-pressure).
+// The API lives under /v1/ and is mounted from the internal/api route
+// table: each listed (method, path) is bound to one handler, any other
+// method on a listed path answers 405 with an Allow header, and a
+// graph-scoped route answers at /v1/graphs/{name}/x and — for the default
+// graph — at /v1/x. There are no unversioned paths. All errors use one
+// JSON envelope: {"error": ..., "code": ..., "retry_after_ms": ...}
+// (retry_after_ms present only on back-pressure).
 //
 // Queries are served through the internal/qe engine. A point query
 // (/v1/distance, /v1/path) is one pair lookup over the oracle's tables
@@ -49,7 +51,7 @@
 //
 // Request metrics (counters and latency histograms per endpoint, the
 // engine's cache/queue counters and gauges, plus the oracle's build-phase
-// timers) are exported under /stats and, via expvar, /debug/vars;
+// timers) are exported under /v1/stats and, via expvar, /debug/vars;
 // /debug/pprof/ serves the standard profiles.
 package main
 
@@ -75,6 +77,7 @@ import (
 	"repro/internal/qe"
 	"repro/internal/registry"
 	"repro/internal/shard"
+	"repro/internal/snapshot"
 )
 
 func main() {
@@ -85,7 +88,7 @@ func main() {
 		scale     = flag.Float64("scale", 0.03, "dataset scale")
 		seed      = flag.Uint64("seed", 1, "dataset seed")
 		workers   = flag.Int("workers", hetero.Workers(), "parallel workers for the oracle build")
-		withMCB   = flag.Bool("mcb", false, "also compute a minimum cycle basis and serve /mcb/cycle")
+		withMCB   = flag.Bool("mcb", false, "also compute a minimum cycle basis and serve /v1/mcb/cycle")
 		saveSnap  = flag.String("save-snapshot", "", "write the built oracle as a snapshot file and continue serving")
 		loadSnap  = flag.String("load-snapshot", "", "serve from an oracle snapshot, skipping the build entirely (replaces -file/-dataset)")
 		saveChain = flag.String("save-delta-chain", "", "persist base oracle + applied /v1/deltas scripts to this file after every apply")
@@ -392,25 +395,13 @@ func loadOracleSnapshot(path string) *apsp.Oracle {
 	return o
 }
 
-// saveOracleSnapshot writes the oracle snapshot atomically enough for a
-// serving fleet: into a temp file first, renamed into place only after a
-// successful write, so readers never observe a torn snapshot.
+// saveOracleSnapshot publishes the oracle snapshot durably, so a serving
+// fleet never reads a torn or unsynced one.
 func saveOracleSnapshot(path string, o *apsp.Oracle) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	return snapshot.WriteFile(path, func(f *os.File) error {
+		_, err := o.WriteTo(f)
 		return err
-	}
-	if _, err := o.WriteTo(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }
 
 // Listener limits, the same for every boot mode. A peer gets

@@ -10,9 +10,11 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/apsp"
 	"repro/internal/graph"
 	"repro/internal/jobs"
@@ -23,7 +25,7 @@ import (
 	"repro/internal/shard"
 )
 
-// maxBatchBody bounds one /batch request's JSON body; the N×M result
+// maxBatchBody bounds one /v1/batch request's JSON body; the N×M result
 // cells it may demand are bounded by the engine's MaxBatchPairs cap
 // (-max-batch-pairs), whose typed ErrBatchTooLarge maps to 400 below.
 const maxBatchBody = 8 << 20
@@ -32,13 +34,13 @@ const maxBatchBody = 8 << 20
 const maxSnapshotBody = 1 << 30
 
 // server is the HTTP face of a graph registry. Every query route is
-// graph-scoped: the unnamed legacy routes resolve to the reserved
-// "default" graph (the one built from -file/-dataset/-load-snapshot),
-// and /v1/graphs/{name}/... resolves by path. Handlers hold a registry
-// reference for the duration of one request, so an eviction or snapshot
-// replacement never cuts a request off mid-answer — the displaced
-// oracle/engine pair drains and closes after its last in-flight request
-// releases.
+// graph-scoped: /v1/graphs/{name}/x resolves its graph by path, and the
+// bare /v1/x spelling — the same handler, with no {name} to read — is the
+// reserved "default" graph (the one built from -file/-dataset/
+// -load-snapshot). Handlers hold a registry reference for the duration of
+// one request, so an eviction or snapshot replacement never cuts a
+// request off mid-answer — the displaced oracle/engine pair drains and
+// closes after its last in-flight request releases.
 type server struct {
 	registry *registry.Registry
 
@@ -69,68 +71,36 @@ type server struct {
 
 	reg *obs.Registry
 	mux *http.ServeMux
-
-	// patterns records every /v1-surface pattern mounted through mount(),
-	// so TestMuxMatchesRouteTable can diff the live mux against
-	// api.Patterns() — the route table cannot drift from the server
-	// without a test failure.
-	patterns []string
 }
 
-// apiVersion is the current route prefix. Every endpoint is mounted under
-// it; the bare legacy paths remain as aliases that answer identically but
-// carry a Deprecation header plus a Link to their successor, per the
-// deprecation policy in the README.
-const apiVersion = "/v1"
-
+// newServer binds every op of the route table to its handler. The keys
+// are "METHOD path" exactly as api.Routes spells them; mountRoutes turns
+// the table plus these bindings into the mux, so this map is the only
+// place a /v1 pattern is written down in the daemon.
 func newServer(rg *registry.Registry, basis *mcb.Result, jm *jobs.Manager, reg *obs.Registry) *server {
 	s := &server{registry: rg, basis: basis, jobs: jm, reg: reg, mux: http.NewServeMux()}
-	for _, ep := range []struct {
-		name, path string
-		fn         func(*registry.Entry, *http.Request) (interface{}, error)
-	}{
-		{"distance", "/distance", s.distance},
-		{"path", "/path", s.path},
-		{"batch", "/batch", s.batch},
-		{"mcb.cycle", "/mcb/cycle", s.mcbCycle},
-	} {
-		// One handler registered three times — legacy alias, /v1, and the
-		// named-graph route — so every route shares the same
-		// oracled.<name>.* metrics and answers bit-identically for the
-		// default graph.
-		h := s.handle(ep.name, s.withGraph(defaultName, ep.fn))
-		s.mount(apiVersion+ep.path, h)
-		s.mount(ep.path, deprecated(apiVersion+ep.path, h))
-		s.mount(apiVersion+"/graphs/{name}"+ep.path,
-			s.handle(ep.name, s.withGraph(pathName, ep.fn)))
-	}
-	// /v1/deltas is versioned-only: it post-dates the legacy API, so there
-	// is no unversioned alias to keep answering.
-	s.mount(apiVersion+"/deltas", s.handle("deltas", s.withGraph(defaultName, s.deltas)))
-	s.mount(apiVersion+"/graphs/{name}/deltas", s.handle("deltas", s.withGraph(pathName, s.deltas)))
-	// Registry surface: the collection listing and the per-graph admin
-	// resource (GET info+stats, PUT snapshot upload, DELETE unregister).
-	s.mount(apiVersion+"/graphs", s.handle("graphs", s.graphsList))
-	s.mount(apiVersion+"/graphs/{name}", s.handle("graphs.admin", s.graphAdmin))
-
-	// Async job tier. Results streaming bypasses handle()'s buffered JSON
-	// path — it writes NDJSON incrementally and flushes as rows land.
-	s.mount(apiVersion+"/jobs", s.handle("jobs", s.jobsCollection))
-	s.mount(apiVersion+"/jobs/{id}", s.handle("jobs.job", s.jobResource))
-	s.mount(apiVersion+"/jobs/{id}/results", http.HandlerFunc(s.jobResults))
-
-	// Cluster surface: plan identity and shard health on frontends;
-	// 503 unavailable everywhere else, like the jobs routes without a
-	// manager.
-	s.mount(apiVersion+"/cluster", s.handle("cluster", s.clusterList))
-	s.mount(apiVersion+"/cluster/shards/{id}", s.handle("cluster.shard", s.clusterShard))
-
-	hz := s.handle("healthz", s.healthz)
-	s.mount(apiVersion+"/healthz", hz)
-	s.mount("/healthz", deprecated(apiVersion+"/healthz", hz))
-	st := s.handle("stats", s.stats)
-	s.mount(apiVersion+"/stats", st)
-	s.mount("/stats", deprecated(apiVersion+"/stats", st))
+	mountRoutes(s.mux, api.Routes(), map[string]http.Handler{
+		"GET /v1/distance":         s.handle("distance", s.withGraph(s.distance)),
+		"GET /v1/path":             s.handle("path", s.withGraph(s.path)),
+		"POST /v1/batch":           s.handle("batch", s.withGraph(s.batch)),
+		"GET /v1/mcb/cycle":        s.handle("mcb.cycle", s.withGraph(s.mcbCycle)),
+		"POST /v1/deltas":          s.handle("deltas", s.withGraph(s.deltas)),
+		"GET /v1/graphs":           s.handle("graphs", s.graphsList),
+		"GET /v1/graphs/{name}":    s.handle("graphs.admin", s.graphInfo),
+		"PUT /v1/graphs/{name}":    s.handle("graphs.admin", s.graphRegister),
+		"DELETE /v1/graphs/{name}": s.handle("graphs.admin", s.graphRemove),
+		"GET /v1/jobs":             s.handle("jobs", s.jobsList),
+		"POST /v1/jobs":            s.handle("jobs", s.jobSubmit),
+		"GET /v1/jobs/{id}":        s.handle("jobs.job", s.jobStatus),
+		"DELETE /v1/jobs/{id}":     s.handle("jobs.job", s.jobCancel),
+		// Results streaming bypasses handle()'s buffered JSON path — it
+		// writes NDJSON incrementally and flushes as rows land.
+		"GET /v1/jobs/{id}/results":   http.HandlerFunc(s.jobResults),
+		"GET /v1/cluster":             s.handle("cluster", s.clusterList),
+		"GET /v1/cluster/shards/{id}": s.handle("cluster.shard", s.clusterShard),
+		"GET /v1/healthz":             s.handle("healthz", s.healthz),
+		"GET /v1/stats":               s.handle("stats", s.stats),
+	}, reg.Counter("oracled.method_not_allowed"))
 
 	s.mux.Handle("/debug/vars", expvar.Handler())
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -141,30 +111,66 @@ func newServer(rg *registry.Registry, basis *mcb.Result, jm *jobs.Manager, reg *
 	return s
 }
 
-// mount registers a handler on the mux and records the pattern; the
-// recorded set is what the route-table sync test compares against
-// api.Patterns(). Debug routes register on the mux directly and stay out
-// of the comparison.
-func (s *server) mount(pattern string, h http.Handler) {
-	s.patterns = append(s.patterns, pattern)
-	s.mux.Handle(pattern, h)
+// mountRoutes is the one mux maker: each op of the table is mounted as
+// "METHOD path" (Go 1.22 method patterns) with the handler bound to it,
+// a graph-scoped route at both its spellings with the same handler
+// instance, and every path additionally gets the method-less fallback
+// that answers whatever the table does not list with the uniform 405
+// envelope and an Allow header — so the method set is enforced by the
+// table, never by a handler. It panics on an op with no binding or a
+// binding with no op: a table edit that forgot its handler (or the
+// reverse) stops the daemon at boot instead of serving a drifted
+// surface. binds is consumed.
+func mountRoutes(mux *http.ServeMux, routes []api.Route, binds map[string]http.Handler, rejected *obs.Counter) {
+	for _, rt := range routes {
+		paths := []string{rt.Path}
+		if rt.GraphScoped {
+			paths = append(paths, api.Scoped(rt.Path))
+		}
+		methods := make([]string, len(rt.Ops))
+		for i, op := range rt.Ops {
+			methods[i] = op.Method
+			key := op.Method + " " + rt.Path
+			h, ok := binds[key]
+			if !ok {
+				panic("oracled: route table op " + key + " has no handler binding")
+			}
+			delete(binds, key)
+			for _, p := range paths {
+				mux.Handle(op.Method+" "+p, h)
+			}
+		}
+		allow := strings.Join(methods, ", ")
+		for _, p := range paths {
+			mux.HandleFunc(p, func(w http.ResponseWriter, r *http.Request) {
+				rejected.Inc()
+				w.Header().Set("Allow", allow)
+				writeJSON(w, http.StatusMethodNotAllowed, errorEnvelope{
+					Error: fmt.Sprintf("%s: method not allowed (allow: %s)", r.URL.Path, allow),
+					Code:  errorCode(http.StatusMethodNotAllowed),
+				})
+			})
+		}
+	}
+	for key := range binds {
+		panic("oracled: handler bound to " + key + ", which the route table does not list")
+	}
 }
 
-// defaultName resolves every unnamed route to the reserved default graph.
-func defaultName(*http.Request) string { return registry.DefaultGraph }
-
-// pathName resolves /v1/graphs/{name}/... routes from the path.
-func pathName(r *http.Request) string { return r.PathValue("name") }
-
 // withGraph adapts a graph-scoped endpoint into the plain handler shape:
-// resolve the graph name, acquire its registry entry — hydrating it from
-// the snapshot directory on a cold hit — run fn against the entry, and
-// release. The reference held across fn is what makes eviction safe:
-// a graph evicted mid-request keeps serving this request and tears down
-// afterwards.
-func (s *server) withGraph(resolve func(*http.Request) string, fn func(*registry.Entry, *http.Request) (interface{}, error)) func(*http.Request) (interface{}, error) {
+// read the graph name from the path (the bare /v1/x spelling has no
+// {name}, which is the default graph), acquire its registry entry —
+// hydrating it from the snapshot directory on a cold hit — run fn against
+// the entry, and release. The reference held across fn is what makes
+// eviction safe: a graph evicted mid-request keeps serving this request
+// and tears down afterwards.
+func (s *server) withGraph(fn func(*registry.Entry, *http.Request) (interface{}, error)) func(*http.Request) (interface{}, error) {
 	return func(r *http.Request) (interface{}, error) {
-		e, err := s.registry.Acquire(r.Context(), resolve(r))
+		name := r.PathValue("name")
+		if name == "" {
+			name = registry.DefaultGraph
+		}
+		e, err := s.registry.Acquire(r.Context(), name)
 		if err != nil {
 			return nil, graphError(err)
 		}
@@ -193,23 +199,6 @@ func graphError(err error) error {
 		return &httpError{http.StatusServiceUnavailable, err}
 	}
 	return &httpError{http.StatusInternalServerError, err}
-}
-
-// legacySunset is the earliest date the unversioned aliases may be
-// removed, per the removal policy in the README (RFC 8594 Sunset).
-const legacySunset = "Thu, 01 Apr 2027 00:00:00 GMT"
-
-// deprecated wraps a legacy unversioned route: same handler, plus the
-// RFC 9745 Deprecation header, the RFC 8594 Sunset date after which the
-// alias may be removed, and a successor-version Link so clients can
-// discover the /v1 path mechanically.
-func deprecated(successor string, h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Sunset", legacySunset)
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h.ServeHTTP(w, r)
-	})
 }
 
 // httpError carries a status code through the handler return path.
@@ -396,7 +385,7 @@ type healthResponse struct {
 	Graphs   int    `json:"graphs,omitempty"`
 }
 
-// pairResponse is /distance's body; /path embeds it. Distance is a
+// pairResponse is /v1/distance's body; /v1/path embeds it. Distance is a
 // pointer so an unreachable pair omits the field entirely (as the map
 // implementation did) while a legal zero distance still serialises.
 type pairResponse struct {
@@ -511,7 +500,7 @@ func (s *server) path(e *registry.Entry, r *http.Request) (interface{}, error) {
 	return resp, nil
 }
 
-// batchRequest is the /batch JSON body.
+// batchRequest is the /v1/batch JSON body.
 type batchRequest struct {
 	Sources []int32 `json:"sources"`
 	Targets []int32 `json:"targets"`
@@ -519,16 +508,13 @@ type batchRequest struct {
 
 // batch answers a many-to-many distance matrix in one request:
 //
-//	POST /batch  {"sources":[0,3],"targets":[1,2,5]}
+//	POST /v1/batch  {"sources":[0,3],"targets":[1,2,5]}
 //	→ {"sources":2,"targets":3,"distances":[[...],[...]]}
 //
 // Unreachable pairs come back as -1 (JSON has no Inf). Rows are computed
 // once per distinct source through the engine's cache, coalescing, and
 // work-queue scheduling.
 func (s *server) batch(e *registry.Entry, r *http.Request) (interface{}, error) {
-	if r.Method != http.MethodPost {
-		return nil, &httpError{http.StatusMethodNotAllowed, fmt.Errorf("POST a JSON body to /batch")}
-	}
 	var req batchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBatchBody))
 	dec.DisallowUnknownFields()

@@ -97,7 +97,7 @@ func TestEndpoints(t *testing.T) {
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 
-	h := getJSON(t, ts, "/healthz", 200)
+	h := getJSON(t, ts, "/v1/healthz", 200)
 	if h["status"] != "ok" || h["mcb"] != true {
 		t.Fatalf("healthz: %v", h)
 	}
@@ -105,7 +105,7 @@ func TestEndpoints(t *testing.T) {
 	n := g.NumVertices()
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v += 3 {
-			out := getJSON(t, ts, fmt.Sprintf("/distance?u=%d&v=%d", u, v), 200)
+			out := getJSON(t, ts, fmt.Sprintf("/v1/distance?u=%d&v=%d", u, v), 200)
 			want := ref[u*n+v]
 			if want >= apsp.Inf {
 				if out["reachable"] != false {
@@ -119,7 +119,7 @@ func TestEndpoints(t *testing.T) {
 		}
 	}
 
-	p := getJSON(t, ts, "/path?u=0&v=5", 200)
+	p := getJSON(t, ts, "/v1/path?u=0&v=5", 200)
 	if p["reachable"] != true {
 		t.Fatalf("path: %v", p)
 	}
@@ -128,7 +128,7 @@ func TestEndpoints(t *testing.T) {
 		t.Fatalf("path endpoints wrong: %v", walk)
 	}
 
-	c := getJSON(t, ts, "/mcb/cycle?i=0", 200)
+	c := getJSON(t, ts, "/v1/mcb/cycle?i=0", 200)
 	if c["weight"].(float64) <= 0 || len(c["vertices"].([]interface{})) == 0 {
 		t.Fatalf("mcb cycle: %v", c)
 	}
@@ -138,14 +138,14 @@ func TestEndpoints(t *testing.T) {
 		path   string
 		status int
 	}{
-		{"/distance?u=zero&v=1", 400},
-		{"/distance?u=-1&v=0", 400},
-		{fmt.Sprintf("/distance?u=0&v=%d", n), 400},
-		{"/path?u=0", 400},
-		{fmt.Sprintf("/path?u=%d&v=0", n+7), 400},
-		{"/mcb/cycle?i=notanumber", 400},
-		{"/mcb/cycle?i=99999", 404},
-		{"/mcb/cycle?i=-1", 404},
+		{"/v1/distance?u=zero&v=1", 400},
+		{"/v1/distance?u=-1&v=0", 400},
+		{fmt.Sprintf("/v1/distance?u=0&v=%d", n), 400},
+		{"/v1/path?u=0", 400},
+		{fmt.Sprintf("/v1/path?u=%d&v=0", n+7), 400},
+		{"/v1/mcb/cycle?i=notanumber", 400},
+		{"/v1/mcb/cycle?i=99999", 404},
+		{"/v1/mcb/cycle?i=-1", 404},
 	} {
 		out := getJSON(t, ts, bad.path, bad.status)
 		if out["error"] == "" {
@@ -154,7 +154,7 @@ func TestEndpoints(t *testing.T) {
 	}
 
 	// Metrics observed the traffic and render as one JSON object.
-	stats := getJSON(t, ts, "/stats", 200)
+	stats := getJSON(t, ts, "/v1/stats", 200)
 	if _, ok := stats["oracled.distance.requests"]; !ok {
 		t.Fatalf("stats missing request counter: %v", stats)
 	}
@@ -168,7 +168,7 @@ func TestMCBDisabled(t *testing.T) {
 	s.basis = nil
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
-	out := getJSON(t, ts, "/mcb/cycle?i=0", 503)
+	out := getJSON(t, ts, "/v1/mcb/cycle?i=0", 503)
 	if out["error"] == "" {
 		t.Fatal("missing error body")
 	}
@@ -187,7 +187,7 @@ func TestConcurrentRequests(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
 				u, v := (w+i)%n, (w*3+i*7)%n
-				resp, err := ts.Client().Get(fmt.Sprintf("%s/distance?u=%d&v=%d", ts.URL, u, v))
+				resp, err := ts.Client().Get(fmt.Sprintf("%s/v1/distance?u=%d&v=%d", ts.URL, u, v))
 				if err != nil {
 					errs <- err
 					return
@@ -295,7 +295,7 @@ func TestBatchEndpoint(t *testing.T) {
 	sources := []int{0, 3, n - 1, 3}
 	targets := []int{1, 0, n - 2}
 	body, _ := json.Marshal(map[string][]int{"sources": sources, "targets": targets})
-	out := postJSON(t, ts, "/batch", string(body), 200)
+	out := postJSON(t, ts, "/v1/batch", string(body), 200)
 	if int(out["sources"].(float64)) != len(sources) || int(out["targets"].(float64)) != len(targets) {
 		t.Fatalf("batch shape: %v", out)
 	}
@@ -318,7 +318,7 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 
 	// GET is rejected, bad JSON and bad vertices are 400s.
-	resp, err := ts.Client().Get(ts.URL + "/batch")
+	resp, err := ts.Client().Get(ts.URL + "/v1/batch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,12 +326,12 @@ func TestBatchEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /batch: status %d", resp.StatusCode)
 	}
-	postJSON(t, ts, "/batch", `{"sources":[0],`, 400)
-	postJSON(t, ts, "/batch", fmt.Sprintf(`{"sources":[%d],"targets":[0]}`, n), 400)
-	postJSON(t, ts, "/batch", `{"sources":[0],"targets":[-1]}`, 400)
+	postJSON(t, ts, "/v1/batch", `{"sources":[0],`, 400)
+	postJSON(t, ts, "/v1/batch", fmt.Sprintf(`{"sources":[%d],"targets":[0]}`, n), 400)
+	postJSON(t, ts, "/v1/batch", `{"sources":[0],"targets":[-1]}`, 400)
 
 	// Engine metrics surfaced through /stats.
-	stats := getJSON(t, ts, "/stats", 200)
+	stats := getJSON(t, ts, "/v1/stats", 200)
 	for _, k := range []string{"qe.rows.built", "qe.cache.hits", "qe.cache.misses",
 		"qe.cache.evictions", "qe.cache.rows", "qe.queue.depth", "qe.inflight"} {
 		if _, ok := stats[k]; !ok {
@@ -355,7 +355,7 @@ func TestOverloadResponds503(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		resp, err := ts.Client().Get(ts.URL + "/distance?u=0&v=1")
+		resp, err := ts.Client().Get(ts.URL + "/v1/distance?u=0&v=1")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode != 200 {
@@ -366,7 +366,7 @@ func TestOverloadResponds503(t *testing.T) {
 	}()
 	<-began // the only slot is now held inside a row build
 
-	resp, err := ts.Client().Get(ts.URL + "/distance?u=2&v=3")
+	resp, err := ts.Client().Get(ts.URL + "/v1/distance?u=2&v=3")
 	if err != nil {
 		t.Fatal(err)
 	}

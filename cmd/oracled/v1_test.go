@@ -2,11 +2,8 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"repro/internal/apsp"
@@ -14,91 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/qe"
 )
-
-// TestV1LegacyEquivalence asserts every endpoint answers identically under
-// its /v1 route and its legacy alias — same status, same body — and that
-// only the legacy alias carries the deprecation headers pointing at its
-// successor.
-func TestV1LegacyEquivalence(t *testing.T) {
-	s, _, _ := testServer(t)
-	ts := httptest.NewServer(s.mux)
-	defer ts.Close()
-
-	paths := []string{
-		"/healthz",
-		"/distance?u=0&v=5",
-		"/path?u=0&v=5",
-		"/mcb/cycle?i=0",
-		"/distance?u=zero&v=1", // error bodies must match too
-		"/mcb/cycle?i=99999",
-	}
-	for _, p := range paths {
-		legacy := fetch(t, ts, p)
-		v1 := fetch(t, ts, "/v1"+p)
-		if legacy.status != v1.status {
-			t.Fatalf("%s: legacy status %d, /v1 status %d", p, legacy.status, v1.status)
-		}
-		if legacy.body != v1.body {
-			t.Fatalf("%s: legacy body %q != /v1 body %q", p, legacy.body, v1.body)
-		}
-		base := strings.SplitN(p, "?", 2)[0]
-		if legacy.deprecation != "true" {
-			t.Fatalf("%s: legacy route missing Deprecation header", p)
-		}
-		if legacy.sunset != legacySunset {
-			t.Fatalf("%s: legacy Sunset = %q, want %q", p, legacy.sunset, legacySunset)
-		}
-		if want := fmt.Sprintf("</v1%s>; rel=\"successor-version\"", base); legacy.link != want {
-			t.Fatalf("%s: legacy Link = %q, want %q", p, legacy.link, want)
-		}
-		if v1.deprecation != "" || v1.link != "" || v1.sunset != "" {
-			t.Fatalf("/v1%s: versioned route must not carry deprecation headers (got %q, %q, %q)",
-				p, v1.deprecation, v1.link, v1.sunset)
-		}
-	}
-
-	// POST endpoint: same body both ways, deprecation only on legacy.
-	body := `{"sources":[0,3],"targets":[1,5]}`
-	lr, _ := ts.Client().Post(ts.URL+"/batch", "application/json", strings.NewReader(body))
-	lb, _ := io.ReadAll(lr.Body)
-	lr.Body.Close()
-	vr, _ := ts.Client().Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(body))
-	vb, _ := io.ReadAll(vr.Body)
-	vr.Body.Close()
-	if lr.StatusCode != 200 || vr.StatusCode != 200 || string(lb) != string(vb) {
-		t.Fatalf("batch: legacy (%d, %q) vs v1 (%d, %q)", lr.StatusCode, lb, vr.StatusCode, vb)
-	}
-	if lr.Header.Get("Deprecation") != "true" || vr.Header.Get("Deprecation") != "" {
-		t.Fatal("batch deprecation headers wrong way round")
-	}
-
-	// Both spellings of an endpoint feed one metrics family.
-	stats := getJSON(t, ts, "/v1/stats", 200)
-	if _, ok := stats["oracled.distance.requests"]; !ok {
-		t.Fatalf("stats missing shared counter: %v", stats)
-	}
-}
-
-type fetched struct {
-	status                    int
-	body                      string
-	deprecation, link, sunset string
-}
-
-func fetch(t *testing.T, ts *httptest.Server, path string) fetched {
-	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + path)
-	if err != nil {
-		t.Fatalf("GET %s: %v", path, err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("GET %s: read: %v", path, err)
-	}
-	return fetched{resp.StatusCode, string(b), resp.Header.Get("Deprecation"),
-		resp.Header.Get("Link"), resp.Header.Get("Sunset")}
-}
 
 // TestErrorEnvelope asserts every failure shape renders as the uniform
 // {"error", "code", "retry_after_ms"} envelope with the right code.

@@ -36,6 +36,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/hetero"
 	"repro/internal/shard"
+	"repro/internal/snapshot"
 )
 
 // PlanFileName is the manifest's fixed name inside the output directory.
@@ -98,7 +99,7 @@ func main() {
 		cli.Fatalf("shardplan", "%v", err)
 	}
 	planPath := filepath.Join(*outDir, PlanFileName)
-	if err := writeAtomic(planPath, func(f *os.File) error {
+	if err := snapshot.WriteFile(planPath, func(f *os.File) error {
 		_, err := p.WriteTo(f)
 		return err
 	}); err != nil {
@@ -110,7 +111,7 @@ func main() {
 	for sid := int32(0); sid < p.NumShards; sid++ {
 		snapPath := filepath.Join(*outDir, fmt.Sprintf("shard-%d.snap", sid))
 		meta := apsp.ShardMeta{Epoch: p.Epoch, Shard: sid, NumShards: p.NumShards}
-		if err := writeAtomic(snapPath, func(f *os.File) error {
+		if err := snapshot.WriteFile(snapPath, func(f *os.File) error {
 			_, err := o.WriteShardSnapshot(f, meta, p.OwnedMask(sid))
 			return err
 		}); err != nil {
@@ -119,25 +120,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "shardplan: shard %d: %d blocks → %s\n",
 			sid, p.ShardBlockCount(sid), snapPath)
 	}
-}
-
-// writeAtomic writes through a temp file renamed into place, so a
-// crashed planner never leaves a torn manifest or snapshot for a daemon
-// to trip over.
-func writeAtomic(path string, write func(*os.File) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -1,13 +1,13 @@
 // Package api is the declarative route table of the /v1 HTTP surface —
-// the single source of truth three consumers share so they cannot drift:
-// cmd/oracled mounts its mux from the expanded patterns, the checked-in
-// api/openapi.yaml is generated from it (cmd/apigen), and CI asserts the
-// generated spec matches the checked-in file while a server test asserts
-// the mounted mux matches the expansion. Editing a route here is the only
-// way to add an endpoint; hand-editing the YAML or the mux fails CI.
+// the single source of truth its two consumers share so they cannot
+// drift: cmd/oracled mounts its mux by looping over Routes (one
+// "METHOD path" pattern per op, plus the table-derived 405 fallback that
+// enforces the method set), and the checked-in api/openapi.yaml is
+// generated from it (cmd/apigen; CI diffs the two). Editing a route here
+// is the only way to add an endpoint: an op without a handler binding, or
+// a binding without an op, stops the daemon at boot, and hand-editing the
+// YAML fails CI.
 package api
-
-import "sort"
 
 // Param is one documented query parameter.
 type Param struct {
@@ -37,15 +37,15 @@ type Route struct {
 	// Path is the /v1 mux pattern, e.g. "/v1/jobs/{id}".
 	Path string
 	Ops  []Op
-	// LegacyAlias is the deprecated unversioned pattern still answering
-	// identically ("" if the route post-dates the legacy API). Aliases
-	// carry Deprecation and Sunset headers; see the README removal
-	// policy.
-	LegacyAlias string
 	// GraphScoped routes are additionally mounted per tenant at
-	// /v1/graphs/{name}<suffix> sharing the same handler.
+	// Scoped(Path), sharing the same handler; the bare Path is the
+	// default graph's spelling.
 	GraphScoped bool
 }
+
+// Scoped returns the per-tenant spelling of a graph-scoped route's path:
+// "/v1/distance" → "/v1/graphs/{name}/distance".
+func Scoped(path string) string { return "/v1/graphs/{name}" + path[len("/v1"):] }
 
 // Routes returns the full /v1 route table.
 func Routes() []Route {
@@ -59,19 +59,19 @@ func Routes() []Route {
 	}
 	return []Route{
 		{
-			Path: "/v1/distance", LegacyAlias: "/distance", GraphScoped: true,
+			Path: "/v1/distance", GraphScoped: true,
 			Ops: []Op{{Method: "GET", Summary: "Shortest-path distance between two vertices", Params: uv, Response: "PairResponse"}},
 		},
 		{
-			Path: "/v1/path", LegacyAlias: "/path", GraphScoped: true,
+			Path: "/v1/path", GraphScoped: true,
 			Ops: []Op{{Method: "GET", Summary: "Shortest path between two vertices", Params: uv, Response: "PathResponse"}},
 		},
 		{
-			Path: "/v1/batch", LegacyAlias: "/batch", GraphScoped: true,
+			Path: "/v1/batch", GraphScoped: true,
 			Ops: []Op{{Method: "POST", Summary: "Synchronous many-to-many distance matrix", Body: "BatchRequest", Response: "BatchResponse"}},
 		},
 		{
-			Path: "/v1/mcb/cycle", LegacyAlias: "/mcb/cycle", GraphScoped: true,
+			Path: "/v1/mcb/cycle", GraphScoped: true,
 			Ops: []Op{{Method: "GET", Summary: "One cycle of the minimum cycle basis",
 				Params:   []Param{{Name: "i", Type: "integer", Desc: "cycle index in the basis", Required: true}},
 				Response: "CycleResponse"}},
@@ -123,35 +123,12 @@ func Routes() []Route {
 				NDJSON: true}},
 		},
 		{
-			Path: "/v1/healthz", LegacyAlias: "/healthz",
-			Ops: []Op{{Method: "GET", Summary: "Liveness and serving summary", Response: "HealthResponse"}},
+			Path: "/v1/healthz",
+			Ops:  []Op{{Method: "GET", Summary: "Liveness and serving summary", Response: "HealthResponse"}},
 		},
 		{
-			Path: "/v1/stats", LegacyAlias: "/stats",
-			Ops: []Op{{Method: "GET", Summary: "All metrics as one JSON object"}},
+			Path: "/v1/stats",
+			Ops:  []Op{{Method: "GET", Summary: "All metrics as one JSON object"}},
 		},
 	}
-}
-
-// Patterns returns every mux pattern the daemon must mount for the /v1
-// surface: each route's path, its legacy alias, and its per-tenant
-// expansion. Sorted, deduplicated — directly comparable with the set of
-// patterns the server actually registered.
-func Patterns() []string {
-	set := map[string]bool{}
-	for _, rt := range Routes() {
-		set[rt.Path] = true
-		if rt.LegacyAlias != "" {
-			set[rt.LegacyAlias] = true
-		}
-		if rt.GraphScoped {
-			set["/v1/graphs/{name}"+rt.Path[len("/v1"):]] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -29,25 +29,20 @@ func OpenAPI() []byte {
 	w(1, "title: %s", q("oracled — ear-decomposition shortest path/cycle oracle"))
 	w(1, "description: %s", q("Versioned /v1 HTTP API: point and batch shortest-path queries, "+
 		"minimum-cycle-basis access, live edge deltas, multi-tenant graph administration, and the "+
-		"async job tier (batch_matrix and bc jobs with resumable NDJSON result streams). "+
-		"Unversioned legacy paths are deprecated aliases carrying Deprecation and Sunset headers."))
+		"async job tier (batch_matrix and bc jobs with resumable NDJSON result streams)."))
 	w(1, "version: %s", q("1"))
 	w(0, "paths:")
 
 	type mount struct {
-		path       string
-		rt         Route
-		deprecated bool
-		scoped     bool
+		path   string
+		rt     Route
+		scoped bool
 	}
 	var mounts []mount
 	for _, rt := range Routes() {
 		mounts = append(mounts, mount{path: rt.Path, rt: rt})
-		if rt.LegacyAlias != "" {
-			mounts = append(mounts, mount{path: rt.LegacyAlias, rt: rt, deprecated: true})
-		}
 		if rt.GraphScoped {
-			mounts = append(mounts, mount{path: "/v1/graphs/{name}" + rt.Path[len("/v1"):], rt: rt, scoped: true})
+			mounts = append(mounts, mount{path: Scoped(rt.Path), rt: rt, scoped: true})
 		}
 	}
 	sort.Slice(mounts, func(i, j int) bool { return mounts[i].path < mounts[j].path })
@@ -62,9 +57,6 @@ func OpenAPI() []byte {
 			}
 			w(3, "summary: %s", q(summary))
 			w(3, "operationId: %s", q(opID(op.Method, mt.path)))
-			if mt.deprecated {
-				w(3, "deprecated: true")
-			}
 			params := pathParams(mt.path)
 			if len(params)+len(op.Params) > 0 {
 				w(3, "parameters:")

@@ -76,24 +76,8 @@ func FloydWarshall(g *graph.Graph) []graph.Weight {
 // within-block solver of the Banerjee baseline, and the "w/o
 // ear-decomposition" arm of the paper's ablations (Table 2 columns).
 func NewFlatAPSP(g *graph.Graph, workers int) *EarAPSP {
-	n := g.NumVertices()
-	red := identityReduction(g)
-	a := &EarAPSP{G: g, Red: red, nr: n}
-	a.SR = make([]graph.Weight, n*n)
-	if workers < 1 {
-		workers = 1
-	}
-	scratch := make([]*sssp.Scratch, workers)
-	relax := make([]int64, workers)
-	for i := range scratch {
-		scratch[i] = sssp.NewScratch(n)
-	}
-	hetero.ParallelFor(workers, n, func(w, s int) {
-		relax[w] += sssp.DistancesOnly(g, int32(s), a.SR[s*n:(s+1)*n], scratch[w])
-	})
-	for _, r := range relax {
-		a.Relaxations += r
-	}
+	a := newEarAPSP(g, identityReduction(g))
+	_ = a.fillDijkstra(context.Background(), workers) // a background context never cancels
 	return a
 }
 

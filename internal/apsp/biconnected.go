@@ -46,28 +46,48 @@ type EarAPSP struct {
 	sweeps      int
 }
 
-// reduceForAPSP is the preprocessing step shared by every constructor.
-func reduceForAPSP(g *graph.Graph) *ear.Reduced {
-	return ear.Reduce(g, ear.APSP)
+// newEarAPSP is the start every constructor shares: Phase I of
+// Algorithm 1 (ear reduction; a nil red asks for it) and the empty nr×nr
+// table S^r the processing phase then fills.
+func newEarAPSP(g *graph.Graph, red *ear.Reduced) *EarAPSP {
+	if red == nil {
+		red = ear.Reduce(g, ear.APSP)
+	}
+	nr := red.R.NumVertices()
+	return &EarAPSP{G: g, Red: red, nr: nr, SR: make([]graph.Weight, nr*nr)}
+}
+
+// fillDijkstra is the processing phase on real workers: one heap
+// Dijkstra per reduced source (one instance per goroutine, as the paper
+// runs the CPU side), stopping early — with no usable table — once ctx
+// is done.
+func (a *EarAPSP) fillDijkstra(ctx context.Context, workers int) error {
+	if workers < 1 {
+		workers = 1
+	}
+	scratch := make([]*sssp.Scratch, workers)
+	relax := make([]int64, workers)
+	for i := range scratch {
+		scratch[i] = sssp.NewScratch(a.nr)
+	}
+	if err := hetero.ParallelForCtx(ctx, workers, a.nr, func(w, s int) {
+		relax[w] += sssp.DistancesOnly(a.Red.R, int32(s), a.SR[s*a.nr:(s+1)*a.nr], scratch[w])
+	}); err != nil {
+		return err
+	}
+	for _, r := range relax {
+		a.Relaxations += r
+	}
+	return nil
 }
 
 // NewEarAPSP runs the three phases of Algorithm 1 sequentially on a
 // connected graph g: Reduce, per-source Dijkstra on G^r, and (lazily, at
 // query time) UPDATE_DISTANCE.
-func NewEarAPSP(g *graph.Graph) *EarAPSP {
-	red := ear.Reduce(g, ear.APSP)
-	a := &EarAPSP{G: g, Red: red, nr: red.R.NumVertices()}
-	a.SR = make([]graph.Weight, a.nr*a.nr)
-	sc := sssp.NewScratch(a.nr)
-	for s := 0; s < a.nr; s++ {
-		a.Relaxations += sssp.DistancesOnly(red.R, int32(s), a.SR[s*a.nr:(s+1)*a.nr], sc)
-	}
-	return a
-}
+func NewEarAPSP(g *graph.Graph) *EarAPSP { return NewEarAPSPParallel(g, 1) }
 
 // NewEarAPSPParallel is NewEarAPSP with the processing phase spread over
-// real goroutine workers (one Dijkstra instance per thread, as the paper
-// runs the CPU side).
+// real goroutine workers.
 func NewEarAPSPParallel(g *graph.Graph, workers int) *EarAPSP {
 	a, _ := NewEarAPSPParallelCtx(context.Background(), g, workers)
 	return a
@@ -78,24 +98,9 @@ func NewEarAPSPParallel(g *graph.Graph, workers int) *EarAPSP {
 // once ctx is done and the context error is returned with no (partial)
 // result. With a background context it never fails.
 func NewEarAPSPParallelCtx(ctx context.Context, g *graph.Graph, workers int) (*EarAPSP, error) {
-	red := ear.Reduce(g, ear.APSP)
-	a := &EarAPSP{G: g, Red: red, nr: red.R.NumVertices()}
-	a.SR = make([]graph.Weight, a.nr*a.nr)
-	if workers < 1 {
-		workers = 1
-	}
-	scratch := make([]*sssp.Scratch, workers)
-	relax := make([]int64, workers)
-	for i := range scratch {
-		scratch[i] = sssp.NewScratch(a.nr)
-	}
-	if err := hetero.ParallelForCtx(ctx, workers, a.nr, func(w, s int) {
-		relax[w] += sssp.DistancesOnly(red.R, int32(s), a.SR[s*a.nr:(s+1)*a.nr], scratch[w])
-	}); err != nil {
+	a := newEarAPSP(g, nil)
+	if err := a.fillDijkstra(ctx, workers); err != nil {
 		return nil, err
-	}
-	for _, r := range relax {
-		a.Relaxations += r
 	}
 	return a, nil
 }
@@ -105,9 +110,8 @@ func NewEarAPSPParallelCtx(ctx context.Context, g *graph.Graph, workers int) (*E
 // kernel is heap Dijkstra and the GPU-side kernel is the frontier sweep of
 // Harish & Narayanan. It returns the APSP result and the virtual schedule.
 func NewEarAPSPSim(g *graph.Graph, devices []*hetero.Device) (*EarAPSP, *hetero.Schedule) {
-	red := ear.Reduce(g, ear.APSP)
-	a := &EarAPSP{G: g, Red: red, nr: red.R.NumVertices()}
-	a.SR = make([]graph.Weight, a.nr*a.nr)
+	a := newEarAPSP(g, nil)
+	red := a.Red
 	units := make([]hetero.Unit, a.nr)
 	// Unit size estimate: degree of the source — larger-degree sources
 	// start bigger frontiers (the deque sorts by this).

@@ -316,6 +316,16 @@ func (o *Oracle) staleComponents(blocks map[int32]bool, extra []int32) []bool {
 // blocks containing a re-weighted edge recompute their ear reduction and
 // S^r table. The AP table is recomputed only when a touched block carries
 // at least two articulation points (otherwise it contributes no AP edge).
+//
+// It is the one oracle maker that does not go through assemble, on
+// purpose: sharing Sub, loc and Forest by pointer is the whole point of
+// the path. Folding it into assemble (partition still shared, everything
+// derived re-made) was measured on the benchmark's `blocks` fixture
+// (7 196 vertices, 579 blocks, a small-block reweight) at 1.1 ms → 4.5 ms
+// per delta when the fold was proposed and 0.5 ms → 2.6 ms when this
+// landed. The fork is selected from what the script is observed to
+// contain (editTrace.structural), never by an option; DESIGN.md §8 has
+// the measurement.
 func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int) (*Oracle, *DeltaResult, error) {
 	newG := graph.FromEdges(tr.n, tr.edges)
 	edgeBlock := o.oldEdgeBlocks()
@@ -339,20 +349,19 @@ func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int
 		if !touched[int32(bi)] {
 			continue
 		}
-		blk, err := buildBlock(ctx, graph.InducedByEdges(newG, o.Dec.Components[bi]), workers)
+		sub := graph.InducedByEdges(newG, o.Dec.Components[bi])
+		ea, err := NewEarAPSPParallelCtx(ctx, sub.G, workers)
 		if err != nil {
 			return nil, nil, err
 		}
+		if n.compact {
+			ea.compress()
+		}
 		// The shared vertex index stays valid for the rebuilt block:
 		// InducedByEdges on the same edge sequence reproduces the same
-		// local-ID assignment, so only the stamp needs refreshing.
-		blk.bi = int32(bi)
-		blk.loc = n.loc
-		if n.compact {
-			blk.Ear.compress()
-		}
-		n.Blocks[bi] = blk
-		n.Relaxations += blk.Ear.Relaxations
+		// local-ID assignment, so the old stamp carries over.
+		n.Blocks[bi] = &BlockAPSP{Sub: sub, Ear: ea, bi: int32(bi), loc: n.loc}
+		n.Relaxations += ea.Relaxations
 		if len(o.BCT.BlockCuts[bi]) >= 2 {
 			apRebuild = true
 		}
@@ -370,10 +379,12 @@ func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int
 }
 
 // applyStructural is the scoped rebuild: inserts/deletes can merge or
-// split biconnected components, so the partition, forest, and AP table are
-// recomputed — but every new component whose edge sequence is identical
+// split biconnected components, so the partition is recomputed and the
+// oracle re-assembled over it (assemble, the same maker a fresh build
+// uses) — but every new component whose edge sequence is identical
 // (after remapping old edge IDs through the script's shifts) to a clean
-// old component reuses that component's EarAPSP without recomputation.
+// old component hands assemble that component's EarAPSP instead of
+// solving it again.
 //
 // Why sequence equality suffices: Hopcroft–Tarjan ignores weights, CSR
 // adjacency preserves the relative order of surviving edges, and
@@ -384,13 +395,6 @@ func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int
 func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int) (*Oracle, *DeltaResult, error) {
 	newG := graph.FromEdges(tr.n, tr.edges)
 	dec := bcc.Compute(newG)
-	bct := bcc.BuildBlockCutTree(newG, dec)
-	n := &Oracle{
-		G: newG, Dec: dec, BCT: bct, numA: len(bct.CutVertices),
-		compact:     o.compact,
-		Relaxations: o.Relaxations,
-		BuildPhases: &obs.Phases{},
-	}
 
 	oldToNew := make([]int32, o.G.NumEdges())
 	for i := range oldToNew {
@@ -430,38 +434,29 @@ func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int
 		reusable[h] = append(reusable[h], oldBlock{int32(bi), seq})
 	}
 
-	subs := dec.Subgraphs(newG)
-	n.Blocks = make([]*BlockAPSP, len(subs))
-	touchedNew := make(map[int32]bool)
-	reused := 0
-	for ci, sub := range subs {
+	touched, fresh := 0, int64(0)
+	n, err := assemble(newG, dec, bcc.BuildBlockCutTree(newG, dec), o.compact, nil, func(ci int, sub *graph.Subgraph) (*EarAPSP, error) {
 		comp := dec.Components[ci]
-		var shared *EarAPSP
 		for _, ob := range reusable[hashI32s(seed, comp)] {
-			if i32sEqual(ob.seq, comp) && o.Blocks[ob.bi].Ear.G.NumVertices() == sub.G.NumVertices() {
-				shared = o.Blocks[ob.bi].Ear
-				break
+			// A reused Ear from a compact oracle is already compressed.
+			if old := o.Blocks[ob.bi].Ear; i32sEqual(ob.seq, comp) && old.G.NumVertices() == sub.G.NumVertices() {
+				return old, nil
 			}
 		}
-		if shared != nil {
-			// A reused Ear from a compact oracle is already compressed.
-			n.Blocks[ci] = &BlockAPSP{Sub: sub, Ear: shared}
-			reused++
-			continue
-		}
-		blk, err := buildBlock(ctx, sub, workers)
+		ea, err := NewEarAPSPParallelCtx(ctx, sub.G, workers)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if n.compact {
-			blk.Ear.compress()
-		}
-		n.Blocks[ci] = blk
-		n.Relaxations += blk.Ear.Relaxations
-		touchedNew[int32(ci)] = true
+		touched++
+		fresh += ea.Relaxations
+		return ea, nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	n.buildLocIndex()
-	n.buildForest()
+	// Construction work accumulates across applies: what the old oracle
+	// cost, plus the blocks this apply solved afresh, plus the AP table.
+	n.Relaxations = o.Relaxations + fresh
 	n.buildAPTable()
 
 	// Staleness is judged against the OLD structure: every old component
@@ -488,25 +483,13 @@ func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int
 		}
 	}
 	res := &DeltaResult{
-		TouchedBlocks:   len(touchedNew),
-		ReusedBlocks:    reused,
+		TouchedBlocks:   touched,
+		ReusedBlocks:    len(n.Blocks) - touched,
 		RebuildFallback: true,
 		APRebuilt:       true,
 		Stale:           o.staleComponents(affected, extra),
 	}
 	return n, res, nil
-}
-
-// buildBlock constructs one BlockAPSP from its subgraph. The caller is
-// responsible for stamping the block with its ID and the oracle's shared
-// vertex index (directly or via buildLocIndex) and, in compact mode, for
-// compressing the fresh Ear.
-func buildBlock(ctx context.Context, sub *graph.Subgraph, workers int) (*BlockAPSP, error) {
-	ea, err := NewEarAPSPParallelCtx(ctx, sub.G, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &BlockAPSP{Sub: sub, Ear: ea}, nil
 }
 
 func hashI32s(seed maphash.Seed, xs []int32) uint64 {

@@ -116,22 +116,13 @@ type Options struct {
 }
 
 // NewOracle builds the oracle sequentially.
-func NewOracle(g *graph.Graph) *Oracle {
-	o, _ := newOracle(context.Background(), g, false, func(_ context.Context, sub *graph.Graph) (*EarAPSP, error) {
-		return NewEarAPSP(sub), nil
-	})
-	return o
-}
+func NewOracle(g *graph.Graph) *Oracle { return NewOracleParallel(g, 1) }
 
 // NewOracleOpts builds the oracle under ctx with explicit options; it is
 // the constructor behind the facade's APSPOptions.
 func NewOracleOpts(ctx context.Context, g *graph.Graph, opts Options) (*Oracle, error) {
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
 	return newOracle(ctx, g, opts.Compact32, func(c context.Context, sub *graph.Graph) (*EarAPSP, error) {
-		return NewEarAPSPParallelCtx(c, sub, workers)
+		return NewEarAPSPParallelCtx(c, sub, opts.Workers)
 	})
 }
 
@@ -151,41 +142,28 @@ func NewOracleParallel(g *graph.Graph, workers int) *Oracle {
 // returns a nil oracle and the context error; no build metrics are
 // recorded for abandoned builds. With a background context it never fails.
 func NewOracleParallelCtx(ctx context.Context, g *graph.Graph, workers int) (*Oracle, error) {
-	return newOracle(ctx, g, false, func(c context.Context, sub *graph.Graph) (*EarAPSP, error) {
-		return NewEarAPSPParallelCtx(c, sub, workers)
-	})
+	return NewOracleOpts(ctx, g, Options{Workers: workers})
 }
 
+// newOracle is a from-scratch build: the BCC partition, assemble with mk
+// solving every block, then the AP table. It is the only caller that
+// times phases — a loaded or delta-built oracle ran none of them.
 func newOracle(ctx context.Context, g *graph.Graph, compact bool, mk func(context.Context, *graph.Graph) (*EarAPSP, error)) (*Oracle, error) {
 	phases := &obs.Phases{}
 	stop := phases.Start("bcc")
 	dec := bcc.Compute(g)
 	bct := bcc.BuildBlockCutTree(g, dec)
 	stop()
-	o := &Oracle{G: g, Dec: dec, BCT: bct, numA: len(bct.CutVertices), compact: compact, BuildPhases: phases}
-	stop = phases.Start("blocks")
-	subs := dec.Subgraphs(g)
-	o.Blocks = make([]*BlockAPSP, len(subs))
-	for i, sub := range subs {
+	o, err := assemble(g, dec, bct, compact, phases, func(_ int, sub *graph.Subgraph) (*EarAPSP, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		ea, err := mk(ctx, sub.G)
-		if err != nil {
-			return nil, err
-		}
-		if compact {
-			ea.compress()
-		}
-		blk := &BlockAPSP{Sub: sub, Ear: ea}
-		o.Relaxations += blk.Ear.Relaxations
-		o.Blocks[i] = blk
+		return mk(ctx, sub.G)
+	})
+	if err != nil {
+		return nil, err
 	}
-	o.buildLocIndex()
-	stop()
-	stop = phases.Start("forest")
-	o.buildForest()
-	stop()
+	o.BuildPhases = phases
 	stop = phases.Start("aptable")
 	o.buildAPTable()
 	stop()
@@ -198,8 +176,42 @@ func newOracle(ctx context.Context, g *graph.Graph, compact bool, mk func(contex
 	return o, nil
 }
 
-// buildForest roots the block-cut forest over the oracle's block-cut tree.
-func (o *Oracle) buildForest() { o.Forest = BuildForest(o.BCT.BlockCuts, o.BCT.CutBlocks) }
+// assemble is the one maker of an oracle's derived structure, the fixed
+// order of PAPER.md §2.2: the partition's subgraphs, one EarAPSP per
+// block, the shared vertex index, the rooted block-cut forest. Every way
+// an oracle comes to exist — built, simulated, structurally updated,
+// loaded, carved for a shard — is this call plus where the AP table A
+// comes from; only what block does differs: it builds, reuses or decodes
+// block bi's tables, and a nil EarAPSP means "not resident here". The
+// result's Relaxations is the sum over resident blocks. ph, which may be
+// nil, times the "blocks" and "forest" phases for the one caller that
+// builds from scratch.
+func assemble(g *graph.Graph, dec *bcc.Decomposition, bct *bcc.BlockCutTree, compact bool, ph *obs.Phases,
+	block func(bi int, sub *graph.Subgraph) (*EarAPSP, error)) (*Oracle, error) {
+	o := &Oracle{G: g, Dec: dec, BCT: bct, numA: len(bct.CutVertices), compact: compact, BuildPhases: &obs.Phases{}}
+	stop := ph.Start("blocks")
+	subs := dec.Subgraphs(g)
+	o.Blocks = make([]*BlockAPSP, len(subs))
+	for bi, sub := range subs {
+		ea, err := block(bi, sub)
+		if err != nil {
+			return nil, err
+		}
+		if ea != nil {
+			if compact {
+				ea.compress()
+			}
+			o.Relaxations += ea.Relaxations
+		}
+		o.Blocks[bi] = &BlockAPSP{Sub: sub, Ear: ea}
+	}
+	o.buildLocIndex()
+	stop()
+	stop = ph.Start("forest")
+	o.Forest = BuildForest(bct.BlockCuts, bct.CutBlocks)
+	stop()
+	return o, nil
+}
 
 // buildAPTable computes the a×a articulation point distance table by
 // running Dijkstra from each AP over the "AP graph": one vertex per AP,

@@ -109,10 +109,9 @@ func (ix *locIndex) local(bi, v int32) int32 {
 	return -1
 }
 
-// buildLocIndex (re)derives the oracle's flat vertex index and stamps every
-// block with its ID and a reference to the shared index. Construction,
-// snapshot load, and the structural delta path all call it after the block
-// slice and block-cut tree are final.
+// buildLocIndex derives the oracle's flat vertex index and stamps every
+// block with its ID and a reference to the shared index; assemble calls
+// it once the block slice is final.
 func (o *Oracle) buildLocIndex() {
 	o.loc = newLocIndex(o.BCT, o.Blocks)
 	for bi, blk := range o.Blocks {

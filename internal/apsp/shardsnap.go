@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/bcc"
 	"repro/internal/graph"
 	"repro/internal/snapshot"
 )
@@ -90,33 +89,29 @@ func (o *Oracle) WriteShardSnapshot(w io.Writer, meta ShardMeta, owned []bool) (
 	return sw.WriteTo(w)
 }
 
-// ShardBlocks is the serving state decoded from a shard snapshot: the
-// full graph/partition restructuring shared with the monolith oracle,
-// with ear tables resident only for owned blocks. It answers in-block
-// distance rows (BlockRow) for the internal row RPC; it cannot answer
-// whole-graph queries — stitching across blocks is the frontend's job.
+// ShardBlocks is the serving state decoded from a shard snapshot: an
+// oracle assembled exactly as the monolith's, with ear tables resident
+// only for owned blocks and no AP table. It answers in-block distance
+// rows (BlockRow) for the internal row RPC; it cannot answer whole-graph
+// queries — stitching across blocks is the frontend's job.
 type ShardBlocks struct {
-	meta    ShardMeta
-	g       *graph.Graph
-	dec     *bcc.Decomposition
-	bct     *bcc.BlockCutTree
-	blocks  []*BlockAPSP // Ear nil for blocks this shard does not own
-	owned   []bool
-	ownedN  int
-	compact bool
+	meta   ShardMeta
+	o      *Oracle // Blocks[b].Ear nil for blocks this shard does not own; A absent
+	owned  []bool
+	ownedN int
 }
 
 // Meta returns the shard identity the snapshot was carved under.
 func (s *ShardBlocks) Meta() ShardMeta { return s.meta }
 
 // NumVertices returns the full graph's vertex count.
-func (s *ShardBlocks) NumVertices() int { return s.g.NumVertices() }
+func (s *ShardBlocks) NumVertices() int { return s.o.G.NumVertices() }
 
 // NumEdges returns the full graph's edge count.
-func (s *ShardBlocks) NumEdges() int { return s.g.NumEdges() }
+func (s *ShardBlocks) NumEdges() int { return s.o.G.NumEdges() }
 
 // NumBlocks returns the total block count of the plan (owned or not).
-func (s *ShardBlocks) NumBlocks() int { return len(s.blocks) }
+func (s *ShardBlocks) NumBlocks() int { return len(s.o.Blocks) }
 
 // OwnedBlocks returns how many blocks this shard holds tables for.
 func (s *ShardBlocks) OwnedBlocks() int { return s.ownedN }
@@ -129,10 +124,10 @@ func (s *ShardBlocks) Owned(b int32) bool {
 // BlockLen returns the vertex count of block b (its row length), or 0
 // for an out-of-range block.
 func (s *ShardBlocks) BlockLen(b int32) int {
-	if b < 0 || int(b) >= len(s.blocks) {
+	if b < 0 || int(b) >= len(s.o.Blocks) {
 		return 0
 	}
-	return len(s.blocks[b].Sub.ToParentVertex)
+	return len(s.o.Blocks[b].Sub.ToParentVertex)
 }
 
 // ErrNotOwned reports a BlockRow request for a block whose tables live
@@ -147,13 +142,13 @@ var ErrNotOwned = fmt.Errorf("apsp: block not owned by this shard")
 // QueryParent. The values are the exact bytes the monolith oracle
 // stitches its own rows from.
 func (s *ShardBlocks) BlockRow(b int32, src int32, out []graph.Weight) error {
-	if b < 0 || int(b) >= len(s.blocks) {
-		return fmt.Errorf("apsp: block %d of %d out of range", b, len(s.blocks))
+	if b < 0 || int(b) >= len(s.o.Blocks) {
+		return fmt.Errorf("apsp: block %d of %d out of range", b, len(s.o.Blocks))
 	}
 	if !s.owned[b] {
 		return fmt.Errorf("%w: block %d on shard %d", ErrNotOwned, b, s.meta.Shard)
 	}
-	blk := s.blocks[b]
+	blk := s.o.Blocks[b]
 	if len(out) != len(blk.Sub.ToParentVertex) {
 		return fmt.Errorf("apsp: block %d row has %d vertices, buffer holds %d",
 			b, len(blk.Sub.ToParentVertex), len(out))
@@ -201,29 +196,9 @@ func ReadShardSnapshot(r io.Reader) (s *ShardBlocks, err error) {
 		return nil, snapshot.Corruptf("apsp: shard %d of %d out of range", meta.Shard, meta.NumShards)
 	}
 
-	gd, err := sr.Section("graph")
+	g, dec, bct, err := decodeStructure(sr, n, numBlocks, numA)
 	if err != nil {
 		return nil, err
-	}
-	g, err := graph.DecodeSnapshot(gd)
-	if err != nil {
-		return nil, err
-	}
-	if err := gd.Finish(); err != nil {
-		return nil, err
-	}
-	if uint64(g.NumVertices()) != n {
-		return nil, snapshot.Corruptf("apsp: shard meta says %d vertices, graph has %d", n, g.NumVertices())
-	}
-
-	dec, err := decodeDecomposition(sr, g, numBlocks)
-	if err != nil {
-		return nil, err
-	}
-	bct := bcc.BuildBlockCutTree(g, dec)
-	if uint64(len(bct.CutVertices)) != numA {
-		return nil, snapshot.Corruptf("apsp: shard meta says %d articulation points, partition yields %d",
-			numA, len(bct.CutVertices))
 	}
 
 	od, err := sr.Section("owned")
@@ -241,37 +216,27 @@ func ReadShardSnapshot(r io.Reader) (s *ShardBlocks, err error) {
 		return nil, err
 	}
 
-	s = &ShardBlocks{
-		meta: meta, g: g, dec: dec, bct: bct,
-		owned: owned, compact: flags&metaFlagCompact != 0,
-	}
+	s = &ShardBlocks{meta: meta, owned: owned}
 	bd, err := sr.Section("blocks")
 	if err != nil {
 		return nil, err
 	}
-	subs := dec.Subgraphs(g)
-	s.blocks = make([]*BlockAPSP, len(subs))
-	for bi, sub := range subs {
-		blk := &BlockAPSP{Sub: sub}
-		s.blocks[bi] = blk
+	// Unowned blocks are assembled too, just not resident: the shared
+	// vertex index spans every block, because BlockRow needs src lookup to
+	// mirror QueryParent exactly.
+	compact := flags&metaFlagCompact != 0
+	s.o, err = assemble(g, dec, bct, compact, nil, func(bi int, sub *graph.Subgraph) (*EarAPSP, error) {
 		if !owned[bi] {
-			continue
+			return nil, nil
 		}
 		s.ownedN++
-		if blk.Ear, err = decodeBlock(bd, sub, s.compact, bi); err != nil {
-			return nil, err
-		}
+		return decodeBlock(bd, sub, compact, bi)
+	})
+	if err != nil {
+		return nil, err
 	}
 	if err := bd.Finish(); err != nil {
 		return nil, err
-	}
-	// The shared flat vertex index spans every block (unowned blocks still
-	// resolve membership — BlockRow needs src lookup to mirror QueryParent
-	// exactly), built by the same code the monolith uses.
-	loc := newLocIndex(bct, s.blocks)
-	for bi, blk := range s.blocks {
-		blk.bi = int32(bi)
-		blk.loc = loc
 	}
 	return s, nil
 }

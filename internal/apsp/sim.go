@@ -17,16 +17,14 @@ import (
 // kernel on the GPU side. It returns the oracle and the virtual schedule.
 func NewOracleSim(g *graph.Graph, devices []*hetero.Device) (*Oracle, *hetero.Schedule) {
 	dec := bcc.Compute(g)
-	bct := bcc.BuildBlockCutTree(g, dec)
-	o := &Oracle{G: g, Dec: dec, BCT: bct, numA: len(bct.CutVertices)}
-	subs := dec.Subgraphs(g)
-	o.Blocks = make([]*BlockAPSP, len(subs))
-	units := make([]hetero.Unit, len(subs))
-	for i, sub := range subs {
-		blk := &BlockAPSP{Sub: sub}
-		o.Blocks[i] = blk
+	// Assembled with no block resident: the schedule, not block order,
+	// decides when (and on which device) each block's tables get built.
+	o, _ := assemble(g, dec, bcc.BuildBlockCutTree(g, dec), false, nil,
+		func(int, *graph.Subgraph) (*EarAPSP, error) { return nil, nil })
+	units := make([]hetero.Unit, len(o.Blocks))
+	for i, blk := range o.Blocks {
 		// Unit size: the block's edge count, the paper's sorting key.
-		units[i] = hetero.Unit{ID: int32(i), Size: int64(sub.G.NumEdges())}
+		units[i] = hetero.Unit{ID: int32(i), Size: int64(blk.Sub.G.NumEdges())}
 	}
 	sched := hetero.Run(units, devices, func(u hetero.Unit, d *hetero.Device) hetero.Cost {
 		blk := o.Blocks[u.ID]
@@ -41,8 +39,6 @@ func NewOracleSim(g *graph.Graph, devices []*hetero.Device) (*Oracle, *hetero.Sc
 	for _, blk := range o.Blocks {
 		o.Relaxations += blk.Ear.Relaxations
 	}
-	o.buildLocIndex()
-	o.buildForest()
 	o.buildAPTable()
 	return o, sched
 }
@@ -69,11 +65,9 @@ func (a *EarAPSP) PostProcessSim(devices []*hetero.Device) *hetero.Schedule {
 // kernel (Harish–Narayanan frontier relaxation) instead of heap Dijkstra,
 // recording the total sweep count for launch accounting.
 func newEarAPSPFrontier(g *graph.Graph) *EarAPSP {
-	red := reduceForAPSP(g)
-	a := &EarAPSP{G: g, Red: red, nr: red.R.NumVertices()}
-	a.SR = make([]graph.Weight, a.nr*a.nr)
+	a := newEarAPSP(g, nil)
 	for s := 0; s < a.nr; s++ {
-		res, sweeps := sssp.FrontierSweeps(red.R, int32(s))
+		res, sweeps := sssp.FrontierSweeps(a.Red.R, int32(s))
 		copy(a.SR[s*a.nr:(s+1)*a.nr], res.Dist)
 		a.Relaxations += res.Relaxations
 		a.sweeps += sweeps

@@ -153,44 +153,46 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 		return nil, snapshot.Corruptf("apsp: unknown meta flags %#x", flags)
 	}
 
-	gd, err := sr.Section("graph")
+	g, dec, bct, err := decodeStructure(sr, n, numBlocks, numA)
 	if err != nil {
 		return nil, err
 	}
-	g, err := graph.DecodeSnapshot(gd)
+	bd, err := sr.Section("blocks")
 	if err != nil {
 		return nil, err
 	}
-	if err := gd.Finish(); err != nil {
-		return nil, err
-	}
-	if uint64(g.NumVertices()) != n {
-		return nil, snapshot.Corruptf("apsp: meta says %d vertices, graph has %d", n, g.NumVertices())
-	}
-
-	dec, err := decodeDecomposition(sr, g, numBlocks)
+	compact := flags&metaFlagCompact != 0
+	o, err = assemble(g, dec, bct, compact, nil, func(bi int, sub *graph.Subgraph) (*EarAPSP, error) {
+		ea, err := decodeBlock(bd, sub, compact, bi)
+		if err != nil {
+			return nil, err
+		}
+		ea.Relaxations = bd.I64()
+		sweeps := bd.U64()
+		if err := bd.Err(); err != nil {
+			return nil, err
+		}
+		if sweeps > 1<<40 {
+			return nil, snapshot.Corruptf("apsp: block %d sweep count %d", bi, sweeps)
+		}
+		ea.sweeps = int(sweeps)
+		return ea, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	// The block-cut tree and per-block subgraphs are deterministic
-	// restructurings of (g, dec) — same code path as construction.
-	bct := bcc.BuildBlockCutTree(g, dec)
-	if uint64(len(bct.CutVertices)) != numA {
-		return nil, snapshot.Corruptf("apsp: meta says %d articulation points, partition yields %d",
-			numA, len(bct.CutVertices))
-	}
-	o = &Oracle{
-		G: g, Dec: dec, BCT: bct, numA: int(numA),
-		compact:     flags&metaFlagCompact != 0,
-		Relaxations: relax,
-		BuildPhases: &obs.Phases{},
-	}
-
-	if err := o.decodeBlocks(sr); err != nil {
+	if err := bd.Finish(); err != nil {
 		return nil, err
 	}
-	o.buildForest()
-	if err := o.decodeAPTable(sr); err != nil {
+	o.Relaxations = relax // the stored total also covers the AP table's Dijkstras
+	ad, err := sr.Section("aptable")
+	if err != nil {
+		return nil, err
+	}
+	if o.A, o.a32, err = DecodeTable(ad, compact, o.numA*o.numA, "AP table"); err != nil {
+		return nil, err
+	}
+	if err := ad.Finish(); err != nil {
 		return nil, err
 	}
 	// A delta-chain snapshot replays its ordered records on top of the
@@ -266,6 +268,38 @@ func decodeBlock(bd *snapshot.Decoder, sub *graph.Subgraph, compact bool, bi int
 	return ea, err
 }
 
+// decodeStructure reads what an oracle snapshot and a shard snapshot both
+// store of the structure — the graph and the BCC edge partition —
+// rebuilds the block-cut tree with the code construction uses, and holds
+// the three against the meta section's vertex, block and articulation
+// point counts.
+func decodeStructure(sr *snapshot.Reader, n, numBlocks, numA uint64) (*graph.Graph, *bcc.Decomposition, *bcc.BlockCutTree, error) {
+	gd, err := sr.Section("graph")
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	g, err := graph.DecodeSnapshot(gd)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if err := gd.Finish(); err != nil {
+		return nil, nil, nil, err
+	}
+	if uint64(g.NumVertices()) != n {
+		return nil, nil, nil, snapshot.Corruptf("apsp: meta says %d vertices, graph has %d", n, g.NumVertices())
+	}
+	dec, err := decodeDecomposition(sr, g, numBlocks)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	bct := bcc.BuildBlockCutTree(g, dec)
+	if uint64(len(bct.CutVertices)) != numA {
+		return nil, nil, nil, snapshot.Corruptf("apsp: meta says %d articulation points, partition yields %d",
+			numA, len(bct.CutVertices))
+	}
+	return g, dec, bct, nil
+}
+
 // decodeDecomposition reads the BCC section and checks it is a genuine
 // edge partition: every edge of g in exactly one component.
 func decodeDecomposition(sr *snapshot.Reader, g *graph.Graph, numBlocks uint64) (*bcc.Decomposition, error) {
@@ -313,46 +347,4 @@ func decodeDecomposition(sr *snapshot.Reader, g *graph.Graph, numBlocks uint64) 
 			len(dec.IsArticulation), g.NumVertices())
 	}
 	return dec, bd.Finish()
-}
-
-// decodeBlocks reads each block's ear reduction and S^r table, rebuilding
-// the subgraphs from the already-validated edge partition and the shared
-// flat vertex index at the end.
-func (o *Oracle) decodeBlocks(sr *snapshot.Reader) error {
-	bd, err := sr.Section("blocks")
-	if err != nil {
-		return err
-	}
-	subs := o.Dec.Subgraphs(o.G)
-	o.Blocks = make([]*BlockAPSP, len(subs))
-	for bi, sub := range subs {
-		ea, err := decodeBlock(bd, sub, o.compact, bi)
-		if err != nil {
-			return err
-		}
-		ea.Relaxations = bd.I64()
-		sweeps := bd.U64()
-		if err := bd.Err(); err != nil {
-			return err
-		}
-		if sweeps > 1<<40 {
-			return snapshot.Corruptf("apsp: block %d sweep count %d", bi, sweeps)
-		}
-		ea.sweeps = int(sweeps)
-		o.Blocks[bi] = &BlockAPSP{Sub: sub, Ear: ea}
-	}
-	o.buildLocIndex()
-	return bd.Finish()
-}
-
-// decodeAPTable reads the articulation table.
-func (o *Oracle) decodeAPTable(sr *snapshot.Reader) error {
-	ad, err := sr.Section("aptable")
-	if err != nil {
-		return err
-	}
-	if o.A, o.a32, err = DecodeTable(ad, o.compact, o.numA*o.numA, "AP table"); err != nil {
-		return err
-	}
-	return ad.Finish()
 }

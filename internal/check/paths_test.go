@@ -1,13 +1,17 @@
 package check
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/apsp"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/hetero"
 )
 
 // floatWeights rewrites every edge weight of g to a 0.1-step decimal in
@@ -51,7 +55,97 @@ func TestPathsCorpus(t *testing.T) {
 		if err := Paths(ng.G); err != nil {
 			t.Errorf("%s: %v", ng.Name, err)
 		}
+		if err := oneAssembly(ng.G); err != nil {
+			t.Errorf("%s: %v", ng.Name, err)
+		}
 	}
+}
+
+// tableBits reads every stored distance of o through its exported
+// surface, in a fixed order: A in its stored precision, then each block's
+// S^r over reduced-vertex pairs (Ear.Query on two kept vertices is the
+// S^r entry itself, widened exactly when the table is float32).
+func tableBits(o *apsp.Oracle) []uint64 {
+	v := o.StitchView()
+	var bits []uint64
+	for _, d := range v.A {
+		bits = append(bits, math.Float64bits(d))
+	}
+	for _, d := range v.A32 {
+		bits = append(bits, uint64(math.Float32bits(d)))
+	}
+	for _, blk := range o.Blocks {
+		kept := blk.Ear.Red.KeptToOrig
+		for _, x := range kept {
+			for _, y := range kept {
+				bits = append(bits, math.Float64bits(blk.Ear.Query(x, y)))
+			}
+		}
+	}
+	return bits
+}
+
+// oneAssembly holds every way an oracle of g comes to exist to one
+// result: sequential, parallel, simulated, loaded, and delta-built
+// through a script that changes nothing (same-weight reweight: the cheap
+// path; insert-then-delete of one edge: the structural path) must all
+// pass CheckInvariants and carry A and every S^r bit-for-bit equal to the
+// plain build's — compact oracles compared with the compact build — and
+// the Banerjee oracle, same assembly over unreduced blocks, must agree on
+// every Query.
+func oneAssembly(g *graph.Graph) error {
+	ctx := context.Background()
+	n, m := int32(g.NumVertices()), int32(g.NumEdges())
+	for _, compact := range []bool{false, true} {
+		built, err := apsp.NewOracleOpts(ctx, g, apsp.Options{Compact32: compact})
+		if err != nil {
+			return err
+		}
+		var buf bytes.Buffer
+		if _, err := built.WriteTo(&buf); err != nil {
+			return err
+		}
+		loaded, err := apsp.ReadOracle(&buf)
+		if err != nil {
+			return err
+		}
+		made := map[string]*apsp.Oracle{"built": built, "loaded": loaded}
+		if !compact {
+			made["sequential"] = apsp.NewOracle(g)
+			made["parallel"] = apsp.NewOracleParallel(g, 4)
+			made["sim"], _ = apsp.NewOracleSim(g, []*hetero.Device{hetero.MulticoreCPU(), hetero.TeslaK40c()})
+		}
+		if m > 0 {
+			same := []apsp.Delta{{Kind: apsp.DeltaWeight, Edge: m / 2, W: g.Edge(m / 2).W}}
+			if made["reweighted"], _, err = built.ApplyDelta(ctx, same); err != nil {
+				return err
+			}
+			undo := []apsp.Delta{{Kind: apsp.DeltaInsert, U: 0, V: n - 1, W: 2.5}, {Kind: apsp.DeltaDelete, Edge: m}}
+			if made["insert+delete"], _, err = built.ApplyDelta(ctx, undo); err != nil {
+				return err
+			}
+		}
+		want := tableBits(built)
+		for name, o := range made {
+			if err := o.CheckInvariants(); err != nil {
+				return fmt.Errorf("compact=%v, %s: %v", compact, name, err)
+			}
+			if got := tableBits(o); !slices.Equal(got, want) {
+				return fmt.Errorf("compact=%v, %s: tables differ from the plain build's", compact, name)
+			}
+		}
+		if !compact {
+			ban := apsp.NewBanerjee(g, 2)
+			for u := int32(0); u < n; u++ {
+				for v := int32(0); v < n; v++ {
+					if a, b := built.Query(u, v), ban.Query(u, v); a != b {
+						return fmt.Errorf("banerjee d(%d,%d) = %v, oracle %v", u, v, b, a)
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 func TestPathsCorpusFloatWeights(t *testing.T) {

@@ -8,19 +8,17 @@ import (
 )
 
 // ShardFlags registers the fan-out tuning flags of a sharded frontend
-// (-shard-retries, -shard-retry-backoff, -shard-hedge-after,
-// -shard-probe-interval) on the default flag set and returns a function
-// that resolves them into a partial shard.SourceConfig after flag.Parse —
-// the caller fills in Plan, Addrs, and Reg. Centralised here for the same
-// reason as EngineFlags: every daemon that embeds the fan-out source gets
-// identical flag names, defaults, and help text.
+// (-shard-retries, -shard-retry-backoff, -shard-probe-interval) on the
+// default flag set and returns a function that resolves them into a
+// partial shard.SourceConfig after flag.Parse — the caller fills in Plan,
+// Addrs, and Reg. Centralised here for the same reason as EngineFlags:
+// every daemon that embeds the fan-out source gets identical flag names,
+// defaults, and help text.
 func ShardFlags() func() shard.SourceConfig {
 	retries := flag.Int("shard-retries", 2,
 		"retries after a failed shard fetch before the row errors (negative disables retries)")
 	backoff := flag.Duration("shard-retry-backoff", 50*time.Millisecond,
 		"sleep before the first shard retry, doubling per retry")
-	hedge := flag.Duration("shard-hedge-after", 0,
-		"launch one duplicate shard request after this much silence (0 disables hedged reads)")
 	probe := flag.Duration("shard-probe-interval", 2*time.Second,
 		"active shard health-probe interval (0 relies on fetch outcomes only)")
 	return func() shard.SourceConfig {
@@ -34,7 +32,6 @@ func ShardFlags() func() shard.SourceConfig {
 		return shard.SourceConfig{
 			MaxRetries:    r,
 			RetryBackoff:  *backoff,
-			HedgeAfter:    *hedge,
 			ProbeInterval: *probe,
 		}
 	}

@@ -30,9 +30,9 @@ func (m *Manager) resultsPath(id string) string { return filepath.Join(m.cfg.Dir
 
 // persist atomically replaces j's job file with its current state. extra,
 // when non-nil, writes additional sections (the bc accumulation) into the
-// same container. The write is tmp + fsync + rename, the same torn-write
-// discipline as registry.Register: a crash leaves either the previous
-// checkpoint or the new one, never a partial file.
+// same container. The write goes through snapshot.WriteFile (tmp + fsync
+// + rename), like every other published file: a crash leaves either the
+// previous checkpoint or the new one, never a partial file.
 //
 // persist is called by the runner between chunks and by Submit/Cancel
 // before the job is dispatched; the scheduler guarantees those callers
@@ -64,23 +64,10 @@ func (m *Manager) persist(j *Job, extra func(w *snapshot.Writer)) error {
 		extra(w)
 	}
 
-	tmp, err := os.CreateTemp(m.cfg.Dir, j.id+".*.tmp")
-	if err != nil {
-		return fmt.Errorf("jobs: checkpoint %s: %w", j.id, err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename
-	if _, err := w.WriteTo(tmp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("jobs: checkpoint %s: %w", j.id, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("jobs: checkpoint %s: %w", j.id, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("jobs: checkpoint %s: %w", j.id, err)
-	}
-	if err := os.Rename(tmp.Name(), m.jobPath(j.id)); err != nil {
+	if err := snapshot.WriteFile(m.jobPath(j.id), func(f *os.File) error {
+		_, err := w.WriteTo(f)
+		return err
+	}); err != nil {
 		return fmt.Errorf("jobs: checkpoint %s: %w", j.id, err)
 	}
 	j.mu.Lock()

@@ -146,8 +146,12 @@ type Phases struct {
 	dur   map[string]time.Duration
 }
 
-// Record adds d under name.
+// Record adds d under name. A nil Phases records nothing, so code that
+// only sometimes runs under a timer takes a *Phases without branching.
 func (p *Phases) Record(name string, d time.Duration) {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.dur == nil {

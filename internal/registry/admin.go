@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/apsp"
 	"repro/internal/obs"
+	"repro/internal/snapshot"
 )
 
 // GraphInfo is one graph's row in List: its lifecycle state and, when
@@ -111,11 +112,12 @@ func (r *Registry) StatsView(name string) *obs.Registry {
 
 // Register installs (or replaces) name's snapshot from src: the bytes
 // stream into a temporary file in the snapshot directory, decode-validate
-// as a full oracle snapshot, and only then rename atomically into place —
-// a concurrent hydration reads either the old complete file or the new
-// one, never a torn write. Any resident entry for name is retired (its
-// in-flight requests drain on the old oracle), so the next Acquire
-// hydrates the new snapshot. Returns the validated oracle's dimensions.
+// as a full oracle snapshot, and only then are fsynced and renamed into
+// place (snapshot.WriteFile) — a concurrent hydration, or one after a
+// crash, reads either the old complete file or the new one, never a torn
+// write. Any resident entry for name is retired (its in-flight requests
+// drain on the old oracle), so the next Acquire hydrates the new
+// snapshot. Returns the validated oracle's dimensions.
 func (r *Registry) Register(name string, src io.Reader) (vertices, edges int, err error) {
 	if !ValidName(name) {
 		return 0, 0, fmt.Errorf("registry: %q: %w", name, ErrBadName)
@@ -123,31 +125,23 @@ func (r *Registry) Register(name string, src io.Reader) (vertices, edges int, er
 	if r.dir == "" {
 		return 0, 0, ErrReadOnly
 	}
-	tmp, err := os.CreateTemp(r.dir, name+".*.tmp")
-	if err != nil {
-		return 0, 0, fmt.Errorf("registry: register %q: %w", name, err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after the rename
-	if _, err := io.Copy(tmp, src); err != nil {
-		tmp.Close()
-		return 0, 0, fmt.Errorf("registry: register %q: %w", name, err)
-	}
-	// Validate before admitting: a snapshot that does not decode must
-	// never enter the directory, or every future hydration of the name
-	// would fail at query time instead of upload time.
-	if _, err := tmp.Seek(0, io.SeekStart); err != nil {
-		tmp.Close()
-		return 0, 0, fmt.Errorf("registry: register %q: %w", name, err)
-	}
-	o, err := apsp.ReadOracle(tmp)
-	if err != nil {
-		tmp.Close()
-		return 0, 0, fmt.Errorf("registry: register %q: %w: %v", name, ErrBadSnapshot, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, 0, fmt.Errorf("registry: register %q: %w", name, err)
-	}
-	if err := os.Rename(tmp.Name(), r.snapPath(name)); err != nil {
+	var o *apsp.Oracle
+	if err := snapshot.WriteFile(r.snapPath(name), func(tmp *os.File) error {
+		if _, err := io.Copy(tmp, src); err != nil {
+			return err
+		}
+		// Validate before admitting: a snapshot that does not decode must
+		// never enter the directory, or every future hydration of the name
+		// would fail at query time instead of upload time.
+		if _, err := tmp.Seek(0, io.SeekStart); err != nil {
+			return err
+		}
+		var derr error
+		if o, derr = apsp.ReadOracle(tmp); derr != nil {
+			return fmt.Errorf("%w: %v", ErrBadSnapshot, derr)
+		}
+		return nil
+	}); err != nil {
 		return 0, 0, fmt.Errorf("registry: register %q: %w", name, err)
 	}
 

@@ -24,7 +24,7 @@
 // Registries are safe for concurrent use. The reserved name "default"
 // carries the single-graph compatibility surface: a daemon serving one
 // graph registers it as a pinned static entry under DefaultGraph, and
-// every legacy route resolves to it.
+// every unnamed /v1 route resolves to it.
 package registry
 
 import (

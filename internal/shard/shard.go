@@ -30,8 +30,8 @@
 //   - RemoteSource is the frontend's fan-out qe.CtxRowSource: it runs
 //     apsp's stitch kernel — the same code behind the monolith's Row —
 //     over the plan, supplying block rows from shard owners over HTTP
-//     (bounded retries with backoff, hedged reads, per-shard health), and
-//     surfaces outages as typed errors instead of wrong answers.
+//     (bounded retries with backoff, per-shard health), and surfaces
+//     outages as typed errors instead of wrong answers.
 package shard
 
 import (

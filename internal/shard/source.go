@@ -34,10 +34,6 @@ type SourceConfig struct {
 	// RetryBackoff is the sleep before the first retry, doubling per
 	// retry (default 50ms).
 	RetryBackoff time.Duration
-	// HedgeAfter launches one duplicate request if the first has not
-	// answered within this duration — tail-latency insurance against a
-	// slow shard. 0 disables hedging.
-	HedgeAfter time.Duration
 	// ProbeInterval enables an active health prober hitting each shard's
 	// /internal/health at this interval. 0 relies on passive marking
 	// (fetch outcomes) only.
@@ -93,12 +89,10 @@ type RemoteSource struct {
 	client     *http.Client
 	maxRetries int
 	backoff    time.Duration
-	hedgeAfter time.Duration
 	shards     []*shardState
 
 	reqs     *obs.Counter
 	retries  *obs.Counter
-	hedges   *obs.Counter
 	errTotal *obs.Counter
 	fetched  *obs.Counter
 	stitched *obs.Counter
@@ -142,10 +136,8 @@ func NewRemoteSource(cfg SourceConfig) (*RemoteSource, error) {
 		client:     client,
 		maxRetries: maxRetries,
 		backoff:    backoff,
-		hedgeAfter: cfg.HedgeAfter,
 		reqs:       reg.Counter("shard.rpc.requests"),
 		retries:    reg.Counter("shard.rpc.retries"),
-		hedges:     reg.Counter("shard.rpc.hedges"),
 		errTotal:   reg.Counter("shard.rpc.errors"),
 		fetched:    reg.Counter("shard.rows.fetched"),
 		stitched:   reg.Counter("shard.rows.stitched"),
@@ -358,7 +350,7 @@ func (s *RemoteSource) fetchRows(ctx context.Context, sid int32, reqs [][2]int32
 			case <-t.C:
 			}
 		}
-		rows, err := s.attemptHedged(ctx, st, body, reqs, lens)
+		rows, err := s.doRPC(ctx, st, body, reqs, lens)
 		if err == nil {
 			st.markOK()
 			s.fetched.Add(int64(len(reqs)))
@@ -381,50 +373,6 @@ func (s *RemoteSource) fetchRows(ctx context.Context, sid int32, reqs [][2]int32
 	}
 	return nil, &Error{Shard: sid, Addr: st.addr,
 		Err: fmt.Errorf("%w (%d attempts): %v", ErrShardUnavailable, s.maxRetries+1, lastErr)}
-}
-
-// attemptHedged runs one fetch attempt, optionally racing a duplicate
-// request launched after hedgeAfter of silence; the first success wins
-// and the loser is cancelled.
-func (s *RemoteSource) attemptHedged(ctx context.Context, st *shardState, body []byte, reqs [][2]int32, lens []int) ([][]graph.Weight, error) {
-	if s.hedgeAfter <= 0 {
-		return s.doRPC(ctx, st, body, reqs, lens)
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		rows [][]graph.Weight
-		err  error
-	}
-	ch := make(chan result, 2)
-	run := func() {
-		rows, err := s.doRPC(cctx, st, body, reqs, lens)
-		ch <- result{rows, err}
-	}
-	go run()
-	pending := 1
-	hedged := false
-	timer := time.NewTimer(s.hedgeAfter)
-	defer timer.Stop()
-	var lastErr error
-	for pending > 0 {
-		select {
-		case r := <-ch:
-			pending--
-			if r.err == nil {
-				return r.rows, nil
-			}
-			lastErr = r.err
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				s.hedges.Inc()
-				pending++
-				go run()
-			}
-		}
-	}
-	return nil, lastErr
 }
 
 // doRPC performs one HTTP exchange with a shard and decodes/validates

@@ -326,55 +326,6 @@ func TestRetryRecovers(t *testing.T) {
 	}
 }
 
-// TestHedgedRead: when the first request stalls, the hedge fires and the
-// row completes without waiting for the stuck primary.
-func TestHedgedRead(t *testing.T) {
-	cfg := gen.Config{MaxWeight: 7}
-	rng := gen.NewRNG(0x1dea)
-	g := gen.Theta([]int{2, 3, 4}, cfg, rng)
-	stall := make(chan struct{})
-	var first atomic.Bool
-	first.Store(true)
-	c := newCluster(t, g, 1, clusterOpts{
-		wrap: func(i int, h http.Handler) http.Handler {
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == "/internal/rows" && first.CompareAndSwap(true, false) {
-					<-stall
-				}
-				h.ServeHTTP(w, r)
-			})
-		},
-		sourceMod: func(cfg *SourceConfig) { cfg.HedgeAfter = 5 * time.Millisecond },
-	})
-	defer close(stall) // unblock the stuck primary so server Close can finish
-
-	n := c.plan.NumVertices
-	want := make([]graph.Weight, n)
-	got := make([]graph.Weight, n)
-	c.o.Row(1, want)
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.src.RowCtx(context.Background(), 1, got)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("hedged RowCtx: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("hedged read never completed")
-	}
-	for v := 0; v < n; v++ {
-		if got[v] != want[v] {
-			t.Fatalf("d(1,%d) = %v, monolith %v", v, got[v], want[v])
-		}
-	}
-	if c.reg.Counter("shard.rpc.hedges").Value() == 0 {
-		t.Fatal("no hedge recorded")
-	}
-}
-
 // TestProbeMarksHealth: the active prober flips a killed shard to
 // unhealthy without any query traffic.
 func TestProbeMarksHealth(t *testing.T) {

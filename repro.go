@@ -173,17 +173,13 @@ func WriteOracle(w io.Writer, o *APSPOracle) (int64, error) { return o.WriteTo(w
 // re-computation of any build phase.
 func ReadOracle(r io.Reader) (*APSPOracle, error) { return apsp.ReadOracle(r) }
 
-// SaveOracle writes the oracle snapshot to a file.
+// SaveOracle writes the oracle snapshot to a file, durably and
+// atomically: path holds the old complete snapshot or the new one.
 func SaveOracle(path string, o *APSPOracle) error {
-	f, err := os.Create(path)
-	if err != nil {
+	return snapshot.WriteFile(path, func(f *os.File) error {
+		_, err := o.WriteTo(f)
 		return err
-	}
-	if _, err := o.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	})
 }
 
 // LoadOracle restores an oracle from a snapshot file written by
@@ -339,7 +335,7 @@ type (
 	// except Shards is usable.
 	ShardPlanOptions = shard.PlanOptions
 	// ShardSourceConfig configures NewRemoteRowSource: the plan, one
-	// address per shard, and retry/hedging/probing knobs.
+	// address per shard, and retry/probing knobs.
 	ShardSourceConfig = shard.SourceConfig
 	// RemoteRowSource is the frontend's fan-out RowSource: it fetches
 	// block rows from their owning shard daemons — every reached block
