@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/apsp"
 	"repro/internal/bc"
+	"repro/internal/bcc"
 	"repro/internal/datasets"
 	"repro/internal/ds"
 	"repro/internal/ear"
@@ -420,6 +421,37 @@ func BenchmarkSSSPHeap(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sssp.DistancesOnly(r, int32(i%r.NumVertices()), dist, sc)
 	}
+}
+
+// BenchmarkDistancesOnly is the build's inner loop on the instance the
+// `build` workload spends its time in: per-source Dijkstra on the reduced
+// graph G^r of the largest block of blocks_m (cond_mat_2003 at scale 0.08),
+// with a warm Scratch. It reports ns per relaxation and must not allocate.
+func BenchmarkDistancesOnly(b *testing.B) {
+	spec, err := datasets.ByName("cond_mat_2003")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := spec.Generate(0.08, 1)
+	dec := bcc.Compute(g)
+	largest := 0
+	for i, c := range dec.Components {
+		if len(c) > len(dec.Components[largest]) {
+			largest = i
+		}
+	}
+	r := ear.Reduce(graph.InducedByEdges(g, dec.Components[largest]).G, ear.APSP).R
+	n := r.NumVertices()
+	sc := sssp.NewScratch(n)
+	dist := make([]graph.Weight, n)
+	sssp.DistancesOnly(r, 0, dist, sc)
+	var relax int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		relax += sssp.DistancesOnly(r, int32(i%n), dist, sc)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(relax), "ns/relax")
 }
 
 func BenchmarkSSSPDial(b *testing.B) {

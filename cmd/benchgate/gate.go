@@ -45,9 +45,10 @@ type testEvent struct {
 
 // benchLine matches a benchmark result line as printed by the testing
 // package: name, iterations, ns/op, and (with -benchmem or ReportAllocs)
-// B/op and allocs/op.
+// B/op and allocs/op. Metrics a benchmark reports itself (b.ReportMetric,
+// SetBytes' MB/s) are printed between ns/op and B/op and are skipped.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
+	`^(Benchmark\S+)\s+\d+\s+([0-9.]+) ns/op(?:(?:\s+[0-9.e+-]+ \S+)*?\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
 
 // nameSuffix strips the -<GOMAXPROCS> suffix the harness appends.
 var nameSuffix = regexp.MustCompile(`-\d+$`)

@@ -21,14 +21,15 @@ func TestParseBenchJSON(t *testing.T) {
 		"BenchmarkQEQueryWarm-8 \t 2000\t 110.6 ns/op\t 0 B/op\t 0 allocs/op",
 		"BenchmarkQEBatchWarm \t 2000\t 15819 ns/op\t 34561 B/op\t 2 allocs/op",
 		"BenchmarkQERowBuild-4 \t 300\t 11744 ns/op", // no -benchmem columns
+		"BenchmarkDistancesOnly-2 \t 100\t 137928 ns/op\t 9.861 ns/relax\t 1.2e+03 MB/s\t 16 B/op\t 3 allocs/op",
 		"ok  \trepro/internal/qe\t0.2s",
 	)
 	got, err := parseBench(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 3 {
-		t.Fatalf("parsed %d results, want 3: %+v", len(got), got)
+	if len(got) != 4 {
+		t.Fatalf("parsed %d results, want 4: %+v", len(got), got)
 	}
 	if got[0].Name != "BenchmarkQEQueryWarm" || got[0].AllocsOp != 0 || !got[0].hasAlloc {
 		t.Fatalf("result 0: %+v", got[0])
@@ -38,6 +39,9 @@ func TestParseBenchJSON(t *testing.T) {
 	}
 	if got[2].Name != "BenchmarkQERowBuild" || got[2].hasAlloc {
 		t.Fatalf("result 2 should lack alloc columns: %+v", got[2])
+	}
+	if got[3].Name != "BenchmarkDistancesOnly" || got[3].NsOp != 137928 || got[3].AllocsOp != 3 || !got[3].hasAlloc {
+		t.Fatalf("result 3 (metrics of its own before B/op): %+v", got[3])
 	}
 }
 

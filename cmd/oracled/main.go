@@ -63,6 +63,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -434,6 +435,12 @@ func newHTTPServer(h http.Handler) *http.Server {
 // down gracefully: the listener closes immediately, in-flight requests get
 // up to drain to finish.
 func serve(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Duration) error {
+	// Boot's garbage — a snapshot's file image, a build's scratch — is dead
+	// by now, in every boot mode. Collecting it here sets the serving heap
+	// goal from what stays resident; left alone, the goal is twice whatever
+	// the last collection during boot found live (a file image plus
+	// half-decoded tables, say), and the daemon's peak RSS follows it.
+	runtime.GC()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

@@ -12,10 +12,10 @@ import (
 )
 
 // sealShard hand-writes a shard snapshot the way WriteShardSnapshot does,
-// except that the ownership vector stored and the set of blocks whose
-// tables are encoded are the caller's — checksum-valid containers a real
+// except that the owned section (written by the caller's function) and
+// the set of blocks whose tables are encoded are the caller's — checksum-valid containers a real
 // planner never emits.
-func sealShard(t testing.TB, o *Oracle, owned, encoded []bool) []byte {
+func sealShard(t testing.TB, o *Oracle, owned func(*snapshot.Encoder), encoded []bool) []byte {
 	t.Helper()
 	sw := snapshot.NewWriter()
 	md := sw.Section("meta")
@@ -29,7 +29,7 @@ func sealShard(t testing.TB, o *Oracle, owned, encoded []bool) []byte {
 	md.U32(0)
 	o.G.EncodeSnapshot(sw.Section("graph"))
 	o.encodeDecomposition(sw.Section("bcc"))
-	sw.Section("owned").Bools(owned)
+	owned(sw.Section("owned"))
 	bl := sw.Section("blocks")
 	for bi, blk := range o.Blocks {
 		if encoded[bi] {
@@ -82,10 +82,16 @@ func FuzzReadShardSnapshot(f *testing.F) {
 	}
 	first := make([]bool, len(o.Blocks))
 	first[0] = true
+	flags := func(s []bool) func(*snapshot.Encoder) {
+		return func(e *snapshot.Encoder) { e.Bools(s) }
+	}
 	for _, hostile := range [][]byte{
-		sealShard(f, o, all[1:], all), // ownership vector one flag short
-		sealShard(f, o, all, first),   // claims every block, encodes one
-		sealShard(f, o, first, all),   // claims one block, encodes every
+		sealShard(f, o, flags(all[1:]), all), // ownership vector one flag short
+		sealShard(f, o, flags(all), first),   // claims every block, encodes one
+		sealShard(f, o, flags(first), all),   // claims one block, encodes every
+		// A flag count whose rounding to bytes wraps to 0 (see the same
+		// seed in hostileSnapshots).
+		sealShard(f, o, func(e *snapshot.Encoder) { e.U64(^uint64(0)) }, all),
 	} {
 		if _, err := ReadShardSnapshot(bytes.NewReader(hostile)); !errors.Is(err, snapshot.ErrCorrupt) {
 			f.Fatalf("hostile seed accepted: err = %v", err)

@@ -141,10 +141,11 @@ func TestSnapshotCorruptionTyped(t *testing.T) {
 }
 
 // sealOracle hand-writes an oracle snapshot the way writeSnapshot does,
-// except for the meta flags word, the aptable payload and any extra
-// sections, which the caller supplies — the hostile seeds of
-// FuzzReadOracle are checksum-valid containers a real writer never emits.
-func sealOracle(t testing.TB, o *Oracle, flags uint32, apTable func(*snapshot.Encoder), extra func(*snapshot.Writer)) []byte {
+// except for the meta flags word, the aptable payload, any extra sections
+// and (when decomp is non-nil) the bcc payload, which the caller supplies —
+// the hostile seeds of FuzzReadOracle are checksum-valid containers a real
+// writer never emits.
+func sealOracle(t testing.TB, o *Oracle, flags uint32, apTable func(*snapshot.Encoder), extra func(*snapshot.Writer), decomp func(*snapshot.Encoder)) []byte {
 	t.Helper()
 	sw := snapshot.NewWriter()
 	meta := sw.Section("meta")
@@ -155,7 +156,10 @@ func sealOracle(t testing.TB, o *Oracle, flags uint32, apTable func(*snapshot.En
 	meta.I64(o.Relaxations)
 	meta.U32(flags)
 	o.G.EncodeSnapshot(sw.Section("graph"))
-	o.encodeDecomposition(sw.Section("bcc"))
+	if decomp == nil {
+		decomp = o.encodeDecomposition
+	}
+	decomp(sw.Section("bcc"))
 	bl := sw.Section("blocks")
 	for _, blk := range o.Blocks {
 		blk.Ear.Red.EncodeSnapshot(bl)
@@ -187,14 +191,14 @@ func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
 	table := func(e *snapshot.Encoder) { EncodeTable(e, false, o.A, nil) }
 	return []hostileSnapshot{
 		{"AP table one entry short",
-			sealOracle(t, o, 0, func(e *snapshot.Encoder) { EncodeTable(e, false, o.A[1:], nil) }, nil), true},
+			sealOracle(t, o, 0, func(e *snapshot.Encoder) { EncodeTable(e, false, o.A[1:], nil) }, nil, nil), true},
 		{"float32 AP table in a float64 snapshot",
-			sealOracle(t, o, 0, func(e *snapshot.Encoder) { EncodeTable(e, true, nil, compressTable(o.A)) }, nil), true},
+			sealOracle(t, o, 0, func(e *snapshot.Encoder) { EncodeTable(e, true, nil, compressTable(o.A)) }, nil, nil), true},
 		{"float64 tables under the compact flag",
-			sealOracle(t, o, metaFlagCompact, table, nil), true},
+			sealOracle(t, o, metaFlagCompact, table, nil, nil), true},
 		// Where v2 kept the AP graph.
 		{"bytes behind the AP table",
-			sealOracle(t, o, 0, func(e *snapshot.Encoder) { table(e); e.U32(0) }, nil), true},
+			sealOracle(t, o, 0, func(e *snapshot.Encoder) { table(e); e.U32(0) }, nil, nil), true},
 		// The v2 attack: a consistent rooted forest that is not the
 		// block-cut tree's — a leaf block re-hung under its grandparent
 		// block — passed every load check and CheckInvariants, then sent
@@ -211,7 +215,17 @@ func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
 				fe.I32s(parent)
 				fe.I32s(depth)
 				fe.I32s(o.nodeRoot)
-			}), false},
+			}, nil), false},
+		// (count+7)/8 wraps to 0 bytes: a bounds check made after the
+		// rounding passes, and make([]bool, 2⁶⁴−1) panics.
+		{"articulation flag count that wraps the byte rounding",
+			sealOracle(t, o, 0, table, nil, func(e *snapshot.Encoder) {
+				e.U64(uint64(len(o.Dec.Components)))
+				for _, comp := range o.Dec.Components {
+					e.I32s(comp)
+				}
+				e.U64(^uint64(0))
+			}), true},
 	}
 }
 

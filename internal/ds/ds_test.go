@@ -16,8 +16,8 @@ func TestIndexedHeapBasic(t *testing.T) {
 	h.Push(3, 5.0)
 	h.Push(7, 1.0)
 	h.Push(2, 3.0)
-	if !h.Contains(3) || h.Contains(4) {
-		t.Fatal("Contains wrong")
+	if h.pos[3] < 0 || h.pos[4] >= 0 {
+		t.Fatal("pos wrong")
 	}
 	if item, key := h.Pop(); item != 7 || key != 1.0 {
 		t.Fatalf("pop got (%d,%v)", item, key)
@@ -45,8 +45,8 @@ func TestIndexedHeapPushOrDecrease(t *testing.T) {
 	if !h.PushOrDecrease(0, 5) {
 		t.Fatal("decrease should change heap")
 	}
-	if k := h.Key(0); k != 5 {
-		t.Fatalf("key = %v, want 5", k)
+	if item, k := h.Pop(); item != 0 || k != 5 {
+		t.Fatalf("pop got (%d,%v), want (0,5)", item, k)
 	}
 }
 
@@ -81,7 +81,7 @@ func TestIndexedHeapReset(t *testing.T) {
 	h.Push(0, 1)
 	h.Push(1, 2)
 	h.Reset()
-	if h.Len() != 0 || h.Contains(0) || h.Contains(1) {
+	if h.Len() != 0 || h.pos[0] >= 0 || h.pos[1] >= 0 {
 		t.Fatal("reset did not clear")
 	}
 	h.Push(1, 5)

@@ -32,10 +32,13 @@ type Graph struct {
 
 	// CSR adjacency: for vertex v, the incident half-edges are
 	// adjNode[adjStart[v]:adjStart[v+1]] (neighbour endpoint) paired with
-	// adjEdge (edge ID). A self-loop contributes two half-edges at v.
+	// adjEdge (edge ID) and adjW (that edge's weight, so a relaxation reads
+	// it beside the neighbour instead of through edges[adjEdge[i]]). A
+	// self-loop contributes two half-edges at v.
 	adjStart []int32
 	adjNode  []int32
 	adjEdge  []int32
+	adjW     []Weight
 }
 
 // Builder accumulates edges before freezing them into a Graph.
@@ -89,14 +92,17 @@ func FromEdges(n int, edges []Edge) *Graph {
 	total := deg[n]
 	g.adjNode = make([]int32, total)
 	g.adjEdge = make([]int32, total)
+	g.adjW = make([]Weight, total)
 	fill := make([]int32, n)
 	copy(fill, deg[:n])
 	for id, e := range edges {
 		g.adjNode[fill[e.U]] = e.V
 		g.adjEdge[fill[e.U]] = int32(id)
+		g.adjW[fill[e.U]] = e.W
 		fill[e.U]++
 		g.adjNode[fill[e.V]] = e.U
 		g.adjEdge[fill[e.V]] = int32(id)
+		g.adjW[fill[e.V]] = e.W
 		fill[e.V]++
 	}
 	return g
@@ -150,6 +156,14 @@ func (g *Graph) AdjNode() []int32 { return g.adjNode }
 
 // AdjEdge returns the CSR edge-ID array parallel to AdjNode.
 func (g *Graph) AdjEdge() []int32 { return g.adjEdge }
+
+// AdjWeight returns the CSR weight array parallel to AdjNode:
+// AdjWeight()[i] == Edge(AdjEdge()[i]).W.
+func (g *Graph) AdjWeight() []Weight { return g.adjW }
+
+// AdjStart returns the CSR offsets (length n+1): v's half-edges are
+// [AdjStart()[v], AdjStart()[v+1]), the same bounds AdjacencyRange returns.
+func (g *Graph) AdjStart() []int32 { return g.adjStart }
 
 // Other returns the endpoint of edge eid that is not v. For a self-loop it
 // returns v itself.

@@ -294,7 +294,8 @@ func TestReadMatrixMarket(t *testing.T) {
 }
 
 // Property: CSR adjacency is an exact double cover of the edge list for
-// arbitrary multigraphs (including self-loops).
+// arbitrary multigraphs (including self-loops), and its parallel arrays
+// (neighbour, edge ID, weight) describe the same half-edge at each index.
 func TestCSRDoubleCoverProperty(t *testing.T) {
 	f := func(pairs []uint16, weightSeed byte) bool {
 		const n = 12
@@ -315,6 +316,22 @@ func TestCSRDoubleCoverProperty(t *testing.T) {
 		for _, c := range counts {
 			if c != 2 {
 				return false
+			}
+		}
+		// The parallel arrays agree: each half-edge carries its edge's
+		// weight and the far endpoint, inside the offsets AdjStart gives.
+		start, node, eids, ws := g.AdjStart(), g.AdjNode(), g.AdjEdge(), g.AdjWeight()
+		if len(start) != n+1 || len(ws) != len(node) || len(eids) != len(node) || int(start[n]) != len(node) {
+			return false
+		}
+		for v := int32(0); v < n; v++ {
+			if lo, hi := g.AdjacencyRange(v); lo != start[v] || hi != start[v+1] {
+				return false
+			}
+			for i := start[v]; i < start[v+1]; i++ {
+				if ws[i] != g.Edge(eids[i]).W || node[i] != g.Other(eids[i], v) {
+					return false
+				}
 			}
 		}
 		return true

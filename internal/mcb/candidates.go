@@ -1,8 +1,9 @@
 package mcb
 
 import (
+	"cmp"
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/hetero"
@@ -59,8 +60,12 @@ func buildCandidatesCtx(ctx context.Context, g *graph.Graph, roots []int32, work
 	cs.trees = make([]*sssp.Tree, len(roots))
 	cs.depths = make([]int, len(roots))
 	treeOps := make([]int64, len(roots))
-	err := hetero.ParallelForCtx(ctx, workers, len(roots), func(_, ri int) {
-		res := sssp.Dijkstra(g, roots[ri], nil)
+	scratch := make([]*sssp.Scratch, max(workers, 1))
+	for i := range scratch {
+		scratch[i] = sssp.NewScratch(g.NumVertices())
+	}
+	err := hetero.ParallelForCtx(ctx, workers, len(roots), func(w, ri int) {
+		res := sssp.Dijkstra(g, roots[ri], scratch[w])
 		treeOps[ri] = res.Relaxations
 		t := sssp.BuildTree(res)
 		cs.trees[ri] = t
@@ -120,7 +125,7 @@ func buildCandidatesCtx(ctx context.Context, g *graph.Graph, roots []int32, work
 			cs.cands = append(cs.cands, candidate{root: -1, edge: int32(eid), weight: e.W})
 		}
 	}
-	sort.SliceStable(cs.cands, func(i, j int) bool { return cs.cands[i].weight < cs.cands[j].weight })
+	slices.SortStableFunc(cs.cands, func(a, b candidate) int { return cmp.Compare(a.weight, b.weight) })
 	return cs, nil
 }
 

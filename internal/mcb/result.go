@@ -1,9 +1,10 @@
 package mcb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -61,11 +62,8 @@ func checkEdges(g *graph.Graph, c Cycle) error {
 // modified.
 func (r *Result) SortedCycles() []Cycle {
 	out := append([]Cycle(nil), r.Cycles...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Weight != out[j].Weight {
-			return out[i].Weight < out[j].Weight
-		}
-		return len(out[i].Edges) < len(out[j].Edges)
+	slices.SortStableFunc(out, func(a, b Cycle) int {
+		return cmp.Or(cmp.Compare(a.Weight, b.Weight), cmp.Compare(len(a.Edges), len(b.Edges)))
 	})
 	return out
 }

@@ -26,12 +26,15 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc64"
 	"io"
+	"io/fs"
 	"math"
+	"slices"
 )
 
 const (
@@ -117,6 +120,11 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 		head = binary.LittleEndian.AppendUint64(head, crc64.Checksum(e.b, crcTable))
 		off += uint64(len(e.b))
 	}
+	// A growable destination (bytes.Buffer) is sized once for the whole
+	// container instead of regrowing under each section's Write.
+	if g, ok := out.(interface{ Grow(int) }); ok {
+		g.Grow(int(off))
+	}
 	var total int64
 	n, err := out.Write(head)
 	total += int64(n)
@@ -146,7 +154,7 @@ type Reader struct {
 // NewReader reads the whole stream and validates the container: magic,
 // version, table bounds, and the checksum of every section.
 func NewReader(r io.Reader) (*Reader, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: read: %w", err)
 	}
@@ -188,6 +196,30 @@ func NewReader(r io.Reader) (*Reader, error) {
 		rd.secs[name] = payload
 	}
 	return rd, nil
+}
+
+// readAll is io.ReadAll with the buffer sized up front when the source
+// says how much it holds (a file, a bytes.Reader, a bytes.Buffer). The
+// size is only a capacity hint: a source that turns out shorter or longer
+// is still read to its end.
+func readAll(r io.Reader) ([]byte, error) {
+	size := -1
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		size = s.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size())
+		}
+	}
+	if size < 0 {
+		return io.ReadAll(r)
+	}
+	// ReadFrom wants MinRead spare bytes before every Read, the one that
+	// returns io.EOF included.
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 func trimNUL(b []byte) []byte {
@@ -238,27 +270,37 @@ func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
 // F32 appends a float32 by bit pattern (compact distance tables).
 func (e *Encoder) F32(v float32) { e.U32(math.Float32bits(v)) }
 
+// extend grows the section by n bytes in one step and returns them.
+func (e *Encoder) extend(n int) []byte {
+	off := len(e.b)
+	e.b = slices.Grow(e.b, n)[:off+n]
+	return e.b[off:]
+}
+
 // I32s appends a length-prefixed int32 slice.
 func (e *Encoder) I32s(s []int32) {
 	e.U64(uint64(len(s)))
-	for _, v := range s {
-		e.I32(v)
+	raw := e.extend(4 * len(s))
+	for i, v := range s {
+		binary.LittleEndian.PutUint32(raw[4*i:], uint32(v))
 	}
 }
 
 // F64s appends a length-prefixed float64 slice.
 func (e *Encoder) F64s(s []float64) {
 	e.U64(uint64(len(s)))
-	for _, v := range s {
-		e.F64(v)
+	raw := e.extend(8 * len(s))
+	for i, v := range s {
+		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
 	}
 }
 
 // F32s appends a length-prefixed float32 slice.
 func (e *Encoder) F32s(s []float32) {
 	e.U64(uint64(len(s)))
-	for _, v := range s {
-		e.F32(v)
+	raw := e.extend(4 * len(s))
+	for i, v := range s {
+		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
 	}
 }
 
@@ -395,9 +437,10 @@ func (d *Decoder) I32s() []int32 {
 	if d.err != nil {
 		return nil
 	}
+	raw := d.take(4*n, "int32 slice")
 	out := make([]int32, n)
 	for i := range out {
-		out[i] = d.I32()
+		out[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	return out
 }
@@ -408,9 +451,10 @@ func (d *Decoder) F64s() []float64 {
 	if d.err != nil {
 		return nil
 	}
+	raw := d.take(8*n, "float64 slice")
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = d.F64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	return out
 }
@@ -421,9 +465,10 @@ func (d *Decoder) F32s() []float32 {
 	if d.err != nil {
 		return nil
 	}
+	raw := d.take(4*n, "float32 slice")
 	out := make([]float32, n)
 	for i := range out {
-		out[i] = d.F32()
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	return out
 }
@@ -444,12 +489,13 @@ func (d *Decoder) Bools() []bool {
 	if d.err != nil {
 		return nil
 	}
-	nbytes := (n64 + 7) / 8
-	if nbytes > uint64(len(d.b)) {
+	// Checked against the bytes left before the rounding below, which
+	// wraps to 0 for a count within 7 of 2⁶⁴.
+	if n64 > 8*uint64(len(d.b)) {
 		d.fail(fmt.Sprintf("bool slice of %d", n64))
 		return nil
 	}
-	raw := d.take(int(nbytes), "bool slice")
+	raw := d.take(int((n64+7)/8), "bool slice")
 	out := make([]bool, n64)
 	for i := range out {
 		out[i] = raw[i/8]&(1<<(i%8)) != 0

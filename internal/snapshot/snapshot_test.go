@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -151,6 +155,146 @@ func TestDecoderSticky(t *testing.T) {
 		t.Errorf("Finish with trailing bytes = %v", err)
 	}
 }
+
+// A bool count within 7 of 2⁶⁴ wraps the round-up to whole bytes to 0; the
+// count has to be refused before that arithmetic, not after it.
+func TestBoolsCountOverflow(t *testing.T) {
+	for _, n := range []uint64{^uint64(0), ^uint64(0) - 6, 1 << 63, 9} {
+		e := &Encoder{}
+		e.U64(n)
+		e.U8(0xff)
+		d := &Decoder{b: e.b}
+		if got := d.Bools(); got != nil {
+			t.Errorf("count %d: Bools returned %d flags", n, len(got))
+		}
+		if !errors.Is(d.Err(), ErrCorrupt) {
+			t.Errorf("count %d: Err = %v, want ErrCorrupt", n, d.Err())
+		}
+	}
+	// The largest count one byte does hold still decodes.
+	e := &Encoder{}
+	e.U64(8)
+	e.U8(0x81)
+	d := &Decoder{b: e.b}
+	got := d.Bools()
+	if err := d.Finish(); err != nil || len(got) != 8 || !got[0] || got[1] || !got[7] {
+		t.Errorf("8 flags in one byte: %v, err %v", got, err)
+	}
+}
+
+// Slices move as one block; the bytes are those of the per-element writers.
+func TestSliceCodecMatchesElements(t *testing.T) {
+	i32 := []int32{0, -1, 1 << 30, math.MinInt32}
+	f64 := []float64{0, -0.0, 1.5, math.Inf(1), math.MaxFloat64}
+	f32 := []float32{0, 2.5, float32(math.Inf(-1))}
+	got, want := &Encoder{b: []byte{7}}, &Encoder{b: []byte{7}}
+	got.I32s(i32)
+	got.F64s(f64)
+	got.F32s(f32)
+	got.I32s(nil)
+	want.U64(uint64(len(i32)))
+	for _, v := range i32 {
+		want.I32(v)
+	}
+	want.U64(uint64(len(f64)))
+	for _, v := range f64 {
+		want.F64(v)
+	}
+	want.U64(uint64(len(f32)))
+	for _, v := range f32 {
+		want.F32(v)
+	}
+	want.U64(0)
+	if !bytes.Equal(got.b, want.b) {
+		t.Fatalf("slice encoders wrote\n%x\nelement encoders wrote\n%x", got.b, want.b)
+	}
+	d := &Decoder{b: got.b[1:]}
+	if a, b, c, e := d.I32s(), d.F64s(), d.F32s(), d.I32s(); !slices.Equal(a, i32) ||
+		!slices.EqualFunc(b, f64, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) ||
+		!slices.Equal(c, f32) || len(e) != 0 {
+		t.Fatalf("decoded %v %v %v %v", a, b, c, e)
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	// A count the bytes cannot back fails before any element is read.
+	short := &Decoder{b: got.b[1 : 1+8+4*len(i32)-1]}
+	if s := short.I32s(); s != nil || !errors.Is(short.Err(), ErrCorrupt) {
+		t.Fatalf("short slice: %v, err %v", s, short.Err())
+	}
+}
+
+// lenReader claims a length that need not be the truth.
+type lenReader struct {
+	io.Reader
+	n int
+}
+
+func (l lenReader) Len() int { return l.n }
+
+// NewReader sizes its buffer from the source when it can; the size is a
+// hint, and every kind of source yields the same container.
+func TestNewReaderSizedSources(t *testing.T) {
+	data := buildContainer(t)
+	path := filepath.Join(t.TempDir(), "c.snap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sources := map[string]io.Reader{
+		"bytes.Reader":  bytes.NewReader(data),
+		"bytes.Buffer":  bytes.NewBuffer(data),
+		"no size":       io.MultiReader(bytes.NewReader(data)),
+		"Len too small": lenReader{bytes.NewReader(data), 1},
+		"Len too large": lenReader{bytes.NewReader(data), 4 * len(data)},
+		"Len negative":  lenReader{bytes.NewReader(data), -5},
+		"file":          f,
+	}
+	for name, src := range sources {
+		r, err := NewReader(src)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		d, err := r.Section("alpha")
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if got := d.U32(); got != 7 {
+			t.Errorf("%s: first word %d", name, got)
+		}
+	}
+	// A file already read into: Stat's size overstates what is left.
+	if _, err := f.Seek(3, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := readAll(f); err != nil || !bytes.Equal(got, data[3:]) {
+		t.Errorf("file read from offset 3: %d bytes, err %v, want %d", len(got), err, len(data)-3)
+	}
+}
+
+// WriteTo's output does not depend on whether the destination can Grow.
+func TestWriteToGrowableDestination(t *testing.T) {
+	w := NewWriter()
+	w.Section("a").F64s(make([]float64, 1000))
+	w.Section("b").Str("tail")
+	var buf bytes.Buffer
+	var plain []byte
+	n1, err1 := w.WriteTo(&buf)
+	n2, err2 := w.WriteTo(writerFunc(func(p []byte) (int, error) { plain = append(plain, p...); return len(p), nil }))
+	if err1 != nil || err2 != nil || n1 != n2 || !bytes.Equal(buf.Bytes(), plain) {
+		t.Fatalf("Buffer got %d bytes (%v), plain writer %d (%v), equal=%v", n1, err1, n2, err2, bytes.Equal(buf.Bytes(), plain))
+	}
+}
+
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 func TestU8RoundTrip(t *testing.T) {
 	w := NewWriter()

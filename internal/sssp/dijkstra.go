@@ -41,7 +41,7 @@ func NewScratch(n int) *Scratch {
 	return &Scratch{heap: ds.NewIndexedHeap(n), n: n}
 }
 
-// Dijkstra computes shortest paths from source using a binary heap.
+// Dijkstra computes shortest paths from source using the indexed heap.
 // The caller may pass a Scratch to amortise allocations; nil allocates.
 func Dijkstra(g *graph.Graph, source int32, sc *Scratch) *Result {
 	n := g.NumVertices()
@@ -63,19 +63,18 @@ func Dijkstra(g *graph.Graph, source int32, sc *Scratch) *Result {
 	h.Reset()
 	res.Dist[source] = 0
 	h.Push(source, 0)
-	adjNode, adjEdge := g.AdjNode(), g.AdjEdge()
-	edges := g.Edges()
+	adjStart, adjNode, adjEdge, adjW := g.AdjStart(), g.AdjNode(), g.AdjEdge(), g.AdjWeight()
+	dist := res.Dist
 	for h.Len() > 0 {
 		v, dv := h.Pop()
-		lo, hi := g.AdjacencyRange(v)
+		lo, hi := adjStart[v], adjStart[v+1]
+		res.Relaxations += int64(hi - lo)
 		for i := lo; i < hi; i++ {
-			u, eid := adjNode[i], adjEdge[i]
-			res.Relaxations++
-			nd := dv + edges[eid].W
-			if nd < res.Dist[u] {
-				res.Dist[u] = nd
+			u := adjNode[i]
+			if nd := dv + adjW[i]; nd < dist[u] {
+				dist[u] = nd
 				res.Parent[u] = v
-				res.ParentEdge[u] = eid
+				res.ParentEdge[u] = adjEdge[i]
 				h.PushOrDecrease(u, nd)
 			}
 		}
@@ -98,17 +97,15 @@ func DistancesOnly(g *graph.Graph, source int32, dist []graph.Weight, sc *Scratc
 	h.Reset()
 	dist[source] = 0
 	h.Push(source, 0)
-	adjNode, adjEdge := g.AdjNode(), g.AdjEdge()
-	edges := g.Edges()
+	adjStart, adjNode, adjW := g.AdjStart(), g.AdjNode(), g.AdjWeight()
 	var relax int64
 	for h.Len() > 0 {
 		v, dv := h.Pop()
-		lo, hi := g.AdjacencyRange(v)
+		lo, hi := adjStart[v], adjStart[v+1]
+		relax += int64(hi - lo)
 		for i := lo; i < hi; i++ {
 			u := adjNode[i]
-			relax++
-			nd := dv + edges[adjEdge[i]].W
-			if nd < dist[u] {
+			if nd := dv + adjW[i]; nd < dist[u] {
 				dist[u] = nd
 				h.PushOrDecrease(u, nd)
 			}

@@ -208,3 +208,20 @@ func TestScratchReuseAcrossSizes(t *testing.T) {
 	}
 	_ = d1
 }
+
+// The build's inner loop runs once per reduced source with a Scratch its
+// worker keeps: with the heap and the distance row supplied, a run
+// allocates nothing.
+func TestDistancesOnlyWarmScratchAllocsNothing(t *testing.T) {
+	g := randomGraphs()[0]
+	n := g.NumVertices()
+	sc := NewScratch(n)
+	dist := make([]graph.Weight, n)
+	src := int32(0)
+	if allocs := testing.AllocsPerRun(50, func() {
+		DistancesOnly(g, src, dist, sc)
+		src = (src + 1) % int32(n)
+	}); allocs != 0 {
+		t.Fatalf("DistancesOnly with a warm Scratch allocates %v times per run", allocs)
+	}
+}
