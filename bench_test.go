@@ -128,9 +128,12 @@ func BenchmarkTable2(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := mcb.Compute(g, mcb.Options{UseEar: useEar, AllPlatforms: true, Seed: benchSeed})
+				res := mcb.Compute(g, mcb.Options{UseEar: useEar, Seed: benchSeed})
 				if res.Dim == 0 {
 					b.Fatal("degenerate basis")
+				}
+				for _, p := range []mcb.Platform{mcb.Sequential, mcb.Multicore, mcb.GPU, mcb.Heterogeneous} {
+					res.Price(p)
 				}
 			}
 		})
@@ -148,8 +151,8 @@ func BenchmarkFig5(b *testing.B) {
 	g := spec.Generate(benchMCBScale, benchSeed)
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		res := mcb.Compute(g, mcb.Options{UseEar: true, AllPlatforms: true, Seed: benchSeed})
-		speedup = res.SimByPlatform[mcb.Sequential] / res.SimByPlatform[mcb.Heterogeneous]
+		res := mcb.Compute(g, mcb.Options{UseEar: true, Seed: benchSeed})
+		speedup = res.Price(mcb.Sequential).Total() / res.Price(mcb.Heterogeneous).Total()
 	}
 	b.ReportMetric(speedup, "hetero-speedup")
 }
@@ -409,14 +412,15 @@ func BenchmarkOracleQuery(b *testing.B) {
 
 // --- SSSP kernel benches ---------------------------------------------------
 
-// BenchmarkSSSPHeap / Dial / Frontier / BFS compare the single-source
-// kernels on the same reduced graph (the processing phase's unit of work).
+// BenchmarkSSSPHeap is the single-source kernel on the ablation graph's
+// reduced graph (the processing phase's unit of work).
 func BenchmarkSSSPHeap(b *testing.B) {
 	g := ablationGraph()
 	red := ear.Reduce(g, ear.APSP)
 	r := red.R
 	sc := sssp.NewScratch(r.NumVertices())
 	dist := make([]graph.Weight, r.NumVertices())
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sssp.DistancesOnly(r, int32(i%r.NumVertices()), dist, sc)
@@ -452,40 +456,6 @@ func BenchmarkDistancesOnly(b *testing.B) {
 		relax += sssp.DistancesOnly(r, int32(i%n), dist, sc)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(relax), "ns/relax")
-}
-
-func BenchmarkSSSPDial(b *testing.B) {
-	g := ablationGraph()
-	red := ear.Reduce(g, ear.APSP)
-	r := red.R
-	ok, maxW := sssp.IntegralWeights(r)
-	if !ok {
-		b.Skip("non-integral weights")
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sssp.Dial(r, int32(i%r.NumVertices()), maxW)
-	}
-}
-
-func BenchmarkSSSPFrontier(b *testing.B) {
-	g := ablationGraph()
-	red := ear.Reduce(g, ear.APSP)
-	r := red.R
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sssp.FrontierSSSP(r, int32(i%r.NumVertices()))
-	}
-}
-
-func BenchmarkSSSPDeltaStepping(b *testing.B) {
-	g := ablationGraph()
-	red := ear.Reduce(g, ear.APSP)
-	r := red.R
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sssp.DeltaStepping(r, int32(i%r.NumVertices()), 16)
-	}
 }
 
 // BenchmarkAblationSignedSearch vs LabelledSearch: the two minimum-cycle

@@ -20,7 +20,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/datasets"
 	"repro/internal/exp"
-	"repro/internal/hetero"
+	"repro/internal/par"
 	"repro/internal/snapshot"
 	"repro/internal/verify"
 )
@@ -37,7 +37,7 @@ func main() {
 		list      = flag.Bool("list", false, "list dataset names and exit")
 		scale     = flag.Float64("scale", 0.03, "dataset scale")
 		seed      = flag.Uint64("seed", 1, "dataset seed")
-		workers   = flag.Int("workers", hetero.Workers(), "parallel workers")
+		workers   = flag.Int("workers", par.Workers(), "parallel workers")
 		summary   = flag.Bool("summary", false, "print structural and memory summary")
 		compare   = flag.Bool("compare", false, "also run the Banerjee baseline and report the speedup")
 		check     = flag.Bool("verify", false, "cross-check the oracle against reference Bellman–Ford from 10 sources")

@@ -15,6 +15,7 @@ import (
 	"repro/internal/bc"
 	"repro/internal/cli"
 	"repro/internal/hetero"
+	"repro/internal/par"
 )
 
 func main() {
@@ -23,7 +24,7 @@ func main() {
 		dataset = flag.String("dataset", "", "named synthetic dataset")
 		scale   = flag.Float64("scale", 0.03, "dataset scale")
 		seed    = flag.Uint64("seed", 1, "dataset / sampling seed")
-		workers = flag.Int("workers", hetero.Workers(), "parallel workers")
+		workers = flag.Int("workers", par.Workers(), "parallel workers")
 		method  = flag.String("method", "decomposed", "flat, decomposed, or sampled")
 		samples = flag.Int("samples", 100, "sources for -method sampled")
 		top     = flag.Int("top", 10, "print the top-K vertices")

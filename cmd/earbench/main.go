@@ -24,7 +24,7 @@ import (
 	"repro/internal/cli"
 	"repro/internal/datasets"
 	"repro/internal/exp"
-	"repro/internal/hetero"
+	"repro/internal/par"
 )
 
 func main() {
@@ -33,19 +33,11 @@ func main() {
 		scale    = flag.Float64("scale", 0.03, "dataset scale (fraction of the paper's sizes)")
 		mcbScale = flag.Float64("mcb-scale", 0, "override scale for the MCB experiments (default scale/2)")
 		seed     = flag.Uint64("seed", 1, "generator seed")
-		workers  = flag.Int("workers", hetero.Workers(), "goroutine workers for real parallel phases")
+		workers  = flag.Int("workers", par.Workers(), "goroutine workers for real parallel phases")
 		asCSV    = flag.Bool("csv", false, "emit raw CSV instead of formatted tables")
-		export   = flag.Bool("export-devices", false, "print the built-in platform calibration as JSON and exit")
 	)
 	cli.SetUsage("earbench", "-exp name [flags]")
 	flag.Parse()
-	if *export {
-		devs := []*hetero.Device{hetero.SequentialCPU(), hetero.MulticoreCPU(), hetero.TeslaK40c()}
-		if err := hetero.WriteDevices(os.Stdout, devs); err != nil {
-			cli.Fatalf("earbench", "%v", err)
-		}
-		return
-	}
 	if *mcbScale == 0 {
 		*mcbScale = *scale / 2
 	}

@@ -15,8 +15,8 @@ import (
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/hetero"
 	"repro/internal/mcb"
+	"repro/internal/par"
 	"repro/internal/verify"
 )
 
@@ -26,7 +26,7 @@ func main() {
 		dataset  = flag.String("dataset", "", "named synthetic dataset")
 		scale    = flag.Float64("scale", 0.02, "dataset scale")
 		seed     = flag.Uint64("seed", 1, "dataset seed")
-		workers  = flag.Int("workers", hetero.Workers(), "parallel workers")
+		workers  = flag.Int("workers", par.Workers(), "parallel workers")
 		noEar    = flag.Bool("no-ear", false, "disable the ear-decomposition reduction")
 		platform = flag.String("platform", "sequential", "virtual platform: sequential, multicore, gpu, cpu+gpu")
 		printN   = flag.Int("print", 0, "print the N lightest basis cycles")
@@ -92,23 +92,8 @@ func main() {
 	}
 
 	if *printN > 0 {
-		// cycles are produced per phase in roughly increasing weight; sort
-		// a copy for display
-		cycles := append([]mcb.Cycle(nil), res.Cycles...)
-		for i := 0; i < len(cycles); i++ {
-			for j := i + 1; j < len(cycles); j++ {
-				if cycles[j].Weight < cycles[i].Weight {
-					cycles[i], cycles[j] = cycles[j], cycles[i]
-				}
-			}
-			if i >= *printN {
-				break
-			}
-		}
-		n := *printN
-		if n > len(cycles) {
-			n = len(cycles)
-		}
+		cycles := res.SortedCycles()
+		n := min(*printN, len(cycles))
 		for i := 0; i < n; i++ {
 			c := cycles[i]
 			fmt.Printf("  cycle %d: weight %g, %d edges:", i, c.Weight, len(c.Edges))

@@ -71,10 +71,10 @@ import (
 	"repro/internal/apsp"
 	"repro/internal/cli"
 	"repro/internal/graph"
-	"repro/internal/hetero"
 	"repro/internal/jobs"
 	"repro/internal/mcb"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/qe"
 	"repro/internal/registry"
 	"repro/internal/shard"
@@ -88,7 +88,7 @@ func main() {
 		dataset   = flag.String("dataset", "", "named synthetic dataset")
 		scale     = flag.Float64("scale", 0.03, "dataset scale")
 		seed      = flag.Uint64("seed", 1, "dataset seed")
-		workers   = flag.Int("workers", hetero.Workers(), "parallel workers for the oracle build")
+		workers   = flag.Int("workers", par.Workers(), "parallel workers for the oracle build")
 		withMCB   = flag.Bool("mcb", false, "also compute a minimum cycle basis and serve /v1/mcb/cycle")
 		saveSnap  = flag.String("save-snapshot", "", "write the built oracle as a snapshot file and continue serving")
 		loadSnap  = flag.String("load-snapshot", "", "serve from an oracle snapshot, skipping the build entirely (replaces -file/-dataset)")

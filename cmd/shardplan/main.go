@@ -34,7 +34,7 @@ import (
 
 	"repro/internal/apsp"
 	"repro/internal/cli"
-	"repro/internal/hetero"
+	"repro/internal/par"
 	"repro/internal/shard"
 	"repro/internal/snapshot"
 )
@@ -48,7 +48,7 @@ func main() {
 		dataset  = flag.String("dataset", "", "named synthetic dataset")
 		scale    = flag.Float64("scale", 0.03, "dataset scale")
 		seed     = flag.Uint64("seed", 1, "dataset seed")
-		workers  = flag.Int("workers", hetero.Workers(), "parallel workers for the oracle build")
+		workers  = flag.Int("workers", par.Workers(), "parallel workers for the oracle build")
 		loadSnap = flag.String("load-snapshot", "", "plan from an oracle snapshot instead of building (replaces -file/-dataset)")
 		shards   = flag.Int("shards", 2, "number of shards to cut the graph into")
 		refine   = flag.Int("refine", 0, "balance refinement passes over the block quotient graph (0 = default)")

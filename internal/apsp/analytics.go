@@ -2,7 +2,7 @@ package apsp
 
 import (
 	"repro/internal/graph"
-	"repro/internal/hetero"
+	"repro/internal/par"
 )
 
 // Graph analytics derived from the oracle: eccentricities, diameter,
@@ -40,7 +40,7 @@ func ComputeAnalytics(o *Oracle, workers int) *Analytics {
 		wiener graph.Weight
 	}
 	parts := make([]partial, workers)
-	hetero.ParallelFor(workers, n, func(w, src int) {
+	par.ParallelFor(workers, n, func(w, src int) {
 		var ecc graph.Weight
 		var sum graph.Weight
 		for v := 0; v < n; v++ {

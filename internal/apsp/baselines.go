@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/ear"
 	"repro/internal/graph"
-	"repro/internal/hetero"
+	"repro/internal/par"
 	"repro/internal/sssp"
 )
 
@@ -23,7 +23,7 @@ func Naive(g *graph.Graph, workers int) ([]graph.Weight, int64) {
 	for i := range scratch {
 		scratch[i] = sssp.NewScratch(n)
 	}
-	hetero.ParallelFor(workers, n, func(w, s int) {
+	par.ParallelFor(workers, n, func(w, s int) {
 		relax[w] += sssp.DistancesOnly(g, int32(s), out[s*n:(s+1)*n], scratch[w])
 	})
 	var total int64

@@ -19,7 +19,7 @@ import (
 
 	"repro/internal/ear"
 	"repro/internal/graph"
-	"repro/internal/hetero"
+	"repro/internal/par"
 	"repro/internal/sssp"
 )
 
@@ -70,7 +70,7 @@ func (a *EarAPSP) fillDijkstra(ctx context.Context, workers int) error {
 	for i := range scratch {
 		scratch[i] = sssp.NewScratch(a.nr)
 	}
-	if err := hetero.ParallelForCtx(ctx, workers, a.nr, func(w, s int) {
+	if err := par.ParallelForCtx(ctx, workers, a.nr, func(w, s int) {
 		relax[w] += sssp.DistancesOnly(a.Red.R, int32(s), a.SR[s*a.nr:(s+1)*a.nr], scratch[w])
 	}); err != nil {
 		return err
@@ -103,34 +103,6 @@ func NewEarAPSPParallelCtx(ctx context.Context, g *graph.Graph, workers int) (*E
 		return nil, err
 	}
 	return a, nil
-}
-
-// NewEarAPSPSim runs the processing phase under the simulated
-// heterogeneous platform: each reduced vertex is a work-unit, the CPU-side
-// kernel is heap Dijkstra and the GPU-side kernel is the frontier sweep of
-// Harish & Narayanan. It returns the APSP result and the virtual schedule.
-func NewEarAPSPSim(g *graph.Graph, devices []*hetero.Device) (*EarAPSP, *hetero.Schedule) {
-	a := newEarAPSP(g, nil)
-	red := a.Red
-	units := make([]hetero.Unit, a.nr)
-	// Unit size estimate: degree of the source — larger-degree sources
-	// start bigger frontiers (the deque sorts by this).
-	for s := 0; s < a.nr; s++ {
-		units[s] = hetero.Unit{ID: int32(s), Size: int64(red.R.Degree(int32(s)))}
-	}
-	sc := sssp.NewScratch(a.nr)
-	sched := hetero.Run(units, devices, func(u hetero.Unit, d *hetero.Device) hetero.Cost {
-		row := a.SR[int(u.ID)*a.nr : (int(u.ID)+1)*a.nr]
-		if d.Big { // GPU-structured kernel
-			res, sweeps := sssp.FrontierSweeps(red.R, u.ID)
-			copy(row, res.Dist)
-			return hetero.Cost{Ops: res.Relaxations, Launches: sweeps}
-		}
-		ops := sssp.DistancesOnly(red.R, u.ID, row, sc)
-		return hetero.Cost{Ops: ops, Launches: 1}
-	})
-	a.Relaxations = sched.TotalOps
-	return a, sched
 }
 
 // srAt returns S^r between two reduced IDs.

@@ -10,8 +10,8 @@ import (
 
 	"repro/internal/bcc"
 	"repro/internal/graph"
-	"repro/internal/hetero"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // Live updates. The paper's decomposition is exactly what makes an APSP
@@ -236,7 +236,7 @@ type DeltaResult struct {
 // bumps delta.applies (and delta.rebuild_fallback when structural); the
 // touched-block count feeds the delta.touched_blocks histogram.
 func (o *Oracle) ApplyDelta(ctx context.Context, deltas []Delta) (*Oracle, *DeltaResult, error) {
-	return o.ApplyDeltaParallel(ctx, deltas, hetero.Workers())
+	return o.ApplyDeltaParallel(ctx, deltas, par.Workers())
 }
 
 // ApplyDeltaParallel is ApplyDelta with an explicit worker count for the

@@ -2,7 +2,7 @@ package apsp
 
 import (
 	"repro/internal/graph"
-	"repro/internal/hetero"
+	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/sssp"
 )
@@ -60,7 +60,7 @@ func NewDjidjev(g *graph.Graph, k, workers int) *Djidjev {
 		}
 	}
 	relax := make([]int64, workers)
-	hetero.ParallelFor(workers, k, func(w, p int) {
+	par.ParallelFor(workers, k, func(w, p int) {
 		pg := d.parts[p].G
 		np := pg.NumVertices()
 		tbl := make([]graph.Weight, np*np)

@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/bcc"
 	"repro/internal/graph"
-	"repro/internal/hetero"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/sssp"
 )
 
@@ -312,7 +312,7 @@ func (o *Oracle) NumArticulation() int { return o.numA }
 // by size, as in Section 2.3.
 func (o *Oracle) MaterializeBlockTables(workers int) [][]graph.Weight {
 	tables := make([][]graph.Weight, len(o.Blocks))
-	hetero.ParallelFor(workers, len(o.Blocks), func(_, bi int) {
+	par.ParallelFor(workers, len(o.Blocks), func(_, bi int) {
 		tables[bi] = o.Blocks[bi].Ear.Materialize()
 	})
 	return tables

@@ -18,7 +18,7 @@ import (
 
 	"repro/internal/ds"
 	"repro/internal/graph"
-	"repro/internal/hetero"
+	"repro/internal/par"
 	"repro/internal/sssp"
 )
 
@@ -34,7 +34,8 @@ type Result struct {
 	Relaxations int64
 }
 
-// state is the per-worker scratch for one source's Brandes pass.
+// state is the per-worker scratch for one source's Brandes pass, plain or
+// block-weighted (decomposed.go).
 type state struct {
 	dist  []graph.Weight
 	sigma []float64
@@ -58,16 +59,7 @@ func newState(n int) *state {
 // sourceBFS is the unit-weight fast path of source: the forward phase is a
 // plain BFS (O(n+m), no heap), with identical σ/predecessor bookkeeping.
 func (st *state) sourceBFS(g *graph.Graph, s int32, acc []float64) int64 {
-	n := g.NumVertices()
-	for i := 0; i < n; i++ {
-		st.dist[i] = inf
-		st.sigma[i] = 0
-		st.delta[i] = 0
-		st.preds[i] = st.preds[i][:0]
-	}
-	st.order = st.order[:0]
-	st.dist[s] = 0
-	st.sigma[s] = 1
+	st.reset(g.NumVertices(), s)
 	st.order = append(st.order, s)
 	adjNode := g.AdjNode()
 	var relax int64
@@ -106,10 +98,8 @@ func (st *state) sourceBFS(g *graph.Graph, s int32, acc []float64) int64 {
 	return relax
 }
 
-// source runs one Brandes pass from s, accumulating into acc (caller
-// synchronises). It returns the relaxation count.
-func (st *state) source(g *graph.Graph, s int32, acc []float64) int64 {
-	n := g.NumVertices()
+// reset clears the first n entries for a pass from s.
+func (st *state) reset(n int, s int32) {
 	for i := 0; i < n; i++ {
 		st.dist[i] = inf
 		st.sigma[i] = 0
@@ -117,24 +107,29 @@ func (st *state) source(g *graph.Graph, s int32, acc []float64) int64 {
 		st.preds[i] = st.preds[i][:0]
 	}
 	st.order = st.order[:0]
-	st.heap.Reset()
 	st.dist[s] = 0
 	st.sigma[s] = 1
+}
+
+// forward is the weighted forward phase both accumulations share: a
+// Dijkstra from s that leaves the settled order, path counts and
+// predecessor DAG in st. It returns the relaxation count.
+func (st *state) forward(g *graph.Graph, s int32) int64 {
+	st.reset(g.NumVertices(), s)
+	st.heap.Reset()
 	st.heap.Push(s, 0)
-	adjNode, adjEdge := g.AdjNode(), g.AdjEdge()
-	edges := g.Edges()
+	adjStart, adjNode, adjW := g.AdjStart(), g.AdjNode(), g.AdjWeight()
 	var relax int64
 	for st.heap.Len() > 0 {
 		v, dv := st.heap.Pop()
 		st.order = append(st.order, v)
-		lo, hi := g.AdjacencyRange(v)
-		for i := lo; i < hi; i++ {
-			u, eid := adjNode[i], adjEdge[i]
+		for i, hi := adjStart[v], adjStart[v+1]; i < hi; i++ {
+			u := adjNode[i]
 			if u == v {
 				continue // self-loop
 			}
 			relax++
-			nd := dv + edges[eid].W
+			nd := dv + adjW[i]
 			switch {
 			case nd < st.dist[u]:
 				st.dist[u] = nd
@@ -147,7 +142,13 @@ func (st *state) source(g *graph.Graph, s int32, acc []float64) int64 {
 			}
 		}
 	}
-	// reverse accumulation
+	return relax
+}
+
+// source runs one Brandes pass from s, accumulating into acc (caller
+// synchronises). It returns the relaxation count.
+func (st *state) source(g *graph.Graph, s int32, acc []float64) int64 {
+	relax := st.forward(g, s)
 	for i := len(st.order) - 1; i >= 0; i-- {
 		w := st.order[i]
 		coef := (1 + st.delta[w]) / st.sigma[w]
@@ -184,7 +185,7 @@ func Parallel(g *graph.Graph, workers int) *Result {
 		states[w] = newState(n)
 		accs[w] = make([]float64, n)
 	}
-	hetero.ParallelFor(workers, n, func(w, s int) {
+	par.ParallelFor(workers, n, func(w, s int) {
 		if unit {
 			relax[w] += states[w].sourceBFS(g, int32(s), accs[w])
 		} else {
@@ -199,25 +200,6 @@ func Parallel(g *graph.Graph, workers int) *Result {
 		res.Relaxations += relax[w]
 	}
 	return res
-}
-
-// Sim computes betweenness centrality under the simulated heterogeneous
-// platform: one work-unit per source, big sources (by degree) toward the
-// GPU end of the deque. It returns the result and the virtual schedule.
-func Sim(g *graph.Graph, devices []*hetero.Device) (*Result, *hetero.Schedule) {
-	n := g.NumVertices()
-	st := newState(n)
-	res := &Result{Scores: make([]float64, n)}
-	units := make([]hetero.Unit, n)
-	for s := 0; s < n; s++ {
-		units[s] = hetero.Unit{ID: int32(s), Size: int64(g.Degree(int32(s)))}
-	}
-	sched := hetero.Run(units, devices, func(u hetero.Unit, d *hetero.Device) hetero.Cost {
-		ops := st.source(g, u.ID, res.Scores)
-		return hetero.Cost{Ops: ops, Launches: 1}
-	})
-	res.Relaxations = sched.TotalOps
-	return res, sched
 }
 
 // TopK returns the k vertices with the highest centrality, ties broken by

@@ -2,9 +2,8 @@ package bc
 
 import (
 	"repro/internal/bcc"
-	"repro/internal/ds"
 	"repro/internal/graph"
-	"repro/internal/hetero"
+	"repro/internal/par"
 )
 
 // Decomposed computes exact betweenness centrality through the paper's
@@ -121,9 +120,9 @@ func Decomposed(g *graph.Graph, workers int) *Result {
 	for w := range accs {
 		accs[w] = make([]float64, n)
 	}
-	states := make([]*wstate, workers)
+	states := make([]*state, workers)
 	relax := make([]int64, workers)
-	hetero.ParallelFor(workers, numB, func(w, bi int) {
+	par.ParallelFor(workers, numB, func(w, bi int) {
 		sub := subs[bi]
 		local := sub.G
 		ln := local.NumVertices()
@@ -136,12 +135,12 @@ func Decomposed(g *graph.Graph, workers int) *Result {
 				weights[lv] = 1
 			}
 		}
-		if states[w] == nil || states[w].cap < ln {
-			states[w] = newWState(ln)
+		if states[w] == nil || len(states[w].dist) < ln {
+			states[w] = newState(ln)
 		}
 		st := states[w]
 		for s := 0; s < ln; s++ {
-			relax[w] += st.source(local, int32(s), weights, func(lv int32, x float64) {
+			relax[w] += st.sourceWeighted(local, int32(s), weights, func(lv int32, x float64) {
 				accs[w][sub.ToParentVertex[lv]] += x
 			})
 		}
@@ -168,70 +167,11 @@ func Decomposed(g *graph.Graph, workers int) *Result {
 	return res
 }
 
-// wstate is the weighted-Brandes scratch.
-type wstate struct {
-	cap   int
-	dist  []graph.Weight
-	sigma []float64
-	delta []float64
-	preds [][]int32
-	order []int32
-	heap  *ds.IndexedHeap
-}
-
-func newWState(n int) *wstate {
-	return &wstate{
-		cap:   n,
-		dist:  make([]graph.Weight, n),
-		sigma: make([]float64, n),
-		delta: make([]float64, n),
-		preds: make([][]int32, n),
-		order: make([]int32, 0, n),
-		heap:  ds.NewIndexedHeap(n),
-	}
-}
-
-// source runs one weighted Brandes pass: source weight w(s) multiplies the
-// dependencies; target weights enter the accumulation as w(t).
-func (st *wstate) source(g *graph.Graph, s int32, weights []float64, credit func(v int32, x float64)) int64 {
-	n := g.NumVertices()
-	for i := 0; i < n; i++ {
-		st.dist[i] = inf
-		st.sigma[i] = 0
-		st.delta[i] = 0
-		st.preds[i] = st.preds[i][:0]
-	}
-	st.order = st.order[:0]
-	st.heap.Reset()
-	st.dist[s] = 0
-	st.sigma[s] = 1
-	st.heap.Push(s, 0)
-	adjNode, adjEdge := g.AdjNode(), g.AdjEdge()
-	edges := g.Edges()
-	var relax int64
-	for st.heap.Len() > 0 {
-		v, dv := st.heap.Pop()
-		st.order = append(st.order, v)
-		lo, hi := g.AdjacencyRange(v)
-		for i := lo; i < hi; i++ {
-			u, eid := adjNode[i], adjEdge[i]
-			if u == v {
-				continue
-			}
-			relax++
-			nd := dv + edges[eid].W
-			switch {
-			case nd < st.dist[u]:
-				st.dist[u] = nd
-				st.sigma[u] = st.sigma[v]
-				st.preds[u] = append(st.preds[u][:0], v)
-				st.heap.PushOrDecrease(u, nd)
-			case nd == st.dist[u]:
-				st.sigma[u] += st.sigma[v]
-				st.preds[u] = append(st.preds[u], v)
-			}
-		}
-	}
+// sourceWeighted runs one weighted Brandes pass: source weight w(s)
+// multiplies the dependencies; target weights enter the accumulation as
+// w(t).
+func (st *state) sourceWeighted(g *graph.Graph, s int32, weights []float64, credit func(v int32, x float64)) int64 {
+	relax := st.forward(g, s)
 	ws := weights[s]
 	for i := len(st.order) - 1; i >= 0; i-- {
 		w := st.order[i]

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/hetero"
+	"repro/internal/par"
 	"repro/internal/snapshot"
 	"repro/internal/sssp"
 )
@@ -118,7 +118,7 @@ func (c *Chunked) RunChunk(ctx context.Context, k int) (int, error) {
 	}
 	chunk := c.sources[c.done : c.done+k]
 	relax := make([]int64, c.workers)
-	err := hetero.ParallelForCtx(ctx, c.workers, k, func(w, i int) {
+	err := par.ParallelForCtx(ctx, c.workers, k, func(w, i int) {
 		if c.unit {
 			relax[w] += c.states[w].sourceBFS(c.g, chunk[i], c.accs[w])
 		} else {

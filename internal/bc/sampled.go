@@ -3,7 +3,7 @@ package bc
 import (
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/hetero"
+	"repro/internal/par"
 )
 
 // Sampled estimates betweenness centrality from k uniformly sampled
@@ -36,7 +36,7 @@ func Sampled(g *graph.Graph, k int, seed uint64, workers int) *Result {
 		states[w] = newState(n)
 		accs[w] = make([]float64, n)
 	}
-	hetero.ParallelFor(workers, k, func(w, i int) {
+	par.ParallelFor(workers, k, func(w, i int) {
 		relax[w] += states[w].source(g, sources[i], accs[w])
 	})
 	scale := float64(n) / float64(k)

@@ -4,7 +4,7 @@ import (
 	"flag"
 	"time"
 
-	"repro/internal/hetero"
+	"repro/internal/par"
 	"repro/internal/qe"
 )
 
@@ -17,7 +17,7 @@ import (
 func EngineFlags() func() qe.Config {
 	cacheRows := flag.Int("cache-rows", qe.DefaultCacheRows,
 		"distance rows kept in the LRU row cache (negative disables caching)")
-	maxInflight := flag.Int("max-inflight", hetero.Workers(),
+	maxInflight := flag.Int("max-inflight", par.Workers(),
 		"concurrently served queries (defaults to the worker count)")
 	queueDepth := flag.Int("queue-depth", 64,
 		"admitted requests that may wait beyond max-inflight before load-shedding (0 sheds immediately)")

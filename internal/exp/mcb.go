@@ -13,8 +13,8 @@ import (
 // MCBRow is one row of Table 2: the MCB runtime of the four
 // implementations (sequential, multicore, GPU, CPU+GPU), each with and
 // without ear decomposition, on one dataset. Sim values are virtual-clock
-// seconds from the device model; Wall values are real seconds of the
-// underlying single execution.
+// seconds, one solve priced on every platform (mcb.Result.Price); Wall
+// values are real seconds of that solve.
 type MCBRow struct {
 	Name string
 	V, E int
@@ -45,14 +45,14 @@ func RunMCB(specs []datasets.Spec, scale float64, seed uint64, workers int) ([]M
 
 		start := time.Now()
 		with := mcb.Compute(g, mcb.Options{
-			UseEar: true, AllPlatforms: true, Platform: mcb.Heterogeneous,
+			UseEar: true, Platform: mcb.Heterogeneous,
 			Workers: workers, Seed: seed + 1,
 		})
 		row.WallWith = time.Since(start)
 
 		start = time.Now()
 		without := mcb.Compute(g, mcb.Options{
-			UseEar: false, AllPlatforms: true, Platform: mcb.Heterogeneous,
+			UseEar: false, Platform: mcb.Heterogeneous,
 			Workers: workers, Seed: seed + 2,
 		})
 		row.WallNoEar = time.Since(start)
@@ -61,15 +61,24 @@ func RunMCB(specs []datasets.Spec, scale float64, seed uint64, workers int) ([]M
 			return nil, fmt.Errorf("%s: MCB weight differs with (%v) vs without (%v) ear decomposition",
 				spec.Name, with.TotalWeight, without.TotalWeight)
 		}
-		row.SimWith = with.SimByPlatform
-		row.SimWithout = without.SimByPlatform
-		row.PhaseWith = with.PhaseByPlatform[mcb.Heterogeneous]
+		row.SimWith = priceAll(with)
+		row.SimWithout = priceAll(without)
+		row.PhaseWith = with.Phase
 		row.Weight = with.TotalWeight
 		row.Dim = with.Dim
 		row.NodesRemoved = with.NodesRemoved
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// priceAll prices one solve on each of the four platforms.
+func priceAll(res *mcb.Result) map[mcb.Platform]float64 {
+	sim := make(map[mcb.Platform]float64, len(platforms))
+	for _, p := range platforms {
+		sim[p] = res.Price(p).Total()
+	}
+	return sim
 }
 
 // WriteTable2 renders the Table 2 analogue.

@@ -1,9 +1,11 @@
-// Package hetero provides the heterogeneous execution substrate of the
-// paper: the dynamic work-queue that balances work-units between a CPU and
-// a GPU (Indarapu et al. [19], used in Sections 2.3 and 3.4), goroutine
-// worker pools for real parallel execution, and — because this reproduction
-// has no CUDA device — a calibrated virtual-time device model that accounts
-// how long each work-unit would take on the paper's platform.
+// Package hetero is the paper's simulated platform and nothing else: the
+// dynamic work-queue that balances work-units between a CPU and a GPU
+// (Indarapu et al. [19], used in Sections 2.3 and 3.4) and — because this
+// reproduction has no CUDA device — a calibrated virtual-time device model
+// that accounts how long each work-unit would take on the paper's platform.
+// The real worker pool is internal/par; the packages that price their work
+// on this model reach it from one file each (apsp/sim.go, bc/sim.go,
+// mcb/price.go).
 //
 // The device model is the substitution documented in DESIGN.md: kernels are
 // real Go code with the same algorithmic structure as the CUDA kernels

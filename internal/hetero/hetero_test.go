@@ -1,9 +1,6 @@
 package hetero
 
 import (
-	"bytes"
-	"strings"
-
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -205,69 +202,5 @@ func TestDequeSortProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestParallelFor(t *testing.T) {
-	for _, workers := range []int{1, 2, 7} {
-		var sum int64
-		ParallelFor(workers, 1000, func(w, i int) {
-			atomic.AddInt64(&sum, int64(i))
-		})
-		if sum != 999*1000/2 {
-			t.Fatalf("workers=%d: sum %d", workers, sum)
-		}
-	}
-	// n smaller than workers
-	count := int64(0)
-	ParallelFor(16, 3, func(w, i int) { atomic.AddInt64(&count, 1) })
-	if count != 3 {
-		t.Fatalf("count %d", count)
-	}
-}
-
-func TestDeviceConfigRoundTrip(t *testing.T) {
-	devs := []*Device{SequentialCPU(), MulticoreCPU(), TeslaK40c()}
-	var buf bytes.Buffer
-	if err := WriteDevices(&buf, devs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadDevices(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("got %d devices", len(got))
-	}
-	for i, d := range got {
-		if *d != *devs[i] {
-			t.Fatalf("device %d differs: %+v vs %+v", i, d, devs[i])
-		}
-	}
-}
-
-func TestDeviceConfigValidation(t *testing.T) {
-	cases := map[string]string{
-		"empty":     `[]`,
-		"noname":    `[{"slots":1,"opsPerSec":1}]`,
-		"dup":       `[{"name":"a","slots":1,"opsPerSec":1},{"name":"a","slots":1,"opsPerSec":1}]`,
-		"zeroslots": `[{"name":"a","slots":0,"opsPerSec":1}]`,
-		"zeroops":   `[{"name":"a","slots":1}]`,
-		"neglaunch": `[{"name":"a","slots":1,"opsPerSec":1,"launchOverhead":-1}]`,
-		"unknown":   `[{"name":"a","slots":1,"opsPerSec":1,"bogus":true}]`,
-		"notjson":   `hello`,
-	}
-	for name, in := range cases {
-		if _, err := ReadDevices(strings.NewReader(in)); err == nil {
-			t.Fatalf("%s: invalid config accepted", name)
-		}
-	}
-	// defaults applied
-	devs, err := ReadDevices(strings.NewReader(`[{"name":"a","slots":2,"opsPerSec":1e6}]`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if devs[0].StreamOpsPerSec != 1e6 || devs[0].BatchSize != 1 {
-		t.Fatalf("defaults not applied: %+v", devs[0])
 	}
 }

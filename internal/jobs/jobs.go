@@ -37,8 +37,8 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/hetero"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/qe"
 )
 
@@ -134,7 +134,7 @@ type Config struct {
 	Known func(name string) bool
 	// Concurrency is how many jobs run simultaneously (default 2).
 	Concurrency int
-	// Workers is the per-job compute parallelism (default hetero.Workers).
+	// Workers is the per-job compute parallelism (default par.Workers).
 	Workers int
 	// ChunkSize is the work units (sources) per checkpoint (default 64):
 	// the resume replay bound and the progress/cancellation granularity.
@@ -231,7 +231,7 @@ func Open(cfg Config) (*Manager, error) {
 		cfg.Concurrency = 2
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = hetero.Workers()
+		cfg.Workers = par.Workers()
 	}
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 64

@@ -6,7 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/graph"
-	"repro/internal/hetero"
+	"repro/internal/par"
 	"repro/internal/sssp"
 )
 
@@ -64,7 +64,7 @@ func buildCandidatesCtx(ctx context.Context, g *graph.Graph, roots []int32, work
 	for i := range scratch {
 		scratch[i] = sssp.NewScratch(g.NumVertices())
 	}
-	err := hetero.ParallelForCtx(ctx, workers, len(roots), func(w, ri int) {
+	err := par.ParallelForCtx(ctx, workers, len(roots), func(w, ri int) {
 		res := sssp.Dijkstra(g, roots[ri], scratch[w])
 		treeOps[ri] = res.Relaxations
 		t := sssp.BuildTree(res)
@@ -85,7 +85,7 @@ func buildCandidatesCtx(ctx context.Context, g *graph.Graph, roots []int32, work
 	}
 	perRoot := make([][]candidate, len(roots))
 	rejected := make([]int64, len(roots))
-	err = hetero.ParallelForCtx(ctx, workers, len(roots), func(_, ri int) {
+	err = par.ParallelForCtx(ctx, workers, len(roots), func(_, ri int) {
 		z := roots[ri]
 		t := cs.trees[ri]
 		var out []candidate

@@ -103,6 +103,8 @@ func ComputeCtx(ctx context.Context, g *graph.Graph, opts Options) (*Result, err
 		}
 		total.merge(r)
 	}
+	total.Phase = total.Price(opts.Platform)
+	total.SimSeconds = total.Phase.Total()
 	return total, nil
 }
 

@@ -7,15 +7,15 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/ds"
 	"repro/internal/graph"
-	"repro/internal/hetero"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // solveCoreCtx runs the De Pina algorithm (Algorithm 2) on one connected
 // working graph (already perturbed) and returns the basis as local edge
-// IDs, along with the work and virtual-time accounting for the chosen
-// platform(s). The caller translates edges back to the original graph and
-// recomputes original weights.
+// IDs, along with the work counters and the work log Result.Price turns
+// into virtual time. The caller translates edges back to the original
+// graph and recomputes original weights.
 //
 // With opts.Workers > 1 the three phases execute on a real goroutine pool:
 // candidate trees fan out one root per unit, label recomputation one tree
@@ -43,16 +43,7 @@ func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][
 	}
 	res.NumRoots = len(roots)
 
-	// Virtual-clock accounting, for the primary platform or all four.
-	plats := []Platform{opts.Platform}
-	if opts.AllPlatforms {
-		plats = []Platform{Sequential, Multicore, GPU, Heterogeneous}
-	}
-	devs := make([][]*hetero.Device, len(plats))
-	breakdown := make([]PhaseBreakdown, len(plats))
-	for pi, p := range plats {
-		devs[pi] = p.Devices()
-	}
+	rec := work{n: g.NumVertices(), signed: opts.SignedSearch, search: make([]int64, 0, f)}
 
 	// Wall-clock phase timers, accumulated locally and recorded into the
 	// process registry once per solve (obs.Phases takes a lock per Record).
@@ -67,9 +58,10 @@ func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][
 
 	// The signed-graph search needs no trees, candidates or labels.
 	var (
-		cs    *candidateSet
-		ls    *labelState
-		store *ds.ChunkedList
+		cs       *candidateSet
+		ls       *labelState
+		store    *ds.ChunkedList
+		labelOps int64 // per phase: one op per tree vertex, the same every phase
 	)
 	if !opts.SignedSearch {
 		t0 := time.Now()
@@ -82,23 +74,11 @@ func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][
 		res.NumCandidates = len(cs.cands)
 		res.RejectedCandidates = int(cs.Rejected)
 		ls = newLabelState(cs, sp)
-
-		// Tree construction charged once: one work-unit per root; a GPU
-		// unit pays one launch per frontier sweep (tree level).
-		treeUnits := make([]hetero.Unit, len(roots))
-		for i := range roots {
-			treeUnits[i] = hetero.Unit{ID: int32(i), Size: int64(g.NumVertices())}
-		}
-		perRoot := cs.TreeOps / int64(maxi(1, len(roots)))
-		for pi := range plats {
-			sched := hetero.Run(treeUnits, devs[pi], func(u hetero.Unit, d *hetero.Device) hetero.Cost {
-				launches := 1
-				if d.Big {
-					launches = cs.depths[u.ID]
-				}
-				return hetero.Cost{Ops: perRoot, Launches: launches}
-			})
-			breakdown[pi].Tree = sched.Makespan
+		rec.treeOps, rec.depths = cs.TreeOps, cs.depths
+		rec.treeSize = make([]int64, len(roots))
+		for i, t := range cs.trees {
+			rec.treeSize[i] = int64(len(t.Order))
+			labelOps += rec.treeSize[i]
 		}
 
 		// Candidate store: indices into the weight-sorted slice, held in
@@ -117,14 +97,6 @@ func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][
 		wit[i].Set(i, true)
 	}
 
-	labelUnits := make([]hetero.Unit, len(roots))
-	labelCost := make([]int64, len(roots))
-	if !opts.SignedSearch {
-		for i := range labelUnits {
-			labelUnits[i] = hetero.Unit{ID: int32(i), Size: int64(len(cs.trees[i].Order))}
-		}
-	}
-
 	var signed *signedSearcher
 	if opts.SignedSearch {
 		signed = newSignedSearcher(g, sp, roots)
@@ -133,7 +105,7 @@ func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][
 	// Scan window: the batch every worker evaluates together. Scratch is
 	// hoisted out of the phase loop; the window is capped so the scratch
 	// stays cache-resident.
-	scanWindow := opts.BatchSize * maxi(1, opts.Workers)
+	scanWindow := opts.BatchSize * max(1, opts.Workers)
 	var (
 		scanVals []uint32
 		scanCurs []ds.Cursor
@@ -159,9 +131,7 @@ func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][
 			edges, ok := signed.minOddCycle(s)
 			dOps := signed.Ops - prevOps
 			res.SearchOps += dOps
-			for pi := range plats {
-				breakdown[pi].Search += float64(dOps) / aggregateOps(devs[pi])
-			}
+			rec.search = append(rec.search, dOps)
 			var ci *bitvec.Vector
 			if ok {
 				ci = bitvec.New(f)
@@ -182,45 +152,32 @@ func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][
 				}
 			}
 			cycles = append(cycles, edges)
-			if err := updateWitnesses(ctx, opts, wit, ci, s, i, f, words, res, plats, devs, breakdown, &witnessDur); err != nil {
+			if err := updateWitnesses(ctx, opts, wit, ci, s, i, f, words, res, &witnessDur); err != nil {
 				return nil, nil, err
 			}
 			continue
 		}
 
 		// Phase 1: recompute all tree labels against S_i, one tree per
-		// work unit on the pool; the virtual clock schedules the same
-		// units on the platform's devices. On the GPU each thread walks
-		// one tree independently, so a batch of trees is a single kernel
-		// launch.
+		// work unit on the pool.
 		t0 := time.Now()
-		err := hetero.ParallelForCtx(ctx, opts.Workers, len(roots), func(_, ri int) {
-			labelCost[ri] = ls.computeTree(ri, s)
+		err := par.ParallelForCtx(ctx, opts.Workers, len(roots), func(_, ri int) {
+			ls.computeTree(ri, s)
 		})
 		labelDur += time.Since(t0)
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, c := range labelCost {
-			res.LabelOps += c
-		}
-		for pi := range plats {
-			sched := hetero.Run(labelUnits, devs[pi], func(u hetero.Unit, d *hetero.Device) hetero.Cost {
-				return hetero.Cost{Ops: labelCost[u.ID], Launches: 1}
-			})
-			breakdown[pi].Label += sched.Makespan
-		}
+		res.LabelOps += labelOps
 
 		// Phase 2: scan candidates in weight order, in batches, for the
-		// first cycle with <C, S_i> = 1. All devices check a batch together
-		// (Section 3.3.2), so each batch is charged at the platform's
-		// aggregate throughput. The parallel driver makes the batch real:
-		// a window of live candidates is carved out of the store, every
-		// worker tests a contiguous chunk of it, and the earliest hit in
-		// store order wins — the same candidate the sequential early-exit
-		// scan selects. SearchOps counts live entries up to and including
-		// the hit (its position in scan order), so the work accounting is
-		// also identical at any worker count.
+		// first cycle with <C, S_i> = 1. The parallel driver makes the
+		// batch of Section 3.3.2 real: a window of live candidates is
+		// carved out of the store, every worker tests a contiguous chunk of
+		// it, and the earliest hit in store order wins — the same candidate
+		// the sequential early-exit scan selects. SearchOps counts live
+		// entries up to and including the hit (its position in scan order),
+		// so the work accounting is also identical at any worker count.
 		var chosen candidate
 		found := false
 		scanned := int64(0)
@@ -239,7 +196,7 @@ func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][
 				}
 				hits := scanHits[:len(scanVals)]
 				chunk := (len(scanVals) + opts.Workers - 1) / opts.Workers
-				hetero.ParallelFor(opts.Workers, (len(scanVals)+chunk-1)/chunk, func(_, w int) {
+				par.ParallelFor(opts.Workers, (len(scanVals)+chunk-1)/chunk, func(_, w int) {
 					lo := w * chunk
 					hi := lo + chunk
 					if hi > len(scanVals) {
@@ -285,18 +242,7 @@ func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][
 		}
 		scanDur += time.Since(t0)
 		res.SearchOps += scanned
-		// Launch accounting: a GPU scan kernel evaluates a large grid of
-		// candidates per launch (gpuScanBatch); CPU-only platforms have no
-		// launch overhead.
-		const gpuScanBatch = 1 << 16
-		for pi := range plats {
-			t := float64(scanned) / aggregateOps(devs[pi])
-			if l := deviceLaunch(devs[pi]); l > 0 {
-				batches := (scanned + gpuScanBatch - 1) / gpuScanBatch
-				t += float64(batches) * l
-			}
-			breakdown[pi].Search += t
-		}
+		rec.search = append(rec.search, scanned)
 
 		var ci *bitvec.Vector
 		var edges []int32
@@ -321,44 +267,27 @@ func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][
 		cycles = append(cycles, edges)
 
 		// Phase 3: independence test.
-		if err := updateWitnesses(ctx, opts, wit, ci, s, i, f, words, res, plats, devs, breakdown, &witnessDur); err != nil {
+		if err := updateWitnesses(ctx, opts, wit, ci, s, i, f, words, res, &witnessDur); err != nil {
 			return nil, nil, err
 		}
 	}
-	res.Phase = breakdown[0]
-	if opts.AllPlatforms {
-		res.SimByPlatform = make(map[Platform]float64, len(plats))
-		res.PhaseByPlatform = make(map[Platform]PhaseBreakdown, len(plats))
-		for pi, p := range plats {
-			res.SimByPlatform[p] = breakdown[pi].Total()
-			res.PhaseByPlatform[p] = breakdown[pi]
-			if p == opts.Platform {
-				res.Phase = breakdown[pi]
-			}
-		}
-		res.SimSeconds = res.Phase.Total()
-	} else {
-		res.SimSeconds = res.Phase.Total()
-	}
+	res.work = []work{rec}
 	return cycles, res, nil
 }
 
 // updateWitnesses performs the independence test — make the remaining
-// witnesses orthogonal to C_i (steps 4–6 of Algorithm 2) — and charges the
-// virtual clocks. One unit per remaining witness; a GPU unit is a
-// block-parallel multiply-reduce + conditional XOR in a shared launch, and
-// the word scans stream at the devices' bandwidth rates. Each witness j is
-// read and written only by the worker that claimed unit j, so the parallel
-// update touches disjoint vectors and stays deterministic.
+// witnesses orthogonal to C_i (steps 4–6 of Algorithm 2). One unit per
+// remaining witness; each witness j is read and written only by the worker
+// that claimed unit j, so the parallel update touches disjoint vectors and
+// stays deterministic.
 func updateWitnesses(ctx context.Context, opts Options, wit []*bitvec.Vector, ci, s *bitvec.Vector, i, f int,
-	words int64, res *Result, plats []Platform, devs [][]*hetero.Device, breakdown []PhaseBreakdown,
-	dur *time.Duration) error {
+	words int64, res *Result, dur *time.Duration) error {
 	rest := f - i - 1
 	if rest <= 0 {
 		return nil
 	}
 	t0 := time.Now()
-	err := hetero.ParallelForCtx(ctx, opts.Workers, rest, func(_, jj int) {
+	err := par.ParallelForCtx(ctx, opts.Workers, rest, func(_, jj int) {
 		j := i + 1 + jj
 		if ci.Dot(wit[j]) {
 			wit[j].Xor(s)
@@ -369,34 +298,5 @@ func updateWitnesses(ctx context.Context, opts Options, wit []*bitvec.Vector, ci
 		return err
 	}
 	res.UpdateOps += int64(rest) * words
-	units := make([]hetero.Unit, rest)
-	for jj := 0; jj < rest; jj++ {
-		units[jj] = hetero.Unit{ID: int32(jj), Size: words}
-	}
-	for pi := range plats {
-		usched := hetero.Run(units, devs[pi], func(u hetero.Unit, d *hetero.Device) hetero.Cost {
-			return hetero.Cost{Ops: words, Launches: 1, Stream: true}
-		})
-		breakdown[pi].Update += usched.Makespan
-	}
 	return nil
-}
-
-// deviceLaunch returns the launch overhead charged per scan batch: the
-// maximum over the participating devices (they synchronise per batch).
-func deviceLaunch(devices []*hetero.Device) float64 {
-	var l float64
-	for _, d := range devices {
-		if d.LaunchOverhead > l {
-			l = d.LaunchOverhead
-		}
-	}
-	return l
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -27,12 +27,12 @@ func newLabelState(cs *candidateSet, sp *spanning) *labelState {
 }
 
 // computeTree recomputes the labels of one tree against the current
-// witness, returning the work performed (one op per reachable vertex).
-// This is the per-work-unit kernel the schedulers dispatch: a single
-// root-to-leaves pass in level order (parents precede children in
-// t.Order), merging Algorithm 3's two passes — c_z(u) is folded directly
-// into the l update since each c_z(u) depends only on u's parent edge.
-func (ls *labelState) computeTree(ri int, s *bitvec.Vector) int64 {
+// witness, one op per reachable vertex. This is the per-work-unit kernel
+// the pool dispatches: a single root-to-leaves pass in level order (parents
+// precede children in t.Order), merging Algorithm 3's two passes — c_z(u)
+// is folded directly into the l update since each c_z(u) depends only on
+// u's parent edge.
+func (ls *labelState) computeTree(ri int, s *bitvec.Vector) {
 	t := ls.cs.trees[ri]
 	lab := ls.labels[ri]
 	lab[t.Root] = false
@@ -43,7 +43,6 @@ func (ls *labelState) computeTree(ri int, s *bitvec.Vector) int64 {
 		}
 		lab[v] = lab[t.Parent[v]] != c
 	}
-	return int64(len(t.Order))
 }
 
 // orthogonal evaluates <C_ze, S_curr> for a candidate in O(1) using the

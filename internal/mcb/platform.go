@@ -1,12 +1,10 @@
 package mcb
 
-import (
-	"repro/internal/graph"
-	"repro/internal/hetero"
-)
+import "repro/internal/graph"
 
 // Platform selects which of the paper's four implementations (Table 2)
-// schedules the three MCB phases.
+// a solve is priced on (price.go). It never changes what the solve
+// executes or the basis it returns.
 type Platform int
 
 const (
@@ -36,38 +34,13 @@ func (p Platform) String() string {
 	return "unknown"
 }
 
-// Devices returns the simulated device set for the platform.
-func (p Platform) Devices() []*hetero.Device {
-	switch p {
-	case Sequential:
-		return []*hetero.Device{hetero.SequentialCPU()}
-	case Multicore:
-		return []*hetero.Device{hetero.MulticoreCPU()}
-	case GPU:
-		return []*hetero.Device{hetero.TeslaK40c()}
-	case Heterogeneous:
-		return []*hetero.Device{hetero.MulticoreCPU(), hetero.TeslaK40c()}
-	}
-	return nil
-}
-
-// aggregateOps is the platform's total throughput, used to charge the
-// batched candidate scan (whose batches are checked by all devices
-// together, Section 3.3.2).
-func aggregateOps(devices []*hetero.Device) float64 {
-	var total float64
-	for _, d := range devices {
-		total += d.OpsPerSec * float64(d.Slots)
-	}
-	return total
-}
-
 // Options configures a Compute run.
 type Options struct {
 	// UseEar applies the ear-decomposition reduction (Lemma 3.1) before
 	// solving; false reproduces the paper's "w/o" columns.
 	UseEar bool
-	// Platform selects the Table 2 implementation being modelled.
+	// Platform selects the Table 2 implementation Result.SimSeconds and
+	// Result.Phase are priced on; Result.Price gives any other.
 	Platform Platform
 	// Workers sets real goroutine parallelism for the whole pipeline —
 	// candidate shortest-path trees, per-phase label recomputation, the
@@ -87,11 +60,6 @@ type Options struct {
 	// weight cycle non-orthogonal to the witness. Slower, kept as an
 	// independent cross-check and ablation.
 	SignedSearch bool
-	// AllPlatforms additionally fills Result.SimByPlatform and
-	// Result.PhaseByPlatform for every platform from the single real
-	// execution — the Table 2 harness uses this to price all four
-	// implementations in one run.
-	AllPlatforms bool
 	// Seed drives the weight perturbation (deterministic per seed).
 	Seed uint64
 }
@@ -135,13 +103,10 @@ type Result struct {
 	TotalWeight graph.Weight
 	Dim         int
 
-	// SimSeconds is the virtual-clock runtime on the selected platform;
-	// Phase is its breakdown. With Options.AllPlatforms, SimByPlatform and
-	// PhaseByPlatform carry the same figures for every platform.
-	SimSeconds      float64
-	Phase           PhaseBreakdown
-	SimByPlatform   map[Platform]float64
-	PhaseByPlatform map[Platform]PhaseBreakdown
+	// Phase is Price(Options.Platform), the virtual-clock seconds per
+	// phase on the selected platform; SimSeconds is its Total.
+	SimSeconds float64
+	Phase      PhaseBreakdown
 
 	// Work counters (primitive operations per phase).
 	TreeOps, LabelOps, SearchOps, UpdateOps int64
@@ -159,6 +124,9 @@ type Result struct {
 
 	// NodesRemoved counts vertices eliminated by the ear reduction.
 	NodesRemoved int
+
+	// work is the per-component log Price replays, in component order.
+	work []work
 }
 
 func (p *PhaseBreakdown) add(o PhaseBreakdown) {
@@ -172,20 +140,7 @@ func (r *Result) merge(o *Result) {
 	r.Cycles = append(r.Cycles, o.Cycles...)
 	r.TotalWeight += o.TotalWeight
 	r.Dim += o.Dim
-	r.SimSeconds += o.SimSeconds
-	r.Phase.add(o.Phase)
-	if o.SimByPlatform != nil {
-		if r.SimByPlatform == nil {
-			r.SimByPlatform = make(map[Platform]float64)
-			r.PhaseByPlatform = make(map[Platform]PhaseBreakdown)
-		}
-		for p, s := range o.SimByPlatform {
-			r.SimByPlatform[p] += s
-			pb := r.PhaseByPlatform[p]
-			pb.add(o.PhaseByPlatform[p])
-			r.PhaseByPlatform[p] = pb
-		}
-	}
+	r.work = append(r.work, o.work...)
 	r.TreeOps += o.TreeOps
 	r.LabelOps += o.LabelOps
 	r.SearchOps += o.SearchOps

@@ -2,9 +2,11 @@
 // paper): the De Pina witness algorithm with Horton/isometric candidate
 // cycles and Mehlhorn–Michail labelled-tree searches, on the original graph
 // or — via Lemma 3.1 — on the ear-reduced graph with per-query expansion of
-// the basis cycles. Sequential, multicore, simulated-GPU and heterogeneous
-// drivers share the same algorithm and differ only in how the three phases
-// (label computation, minimum-cycle search, witness update) are scheduled.
+// the basis cycles. There is one solve, on a real goroutine pool; it
+// records how much work each phase (label computation, minimum-cycle
+// search, witness update) did, and Result.Price turns that log into the
+// virtual seconds of the paper's sequential, multicore, GPU or
+// heterogeneous implementation afterwards (price.go).
 package mcb
 
 import (

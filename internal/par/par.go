@@ -1,4 +1,7 @@
-package hetero
+// Package par is the worker pool every production fan-out shares: oracle
+// builds, row batches, centrality sources and the MCB phases all run their
+// independent work units through ParallelForCtx.
+package par
 
 import (
 	"context"
@@ -6,10 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// This file provides real goroutine-based parallel execution, used when the
-// host actually has multiple cores. The benchmark harness reports both this
-// wall-clock path and the virtual-clock path of schedule.go.
 
 // Workers returns a sensible worker count: GOMAXPROCS.
 func Workers() int { return runtime.GOMAXPROCS(0) }

@@ -1,4 +1,4 @@
-package hetero
+package par
 
 import (
 	"context"
@@ -71,5 +71,23 @@ func TestParallelForCtxZeroItems(t *testing.T) {
 	}
 	if called {
 		t.Fatal("fn called for an empty range")
+	}
+}
+
+func TestParallelFor(t *testing.T) {
+	for _, workers := range []int{1, 2, 7} {
+		var sum int64
+		ParallelFor(workers, 1000, func(w, i int) {
+			atomic.AddInt64(&sum, int64(i))
+		})
+		if sum != 999*1000/2 {
+			t.Fatalf("workers=%d: sum %d", workers, sum)
+		}
+	}
+	// n smaller than workers
+	count := int64(0)
+	ParallelFor(16, 3, func(w, i int) { atomic.AddInt64(&count, 1) })
+	if count != 3 {
+		t.Fatalf("count %d", count)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/ds"
 	"repro/internal/graph"
-	"repro/internal/hetero"
+	"repro/internal/par"
 )
 
 // batchScratch is the pooled per-call working state of Batch: the dedup
@@ -40,7 +40,7 @@ func (s *batchScratch) reset() {
 // allocated. Cached rows are copied straight into the result under the
 // cache's shard locks; only the rows actually missing are computed — at
 // most once per distinct source — one row at a time across a pool of
-// workers (hetero.ParallelForCtx). Concurrent point queries and other
+// workers (par.ParallelForCtx). Concurrent point queries and other
 // batches coalesce onto the same builds through the engine's singleflight
 // layer. A batch whose rows are all cached allocates only the matrix it
 // returns.
@@ -144,7 +144,7 @@ func (e *Engine) BatchFlat(ctx context.Context, sources, targets []int32, flat [
 			failed   atomic.Bool
 			failure  error
 		)
-		_ = hetero.ParallelForCtx(ctx, e.workers, len(sc.missing), func(_, i int) {
+		_ = par.ParallelForCtx(ctx, e.workers, len(sc.missing), func(_, i int) {
 			if failed.Load() {
 				return
 			}

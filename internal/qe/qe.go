@@ -29,7 +29,7 @@
 //     applies to pairs and rows alike;
 //   - bulk queries: Batch answers an N×M many-to-many matrix with one row
 //     computation per distinct source, spread over the engine's workers
-//     by hetero.ParallelForCtx. Requests whose
+//     by par.ParallelForCtx. Requests whose
 //     result matrix would exceed MaxBatchPairs are rejected with the
 //     typed ErrBatchTooLarge before anything is allocated.
 //
@@ -47,8 +47,8 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/hetero"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // RowSource is the oracle surface the engine builds rows from.
@@ -110,7 +110,7 @@ type Config struct {
 	// negative disables caching entirely, leaving only coalescing).
 	CacheRows int
 	// MaxInflight bounds concurrently served requests; ≤ 0 resolves to
-	// hetero.Workers().
+	// par.Workers().
 	MaxInflight int
 	// QueueDepth bounds requests waiting for admission beyond
 	// MaxInflight; negative resolves to 0 (shed immediately when all
@@ -192,7 +192,7 @@ func New(src RowSource, cfg Config) *Engine {
 	}
 	workers := cfg.MaxInflight
 	if workers <= 0 {
-		workers = hetero.Workers()
+		workers = par.Workers()
 	}
 	queue := cfg.QueueDepth
 	if queue < 0 {

@@ -141,3 +141,14 @@ func BellmanFord(g *graph.Graph, source int32) []graph.Weight {
 	}
 	return dist
 }
+
+// UnitWeights reports whether every edge has weight exactly 1, the
+// hop-count case where a BFS forward pass replaces Dijkstra (internal/bc).
+func UnitWeights(g *graph.Graph) bool {
+	for _, e := range g.Edges() {
+		if e.W != 1 {
+			return false
+		}
+	}
+	return true
+}

@@ -70,17 +70,30 @@ func TestFrontierMatchesDijkstra(t *testing.T) {
 	for gi, g := range randomGraphs() {
 		for src := int32(0); src < int32(g.NumVertices()); src += 2 {
 			want := Dijkstra(g, src, nil)
-			got := FrontierSSSP(g, src)
-			got2, sweeps := FrontierSweeps(g, src)
+			got, sweeps := FrontierSweeps(g, src)
 			if sweeps <= 0 {
 				t.Fatalf("graph %d: zero sweeps", gi)
 			}
 			for v := range want.Dist {
-				if got.Dist[v] != want.Dist[v] || got2.Dist[v] != want.Dist[v] {
+				if got.Dist[v] != want.Dist[v] {
 					t.Fatalf("graph %d src %d: frontier dist[%d] wrong", gi, src, v)
 				}
 			}
 		}
+	}
+}
+
+// TestUnitWeights keeps the half of the deleted BFS test that checked code
+// still here: bc picks its BFS forward pass on this predicate.
+func TestUnitWeights(t *testing.T) {
+	rng := gen.NewRNG(70)
+	if g := gen.GNM(30, 60, gen.Config{MaxWeight: 1}, rng); !UnitWeights(g) {
+		t.Fatal("generator should emit unit weights at MaxWeight 1")
+	}
+	b := graph.NewBuilder(2)
+	b.AddEdge(0, 1, 2)
+	if UnitWeights(b.Build()) {
+		t.Fatal("weight-2 graph reported as unit")
 	}
 }
 
@@ -160,9 +173,6 @@ func TestLCA(t *testing.T) {
 		if got := tr.LCA(c[0], c[1]); got != c[2] {
 			t.Fatalf("LCA(%d,%d) = %d, want %d", c[0], c[1], got, c[2])
 		}
-	}
-	if !tr.IsTreeEdge(g, 0) {
-		t.Fatal("edge 0 should be a tree edge")
 	}
 }
 

@@ -69,10 +69,3 @@ func (t *Tree) LCA(u, v int32) int32 {
 	}
 	return u
 }
-
-// IsTreeEdge reports whether edge eid is a tree edge of t (the parent edge
-// of either endpoint).
-func (t *Tree) IsTreeEdge(g *graph.Graph, eid int32) bool {
-	e := g.Edge(eid)
-	return t.ParentEdge[e.U] == eid || t.ParentEdge[e.V] == eid
-}

@@ -19,19 +19,20 @@ package repro
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"os"
 
 	"repro/internal/apsp"
 	"repro/internal/bc"
-	"repro/internal/core"
 	"repro/internal/ear"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/hetero"
 	"repro/internal/jobs"
 	"repro/internal/mcb"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/qe"
 	"repro/internal/registry"
 	"repro/internal/shard"
@@ -90,11 +91,26 @@ type (
 	ReducedGraph = ear.Reduced
 )
 
-// EarDecompose returns the ears of a biconnected graph.
-func EarDecompose(g *Graph) ([]EarDecompositionEar, error) { return core.EarDecomposition(g) }
+// errNilGraph is what every graph-taking entry point below returns for a
+// nil graph instead of panicking inside the pipeline.
+var errNilGraph = errors.New("repro: nil graph")
+
+// EarDecompose returns the ears of a biconnected graph, or an error if the
+// graph is not biconnected.
+func EarDecompose(g *Graph) ([]EarDecompositionEar, error) {
+	if g == nil {
+		return nil, errNilGraph
+	}
+	return ear.Decompose(g)
+}
 
 // ReduceGraph contracts all maximal degree-2 chains of g (APSP mode).
-func ReduceGraph(g *Graph) (*ReducedGraph, error) { return core.Reduce(g) }
+func ReduceGraph(g *Graph) (*ReducedGraph, error) {
+	if g == nil {
+		return nil, errNilGraph
+	}
+	return ear.Reduce(g, ear.APSP), nil
+}
 
 // All-pairs shortest paths.
 type (
@@ -132,7 +148,14 @@ func ShortestPathsOpts(g *Graph, opts APSPOptions) (*APSPOracle, error) {
 // Dijkstra units inside each, so cancelling the context or hitting its
 // deadline abandons the build promptly and returns the context error.
 func ShortestPathsCtx(ctx context.Context, g *Graph, opts APSPOptions) (*APSPOracle, error) {
-	return core.ShortestPathsWith(ctx, g, apsp.Options{Workers: opts.Workers, Compact32: opts.Compact32})
+	if g == nil {
+		return nil, errNilGraph
+	}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = par.Workers()
+	}
+	return apsp.NewOracleOpts(ctx, g, apsp.Options{Workers: workers, Compact32: opts.Compact32})
 }
 
 // ShortestPaths builds the APSP oracle with the given parallelism
@@ -483,7 +506,9 @@ var (
 
 // MinimumCycleBasis computes an MCB with the ear reduction enabled. It is
 // a thin wrapper over MinimumCycleBasisCtx with a background context.
-func MinimumCycleBasis(g *Graph) (*MCBResult, error) { return core.MinimumCycleBasis(g) }
+func MinimumCycleBasis(g *Graph) (*MCBResult, error) {
+	return MinimumCycleBasisCtx(context.Background(), g)
+}
 
 // MinimumCycleBasisCtx computes an MCB with the ear reduction enabled,
 // honouring ctx: the pipeline checks the context between biconnected
@@ -492,19 +517,29 @@ func MinimumCycleBasis(g *Graph) (*MCBResult, error) { return core.MinimumCycleB
 // mid-flight. On cancellation the error wraps ctx.Err() (errors.Is with
 // context.Canceled / context.DeadlineExceeded).
 func MinimumCycleBasisCtx(ctx context.Context, g *Graph) (*MCBResult, error) {
-	return core.MinimumCycleBasisCtx(ctx, g)
+	return MinimumCycleBasisOptsCtx(ctx, g, MCBOptions{UseEar: true, Workers: par.Workers()})
 }
 
 // MinimumCycleBasisOpts computes an MCB with explicit options. It is a
 // thin wrapper over MinimumCycleBasisOptsCtx with a background context.
 func MinimumCycleBasisOpts(g *Graph, opts MCBOptions) (*MCBResult, error) {
-	return core.MinimumCycleBasisOpts(g, opts)
+	return MinimumCycleBasisOptsCtx(context.Background(), g, opts)
 }
 
 // MinimumCycleBasisOptsCtx is MinimumCycleBasisOpts under ctx, with the
 // same cancellation contract as MinimumCycleBasisCtx.
 func MinimumCycleBasisOptsCtx(ctx context.Context, g *Graph, opts MCBOptions) (*MCBResult, error) {
-	return core.MinimumCycleBasisOptsCtx(ctx, g, opts)
+	if g == nil {
+		return nil, errNilGraph
+	}
+	res, err := mcb.ComputeCtx(ctx, g, opts)
+	if err != nil {
+		return nil, err
+	}
+	if want := mcb.Dim(g); res.Dim != want {
+		return nil, fmt.Errorf("repro: internal error: basis dimension %d, want %d", res.Dim, want)
+	}
+	return res, nil
 }
 
 // Generators (for experimentation and tests).
@@ -536,7 +571,7 @@ type BCOptions struct {
 func BetweennessCentralityOpts(g *Graph, opts BCOptions) *BCResult {
 	workers := opts.Workers
 	if workers <= 0 {
-		workers = hetero.Workers()
+		workers = par.Workers()
 	}
 	return bc.Parallel(g, workers)
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/mcb"
 	"repro/internal/shard"
+	"repro/internal/sssp"
 )
 
 // TestFacadeEndToEnd exercises the public surface the README documents:
@@ -77,6 +78,87 @@ func TestFacadeEarDecompose(t *testing.T) {
 	}
 	if len(ears) != 1 {
 		t.Fatalf("ring should be one ear, got %d", len(ears))
+	}
+}
+
+// The next four tests came with the one-call wrappers from internal/core
+// when repro.go absorbed it.
+
+func TestShortestPathsEndToEnd(t *testing.T) {
+	cfg := gen.Config{MaxWeight: 7}
+	rng := gen.NewRNG(5)
+	g := gen.Subdivide(gen.GNM(25, 45, cfg, rng), 0.5, 2, cfg, rng)
+	o, err := ShortestPaths(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := sssp.BellmanFord(g, 0)
+	for v := int32(0); v < int32(g.NumVertices()); v++ {
+		if o.Query(0, v) != ref[v] {
+			t.Fatalf("query mismatch at %d", v)
+		}
+	}
+}
+
+func TestMinimumCycleBasisEndToEnd(t *testing.T) {
+	cfg := gen.Config{MaxWeight: 5}
+	rng := gen.NewRNG(6)
+	g := gen.GNM(20, 32, cfg, rng)
+	res, err := MinimumCycleBasis(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Dim != mcb.Dim(g) {
+		t.Fatalf("dim %d, want %d", res.Dim, mcb.Dim(g))
+	}
+	res2, err := MinimumCycleBasisOpts(g, MCBOptions{UseEar: false, Platform: mcb.Multicore})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TotalWeight != res2.TotalWeight {
+		t.Fatal("option variants disagree on weight")
+	}
+}
+
+func TestReduceAndEars(t *testing.T) {
+	cfg := gen.Config{MaxWeight: 3}
+	rng := gen.NewRNG(7)
+	ring := gen.Ring(15, cfg, rng)
+	red, err := ReduceGraph(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if red.NumRemoved() != 14 {
+		t.Fatalf("ring reduction removed %d", red.NumRemoved())
+	}
+	ears, err := EarDecompose(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ears) != 1 {
+		t.Fatalf("ring has %d ears", len(ears))
+	}
+}
+
+// TestNilInputs: the nil-graph checks are the wrappers' own now, so every
+// variant that reaches the pipeline is tried, not just the short forms.
+func TestNilInputs(t *testing.T) {
+	ctx := context.Background()
+	calls := map[string]func() error{
+		"ShortestPaths":            func() error { _, err := ShortestPaths(nil, 1); return err },
+		"ShortestPathsOpts":        func() error { _, err := ShortestPathsOpts(nil, APSPOptions{}); return err },
+		"ShortestPathsCtx":         func() error { _, err := ShortestPathsCtx(ctx, nil, APSPOptions{}); return err },
+		"MinimumCycleBasis":        func() error { _, err := MinimumCycleBasis(nil); return err },
+		"MinimumCycleBasisCtx":     func() error { _, err := MinimumCycleBasisCtx(ctx, nil); return err },
+		"MinimumCycleBasisOpts":    func() error { _, err := MinimumCycleBasisOpts(nil, MCBOptions{}); return err },
+		"MinimumCycleBasisOptsCtx": func() error { _, err := MinimumCycleBasisOptsCtx(ctx, nil, MCBOptions{}); return err },
+		"ReduceGraph":              func() error { _, err := ReduceGraph(nil); return err },
+		"EarDecompose":             func() error { _, err := EarDecompose(nil); return err },
+	}
+	for name, call := range calls {
+		if err := call(); err == nil {
+			t.Errorf("%s: nil graph accepted", name)
+		}
 	}
 }
 
