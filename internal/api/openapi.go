@@ -9,7 +9,7 @@ import (
 
 // OpenAPI renders the route table as an OpenAPI 3.0 document in YAML.
 // The output is deterministic — same table, same bytes — which is what
-// lets CI diff it against the checked-in api/openapi.yaml instead of
+// lets tier-1 compare it with the checked-in api/openapi.yaml instead of
 // trusting anyone to hand-sync the two. The emitter is deliberately tiny
 // (the repo takes no YAML dependency): two-space indentation, double-
 // quoted scalars, keys sorted where the source order isn't meaningful.

@@ -17,7 +17,7 @@ import (
 // Live updates. The paper's decomposition is exactly what makes an APSP
 // oracle incrementally maintainable: a weight change inside one
 // biconnected component perturbs only that component's reduced tables
-// (and, through its cut-pair clique, the a×a AP table), while every other
+// (and, through its cut-to-cut distances, the a×a AP table), while every other
 // block's ear reduction and S^r table stays bit-identical. ApplyDelta
 // exploits that locality. It never mutates the receiver: it returns a NEW
 // oracle that shares every untouched immutable sub-structure with the old
@@ -455,7 +455,7 @@ func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int
 		return nil, nil, err
 	}
 	// Construction work accumulates across applies: what the old oracle
-	// cost, plus the blocks this apply solved afresh, plus the AP table.
+	// cost plus the blocks this apply solved afresh; A relaxes nothing.
 	n.Relaxations = o.Relaxations + fresh
 	n.buildAPTable()
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/sssp"
 )
 
 // BlockAPSP is the per-biconnected-component state of the general
@@ -89,7 +88,7 @@ type Oracle struct {
 	// view caches StitchView(); see there.
 	view atomic.Pointer[StitchView]
 
-	// Relaxations is the total shortest-path work of construction.
+	// Relaxations is the Dijkstra work of construction, all of it in blocks.
 	Relaxations int64
 
 	// BuildPhases times the construction phases of this oracle
@@ -213,38 +212,49 @@ func assemble(g *graph.Graph, dec *bcc.Decomposition, bct *bcc.BlockCutTree, com
 	return o, nil
 }
 
-// buildAPTable computes the a×a articulation point distance table by
-// running Dijkstra from each AP over the "AP graph": one vertex per AP,
-// and, for every block, an edge between each pair of its APs weighted by
-// their in-block distance (Section 2.2, Stage 2). The AP graph dies with the
-// call: nothing navigates it afterwards, the forest is the navigation.
+// buildAPTable computes the a×a articulation point distance table
+// (Section 2.2, Stage 2) by one forest walk per articulation point. In a
+// tree the route between two cut vertices is forced, so there is nothing
+// to search: for every block b in BFS order from s and every cut c on it
+// other than the one b was entered through,
+//
+//	A[s,c] = A[s,gate(b)] + d_b(gate(b), c)
+//
+// with gate(b) = s on the blocks s itself lies on. The in-block entry is
+// read with the cut listed first in BlockCuts[b] as its source — one fixed
+// orientation per pair, so A[s,·] and A[t,·] add the same d_b for the
+// same hop. Cuts in another component stay Inf. No shortest-path search
+// runs, so the table adds nothing to Relaxations.
 func (o *Oracle) buildAPTable() {
 	a := o.numA
 	o.A = make([]graph.Weight, a*a)
-	if a == 0 {
-		if o.compact {
-			o.a32, o.A = compressTable(o.A), nil
-		}
-		return
+	for i := range o.A {
+		o.A[i] = Inf
 	}
-	b := graph.NewBuilder(a)
-	for bi, blk := range o.Blocks {
-		cuts := o.BCT.BlockCuts[bi]
-		for i := 0; i < len(cuts); i++ {
-			for j := i + 1; j < len(cuts); j++ {
-				u := o.BCT.CutVertices[cuts[i]]
-				v := o.BCT.CutVertices[cuts[j]]
-				w := blk.QueryParent(u, v)
-				if w < Inf {
-					b.AddEdge(cuts[i], cuts[j], w)
+	gate := make([]int32, len(o.Blocks))
+	var order []int32
+	for s := 0; s < a; s++ {
+		row := o.A[s*a : (s+1)*a]
+		row[s] = 0
+		order = walkForest(o.BCT.BlockCuts, o.BCT.CutBlocks, int32(s), -1, gate, order[:0])
+		for _, b := range order {
+			g := gate[b]
+			if g == gateSelf {
+				g = int32(s)
+			}
+			gv, gateFirst := o.BCT.CutVertices[g], false
+			for _, c := range o.BCT.BlockCuts[b] {
+				if c == g {
+					gateFirst = true // every later cut is listed after the gate
+					continue
 				}
+				u, v := o.BCT.CutVertices[c], gv
+				if gateFirst {
+					u, v = v, u
+				}
+				row[c] = addInf(row[g], o.Blocks[b].QueryParent(u, v), 0)
 			}
 		}
-	}
-	apGraph := b.Build()
-	sc := sssp.NewScratch(a)
-	for s := 0; s < a; s++ {
-		o.Relaxations += sssp.DistancesOnly(apGraph, int32(s), o.A[s*a:(s+1)*a], sc)
 	}
 	if o.compact {
 		o.a32 = compressTable(o.A)

@@ -184,7 +184,7 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 	if err := bd.Finish(); err != nil {
 		return nil, err
 	}
-	o.Relaxations = relax // the stored total also covers the AP table's Dijkstras
+	o.Relaxations = relax // the stored total also carries the work of every delta applied
 	ad, err := sr.Section("aptable")
 	if err != nil {
 		return nil, err

@@ -89,6 +89,48 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
+// walkForest is the package's one walk of the block-cut forest from a
+// source: BFS over the adjacency blockCuts (block → AP indices on it) and
+// cutBlocks (its reverse) from the cut vertex iu, or, when iu < 0, from
+// the home block bu. It fills gate (len = number of blocks): gate[b] is
+// the first cut vertex on the forest path from block b back to the source,
+// gateSelf when the source lies on b, gateNone when b is in another
+// component. The reached blocks are appended to queue in BFS order — a
+// block comes after the block its gate was found on — and returned. Row
+// extends a source's distances outward along it; buildAPTable fills a row
+// of A the same way.
+func walkForest(blockCuts, cutBlocks [][]int32, iu, bu int32, gate, queue []int32) []int32 {
+	for b := range gate {
+		gate[b] = gateNone
+	}
+	if iu >= 0 {
+		for _, b := range cutBlocks[iu] {
+			if gate[b] == gateNone {
+				gate[b] = gateSelf
+				queue = append(queue, b)
+			}
+		}
+	} else {
+		gate[bu] = gateSelf
+		queue = append(queue, bu)
+	}
+	for qi := 0; qi < len(queue); qi++ {
+		b := queue[qi]
+		for _, ci := range blockCuts[b] {
+			if ci == gate[b] || ci == iu {
+				continue // the cut this block was entered through
+			}
+			for _, nb := range cutBlocks[ci] {
+				if gate[nb] == gateNone {
+					gate[nb] = ci
+					queue = append(queue, nb)
+				}
+			}
+		}
+	}
+	return queue
+}
+
 // RowCost estimates the table operations Row(u) will perform: a cheap
 // upper bound, n for the extension pass plus the AP sweep. No scheduler
 // reads it any more (qe.Batch spreads rows with ParallelForCtx); it, and
@@ -134,36 +176,7 @@ func (v *StitchView) Row(u int32, out []graph.Weight, fetch BlockRowsFunc) (int6
 
 	sc.gate = grow(sc.gate, len(v.BlockVerts))
 	gate := sc.gate
-	for b := range gate {
-		gate[b] = gateNone
-	}
-	queue := sc.queue[:0]
-	if iu >= 0 {
-		for _, b := range v.CutBlocks[iu] {
-			if gate[b] == gateNone {
-				gate[b] = gateSelf
-				queue = append(queue, b)
-			}
-		}
-	} else {
-		gate[bu] = gateSelf
-		queue = append(queue, bu)
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		b := queue[qi]
-		for _, ci := range v.BlockCuts[b] {
-			if ci == gate[b] || ci == iu {
-				continue // the cut this block was entered through
-			}
-			for _, nb := range v.CutBlocks[ci] {
-				if gate[nb] == gateNone {
-					gate[nb] = ci
-					queue = append(queue, nb)
-				}
-			}
-		}
-	}
-	sc.queue = queue
+	sc.queue = walkForest(v.BlockCuts, v.CutBlocks, iu, bu, gate, sc.queue[:0])
 
 	// One in-block row per reached block, ascending, so a provider's
 	// request order is deterministic.

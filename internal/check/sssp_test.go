@@ -145,7 +145,10 @@ func fingerprint(o *apsp.Oracle) (a, queries uint32) {
 // them. A change below the oracle — the heap, the CSR, the block-cut
 // navigation — that claims "answers unchanged" is held to these constants;
 // they move only with the dataset generator or the definition of a
-// distance, never with how one is computed.
+// distance, never with how one is computed. relax counts Dijkstra
+// relaxations inside blocks only: it read 13 922 256 while the AP table
+// was a Dijkstra per cut vertex over a clique-per-block graph, and the
+// 2 969 824 it lost are exactly that table's, now a forest walk.
 func TestDistanceFingerprint(t *testing.T) {
 	spec, err := datasets.ByName("cond_mat_2003")
 	if err != nil {
@@ -158,7 +161,7 @@ func TestDistanceFingerprint(t *testing.T) {
 		relax      int64
 		long       bool
 	}{
-		{"blocks_m", 0.08, 0x96b9ad21, 0x2ac4bd88, 13922256, false},
+		{"blocks_m", 0.08, 0x96b9ad21, 0x2ac4bd88, 10952432, false},
 		{"blocks", 0.25, 0x1d6a47cf, 0x2cd9294c, 0, true},
 	} {
 		if c.long && (testing.Short() || raceEnabled) {

@@ -23,7 +23,7 @@ func RegistryFlags(engine func() qe.Config) func() registry.Config {
 		return registry.Config{
 			Dir:       *dir,
 			MaxGraphs: *maxGraphs,
-			Limits:    registry.LimitsFromConfig(engine()),
+			Engine:    engine(),
 		}
 	}
 }

@@ -24,6 +24,7 @@ type slot struct {
 	dev   *Device
 	clock float64
 	index int // tie-break for determinism
+	local int // index among its device's slots, for traces
 }
 
 type slotHeap []*slot
@@ -54,17 +55,22 @@ func (h *slotHeap) Pop() interface{} {
 // Execution is sequential in real time (the simulation orders the calls),
 // so exec may share scratch state keyed by device.
 func Run(units []Unit, devices []*Device, exec func(u Unit, d *Device) Cost) *Schedule {
+	return run(units, devices, exec, nil)
+}
+
+// run is the one scheduler loop. onBatch, when non-nil, sees every batch
+// as it is charged: the claiming slot before its clock advances, the
+// batch's virtual duration and its unit count.
+func run(units []Unit, devices []*Device, exec func(u Unit, d *Device) Cost, onBatch func(sl *slot, dt float64, units int)) *Schedule {
 	d := NewDeque(units)
 	s := &Schedule{
 		BusyByDevice:  make(map[string]float64, len(devices)),
 		UnitsByDevice: make(map[string]int, len(devices)),
 	}
 	var h slotHeap
-	idx := 0
 	for _, dev := range devices {
 		for i := 0; i < dev.Slots; i++ {
-			h = append(h, &slot{dev: dev, index: idx})
-			idx++
+			h = append(h, &slot{dev: dev, index: len(h), local: i})
 		}
 	}
 	heap.Init(&h)
@@ -87,6 +93,9 @@ func Run(units []Unit, devices []*Device, exec func(u Unit, d *Device) Cost) *Sc
 			s.TotalOps += c.Ops
 		}
 		dt := sl.dev.slotTime(costs)
+		if onBatch != nil {
+			onBatch(sl, dt, len(batch))
+		}
 		sl.clock += dt
 		s.BusyByDevice[sl.dev.Name] += dt
 		s.UnitsByDevice[sl.dev.Name] += len(batch)

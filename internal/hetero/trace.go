@@ -1,7 +1,6 @@
 package hetero
 
 import (
-	"container/heap"
 	"fmt"
 	"io"
 	"sort"
@@ -27,58 +26,16 @@ type Trace struct {
 // RunTraced is Run with event recording, for schedule inspection and the
 // Gantt rendering below.
 func RunTraced(units []Unit, devices []*Device, exec func(u Unit, d *Device) Cost) *Trace {
-	d := NewDeque(units)
-	s := &Schedule{
-		BusyByDevice:  make(map[string]float64, len(devices)),
-		UnitsByDevice: make(map[string]int, len(devices)),
-	}
-	tr := &Trace{Schedule: s}
-	var h slotHeap
-	idx := 0
-	slotIndex := map[*slot]int{}
-	for _, dev := range devices {
-		for i := 0; i < dev.Slots; i++ {
-			sl := &slot{dev: dev, index: idx}
-			slotIndex[sl] = i
-			h = append(h, sl)
-			idx++
-		}
-	}
-	heap.Init(&h)
-	costs := make([]Cost, 0, 64)
-	for d.Remaining() > 0 && len(h) > 0 {
-		sl := heap.Pop(&h).(*slot)
-		var batch []Unit
-		if sl.dev.Big {
-			batch = d.PopBig(sl.dev.BatchSize)
-		} else {
-			batch = d.PopSmall(sl.dev.BatchSize)
-		}
-		if len(batch) == 0 {
-			continue
-		}
-		costs = costs[:0]
-		for _, u := range batch {
-			c := exec(u, sl.dev)
-			costs = append(costs, c)
-			s.TotalOps += c.Ops
-		}
-		dt := sl.dev.slotTime(costs)
+	tr := &Trace{}
+	tr.Schedule = run(units, devices, exec, func(sl *slot, dt float64, units int) {
 		tr.Events = append(tr.Events, TraceEvent{
 			Device: sl.dev.Name,
-			Slot:   slotIndex[sl],
+			Slot:   sl.local,
 			Start:  sl.clock,
 			End:    sl.clock + dt,
-			Units:  len(batch),
+			Units:  units,
 		})
-		sl.clock += dt
-		s.BusyByDevice[sl.dev.Name] += dt
-		s.UnitsByDevice[sl.dev.Name] += len(batch)
-		if sl.clock > s.Makespan {
-			s.Makespan = sl.clock
-		}
-		heap.Push(&h, sl)
-	}
+	})
 	sort.Slice(tr.Events, func(i, j int) bool {
 		if tr.Events[i].Device != tr.Events[j].Device {
 			return tr.Events[i].Device < tr.Events[j].Device

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestRunTracedMatchesRun(t *testing.T) {
@@ -14,7 +16,12 @@ func TestRunTracedMatchesRun(t *testing.T) {
 	devices := []*Device{MulticoreCPU(), TeslaK40c()}
 	exec := func(u Unit, d *Device) Cost { return Cost{Ops: u.Size * 5000, Launches: 1} }
 	plain := Run(units, devices, exec)
+	runs, ops := obs.Default.Counter("hetero.runs"), obs.Default.Counter("hetero.ops")
+	runs0, ops0 := runs.Value(), ops.Value()
 	traced := RunTraced(units, devices, exec)
+	if runs.Value() != runs0+1 || ops.Value() != ops0+plain.TotalOps {
+		t.Fatal("a traced run is not counted like a plain one")
+	}
 	if traced.Schedule.Makespan != plain.Makespan {
 		t.Fatalf("traced makespan %v != %v", traced.Schedule.Makespan, plain.Makespan)
 	}

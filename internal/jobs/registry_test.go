@@ -12,6 +12,7 @@ import (
 	"repro/internal/bc"
 	"repro/internal/jobs"
 	"repro/internal/obs"
+	"repro/internal/qe"
 	"repro/internal/registry"
 )
 
@@ -28,7 +29,7 @@ func TestEvictionDrainsBehindJob(t *testing.T) {
 	writeSnapFile(t, dir, "b", apsp.NewOracle(gb))
 	rg, err := registry.Open(registry.Config{
 		Dir: dir, MaxGraphs: 1,
-		Limits: registry.Limits{CacheRows: 16, MaxInflight: 4, QueueDepth: 8},
+		Engine: qe.Config{CacheRows: 16, MaxInflight: 4, QueueDepth: 8},
 		Reg:    obs.NewRegistry(),
 	})
 	if err != nil {

@@ -35,13 +35,6 @@ type candidateSet struct {
 	Rejected int64
 }
 
-// buildCandidates is the sequential entry point kept for the Horton
-// baseline; it cannot fail because the background context never cancels.
-func buildCandidates(g *graph.Graph, roots []int32) *candidateSet {
-	cs, _ := buildCandidatesCtx(context.Background(), g, roots, 1)
-	return cs
-}
-
 // buildCandidatesCtx constructs the shortest path trees from each root and
 // enumerates the candidate cycles, applying the Mehlhorn–Michail filter:
 // keep C_ze only when z is the least common ancestor of e's endpoints in

@@ -42,12 +42,34 @@ func ComputeCtx(ctx context.Context, g *graph.Graph, opts Options) (*Result, err
 	opts = opts.withDefaults()
 	obs.Default.Counter("mcb.computes").Inc()
 	obs.Default.Gauge("mcb.workers").Set(int64(opts.Workers))
+	total, err := solveComponents(ctx, g, opts.UseEar, opts.Seed, func(ctx context.Context, work *graph.Graph) ([][]int32, *Result, error) {
+		return solveCoreCtx(ctx, work, opts)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("mcb: compute cancelled: %w", err)
+	}
+	total.Phase = total.Price(opts.Platform)
+	total.SimSeconds = total.Phase.Total()
+	return total, nil
+}
+
+// coreSolver solves one connected working graph (already perturbed) and
+// returns its basis as local edge IDs with the work counters: De Pina's
+// solveCoreCtx or Horton's hortonCore.
+type coreSolver func(ctx context.Context, work *graph.Graph) ([][]int32, *Result, error)
+
+// solveComponents is the per-component driver of Section 3.3 that
+// ComputeCtx and HortonMCB share: split g into biconnected components,
+// skip those that cannot hold a cycle, optionally ear-reduce (Lemma 3.1),
+// perturb, solve with core, expand each contracted chain and translate the
+// cycles back to g's edge IDs and original weights. A core error (only
+// cancellation) is returned as is.
+func solveComponents(ctx context.Context, g *graph.Graph, useEar bool, seed uint64, core coreSolver) (*Result, error) {
 	total := &Result{}
 	dec := bcc.Compute(g)
-	subs := dec.Subgraphs(g)
-	for si, sub := range subs {
+	for si, sub := range dec.Subgraphs(g) {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("mcb: compute cancelled: %w", err)
+			return nil, err
 		}
 		local := sub.G
 		// Quick skip: a component contributes cycles only if it has at
@@ -64,31 +86,24 @@ func ComputeCtx(ctx context.Context, g *graph.Graph, opts Options) (*Result, err
 				continue
 			}
 		}
-		seed := opts.Seed + uint64(si)*0x9e3779b97f4a7c15
-		var localCycles [][]int32
-		var r *Result
-		var err error
-		if opts.UseEar {
-			red := ear.Reduce(local, ear.MCB)
-			work := perturb(red.R, seed)
-			var reduced [][]int32
-			reduced, r, err = solveCoreCtx(ctx, work, opts)
-			if err != nil {
-				return nil, fmt.Errorf("mcb: compute cancelled: %w", err)
-			}
+		work := local
+		var red *ear.Reduced
+		if useEar {
+			red = ear.Reduce(local, ear.MCB)
+			work = red.R
+		}
+		localCycles, r, err := core(ctx, perturb(work, seed+uint64(si)*0x9e3779b97f4a7c15))
+		if err != nil {
+			return nil, err
+		}
+		if red != nil {
 			r.NodesRemoved = red.NumRemoved()
-			for _, rc := range reduced {
+			for i, rc := range localCycles {
 				var expanded []int32
 				for _, re := range rc {
 					expanded = append(expanded, red.ExpandEdge(re)...)
 				}
-				localCycles = append(localCycles, expanded)
-			}
-		} else {
-			work := perturb(local, seed)
-			localCycles, r, err = solveCoreCtx(ctx, work, opts)
-			if err != nil {
-				return nil, fmt.Errorf("mcb: compute cancelled: %w", err)
+				localCycles[i] = expanded
 			}
 		}
 		for _, lc := range localCycles {
@@ -103,8 +118,6 @@ func ComputeCtx(ctx context.Context, g *graph.Graph, opts Options) (*Result, err
 		}
 		total.merge(r)
 	}
-	total.Phase = total.Price(opts.Platform)
-	total.SimSeconds = total.Phase.Total()
 	return total, nil
 }
 

@@ -1,9 +1,9 @@
 package mcb
 
 import (
-	"repro/internal/bcc"
+	"context"
+
 	"repro/internal/bitvec"
-	"repro/internal/ear"
 	"repro/internal/graph"
 )
 
@@ -21,57 +21,28 @@ func HortonMCB(g *graph.Graph, useEar bool, seed uint64) *Result {
 	if seed == 0 {
 		seed = 0x517cc1b727220a95
 	}
-	total := &Result{}
-	dec := bcc.Compute(g)
-	for si, sub := range dec.Subgraphs(g) {
-		local := sub.G
-		seedI := seed + uint64(si)*0x9e3779b97f4a7c15
-		var localCycles [][]int32
-		var r *Result
-		if useEar {
-			red := ear.Reduce(local, ear.MCB)
-			var reduced [][]int32
-			reduced, r = hortonCore(perturb(red.R, seedI))
-			r.NodesRemoved = red.NumRemoved()
-			for _, rc := range reduced {
-				var expanded []int32
-				for _, re := range rc {
-					expanded = append(expanded, red.ExpandEdge(re)...)
-				}
-				localCycles = append(localCycles, expanded)
-			}
-		} else {
-			localCycles, r = hortonCore(perturb(local, seedI))
-		}
-		for _, lc := range localCycles {
-			c := Cycle{Edges: make([]int32, len(lc))}
-			for i, le := range lc {
-				pe := sub.ToParentEdge[le]
-				c.Edges[i] = pe
-				c.Weight += g.Edge(pe).W
-			}
-			r.TotalWeight += c.Weight
-			r.Cycles = append(r.Cycles, c)
-		}
-		total.merge(r)
-	}
+	// The background context never cancels, the only way the solve fails.
+	total, _ := solveComponents(context.Background(), g, useEar, seed, hortonCore)
 	return total
 }
 
-func hortonCore(g *graph.Graph) (cycles [][]int32, res *Result) {
+func hortonCore(ctx context.Context, g *graph.Graph) (cycles [][]int32, res *Result, err error) {
 	res = &Result{}
 	sp := buildSpanning(g)
 	f := sp.dim()
 	res.Dim = f
 	if f == 0 {
-		return nil, res
+		return nil, res, nil
 	}
 	// Horton's formulation roots a tree at every vertex.
 	var roots []int32
 	for v := int32(0); v < int32(g.NumVertices()); v++ {
 		roots = append(roots, v)
 	}
-	cs := buildCandidates(g, roots)
+	cs, err := buildCandidatesCtx(ctx, g, roots, 1)
+	if err != nil {
+		return nil, nil, err
+	}
 	res.TreeOps = cs.TreeOps
 	res.NumRoots = len(roots)
 	res.NumCandidates = len(cs.cands)
@@ -84,12 +55,7 @@ func hortonCore(g *graph.Graph) (cycles [][]int32, res *Result) {
 	pivotRow := make([]*bitvec.Vector, f)
 	rank := 0
 	tryAdd := func(vecEdges []int32) bool {
-		v := bitvec.New(f)
-		for _, eid := range vecEdges {
-			if idx := sp.nontreeIndex[eid]; idx >= 0 {
-				v.Flip(int(idx))
-			}
-		}
+		v := sp.vector(vecEdges)
 		for {
 			p := v.FirstOne()
 			if p < 0 {
@@ -123,5 +89,5 @@ func hortonCore(g *graph.Graph) (cycles [][]int32, res *Result) {
 			cycles = append(cycles, fc)
 		}
 	}
-	return cycles, res
+	return cycles, res, nil
 }

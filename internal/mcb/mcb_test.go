@@ -338,15 +338,23 @@ func TestPhaseBreakdownConsistency(t *testing.T) {
 }
 
 func TestDisconnectedAndAcyclic(t *testing.T) {
+	// Compute and HortonMCB share the per-component driver, so both skip
+	// components that cannot hold a cycle and both keep a self-loop.
+	both := func(g *graph.Graph) map[string]*Result {
+		return map[string]*Result{
+			"depina": Compute(g, Options{UseEar: true}),
+			"horton": HortonMCB(g, true, 0),
+		}
+	}
 	// forest: empty basis
 	b := graph.NewBuilder(6)
 	b.AddEdge(0, 1, 1)
 	b.AddEdge(1, 2, 1)
 	b.AddEdge(3, 4, 1)
-	forest := b.Build()
-	res := Compute(forest, Options{UseEar: true})
-	if res.Dim != 0 || len(res.Cycles) != 0 || res.TotalWeight != 0 {
-		t.Fatalf("forest should have empty MCB, got %+v", res)
+	for name, res := range both(b.Build()) {
+		if res.Dim != 0 || len(res.Cycles) != 0 || res.TotalWeight != 0 || res.NodesRemoved != 0 {
+			t.Fatalf("%s: forest should have empty MCB and reduce nothing, got %+v", name, res)
+		}
 	}
 	// two disjoint triangles
 	b2 := graph.NewBuilder(6)
@@ -357,10 +365,25 @@ func TestDisconnectedAndAcyclic(t *testing.T) {
 	b2.AddEdge(4, 5, 1)
 	b2.AddEdge(5, 3, 1)
 	g2 := b2.Build()
-	res2 := Compute(g2, Options{UseEar: true})
-	verifyBasis(t, g2, res2, "two-triangles")
-	if res2.TotalWeight != 6+3 {
-		t.Fatalf("two triangles weight %v, want 9", res2.TotalWeight)
+	for name, res := range both(g2) {
+		verifyBasis(t, g2, res, "two-triangles/"+name)
+		if res.TotalWeight != 6+3 {
+			t.Fatalf("%s: two triangles weight %v, want 9", name, res.TotalWeight)
+		}
+	}
+	// a tree carrying one self-loop, beside an isolated vertex: m < n, and
+	// the loop is the whole basis.
+	b3 := graph.NewBuilder(4)
+	b3.AddEdge(0, 1, 1)
+	b3.AddEdge(1, 1, 5)
+	b3.AddEdge(1, 2, 2)
+	g3 := b3.Build()
+	for name, res := range both(g3) {
+		verifyBasis(t, g3, res, "tree-with-loop/"+name)
+		if res.Dim != 1 || len(res.Cycles) != 1 || res.TotalWeight != 5 {
+			t.Fatalf("%s: tree with a self-loop: dim %d, %d cycles, weight %v; want 1, 1, 5",
+				name, res.Dim, len(res.Cycles), res.TotalWeight)
+		}
 	}
 }
 

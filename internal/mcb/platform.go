@@ -49,8 +49,6 @@ type Options struct {
 	// fixed order, so the basis and the work counters are bit-identical
 	// at any worker count; only wall-clock time changes.
 	Workers int
-	// BatchSize is the candidate-scan batch (default 256).
-	BatchSize int
 	// AllRoots uses every vertex as a Horton root instead of a feedback
 	// vertex set (the paper's pre-FVS formulation; ablation knob).
 	AllRoots bool
@@ -65,9 +63,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.BatchSize <= 0 {
-		o.BatchSize = 256
-	}
 	if o.Workers <= 0 {
 		o.Workers = 1
 	}

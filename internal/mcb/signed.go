@@ -1,6 +1,8 @@
 package mcb
 
 import (
+	"context"
+
 	"repro/internal/bitvec"
 	"repro/internal/ds"
 	"repro/internal/graph"
@@ -50,9 +52,13 @@ func newSignedSearcher(g *graph.Graph, sp *spanning, roots []int32) *signedSearc
 	}
 }
 
-// minOddCycle returns the edge IDs (with cancellation applied) of a
-// minimum weight cycle non-orthogonal to s, or ok=false when none exists.
-func (ss *signedSearcher) minOddCycle(s *bitvec.Vector) (edges []int32, ok bool) {
+// next is De Pina's search behind the phase loop's seam: the edge IDs
+// (with cancellation applied) of a minimum weight cycle non-orthogonal to
+// s, or ok=false when none exists; ops are the relaxations it took. The
+// searcher is sequential and checks no context — the phase loop does,
+// between phases.
+func (ss *signedSearcher) next(_ context.Context, s *bitvec.Vector) (edges []int32, ops int64, ok bool, err error) {
+	before := ss.Ops
 	g := ss.g
 	bestW := graph.Weight(0)
 	var bestVec *bitvec.Vector
@@ -83,13 +89,13 @@ func (ss *signedSearcher) minOddCycle(s *bitvec.Vector) (edges []int32, ok bool)
 		}
 	}
 	if !found {
-		return nil, false
+		return nil, ss.Ops - before, false, nil
 	}
-	out := make([]int32, 0, bestVec.PopCount())
+	edges = make([]int32, 0, bestVec.PopCount())
 	for _, idx := range bestVec.Ones() {
-		out = append(out, int32(idx))
+		edges = append(edges, int32(idx))
 	}
-	return out, true
+	return edges, ss.Ops - before, true, nil
 }
 
 // searchFrom runs Dijkstra from z⁺ in the signed graph and, if z⁻ is

@@ -10,6 +10,7 @@
 package mcb
 
 import (
+	"repro/internal/bitvec"
 	"repro/internal/ds"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -92,6 +93,19 @@ func buildSpanning(g *graph.Graph) *spanning {
 
 // dim returns f = |E'| = m − n + k, the cycle space dimension.
 func (s *spanning) dim() int { return len(s.nontree) }
+
+// vector returns the incidence vector of a cycle, given as edge IDs,
+// restricted to E' — its coordinates in the witness space, which is all
+// the independence tests of Algorithm 2 and of Horton's greedy read.
+func (s *spanning) vector(edges []int32) *bitvec.Vector {
+	v := bitvec.New(s.dim())
+	for _, eid := range edges {
+		if idx := s.nontreeIndex[eid]; idx >= 0 {
+			v.Flip(int(idx))
+		}
+	}
+	return v
+}
 
 // fundamentalCycle returns the edge IDs of the fundamental cycle of
 // non-tree edge eid: the edge plus the tree path between its endpoints.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/qe"
 )
 
 // BenchmarkRegistryLookupWarm measures the full warm named-graph hop:
@@ -14,7 +15,7 @@ import (
 func BenchmarkRegistryLookupWarm(b *testing.B) {
 	dir := b.TempDir()
 	writeSnap(b, dir, "hot", testGraph(42))
-	r, err := Open(Config{Dir: dir, MaxGraphs: 4, Limits: Limits{CacheRows: 64}, Reg: obs.NewRegistry()})
+	r, err := Open(Config{Dir: dir, MaxGraphs: 4, Engine: qe.Config{CacheRows: 64}, Reg: obs.NewRegistry()})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -15,7 +15,7 @@
 //     engine, row cache — but in-flight requests hold references and
 //     drain safely: the engine closes only when the last reference goes;
 //   - per-graph limits: every hydrated graph gets its own engine built
-//     from one Limits struct (cache rows, admission slots, queue depth,
+//     from one qe.Config (cache rows, admission slots, queue depth,
 //     deadlines, batch pair cap), so tenants cannot starve each other;
 //   - per-graph metrics: each graph's qe.* metrics register under a
 //     "g.<name>." prefix via obs.Registry.Sub, next to the registry's own
@@ -98,8 +98,11 @@ type Config struct {
 	// MaxGraphs bounds resident unpinned graphs (0 resolves to
 	// DefaultMaxGraphs; values below 1 clamp to 1).
 	MaxGraphs int
-	// Limits bounds each hydrated graph's engine.
-	Limits Limits
+	// Engine configures every hydrated graph's own engine, so one tenant's
+	// batch storm fills its own admission queue and evicts its own cache
+	// rows; cli.RegistryFlags passes the single-graph flags' config. Its
+	// Reg is replaced per graph by this registry's "g.<name>." view.
+	Engine qe.Config
 	// Reg receives the registry's metrics and, under "g.<name>." views,
 	// each graph's engine metrics; nil resolves to obs.Default.
 	Reg *obs.Registry
@@ -109,7 +112,7 @@ type Config struct {
 type Registry struct {
 	dir    string
 	max    int
-	limits Limits
+	engine qe.Config
 	reg    *obs.Registry
 
 	mu     sync.Mutex
@@ -148,7 +151,7 @@ func Open(cfg Config) (*Registry, error) {
 	r := &Registry{
 		dir:    cfg.Dir,
 		max:    max,
-		limits: cfg.Limits,
+		engine: cfg.Engine,
 		reg:    reg,
 		known:  make(map[string]bool),
 		live:   make(map[string]*Entry),
@@ -330,7 +333,9 @@ func (r *Registry) hydrate(e *Entry) (*Entry, error) {
 		return nil, e.err
 	}
 	sub := r.reg.Sub("g." + e.name + ".")
-	engine := qe.New(o, r.limits.engineConfig(sub))
+	ecfg := r.engine
+	ecfg.Reg = sub
+	engine := qe.New(o, ecfg)
 	r.mu.Lock()
 	e.g, e.oracle, e.engine, e.sub = o.G, o, engine, sub
 	r.mu.Unlock()

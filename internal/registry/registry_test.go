@@ -49,7 +49,7 @@ func writeSnap(t testing.TB, dir, name string, g *graph.Graph) *apsp.Oracle {
 func openTest(t *testing.T, dir string, max int) (*Registry, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	r, err := Open(Config{Dir: dir, MaxGraphs: max, Limits: Limits{CacheRows: 32, MaxInflight: 4, QueueDepth: 16}, Reg: reg})
+	r, err := Open(Config{Dir: dir, MaxGraphs: max, Engine: qe.Config{CacheRows: 32, MaxInflight: 4, QueueDepth: 16}, Reg: reg})
 	if err != nil {
 		t.Fatalf("open registry: %v", err)
 	}

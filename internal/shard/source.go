@@ -425,6 +425,11 @@ func (s *RemoteSource) probeLoop(interval time.Duration) {
 	}
 }
 
+// healthBodyLimit bounds what a probe reads of a health reply: healthBody
+// is a status word and four integers, and whatever answers at a shard
+// address is not trusted to stop sending.
+const healthBodyLimit = 4 << 10
+
 func (s *RemoteSource) probeShard(i int32) {
 	st := s.shards[i]
 	resp, err := s.client.Get(st.addr + "/internal/health")
@@ -438,7 +443,7 @@ func (s *RemoteSource) probeShard(i int32) {
 		return
 	}
 	var hb healthBody
-	if err := json.NewDecoder(resp.Body).Decode(&hb); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, healthBodyLimit)).Decode(&hb); err != nil {
 		st.markBad("health probe: " + err.Error())
 		return
 	}

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -347,4 +349,70 @@ func TestProbeMarksHealth(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("prober never marked the killed shard unhealthy")
+}
+
+// readCounter counts the bytes a client reads of a response body.
+type readCounter struct {
+	io.ReadCloser
+	read *atomic.Int64
+}
+
+func (b readCounter) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.read.Add(int64(n))
+	return n, err
+}
+
+// TestProbeReadIsBounded: a /internal/health that streams one endless JSON
+// string is marked unhealthy once the probe's read limit is spent — not
+// when the client's timeout fires, with everything sent until then
+// buffered by the decoder.
+func TestProbeReadIsBounded(t *testing.T) {
+	const timeout = 5 * time.Second
+	var read atomic.Int64
+	g := gen.BridgeChain(4, 3, gen.Config{MaxWeight: 7}, gen.NewRNG(0x9a1e))
+	c := newCluster(t, g, 2, clusterOpts{
+		wrap: func(i int, h http.Handler) http.Handler {
+			if i != 0 {
+				return h
+			}
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/internal/health" {
+					h.ServeHTTP(w, r)
+					return
+				}
+				_, _ = io.WriteString(w, `{"status":"`)
+				chunk := bytes.Repeat([]byte("a"), 1024)
+				for r.Context().Err() == nil {
+					if _, err := w.Write(chunk); err != nil {
+						return // the prober hung up
+					}
+				}
+			})
+		},
+		sourceMod: func(cfg *SourceConfig) {
+			cfg.Client = &http.Client{Timeout: timeout, Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+				resp, err := http.DefaultTransport.RoundTrip(r)
+				if err == nil {
+					resp.Body = readCounter{resp.Body, &read}
+				}
+				return resp, err
+			})}
+		},
+	})
+	start := time.Now()
+	c.src.probeShard(0)
+	if st := c.src.Status()[0]; st.Healthy || !strings.Contains(st.LastError, "health probe") {
+		t.Fatalf("endless health body left shard 0 %+v", st)
+	}
+	if n := read.Load(); n == 0 || n > healthBodyLimit {
+		t.Fatalf("probe read %d bytes of an endless body, limit %d", n, healthBodyLimit)
+	}
+	if took := time.Since(start); took >= timeout {
+		t.Fatalf("probe returned after %v: the client timeout ended it, not the limit", took)
+	}
+	c.src.probeShard(1)
+	if st := c.src.Status()[1]; !st.Healthy {
+		t.Fatalf("a well-formed health reply left shard 1 %+v", st)
+	}
 }

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -11,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/api"
 )
 
 // TestTreeInvariants holds the structural rules of the source tree that
@@ -19,6 +22,7 @@ import (
 func TestTreeInvariants(t *testing.T) {
 	fset := token.NewFileSet()
 	files := map[string]*ast.File{} // slash path relative to the module root
+	loc := 0                        // lines of the non-test ones, as `wc -l` counts them
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -33,17 +37,32 @@ func TestTreeInvariants(t *testing.T) {
 		if filepath.Ext(path) != ".go" {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
 		files[filepath.ToSlash(path)] = f
+		if !strings.HasSuffix(path, "_test.go") {
+			loc += bytes.Count(src, []byte("\n"))
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	isTest := func(path string) bool { return strings.HasSuffix(path, "_test.go") }
+	imports := func(f *ast.File, pkg string) bool {
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == pkg {
+				return true
+			}
+		}
+		return false
+	}
 
 	// The device model is linked only by what prices work on it: one file
 	// per package that simulates, and the binaries that print the
@@ -60,13 +79,8 @@ func TestTreeInvariants(t *testing.T) {
 		}
 		var got []string
 		for path, f := range files {
-			if isTest(path) {
-				continue
-			}
-			for _, imp := range f.Imports {
-				if p, _ := strconv.Unquote(imp.Path.Value); p == "repro/internal/hetero" {
-					got = append(got, path)
-				}
+			if !isTest(path) && imports(f, "repro/internal/hetero") {
+				got = append(got, path)
 			}
 		}
 		sort.Strings(got)
@@ -162,17 +176,26 @@ func TestTreeInvariants(t *testing.T) {
 		}
 	})
 
-	// Names deleted because nothing ran them must not come back under the
-	// same name: a caller that needs one should say why first.
+	// Names deleted because nothing ran them, or because a second copy of
+	// a mechanism went (one block-cut navigation, one batch scheduler, one
+	// mux maker, one oracle assembly, one forest walk, one phase loop),
+	// must not come back under the same name: a caller that needs one
+	// should say why first. A name too common to ban bare is matched where
+	// it would be used instead: as a selector or a call.
 	t.Run("deleted names stay deleted", func(t *testing.T) {
 		deleted := map[string]bool{}
 		for _, name := range []string{
 			"Dial", "IntegralWeights", "BiDijkstra", "DeltaStepping", "BFS", "FrontierSSSP", "IsTreeEdge",
 			"BucketQueue", "NewBucketQueue", "ReadDevices", "LoadDevices", "WriteDevices",
 			"AllPlatforms", "SimByPlatform", "PhaseByPlatform",
+			"apGraph", "apEdgeBlock", "apPathExact", "decodeForest", "decodeBlocks", "reduceForAPSP", "HybridRun",
+			"LegacyAlias", "legacySunset", "HedgeAfter", "attemptHedged",
+			"buildCandidates", "vectorOf", "LimitsFromConfig", "RegistryLimits", "RegistryLimitsFromConfig",
 		} {
 			deleted[name] = true
 		}
+		goneSelectors := map[string]bool{"qe.Sizer": true, "api.Patterns": true, "registry.Limits": true}
+		goneCalls := map[string]bool{"deprecated": true}
 		check := func(id *ast.Ident) {
 			if id != nil && deleted[id.Name] {
 				t.Errorf("%s: %s is declared again", fset.Position(id.Pos()), id.Name)
@@ -193,9 +216,86 @@ func TestTreeInvariants(t *testing.T) {
 					for _, id := range d.Names {
 						check(id)
 					}
+				case *ast.SelectorExpr:
+					if x, ok := d.X.(*ast.Ident); ok && goneSelectors[x.Name+"."+d.Sel.Name] {
+						t.Errorf("%s: %s.%s is used again", fset.Position(d.Pos()), x.Name, d.Sel.Name)
+					}
+				case *ast.CallExpr:
+					if id, ok := d.Fun.(*ast.Ident); ok && goneCalls[id.Name] {
+						t.Errorf("%s: %s() is called again", fset.Position(d.Pos()), id.Name)
+					}
 				}
 				return true
 			})
+		}
+	})
+
+	// calls reports where path calls pkg.name.
+	calls := func(path, pkg, name string) (at []token.Position) {
+		ast.Inspect(files[path], func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == name {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == pkg {
+					at = append(at, fset.Position(sel.Pos()))
+				}
+			}
+			return true
+		})
+		return at
+	}
+
+	// Every published file goes through snapshot.WriteFile (temp + fsync +
+	// rename): nothing else renames.
+	t.Run("one rename", func(t *testing.T) {
+		for path := range files {
+			if path == "internal/snapshot/file.go" {
+				continue
+			}
+			for _, pos := range calls(path, "os", "Rename") {
+				t.Errorf("%s: os.Rename outside internal/snapshot/file.go", pos)
+			}
+		}
+		if len(calls("internal/snapshot/file.go", "os", "Rename")) == 0 {
+			t.Error("internal/snapshot/file.go no longer renames: the rule guards nothing")
+		}
+	})
+
+	// The AP table is a forest walk over the block tables: the file that
+	// builds it searches nothing and builds no graph.
+	t.Run("no AP graph", func(t *testing.T) {
+		const path = "internal/apsp/general.go"
+		f := files[path]
+		if f == nil {
+			t.Fatalf("%s: not found", path)
+		}
+		if imports(f, "repro/internal/sssp") {
+			t.Errorf("%s imports repro/internal/sssp", path)
+		}
+		for _, pos := range calls(path, "graph", "NewBuilder") {
+			t.Errorf("%s: graph.NewBuilder in the oracle's build", pos)
+		}
+	})
+
+	// The checked-in OpenAPI spec is generated from the route table in
+	// internal/api (go run ./cmd/apigen -out api/openapi.yaml); the mux
+	// side of the same contract is structural: cmd/oracled mounts from
+	// the table and refuses to boot on a drifted one.
+	t.Run("openapi spec matches route table", func(t *testing.T) {
+		have, err := os.ReadFile("api/openapi.yaml")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(have, api.OpenAPI()) {
+			t.Error("api/openapi.yaml is stale — regenerate with: go run ./cmd/apigen -out api/openapi.yaml")
+		}
+	})
+
+	// The round's trajectory (ROADMAP aim 2): non-test Go lines outside
+	// bench/, held under the bar the last PR to lower it reached.
+	t.Run("non-test LOC", func(t *testing.T) {
+		const bar = 23000
+		t.Logf("%d non-test lines outside bench/", loc)
+		if loc >= bar {
+			t.Errorf("%d non-test lines outside bench/, want < %d", loc, bar)
 		}
 	})
 

@@ -301,14 +301,13 @@ type (
 	// through reference counts, per-graph engine limits, and per-graph
 	// metric namespacing under "g.<name>.".
 	Registry = registry.Registry
-	// RegistryConfig configures OpenRegistry.
+	// RegistryConfig configures OpenRegistry; its Engine field is the
+	// EngineConfig (cache rows, admission, deadlines, batch caps) every
+	// hydrated graph's own engine is built from.
 	RegistryConfig = registry.Config
 	// RegistryEntry is one resident graph, returned by Registry.Acquire
 	// with a reference held; callers must Release exactly once.
 	RegistryEntry = registry.Entry
-	// RegistryLimits bounds each hydrated graph's engine (cache rows,
-	// admission, deadlines, batch caps).
-	RegistryLimits = registry.Limits
 	// RegistryGraphInfo is one graph's lifecycle row in Registry.List.
 	RegistryGraphInfo = registry.GraphInfo
 )
@@ -336,12 +335,6 @@ var (
 // set) for *.snap files; hydration stays lazy until each graph's first
 // Acquire.
 func OpenRegistry(cfg RegistryConfig) (*Registry, error) { return registry.Open(cfg) }
-
-// RegistryLimitsFromConfig lifts a resolved engine config into per-graph
-// limits, so one tuning surface covers both serving modes.
-func RegistryLimitsFromConfig(cfg EngineConfig) RegistryLimits {
-	return registry.LimitsFromConfig(cfg)
-}
 
 // Horizontally sharded serving: a plan cuts an oracle's biconnected
 // blocks across shards along the block-cut forest, each shard daemon
