@@ -12,7 +12,6 @@ import (
 	"repro/internal/bc"
 	"repro/internal/bcc"
 	"repro/internal/datasets"
-	"repro/internal/ds"
 	"repro/internal/ear"
 	"repro/internal/exp"
 	"repro/internal/gen"
@@ -230,50 +229,6 @@ func smallMCBGraph() *graph.Graph {
 	cfg := gen.Config{MaxWeight: 15}
 	rng := gen.NewRNG(9)
 	return gen.Subdivide(gen.GNM(120, 220, cfg, rng), 0.5, 2, cfg, rng)
-}
-
-// BenchmarkAblationChunkedStore compares the paper's hybrid chunked list
-// against a plain slice with tombstones for the candidate scan-and-remove
-// access pattern (Section 3.3.2).
-func BenchmarkAblationChunkedStore(b *testing.B) {
-	const n = 100000
-	b.Run("chunked", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			l := ds.NewChunkedList(256)
-			for v := uint32(0); v < n; v++ {
-				l.Append(v)
-			}
-			// scan-and-remove sweep: remove every 64th live element
-			for k := 0; k < 200; k++ {
-				target := uint32(k * 64)
-				cur, ok := l.Scan(func(x uint32) bool { return x != target })
-				if ok {
-					l.Remove(cur)
-				}
-			}
-		}
-	})
-	b.Run("slice-tombstones", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := make([]uint32, n)
-			dead := make([]bool, n)
-			for v := range s {
-				s[v] = uint32(v)
-			}
-			for k := 0; k < 200; k++ {
-				target := uint32(k * 64)
-				for idx, v := range s {
-					if dead[idx] {
-						continue
-					}
-					if v == target {
-						dead[idx] = true
-						break
-					}
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkAblationDequeBatch measures scheduling quality versus batch

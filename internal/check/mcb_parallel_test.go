@@ -1,9 +1,13 @@
 package check
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/graph"
+	"repro/internal/mcb"
 )
 
 // parallelWorkerCounts is the sweep the acceptance bar names: the
@@ -56,6 +60,39 @@ func TestMCBParallelRandom(t *testing.T) {
 		g := RandomGraph(seed, 14)
 		if err := MCBParallel(g, seed, parallelWorkerCounts...); err != nil {
 			t.Fatalf("seed %d (n=%d m=%d): %v", seed, g.NumVertices(), g.NumEdges(), err)
+		}
+	}
+}
+
+// TestMCBWorkFingerprint pins what the labelled search does on the
+// benchmark's MCB instance (bench fixture cycles_s): the stage sizes, the
+// work counters and every basis cycle's edge list, at the three worker
+// counts. A change to the kernel that claims "no answer changes" is held
+// to these constants; they move only with the dataset generator, the
+// perturbation or the definition of an op, never with how a label or a
+// product is computed.
+func TestMCBWorkFingerprint(t *testing.T) {
+	spec, err := datasets.ByName("as-22july06")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := spec.Generate(0.02, 1)
+	for _, workers := range parallelWorkerCounts {
+		res := mcb.Compute(g, mcb.Options{UseEar: true, Seed: 1, Workers: workers})
+		crc := crc32.New(crc32.MakeTable(crc32.Castagnoli))
+		for _, c := range res.Cycles {
+			binary.Write(crc, binary.LittleEndian, int32(len(c.Edges)))
+			binary.Write(crc, binary.LittleEndian, c.Edges)
+		}
+		type pin struct {
+			dim, candidates, fallbacks     int
+			labelOps, searchOps, updateOps int64
+			cycles                         uint32
+		}
+		got := pin{res.Dim, res.NumCandidates, res.Fallbacks, res.LabelOps, res.SearchOps, res.UpdateOps, crc.Sum32()}
+		want := pin{521, 17332, 0, 2888424, 2518402, 1219140, 0xbec4cdae}
+		if got != want {
+			t.Errorf("workers=%d: %+v, want %+v", workers, got, want)
 		}
 	}
 }

@@ -175,169 +175,3 @@ func TestUnionFindProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestChunkedListAppendScan(t *testing.T) {
-	l := NewChunkedList(4)
-	for i := uint32(0); i < 10; i++ {
-		l.Append(i)
-	}
-	if l.Len() != 10 {
-		t.Fatalf("len %d", l.Len())
-	}
-	got := l.Collect()
-	for i, v := range got {
-		if v != uint32(i) {
-			t.Fatalf("order broken at %d: %d", i, v)
-		}
-	}
-}
-
-func TestChunkedListRemove(t *testing.T) {
-	l := NewChunkedList(4)
-	for i := uint32(0); i < 12; i++ {
-		l.Append(i)
-	}
-	// remove all even values via scan cursors
-	for v := uint32(0); v < 12; v += 2 {
-		target := v
-		cur, found := l.Scan(func(x uint32) bool { return x != target })
-		if !found {
-			t.Fatalf("value %d not found", v)
-		}
-		l.Remove(cur)
-	}
-	if l.Len() != 6 {
-		t.Fatalf("len %d after removals", l.Len())
-	}
-	for i, v := range l.Collect() {
-		if v != uint32(2*i+1) {
-			t.Fatalf("odd values expected, got %v", l.Collect())
-		}
-	}
-	// one more removal through a fresh cursor
-	cur, _ := l.Scan(func(x uint32) bool { return false })
-	l.Remove(cur)
-	if l.Len() != 5 {
-		t.Fatalf("len %d", l.Len())
-	}
-}
-
-func TestChunkedListEarlyExitAndResume(t *testing.T) {
-	l := NewChunkedList(3)
-	for i := uint32(0); i < 9; i++ {
-		l.Append(i * 10)
-	}
-	cur, found := l.Scan(func(x uint32) bool { return x < 40 })
-	if !found {
-		t.Fatal("expected early exit")
-	}
-	var rest []uint32
-	l.ScanFrom(cur, func(x uint32) bool {
-		rest = append(rest, x)
-		return true
-	})
-	if len(rest) != 4 || rest[0] != 50 {
-		t.Fatalf("resume wrong: %v", rest)
-	}
-}
-
-func TestChunkedListCompaction(t *testing.T) {
-	l := NewChunkedList(8)
-	for i := uint32(0); i < 8; i++ {
-		l.Append(i)
-	}
-	// removing half the chunk triggers compaction; order must survive
-	for _, v := range []uint32{0, 2, 4, 6} {
-		target := v
-		cur, ok := l.Scan(func(x uint32) bool { return x != target })
-		if !ok {
-			t.Fatalf("missing %d", v)
-		}
-		l.Remove(cur)
-	}
-	got := l.Collect()
-	want := []uint32{1, 3, 5, 7}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("after compaction got %v", got)
-		}
-	}
-}
-
-// Boundary payloads: the former encoding reserved bit 31 of the payload
-// word and panicked at 2³¹; the widened 64-bit storage must round-trip the
-// full uint32 range, survive removal marking, and keep compaction correct.
-func TestChunkedListFullPayloadRange(t *testing.T) {
-	vals := []uint32{0, 1<<31 - 1, 1 << 31, 1<<31 + 1, math.MaxUint32}
-	l := NewChunkedList(4)
-	for _, v := range vals {
-		l.Append(v)
-	}
-	if got := l.Collect(); len(got) != len(vals) {
-		t.Fatalf("collected %d values, want %d", len(got), len(vals))
-	} else {
-		for i, v := range vals {
-			if got[i] != v {
-				t.Fatalf("got[%d] = %d, want %d", i, got[i], v)
-			}
-		}
-	}
-	// Remove the MSB-set values; marking must not corrupt neighbours.
-	for _, target := range []uint32{1 << 31, math.MaxUint32} {
-		cur, ok := l.Scan(func(x uint32) bool { return x != target })
-		if !ok {
-			t.Fatalf("value %d not found", target)
-		}
-		l.Remove(cur)
-	}
-	got := l.Collect()
-	want := []uint32{0, 1<<31 - 1, 1<<31 + 1}
-	if len(got) != len(want) {
-		t.Fatalf("after removal got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("after removal got %v, want %v", got, want)
-		}
-	}
-}
-
-// Property: a chunked list with random interleaved appends and removals
-// behaves like a slice.
-func TestChunkedListProperty(t *testing.T) {
-	f := func(ops []uint16) bool {
-		l := NewChunkedList(5)
-		var ref []uint32
-		next := uint32(0)
-		for _, op := range ops {
-			if op%3 != 0 || len(ref) == 0 {
-				l.Append(next)
-				ref = append(ref, next)
-				next++
-			} else {
-				// remove the k-th live element
-				k := int(op/3) % len(ref)
-				target := ref[k]
-				cur, ok := l.Scan(func(x uint32) bool { return x != target })
-				if !ok {
-					return false
-				}
-				l.Remove(cur)
-				ref = append(ref[:k], ref[k+1:]...)
-			}
-		}
-		got := l.Collect()
-		if len(got) != len(ref) {
-			return false
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}

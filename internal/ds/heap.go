@@ -1,7 +1,6 @@
 // Package ds provides the low-level data structures shared by the shortest
 // path and minimum cycle basis engines: an indexed 4-ary heap for Dijkstra,
-// a union-find structure, the Index32 hash map, and the hybrid chunked list
-// the paper uses to store candidate cycles (Section 3.3.2).
+// a union-find structure and the Index32 hash map.
 package ds
 
 // IndexedHeap is a 4-ary min-heap over the items 0..n-1 keyed by float64

@@ -1,6 +1,7 @@
 package hetero
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -202,5 +203,32 @@ func TestDequeSortProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUniformMakespansMatchRun: the one recorded schedule gives, for every
+// prefix length, the makespan a Run of that many units gives — the same
+// float64 bits, on every device set the packages price on.
+func TestUniformMakespansMatchRun(t *testing.T) {
+	const n = 700 // past two GPU batches and many rounds of the CPU slots
+	for name, devs := range map[string][]*Device{
+		"seq": {SequentialCPU()}, "mc": {MulticoreCPU()}, "gpu": {TeslaK40c()}, "cpu+gpu": {MulticoreCPU(), TeslaK40c()},
+	} {
+		for _, cost := range []Cost{{Ops: 9, Launches: 1, Stream: true}, {Ops: 1234, Launches: 3}} {
+			got := UniformMakespans(n, devs, cost)
+			if len(got) != n {
+				t.Fatalf("%s: %d makespans for %d units", name, len(got), n)
+			}
+			units := make([]Unit, n)
+			for r := 1; r <= n; r++ {
+				want := Run(units[:r], devs, func(Unit, *Device) Cost { return cost }).Makespan
+				if math.Float64bits(got[r-1]) != math.Float64bits(want) {
+					t.Fatalf("%s %+v: %d units: makespan %v, Run gives %v", name, cost, r, got[r-1], want)
+				}
+			}
+		}
+	}
+	if got := UniformMakespans(0, []*Device{SequentialCPU()}, Cost{Ops: 1}); len(got) != 0 {
+		t.Errorf("no units: %v", got)
 	}
 }

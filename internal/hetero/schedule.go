@@ -110,6 +110,30 @@ func run(units []Unit, devices []*Device, exec func(u Unit, d *Device) Cost, onB
 	return s
 }
 
+// UniformMakespans returns the makespan Run gives r units of one cost, for
+// every r from 1 to n, as out[r-1]. The units being identical, the
+// schedule of r of them is the schedule of n cut off after its r-th unit:
+// the same slots claim the same batches in the same order and only the
+// last batch is short. So one run of n, with that one batch re-charged at
+// each shorter length, makes the float additions each of the n runs would
+// — the results are theirs to the last bit.
+func UniformMakespans(n int, devices []*Device, cost Cost) []float64 {
+	out := make([]float64, 0, n)
+	var costs []Cost // as many copies of cost as the largest batch so far
+	before := 0.0    // makespan of the batches already charged
+	run(make([]Unit, n), devices, func(Unit, *Device) Cost { return cost }, func(sl *slot, dt float64, units int) {
+		for len(costs) < units {
+			costs = append(costs, cost)
+		}
+		for short := 1; short < units; short++ {
+			out = append(out, max(before, sl.clock+sl.dev.slotTime(costs[:short])))
+		}
+		before = max(before, sl.clock+dt)
+		out = append(out, before)
+	})
+	return out
+}
+
 // RunOn is a convenience for homogeneous platforms.
 func RunOn(units []Unit, dev *Device, exec func(u Unit, d *Device) Cost) *Schedule {
 	return Run(units, []*Device{dev}, exec)

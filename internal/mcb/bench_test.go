@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -48,6 +49,7 @@ func BenchmarkMCBCompute(b *testing.B) {
 	g := benchGraph()
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := ComputeCtx(context.Background(), g, Options{UseEar: true, Workers: workers})
 				if err != nil {
@@ -59,4 +61,22 @@ func BenchmarkMCBCompute(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkMCBSearch is one phase of the labelled search on its own:
+// relabel every tree, scan every candidate. Every cycle is orthogonal to
+// the zero witness, so nothing is found or removed and every iteration
+// does the same work; ns/unit is per label and candidate op.
+func BenchmarkMCBSearch(b *testing.B) {
+	l, sp := searchOn(b, benchGraph(), 1)
+	zero := bitvec.New(sp.dim())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.ls.relabel(zero)
+		if hit, _ := l.ls.scan(); hit >= 0 {
+			b.Fatal("a cycle is not orthogonal to the zero witness")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(len(l.ls.nodes)+len(l.ls.recs))), "ns/unit")
 }

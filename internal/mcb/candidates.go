@@ -118,7 +118,15 @@ func buildCandidatesCtx(ctx context.Context, g *graph.Graph, roots []int32, work
 			cs.cands = append(cs.cands, candidate{root: -1, edge: int32(eid), weight: e.W})
 		}
 	}
-	slices.SortStableFunc(cs.cands, func(a, b candidate) int { return cmp.Compare(a.weight, b.weight) })
+	// Weight order, ties in the order listed above (roots in order, then
+	// self-loops; edges in ID order within each): a total order, so the
+	// unstable sort gives what a stable sort by weight alone would.
+	slices.SortFunc(cs.cands, func(a, b candidate) int {
+		if c := cmp.Compare(a.weight, b.weight); c != 0 {
+			return c
+		}
+		return cmp.Or(cmp.Compare(uint32(a.root), uint32(b.root)), cmp.Compare(a.edge, b.edge))
+	})
 	return cs, nil
 }
 
@@ -131,7 +139,7 @@ func (cs *candidateSet) cycleEdges(c candidate) []int32 {
 	}
 	t := cs.trees[c.root]
 	e := cs.g.Edge(c.edge)
-	out := []int32{c.edge}
+	out := append(make([]int32, 0, 1+t.Depth[e.U]+t.Depth[e.V]), c.edge)
 	for x := e.U; t.Parent[x] >= 0; x = t.Parent[x] {
 		out = append(out, t.ParentEdge[x])
 	}

@@ -3,6 +3,7 @@ package mcb
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/bcc"
 	"repro/internal/ear"
@@ -26,15 +27,15 @@ func Compute(g *graph.Graph, opts Options) *Result {
 // on the selected platform, and the basis cycles are expanded back to
 // original edge IDs by substituting each contracted chain.
 //
-// With Options.Workers > 1 every pipeline phase — candidate shortest-path
-// trees, per-phase label recomputation, the batched candidate scan, and the
-// witness updates — fans out over a pool of that many goroutines, with
-// per-unit outputs merged in a fixed order so the basis is bit-identical to
-// the sequential result (see DESIGN.md §7 for the determinism argument).
+// With Options.Workers > 1 the candidate shortest-path trees, the candidate
+// enumeration and large witness updates fan out over a pool of that many
+// goroutines, with per-unit outputs merged in a fixed order so the basis is
+// bit-identical to the sequential result (see DESIGN.md §7 for the
+// determinism argument and for why relabel and scan do not fan out).
 //
 // Cancellation is cooperative and prompt: the pipeline checks ctx between
 // components, between De Pina phases, and between work units inside each
-// parallel stage, so a cancelled request stops label trees mid-flight. On
+// parallel stage, so a cancelled request stops tree construction mid-flight. On
 // cancellation ComputeCtx returns a nil Result and an error wrapping
 // ctx.Err() (errors.Is-compatible with context.Canceled and
 // context.DeadlineExceeded).
@@ -42,12 +43,21 @@ func ComputeCtx(ctx context.Context, g *graph.Graph, opts Options) (*Result, err
 	opts = opts.withDefaults()
 	obs.Default.Counter("mcb.computes").Inc()
 	obs.Default.Gauge("mcb.workers").Set(int64(opts.Workers))
+	// The solves time their own phases; prepare is everything around them
+	// (split, ear reduction, perturbation, expanding the basis back) and
+	// price the virtual clock, so the phases add up to the call.
+	ph := obs.Default.Phases("mcb")
+	var solving time.Duration
+	t0 := time.Now()
 	total, err := solveComponents(ctx, g, opts.UseEar, opts.Seed, func(ctx context.Context, work *graph.Graph) ([][]int32, *Result, error) {
+		defer func(t time.Time) { solving += time.Since(t) }(time.Now())
 		return solveCoreCtx(ctx, work, opts)
 	})
+	ph.Record("prepare", time.Since(t0)-solving)
 	if err != nil {
 		return nil, fmt.Errorf("mcb: compute cancelled: %w", err)
 	}
+	defer ph.Start("price")()
 	total.Phase = total.Price(opts.Platform)
 	total.SimSeconds = total.Phase.Total()
 	return total, nil

@@ -21,7 +21,8 @@ type search interface {
 
 // phaseTimes are one solve's wall-clock phase timers, accumulated locally
 // and recorded into the process registry once per solve (obs.Phases takes
-// a lock per Record).
+// a lock per Record). candidates is the processing phase: the trees, the
+// candidate cycles and their flat layout.
 type phaseTimes struct{ candidates, labels, scan, witness time.Duration }
 
 func (p *phaseTimes) record() {
@@ -38,14 +39,15 @@ func (p *phaseTimes) record() {
 // into virtual time. The caller translates edges back to the original
 // graph and recomputes original weights.
 //
-// With opts.Workers > 1 the three phases execute on a real goroutine pool:
-// candidate trees fan out one root per unit, label recomputation one tree
-// per unit, the candidate scan in windows all workers evaluate together
-// (the paper's Section 3.3.2 batched scan), and witness updates one
-// remaining witness per unit. Every parallel stage merges its outputs in a
-// fixed order, so the basis — and the work counters — are bit-identical to
-// a sequential run at any worker count. Cancelling ctx stops the solve
-// between work units and returns the context error.
+// With opts.Workers > 1 the stages with enough work per unit to pay for a
+// fan-out run on a real goroutine pool: candidate trees and candidate
+// enumeration one root per unit, witness updates one contiguous range of
+// the remaining witnesses per unit once a range is witnessGrain words.
+// The per-phase relabel and scan run on the caller at every worker count
+// (labels.go). Every parallel stage writes disjoint slots merged in a
+// fixed order, so the basis — and the work counters — are bit-identical
+// to a sequential run at any worker count. Cancelling ctx stops the solve
+// between phases and between work units and returns the context error.
 func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][]int32, res *Result, err error) {
 	res = &Result{}
 	sp := buildSpanning(g)
@@ -130,29 +132,37 @@ func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][
 	return cycles, res, nil
 }
 
+// witnessGrain is the least witness-update work, in 64-bit words, handed to
+// a goroutine of its own: a fan-out costs tens of microseconds, this many
+// words about as much, and below it the update runs on the caller.
+const witnessGrain = 1 << 14
+
 // updateWitnesses performs the independence test — make the witnesses after
-// S_i orthogonal to C_i (steps 4–6 of Algorithm 2). One unit per remaining
-// witness; each witness j is read and written only by the worker that
-// claimed unit j, so the parallel update touches disjoint vectors and
-// stays deterministic.
+// S_i orthogonal to C_i (steps 4–6 of Algorithm 2). The remaining witnesses
+// are cut into contiguous ranges, one per unit; each witness is read and
+// written only by the worker that claimed its range, so the parallel
+// update touches disjoint vectors and stays deterministic.
 func updateWitnesses(ctx context.Context, workers int, wit []*bitvec.Vector, ci *bitvec.Vector, i int,
 	res *Result, dur *time.Duration) error {
 	f, s := len(wit), wit[i]
-	rest := f - i - 1
+	rest, words := f-i-1, (f+63)/64
 	if rest <= 0 {
 		return nil
 	}
 	t0 := time.Now()
-	err := par.ParallelForCtx(ctx, workers, rest, func(_, jj int) {
-		j := i + 1 + jj
-		if ci.Dot(wit[j]) {
-			wit[j].Xor(s)
+	chunks := max(1, min(workers, rest*words/witnessGrain))
+	per := (rest + chunks - 1) / chunks
+	err := par.ParallelForCtx(ctx, workers, (rest+per-1)/per, func(_, c int) {
+		for _, w := range wit[i+1+c*per : min(i+1+(c+1)*per, f)] {
+			if ci.Dot(w) {
+				w.Xor(s)
+			}
 		}
 	})
 	*dur += time.Since(t0)
 	if err != nil {
 		return err
 	}
-	res.UpdateOps += int64(rest) * (int64(f+63) / 64)
+	res.UpdateOps += int64(rest) * int64(words)
 	return nil
 }

@@ -5,200 +5,173 @@ import (
 	"time"
 
 	"repro/internal/bitvec"
-	"repro/internal/ds"
 	"repro/internal/graph"
-	"repro/internal/par"
 )
 
-// labelState holds the per-phase node labels l_z(u) for every root tree
-// (Algorithm 3): l_z(u) is the GF(2) inner product of the witness S_curr
-// with the tree path from z to u, restricted to the global non-tree edge
-// set E'. Computing these labels is the paper's dominant phase (~76% of
-// runtime, Section 3.5).
+// labelState is the labelled search of Section 3.3 as flat arrays. Every
+// vertex of every root tree has one position in lab; position 0 is a zero
+// that stands for "no label": it is the parent of every root and both
+// endpoints of a self-loop candidate. sb is the witness as bytes behind
+// the same kind of zero, so an edge outside E' reads sb[0] and neither
+// pass branches on what an edge is:
+//
+//	l_z(u)  = lab[k] = lab[nodes[k].parent] ^ sb[nodes[k].nt]   (Algorithm 3)
+//	<C_ze,S> = lab[r.a] ^ lab[r.b] ^ sb[r.c]                     (Section 3.3.2)
 type labelState struct {
-	cs *candidateSet
-	sp *spanning
-	// labels[ri][v] is l_z(u) for root index ri.
-	labels [][]bool
+	// nodes lists the trees one after another, each in level order, so one
+	// forward pass meets every parent before its children.
+	nodes []node
+	lab   []uint8
+	sb    []uint8
+	// recs are the candidates in weight order, and cands says which cycle
+	// each one is. A found candidate's record is zeroed in place — the
+	// mark of Section 3.3.2: it reads the two zeros and never hits again —
+	// its position goes on dead, and once half the records are dead they
+	// are compacted away.
+	recs  []rec
+	cands []candidate
+	dead  []uint32
 }
 
+// node is one tree vertex: the position of its parent and the sb offset of
+// its parent edge.
+type node struct{ parent, nt uint32 }
+
+// rec is one candidate as the scan reads it: the positions of its edge's
+// endpoints in its root's tree and the sb offset of the edge. No live
+// record is all zero: a tree position is at least 1 and a self-loop is
+// always in E'.
+type rec struct{ a, b, c uint32 }
+
+// newLabelState lays the trees and the weight-sorted candidates of cs out
+// flat. It takes over cs.cands.
 func newLabelState(cs *candidateSet, sp *spanning) *labelState {
-	ls := &labelState{cs: cs, sp: sp}
-	ls.labels = make([][]bool, len(cs.roots))
-	n := cs.g.NumVertices()
-	for i := range ls.labels {
-		ls.labels[i] = make([]bool, n)
+	n, total := cs.g.NumVertices(), 1
+	for _, t := range cs.trees {
+		total += len(t.Order)
+	}
+	ls := &labelState{
+		nodes: make([]node, 1, total),
+		lab:   make([]uint8, total),
+		sb:    make([]uint8, 1+sp.dim()),
+		recs:  make([]rec, len(cs.cands)),
+		cands: cs.cands,
+		dead:  make([]uint32, 0, len(cs.cands)/2+1),
+	}
+	// pos[ri*n+v] is v's position in tree ri; 0 (unreached) is never read.
+	pos := make([]uint32, len(cs.trees)*n)
+	for ri, t := range cs.trees {
+		p := pos[ri*n : (ri+1)*n]
+		for _, v := range t.Order {
+			p[v] = uint32(len(ls.nodes))
+			nd := node{} // the root hangs off the zero
+			if v != t.Root {
+				nd = node{parent: p[t.Parent[v]], nt: uint32(sp.nontreeIndex[t.ParentEdge[v]] + 1)}
+			}
+			ls.nodes = append(ls.nodes, nd)
+		}
+	}
+	for i, c := range cs.cands {
+		r := rec{c: uint32(sp.nontreeIndex[c.edge] + 1)}
+		if c.root >= 0 {
+			e, p := cs.g.Edge(c.edge), pos[int(c.root)*n:]
+			r.a, r.b = p[e.U], p[e.V]
+		}
+		ls.recs[i] = r
 	}
 	return ls
 }
 
-// computeTree recomputes the labels of one tree against the current
-// witness, one op per reachable vertex. This is the per-work-unit kernel
-// the pool dispatches: a single root-to-leaves pass in level order (parents
-// precede children in t.Order), merging Algorithm 3's two passes — c_z(u)
-// is folded directly into the l update since each c_z(u) depends only on
-// u's parent edge.
-func (ls *labelState) computeTree(ri int, s *bitvec.Vector) {
-	t := ls.cs.trees[ri]
-	lab := ls.labels[ri]
-	lab[t.Root] = false
-	for _, v := range t.Order[1:] {
-		c := false
-		if idx := ls.sp.nontreeIndex[t.ParentEdge[v]]; idx >= 0 {
-			c = s.Get(int(idx))
+// relabel recomputes every label against the witness s: one op per tree
+// vertex, Algorithm 3's two passes merged since c_z(u) depends only on u's
+// parent edge.
+func (ls *labelState) relabel(s *bitvec.Vector) {
+	sb := ls.sb[1:]
+	for i := range sb {
+		sb[i] = 0
+		if s.Get(i) {
+			sb[i] = 1
 		}
-		lab[v] = lab[t.Parent[v]] != c
+	}
+	sb, lab := ls.sb, ls.lab[:len(ls.nodes)]
+	for k, nd := range ls.nodes {
+		lab[k] = lab[nd.parent] ^ sb[nd.nt]
 	}
 }
 
-// orthogonal evaluates <C_ze, S_curr> for a candidate in O(1) using the
-// labels: l_z(u) ⊕ l_z(v) ⊕ S_curr(e) when e ∈ E', or l_z(u) ⊕ l_z(v)
-// otherwise (Section 3.3.2). It returns true when the product is 1.
-func (ls *labelState) nonOrthogonal(c candidate, s *bitvec.Vector) bool {
-	idx := ls.sp.nontreeIndex[c.edge]
-	if c.root < 0 { // self-loop: the cycle is the edge itself
-		return idx >= 0 && s.Get(int(idx))
+// scan returns the first candidate, in weight order, whose cycle has
+// <C, S> = 1 under the labels of the last relabel, or -1. ops counts the
+// live candidates read, the hit included, so it does not depend on when
+// dead ones are compacted away.
+func (ls *labelState) scan() (hit int, ops int64) {
+	lab, sb := ls.lab, ls.sb
+	hit, read := -1, len(ls.recs)
+	for i, r := range ls.recs {
+		if lab[r.a]^lab[r.b]^sb[r.c] != 0 {
+			hit, read = i, i+1
+			break
+		}
 	}
-	e := ls.cs.g.Edge(c.edge)
-	lab := ls.labels[c.root]
-	val := lab[e.U] != lab[e.V]
-	if idx >= 0 && s.Get(int(idx)) {
-		val = !val
+	ops = int64(read)
+	for _, d := range ls.dead {
+		if int(d) < read {
+			ops--
+		}
 	}
-	return val
+	return hit, ops
 }
 
-// scanBatch is the candidate-scan batch of Section 3.3.2: the chunk size
-// of the candidate store and, per worker, of the window a parallel scan
-// evaluates together.
-const scanBatch = 256
+// remove takes candidate i out of every later scan.
+func (ls *labelState) remove(i int) {
+	ls.recs[i] = rec{}
+	if ls.dead = append(ls.dead, uint32(i)); 2*len(ls.dead) < len(ls.recs) {
+		return
+	}
+	live := 0
+	for j, r := range ls.recs {
+		if r != (rec{}) {
+			ls.recs[live], ls.cands[live] = r, ls.cands[j]
+			live++
+		}
+	}
+	ls.recs, ls.cands, ls.dead = ls.recs[:live], ls.cands[:live], ls.dead[:0]
+}
 
 // labelledSearch is the Mehlhorn–Michail labelled-tree search (Section
 // 3.3), the paper's production path: shortest path trees and the
 // weight-sorted candidate cycles are built once, and each phase relabels
-// the trees against the witness and scans the candidates still in the
-// store for the first non-orthogonal one.
+// the trees against the witness and scans the candidates still in play for
+// the first non-orthogonal one.
 type labelledSearch struct {
 	cs *candidateSet
 	ls *labelState
-	// store holds indices into the weight-sorted candidate slice in the
-	// paper's hybrid chunked list, so removals stay O(1) and scans linear.
-	store   *ds.ChunkedList
-	workers int
-	tm      *phaseTimes
-
-	// Scan window: the batch every worker evaluates together. The scratch
-	// lives across phases; the window is capped so it stays cache-resident.
-	window int
-	vals   []uint32
-	curs   []ds.Cursor
-	hits   []bool
+	tm *phaseTimes
 }
 
 func newLabelledSearch(ctx context.Context, g *graph.Graph, sp *spanning, roots []int32, workers int, tm *phaseTimes) (*labelledSearch, error) {
 	t0 := time.Now()
+	defer func() { tm.candidates += time.Since(t0) }()
 	cs, err := buildCandidatesCtx(ctx, g, roots, workers)
-	tm.candidates += time.Since(t0)
 	if err != nil {
 		return nil, err
 	}
-	l := &labelledSearch{cs: cs, ls: newLabelState(cs, sp), store: ds.NewChunkedList(scanBatch), workers: workers, tm: tm}
-	for i := range cs.cands {
-		l.store.Append(uint32(i))
-	}
-	if workers > 1 {
-		l.window = scanBatch * workers
-		l.vals = make([]uint32, 0, l.window)
-		l.curs = make([]ds.Cursor, 0, l.window)
-		l.hits = make([]bool, l.window)
-	}
-	return l, nil
+	return &labelledSearch{cs: cs, ls: newLabelState(cs, sp), tm: tm}, nil
 }
 
-// next relabels every tree against s, scans the live candidates in weight
-// order for the first cycle with <C, s> = 1 and removes it from the store.
-// ops is that candidate's position in scan order — live entries up to and
-// including the hit — so the work accounting is the same at any worker
-// count.
-func (l *labelledSearch) next(ctx context.Context, s *bitvec.Vector) (edges []int32, ops int64, ok bool, err error) {
-	// Phase 1: recompute all tree labels against S_i, one tree per work
-	// unit on the pool.
+// next relabels every tree against s, scans for the first cycle with
+// <C, s> = 1 and removes it from play. Both passes run on the calling
+// goroutine at every worker count: a phase is tens of microseconds of
+// cache-resident work, less than a fan-out costs (DESIGN.md §7).
+func (l *labelledSearch) next(_ context.Context, s *bitvec.Vector) (edges []int32, ops int64, ok bool, err error) {
 	t0 := time.Now()
-	err = par.ParallelForCtx(ctx, l.workers, len(l.cs.roots), func(_, ri int) {
-		l.ls.computeTree(ri, s)
-	})
-	l.tm.labels += time.Since(t0)
-	if err != nil {
-		return nil, 0, false, err
+	l.ls.relabel(s)
+	t1 := time.Now()
+	hit, ops := l.ls.scan()
+	if hit >= 0 {
+		edges = l.cs.cycleEdges(l.ls.cands[hit])
+		l.ls.remove(hit)
 	}
-
-	// Phase 2: scan candidates in weight order, in batches.
-	var chosen candidate
-	t0 = time.Now()
-	if l.workers > 1 {
-		chosen, ops, ok, err = l.scanWindowed(ctx, s)
-	} else {
-		chosen, ops, ok = l.scanSequential(s)
-	}
-	l.tm.scan += time.Since(t0)
-	if err != nil || !ok {
-		return nil, ops, false, err
-	}
-	return l.cs.cycleEdges(chosen), ops, true, nil
-}
-
-// scanSequential is the early-exit scan: one candidate at a time until
-// the first hit.
-func (l *labelledSearch) scanSequential(s *bitvec.Vector) (chosen candidate, scanned int64, found bool) {
-	cur, hit := l.store.Scan(func(idx uint32) bool {
-		scanned++
-		if l.ls.nonOrthogonal(l.cs.cands[idx], s) {
-			chosen = l.cs.cands[idx]
-			return false
-		}
-		return true
-	})
-	if hit {
-		l.store.Remove(cur)
-	}
-	return chosen, scanned, hit
-}
-
-// scanWindowed makes the batch of Section 3.3.2 real: a window of live
-// candidates is carved out of the store, every worker tests a contiguous
-// chunk of it, and the earliest hit in store order wins — the same
-// candidate, at the same scan position, the sequential scan selects.
-func (l *labelledSearch) scanWindowed(ctx context.Context, s *bitvec.Vector) (chosen candidate, scanned int64, found bool, err error) {
-	var cur ds.Cursor
-	for {
-		if err := ctx.Err(); err != nil {
-			return chosen, scanned, false, err
-		}
-		var last ds.Cursor
-		l.vals, l.curs, last = l.store.BatchFrom(cur, l.window, l.vals[:0], l.curs[:0])
-		vals := l.vals
-		if len(vals) == 0 {
-			return chosen, scanned, false, nil
-		}
-		hits := l.hits[:len(vals)]
-		chunk := (len(vals) + l.workers - 1) / l.workers
-		par.ParallelFor(l.workers, (len(vals)+chunk-1)/chunk, func(_, w int) {
-			lo := w * chunk
-			hi := min(lo+chunk, len(vals))
-			for k := lo; k < hi; k++ {
-				hits[k] = l.ls.nonOrthogonal(l.cs.cands[vals[k]], s)
-			}
-		})
-		for k := range hits {
-			if hits[k] {
-				l.store.Remove(l.curs[k])
-				return l.cs.cands[vals[k]], scanned + int64(k) + 1, true, nil
-			}
-		}
-		scanned += int64(len(vals))
-		if len(vals) < l.window {
-			return chosen, scanned, false, nil
-		}
-		cur = last
-	}
+	l.tm.labels += t1.Sub(t0)
+	l.tm.scan += time.Since(t1)
+	return edges, ops, hit >= 0, nil
 }

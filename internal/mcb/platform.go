@@ -42,12 +42,12 @@ type Options struct {
 	// Platform selects the Table 2 implementation Result.SimSeconds and
 	// Result.Phase are priced on; Result.Price gives any other.
 	Platform Platform
-	// Workers sets real goroutine parallelism for the whole pipeline —
-	// candidate shortest-path trees, per-phase label recomputation, the
-	// batched candidate scan, and witness updates (wall-clock); 0 or 1
-	// runs single-threaded. Every parallel stage merges its outputs in a
-	// fixed order, so the basis and the work counters are bit-identical
-	// at any worker count; only wall-clock time changes.
+	// Workers sets real goroutine parallelism (wall-clock) for the stages
+	// that fan out — candidate shortest-path trees, candidate enumeration
+	// and large witness updates; 0 or 1 runs single-threaded. Every
+	// parallel stage merges its outputs in a fixed order, so the basis
+	// and the work counters are bit-identical at any worker count; only
+	// wall-clock time changes.
 	Workers int
 	// AllRoots uses every vertex as a Horton root instead of a feedback
 	// vertex set (the paper's pre-FVS formulation; ablation knob).

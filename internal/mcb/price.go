@@ -101,17 +101,13 @@ func (w *work) price(devs []*hetero.Device) PhaseBreakdown {
 	}
 	// Witness update after phase i: one unit per remaining witness; a GPU
 	// unit is a block-parallel multiply-reduce + conditional XOR in a
-	// shared launch, and the word scans stream at bandwidth rates.
-	f := len(w.search)
-	words := int64(f+63) / 64
-	units := make([]hetero.Unit, f-1)
-	for j := range units {
-		units[j] = hetero.Unit{ID: int32(j), Size: words}
-	}
-	for rest := f - 1; rest > 0; rest-- {
-		b.Update += hetero.Run(units[:rest], devs, func(hetero.Unit, *hetero.Device) hetero.Cost {
-			return hetero.Cost{Ops: words, Launches: 1, Stream: true}
-		}).Makespan
+	// shared launch, and the word scans stream at bandwidth rates. The
+	// units are identical, so one schedule of the f−1 after the first
+	// phase holds the schedule of every later, shorter phase.
+	words := int64(len(w.search)+63) / 64
+	update := hetero.UniformMakespans(len(w.search)-1, devs, hetero.Cost{Ops: words, Launches: 1, Stream: true})
+	for rest := len(update); rest > 0; rest-- {
+		b.Update += update[rest-1]
 	}
 	return b
 }

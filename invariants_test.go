@@ -191,6 +191,7 @@ func TestTreeInvariants(t *testing.T) {
 			"apGraph", "apEdgeBlock", "apPathExact", "decodeForest", "decodeBlocks", "reduceForAPSP", "HybridRun",
 			"LegacyAlias", "legacySunset", "HedgeAfter", "attemptHedged",
 			"buildCandidates", "vectorOf", "LimitsFromConfig", "RegistryLimits", "RegistryLimitsFromConfig",
+			"scanWindowed", "scanSequential", "ChunkedList", "NewChunkedList", "BatchFrom",
 		} {
 			deleted[name] = true
 		}
@@ -292,7 +293,7 @@ func TestTreeInvariants(t *testing.T) {
 	// The round's trajectory (ROADMAP aim 2): non-test Go lines outside
 	// bench/, held under the bar the last PR to lower it reached.
 	t.Run("non-test LOC", func(t *testing.T) {
-		const bar = 23000
+		const bar = 22850
 		t.Logf("%d non-test lines outside bench/", loc)
 		if loc >= bar {
 			t.Errorf("%d non-test lines outside bench/, want < %d", loc, bar)
