@@ -66,9 +66,9 @@ func testFrontend(t *testing.T, epochSkew uint64) (*server, *graph.Graph, []grap
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { src.Close() })
-	// CacheRows negative: every request re-runs the fan-out, so a killed
-	// shard is visible immediately instead of hiding behind cached rows.
-	engine := qe.New(src, qe.Config{CacheRows: -1, MaxInflight: 8, QueueDepth: 64, Reg: reg})
+	// The engine keeps no rows: every request re-runs the fan-out, so a
+	// killed shard is visible immediately.
+	engine := qe.New(src, qe.Config{MaxInflight: 8, QueueDepth: 64, Reg: reg})
 	rg, err := registry.Open(registry.Config{Reg: reg})
 	if err != nil {
 		t.Fatal(err)

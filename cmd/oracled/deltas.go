@@ -43,7 +43,6 @@ type deltasResponse struct {
 	TouchedBlocks   int  `json:"touched_blocks"`
 	ReusedBlocks    int  `json:"reused_blocks"`
 	RebuildFallback bool `json:"rebuild_fallback"`
-	EvictedRows     int  `json:"evicted_rows"`
 	Vertices        int  `json:"vertices"`
 	Edges           int  `json:"edges"`
 	MCBInvalidated  bool `json:"mcb_invalidated,omitempty"`
@@ -133,11 +132,10 @@ func (s *server) deltas(e *registry.Entry, r *http.Request) (interface{}, error)
 		return nil, &httpError{http.StatusInternalServerError, err}
 	}
 
-	// Swap order matters (inside Swap): the engine's source first — stale
-	// cached rows evicted, new rows built from the new oracle — then the
-	// entry's served pointers. A request racing the swap gets a consistent
-	// answer from one side or the other.
-	evicted := e.Swap(next, res.Stale)
+	// Swap order matters (inside Swap): the engine's source first, then
+	// the entry's served pointers. A request racing the swap gets a
+	// consistent answer from one side or the other.
+	e.Swap(next)
 	isDefault := e.Name() == registry.DefaultGraph
 	var mcbInvalidated bool
 	if isDefault {
@@ -152,7 +150,6 @@ func (s *server) deltas(e *registry.Entry, r *http.Request) (interface{}, error)
 		TouchedBlocks:   res.TouchedBlocks,
 		ReusedBlocks:    res.ReusedBlocks,
 		RebuildFallback: res.RebuildFallback,
-		EvictedRows:     evicted,
 		Vertices:        next.G.NumVertices(),
 		Edges:           next.G.NumEdges(),
 		MCBInvalidated:  mcbInvalidated,

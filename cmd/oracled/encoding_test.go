@@ -61,7 +61,7 @@ func TestResponseEncoding(t *testing.T) {
 func TestBatchTooLargeHTTP(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, _ := testServerEngine(t, func(_ *graph.Graph, o *apsp.Oracle) *qe.Engine {
-		return qe.New(o, qe.Config{CacheRows: 16, MaxInflight: 2, MaxBatchPairs: 8, Reg: reg})
+		return qe.New(o, qe.Config{MaxInflight: 2, MaxBatchPairs: 8, Reg: reg})
 	})
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()

@@ -58,7 +58,7 @@ func multiServer(t *testing.T, dir string, maxGraphs int) (*server, *obs.Registr
 	reg := obs.NewRegistry()
 	rg, err := registry.Open(registry.Config{
 		Dir: dir, MaxGraphs: maxGraphs,
-		Engine: qe.Config{CacheRows: 32, MaxInflight: 4, QueueDepth: 16},
+		Engine: qe.Config{MaxInflight: 4, QueueDepth: 16},
 		Reg:    reg,
 	})
 	if err != nil {

@@ -29,7 +29,7 @@ func jobsServer(t *testing.T, gate chan struct{}) (*server, *registry.Registry) 
 	g := gen.PlanarEars(40, 3, gen.Config{MaxWeight: 9}, gen.NewRNG(11))
 	oracle := apsp.NewOracle(g)
 	reg := obs.NewRegistry()
-	engine := qe.New(oracle, qe.Config{CacheRows: 64, MaxInflight: 8, QueueDepth: 64, Reg: reg})
+	engine := qe.New(oracle, qe.Config{MaxInflight: 8, QueueDepth: 64, Reg: reg})
 	rg, err := registry.Open(registry.Config{Reg: reg})
 	if err != nil {
 		t.Fatal(err)

@@ -43,14 +43,13 @@
 // Queries are served through the internal/qe engine. A point query
 // (/v1/distance, /v1/path) is one pair lookup over the oracle's tables
 // and builds no row; bulk queries (/v1/batch, batch_matrix and
-// betweenness jobs) compute per-source distance rows lazily, coalesce
-// them across concurrent requests, and keep them in an LRU cache.
-// Admission control bounds concurrent load of both kinds and sheds the
-// excess with 503 + Retry-After. Tune with -cache-rows, -max-inflight,
-// -queue-depth, and -deadline.
+// betweenness jobs) build each distinct source's distance row once, into
+// per-request scratch, and keep none. Admission control bounds concurrent
+// load of both kinds and sheds the excess with 503 + Retry-After. Tune
+// with -max-inflight, -queue-depth, and -deadline.
 //
 // Request metrics (counters and latency histograms per endpoint, the
-// engine's cache/queue counters and gauges, plus the oracle's build-phase
+// engine's pair/row/queue counters and gauges, plus the oracle's build-phase
 // timers) are exported under /v1/stats and, via expvar, /debug/vars;
 // /debug/pprof/ serves the standard profiles.
 package main
@@ -156,7 +155,7 @@ func main() {
 		// Frontend mode: no local oracle at all. Block rows come from the
 		// shard daemons through the fan-out source — all of a source's for a
 		// batch row, at most two for a point query — and the engine stack
-		// (admission, and cache + coalescing for rows) applies unchanged.
+		// (admission, per-batch rows) applies unchanged.
 		plan := loadClusterPlan(*clusterPlan)
 		scfg := shardCfg()
 		scfg.Plan = plan

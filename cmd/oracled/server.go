@@ -511,9 +511,8 @@ type batchRequest struct {
 //	POST /v1/batch  {"sources":[0,3],"targets":[1,2,5]}
 //	→ {"sources":2,"targets":3,"distances":[[...],[...]]}
 //
-// Unreachable pairs come back as -1 (JSON has no Inf). Rows are computed
-// once per distinct source through the engine's cache, coalescing, and
-// work-queue scheduling.
+// Unreachable pairs come back as -1 (JSON has no Inf). Rows are built
+// once per distinct source, spread over the engine's workers.
 func (s *server) batch(e *registry.Entry, r *http.Request) (interface{}, error) {
 	var req batchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBatchBody))

@@ -32,7 +32,7 @@ func testServer(t *testing.T) (*server, *graph.Graph, []graph.Weight) {
 	oracle := apsp.NewOracle(g)
 	basis := mcb.Compute(g, mcb.Options{UseEar: true})
 	reg := obs.NewRegistry()
-	engine := qe.New(oracle, qe.Config{CacheRows: 64, MaxInflight: 8, QueueDepth: 64, Reg: reg})
+	engine := qe.New(oracle, qe.Config{MaxInflight: 8, QueueDepth: 64, Reg: reg})
 	rg, err := registry.Open(registry.Config{Reg: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -332,8 +332,8 @@ func TestBatchEndpoint(t *testing.T) {
 
 	// Engine metrics surfaced through /stats.
 	stats := getJSON(t, ts, "/v1/stats", 200)
-	for _, k := range []string{"qe.rows.built", "qe.cache.hits", "qe.cache.misses",
-		"qe.cache.evictions", "qe.cache.rows", "qe.queue.depth", "qe.inflight"} {
+	for _, k := range []string{"qe.pairs", "qe.rows.built", "qe.batch.sources",
+		"qe.batch.pairs", "qe.queue.depth", "qe.inflight"} {
 		if _, ok := stats[k]; !ok {
 			t.Fatalf("stats missing %q: %v", k, stats)
 		}
@@ -348,7 +348,7 @@ func TestOverloadResponds503(t *testing.T) {
 	began := make(chan struct{}, 1)
 	s, _ := testServerEngine(t, func(g *graph.Graph, o *apsp.Oracle) *qe.Engine {
 		src := &blockingSource{n: g.NumVertices(), oracle: o, gate: gate, began: began}
-		return qe.New(src, qe.Config{CacheRows: 4, MaxInflight: 1, QueueDepth: 0, Reg: obs.NewRegistry()})
+		return qe.New(src, qe.Config{MaxInflight: 1, QueueDepth: 0, Reg: obs.NewRegistry()})
 	})
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()

@@ -60,7 +60,7 @@ func TestOverloadEnvelope(t *testing.T) {
 	began := make(chan struct{}, 1)
 	s, _ := testServerEngine(t, func(g *graph.Graph, o *apsp.Oracle) *qe.Engine {
 		src := &blockingSource{n: g.NumVertices(), oracle: o, gate: gate, began: began}
-		return qe.New(src, qe.Config{CacheRows: 4, MaxInflight: 1, QueueDepth: 0, Reg: obs.NewRegistry()})
+		return qe.New(src, qe.Config{MaxInflight: 1, QueueDepth: 0, Reg: obs.NewRegistry()})
 	})
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/hetero"
 	"repro/internal/sssp"
 )
 
@@ -134,32 +133,6 @@ func TestFloydWarshallMatchesNaive(t *testing.T) {
 		if fw[i] != nv[i] {
 			t.Fatalf("FW/naive mismatch at %d: %v vs %v", i, fw[i], nv[i])
 		}
-	}
-}
-
-func TestEarAPSPSimMatchesSequential(t *testing.T) {
-	cfg := gen.Config{MaxWeight: 6}
-	rng := gen.NewRNG(5)
-	g := gen.Subdivide(gen.PlanarEars(50, 2, cfg, rng), 0.4, 2, cfg, rng)
-	seq := NewEarAPSP(g)
-	sim, sched := NewEarAPSPSim(g, []*hetero.Device{hetero.MulticoreCPU(), hetero.TeslaK40c()})
-	if sched.Makespan <= 0 {
-		t.Fatalf("expected positive makespan, got %v", sched.Makespan)
-	}
-	n := g.NumVertices()
-	for u := int32(0); u < int32(n); u++ {
-		for v := int32(0); v < int32(n); v++ {
-			if seq.Query(u, v) != sim.Query(u, v) {
-				t.Fatalf("sim mismatch at (%d,%d)", u, v)
-			}
-		}
-	}
-	total := 0
-	for _, c := range sched.UnitsByDevice {
-		total += c
-	}
-	if total != sim.Red.R.NumVertices() {
-		t.Fatalf("scheduled %d units, want %d", total, sim.Red.R.NumVertices())
 	}
 }
 

@@ -40,10 +40,8 @@ type EarAPSP struct {
 	sr32 []float32
 	nr   int
 	// Relaxations is the total Dijkstra work of the processing phase,
-	// the work measure the virtual-clock devices charge. sweeps counts
-	// frontier iterations when the GPU-structured kernel produced SR.
+	// the work measure the virtual-clock devices charge.
 	Relaxations int64
-	sweeps      int
 }
 
 // newEarAPSP is the start every constructor shares: Phase I of

@@ -230,7 +230,7 @@ func TestOracleSnapshotRejectsV1(t *testing.T) {
 			blk.Ear.Red.EncodeSnapshot(bl)
 			table(bl, blk.Ear.SR)
 			bl.I64(blk.Ear.Relaxations)
-			bl.U64(uint64(blk.Ear.sweeps))
+			bl.U64(0)
 		}
 		fe := sw.Section("forest")
 		fe.I32s(o.nodeParent)

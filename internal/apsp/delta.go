@@ -115,8 +115,6 @@ type editTrace struct {
 	weightChanged map[int32]bool
 	// deletedOld lists old edge IDs the script removed.
 	deletedOld []int32
-	// inserted lists the edges the script added (endpoints in new IDs).
-	inserted []graph.Edge
 }
 
 // traceEdits validates and applies deltas to an n-vertex edge list,
@@ -158,10 +156,8 @@ func traceEdits(n int, edges []graph.Edge, deltas []Delta) (*editTrace, error) {
 			if err := checkDeltaWeight(i, d.W); err != nil {
 				return nil, err
 			}
-			e := graph.Edge{U: d.U, V: d.V, W: d.W}
-			tr.edges = append(tr.edges, e)
+			tr.edges = append(tr.edges, graph.Edge{U: d.U, V: d.V, W: d.W})
 			tr.origOf = append(tr.origOf, -1)
-			tr.inserted = append(tr.inserted, e)
 			if hi > tr.n {
 				tr.n = hi
 			}
@@ -218,12 +214,6 @@ type DeltaResult struct {
 	RebuildFallback bool
 	// APRebuilt is true when the a×a articulation table was recomputed.
 	APRebuilt bool
-	// Stale[v], indexed by OLD-graph vertex ID, marks every source whose
-	// cached distance row may have changed: all vertices of each old
-	// connected component that contains a touched block or an insert
-	// endpoint. A caching layer must evict exactly these rows (qe's
-	// Engine.SwapSource consumes it directly).
-	Stale []bool
 }
 
 // ApplyDelta applies a delta script and returns a new oracle for the
@@ -289,28 +279,6 @@ func (o *Oracle) oldEdgeBlocks() []int32 {
 	return eb
 }
 
-// staleComponents marks every old vertex whose connected component (in the
-// OLD graph) contains one of the given blocks, plus the explicitly listed
-// vertices (isolated insert endpoints, which belong to no block).
-func (o *Oracle) staleComponents(blocks map[int32]bool, extra []int32) []bool {
-	stale := make([]bool, o.G.NumVertices())
-	roots := make(map[int32]bool, len(blocks))
-	for b := range blocks {
-		roots[o.nodeRoot[b]] = true
-	}
-	for v := range stale {
-		if b := o.BCT.BlockOf[v]; b >= 0 && roots[o.nodeRoot[b]] {
-			stale[v] = true
-		}
-	}
-	for _, v := range extra {
-		if v >= 0 && int(v) < len(stale) {
-			stale[v] = true
-		}
-	}
-	return stale
-}
-
 // applyWeightOnly is the cheap path: the edge set is unchanged, so the
 // BCC partition and the block-cut forest are shared by reference, and only
 // blocks containing a re-weighted edge recompute their ear reduction and
@@ -373,7 +341,6 @@ func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int
 		TouchedBlocks: len(touched),
 		ReusedBlocks:  len(o.Blocks) - len(touched),
 		APRebuilt:     apRebuild,
-		Stale:         o.staleComponents(touched, nil),
 	}
 	return n, res, nil
 }
@@ -459,35 +426,11 @@ func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int
 	n.Relaxations = o.Relaxations + fresh
 	n.buildAPTable()
 
-	// Staleness is judged against the OLD structure: every old component
-	// holding a weight-changed/deleted edge or an insert endpoint.
-	affected := make(map[int32]bool)
-	var extra []int32
-	for eid := range tr.weightChanged {
-		affected[edgeBlock[eid]] = true
-	}
-	for _, eid := range tr.deletedOld {
-		affected[edgeBlock[eid]] = true
-	}
-	oldN := o.G.NumVertices()
-	for _, e := range tr.inserted {
-		for _, v := range [2]int32{e.U, e.V} {
-			if int(v) >= oldN {
-				continue // brand-new vertex: no old rows to evict
-			}
-			if b := o.BCT.BlockOf[v]; b >= 0 {
-				affected[b] = true
-			} else {
-				extra = append(extra, v) // isolated old vertex gains edges
-			}
-		}
-	}
 	res := &DeltaResult{
 		TouchedBlocks:   touched,
 		ReusedBlocks:    len(n.Blocks) - touched,
 		RebuildFallback: true,
 		APRebuilt:       true,
-		Stale:           o.staleComponents(affected, extra),
 	}
 	return n, res, nil
 }

@@ -75,12 +75,6 @@ func TestApplyDeltaWeightCheapPath(t *testing.T) {
 	if !shared {
 		t.Fatal("no block shared by reference on the cheap path")
 	}
-	// One connected component: everything is stale.
-	for v, s := range res.Stale {
-		if !s {
-			t.Fatalf("vertex %d not stale after in-component weight change", v)
-		}
-	}
 	mutated, err := MutateGraph(g, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -161,9 +155,8 @@ func TestApplyDeltaDeleteSplitsBlock(t *testing.T) {
 }
 
 func TestApplyDeltaMultiComponentStaleness(t *testing.T) {
-	// Two disjoint triangles; a delta in the first must not stale the
-	// second, and the second component's block must be reused even on the
-	// structural path.
+	// Two disjoint triangles; a delta in the first must leave the second
+	// alone: its block is reused even on the structural path.
 	b := graph.NewBuilder(6)
 	b.AddEdge(0, 1, 1)
 	b.AddEdge(1, 2, 1)
@@ -178,16 +171,6 @@ func TestApplyDeltaMultiComponentStaleness(t *testing.T) {
 	n, res, err := o.ApplyDelta(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for v := 0; v < 3; v++ {
-		if !res.Stale[v] {
-			t.Fatalf("vertex %d in the touched component not stale", v)
-		}
-	}
-	for v := 3; v < 6; v++ {
-		if res.Stale[v] {
-			t.Fatalf("vertex %d in the untouched component marked stale", v)
-		}
 	}
 	if res.ReusedBlocks != 1 {
 		t.Fatalf("untouched component's block not reused: reused=%d", res.ReusedBlocks)
@@ -209,15 +192,9 @@ func TestApplyDeltaInsertNewVertexAndIsolated(t *testing.T) {
 		{Kind: DeltaInsert, U: 2, V: 3, W: 2}, // connect the isolated vertex
 		{Kind: DeltaInsert, U: 3, V: 4, W: 2}, // grow the graph by one vertex
 	}
-	n, res, err := o.ApplyDelta(context.Background(), ds)
+	n, _, err := o.ApplyDelta(context.Background(), ds)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(res.Stale) != 4 {
-		t.Fatalf("stale sized %d for old n=4", len(res.Stale))
-	}
-	if !res.Stale[3] {
-		t.Fatal("previously isolated endpoint not stale")
 	}
 	if got := n.Query(0, 4); got != 5 {
 		t.Fatalf("d(0,4) = %v, want 5", got)

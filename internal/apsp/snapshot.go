@@ -27,7 +27,7 @@ import (
 //	meta    oracle format version, n, #blocks, a, total relaxations, flags
 //	graph   the original graph's edge array
 //	bcc     per-component edge-ID lists + articulation flags
-//	blocks  per block: ear reduction, S^r table, relaxations, sweeps
+//	blocks  per block: ear reduction, S^r table, relaxations, a sweep count (0)
 //	aptable the a×a table A behind its storage-kind tag
 //
 // Deliberately not stored, because each is a pure deterministic function
@@ -92,7 +92,7 @@ func (o *Oracle) writeSnapshot(w io.Writer, deltas []Delta, chainVersion uint32)
 		blk.Ear.Red.EncodeSnapshot(bl)
 		EncodeTable(bl, o.compact, blk.Ear.SR, blk.Ear.sr32)
 		bl.I64(blk.Ear.Relaxations)
-		bl.U64(uint64(blk.Ear.sweeps))
+		bl.U64(0) // frontier sweeps: no build runs the frontier kernel
 	}
 
 	EncodeTable(sw.Section("aptable"), o.compact, o.A, o.a32)
@@ -175,7 +175,6 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 		if sweeps > 1<<40 {
 			return nil, snapshot.Corruptf("apsp: block %d sweep count %d", bi, sweeps)
 		}
-		ea.sweeps = int(sweeps)
 		return ea, nil
 	})
 	if err != nil {

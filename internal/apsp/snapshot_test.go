@@ -165,7 +165,7 @@ func sealOracle(t testing.TB, o *Oracle, flags uint32, apTable func(*snapshot.En
 		blk.Ear.Red.EncodeSnapshot(bl)
 		EncodeTable(bl, o.compact, blk.Ear.SR, blk.Ear.sr32)
 		bl.I64(blk.Ear.Relaxations)
-		bl.U64(uint64(blk.Ear.sweeps))
+		bl.U64(0)
 	}
 	apTable(sw.Section("aptable"))
 	if extra != nil {

@@ -46,7 +46,7 @@ func TestDeltaEquivalenceRandom(t *testing.T) {
 func TestDeltaUnderConcurrentTraffic(t *testing.T) {
 	g := Corpus()[2].G // necklace: several blocks, one component
 	o := apsp.NewOracle(g)
-	e := qe.New(o, qe.Config{CacheRows: 64, MaxInflight: 8, QueueDepth: 64, Reg: obs.NewRegistry()})
+	e := qe.New(o, qe.Config{MaxInflight: 8, QueueDepth: 64, Reg: obs.NewRegistry()})
 	ctx := context.Background()
 
 	scripts := DeltaScripts(g, 7)
@@ -75,14 +75,14 @@ func TestDeltaUnderConcurrentTraffic(t *testing.T) {
 	cur := o
 	var applied []apsp.Delta
 	for _, sc := range scripts {
-		next, res, err := cur.ApplyDelta(ctx, sc.Deltas)
+		next, _, err := cur.ApplyDelta(ctx, sc.Deltas)
 		if err != nil {
 			// A later script may be invalid against the already-mutated
 			// graph (positional IDs); skip those — the traffic race is the
 			// point here, not script validity.
 			continue
 		}
-		e.SwapSource(next, res.Stale)
+		e.SwapSource(next)
 		cur = next
 		applied = append(applied, sc.Deltas...)
 	}

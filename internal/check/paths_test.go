@@ -11,7 +11,6 @@ import (
 	"repro/internal/apsp"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/hetero"
 )
 
 // floatWeights rewrites every edge weight of g to a 0.1-step decimal in
@@ -113,7 +112,6 @@ func oneAssembly(g *graph.Graph) error {
 		if !compact {
 			made["sequential"] = apsp.NewOracle(g)
 			made["parallel"] = apsp.NewOracleParallel(g, 4)
-			made["sim"], _ = apsp.NewOracleSim(g, []*hetero.Device{hetero.MulticoreCPU(), hetero.TeslaK40c()})
 		}
 		if m > 0 {
 			same := []apsp.Delta{{Kind: apsp.DeltaWeight, Edge: m / 2, W: g.Edge(m / 2).W}}

@@ -15,14 +15,13 @@ import (
 
 // TestQEBatchMatchesOracle is the differential sweep for the query
 // engine: on every pathological corpus topology, a full all-pairs Batch
-// through the engine (cache, coalescing, deque-scheduled row builds) must
-// equal pairwise Oracle.QueryChecked. The cache is deliberately smaller
-// than the source set so the sweep crosses eviction boundaries.
+// through the engine (per-worker scratch rows, parallel row builds) must
+// equal pairwise Oracle.QueryChecked.
 func TestQEBatchMatchesOracle(t *testing.T) {
 	for _, ng := range Corpus() {
 		o := apsp.NewOracle(ng.G)
 		n := int32(ng.G.NumVertices())
-		e := qe.New(o, qe.Config{CacheRows: int(n)/2 + 1, MaxInflight: 4, QueueDepth: 16, Reg: obs.NewRegistry()})
+		e := qe.New(o, qe.Config{MaxInflight: 4, QueueDepth: 16, Reg: obs.NewRegistry()})
 		all := make([]int32, n)
 		for i := range all {
 			all[i] = int32(i)
@@ -61,7 +60,7 @@ func TestQEConcurrentBatchAndQuery(t *testing.T) {
 	o := apsp.NewOracle(g)
 	ref := apsp.FloydWarshall(g)
 	n := int32(g.NumVertices())
-	e := qe.New(o, qe.Config{CacheRows: 8, MaxInflight: 4, QueueDepth: 128, Reg: obs.NewRegistry()})
+	e := qe.New(o, qe.Config{MaxInflight: 4, QueueDepth: 128, Reg: obs.NewRegistry()})
 	ctx := context.Background()
 
 	var wg sync.WaitGroup

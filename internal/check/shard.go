@@ -99,8 +99,8 @@ func ShardEquivalence(g *graph.Graph, shards int) error {
 	defer c.close()
 
 	ctx := context.Background()
-	mono := qe.New(o, qe.Config{CacheRows: 64, Reg: obs.NewRegistry()})
-	front := qe.New(c.src, qe.Config{CacheRows: 64, Reg: obs.NewRegistry()})
+	mono := qe.New(o, qe.Config{Reg: obs.NewRegistry()})
+	front := qe.New(c.src, qe.Config{Reg: obs.NewRegistry()})
 	defer mono.Close(ctx)
 	defer front.Close(ctx)
 	if n == 0 {

@@ -77,10 +77,10 @@ func TestShardedFaultTyped(t *testing.T) {
 	}
 	defer c.close()
 	ctx := context.Background()
-	mono := qe.New(o, qe.Config{CacheRows: 64, Reg: obs.NewRegistry()})
-	// CacheRows negative: no caching, so every query re-runs the fan-out
-	// and the dead shard cannot hide behind rows cached before the kill.
-	front := qe.New(c.src, qe.Config{CacheRows: -1, Reg: obs.NewRegistry()})
+	mono := qe.New(o, qe.Config{Reg: obs.NewRegistry()})
+	// The engine keeps no rows, so every query re-runs the fan-out and the
+	// dead shard cannot hide behind rows fetched before the kill.
+	front := qe.New(c.src, qe.Config{Reg: obs.NewRegistry()})
 	defer mono.Close(ctx)
 	defer front.Close(ctx)
 

@@ -9,14 +9,12 @@ import (
 )
 
 // EngineFlags registers the query-engine tuning flags shared by serving
-// binaries (-cache-rows, -max-inflight, -queue-depth, -deadline,
-// -max-batch-pairs) on the default flag set and returns a function that
-// resolves them into a qe.Config after flag.Parse. Centralising them here
-// keeps the flag names, defaults, and help text identical across every
-// daemon that embeds the engine.
+// binaries (-max-inflight, -queue-depth, -deadline, -max-batch-pairs) on
+// the default flag set and returns a function that resolves them into a
+// qe.Config after flag.Parse. Centralising them here keeps the flag
+// names, defaults, and help text identical across every daemon that
+// embeds the engine.
 func EngineFlags() func() qe.Config {
-	cacheRows := flag.Int("cache-rows", qe.DefaultCacheRows,
-		"distance rows kept in the LRU row cache (negative disables caching)")
 	maxInflight := flag.Int("max-inflight", par.Workers(),
 		"concurrently served queries (defaults to the worker count)")
 	queueDepth := flag.Int("queue-depth", 64,
@@ -27,7 +25,6 @@ func EngineFlags() func() qe.Config {
 		"largest sources×targets result matrix one batch may request (negative removes the cap)")
 	return func() qe.Config {
 		return qe.Config{
-			CacheRows:     *cacheRows,
 			MaxInflight:   *maxInflight,
 			QueueDepth:    *queueDepth,
 			Deadline:      *deadline,

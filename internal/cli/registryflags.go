@@ -12,7 +12,7 @@ import (
 // them — together with the engine flags' resolved config as the per-graph
 // limit defaults — into a registry.Config after flag.Parse. The engine
 // argument is typically the resolver EngineFlags returned, so one flag
-// surface (-cache-rows, -deadline, …) tunes both the single-graph engine
+// surface (-max-inflight, -deadline, …) tunes both the single-graph engine
 // and every engine the registry hydrates.
 func RegistryFlags(engine func() qe.Config) func() registry.Config {
 	dir := flag.String("snapshot-dir", "",

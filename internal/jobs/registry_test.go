@@ -29,7 +29,7 @@ func TestEvictionDrainsBehindJob(t *testing.T) {
 	writeSnapFile(t, dir, "b", apsp.NewOracle(gb))
 	rg, err := registry.Open(registry.Config{
 		Dir: dir, MaxGraphs: 1,
-		Engine: qe.Config{CacheRows: 16, MaxInflight: 4, QueueDepth: 8},
+		Engine: qe.Config{MaxInflight: 4, QueueDepth: 8},
 		Reg:    obs.NewRegistry(),
 	})
 	if err != nil {

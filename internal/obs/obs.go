@@ -213,8 +213,8 @@ func (p *Phases) String() string {
 // prefixed view of a root (Sub). Views delegate every lookup to the root
 // with their prefix prepended, so a component wired against a *Registry —
 // the query engine, say — works unmodified whether it was handed the root
-// or a per-tenant view: the same code registers "qe.cache.hits" either at
-// the root or as "g.<name>.qe.cache.hits".
+// or a per-tenant view: the same code registers "qe.pairs" either at the
+// root or as "g.<name>.qe.pairs".
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter

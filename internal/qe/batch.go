@@ -3,7 +3,6 @@ package qe
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/ds"
@@ -11,22 +10,64 @@ import (
 	"repro/internal/par"
 )
 
-// batchScratch is the pooled per-call working state of Batch: the dedup
-// index and the distinct/first/missing slices. Pooling it keeps the
-// warm path's allocations down to the result matrix the caller receives
-// (out + flat); everything else is reused across calls.
+// batchScratch is the pooled per-call working state of BatchFlat and of
+// Query's row path: the dedup index, the distinct/first slices, and one
+// row buffer per worker. Pooling it keeps a warm Batch's allocations down
+// to the result matrix the caller receives (out + flat) and a rows-only
+// Query's to none.
 type batchScratch struct {
+	e        *Engine
 	index    ds.Index32
-	distinct []int32 // distinct sources, first-seen order
-	first    []int32 // per distinct: index in sources of its first occurrence
-	missing  []int32 // distinct indices whose rows were not cached
+	distinct []int32          // distinct sources, first-seen order
+	first    []int32          // per distinct: index in sources of its first occurrence
+	rows     [][]graph.Weight // per par.ParallelForCtx worker: the row it builds
+
+	// The batch being answered, set by BatchFlat for the length of one
+	// call, so that fill — bound to each once, when the scratch is made —
+	// is the fan-out body without a closure per call.
+	ctx     context.Context
+	src     RowSource
+	n       int
+	targets []int32
+	flat    []graph.Weight
+	failure atomic.Pointer[error] // the first failed build; the rest are skipped
+	each    func(worker, i int)
 }
 
-func (s *batchScratch) reset() {
-	s.index.Reset()
-	s.distinct = s.distinct[:0]
-	s.first = s.first[:0]
-	s.missing = s.missing[:0]
+func newBatchScratch(e *Engine) *batchScratch {
+	sc := &batchScratch{e: e, rows: make([][]graph.Weight, e.workers)}
+	sc.each = sc.fill
+	return sc
+}
+
+// row returns worker w's row buffer, sized n.
+func (sc *batchScratch) row(w, n int) []graph.Weight {
+	if cap(sc.rows[w]) < n {
+		sc.rows[w] = make([]graph.Weight, n)
+	}
+	return sc.rows[w][:n]
+}
+
+// fill builds the row of distinct source i into worker w's buffer and
+// copies its targets into the flat-matrix row of the source's first
+// occurrence. Distinct sources own disjoint matrix rows and workers own
+// disjoint buffers, so fills need no coordination beyond the failure
+// latch.
+func (sc *batchScratch) fill(w, i int) {
+	if sc.failure.Load() != nil {
+		return
+	}
+	row := sc.row(w, sc.n)
+	if err := sc.e.buildRow(sc.ctx, sc.src, sc.distinct[i], row); err != nil {
+		failed := err // taking err's own address would move it to the heap on every fill
+		sc.failure.CompareAndSwap(nil, &failed)
+		return
+	}
+	nt := len(sc.targets)
+	dst := sc.flat[int(sc.first[i])*nt : (int(sc.first[i])+1)*nt]
+	for j, v := range sc.targets {
+		dst[j] = row[v]
+	}
 }
 
 // Batch answers the many-to-many query set sources × targets: the result
@@ -35,15 +76,13 @@ func (s *batchScratch) reset() {
 // (test with Unreachable).
 //
 // The whole batch is one admitted request (one admission slot, one
-// deadline); its result matrix is bounded by Config.MaxBatchPairs, and an
-// over-cap request fails with ErrBatchTooLarge before anything is
-// allocated. Cached rows are copied straight into the result under the
-// cache's shard locks; only the rows actually missing are computed — at
-// most once per distinct source — one row at a time across a pool of
-// workers (par.ParallelForCtx). Concurrent point queries and other
-// batches coalesce onto the same builds through the engine's singleflight
-// layer. A batch whose rows are all cached allocates only the matrix it
-// returns.
+// deadline) answered by one source; its result matrix is bounded by
+// Config.MaxBatchPairs, and an over-cap request fails with
+// ErrBatchTooLarge before anything is allocated. Each distinct source's
+// row is built once, into a per-worker scratch row, across a pool of
+// workers (par.ParallelForCtx), and only the requested targets are copied
+// out. A batch allocates only the matrix it returns, plus the fan-out's
+// goroutines when it has more than one worker.
 //
 // On deadline expiry mid-batch the remaining rows are skipped and the
 // context error is returned; no partial matrix is produced.
@@ -66,8 +105,8 @@ func (e *Engine) Batch(ctx context.Context, sources, targets []int32) ([][]graph
 // through a larger matrix in source chunks — the async job tier streams a
 // full distance matrix by reusing one chunk-sized buffer across
 // BatchFlat calls instead of allocating a fresh matrix per chunk.
-// Admission, the pair cap, caching, dedup, and scheduling behave exactly
-// as in Batch; on error the contents of flat are unspecified.
+// Admission, the pair cap, dedup, and scheduling behave exactly as in
+// Batch; on error the contents of flat are unspecified.
 func (e *Engine) BatchFlat(ctx context.Context, sources, targets []int32, flat []graph.Weight) error {
 	if e.closed.Load() {
 		return ErrClosed
@@ -76,8 +115,10 @@ func (e *Engine) BatchFlat(ctx context.Context, sources, targets []int32, flat [
 		return fmt.Errorf("qe: batch matrix buffer holds %d weights, %d×%d batch needs %d",
 			len(flat), len(sources), len(targets), len(sources)*len(targets))
 	}
+	// One read of the source: the whole batch is validated against and
+	// answered by it, even if SwapSource installs another meanwhile.
 	e.mu.Lock()
-	n := e.n
+	src, n := e.src, e.n
 	e.mu.Unlock()
 	for _, u := range sources {
 		if err := e.checkVertex("source", u, n); err != nil {
@@ -105,12 +146,11 @@ func (e *Engine) BatchFlat(ctx context.Context, sources, targets []int32, flat [
 	defer e.adm.release()
 
 	sc := e.scratch.Get().(*batchScratch)
-	sc.reset()
 	defer e.scratch.Put(sc)
-
-	// Distinct sources, preserving first-seen order; each distinct source
-	// owns the flat-matrix row of its first occurrence, so the build and
-	// gather stages write disjoint memory with no further coordination.
+	// Distinct sources in first-seen order; each owns the matrix row of its
+	// first occurrence, which fill writes and the assembly below copies.
+	sc.index.Reset()
+	sc.distinct, sc.first = sc.distinct[:0], sc.first[:0]
 	for i, u := range sources {
 		if _, seen := sc.index.GetOrPut(u, int32(len(sc.distinct))); !seen {
 			sc.distinct = append(sc.distinct, u)
@@ -122,60 +162,20 @@ func (e *Engine) BatchFlat(ctx context.Context, sources, targets []int32, flat [
 
 	nt := len(targets)
 	if nt > 0 {
-		// Warm pass: copy every cached row into its first-occurrence slot
-		// under the cache's shard lock; collect the rest as misses.
-		for di, u := range sc.distinct {
-			dst := flat[int(sc.first[di])*nt : (int(sc.first[di])+1)*nt]
-			if e.cache != nil && e.cache.gather(u, targets, dst) {
-				continue
-			}
-			sc.missing = append(sc.missing, int32(di))
-		}
-	}
-
-	if len(sc.missing) > 0 {
 		// One failed row build fails the whole batch: a partial matrix is
 		// indistinguishable from a complete one, so a fan-out source's
 		// shard outage must surface as an error, never as Inf-padded rows.
-		// The first error is latched and the remaining rows are skipped,
-		// as they are once the deadline has passed.
-		var (
-			failOnce sync.Once
-			failed   atomic.Bool
-			failure  error
-		)
-		_ = par.ParallelForCtx(ctx, e.workers, len(sc.missing), func(_, i int) {
-			if failed.Load() {
-				return
-			}
-			di := int(sc.missing[i])
-			buf, err := e.rowRef(ctx, sc.distinct[di])
-			if err != nil {
-				failOnce.Do(func() { failure = err })
-				failed.Store(true)
-				return
-			}
-			dst := flat[int(sc.first[di])*nt : (int(sc.first[di])+1)*nt]
-			row := buf.data
-			for j, v := range targets {
-				// A row served from an older epoch can be shorter than the
-				// validated target range (see Query); out-of-range means
-				// unreachable in that row's view of the graph.
-				if int(v) < len(row) {
-					dst[j] = row[v]
-				} else {
-					dst[j] = inf
-				}
-			}
-			e.arena.release(buf)
-		})
+		sc.ctx, sc.src, sc.n, sc.targets, sc.flat = ctx, src, n, targets, flat
+		_ = par.ParallelForCtx(ctx, e.workers, len(sc.distinct), sc.each)
+		sc.ctx, sc.src, sc.targets, sc.flat = nil, nil, nil, nil
+		failure := sc.failure.Swap(nil)
 		// Read the context here, not ParallelForCtx's result: a deadline
 		// that passes during the last row abandons the batch too.
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("qe: batch abandoned: %w", err)
 		}
-		if failed.Load() {
-			return fmt.Errorf("qe: batch row build failed: %w", failure)
+		if failure != nil {
+			return fmt.Errorf("qe: batch row build failed: %w", *failure)
 		}
 	}
 

@@ -27,8 +27,8 @@ func benchOracle(b *testing.B) *apsp.Oracle {
 }
 
 // rowsOnly hides the oracle's pair method, so that Query takes the row
-// path the Warm and Cold benchmarks are named for and their baselines keep
-// their meaning.
+// path BenchmarkQEQueryCold is named for and its baseline keeps its
+// meaning.
 type rowsOnly struct{ o *apsp.Oracle }
 
 func (r rowsOnly) NumVertices() int                        { return r.o.NumVertices() }
@@ -52,38 +52,12 @@ func BenchmarkQEQueryPair(b *testing.B) {
 	}
 }
 
-// BenchmarkQEQueryWarm measures the steady-state row path of a point
-// query, the one a source without a pair method takes: every row is
-// already cached, so this is admission + cache hit + one read.
-func BenchmarkQEQueryWarm(b *testing.B) {
-	o := rowsOnly{benchOracle(b)}
-	// 2× headroom: the sharded LRU bounds each shard independently, so an
-	// exact-capacity cache can evict under shard imbalance and pollute the
-	// warm measurement with rebuilds.
-	e := New(o, Config{CacheRows: 2 * o.NumVertices(), MaxInflight: 4, QueueDepth: 64, Reg: obs.NewRegistry()})
-	ctx := context.Background()
-	n := int32(o.NumVertices())
-	for u := int32(0); u < n; u++ { // warm the cache
-		if _, err := e.Query(ctx, u, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := int32(i) % n
-		v := int32(i*7) % n
-		if _, err := e.Query(ctx, u, v); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQEQueryCold measures the uncached row path — one row build per
-// distinct source — by disabling the cache.
+// BenchmarkQEQueryCold measures the row path of a point query, the one a
+// source without a pair method takes: admission, one row build into the
+// pooled scratch row, one read.
 func BenchmarkQEQueryCold(b *testing.B) {
 	o := rowsOnly{benchOracle(b)}
-	e := New(o, Config{CacheRows: -1, MaxInflight: 4, QueueDepth: 64, Reg: obs.NewRegistry()})
+	e := New(o, Config{MaxInflight: 4, QueueDepth: 64, Reg: obs.NewRegistry()})
 	ctx := context.Background()
 	n := int32(o.NumVertices())
 	b.ReportAllocs()
@@ -95,8 +69,9 @@ func BenchmarkQEQueryCold(b *testing.B) {
 	}
 }
 
-// BenchmarkQEBatch measures a 64×64 many-to-many batch on a cold cache:
-// the deque-scheduled row builds dominate.
+// BenchmarkQEBatch measures a 64×64 many-to-many batch on one persistent
+// engine: the row builds, spread over 8 workers, dominate. Allocations are
+// the result matrix plus the fan-out's goroutines.
 func BenchmarkQEBatch(b *testing.B) {
 	o := benchOracle(b)
 	n := int32(o.NumVertices())
@@ -106,37 +81,8 @@ func BenchmarkQEBatch(b *testing.B) {
 		sources[i] = int32(i*3) % n
 		targets[i] = int32(i*5+1) % n
 	}
+	e := New(o, Config{MaxInflight: 8, QueueDepth: 64, Reg: obs.NewRegistry()})
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e := New(o, Config{CacheRows: 16, MaxInflight: 8, QueueDepth: 64, Reg: obs.NewRegistry()})
-		b.StartTimer()
-		if _, err := e.Batch(ctx, sources, targets); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQEBatchWarm measures the steady-state bulk path: one persistent
-// engine, every row cached, so each iteration is admission + per-source
-// gathers + the result matrix. Allocations here are the result matrix
-// only (2 allocs: row headers + flat backing).
-func BenchmarkQEBatchWarm(b *testing.B) {
-	o := benchOracle(b)
-	n := int32(o.NumVertices())
-	sources := make([]int32, 64)
-	targets := make([]int32, 64)
-	for i := range sources {
-		sources[i] = int32(i*3) % n
-		targets[i] = int32(i*5+1) % n
-	}
-	e := New(o, Config{CacheRows: int(n), MaxInflight: 8, QueueDepth: 64, Reg: obs.NewRegistry()})
-	ctx := context.Background()
-	if _, err := e.Batch(ctx, sources, targets); err != nil { // warm rows + scratch
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,10 +6,9 @@ import (
 )
 
 // Close shuts the engine down: new Query and Batch calls fail fast with
-// ErrClosed, in-flight requests finish normally, and once the last one
-// has released its admission slot the row cache is purged with every
-// buffer returned to the arena. Close claims all admission slots itself,
-// so it returns only after the engine is drained; ctx bounds that wait.
+// ErrClosed and in-flight requests finish normally. Close claims all
+// admission slots itself, so it returns only after the engine is drained;
+// ctx bounds that wait.
 //
 // Close exists for hosts that own many engines — the multi-tenant graph
 // registry evicts an idle oracle by closing its engine — so the usual
@@ -34,9 +33,6 @@ func (e *Engine) Close(ctx context.Context) error {
 		case <-ctx.Done():
 			return fmt.Errorf("qe: close drain: %w", ctx.Err())
 		}
-	}
-	if e.cache != nil {
-		e.cache.removeIf(func(int32) bool { return true })
 	}
 	return nil
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestCloseRejectsNewRequests(t *testing.T) {
-	e, _ := newTestEngine(&stubSource{n: 8}, Config{CacheRows: 4, MaxInflight: 2})
+	e, _ := newTestEngine(&stubSource{n: 8}, Config{MaxInflight: 2})
 	if _, err := e.Query(context.Background(), 0, 1); err != nil {
 		t.Fatalf("pre-close query: %v", err)
 	}
@@ -32,7 +32,7 @@ func TestCloseRejectsNewRequests(t *testing.T) {
 // while a request is mid-row, and must return promptly once it finishes.
 func TestCloseDrainsInflight(t *testing.T) {
 	src := &stubSource{n: 8, gate: make(chan struct{}), began: make(chan int32, 1)}
-	e, _ := newTestEngine(src, Config{CacheRows: 4, MaxInflight: 1})
+	e, _ := newTestEngine(src, Config{MaxInflight: 1})
 
 	queryDone := make(chan error, 1)
 	go func() {
@@ -65,7 +65,7 @@ func TestCloseDrainsInflight(t *testing.T) {
 
 func TestCloseHonoursContext(t *testing.T) {
 	src := &stubSource{n: 8, gate: make(chan struct{}), began: make(chan int32, 1)}
-	e, _ := newTestEngine(src, Config{CacheRows: 4, MaxInflight: 1})
+	e, _ := newTestEngine(src, Config{MaxInflight: 1})
 	go e.Query(context.Background(), 0, 1)
 	<-src.began
 
@@ -75,30 +75,4 @@ func TestCloseHonoursContext(t *testing.T) {
 		t.Fatalf("Close with stuck request = %v, want DeadlineExceeded", err)
 	}
 	close(src.gate)
-}
-
-func TestClosePurgesCache(t *testing.T) {
-	e, reg := newTestEngine(&stubSource{n: 8}, Config{CacheRows: 8, MaxInflight: 2})
-	for u := int32(0); u < 4; u++ {
-		if _, err := e.Query(context.Background(), u, 0); err != nil {
-			t.Fatalf("warm query: %v", err)
-		}
-	}
-	// Shard-local capacities may already have evicted a colliding row;
-	// what Close must guarantee is that whatever occupancy remains drops
-	// to zero, with each purged row accounted as an eviction.
-	occ := reg.Gauge("qe.cache.rows").Value()
-	if occ < 1 {
-		t.Fatalf("cache occupancy before close = %d, want ≥ 1", occ)
-	}
-	evBefore := reg.Counter("qe.cache.evictions").Value()
-	if err := e.Close(context.Background()); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if got := reg.Gauge("qe.cache.rows").Value(); got != 0 {
-		t.Fatalf("cache occupancy after close = %d, want 0", got)
-	}
-	if got := reg.Counter("qe.cache.evictions").Value(); got != evBefore+occ {
-		t.Fatalf("close evictions = %d, want %d", got-evBefore, occ)
-	}
 }

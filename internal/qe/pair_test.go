@@ -26,10 +26,10 @@ func pairOracle() *apsp.Oracle {
 
 // TestQueryPairZeroAllocs pins the pair path over a real oracle: every
 // answer is the oracle's QueryChecked, nothing is allocated, and no row
-// is built, cached or counted as a hit or a miss.
+// is built.
 func TestQueryPairZeroAllocs(t *testing.T) {
 	o := pairOracle()
-	e, reg := newTestEngine(o, Config{CacheRows: 8, MaxInflight: 4})
+	e, reg := newTestEngine(o, Config{MaxInflight: 4})
 	ctx := context.Background()
 	n := int32(o.NumVertices())
 	for u := int32(0); u < n; u++ {
@@ -47,13 +47,8 @@ func TestQueryPairZeroAllocs(t *testing.T) {
 	if got := reg.Histogram("qe.pairs.latency").Count(); got != int64(n)*int64(n) {
 		t.Fatalf("qe.pairs.latency count = %d, want %d", got, int64(n)*int64(n))
 	}
-	for _, name := range []string{"qe.rows.built", "qe.rows.coalesced", "qe.cache.hits", "qe.cache.misses"} {
-		if got := reg.Counter(name).Value(); got != 0 {
-			t.Errorf("%s = %d after pair queries, want 0", name, got)
-		}
-	}
-	if got := reg.Gauge("qe.cache.rows").Value(); got != 0 {
-		t.Errorf("qe.cache.rows = %d after pair queries, want 0", got)
+	if got := reg.Counter("qe.rows.built").Value(); got != 0 {
+		t.Errorf("qe.rows.built = %d after pair queries, want 0", got)
 	}
 
 	if raceEnabled {
@@ -80,14 +75,14 @@ func TestQueryPairZeroAllocs(t *testing.T) {
 func TestQueryPairSwapRace(t *testing.T) {
 	old := pairOracle()
 	n := int32(old.NumVertices())
-	next, res, err := old.ApplyDelta(context.Background(), []apsp.Delta{
+	next, _, err := old.ApplyDelta(context.Background(), []apsp.Delta{
 		{Kind: apsp.DeltaWeight, Edge: 0, W: old.G.Edge(0).W + 5},
 		{Kind: apsp.DeltaInsert, U: 1, V: n, W: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _ := newTestEngine(old, Config{CacheRows: 8, MaxInflight: 8, QueueDepth: 64})
+	e, _ := newTestEngine(old, Config{MaxInflight: 8, QueueDepth: 64})
 	ctx := context.Background()
 
 	stop, swapped := make(chan struct{}), make(chan struct{})
@@ -100,9 +95,9 @@ func TestQueryPairSwapRace(t *testing.T) {
 			default:
 			}
 			if i%2 == 0 {
-				e.SwapSource(next, res.Stale)
+				e.SwapSource(next)
 			} else {
-				e.SwapSource(old, nil)
+				e.SwapSource(old)
 			}
 		}
 	}()

@@ -2,26 +2,22 @@
 // (cmd/oracled) and a distance oracle (apsp.Oracle, or a sharded
 // frontend's shard.RemoteSource). The paper's construction makes a pair an
 // O(1) lookup over the O(a² + Σnᵢ²) tables and a source row cheap enough
-// to build on demand (Section 2); this package adds the serving discipline
+// to build on demand (Section 2); the resident tables are the cache, so
+// this package keeps nothing else resident. It adds the serving discipline
 // around both, at the granularity each request needs:
 //
 //   - pairs for point queries: Query asks the source for exactly one pair
-//     (PairSource). A local oracle answers from its resident tables — the
-//     oracle is the cache — and a sharded frontend fetches at most the
-//     pair's two block rows; neither builds, caches or refcounts a row. A
-//     source without the pair method is served through the row path below;
+//     (PairSource). A local oracle answers from its resident tables and a
+//     sharded frontend fetches at most the pair's two block rows; neither
+//     builds a row. A source without the pair method is answered by
+//     building the one row into pooled scratch and reading one entry;
 //   - rows for bulk work: Batch (and through it the batch_matrix and
-//     betweenness jobs) materialises distances one source row at a time,
-//     so targets sharing a source share their work;
-//   - coalescing: concurrent requests for the same uncached row wait on a
-//     single in-flight computation (singleflight) instead of duplicating
-//     it;
-//   - caching: completed rows live in a sharded, size-bounded LRU with
-//     hit/miss/eviction counters and an occupancy gauge in internal/obs;
-//   - buffer arena: rows are arena-backed and reference-counted, so a
-//     Batch whose rows are all cached allocates nothing beyond the
-//     caller's result matrix, and a pair Query allocates nothing at all
-//     (both pinned by AllocsPerRun tests and the CI bench gate);
+//     betweenness jobs) builds each distinct source's row once, into a
+//     per-worker scratch row, and copies the requested targets straight
+//     into the result. No row outlives the request that built it, so a
+//     rows-only Query allocates nothing and a Batch allocates only the
+//     matrix it returns (both pinned by AllocsPerRun tests and the CI
+//     bench gate);
 //   - admission control: at most MaxInflight requests are served
 //     concurrently, at most QueueDepth more may wait (with per-request
 //     deadlines), and everything beyond that is shed with the typed
@@ -29,12 +25,14 @@
 //     applies to pairs and rows alike;
 //   - bulk queries: Batch answers an N×M many-to-many matrix with one row
 //     computation per distinct source, spread over the engine's workers
-//     by par.ParallelForCtx. Requests whose
-//     result matrix would exceed MaxBatchPairs are rejected with the
-//     typed ErrBatchTooLarge before anything is allocated.
+//     by par.ParallelForCtx. Requests whose result matrix would exceed
+//     MaxBatchPairs are rejected with the typed ErrBatchTooLarge before
+//     anything is allocated.
 //
-// Engines are safe for concurrent use; every exported method is
-// panic-free on arbitrary input.
+// Every request reads the source and its vertex count once, so a request
+// racing SwapSource is answered in full by the old source or in full by
+// the new one. Engines are safe for concurrent use; every exported method
+// is panic-free on arbitrary input.
 package qe
 
 import (
@@ -63,13 +61,10 @@ type RowSource interface {
 // building a row can fail or should observe cancellation — a fan-out
 // source fetching rows from shard daemons (internal/shard.RemoteSource)
 // rather than reading local tables. When the live source implements it,
-// the engine builds rows through RowCtx instead of Row: the error
-// propagates to the requesting caller and every coalesced waiter, and a
-// failed row is never admitted to the cache, so one shard outage
-// degrades into retryable request errors instead of cached wrong
-// answers. The ctx is the admitted request's context (engine deadline
-// applied); coalesced waiters share the builder's fate, including its
-// cancellation.
+// the engine builds rows through RowCtx instead of Row and the error
+// propagates to the requesting caller, so one shard outage degrades into
+// retryable request errors instead of wrong answers. The ctx is the
+// admitted request's context (engine deadline applied).
 type CtxRowSource interface {
 	RowCtx(ctx context.Context, src int32, out []graph.Weight) (int64, error)
 }
@@ -78,10 +73,10 @@ type CtxRowSource interface {
 // answer one pair without building the row — apsp.Oracle and apsp.EarAPSP
 // from their resident tables, shard.RemoteSource by fetching only the
 // pair's own block rows. When the live source implements it, Query calls
-// Pair behind admission and touches neither the row cache, the arena nor
-// the flight map; Batch keeps building rows. u and v are already validated
-// against NumVertices(); ctx is the admitted request's context (engine
-// deadline applied). An error propagates to the caller as is.
+// Pair behind admission and builds no row; Batch keeps building rows. u
+// and v are already validated against NumVertices(); ctx is the admitted
+// request's context (engine deadline applied). An error propagates to the
+// caller as is.
 type PairSource interface {
 	Pair(ctx context.Context, u, v int32) (graph.Weight, error)
 }
@@ -106,9 +101,6 @@ var (
 // Config tunes an Engine. The zero value is usable: see the field
 // comments for how zero resolves.
 type Config struct {
-	// CacheRows bounds the LRU row cache (0 resolves to DefaultCacheRows;
-	// negative disables caching entirely, leaving only coalescing).
-	CacheRows int
 	// MaxInflight bounds concurrently served requests; ≤ 0 resolves to
 	// par.Workers().
 	MaxInflight int
@@ -129,7 +121,9 @@ type Config struct {
 	Reg *obs.Registry
 }
 
-// DefaultCacheRows is the row-cache bound when Config.CacheRows is 0.
+// DefaultCacheRows configures nothing: the engine keeps no rows. It
+// survives only because the benchmark module sizes its cold walk with it
+// (bench/workloads.go) and leaves when the benchmark stops doing so.
 const DefaultCacheRows = 4096
 
 // DefaultMaxBatchPairs is the Batch pair cap when Config.MaxBatchPairs is
@@ -138,8 +132,6 @@ const DefaultMaxBatchPairs = 1 << 20
 
 // Engine answers point and bulk distance queries over one RowSource.
 type Engine struct {
-	cache    *rowCache // nil when caching is disabled
-	arena    rowArena
 	adm      *admission
 	deadline time.Duration
 	workers  int
@@ -147,40 +139,21 @@ type Engine struct {
 	scratch  sync.Pool // *batchScratch
 	closed   atomic.Bool
 
-	// mu guards the live source, its pair seam and vertex count, the swap
-	// epoch, and the in-flight map. src/pair/n change only together,
-	// through setSource; epoch increments on every swap so a row built
-	// against a replaced source is never admitted to the cache (see rowRef
-	// and SwapSource).
-	mu     sync.Mutex
-	src    RowSource
-	pair   PairSource // src's pair method; nil when it has none
-	n      int
-	epoch  uint64
-	flight map[int32]*rowCall
+	// mu guards the live source, its pair seam and vertex count, which
+	// change only together, in SwapSource.
+	mu   sync.Mutex
+	src  RowSource
+	pair PairSource // src's pair method; nil when it has none
+	n    int
 
 	builds       *obs.Counter
 	buildOps     *obs.Counter
 	buildErrs    *obs.Counter
-	coalesced    *obs.Counter
 	buildLat     *obs.Histogram
 	pairs        *obs.Counter
 	pairLat      *obs.Histogram
 	batchSources *obs.Counter
 	batchPairs   *obs.Counter
-}
-
-// rowCall is one in-flight row computation other requests coalesce onto.
-// waiters is maintained under Engine.mu; the builder folds it into the
-// buffer's reference count before publishing buf and closing done, so
-// every waiter wakes holding exactly one reference it must release. A
-// failed build publishes err instead of buf: waiters wake with no
-// reference to release and surface the same error.
-type rowCall struct {
-	done    chan struct{}
-	waiters int32
-	buf     *rowBuf
-	err     error
 }
 
 // New builds an engine over src. Metrics register immediately so they are
@@ -207,37 +180,33 @@ func New(src RowSource, cfg Config) *Engine {
 		deadline: cfg.Deadline,
 		workers:  workers,
 		maxPairs: maxPairs,
-		flight:   make(map[int32]*rowCall),
 
 		builds:       reg.Counter("qe.rows.built"),
 		buildOps:     reg.Counter("qe.rows.build.ops"),
 		buildErrs:    reg.Counter("qe.rows.build.errors"),
-		coalesced:    reg.Counter("qe.rows.coalesced"),
 		buildLat:     reg.Histogram("qe.rows.build.latency"),
 		pairs:        reg.Counter("qe.pairs"),
 		pairLat:      reg.Histogram("qe.pairs.latency"),
 		batchSources: reg.Counter("qe.batch.sources"),
 		batchPairs:   reg.Counter("qe.batch.pairs"),
 	}
-	e.setSource(src)
-	e.scratch.New = func() any { return new(batchScratch) }
-	rows := cfg.CacheRows
-	if rows == 0 {
-		rows = DefaultCacheRows
-	}
-	if rows > 0 {
-		e.cache = newRowCache(rows, reg, &e.arena)
-	}
+	e.SwapSource(src)
+	e.scratch.New = func() any { return newBatchScratch(e) }
 	return e
 }
 
-// setSource installs src with its vertex count and pair seam, resolved
-// here once so Query reads all three in one critical section. The caller
-// holds mu (or, in New, is the only goroutine).
-func (e *Engine) setSource(src RowSource) {
-	e.src = src
-	e.n = src.NumVertices()
-	e.pair, _ = src.(PairSource)
+// SwapSource installs src as the engine's source, with its vertex count
+// and pair seam resolved once so every request reads all three in one
+// critical section. It is the serving-side half of apsp's delta
+// machinery: ApplyDelta returns a new oracle and SwapSource installs it.
+// A request already past that read answers from the old source in full;
+// every later one from src.
+func (e *Engine) SwapSource(src RowSource) {
+	pair, _ := src.(PairSource)
+	n := src.NumVertices()
+	e.mu.Lock()
+	e.src, e.pair, e.n = src, pair, n
+	e.mu.Unlock()
 }
 
 // NumVertices returns the vertex count of the current source.
@@ -270,31 +239,26 @@ func (e *Engine) withDeadline(ctx context.Context) (context.Context, context.Can
 
 // Query answers one pair: validation, admission, then one call to the
 // source's pair method — O(1) table reads on a local oracle, at most two
-// block-row fetches on a sharded frontend. No row is built, cached or
-// refcounted, and on a local oracle the call allocates nothing (beyond
-// the deadline context, when the engine imposes one). qe.pairs counts the
-// pairs answered, qe.pairs.latency times every call to the source,
-// failed ones included. The error is ErrClosed,
+// block-row fetches on a sharded frontend. On a local oracle the call
+// allocates nothing (beyond the deadline context, when the engine imposes
+// one). qe.pairs counts the pairs answered, qe.pairs.latency times every
+// call to the source, failed ones included. The error is ErrClosed,
 // ErrVertexRange, ErrOverloaded, a context error from waiting for
 // admission, or the source's own (a frontend's typed shard failure);
 // unreachable pairs report apsp Inf, not an error.
 //
-// The source, its vertex count and its pair method are read in one
-// critical section, so a Query racing a SwapSource is validated against
-// and answered by one source — the old or the new, never a mix.
 // Admission is never bypassed: a pair still occupies an inflight slot, so
 // overload shedding stays accurate under point traffic.
 //
-// A source without a pair method is answered through the row machinery
-// instead: the cached (or coalesced, or freshly built) row for u, then
-// one read; the cache-hit case reads the entry in place under the shard
-// lock and allocates nothing either.
+// A source without a pair method is answered by building u's row into
+// pooled scratch and reading entry v; with warm scratch that allocates
+// nothing either.
 func (e *Engine) Query(ctx context.Context, u, v int32) (graph.Weight, error) {
 	if e.closed.Load() {
 		return inf, ErrClosed
 	}
 	e.mu.Lock()
-	n, pair := e.n, e.pair
+	src, pair, n := e.src, e.pair, e.n
 	e.mu.Unlock()
 	if err := e.checkVertex("source", u, n); err != nil {
 		return inf, err
@@ -318,99 +282,35 @@ func (e *Engine) Query(ctx context.Context, u, v int32) (graph.Weight, error) {
 		e.pairs.Inc()
 		return d, nil
 	}
-	if e.cache != nil {
-		if d, ok := e.cache.getAt(u, v); ok {
-			return d, nil
-		}
-	}
-	buf, err := e.rowRef(ctx, u)
-	if err != nil {
+	sc := e.scratch.Get().(*batchScratch)
+	defer e.scratch.Put(sc)
+	row := sc.row(0, n)
+	if err := e.buildRow(ctx, src, u, row); err != nil {
 		return inf, err
 	}
-	d := inf
-	// A coalesced row may predate a SwapSource that grew the graph;
-	// targets beyond its length are unreachable in that older view.
-	if int(v) < len(buf.data) {
-		d = buf.data[v]
-	}
-	e.arena.release(buf)
-	return d, nil
+	return row[v], nil
 }
 
-// rowRef returns a referenced buffer holding the distance row for src,
-// coalescing with any in-flight build. The caller owns exactly one
-// reference and must release it after reading. Callers must have
-// validated src; rowRef does not consult the cache (Query and Batch check
-// it first so hits never touch the flight map).
-//
-// Every row is built against exactly one source: the build captures
-// (src, n, epoch) in one critical section, and the finished row enters
-// the cache only if the epoch is still current when it completes. A build
-// racing a SwapSource therefore yields a row that is fully old — served
-// to its waiters, never cached — or fully new; never a mix.
-//
-// Reference accounting: the builder publishes the total in one store —
-// one for itself, one per coalesced waiter, one for the cache when the
-// row is admitted — before closing done, so no holder can release a
-// count that has not been taken yet.
-func (e *Engine) rowRef(ctx context.Context, src int32) (*rowBuf, error) {
-	e.mu.Lock()
-	if c, ok := e.flight[src]; ok {
-		c.waiters++
-		e.mu.Unlock()
-		e.coalesced.Inc()
-		<-c.done
-		return c.buf, c.err
-	}
-	c := &rowCall{done: make(chan struct{})}
-	e.flight[src] = c
-	rs, n, epoch := e.src, e.n, e.epoch
-	e.mu.Unlock()
-
+// buildRow fills row, sized to src's vertex count, with the distances
+// from u — through RowCtx when src can fail — and accounts the build
+// under qe.rows.*.
+func (e *Engine) buildRow(ctx context.Context, src RowSource, u int32, row []graph.Weight) error {
 	t0 := time.Now()
-	buf := e.arena.get(n)
 	var ops int64
 	var err error
-	if crs, ok := rs.(CtxRowSource); ok {
-		ops, err = crs.RowCtx(ctx, src, buf.data)
+	if crs, ok := src.(CtxRowSource); ok {
+		ops, err = crs.RowCtx(ctx, u, row)
 	} else {
-		ops = rs.Row(src, buf.data)
+		ops = src.Row(u, row)
 	}
 	e.buildLat.Observe(time.Since(t0))
 	if err != nil {
-		// The failed row never reaches the cache; the buffer goes straight
-		// back to the arena and every coalesced waiter wakes with the error
-		// and no reference to release.
 		e.buildErrs.Inc()
-		e.mu.Lock()
-		delete(e.flight, src)
-		e.mu.Unlock()
-		buf.refs.Store(1)
-		e.arena.release(buf)
-		c.err = err
-		close(c.done)
-		return nil, err
+		return err
 	}
 	e.builds.Inc()
 	e.buildOps.Add(ops)
-	// The epoch re-check and the cache insert share the critical section
-	// with SwapSource's epoch bump, so a stale row either lands before the
-	// swap (and the swap's eviction pass removes it) or is never cached.
-	e.mu.Lock()
-	delete(e.flight, src)
-	refs := 1 + c.waiters
-	cached := e.cache != nil && e.epoch == epoch
-	if cached {
-		refs++
-	}
-	buf.refs.Store(refs)
-	c.buf = buf
-	if cached {
-		e.cache.put(src, buf)
-	}
-	e.mu.Unlock()
-	close(c.done)
-	return buf, nil
+	return nil
 }
 
 // inf mirrors apsp.Inf / sssp.Inf without importing either package; qe

@@ -15,7 +15,7 @@ import (
 
 // stubSource is a deterministic RowSource: row[src][v] = src*1000 + v,
 // with a build counter and an optional gate that blocks builds until
-// released — the hooks the coalescing and admission tests need.
+// released — the hooks the admission and drain tests need.
 type stubSource struct {
 	n      int
 	builds atomic.Int64
@@ -45,113 +45,11 @@ func newTestEngine(src RowSource, cfg Config) (*Engine, *obs.Registry) {
 	return New(src, cfg), reg
 }
 
-// TestCoalescing is the acceptance criterion: K concurrent queries for
-// one uncached source increment the row-build counter exactly once. The
-// stub blocks the single build on a gate until all K requests are either
-// queued on the singleflight call or running it, so the test is
-// deterministic, not timing-dependent.
-func TestCoalescing(t *testing.T) {
-	const K = 16
-	src := &stubSource{n: 32, gate: make(chan struct{}), began: make(chan int32, K)}
-	e, reg := newTestEngine(src, Config{CacheRows: 8, MaxInflight: K, QueueDepth: K})
-
-	var wg sync.WaitGroup
-	results := make([]graph.Weight, K)
-	for i := 0; i < K; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			d, err := e.Query(context.Background(), 5, int32(i))
-			if err != nil {
-				t.Errorf("query %d: %v", i, err)
-				return
-			}
-			results[i] = d
-		}(i)
-	}
-	// Exactly one build must begin; wait for it, then wait until the
-	// other K-1 requests have coalesced onto it before opening the gate.
-	<-src.began
-	for reg.Counter("qe.rows.coalesced").Value() < K-1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(src.gate)
-	wg.Wait()
-
-	if got := reg.Counter("qe.rows.built").Value(); got != 1 {
-		t.Fatalf("row-build counter = %d after %d concurrent same-source queries, want 1", got, K)
-	}
-	if got := src.builds.Load(); got != 1 {
-		t.Fatalf("stub saw %d builds, want 1", got)
-	}
-	for i, d := range results {
-		if want := graph.Weight(5*1000 + i); d != want {
-			t.Fatalf("result[%d] = %v, want %v", i, d, want)
-		}
-	}
-	// A repeat query is a pure cache hit: still one build.
-	if _, err := e.Query(context.Background(), 5, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("qe.rows.built").Value(); got != 1 {
-		t.Fatalf("cache hit triggered a rebuild: builds = %d", got)
-	}
-	if reg.Counter("qe.cache.hits").Value() == 0 {
-		t.Fatal("no cache hit recorded")
-	}
-}
-
-// TestCacheEviction fills a bounded cache past capacity and checks the
-// eviction counter, the occupancy gauge bound, and that evicted rows are
-// rebuilt on re-access.
-func TestCacheEviction(t *testing.T) {
-	const capRows = 4
-	src := &stubSource{n: 32}
-	e, reg := newTestEngine(src, Config{CacheRows: capRows, MaxInflight: 2, QueueDepth: 2})
-	ctx := context.Background()
-
-	const distinct = 12
-	for u := int32(0); u < distinct; u++ {
-		if _, err := e.Query(ctx, u, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := reg.Counter("qe.rows.built").Value(); got != distinct {
-		t.Fatalf("builds = %d, want %d", got, distinct)
-	}
-	occ := reg.Gauge("qe.cache.rows").Value()
-	if occ < 1 || occ > capRows {
-		t.Fatalf("cache occupancy %d outside (0, %d]", occ, capRows)
-	}
-	if ev := reg.Counter("qe.cache.evictions").Value(); ev != distinct-occ {
-		t.Fatalf("evictions = %d, want %d (built %d, holding %d)", ev, distinct-occ, distinct, occ)
-	}
-	if reg.Counter("qe.cache.misses").Value() != distinct {
-		t.Fatalf("misses = %d, want %d", reg.Counter("qe.cache.misses").Value(), distinct)
-	}
-}
-
-// TestCacheDisabled: negative CacheRows leaves only coalescing; every
-// fresh query rebuilds.
-func TestCacheDisabled(t *testing.T) {
-	src := &stubSource{n: 4}
-	e, reg := newTestEngine(src, Config{CacheRows: -1, MaxInflight: 1, QueueDepth: 1})
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if _, err := e.Query(ctx, 2, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := reg.Counter("qe.rows.built").Value(); got != 3 {
-		t.Fatalf("builds = %d with cache disabled, want 3", got)
-	}
-}
-
 // TestOverload: with one slot and an empty queue, a second request is
 // shed immediately with ErrOverloaded while the first blocks in a build.
 func TestOverload(t *testing.T) {
 	src := &stubSource{n: 4, gate: make(chan struct{}), began: make(chan int32, 1)}
-	e, reg := newTestEngine(src, Config{CacheRows: 4, MaxInflight: 1, QueueDepth: 0})
+	e, reg := newTestEngine(src, Config{MaxInflight: 1, QueueDepth: 0})
 
 	done := make(chan error, 1)
 	go func() {
@@ -186,7 +84,7 @@ func TestOverload(t *testing.T) {
 // when its deadline passes, and the expired counter records it.
 func TestAdmissionDeadline(t *testing.T) {
 	src := &stubSource{n: 4, gate: make(chan struct{}), began: make(chan int32, 1)}
-	e, reg := newTestEngine(src, Config{CacheRows: 4, MaxInflight: 1, QueueDepth: 4, Deadline: 20 * time.Millisecond})
+	e, reg := newTestEngine(src, Config{MaxInflight: 1, QueueDepth: 4, Deadline: 20 * time.Millisecond})
 
 	done := make(chan error, 1)
 	go func() {
@@ -212,7 +110,7 @@ func TestAdmissionDeadline(t *testing.T) {
 // closed form, and that builds happen once per distinct source.
 func TestBatchAssembly(t *testing.T) {
 	src := &stubSource{n: 64}
-	e, reg := newTestEngine(src, Config{CacheRows: 64, MaxInflight: 4, QueueDepth: 4})
+	e, reg := newTestEngine(src, Config{MaxInflight: 4, QueueDepth: 4})
 
 	sources := []int32{7, 3, 7, 9, 3, 7} // 3 distinct
 	targets := []int32{0, 5, 63}
@@ -233,12 +131,13 @@ func TestBatchAssembly(t *testing.T) {
 	if builds := reg.Counter("qe.rows.built").Value(); builds != 3 {
 		t.Fatalf("builds = %d for 3 distinct sources, want 3", builds)
 	}
-	// A second batch over the same sources is all cache hits.
+	// No row outlives its batch: the same batch again builds its three
+	// rows again.
 	if _, err := e.Batch(context.Background(), sources, targets); err != nil {
 		t.Fatal(err)
 	}
-	if builds := reg.Counter("qe.rows.built").Value(); builds != 3 {
-		t.Fatalf("builds = %d after cached batch, want 3", builds)
+	if builds := reg.Counter("qe.rows.built").Value(); builds != 6 {
+		t.Fatalf("builds = %d after a second batch, want 6", builds)
 	}
 	if reg.Counter("qe.batch.sources").Value() != 6 {
 		t.Fatalf("batch.sources = %d, want 6", reg.Counter("qe.batch.sources").Value())
@@ -249,7 +148,7 @@ func TestBatchAssembly(t *testing.T) {
 // with the same values Batch returns, and rejects a mis-sized buffer.
 func TestBatchFlat(t *testing.T) {
 	src := &stubSource{n: 64}
-	e, _ := newTestEngine(src, Config{CacheRows: 64, MaxInflight: 4, QueueDepth: 4})
+	e, _ := newTestEngine(src, Config{MaxInflight: 4, QueueDepth: 4})
 
 	targets := []int32{0, 5, 63}
 	flat := make([]graph.Weight, 2*len(targets))
@@ -277,7 +176,7 @@ func TestBatchFlat(t *testing.T) {
 // not yet started are skipped and no partial matrix comes back.
 func TestBatchAbandonedOnDeadline(t *testing.T) {
 	src := &stubSource{n: 16, gate: make(chan struct{}), began: make(chan int32, 8)}
-	e, _ := newTestEngine(src, Config{CacheRows: 8, MaxInflight: 2})
+	e, _ := newTestEngine(src, Config{MaxInflight: 2})
 	defer e.Close(context.Background())
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -301,7 +200,7 @@ func TestBatchAbandonedOnDeadline(t *testing.T) {
 // TestBatchEmpty: degenerate shapes are fine.
 func TestBatchEmpty(t *testing.T) {
 	src := &stubSource{n: 4}
-	e, _ := newTestEngine(src, Config{CacheRows: 4, MaxInflight: 1, QueueDepth: 0})
+	e, _ := newTestEngine(src, Config{MaxInflight: 1, QueueDepth: 0})
 	out, err := e.Batch(context.Background(), nil, nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: %v, %d rows", err, len(out))
@@ -316,7 +215,7 @@ func TestBatchEmpty(t *testing.T) {
 // surfaces, before any admission or build work.
 func TestValidation(t *testing.T) {
 	src := &stubSource{n: 4}
-	e, reg := newTestEngine(src, Config{CacheRows: 4, MaxInflight: 1, QueueDepth: 0})
+	e, reg := newTestEngine(src, Config{MaxInflight: 1, QueueDepth: 0})
 	ctx := context.Background()
 	for _, pair := range [][2]int32{{-1, 0}, {0, -1}, {4, 0}, {0, 4}} {
 		if _, err := e.Query(ctx, pair[0], pair[1]); !errors.Is(err, ErrVertexRange) {
@@ -335,11 +234,11 @@ func TestValidation(t *testing.T) {
 }
 
 // TestConcurrentMixedLoad hammers one engine with point queries and
-// batches from many goroutines — the -race workout for the cache,
-// singleflight, and admission paths together.
+// batches from many goroutines — the -race workout for the pooled
+// scratch rows and admission together.
 func TestConcurrentMixedLoad(t *testing.T) {
 	src := &stubSource{n: 128}
-	e, reg := newTestEngine(src, Config{CacheRows: 16, MaxInflight: 8, QueueDepth: 256})
+	e, reg := newTestEngine(src, Config{MaxInflight: 8, QueueDepth: 256})
 	ctx := context.Background()
 
 	var wg sync.WaitGroup

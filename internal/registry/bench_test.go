@@ -15,12 +15,12 @@ import (
 func BenchmarkRegistryLookupWarm(b *testing.B) {
 	dir := b.TempDir()
 	writeSnap(b, dir, "hot", testGraph(42))
-	r, err := Open(Config{Dir: dir, MaxGraphs: 4, Engine: qe.Config{CacheRows: 64}, Reg: obs.NewRegistry()})
+	r, err := Open(Config{Dir: dir, MaxGraphs: 4, Engine: qe.Config{}, Reg: obs.NewRegistry()})
 	if err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	// Hydrate and warm the row cache outside the measured loop.
+	// Hydrate outside the measured loop.
 	e, err := r.Acquire(ctx, "hot")
 	if err != nil {
 		b.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // TestChurnUnderRace is the -race stress for the whole lifecycle: more
 // graphs than capacity, hammered by concurrent Acquire/Query/Batch/
 // Release workers while a mutator applies deltas, so hydration,
-// coalescing, eviction, refcount drain, and source swaps all interleave.
+// eviction, refcount drain, and source swaps all interleave.
 // Correctness bar: no worker ever observes an error other than the
 // engine-closed race on a just-drained entry, and every distance agrees
 // with the graph's ring structure.
@@ -78,7 +78,7 @@ func TestChurnUnderRace(t *testing.T) {
 				fail <- fmt.Errorf("mutator acquire: %w", err)
 				return
 			}
-			next, res, err := e.Oracle().ApplyDelta(ctx, []apsp.Delta{
+			next, _, err := e.Oracle().ApplyDelta(ctx, []apsp.Delta{
 				{Kind: apsp.DeltaWeight, Edge: 0, W: 1 + graph.Weight(i%3)},
 			})
 			if err != nil {
@@ -86,7 +86,7 @@ func TestChurnUnderRace(t *testing.T) {
 				e.Release()
 				return
 			}
-			e.Swap(next, res.Stale)
+			e.Swap(next)
 			e.Release()
 		}
 	}()

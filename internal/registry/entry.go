@@ -72,24 +72,21 @@ func (e *Entry) Oracle() *apsp.Oracle {
 // engine), so no lock is needed: hydration wrote it before ready closed.
 func (e *Entry) Engine() *qe.Engine { return e.engine }
 
-// Swap installs a post-delta oracle: the engine's source is swapped
-// (evicting exactly the stale cached rows; the count is returned) and
-// the entry's graph/oracle pointers move to the new build. Callers
-// serialise their own delta application; Swap only makes the installed
-// state consistent for concurrent readers.
-func (e *Entry) Swap(next *apsp.Oracle, stale []bool) int {
-	evicted := e.engine.SwapSource(next, stale)
+// Swap installs a post-delta oracle: the engine's source first, then the
+// entry's graph/oracle pointers. Callers serialise their own delta
+// application; Swap only makes the installed state consistent for
+// concurrent readers.
+func (e *Entry) Swap(next *apsp.Oracle) {
+	e.engine.SwapSource(next)
 	e.reg.mu.Lock()
 	e.oracle = next
 	e.g = next.G
 	e.reg.mu.Unlock()
-	return evicted
 }
 
 // Release returns the reference Acquire handed out. When the entry has
 // been retired (evicted or removed) and this was the last reference, the
-// engine is closed and its cache drained back to the arena — on this
-// goroutine, after the lock is dropped.
+// engine is closed — on this goroutine, after the lock is dropped.
 func (e *Entry) Release() {
 	r := e.reg
 	r.mu.Lock()

@@ -11,12 +11,12 @@
 //     the rest wait on the same hydration and share the result;
 //   - capacity-bounded LRU: at most MaxGraphs unpinned graphs stay
 //     resident; hydrating one more evicts the least-recently-used,
-//     preferring idle graphs. Eviction retires the entry whole — oracle,
-//     engine, row cache — but in-flight requests hold references and
-//     drain safely: the engine closes only when the last reference goes;
+//     preferring idle graphs. Eviction retires the entry whole — oracle
+//     and engine — but in-flight requests hold references and drain
+//     safely: the engine closes only when the last reference goes;
 //   - per-graph limits: every hydrated graph gets its own engine built
-//     from one qe.Config (cache rows, admission slots, queue depth,
-//     deadlines, batch pair cap), so tenants cannot starve each other;
+//     from one qe.Config (admission slots, queue depth, deadlines, batch
+//     pair cap), so tenants cannot starve each other;
 //   - per-graph metrics: each graph's qe.* metrics register under a
 //     "g.<name>." prefix via obs.Registry.Sub, next to the registry's own
 //     registry.{graphs,hydrations,evictions,misses}.

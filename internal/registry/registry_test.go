@@ -49,7 +49,7 @@ func writeSnap(t testing.TB, dir, name string, g *graph.Graph) *apsp.Oracle {
 func openTest(t *testing.T, dir string, max int) (*Registry, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	r, err := Open(Config{Dir: dir, MaxGraphs: max, Engine: qe.Config{CacheRows: 32, MaxInflight: 4, QueueDepth: 16}, Reg: reg})
+	r, err := Open(Config{Dir: dir, MaxGraphs: max, Engine: qe.Config{MaxInflight: 4, QueueDepth: 16}, Reg: reg})
 	if err != nil {
 		t.Fatalf("open registry: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestHydrateDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("direct ReadOracle: %v", err)
 		}
-		ref := qe.New(direct, qe.Config{CacheRows: 32, Reg: obs.NewRegistry()})
+		ref := qe.New(direct, qe.Config{Reg: obs.NewRegistry()})
 		n := g.NumVertices()
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v += 2 {
@@ -555,7 +555,7 @@ func TestAddStaticPinned(t *testing.T) {
 	r, reg := openTest(t, dir, 1)
 	g := testGraph(16)
 	o := apsp.NewOracle(g)
-	eng := qe.New(o, qe.Config{CacheRows: 8, Reg: reg})
+	eng := qe.New(o, qe.Config{Reg: reg})
 	r.AddStatic(DefaultGraph, o, eng)
 
 	ctx := context.Background()
@@ -670,11 +670,11 @@ func TestSwapAppliesDeltas(t *testing.T) {
 	if d, _ := e.Engine().Query(ctx, 0, 8); d != 8 {
 		t.Fatalf("pre-delta d(0,8) = %v, want 8", d)
 	}
-	next, res, err := e.Oracle().ApplyDelta(ctx, []apsp.Delta{{Kind: apsp.DeltaInsert, U: 0, V: 8, W: 1}})
+	next, _, err := e.Oracle().ApplyDelta(ctx, []apsp.Delta{{Kind: apsp.DeltaInsert, U: 0, V: 8, W: 1}})
 	if err != nil {
 		t.Fatalf("apply delta: %v", err)
 	}
-	e.Swap(next, res.Stale)
+	e.Swap(next)
 	if d, _ := e.Engine().Query(ctx, 0, 8); d != 1 {
 		t.Fatalf("post-delta d(0,8) = %v, want 1", d)
 	}

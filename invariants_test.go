@@ -73,7 +73,6 @@ func TestTreeInvariants(t *testing.T) {
 			"cmd/bc/main.go",
 			"examples/heterosim/main.go",
 			"examples/socialnetwork/main.go",
-			"internal/apsp/sim.go",
 			"internal/bc/sim.go",
 			"internal/mcb/price.go",
 		}
@@ -178,7 +177,8 @@ func TestTreeInvariants(t *testing.T) {
 
 	// Names deleted because nothing ran them, or because a second copy of
 	// a mechanism went (one block-cut navigation, one batch scheduler, one
-	// mux maker, one oracle assembly, one forest walk, one phase loop),
+	// mux maker, one oracle assembly, one forest walk, one phase loop, the
+	// oracle's tables as the only resident rows),
 	// must not come back under the same name: a caller that needs one
 	// should say why first. A name too common to ban bare is matched where
 	// it would be used instead: as a selector or a call.
@@ -192,6 +192,8 @@ func TestTreeInvariants(t *testing.T) {
 			"LegacyAlias", "legacySunset", "HedgeAfter", "attemptHedged",
 			"buildCandidates", "vectorOf", "LimitsFromConfig", "RegistryLimits", "RegistryLimitsFromConfig",
 			"scanWindowed", "scanSequential", "ChunkedList", "NewChunkedList", "BatchFrom",
+			"rowCache", "rowArena", "rowBuf", "rowRef", "rowCall", "removeIf", "staleComponents", "CacheRows",
+			"NewOracleSim", "NewEarAPSPSim", "PostProcessSim",
 		} {
 			deleted[name] = true
 		}
@@ -293,7 +295,7 @@ func TestTreeInvariants(t *testing.T) {
 	// The round's trajectory (ROADMAP aim 2): non-test Go lines outside
 	// bench/, held under the bar the last PR to lower it reached.
 	t.Run("non-test LOC", func(t *testing.T) {
-		const bar = 22850
+		const bar = 22270
 		t.Logf("%d non-test lines outside bench/", loc)
 		if loc >= bar {
 			t.Errorf("%d non-test lines outside bench/, want < %d", loc, bar)

@@ -229,8 +229,8 @@ type (
 	Delta = apsp.Delta
 	// DeltaKind discriminates weight change, insertion, deletion.
 	DeltaKind = apsp.DeltaKind
-	// DeltaResult reports what one ApplyDelta call recomputed and which
-	// vertices' cached rows went stale.
+	// DeltaResult reports what one ApplyDelta call recomputed and what it
+	// carried over.
 	DeltaResult = apsp.DeltaResult
 )
 
@@ -270,10 +270,9 @@ func WriteOracleChain(w io.Writer, o *APSPOracle, deltas []Delta) (int64, error)
 // Query serving.
 type (
 	// QueryEngine is the query engine of the serving stack: a point
-	// Query is one pair lookup on the source; Batch rows are computed
-	// lazily, coalesced across concurrent requests, and kept in a bounded
-	// LRU; admission control sheds excess load of either kind with
-	// ErrOverloaded.
+	// Query is one pair lookup on the source; a Batch builds each distinct
+	// source's row once, into per-batch scratch; admission control sheds
+	// excess load of either kind with ErrOverloaded.
 	QueryEngine = qe.Engine
 	// EngineConfig tunes a QueryEngine; the zero value is usable.
 	EngineConfig = qe.Config
@@ -302,7 +301,7 @@ type (
 	// metric namespacing under "g.<name>.".
 	Registry = registry.Registry
 	// RegistryConfig configures OpenRegistry; its Engine field is the
-	// EngineConfig (cache rows, admission, deadlines, batch caps) every
+	// EngineConfig (admission, deadlines, batch caps) every
 	// hydrated graph's own engine is built from.
 	RegistryConfig = registry.Config
 	// RegistryEntry is one resident graph, returned by Registry.Acquire
@@ -467,7 +466,7 @@ type (
 
 // Metrics returns the process-wide registry the library records into:
 // oracle build phases under "apsp.build", snapshot save/load under
-// "snapshot", and engine cache/admission counters under "qe.*".
+// "snapshot", and engine pair/row/admission counters under "qe.*".
 func Metrics() *MetricsRegistry { return obs.Default }
 
 // Minimum cycle basis.

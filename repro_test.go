@@ -292,7 +292,7 @@ func TestFacadeShardedServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	engine := NewQueryEngine(src, EngineConfig{CacheRows: 16})
+	engine := NewQueryEngine(src, EngineConfig{})
 	ctx := context.Background()
 	defer engine.Close(ctx)
 
