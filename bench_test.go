@@ -61,7 +61,7 @@ func BenchmarkFig2OursGeneral(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o := apsp.NewOracle(g)
-		o.MaterializeBlockTables(1)
+		exp.StreamBlockRows(o)
 	}
 }
 
@@ -71,7 +71,7 @@ func BenchmarkFig2Banerjee(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o := apsp.NewBanerjee(g, 1)
-		o.MaterializeBlockTables(1)
+		exp.StreamBlockRows(o)
 	}
 }
 
@@ -82,7 +82,7 @@ func BenchmarkFig2OursPlanar(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o := apsp.NewOracle(g)
-		o.MaterializeBlockTables(1)
+		exp.StreamBlockRows(o)
 	}
 }
 
@@ -106,7 +106,7 @@ func BenchmarkFig3MTEPS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o := apsp.NewOracle(g)
-		o.MaterializeBlockTables(1)
+		exp.StreamBlockRows(o)
 	}
 	secPerOp := float64(b.Elapsed().Nanoseconds()) / 1e9 / float64(b.N)
 	b.ReportMetric(float64(g.NumEdges())*float64(g.NumVertices())/secPerOp/1e6, "MTEPS")
@@ -326,7 +326,7 @@ func BenchmarkAblationBCFlat(b *testing.B) {
 	g := bcGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bc.Sequential(g)
+		bc.Parallel(g, 1)
 	}
 }
 
@@ -370,15 +370,30 @@ func BenchmarkOracleQuery(b *testing.B) {
 // BenchmarkSSSPHeap is the single-source kernel on the ablation graph's
 // reduced graph (the processing phase's unit of work).
 func BenchmarkSSSPHeap(b *testing.B) {
-	g := ablationGraph()
-	red := ear.Reduce(g, ear.APSP)
-	r := red.R
-	sc := sssp.NewScratch(r.NumVertices())
-	dist := make([]graph.Weight, r.NumVertices())
+	r, dist, sc := ssspHeapSetup()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sssp.DistancesOnly(r, int32(i%r.NumVertices()), dist, sc)
+	}
+}
+
+// ssspHeapSetup is BenchmarkSSSPHeap's set-up: the ablation graph's
+// reduced graph, a distance row and a Scratch for it.
+func ssspHeapSetup() (*graph.Graph, []graph.Weight, *sssp.Scratch) {
+	r := ear.Reduce(ablationGraph(), ear.APSP).R
+	return r, make([]graph.Weight, r.NumVertices()), sssp.NewScratch(r.NumVertices())
+}
+
+// TestSSSPHeapZeroAllocs is BenchmarkSSSPHeap's 0 allocs/op as a test.
+func TestSSSPHeapZeroAllocs(t *testing.T) {
+	r, dist, sc := ssspHeapSetup()
+	src := int32(0)
+	if allocs := testing.AllocsPerRun(20, func() {
+		sssp.DistancesOnly(r, src, dist, sc)
+		src = (src + 1) % int32(r.NumVertices())
+	}); allocs != 0 {
+		t.Fatalf("DistancesOnly on the ablation graph allocates %v times per source", allocs)
 	}
 }
 

@@ -104,7 +104,7 @@ func TestIntegrationMCBAllMethodsAgree(t *testing.T) {
 // and simulated BC on a blocky dataset.
 func TestIntegrationBCImplementationsAgree(t *testing.T) {
 	g := integrationGraph(t, "cond_mat_2003")
-	seq := bc.Sequential(g)
+	seq := bc.Parallel(g, 1)
 	dec := bc.Decomposed(g, 2)
 	sim, _ := bc.Sim(g, []*hetero.Device{hetero.TeslaK40c()})
 	for v := range seq.Scores {

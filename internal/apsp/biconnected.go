@@ -6,7 +6,7 @@
 // partition approach).
 //
 // Panic-free query contract: once an oracle is built, its query surface
-// (Query, QueryChecked, Path, PathChecked, Row, Materialize) never panics
+// (Query, QueryChecked, Path, PathChecked, Row) never panics
 // on any input and never mutates oracle state — invalid vertex IDs surface
 // as *QueryError from the *Checked variants (or nil/Inf from the unchecked
 // ones), and every method is safe for concurrent callers. Long-lived
@@ -204,16 +204,4 @@ func (a *EarAPSP) Row(x int32, out []graph.Weight) int64 {
 		out[y] = a.Query(x, int32(y))
 	}
 	return int64(n)
-}
-
-// Materialize fills the complete n×n table by running UPDATE_DISTANCE from
-// every source; benchmarks use it as the paper's post-processing workload,
-// tests as ground truth.
-func (a *EarAPSP) Materialize() []graph.Weight {
-	n := a.G.NumVertices()
-	out := make([]graph.Weight, n*n)
-	for x := 0; x < n; x++ {
-		a.Row(int32(x), out[x*n:(x+1)*n])
-	}
-	return out
 }

@@ -195,6 +195,3 @@ func (d *Djidjev) Row(u int32, out []graph.Weight) int64 {
 	out[u] = 0
 	return ops
 }
-
-// BoundarySize reports |B|, the efficiency driver of this method.
-func (d *Djidjev) BoundarySize() int { return len(d.boundary) }

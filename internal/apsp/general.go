@@ -8,7 +8,6 @@ import (
 	"repro/internal/bcc"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // BlockAPSP is the per-biconnected-component state of the general
@@ -314,19 +313,6 @@ func (o *Oracle) Query(u, v int32) graph.Weight {
 
 // NumArticulation returns a, the number of articulation points.
 func (o *Oracle) NumArticulation() int { return o.numA }
-
-// MaterializeBlockTables computes the full per-block distance tables A_i
-// (Stage 1 post-processing) and returns them; the benchmark harness uses
-// this as the measured post-processing workload and the memory model counts
-// its Σ n_i² entries. Each work-unit is one biconnected component, sorted
-// by size, as in Section 2.3.
-func (o *Oracle) MaterializeBlockTables(workers int) [][]graph.Weight {
-	tables := make([][]graph.Weight, len(o.Blocks))
-	par.ParallelFor(workers, len(o.Blocks), func(_, bi int) {
-		tables[bi] = o.Blocks[bi].Ear.Materialize()
-	})
-	return tables
-}
 
 // MemoryPlan reports the paper's Table 1 memory model: entries (and bytes
 // at 4 bytes per stored distance, the paper's float precision) for this

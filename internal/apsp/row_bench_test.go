@@ -28,14 +28,37 @@ func benchBlocksGraph() *graph.Graph {
 // gates it at 0 allocs/op: the kernel's scratch is pooled. (No custom
 // metrics: benchgate parses ns/op directly followed by B/op.)
 func BenchmarkOracleRow(b *testing.B) {
-	o := NewOracle(benchBlocksGraph())
+	o, row := warmRowOracle()
 	n := int32(o.NumVertices())
-	row := make([]graph.Weight, n)
-	o.Row(0, row) // size the pooled scratch before measuring
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.Row(int32(i)%n, row)
+	}
+}
+
+// warmRowOracle is BenchmarkOracleRow's set-up: the oracle on the
+// multi-block fixture and a row buffer, with the pooled scratch sized.
+func warmRowOracle() (*Oracle, []graph.Weight) {
+	o := NewOracle(benchBlocksGraph())
+	row := make([]graph.Weight, o.NumVertices())
+	o.Row(0, row)
+	return o, row
+}
+
+// TestOracleRowZeroAllocs is BenchmarkOracleRow's 0 allocs/op as a test.
+func TestOracleRowZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not meaningful under -race")
+	}
+	o, row := warmRowOracle()
+	n := int32(o.NumVertices())
+	src := int32(0)
+	if allocs := testing.AllocsPerRun(50, func() {
+		o.Row(src, row)
+		src = (src + 1) % n
+	}); allocs != 0 {
+		t.Fatalf("Oracle.Row with warm scratch allocates %v times per row", allocs)
 	}
 }
 

@@ -116,11 +116,6 @@ func (s *ShardBlocks) NumBlocks() int { return len(s.o.Blocks) }
 // OwnedBlocks returns how many blocks this shard holds tables for.
 func (s *ShardBlocks) OwnedBlocks() int { return s.ownedN }
 
-// Owned reports whether this shard holds block b's tables.
-func (s *ShardBlocks) Owned(b int32) bool {
-	return b >= 0 && int(b) < len(s.owned) && s.owned[b]
-}
-
 // BlockLen returns the vertex count of block b (its row length), or 0
 // for an out-of-range block.
 func (s *ShardBlocks) BlockLen(b int32) int {

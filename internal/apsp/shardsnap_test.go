@@ -112,10 +112,10 @@ func FuzzReadShardSnapshot(f *testing.F) {
 			row := make([]graph.Weight, s.BlockLen(b))
 			for src := int32(0); src < n && src < 64; src++ {
 				err := s.BlockRow(b, src, row)
-				if s.Owned(b) && err != nil {
+				if s.owned[b] && err != nil {
 					t.Fatalf("BlockRow(%d, %d) on an owned block: %v", b, src, err)
 				}
-				if !s.Owned(b) && !errors.Is(err, ErrNotOwned) {
+				if !s.owned[b] && !errors.Is(err, ErrNotOwned) {
 					t.Fatalf("BlockRow(%d, %d) on an unowned block: err = %v, want ErrNotOwned", b, src, err)
 				}
 			}

@@ -164,11 +164,6 @@ func (st *state) source(g *graph.Graph, s int32, acc []float64) int64 {
 
 const inf = graph.Weight(math.MaxFloat64)
 
-// Sequential computes exact betweenness centrality with one worker.
-func Sequential(g *graph.Graph) *Result {
-	return Parallel(g, 1)
-}
-
 // Parallel computes exact betweenness centrality with the given number of
 // goroutine workers, one Brandes source per work item. Unit-weight graphs
 // automatically take the BFS forward phase instead of Dijkstra.

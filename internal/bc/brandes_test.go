@@ -81,7 +81,7 @@ func TestBrandesMatchesBruteForce(t *testing.T) {
 			g = gen.AttachPendants(g, rng.Intn(6), 2, cfg, rng)
 		}
 		want := bruteForce(g)
-		got := Sequential(g)
+		got := Parallel(g, 1)
 		for v := range want {
 			if !approxEqual(got.Scores[v], want[v]) {
 				t.Fatalf("seed %d: BC[%d] = %v, want %v", seed, v, got.Scores[v], want[v])
@@ -98,7 +98,7 @@ func TestBrandesKnownShapes(t *testing.T) {
 	for i := int32(0); i < 4; i++ {
 		b.AddEdge(i, i+1, 1)
 	}
-	res := Sequential(b.Build())
+	res := Parallel(b.Build(), 1)
 	for i := 0; i < 5; i++ {
 		want := 2 * float64(i) * float64(4-i)
 		if !approxEqual(res.Scores[i], want) {
@@ -110,7 +110,7 @@ func TestBrandesKnownShapes(t *testing.T) {
 	for i := int32(1); i < 6; i++ {
 		star.AddEdge(0, i, 1)
 	}
-	res = Sequential(star.Build())
+	res = Parallel(star.Build(), 1)
 	if !approxEqual(res.Scores[0], 5*4) {
 		t.Fatalf("star center BC %v, want 20", res.Scores[0])
 	}
@@ -120,7 +120,7 @@ func TestBrandesKnownShapes(t *testing.T) {
 		}
 	}
 	// ring: symmetric scores
-	res = Sequential(gen.Ring(8, cfg, rng))
+	res = Parallel(gen.Ring(8, cfg, rng), 1)
 	for i := 1; i < 8; i++ {
 		if !approxEqual(res.Scores[i], res.Scores[0]) {
 			t.Fatalf("ring BC not symmetric: %v", res.Scores)
@@ -132,7 +132,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	cfg := gen.Config{MaxWeight: 7}
 	rng := gen.NewRNG(21)
 	g := gen.Subdivide(gen.GNM(40, 80, cfg, rng), 0.4, 2, cfg, rng)
-	seq := Sequential(g)
+	seq := Parallel(g, 1)
 	par := Parallel(g, 4)
 	for v := range seq.Scores {
 		if !approxEqual(seq.Scores[v], par.Scores[v]) {
@@ -145,7 +145,7 @@ func TestSimMatchesSequential(t *testing.T) {
 	cfg := gen.Config{MaxWeight: 5}
 	rng := gen.NewRNG(22)
 	g := gen.GNM(50, 110, cfg, rng)
-	seq := Sequential(g)
+	seq := Parallel(g, 1)
 	sim, sched := Sim(g, []*hetero.Device{hetero.MulticoreCPU(), hetero.TeslaK40c()})
 	if sched.Makespan <= 0 {
 		t.Fatal("no virtual time")
@@ -162,7 +162,7 @@ func TestTopK(t *testing.T) {
 	for i := int32(0); i < 6; i++ {
 		b.AddEdge(i, i+1, 1)
 	}
-	res := Sequential(b.Build())
+	res := Parallel(b.Build(), 1)
 	top := res.TopK(2)
 	if len(top) != 2 || top[0] != 3 {
 		t.Fatalf("top of a path should be the middle: %v", top)
@@ -179,7 +179,7 @@ func TestParallelEdgesCountAsDistinctPaths(t *testing.T) {
 	b.AddEdge(0, 1, 1)
 	b.AddEdge(0, 1, 1)
 	b.AddEdge(1, 2, 1)
-	res := Sequential(b.Build())
+	res := Parallel(b.Build(), 1)
 	if !approxEqual(res.Scores[1], 2) {
 		t.Fatalf("BC[1] = %v, want 2", res.Scores[1])
 	}

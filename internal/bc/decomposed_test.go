@@ -29,7 +29,7 @@ func TestDecomposedMatchesBrandes(t *testing.T) {
 				gen.Subdivide(gen.GNM(8, 14, cfg, rng), 0.6, 2, cfg, rng),
 				5, 2, cfg, rng)
 		}
-		want := Sequential(g)
+		want := Parallel(g, 1)
 		got := Decomposed(g, 2)
 		for v := range want.Scores {
 			if !approxEqual(got.Scores[v], want.Scores[v]) {
@@ -65,7 +65,7 @@ func TestDecomposedDisconnected(t *testing.T) {
 	b.AddEdge(4, 5, 1)
 	b.AddEdge(5, 6, 1)
 	g := b.Build()
-	want := Sequential(g)
+	want := Parallel(g, 1)
 	got := Decomposed(g, 1)
 	for v := range want.Scores {
 		if !approxEqual(got.Scores[v], want.Scores[v]) {
@@ -86,7 +86,7 @@ func TestDecomposedSavesWork(t *testing.T) {
 		blocks[i] = gen.Ring(8, cfg, rng)
 	}
 	g := gen.ChainBlocks(blocks, cfg, rng)
-	flat := Sequential(g)
+	flat := Parallel(g, 1)
 	dec := Decomposed(g, 1)
 	if dec.Relaxations*2 >= flat.Relaxations {
 		t.Fatalf("decomposition should cut the work sharply: %d vs %d",
@@ -103,7 +103,7 @@ func TestSampledConvergesToExact(t *testing.T) {
 	cfg := gen.Config{MaxWeight: 1}
 	rng := gen.NewRNG(91)
 	g := gen.PreferentialAttachment(200, 2, cfg, rng)
-	exact := Sequential(g)
+	exact := Parallel(g, 1)
 	// full sample (k >= n) must be exact
 	full := Sampled(g, 500, 1, 2)
 	for v := range exact.Scores {

@@ -29,7 +29,7 @@ func barbell() *graph.Graph {
 
 func TestSampledExactAtFullSampleSize(t *testing.T) {
 	g := barbell()
-	exact := Sequential(g)
+	exact := Parallel(g, 1)
 	// k >= n must take the exact path regardless of seed
 	for _, seed := range []uint64{1, 2, 99} {
 		got := Sampled(g, g.NumVertices(), seed, 1)
@@ -45,7 +45,7 @@ func TestSampledExactAtFullSampleSize(t *testing.T) {
 func TestSampledSeededConvergence(t *testing.T) {
 	g := barbell()
 	n := g.NumVertices()
-	exact := Sequential(g)
+	exact := Parallel(g, 1)
 
 	// mean absolute error over all vertices, averaged across seeds
 	meanErr := func(k int) float64 {

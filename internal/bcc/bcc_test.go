@@ -223,40 +223,3 @@ func TestBlockOfPrefersRealBlocks(t *testing.T) {
 		t.Fatal("BlockOf picked the self-loop block")
 	}
 }
-
-func TestPeelPendants(t *testing.T) {
-	cfg := gen.Config{MaxWeight: 4}
-	rng := gen.NewRNG(41)
-	base := gen.Ring(8, cfg, rng)
-	g := gen.AttachPendants(base, 12, 4, cfg, rng)
-	order, alive := PeelPendants(g)
-	if len(order) != 12 {
-		t.Fatalf("peeled %d, want 12", len(order))
-	}
-	for v := 0; v < 8; v++ {
-		if !alive[v] {
-			t.Fatalf("core vertex %d peeled", v)
-		}
-	}
-	for v := 8; v < g.NumVertices(); v++ {
-		if alive[v] {
-			t.Fatalf("pendant vertex %d survived", v)
-		}
-	}
-	// a pure path peels down to exactly one vertex: the last survivor has
-	// degree 0 and no anchor to hang from
-	b := graph.NewBuilder(5)
-	for i := int32(0); i < 4; i++ {
-		b.AddEdge(i, i+1, 1)
-	}
-	order2, alive2 := PeelPendants(b.Build())
-	survivors := 0
-	for _, a := range alive2 {
-		if a {
-			survivors++
-		}
-	}
-	if survivors != 1 || len(order2) != 4 {
-		t.Fatalf("path peel: %d survivors, %d peeled", survivors, len(order2))
-	}
-}

@@ -130,59 +130,3 @@ func (t *BlockCutTree) IsTree() bool {
 	}
 	return edges == nodes-comps
 }
-
-// PeelPendants iteratively removes degree-1 vertices, the preprocessing the
-// Banerjee et al. baseline applies before its BCC decomposition
-// (Section 2.4.3: "removes vertices of degree-1 ... then checks if the
-// degree of any vertices adjacent ... degenerates to 1"). It returns the
-// peel order (each entry is a removed vertex with its unique anchor edge at
-// removal time) and the set of surviving vertices.
-type Pendant struct {
-	V      int32        // removed vertex
-	Anchor int32        // the neighbour it hung from
-	W      graph.Weight // weight of the removed edge
-}
-
-// PeelPendants computes the iterative pendant peel of g.
-func PeelPendants(g *graph.Graph) (order []Pendant, alive []bool) {
-	n := g.NumVertices()
-	deg := make([]int32, n)
-	alive = make([]bool, n)
-	for v := int32(0); v < int32(n); v++ {
-		deg[v] = int32(g.Degree(v))
-		alive[v] = true
-	}
-	removedEdge := make([]bool, g.NumEdges())
-	queue := make([]int32, 0, n)
-	for v := int32(0); v < int32(n); v++ {
-		if deg[v] == 1 {
-			queue = append(queue, v)
-		}
-	}
-	adjNode, adjEdge := g.AdjNode(), g.AdjEdge()
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if !alive[v] || deg[v] != 1 {
-			continue
-		}
-		lo, hi := g.AdjacencyRange(v)
-		for i := lo; i < hi; i++ {
-			eid := adjEdge[i]
-			u := adjNode[i]
-			if removedEdge[eid] || !alive[u] {
-				continue
-			}
-			removedEdge[eid] = true
-			alive[v] = false
-			order = append(order, Pendant{V: v, Anchor: u, W: g.Edge(eid).W})
-			deg[v]--
-			deg[u]--
-			if deg[u] == 1 {
-				queue = append(queue, u)
-			}
-			break
-		}
-	}
-	return order, alive
-}

@@ -27,10 +27,6 @@ func New(n int) *Vector {
 // Len returns the number of bits.
 func (v *Vector) Len() int { return v.n }
 
-// Words exposes the backing words; used by the simulated GPU kernel to split
-// a reduction across thread blocks. Callers must not resize it.
-func (v *Vector) Words() []uint64 { return v.words }
-
 // Get reports bit i.
 func (v *Vector) Get(i int) bool {
 	return v.words[i/wordBits]>>(uint(i)%wordBits)&1 == 1
@@ -50,26 +46,11 @@ func (v *Vector) Flip(i int) {
 	v.words[i/wordBits] ^= 1 << (uint(i) % wordBits)
 }
 
-// Clear zeroes every bit, keeping the allocation.
-func (v *Vector) Clear() {
-	for i := range v.words {
-		v.words[i] = 0
-	}
-}
-
 // Clone returns a deep copy.
 func (v *Vector) Clone() *Vector {
 	w := make([]uint64, len(v.words))
 	copy(w, v.words)
 	return &Vector{words: w, n: v.n}
-}
-
-// CopyFrom overwrites v with src. Both must have the same length.
-func (v *Vector) CopyFrom(src *Vector) {
-	if v.n != src.n {
-		panic("bitvec: CopyFrom length mismatch")
-	}
-	copy(v.words, src.words)
 }
 
 // Xor sets v = v XOR o (symmetric difference; the witness update
@@ -96,17 +77,6 @@ func (v *Vector) Dot(o *Vector) bool {
 	return bits.OnesCount64(acc)&1 == 1
 }
 
-// DotRange computes the partial inner product restricted to words
-// [lo, hi); the simulated GPU witness kernel splits the reduction across
-// blocks with this. The final parity is the XOR of the partial parities.
-func (v *Vector) DotRange(o *Vector, lo, hi int) bool {
-	var acc uint64
-	for i := lo; i < hi; i++ {
-		acc ^= v.words[i] & o.words[i]
-	}
-	return bits.OnesCount64(acc)&1 == 1
-}
-
 // PopCount returns the number of set bits.
 func (v *Vector) PopCount() int {
 	c := 0
@@ -114,29 +84,6 @@ func (v *Vector) PopCount() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// IsZero reports whether every bit is 0.
-func (v *Vector) IsZero() bool {
-	for _, w := range v.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether v and o hold identical bits.
-func (v *Vector) Equal(o *Vector) bool {
-	if v.n != o.n {
-		return false
-	}
-	for i, w := range o.words {
-		if v.words[i] != w {
-			return false
-		}
-	}
-	return true
 }
 
 // FirstOne returns the index of the lowest set bit, or -1 if the vector is

@@ -1,13 +1,14 @@
 package bitvec
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func TestBasicOps(t *testing.T) {
 	v := New(130)
-	if v.Len() != 130 || !v.IsZero() {
+	if v.Len() != 130 || v.PopCount() != 0 {
 		t.Fatal("new vector wrong")
 	}
 	v.Set(0, true)
@@ -34,9 +35,9 @@ func TestBasicOps(t *testing.T) {
 	if v.FirstOne() != 0 {
 		t.Fatalf("firstone %d", v.FirstOne())
 	}
-	v.Clear()
-	if !v.IsZero() || v.FirstOne() != -1 {
-		t.Fatal("clear wrong")
+	v.Flip(0)
+	if v.PopCount() != 0 || v.FirstOne() != -1 {
+		t.Fatal("zero vector wrong")
 	}
 }
 
@@ -62,42 +63,24 @@ func TestXorDot(t *testing.T) {
 	}
 	// Xor is involutive
 	c.Xor(b)
-	if !c.Equal(a) {
+	if !slices.Equal(c.Ones(), a.Ones()) {
 		t.Fatal("xor not involutive")
 	}
 }
 
-func TestCopyFromEqual(t *testing.T) {
+// TestCloneIsIndependent: a clone has the same length and bits, and
+// writes to either side do not reach the other (Rank relies on it).
+func TestCloneIsIndependent(t *testing.T) {
 	a := New(65)
 	a.Set(64, true)
-	b := New(65)
-	if b.Equal(a) {
-		t.Fatal("should differ")
+	b := a.Clone()
+	if b.Len() != 65 || !slices.Equal(b.Ones(), []int{64}) {
+		t.Fatalf("clone holds %v of %d bits", b.Ones(), b.Len())
 	}
-	b.CopyFrom(a)
-	if !b.Equal(a) {
-		t.Fatal("copy failed")
-	}
-	c := New(66)
-	if a.Equal(c) {
-		t.Fatal("length mismatch must be unequal")
-	}
-}
-
-func TestDotRangeMatchesDot(t *testing.T) {
-	a := New(300)
-	b := New(300)
-	for i := 0; i < 300; i += 7 {
-		a.Set(i, true)
-	}
-	for i := 0; i < 300; i += 5 {
-		b.Set(i, true)
-	}
-	words := len(a.Words())
-	half := words / 2
-	split := a.DotRange(b, 0, half) != a.DotRange(b, half, words)
-	if split != a.Dot(b) {
-		t.Fatal("block-split parity disagrees with full dot")
+	b.Set(0, true)
+	a.Set(64, false)
+	if !slices.Equal(a.Ones(), nil) || !slices.Equal(b.Ones(), []int{0, 64}) {
+		t.Fatalf("clone shares storage: a %v, b %v", a.Ones(), b.Ones())
 	}
 }
 
@@ -155,7 +138,6 @@ func TestMismatchedPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"xor": func() { a.Xor(b) },
 		"dot": func() { a.Dot(b) },
-		"cpy": func() { a.CopyFrom(b) },
 	} {
 		func() {
 			defer func() {

@@ -100,7 +100,7 @@ func TestSSSPKernels(t *testing.T) {
 					}
 					continue
 				}
-				if e := g.Edge(pe); g.Other(pe, p) != v || (e.U != p && e.V != p) || res.Dist[p]+e.W != res.Dist[v] {
+				if e := g.Edge(pe); !(e.U == p && e.V == v || e.U == v && e.V == p) || res.Dist[p]+e.W != res.Dist[v] {
 					t.Fatalf("%s src %d: parent edge %d of %d does not close d(%d)+w = d(%d)", ng.Name, src, pe, v, p, v)
 				}
 				walk := []int32{v}

@@ -22,7 +22,7 @@ func TestIndexedHeapBasic(t *testing.T) {
 	if item, key := h.Pop(); item != 7 || key != 1.0 {
 		t.Fatalf("pop got (%d,%v)", item, key)
 	}
-	h.DecreaseKey(3, 0.5)
+	h.PushOrDecrease(3, 0.5)
 	if item, _ := h.Pop(); item != 3 {
 		t.Fatalf("decrease-key not honoured, popped %d", item)
 	}
@@ -104,7 +104,7 @@ func TestIndexedHeapRandomAgainstSort(t *testing.T) {
 		for d := 0; d < n/2; d++ {
 			i := int32(rng.Intn(n))
 			keys[i] *= rng.Float64()
-			h.DecreaseKey(i, keys[i])
+			h.PushOrDecrease(i, keys[i])
 		}
 		want := append([]float64(nil), keys...)
 		sort.Float64s(want)
@@ -119,24 +119,25 @@ func TestIndexedHeapRandomAgainstSort(t *testing.T) {
 
 func TestUnionFind(t *testing.T) {
 	u := NewUnionFind(6)
-	if u.Sets() != 6 {
-		t.Fatal("wrong initial set count")
-	}
 	if !u.Union(0, 1) || !u.Union(2, 3) {
 		t.Fatal("unions failed")
 	}
 	if u.Union(1, 0) {
 		t.Fatal("repeated union should report false")
 	}
-	if !u.Connected(0, 1) || u.Connected(0, 2) {
+	if u.Find(0) != u.Find(1) || u.Find(0) == u.Find(2) {
 		t.Fatal("connectivity wrong")
 	}
 	u.Union(1, 3)
-	if !u.Connected(0, 2) {
+	if u.Find(0) != u.Find(2) {
 		t.Fatal("transitive connectivity wrong")
 	}
-	if u.Sets() != 3 {
-		t.Fatalf("sets = %d, want 3", u.Sets())
+	roots := map[int32]bool{}
+	for x := int32(0); x < 6; x++ {
+		roots[u.Find(x)] = true
+	}
+	if len(roots) != 3 {
+		t.Fatalf("sets = %d, want 3", len(roots))
 	}
 }
 
@@ -164,7 +165,7 @@ func TestUnionFindProperty(t *testing.T) {
 		}
 		for i := int32(0); i < n; i++ {
 			for j := int32(0); j < n; j++ {
-				if u.Connected(i, j) != (labels[i] == labels[j]) {
+				if (u.Find(i) == u.Find(j)) != (labels[i] == labels[j]) {
 					return false
 				}
 			}

@@ -4,8 +4,8 @@
 package ds
 
 // IndexedHeap is a 4-ary min-heap over the items 0..n-1 keyed by float64
-// priorities. It supports DecreaseKey in O(log n), which is what Dijkstra
-// needs. Items not currently in the heap have position -1.
+// priorities. PushOrDecrease lowers a present item's key in O(log n), which
+// is what Dijkstra needs. Items not currently in the heap have position -1.
 //
 // Each slot holds its key beside its item, so a comparison is one load per
 // operand instead of an item load followed by a key load, and a sift moves
@@ -51,12 +51,6 @@ func (h *IndexedHeap) Push(item int32, key float64) {
 	i := len(h.ent)
 	h.ent = append(h.ent, heapEntry{})
 	h.up(i, heapEntry{key, item})
-}
-
-// DecreaseKey lowers the key of an item already in the heap. Keys may only
-// decrease; increasing a key is a programming error and corrupts heap order.
-func (h *IndexedHeap) DecreaseKey(item int32, key float64) {
-	h.up(int(h.pos[item]), heapEntry{key, item})
 }
 
 // PushOrDecrease inserts the item if absent, otherwise lowers its key if the

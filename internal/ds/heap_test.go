@@ -8,7 +8,7 @@ import (
 )
 
 // refQueue is the reference the indexed heap is held against: container/heap
-// over (key, item) pairs, with an index kept by Swap so DecreaseKey can Fix.
+// over (key, item) pairs, with an index kept by Swap so a decrease can Fix.
 type refQueue struct {
 	keys  []float64
 	items []int32
@@ -69,7 +69,7 @@ var heapKeys = []float64{0, 0, 1, 1, 2, 3, 5, 8, 0.5, 1e-300, 1e300, math.MaxFlo
 // runHeapScript interprets script as a sequence of operations on a heap of n
 // items, two bytes per step (operation, then item and key), and holds every
 // step against the reference. Operations that the contract forbids (Push of
-// a present item, DecreaseKey of an absent one or to a larger key, Pop when
+// a present item, a decrease of an absent one or to a larger key, Pop when
 // empty) are turned into the nearest allowed one.
 func runHeapScript(t *testing.T, n int, script []byte) {
 	h := NewIndexedHeap(n)
@@ -115,9 +115,9 @@ func runHeapScript(t *testing.T, n int, script []byte) {
 				ref.keys[ri] = key
 				heap.Fix(ref, ri)
 			}
-		default: // DecreaseKey, to a smaller or an equal key
+		default: // a decrease, to a smaller or an equal key
 			key = min(key, ref.keys[ri])
-			h.DecreaseKey(item, key)
+			h.PushOrDecrease(item, key)
 			ref.keys[ri] = key
 			heap.Fix(ref, ri)
 		}

@@ -5,7 +5,6 @@ package ds
 type UnionFind struct {
 	parent []int32
 	rank   []int8
-	sets   int
 }
 
 // NewUnionFind returns a structure with n singleton sets {0}..{n-1}.
@@ -13,7 +12,6 @@ func NewUnionFind(n int) *UnionFind {
 	u := &UnionFind{
 		parent: make([]int32, n),
 		rank:   make([]int8, n),
-		sets:   n,
 	}
 	for i := range u.parent {
 		u.parent[i] = int32(i)
@@ -44,12 +42,5 @@ func (u *UnionFind) Union(x, y int32) bool {
 	if u.rank[rx] == u.rank[ry] {
 		u.rank[rx]++
 	}
-	u.sets--
 	return true
 }
-
-// Connected reports whether x and y are in the same set.
-func (u *UnionFind) Connected(x, y int32) bool { return u.Find(x) == u.Find(y) }
-
-// Sets returns the current number of disjoint sets.
-func (u *UnionFind) Sets() int { return u.sets }

@@ -164,27 +164,3 @@ func Decompose(g *graph.Graph) ([]Ear, error) {
 	}
 	return ears, nil
 }
-
-// IsBiconnected reports whether g is biconnected (2-vertex-connected) with
-// at least one edge, by attempting an ear decomposition.
-func IsBiconnected(g *graph.Graph) bool {
-	if g.NumVertices() < 3 {
-		// Convention: K2 with parallel edges is biconnected; a single edge
-		// is not (removing either endpoint leaves a lone vertex, but the
-		// standard convention treats K2 as biconnected). We side with the
-		// ear-decomposition criterion: an ear decomposition exists iff the
-		// graph is 2-edge-connected, so K2 with one edge fails.
-		if g.NumVertices() == 2 {
-			cnt := 0
-			for _, e := range g.Edges() {
-				if e.U != e.V {
-					cnt++
-				}
-			}
-			return cnt >= 2
-		}
-		return false
-	}
-	_, err := Decompose(g)
-	return err == nil
-}

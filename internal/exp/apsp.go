@@ -45,21 +45,21 @@ func mteps(v, e int, sec float64) float64 {
 func runOurs(g *graph.Graph, workers int) (sec float64, work int64) {
 	start := time.Now()
 	o := apsp.NewOracleParallel(g, workers)
-	streamBlockRows(o)
+	StreamBlockRows(o)
 	return time.Since(start).Seconds(), o.Relaxations
 }
 
 func runBanerjee(g *graph.Graph, workers int) (sec float64, work int64) {
 	start := time.Now()
 	o := apsp.NewBanerjee(g, workers)
-	streamBlockRows(o)
+	StreamBlockRows(o)
 	return time.Since(start).Seconds(), o.Relaxations
 }
 
-// streamBlockRows performs Stage 1 post-processing: for every biconnected
+// StreamBlockRows performs Stage 1 post-processing: for every biconnected
 // component, extend the reduced table to all pairs of the component
 // (the paper's A_i tables), writing into a reusable buffer.
-func streamBlockRows(o *apsp.Oracle) {
+func StreamBlockRows(o *apsp.Oracle) {
 	var buf []graph.Weight
 	for _, blk := range o.Blocks {
 		n := blk.Sub.G.NumVertices()

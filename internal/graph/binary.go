@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"repro/internal/snapshot"
 )
@@ -134,27 +133,4 @@ func DecodeSnapshot(d *snapshot.Decoder) (*Graph, error) {
 		edges[i] = Edge{U: u, V: v, W: w}
 	}
 	return FromEdges(int(n), edges), nil
-}
-
-// SaveBinary and LoadBinary are file-path conveniences.
-func SaveBinary(path string, g *Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteBinary(f, g); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadBinary reads a snapshot file.
-func LoadBinary(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinary(f)
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -30,7 +31,11 @@ func TestBinaryRoundTrip(t *testing.T) {
 func TestBinaryFileAndLoadFile(t *testing.T) {
 	g := triangleWithTail()
 	path := filepath.Join(t.TempDir(), "g.earg")
-	if err := SaveBinary(path, g); err != nil {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	g2, err := LoadFile(path) // .earg routed to the binary reader
@@ -39,6 +44,21 @@ func TestBinaryFileAndLoadFile(t *testing.T) {
 	}
 	if g2.NumEdges() != g.NumEdges() {
 		t.Fatal("load file wrong")
+	}
+}
+
+// TestLoadFileEdgeList: any other extension is read as a "u v w" edge list.
+func TestLoadFileEdgeList(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := os.WriteFile(path, []byte("0 1 2\n1 2 3\n2 0 4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices() != 3 || g.NumEdges() != 3 || g.TotalWeight() != 9 {
+		t.Fatalf("loaded %d vertices, %d edges, weight %v", g.NumVertices(), g.NumEdges(), g.TotalWeight())
 	}
 }
 

@@ -165,16 +165,6 @@ func (g *Graph) AdjWeight() []Weight { return g.adjW }
 // [AdjStart()[v], AdjStart()[v+1]), the same bounds AdjacencyRange returns.
 func (g *Graph) AdjStart() []int32 { return g.adjStart }
 
-// Other returns the endpoint of edge eid that is not v. For a self-loop it
-// returns v itself.
-func (g *Graph) Other(eid, v int32) int32 {
-	e := g.edges[eid]
-	if e.U == v {
-		return e.V
-	}
-	return e.U
-}
-
 // TotalWeight returns the sum of all edge weights.
 func (g *Graph) TotalWeight() Weight {
 	var s Weight

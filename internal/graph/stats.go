@@ -1,43 +1,5 @@
 package graph
 
-// Stats summarises the structural properties the paper's Table 1 reports
-// for each dataset.
-type Stats struct {
-	Vertices    int
-	Edges       int
-	SelfLoops   int
-	MaxDegree   int
-	Degree1     int // pendant vertices
-	Degree2     int // candidates for ear removal
-	IsConnected bool
-	Components  int
-}
-
-// ComputeStats scans the graph once and returns its structural summary.
-func ComputeStats(g *Graph) Stats {
-	s := Stats{Vertices: g.NumVertices(), Edges: g.NumEdges()}
-	for _, e := range g.Edges() {
-		if e.U == e.V {
-			s.SelfLoops++
-		}
-	}
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		d := g.Degree(v)
-		if d > s.MaxDegree {
-			s.MaxDegree = d
-		}
-		switch d {
-		case 1:
-			s.Degree1++
-		case 2:
-			s.Degree2++
-		}
-	}
-	s.Components = CountComponents(g)
-	s.IsConnected = s.Components <= 1
-	return s
-}
-
 // CountComponents returns the number of connected components.
 func CountComponents(g *Graph) int {
 	n := g.NumVertices()
@@ -101,29 +63,4 @@ func ComponentLabels(g *Graph) (labels []int32, count int) {
 		}
 	}
 	return labels, count
-}
-
-// LargestComponent returns the vertices of the largest connected component.
-func LargestComponent(g *Graph) []int32 {
-	labels, count := ComponentLabels(g)
-	if count == 0 {
-		return nil
-	}
-	sizes := make([]int, count)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	best := 0
-	for i, s := range sizes {
-		if s > sizes[best] {
-			best = i
-		}
-	}
-	out := make([]int32, 0, sizes[best])
-	for v, l := range labels {
-		if int(l) == best {
-			out = append(out, int32(v))
-		}
-	}
-	return out
 }

@@ -66,16 +66,3 @@ func InducedByVertices(g *Graph, vertices []int32) *Subgraph {
 		ToParentEdge:   toParentEdge,
 	}
 }
-
-// ParentToLocal builds the inverse vertex map as a dense array over the
-// parent graph (value -1 where a parent vertex is absent).
-func (s *Subgraph) ParentToLocal(parentN int) []int32 {
-	inv := make([]int32, parentN)
-	for i := range inv {
-		inv[i] = -1
-	}
-	for local, parent := range s.ToParentVertex {
-		inv[parent] = int32(local)
-	}
-	return inv
-}

@@ -130,7 +130,7 @@ func TestRunSchedulesEveryUnitOnce(t *testing.T) {
 func TestRunOnSingleDeviceMakespanIsTotalWork(t *testing.T) {
 	units := []Unit{{ID: 0, Size: 1}, {ID: 1, Size: 2}, {ID: 2, Size: 3}}
 	dev := SequentialCPU()
-	sched := RunOn(units, dev, func(u Unit, d *Device) Cost {
+	sched := Run(units, []*Device{dev}, func(u Unit, d *Device) Cost {
 		return Cost{Ops: 1e6, Launches: 1}
 	})
 	want := 3e6 / dev.OpsPerSec

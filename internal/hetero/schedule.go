@@ -134,11 +134,6 @@ func UniformMakespans(n int, devices []*Device, cost Cost) []float64 {
 	return out
 }
 
-// RunOn is a convenience for homogeneous platforms.
-func RunOn(units []Unit, dev *Device, exec func(u Unit, d *Device) Cost) *Schedule {
-	return Run(units, []*Device{dev}, exec)
-}
-
 func (s *Schedule) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "makespan %.4fs, %d ops", s.Makespan, s.TotalOps)

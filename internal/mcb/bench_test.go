@@ -80,3 +80,16 @@ func BenchmarkMCBSearch(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(len(l.ls.nodes)+len(l.ls.recs))), "ns/unit")
 }
+
+// TestMCBSearchZeroAllocs is BenchmarkMCBSearch's 0 allocs/op as a test:
+// once built, a phase of relabel and scan allocates nothing.
+func TestMCBSearchZeroAllocs(t *testing.T) {
+	l, sp := searchOn(t, benchGraph(), 1)
+	zero := bitvec.New(sp.dim())
+	if allocs := testing.AllocsPerRun(5, func() {
+		l.ls.relabel(zero)
+		l.ls.scan()
+	}); allocs != 0 {
+		t.Fatalf("a labelled-search phase allocates %v times", allocs)
+	}
+}

@@ -31,11 +31,6 @@ func TestCheckedAccessors(t *testing.T) {
 			t.Fatalf("cycle %d: %d vertices for %d edges", i, len(seq), len(c.Edges))
 		}
 	}
-	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		if _, err := res.CyclesThroughVertexChecked(g, v); err != nil {
-			t.Fatalf("CyclesThroughVertexChecked(%d): %v", v, err)
-		}
-	}
 
 	// Invalid indices and IDs come back as wrapped sentinels, not panics.
 	if _, err := res.CycleChecked(g, -1); !errors.Is(err, ErrCycleIndex) {
@@ -43,12 +38,6 @@ func TestCheckedAccessors(t *testing.T) {
 	}
 	if _, err := res.CycleChecked(g, len(res.Cycles)); !errors.Is(err, ErrCycleIndex) {
 		t.Fatalf("CycleChecked(len): %v", err)
-	}
-	if _, err := res.CyclesThroughVertexChecked(g, -3); !errors.Is(err, ErrVertexRange) {
-		t.Fatalf("CyclesThroughVertexChecked(-3): %v", err)
-	}
-	if _, err := res.CyclesThroughVertexChecked(g, int32(g.NumVertices())); !errors.Is(err, ErrVertexRange) {
-		t.Fatalf("CyclesThroughVertexChecked(n): %v", err)
 	}
 
 	// Externally constructed garbage: out-of-range edge IDs are rejected
@@ -60,9 +49,6 @@ func TestCheckedAccessors(t *testing.T) {
 	ext := &Result{Cycles: []Cycle{bogus}, Dim: 1}
 	if _, err := ext.CycleChecked(g, 0); !errors.Is(err, ErrEdgeRange) {
 		t.Fatalf("CycleChecked on garbage result: %v", err)
-	}
-	if _, err := ext.CyclesThroughVertexChecked(g, 0); !errors.Is(err, ErrEdgeRange) {
-		t.Fatalf("CyclesThroughVertexChecked on garbage result: %v", err)
 	}
 
 	// A non-closed element (simple path) has no vertex sequence.

@@ -136,41 +136,3 @@ func removeVertex(g *graph.Graph, v int32, alive []bool, deg []int32) int {
 	}
 	return removed
 }
-
-// VerifyFVS reports whether removing the set leaves an acyclic graph
-// (ignoring self-loops at removed vertices); tests use it.
-func VerifyFVS(g *graph.Graph, fvs []int32) bool {
-	n := g.NumVertices()
-	in := make([]bool, n)
-	for _, v := range fvs {
-		in[v] = true
-	}
-	// count surviving edges and vertices; forest iff m' ≤ n' − components',
-	// checked by union-find cycle detection.
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range g.Edges() {
-		if in[e.U] || in[e.V] {
-			continue
-		}
-		if e.U == e.V {
-			return false // surviving self-loop is a cycle
-		}
-		ru, rv := find(e.U), find(e.V)
-		if ru == rv {
-			return false
-		}
-		parent[ru] = rv
-	}
-	return true
-}

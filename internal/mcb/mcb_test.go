@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bitvec"
+	"repro/internal/ds"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -265,13 +266,29 @@ func TestPlatformsProduceSameBasisWeight(t *testing.T) {
 	}
 }
 
+// isFVS reports whether removing fvs leaves g acyclic; a surviving
+// self-loop is a cycle.
+func isFVS(g *graph.Graph, fvs []int32) bool {
+	in := make([]bool, g.NumVertices())
+	for _, v := range fvs {
+		in[v] = true
+	}
+	uf := ds.NewUnionFind(g.NumVertices())
+	for _, e := range g.Edges() {
+		if !in[e.U] && !in[e.V] && !uf.Union(e.U, e.V) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestFVS(t *testing.T) {
 	cfg := gen.Config{MaxWeight: 5}
 	for seed := uint64(0); seed < 15; seed++ {
 		rng := gen.NewRNG(seed)
 		g := gen.GNM(20+rng.Intn(30), 30+rng.Intn(50), cfg, rng)
 		fvs := FeedbackVertexSet(g)
-		if !VerifyFVS(g, fvs) {
+		if !isFVS(g, fvs) {
 			t.Fatalf("seed %d: invalid FVS", seed)
 		}
 		if len(fvs) == g.NumVertices() {

@@ -11,18 +11,15 @@ import (
 
 // Convenience accessors over a computed basis.
 //
-// The checked variants (CycleChecked, CyclesThroughVertexChecked,
-// VertexSequenceChecked) validate cycle indices, vertex IDs, and edge IDs
-// before touching the graph, so per-query cycle expansion never panics on
-// malformed input — the same panic-free contract as apsp's QueryChecked
-// surface. The unchecked accessors remain for trusted in-process callers.
+// The checked variants (CycleChecked, VertexSequenceChecked) validate cycle
+// indices and edge IDs before touching the graph, so per-query cycle
+// expansion never panics on malformed input — the same panic-free contract
+// as apsp's QueryChecked surface. The unchecked accessors remain for trusted in-process callers.
 
 // Sentinel errors of the checked accessors; wrap-compatible with errors.Is.
 var (
 	// ErrCycleIndex reports a cycle index outside [0, len(Cycles)).
 	ErrCycleIndex = errors.New("cycle index out of range")
-	// ErrVertexRange reports a vertex ID outside [0, n).
-	ErrVertexRange = errors.New("vertex out of range")
 	// ErrEdgeRange reports a basis element referencing an edge ID outside
 	// [0, m) — only possible for externally constructed Results.
 	ErrEdgeRange = errors.New("cycle references edge out of range")
@@ -83,51 +80,6 @@ func (r *Result) MinimumCycle() (Cycle, bool) {
 		}
 	}
 	return best, true
-}
-
-// CyclesThroughVertex returns the basis cycles that touch v (as indices
-// into r.Cycles). In ring-perception terms: the rings atom v belongs to.
-func (r *Result) CyclesThroughVertex(g *graph.Graph, v int32) []int {
-	var out []int
-	for ci, c := range r.Cycles {
-		for _, eid := range c.Edges {
-			e := g.Edge(eid)
-			if e.U == v || e.V == v {
-				out = append(out, ci)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// CyclesThroughVertexChecked is CyclesThroughVertex with vertex and edge
-// ID validation: it rejects v outside [0, n) and basis elements whose edge
-// IDs do not belong to g instead of letting g.Edge panic.
-func (r *Result) CyclesThroughVertexChecked(g *graph.Graph, v int32) ([]int, error) {
-	if v < 0 || int(v) >= g.NumVertices() {
-		return nil, fmt.Errorf("mcb: vertex %d on %d-vertex graph: %w", v, g.NumVertices(), ErrVertexRange)
-	}
-	for ci, c := range r.Cycles {
-		if err := checkEdges(g, c); err != nil {
-			return nil, fmt.Errorf("mcb: cycle %d: %w", ci, err)
-		}
-	}
-	return r.CyclesThroughVertex(g, v), nil
-}
-
-// CyclesThroughEdge returns the basis cycles containing edge eid.
-func (r *Result) CyclesThroughEdge(eid int32) []int {
-	var out []int
-	for ci, c := range r.Cycles {
-		for _, e := range c.Edges {
-			if e == eid {
-				out = append(out, ci)
-				break
-			}
-		}
-	}
-	return out
 }
 
 // VertexSequenceChecked is VertexSequence with edge ID validation and

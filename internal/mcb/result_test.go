@@ -54,33 +54,6 @@ func TestMinimumCycleIsGlobalMinimum(t *testing.T) {
 	}
 }
 
-func TestCyclesThrough(t *testing.T) {
-	// two triangles sharing edge 1-2
-	b := graph.NewBuilder(4)
-	e01 := b.AddEdge(0, 1, 1)
-	e12 := b.AddEdge(1, 2, 1)
-	b.AddEdge(2, 0, 1)
-	b.AddEdge(1, 3, 1)
-	b.AddEdge(3, 2, 1)
-	g := b.Build()
-	res := Compute(g, Options{UseEar: false})
-	if len(res.Cycles) != 2 {
-		t.Fatalf("dim %d", len(res.Cycles))
-	}
-	if got := res.CyclesThroughVertex(g, 1); len(got) != 2 {
-		t.Fatalf("vertex 1 should be on both rings, got %v", got)
-	}
-	if got := res.CyclesThroughVertex(g, 0); len(got) != 1 {
-		t.Fatalf("vertex 0 should be on one ring, got %v", got)
-	}
-	// shared edge 1-2 appears in exactly one basis element of an MCB here
-	// (the two triangles), edge 0-1 in exactly one
-	if got := res.CyclesThroughEdge(e01); len(got) != 1 {
-		t.Fatalf("edge 0-1 in %v cycles", got)
-	}
-	_ = e12
-}
-
 func TestVertexSequence(t *testing.T) {
 	cfg := gen.Config{MaxWeight: 3}
 	rng := gen.NewRNG(41)

@@ -209,17 +209,6 @@ func farthestPointSeeds(g *graph.Graph, k int) []int32 {
 	return seeds
 }
 
-// CutEdges counts edges whose endpoints lie in different parts.
-func CutEdges(g *graph.Graph, part []int32) int {
-	cut := 0
-	for _, e := range g.Edges() {
-		if part[e.U] != part[e.V] {
-			cut++
-		}
-	}
-	return cut
-}
-
 // Boundary returns the vertices incident to at least one cut edge — the
 // vertex set of Djidjev's boundary graph.
 func Boundary(g *graph.Graph, part []int32) []int32 {
@@ -238,13 +227,4 @@ func Boundary(g *graph.Graph, part []int32) []int32 {
 		}
 	}
 	return out
-}
-
-// Sizes returns the number of vertices per part.
-func Sizes(part []int32, k int) []int {
-	s := make([]int, k)
-	for _, p := range part {
-		s[p]++
-	}
-	return s
 }

@@ -16,9 +16,9 @@ func TestPartitionBasics(t *testing.T) {
 		if len(part) != g.NumVertices() {
 			t.Fatalf("k=%d: wrong label count", k)
 		}
-		sizes := Sizes(part, k)
+		counts := sizes(part, k)
 		nonEmpty := 0
-		for _, s := range sizes {
+		for _, s := range counts {
 			if s > 0 {
 				nonEmpty++
 			}
@@ -28,7 +28,7 @@ func TestPartitionBasics(t *testing.T) {
 		}
 		// balance: no part more than 2x the ideal on a mesh
 		ideal := g.NumVertices() / k
-		for p, s := range sizes {
+		for p, s := range counts {
 			if s > 2*ideal+2 {
 				t.Fatalf("k=%d: part %d has %d vertices (ideal %d)", k, p, s, ideal)
 			}
@@ -46,7 +46,7 @@ func TestPartitionSmallBoundaryOnMesh(t *testing.T) {
 	if len(b) > g.NumVertices()/3 {
 		t.Fatalf("boundary %d of %d vertices — partitioner useless", len(b), g.NumVertices())
 	}
-	cut := CutEdges(g, part)
+	cut := cutEdges(g, part)
 	if cut <= 0 || cut >= g.NumEdges()/2 {
 		t.Fatalf("cut %d of %d edges", cut, g.NumEdges())
 	}
@@ -74,9 +74,9 @@ func TestRefinementReducesCut(t *testing.T) {
 	g := gen.TriangulatedGrid(15, 15, cfg, rng)
 	noRefine := Partition(g, 4, 0)
 	refined := Partition(g, 4, 6)
-	if CutEdges(g, refined) > CutEdges(g, noRefine) {
+	if cutEdges(g, refined) > cutEdges(g, noRefine) {
 		t.Fatalf("refinement increased the cut: %d -> %d",
-			CutEdges(g, noRefine), CutEdges(g, refined))
+			cutEdges(g, noRefine), cutEdges(g, refined))
 	}
 }
 
@@ -123,7 +123,7 @@ func TestPartitionManyComponents(t *testing.T) {
 			}
 		}
 		total := 0
-		for _, s := range Sizes(part, k) {
+		for _, s := range sizes(part, k) {
 			total += s
 		}
 		if total != g.NumVertices() {
@@ -237,4 +237,24 @@ func TestPartitionWeighted(t *testing.T) {
 	if lightInHeavy > n/2 {
 		t.Fatalf("heavy part also holds %d of %d light vertices", lightInHeavy, n-1)
 	}
+}
+
+// cutEdges counts edges whose endpoints lie in different parts.
+func cutEdges(g *graph.Graph, part []int32) int {
+	cut := 0
+	for _, e := range g.Edges() {
+		if part[e.U] != part[e.V] {
+			cut++
+		}
+	}
+	return cut
+}
+
+// sizes returns the number of vertices per part.
+func sizes(part []int32, k int) []int {
+	s := make([]int, k)
+	for _, p := range part {
+		s[p]++
+	}
+	return s
 }

@@ -70,9 +70,6 @@ type Plan struct {
 // NumBlocks returns the block count of the plan.
 func (p *Plan) NumBlocks() int { return len(p.BlockShard) }
 
-// NumAPs returns the articulation-point count a.
-func (p *Plan) NumAPs() int { return len(p.CutVertices) }
-
 // OwnedMask returns the per-block ownership flags for one shard, in the
 // form apsp.WriteShardSnapshot consumes.
 func (p *Plan) OwnedMask(shard int32) []bool {

@@ -267,9 +267,6 @@ func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
 // F64 appends a float64 by bit pattern.
 func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
 
-// F32 appends a float32 by bit pattern (compact distance tables).
-func (e *Encoder) F32(v float32) { e.U32(math.Float32bits(v)) }
-
 // extend grows the section by n bytes in one step and returns them.
 func (e *Encoder) extend(n int) []byte {
 	off := len(e.b)
@@ -409,9 +406,6 @@ func (d *Decoder) I64() int64 { return int64(d.U64()) }
 
 // F64 reads a float64.
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
-// F32 reads a float32.
-func (d *Decoder) F32() float32 { return math.Float32frombits(d.U32()) }
 
 // Count reads a u64 element count and validates it against the bytes
 // actually remaining (each element occupying at least elemBytes), so a

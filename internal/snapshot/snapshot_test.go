@@ -202,7 +202,7 @@ func TestSliceCodecMatchesElements(t *testing.T) {
 	}
 	want.U64(uint64(len(f32)))
 	for _, v := range f32 {
-		want.F32(v)
+		want.U32(math.Float32bits(v))
 	}
 	want.U64(0)
 	if !bytes.Equal(got.b, want.b) {
@@ -343,7 +343,7 @@ func TestU8RoundTrip(t *testing.T) {
 func TestF32RoundTrip(t *testing.T) {
 	w := NewWriter()
 	e := w.Section("f32")
-	e.F32(1.5)
+	e.U32(math.Float32bits(1.5))
 	e.F32s([]float32{0, float32(math.Inf(1)), -2.25, math.MaxFloat32})
 	e.F32s(nil)
 	var buf bytes.Buffer
@@ -358,8 +358,8 @@ func TestF32RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Section: %v", err)
 	}
-	if got := d.F32(); got != 1.5 {
-		t.Errorf("F32 = %v", got)
+	if got := math.Float32frombits(d.U32()); got != 1.5 {
+		t.Errorf("scalar = %v", got)
 	}
 	s := d.F32s()
 	want := []float32{0, float32(math.Inf(1)), -2.25, math.MaxFloat32}
@@ -382,7 +382,7 @@ func TestF32RoundTrip(t *testing.T) {
 	if r2, err := NewReader(bytes.NewReader(trunc)); err == nil {
 		d2, err := r2.Section("f32")
 		if err == nil {
-			d2.F32()
+			d2.U32()
 			d2.F32s()
 			d2.F32s()
 			if d2.Err() == nil && d2.Finish() == nil {

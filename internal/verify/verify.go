@@ -1,8 +1,8 @@
 // Package verify provides certification routines for the library's
-// results: shortest path labelings, distance oracles, walks, and cycle
-// bases. The checks are independent re-derivations (certificate
-// verification, not re-execution), so the command-line tools expose them
-// behind -verify flags and the test suites build on them.
+// results: distance oracles, walks, and cycle bases. The checks are
+// independent re-derivations (certificate verification, not re-execution),
+// so the command-line tools expose them behind -verify flags and the test
+// suites build on them.
 package verify
 
 import (
@@ -14,47 +14,6 @@ import (
 	"repro/internal/mcb"
 	"repro/internal/sssp"
 )
-
-// Distances certifies a single-source shortest path labeling: d[source]=0,
-// every edge satisfies the triangle inequality, and every reachable vertex
-// other than the source has a tight incoming edge. These three conditions
-// hold iff d is exactly the shortest path distance vector (for
-// non-negative weights).
-func Distances(g *graph.Graph, source int32, d []graph.Weight) error {
-	n := g.NumVertices()
-	if len(d) != n {
-		return fmt.Errorf("verify: distance vector has %d entries for %d vertices", len(d), n)
-	}
-	if d[source] != 0 {
-		return fmt.Errorf("verify: d[source] = %v", d[source])
-	}
-	for id, e := range g.Edges() {
-		du, dv := d[e.U], d[e.V]
-		if du < sssp.Inf && du+e.W < dv {
-			return fmt.Errorf("verify: edge %d violates triangle inequality: d[%d]=%v + %v < d[%d]=%v",
-				id, e.U, du, e.W, e.V, dv)
-		}
-		if dv < sssp.Inf && dv+e.W < du {
-			return fmt.Errorf("verify: edge %d violates triangle inequality (reverse)", id)
-		}
-	}
-	tight := make([]bool, n)
-	tight[source] = true
-	for _, e := range g.Edges() {
-		if d[e.U] < sssp.Inf && d[e.U]+e.W == d[e.V] {
-			tight[e.V] = true
-		}
-		if d[e.V] < sssp.Inf && d[e.V]+e.W == d[e.U] {
-			tight[e.U] = true
-		}
-	}
-	for v := 0; v < n; v++ {
-		if d[v] < sssp.Inf && !tight[v] {
-			return fmt.Errorf("verify: vertex %d has distance %v but no tight incoming edge", v, d[v])
-		}
-	}
-	return nil
-}
 
 // DistanceQuerier is any all-pairs oracle (apsp.Oracle, apsp.EarAPSP,
 // apsp.Djidjev all satisfy it).

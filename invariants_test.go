@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	pathpkg "path"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -22,14 +23,14 @@ import (
 func TestTreeInvariants(t *testing.T) {
 	fset := token.NewFileSet()
 	files := map[string]*ast.File{} // slash path relative to the module root
-	loc := 0                        // lines of the non-test ones, as `wc -l` counts them
+	benchFiles := map[string]*ast.File{}
+	loc := 0 // lines of the root module's non-test files, as `wc -l` counts them
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			// Hidden directories, and bench/: a module of its own.
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || path == "bench") {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
 				return filepath.SkipDir
 			}
 			return nil
@@ -45,9 +46,15 @@ func TestTreeInvariants(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		files[filepath.ToSlash(path)] = f
-		if !strings.HasSuffix(path, "_test.go") {
-			loc += bytes.Count(src, []byte("\n"))
+		// bench/ is a module of its own: its files are read only as callers
+		// of the root module's exports.
+		if slash := filepath.ToSlash(path); strings.HasPrefix(slash, "bench/") {
+			benchFiles[slash] = f
+		} else {
+			files[slash] = f
+			if !strings.HasSuffix(path, "_test.go") {
+				loc += bytes.Count(src, []byte("\n"))
+			}
 		}
 		return nil
 	})
@@ -178,10 +185,11 @@ func TestTreeInvariants(t *testing.T) {
 	// Names deleted because nothing ran them, or because a second copy of
 	// a mechanism went (one block-cut navigation, one batch scheduler, one
 	// mux maker, one oracle assembly, one forest walk, one phase loop, the
-	// oracle's tables as the only resident rows),
+	// oracle's tables as the only resident rows, exports with no caller)
 	// must not come back under the same name: a caller that needs one
 	// should say why first. A name too common to ban bare is matched where
-	// it would be used instead: as a selector or a call.
+	// it would be used instead: as a selector or a call, or, for a facade
+	// name whose internal namesake stays, as a declaration in repro.go.
 	t.Run("deleted names stay deleted", func(t *testing.T) {
 		deleted := map[string]bool{}
 		for _, name := range []string{
@@ -194,21 +202,44 @@ func TestTreeInvariants(t *testing.T) {
 			"scanWindowed", "scanSequential", "ChunkedList", "NewChunkedList", "BatchFrom",
 			"rowCache", "rowArena", "rowBuf", "rowRef", "rowCall", "removeIf", "staleComponents", "CacheRows",
 			"NewOracleSim", "NewEarAPSPSim", "PostProcessSim",
+			"GraphFormat", "GraphFormatEdgeList", "GraphFormatDIMACS", "GraphFormatMatrixMarket", "GraphFormatBinary",
+			"GraphFormatFromPath", "ReadGraph", "LoadGraph", "ShortestPathsCtx", "MinimumCycleBasisCtx", "MinimumCycleBasisOpts",
+			"ErrSnapshotBadMagic", "ErrSnapshotVersionSkew", "ErrSnapshotChecksum", "ErrSnapshotCorrupt",
+			"ErrRegistryUnknownGraph", "ErrRegistryBadName", "ErrRegistryReadOnly", "ErrRegistryClosed",
+			"ErrShardEpochMismatch", "ErrShardNotOwned", "ErrMCBCycleIndex", "ErrMCBVertexRange", "ErrMCBEdgeRange", "ErrMCBNotClosedWalk",
+			"WriteOracleChain", "RegistryEntry", "RegistryGraphInfo", "ReadShardPlan", "ShardError",
+			"JobsManager", "JobsConfig", "JobSpec", "JobStatus", "JobGraphRef", "JobKindBatchMatrix", "JobKindBC", "JobTerminal", "OpenJobs",
+			"MetricsRegistry", "GenConfig", "BCResult", "BCOptions", "BetweennessCentrality", "BetweennessCentralityOpts", "VerifyDistances",
+			"NewFloydWarshall", "NewDense", "MaterializeBlockTables", "BoundarySize", "PeelPendants", "DotRange", "DecreaseKey",
+			"ComputeStats", "LargestComponent", "SaveBinary", "LoadBinary", "ParentToLocal", "IsBiconnected", "RunOn",
+			"CyclesThroughEdge", "CyclesThroughVertex", "CyclesThroughVertexChecked", "VerifyFVS", "CutEdges", "NumAPs",
+			"Materialize", "Dense", "Pendant", "CopyFrom",
 		} {
 			deleted[name] = true
 		}
-		goneSelectors := map[string]bool{"qe.Sizer": true, "api.Patterns": true, "registry.Limits": true}
+		goneSelectors := map[string]bool{"qe.Sizer": true, "api.Patterns": true, "registry.Limits": true,
+			"bc.Sequential": true, "verify.Distances": true, "graph.Stats": true, "partition.Sizes": true, "mcb.ErrVertexRange": true}
+		// Facade names whose internal namesakes stay: banned in repro.go only.
+		goneFacade := map[string]bool{"Edge": true, "ErrBadDelta": true, "ErrOverloaded": true, "ErrShardUnavailable": true,
+			"MutateGraph": true, "ShardStatus": true, "RNG": true, "NewRNG": true, "Metrics": true, "WriteDOT": true}
+		// Methods with names too common to ban bare: banned on their receiver.
+		goneMethods := map[string]bool{"Vector.Words": true, "Vector.Clear": true, "Vector.IsZero": true, "Vector.Equal": true,
+			"UnionFind.Connected": true, "UnionFind.Sets": true, "Graph.Other": true, "Encoder.F32": true, "Decoder.F32": true,
+			"ShardBlocks.Owned": true}
 		goneCalls := map[string]bool{"deprecated": true}
-		check := func(id *ast.Ident) {
-			if id != nil && deleted[id.Name] {
-				t.Errorf("%s: %s is declared again", fset.Position(id.Pos()), id.Name)
+		for path, f := range files {
+			check := func(id *ast.Ident) {
+				if id != nil && (deleted[id.Name] || path == "repro.go" && goneFacade[id.Name]) {
+					t.Errorf("%s: %s is declared again", fset.Position(id.Pos()), id.Name)
+				}
 			}
-		}
-		for _, f := range files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch d := n.(type) {
 				case *ast.FuncDecl:
 					check(d.Name)
+					if d.Recv != nil && goneMethods[recvType(d.Recv.List[0].Type)+"."+d.Name.Name] {
+						t.Errorf("%s: %s is declared again", fset.Position(d.Pos()), d.Name.Name)
+					}
 				case *ast.TypeSpec:
 					check(d.Name)
 				case *ast.ValueSpec:
@@ -278,6 +309,53 @@ func TestTreeInvariants(t *testing.T) {
 		}
 	})
 
+	// Every exported name has a non-test caller, or a written reason.
+	t.Run("every export has a caller", func(t *testing.T) {
+		refs := map[string]*ast.File{}
+		for path, f := range files {
+			refs[path] = f
+		}
+		for path, f := range benchFiles {
+			refs[path] = f
+		}
+		for _, p := range exportScan(refs, exportAllowlist) {
+			t.Error(p)
+		}
+		if len(exportAllowlist) >= 40 {
+			t.Errorf("%d allowlisted exports, want < 40", len(exportAllowlist))
+		}
+
+		// The guard guards: a planted orphan is reported until a caller
+		// appears, and so is an allowlist entry that outlived its name.
+		plant := func(path, src string) {
+			f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs[path] = f
+		}
+		reports := func(allow map[string]string, want string) bool {
+			for _, p := range exportScan(refs, allow) {
+				if strings.HasPrefix(p, want) {
+					return true
+				}
+			}
+			return false
+		}
+		plant("internal/x/x.go", "package x; func Orphan() {}")
+		if !reports(exportAllowlist, "x.Orphan has no non-test caller") {
+			t.Error("a planted orphan internal/x.Orphan is not reported")
+		}
+		plant("cmd/x/main.go", `package main; import "repro/internal/x"; func main() { x.Orphan() }`)
+		if reports(exportAllowlist, "x.Orphan ") {
+			t.Error("internal/x.Orphan is reported although cmd/x calls it")
+		}
+		stale := map[string]string{"x.Gone": "a reason"}
+		if !reports(stale, "x.Gone is allowlisted but not declared") {
+			t.Error("an allowlist entry naming no declaration is not reported")
+		}
+	})
+
 	// The checked-in OpenAPI spec is generated from the route table in
 	// internal/api (go run ./cmd/apigen -out api/openapi.yaml); the mux
 	// side of the same contract is structural: cmd/oracled mounts from
@@ -295,7 +373,7 @@ func TestTreeInvariants(t *testing.T) {
 	// The round's trajectory (ROADMAP aim 2): non-test Go lines outside
 	// bench/, held under the bar the last PR to lower it reached.
 	t.Run("non-test LOC", func(t *testing.T) {
-		const bar = 22270
+		const bar = 21520
 		t.Logf("%d non-test lines outside bench/", loc)
 		if loc >= bar {
 			t.Errorf("%d non-test lines outside bench/, want < %d", loc, bar)
@@ -304,5 +382,195 @@ func TestTreeInvariants(t *testing.T) {
 
 	if _, err := os.Stat("internal/core"); err == nil {
 		t.Error("internal/core exists again: repro.go is the one-call facade")
+	}
+}
+
+// exportAllowlist names the exports exportScan may find without a caller,
+// each with the reason it stays: "pkg.Name", or "pkg.Type.Method" for a
+// method.
+var exportAllowlist = map[string]string{
+	"apsp.QueryError.Unwrap": "errors.Is/As walk through it (the Unwrap interface)",
+	"shard.Error.Unwrap":     "errors.Is/As walk through it (the Unwrap interface)",
+
+	// Facade forms of internal calls bench/ makes, kept so the benchmark
+	// can switch to repro alone without re-adding them.
+	"repro.ApplyDelta":           benchTarget,
+	"repro.DeltaKind":            benchTarget,
+	"repro.DeltaWeight":          benchTarget,
+	"repro.DeltaInsert":          benchTarget,
+	"repro.DeltaDelete":          benchTarget,
+	"repro.WriteOracle":          benchTarget,
+	"repro.ReadOracle":           benchTarget,
+	"repro.PlanShards":           benchTarget,
+	"repro.WriteShardPlan":       benchTarget,
+	"repro.WriteShardSnapshot":   benchTarget,
+	"repro.ReadShardSnapshot":    benchTarget,
+	"repro.NewRemoteRowSource":   benchTarget,
+	"repro.OpenRegistry":         benchTarget,
+	"repro.RegistryDefaultGraph": benchTarget,
+	"repro.VerifyPath":           benchTarget,
+}
+
+const benchTarget = "ROADMAP 1(b) bench target"
+
+// exportScan returns one line per broken rule over files (slash paths
+// relative to the root module; bench/ files are read as callers only):
+//
+//   - an exported func, type, var or const declared in a non-test file
+//     under internal/ or in repro.go, or an exported method on an exported
+//     type declared there, that no non-test file references outside its
+//     declaration and that allow does not list. internal/check and
+//     internal/gen are test support and exempt; example_test.go counts as
+//     a caller of repro.go's names. Package-level names are resolved by
+//     package; methods by name alone, so a method only an interface calls
+//     implicitly (String, Error, ...) needs an allow entry naming it;
+//   - an allow entry that names no declaration, or a name with a caller.
+func exportScan(files map[string]*ast.File, allow map[string]string) []string {
+	type export struct {
+		dir, name string // dir "." is the root package
+		method    bool
+	}
+	exports := map[string]export{} // "pkg.Name" or "pkg.Type.Method"
+	skip := map[*ast.Ident]bool{}  // declaring names and receivers
+	for path, f := range files {
+		dir := pathpkg.Dir(path)
+		scanned := path == "repro.go" || strings.HasPrefix(dir, "internal/") &&
+			dir != "internal/check" && dir != "internal/gen"
+		if strings.HasSuffix(path, "_test.go") || !scanned {
+			continue
+		}
+		pkg := f.Name.Name
+		add := func(id *ast.Ident, key string, method bool) {
+			skip[id] = true
+			if id.IsExported() {
+				exports[key] = export{dir, id.Name, method}
+			}
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name, pkg+"."+d.Name.Name, false)
+					continue
+				}
+				ast.Inspect(d.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						skip[id] = true
+					}
+					return true
+				})
+				if recv := recvType(d.Recv.List[0].Type); ast.IsExported(recv) {
+					add(d.Name, pkg+"."+recv+"."+d.Name.Name, true)
+				} else {
+					skip[d.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						add(s.Name, pkg+"."+s.Name.Name, false)
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							add(id, pkg+"."+id.Name, false)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	used := map[string]bool{}   // dir + " " + name, package-level
+	called := map[string]bool{} // selector names: methods, by name
+	for path, f := range files {
+		rootOnly := path == "example_test.go"
+		if strings.HasSuffix(path, "_test.go") && !rootOnly {
+			continue
+		}
+		dir := pathpkg.Dir(path)
+		if strings.HasPrefix(path, "bench/") {
+			dir = "bench"
+		}
+		imported := map[string]string{} // local name -> dir
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			var d string
+			switch {
+			case p == "repro":
+				d = "."
+			case strings.HasPrefix(p, "repro/"):
+				d = strings.TrimPrefix(p, "repro/")
+			default:
+				continue
+			}
+			if rootOnly && d != "." {
+				continue
+			}
+			name := pathpkg.Base(p)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imported[name] = d
+		}
+		var visit func(n ast.Node) bool
+		visit = func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := x.X.(*ast.Ident); ok && imported[id.Name] != "" {
+					used[imported[id.Name]+" "+x.Sel.Name] = true
+					return false
+				}
+				if !rootOnly {
+					called[x.Sel.Name] = true
+				}
+				ast.Inspect(x.X, visit)
+				return false
+			case *ast.Ident:
+				if !rootOnly && !skip[x] {
+					used[dir+" "+x.Name] = true
+				}
+			}
+			return true
+		}
+		ast.Inspect(f, visit)
+	}
+
+	var problems []string
+	for key, e := range exports {
+		hasCaller := used[e.dir+" "+e.name]
+		if e.method {
+			hasCaller = called[e.name]
+		}
+		_, listed := allow[key]
+		switch {
+		case !hasCaller && !listed:
+			problems = append(problems, key+" has no non-test caller: delete it, move it beside its user, or allowlist it with a reason")
+		case hasCaller && listed:
+			problems = append(problems, key+" is allowlisted but has a caller: drop the entry")
+		}
+	}
+	for key := range allow {
+		if _, ok := exports[key]; !ok {
+			problems = append(problems, key+" is allowlisted but not declared: drop the entry")
+		}
+	}
+	sort.Strings(problems)
+	return problems
+}
+
+// recvType is the type name of a method receiver: T, *T, T[P] or *T[P].
+func recvType(x ast.Expr) string {
+	for {
+		switch t := x.(type) {
+		case *ast.StarExpr:
+			x = t.X
+		case *ast.IndexExpr:
+			x = t.X
+		case *ast.IndexListExpr:
+			x = t.X
+		case *ast.Ident:
+			return t.Name
+		default:
+			return ""
+		}
 	}
 }

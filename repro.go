@@ -11,10 +11,12 @@
 // regenerates every table and figure of the paper's evaluation (see
 // cmd/earbench).
 //
-// This file is the public facade: it re-exports the library's stable
-// surface so downstream users can depend on `repro` alone. The type
-// aliases point into internal packages, which keeps the implementation
-// free to evolve while the facade stays fixed.
+// This file is the public facade over the internal packages. A name stays
+// here only while it has a caller: an example under examples/ or in
+// example_test.go, or the benchmark's pipeline (bench/), which is to switch
+// from the internal packages to these forms. A type alias stays while a
+// kept signature needs it. TestTreeInvariants holds the rule for this file
+// and for every exported name under internal/.
 package repro
 
 import (
@@ -25,13 +27,9 @@ import (
 	"os"
 
 	"repro/internal/apsp"
-	"repro/internal/bc"
 	"repro/internal/ear"
-	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/jobs"
 	"repro/internal/mcb"
-	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/qe"
 	"repro/internal/registry"
@@ -40,47 +38,18 @@ import (
 	"repro/internal/verify"
 )
 
-// Graph construction and I/O.
+// Graph construction.
 type (
 	// Graph is an immutable weighted undirected multigraph in CSR form.
 	Graph = graph.Graph
 	// GraphBuilder accumulates edges before freezing them into a Graph.
 	GraphBuilder = graph.Builder
-	// Edge is one undirected edge.
-	Edge = graph.Edge
 	// Weight is the edge weight type.
 	Weight = graph.Weight
 )
 
 // NewGraphBuilder returns a builder for a graph on n vertices 0..n-1.
 func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
-
-// GraphFormat names one of the supported graph input formats, for reading
-// from arbitrary streams rather than extension-carrying file paths.
-type GraphFormat = graph.Format
-
-// The supported graph formats.
-const (
-	// GraphFormatEdgeList is the plain "u v w" edge list.
-	GraphFormatEdgeList = graph.FormatEdgeList
-	// GraphFormatDIMACS is the DIMACS shortest-path format (.gr/.dimacs).
-	GraphFormatDIMACS = graph.FormatDIMACS
-	// GraphFormatMatrixMarket is symmetric coordinate MatrixMarket (.mtx).
-	GraphFormatMatrixMarket = graph.FormatMatrixMarket
-	// GraphFormatBinary is the binary .earg graph snapshot.
-	GraphFormatBinary = graph.FormatBinary
-)
-
-// GraphFormatFromPath sniffs the format from a file extension (.mtx, .gr,
-// .dimacs, .earg; anything else is treated as an edge list).
-func GraphFormatFromPath(path string) GraphFormat { return graph.FormatFromPath(path) }
-
-// ReadGraph parses a graph from r in the given format.
-func ReadGraph(r io.Reader, format GraphFormat) (*Graph, error) { return graph.Read(r, format) }
-
-// LoadGraph reads a graph file, sniffing the format from the extension via
-// GraphFormatFromPath and delegating to ReadGraph.
-func LoadGraph(path string) (*Graph, error) { return graph.LoadFile(path) }
 
 // Ear decomposition.
 type (
@@ -135,19 +104,8 @@ type APSPOptions struct {
 	Compact32 bool
 }
 
-// ShortestPathsOpts builds the APSP oracle with explicit options. It is a
-// thin wrapper over ShortestPathsCtx with a background context; callers
-// that need cancellation or deadlines on long builds should use the Ctx
-// form directly.
+// ShortestPathsOpts builds the APSP oracle with explicit options.
 func ShortestPathsOpts(g *Graph, opts APSPOptions) (*APSPOracle, error) {
-	return ShortestPathsCtx(context.Background(), g, opts)
-}
-
-// ShortestPathsCtx builds the APSP oracle under ctx: the build checks the
-// context between biconnected components and between the per-source
-// Dijkstra units inside each, so cancelling the context or hitting its
-// deadline abandons the build promptly and returns the context error.
-func ShortestPathsCtx(ctx context.Context, g *Graph, opts APSPOptions) (*APSPOracle, error) {
 	if g == nil {
 		return nil, errNilGraph
 	}
@@ -155,7 +113,7 @@ func ShortestPathsCtx(ctx context.Context, g *Graph, opts APSPOptions) (*APSPOra
 	if workers <= 0 {
 		workers = par.Workers()
 	}
-	return apsp.NewOracleOpts(ctx, g, apsp.Options{Workers: workers, Compact32: opts.Compact32})
+	return apsp.NewOracleOpts(context.Background(), g, apsp.Options{Workers: workers, Compact32: opts.Compact32})
 }
 
 // ShortestPaths builds the APSP oracle with the given parallelism
@@ -172,22 +130,7 @@ func ShortestPaths(g *Graph, workers int) (*APSPOracle, error) {
 // distance tables, the block-cut forest, and the articulation table — so a
 // serving process can load it and answer its first query without running
 // any build phase. Corrupt, truncated, or version-skewed files are
-// rejected with errors matching the ErrSnapshot* sentinels (via
-// errors.Is), never a panic.
-
-// Snapshot rejection sentinels.
-var (
-	// ErrSnapshotBadMagic reports input that is not a snapshot at all.
-	ErrSnapshotBadMagic = snapshot.ErrBadMagic
-	// ErrSnapshotVersionSkew reports a snapshot written by an
-	// incompatible format version.
-	ErrSnapshotVersionSkew = snapshot.ErrVersionSkew
-	// ErrSnapshotChecksum reports a section whose checksum does not match
-	// its bytes.
-	ErrSnapshotChecksum = snapshot.ErrChecksum
-	// ErrSnapshotCorrupt reports structurally invalid snapshot contents.
-	ErrSnapshotCorrupt = snapshot.ErrCorrupt
-)
+// rejected with a typed error, never a panic.
 
 // WriteOracle serialises a built oracle to w.
 func WriteOracle(w io.Writer, o *APSPOracle) (int64, error) { return o.WriteTo(w) }
@@ -223,7 +166,8 @@ func LoadOracle(path string) (*APSPOracle, error) {
 // the affected blocks, and returns a NEW oracle — the receiver keeps
 // serving unchanged, so a server can swap atomically. Edge IDs are
 // positional at application time: a delete shifts later IDs down, an
-// insert appends.
+// insert appends. An invalid script is rejected whole, before any
+// recomputation.
 type (
 	// Delta is one edge/weight mutation in a script.
 	Delta = apsp.Delta
@@ -245,26 +189,10 @@ const (
 	DeltaDelete = apsp.DeltaDelete
 )
 
-// ErrBadDelta reports an invalid delta script: the whole script is
-// validated before any recomputation, so a script rejected with this
-// error changed nothing.
-var ErrBadDelta = apsp.ErrBadDelta
-
 // ApplyDelta applies an ordered delta script to o, returning the updated
 // oracle (o itself is untouched) and a report of what was recomputed.
 func ApplyDelta(ctx context.Context, o *APSPOracle, deltas []Delta) (*APSPOracle, *DeltaResult, error) {
 	return o.ApplyDelta(ctx, deltas)
-}
-
-// MutateGraph applies a delta script to a graph alone — the reference
-// semantics ApplyDelta is differentially tested against.
-func MutateGraph(g *Graph, deltas []Delta) (*Graph, error) { return apsp.MutateGraph(g, deltas) }
-
-// WriteOracleChain serialises o plus a delta script as one chain
-// snapshot: ReadOracle of the stream replays the script onto o, so a
-// restarted server resumes at the chain's head state.
-func WriteOracleChain(w io.Writer, o *APSPOracle, deltas []Delta) (int64, error) {
-	return o.WriteChainTo(w, deltas)
 }
 
 // Query serving.
@@ -272,7 +200,7 @@ type (
 	// QueryEngine is the query engine of the serving stack: a point
 	// Query is one pair lookup on the source; a Batch builds each distinct
 	// source's row once, into per-batch scratch; admission control sheds
-	// excess load of either kind with ErrOverloaded.
+	// excess load of either kind with a typed error.
 	QueryEngine = qe.Engine
 	// EngineConfig tunes a QueryEngine; the zero value is usable.
 	EngineConfig = qe.Config
@@ -280,9 +208,6 @@ type (
 	// *APSPOracle satisfies it.
 	RowSource = qe.RowSource
 )
-
-// ErrOverloaded is returned by engine queries shed by admission control.
-var ErrOverloaded = qe.ErrOverloaded
 
 // NewQueryEngine builds a query engine over any RowSource.
 func NewQueryEngine(src RowSource, cfg EngineConfig) *QueryEngine { return qe.New(src, cfg) }
@@ -298,37 +223,19 @@ type (
 	// directory (one <name>.snap per graph), with singleflight hydration,
 	// capacity-bounded LRU eviction that drains in-flight requests
 	// through reference counts, per-graph engine limits, and per-graph
-	// metric namespacing under "g.<name>.".
+	// metric namespacing under "g.<name>.". Acquire returns one resident
+	// graph with a reference held; callers Release it exactly once.
 	Registry = registry.Registry
 	// RegistryConfig configures OpenRegistry; its Engine field is the
 	// EngineConfig (admission, deadlines, batch caps) every
 	// hydrated graph's own engine is built from.
 	RegistryConfig = registry.Config
-	// RegistryEntry is one resident graph, returned by Registry.Acquire
-	// with a reference held; callers must Release exactly once.
-	RegistryEntry = registry.Entry
-	// RegistryGraphInfo is one graph's lifecycle row in Registry.List.
-	RegistryGraphInfo = registry.GraphInfo
 )
 
 // RegistryDefaultGraph is the reserved name carrying the single-graph
 // compatibility surface: a daemon serving one graph pins it under this
 // name, and unnamed routes resolve to it.
 const RegistryDefaultGraph = registry.DefaultGraph
-
-// Typed failures of the registry surface, wrap-compatible with errors.Is.
-var (
-	// ErrRegistryUnknownGraph reports a name with no registered snapshot.
-	ErrRegistryUnknownGraph = registry.ErrUnknownGraph
-	// ErrRegistryBadName reports an illegal graph name (outside
-	// [a-zA-Z0-9._-]{1,128}, or dots-only).
-	ErrRegistryBadName = registry.ErrBadName
-	// ErrRegistryReadOnly reports Register/Remove on a registry without a
-	// snapshot directory.
-	ErrRegistryReadOnly = registry.ErrReadOnly
-	// ErrRegistryClosed reports any operation after Registry.Close.
-	ErrRegistryClosed = registry.ErrClosed
-)
 
 // OpenRegistry builds a graph registry over cfg, scanning cfg.Dir (when
 // set) for *.snap files; hydration stays lazy until each graph's first
@@ -343,8 +250,7 @@ func OpenRegistry(cfg RegistryConfig) (*Registry, error) { return registry.Open(
 type (
 	// ShardPlan is the cluster's manifest: block→shard assignment, the
 	// block-cut forest, the articulation-point boundary table, and a
-	// content-derived plan epoch. Serialise with WriteShardPlan /
-	// ReadShardPlan.
+	// content-derived plan epoch. Serialise with WriteShardPlan.
 	ShardPlan = shard.Plan
 	// ShardPlanOptions tunes PlanShards; the zero value of every field
 	// except Shards is usable.
@@ -356,36 +262,15 @@ type (
 	// block rows from their owning shard daemons — every reached block
 	// for a row, at most two for a point query — stitches cross-block
 	// answers through the plan's boundary table, and degrades into typed
-	// ErrShardUnavailable / ErrShardEpochMismatch failures. It satisfies
-	// RowSource, so NewQueryEngine serves it unchanged.
+	// unavailable / epoch-mismatch failures. It satisfies RowSource, so
+	// NewQueryEngine serves it unchanged.
 	RemoteRowSource = shard.RemoteSource
-	// ShardStatus is one shard's health row from RemoteRowSource.Status.
-	ShardStatus = shard.ShardStatus
-	// ShardError is the typed wrapper on every fan-out failure, carrying
-	// the shard id and address; errors.As-compatible.
-	ShardError = shard.Error
 	// ShardMeta identifies one shard snapshot (epoch, shard id, shard
 	// count); WriteShardSnapshot stamps it, ReadShardSnapshot checks it.
 	ShardMeta = apsp.ShardMeta
 	// ShardBlocks is one daemon's loaded shard snapshot: the owned
 	// per-block ear reductions it serves rows from.
 	ShardBlocks = apsp.ShardBlocks
-)
-
-// Typed failures of the sharded serving surface, wrap-compatible with
-// errors.Is.
-var (
-	// ErrShardUnavailable reports a shard daemon that stayed unreachable
-	// through the configured retries; the query may succeed after the
-	// shard recovers.
-	ErrShardUnavailable = shard.ErrShardUnavailable
-	// ErrShardEpochMismatch reports a frontend and shard daemon serving
-	// different plan epochs; retrying cannot help until the cluster is
-	// re-rolled onto one plan.
-	ErrShardEpochMismatch = shard.ErrEpochMismatch
-	// ErrShardNotOwned reports a row request for a block the shard
-	// snapshot does not carry (a misrouted request or a stale plan).
-	ErrShardNotOwned = apsp.ErrNotOwned
 )
 
 // PlanShards cuts o into a serving cluster: blocks are assigned to
@@ -395,12 +280,9 @@ func PlanShards(o *APSPOracle, opts ShardPlanOptions) (*ShardPlan, error) {
 	return shard.PlanShards(o, opts)
 }
 
-// WriteShardPlan serialises a plan manifest (checksummed; ReadShardPlan
+// WriteShardPlan serialises a plan manifest (checksummed; the reader
 // rejects corruption and recomputes-or-verifies the epoch).
 func WriteShardPlan(w io.Writer, p *ShardPlan) (int64, error) { return p.WriteTo(w) }
-
-// ReadShardPlan deserialises a plan manifest written by WriteShardPlan.
-func ReadShardPlan(r io.Reader) (*ShardPlan, error) { return shard.ReadPlan(r) }
 
 // NewRemoteRowSource builds the frontend's fan-out source over a plan
 // and one shard daemon address per shard. Close releases its probe
@@ -418,57 +300,6 @@ func WriteShardSnapshot(w io.Writer, o *APSPOracle, meta ShardMeta, owned []bool
 // ReadShardSnapshot loads a shard snapshot written by WriteShardSnapshot.
 func ReadShardSnapshot(r io.Reader) (*ShardBlocks, error) { return apsp.ReadShardSnapshot(r) }
 
-// Async jobs: persistent whole-graph computations (distance-matrix slabs,
-// betweenness centrality) with checkpoint/resume and streaming NDJSON
-// results. cmd/oracled serves this tier over /v1/jobs; the same manager
-// embeds directly.
-type (
-	// JobsManager owns a directory of durable jobs: submission, fair
-	// per-graph dispatch, checkpointing, result streaming, and
-	// crash-resume on Open.
-	JobsManager = jobs.Manager
-	// JobsConfig configures OpenJobs. Host resolves graph names to
-	// engine-bearing references (a registry Acquire adapts directly);
-	// Dir is where checkpoints and result streams live.
-	JobsConfig = jobs.Config
-	// JobSpec describes one submitted job (kind batch_matrix or bc).
-	JobSpec = jobs.Spec
-	// JobStatus is one job's externally visible state: lifecycle state,
-	// progress fraction, row counters, durable result bytes.
-	JobStatus = jobs.Status
-	// JobGraphRef is the graph handle a jobs Host returns; held for a
-	// job's whole run so eviction drains behind it.
-	JobGraphRef = jobs.GraphRef
-)
-
-// Job kinds and terminal-state predicate.
-const (
-	JobKindBatchMatrix = jobs.KindBatchMatrix
-	JobKindBC          = jobs.KindBC
-)
-
-// JobTerminal reports whether a job state is final (completed, failed,
-// or cancelled).
-func JobTerminal(state string) bool { return jobs.Terminal(state) }
-
-// OpenJobs opens (or recovers) a job manager over cfg.Dir: interrupted
-// jobs found on disk re-enter the queue and resume from their
-// checkpoints.
-func OpenJobs(cfg JobsConfig) (*JobsManager, error) { return jobs.Open(cfg) }
-
-// Observability.
-type (
-	// MetricsRegistry is a concurrent-safe namespace of counters, gauges,
-	// histograms and phase timers, renderable as one JSON object (it
-	// implements expvar.Var).
-	MetricsRegistry = obs.Registry
-)
-
-// Metrics returns the process-wide registry the library records into:
-// oracle build phases under "apsp.build", snapshot save/load under
-// "snapshot", and engine pair/row/admission counters under "qe.*".
-func Metrics() *MetricsRegistry { return obs.Default }
-
 // Minimum cycle basis.
 type (
 	// MCBResult holds a minimum weight cycle basis and its accounting.
@@ -479,47 +310,17 @@ type (
 	MCBCycle = mcb.Cycle
 )
 
-// Typed errors of the MCB checked accessors (CycleChecked,
-// CyclesThroughVertexChecked, VertexSequenceChecked on MCBResult),
-// wrap-compatible with errors.Is — the cycle-space counterparts of the
-// ErrSnapshot* sentinels above.
-var (
-	// ErrMCBCycleIndex reports a cycle index outside the basis.
-	ErrMCBCycleIndex = mcb.ErrCycleIndex
-	// ErrMCBVertexRange reports a vertex ID outside the graph.
-	ErrMCBVertexRange = mcb.ErrVertexRange
-	// ErrMCBEdgeRange reports a basis element referencing an edge ID the
-	// graph does not have (only possible for externally built results).
-	ErrMCBEdgeRange = mcb.ErrEdgeRange
-	// ErrMCBNotClosedWalk reports a basis element that is not one closed
-	// walk and therefore has no vertex sequence.
-	ErrMCBNotClosedWalk = mcb.ErrNotClosedWalk
-)
-
-// MinimumCycleBasis computes an MCB with the ear reduction enabled. It is
-// a thin wrapper over MinimumCycleBasisCtx with a background context.
+// MinimumCycleBasis computes an MCB with the ear reduction enabled.
 func MinimumCycleBasis(g *Graph) (*MCBResult, error) {
-	return MinimumCycleBasisCtx(context.Background(), g)
+	return MinimumCycleBasisOptsCtx(context.Background(), g, MCBOptions{UseEar: true, Workers: par.Workers()})
 }
 
-// MinimumCycleBasisCtx computes an MCB with the ear reduction enabled,
-// honouring ctx: the pipeline checks the context between biconnected
-// components, between De Pina phases, and between the work units of each
-// parallel stage, so cancellation stops candidate shortest-path trees
-// mid-flight. On cancellation the error wraps ctx.Err() (errors.Is with
+// MinimumCycleBasisOptsCtx computes an MCB with explicit options under
+// ctx: the pipeline checks the context between biconnected components,
+// between De Pina phases, and between the work units of each parallel
+// stage, so cancellation stops candidate shortest-path trees mid-flight.
+// On cancellation the error wraps ctx.Err() (errors.Is with
 // context.Canceled / context.DeadlineExceeded).
-func MinimumCycleBasisCtx(ctx context.Context, g *Graph) (*MCBResult, error) {
-	return MinimumCycleBasisOptsCtx(ctx, g, MCBOptions{UseEar: true, Workers: par.Workers()})
-}
-
-// MinimumCycleBasisOpts computes an MCB with explicit options. It is a
-// thin wrapper over MinimumCycleBasisOptsCtx with a background context.
-func MinimumCycleBasisOpts(g *Graph, opts MCBOptions) (*MCBResult, error) {
-	return MinimumCycleBasisOptsCtx(context.Background(), g, opts)
-}
-
-// MinimumCycleBasisOptsCtx is MinimumCycleBasisOpts under ctx, with the
-// same cancellation contract as MinimumCycleBasisCtx.
 func MinimumCycleBasisOptsCtx(ctx context.Context, g *Graph, opts MCBOptions) (*MCBResult, error) {
 	if g == nil {
 		return nil, errNilGraph
@@ -534,53 +335,7 @@ func MinimumCycleBasisOptsCtx(ctx context.Context, g *Graph, opts MCBOptions) (*
 	return res, nil
 }
 
-// Generators (for experimentation and tests).
-type (
-	// RNG is the deterministic generator used by all graph generators.
-	RNG = gen.RNG
-	// GenConfig carries generator weight settings.
-	GenConfig = gen.Config
-)
-
-// NewRNG returns a deterministic random generator.
-func NewRNG(seed uint64) *RNG { return gen.NewRNG(seed) }
-
-// Betweenness centrality (the companion path-based application).
-type (
-	// BCResult holds betweenness centrality scores.
-	BCResult = bc.Result
-)
-
-// BCOptions configures betweenness centrality. The zero value is usable:
-// zero Workers selects GOMAXPROCS.
-type BCOptions struct {
-	// Workers is the per-source parallelism (0 = GOMAXPROCS).
-	Workers int
-}
-
-// BetweennessCentralityOpts computes exact weighted betweenness
-// centrality with explicit options.
-func BetweennessCentralityOpts(g *Graph, opts BCOptions) *BCResult {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = par.Workers()
-	}
-	return bc.Parallel(g, workers)
-}
-
-// BetweennessCentrality computes exact weighted betweenness centrality
-// with the given parallelism (0 = GOMAXPROCS). It is a thin wrapper over
-// BetweennessCentralityOpts, kept for existing callers.
-func BetweennessCentrality(g *Graph, workers int) *BCResult {
-	return BetweennessCentralityOpts(g, BCOptions{Workers: workers})
-}
-
 // Verification certificates.
-
-// VerifyDistances certifies a single-source distance vector against g.
-func VerifyDistances(g *Graph, source int32, dist []Weight) error {
-	return verify.Distances(g, source, dist)
-}
 
 // VerifyPath certifies that walk is a walk in g of exactly the given
 // weight.
@@ -591,9 +346,4 @@ func VerifyPath(g *Graph, walk []int32, weight Weight) error {
 // VerifyCycleBasis certifies structure and independence of an MCB result.
 func VerifyCycleBasis(g *Graph, res *MCBResult) error {
 	return verify.CycleBasis(g, res)
-}
-
-// WriteDOT renders the graph in Graphviz format.
-func WriteDOT(w io.Writer, g *Graph, showWeights bool) error {
-	return graph.WriteDOT(w, g, graph.DOTOptions{ShowWeights: showWeights})
 }
