@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/bc"
 	"repro/internal/cli"
+	"repro/internal/exp"
 	"repro/internal/hetero"
 	"repro/internal/par"
 )
@@ -32,6 +33,9 @@ func main() {
 	)
 	cli.SetUsage("bc", "[-file graph | -dataset name] [flags]")
 	flag.Parse()
+	if *top < 0 {
+		cli.BadUsage("bc", "-top %d: want a count of 0 or more", *top)
+	}
 
 	g, name, err := cli.LoadInput(*file, *dataset, *scale, *seed)
 	if err != nil {
@@ -71,7 +75,7 @@ func main() {
 		}
 		var seq float64
 		for _, c := range configs {
-			_, sched := bc.Sim(g, c.devs)
+			_, sched := exp.SimBC(g, c.devs)
 			if c.name == "sequential" {
 				seq = sched.Makespan
 			}

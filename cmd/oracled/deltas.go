@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 
 	"repro/internal/apsp"
 	"repro/internal/registry"
-	"repro/internal/snapshot"
 )
 
 // maxDeltasBody and maxDeltasPerRequest bound one /v1/deltas request.
@@ -33,11 +31,8 @@ type deltasRequest struct {
 	Deltas []deltaRecord `json:"deltas"`
 }
 
-// deltasResponse is the POST /v1/deltas result body. The two optional
-// fields omit themselves when irrelevant: MCBInvalidated only appears
-// when a basis was actually dropped, ChainDeltas only when chain
-// persistence is on (so 0 uses omitempty safely — an enabled, empty chain
-// cannot reach here, since an apply always appends at least one delta).
+// deltasResponse is the POST /v1/deltas result body. MCBInvalidated
+// omits itself unless a basis was actually dropped.
 type deltasResponse struct {
 	Applied         int  `json:"applied"`
 	TouchedBlocks   int  `json:"touched_blocks"`
@@ -46,7 +41,6 @@ type deltasResponse struct {
 	Vertices        int  `json:"vertices"`
 	Edges           int  `json:"edges"`
 	MCBInvalidated  bool `json:"mcb_invalidated,omitempty"`
-	ChainDeltas     int  `json:"chain_deltas,omitempty"`
 }
 
 func (rec *deltaRecord) decode(i int) (apsp.Delta, error) {
@@ -83,13 +77,16 @@ func (rec *deltaRecord) decode(i int) (apsp.Delta, error) {
 // script validates before anything is built — a 400 (code "bad_request")
 // means no change was applied. Concurrent /v1/distance (or /v1/path,
 // /v1/batch) requests keep answering throughout: each sees either the
-// pre-delta or the post-delta oracle, never a mix. A loaded cycle basis
-// describes the pre-delta default graph, so a successful apply against the
-// default graph invalidates it ("mcb" flips to false in /v1/healthz and
-// /v1/mcb/cycle answers 503); chain persistence likewise records only
-// the default graph's history. Named graphs mutate in memory only — the
-// snapshot file keeps the base state, so an evict/rehydrate cycle resets
-// them to it.
+// pre-delta or the post-delta oracle, never a mix. Scripts against one
+// graph apply in arrival order; scripts against different graphs do not
+// wait for each other. A loaded cycle basis describes the pre-delta
+// default graph, so a successful apply against the default graph
+// invalidates it ("mcb" flips to false in /v1/healthz and /v1/mcb/cycle
+// answers 503). With -save-snapshot, a default-graph apply rewrites the
+// file with the post-delta oracle before the swap: a 500 then means
+// nothing changed, in memory or on disk. Named graphs mutate in memory
+// only — the snapshot file keeps the base state, so an evict/rehydrate
+// cycle resets them to it.
 func (s *server) deltas(e *registry.Entry, r *http.Request) (interface{}, error) {
 	var req deltasRequest
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxDeltasBody))
@@ -111,20 +108,23 @@ func (s *server) deltas(e *registry.Entry, r *http.Request) (interface{}, error)
 		}
 	}
 
-	// One applier at a time, across all graphs: positional edge IDs make
-	// the application order part of the script's meaning, and a single
-	// total order keeps the chain file's replay semantics trivial.
-	s.deltaMu.Lock()
-	defer s.deltaMu.Unlock()
-
-	o := e.Oracle()
-	if o == nil {
+	if e.Oracle() == nil {
 		// A cluster frontend holds no local oracle to mutate; deltas in a
 		// sharded deployment mean re-planning and restarting the shards.
 		return nil, &httpError{http.StatusServiceUnavailable,
 			fmt.Errorf("deltas are not available on a cluster frontend: re-plan with cmd/shardplan and roll the shards")}
 	}
-	next, res, err := o.ApplyDelta(r.Context(), ds)
+	isDefault := e.Name() == registry.DefaultGraph
+	var save func(*apsp.Oracle) error
+	if s.savePath != "" && isDefault {
+		save = func(next *apsp.Oracle) error {
+			if err := saveOracleSnapshot(s.savePath, next); err != nil {
+				return fmt.Errorf("save snapshot %s, nothing applied: %w", s.savePath, err)
+			}
+			return nil
+		}
+	}
+	next, res, err := e.Apply(r.Context(), ds, save)
 	if err != nil {
 		if errors.Is(err, apsp.ErrBadDelta) {
 			return nil, err // 400 bad_request, nothing applied
@@ -132,11 +132,6 @@ func (s *server) deltas(e *registry.Entry, r *http.Request) (interface{}, error)
 		return nil, &httpError{http.StatusInternalServerError, err}
 	}
 
-	// Swap order matters (inside Swap): the engine's source first, then
-	// the entry's served pointers. A request racing the swap gets a
-	// consistent answer from one side or the other.
-	e.Swap(next)
-	isDefault := e.Name() == registry.DefaultGraph
 	var mcbInvalidated bool
 	if isDefault {
 		s.mu.Lock()
@@ -144,8 +139,7 @@ func (s *server) deltas(e *registry.Entry, r *http.Request) (interface{}, error)
 		s.basis = nil
 		s.mu.Unlock()
 	}
-
-	resp := deltasResponse{
+	return deltasResponse{
 		Applied:         len(ds),
 		TouchedBlocks:   res.TouchedBlocks,
 		ReusedBlocks:    res.ReusedBlocks,
@@ -153,37 +147,5 @@ func (s *server) deltas(e *registry.Entry, r *http.Request) (interface{}, error)
 		Vertices:        next.G.NumVertices(),
 		Edges:           next.G.NumEdges(),
 		MCBInvalidated:  mcbInvalidated,
-	}
-	if s.chainPath != "" && isDefault {
-		s.chainDeltas = append(s.chainDeltas, ds...)
-		if err := writeChainSnapshot(s.chainPath, s.chainBase, s.chainDeltas); err != nil {
-			// The oracle already swapped — the serve side is consistent —
-			// but durability failed; surface that loudly.
-			return nil, &httpError{http.StatusInternalServerError,
-				fmt.Errorf("deltas applied but chain snapshot failed: %w", err)}
-		}
-		resp.ChainDeltas = len(s.chainDeltas)
-	}
-	return resp, nil
-}
-
-// enableChain starts delta-chain persistence: path is rewritten after
-// every successful /v1/deltas apply as base-oracle + all deltas since, so
-// -load-snapshot of that file replays to the daemon's current head. The
-// initial write (empty chain) happens here, so the file exists — and boots
-// an identical daemon — before the first delta arrives.
-func (s *server) enableChain(path string, base *apsp.Oracle) error {
-	s.deltaMu.Lock()
-	defer s.deltaMu.Unlock()
-	s.chainPath, s.chainBase, s.chainDeltas = path, base, nil
-	return writeChainSnapshot(path, base, nil)
-}
-
-// writeChainSnapshot persists base + deltas through the durable
-// publisher: a loader never observes a torn or unsynced chain.
-func writeChainSnapshot(path string, base *apsp.Oracle, deltas []apsp.Delta) error {
-	return snapshot.WriteFile(path, func(f *os.File) error {
-		_, err := base.WriteChainTo(f, deltas)
-		return err
-	})
+	}, nil
 }

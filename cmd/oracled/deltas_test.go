@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -228,52 +230,100 @@ func TestDeltasUnderConcurrentTraffic(t *testing.T) {
 	}
 }
 
-// TestDeltaChainPersistence applies scripts over HTTP with chain saving
-// enabled and asserts -load-snapshot of the chain file boots an oracle
-// answering exactly like the live daemon.
+// TestDeltaChainPersistence drives -save-snapshot through a chain of
+// scripts: every apply rewrites the file with the post-delta oracle, so
+// the file decodes — nothing replays — to an oracle answering
+// Float64bits-equal to the live one on every pair. A save that fails
+// leaves both the served answers and the file at the pre-script state.
 func TestDeltaChainPersistence(t *testing.T) {
 	s, g, _ := testServer(t)
-	path := filepath.Join(t.TempDir(), "oracle.chain")
-	if err := s.enableChain(path, liveOracle(t, s)); err != nil {
+	dir := filepath.Join(t.TempDir(), "snaps")
+	if err := os.Mkdir(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(dir, "oracle.snap")
+	// What main does with -save-snapshot: write at boot, then per apply.
+	if err := saveOracleSnapshot(path, liveOracle(t, s)); err != nil {
+		t.Fatal(err)
+	}
+	s.savePath = path
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 
-	// The initial write exists before any delta and loads to the base.
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("chain file missing before first delta: %v", err)
-	}
-
 	e0 := g.Edge(0)
 	n := int32(g.NumVertices())
-	out := postJSON(t, ts, "/v1/deltas", fmt.Sprintf(
-		`{"deltas":[{"op":"weight","edge":0,"weight":%g},{"op":"insert","u":0,"v":%d,"weight":2}]}`,
-		float64(e0.W)+5, n), 200)
-	if out["chain_deltas"].(float64) != 2 {
-		t.Fatalf("chain_deltas = %v, want 2", out["chain_deltas"])
+	for _, body := range []string{
+		fmt.Sprintf(`{"deltas":[{"op":"weight","edge":0,"weight":%g},{"op":"insert","u":0,"v":%d,"weight":2}]}`,
+			float64(e0.W)+5, n), // grows the graph
+		`{"deltas":[{"op":"delete","edge":1}]}`,
+		fmt.Sprintf(`{"deltas":[{"op":"insert","u":1,"v":%d,"weight":1}]}`, n-1),
+	} {
+		postJSON(t, ts, "/v1/deltas", body, 200)
 	}
-	postJSON(t, ts, "/v1/deltas", `{"deltas":[{"op":"delete","edge":0}]}`, 200)
+	live := liveOracle(t, s)
+	if live.G.NumVertices() != int(n)+1 || live.G.NumEdges() != g.NumEdges()+1 {
+		t.Fatalf("live graph (%d,%d) after the scripts", live.G.NumVertices(), live.G.NumEdges())
+	}
+	sameEveryPair(t, loadFile(t, path), live)
 
+	// The save fails: its directory is gone. Nothing may change. A second
+	// link keeps the file's bytes visible; a save never writes in place.
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := filepath.Join(t.TempDir(), "kept.snap")
+	if err := os.Link(path, kept); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	env := postJSON(t, ts, "/v1/deltas", `{"deltas":[{"op":"insert","u":0,"v":1,"weight":0}]}`, 500)
+	if env["code"] != "internal" {
+		t.Fatalf("failed save: envelope %v, want code internal", env)
+	}
+	if liveOracle(t, s) != live {
+		t.Fatal("a failed save swapped the post-script oracle in")
+	}
+	if d := getJSON(t, ts, "/v1/distance?u=0&v=1", 200); d["distance"] != float64(live.Query(0, 1)) {
+		t.Fatalf("d(0,1) = %v after a failed save, want the pre-script %v", d["distance"], live.Query(0, 1))
+	}
+	after, err := os.ReadFile(kept)
+	if err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("snapshot file changed by a failed save (err %v)", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("a failed save recreated %s (stat err %v)", dir, err)
+	}
+}
+
+// loadFile decodes an oracle snapshot file.
+func loadFile(t *testing.T, path string) *apsp.Oracle {
+	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	loaded, err := apsp.ReadOracle(f)
+	o, err := apsp.ReadOracle(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := liveOracle(t, s)
-	nn := live.G.NumVertices()
-	if loaded.G.NumVertices() != nn || loaded.G.NumEdges() != live.G.NumEdges() {
-		t.Fatalf("chain loads (%d,%d), live is (%d,%d)",
-			loaded.G.NumVertices(), loaded.G.NumEdges(), nn, live.G.NumEdges())
+	return o
+}
+
+// sameEveryPair asserts got answers every pair Float64bits-equal to want.
+func sameEveryPair(t *testing.T, got, want *apsp.Oracle) {
+	t.Helper()
+	n := want.G.NumVertices()
+	if got.G.NumVertices() != n || got.G.NumEdges() != want.G.NumEdges() {
+		t.Fatalf("graph (%d,%d), want (%d,%d)", got.G.NumVertices(), got.G.NumEdges(), n, want.G.NumEdges())
 	}
-	for u := 0; u < nn; u++ {
-		for v := 0; v < nn; v++ {
-			if a, b := loaded.Query(int32(u), int32(v)), live.Query(int32(u), int32(v)); a != b {
-				t.Fatalf("d(%d,%d): chain %v vs live %v", u, v, a, b)
+	for u := int32(0); u < int32(n); u++ {
+		for v := int32(0); v < int32(n); v++ {
+			if a, b := got.Query(u, v), want.Query(u, v); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("d(%d,%d): %v, want %v", u, v, a, b)
 			}
 		}
 	}

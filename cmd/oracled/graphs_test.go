@@ -18,6 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/qe"
 	"repro/internal/registry"
+	"repro/internal/snapshot"
 )
 
 // snapDir builds a snapshot directory with one graph per name (each
@@ -250,6 +251,21 @@ func TestGraphAdminLifecycle(t *testing.T) {
 	}
 	do(http.MethodGet, "/v1/graphs/junk", nil, 404)
 
+	// A delta-chain file (a container with a "deltas" section to replay)
+	// is version skew: 400, not its stale base.
+	sw := snapshot.NewWriter()
+	chain := sw.Section("deltas")
+	chain.U32(1)
+	chain.U64(0)
+	var chainFile bytes.Buffer
+	if _, err := sw.WriteTo(&chainFile); err != nil {
+		t.Fatal(err)
+	}
+	if out := do(http.MethodPut, "/v1/graphs/chain", &chainFile, 400); !strings.Contains(out["error"].(string), "delta chain") {
+		t.Fatalf("delta-chain upload envelope: %v", out)
+	}
+	do(http.MethodGet, "/v1/graphs/chain", nil, 404)
+
 	// Replace: the ring shrinks; the route serves the new graph.
 	g2 := gen.Ring(6, gen.Config{MaxWeight: 1}, gen.NewRNG(4))
 	snap.Reset()
@@ -332,7 +348,6 @@ func TestValidateServeOpts(t *testing.T) {
 		{"snapshot-dir with load-snapshot", serveOpts{snapshotDir: "snaps", loadSnap: "o.snap"}, false},
 		{"snapshot-dir with mcb", serveOpts{snapshotDir: "snaps", withMCB: true}, false},
 		{"snapshot-dir with save-snapshot", serveOpts{snapshotDir: "snaps", saveSnap: "o.snap"}, false},
-		{"snapshot-dir with save-delta-chain", serveOpts{snapshotDir: "snaps", saveChain: "o.chain"}, false},
 	}
 	for _, tc := range cases {
 		if err := validateServeOpts(tc.o); (err == nil) != tc.ok {

@@ -1,15 +1,15 @@
 // Command oracled serves shortest-path and cycle-basis queries over HTTP
 // from a distance oracle built once at startup. It loads a graph from any
-// supported file format — including the binary .earg snapshots written by
-// graphgen, which skip parsing on restart — or generates a named dataset,
+// supported file format — including the binary .earg containers written
+// by graphgen, which skip parsing on restart — or generates a named dataset,
 // builds the ear-decomposition oracle (and, with -mcb, a minimum cycle
 // basis), and answers JSON queries until SIGTERM/SIGINT, at which point it
 // stops accepting connections and drains in-flight requests.
 //
-// Build-once/serve-many: -save-snapshot persists the built oracle (graph,
-// ear reductions, distance tables, block-cut forest, articulation table)
-// as one checksummed snapshot file, and -load-snapshot boots straight from
-// such a file — written here or by cmd/apsp -snapshot — serving the first
+// Build-once/serve-many: -save-snapshot persists the oracle (graph, BCC
+// partition, ear reductions, distance tables, articulation table) as one
+// checksummed snapshot file, and -load-snapshot boots straight from such
+// a file — written here or by cmd/apsp -snapshot — serving the first
 // query without running any build phase.
 //
 //	oracled -file snapshot.earg -addr :8080
@@ -28,9 +28,10 @@
 // The served graph is live: POST /v1/deltas applies an ordered script of
 // edge weight changes, insertions, and deletions, recomputing only the
 // affected blocks and swapping the new oracle in without dropping
-// concurrent queries. With -save-delta-chain FILE, every successful apply
-// rewrites FILE as base-oracle + delta-chain — a checksummed snapshot that
-// -load-snapshot replays back to the daemon's current state.
+// concurrent queries. With -save-snapshot FILE, every successful apply
+// rewrites FILE with the post-delta oracle before swapping it in, so
+// -load-snapshot of FILE boots the daemon's current state by decoding
+// alone — a snapshot holds state, never a script to replay.
 //
 // The API lives under /v1/ and is mounted from the internal/api route
 // table: each listed (method, path) is bound to one handler, any other
@@ -89,9 +90,8 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "dataset seed")
 		workers   = flag.Int("workers", par.Workers(), "parallel workers for the oracle build")
 		withMCB   = flag.Bool("mcb", false, "also compute a minimum cycle basis and serve /v1/mcb/cycle")
-		saveSnap  = flag.String("save-snapshot", "", "write the built oracle as a snapshot file and continue serving")
+		saveSnap  = flag.String("save-snapshot", "", "write the oracle as a snapshot file at boot and again after every /v1/deltas apply")
 		loadSnap  = flag.String("load-snapshot", "", "serve from an oracle snapshot, skipping the build entirely (replaces -file/-dataset)")
-		saveChain = flag.String("save-delta-chain", "", "persist base oracle + applied /v1/deltas scripts to this file after every apply")
 		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 		shardSnap = flag.String("shard-snapshot", "",
 			"serve one cluster shard from this shard snapshot (internal row RPC only; written by cmd/shardplan)")
@@ -114,7 +114,6 @@ func main() {
 		dataset:       *dataset,
 		loadSnap:      *loadSnap,
 		saveSnap:      *saveSnap,
-		saveChain:     *saveChain,
 		shardSnap:     *shardSnap,
 		clusterPlan:   *clusterPlan,
 		clusterShards: *clusterShards,
@@ -253,18 +252,7 @@ func main() {
 	if remote != nil {
 		s.enableCluster(remote)
 	}
-	if *saveChain != "" {
-		base, err := rg.Acquire(ctx, registry.DefaultGraph)
-		if err != nil {
-			cli.Fatalf("oracled", "delta chain: %v", err)
-		}
-		err = s.enableChain(*saveChain, base.Oracle())
-		base.Release()
-		if err != nil {
-			cli.Fatalf("oracled", "delta chain: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "oracled: delta chain persisting to %s\n", *saveChain)
-	}
+	s.savePath = *saveSnap
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -294,9 +282,9 @@ func main() {
 // serveOpts is the flag combination validateServeOpts rules on; a struct
 // rather than positional parameters so the fail-fast tests read clearly.
 type serveOpts struct {
-	snapshotDir, file, dataset, loadSnap, saveSnap, saveChain string
-	shardSnap, clusterPlan, clusterShards                     string
-	withMCB                                                   bool
+	snapshotDir, file, dataset, loadSnap, saveSnap string
+	shardSnap, clusterPlan, clusterShards          string
+	withMCB                                        bool
 }
 
 // validateServeOpts fails fast on contradictory flag combinations, before
@@ -313,8 +301,8 @@ func validateServeOpts(o serveOpts) error {
 			return fmt.Errorf("-shard-snapshot serves one shard's row RPC; the frontend flags (-cluster-plan/-cluster-shards) belong to a different daemon")
 		case o.file != "" || o.dataset != "" || o.loadSnap != "" || o.snapshotDir != "":
 			return fmt.Errorf("-shard-snapshot is the shard's only graph source; it cannot be combined with -file, -dataset, -load-snapshot, or -snapshot-dir")
-		case o.withMCB || o.saveSnap != "" || o.saveChain != "":
-			return fmt.Errorf("a shard daemon serves block rows only; -mcb, -save-snapshot, and -save-delta-chain do not apply")
+		case o.withMCB || o.saveSnap != "":
+			return fmt.Errorf("a shard daemon serves block rows only; -mcb and -save-snapshot do not apply")
 		}
 	}
 	if o.clusterPlan != "" {
@@ -323,8 +311,8 @@ func validateServeOpts(o serveOpts) error {
 			return fmt.Errorf("-cluster-plan needs -cluster-shards: one shard base URL per plan shard, comma-separated, in shard order")
 		case o.file != "" || o.dataset != "" || o.loadSnap != "" || o.snapshotDir != "":
 			return fmt.Errorf("-cluster-plan serves rows from the shard daemons; it cannot be combined with -file, -dataset, -load-snapshot, or -snapshot-dir")
-		case o.withMCB || o.saveSnap != "" || o.saveChain != "":
-			return fmt.Errorf("a cluster frontend holds no local oracle; -mcb, -save-snapshot, and -save-delta-chain do not apply")
+		case o.withMCB || o.saveSnap != "":
+			return fmt.Errorf("a cluster frontend holds no local oracle; -mcb and -save-snapshot do not apply")
 		}
 	} else if o.clusterShards != "" {
 		return fmt.Errorf("-cluster-shards without -cluster-plan: the shard list is meaningless without the plan manifest")
@@ -339,9 +327,7 @@ func validateServeOpts(o serveOpts) error {
 		case o.withMCB:
 			return fmt.Errorf("-mcb builds a basis for the single default graph; it cannot be combined with -snapshot-dir")
 		case o.saveSnap != "":
-			return fmt.Errorf("-save-snapshot persists the single built oracle; it cannot be combined with -snapshot-dir")
-		case o.saveChain != "":
-			return fmt.Errorf("-save-delta-chain records the default graph's history; it cannot be combined with -snapshot-dir")
+			return fmt.Errorf("-save-snapshot persists the single default graph; it cannot be combined with -snapshot-dir")
 		}
 	}
 	if o.withMCB && o.loadSnap == "" && o.file == "" && o.dataset == "" {

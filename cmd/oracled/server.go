@@ -59,15 +59,9 @@ type server struct {
 	mu    sync.RWMutex
 	basis *mcb.Result
 
-	// deltaMu serialises /deltas appliers so scripts apply in a total
-	// order (positional edge IDs make concurrent application ambiguous).
-	// One lock across all graphs: applies are rare and heavy, and a
-	// process-wide order keeps the chain file's semantics trivial. It
-	// also guards the chain state below.
-	deltaMu     sync.Mutex
-	chainPath   string       // when set, every default-graph apply rewrites this chain snapshot
-	chainBase   *apsp.Oracle // the oracle the chain's deltas replay onto
-	chainDeltas []apsp.Delta // all deltas applied since chainBase
+	// savePath is -save-snapshot's file: written at boot, then rewritten
+	// with the post-delta oracle before every default-graph apply swaps in.
+	savePath string
 
 	reg *obs.Registry
 	mux *http.ServeMux

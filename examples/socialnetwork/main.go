@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/bc"
+	"repro/internal/exp"
 	"repro/internal/gen"
 	"repro/internal/hetero"
 )
@@ -46,7 +47,7 @@ func main() {
 	}
 	var seq float64
 	for _, c := range configs {
-		_, sched := bc.Sim(g, c.devs)
+		_, sched := exp.SimBC(g, c.devs)
 		if c.name == "sequential" {
 			seq = sched.Makespan
 		}

@@ -106,7 +106,7 @@ func TestIntegrationBCImplementationsAgree(t *testing.T) {
 	g := integrationGraph(t, "cond_mat_2003")
 	seq := bc.Parallel(g, 1)
 	dec := bc.Decomposed(g, 2)
-	sim, _ := bc.Sim(g, []*hetero.Device{hetero.TeslaK40c()})
+	sim, _ := exp.SimBC(g, []*hetero.Device{hetero.TeslaK40c()})
 	for v := range seq.Scores {
 		for name, other := range map[string]float64{"decomposed": dec.Scores[v], "sim": sim.Scores[v]} {
 			diff := seq.Scores[v] - other

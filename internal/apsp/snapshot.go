@@ -57,17 +57,18 @@ const (
 	tableKindF32 = 1
 )
 
-// WriteTo serialises the oracle as a snapshot container, implementing
-// io.WriterTo. It records the time spent under obs.Default's "snapshot"
-// phases ("save") and bumps the snapshot.saves counter.
-func (o *Oracle) WriteTo(w io.Writer) (int64, error) {
-	return o.writeSnapshot(w, nil, deltaChainFormatVersion)
-}
+// chainSection names the section older builds appended to a base oracle
+// to record the deltas applied since; a loader had to replay them. A
+// post-delta oracle is now written whole, so ReadOracle refuses a file
+// with this section rather than silently serving its stale base.
+const chainSection = "deltas"
 
-// writeSnapshot writes the base oracle sections plus, when deltas are
-// present, the delta-chain section (see deltachain.go). The chain format
-// version is a parameter so tests can exercise skew handling.
-func (o *Oracle) writeSnapshot(w io.Writer, deltas []Delta, chainVersion uint32) (int64, error) {
+// WriteTo serialises the oracle as a snapshot container, implementing
+// io.WriterTo. A post-delta oracle writes the same way as a built one:
+// the file holds the current state, and loading it replays nothing. It
+// records the time spent under obs.Default's "snapshot" phases ("save")
+// and bumps the snapshot.saves counter.
+func (o *Oracle) WriteTo(w io.Writer) (int64, error) {
 	t0 := time.Now()
 	sw := snapshot.NewWriter()
 
@@ -96,10 +97,6 @@ func (o *Oracle) writeSnapshot(w io.Writer, deltas []Delta, chainVersion uint32)
 	}
 
 	EncodeTable(sw.Section("aptable"), o.compact, o.A, o.a32)
-
-	if len(deltas) > 0 {
-		encodeDeltaSection(sw.Section(deltaSection), chainVersion, deltas)
-	}
 
 	n, err := sw.WriteTo(w)
 	if err == nil {
@@ -130,6 +127,10 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 	sr, err := snapshot.NewReader(r)
 	if err != nil {
 		return nil, err
+	}
+	if sr.Has(chainSection) {
+		return nil, fmt.Errorf("apsp: snapshot holds a delta chain to replay; this build loads current state only: %w",
+			snapshot.ErrVersionSkew)
 	}
 
 	md, err := sr.Section("meta")
@@ -192,11 +193,6 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 		return nil, err
 	}
 	if err := ad.Finish(); err != nil {
-		return nil, err
-	}
-	// A delta-chain snapshot replays its ordered records on top of the
-	// base oracle, restoring the post-delta state (see deltachain.go).
-	if o, err = o.replayChain(sr); err != nil {
 		return nil, err
 	}
 

@@ -140,7 +140,7 @@ func TestSnapshotCorruptionTyped(t *testing.T) {
 	}
 }
 
-// sealOracle hand-writes an oracle snapshot the way writeSnapshot does,
+// sealOracle hand-writes an oracle snapshot the way WriteTo does,
 // except for the meta flags word, the aptable payload, any extra sections
 // and (when decomp is non-nil) the bcc payload, which the caller supplies —
 // the hostile seeds of FuzzReadOracle are checksum-valid containers a real
@@ -275,14 +275,11 @@ func FuzzReadOracle(f *testing.F) {
 		}
 	}
 	o := NewOracle(chain)
-	var cbuf bytes.Buffer
-	if _, err := o.WriteChainTo(&cbuf, []Delta{
-		{Kind: DeltaWeight, Edge: 1, W: 0.5},
-		{Kind: DeltaInsert, U: 0, V: int32(chain.NumVertices() - 1), W: 2},
-	}); err != nil {
-		f.Fatal(err)
+	old := chainFile(f, o)
+	if _, err := ReadOracle(bytes.NewReader(old)); !errors.Is(err, snapshot.ErrVersionSkew) {
+		f.Fatalf("delta-chain seed: err = %v, want ErrVersionSkew", err)
 	}
-	f.Add(cbuf.Bytes())
+	f.Add(old)
 	f.Add([]byte(snapshot.Magic))
 
 	for _, h := range hostileSnapshots(f, o) {

@@ -164,6 +164,16 @@ func (st *state) source(g *graph.Graph, s int32, acc []float64) int64 {
 
 const inf = graph.Weight(math.MaxFloat64)
 
+// Accumulator returns the single-source Brandes pass over g, for a caller
+// that schedules the sources itself: each call runs the weighted forward
+// and dependency phases from s, adds the dependencies into acc and
+// returns the forward phase's relaxations. The calls share one scratch
+// state, so they must not run concurrently.
+func Accumulator(g *graph.Graph, acc []float64) func(s int32) int64 {
+	st := newState(g.NumVertices())
+	return func(s int32) int64 { return st.source(g, s, acc) }
+}
+
 // Parallel computes exact betweenness centrality with the given number of
 // goroutine workers, one Brandes source per work item. Unit-weight graphs
 // automatically take the BFS forward phase instead of Dijkstra.
@@ -198,12 +208,10 @@ func Parallel(g *graph.Graph, workers int) *Result {
 }
 
 // TopK returns the k vertices with the highest centrality, ties broken by
-// vertex ID, without sorting the full score vector.
+// vertex ID, without sorting the full score vector; k < 0 returns none.
 func (r *Result) TopK(k int) []int32 {
 	n := len(r.Scores)
-	if k > n {
-		k = n
-	}
+	k = min(max(k, 0), n)
 	out := make([]int32, 0, k)
 	used := make([]bool, n)
 	for len(out) < k {

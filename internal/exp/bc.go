@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/bc"
 	"repro/internal/datasets"
+	"repro/internal/graph"
+	"repro/internal/hetero"
 	"repro/internal/mcb"
 )
 
@@ -28,12 +30,30 @@ func RunBC(specs []datasets.Spec, scale float64, seed uint64) []BCRow {
 		g := spec.Generate(scale, seed)
 		row := BCRow{Name: spec.Name, V: g.NumVertices(), E: g.NumEdges(), Sim: map[mcb.Platform]float64{}}
 		for _, p := range platforms {
-			_, sched := bc.Sim(g, p.Devices())
+			_, sched := SimBC(g, p.Devices())
 			row.Sim[p] = sched.Makespan
 		}
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// SimBC computes betweenness centrality under the simulated heterogeneous
+// platform: one work-unit per source, big sources (by degree) toward the
+// GPU end of the deque. It returns the result and the virtual schedule.
+func SimBC(g *graph.Graph, devices []*hetero.Device) (*bc.Result, *hetero.Schedule) {
+	n := g.NumVertices()
+	res := &bc.Result{Scores: make([]float64, n)}
+	pass := bc.Accumulator(g, res.Scores)
+	units := make([]hetero.Unit, n)
+	for s := 0; s < n; s++ {
+		units[s] = hetero.Unit{ID: int32(s), Size: int64(g.Degree(int32(s)))}
+	}
+	sched := hetero.Run(units, devices, func(u hetero.Unit, d *hetero.Device) hetero.Cost {
+		return hetero.Cost{Ops: pass(u.ID), Launches: 1}
+	})
+	res.Relaxations = sched.TotalOps
+	return res, sched
 }
 
 // WriteBC renders the extension experiment.

@@ -2,12 +2,33 @@ package exp
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/bc"
 	"repro/internal/datasets"
 	"repro/internal/gen"
+	"repro/internal/hetero"
 )
+
+// TestSimBCMatchesSequential: the simulated platform schedules the
+// sources, it does not change the scores.
+func TestSimBCMatchesSequential(t *testing.T) {
+	cfg := gen.Config{MaxWeight: 5}
+	rng := gen.NewRNG(22)
+	g := gen.GNM(50, 110, cfg, rng)
+	seq := bc.Parallel(g, 1)
+	sim, sched := SimBC(g, []*hetero.Device{hetero.MulticoreCPU(), hetero.TeslaK40c()})
+	if sched.Makespan <= 0 {
+		t.Fatal("no virtual time")
+	}
+	for v := range seq.Scores {
+		if a, b := seq.Scores[v], sim.Scores[v]; math.Abs(a-b) > 1e-9*(1+math.Abs(a)+math.Abs(b)) {
+			t.Fatalf("sim BC differs at %d: %v vs %v", v, b, a)
+		}
+	}
+}
 
 func TestAnalyzeStructure(t *testing.T) {
 	cfg := gen.Config{MaxWeight: 5}

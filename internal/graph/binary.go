@@ -1,96 +1,47 @@
 package graph
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
 	"io"
 	"math"
 
 	"repro/internal/snapshot"
 )
 
-// Binary snapshot format for large generated graphs: a fixed header plus
-// the raw edge array, little-endian. Loading a snapshot skips both text
-// parsing and generator re-execution, which matters when the benchmark
-// harness replays the same dataset many times.
-//
-// Layout: magic "EARG" | uint32 version | uint64 n | uint64 m |
-// m × (int32 u, int32 v, float64 w).
+// A .earg file is a snapshot container holding one "graph" section, the
+// same encoding oracle snapshots embed: loading a generated graph skips
+// text parsing and generator re-execution, with the container's CRC-64
+// and a decoder that sizes the edge array by the bytes actually present.
+const binarySection = "graph"
 
-const (
-	binaryMagic   = "EARG"
-	binaryVersion = 1
-)
-
-// WriteBinary serialises g.
+// WriteBinary serialises g as a .earg container.
 func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	hdr := make([]byte, 4+8+8)
-	binary.LittleEndian.PutUint32(hdr[0:], binaryVersion)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(g.NumVertices()))
-	binary.LittleEndian.PutUint64(hdr[12:], uint64(g.NumEdges()))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	rec := make([]byte, 4+4+8)
-	for _, e := range g.Edges() {
-		binary.LittleEndian.PutUint32(rec[0:], uint32(e.U))
-		binary.LittleEndian.PutUint32(rec[4:], uint32(e.V))
-		binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(e.W))
-		if _, err := bw.Write(rec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	sw := snapshot.NewWriter()
+	g.EncodeSnapshot(sw.Section(binarySection))
+	_, err := sw.WriteTo(w)
+	return err
 }
 
-// ReadBinary deserialises a snapshot written by WriteBinary.
+// ReadBinary deserialises a .earg container written by WriteBinary. Every
+// failure wraps one of snapshot's sentinels; a file in the retired
+// hand-rolled "EARG" layout is snapshot.ErrBadMagic (regenerate it with
+// cmd/graphgen).
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: binary header: %w", err)
+	sr, err := snapshot.NewReader(r)
+	if err != nil {
+		return nil, err
 	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("graph: not a binary graph snapshot (magic %q)", magic)
+	d, err := sr.Section(binarySection)
+	if err != nil {
+		return nil, err
 	}
-	hdr := make([]byte, 4+8+8)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("graph: binary header: %w", err)
+	g, err := DecodeSnapshot(d)
+	if err != nil {
+		return nil, err
 	}
-	if v := binary.LittleEndian.Uint32(hdr[0:]); v != binaryVersion {
-		return nil, fmt.Errorf("graph: unsupported snapshot version %d", v)
-	}
-	n := binary.LittleEndian.Uint64(hdr[4:])
-	m := binary.LittleEndian.Uint64(hdr[12:])
-	if n > 1<<31 || m > 1<<31 {
-		return nil, fmt.Errorf("graph: snapshot too large (n=%d m=%d)", n, m)
-	}
-	edges := make([]Edge, m)
-	rec := make([]byte, 16)
-	for i := range edges {
-		if _, err := io.ReadFull(br, rec); err != nil {
-			return nil, fmt.Errorf("graph: edge %d: %w", i, err)
-		}
-		u := int32(binary.LittleEndian.Uint32(rec[0:]))
-		v := int32(binary.LittleEndian.Uint32(rec[4:]))
-		w := math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
-		if u < 0 || uint64(u) >= n || v < 0 || uint64(v) >= n {
-			return nil, fmt.Errorf("graph: edge %d endpoints out of range", i)
-		}
-		if w < 0 || math.IsNaN(w) {
-			return nil, fmt.Errorf("graph: edge %d has invalid weight %v", i, w)
-		}
-		edges[i] = Edge{U: u, V: v, W: w}
-	}
-	return FromEdges(int(n), edges), nil
+	return g, d.Finish()
 }
 
-// EncodeSnapshot appends the graph to an oracle-snapshot section: vertex
+// EncodeSnapshot appends the graph to a snapshot section: vertex
 // count, edge count, then the raw edge array. The CSR adjacency is not
 // stored; FromEdges rebuilds it deterministically on decode.
 func (g *Graph) EncodeSnapshot(e *snapshot.Encoder) {

@@ -2,10 +2,15 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/snapshot"
 )
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -62,25 +67,103 @@ func TestLoadFileEdgeList(t *testing.T) {
 	}
 }
 
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("nope")); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	if _, err := ReadBinary(strings.NewReader("EARG")); err == nil {
-		t.Fatal("truncated header accepted")
-	}
-	// corrupt an edge endpoint
-	g := triangleWithTail()
+// oldEARGHeader is the 24-byte header of the retired hand-rolled layout
+// ("EARG", version 1, n, m), whose reader allocated m×16 bytes before it
+// read a single edge.
+func oldEARGHeader(n, m uint64) []byte {
+	b := append([]byte("EARG"), 1, 0, 0, 0)
+	b = binary.LittleEndian.AppendUint64(b, n)
+	return binary.LittleEndian.AppendUint64(b, m)
+}
+
+// sealGraph wraps a hand-written graph section in a checksum-valid
+// container.
+func sealGraph(t testing.TB, section func(*snapshot.Encoder)) []byte {
+	t.Helper()
+	sw := snapshot.NewWriter()
+	section(sw.Section(binarySection))
 	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
+	if _, err := sw.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	data[len(data)-16] = 0xFF // u of the last edge becomes huge/negative
-	data[len(data)-15] = 0xFF
-	data[len(data)-14] = 0xFF
-	data[len(data)-13] = 0x7F
-	if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
-		t.Fatal("out-of-range endpoint accepted")
+	return buf.Bytes()
+}
+
+func TestBinaryRejectsGarbage(t *testing.T) {
+	for _, bad := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"foreign bytes", []byte("nope"), snapshot.ErrBadMagic},
+		{"old layout", oldEARGHeader(3, 1<<31), snapshot.ErrBadMagic},
+		{"endpoint out of range", sealGraph(t, func(e *snapshot.Encoder) {
+			e.U64(2)
+			e.U64(1)
+			e.I32(0)
+			e.I32(5)
+			e.F64(1)
+		}), snapshot.ErrCorrupt},
+		{"edge count beyond the bytes", sealGraph(t, func(e *snapshot.Encoder) {
+			e.U64(2)
+			e.U64(1 << 31)
+		}), snapshot.ErrCorrupt},
+		{"bytes after the edges", sealGraph(t, func(e *snapshot.Encoder) {
+			triangleWithTail().EncodeSnapshot(e)
+			e.U32(0)
+		}), snapshot.ErrCorrupt},
+	} {
+		if _, err := ReadBinary(bytes.NewReader(bad.data)); !errors.Is(err, bad.want) {
+			t.Errorf("%s: err = %v, want %v", bad.name, err, bad.want)
+		}
 	}
+	if _, err := ReadBinary(strings.NewReader("EARSNAPS")); !errors.Is(err, snapshot.ErrCorrupt) {
+		t.Errorf("truncated header: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// FuzzReadBinary: a .earg read is rejected with a snapshot sentinel, or
+// yields a graph that writes and reads back bit for bit.
+func FuzzReadBinary(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, triangleWithTail()); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	for _, cut := range []int{0, 8, 16, len(valid) / 2, len(valid) - 1} {
+		f.Add(valid[:cut])
+	}
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)-3] ^= 0x10
+	f.Add(flipped)
+	f.Add(oldEARGHeader(5, 1<<31))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, snapshot.ErrCorrupt) && !errors.Is(err, snapshot.ErrChecksum) &&
+				!errors.Is(err, snapshot.ErrBadMagic) && !errors.Is(err, snapshot.ErrVersionSkew) {
+				t.Fatalf("untyped error %v", err)
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteBinary(&out, g); err != nil {
+			t.Fatal(err)
+		}
+		h, err := ReadBinary(&out)
+		if err != nil {
+			t.Fatalf("re-read of an accepted graph: %v", err)
+		}
+		if g.NumVertices() != h.NumVertices() || g.NumEdges() != h.NumEdges() {
+			t.Fatalf("shape changed: n=%d m=%d → n=%d m=%d", g.NumVertices(), g.NumEdges(), h.NumVertices(), h.NumEdges())
+		}
+		for i := int32(0); i < int32(g.NumEdges()); i++ {
+			a, b := g.Edge(i), h.Edge(i)
+			if a.U != b.U || a.V != b.V || math.Float64bits(a.W) != math.Float64bits(b.W) {
+				t.Fatalf("edge %d changed: %+v → %+v", i, a, b)
+			}
+		}
+	})
 }

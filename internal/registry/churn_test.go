@@ -78,15 +78,14 @@ func TestChurnUnderRace(t *testing.T) {
 				fail <- fmt.Errorf("mutator acquire: %w", err)
 				return
 			}
-			next, _, err := e.Oracle().ApplyDelta(ctx, []apsp.Delta{
+			_, _, err = e.Apply(ctx, []apsp.Delta{
 				{Kind: apsp.DeltaWeight, Edge: 0, W: 1 + graph.Weight(i%3)},
-			})
+			}, nil)
 			if err != nil {
 				fail <- fmt.Errorf("mutator delta %d: %w", i, err)
 				e.Release()
 				return
 			}
-			e.Swap(next)
 			e.Release()
 		}
 	}()

@@ -3,6 +3,7 @@ package registry
 import (
 	"container/list"
 	"context"
+	"sync"
 	"time"
 
 	"repro/internal/apsp"
@@ -31,7 +32,7 @@ type Entry struct {
 	err   error
 
 	// engine and sub are immutable once ready; g and oracle can be
-	// swapped later by Swap (deltas) and are guarded by reg.mu. Remote
+	// swapped later by Apply (deltas) and are guarded by reg.mu. Remote
 	// entries (AddRemote) have nil g/oracle and carry the cluster plan's
 	// vertex count in vertices for List/Info reporting.
 	g        *graph.Graph
@@ -39,6 +40,9 @@ type Entry struct {
 	engine   *qe.Engine
 	sub      *obs.Registry
 	vertices int
+
+	// applyMu serialises Apply: one delta applier per graph.
+	applyMu sync.Mutex
 
 	// Lifecycle accounting, guarded by reg.mu. refs counts Acquire minus
 	// Release; retired means the entry has left the registry's table
@@ -53,14 +57,14 @@ type Entry struct {
 // Name returns the graph's registry name.
 func (e *Entry) Name() string { return e.name }
 
-// Graph returns the entry's current graph (post-delta if Swap ran).
+// Graph returns the entry's current graph (post-delta if Apply ran).
 func (e *Entry) Graph() *graph.Graph {
 	e.reg.mu.Lock()
 	defer e.reg.mu.Unlock()
 	return e.g
 }
 
-// Oracle returns the entry's current oracle (post-delta if Swap ran).
+// Oracle returns the entry's current oracle (post-delta if Apply ran).
 func (e *Entry) Oracle() *apsp.Oracle {
 	e.reg.mu.Lock()
 	defer e.reg.mu.Unlock()
@@ -72,16 +76,34 @@ func (e *Entry) Oracle() *apsp.Oracle {
 // engine), so no lock is needed: hydration wrote it before ready closed.
 func (e *Entry) Engine() *qe.Engine { return e.engine }
 
-// Swap installs a post-delta oracle: the engine's source first, then the
-// entry's graph/oracle pointers. Callers serialise their own delta
-// application; Swap only makes the installed state consistent for
-// concurrent readers.
-func (e *Entry) Swap(next *apsp.Oracle) {
+// Apply runs one delta script against the entry's oracle: it applies ds,
+// hands the result to save when save is non-nil, and only then swaps it
+// in — the engine's source first, then the entry's graph/oracle pointers,
+// so a concurrent reader sees the pre- or post-delta oracle, never a mix.
+// A failed apply or save leaves the entry serving what it served before.
+// Positional edge IDs make the order of scripts part of their meaning, so
+// one graph's appliers queue on the entry's own lock; appliers of
+// different graphs never wait for each other. save runs under that lock,
+// so saved files follow the same order; it must not call Apply on the
+// entry. The entry must hold a local oracle (not an AddRemote entry).
+func (e *Entry) Apply(ctx context.Context, ds []apsp.Delta, save func(*apsp.Oracle) error) (*apsp.Oracle, *apsp.DeltaResult, error) {
+	e.applyMu.Lock()
+	defer e.applyMu.Unlock()
+	next, res, err := e.Oracle().ApplyDelta(ctx, ds)
+	if err != nil {
+		return nil, nil, err
+	}
+	if save != nil {
+		if err := save(next); err != nil {
+			return nil, nil, err
+		}
+	}
 	e.engine.SwapSource(next)
 	e.reg.mu.Lock()
 	e.oracle = next
 	e.g = next.G
 	e.reg.mu.Unlock()
+	return next, res, nil
 }
 
 // Release returns the reference Acquire handed out. When the entry has

@@ -670,18 +670,116 @@ func TestSwapAppliesDeltas(t *testing.T) {
 	if d, _ := e.Engine().Query(ctx, 0, 8); d != 8 {
 		t.Fatalf("pre-delta d(0,8) = %v, want 8", d)
 	}
-	next, _, err := e.Oracle().ApplyDelta(ctx, []apsp.Delta{{Kind: apsp.DeltaInsert, U: 0, V: 8, W: 1}})
+	next, _, err := e.Apply(ctx, []apsp.Delta{{Kind: apsp.DeltaInsert, U: 0, V: 8, W: 1}}, nil)
 	if err != nil {
 		t.Fatalf("apply delta: %v", err)
 	}
-	e.Swap(next)
 	if d, _ := e.Engine().Query(ctx, 0, 8); d != 1 {
 		t.Fatalf("post-delta d(0,8) = %v, want 1", d)
 	}
 	if e.Oracle() != next || e.Graph() != next.G {
-		t.Fatalf("Swap did not install the new oracle")
+		t.Fatalf("Apply did not install the new oracle")
 	}
 	if info, _ := r.Info("ring"); info.Edges != next.G.NumEdges() {
 		t.Fatalf("Info edges = %d, want %d", info.Edges, next.G.NumEdges())
+	}
+}
+
+// TestApplySaveFailureKeepsEntry: a save that fails after the script
+// applied leaves the entry serving the pre-script oracle.
+func TestApplySaveFailureKeepsEntry(t *testing.T) {
+	dir := t.TempDir()
+	writeSnap(t, dir, "ring", gen.Ring(16, gen.Config{MaxWeight: 1}, gen.NewRNG(1)))
+	r, _ := openTest(t, dir, 4)
+	ctx := context.Background()
+	e, err := r.Acquire(ctx, "ring")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Release()
+	before := e.Oracle()
+	boom := errors.New("disk full")
+	_, _, err = e.Apply(ctx, []apsp.Delta{{Kind: apsp.DeltaInsert, U: 0, V: 8, W: 1}},
+		func(*apsp.Oracle) error { return boom })
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the save's error", err)
+	}
+	if e.Oracle() != before {
+		t.Fatal("a failed save swapped the oracle in")
+	}
+	if d, _ := e.Engine().Query(ctx, 0, 8); d != 8 {
+		t.Fatalf("d(0,8) = %v after a failed save, want the pre-script 8", d)
+	}
+}
+
+// TestApplyIsPerGraph holds graph a's applier inside its save and checks
+// that a delta on b still completes, while a second script on a waits
+// for the first and then applies on top of it.
+func TestApplyIsPerGraph(t *testing.T) {
+	dir := t.TempDir()
+	ring := gen.Ring(16, gen.Config{MaxWeight: 1}, gen.NewRNG(1))
+	writeSnap(t, dir, "a", ring)
+	writeSnap(t, dir, "b", ring)
+	r, _ := openTest(t, dir, 4)
+	ctx := context.Background()
+	a, err := r.Acquire(ctx, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Release()
+	b, err := r.Acquire(ctx, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Release()
+
+	inSave, release := make(chan struct{}), make(chan struct{})
+	first := make(chan error, 1)
+	go func() {
+		_, _, err := a.Apply(ctx, []apsp.Delta{{Kind: apsp.DeltaInsert, U: 0, V: 8, W: 1}},
+			func(*apsp.Oracle) error { close(inSave); <-release; return nil })
+		first <- err
+	}()
+	<-inSave
+	second := make(chan error, 1)
+	go func() {
+		_, _, err := a.Apply(ctx, []apsp.Delta{{Kind: apsp.DeltaWeight, Edge: 16, W: 3}}, nil)
+		second <- err
+	}()
+
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := b.Apply(ctx, []apsp.Delta{{Kind: apsp.DeltaInsert, U: 0, V: 4, W: 1}}, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("delta on b: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("a delta on b waited for a's applier")
+	}
+	if d, _ := b.Engine().Query(ctx, 0, 4); d != 1 {
+		t.Fatalf("b: d(0,4) = %v, want 1", d)
+	}
+	select {
+	case err := <-second:
+		t.Fatalf("a's second script ran while the first held the applier (err %v)", err)
+	default:
+	}
+
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	// Edge 16 is the chord the first script inserted: the second script
+	// applies to the post-first oracle, never beside it.
+	if err := <-second; err != nil {
+		t.Fatal(err)
+	}
+	if d, _ := a.Engine().Query(ctx, 0, 8); d != 3 {
+		t.Fatalf("a: d(0,8) = %v, want the reweighted chord's 3", d)
 	}
 }

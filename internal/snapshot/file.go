@@ -6,7 +6,7 @@ import (
 )
 
 // WriteFile publishes path durably and atomically, the one way every
-// snapshot, chain, manifest and checkpoint file in the repo reaches disk.
+// snapshot, manifest and checkpoint file in the repo reaches disk.
 // write fills a temporary file created in path's own directory (so the
 // rename never crosses a filesystem); the file is then fsynced, closed and
 // renamed over path, and the directory is synced best-effort so the

@@ -1,8 +1,10 @@
-// Package snapshot implements the versioned binary container format that
-// persists built oracles to disk, separating the expensive build phase
-// (ear contraction, per-BCC Dijkstra sweeps, the articulation table) from
-// serving: a CI or offline job writes the snapshot once, and every daemon
-// restart loads it back with zero recomputation.
+// Package snapshot implements the versioned binary container format
+// behind every binary file the system writes: oracle and shard snapshots,
+// .earg graphs, shard plans and job checkpoints. For oracles it separates
+// the expensive build phase (ear contraction, per-BCC Dijkstra sweeps, the
+// articulation table) from serving: a CI or offline job writes the
+// snapshot once, and every daemon restart loads it back with zero
+// recomputation.
 //
 // The container is deliberately dumb — it knows nothing about oracles. A
 // file is
@@ -38,7 +40,7 @@ import (
 )
 
 const (
-	// Magic identifies an oracle snapshot file. It never changes.
+	// Magic identifies a snapshot container. It never changes.
 	Magic = "EARSNAPS"
 	// Version is the container format version. It bumps only when the
 	// container layout itself (header, table, primitive encoding)
@@ -249,9 +251,6 @@ type Encoder struct{ b []byte }
 // Len returns the number of bytes encoded so far.
 func (e *Encoder) Len() int { return len(e.b) }
 
-// U8 appends a single byte (compact enum tags, e.g. delta kinds).
-func (e *Encoder) U8(v uint8) { e.b = append(e.b, v) }
-
 // U32 appends a uint32.
 func (e *Encoder) U32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
 
@@ -369,15 +368,6 @@ func (d *Decoder) take(n int, what string) []byte {
 	out := d.b[:n]
 	d.b = d.b[n:]
 	return out
-}
-
-// U8 reads a single byte.
-func (d *Decoder) U8() uint8 {
-	b := d.take(1, "uint8")
-	if b == nil {
-		return 0
-	}
-	return b[0]
 }
 
 // U32 reads a uint32.

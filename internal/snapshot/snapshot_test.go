@@ -162,7 +162,7 @@ func TestBoolsCountOverflow(t *testing.T) {
 	for _, n := range []uint64{^uint64(0), ^uint64(0) - 6, 1 << 63, 9} {
 		e := &Encoder{}
 		e.U64(n)
-		e.U8(0xff)
+		e.b = append(e.b, 0xff)
 		d := &Decoder{b: e.b}
 		if got := d.Bools(); got != nil {
 			t.Errorf("count %d: Bools returned %d flags", n, len(got))
@@ -174,7 +174,7 @@ func TestBoolsCountOverflow(t *testing.T) {
 	// The largest count one byte does hold still decodes.
 	e := &Encoder{}
 	e.U64(8)
-	e.U8(0x81)
+	e.b = append(e.b, 0x81)
 	d := &Decoder{b: e.b}
 	got := d.Bools()
 	if err := d.Finish(); err != nil || len(got) != 8 || !got[0] || got[1] || !got[7] {
@@ -295,47 +295,6 @@ func TestWriteToGrowableDestination(t *testing.T) {
 type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-func TestU8RoundTrip(t *testing.T) {
-	w := NewWriter()
-	s := w.Section("bytes")
-	s.U8(0)
-	s.U8(2)
-	s.U8(255)
-	s.U32(9)
-	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := r.Section("bytes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []uint8{0, 2, 255} {
-		if got := d.U8(); got != want {
-			t.Fatalf("U8 = %d, want %d", got, want)
-		}
-	}
-	if got := d.U32(); got != 9 {
-		t.Fatalf("U32 after U8s = %d", got)
-	}
-	if err := d.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	// Reading past the end is a sticky typed error, not a panic.
-	d2, _ := r.Section("bytes")
-	for i := 0; i < 8; i++ {
-		d2.U8()
-	}
-	d2.U8()
-	if !errors.Is(d2.Err(), ErrCorrupt) {
-		t.Fatalf("overread err = %v, want ErrCorrupt", d2.Err())
-	}
-}
 
 // TestF32RoundTrip covers the compact-table primitives: exact bit
 // round-trip including the infinities the float32 distance tables use as

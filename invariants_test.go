@@ -80,7 +80,7 @@ func TestTreeInvariants(t *testing.T) {
 			"cmd/bc/main.go",
 			"examples/heterosim/main.go",
 			"examples/socialnetwork/main.go",
-			"internal/bc/sim.go",
+			"internal/exp/bc.go",
 			"internal/mcb/price.go",
 		}
 		var got []string
@@ -92,6 +92,16 @@ func TestTreeInvariants(t *testing.T) {
 		sort.Strings(got)
 		if strings.Join(got, " ") != strings.Join(want, " ") {
 			t.Errorf("non-test files importing internal/hetero:\n got  %v\n want %v", got, want)
+		}
+	})
+
+	// One binary layout: every file the system writes is a snapshot
+	// container, so internal/snapshot is the one codec of raw bytes.
+	t.Run("one binary codec", func(t *testing.T) {
+		for path, f := range files {
+			if !isTest(path) && imports(f, "encoding/binary") && !strings.HasPrefix(path, "internal/snapshot/") {
+				t.Errorf("%s imports encoding/binary: encode through internal/snapshot", path)
+			}
 		}
 	})
 
@@ -185,7 +195,8 @@ func TestTreeInvariants(t *testing.T) {
 	// Names deleted because nothing ran them, or because a second copy of
 	// a mechanism went (one block-cut navigation, one batch scheduler, one
 	// mux maker, one oracle assembly, one forest walk, one phase loop, the
-	// oracle's tables as the only resident rows, exports with no caller)
+	// oracle's tables as the only resident rows, exports with no caller, a
+	// snapshot as state rather than a script to replay)
 	// must not come back under the same name: a caller that needs one
 	// should say why first. A name too common to ban bare is matched where
 	// it would be used instead: as a selector or a call, or, for a facade
@@ -214,18 +225,19 @@ func TestTreeInvariants(t *testing.T) {
 			"ComputeStats", "LargestComponent", "SaveBinary", "LoadBinary", "ParentToLocal", "IsBiconnected", "RunOn",
 			"CyclesThroughEdge", "CyclesThroughVertex", "CyclesThroughVertexChecked", "VerifyFVS", "CutEdges", "NumAPs",
 			"Materialize", "Dense", "Pendant", "CopyFrom",
+			"WriteChainTo", "replayChain", "writeChainSnapshot",
 		} {
 			deleted[name] = true
 		}
 		goneSelectors := map[string]bool{"qe.Sizer": true, "api.Patterns": true, "registry.Limits": true,
-			"bc.Sequential": true, "verify.Distances": true, "graph.Stats": true, "partition.Sizes": true, "mcb.ErrVertexRange": true}
+			"bc.Sequential": true, "bc.Sim": true, "verify.Distances": true, "graph.Stats": true, "partition.Sizes": true, "mcb.ErrVertexRange": true}
 		// Facade names whose internal namesakes stay: banned in repro.go only.
 		goneFacade := map[string]bool{"Edge": true, "ErrBadDelta": true, "ErrOverloaded": true, "ErrShardUnavailable": true,
 			"MutateGraph": true, "ShardStatus": true, "RNG": true, "NewRNG": true, "Metrics": true, "WriteDOT": true}
 		// Methods with names too common to ban bare: banned on their receiver.
 		goneMethods := map[string]bool{"Vector.Words": true, "Vector.Clear": true, "Vector.IsZero": true, "Vector.Equal": true,
 			"UnionFind.Connected": true, "UnionFind.Sets": true, "Graph.Other": true, "Encoder.F32": true, "Decoder.F32": true,
-			"ShardBlocks.Owned": true}
+			"ShardBlocks.Owned": true, "Entry.Swap": true}
 		goneCalls := map[string]bool{"deprecated": true}
 		for path, f := range files {
 			check := func(id *ast.Ident) {
@@ -373,7 +385,7 @@ func TestTreeInvariants(t *testing.T) {
 	// The round's trajectory (ROADMAP aim 2): non-test Go lines outside
 	// bench/, held under the bar the last PR to lower it reached.
 	t.Run("non-test LOC", func(t *testing.T) {
-		const bar = 21520
+		const bar = 21320
 		t.Logf("%d non-test lines outside bench/", loc)
 		if loc >= bar {
 			t.Errorf("%d non-test lines outside bench/, want < %d", loc, bar)
