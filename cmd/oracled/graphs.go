@@ -83,8 +83,8 @@ func (s *server) graphInfo(r *http.Request) (interface{}, error) {
 // graphRegister is PUT /v1/graphs/{name}: upload (or atomically replace)
 // the graph's snapshot. Uploads stream to a temporary file and are
 // decode-validated before the rename, so a half-written or corrupt body
-// never becomes servable; replacement retires the resident entry, whose
-// in-flight requests drain on the old oracle.
+// never becomes servable; replacement drops the resident entry, whose
+// in-flight requests finish on the old oracle.
 func (s *server) graphRegister(r *http.Request) (interface{}, error) {
 	name, err := adminName(r)
 	if err != nil {

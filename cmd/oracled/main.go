@@ -230,8 +230,8 @@ func main() {
 	}
 
 	// Async job tier (-jobs-dir): jobs acquire graphs through the registry
-	// exactly like interactive requests, so a running job pins its graph
-	// against eviction and the entry drains behind it; crash recovery
+	// exactly like interactive requests, so a running job holds its graph's
+	// entry and finishes on it even if eviction drops it; crash recovery
 	// resumes interrupted jobs from their persisted checkpoints at Open.
 	var jm *jobs.Manager
 	if jcfg := jobsCfg(); jcfg.Dir != "" {
@@ -266,9 +266,9 @@ func main() {
 	cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	if jm != nil {
 		// Before the registry: running jobs checkpoint their progress and
-		// release their graph references, so rg.Close drains cleanly. The
-		// interrupted checkpoints stay in the running state on disk and
-		// resume on the next boot.
+		// dispatch stops, so no job acquires from a closed registry and
+		// fails. The interrupted checkpoints stay in the running state on
+		// disk and resume on the next boot.
 		jm.Close(cctx)
 	}
 	rg.Close(cctx)

@@ -39,8 +39,8 @@ const maxSnapshotBody = 1 << 30
 // reserved "default" graph (the one built from -file/-dataset/
 // -load-snapshot). Handlers hold a registry reference for the duration of
 // one request, so an eviction or snapshot replacement never cuts a
-// request off mid-answer — the displaced oracle/engine pair drains and
-// closes after its last in-flight request releases.
+// request off mid-answer — the displaced oracle/engine pair keeps
+// answering the requests that hold it.
 type server struct {
 	registry *registry.Registry
 

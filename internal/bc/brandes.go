@@ -18,8 +18,6 @@ import (
 
 	"repro/internal/ds"
 	"repro/internal/graph"
-	"repro/internal/par"
-	"repro/internal/sssp"
 )
 
 // Result holds centrality scores.
@@ -175,36 +173,11 @@ func Accumulator(g *graph.Graph, acc []float64) func(s int32) int64 {
 }
 
 // Parallel computes exact betweenness centrality with the given number of
-// goroutine workers, one Brandes source per work item. Unit-weight graphs
-// automatically take the BFS forward phase instead of Dijkstra.
+// goroutine workers, one Brandes source per work item: a Chunked over
+// AllSources run to completion. Unit-weight graphs automatically take the
+// BFS forward phase instead of Dijkstra.
 func Parallel(g *graph.Graph, workers int) *Result {
-	n := g.NumVertices()
-	if workers < 1 {
-		workers = 1
-	}
-	unit := sssp.UnitWeights(g)
-	states := make([]*state, workers)
-	accs := make([][]float64, workers)
-	relax := make([]int64, workers)
-	for w := range states {
-		states[w] = newState(n)
-		accs[w] = make([]float64, n)
-	}
-	par.ParallelFor(workers, n, func(w, s int) {
-		if unit {
-			relax[w] += states[w].sourceBFS(g, int32(s), accs[w])
-		} else {
-			relax[w] += states[w].source(g, int32(s), accs[w])
-		}
-	})
-	res := &Result{Scores: make([]float64, n)}
-	for w := range accs {
-		for v, x := range accs[w] {
-			res.Scores[v] += x
-		}
-		res.Relaxations += relax[w]
-	}
-	return res
+	return NewChunked(g, AllSources(g.NumVertices()), 1, workers).finish()
 }
 
 // TopK returns the k vertices with the highest centrality, ties broken by

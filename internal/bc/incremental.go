@@ -11,24 +11,21 @@ import (
 	"repro/internal/sssp"
 )
 
-// Chunked is a resumable betweenness-centrality computation: the same
-// per-source Brandes work-units Parallel and Sampled run, but claimed in
-// caller-sized chunks with the accumulated scores available between
-// chunks. It exists for the async job tier, which needs three things the
-// one-shot entry points cannot give it: progress (Done/Total move after
-// every chunk), cancellation at chunk granularity (RunChunk observes ctx
-// between and inside chunks), and checkpoint/resume (EncodeState persists
-// the partial accumulation so a daemon restart re-runs at most one
-// chunk's worth of sources).
+// Chunked runs every flat Brandes computation: per-source work-units
+// claimed in caller-sized chunks, with the accumulated scores available
+// between chunks. Parallel and Sampled run one to completion in a single chunk;
+// the async job tier drives it chunk by chunk for the three things it
+// needs: progress (Done/Total move after every chunk), cancellation at
+// chunk granularity (RunChunk observes ctx between and inside chunks),
+// and checkpoint/resume (EncodeState persists the partial accumulation so
+// a daemon restart re-runs at most one chunk's worth of sources).
 //
-// A Chunked driven to completion computes exactly the estimator Sampled
-// does (or the exact Parallel result when the source list is AllSources):
-// the same deterministic source list, the same per-source dependencies,
-// the same n/k scaling. Only the floating-point summation order differs —
-// work-units are claimed dynamically across workers, so per-worker
-// accumulators fold in a run-dependent order, exactly as in Parallel.
+// However it is chunked, a run over the same source list and scale
+// computes the same per-source dependencies. Only the floating-point
+// summation order differs — work-units are claimed dynamically across
+// workers, so per-worker accumulators fold in a run-dependent order.
 //
-// Chunked is not safe for concurrent use; the job runner owns it.
+// Chunked is not safe for concurrent use; one caller owns it.
 type Chunked struct {
 	g       *graph.Graph
 	sources []int32
@@ -144,6 +141,14 @@ func (c *Chunked) RunChunk(ctx context.Context, k int) (int, error) {
 	}
 	c.done += k
 	return k, nil
+}
+
+// finish runs every remaining source as one chunk and returns the final
+// scores, for the one-shot entry points, whose signatures carry no
+// context.
+func (c *Chunked) finish() *Result {
+	_, _ = c.RunChunk(context.TODO(), c.Total()) // fails only on cancellation, and TODO is never cancelled
+	return c.Result()
 }
 
 // Result returns a copy of the accumulated scores — partial until Done

@@ -46,7 +46,7 @@ func TestQEBatchMatchesOracle(t *testing.T) {
 
 // TestQEConcurrentBatchAndQuery hammers one engine with overlapping
 // batches and point queries from many goroutines — run under -race in CI,
-// this is the data-race certificate for the cache, singleflight, and
+// this is the data-race certificate for the pair, per-batch row, and
 // admission paths against a real oracle. Every answer is still checked
 // against the reference.
 func TestQEConcurrentBatchAndQuery(t *testing.T) {

@@ -101,8 +101,6 @@ func ShardEquivalence(g *graph.Graph, shards int) error {
 	ctx := context.Background()
 	mono := qe.New(o, qe.Config{Reg: obs.NewRegistry()})
 	front := qe.New(c.src, qe.Config{Reg: obs.NewRegistry()})
-	defer mono.Close(ctx)
-	defer front.Close(ctx)
 	if n == 0 {
 		return nil
 	}

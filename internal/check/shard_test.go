@@ -81,8 +81,6 @@ func TestShardedFaultTyped(t *testing.T) {
 	// The engine keeps no rows, so every query re-runs the fan-out and the
 	// dead shard cannot hide behind rows fetched before the kill.
 	front := qe.New(c.src, qe.Config{Reg: obs.NewRegistry()})
-	defer mono.Close(ctx)
-	defer front.Close(ctx)
 
 	const dead = 1
 	c.servers[dead].Close()

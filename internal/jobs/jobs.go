@@ -20,8 +20,8 @@
 //
 // Jobs are multi-tenant: each is bound to a named graph, resolved through
 // a Host callback (the daemon wires this to registry.Acquire), and the
-// runner holds the graph reference for the whole run so LRU eviction
-// drains cleanly behind it. Scheduling is fair per graph — ready jobs
+// runner holds the graph reference for the whole run, so it finishes on
+// the graph even if LRU eviction drops it. Scheduling is fair per graph — ready jobs
 // queue FIFO per graph and dispatch round-robin across graphs — and the
 // compute itself goes through the engine's ordinary admission control,
 // retreating with capped backoff when the interactive tier has the engine
@@ -118,9 +118,8 @@ type GraphRef interface {
 }
 
 // Host resolves a graph name to an acquired reference. The manager calls
-// it once per job run and releases the result when the run ends, so
-// whatever lifecycle the host implements (registry LRU eviction) blocks
-// on running jobs exactly as on in-flight queries.
+// it once per job run and releases the result when the run ends, so a
+// running job holds its graph exactly as an in-flight query does.
 type Host func(ctx context.Context, name string) (GraphRef, error)
 
 // Config configures a Manager.

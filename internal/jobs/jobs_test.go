@@ -69,7 +69,6 @@ func newFixture(t testing.TB, n int, seed uint64, delay time.Duration) *fixture 
 	g := testGraph(n, seed)
 	src := &slowSource{o: apsp.NewOracle(g), delay: delay}
 	eng := qe.New(src, qe.Config{MaxInflight: 4, QueueDepth: 8, Reg: obs.NewRegistry()})
-	t.Cleanup(func() { eng.Close(context.Background()) })
 	return &fixture{g: g, eng: eng, src: src}
 }
 

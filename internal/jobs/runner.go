@@ -91,7 +91,7 @@ func (m *Manager) run(j *Job) {
 
 // runJob resolves the graph and hands off to the kind runner. The graph
 // reference is held for the entire run, so registry eviction of the graph
-// drains behind the job exactly as behind an in-flight query.
+// leaves the job computing on it exactly as an in-flight query does.
 func (m *Manager) runJob(ctx context.Context, j *Job) error {
 	if err := ctx.Err(); err != nil {
 		return err

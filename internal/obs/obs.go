@@ -37,7 +37,7 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // String renders the count; Counter implements expvar.Var.
 func (c *Counter) String() string { return fmt.Sprintf("%d", c.v.Load()) }
 
-// Gauge is an instantaneous level — cache occupancy, admission-queue
+// Gauge is an instantaneous level — resident graphs, admission-queue
 // depth — that moves both ways, unlike the monotonic Counter. Add returns
 // the post-update value so callers can gate on the level they just
 // produced (an admission queue rejects when its own Add crosses the

@@ -108,9 +108,6 @@ func (e *Engine) Batch(ctx context.Context, sources, targets []int32) ([][]graph
 // Admission, the pair cap, dedup, and scheduling behave exactly as in
 // Batch; on error the contents of flat are unspecified.
 func (e *Engine) BatchFlat(ctx context.Context, sources, targets []int32, flat []graph.Weight) error {
-	if e.closed.Load() {
-		return ErrClosed
-	}
 	if len(flat) != len(sources)*len(targets) {
 		return fmt.Errorf("qe: batch matrix buffer holds %d weights, %d×%d batch needs %d",
 			len(flat), len(sources), len(targets), len(sources)*len(targets))

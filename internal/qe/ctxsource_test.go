@@ -46,7 +46,6 @@ func TestCtxSourceErrorPropagates(t *testing.T) {
 	src := &flakySource{n: 16}
 	src.fail.Store(true)
 	e, reg := newTestEngine(src, Config{})
-	defer e.Close(context.Background())
 
 	if _, err := e.Query(context.Background(), 1, 2); !errors.Is(err, errFlaky) {
 		t.Fatalf("Query during outage: err=%v, want errFlaky", err)
@@ -74,7 +73,6 @@ func TestCtxSourceBatchError(t *testing.T) {
 	src := &flakySource{n: 16}
 	src.fail.Store(true)
 	e, _ := newTestEngine(src, Config{})
-	defer e.Close(context.Background())
 
 	_, err := e.Batch(context.Background(), []int32{0, 1, 2}, []int32{3, 4})
 	if !errors.Is(err, errFlaky) {

@@ -41,7 +41,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -93,9 +92,6 @@ var (
 	// matrix exceeds the engine's MaxBatchPairs cap. The request is
 	// rejected before any allocation.
 	ErrBatchTooLarge = errors.New("qe: batch result matrix over pair cap")
-	// ErrClosed reports a Query or Batch against an engine that has been
-	// Closed (its host drained and released it).
-	ErrClosed = errors.New("qe: engine closed")
 )
 
 // Config tunes an Engine. The zero value is usable: see the field
@@ -137,7 +133,6 @@ type Engine struct {
 	workers  int
 	maxPairs int64
 	scratch  sync.Pool // *batchScratch
-	closed   atomic.Bool
 
 	// mu guards the live source, its pair seam and vertex count, which
 	// change only together, in SwapSource.
@@ -242,7 +237,7 @@ func (e *Engine) withDeadline(ctx context.Context) (context.Context, context.Can
 // block-row fetches on a sharded frontend. On a local oracle the call
 // allocates nothing (beyond the deadline context, when the engine imposes
 // one). qe.pairs counts the pairs answered, qe.pairs.latency times every
-// call to the source, failed ones included. The error is ErrClosed,
+// call to the source, failed ones included. The error is
 // ErrVertexRange, ErrOverloaded, a context error from waiting for
 // admission, or the source's own (a frontend's typed shard failure);
 // unreachable pairs report apsp Inf, not an error.
@@ -254,9 +249,6 @@ func (e *Engine) withDeadline(ctx context.Context) (context.Context, context.Can
 // pooled scratch and reading entry v; with warm scratch that allocates
 // nothing either.
 func (e *Engine) Query(ctx context.Context, u, v int32) (graph.Weight, error) {
-	if e.closed.Load() {
-		return inf, ErrClosed
-	}
 	e.mu.Lock()
 	src, pair, n := e.src, e.pair, e.n
 	e.mu.Unlock()

@@ -15,7 +15,7 @@ import (
 
 // stubSource is a deterministic RowSource: row[src][v] = src*1000 + v,
 // with a build counter and an optional gate that blocks builds until
-// released — the hooks the admission and drain tests need.
+// released — the hooks the admission and deadline tests need.
 type stubSource struct {
 	n      int
 	builds atomic.Int64
@@ -177,7 +177,6 @@ func TestBatchFlat(t *testing.T) {
 func TestBatchAbandonedOnDeadline(t *testing.T) {
 	src := &stubSource{n: 16, gate: make(chan struct{}), began: make(chan int32, 8)}
 	e, _ := newTestEngine(src, Config{MaxInflight: 2})
-	defer e.Close(context.Background())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)

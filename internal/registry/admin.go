@@ -115,9 +115,9 @@ func (r *Registry) StatsView(name string) *obs.Registry {
 // as a full oracle snapshot, and only then are fsynced and renamed into
 // place (snapshot.WriteFile) — a concurrent hydration, or one after a
 // crash, reads either the old complete file or the new one, never a torn
-// write. Any resident entry for name is retired (its in-flight requests
-// drain on the old oracle), so the next Acquire hydrates the new
-// snapshot. Returns the validated oracle's dimensions.
+// write. Any resident entry for name is dropped (its holders finish on
+// the old oracle), so the next Acquire hydrates the new snapshot.
+// Returns the validated oracle's dimensions.
 func (r *Registry) Register(name string, src io.Reader) (vertices, edges int, err error) {
 	if !ValidName(name) {
 		return 0, 0, fmt.Errorf("registry: %q: %w", name, ErrBadName)
@@ -151,21 +151,16 @@ func (r *Registry) Register(name string, src io.Reader) (vertices, edges int, er
 		return 0, 0, ErrClosed
 	}
 	r.known[name] = true
-	var idle *Entry
 	if e := r.live[name]; e != nil && !e.pinned {
-		idle = r.retireLocked(e)
+		r.dropLocked(e)
 		r.evictions.Inc()
 	}
 	r.mu.Unlock()
-	if idle != nil {
-		idle.teardown()
-	}
 	return o.G.NumVertices(), o.G.NumEdges(), nil
 }
 
 // Remove unregisters name: its snapshot file is deleted and any resident
-// entry retired (draining through its references, like an eviction).
-// Pinned entries cannot be removed.
+// entry dropped, like an eviction. Pinned entries cannot be removed.
 func (r *Registry) Remove(name string) error {
 	if !ValidName(name) {
 		return fmt.Errorf("registry: %q: %w", name, ErrBadName)
@@ -187,15 +182,11 @@ func (r *Registry) Remove(name string) error {
 		return fmt.Errorf("registry: %q: %w", name, ErrUnknownGraph)
 	}
 	delete(r.known, name)
-	var idle *Entry
 	if e := r.live[name]; e != nil {
-		idle = r.retireLocked(e)
+		r.dropLocked(e)
 		r.evictions.Inc()
 	}
 	r.mu.Unlock()
-	if idle != nil {
-		idle.teardown()
-	}
 	if err := os.Remove(r.snapPath(name)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("registry: remove %q: %w", name, err)
 	}

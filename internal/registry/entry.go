@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"sync"
-	"time"
 
 	"repro/internal/apsp"
 	"repro/internal/graph"
@@ -15,10 +14,10 @@ import (
 // Entry is one named graph resident in a Registry: an apsp.Oracle plus
 // the qe.Engine serving it, hydrated lazily from the graph's snapshot
 // file. Acquire hands out entries with a reference held; every holder
-// must Release exactly once. The engine and oracle stay valid for as
-// long as the reference is held — eviction of the entry only retires it
-// from the registry's table, and the engine is closed when the last
-// reference drains, so an in-flight request is never cut off mid-row.
+// must Release exactly once. Eviction only drops the entry from the
+// registry's table: the engine holds nothing to release, so a holder
+// keeps answering from it and the garbage collector takes it after the
+// last one lets go.
 type Entry struct {
 	name   string
 	reg    *Registry
@@ -44,14 +43,10 @@ type Entry struct {
 	// applyMu serialises Apply: one delta applier per graph.
 	applyMu sync.Mutex
 
-	// Lifecycle accounting, guarded by reg.mu. refs counts Acquire minus
-	// Release; retired means the entry has left the registry's table
-	// (evicted, replaced, or removed) and must tear down when refs hits
-	// zero; tornDown makes that teardown happen exactly once.
-	refs     int
-	retired  bool
-	tornDown bool
-	el       *list.Element // position in the registry's LRU (nil if pinned)
+	// Guarded by reg.mu. refs counts Acquire minus Release: eviction
+	// prefers entries nobody holds, and List reports it.
+	refs int
+	el   *list.Element // position in the registry's LRU (nil if pinned or dropped)
 }
 
 // Name returns the graph's registry name.
@@ -106,28 +101,9 @@ func (e *Entry) Apply(ctx context.Context, ds []apsp.Delta, save func(*apsp.Orac
 	return next, res, nil
 }
 
-// Release returns the reference Acquire handed out. When the entry has
-// been retired (evicted or removed) and this was the last reference, the
-// engine is closed — on this goroutine, after the lock is dropped.
+// Release returns the reference Acquire handed out.
 func (e *Entry) Release() {
-	r := e.reg
-	r.mu.Lock()
+	e.reg.mu.Lock()
 	e.refs--
-	teardown := e.retired && e.refs == 0 && e.engine != nil && !e.tornDown
-	if teardown {
-		e.tornDown = true
-	}
-	r.mu.Unlock()
-	if teardown {
-		e.teardown()
-	}
-}
-
-// teardown closes the entry's engine. refs is zero and the entry is out
-// of the registry table, so no request can reach the engine: the drain
-// inside Close is instantaneous, and the timeout is pure paranoia.
-func (e *Entry) teardown() {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	e.engine.Close(ctx)
+	e.reg.mu.Unlock()
 }

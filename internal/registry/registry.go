@@ -11,9 +11,9 @@
 //     the rest wait on the same hydration and share the result;
 //   - capacity-bounded LRU: at most MaxGraphs unpinned graphs stay
 //     resident; hydrating one more evicts the least-recently-used,
-//     preferring idle graphs. Eviction retires the entry whole — oracle
-//     and engine — but in-flight requests hold references and drain
-//     safely: the engine closes only when the last reference goes;
+//     preferring graphs nobody holds. Eviction drops the entry — oracle
+//     and engine — from the table; a request that still holds it
+//     finishes on it, and the garbage collector takes it after that;
 //   - per-graph limits: every hydrated graph gets its own engine built
 //     from one qe.Config (admission slots, queue depth, deadlines, batch
 //     pair cap), so tenants cannot starve each other;
@@ -99,9 +99,9 @@ type Config struct {
 	// DefaultMaxGraphs; values below 1 clamp to 1).
 	MaxGraphs int
 	// Engine configures every hydrated graph's own engine, so one tenant's
-	// batch storm fills its own admission queue and evicts its own cache
-	// rows; cli.RegistryFlags passes the single-graph flags' config. Its
-	// Reg is replaced per graph by this registry's "g.<name>." view.
+	// batch storm fills its own admission queue, not its neighbours';
+	// cli.RegistryFlags passes the single-graph flags' config. Its Reg is
+	// replaced per graph by this registry's "g.<name>." view.
 	Engine qe.Config
 	// Reg receives the registry's metrics and, under "g.<name>." views,
 	// each graph's engine metrics; nil resolves to obs.Default.
@@ -123,7 +123,7 @@ type Registry struct {
 
 	graphs     *obs.Gauge   // resident graphs (hydrating + live + pinned)
 	hydrations *obs.Counter // completed snapshot hydrations
-	evictions  *obs.Counter // entries retired by capacity, replace, remove
+	evictions  *obs.Counter // entries dropped by capacity, replace, remove
 	misses     *obs.Counter // Acquires that found no resident entry
 
 	// hydrateHook, when set (tests only), runs on the hydrating
@@ -280,13 +280,9 @@ func (r *Registry) Acquire(ctx context.Context, name string) (*Entry, error) {
 	e.el = r.lru.PushFront(e)
 	r.graphs.Set(int64(len(r.live)))
 	// Make room before the load, so resident memory peaks at capacity,
-	// not capacity+1. Victims with in-flight requests drain via their
-	// refcounts; idle ones tear down here, outside the lock.
-	victims := r.evictOverLocked()
+	// not capacity+1.
+	r.evictOverLocked()
 	r.mu.Unlock()
-	for _, v := range victims {
-		v.teardown()
-	}
 	return r.hydrate(e)
 }
 
@@ -308,7 +304,7 @@ func (r *Registry) await(ctx context.Context, e *Entry) (*Entry, error) {
 
 // hydrate loads e's snapshot and publishes the oracle/engine pair. It
 // runs on the first acquirer's goroutine; coalesced acquirers wait on
-// e.ready. On failure the entry is retired and every waiter gets the
+// e.ready. On failure the entry is dropped and every waiter gets the
 // error.
 func (r *Registry) hydrate(e *Entry) (*Entry, error) {
 	if hook := r.hydrateHook; hook != nil {
@@ -318,15 +314,7 @@ func (r *Registry) hydrate(e *Entry) (*Entry, error) {
 	if err != nil {
 		r.mu.Lock()
 		e.err = fmt.Errorf("registry: hydrate %q: %w", e.name, err)
-		e.retired = true
-		if r.live[e.name] == e {
-			delete(r.live, e.name)
-		}
-		if e.el != nil {
-			r.lru.Remove(e.el)
-			e.el = nil
-		}
-		r.graphs.Set(int64(len(r.live)))
+		r.dropLocked(e)
 		e.refs-- // the hydrator's own reference dies with the entry
 		r.mu.Unlock()
 		close(e.ready)
@@ -342,8 +330,7 @@ func (r *Registry) hydrate(e *Entry) (*Entry, error) {
 	close(e.ready)
 	r.hydrations.Inc()
 	// If the entry was evicted while hydrating, it is already out of the
-	// table; this acquirer (and any waiters) still serve from it, and the
-	// last Release tears the engine down.
+	// table; this acquirer (and any waiters) still serve from it.
 	return e, nil
 }
 
@@ -359,13 +346,10 @@ func (r *Registry) readSnapshot(name string) (*apsp.Oracle, error) {
 	return apsp.ReadOracle(f)
 }
 
-// evictOverLocked retires least-recently-used unpinned entries until the
-// resident count fits MaxGraphs, preferring idle entries (no references)
-// over busy ones. Busy or still-hydrating victims drain through their
-// refcounts; the returned slice holds the idle victims whose engines the
-// caller must tear down after dropping the lock.
-func (r *Registry) evictOverLocked() []*Entry {
-	var idle []*Entry
+// evictOverLocked drops least-recently-used unpinned entries until the
+// resident count fits MaxGraphs, preferring entries nobody holds over
+// held ones.
+func (r *Registry) evictOverLocked() {
 	for r.lru.Len() > r.max {
 		victim := (*Entry)(nil)
 		for el := r.lru.Back(); el != nil; el = el.Prev() {
@@ -375,24 +359,19 @@ func (r *Registry) evictOverLocked() []*Entry {
 			}
 		}
 		if victim == nil {
-			// Everything is busy: retire the coldest anyway; its holders
-			// drain it. Capacity is a residency bound, not a hard ceiling
-			// on in-flight work.
+			// Everything is held: drop the coldest anyway; its holders
+			// finish on it. Capacity is a residency bound, not a hard
+			// ceiling on in-flight work.
 			victim = r.lru.Back().Value.(*Entry)
 		}
-		if v := r.retireLocked(victim); v != nil {
-			idle = append(idle, v)
-		}
+		r.dropLocked(victim)
 		r.evictions.Inc()
 	}
-	return idle
 }
 
-// retireLocked removes e from the live table and LRU and marks it
-// retired. It returns e when the caller must tear it down (idle with an
-// engine), nil when teardown is deferred to the draining references or
-// unnecessary.
-func (r *Registry) retireLocked(e *Entry) *Entry {
+// dropLocked removes e from the live table and LRU, so the next Acquire
+// of its name hydrates afresh.
+func (r *Registry) dropLocked(e *Entry) {
 	if r.live[e.name] == e {
 		delete(r.live, e.name)
 	}
@@ -400,38 +379,15 @@ func (r *Registry) retireLocked(e *Entry) *Entry {
 		r.lru.Remove(e.el)
 		e.el = nil
 	}
-	e.retired = true
 	r.graphs.Set(int64(len(r.live)))
-	if e.refs == 0 && e.engine != nil && !e.tornDown {
-		e.tornDown = true
-		return e
-	}
-	return nil
 }
 
-// Close retires every resident entry and marks the registry closed:
-// Acquire fails with ErrClosed, idle entries tear down before Close
-// returns (bounded by ctx), busy ones when their last reference drains.
-func (r *Registry) Close(ctx context.Context) error {
+// Close marks the registry closed: Acquire, Register and Remove fail
+// with ErrClosed from then on. An entry already handed out keeps serving
+// its holder. Close never waits, so the context goes unused.
+func (r *Registry) Close(context.Context) error {
 	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil
-	}
 	r.closed = true
-	var idle []*Entry
-	for _, e := range r.live {
-		e.pinned = false // pinning does not survive Close
-		if v := r.retireLocked(e); v != nil {
-			idle = append(idle, v)
-		}
-	}
 	r.mu.Unlock()
-	var first error
-	for _, e := range idle {
-		if err := e.engine.Close(ctx); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,6 +45,25 @@ func writeSnap(t testing.TB, dir, name string, g *graph.Graph) *apsp.Oracle {
 		t.Fatalf("close snapshot: %v", err)
 	}
 	return o
+}
+
+// answersAll asserts that eng answers every pair of g Float64bits-equal
+// to an oracle built afresh over g.
+func answersAll(t *testing.T, eng *qe.Engine, g *graph.Graph) {
+	t.Helper()
+	ref := apsp.NewOracle(g)
+	n := int32(g.NumVertices())
+	for u := int32(0); u < n; u++ {
+		for v := int32(0); v < n; v++ {
+			got, err := eng.Query(context.Background(), u, v)
+			if err != nil {
+				t.Fatalf("d(%d,%d): %v", u, v, err)
+			}
+			if want := ref.Query(u, v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("d(%d,%d) = %v, fresh oracle %v", u, v, got, want)
+			}
+		}
+	}
 }
 
 func openTest(t *testing.T, dir string, max int) (*Registry, *obs.Registry) {
@@ -185,9 +205,13 @@ func TestSingleflightHydration(t *testing.T) {
 	}
 }
 
-func TestLRUEvictionClosesIdleEngine(t *testing.T) {
+// TestLRUEvictionDropsIdleEntry: evicting an unheld graph drops it from
+// the table and releases nothing — an engine kept past its Release still
+// answers exactly — and the next Acquire hydrates afresh.
+func TestLRUEvictionDropsIdleEntry(t *testing.T) {
 	dir := t.TempDir()
-	writeSnap(t, dir, "a", testGraph(4))
+	ga := testGraph(4)
+	writeSnap(t, dir, "a", ga)
 	writeSnap(t, dir, "b", testGraph(5))
 	r, reg := openTest(t, dir, 1)
 	ctx := context.Background()
@@ -210,9 +234,7 @@ func TestLRUEvictionClosesIdleEngine(t *testing.T) {
 	if got := reg.Gauge("registry.graphs").Value(); got != 1 {
 		t.Fatalf("registry.graphs = %d, want 1", got)
 	}
-	if _, err := engA.Query(ctx, 0, 1); !errors.Is(err, qe.ErrClosed) {
-		t.Fatalf("evicted idle engine Query = %v, want qe.ErrClosed", err)
-	}
+	answersAll(t, engA, ga)
 	// Re-acquiring a rehydrates from the file.
 	ea2, err := r.Acquire(ctx, "a")
 	if err != nil {
@@ -227,12 +249,13 @@ func TestLRUEvictionClosesIdleEngine(t *testing.T) {
 	}
 }
 
-// TestEvictionDrainsBusyEntry pins the refcount protocol: evicting a
-// graph with in-flight holders retires it from the table but its engine
-// keeps answering until the last Release.
+// TestEvictionDrainsBusyEntry: evicting a graph with a holder drops it
+// from the table, and the holder's engine keeps answering exactly, before
+// its Release and after.
 func TestEvictionDrainsBusyEntry(t *testing.T) {
 	dir := t.TempDir()
-	writeSnap(t, dir, "a", testGraph(6))
+	ga := testGraph(6)
+	writeSnap(t, dir, "a", ga)
 	writeSnap(t, dir, "b", testGraph(7))
 	r, reg := openTest(t, dir, 1)
 	ctx := context.Background()
@@ -255,18 +278,17 @@ func TestEvictionDrainsBusyEntry(t *testing.T) {
 		t.Fatalf("query on evicted-but-held entry: %v", err)
 	}
 	eng := ea.Engine()
-	ea.Release() // last reference: now the engine closes
-	if _, err := eng.Query(ctx, 0, 1); !errors.Is(err, qe.ErrClosed) {
-		t.Fatalf("drained engine Query = %v, want qe.ErrClosed", err)
-	}
+	ea.Release()
+	answersAll(t, eng, ga)
 }
 
 // TestEvictWhileHydrating orders an eviction inside a hydration: the
-// evicted entry finishes hydrating, serves its waiters, and tears down
-// on the final release.
+// evicted entry finishes hydrating and serves its waiters, before and
+// after the final release.
 func TestEvictWhileHydrating(t *testing.T) {
 	dir := t.TempDir()
-	writeSnap(t, dir, "slow", testGraph(8))
+	gSlow := testGraph(8)
+	writeSnap(t, dir, "slow", gSlow)
 	writeSnap(t, dir, "fast", testGraph(9))
 	r, reg := openTest(t, dir, 1)
 	ctx := context.Background()
@@ -318,9 +340,7 @@ func TestEvictWhileHydrating(t *testing.T) {
 	}
 	eng := es.Engine()
 	es.Release()
-	if _, err := eng.Query(ctx, 0, 1); !errors.Is(err, qe.ErrClosed) {
-		t.Fatalf("post-drain engine = %v, want qe.ErrClosed", err)
-	}
+	answersAll(t, eng, gSlow)
 }
 
 func TestRegisterRemove(t *testing.T) {
@@ -347,8 +367,9 @@ func TestRegisterRemove(t *testing.T) {
 	oldEng := e.Engine()
 	e.Release()
 
-	// Replacing the snapshot retires the resident entry; the next acquire
-	// serves the new graph.
+	// Replacing the snapshot drops the resident entry; the next acquire
+	// serves the new graph, and an engine kept from the old one still
+	// answers the old graph.
 	gNew := gen.Ring(12, gen.Config{MaxWeight: 1}, gen.NewRNG(1))
 	buf.Reset()
 	if _, err := apsp.NewOracle(gNew).WriteTo(&buf); err != nil {
@@ -357,9 +378,7 @@ func TestRegisterRemove(t *testing.T) {
 	if _, _, err := r.Register("up", &buf); err != nil {
 		t.Fatalf("replace: %v", err)
 	}
-	if _, err := oldEng.Query(ctx, 0, 1); !errors.Is(err, qe.ErrClosed) {
-		t.Fatalf("replaced entry's engine = %v, want qe.ErrClosed", err)
-	}
+	answersAll(t, oldEng, gOld)
 	e2, err := r.Acquire(ctx, "up")
 	if err != nil {
 		t.Fatal(err)
@@ -524,9 +543,12 @@ func TestStatsViewPrefix(t *testing.T) {
 	}
 }
 
+// TestCloseRegistry: Close refuses new Acquires and releases nothing, so
+// an engine handed out before it still answers exactly.
 func TestCloseRegistry(t *testing.T) {
 	dir := t.TempDir()
-	writeSnap(t, dir, "a", testGraph(14))
+	g := testGraph(14)
+	writeSnap(t, dir, "a", g)
 	r, _ := openTest(t, dir, 4)
 	ctx := context.Background()
 	e, err := r.Acquire(ctx, "a")
@@ -541,9 +563,7 @@ func TestCloseRegistry(t *testing.T) {
 	if _, err := r.Acquire(ctx, "a"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("acquire after close = %v, want ErrClosed", err)
 	}
-	if _, err := eng.Query(ctx, 0, 1); !errors.Is(err, qe.ErrClosed) {
-		t.Fatalf("engine after registry close = %v, want qe.ErrClosed", err)
-	}
+	answersAll(t, eng, g)
 	if err := r.Close(ctx); err != nil {
 		t.Fatalf("double close: %v", err)
 	}

@@ -81,9 +81,11 @@ func (st *shardState) markBad(msg string) {
 // partial.
 //
 // It implements qe.RowSource, qe.CtxRowSource and qe.PairSource, so the
-// engine stack applies unchanged: Batch builds and caches stitched rows, a
-// point Query fetches only the pair's own ≤ 2 block rows. A failed fan-out surfaces from either as an error wrapping
-// ErrShardUnavailable or ErrEpochMismatch and is never cached.
+// engine stack applies unchanged: Batch stitches one row per distinct
+// source into per-batch scratch, and a point Query fetches only the
+// pair's own ≤ 2 block rows. A failed fan-out surfaces from either as an
+// error wrapping ErrShardUnavailable or ErrEpochMismatch; the engine keeps
+// no rows, so the next request fetches afresh.
 type RemoteSource struct {
 	plan       *Plan
 	client     *http.Client

@@ -196,7 +196,8 @@ func TestTreeInvariants(t *testing.T) {
 	// a mechanism went (one block-cut navigation, one batch scheduler, one
 	// mux maker, one oracle assembly, one forest walk, one phase loop, the
 	// oracle's tables as the only resident rows, exports with no caller, a
-	// snapshot as state rather than a script to replay)
+	// snapshot as state rather than a script to replay, an engine with
+	// nothing to release on eviction)
 	// must not come back under the same name: a caller that needs one
 	// should say why first. A name too common to ban bare is matched where
 	// it would be used instead: as a selector or a call, or, for a facade
@@ -226,18 +227,20 @@ func TestTreeInvariants(t *testing.T) {
 			"CyclesThroughEdge", "CyclesThroughVertex", "CyclesThroughVertexChecked", "VerifyFVS", "CutEdges", "NumAPs",
 			"Materialize", "Dense", "Pendant", "CopyFrom",
 			"WriteChainTo", "replayChain", "writeChainSnapshot",
+			"teardown", "tornDown", "retired", "retireLocked",
 		} {
 			deleted[name] = true
 		}
 		goneSelectors := map[string]bool{"qe.Sizer": true, "api.Patterns": true, "registry.Limits": true,
-			"bc.Sequential": true, "bc.Sim": true, "verify.Distances": true, "graph.Stats": true, "partition.Sizes": true, "mcb.ErrVertexRange": true}
+			"bc.Sequential": true, "bc.Sim": true, "verify.Distances": true, "graph.Stats": true, "partition.Sizes": true, "mcb.ErrVertexRange": true,
+			"qe.ErrClosed": true}
 		// Facade names whose internal namesakes stay: banned in repro.go only.
 		goneFacade := map[string]bool{"Edge": true, "ErrBadDelta": true, "ErrOverloaded": true, "ErrShardUnavailable": true,
 			"MutateGraph": true, "ShardStatus": true, "RNG": true, "NewRNG": true, "Metrics": true, "WriteDOT": true}
 		// Methods with names too common to ban bare: banned on their receiver.
 		goneMethods := map[string]bool{"Vector.Words": true, "Vector.Clear": true, "Vector.IsZero": true, "Vector.Equal": true,
 			"UnionFind.Connected": true, "UnionFind.Sets": true, "Graph.Other": true, "Encoder.F32": true, "Decoder.F32": true,
-			"ShardBlocks.Owned": true, "Entry.Swap": true}
+			"ShardBlocks.Owned": true, "Entry.Swap": true, "Engine.Close": true}
 		goneCalls := map[string]bool{"deprecated": true}
 		for path, f := range files {
 			check := func(id *ast.Ident) {
@@ -385,7 +388,7 @@ func TestTreeInvariants(t *testing.T) {
 	// The round's trajectory (ROADMAP aim 2): non-test Go lines outside
 	// bench/, held under the bar the last PR to lower it reached.
 	t.Run("non-test LOC", func(t *testing.T) {
-		const bar = 21320
+		const bar = 21138
 		t.Logf("%d non-test lines outside bench/", loc)
 		if loc >= bar {
 			t.Errorf("%d non-test lines outside bench/, want < %d", loc, bar)

@@ -221,10 +221,11 @@ type (
 	// Registry hosts many named graphs in one process: each is an
 	// APSPOracle + QueryEngine pair hydrated lazily from a snapshot
 	// directory (one <name>.snap per graph), with singleflight hydration,
-	// capacity-bounded LRU eviction that drains in-flight requests
-	// through reference counts, per-graph engine limits, and per-graph
-	// metric namespacing under "g.<name>.". Acquire returns one resident
-	// graph with a reference held; callers Release it exactly once.
+	// capacity-bounded LRU eviction that prefers graphs nobody holds
+	// (a held graph keeps serving its holders), per-graph engine limits,
+	// and per-graph metric namespacing under "g.<name>.". Acquire returns
+	// one resident graph with a reference held; callers Release it
+	// exactly once.
 	Registry = registry.Registry
 	// RegistryConfig configures OpenRegistry; its Engine field is the
 	// EngineConfig (admission, deadlines, batch caps) every

@@ -258,7 +258,6 @@ func TestFacadeShardedServing(t *testing.T) {
 	defer src.Close()
 	engine := NewQueryEngine(src, EngineConfig{})
 	ctx := context.Background()
-	defer engine.Close(ctx)
 
 	for u := int32(0); u < 8; u++ {
 		for v := int32(0); v < 8; v++ {
