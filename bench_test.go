@@ -402,6 +402,24 @@ func TestSSSPHeapZeroAllocs(t *testing.T) {
 // graph G^r of the largest block of blocks_m (cond_mat_2003 at scale 0.08),
 // with a warm Scratch. It reports ns per relaxation and must not allocate.
 func BenchmarkDistancesOnly(b *testing.B) {
+	r := ear.Reduce(largestBlockM(b), ear.APSP).R
+	n := r.NumVertices()
+	sc := sssp.NewScratch(n)
+	dist := make([]graph.Weight, n)
+	sssp.DistancesOnly(r, 0, dist, sc)
+	var relax int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		relax += sssp.DistancesOnly(r, int32(i%n), dist, sc)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(relax), "ns/relax")
+}
+
+// largestBlockM is the largest biconnected block of blocks_m
+// (cond_mat_2003 at scale 0.08), the block the build spends its time in.
+func largestBlockM(b *testing.B) *graph.Graph {
+	b.Helper()
 	spec, err := datasets.ByName("cond_mat_2003")
 	if err != nil {
 		b.Fatal(err)
@@ -414,18 +432,23 @@ func BenchmarkDistancesOnly(b *testing.B) {
 			largest = i
 		}
 	}
-	r := ear.Reduce(graph.InducedByEdges(g, dec.Components[largest]).G, ear.APSP).R
-	n := r.NumVertices()
-	sc := sssp.NewScratch(n)
-	dist := make([]graph.Weight, n)
-	sssp.DistancesOnly(r, 0, dist, sc)
-	var relax int64
+	return graph.InducedByEdges(g, dec.Components[largest]).G
+}
+
+// BenchmarkEarAPSPFill is the whole of Algorithm 1 on that block at one
+// worker: the ear reduction and the two-pass processing phase that fills
+// S^r (a Dijkstra per searched source, then the merged rows). It reports
+// ns per row of S^r; its allocations are fixed (the table, the reduction,
+// the merge split and one Scratch).
+func BenchmarkEarAPSPFill(b *testing.B) {
+	g := largestBlockM(b)
+	nr := ear.Reduce(g, ear.APSP).R.NumVertices()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		relax += sssp.DistancesOnly(r, int32(i%n), dist, sc)
+		apsp.NewEarAPSP(g)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(relax), "ns/relax")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nr), "ns/row")
 }
 
 // BenchmarkAblationSignedSearch vs LabelledSearch: the two minimum-cycle

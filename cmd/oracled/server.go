@@ -434,8 +434,9 @@ func (s *server) healthz(*http.Request) (interface{}, error) {
 // out-of-range values flow to the oracle's checked API, whose ErrVertexRange
 // also maps to 400 — the daemon never sees a panic either way.
 func pairParam(r *http.Request) (int32, int32, error) {
-	u, err1 := strconv.ParseInt(r.URL.Query().Get("u"), 10, 32)
-	v, err2 := strconv.ParseInt(r.URL.Query().Get("v"), 10, 32)
+	q := r.URL.Query()
+	u, err1 := strconv.ParseInt(q.Get("u"), 10, 32)
+	v, err2 := strconv.ParseInt(q.Get("v"), 10, 32)
 	if err1 != nil || err2 != nil {
 		return 0, 0, fmt.Errorf("need integer query parameters u and v")
 	}

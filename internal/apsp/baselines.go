@@ -71,8 +71,8 @@ func FloydWarshall(g *graph.Graph) []graph.Weight {
 }
 
 // NewFlatAPSP builds an EarAPSP-shaped result *without* ear reduction: the
-// "reduced" graph is the graph itself (identity reduction) and the
-// processing phase runs per-source Dijkstra over all vertices. This is the
+// "reduced" graph is the graph itself (identity reduction) and the same
+// processing phase (fillDijkstra) fills every vertex's row. This is the
 // within-block solver of the Banerjee baseline, and the "w/o
 // ear-decomposition" arm of the paper's ablations (Table 2 columns).
 func NewFlatAPSP(g *graph.Graph, workers int) *EarAPSP {

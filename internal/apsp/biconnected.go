@@ -39,8 +39,10 @@ type EarAPSP struct {
 	SR   []graph.Weight
 	sr32 []float32
 	nr   int
-	// Relaxations is the total Dijkstra work of the processing phase,
-	// the work measure the virtual-clock devices charge.
+	// Relaxations is the total work of the processing phase, the work
+	// measure the virtual-clock devices charge: the Dijkstra relaxations
+	// of the searched sources, plus nr per non-loop arc of each merged
+	// source (one min-plus update per arc and target; see fillDijkstra).
 	Relaxations int64
 }
 
@@ -55,33 +57,108 @@ func newEarAPSP(g *graph.Graph, red *ear.Reduced) *EarAPSP {
 	return &EarAPSP{G: g, Red: red, nr: nr, SR: make([]graph.Weight, nr*nr)}
 }
 
-// fillDijkstra is the processing phase on real workers: one heap
-// Dijkstra per reduced source (one instance per goroutine, as the paper
-// runs the CPU side), stopping early — with no usable table — once ctx
-// is done.
+// fillDijkstra is the processing phase on real workers, in two passes.
+// Pass one runs a heap Dijkstra from every source outside mergeSet's
+// independent set (one instance per goroutine, as the paper runs the CPU
+// side). Pass two assembles each source s inside it from its neighbours'
+// rows, row(s)[x] = min over non-loop arcs (s,u,w) of w + row(u)[x] and
+// row(s)[s] = 0: a shortest path from s to x ≠ s leaves s along one of
+// those arcs, and no neighbour of s is merged, so every row it reads is
+// final (and the table bit-identical to all-Dijkstra on integral weights).
+// It stops early — with no usable table — once ctx is done.
 func (a *EarAPSP) fillDijkstra(ctx context.Context, workers int) error {
 	if workers < 1 {
 		workers = 1
 	}
+	r, nr := a.Red.R, a.nr
+	merged, arcs := mergeSet(r)
 	scratch := make([]*sssp.Scratch, workers)
 	relax := make([]int64, workers)
 	for i := range scratch {
-		scratch[i] = sssp.NewScratch(a.nr)
+		scratch[i] = sssp.NewScratch(nr)
 	}
-	if err := par.ParallelForCtx(ctx, workers, a.nr, func(w, s int) {
-		relax[w] += sssp.DistancesOnly(a.Red.R, int32(s), a.SR[s*a.nr:(s+1)*a.nr], scratch[w])
+	if err := par.ParallelForCtx(ctx, workers, nr, func(w, s int) {
+		if !merged[s] {
+			relax[w] += sssp.DistancesOnly(r, int32(s), a.SR[s*nr:(s+1)*nr], scratch[w])
+		}
 	}); err != nil {
 		return err
 	}
-	for _, r := range relax {
-		a.Relaxations += r
+	adjStart, adjNode, adjW := r.AdjStart(), r.AdjNode(), r.AdjWeight()
+	if err := par.ParallelForCtx(ctx, workers, nr, func(_, s int) {
+		if !merged[s] {
+			return
+		}
+		row := a.SR[s*nr:][:nr]
+		for x := range row {
+			row[x] = Inf
+		}
+		for j := adjStart[s]; j < adjStart[s+1]; j++ {
+			if u := int(adjNode[j]); u != s {
+				ru, w := a.SR[u*nr:][:nr], adjW[j]
+				for x := range row {
+					row[x] = min(row[x], w+ru[x])
+				}
+			}
+		}
+		row[s] = 0
+	}); err != nil {
+		return err
+	}
+	a.Relaxations = arcs * int64(nr) // one update per merged arc and target
+	for _, k := range relax {
+		a.Relaxations += k
 	}
 	return nil
 }
 
+// mergeSet marks the sources fillDijkstra merges: a greedy independent set
+// of r taken lowest non-loop degree first, ties by vertex ID (one bucket
+// pass), among the vertices with a non-loop neighbour. It depends on r
+// alone. arcs counts the non-loop arcs leaving the set, at most r's edge
+// count since no edge joins two members.
+func mergeSet(r *graph.Graph) (merged []bool, arcs int64) {
+	n := r.NumVertices()
+	adjStart, adjNode := r.AdjStart(), r.AdjNode()
+	deg := make([]int32, n)
+	var maxDeg int32
+	for v := range deg {
+		for _, u := range adjNode[adjStart[v]:adjStart[v+1]] {
+			if int(u) != v {
+				deg[v]++
+			}
+		}
+		maxDeg = max(maxDeg, deg[v])
+	}
+	next := make([]int32, maxDeg+2) // next[d]: bucket d's next slot in order
+	for _, d := range deg {
+		next[d+1]++
+	}
+	for d := 1; d < len(next); d++ {
+		next[d] += next[d-1]
+	}
+	order := make([]int32, n)
+	for v, d := range deg {
+		order[next[d]] = int32(v)
+		next[d]++
+	}
+	merged = make([]bool, n)
+	blocked := make([]bool, n)
+	for _, v := range order {
+		if deg[v] > 0 && !blocked[v] {
+			merged[v] = true
+			arcs += int64(deg[v])
+			for _, u := range adjNode[adjStart[v]:adjStart[v+1]] {
+				blocked[u] = true
+			}
+		}
+	}
+	return merged, arcs
+}
+
 // NewEarAPSP runs the three phases of Algorithm 1 sequentially on a
-// connected graph g: Reduce, per-source Dijkstra on G^r, and (lazily, at
-// query time) UPDATE_DISTANCE.
+// connected graph g: Reduce, the S^r fill on G^r (fillDijkstra), and
+// (lazily, at query time) UPDATE_DISTANCE.
 func NewEarAPSP(g *graph.Graph) *EarAPSP { return NewEarAPSPParallel(g, 1) }
 
 // NewEarAPSPParallel is NewEarAPSP with the processing phase spread over
@@ -92,9 +169,9 @@ func NewEarAPSPParallel(g *graph.Graph, workers int) *EarAPSP {
 }
 
 // NewEarAPSPParallelCtx is NewEarAPSPParallel with cooperative
-// cancellation: the per-source Dijkstra fan-out stops claiming sources
-// once ctx is done and the context error is returned with no (partial)
-// result. With a background context it never fails.
+// cancellation: the processing phase stops claiming sources once ctx is
+// done and the context error is returned with no (partial) result. With a
+// background context it never fails.
 func NewEarAPSPParallelCtx(ctx context.Context, g *graph.Graph, workers int) (*EarAPSP, error) {
 	a := newEarAPSP(g, nil)
 	if err := a.fillDijkstra(ctx, workers); err != nil {

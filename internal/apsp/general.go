@@ -87,7 +87,8 @@ type Oracle struct {
 	// view caches StitchView(); see there.
 	view atomic.Pointer[StitchView]
 
-	// Relaxations is the Dijkstra work of construction, all of it in blocks.
+	// Relaxations is the work of construction, all of it in the blocks'
+	// processing phases (EarAPSP.Relaxations).
 	Relaxations int64
 
 	// BuildPhases times the construction phases of this oracle

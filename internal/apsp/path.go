@@ -19,7 +19,7 @@ import (
 //
 // The greedy descent relies on the Bellman equality d(cur, t) =
 // w(cur, v) + d(v, t) holding for some neighbour v. The table entries are
-// float sums computed by independent per-source Dijkstra runs, so on
+// float sums computed by independent per-source runs, so on
 // non-integral weights the two sides can disagree by a few ULPs — or, in a
 // Compact32 table, by one float32 rounding each; ties and zero-weight
 // plateaus can additionally stall the descent. The walk therefore (a)

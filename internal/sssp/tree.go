@@ -29,17 +29,30 @@ func BuildTree(res *Result) *Tree {
 		Dist:       res.Dist,
 		Depth:      make([]int32, n),
 	}
-	children := make([][]int32, n)
-	for v := int32(0); v < int32(n); v++ {
-		if p := res.Parent[v]; p >= 0 {
-			children[p] = append(children[p], v)
+	// Child lists by one counting sort over Parent: v's children are
+	// children[start[v]:start[v+1]], in ascending vertex order.
+	start := make([]int32, n+1)
+	for _, p := range res.Parent {
+		if p >= 0 {
+			start[p+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	children := make([]int32, start[n])
+	fill := append([]int32(nil), start[:n]...)
+	for v, p := range res.Parent {
+		if p >= 0 {
+			children[fill[p]] = int32(v)
+			fill[p]++
 		}
 	}
 	t.Order = make([]int32, 0, n)
 	t.Order = append(t.Order, t.Root)
 	for qi := 0; qi < len(t.Order); qi++ {
 		v := t.Order[qi]
-		for _, c := range children[v] {
+		for _, c := range children[start[v]:start[v+1]] {
 			t.Depth[c] = t.Depth[v] + 1
 			t.Order = append(t.Order, c)
 		}
