@@ -418,11 +418,11 @@ func BenchmarkDistancesOnly(b *testing.B) {
 
 // largestBlockM is the largest biconnected block of blocks_m
 // (cond_mat_2003 at scale 0.08), the block the build spends its time in.
-func largestBlockM(b *testing.B) *graph.Graph {
-	b.Helper()
+func largestBlockM(tb testing.TB) *graph.Graph {
+	tb.Helper()
 	spec, err := datasets.ByName("cond_mat_2003")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	g := spec.Generate(0.08, 1)
 	dec := bcc.Compute(g)
@@ -436,10 +436,11 @@ func largestBlockM(b *testing.B) *graph.Graph {
 }
 
 // BenchmarkEarAPSPFill is the whole of Algorithm 1 on that block at one
-// worker: the ear reduction and the two-pass processing phase that fills
-// S^r (a Dijkstra per searched source, then the merged rows). It reports
-// ns per row of S^r; its allocations are fixed (the table, the reduction,
-// the merge split and one Scratch).
+// worker: the ear reduction and the search-or-assemble fill of S^r
+// (Dijkstra batches on G^r less its proven non-essential arcs, and the
+// rows assembled from finished neighbours). It reports ns per row of
+// S^r; its allocations are fixed (the table, the reduction and the
+// fill's state, which TestEarAPSPFillAllocs pins).
 func BenchmarkEarAPSPFill(b *testing.B) {
 	g := largestBlockM(b)
 	nr := ear.Reduce(g, ear.APSP).R.NumVertices()
@@ -449,6 +450,19 @@ func BenchmarkEarAPSPFill(b *testing.B) {
 		apsp.NewEarAPSP(g)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nr), "ns/row")
+}
+
+// TestEarAPSPFillAllocs is BenchmarkEarAPSPFill's allocs/op as a test:
+// the fill allocates its state once, whatever the number of batches, so
+// what NewEarAPSP allocates beyond the ear reduction stays under a bar far
+// below one allocation per batch.
+func TestEarAPSPFillAllocs(t *testing.T) {
+	g := largestBlockM(t)
+	reduce := testing.AllocsPerRun(2, func() { ear.Reduce(g, ear.APSP) })
+	whole := testing.AllocsPerRun(2, func() { apsp.NewEarAPSP(g) })
+	if fill := whole - reduce; fill > 32 {
+		t.Fatalf("the fill of %d reduced rows allocates %v times beyond the reduction's %v", ear.Reduce(g, ear.APSP).R.NumVertices(), fill, reduce)
+	}
 }
 
 // BenchmarkAblationSignedSearch vs LabelledSearch: the two minimum-cycle

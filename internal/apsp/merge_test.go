@@ -33,8 +33,9 @@ func reweight(g *graph.Graph, w func(i int) graph.Weight) *graph.Graph {
 }
 
 // mergeCases are check's differential inputs — the corpus, RandomGraph
-// seeds, self-loop, parallel-edge and zero-weight shapes — plus a grid and
-// a sparse random graph big enough to merge many rows, each once more with
+// seeds, self-loop, parallel-edge and zero-weight shapes — plus a grid, a
+// sparse random graph big enough to merge many rows and a denser one that
+// searches more rows than run the triangle check, each once more with
 // 0.1-step decimal weights, which binary floats cannot hold exactly.
 func mergeCases() []mergeCase {
 	cfg := gen.Config{MaxWeight: 9}
@@ -52,6 +53,7 @@ func mergeCases() []mergeCase {
 		check.NamedGraph{Name: "grid", G: grid},
 		check.NamedGraph{Name: "grid-zero-plateaus", G: reweight(grid, func(i int) graph.Weight { return graph.Weight(i % 3 / 2) })},
 		check.NamedGraph{Name: "gnm", G: gen.GNM(200, 420, cfg, rng)},
+		check.NamedGraph{Name: "gnm-dense", G: gen.GNM(400, 2400, cfg, rng)},
 	)
 	for seed := uint64(1); seed <= 12; seed++ {
 		graphs = append(graphs, check.NamedGraph{Name: fmt.Sprintf("random-%d", seed), G: check.RandomGraph(seed, 30)})
@@ -75,91 +77,72 @@ func mergeTables(g *graph.Graph, workers int) []*apsp.EarAPSP {
 	return append(out, apsp.NewFlatAPSP(g, workers))
 }
 
-// checkMerged holds one filled table to its definition: the merged set is
-// independent and each member has a non-loop neighbour; every row equals a
-// Dijkstra from its source — bit for bit on integral weights and on
-// searched rows, within 1e-12 relative on merged rows over float weights;
-// Relaxations is the searched rows' Dijkstra work plus nr per merged
-// non-loop arc. It returns the number of merged rows.
-func checkMerged(t *testing.T, name string, ea *apsp.EarAPSP, integral bool) int {
+// checkFilled holds one filled table to its definition, with the mask and
+// assembled rows FillSchedule reports for its R: the schedule reproduces
+// the table and Relaxations; every dead edge (u,v,w) has d(u,v) < w by a
+// Dijkstra on the unpruned R; every row equals a Dijkstra from its
+// source — bit for bit on integral weights and on searched rows, within
+// 1e-12 relative on assembled rows over float weights. It returns the
+// number of assembled rows and of dead edges.
+func checkFilled(t *testing.T, name string, ea *apsp.EarAPSP, integral bool) (assembled, pruned int) {
 	t.Helper()
 	r := ea.Red.R
 	nr := r.NumVertices()
-	in, arcs := apsp.MergeSet(r)
-	if len(in) != nr {
-		t.Fatalf("%s: merge mask of %d for %d sources", name, len(in), nr)
-	}
-	var ownArcs int64
-	merged := 0
-	adj := r.AdjNode()
-	for s := int32(0); s < int32(nr); s++ {
-		if !in[s] {
-			continue
-		}
-		merged++
-		lo, hi := r.AdjacencyRange(s)
-		own := int64(0)
-		for _, u := range adj[lo:hi] {
-			if u == s {
-				continue
-			}
-			own++
-			if in[u] {
-				t.Fatalf("%s: merged %d and %d are adjacent", name, s, u)
-			}
-		}
-		if own == 0 {
-			t.Fatalf("%s: merged %d has no non-loop neighbour", name, s)
-		}
-		ownArcs += own
-	}
-	if arcs != ownArcs {
-		t.Fatalf("%s: %d merged arcs reported, %d counted", name, arcs, ownArcs)
+	sr, relax, dead, asm := apsp.FillSchedule(r)
+	if relax != ea.Relaxations || !slices.Equal(sr, ea.SR) {
+		t.Fatalf("%s: the schedule's table or Relaxations (%d) differ from the build's (%d)", name, relax, ea.Relaxations)
 	}
 	sc := sssp.NewScratch(nr)
-	want := make([]graph.Weight, nr)
-	relax := arcs * int64(nr)
+	want := make([][]graph.Weight, nr)
+	for s := range want {
+		want[s] = make([]graph.Weight, nr)
+		sssp.DistancesOnly(r, int32(s), want[s], sc)
+	}
+	for e, ed := range r.Edges() {
+		if dead[e] {
+			pruned++
+			if d := want[ed.U][ed.V]; !(d < ed.W) {
+				t.Fatalf("%s: edge %d (%d,%d,%v) pruned, but d = %v", name, e, ed.U, ed.V, ed.W, d)
+			}
+		}
+	}
 	for s := 0; s < nr; s++ {
-		k := sssp.DistancesOnly(r, int32(s), want, sc)
-		if !in[s] {
-			relax += k
+		if asm[s] {
+			assembled++
 		}
 		for x, got := range ea.SR[s*nr : (s+1)*nr] {
-			w := want[x]
+			w := want[s][x]
 			if math.Float64bits(got) == math.Float64bits(w) {
 				continue
 			}
-			if integral || !in[s] || w >= apsp.Inf || math.Abs(got-w) > 1e-12*w {
-				t.Fatalf("%s: S^r[%d,%d] = %v (merged %v), Dijkstra %v", name, s, x, got, in[s], w)
+			if integral || !asm[s] || w >= apsp.Inf || math.Abs(got-w) > 1e-12*w {
+				t.Fatalf("%s: S^r[%d,%d] = %v (assembled %v), Dijkstra %v", name, s, x, got, asm[s], w)
 			}
 		}
 	}
-	if ea.Relaxations != relax {
-		t.Fatalf("%s: Relaxations %d, want %d", name, ea.Relaxations, relax)
-	}
-	return merged
+	return assembled, pruned
 }
 
-// TestMergedRowsMatchDijkstra holds the two-pass fill to a Dijkstra from
-// every source, on every EarAPSP the ear oracle and the flat arm build,
-// holds the merged set and the table bits fixed across worker counts, and
-// cancels between the passes.
+// TestMergedRowsMatchDijkstra holds the search-or-assemble fill to a
+// Dijkstra from every source, on every EarAPSP the ear oracle and the
+// flat arm build, holds the table bits and Relaxations fixed across
+// worker counts, and cancels it between its passes.
 func TestMergedRowsMatchDijkstra(t *testing.T) {
 	t.Run("cancel-between-passes", cancelBetweenPasses)
-	total := 0
+	assembled, pruned := 0, 0
 	for _, tc := range mergeCases() {
 		base := mergeTables(tc.G, 1)
 		for i, ea := range base {
-			total += checkMerged(t, fmt.Sprintf("%s table %d", tc.Name, i), ea, tc.integral)
+			a, p := checkFilled(t, fmt.Sprintf("%s table %d", tc.Name, i), ea, tc.integral)
+			assembled += a
+			pruned += p
 		}
 		for _, workers := range []int{2, 8} {
 			for i, ea := range mergeTables(tc.G, workers) {
 				ref := base[i]
-				m, _ := apsp.MergeSet(ea.Red.R)
-				rm, _ := apsp.MergeSet(ref.Red.R)
-				if !slices.Equal(m, rm) || ea.Relaxations != ref.Relaxations {
-					t.Fatalf("%s table %d, %d workers: merged %v, %d relaxations; 1 worker: %v, %d",
-						tc.Name, i, workers, m, ea.Relaxations, rm, ref.Relaxations)
+				if ea.Relaxations != ref.Relaxations {
+					t.Fatalf("%s table %d, %d workers: %d relaxations, %d at 1 worker",
+						tc.Name, i, workers, ea.Relaxations, ref.Relaxations)
 				}
 				for j, d := range ea.SR {
 					if math.Float64bits(d) != math.Float64bits(ref.SR[j]) {
@@ -169,22 +152,27 @@ func TestMergedRowsMatchDijkstra(t *testing.T) {
 			}
 		}
 	}
-	if total == 0 {
-		t.Fatal("no row was merged on any case")
+	if assembled == 0 || pruned == 0 {
+		t.Fatalf("%d rows assembled and %d edges pruned over every case, want some of each", assembled, pruned)
 	}
 }
 
-// passCtx is cancelled by its second Done call. The processing phase asks
-// once per pass, so the cancel lands after pass one has finished and
-// before pass two claims a source.
+// passCtx counts its Done calls and is cancelled by call number at (never
+// when at is 0). The fill asks once per pass — a batch of searches, a
+// triangle check, an assembly round — and claims no work after a cancel.
 type passCtx struct {
 	context.Context
+	at    int32
 	calls atomic.Int32
 	done  chan struct{}
 }
 
+func newPassCtx(at int32) *passCtx {
+	return &passCtx{Context: context.Background(), at: at, done: make(chan struct{})}
+}
+
 func (c *passCtx) Done() <-chan struct{} {
-	if c.calls.Add(1) == 2 {
+	if c.calls.Add(1) == c.at {
 		close(c.done)
 	}
 	return c.done
@@ -199,18 +187,26 @@ func (c *passCtx) Err() error {
 	}
 }
 
-// cancelBetweenPasses: a context cancelled between the two passes returns
-// its error and no table.
+// cancelBetweenPasses: a context cancelled at the first, second, third or
+// last of the fill's Done calls returns its error and no table.
 func cancelBetweenPasses(t *testing.T) {
 	g := gen.Grid(8, 8, gen.Config{MaxWeight: 5}, gen.NewRNG(3))
 	for _, workers := range []int{1, 4} {
-		ctx := &passCtx{Context: context.Background(), done: make(chan struct{})}
-		a, err := apsp.NewEarAPSPParallelCtx(ctx, g, workers)
-		if a != nil || !errors.Is(err, context.Canceled) {
-			t.Fatalf("%d workers: got a table %v and err %v, want no table and context.Canceled", workers, a != nil, err)
+		count := newPassCtx(0)
+		if _, err := apsp.NewEarAPSPParallelCtx(count, g, workers); err != nil {
+			t.Fatal(err)
 		}
-		if n := ctx.calls.Load(); n != 2 {
-			t.Fatalf("%d workers: Done called %d times, want once per pass", workers, n)
+		last := count.calls.Load()
+		if last < 4 {
+			t.Fatalf("%d workers: %d Done calls, want a pass per batch and assembly round", workers, last)
+		}
+		for _, at := range []int32{1, 2, 3, last} {
+			ctx := newPassCtx(at)
+			a, err := apsp.NewEarAPSPParallelCtx(ctx, g, workers)
+			if a != nil || !errors.Is(err, context.Canceled) {
+				t.Fatalf("%d workers, cancel at Done call %d of %d: got a table %v and err %v, want no table and context.Canceled",
+					workers, at, last, a != nil, err)
+			}
 		}
 	}
 }

@@ -387,9 +387,9 @@ func TestTreeInvariants(t *testing.T) {
 
 	// The round's trajectory (ROADMAP aim 2): non-test Go lines outside
 	// bench/, held under the bar the last PR to move it reached (raised by
-	// 92 lines for the merged-row fill and the counting-sort BuildTree).
+	// 189 lines for the search-or-assemble fill on the essential arcs).
 	t.Run("non-test LOC", func(t *testing.T) {
-		const bar = 21230
+		const bar = 21419
 		t.Logf("%d non-test lines outside bench/", loc)
 		if loc >= bar {
 			t.Errorf("%d non-test lines outside bench/, want < %d", loc, bar)
