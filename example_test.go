@@ -44,7 +44,7 @@ func ExampleSaveOracle() {
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "oracle.snap")
 
-	oracle, _ := repro.ShortestPathsOpts(g, repro.APSPOptions{Workers: 1})
+	oracle, _ := repro.ShortestPaths(g, 1)
 	if err := repro.SaveOracle(path, oracle); err != nil {
 		fmt.Println("save:", err)
 		return

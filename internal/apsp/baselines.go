@@ -109,7 +109,7 @@ func identityReduction(g *graph.Graph) *ear.Reduced {
 // against NewOracle isolates exactly the contribution of the ear
 // decomposition, which is how the paper frames the comparison.
 func NewBanerjee(g *graph.Graph, workers int) *Oracle {
-	o, _ := newOracle(context.Background(), g, false, func(_ context.Context, sub *graph.Graph) (*EarAPSP, error) {
+	o, _ := newOracle(context.Background(), g, func(_ context.Context, sub *graph.Graph) (*EarAPSP, error) {
 		return NewFlatAPSP(sub, workers), nil
 	})
 	return o

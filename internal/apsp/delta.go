@@ -303,8 +303,7 @@ func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int
 	}
 
 	n := &Oracle{
-		G: newG, Dec: o.Dec, BCT: o.BCT, numA: o.numA,
-		A: o.A, a32: o.a32, compact: o.compact,
+		G: newG, Dec: o.Dec, BCT: o.BCT, A: o.A, numA: o.numA,
 		Forest: o.Forest, loc: o.loc,
 		Relaxations: o.Relaxations,
 		BuildPhases: &obs.Phases{},
@@ -321,9 +320,6 @@ func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int
 		ea, err := NewEarAPSPParallelCtx(ctx, sub.G, workers)
 		if err != nil {
 			return nil, nil, err
-		}
-		if n.compact {
-			ea.compress()
 		}
 		// The shared vertex index stays valid for the rebuilt block:
 		// InducedByEdges on the same edge sequence reproduces the same
@@ -402,10 +398,9 @@ func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int
 	}
 
 	touched, fresh := 0, int64(0)
-	n, err := assemble(newG, dec, bcc.BuildBlockCutTree(newG, dec), o.compact, nil, func(ci int, sub *graph.Subgraph) (*EarAPSP, error) {
+	n, err := assemble(newG, dec, bcc.BuildBlockCutTree(newG, dec), nil, func(ci int, sub *graph.Subgraph) (*EarAPSP, error) {
 		comp := dec.Components[ci]
 		for _, ob := range reusable[hashI32s(seed, comp)] {
-			// A reused Ear from a compact oracle is already compressed.
 			if old := o.Blocks[ob.bi].Ear; i32sEqual(ob.seq, comp) && old.G.NumVertices() == sub.G.NumVertices() {
 				return old, nil
 			}

@@ -2,7 +2,6 @@ package apsp
 
 import (
 	"context"
-	"math"
 	"sync/atomic"
 
 	"repro/internal/bcc"
@@ -65,16 +64,9 @@ type Oracle struct {
 	Blocks []*BlockAPSP
 
 	// A is the articulation-point table, a×a row-major over BCT.CutVertices
-	// indices; in compact mode it lives in a32 instead (float32, +Inf for
-	// unreachable) and A is nil.
+	// indices.
 	A    []graph.Weight
-	a32  []float32
 	numA int
-
-	// compact records that every distance table (A and each block's S^r)
-	// is stored as float32 — half the cache footprint, with the tolerance
-	// policy documented on Options.Compact32.
-	compact bool
 
 	// loc is the flat parent→local vertex index shared by every block.
 	loc *locIndex
@@ -97,33 +89,8 @@ type Oracle struct {
 	BuildPhases *obs.Phases
 }
 
-// Options configures oracle construction beyond the graph itself.
-type Options struct {
-	// Workers is the parallelism of the per-block processing phase; < 1
-	// resolves to 1 (sequential).
-	Workers int
-	// Compact32 stores every distance table (the a×a AP table and each
-	// block's S^r) as float32 instead of float64, halving the oracle's
-	// dominant memory term a² + Σ nr_i². Distances are computed in float64
-	// and rounded once on store, so each table entry carries at most one
-	// float32 rounding (relative error ≤ 2⁻²⁴ ≈ 6e-8); a query combines at
-	// most three table entries plus exact chain prefixes, so query results
-	// stay within ~1e-6 relative error of the float64 oracle (the
-	// differential sweep in internal/check enforces 1e-5). Unreachable
-	// entries are stored as +Inf and read back as the exact Inf sentinel.
-	Compact32 bool
-}
-
 // NewOracle builds the oracle sequentially.
 func NewOracle(g *graph.Graph) *Oracle { return NewOracleParallel(g, 1) }
-
-// NewOracleOpts builds the oracle under ctx with explicit options; it is
-// the constructor behind the facade's APSPOptions.
-func NewOracleOpts(ctx context.Context, g *graph.Graph, opts Options) (*Oracle, error) {
-	return newOracle(ctx, g, opts.Compact32, func(c context.Context, sub *graph.Graph) (*EarAPSP, error) {
-		return NewEarAPSPParallelCtx(c, sub, opts.Workers)
-	})
-}
 
 // NewOracleParallel builds the oracle with the per-block processing phase
 // parallelised over real goroutine workers (each block's per-source
@@ -140,20 +107,23 @@ func NewOracleParallel(g *graph.Graph, workers int) *Oracle {
 // or hitting a deadline abandons a long build promptly. On cancellation it
 // returns a nil oracle and the context error; no build metrics are
 // recorded for abandoned builds. With a background context it never fails.
+// workers < 1 resolves to 1 (sequential).
 func NewOracleParallelCtx(ctx context.Context, g *graph.Graph, workers int) (*Oracle, error) {
-	return NewOracleOpts(ctx, g, Options{Workers: workers})
+	return newOracle(ctx, g, func(c context.Context, sub *graph.Graph) (*EarAPSP, error) {
+		return NewEarAPSPParallelCtx(c, sub, workers)
+	})
 }
 
 // newOracle is a from-scratch build: the BCC partition, assemble with mk
 // solving every block, then the AP table. It is the only caller that
 // times phases — a loaded or delta-built oracle ran none of them.
-func newOracle(ctx context.Context, g *graph.Graph, compact bool, mk func(context.Context, *graph.Graph) (*EarAPSP, error)) (*Oracle, error) {
+func newOracle(ctx context.Context, g *graph.Graph, mk func(context.Context, *graph.Graph) (*EarAPSP, error)) (*Oracle, error) {
 	phases := &obs.Phases{}
 	stop := phases.Start("bcc")
 	dec := bcc.Compute(g)
 	bct := bcc.BuildBlockCutTree(g, dec)
 	stop()
-	o, err := assemble(g, dec, bct, compact, phases, func(_ int, sub *graph.Subgraph) (*EarAPSP, error) {
+	o, err := assemble(g, dec, bct, phases, func(_ int, sub *graph.Subgraph) (*EarAPSP, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -185,9 +155,9 @@ func newOracle(ctx context.Context, g *graph.Graph, compact bool, mk func(contex
 // result's Relaxations is the sum over resident blocks. ph, which may be
 // nil, times the "blocks" and "forest" phases for the one caller that
 // builds from scratch.
-func assemble(g *graph.Graph, dec *bcc.Decomposition, bct *bcc.BlockCutTree, compact bool, ph *obs.Phases,
+func assemble(g *graph.Graph, dec *bcc.Decomposition, bct *bcc.BlockCutTree, ph *obs.Phases,
 	block func(bi int, sub *graph.Subgraph) (*EarAPSP, error)) (*Oracle, error) {
-	o := &Oracle{G: g, Dec: dec, BCT: bct, numA: len(bct.CutVertices), compact: compact, BuildPhases: &obs.Phases{}}
+	o := &Oracle{G: g, Dec: dec, BCT: bct, numA: len(bct.CutVertices), BuildPhases: &obs.Phases{}}
 	stop := ph.Start("blocks")
 	subs := dec.Subgraphs(g)
 	o.Blocks = make([]*BlockAPSP, len(subs))
@@ -197,9 +167,6 @@ func assemble(g *graph.Graph, dec *bcc.Decomposition, bct *bcc.BlockCutTree, com
 			return nil, err
 		}
 		if ea != nil {
-			if compact {
-				ea.compress()
-			}
 			o.Relaxations += ea.Relaxations
 		}
 		o.Blocks[bi] = &BlockAPSP{Sub: sub, Ear: ea}
@@ -256,45 +223,7 @@ func (o *Oracle) buildAPTable() {
 			}
 		}
 	}
-	if o.compact {
-		o.a32 = compressTable(o.A)
-		o.A = nil
-	}
 }
-
-// compressTable converts a float64 distance table to the compact float32
-// form: finite entries round once, the Inf sentinel becomes +Inf (which
-// float32 represents exactly) so reads can restore it losslessly.
-func compressTable(t []graph.Weight) []float32 {
-	out := make([]float32, len(t))
-	for i, v := range t {
-		if v >= Inf {
-			out[i] = float32(math.Inf(1))
-		} else {
-			out[i] = float32(v)
-		}
-	}
-	return out
-}
-
-// apAt reads entry (i, j) of an a×a AP table stored in either precision.
-// Compact entries above MaxFloat32 are the stored +Inf and read back as
-// the exact Inf sentinel.
-func apAt(a64 []graph.Weight, a32 []float32, a int, i, j int32) graph.Weight {
-	if a32 != nil {
-		v := a32[int(i)*a+int(j)]
-		if v > math.MaxFloat32 {
-			return Inf
-		}
-		return graph.Weight(v)
-	}
-	return a64[int(i)*a+int(j)]
-}
-
-func (o *Oracle) apAt(i, j int32) graph.Weight { return apAt(o.A, o.a32, o.numA, i, j) }
-
-// Compact reports whether the oracle stores its tables as float32.
-func (o *Oracle) Compact() bool { return o.compact }
 
 // Query returns d_G(u, v) for arbitrary vertices: the pair kernel's case
 // analysis (pair.go) fed from the resident per-block tables. Out-of-range

@@ -55,10 +55,10 @@ func (v *StitchView) PlanPair(u, w int32) (PairPlan, error) {
 	if u == w {
 		return PairPlan{}, nil
 	}
-	a, numB := len(v.CutVertices), int32(len(v.BlockVerts))
+	numB := int32(len(v.BlockVerts))
 	iu, iw := v.CutIndex[u], v.CutIndex[w]
 	if iu >= 0 && iw >= 0 {
-		return PairPlan{mid: apAt(v.A, v.A32, a, iu, iw)}, nil
+		return PairPlan{mid: v.ap(iu, iw)}, nil
 	}
 	if iu >= 0 || iw >= 0 {
 		ia, x := iu, w
@@ -75,7 +75,7 @@ func (v *StitchView) PlanPair(u, w int32) (PairPlan, error) {
 		a2 := v.Forest.gate(bx, apNode) - numB
 		return PairPlan{
 			Want: [2]BlockEntry{{bx, v.CutVertices[a2], x}}, N: 1,
-			mid: apAt(v.A, v.A32, a, ia, a2),
+			mid: v.ap(ia, a2),
 		}, nil
 	}
 	bu, bw := v.BlockOf[u], v.BlockOf[w]
@@ -91,7 +91,7 @@ func (v *StitchView) PlanPair(u, w int32) (PairPlan, error) {
 	a2 := v.Forest.gate(bw, bu) - numB
 	return PairPlan{
 		Want: [2]BlockEntry{{bu, u, v.CutVertices[a1]}, {bw, v.CutVertices[a2], w}}, N: 2,
-		mid: apAt(v.A, v.A32, a, a1, a2),
+		mid: v.ap(a1, a2),
 	}, nil
 }
 

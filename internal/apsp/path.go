@@ -20,25 +20,19 @@ import (
 // The greedy descent relies on the Bellman equality d(cur, t) =
 // w(cur, v) + d(v, t) holding for some neighbour v. The table entries are
 // float sums computed by independent per-source runs, so on
-// non-integral weights the two sides can disagree by a few ULPs — or, in a
-// Compact32 table, by one float32 rounding each; ties and zero-weight
-// plateaus can additionally stall the descent. The walk therefore (a)
-// accepts next hops within a relative tolerance fitted to the table's
-// precision, (b) re-reads the remaining distance from the table instead of
-// maintaining it by subtraction, (c) bounds the number of steps, and (d)
-// falls back to an exact Dijkstra run with parent pointers when the greedy
-// walk still fails. Reconstruction never panics; all failures surface as
+// non-integral weights the two sides can disagree by a few ULPs; ties and
+// zero-weight plateaus can additionally stall the descent. The walk
+// therefore (a) accepts next hops within a relative tolerance, (b)
+// re-reads the remaining distance from the table instead of maintaining
+// it by subtraction, (c) bounds the number of steps, and (d) falls back
+// to an exact Dijkstra run with parent pointers when the greedy walk
+// still fails. Reconstruction never panics; all failures surface as
 // *QueryError.
 
-// Relative acceptance tolerances of a greedy step: generous enough to
-// absorb the drift between two table entries, far below any real weight
-// difference. float64 entries differ by ULPs of differently associated
-// sums; a float32 entry carries one rounding of 2⁻²⁴ ≈ 6e-8, so the two
-// sides of the Bellman equality can be 1.2e-7 apart.
-const (
-	pathTol64 = 1e-9
-	pathTol32 = 2.5e-7
-)
+// pathTol64 is the relative acceptance tolerance of a greedy step:
+// generous enough to absorb the drift between two table entries (ULPs of
+// differently associated sums), far below any real weight difference.
+const pathTol64 = 1e-9
 
 // pathFallbacks counts greedy walks that gave up and re-ran Dijkstra
 // (keptPathExact) — orders of magnitude slower, so worth seeing without a
@@ -47,15 +41,11 @@ var pathFallbacks = obs.Default.Counter("apsp.path.fallbacks")
 
 // pathTol returns the acceptance tolerance for a greedy step at remaining
 // distance r.
-func (a *EarAPSP) pathTol(r graph.Weight) graph.Weight {
+func pathTol(r graph.Weight) graph.Weight {
 	if r < 0 {
 		r = -r
 	}
-	tol := pathTol64
-	if a.sr32 != nil {
-		tol = pathTol32
-	}
-	return tol * (1 + r)
+	return pathTol64 * (1 + r)
 }
 
 // Path returns the vertices of a shortest x→y walk in the original graph,
@@ -132,7 +122,7 @@ func (a *EarAPSP) keptPath(kx, ky int32) ([]int32, error) {
 		bestEdge := int32(-1)
 		bestVal := Inf
 		bestDist := Inf
-		tol := a.pathTol(remaining)
+		tol := pathTol(remaining)
 		for i := lo; i < hi; i++ {
 			v, eid := adjNode[i], adjEdge[i]
 			dv := a.srAt(v, ky)

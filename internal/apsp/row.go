@@ -47,7 +47,6 @@ func (o *Oracle) buildView() *StitchView {
 		BlockVerts:  o.loc.verts,
 		Forest:      &o.Forest,
 		A:           o.A,
-		A32:         o.a32,
 	}
 	o.view.Store(v)
 	return v

@@ -1,7 +1,6 @@
 package apsp
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -67,10 +66,9 @@ var benchWalk []int32
 
 // BenchmarkOraclePath measures PathChecked over random cross-block pairs
 // of the multi-block fixture — the forest chain plus one in-block greedy
-// walk per hop — in both table precisions, with integral weights and with
-// every weight divided by 3. The ÷3 Compact32 case is the one a tolerance
-// too tight for float32 tables sends into the Dijkstra fallback on about
-// every other hop. Recorded in CI, not gated.
+// walk per hop — with integral weights and with every weight divided by
+// 3. The ÷3 case is the one a tolerance too tight for the table's float
+// sums sends into the Dijkstra fallback. Recorded in CI, not gated.
 func BenchmarkOraclePath(b *testing.B) {
 	integral := benchBlocksGraph()
 	thirds := integral.Edges()
@@ -81,35 +79,26 @@ func BenchmarkOraclePath(b *testing.B) {
 		name string
 		g    *graph.Graph
 	}{{"integral", integral}, {"thirds", graph.FromEdges(integral.NumVertices(), thirds)}} {
-		for _, compact := range []bool{false, true} {
-			o, err := NewOracleOpts(context.Background(), w.g, Options{Compact32: compact})
-			if err != nil {
-				b.Fatal(err)
+		o := NewOracle(w.g)
+		n := o.NumVertices()
+		rng := gen.NewRNG(7)
+		var pairs [][2]int32
+		for len(pairs) < 1024 {
+			u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+			if o.BCT.BlockOf[u] != o.BCT.BlockOf[v] && o.Query(u, v) < Inf {
+				pairs = append(pairs, [2]int32{u, v})
 			}
-			n := o.NumVertices()
-			rng := gen.NewRNG(7)
-			var pairs [][2]int32
-			for len(pairs) < 1024 {
-				u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
-				if o.BCT.BlockOf[u] != o.BCT.BlockOf[v] && o.Query(u, v) < Inf {
-					pairs = append(pairs, [2]int32{u, v})
-				}
-			}
-			name := w.name + "/float64"
-			if compact {
-				name = w.name + "/compact32"
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					p := pairs[i%len(pairs)]
-					walk, err := o.PathChecked(p[0], p[1])
-					if err != nil {
-						b.Fatal(err)
-					}
-					benchWalk = walk
-				}
-			})
 		}
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				walk, err := o.PathChecked(p[0], p[1])
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchWalk = walk
+			}
+		})
 	}
 }

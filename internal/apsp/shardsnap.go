@@ -65,11 +65,7 @@ func (o *Oracle) WriteShardSnapshot(w io.Writer, meta ShardMeta, owned []bool) (
 	md.U64(uint64(o.G.NumVertices()))
 	md.U64(uint64(len(o.Blocks)))
 	md.U64(uint64(o.numA))
-	var flags uint32
-	if o.compact {
-		flags |= metaFlagCompact
-	}
-	md.U32(flags)
+	md.U32(0) // flags
 
 	o.G.EncodeSnapshot(sw.Section("graph"))
 
@@ -83,7 +79,7 @@ func (o *Oracle) WriteShardSnapshot(w io.Writer, meta ShardMeta, owned []bool) (
 			continue
 		}
 		blk.Ear.Red.EncodeSnapshot(bl)
-		EncodeTable(bl, o.compact, blk.Ear.SR, blk.Ear.sr32)
+		EncodeTable(bl, blk.Ear.SR)
 	}
 
 	return sw.WriteTo(w)
@@ -184,8 +180,8 @@ func ReadShardSnapshot(r io.Reader) (s *ShardBlocks, err error) {
 	if err := md.Finish(); err != nil {
 		return nil, err
 	}
-	if flags&^uint32(metaFlagCompact) != 0 {
-		return nil, snapshot.Corruptf("apsp: unknown shard meta flags %#x", flags)
+	if err := CheckFlags(flags, "shard snapshot"); err != nil {
+		return nil, err
 	}
 	if meta.Shard < 0 || meta.NumShards < 1 || meta.Shard >= meta.NumShards {
 		return nil, snapshot.Corruptf("apsp: shard %d of %d out of range", meta.Shard, meta.NumShards)
@@ -219,13 +215,12 @@ func ReadShardSnapshot(r io.Reader) (s *ShardBlocks, err error) {
 	// Unowned blocks are assembled too, just not resident: the shared
 	// vertex index spans every block, because BlockRow needs src lookup to
 	// mirror QueryParent exactly.
-	compact := flags&metaFlagCompact != 0
-	s.o, err = assemble(g, dec, bct, compact, nil, func(bi int, sub *graph.Subgraph) (*EarAPSP, error) {
+	s.o, err = assemble(g, dec, bct, nil, func(bi int, sub *graph.Subgraph) (*EarAPSP, error) {
 		if !owned[bi] {
 			return nil, nil
 		}
 		s.ownedN++
-		return decodeBlock(bd, sub, compact, bi)
+		return decodeBlock(bd, sub, bi)
 	})
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package apsp
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"testing"
 
@@ -12,10 +11,12 @@ import (
 )
 
 // sealShard hand-writes a shard snapshot the way WriteShardSnapshot does,
-// except that the owned section (written by the caller's function) and
-// the set of blocks whose tables are encoded are the caller's — checksum-valid containers a real
+// except that the meta flags word, the owned section (written by the
+// caller's function), the set of blocks whose tables are encoded and the
+// table writer are the caller's — checksum-valid containers a real
 // planner never emits.
-func sealShard(t testing.TB, o *Oracle, owned func(*snapshot.Encoder), encoded []bool) []byte {
+func sealShard(t testing.TB, o *Oracle, flags uint32, owned func(*snapshot.Encoder), encoded []bool,
+	table func(*snapshot.Encoder, []graph.Weight)) []byte {
 	t.Helper()
 	sw := snapshot.NewWriter()
 	md := sw.Section("meta")
@@ -26,7 +27,7 @@ func sealShard(t testing.TB, o *Oracle, owned func(*snapshot.Encoder), encoded [
 	md.U64(uint64(o.G.NumVertices()))
 	md.U64(uint64(len(o.Blocks)))
 	md.U64(uint64(o.numA))
-	md.U32(0)
+	md.U32(flags)
 	o.G.EncodeSnapshot(sw.Section("graph"))
 	o.encodeDecomposition(sw.Section("bcc"))
 	owned(sw.Section("owned"))
@@ -34,7 +35,7 @@ func sealShard(t testing.TB, o *Oracle, owned func(*snapshot.Encoder), encoded [
 	for bi, blk := range o.Blocks {
 		if encoded[bi] {
 			blk.Ear.Red.EncodeSnapshot(bl)
-			EncodeTable(bl, false, blk.Ear.SR, nil)
+			table(bl, blk.Ear.SR)
 		}
 	}
 	var buf bytes.Buffer
@@ -56,21 +57,20 @@ func FuzzReadShardSnapshot(f *testing.F) {
 		gen.CycleNecklace(3, 3, cfg, rng), gen.CycleNecklace(5, 3, cfg, rng),
 	}, cfg, rng)
 	for _, g := range []*graph.Graph{chain, blocks} {
-		for _, compact := range []bool{false, true} {
-			o, err := NewOracleOpts(context.Background(), g, Options{Compact32: compact})
-			if err != nil {
-				f.Fatal(err)
-			}
-			owned := make([]bool, len(o.Blocks))
-			for bi := range owned {
-				owned[bi] = bi%2 == 0
-			}
-			var buf bytes.Buffer
-			if _, err := o.WriteShardSnapshot(&buf, ShardMeta{Epoch: 7, Shard: 0, NumShards: 2}, owned); err != nil {
-				f.Fatal(err)
-			}
-			f.Add(buf.Bytes())
-			f.Add(buf.Bytes()[:buf.Len()/2])
+		o := NewOracle(g)
+		owned := make([]bool, len(o.Blocks))
+		for bi := range owned {
+			owned[bi] = bi%2 == 0
+		}
+		var buf bytes.Buffer
+		if _, err := o.WriteShardSnapshot(&buf, ShardMeta{Epoch: 7, Shard: 0, NumShards: 2}, owned); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()/2])
+		_, single := singlePrecision(f, o)
+		for _, data := range single {
+			f.Add(data)
 		}
 	}
 	f.Add([]byte(snapshot.Magic))
@@ -86,12 +86,12 @@ func FuzzReadShardSnapshot(f *testing.F) {
 		return func(e *snapshot.Encoder) { e.Bools(s) }
 	}
 	for _, hostile := range [][]byte{
-		sealShard(f, o, flags(all[1:]), all), // ownership vector one flag short
-		sealShard(f, o, flags(all), first),   // claims every block, encodes one
-		sealShard(f, o, flags(first), all),   // claims one block, encodes every
+		sealShard(f, o, 0, flags(all[1:]), all, EncodeTable), // ownership vector one flag short
+		sealShard(f, o, 0, flags(all), first, EncodeTable),   // claims every block, encodes one
+		sealShard(f, o, 0, flags(first), all, EncodeTable),   // claims one block, encodes every
 		// A flag count whose rounding to bytes wraps to 0 (see the same
 		// seed in hostileSnapshots).
-		sealShard(f, o, func(e *snapshot.Encoder) { e.U64(^uint64(0)) }, all),
+		sealShard(f, o, 0, func(e *snapshot.Encoder) { e.U64(^uint64(0)) }, all, EncodeTable),
 	} {
 		if _, err := ReadShardSnapshot(bytes.NewReader(hostile)); !errors.Is(err, snapshot.ErrCorrupt) {
 			f.Fatalf("hostile seed accepted: err = %v", err)

@@ -41,20 +41,16 @@ import (
 // independently of the container's own version. Bump it whenever a
 // section's byte layout changes; readers reject any other version with
 // snapshot.ErrVersionSkew rather than guessing.
-//
-// v2 added compact (float32) table support: meta carries a trailing flags
-// word, and the blocks/aptable sections tag every distance table with a
-// storage-kind word (0 = float64, 1 = float32). v3 dropped the forest
-// section and the AP graph from aptable. v1 and v2 are not read.
 const oracleFormatVersion = 3
 
-// Meta flag bits.
-const metaFlagCompact = 1 << 0
-
-// Table storage-kind tags (blocks/aptable sections).
+// A meta section ends in a flags word and every distance table starts
+// with a storage-kind word. This build writes 0 in both: tables are
+// float64. Flag bit 0 and kind 1 marked single-precision tables, which no
+// release wrote; a reader refuses them as version skew, not corruption.
 const (
-	tableKindF64 = 0
-	tableKindF32 = 1
+	flagSingle      = 1 << 0
+	tableKindF64    = 0
+	tableKindSingle = 1
 )
 
 // chainSection names the section older builds appended to a base oracle
@@ -78,11 +74,7 @@ func (o *Oracle) WriteTo(w io.Writer) (int64, error) {
 	meta.U64(uint64(len(o.Blocks)))
 	meta.U64(uint64(o.numA))
 	meta.I64(o.Relaxations)
-	var flags uint32
-	if o.compact {
-		flags |= metaFlagCompact
-	}
-	meta.U32(flags)
+	meta.U32(0) // flags
 
 	o.G.EncodeSnapshot(sw.Section("graph"))
 
@@ -91,12 +83,12 @@ func (o *Oracle) WriteTo(w io.Writer) (int64, error) {
 	bl := sw.Section("blocks")
 	for _, blk := range o.Blocks {
 		blk.Ear.Red.EncodeSnapshot(bl)
-		EncodeTable(bl, o.compact, blk.Ear.SR, blk.Ear.sr32)
+		EncodeTable(bl, blk.Ear.SR)
 		bl.I64(blk.Ear.Relaxations)
 		bl.U64(0) // frontier sweeps: no build runs the frontier kernel
 	}
 
-	EncodeTable(sw.Section("aptable"), o.compact, o.A, o.a32)
+	EncodeTable(sw.Section("aptable"), o.A)
 
 	n, err := sw.WriteTo(w)
 	if err == nil {
@@ -150,8 +142,8 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 	if err := md.Finish(); err != nil {
 		return nil, err
 	}
-	if flags&^uint32(metaFlagCompact) != 0 {
-		return nil, snapshot.Corruptf("apsp: unknown meta flags %#x", flags)
+	if err := CheckFlags(flags, "oracle snapshot"); err != nil {
+		return nil, err
 	}
 
 	g, dec, bct, err := decodeStructure(sr, n, numBlocks, numA)
@@ -162,9 +154,8 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 	if err != nil {
 		return nil, err
 	}
-	compact := flags&metaFlagCompact != 0
-	o, err = assemble(g, dec, bct, compact, nil, func(bi int, sub *graph.Subgraph) (*EarAPSP, error) {
-		ea, err := decodeBlock(bd, sub, compact, bi)
+	o, err = assemble(g, dec, bct, nil, func(bi int, sub *graph.Subgraph) (*EarAPSP, error) {
+		ea, err := decodeBlock(bd, sub, bi)
 		if err != nil {
 			return nil, err
 		}
@@ -189,7 +180,7 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.A, o.a32, err = DecodeTable(ad, compact, o.numA*o.numA, "AP table"); err != nil {
+	if o.A, err = DecodeTable(ad, o.numA*o.numA, "AP table"); err != nil {
 		return nil, err
 	}
 	if err := ad.Finish(); err != nil {
@@ -203,41 +194,46 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 	return o, nil
 }
 
-// EncodeTable appends a distance table behind its storage-kind tag: f32
-// in compact mode, f64 otherwise.
-func EncodeTable(e *snapshot.Encoder, compact bool, f64 []graph.Weight, f32 []float32) {
-	if compact {
-		e.U32(tableKindF32)
-		e.F32s(f32)
-		return
+// CheckFlags holds a meta section's flags word to the 0 every writer
+// emits: bit 0 (single-precision tables) is version skew, any other bit
+// corruption.
+func CheckFlags(flags uint32, what string) error {
+	switch {
+	case flags&^flagSingle != 0:
+		return snapshot.Corruptf("apsp: unknown %s flags %#x", what, flags)
+	case flags != 0:
+		return fmt.Errorf("apsp: %s holds single-precision tables, this build reads float64 only: %w",
+			what, snapshot.ErrVersionSkew)
 	}
-	e.U32(tableKindF64)
-	e.F64s(f64)
+	return nil
 }
 
-// DecodeTable reads a kind-tagged distance table of want entries,
-// rejecting one whose precision disagrees with the snapshot's compact
-// flag.
-func DecodeTable(d *snapshot.Decoder, compact bool, want int, what string) (f64 []graph.Weight, f32 []float32, err error) {
-	var got int
+// EncodeTable appends a distance table behind its storage-kind tag.
+func EncodeTable(e *snapshot.Encoder, t []graph.Weight) {
+	e.U32(tableKindF64)
+	e.F64s(t)
+}
+
+// DecodeTable reads a kind-tagged distance table of want entries. A
+// single-precision table is version skew, any other kind but float64
+// corruption.
+func DecodeTable(d *snapshot.Decoder, want int, what string) ([]graph.Weight, error) {
 	switch kind := d.U32(); {
 	case d.Err() != nil: // truncated before the tag: reported below
-	case kind == tableKindF64 && !compact:
-		f64 = d.F64s()
-		got = len(f64)
-	case kind == tableKindF32 && compact:
-		f32 = d.F32s()
-		got = len(f32)
-	default:
-		return nil, nil, snapshot.Corruptf("apsp: %s has table kind %d in a snapshot with compact=%v", what, kind, compact)
+	case kind == tableKindSingle:
+		return nil, fmt.Errorf("apsp: %s is a single-precision table, this build reads float64 only: %w",
+			what, snapshot.ErrVersionSkew)
+	case kind != tableKindF64:
+		return nil, snapshot.Corruptf("apsp: %s has table kind %d", what, kind)
 	}
+	t := d.F64s()
 	if err := d.Err(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if got != want {
-		return nil, nil, snapshot.Corruptf("apsp: %s has %d table entries, want %d", what, got, want)
+	if len(t) != want {
+		return nil, snapshot.Corruptf("apsp: %s has %d table entries, want %d", what, len(t), want)
 	}
-	return f64, f32, nil
+	return t, nil
 }
 
 // encodeDecomposition writes the BCC section: per-component edge-ID
@@ -252,14 +248,14 @@ func (o *Oracle) encodeDecomposition(e *snapshot.Encoder) {
 
 // decodeBlock reads one block's ear reduction and S^r table, the layout
 // oracle and shard snapshots share.
-func decodeBlock(bd *snapshot.Decoder, sub *graph.Subgraph, compact bool, bi int) (*EarAPSP, error) {
+func decodeBlock(bd *snapshot.Decoder, sub *graph.Subgraph, bi int) (*EarAPSP, error) {
 	red, err := ear.DecodeReduced(bd, sub.G)
 	if err != nil {
 		return nil, err
 	}
 	nr := red.R.NumVertices()
 	ea := &EarAPSP{G: sub.G, Red: red, nr: nr}
-	ea.SR, ea.sr32, err = DecodeTable(bd, compact, nr*nr, fmt.Sprintf("block %d", bi))
+	ea.SR, err = DecodeTable(bd, nr*nr, fmt.Sprintf("block %d", bi))
 	return ea, err
 }
 

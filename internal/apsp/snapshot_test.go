@@ -2,8 +2,8 @@ package apsp
 
 import (
 	"bytes"
-	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/gen"
@@ -110,6 +110,147 @@ func TestSnapshotVersionSkew(t *testing.T) {
 	}
 }
 
+// f32Table writes t in the float32 layout no release wrote: kind 1, then
+// a length-prefixed slice of float32 bit patterns.
+func f32Table(e *snapshot.Encoder, t []graph.Weight) {
+	e.U32(tableKindSingle)
+	e.U64(uint64(len(t)))
+	for _, v := range t {
+		e.U32(math.Float32bits(float32(v)))
+	}
+}
+
+// singlePrecision seals o's oracle and shard snapshots the ways a
+// single-precision writer would have: flag bit 0 over float64 tables,
+// kind-1 tables under flags 0, and both. ReadOracle and
+// ReadShardSnapshot must refuse each as version skew.
+func singlePrecision(t testing.TB, o *Oracle) (oracles, shards [][]byte) {
+	f64AP := func(e *snapshot.Encoder) { EncodeTable(e, o.A) }
+	f32AP := func(e *snapshot.Encoder) { f32Table(e, o.A) }
+	all := make([]bool, len(o.Blocks))
+	for bi := range all {
+		all[bi] = true
+	}
+	owned := func(e *snapshot.Encoder) { e.Bools(all) }
+	oracles = [][]byte{
+		sealOracle(t, o, flagSingle, EncodeTable, f64AP, nil, nil),
+		sealOracle(t, o, 0, f32Table, f32AP, nil, nil),
+		sealOracle(t, o, 0, EncodeTable, f32AP, nil, nil), // only the AP table
+		sealOracle(t, o, flagSingle, f32Table, f32AP, nil, nil),
+	}
+	shards = [][]byte{
+		sealShard(t, o, flagSingle, owned, all, EncodeTable),
+		sealShard(t, o, 0, owned, all, f32Table),
+		sealShard(t, o, flagSingle, owned, all, f32Table),
+	}
+	return oracles, shards
+}
+
+// TestFloat32TablesRefused: flag bit 0 and table kind 1 marked
+// single-precision tables. An oracle or shard snapshot carrying either is
+// version skew — never corruption, never a served oracle — while the same
+// containers with flags 0 and float64 tables load.
+func TestFloat32TablesRefused(t *testing.T) {
+	o := NewOracle(testGraphs(t)["chained-blocks"])
+	all := make([]bool, len(o.Blocks))
+	for bi := range all {
+		all[bi] = true
+	}
+	f64AP := func(e *snapshot.Encoder) { EncodeTable(e, o.A) }
+	if _, err := ReadOracle(bytes.NewReader(sealOracle(t, o, 0, EncodeTable, f64AP, nil, nil))); err != nil {
+		t.Fatalf("float64 oracle: %v", err)
+	}
+	owned := func(e *snapshot.Encoder) { e.Bools(all) }
+	if _, err := ReadShardSnapshot(bytes.NewReader(sealShard(t, o, 0, owned, all, EncodeTable))); err != nil {
+		t.Fatalf("float64 shard: %v", err)
+	}
+	skew := func(err error) bool {
+		return errors.Is(err, snapshot.ErrVersionSkew) && !errors.Is(err, snapshot.ErrCorrupt)
+	}
+	oracles, shards := singlePrecision(t, o)
+	for i, data := range oracles {
+		if l, err := ReadOracle(bytes.NewReader(data)); l != nil || !skew(err) {
+			t.Errorf("oracle %d: err = %v, want ErrVersionSkew", i, err)
+		}
+	}
+	for i, data := range shards {
+		if s, err := ReadShardSnapshot(bytes.NewReader(data)); s != nil || !skew(err) {
+			t.Errorf("shard %d: err = %v, want ErrVersionSkew", i, err)
+		}
+	}
+}
+
+// TestOracleSnapshotRejectsV1 hand-rolls complete payloads in the
+// two retired layouts — v1 (no meta flags, untagged float64 tables) and v2
+// (flags and tagged tables); both with the stored forest and the AP graph
+// behind the table — and checks each is refused as version skew, not
+// half-decoded: there is no in-place migration, a snapshot from an older
+// release is rebuilt.
+func TestOracleSnapshotRejectsV1(t *testing.T) {
+	o := NewOracle(testGraphs(t)["chained-blocks"])
+
+	// The AP graph of buildAPTable, which old payloads carried.
+	apb := graph.NewBuilder(o.numA)
+	var edgeBlock []int32
+	for bi, blk := range o.Blocks {
+		cuts := o.BCT.BlockCuts[bi]
+		for i := range cuts {
+			for j := i + 1; j < len(cuts); j++ {
+				if w := blk.QueryParent(o.BCT.CutVertices[cuts[i]], o.BCT.CutVertices[cuts[j]]); w < Inf {
+					apb.AddEdge(cuts[i], cuts[j], w)
+					edgeBlock = append(edgeBlock, int32(bi))
+				}
+			}
+		}
+	}
+	apGraph := apb.Build()
+
+	for _, version := range []uint32{1, 2} {
+		table := func(e *snapshot.Encoder, f64 []graph.Weight) {
+			if version >= 2 {
+				e.U32(tableKindF64)
+			}
+			e.F64s(f64)
+		}
+		sw := snapshot.NewWriter()
+		meta := sw.Section("meta")
+		meta.U32(version)
+		meta.U64(uint64(o.G.NumVertices()))
+		meta.U64(uint64(len(o.Blocks)))
+		meta.U64(uint64(o.numA))
+		meta.I64(o.Relaxations)
+		if version >= 2 {
+			meta.U32(0) // flags
+		}
+		o.G.EncodeSnapshot(sw.Section("graph"))
+		o.encodeDecomposition(sw.Section("bcc"))
+		bl := sw.Section("blocks")
+		for _, blk := range o.Blocks {
+			blk.Ear.Red.EncodeSnapshot(bl)
+			table(bl, blk.Ear.SR)
+			bl.I64(blk.Ear.Relaxations)
+			bl.U64(0)
+		}
+		fe := sw.Section("forest")
+		fe.I32s(o.nodeParent)
+		fe.I32s(o.nodeDepth)
+		fe.I32s(o.nodeRoot)
+		ae := sw.Section("aptable")
+		table(ae, o.A)
+		ae.U32(1)
+		apGraph.EncodeSnapshot(ae)
+		ae.I32s(edgeBlock)
+		var buf bytes.Buffer
+		if _, err := sw.WriteTo(&buf); err != nil {
+			t.Fatalf("write v%d: %v", version, err)
+		}
+
+		if _, err := ReadOracle(&buf); !errors.Is(err, snapshot.ErrVersionSkew) {
+			t.Fatalf("read v%d: err = %v, want ErrVersionSkew", version, err)
+		}
+	}
+}
+
 // TestSnapshotCorruptionTyped flips bits and truncates at many offsets; every
 // mutation must produce a typed error, and none may panic (ReadOracle's
 // contract for hostile input).
@@ -141,11 +282,13 @@ func TestSnapshotCorruptionTyped(t *testing.T) {
 }
 
 // sealOracle hand-writes an oracle snapshot the way WriteTo does,
-// except for the meta flags word, the aptable payload, any extra sections
+// except for the meta flags word, the block table writer, the aptable
+// payload, any extra sections
 // and (when decomp is non-nil) the bcc payload, which the caller supplies —
 // the hostile seeds of FuzzReadOracle are checksum-valid containers a real
 // writer never emits.
-func sealOracle(t testing.TB, o *Oracle, flags uint32, apTable func(*snapshot.Encoder), extra func(*snapshot.Writer), decomp func(*snapshot.Encoder)) []byte {
+func sealOracle(t testing.TB, o *Oracle, flags uint32, table func(*snapshot.Encoder, []graph.Weight),
+	apTable func(*snapshot.Encoder), extra func(*snapshot.Writer), decomp func(*snapshot.Encoder)) []byte {
 	t.Helper()
 	sw := snapshot.NewWriter()
 	meta := sw.Section("meta")
@@ -163,7 +306,7 @@ func sealOracle(t testing.TB, o *Oracle, flags uint32, apTable func(*snapshot.En
 	bl := sw.Section("blocks")
 	for _, blk := range o.Blocks {
 		blk.Ear.Red.EncodeSnapshot(bl)
-		EncodeTable(bl, o.compact, blk.Ear.SR, blk.Ear.sr32)
+		table(bl, blk.Ear.SR)
 		bl.I64(blk.Ear.Relaxations)
 		bl.U64(0)
 	}
@@ -188,24 +331,20 @@ type hostileSnapshot struct {
 }
 
 func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
-	table := func(e *snapshot.Encoder) { EncodeTable(e, false, o.A, nil) }
+	table := func(e *snapshot.Encoder) { EncodeTable(e, o.A) }
 	return []hostileSnapshot{
 		{"AP table one entry short",
-			sealOracle(t, o, 0, func(e *snapshot.Encoder) { EncodeTable(e, false, o.A[1:], nil) }, nil, nil), true},
-		{"float32 AP table in a float64 snapshot",
-			sealOracle(t, o, 0, func(e *snapshot.Encoder) { EncodeTable(e, true, nil, compressTable(o.A)) }, nil, nil), true},
-		{"float64 tables under the compact flag",
-			sealOracle(t, o, metaFlagCompact, table, nil, nil), true},
+			sealOracle(t, o, 0, EncodeTable, func(e *snapshot.Encoder) { EncodeTable(e, o.A[1:]) }, nil, nil), true},
 		// Where v2 kept the AP graph.
 		{"bytes behind the AP table",
-			sealOracle(t, o, 0, func(e *snapshot.Encoder) { table(e); e.U32(0) }, nil, nil), true},
+			sealOracle(t, o, 0, EncodeTable, func(e *snapshot.Encoder) { table(e); e.U32(0) }, nil, nil), true},
 		// The v2 attack: a consistent rooted forest that is not the
 		// block-cut tree's — a leaf block re-hung under its grandparent
 		// block — passed every load check and CheckInvariants, then sent
 		// PlanPair's gate() - numB to -2. v3 derives the forest from the
 		// validated partition, so a stored one is an unknown section.
 		{"stored forest with a block under a block",
-			sealOracle(t, o, 0, table, func(sw *snapshot.Writer) {
+			sealOracle(t, o, 0, EncodeTable, table, func(sw *snapshot.Writer) {
 				parent := append([]int32(nil), o.nodeParent...)
 				depth := append([]int32(nil), o.nodeDepth...)
 				leaf := int32(len(o.Blocks) - 1)
@@ -219,7 +358,7 @@ func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
 		// (count+7)/8 wraps to 0 bytes: a bounds check made after the
 		// rounding passes, and make([]bool, 2⁶⁴−1) panics.
 		{"articulation flag count that wraps the byte rounding",
-			sealOracle(t, o, 0, table, nil, func(e *snapshot.Encoder) {
+			sealOracle(t, o, 0, EncodeTable, table, nil, func(e *snapshot.Encoder) {
 				e.U64(uint64(len(o.Dec.Components)))
 				for _, comp := range o.Dec.Components {
 					e.I32s(comp)
@@ -261,17 +400,16 @@ func FuzzReadOracle(f *testing.F) {
 		gen.CycleNecklace(3, 3, cfg, rng), gen.CycleNecklace(5, 3, cfg, rng),
 	}, cfg, rng)
 	for _, g := range []*graph.Graph{chain, blocks} {
-		for _, compact := range []bool{false, true} {
-			o, err := NewOracleOpts(context.Background(), g, Options{Compact32: compact})
-			if err != nil {
-				f.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if _, err := o.WriteTo(&buf); err != nil {
-				f.Fatal(err)
-			}
-			f.Add(buf.Bytes())
-			f.Add(buf.Bytes()[:buf.Len()/2])
+		o := NewOracle(g)
+		var buf bytes.Buffer
+		if _, err := o.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()/2])
+		single, _ := singlePrecision(f, o)
+		for _, data := range single {
+			f.Add(data)
 		}
 	}
 	o := NewOracle(chain)

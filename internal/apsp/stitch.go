@@ -32,8 +32,8 @@ import (
 // StitchView is the read-only block-cut topology the kernel walks: the
 // articulation points, the forest adjacency in both directions, each
 // block's vertex list in the order its rows are emitted, and the a×a
-// table A in its stored precision. The slices are shared with their
-// owner (an Oracle's BlockCutTree, a shard plan) and never written.
+// table A. The slices are shared with their owner (an Oracle's
+// BlockCutTree, a shard plan) and never written.
 type StitchView struct {
 	CutVertices []int32   // AP index → vertex
 	CutIndex    []int32   // vertex → AP index, -1 for regular vertices; len n
@@ -46,10 +46,11 @@ type StitchView struct {
 	// pair kernel navigates it where Row walks from the source instead.
 	Forest *Forest
 
-	// Exactly one is non-nil unless the graph has no articulation points.
-	A   []graph.Weight
-	A32 []float32
+	A []graph.Weight // a×a row-major over CutVertices indices
 }
+
+// ap reads entry (i, j) of A.
+func (v *StitchView) ap(i, j int32) graph.Weight { return v.A[int(i)*len(v.CutVertices)+int(j)] }
 
 // BlockWant names one in-block row the kernel needs: d_Block(Src, ·), in
 // BlockVerts[Block] order. Src is a parent-graph vertex lying on Block.
@@ -215,7 +216,7 @@ func (v *StitchView) Row(u int32, out []graph.Weight, fetch BlockRowsFunc) (int6
 	dAP := sc.dAP
 	if iu >= 0 {
 		for j := range dAP {
-			dAP[j] = apAt(v.A, v.A32, a, iu, int32(j))
+			dAP[j] = v.ap(iu, int32(j))
 			out[v.CutVertices[j]] = dAP[j]
 		}
 		ops += int64(a)
@@ -244,7 +245,7 @@ func (v *StitchView) Row(u int32, out []graph.Weight, fetch BlockRowsFunc) (int6
 		for j := range dAP {
 			best := Inf
 			for i, ci := range cuts {
-				if s := addInf(dcut[i], apAt(v.A, v.A32, a, ci, int32(j)), 0); s < best {
+				if s := addInf(dcut[i], v.ap(ci, int32(j)), 0); s < best {
 					best = s
 				}
 			}

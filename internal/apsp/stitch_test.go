@@ -2,7 +2,6 @@ package apsp_test
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"math"
 	"testing"
@@ -70,38 +69,31 @@ func shardProvider(t *testing.T, o *apsp.Oracle) apsp.BlockRowsFunc {
 // operation counts on the two paths.
 func TestStitchKernelProviders(t *testing.T) {
 	for _, tc := range stitchCases() {
-		for _, compact := range []bool{false, true} {
-			o, err := apsp.NewOracleOpts(context.Background(), tc.G, apsp.Options{Compact32: compact})
+		o := apsp.NewOracle(tc.G)
+		n := tc.G.NumVertices()
+		ref := apsp.FloydWarshall(tc.G)
+		fetch := shardProvider(t, o)
+		mono := make([]graph.Weight, n)
+		got := make([]graph.Weight, n)
+		for u := int32(0); int(u) < n; u++ {
+			mops := o.Row(u, mono)
+			gops, err := o.StitchView().Row(u, got, fetch)
 			if err != nil {
-				t.Fatalf("%s: build: %v", tc.Name, err)
+				t.Fatalf("%s: kernel row %d: %v", tc.Name, u, err)
 			}
-			n := tc.G.NumVertices()
-			ref := apsp.FloydWarshall(tc.G)
-			fetch := shardProvider(t, o)
-			mono := make([]graph.Weight, n)
-			got := make([]graph.Weight, n)
-			for u := int32(0); int(u) < n; u++ {
-				mops := o.Row(u, mono)
-				gops, err := o.StitchView().Row(u, got, fetch)
-				if err != nil {
-					t.Fatalf("%s compact=%v: kernel row %d: %v", tc.Name, compact, u, err)
+			if gops != mops {
+				t.Errorf("%s: row %d: %d ops via provider, %d via monolith", tc.Name, u, gops, mops)
+			}
+			for v := 0; v < n; v++ {
+				// Integral weights: the tables are exact.
+				want := o.Query(u, int32(v))
+				if fw := ref[int(u)*n+v]; math.Float64bits(float64(fw)) != math.Float64bits(float64(want)) {
+					t.Fatalf("%s: Query(%d,%d) = %v, Floyd–Warshall %v", tc.Name, u, v, want, fw)
 				}
-				if gops != mops {
-					t.Errorf("%s compact=%v: row %d: %d ops via provider, %d via monolith", tc.Name, compact, u, gops, mops)
-				}
-				for v := 0; v < n; v++ {
-					want := o.Query(u, int32(v))
-					if !compact {
-						// float64 tables over integral weights are exact.
-						if fw := ref[int(u)*n+v]; math.Float64bits(float64(fw)) != math.Float64bits(float64(want)) {
-							t.Fatalf("%s: Query(%d,%d) = %v, Floyd–Warshall %v", tc.Name, u, v, want, fw)
-						}
-					}
-					if math.Float64bits(float64(got[v])) != math.Float64bits(float64(want)) ||
-						math.Float64bits(float64(mono[v])) != math.Float64bits(float64(want)) {
-						t.Fatalf("%s compact=%v: d(%d,%d) = %v via provider, %v via monolith, reference %v",
-							tc.Name, compact, u, v, got[v], mono[v], want)
-					}
+				if math.Float64bits(float64(got[v])) != math.Float64bits(float64(want)) ||
+					math.Float64bits(float64(mono[v])) != math.Float64bits(float64(want)) {
+					t.Fatalf("%s: d(%d,%d) = %v via provider, %v via monolith, reference %v",
+						tc.Name, u, v, got[v], mono[v], want)
 				}
 			}
 		}
@@ -153,45 +145,38 @@ func TestStitchKernelErrors(t *testing.T) {
 // rows, and for none when both ends are articulation points.
 func TestPairKernelProviders(t *testing.T) {
 	for _, tc := range stitchCases() {
-		for _, compact := range []bool{false, true} {
-			o, err := apsp.NewOracleOpts(context.Background(), tc.G, apsp.Options{Compact32: compact})
-			if err != nil {
-				t.Fatalf("%s: build: %v", tc.Name, err)
-			}
-			n := tc.G.NumVertices()
-			ref := apsp.FloydWarshall(tc.G)
-			fetch := shardProvider(t, o)
-			view := o.StitchView()
-			row := make([]graph.Weight, n)
-			for u := int32(0); int(u) < n; u++ {
-				o.Row(u, row)
-				for v := int32(0); int(v) < n; v++ {
-					p, err := view.PlanPair(u, v)
-					if err != nil {
-						t.Fatalf("%s: PlanPair(%d,%d): %v", tc.Name, u, v, err)
+		o := apsp.NewOracle(tc.G)
+		n := tc.G.NumVertices()
+		ref := apsp.FloydWarshall(tc.G)
+		fetch := shardProvider(t, o)
+		view := o.StitchView()
+		row := make([]graph.Weight, n)
+		for u := int32(0); int(u) < n; u++ {
+			o.Row(u, row)
+			for v := int32(0); int(v) < n; v++ {
+				p, err := view.PlanPair(u, v)
+				if err != nil {
+					t.Fatalf("%s: PlanPair(%d,%d): %v", tc.Name, u, v, err)
+				}
+				if bothAP := view.CutIndex[u] >= 0 && view.CutIndex[v] >= 0; p.N > 2 || (bothAP || u == v) && p.N != 0 {
+					t.Fatalf("%s: PlanPair(%d,%d) wants %d block rows (both APs: %v)", tc.Name, u, v, p.N, bothAP)
+				}
+				var d [2]graph.Weight
+				for i, e := range p.Want[:p.N] {
+					rows := [][]graph.Weight{make([]graph.Weight, len(view.BlockVerts[e.Block]))}
+					if err := fetch([]apsp.BlockWant{{Block: e.Block, Src: e.Src}}, rows); err != nil {
+						t.Fatalf("%s: block row (%d,%d): %v", tc.Name, e.Block, e.Src, err)
 					}
-					if bothAP := view.CutIndex[u] >= 0 && view.CutIndex[v] >= 0; p.N > 2 || (bothAP || u == v) && p.N != 0 {
-						t.Fatalf("%s: PlanPair(%d,%d) wants %d block rows (both APs: %v)", tc.Name, u, v, p.N, bothAP)
-					}
-					var d [2]graph.Weight
-					for i, e := range p.Want[:p.N] {
-						rows := [][]graph.Weight{make([]graph.Weight, len(view.BlockVerts[e.Block]))}
-						if err := fetch([]apsp.BlockWant{{Block: e.Block, Src: e.Src}}, rows); err != nil {
-							t.Fatalf("%s: block row (%d,%d): %v", tc.Name, e.Block, e.Src, err)
-						}
-						d[i] = view.EntryAt(e, rows[0])
-					}
-					got, want := p.Distance(d[0], d[1]), o.Query(u, v)
-					if !compact {
-						if fw := ref[int(u)*n+int(v)]; math.Float64bits(float64(fw)) != math.Float64bits(float64(want)) {
-							t.Fatalf("%s: Query(%d,%d) = %v, Floyd–Warshall %v", tc.Name, u, v, want, fw)
-						}
-					}
-					if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) ||
-						math.Float64bits(float64(row[v])) != math.Float64bits(float64(want)) {
-						t.Fatalf("%s compact=%v: d(%d,%d) = %v via block rows, %v via Query, %v via the row kernel",
-							tc.Name, compact, u, v, got, want, row[v])
-					}
+					d[i] = view.EntryAt(e, rows[0])
+				}
+				got, want := p.Distance(d[0], d[1]), o.Query(u, v)
+				if fw := ref[int(u)*n+int(v)]; math.Float64bits(float64(fw)) != math.Float64bits(float64(want)) {
+					t.Fatalf("%s: Query(%d,%d) = %v, Floyd–Warshall %v", tc.Name, u, v, want, fw)
+				}
+				if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) ||
+					math.Float64bits(float64(row[v])) != math.Float64bits(float64(want)) {
+					t.Fatalf("%s: d(%d,%d) = %v via block rows, %v via Query, %v via the row kernel",
+						tc.Name, u, v, got, want, row[v])
 				}
 			}
 		}

@@ -69,17 +69,8 @@ func (o *Oracle) CheckInvariants() error {
 				bi, blk.Ear.G.NumVertices(), blk.Sub.G.NumVertices())
 		}
 		nr := blk.Ear.Red.R.NumVertices()
-		srLen := len(blk.Ear.SR)
-		if o.compact {
-			srLen = len(blk.Ear.sr32)
-			if blk.Ear.SR != nil {
-				return fmt.Errorf("apsp: block %d keeps a float64 S^r in compact mode", bi)
-			}
-		} else if blk.Ear.sr32 != nil {
-			return fmt.Errorf("apsp: block %d has a float32 S^r outside compact mode", bi)
-		}
-		if blk.Ear.nr != nr || srLen != nr*nr {
-			return fmt.Errorf("apsp: block %d has %d S^r entries for nr=%d", bi, srLen, nr)
+		if blk.Ear.nr != nr || len(blk.Ear.SR) != nr*nr {
+			return fmt.Errorf("apsp: block %d has %d S^r entries for nr=%d", bi, len(blk.Ear.SR), nr)
 		}
 		if blk.loc != o.loc || blk.bi != int32(bi) {
 			return fmt.Errorf("apsp: block %d not stamped with the shared vertex index", bi)
@@ -124,21 +115,12 @@ func (o *Oracle) CheckInvariants() error {
 	}
 
 	// AP table: a×a, zero diagonal.
-	aLen := len(o.A)
-	if o.compact {
-		aLen = len(o.a32)
-		if o.A != nil {
-			return fmt.Errorf("apsp: float64 AP table present in compact mode")
-		}
-	} else if o.a32 != nil {
-		return fmt.Errorf("apsp: float32 AP table present outside compact mode")
-	}
-	if aLen != o.numA*o.numA {
-		return fmt.Errorf("apsp: AP table has %d entries for a=%d", aLen, o.numA)
+	if len(o.A) != o.numA*o.numA {
+		return fmt.Errorf("apsp: AP table has %d entries for a=%d", len(o.A), o.numA)
 	}
 	for i := 0; i < o.numA; i++ {
-		if o.apAt(int32(i), int32(i)) != 0 {
-			return fmt.Errorf("apsp: AP table diagonal %d is %v", i, o.apAt(int32(i), int32(i)))
+		if d := o.A[i*o.numA+i]; d != 0 {
+			return fmt.Errorf("apsp: AP table diagonal %d is %v", i, d)
 		}
 	}
 	return nil

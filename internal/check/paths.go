@@ -33,18 +33,9 @@ func walkWeight(g *graph.Graph, walk []int32) (graph.Weight, error) {
 
 // weightsAgree compares a reconstructed walk weight against the queried
 // distance with a relative tolerance: on non-integral weights the two are
-// float sums of the same edge multiset in different association orders,
-// and a Compact32 oracle's distance additionally carries its tables'
-// float32 roundings (CompactTol).
-func weightsAgree(a, b graph.Weight, compact bool) bool {
-	if a == b {
-		return true
-	}
-	tol := 1e-9
-	if compact {
-		tol = CompactTol
-	}
-	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
+// float sums of the same edge multiset in different association orders.
+func weightsAgree(a, b graph.Weight) bool {
+	return a == b || math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b))
 }
 
 // pairPath exercises one (u, v) pair of the checked path surface and
@@ -81,7 +72,7 @@ func pairPath(g *graph.Graph, o *apsp.Oracle, u, v int32) (err error) {
 	if werr != nil {
 		return fmt.Errorf("pair (%d,%d): %v", u, v, werr)
 	}
-	if !weightsAgree(got, d, o.Compact()) {
+	if !weightsAgree(got, d) {
 		return fmt.Errorf("pair (%d,%d): walk weight %v, query %v", u, v, got, d)
 	}
 	return nil
@@ -90,9 +81,8 @@ func pairPath(g *graph.Graph, o *apsp.Oracle, u, v int32) (err error) {
 // Paths verifies the full checked path-reconstruction surface of the
 // block-cut oracle on g over every ordered pair, plus out-of-range probes,
 // for every way an oracle comes to exist: built, restored from a snapshot,
-// and after a weight-only and a structural delta, each in float64 and
-// Compact32. On failure it shrinks g with ddmin to a locally edge-minimal
-// witness and reports both. It returns nil when every pair round-trips.
+// and after a weight-only and a structural delta. On failure it reports a
+// locally edge-minimal ddmin witness too; nil means every pair round-trips.
 func Paths(g *graph.Graph) error {
 	if err := pathsOnce(g); err != nil {
 		witness := MinimizeEdges(g.Edges(), func(edges []graph.Edge) bool {
@@ -130,35 +120,30 @@ func pathsOnce(g *graph.Graph) error {
 			}})
 	}
 	ctx := context.Background()
-	for _, compact := range []bool{false, true} {
-		built, err := apsp.NewOracleOpts(ctx, g, apsp.Options{Compact32: compact})
-		if err != nil {
-			return err
-		}
-		var buf bytes.Buffer
-		if _, err := built.WriteTo(&buf); err != nil {
-			return err
-		}
-		loaded, err := apsp.ReadOracle(&buf)
-		if err != nil {
-			return fmt.Errorf("compact=%v: ReadOracle: %v", compact, err)
-		}
-		if err := sweepPaths(g, loaded); err != nil {
-			return fmt.Errorf("compact=%v, loaded: %v", compact, err)
-		}
-		for _, st := range stages {
-			h, o := g, built
-			if st.script != nil {
-				if h, err = apsp.MutateGraph(g, st.script); err != nil {
-					return err
-				}
-				if o, _, err = built.ApplyDelta(ctx, st.script); err != nil {
-					return fmt.Errorf("compact=%v, %s: %v", compact, st.name, err)
-				}
+	built := apsp.NewOracle(g)
+	var buf bytes.Buffer
+	if _, err := built.WriteTo(&buf); err != nil {
+		return err
+	}
+	loaded, err := apsp.ReadOracle(&buf)
+	if err != nil {
+		return fmt.Errorf("ReadOracle: %v", err)
+	}
+	if err := sweepPaths(g, loaded); err != nil {
+		return fmt.Errorf("loaded: %v", err)
+	}
+	for _, st := range stages {
+		h, o := g, built
+		if st.script != nil {
+			if h, err = apsp.MutateGraph(g, st.script); err != nil {
+				return err
 			}
-			if err := sweepPaths(h, o); err != nil {
-				return fmt.Errorf("compact=%v, %s: %v", compact, st.name, err)
+			if o, _, err = built.ApplyDelta(ctx, st.script); err != nil {
+				return fmt.Errorf("%s: %v", st.name, err)
 			}
+		}
+		if err := sweepPaths(h, o); err != nil {
+			return fmt.Errorf("%s: %v", st.name, err)
 		}
 	}
 	return nil

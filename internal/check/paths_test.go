@@ -61,17 +61,12 @@ func TestPathsCorpus(t *testing.T) {
 }
 
 // tableBits reads every stored distance of o through its exported
-// surface, in a fixed order: A in its stored precision, then each block's
-// S^r over reduced-vertex pairs (Ear.Query on two kept vertices is the
-// S^r entry itself, widened exactly when the table is float32).
+// surface, in a fixed order: A, then each block's S^r over reduced-vertex
+// pairs (Ear.Query on two kept vertices is the S^r entry itself).
 func tableBits(o *apsp.Oracle) []uint64 {
-	v := o.StitchView()
 	var bits []uint64
-	for _, d := range v.A {
+	for _, d := range o.StitchView().A {
 		bits = append(bits, math.Float64bits(d))
-	}
-	for _, d := range v.A32 {
-		bits = append(bits, uint64(math.Float32bits(d)))
 	}
 	for _, blk := range o.Blocks {
 		kept := blk.Ear.Red.KeptToOrig
@@ -89,57 +84,45 @@ func tableBits(o *apsp.Oracle) []uint64 {
 // through a script that changes nothing (same-weight reweight: the cheap
 // path; insert-then-delete of one edge: the structural path) must all
 // pass CheckInvariants and carry A and every S^r bit-for-bit equal to the
-// plain build's — compact oracles compared with the compact build — and
-// the Banerjee oracle, same assembly over unreduced blocks, must agree on
-// every Query.
+// plain build's, and the Banerjee oracle, same assembly over unreduced
+// blocks, must agree on every Query.
 func oneAssembly(g *graph.Graph) error {
 	ctx := context.Background()
 	n, m := int32(g.NumVertices()), int32(g.NumEdges())
-	for _, compact := range []bool{false, true} {
-		built, err := apsp.NewOracleOpts(ctx, g, apsp.Options{Compact32: compact})
-		if err != nil {
+	built := apsp.NewOracle(g)
+	var buf bytes.Buffer
+	if _, err := built.WriteTo(&buf); err != nil {
+		return err
+	}
+	loaded, err := apsp.ReadOracle(&buf)
+	if err != nil {
+		return err
+	}
+	made := map[string]*apsp.Oracle{"built": built, "loaded": loaded, "parallel": apsp.NewOracleParallel(g, 4)}
+	if m > 0 {
+		same := []apsp.Delta{{Kind: apsp.DeltaWeight, Edge: m / 2, W: g.Edge(m / 2).W}}
+		if made["reweighted"], _, err = built.ApplyDelta(ctx, same); err != nil {
 			return err
 		}
-		var buf bytes.Buffer
-		if _, err := built.WriteTo(&buf); err != nil {
+		undo := []apsp.Delta{{Kind: apsp.DeltaInsert, U: 0, V: n - 1, W: 2.5}, {Kind: apsp.DeltaDelete, Edge: m}}
+		if made["insert+delete"], _, err = built.ApplyDelta(ctx, undo); err != nil {
 			return err
 		}
-		loaded, err := apsp.ReadOracle(&buf)
-		if err != nil {
-			return err
+	}
+	want := tableBits(built)
+	for name, o := range made {
+		if err := o.CheckInvariants(); err != nil {
+			return fmt.Errorf("%s: %v", name, err)
 		}
-		made := map[string]*apsp.Oracle{"built": built, "loaded": loaded}
-		if !compact {
-			made["sequential"] = apsp.NewOracle(g)
-			made["parallel"] = apsp.NewOracleParallel(g, 4)
+		if got := tableBits(o); !slices.Equal(got, want) {
+			return fmt.Errorf("%s: tables differ from the plain build's", name)
 		}
-		if m > 0 {
-			same := []apsp.Delta{{Kind: apsp.DeltaWeight, Edge: m / 2, W: g.Edge(m / 2).W}}
-			if made["reweighted"], _, err = built.ApplyDelta(ctx, same); err != nil {
-				return err
-			}
-			undo := []apsp.Delta{{Kind: apsp.DeltaInsert, U: 0, V: n - 1, W: 2.5}, {Kind: apsp.DeltaDelete, Edge: m}}
-			if made["insert+delete"], _, err = built.ApplyDelta(ctx, undo); err != nil {
-				return err
-			}
-		}
-		want := tableBits(built)
-		for name, o := range made {
-			if err := o.CheckInvariants(); err != nil {
-				return fmt.Errorf("compact=%v, %s: %v", compact, name, err)
-			}
-			if got := tableBits(o); !slices.Equal(got, want) {
-				return fmt.Errorf("compact=%v, %s: tables differ from the plain build's", compact, name)
-			}
-		}
-		if !compact {
-			ban := apsp.NewBanerjee(g, 2)
-			for u := int32(0); u < n; u++ {
-				for v := int32(0); v < n; v++ {
-					if a, b := built.Query(u, v), ban.Query(u, v); a != b {
-						return fmt.Errorf("banerjee d(%d,%d) = %v, oracle %v", u, v, b, a)
-					}
-				}
+	}
+	ban := apsp.NewBanerjee(g, 2)
+	for u := int32(0); u < n; u++ {
+		for v := int32(0); v < n; v++ {
+			if a, b := built.Query(u, v), ban.Query(u, v); a != b {
+				return fmt.Errorf("banerjee d(%d,%d) = %v, oracle %v", u, v, b, a)
 			}
 		}
 	}
@@ -185,8 +168,8 @@ func TestPathsFloatNecklaces(t *testing.T) {
 }
 
 // TestPathsFollowCutChain is the chain property of cross-block paths: for
-// every pair of articulation points — over the same graphs and table
-// precisions as the sweeps above, built and after a structural delta —
+// every pair of articulation points — over the same graphs as the sweeps
+// above, built and after a structural delta —
 // the walk is the forest's cut chain expanded block by block, and its
 // weight is the AP table's entry.
 func TestPathsFollowCutChain(t *testing.T) {
@@ -196,45 +179,35 @@ func TestPathsFollowCutChain(t *testing.T) {
 	}
 	chains := 0
 	for _, ng := range graphs {
-		for _, compact := range []bool{false, true} {
-			o, err := apsp.NewOracleOpts(context.Background(), ng.G, apsp.Options{Compact32: compact})
+		o := apsp.NewOracle(ng.G)
+		oracles := []*apsp.Oracle{o}
+		if n := int32(ng.G.NumVertices()); n >= 2 {
+			applied, _, err := o.ApplyDelta(context.Background(),
+				[]apsp.Delta{{Kind: apsp.DeltaInsert, U: n - 1, V: n, W: 1.5}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracles := []*apsp.Oracle{o}
-			if n := int32(ng.G.NumVertices()); n >= 2 {
-				applied, _, err := o.ApplyDelta(context.Background(),
-					[]apsp.Delta{{Kind: apsp.DeltaInsert, U: n - 1, V: n, W: 1.5}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				oracles = append(oracles, applied)
-			}
-			for _, o := range oracles {
-				view := o.StitchView()
-				for ia, u := range view.CutVertices {
-					for ib, v := range view.CutVertices {
-						walk, err := o.PathChecked(u, v)
-						if err != nil {
-							t.Fatalf("%s: PathChecked(%d,%d): %v", ng.Name, u, v, err)
-						}
-						if ia == ib || walk == nil {
-							continue
-						}
-						chains++
-						if err := followsCutChain(o, walk); err != nil {
-							t.Errorf("%s compact=%v: walk %v %v", ng.Name, compact, walk, err)
-						}
-						var entry graph.Weight
-						if k := ia*len(view.CutVertices) + ib; compact {
-							entry = graph.Weight(view.A32[k])
-						} else {
-							entry = view.A[k]
-						}
-						if got, err := walkWeight(o.G, walk); err != nil || !weightsAgree(got, entry, compact) {
-							t.Errorf("%s compact=%v: walk %v weighs %v (%v), A[%d,%d] = %v",
-								ng.Name, compact, walk, got, err, ia, ib, entry)
-						}
+			oracles = append(oracles, applied)
+		}
+		for _, o := range oracles {
+			view := o.StitchView()
+			for ia, u := range view.CutVertices {
+				for ib, v := range view.CutVertices {
+					walk, err := o.PathChecked(u, v)
+					if err != nil {
+						t.Fatalf("%s: PathChecked(%d,%d): %v", ng.Name, u, v, err)
+					}
+					if ia == ib || walk == nil {
+						continue
+					}
+					chains++
+					if err := followsCutChain(o, walk); err != nil {
+						t.Errorf("%s: walk %v %v", ng.Name, walk, err)
+					}
+					entry := view.A[ia*len(view.CutVertices)+ib]
+					if got, err := walkWeight(o.G, walk); err != nil || !weightsAgree(got, entry) {
+						t.Errorf("%s: walk %v weighs %v (%v), A[%d,%d] = %v",
+							ng.Name, walk, got, err, ia, ib, entry)
 					}
 				}
 			}

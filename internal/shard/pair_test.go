@@ -12,42 +12,40 @@ import (
 
 // TestRemoteSourcePairMatchesMonolith is the pair path's byte-identity
 // claim over real HTTP: every pair a frontend answers equals the monolith
-// oracle's Query bit for bit (Inf included), in both table precisions, and
-// costs at most two fetched block rows — none when both ends are
-// articulation points, whose answer is the frontend's own A.
+// oracle's Query bit for bit (Inf included), and costs at most two
+// fetched block rows — none when both ends are articulation points, whose
+// answer is the frontend's own A.
 func TestRemoteSourcePairMatchesMonolith(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range equivGraphs() {
-		for _, compact := range []bool{false, true} {
-			for _, shards := range []int{1, 2, 3} {
-				c := newCluster(t, tc.g, shards, clusterOpts{compact: compact})
-				fetched, rpcs := c.reg.Counter("shard.rows.fetched"), c.reg.Counter("shard.rpc.requests")
-				n := int32(tc.g.NumVertices())
-				for u := int32(0); u < n; u++ {
-					for v := int32(0); v < n; v++ {
-						f0, r0 := fetched.Value(), rpcs.Value()
-						got, err := c.src.Pair(ctx, u, v)
-						if err != nil {
-							t.Fatalf("%s compact=%v shards=%d Pair(%d,%d): %v", tc.name, compact, shards, u, v, err)
-						}
-						if want := c.o.Query(u, v); math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("%s compact=%v shards=%d d(%d,%d) = %v, monolith %v",
-								tc.name, compact, shards, u, v, got, want)
-						}
-						rows, calls := fetched.Value()-f0, rpcs.Value()-r0
-						bothAP := c.plan.cutIndex[u] >= 0 && c.plan.cutIndex[v] >= 0
-						if rows > 2 || calls > rows || (bothAP || u == v) && rows != 0 {
-							t.Fatalf("%s shards=%d Pair(%d,%d) fetched %d block rows in %d RPCs (both APs: %v)",
-								tc.name, shards, u, v, rows, calls, bothAP)
-						}
+		for _, shards := range []int{1, 2, 3} {
+			c := newCluster(t, tc.g, shards, clusterOpts{})
+			fetched, rpcs := c.reg.Counter("shard.rows.fetched"), c.reg.Counter("shard.rpc.requests")
+			n := int32(tc.g.NumVertices())
+			for u := int32(0); u < n; u++ {
+				for v := int32(0); v < n; v++ {
+					f0, r0 := fetched.Value(), rpcs.Value()
+					got, err := c.src.Pair(ctx, u, v)
+					if err != nil {
+						t.Fatalf("%s shards=%d Pair(%d,%d): %v", tc.name, shards, u, v, err)
+					}
+					if want := c.o.Query(u, v); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s shards=%d d(%d,%d) = %v, monolith %v",
+							tc.name, shards, u, v, got, want)
+					}
+					rows, calls := fetched.Value()-f0, rpcs.Value()-r0
+					bothAP := c.plan.cutIndex[u] >= 0 && c.plan.cutIndex[v] >= 0
+					if rows > 2 || calls > rows || (bothAP || u == v) && rows != 0 {
+						t.Fatalf("%s shards=%d Pair(%d,%d) fetched %d block rows in %d RPCs (both APs: %v)",
+							tc.name, shards, u, v, rows, calls, bothAP)
 					}
 				}
-				if got := c.reg.Counter("shard.pairs").Value(); got != int64(n)*int64(n) {
-					t.Fatalf("shard.pairs = %d, want %d", got, int64(n)*int64(n))
-				}
-				if got := c.reg.Counter("shard.rows.stitched").Value(); got != 0 {
-					t.Fatalf("pair queries stitched %d rows, want 0", got)
-				}
+			}
+			if got := c.reg.Counter("shard.pairs").Value(); got != int64(n)*int64(n) {
+				t.Fatalf("shard.pairs = %d, want %d", got, int64(n)*int64(n))
+			}
+			if got := c.reg.Counter("shard.rows.stitched").Value(); got != 0 {
+				t.Fatalf("pair queries stitched %d rows, want 0", got)
 			}
 		}
 	}

@@ -35,10 +35,6 @@ type Plan struct {
 	Epoch uint64
 	// NumShards is how many shards the plan assigns blocks across.
 	NumShards int32
-	// Compact records the table precision of the oracle the plan was cut
-	// from: the AP table here (and the S^r tables in the shard
-	// snapshots) are float32 when set.
-	Compact bool
 	// NumVertices is the full graph's vertex count n.
 	NumVertices int
 	// CutVertices lists the articulation points by AP index, exactly as
@@ -57,10 +53,7 @@ type Plan struct {
 	// BlockShard assigns each block to its owning shard.
 	BlockShard []int32
 
-	// The AP table in its stored precision (exactly one non-nil unless
-	// the graph has no articulation points).
-	apF64 []graph.Weight
-	apF32 []float32
+	ap []graph.Weight // the a×a articulation-point table A
 
 	// Derived at load, never serialised.
 	cutIndex []int32         // vertex → AP index, -1 for regular vertices
@@ -145,15 +138,13 @@ func PlanShards(o *apsp.Oracle, opts PlanOptions) (*Plan, error) {
 	v := o.StitchView()
 	p := &Plan{
 		NumShards:   int32(opts.Shards),
-		Compact:     o.Compact(),
 		NumVertices: o.G.NumVertices(),
 		CutVertices: v.CutVertices,
 		BlockOf:     v.BlockOf,
 		BlockCuts:   v.BlockCuts,
 		BlockVerts:  v.BlockVerts,
 		BlockShard:  assign,
-		apF64:       v.A,
-		apF32:       v.A32,
+		ap:          v.A,
 	}
 	if err := p.derive(); err != nil {
 		return nil, err
@@ -198,11 +189,7 @@ func (p *Plan) WriteTo(w io.Writer) (int64, error) {
 	md.U64(uint64(p.NumVertices))
 	md.U64(uint64(len(p.BlockShard)))
 	md.U64(uint64(len(p.CutVertices)))
-	var flags uint32
-	if p.Compact {
-		flags |= 1
-	}
-	md.U32(flags)
+	md.U32(0) // flags
 
 	sw.Section("assign").I32s(p.BlockShard)
 
@@ -214,7 +201,7 @@ func (p *Plan) WriteTo(w io.Writer) (int64, error) {
 		be.I32s(p.BlockVerts[b])
 	}
 
-	apsp.EncodeTable(sw.Section("aptable"), p.Compact, p.apF64, p.apF32)
+	apsp.EncodeTable(sw.Section("aptable"), p.ap)
 
 	return sw.WriteTo(w)
 }
@@ -252,10 +239,9 @@ func ReadPlan(r io.Reader) (p *Plan, err error) {
 	if err := md.Finish(); err != nil {
 		return nil, err
 	}
-	if flags&^uint32(1) != 0 {
-		return nil, snapshot.Corruptf("shard: unknown plan flags %#x", flags)
+	if err := apsp.CheckFlags(flags, "plan manifest"); err != nil {
+		return nil, err
 	}
-	p.Compact = flags&1 != 0
 	if p.Epoch == 0 {
 		return nil, snapshot.Corruptf("shard: plan epoch 0")
 	}
@@ -329,7 +315,7 @@ func ReadPlan(r io.Reader) (p *Plan, err error) {
 		return nil, err
 	}
 	a := len(p.CutVertices)
-	if p.apF64, p.apF32, err = apsp.DecodeTable(at, p.Compact, a*a, "plan AP table"); err != nil {
+	if p.ap, err = apsp.DecodeTable(at, a*a, "plan AP table"); err != nil {
 		return nil, err
 	}
 	if err := at.Finish(); err != nil {
@@ -395,8 +381,7 @@ func (p *Plan) derive() error {
 		CutBlocks:   cutBlocks,
 		BlockVerts:  p.BlockVerts,
 		Forest:      &forest,
-		A:           p.apF64,
-		A32:         p.apF32,
+		A:           p.ap,
 	}
 	return nil
 }

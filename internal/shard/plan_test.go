@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -99,8 +100,7 @@ func TestPlanManifestRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadPlan: %v", err)
 	}
-	if q.Epoch != p.Epoch || q.NumShards != p.NumShards || q.Compact != p.Compact ||
-		q.NumVertices != p.NumVertices {
+	if q.Epoch != p.Epoch || q.NumShards != p.NumShards || q.NumVertices != p.NumVertices {
 		t.Fatalf("header mismatch: %+v vs %+v", q, p)
 	}
 	if !reflect.DeepEqual(q.CutVertices, p.CutVertices) ||
@@ -236,5 +236,65 @@ func TestReadPlanVersionSkew(t *testing.T) {
 	}
 	if !errors.Is(err, snapshot.ErrChecksum) && !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("err = %v, want a snapshot sentinel", err)
+	}
+}
+
+// sealPlan hand-writes p's manifest the way WriteTo does, except for the
+// flags word and the aptable section, which the caller supplies.
+func sealPlan(t *testing.T, p *Plan, flags uint32, apTable func(*snapshot.Encoder)) []byte {
+	t.Helper()
+	sw := snapshot.NewWriter()
+	md := sw.Section("plan")
+	md.U32(planFormatVersion)
+	md.U64(p.Epoch)
+	md.I32(p.NumShards)
+	md.U64(uint64(p.NumVertices))
+	md.U64(uint64(len(p.BlockShard)))
+	md.U64(uint64(len(p.CutVertices)))
+	md.U32(flags)
+	sw.Section("assign").I32s(p.BlockShard)
+	be := sw.Section("bct")
+	be.I32s(p.CutVertices)
+	be.I32s(p.BlockOf)
+	for b := range p.BlockShard {
+		be.I32s(p.BlockCuts[b])
+		be.I32s(p.BlockVerts[b])
+	}
+	apTable(sw.Section("aptable"))
+	var buf bytes.Buffer
+	if _, err := sw.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadPlanRefusesFloat32: flag bit 0 and table kind 1 marked a
+// float32 AP table. A manifest carrying either is version skew, never
+// corruption and never a plan; the same container with flags 0 and the
+// float64 table loads.
+func TestReadPlanRefusesFloat32(t *testing.T) {
+	p, err := PlanShards(apsp.NewOracle(testGraph()), PlanOptions{Shards: 2})
+	if err != nil {
+		t.Fatalf("PlanShards: %v", err)
+	}
+	f64 := func(e *snapshot.Encoder) { apsp.EncodeTable(e, p.ap) }
+	if _, err := ReadPlan(bytes.NewReader(sealPlan(t, p, 0, f64))); err != nil {
+		t.Fatalf("float64 manifest: %v", err)
+	}
+	f32 := func(e *snapshot.Encoder) {
+		e.U32(1) // table kind: float32
+		e.U64(uint64(len(p.ap)))
+		for _, v := range p.ap {
+			e.U32(math.Float32bits(float32(v)))
+		}
+	}
+	for name, data := range map[string][]byte{
+		"flag bit 0":      sealPlan(t, p, 1, f64),
+		"kind-1 AP table": sealPlan(t, p, 0, f32),
+	} {
+		q, err := ReadPlan(bytes.NewReader(data))
+		if q != nil || !errors.Is(err, snapshot.ErrVersionSkew) || errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: plan %v, err = %v, want ErrVersionSkew", name, q != nil, err)
+		}
 	}
 }

@@ -31,7 +31,6 @@ type cluster struct {
 }
 
 type clusterOpts struct {
-	compact   bool
 	epochSkew uint64 // added to shard snapshot epochs only
 	wrap      func(i int, h http.Handler) http.Handler
 	sourceMod func(*SourceConfig)
@@ -39,16 +38,7 @@ type clusterOpts struct {
 
 func newCluster(t testing.TB, g *graph.Graph, shards int, opts clusterOpts) *cluster {
 	t.Helper()
-	var o *apsp.Oracle
-	if opts.compact {
-		var err error
-		o, err = apsp.NewOracleOpts(context.Background(), g, apsp.Options{Compact32: true})
-		if err != nil {
-			t.Fatalf("NewOracleOpts: %v", err)
-		}
-	} else {
-		o = apsp.NewOracle(g)
-	}
+	o := apsp.NewOracle(g)
 	p0, err := PlanShards(o, PlanOptions{Shards: shards})
 	if err != nil {
 		t.Fatalf("PlanShards: %v", err)
@@ -173,29 +163,6 @@ func TestRemoteSourceMatchesMonolith(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestRemoteSourceMatchesMonolithCompact repeats the identity check over
-// float32 tables, whose Inf round-trip is the delicate part.
-func TestRemoteSourceMatchesMonolithCompact(t *testing.T) {
-	cfg := gen.Config{MaxWeight: 7}
-	rng := gen.NewRNG(0xfeed)
-	g := gen.BridgeChain(5, 3, cfg, rng)
-	c := newCluster(t, g, 2, clusterOpts{compact: true})
-	n := g.NumVertices()
-	want := make([]graph.Weight, n)
-	got := make([]graph.Weight, n)
-	for u := int32(0); int(u) < n; u++ {
-		c.o.Row(u, want)
-		if _, err := c.src.RowCtx(context.Background(), u, got); err != nil {
-			t.Fatalf("RowCtx(%d): %v", u, err)
-		}
-		for v := 0; v < n; v++ {
-			if got[v] != want[v] {
-				t.Fatalf("d(%d,%d) = %v, monolith %v", u, v, got[v], want[v])
-			}
 		}
 	}
 }

@@ -239,7 +239,7 @@ func FuzzReadPlan(f *testing.F) {
 		BlockCuts:   [][]int32{{0, 1}, {1, 2}, {2, 0}, {}},
 		BlockVerts:  [][]int32{{1, 2}, {2, 3}, {3, 1}, {0}},
 		BlockShard:  []int32{0, 0, 0, 0},
-		apF64:       make([]graph.Weight, 9),
+		ap:          make([]graph.Weight, 9),
 	}
 	var hbuf bytes.Buffer
 	if _, err := hostile.WriteTo(&hbuf); err != nil {

@@ -291,15 +291,6 @@ func (e *Encoder) F64s(s []float64) {
 	}
 }
 
-// F32s appends a length-prefixed float32 slice.
-func (e *Encoder) F32s(s []float32) {
-	e.U64(uint64(len(s)))
-	raw := e.extend(4 * len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(v))
-	}
-}
-
 // Str appends a length-prefixed byte string (job metadata: identifiers,
 // kind tags, terminal error messages).
 func (e *Encoder) Str(s string) {
@@ -439,20 +430,6 @@ func (d *Decoder) F64s() []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
-	return out
-}
-
-// F32s reads a length-prefixed float32 slice.
-func (d *Decoder) F32s() []float32 {
-	n := d.Count(4)
-	if d.err != nil {
-		return nil
-	}
-	raw := d.take(4*n, "float32 slice")
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	return out
 }

@@ -186,11 +186,9 @@ func TestBoolsCountOverflow(t *testing.T) {
 func TestSliceCodecMatchesElements(t *testing.T) {
 	i32 := []int32{0, -1, 1 << 30, math.MinInt32}
 	f64 := []float64{0, -0.0, 1.5, math.Inf(1), math.MaxFloat64}
-	f32 := []float32{0, 2.5, float32(math.Inf(-1))}
 	got, want := &Encoder{b: []byte{7}}, &Encoder{b: []byte{7}}
 	got.I32s(i32)
 	got.F64s(f64)
-	got.F32s(f32)
 	got.I32s(nil)
 	want.U64(uint64(len(i32)))
 	for _, v := range i32 {
@@ -200,19 +198,15 @@ func TestSliceCodecMatchesElements(t *testing.T) {
 	for _, v := range f64 {
 		want.F64(v)
 	}
-	want.U64(uint64(len(f32)))
-	for _, v := range f32 {
-		want.U32(math.Float32bits(v))
-	}
 	want.U64(0)
 	if !bytes.Equal(got.b, want.b) {
 		t.Fatalf("slice encoders wrote\n%x\nelement encoders wrote\n%x", got.b, want.b)
 	}
 	d := &Decoder{b: got.b[1:]}
-	if a, b, c, e := d.I32s(), d.F64s(), d.F32s(), d.I32s(); !slices.Equal(a, i32) ||
+	if a, b, e := d.I32s(), d.F64s(), d.I32s(); !slices.Equal(a, i32) ||
 		!slices.EqualFunc(b, f64, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) ||
-		!slices.Equal(c, f32) || len(e) != 0 {
-		t.Fatalf("decoded %v %v %v %v", a, b, c, e)
+		len(e) != 0 {
+		t.Fatalf("decoded %v %v %v", a, b, e)
 	}
 	if err := d.Finish(); err != nil {
 		t.Fatal(err)
@@ -295,61 +289,6 @@ func TestWriteToGrowableDestination(t *testing.T) {
 type writerFunc func([]byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-// TestF32RoundTrip covers the compact-table primitives: exact bit
-// round-trip including the infinities the float32 distance tables use as
-// their unreachable sentinel.
-func TestF32RoundTrip(t *testing.T) {
-	w := NewWriter()
-	e := w.Section("f32")
-	e.U32(math.Float32bits(1.5))
-	e.F32s([]float32{0, float32(math.Inf(1)), -2.25, math.MaxFloat32})
-	e.F32s(nil)
-	var buf bytes.Buffer
-	if _, err := w.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("NewReader: %v", err)
-	}
-	d, err := r.Section("f32")
-	if err != nil {
-		t.Fatalf("Section: %v", err)
-	}
-	if got := math.Float32frombits(d.U32()); got != 1.5 {
-		t.Errorf("scalar = %v", got)
-	}
-	s := d.F32s()
-	want := []float32{0, float32(math.Inf(1)), -2.25, math.MaxFloat32}
-	if len(s) != len(want) {
-		t.Fatalf("F32s len = %d", len(s))
-	}
-	for i := range want {
-		if math.Float32bits(s[i]) != math.Float32bits(want[i]) {
-			t.Errorf("F32s[%d] = %v, want %v", i, s[i], want[i])
-		}
-	}
-	if got := d.F32s(); len(got) != 0 {
-		t.Errorf("nil F32s decoded to %v", got)
-	}
-	if err := d.Finish(); err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-	// A truncated f32 slice is the sticky typed error, not a panic.
-	trunc := buf.Bytes()[:buf.Len()-2]
-	if r2, err := NewReader(bytes.NewReader(trunc)); err == nil {
-		d2, err := r2.Section("f32")
-		if err == nil {
-			d2.U32()
-			d2.F32s()
-			d2.F32s()
-			if d2.Err() == nil && d2.Finish() == nil {
-				t.Fatal("truncated container decoded cleanly")
-			}
-		}
-	}
-}
 
 func TestStrRoundTrip(t *testing.T) {
 	w := NewWriter()

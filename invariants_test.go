@@ -157,7 +157,7 @@ func TestTreeInvariants(t *testing.T) {
 			if !ok || fn.Recv == nil || len(fn.Recv.List[0].Names) != 1 {
 				continue
 			}
-			if name := fn.Name.Name; name != "I32s" && name != "F64s" && name != "F32s" {
+			if name := fn.Name.Name; name != "I32s" && name != "F64s" {
 				continue
 			}
 			seen++
@@ -187,8 +187,8 @@ func TestTreeInvariants(t *testing.T) {
 				return false
 			})
 		}
-		if seen != 6 {
-			t.Errorf("found %d of the 6 Encoder/Decoder slice codecs (I32s, F64s, F32s)", seen)
+		if seen != 4 {
+			t.Errorf("found %d of the 4 Encoder/Decoder slice codecs (I32s, F64s)", seen)
 		}
 	})
 
@@ -197,7 +197,7 @@ func TestTreeInvariants(t *testing.T) {
 	// mux maker, one oracle assembly, one forest walk, one phase loop, the
 	// oracle's tables as the only resident rows, exports with no caller, a
 	// snapshot as state rather than a script to replay, an engine with
-	// nothing to release on eviction)
+	// nothing to release on eviction, one table precision)
 	// must not come back under the same name: a caller that needs one
 	// should say why first. A name too common to ban bare is matched where
 	// it would be used instead: as a selector or a call, or, for a facade
@@ -228,6 +228,8 @@ func TestTreeInvariants(t *testing.T) {
 			"Materialize", "Dense", "Pendant", "CopyFrom",
 			"WriteChainTo", "replayChain", "writeChainSnapshot",
 			"teardown", "tornDown", "retired", "retireLocked",
+			"Compact32", "CompactTol", "CompactAPSP", "compressTable", "pathTol32", "sr32", "a32", "apF32",
+			"APSPOptions", "ShortestPathsOpts", "NewOracleOpts",
 		} {
 			deleted[name] = true
 		}
@@ -240,7 +242,8 @@ func TestTreeInvariants(t *testing.T) {
 		// Methods with names too common to ban bare: banned on their receiver.
 		goneMethods := map[string]bool{"Vector.Words": true, "Vector.Clear": true, "Vector.IsZero": true, "Vector.Equal": true,
 			"UnionFind.Connected": true, "UnionFind.Sets": true, "Graph.Other": true, "Encoder.F32": true, "Decoder.F32": true,
-			"ShardBlocks.Owned": true, "Entry.Swap": true, "Engine.Close": true}
+			"ShardBlocks.Owned": true, "Entry.Swap": true, "Engine.Close": true,
+			"Encoder.F32s": true, "Decoder.F32s": true, "Oracle.Compact": true}
 		goneCalls := map[string]bool{"deprecated": true}
 		for path, f := range files {
 			check := func(id *ast.Ident) {
@@ -386,10 +389,10 @@ func TestTreeInvariants(t *testing.T) {
 	})
 
 	// The round's trajectory (ROADMAP aim 2): non-test Go lines outside
-	// bench/, held under the bar the last PR to move it reached (raised by
-	// 189 lines for the search-or-assemble fill on the essential arcs).
+	// bench/, held under the bar the last PR to move it reached (lowered
+	// by 271 lines when the float32 table mode went).
 	t.Run("non-test LOC", func(t *testing.T) {
-		const bar = 21419
+		const bar = 21147
 		t.Logf("%d non-test lines outside bench/", loc)
 		if loc >= bar {
 			t.Errorf("%d non-test lines outside bench/, want < %d", loc, bar)

@@ -88,39 +88,16 @@ type (
 	APSPOracle = apsp.Oracle
 )
 
-// APSPOptions configures oracle construction. The zero value is usable:
-// zero Workers selects GOMAXPROCS.
-type APSPOptions struct {
-	// Workers is the parallelism of the per-block processing phase
-	// (0 = GOMAXPROCS).
-	Workers int
-	// Compact32 stores the oracle's distance tables (per-block S^r and the
-	// articulation table) as float32, halving table memory. Distances are
-	// still computed in float64 and rounded once, so each stored entry
-	// carries at most one float32 rounding (relative error ≤ 2⁻²⁴) and a
-	// query that sums a few table entries stays within ~1e-6 relative
-	// error; unreachability (infinite distance) is preserved exactly.
-	// Snapshots of compact oracles record the mode and restore it.
-	Compact32 bool
-}
-
-// ShortestPathsOpts builds the APSP oracle with explicit options.
-func ShortestPathsOpts(g *Graph, opts APSPOptions) (*APSPOracle, error) {
+// ShortestPaths builds the APSP oracle with the given parallelism of the
+// per-block processing phase (0 = GOMAXPROCS).
+func ShortestPaths(g *Graph, workers int) (*APSPOracle, error) {
 	if g == nil {
 		return nil, errNilGraph
 	}
-	workers := opts.Workers
 	if workers <= 0 {
 		workers = par.Workers()
 	}
-	return apsp.NewOracleOpts(context.Background(), g, apsp.Options{Workers: workers, Compact32: opts.Compact32})
-}
-
-// ShortestPaths builds the APSP oracle with the given parallelism
-// (0 = GOMAXPROCS). It is a thin wrapper over ShortestPathsOpts, kept for
-// existing callers.
-func ShortestPaths(g *Graph, workers int) (*APSPOracle, error) {
-	return ShortestPathsOpts(g, APSPOptions{Workers: workers})
+	return apsp.NewOracleParallelCtx(context.Background(), g, workers)
 }
 
 // Oracle snapshots (build-once/serve-many persistence).

@@ -146,7 +146,6 @@ func TestReduceAndEars(t *testing.T) {
 // with a nil graph.
 var nilGraphCalls = map[string]func() error{
 	"ShortestPaths":     func() error { _, err := ShortestPaths(nil, 1); return err },
-	"ShortestPathsOpts": func() error { _, err := ShortestPathsOpts(nil, APSPOptions{}); return err },
 	"MinimumCycleBasis": func() error { _, err := MinimumCycleBasis(nil); return err },
 	"MinimumCycleBasisOptsCtx": func() error {
 		_, err := MinimumCycleBasisOptsCtx(context.Background(), nil, MCBOptions{})
