@@ -122,6 +122,11 @@ func TestDeltasEndpoint(t *testing.T) {
 	if lr.StatusCode != http.StatusNotFound {
 		t.Fatalf("legacy /deltas: status %d, want 404 (v1-only endpoint)", lr.StatusCode)
 	}
+
+	// One apply and seven rejections, all counted.
+	if got := getJSON(t, ts, "/v1/stats", 200)["oracled.deltas.requests"]; got != float64(8) {
+		t.Fatalf("oracled.deltas.requests = %v, want 8", got)
+	}
 }
 
 // TestDeltasInvalidateMCB pins the staleness rule: a loaded cycle basis

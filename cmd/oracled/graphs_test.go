@@ -78,6 +78,20 @@ func TestMultiTenantServing(t *testing.T) {
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 
+	// Both graphs are listed but cold until a query hydrates them; the
+	// hydrating answer and the warm one are the same bytes.
+	for _, it := range getJSON(t, ts, "/v1/graphs", 200)["items"].([]interface{}) {
+		if it.(map[string]interface{})["state"] != "cold" {
+			t.Fatalf("listing before any query: %v, want cold", it)
+		}
+	}
+	for name := range graphs {
+		path := "/v1/graphs/" + name + "/distance?u=0&v=5"
+		if cold, warm := getBody(t, ts, path), getBody(t, ts, path); !bytes.Equal(cold, warm) {
+			t.Fatalf("%s: hydrating answer %s, warm answer %s", path, cold, warm)
+		}
+	}
+
 	for name, g := range graphs {
 		n := g.NumVertices()
 		ref := refs[name]
@@ -100,6 +114,9 @@ func TestMultiTenantServing(t *testing.T) {
 	// Both hydrated exactly once, metrics under their prefixes.
 	if got := reg.Counter("registry.hydrations").Value(); got != 2 {
 		t.Fatalf("registry.hydrations = %d, want 2", got)
+	}
+	if got := reg.Gauge("registry.graphs").Value(); got != 2 {
+		t.Fatalf("registry.graphs = %d, want 2", got)
 	}
 	for name := range graphs {
 		if reg.Counter("g."+name+".qe.pairs").Value() == 0 {
@@ -149,6 +166,39 @@ func TestMultiTenantServing(t *testing.T) {
 	if h["graphs"].(float64) != 2 || h["status"] != "ok" {
 		t.Fatalf("healthz: %v", h)
 	}
+
+	// At capacity one, alternating tenants evicts and rehydrates on every
+	// swap, and the answers stay the same bytes.
+	churn, creg := multiServer(t, dir, 1)
+	cts := httptest.NewServer(churn.mux)
+	defer cts.Close()
+	first := map[string][]byte{}
+	for _, name := range []string{"east", "west", "east", "west"} {
+		b := getBody(t, cts, "/v1/graphs/"+name+"/distance?u=0&v=5")
+		if first[name] == nil {
+			first[name] = b
+		} else if !bytes.Equal(b, first[name]) {
+			t.Fatalf("%s after churn: %s, first %s", name, b, first[name])
+		}
+	}
+	if ev, hy := creg.Counter("registry.evictions").Value(), creg.Counter("registry.hydrations").Value(); ev != 3 || hy != 4 {
+		t.Fatalf("capacity-1 churn: %d evictions, %d hydrations, want 3 and 4", ev, hy)
+	}
+}
+
+// getBody is the body of a 200 answer to GET path.
+func getBody(t *testing.T, ts *httptest.Server, path string) []byte {
+	t.Helper()
+	resp, err := ts.Client().Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != 200 {
+		t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
+	}
+	return b
 }
 
 // TestDefaultGraphEquivalence pins the compatibility contract: every
@@ -184,6 +234,11 @@ func TestDefaultGraphEquivalence(t *testing.T) {
 		if !bytes.Equal(bodies[0], bodies[1]) {
 			t.Fatalf("%s and %s differ:\n%s\n%s", pair[0], pair[1], bodies[0], bodies[1])
 		}
+	}
+	// The listing shows the one graph, pinned.
+	items := getJSON(t, ts, "/v1/graphs", 200)["items"].([]interface{})
+	if d := items[0].(map[string]interface{}); len(items) != 1 || d["name"] != "default" || d["pinned"] != true {
+		t.Fatalf("single-graph listing: %v, want the pinned default alone", items)
 	}
 	stats := getJSON(t, ts, "/v1/stats", 200)
 	for _, name := range []string{"distance", "path", "mcb.cycle"} {

@@ -99,17 +99,55 @@ func main() {
 			"serve as a cluster frontend routing by this plan manifest (requires -cluster-shards)")
 		clusterShards = flag.String("cluster-shards", "",
 			"comma-separated shard daemon base URLs, one per plan shard, in shard order")
+
+		// Query-engine tuning: one flag surface tunes both the single-graph
+		// engine and every engine the registry hydrates.
+		maxInflight = flag.Int("max-inflight", par.Workers(),
+			"concurrently served queries (defaults to the worker count)")
+		queueDepth = flag.Int("queue-depth", 64,
+			"admitted requests that may wait beyond max-inflight before load-shedding (0 sheds immediately)")
+		deadline = flag.Duration("deadline", 2*time.Second,
+			"per-request deadline covering queue wait and row computation (0 disables)")
+		maxBatchPairs = flag.Int64("max-batch-pairs", qe.DefaultMaxBatchPairs,
+			"largest sources×targets result matrix one batch may request (negative removes the cap)")
+
+		// Multi-tenant registry.
+		snapshotDir = flag.String("snapshot-dir", "",
+			"serve every <name>.snap in this directory as a named graph under /v1/graphs/{name} (multi-tenant mode)")
+		maxGraphs = flag.Int("max-graphs", registry.DefaultMaxGraphs,
+			"resident hydrated graphs before LRU eviction (the pinned default graph is not counted)")
+
+		// Async job tier; an empty -jobs-dir leaves it disabled.
+		jobsDir = flag.String("jobs-dir", "",
+			"enable the async job tier, persisting job checkpoints and NDJSON results here (empty = disabled)")
+		jobConc = flag.Int("job-concurrency", 2,
+			"jobs running at once; queued jobs dispatch fairly round-robin across graphs")
+		jobChunk = flag.Int("job-chunk", 64,
+			"sources per checkpointed chunk — the replay bound after a crash, and the granularity of progress, cancellation, and admission-control yielding")
+		jobWorkers = flag.Int("job-workers", 0,
+			"worker goroutines per running bc job (0 = GOMAXPROCS)")
+
+		// Fan-out tuning of a sharded frontend.
+		shardRetries = flag.Int("shard-retries", 2,
+			"retries after a failed shard fetch before the row errors (negative disables retries)")
+		shardBackoff = flag.Duration("shard-retry-backoff", 50*time.Millisecond,
+			"sleep before the first shard retry, doubling per retry")
+		shardProbe = flag.Duration("shard-probe-interval", 2*time.Second,
+			"active shard health-probe interval (0 relies on fetch outcomes only)")
 	)
-	engineCfg := cli.EngineFlags()
-	registryCfg := cli.RegistryFlags(engineCfg)
-	jobsCfg := cli.JobsFlags()
-	shardCfg := cli.ShardFlags()
 	cli.SetUsage("oracled", "[-file graph | -dataset name | -load-snapshot file | -snapshot-dir dir | -shard-snapshot file | -cluster-plan file -cluster-shards urls] [-addr host:port] [flags]")
 	flag.Parse()
 
-	rcfg := registryCfg()
+	engineCfg := qe.Config{
+		MaxInflight:   *maxInflight,
+		QueueDepth:    *queueDepth,
+		Deadline:      *deadline,
+		MaxBatchPairs: *maxBatchPairs,
+		Reg:           obs.Default,
+	}
+	rcfg := registry.Config{Dir: *snapshotDir, MaxGraphs: *maxGraphs, Engine: engineCfg, Reg: obs.Default}
 	if err := validateServeOpts(serveOpts{
-		snapshotDir:   rcfg.Dir,
+		snapshotDir:   *snapshotDir,
 		file:          *file,
 		dataset:       *dataset,
 		loadSnap:      *loadSnap,
@@ -128,7 +166,6 @@ func main() {
 	defer stop()
 
 	obs.Default.Publish("obs")
-	rcfg.Reg = obs.Default
 
 	// Shard mode is a different daemon shape entirely: no /v1 surface, no
 	// registry — just the internal row RPC over one shard snapshot.
@@ -156,18 +193,26 @@ func main() {
 		// batch row, at most two for a point query — and the engine stack
 		// (admission, per-batch rows) applies unchanged.
 		plan := loadClusterPlan(*clusterPlan)
-		scfg := shardCfg()
-		scfg.Plan = plan
-		scfg.Addrs = splitShardAddrs(*clusterShards)
-		scfg.Reg = obs.Default
+		retries := *shardRetries
+		if retries == 0 {
+			// The config treats 0 as "use the default"; an explicit
+			// -shard-retries=0 means no retries, so map it to the
+			// config's negative-disables convention.
+			retries = -1
+		}
 		var err error
-		remote, err = shard.NewRemoteSource(scfg)
+		remote, err = shard.NewRemoteSource(shard.SourceConfig{
+			Plan:          plan,
+			Addrs:         splitShardAddrs(*clusterShards),
+			MaxRetries:    retries,
+			RetryBackoff:  *shardBackoff,
+			ProbeInterval: *shardProbe,
+			Reg:           obs.Default,
+		})
 		if err != nil {
 			cli.Fatalf("oracled", "cluster frontend: %v", err)
 		}
-		cfg := engineCfg()
-		cfg.Reg = obs.Default
-		engine := qe.New(remote, cfg)
+		engine := qe.New(remote, engineCfg)
 		rg, err = registry.Open(rcfg) // Dir "": static-only, serves exactly the frontend entry
 		if err != nil {
 			cli.Fatalf("oracled", "%v", err)
@@ -218,9 +263,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "oracled: cycle basis: %d cycles, total weight %g, built in %v\n",
 				len(basis.Cycles), basis.TotalWeight, time.Since(start))
 		}
-		cfg := engineCfg()
-		cfg.Reg = obs.Default
-		engine := qe.New(oracle, cfg)
+		engine := qe.New(oracle, engineCfg)
 		var err error
 		rg, err = registry.Open(rcfg) // Dir "": static-only, serves exactly the pinned graph
 		if err != nil {
@@ -234,18 +277,23 @@ func main() {
 	// entry and finishes on it even if eviction drops it; crash recovery
 	// resumes interrupted jobs from their persisted checkpoints at Open.
 	var jm *jobs.Manager
-	if jcfg := jobsCfg(); jcfg.Dir != "" {
-		jcfg.Host = func(ctx context.Context, name string) (jobs.GraphRef, error) {
-			return rg.Acquire(ctx, name)
-		}
-		jcfg.Known = func(name string) bool { _, ok := rg.Info(name); return ok }
-		jcfg.Reg = obs.Default
+	if *jobsDir != "" {
 		var err error
-		jm, err = jobs.Open(jcfg)
+		jm, err = jobs.Open(jobs.Config{
+			Dir:         *jobsDir,
+			Concurrency: *jobConc,
+			ChunkSize:   *jobChunk,
+			Workers:     *jobWorkers,
+			Host: func(ctx context.Context, name string) (jobs.GraphRef, error) {
+				return rg.Acquire(ctx, name)
+			},
+			Known: func(name string) bool { _, ok := rg.Info(name); return ok },
+			Reg:   obs.Default,
+		})
 		if err != nil {
 			cli.Fatalf("oracled", "jobs: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "oracled: async jobs enabled, checkpoints in %s\n", jcfg.Dir)
+		fmt.Fprintf(os.Stderr, "oracled: async jobs enabled, checkpoints in %s\n", *jobsDir)
 	}
 
 	s := newServer(rg, basis, jm, obs.Default)

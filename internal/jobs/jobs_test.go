@@ -107,11 +107,16 @@ func openManager(t testing.TB, dir string, fs map[string]*fixture, chunk int) (*
 func waitState(t testing.TB, m *jobs.Manager, id string, ok func(jobs.Status) bool) jobs.Status {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
+	prev := -1
 	for {
 		st, err := m.Get(id)
 		if err != nil {
 			t.Fatalf("Get(%s): %v", id, err)
 		}
+		if st.Done < prev {
+			t.Fatalf("job %s progress went back from %d to %d", id, prev, st.Done)
+		}
+		prev = st.Done
 		if ok(st) {
 			return st
 		}
@@ -227,6 +232,9 @@ func TestBatchMatrixLifecycle(t *testing.T) {
 
 	if reg.Counter("jobs.submitted").Value() != 1 || reg.Counter("jobs.completed").Value() != 1 {
 		t.Fatalf("counters: %s", reg.String())
+	}
+	if reg.Phases("jobs.phase.batch_matrix").Total() <= 0 {
+		t.Fatalf("no jobs.phase.batch_matrix timers: %s", reg.String())
 	}
 }
 
@@ -372,7 +380,7 @@ func TestRestartResumeBC(t *testing.T) {
 // spec (deterministic source list from the persisted seed).
 func TestSampledBCJob(t *testing.T) {
 	f := newFixture(t, 90, 6, 0)
-	m, _ := openManager(t, t.TempDir(), map[string]*fixture{"g1": f}, 8)
+	m, reg := openManager(t, t.TempDir(), map[string]*fixture{"g1": f}, 8)
 	st, err := m.Submit(jobs.Spec{Kind: jobs.KindBC, Graph: "g1", Samples: 20, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -391,6 +399,9 @@ func TestSampledBCJob(t *testing.T) {
 		if math.Abs(r.Score-w) > 1e-9*(1+math.Abs(w)) {
 			t.Fatalf("sampled bc[%d] = %v, want %v", r.V, r.Score, w)
 		}
+	}
+	if reg.Phases("jobs.phase.bc").Total() <= 0 {
+		t.Fatalf("no jobs.phase.bc timers: %s", reg.String())
 	}
 }
 

@@ -100,7 +100,7 @@ type Config struct {
 	MaxGraphs int
 	// Engine configures every hydrated graph's own engine, so one tenant's
 	// batch storm fills its own admission queue, not its neighbours';
-	// cli.RegistryFlags passes the single-graph flags' config. Its Reg is
+	// cmd/oracled passes the single-graph engine flags' config. Its Reg is
 	// replaced per graph by this registry's "g.<name>." view.
 	Engine qe.Config
 	// Reg receives the registry's metrics and, under "g.<name>." views,
