@@ -6,6 +6,7 @@ package repro
 // stays tractable; cmd/earbench regenerates the full tables at any scale.
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/apsp"
@@ -436,11 +437,11 @@ func largestBlockM(tb testing.TB) *graph.Graph {
 }
 
 // BenchmarkEarAPSPFill is the whole of Algorithm 1 on that block at one
-// worker: the ear reduction and the search-or-assemble fill of S^r
-// (Dijkstra batches on G^r less its proven non-essential arcs, and the
-// rows assembled from finished neighbours). It reports ns per row of
-// S^r; its allocations are fixed (the table, the reduction and the
-// fill's state, which TestEarAPSPFillAllocs pins).
+// worker: the ear reduction and the fill of S^r, a row-bounded Dijkstra
+// from every source of G^r that stops at the rows finished in earlier
+// batches and merges them. It reports ns per row of S^r; its allocations
+// are fixed (the table, the reduction and the fill's state, which
+// TestEarAPSPFillAllocs pins).
 func BenchmarkEarAPSPFill(b *testing.B) {
 	g := largestBlockM(b)
 	nr := ear.Reduce(g, ear.APSP).R.NumVertices()
@@ -452,16 +453,18 @@ func BenchmarkEarAPSPFill(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nr), "ns/row")
 }
 
-// TestEarAPSPFillAllocs is BenchmarkEarAPSPFill's allocs/op as a test:
-// the fill allocates its state once, whatever the number of batches, so
-// what NewEarAPSP allocates beyond the ear reduction stays under a bar far
-// below one allocation per batch.
+// TestEarAPSPFillAllocs pins the fill's allocations exactly: a flat
+// table over that block's G^r is the identity reduction (5), the EarAPSP
+// and its table (2) and the fill's state, allocated once per worker or
+// once per fill, never per batch. The ear reduction is left out, and the
+// collector is off while it counts: a GC cycle runs the unique package's
+// map cleanup, which allocates on whichever run it lands.
 func TestEarAPSPFillAllocs(t *testing.T) {
-	g := largestBlockM(t)
-	reduce := testing.AllocsPerRun(2, func() { ear.Reduce(g, ear.APSP) })
-	whole := testing.AllocsPerRun(2, func() { apsp.NewEarAPSP(g) })
-	if fill := whole - reduce; fill > 32 {
-		t.Fatalf("the fill of %d reduced rows allocates %v times beyond the reduction's %v", ear.Reduce(g, ear.APSP).R.NumVertices(), fill, reduce)
+	r := ear.Reduce(largestBlockM(t), ear.APSP).R
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const want = 18
+	if fill := testing.AllocsPerRun(3, func() { apsp.NewFlatAPSP(r, 1) }); fill != want {
+		t.Fatalf("the fill of %d reduced rows allocates %v times, want %d", r.NumVertices(), fill, want)
 	}
 }
 

@@ -146,15 +146,16 @@ func fingerprint(o *apsp.Oracle) (a, queries uint32) {
 // navigation — that claims "answers unchanged" is held to these constants;
 // they move only with the dataset generator or the definition of a
 // distance, never with how one is computed. relax counts the processing
-// phase inside blocks only: a searched source's Dijkstra relaxations on
-// G^r less the arcs already proven to lie on no shortest path, and nr per
-// live non-loop arc of an assembled source (one min-plus update per arc
-// and target). It read 13 922 256 while the AP table was a Dijkstra per
+// phase inside blocks only: every source's row-bounded search on G^r, its
+// heap relaxations plus nr per finished row it merged (one min-plus update
+// per target). It read 13 922 256 while the AP table was a Dijkstra per
 // cut vertex over a clique-per-block graph (the 2 969 824 it lost are
 // that table's, now a forest walk), 10 952 432 while every reduced source
-// ran a Dijkstra on all of G^r, and 9 630 371 while a fixed independent
-// set was assembled over all its arcs and every other source searched
-// all of G^r.
+// ran a Dijkstra on all of G^r, 9 630 371 while a fixed independent set
+// was assembled over all its arcs and every other source searched all of
+// G^r, and 3 388 301 while searches ran on G^r less the arcs finished
+// rows proved non-essential and every row whose live neighbours were done
+// was assembled over its live arcs.
 func TestDistanceFingerprint(t *testing.T) {
 	spec, err := datasets.ByName("cond_mat_2003")
 	if err != nil {
@@ -167,7 +168,7 @@ func TestDistanceFingerprint(t *testing.T) {
 		relax      int64
 		long       bool
 	}{
-		{"blocks_m", 0.08, 0x96b9ad21, 0x2ac4bd88, 3388301, false},
+		{"blocks_m", 0.08, 0x96b9ad21, 0x2ac4bd88, 3479212, false},
 		{"blocks", 0.25, 0x1d6a47cf, 0x2cd9294c, 0, true},
 	} {
 		if c.long && (testing.Short() || raceEnabled) {

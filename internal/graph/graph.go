@@ -108,15 +108,6 @@ func FromEdges(n int, edges []Edge) *Graph {
 	return g
 }
 
-// FromCSR wraps adjacency arrays as a Graph without copying them: start
-// has length n+1 and node, edge and w are parallel, as AdjStart, AdjNode,
-// AdjEdge and AdjWeight return them. The Graph has no edge list, so it
-// suits kernels that read only the adjacency (sssp.DistancesOnly). The
-// caller keeps the arrays and may rewrite them while no reader runs.
-func FromCSR(start, node, edge []int32, w []Weight) *Graph {
-	return &Graph{n: len(start) - 1, adjStart: start, adjNode: node, adjEdge: edge, adjW: w}
-}
-
 // NumVertices returns the number of vertices.
 func (g *Graph) NumVertices() int { return g.n }
 

@@ -32,8 +32,9 @@ type Result struct {
 // (one Scratch per worker; runs from different sources reuse it without
 // reallocating).
 type Scratch struct {
-	heap *ds.IndexedHeap
-	n    int
+	heap    *ds.IndexedHeap
+	n       int
+	covered []bool // RowBounded's per-vertex flags, made on its first run
 }
 
 // NewScratch returns scratch space for graphs of at most n vertices.
@@ -107,6 +108,64 @@ func DistancesOnly(g *graph.Graph, source int32, dist []graph.Weight, sc *Scratc
 			u := adjNode[i]
 			if nd := dv + adjW[i]; nd < dist[u] {
 				dist[u] = nd
+				h.PushOrDecrease(u, nd)
+			}
+		}
+	}
+	return relax
+}
+
+// RowBounded is DistancesOnly for row source of the n×n row-major table,
+// stopping at the rows finished[v] marks as final: a popped vertex v ≠
+// source with a finished row is not expanded; its row is merged instead
+// (table[source][x] = min(table[source][x], d + table[v][x])), and every
+// vertex the merge reaches at or below its current distance is covered and
+// never expanded. A relaxation that lowers a vertex's distance uncovers it.
+// The first finished vertex on a shortest path is popped at its distance,
+// so the row is exact on integral weights; on float weights a merged sum
+// may differ from Dijkstra's in the last bits. It returns the relaxations
+// plus n per merged row.
+func RowBounded(g *graph.Graph, source int32, table []graph.Weight, finished []bool, sc *Scratch) int64 {
+	n := g.NumVertices()
+	if sc == nil || sc.n < n {
+		sc = NewScratch(n)
+	}
+	if len(sc.covered) < n {
+		sc.covered = make([]bool, n)
+	}
+	dist, covered := table[int(source)*n:][:n], sc.covered[:n]
+	for i := range dist {
+		dist[i] = Inf
+		covered[i] = false
+	}
+	h := sc.heap
+	h.Reset()
+	dist[source] = 0
+	h.Push(source, 0)
+	adjStart, adjNode, adjW := g.AdjStart(), g.AdjNode(), g.AdjWeight()
+	var relax int64
+	for h.Len() > 0 {
+		v, dv := h.Pop()
+		if covered[v] {
+			continue
+		}
+		if finished[v] && v != source {
+			for x, d := range table[int(v)*n:][:n] {
+				if nd := dv + d; nd <= dist[x] {
+					dist[x] = nd
+					covered[x] = true
+				}
+			}
+			relax += int64(n)
+			continue
+		}
+		lo, hi := adjStart[v], adjStart[v+1]
+		relax += int64(hi - lo)
+		for i := lo; i < hi; i++ {
+			u := adjNode[i]
+			if nd := dv + adjW[i]; nd < dist[u] {
+				dist[u] = nd
+				covered[u] = false
 				h.PushOrDecrease(u, nd)
 			}
 		}

@@ -214,7 +214,8 @@ func TestTreeInvariants(t *testing.T) {
 	// mux maker, one oracle assembly, one forest walk, one phase loop, the
 	// oracle's tables as the only resident rows, exports with no caller, a
 	// snapshot as state rather than a script to replay, an engine with
-	// nothing to release on eviction, one table precision)
+	// nothing to release on eviction, one table precision, one Phase II
+	// search with no arc mask or assembly beside it)
 	// must not come back under the same name: a caller that needs one
 	// should say why first. A name too common to ban bare is matched where
 	// it would be used instead: as a selector or a call, or, for a facade
@@ -248,6 +249,7 @@ func TestTreeInvariants(t *testing.T) {
 			"Compact32", "CompactTol", "CompactAPSP", "compressTable", "pathTol32", "sr32", "a32", "apF32",
 			"APSPOptions", "ShortestPathsOpts", "NewOracleOpts",
 			"EngineFlags", "RegistryFlags", "JobsFlags", "ShardFlags",
+			"FromCSR", "FillSchedule", "newFill", "unpend", "triangle", "triangleRows", "beats", "assembledArcs",
 		} {
 			deleted[name] = true
 		}
@@ -525,9 +527,10 @@ func TestTreeInvariants(t *testing.T) {
 
 	// The round's trajectory (ROADMAP aim 2): non-test Go lines outside
 	// bench/, held under the bar the last PR to move it reached (lowered
-	// by 85 lines when the daemon's flag helpers left internal/cli).
+	// by 121 lines when one row-bounded search replaced the Phase II
+	// scheduler and its arc mask).
 	t.Run("non-test LOC", func(t *testing.T) {
-		const bar = 21062
+		const bar = 20941
 		t.Logf("%d non-test lines outside bench/", loc)
 		if loc >= bar {
 			t.Errorf("%d non-test lines outside bench/, want < %d", loc, bar)
