@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
@@ -321,32 +320,6 @@ func TestGraphAdminLifecycle(t *testing.T) {
 		t.Fatalf("delta-chain upload envelope: %v", out)
 	}
 	do(http.MethodGet, "/v1/graphs/chain", nil, 404)
-
-	// An oracle of single-precision tables (meta flag bit 0, which no
-	// release wrote) is version skew: 400, and the directory is untouched.
-	before, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw = snapshot.NewWriter()
-	meta := sw.Section("meta")
-	meta.U32(3) // oracle payload version
-	meta.U64(10)
-	meta.U64(1)
-	meta.U64(0)
-	meta.I64(0)
-	meta.U32(1) // flags: bit 0
-	var single bytes.Buffer
-	if _, err := sw.WriteTo(&single); err != nil {
-		t.Fatal(err)
-	}
-	if out := do(http.MethodPut, "/v1/graphs/single", &single, 400); !strings.Contains(out["error"].(string), "single-precision") {
-		t.Fatalf("single-precision upload envelope: %v", out)
-	}
-	do(http.MethodGet, "/v1/graphs/single", nil, 404)
-	if after, err := os.ReadDir(dir); err != nil || !slices.EqualFunc(before, after, func(a, b os.DirEntry) bool { return a.Name() == b.Name() }) {
-		t.Fatalf("snapshot directory changed: %v → %v (%v)", before, after, err)
-	}
 
 	// Replace: the ring shrinks; the route serves the new graph.
 	g2 := gen.Ring(6, gen.Config{MaxWeight: 1}, gen.NewRNG(4))

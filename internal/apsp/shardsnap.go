@@ -176,11 +176,8 @@ func ReadShardSnapshot(r io.Reader) (s *ShardBlocks, err error) {
 	n := md.U64()
 	numBlocks := md.U64()
 	numA := md.U64()
-	flags := md.U32()
+	md.Reserved("shard snapshot flags")
 	if err := md.Finish(); err != nil {
-		return nil, err
-	}
-	if err := CheckFlags(flags, "shard snapshot"); err != nil {
 		return nil, err
 	}
 	if meta.Shard < 0 || meta.NumShards < 1 || meta.Shard >= meta.NumShards {

@@ -68,8 +68,8 @@ func FuzzReadShardSnapshot(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 		f.Add(buf.Bytes()[:buf.Len()/2])
-		_, single := singlePrecision(f, o)
-		for _, data := range single {
+		_, reserved := reservedWords(f, o)
+		for _, data := range reserved {
 			f.Add(data)
 		}
 	}

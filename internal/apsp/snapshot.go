@@ -24,7 +24,7 @@ import (
 //
 // Sections ("meta" first, the rest in fixed order):
 //
-//	meta    oracle format version, n, #blocks, a, total relaxations, flags
+//	meta    oracle format version, n, #blocks, a, total relaxations, flags (reserved 0)
 //	graph   the original graph's edge array
 //	bcc     per-component edge-ID lists + articulation flags
 //	blocks  per block: ear reduction, S^r table, relaxations, a sweep count (0)
@@ -42,16 +42,6 @@ import (
 // section's byte layout changes; readers reject any other version with
 // snapshot.ErrVersionSkew rather than guessing.
 const oracleFormatVersion = 3
-
-// A meta section ends in a flags word and every distance table starts
-// with a storage-kind word. This build writes 0 in both: tables are
-// float64. Flag bit 0 and kind 1 marked single-precision tables, which no
-// release wrote; a reader refuses them as version skew, not corruption.
-const (
-	flagSingle      = 1 << 0
-	tableKindF64    = 0
-	tableKindSingle = 1
-)
 
 // chainSection names the section older builds appended to a base oracle
 // to record the deltas applied since; a loader had to replay them. A
@@ -138,11 +128,8 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 	numBlocks := md.U64()
 	numA := md.U64()
 	relax := md.I64()
-	flags := md.U32()
+	md.Reserved("oracle snapshot flags")
 	if err := md.Finish(); err != nil {
-		return nil, err
-	}
-	if err := CheckFlags(flags, "oracle snapshot"); err != nil {
 		return nil, err
 	}
 
@@ -194,38 +181,15 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 	return o, nil
 }
 
-// CheckFlags holds a meta section's flags word to the 0 every writer
-// emits: bit 0 (single-precision tables) is version skew, any other bit
-// corruption.
-func CheckFlags(flags uint32, what string) error {
-	switch {
-	case flags&^flagSingle != 0:
-		return snapshot.Corruptf("apsp: unknown %s flags %#x", what, flags)
-	case flags != 0:
-		return fmt.Errorf("apsp: %s holds single-precision tables, this build reads float64 only: %w",
-			what, snapshot.ErrVersionSkew)
-	}
-	return nil
-}
-
-// EncodeTable appends a distance table behind its storage-kind tag.
+// EncodeTable appends a distance table behind its reserved kind word.
 func EncodeTable(e *snapshot.Encoder, t []graph.Weight) {
-	e.U32(tableKindF64)
+	e.U32(0) // storage kind: every table is float64
 	e.F64s(t)
 }
 
-// DecodeTable reads a kind-tagged distance table of want entries. A
-// single-precision table is version skew, any other kind but float64
-// corruption.
+// DecodeTable reads a distance table of want entries; a non-zero kind is ErrCorrupt.
 func DecodeTable(d *snapshot.Decoder, want int, what string) ([]graph.Weight, error) {
-	switch kind := d.U32(); {
-	case d.Err() != nil: // truncated before the tag: reported below
-	case kind == tableKindSingle:
-		return nil, fmt.Errorf("apsp: %s is a single-precision table, this build reads float64 only: %w",
-			what, snapshot.ErrVersionSkew)
-	case kind != tableKindF64:
-		return nil, snapshot.Corruptf("apsp: %s has table kind %d", what, kind)
-	}
+	d.Reserved(what + " table kind")
 	t := d.F64s()
 	if err := d.Err(); err != nil {
 		return nil, err

@@ -1,0 +1,55 @@
+package apsp
+
+import (
+	"bytes"
+	"io"
+	"runtime"
+	"testing"
+
+	"repro/internal/datasets"
+)
+
+// BenchmarkSnapshotRoundTrip writes the multi-block fixture's oracle as a
+// snapshot and reads it back: the checksum pass on both sides, the
+// borrowed-table write and the decode with its rebuild of the structure.
+// CI gates its allocs/op.
+func BenchmarkSnapshotRoundTrip(b *testing.B) {
+	o := NewOracle(benchBlocksGraph())
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if _, err := o.WriteTo(&buf); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ReadOracle(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestWriteToBorrowsTables pins the write's "no staging copy": writing a
+// blocks_m-sized oracle (cond_mat_2003 at scale 0.08, 5.7 MB of snapshot)
+// allocates less than a quarter of the bytes it writes, because every
+// large table goes from the oracle to the destination as it stands.
+func TestWriteToBorrowsTables(t *testing.T) {
+	spec, err := datasets.ByName("cond_mat_2003")
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := NewOracleParallel(spec.Generate(0.08, 1), 2)
+	size, err := o.WriteTo(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	o.WriteTo(io.Discard)
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("WriteTo of a %d-byte snapshot allocates %d bytes", size, alloc)
+	if 4*alloc >= uint64(size) {
+		t.Errorf("WriteTo of a %d-byte snapshot allocates %d bytes, want < a quarter", size, alloc)
+	}
+}

@@ -110,21 +110,21 @@ func TestSnapshotVersionSkew(t *testing.T) {
 	}
 }
 
-// f32Table writes t in the float32 layout no release wrote: kind 1, then
-// a length-prefixed slice of float32 bit patterns.
+// f32Table writes t in a float32 layout no release wrote: kind 1, then a
+// length-prefixed slice of float32 bit patterns.
 func f32Table(e *snapshot.Encoder, t []graph.Weight) {
-	e.U32(tableKindSingle)
+	e.U32(1)
 	e.U64(uint64(len(t)))
 	for _, v := range t {
 		e.U32(math.Float32bits(float32(v)))
 	}
 }
 
-// singlePrecision seals o's oracle and shard snapshots the ways a
-// single-precision writer would have: flag bit 0 over float64 tables,
-// kind-1 tables under flags 0, and both. ReadOracle and
-// ReadShardSnapshot must refuse each as version skew.
-func singlePrecision(t testing.TB, o *Oracle) (oracles, shards [][]byte) {
+// reservedWords seals o's oracle and shard snapshots with a non-zero
+// reserved word: meta flag bit 0 over float64 tables, kind-1 tables under
+// flags 0, and both. ReadOracle and ReadShardSnapshot must refuse each as
+// corrupt.
+func reservedWords(t testing.TB, o *Oracle) (oracles, shards [][]byte) {
 	f64AP := func(e *snapshot.Encoder) { EncodeTable(e, o.A) }
 	f32AP := func(e *snapshot.Encoder) { f32Table(e, o.A) }
 	all := make([]bool, len(o.Blocks))
@@ -133,51 +133,17 @@ func singlePrecision(t testing.TB, o *Oracle) (oracles, shards [][]byte) {
 	}
 	owned := func(e *snapshot.Encoder) { e.Bools(all) }
 	oracles = [][]byte{
-		sealOracle(t, o, flagSingle, EncodeTable, f64AP, nil, nil),
+		sealOracle(t, o, 1, EncodeTable, f64AP, nil, nil),
 		sealOracle(t, o, 0, f32Table, f32AP, nil, nil),
 		sealOracle(t, o, 0, EncodeTable, f32AP, nil, nil), // only the AP table
-		sealOracle(t, o, flagSingle, f32Table, f32AP, nil, nil),
+		sealOracle(t, o, 1, f32Table, f32AP, nil, nil),
 	}
 	shards = [][]byte{
-		sealShard(t, o, flagSingle, owned, all, EncodeTable),
+		sealShard(t, o, 1, owned, all, EncodeTable),
 		sealShard(t, o, 0, owned, all, f32Table),
-		sealShard(t, o, flagSingle, owned, all, f32Table),
+		sealShard(t, o, 1, owned, all, f32Table),
 	}
 	return oracles, shards
-}
-
-// TestFloat32TablesRefused: flag bit 0 and table kind 1 marked
-// single-precision tables. An oracle or shard snapshot carrying either is
-// version skew — never corruption, never a served oracle — while the same
-// containers with flags 0 and float64 tables load.
-func TestFloat32TablesRefused(t *testing.T) {
-	o := NewOracle(testGraphs(t)["chained-blocks"])
-	all := make([]bool, len(o.Blocks))
-	for bi := range all {
-		all[bi] = true
-	}
-	f64AP := func(e *snapshot.Encoder) { EncodeTable(e, o.A) }
-	if _, err := ReadOracle(bytes.NewReader(sealOracle(t, o, 0, EncodeTable, f64AP, nil, nil))); err != nil {
-		t.Fatalf("float64 oracle: %v", err)
-	}
-	owned := func(e *snapshot.Encoder) { e.Bools(all) }
-	if _, err := ReadShardSnapshot(bytes.NewReader(sealShard(t, o, 0, owned, all, EncodeTable))); err != nil {
-		t.Fatalf("float64 shard: %v", err)
-	}
-	skew := func(err error) bool {
-		return errors.Is(err, snapshot.ErrVersionSkew) && !errors.Is(err, snapshot.ErrCorrupt)
-	}
-	oracles, shards := singlePrecision(t, o)
-	for i, data := range oracles {
-		if l, err := ReadOracle(bytes.NewReader(data)); l != nil || !skew(err) {
-			t.Errorf("oracle %d: err = %v, want ErrVersionSkew", i, err)
-		}
-	}
-	for i, data := range shards {
-		if s, err := ReadShardSnapshot(bytes.NewReader(data)); s != nil || !skew(err) {
-			t.Errorf("shard %d: err = %v, want ErrVersionSkew", i, err)
-		}
-	}
 }
 
 // TestOracleSnapshotRejectsV1 hand-rolls complete payloads in the
@@ -208,7 +174,7 @@ func TestOracleSnapshotRejectsV1(t *testing.T) {
 	for _, version := range []uint32{1, 2} {
 		table := func(e *snapshot.Encoder, f64 []graph.Weight) {
 			if version >= 2 {
-				e.U32(tableKindF64)
+				e.U32(0) // table kind
 			}
 			e.F64s(f64)
 		}
@@ -368,12 +334,24 @@ func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
 	}
 }
 
-// TestSnapshotHostilePayloads pins what FuzzReadOracle's hand-sealed seeds
-// are for: the aptable section is the tagged table and nothing else, and a
-// stored forest cannot reach navigation.
+// TestSnapshotHostilePayloads pins what the fuzzers' hand-sealed seeds
+// are for: the aptable section is the tagged table and nothing else, a
+// stored forest cannot reach navigation, and the reserved flags and table
+// kind words are zero or the snapshot is corrupt.
 func TestSnapshotHostilePayloads(t *testing.T) {
 	g := testGraphs(t)["chained-blocks"]
 	o := NewOracle(g)
+	oracles, shards := reservedWords(t, o)
+	for i, data := range oracles {
+		if l, err := ReadOracle(bytes.NewReader(data)); l != nil || !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("reserved word oracle %d: err = %v, want ErrCorrupt", i, err)
+		}
+	}
+	for i, data := range shards {
+		if s, err := ReadShardSnapshot(bytes.NewReader(data)); s != nil || !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("reserved word shard %d: err = %v, want ErrCorrupt", i, err)
+		}
+	}
 	for _, h := range hostileSnapshots(t, o) {
 		loaded, err := ReadOracle(bytes.NewReader(h.data))
 		if h.corrupt {
@@ -407,8 +385,8 @@ func FuzzReadOracle(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 		f.Add(buf.Bytes()[:buf.Len()/2])
-		single, _ := singlePrecision(f, o)
-		for _, data := range single {
+		reserved, _ := reservedWords(f, o)
+		for _, data := range reserved {
 			f.Add(data)
 		}
 	}

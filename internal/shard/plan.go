@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"hash/crc64"
 	"io"
 
 	"repro/internal/apsp"
@@ -160,10 +159,10 @@ func PlanShards(o *apsp.Oracle, opts PlanOptions) (*Plan, error) {
 // plans agree on an epoch without coordination. Never returns 0, the
 // "derive me" sentinel.
 func (p *Plan) contentEpoch() uint64 {
-	h := crc64.New(crc64.MakeTable(crc64.ECMA))
+	var h snapshot.Checksum
 	saved := p.Epoch
 	p.Epoch = 0
-	_, _ = p.WriteTo(h)
+	_, _ = p.WriteTo(&h)
 	p.Epoch = saved
 	e := h.Sum64()
 	if e == 0 {
@@ -235,11 +234,8 @@ func ReadPlan(r io.Reader) (p *Plan, err error) {
 	n := md.U64()
 	numB := md.U64()
 	numA := md.U64()
-	flags := md.U32()
+	md.Reserved("plan manifest flags")
 	if err := md.Finish(); err != nil {
-		return nil, err
-	}
-	if err := apsp.CheckFlags(flags, "plan manifest"); err != nil {
 		return nil, err
 	}
 	if p.Epoch == 0 {

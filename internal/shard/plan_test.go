@@ -3,7 +3,6 @@ package shard
 import (
 	"bytes"
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 
@@ -150,6 +149,17 @@ func TestPlanManifestRejectsCorruption(t *testing.T) {
 	if _, err := ReadPlan(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
 	}
+	// The flags word and the table kind are reserved zeros.
+	f64 := func(e *snapshot.Encoder) { apsp.EncodeTable(e, p.ap) }
+	if _, err := ReadPlan(bytes.NewReader(sealPlan(t, p, 0, f64))); err != nil {
+		t.Fatalf("hand-sealed manifest: %v", err)
+	}
+	kind1 := func(e *snapshot.Encoder) { e.U32(1); e.F64s(p.ap) }
+	for name, data := range map[string][]byte{"flag bit 0": sealPlan(t, p, 1, f64), "table kind 1": sealPlan(t, p, 0, kind1)} {
+		if q, err := ReadPlan(bytes.NewReader(data)); q != nil || !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
 }
 
 func TestPlanShardsRejectsBadCount(t *testing.T) {
@@ -266,35 +276,4 @@ func sealPlan(t *testing.T, p *Plan, flags uint32, apTable func(*snapshot.Encode
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// TestReadPlanRefusesFloat32: flag bit 0 and table kind 1 marked a
-// float32 AP table. A manifest carrying either is version skew, never
-// corruption and never a plan; the same container with flags 0 and the
-// float64 table loads.
-func TestReadPlanRefusesFloat32(t *testing.T) {
-	p, err := PlanShards(apsp.NewOracle(testGraph()), PlanOptions{Shards: 2})
-	if err != nil {
-		t.Fatalf("PlanShards: %v", err)
-	}
-	f64 := func(e *snapshot.Encoder) { apsp.EncodeTable(e, p.ap) }
-	if _, err := ReadPlan(bytes.NewReader(sealPlan(t, p, 0, f64))); err != nil {
-		t.Fatalf("float64 manifest: %v", err)
-	}
-	f32 := func(e *snapshot.Encoder) {
-		e.U32(1) // table kind: float32
-		e.U64(uint64(len(p.ap)))
-		for _, v := range p.ap {
-			e.U32(math.Float32bits(float32(v)))
-		}
-	}
-	for name, data := range map[string][]byte{
-		"flag bit 0":      sealPlan(t, p, 1, f64),
-		"kind-1 AP table": sealPlan(t, p, 0, f32),
-	} {
-		q, err := ReadPlan(bytes.NewReader(data))
-		if q != nil || !errors.Is(err, snapshot.ErrVersionSkew) || errors.Is(err, snapshot.ErrCorrupt) {
-			t.Errorf("%s: plan %v, err = %v, want ErrVersionSkew", name, q != nil, err)
-		}
-	}
 }

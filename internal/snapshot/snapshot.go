@@ -13,8 +13,8 @@
 //	section table | section payloads
 //
 // where each table entry is a fixed 32-byte record (8-byte NUL-padded
-// name, uint64 offset, uint64 length, uint64 CRC-64/ECMA checksum) and
-// every integer is little-endian. Each section's checksum is verified on
+// name, uint64 offset, uint64 length, uint64 Checksum) and every integer
+// is little-endian. Each section's checksum is verified on
 // open, so corruption anywhere in a payload surfaces as ErrChecksum
 // before a single byte is decoded; truncation, bad offsets, and malformed
 // structure surface as ErrCorrupt; foreign files as ErrBadMagic; files
@@ -32,11 +32,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"math"
-	"slices"
+	"unsafe"
 )
 
 const (
@@ -46,7 +46,7 @@ const (
 	// container layout itself (header, table, primitive encoding)
 	// changes; payload evolution is versioned by the writing package
 	// inside its own sections.
-	Version = 1
+	Version = 2
 
 	headerLen  = len(Magic) + 4 + 4 // magic + version + section count
 	entryLen   = 32                 // name[8] + offset + length + checksum
@@ -77,7 +77,22 @@ func Corruptf(format string, args ...interface{}) error {
 	return fmt.Errorf("%s: %w", fmt.Sprintf(format, args...), ErrCorrupt)
 }
 
-var crcTable = crc64.MakeTable(crc64.ECMA)
+// Checksum is the container's 64-bit section check: CRC-32C (Castagnoli)
+// in the high word and CRC-32 (IEEE) in the low, both of which hash/crc32
+// runs in hardware where the CPU has it. A corruption passes only if it
+// fools both polynomials. The zero value sums no bytes; Write extends it.
+type Checksum struct{ c, ieee uint32 }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Write adds p to the sum. It never fails.
+func (h *Checksum) Write(p []byte) (int, error) {
+	h.c, h.ieee = crc32.Update(h.c, castagnoli, p), crc32.Update(h.ieee, crc32.IEEETable, p)
+	return len(p), nil
+}
+
+// Sum64 returns the checksum of the bytes written so far.
+func (h *Checksum) Sum64() uint64 { return uint64(h.c)<<32 | uint64(h.ieee) }
 
 // Writer accumulates named sections and serialises them with a checksummed
 // table. Sections are written in the order they were created.
@@ -107,34 +122,37 @@ func (w *Writer) Section(name string) *Encoder {
 }
 
 // WriteTo serialises the container: header, section table, payloads.
+// Each section's runs, borrowed tables included, are checksummed and then
+// written to out as they stand, with no staging copy.
 func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 	head := make([]byte, 0, headerLen+entryLen*len(w.secs))
 	head = append(head, Magic...)
 	head = binary.LittleEndian.AppendUint32(head, Version)
 	head = binary.LittleEndian.AppendUint32(head, uint32(len(w.secs)))
+	runs := [][]byte{nil} // the header, once the table is complete
 	off := uint64(headerLen + entryLen*len(w.secs))
 	for i, e := range w.secs {
-		var name [nameLen]byte
-		copy(name[:], w.names[i])
-		head = append(head, name[:]...)
-		head = binary.LittleEndian.AppendUint64(head, off)
-		head = binary.LittleEndian.AppendUint64(head, uint64(len(e.b)))
-		head = binary.LittleEndian.AppendUint64(head, crc64.Checksum(e.b, crcTable))
-		off += uint64(len(e.b))
+		var sum Checksum
+		start := off
+		for _, run := range e.flush() {
+			sum.Write(run)
+			off += uint64(len(run))
+		}
+		runs = append(runs, e.runs...)
+		head = append(append(head, w.names[i]...), make([]byte, nameLen-len(w.names[i]))...)
+		head = binary.LittleEndian.AppendUint64(head, start)
+		head = binary.LittleEndian.AppendUint64(head, off-start)
+		head = binary.LittleEndian.AppendUint64(head, sum.Sum64())
 	}
+	runs[0] = head
 	// A growable destination (bytes.Buffer) is sized once for the whole
-	// container instead of regrowing under each section's Write.
+	// container instead of regrowing under each run's Write.
 	if g, ok := out.(interface{ Grow(int) }); ok {
 		g.Grow(int(off))
 	}
 	var total int64
-	n, err := out.Write(head)
-	total += int64(n)
-	if err != nil {
-		return total, err
-	}
-	for _, e := range w.secs {
-		n, err := out.Write(e.b)
+	for _, run := range runs {
+		n, err := out.Write(run)
 		total += int64(n)
 		if err != nil {
 			return total, err
@@ -183,7 +201,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 	rd := &Reader{secs: make(map[string][]byte, nsec)}
 	for i := 0; i < int(nsec); i++ {
 		ent := data[headerLen+entryLen*i:]
-		name := string(trimNUL(ent[:nameLen]))
+		name := string(bytes.TrimRight(ent[:nameLen], "\x00"))
 		off := binary.LittleEndian.Uint64(ent[nameLen:])
 		length := binary.LittleEndian.Uint64(ent[nameLen+8:])
 		sum := binary.LittleEndian.Uint64(ent[nameLen+16:])
@@ -192,7 +210,8 @@ func NewReader(r io.Reader) (*Reader, error) {
 				name, off, off, length, ErrCorrupt)
 		}
 		payload := data[off : off+length]
-		if crc64.Checksum(payload, crcTable) != sum {
+		var got Checksum
+		if got.Write(payload); got.Sum64() != sum {
 			return nil, fmt.Errorf("snapshot: section %q: %w", name, ErrChecksum)
 		}
 		rd.secs[name] = payload
@@ -224,13 +243,6 @@ func readAll(r io.Reader) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-func trimNUL(b []byte) []byte {
-	for len(b) > 0 && b[len(b)-1] == 0 {
-		b = b[:len(b)-1]
-	}
-	return b
-}
-
 // Has reports whether the container holds a section with that name.
 func (r *Reader) Has(name string) bool { _, ok := r.secs[name]; return ok }
 
@@ -245,17 +257,40 @@ func (r *Reader) Section(name string) (*Decoder, error) {
 }
 
 // Encoder is an append-only little-endian primitive writer backing one
-// section.
-type Encoder struct{ b []byte }
+// section. The section is a sequence of runs: the bytes the encoder wrote
+// and the tables F64s borrows instead of copying.
+type Encoder struct {
+	runs [][]byte // finished runs
+	b    []byte   // the open run
+}
 
-// Len returns the number of bytes encoded so far.
-func (e *Encoder) Len() int { return len(e.b) }
+// flush finishes the open run and returns the section's runs in order.
+func (e *Encoder) flush() [][]byte {
+	if len(e.b) > 0 {
+		e.runs, e.b = append(e.runs, e.b), e.b[len(e.b):]
+	}
+	return e.runs
+}
+
+// extend grows the section by n bytes and returns them. A full run is
+// finished, not regrown, and the next is twice its size: no byte is
+// copied twice.
+func (e *Encoder) extend(n int) []byte {
+	if cap(e.b)-len(e.b) < n {
+		size := max(n, 2*cap(e.b), 64)
+		e.flush()
+		e.b = make([]byte, 0, size)
+	}
+	off := len(e.b)
+	e.b = e.b[:off+n]
+	return e.b[off:]
+}
 
 // U32 appends a uint32.
-func (e *Encoder) U32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
+func (e *Encoder) U32(v uint32) { binary.LittleEndian.PutUint32(e.extend(4), v) }
 
 // U64 appends a uint64.
-func (e *Encoder) U64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
+func (e *Encoder) U64(v uint64) { binary.LittleEndian.PutUint64(e.extend(8), v) }
 
 // I32 appends an int32.
 func (e *Encoder) I32(v int32) { e.U32(uint32(v)) }
@@ -266,13 +301,6 @@ func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
 // F64 appends a float64 by bit pattern.
 func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
 
-// extend grows the section by n bytes in one step and returns them.
-func (e *Encoder) extend(n int) []byte {
-	off := len(e.b)
-	e.b = slices.Grow(e.b, n)[:off+n]
-	return e.b[off:]
-}
-
 // I32s appends a length-prefixed int32 slice.
 func (e *Encoder) I32s(s []int32) {
 	e.U64(uint64(len(s)))
@@ -282,9 +310,22 @@ func (e *Encoder) I32s(s []int32) {
 	}
 }
 
-// F64s appends a length-prefixed float64 slice.
+// borrowMin is the shortest table F64s borrows; shorter ones copy cheaper.
+const borrowMin = 512
+
+// littleEndian reports whether a float64's bytes in memory are its
+// encoding, which is what lets F64s borrow a table.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// F64s appends a length-prefixed float64 slice. On a little-endian host a
+// slice of borrowMin values or more is borrowed, not copied: WriteTo reads
+// it in place, so s must not change until then (oracle tables never do).
 func (e *Encoder) F64s(s []float64) {
 	e.U64(uint64(len(s)))
+	if littleEndian && len(s) >= borrowMin {
+		e.runs = append(e.flush(), unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 8*len(s)))
+		return
+	}
 	raw := e.extend(8 * len(s))
 	for i, v := range s {
 		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
@@ -295,24 +336,18 @@ func (e *Encoder) F64s(s []float64) {
 // kind tags, terminal error messages).
 func (e *Encoder) Str(s string) {
 	e.U64(uint64(len(s)))
-	e.b = append(e.b, s...)
+	copy(e.extend(len(s)), s)
 }
 
 // Bools appends a length-prefixed bit-packed bool slice.
 func (e *Encoder) Bools(s []bool) {
 	e.U64(uint64(len(s)))
-	var cur byte
+	raw := e.extend((len(s) + 7) / 8)
+	clear(raw)
 	for i, v := range s {
 		if v {
-			cur |= 1 << (i % 8)
+			raw[i/8] |= 1 << (i % 8)
 		}
-		if i%8 == 7 {
-			e.b = append(e.b, cur)
-			cur = 0
-		}
-	}
-	if len(s)%8 != 0 {
-		e.b = append(e.b, cur)
 	}
 }
 
@@ -387,6 +422,14 @@ func (d *Decoder) I64() int64 { return int64(d.U64()) }
 
 // F64 reads a float64.
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
+
+// Reserved reads a uint32 that every writer leaves 0; any other value is a
+// sticky ErrCorrupt.
+func (d *Decoder) Reserved(what string) {
+	if v := d.U32(); v != 0 && d.err == nil {
+		d.err = Corruptf("snapshot: %s %#x, reserved 0", what, v)
+	}
+}
 
 // Count reads a u64 element count and validates it against the bytes
 // actually remaining (each element occupying at least elemBytes), so a

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // buildContainer writes a two-section container exercising every
@@ -182,39 +183,60 @@ func TestBoolsCountOverflow(t *testing.T) {
 	}
 }
 
-// Slices move as one block; the bytes are those of the per-element writers.
+// Slices move as one block; the bytes are those of the per-element
+// writers, whether F64s borrows the table (a little-endian host, borrowMin
+// values or more) or copies it (shorter tables, and every table on a
+// big-endian host).
 func TestSliceCodecMatchesElements(t *testing.T) {
 	i32 := []int32{0, -1, 1 << 30, math.MinInt32}
 	f64 := []float64{0, -0.0, 1.5, math.Inf(1), math.MaxFloat64}
-	got, want := &Encoder{b: []byte{7}}, &Encoder{b: []byte{7}}
-	got.I32s(i32)
-	got.F64s(f64)
-	got.I32s(nil)
-	want.U64(uint64(len(i32)))
-	for _, v := range i32 {
-		want.I32(v)
+	long := make([]float64, borrowMin)
+	for i := range long {
+		long[i] = float64(i) / 3
 	}
-	want.U64(uint64(len(f64)))
-	for _, v := range f64 {
-		want.F64(v)
-	}
-	want.U64(0)
-	if !bytes.Equal(got.b, want.b) {
-		t.Fatalf("slice encoders wrote\n%x\nelement encoders wrote\n%x", got.b, want.b)
-	}
-	d := &Decoder{b: got.b[1:]}
-	if a, b, e := d.I32s(), d.F64s(), d.I32s(); !slices.Equal(a, i32) ||
-		!slices.EqualFunc(b, f64, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) ||
-		len(e) != 0 {
-		t.Fatalf("decoded %v %v %v", a, b, e)
-	}
-	if err := d.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	// A count the bytes cannot back fails before any element is read.
-	short := &Decoder{b: got.b[1 : 1+8+4*len(i32)-1]}
-	if s := short.I32s(); s != nil || !errors.Is(short.Err(), ErrCorrupt) {
-		t.Fatalf("short slice: %v, err %v", s, short.Err())
+	defer func(le bool) { littleEndian = le }(littleEndian)
+	for _, le := range []bool{littleEndian, false} {
+		littleEndian = le
+		got, want := &Encoder{b: []byte{7}}, &Encoder{b: []byte{7}}
+		got.I32s(i32)
+		got.F64s(f64)
+		got.F64s(long)
+		got.I32s(nil)
+		want.U64(uint64(len(i32)))
+		for _, v := range i32 {
+			want.I32(v)
+		}
+		for _, s := range [][]float64{f64, long} {
+			want.U64(uint64(len(s)))
+			for _, v := range s {
+				want.F64(v)
+			}
+		}
+		want.U64(0)
+		flat := bytes.Join(got.flush(), nil)
+		if w := bytes.Join(want.flush(), nil); !bytes.Equal(flat, w) {
+			t.Fatalf("little-endian %v: slice encoders wrote\n%x\nelement encoders wrote\n%x", le, flat, w)
+		}
+		borrowed := slices.ContainsFunc(got.runs, func(r []byte) bool {
+			return unsafe.SliceData(r) == (*byte)(unsafe.Pointer(&long[0]))
+		})
+		if borrowed != le {
+			t.Errorf("little-endian %v: table of %d borrowed = %v", le, len(long), borrowed)
+		}
+		d := &Decoder{b: flat[1:]}
+		eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+		if a, b, c, e := d.I32s(), d.F64s(), d.F64s(), d.I32s(); !slices.Equal(a, i32) ||
+			!slices.EqualFunc(b, f64, eq) || !slices.EqualFunc(c, long, eq) || len(e) != 0 {
+			t.Fatalf("decoded %v %v %d values %v", a, b, len(c), e)
+		}
+		if err := d.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		// A count the bytes cannot back fails before any element is read.
+		short := &Decoder{b: flat[1 : 1+8+4*len(i32)-1]}
+		if s := short.I32s(); s != nil || !errors.Is(short.Err(), ErrCorrupt) {
+			t.Fatalf("short slice: %v, err %v", s, short.Err())
+		}
 	}
 }
 
@@ -272,17 +294,74 @@ func TestNewReaderSizedSources(t *testing.T) {
 	}
 }
 
-// WriteTo's output does not depend on whether the destination can Grow.
-func TestWriteToGrowableDestination(t *testing.T) {
+// twoRuns writes a container whose first section borrows a table, so
+// WriteTo hands its destination several runs.
+func twoRuns() *Writer {
 	w := NewWriter()
-	w.Section("a").F64s(make([]float64, 1000))
+	a := w.Section("a")
+	a.U32(1)
+	a.F64s(make([]float64, 2*borrowMin))
+	a.Str("after the table")
 	w.Section("b").Str("tail")
+	return w
+}
+
+// WriteTo writes the same bytes whether the destination can Grow, takes
+// one byte per Write or is a file.
+func TestWriteToGrowableDestination(t *testing.T) {
+	w := twoRuns()
 	var buf bytes.Buffer
-	var plain []byte
-	n1, err1 := w.WriteTo(&buf)
-	n2, err2 := w.WriteTo(writerFunc(func(p []byte) (int, error) { plain = append(plain, p...); return len(p), nil }))
-	if err1 != nil || err2 != nil || n1 != n2 || !bytes.Equal(buf.Bytes(), plain) {
-		t.Fatalf("Buffer got %d bytes (%v), plain writer %d (%v), equal=%v", n1, err1, n2, err2, bytes.Equal(buf.Bytes(), plain))
+	n, err := w.WriteTo(&buf)
+	if err != nil || n != int64(buf.Len()) {
+		t.Fatalf("Buffer: %d bytes reported, %d written, %v", n, buf.Len(), err)
+	}
+	var bytewise []byte
+	oneByte := writerFunc(func(p []byte) (int, error) {
+		for _, c := range p {
+			bytewise = append(bytewise, c)
+		}
+		return len(p), nil
+	})
+	if n, err := w.WriteTo(oneByte); err != nil || n != int64(len(bytewise)) || !bytes.Equal(bytewise, buf.Bytes()) {
+		t.Errorf("one byte per Write: %d bytes reported, %v, equal=%v", n, err, bytes.Equal(bytewise, buf.Bytes()))
+	}
+	path := filepath.Join(t.TempDir(), "c.snap")
+	if err := WriteFile(path, func(f *os.File) error { _, err := w.WriteTo(f); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, buf.Bytes()) {
+		t.Errorf("file: %d bytes, %v, want the Buffer's %d", len(got), err, buf.Len())
+	}
+	if _, err := NewReader(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// An error from the k-th Write is returned with the bytes written so far,
+// the failing Write's share included.
+func TestWriteToErrorCountsBytes(t *testing.T) {
+	w := twoRuns()
+	boom := errors.New("boom")
+	for k := 1; ; k++ {
+		var got []byte
+		calls := 0
+		n, err := w.WriteTo(writerFunc(func(p []byte) (int, error) {
+			if calls++; calls == k {
+				got = append(got, p[:len(p)/2]...)
+				return len(p) / 2, boom
+			}
+			got = append(got, p...)
+			return len(p), nil
+		}))
+		if calls < k { // every Write succeeded: k has passed the last one
+			if err != nil || calls < 4 { // the header and at least three runs
+				t.Fatalf("%d Writes in all, err %v", calls, err)
+			}
+			return
+		}
+		if !errors.Is(err, boom) || n != int64(len(got)) || calls != k {
+			t.Fatalf("Write %d fails: WriteTo returned %d, %v after %d calls; %d bytes written", k, n, err, calls, len(got))
+		}
 	}
 }
 

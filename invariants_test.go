@@ -122,6 +122,20 @@ func TestTreeInvariants(t *testing.T) {
 		}
 	})
 
+	// One checksum: snapshot.Checksum (CRC-32C‖CRC-32) guards every
+	// container and derives every plan epoch. The byte view that lets a
+	// snapshot borrow its tables is the tree's one use of unsafe.
+	t.Run("one checksum, one unsafe", func(t *testing.T) {
+		for path, f := range files {
+			if !isTest(path) && imports(f, "hash/crc64") {
+				t.Errorf("%s imports hash/crc64: checksum with snapshot.Checksum", path)
+			}
+			if !isTest(path) && imports(f, "unsafe") && !strings.HasPrefix(path, "internal/snapshot/") {
+				t.Errorf("%s imports unsafe: only internal/snapshot may", path)
+			}
+		}
+	})
+
 	// One priority queue: every Dijkstra shares ds.IndexedHeap.
 	t.Run("one heap", func(t *testing.T) {
 		var heaps []string
