@@ -178,22 +178,7 @@ func (s *server) jobResults(w http.ResponseWriter, r *http.Request) {
 	reqs.Inc()
 	fail := func(err error) {
 		errs.Inc()
-		status := http.StatusBadRequest
-		env := errorEnvelope{Error: err.Error()}
-		var he *httpError
-		var ae *apiError
-		switch {
-		case errors.As(err, &ae):
-			status = ae.status
-			env.Code = ae.code
-			env.JobID = ae.jobID
-		case errors.As(err, &he):
-			status = he.status
-		}
-		if env.Code == "" {
-			env.Code = errorCode(status)
-		}
-		writeJSON(w, status, env)
+		writeError(w, err)
 	}
 
 	m, err := s.manager()

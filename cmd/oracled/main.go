@@ -6,53 +6,30 @@
 // basis), and answers JSON queries until SIGTERM/SIGINT, at which point it
 // stops accepting connections and drains in-flight requests.
 //
-// Build-once/serve-many: -save-snapshot persists the oracle (graph, BCC
-// partition, ear reductions, distance tables, articulation table) as one
-// checksummed snapshot file, and -load-snapshot boots straight from such
-// a file — written here or by cmd/apsp -snapshot — serving the first
-// query without running any build phase.
-//
-//	oracled -file snapshot.earg -addr :8080
-//	oracled -dataset Planar_1 -scale 0.02 -mcb
 //	oracled -dataset Planar_1 -save-snapshot oracle.snap     # build once, persist
 //	oracled -load-snapshot oracle.snap                       # boot with zero build work
-//
 //	curl 'localhost:8080/v1/distance?u=0&v=17'
-//	curl 'localhost:8080/v1/path?u=0&v=17'
-//	curl -d '{"sources":[0,3],"targets":[17,42]}' 'localhost:8080/v1/batch'
-//	curl -d '{"deltas":[{"op":"weight","edge":0,"weight":5}]}' 'localhost:8080/v1/deltas'
-//	curl 'localhost:8080/v1/mcb/cycle?i=0'
-//	curl 'localhost:8080/v1/stats'
-//	curl 'localhost:8080/debug/vars'
 //
-// The served graph is live: POST /v1/deltas applies an ordered script of
-// edge weight changes, insertions, and deletions, recomputing only the
-// affected blocks and swapping the new oracle in without dropping
-// concurrent queries. With -save-snapshot FILE, every successful apply
-// rewrites FILE with the post-delta oracle before swapping it in, so
-// -load-snapshot of FILE boots the daemon's current state by decoding
-// alone — a snapshot holds state, never a script to replay.
+// -save-snapshot persists the oracle as one checksummed snapshot file, and
+// -load-snapshot boots from one (written here or by cmd/apsp -snapshot)
+// without running any build phase. The served graph is live: POST
+// /v1/deltas applies an ordered script of edge weight changes,
+// insertions, and deletions, recomputing only the affected blocks and
+// swapping the new oracle in without dropping concurrent queries; with
+// -save-snapshot, every apply first rewrites the file with the post-delta
+// oracle, so a snapshot holds state, never a script to replay.
 //
 // The API lives under /v1/ and is mounted from the internal/api route
 // table: each listed (method, path) is bound to one handler, any other
 // method on a listed path answers 405 with an Allow header, and a
 // graph-scoped route answers at /v1/graphs/{name}/x and — for the default
-// graph — at /v1/x. There are no unversioned paths. All errors use one
-// JSON envelope: {"error": ..., "code": ..., "retry_after_ms": ...}
-// (retry_after_ms present only on back-pressure).
-//
-// Queries are served through the internal/qe engine. A point query
-// (/v1/distance, /v1/path) is one pair lookup over the oracle's tables
-// and builds no row; bulk queries (/v1/batch, batch_matrix and
-// betweenness jobs) build each distinct source's distance row once, into
-// per-request scratch, and keep none. Admission control bounds concurrent
-// load of both kinds and sheds the excess with 503 + Retry-After. Tune
-// with -max-inflight, -queue-depth, and -deadline.
-//
-// Request metrics (counters and latency histograms per endpoint, the
-// engine's pair/row/queue counters and gauges, plus the oracle's build-phase
-// timers) are exported under /v1/stats and, via expvar, /debug/vars;
-// /debug/pprof/ serves the standard profiles.
+// graph — at /v1/x. All errors use one JSON envelope. Queries go through
+// the internal/qe engine: a point query is one pair lookup over the
+// oracle's tables, bulk queries build each distinct source's row once, and
+// admission control sheds excess load with 503 + Retry-After (tune with
+// -max-inflight, -queue-depth, and -deadline). Per-endpoint and engine
+// metrics are exported under /v1/stats and /debug/vars; /debug/pprof/
+// serves the standard profiles.
 package main
 
 import (

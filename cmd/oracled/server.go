@@ -7,8 +7,10 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -139,10 +141,8 @@ func mountRoutes(mux *http.ServeMux, routes []api.Route, binds map[string]http.H
 			mux.HandleFunc(p, func(w http.ResponseWriter, r *http.Request) {
 				rejected.Inc()
 				w.Header().Set("Allow", allow)
-				writeJSON(w, http.StatusMethodNotAllowed, errorEnvelope{
-					Error: fmt.Sprintf("%s: method not allowed (allow: %s)", r.URL.Path, allow),
-					Code:  errorCode(http.StatusMethodNotAllowed),
-				})
+				writeError(w, &httpError{http.StatusMethodNotAllowed,
+					fmt.Errorf("%s: method not allowed (allow: %s)", r.URL.Path, allow)})
 			})
 		}
 	}
@@ -239,71 +239,108 @@ type errorEnvelope struct {
 	ShardID      *int32 `json:"shard_id,omitempty"`
 }
 
-// jsonBuf is a pooled response encoder: a reusable byte buffer with a
-// json.Encoder bound to it. Handlers encode into the buffer, then write
-// it out in one shot with an exact Content-Length — no per-response
-// encoder or buffer allocations at steady state.
-type jsonBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
+// bodyPool holds the response buffers writeJSON fills, so that a
+// response allocates no buffer at steady state.
+var bodyPool = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
 
-var jsonBufPool = sync.Pool{New: func() interface{} {
-	b := &jsonBuf{}
-	b.enc = json.NewEncoder(&b.buf)
-	return b
-}}
+// bodyMaxRetained caps the buffer size returned to the pool so one huge
+// batch response does not pin megabytes for the rest of the process's
+// life.
+const bodyMaxRetained = 1 << 20
 
-// jsonBufMaxRetained caps the buffer size returned to the pool so one
-// huge batch response does not pin megabytes for the rest of the
-// process's life.
-const jsonBufMaxRetained = 1 << 20
+// jsonContentType is the Content-Type of every JSON response, assigned to
+// the header map as is so that no response allocates its value slice.
+var jsonContentType = []string{"application/json"}
 
-// writeJSON encodes v into a pooled buffer and writes it as the complete
-// response with the given status. Encoding errors (a handler returned an
-// unencodable value — a programming error) degrade to a plain 500.
+// writeJSON encodes v into a pooled buffer — a pairAnswer by appending,
+// anything else through encoding/json — and writes it as the complete
+// response with the given status and an exact Content-Length. Encoding
+// errors (a handler returned an unencodable value — a programming error)
+// degrade to a plain 500.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	b := jsonBufPool.Get().(*jsonBuf)
-	b.buf.Reset()
-	if err := b.enc.Encode(v); err != nil {
-		jsonBufPool.Put(b)
+	b := bodyPool.Get().(*bytes.Buffer)
+	b.Reset()
+	if a, ok := v.(pairAnswer); ok {
+		b.Write(a.appendJSON(b.AvailableBuffer()))
+	} else if err := json.NewEncoder(b).Encode(v); err != nil {
+		bodyPool.Put(b)
 		http.Error(w, `{"error":"response encoding failed","code":"internal"}`, http.StatusInternalServerError)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(b.buf.Len()))
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h["Content-Length"] = []string{strconv.Itoa(b.Len())}
 	w.WriteHeader(status)
-	w.Write(b.buf.Bytes())
-	if b.buf.Cap() <= jsonBufMaxRetained {
-		jsonBufPool.Put(b)
+	w.Write(b.Bytes())
+	if b.Cap() <= bodyMaxRetained {
+		bodyPool.Put(b)
 	}
 }
 
-// errorCode maps an HTTP status to the envelope's machine-readable code.
-func errorCode(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return "bad_request"
-	case http.StatusForbidden:
-		return "forbidden"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusMethodNotAllowed:
-		return "method_not_allowed"
-	case http.StatusServiceUnavailable:
-		return "unavailable"
-	case http.StatusGatewayTimeout:
-		return "deadline_exceeded"
-	case http.StatusInternalServerError:
-		return "internal"
+// errorCodes maps every status writeError answers with to the envelope's
+// machine-readable code, for errors that do not pin their own.
+var errorCodes = map[int]string{
+	http.StatusBadRequest:          "bad_request",
+	http.StatusForbidden:           "forbidden",
+	http.StatusNotFound:            "not_found",
+	http.StatusMethodNotAllowed:    "method_not_allowed",
+	http.StatusServiceUnavailable:  "unavailable",
+	http.StatusGatewayTimeout:      "deadline_exceeded",
+	http.StatusInternalServerError: "internal",
+}
+
+// writeError renders err as the one errorEnvelope shape every endpoint
+// answers errors with, under the status its type maps to (400 when
+// nothing more specific matches).
+func writeError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	env := errorEnvelope{Error: err.Error()}
+	var he *httpError
+	var ae *apiError
+	var se *shard.Error
+	switch {
+	case errors.As(err, &ae):
+		status = ae.status
+		env.Code = ae.code
+		env.JobID = ae.jobID
+	case errors.As(err, &he):
+		status = he.status
+	case errors.As(err, &se):
+		// A shard fan-out failed: the answer is unavailable, not wrong.
+		// 503 + Retry-After like load shedding, with the failing shard
+		// pinned in the envelope so operators can find it without
+		// grepping logs. Epoch skew keeps its own code — retrying helps
+		// only after a plan rollout settles.
+		sid := se.Shard
+		env.ShardID = &sid
+		if errors.Is(err, shard.ErrEpochMismatch) {
+			env.Code = "plan_epoch_mismatch"
+		} else {
+			env.Code = "shard_unavailable"
+		}
+		w.Header().Set("Retry-After", "1")
+		env.RetryAfterMS = 1000
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, qe.ErrOverloaded):
+		// Load shedding is explicit back-pressure, not a server fault:
+		// tell well-behaved clients when to come back.
+		w.Header().Set("Retry-After", "1")
+		env.RetryAfterMS = 1000
+		env.Code = "overloaded"
+		status = http.StatusServiceUnavailable
+	case errors.Is(err, context.DeadlineExceeded):
+		status = http.StatusGatewayTimeout
 	}
-	return "error"
+	if env.Code == "" {
+		env.Code = errorCodes[status]
+	}
+	writeJSON(w, status, env)
 }
 
 // handle wraps an endpoint with the standard metrics — request and error
 // counters plus a latency histogram, named oracled.<endpoint>.{requests,
-// errors, latency} — and JSON encoding of both results and errors. Every
-// error, whatever the endpoint, renders as the one errorEnvelope shape.
+// errors, latency} — and JSON encoding of both results and errors
+// (writeError).
 func (s *server) handle(name string, fn func(r *http.Request) (interface{}, error)) http.HandlerFunc {
 	reqs := s.reg.Counter("oracled." + name + ".requests")
 	errs := s.reg.Counter("oracled." + name + ".errors")
@@ -315,48 +352,7 @@ func (s *server) handle(name string, fn func(r *http.Request) (interface{}, erro
 		out, err := fn(r)
 		if err != nil {
 			errs.Inc()
-			status := http.StatusBadRequest
-			env := errorEnvelope{Error: err.Error()}
-			var he *httpError
-			var ae *apiError
-			var se *shard.Error
-			switch {
-			case errors.As(err, &ae):
-				status = ae.status
-				env.Code = ae.code
-				env.JobID = ae.jobID
-			case errors.As(err, &he):
-				status = he.status
-			case errors.As(err, &se):
-				// A shard fan-out failed: the answer is unavailable, not
-				// wrong. 503 + Retry-After like load shedding, with the
-				// failing shard pinned in the envelope so operators can
-				// find it without grepping logs. Epoch skew keeps its own
-				// code — retrying helps only after a plan rollout settles.
-				sid := se.Shard
-				env.ShardID = &sid
-				if errors.Is(err, shard.ErrEpochMismatch) {
-					env.Code = "plan_epoch_mismatch"
-				} else {
-					env.Code = "shard_unavailable"
-				}
-				w.Header().Set("Retry-After", "1")
-				env.RetryAfterMS = 1000
-				status = http.StatusServiceUnavailable
-			case errors.Is(err, qe.ErrOverloaded):
-				// Load shedding is explicit back-pressure, not a server
-				// fault: tell well-behaved clients when to come back.
-				w.Header().Set("Retry-After", "1")
-				env.RetryAfterMS = 1000
-				env.Code = "overloaded"
-				status = http.StatusServiceUnavailable
-			case errors.Is(err, context.DeadlineExceeded):
-				status = http.StatusGatewayTimeout
-			}
-			if env.Code == "" {
-				env.Code = errorCode(status)
-			}
-			writeJSON(w, status, env)
+			writeError(w, err)
 			return
 		}
 		if sr, ok := out.(statusResponse); ok {
@@ -368,9 +364,9 @@ func (s *server) handle(name string, fn func(r *http.Request) (interface{}, erro
 }
 
 // Typed response bodies. Encoding structs instead of map[string]interface{}
-// keeps the wire field names pinned at compile time (the CI smoke greps
-// depend on them) and spares the encoder the per-request map sort and
-// interface boxing.
+// keeps the wire field names pinned at compile time (TestResponseEncoding
+// and the internal/e2e scenarios read them) and spares the encoder the
+// per-request map sort and interface boxing.
 type healthResponse struct {
 	Status   string `json:"status"`
 	Vertices int    `json:"vertices"`
@@ -379,19 +375,46 @@ type healthResponse struct {
 	Graphs   int    `json:"graphs,omitempty"`
 }
 
-// pairResponse is /v1/distance's body; /v1/path embeds it. Distance is a
-// pointer so an unreachable pair omits the field entirely (as the map
-// implementation did) while a legal zero distance still serialises.
-type pairResponse struct {
+// pathResponse is /v1/path's body. Distance is a pointer so an
+// unreachable pair omits the field entirely while a legal zero distance
+// still serialises.
+type pathResponse struct {
 	U         int32         `json:"u"`
 	V         int32         `json:"v"`
 	Reachable bool          `json:"reachable"`
 	Distance  *graph.Weight `json:"distance,omitempty"`
+	Path      []int32       `json:"path,omitempty"`
 }
 
-type pathResponse struct {
-	pairResponse
-	Path []int32 `json:"path,omitempty"`
+// pairAnswer is /v1/distance's answer, which writeJSON appends as the
+// bytes encoding/json writes for pathResponse's first four fields.
+type pairAnswer struct {
+	u, v int32
+	d    graph.Weight
+}
+
+func (a pairAnswer) appendJSON(b []byte) []byte {
+	b = append(b, `{"u":`...)
+	b = strconv.AppendInt(b, int64(a.u), 10)
+	b = append(b, `,"v":`...)
+	b = strconv.AppendInt(b, int64(a.v), 10)
+	b = append(b, `,"reachable":`...)
+	reachable := a.d < apsp.Inf
+	b = strconv.AppendBool(b, reachable)
+	if reachable {
+		// encoding/json's float64 rule: the shortest 'f' form, 'e' below
+		// 1e-6 and from 1e21 on, with the exponent's leading zero trimmed.
+		format := byte('f')
+		if abs := math.Abs(a.d); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			format = 'e'
+		}
+		b = strconv.AppendFloat(append(b, `,"distance":`...), a.d, format, -1, 64)
+		if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return append(b, "}\n"...)
 }
 
 type batchResponse struct {
@@ -430,13 +453,32 @@ func (s *server) healthz(*http.Request) (interface{}, error) {
 	return resp, nil
 }
 
-// pairParam parses the u and v query parameters. Malformed values are 400;
-// out-of-range values flow to the oracle's checked API, whose ErrVertexRange
-// also maps to 400 — the daemon never sees a panic either way.
-func pairParam(r *http.Request) (int32, int32, error) {
-	q := r.URL.Query()
-	u, err1 := strconv.ParseInt(q.Get("u"), 10, 32)
-	v, err2 := strconv.ParseInt(q.Get("v"), 10, 32)
+// pairParam parses the u and v parameters of a raw query string as
+// url.ParseQuery, Get and a 32-bit ParseInt would, first value winning. A
+// query with no '%', '+' or ';' unescapes to itself, so it is scanned in
+// place, with no url.Values map. Malformed values are 400; out-of-range
+// values flow to the oracle's checked API, whose ErrVertexRange also maps
+// to 400 — the daemon never sees a panic either way.
+func pairParam(query string) (int32, int32, error) {
+	var us, vs string
+	if strings.ContainsAny(query, "%+;") {
+		q, _ := url.ParseQuery(query)
+		us, vs = q.Get("u"), q.Get("v")
+	} else {
+		var seenU, seenV bool
+		for query != "" {
+			var kv string
+			kv, query, _ = strings.Cut(query, "&")
+			switch k, val, _ := strings.Cut(kv, "="); {
+			case k == "u" && !seenU:
+				us, seenU = val, true
+			case k == "v" && !seenV:
+				vs, seenV = val, true
+			}
+		}
+	}
+	u, err1 := strconv.ParseInt(us, 10, 32)
+	v, err2 := strconv.ParseInt(vs, 10, 32)
 	if err1 != nil || err2 != nil {
 		return 0, 0, fmt.Errorf("need integer query parameters u and v")
 	}
@@ -448,7 +490,7 @@ func pairParam(r *http.Request) (int32, int32, error) {
 // fetches on a cluster frontend (whose shard failures surface here as
 // typed 503 envelopes, never as "unreachable").
 func (s *server) distance(e *registry.Entry, r *http.Request) (interface{}, error) {
-	u, v, err := pairParam(r)
+	u, v, err := pairParam(r.URL.RawQuery)
 	if err != nil {
 		return nil, err
 	}
@@ -456,15 +498,11 @@ func (s *server) distance(e *registry.Entry, r *http.Request) (interface{}, erro
 	if err != nil {
 		return nil, err
 	}
-	resp := pairResponse{U: u, V: v, Reachable: d < apsp.Inf}
-	if resp.Reachable {
-		resp.Distance = &d
-	}
-	return resp, nil
+	return pairAnswer{u, v, d}, nil
 }
 
 func (s *server) path(e *registry.Entry, r *http.Request) (interface{}, error) {
-	u, v, err := pairParam(r)
+	u, v, err := pairParam(r.URL.RawQuery)
 	if err != nil {
 		return nil, err
 	}
@@ -487,7 +525,7 @@ func (s *server) path(e *registry.Entry, r *http.Request) (interface{}, error) {
 	if err != nil {
 		return nil, &httpError{http.StatusInternalServerError, err}
 	}
-	resp := pathResponse{pairResponse: pairResponse{U: u, V: v, Reachable: d < apsp.Inf}}
+	resp := pathResponse{U: u, V: v, Reachable: d < apsp.Inf}
 	if resp.Reachable {
 		resp.Distance = &d
 		resp.Path = walk

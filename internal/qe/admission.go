@@ -43,16 +43,24 @@ func newAdmission(maxInflight, maxQueue int, reg *obs.Registry) *admission {
 	}
 }
 
+// tryAcquire claims a free serving slot without waiting.
+func (a *admission) tryAcquire() bool {
+	select {
+	case a.slots <- struct{}{}:
+		a.inflight.Inc()
+		return true
+	default:
+		return false
+	}
+}
+
 // acquire claims a serving slot, waiting in the bounded queue when all
 // slots are busy. It returns ErrOverloaded (wrapped, with the depth)
 // when the queue itself is full, or the context error when the caller's
 // deadline expires while queued.
 func (a *admission) acquire(ctx context.Context) error {
-	select {
-	case a.slots <- struct{}{}:
-		a.inflight.Inc()
+	if a.tryAcquire() {
 		return nil
-	default:
 	}
 	if depth := a.queued.Inc(); depth > a.maxQueue {
 		a.queued.Dec()

@@ -114,9 +114,8 @@ func (e *Engine) BatchFlat(ctx context.Context, sources, targets []int32, flat [
 	}
 	// One read of the source: the whole batch is validated against and
 	// answered by it, even if SwapSource installs another meanwhile.
-	e.mu.Lock()
-	src, n := e.src, e.n
-	e.mu.Unlock()
+	l := e.live.Load()
+	src, n := l.src, l.n
 	for _, u := range sources {
 		if err := e.checkVertex("source", u, n); err != nil {
 			return err

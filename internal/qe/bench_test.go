@@ -3,6 +3,7 @@ package qe
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/apsp"
 	"repro/internal/gen"
@@ -35,10 +36,12 @@ func (r rowsOnly) NumVertices() int                        { return r.o.NumVerti
 func (r rowsOnly) Row(src int32, out []graph.Weight) int64 { return r.o.Row(src, out) }
 
 // BenchmarkQEQueryPair measures the point-query path over an oracle:
-// admission + the oracle's O(1) pair lookup. No row is involved.
+// admission + the oracle's O(1) pair lookup. No row is involved. The
+// engine has the deadline oracled's -deadline defaults to, so a deadline
+// context on this path would show in allocs/op.
 func BenchmarkQEQueryPair(b *testing.B) {
 	o := benchOracle(b)
-	e := New(o, Config{MaxInflight: 4, QueueDepth: 64, Reg: obs.NewRegistry()})
+	e := New(o, Config{MaxInflight: 4, QueueDepth: 64, Deadline: 2 * time.Second, Reg: obs.NewRegistry()})
 	ctx := context.Background()
 	n := int32(o.NumVertices())
 	b.ReportAllocs()

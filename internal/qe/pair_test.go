@@ -66,6 +66,97 @@ func TestQueryPairZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestQueryPairWithDeadlineZeroAllocs is BenchmarkQEQueryPair's 0
+// allocs/op as a test: a pair on a local oracle admitted from a free slot
+// cannot wait, so the engine deadline builds no context and no timer.
+func TestQueryPairWithDeadlineZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not meaningful under -race")
+	}
+	o := pairOracle()
+	e, _ := newTestEngine(o, Config{MaxInflight: 4, Deadline: 2 * time.Second})
+	ctx := context.Background()
+	n := int32(o.NumVertices())
+	var i int32
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := e.Query(ctx, i%n, (i*7+3)%n); err != nil {
+			t.Fatalf("query: %v", err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("pair Query with a deadline allocates %v/op, want 0", allocs)
+	}
+}
+
+// deadlineProbe is a pair source that reports whether each call's context
+// carries a deadline; with blocking set it is also a CtxRowSource, the
+// shape of a sharded frontend's source.
+type deadlineProbe struct {
+	stubSource
+	seen  chan bool
+	gate  chan struct{} // nil: never block
+	began chan struct{} // nil: don't announce
+}
+
+func (p *deadlineProbe) Pair(ctx context.Context, u, v int32) (graph.Weight, error) {
+	if p.began != nil {
+		p.began <- struct{}{}
+		<-p.gate
+	}
+	_, has := ctx.Deadline()
+	p.seen <- has
+	return graph.Weight(int(u)*1000 + int(v)), nil
+}
+
+type blockingProbe struct{ *deadlineProbe }
+
+func (blockingProbe) RowCtx(context.Context, int32, []graph.Weight) (int64, error) { return 0, nil }
+
+// TestQueryDeadlineOnlyWhereItCanWait pins where Query applies the engine
+// deadline: not to a local pair admitted from a free slot; to every call
+// of a source that can block (a CtxRowSource); and to a request that had
+// to queue for its slot, whose source call then keeps it.
+func TestQueryDeadlineOnlyWhereItCanWait(t *testing.T) {
+	ctx := context.Background()
+	cfg := Config{MaxInflight: 1, QueueDepth: 1, Deadline: time.Hour}
+	local := &deadlineProbe{stubSource: stubSource{n: 8}, seen: make(chan bool, 2)}
+	e, _ := newTestEngine(local, cfg)
+	if _, err := e.Query(ctx, 1, 2); err != nil || <-local.seen {
+		t.Fatalf("local pair from a free slot: err %v, or its context had a deadline", err)
+	}
+
+	remote := blockingProbe{&deadlineProbe{stubSource: stubSource{n: 8}, seen: make(chan bool, 1)}}
+	er, _ := newTestEngine(remote, cfg)
+	if _, err := er.Query(ctx, 1, 2); err != nil || !<-remote.seen {
+		t.Fatalf("blocking source: err %v, or its context had no deadline", err)
+	}
+
+	local.gate, local.began = make(chan struct{}), make(chan struct{}, 1)
+	first := make(chan error, 1)
+	go func() {
+		_, err := e.Query(ctx, 1, 2)
+		first <- err
+	}()
+	<-local.began // the only slot is now held inside Pair
+	queued := make(chan error, 1)
+	go func() {
+		_, err := e.Query(ctx, 2, 3)
+		queued <- err
+	}()
+	for e.adm.queued.Value() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	local.began = nil
+	close(local.gate)
+	if err := <-first; err != nil || <-local.seen {
+		t.Fatalf("first request: err %v, or its context had a deadline", err)
+	}
+	if err := <-queued; err != nil || !<-local.seen {
+		t.Fatalf("queued request: err %v, or its context had no deadline", err)
+	}
+}
+
 // TestQueryPairSwapRace hammers Query while SwapSource flips the engine
 // between an oracle and its successor under a delta that changes a weight
 // and grows the vertex range. Every answer must be one oracle's

@@ -12,24 +12,21 @@
 //     builds a row. A source without the pair method is answered by
 //     building the one row into pooled scratch and reading one entry;
 //   - rows for bulk work: Batch (and through it the batch_matrix and
-//     betweenness jobs) builds each distinct source's row once, into a
-//     per-worker scratch row, and copies the requested targets straight
-//     into the result. No row outlives the request that built it, so a
-//     rows-only Query allocates nothing and a Batch allocates only the
-//     matrix it returns (both pinned by AllocsPerRun tests and the CI
-//     bench gate);
+//     betweenness jobs) answers an N×M matrix by building each distinct
+//     source's row once, into a per-worker scratch row, over the engine's
+//     workers, and copying the requested targets straight into the
+//     result. No row outlives the request that built it. A matrix over
+//     MaxBatchPairs is refused with the typed ErrBatchTooLarge before
+//     anything is allocated;
 //   - admission control: at most MaxInflight requests are served
-//     concurrently, at most QueueDepth more may wait (with per-request
-//     deadlines), and everything beyond that is shed with the typed
+//     concurrently, at most QueueDepth more may wait (until the engine
+//     deadline), and everything beyond that is shed with the typed
 //     ErrOverloaded so the HTTP layer can answer 503 + Retry-After. It
-//     applies to pairs and rows alike;
-//   - bulk queries: Batch answers an N×M many-to-many matrix with one row
-//     computation per distinct source, spread over the engine's workers
-//     by par.ParallelForCtx. Requests whose result matrix would exceed
-//     MaxBatchPairs are rejected with the typed ErrBatchTooLarge before
-//     anything is allocated.
+//     applies to pairs and rows alike.
 //
-// Every request reads the source and its vertex count once, so a request
+// A pair on a local oracle and a rows-only Query allocate nothing, and a
+// Batch only the matrix it returns (AllocsPerRun tests and the CI bench
+// gate pin all three). Every request reads the source and its vertex count once, so a request
 // racing SwapSource is answered in full by the old source or in full by
 // the new one. Engines are safe for concurrent use; every exported method
 // is panic-free on arbitrary input.
@@ -41,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -63,7 +61,8 @@ type RowSource interface {
 // the engine builds rows through RowCtx instead of Row and the error
 // propagates to the requesting caller, so one shard outage degrades into
 // retryable request errors instead of wrong answers. The ctx is the
-// admitted request's context (engine deadline applied).
+// admitted request's context (engine deadline applied, for pairs too: a
+// CtxRowSource is a source whose calls can block).
 type CtxRowSource interface {
 	RowCtx(ctx context.Context, src int32, out []graph.Weight) (int64, error)
 }
@@ -74,8 +73,8 @@ type CtxRowSource interface {
 // pair's own block rows. When the live source implements it, Query calls
 // Pair behind admission and builds no row; Batch keeps building rows. u
 // and v are already validated against NumVertices(); ctx is the admitted
-// request's context (engine deadline applied). An error propagates to the
-// caller as is.
+// request's context (engine deadline applied where Query says). An error
+// propagates to the caller as is.
 type PairSource interface {
 	Pair(ctx context.Context, u, v int32) (graph.Weight, error)
 }
@@ -105,7 +104,8 @@ type Config struct {
 	// slots are busy).
 	QueueDepth int
 	// Deadline bounds each request that arrives without its own context
-	// deadline; ≤ 0 means no engine-imposed deadline.
+	// deadline where it can wait: queued for admission, or in a call to a
+	// CtxRowSource. ≤ 0 means no engine-imposed deadline.
 	Deadline time.Duration
 	// MaxBatchPairs bounds |sources|×|targets| for one Batch call; larger
 	// requests fail with ErrBatchTooLarge before allocating the result
@@ -133,13 +133,7 @@ type Engine struct {
 	workers  int
 	maxPairs int64
 	scratch  sync.Pool // *batchScratch
-
-	// mu guards the live source, its pair seam and vertex count, which
-	// change only together, in SwapSource.
-	mu   sync.Mutex
-	src  RowSource
-	pair PairSource // src's pair method; nil when it has none
-	n    int
+	live     atomic.Pointer[liveSource]
 
 	builds       *obs.Counter
 	buildOps     *obs.Counter
@@ -149,6 +143,15 @@ type Engine struct {
 	pairLat      *obs.Histogram
 	batchSources *obs.Counter
 	batchPairs   *obs.Counter
+}
+
+// liveSource is what SwapSource installs, in one store: the source, the
+// seams resolved from it once, and its vertex count.
+type liveSource struct {
+	src    RowSource
+	pair   PairSource // src's pair method; nil when it has none
+	blocks bool       // src is a CtxRowSource: its calls may wait
+	n      int
 }
 
 // New builds an engine over src. Metrics register immediately so they are
@@ -191,26 +194,19 @@ func New(src RowSource, cfg Config) *Engine {
 }
 
 // SwapSource installs src as the engine's source, with its vertex count
-// and pair seam resolved once so every request reads all three in one
-// critical section. It is the serving-side half of apsp's delta
-// machinery: ApplyDelta returns a new oracle and SwapSource installs it.
+// and seams resolved once so every request reads them all in one load.
+// It is the serving-side half of apsp's delta machinery: ApplyDelta
+// returns a new oracle and SwapSource installs it.
 // A request already past that read answers from the old source in full;
 // every later one from src.
 func (e *Engine) SwapSource(src RowSource) {
 	pair, _ := src.(PairSource)
-	n := src.NumVertices()
-	e.mu.Lock()
-	e.src, e.pair, e.n = src, pair, n
-	e.mu.Unlock()
+	_, blocks := src.(CtxRowSource)
+	e.live.Store(&liveSource{src: src, pair: pair, blocks: blocks, n: src.NumVertices()})
 }
 
 // NumVertices returns the vertex count of the current source.
-func (e *Engine) NumVertices() int {
-	e.mu.Lock()
-	n := e.n
-	e.mu.Unlock()
-	return n
-}
+func (e *Engine) NumVertices() int { return e.live.Load().n }
 
 // checkVertex validates one vertex ID against vertex count n.
 func (e *Engine) checkVertex(what string, v int32, n int) error {
@@ -234,9 +230,11 @@ func (e *Engine) withDeadline(ctx context.Context) (context.Context, context.Can
 
 // Query answers one pair: validation, admission, then one call to the
 // source's pair method — O(1) table reads on a local oracle, at most two
-// block-row fetches on a sharded frontend. On a local oracle the call
-// allocates nothing (beyond the deadline context, when the engine imposes
-// one). qe.pairs counts the pairs answered, qe.pairs.latency times every
+// block-row fetches on a sharded frontend. The engine deadline is applied
+// only where the request can wait: when it has to queue for a slot, and
+// when the source is a CtxRowSource. A local pair admitted from a free
+// slot therefore builds no context and no timer, and allocates nothing.
+// qe.pairs counts the pairs answered, qe.pairs.latency times every
 // call to the source, failed ones included. The error is
 // ErrVertexRange, ErrOverloaded, a context error from waiting for
 // admission, or the source's own (a frontend's typed shard failure);
@@ -249,24 +247,28 @@ func (e *Engine) withDeadline(ctx context.Context) (context.Context, context.Can
 // pooled scratch and reading entry v; with warm scratch that allocates
 // nothing either.
 func (e *Engine) Query(ctx context.Context, u, v int32) (graph.Weight, error) {
-	e.mu.Lock()
-	src, pair, n := e.src, e.pair, e.n
-	e.mu.Unlock()
-	if err := e.checkVertex("source", u, n); err != nil {
+	l := e.live.Load()
+	if err := e.checkVertex("source", u, l.n); err != nil {
 		return inf, err
 	}
-	if err := e.checkVertex("target", v, n); err != nil {
+	if err := e.checkVertex("target", v, l.n); err != nil {
 		return inf, err
 	}
-	ctx, cancel := e.withDeadline(ctx)
-	defer cancel()
-	if err := e.adm.acquire(ctx); err != nil {
-		return inf, err
+	admitted := e.adm.tryAcquire()
+	if !admitted || l.blocks {
+		var cancel context.CancelFunc
+		ctx, cancel = e.withDeadline(ctx)
+		defer cancel()
+	}
+	if !admitted {
+		if err := e.adm.acquire(ctx); err != nil {
+			return inf, err
+		}
 	}
 	defer e.adm.release()
-	if pair != nil {
+	if l.pair != nil {
 		t0 := time.Now()
-		d, err := pair.Pair(ctx, u, v)
+		d, err := l.pair.Pair(ctx, u, v)
 		e.pairLat.Observe(time.Since(t0))
 		if err != nil {
 			return inf, err
@@ -276,8 +278,8 @@ func (e *Engine) Query(ctx context.Context, u, v int32) (graph.Weight, error) {
 	}
 	sc := e.scratch.Get().(*batchScratch)
 	defer e.scratch.Put(sc)
-	row := sc.row(0, n)
-	if err := e.buildRow(ctx, src, u, row); err != nil {
+	row := sc.row(0, l.n)
+	if err := e.buildRow(ctx, l.src, u, row); err != nil {
 		return inf, err
 	}
 	return row[v], nil

@@ -195,22 +195,7 @@ func (r *Registry) snapPath(name string) string {
 // DefaultGraph with an engine whose metrics live unprefixed at the
 // registry's root, exactly as the pre-registry daemon exported them.
 func (r *Registry) AddStatic(name string, o *apsp.Oracle, engine *qe.Engine) {
-	e := &Entry{
-		name:   name,
-		reg:    r,
-		pinned: true,
-		ready:  make(chan struct{}),
-		g:      o.G,
-		oracle: o,
-		engine: engine,
-		sub:    r.reg.Sub(""),
-	}
-	close(e.ready)
-	r.mu.Lock()
-	r.known[name] = true
-	r.live[name] = e
-	r.graphs.Set(int64(len(r.live)))
-	r.mu.Unlock()
+	r.pin(&Entry{name: name, g: o.G, oracle: o, engine: engine})
 }
 
 // AddRemote registers an engine-only pinned entry: a cluster frontend
@@ -220,19 +205,17 @@ func (r *Registry) AddStatic(name string, o *apsp.Oracle, engine *qe.Engine) {
 // the cycle basis) answer 503 against such an entry. vertices is the
 // plan's vertex count, reported by List/Info in place of the graph's.
 func (r *Registry) AddRemote(name string, engine *qe.Engine, vertices int) {
-	e := &Entry{
-		name:     name,
-		reg:      r,
-		pinned:   true,
-		ready:    make(chan struct{}),
-		engine:   engine,
-		vertices: vertices,
-		sub:      r.reg.Sub(""),
-	}
+	r.pin(&Entry{name: name, engine: engine, vertices: vertices})
+}
+
+// pin makes e a ready, pinned entry with its metrics at the registry's
+// root, and resident under its name.
+func (r *Registry) pin(e *Entry) {
+	e.reg, e.pinned, e.ready, e.sub = r, true, make(chan struct{}), r.reg.Sub("")
 	close(e.ready)
 	r.mu.Lock()
-	r.known[name] = true
-	r.live[name] = e
+	r.known[e.name] = true
+	r.live[e.name] = e
 	r.graphs.Set(int64(len(r.live)))
 	r.mu.Unlock()
 }
@@ -287,13 +270,19 @@ func (r *Registry) Acquire(ctx context.Context, name string) (*Entry, error) {
 }
 
 // await blocks until e's hydration completes (or ctx expires), returning
-// the entry with the caller's reference intact on success.
+// the entry with the caller's reference intact on success. A ready entry
+// never asks ctx for its Done channel, which a request context makes on
+// first use.
 func (r *Registry) await(ctx context.Context, e *Entry) (*Entry, error) {
 	select {
 	case <-e.ready:
-	case <-ctx.Done():
-		e.Release()
-		return nil, fmt.Errorf("registry: waiting for %q: %w", e.name, ctx.Err())
+	default:
+		select {
+		case <-e.ready:
+		case <-ctx.Done():
+			e.Release()
+			return nil, fmt.Errorf("registry: waiting for %q: %w", e.name, ctx.Err())
+		}
 	}
 	if e.err != nil {
 		e.Release()
