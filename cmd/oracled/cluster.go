@@ -38,8 +38,8 @@ type shardDetailResponse struct {
 // are not cluster frontends — same idiom as the jobs routes without
 // -jobs-dir.
 func errNotFrontend() error {
-	return &httpError{http.StatusServiceUnavailable,
-		fmt.Errorf("not a cluster frontend (start with -cluster-plan and -cluster-shards)")}
+	return &httpError{status: http.StatusServiceUnavailable,
+		err: fmt.Errorf("not a cluster frontend (start with -cluster-plan and -cluster-shards)")}
 }
 
 // clusterList serves GET /v1/cluster. The cursor is the last page's
@@ -92,8 +92,8 @@ func (s *server) clusterShard(r *http.Request) (interface{}, error) {
 	}
 	all := s.cluster.Status()
 	if id64 < 0 || int(id64) >= len(all) {
-		return nil, &httpError{http.StatusNotFound,
-			fmt.Errorf("no shard %d in a %d-shard plan", id64, len(all))}
+		return nil, &httpError{status: http.StatusNotFound,
+			err: fmt.Errorf("no shard %d in a %d-shard plan", id64, len(all))}
 	}
 	return shardDetailResponse{ShardStatus: all[id64], Epoch: s.cluster.Epoch()}, nil
 }

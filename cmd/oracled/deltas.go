@@ -111,14 +111,14 @@ func (s *server) deltas(e *registry.Entry, r *http.Request) (interface{}, error)
 	if e.Oracle() == nil {
 		// A cluster frontend holds no local oracle to mutate; deltas in a
 		// sharded deployment mean re-planning and restarting the shards.
-		return nil, &httpError{http.StatusServiceUnavailable,
-			fmt.Errorf("deltas are not available on a cluster frontend: re-plan with cmd/shardplan and roll the shards")}
+		return nil, &httpError{status: http.StatusServiceUnavailable,
+			err: fmt.Errorf("deltas are not available on a cluster frontend: re-plan with cmd/shardplan and roll the shards")}
 	}
 	isDefault := e.Name() == registry.DefaultGraph
 	var save func(*apsp.Oracle) error
 	if s.savePath != "" && isDefault {
 		save = func(next *apsp.Oracle) error {
-			if err := saveOracleSnapshot(s.savePath, next); err != nil {
+			if err := saveOracleSnapshot(s.reg, s.savePath, next); err != nil {
 				return fmt.Errorf("save snapshot %s, nothing applied: %w", s.savePath, err)
 			}
 			return nil
@@ -129,7 +129,7 @@ func (s *server) deltas(e *registry.Entry, r *http.Request) (interface{}, error)
 		if errors.Is(err, apsp.ErrBadDelta) {
 			return nil, err // 400 bad_request, nothing applied
 		}
-		return nil, &httpError{http.StatusInternalServerError, err}
+		return nil, &httpError{status: http.StatusInternalServerError, err: err}
 	}
 
 	var mcbInvalidated bool

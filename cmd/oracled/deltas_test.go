@@ -248,7 +248,7 @@ func TestDeltaChainPersistence(t *testing.T) {
 	}
 	path := filepath.Join(dir, "oracle.snap")
 	// What main does with -save-snapshot: write at boot, then per apply.
-	if err := saveOracleSnapshot(path, liveOracle(t, s)); err != nil {
+	if err := saveOracleSnapshot(s.reg, path, liveOracle(t, s)); err != nil {
 		t.Fatal(err)
 	}
 	s.savePath = path

@@ -381,6 +381,51 @@ func TestNamedGraphDeltas(t *testing.T) {
 	}
 }
 
+// TestNamedGraphMetricsScope: a named graph's delta counts under its own
+// view — GET /v1/graphs/a shows it unprefixed, the root only as
+// g.a.delta.* — and snapshot.loads counts the oracles loaded to serve,
+// so a PUT's validation decode adds nothing to it.
+func TestNamedGraphMetricsScope(t *testing.T) {
+	dir, _, _ := snapDir(t, "a", "b")
+	s, _ := multiServer(t, dir, 4)
+	ts := httptest.NewServer(s.mux)
+	defer ts.Close()
+
+	postJSON(t, ts, "/v1/graphs/a/deltas", `{"deltas":[{"op":"weight","edge":0,"weight":3}]}`, 200)
+	stats := getJSON(t, ts, "/v1/graphs/a", 200)["stats"].(map[string]interface{})
+	if stats["delta.applies"] != float64(1) {
+		t.Fatalf("GET /v1/graphs/a: delta.applies = %v, want 1 (stats %v)", stats["delta.applies"], stats)
+	}
+	root := getJSON(t, ts, "/v1/stats", 200)
+	if v, ok := root["delta.applies"]; ok {
+		t.Fatalf("/v1/stats has a root delta.applies = %v: graph a's delta counted as the default graph's", v)
+	}
+	if root["g.a.delta.applies"] != float64(1) || root["snapshot.loads"] != float64(1) {
+		t.Fatalf("/v1/stats: g.a.delta.applies = %v, snapshot.loads = %v, want 1 and 1",
+			root["g.a.delta.applies"], root["snapshot.loads"])
+	}
+
+	var snap bytes.Buffer
+	if _, err := apsp.NewOracle(gen.Ring(5, gen.Config{MaxWeight: 1}, gen.NewRNG(1))).WriteTo(&snap); err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/graphs/c", &snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("PUT /v1/graphs/c: status %d", resp.StatusCode)
+	}
+	if got := getJSON(t, ts, "/v1/stats", 200)["snapshot.loads"]; got != float64(1) {
+		t.Fatalf("snapshot.loads = %v after a PUT, want 1: an upload is validated, not loaded to serve", got)
+	}
+}
+
 // TestValidateServeOpts pins the fail-fast flag conflicts, -snapshot-dir's
 // in particular: multi-tenant mode excludes every single-graph source and
 // persistence flag.

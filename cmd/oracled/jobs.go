@@ -53,8 +53,8 @@ type jobsListResponse struct {
 // -jobs-dir have no manager and every /v1/jobs route answers 503.
 func (s *server) manager() (*jobs.Manager, error) {
 	if s.jobs == nil {
-		return nil, &httpError{http.StatusServiceUnavailable,
-			fmt.Errorf("async jobs disabled (start with -jobs-dir)")}
+		return nil, &httpError{status: http.StatusServiceUnavailable,
+			err: fmt.Errorf("async jobs disabled (start with -jobs-dir)")}
 	}
 	return s.jobs, nil
 }
@@ -66,13 +66,13 @@ func (s *server) manager() (*jobs.Manager, error) {
 func jobError(id string, err error) error {
 	switch {
 	case errors.Is(err, jobs.ErrUnknownJob):
-		return &apiError{http.StatusNotFound, "job_not_found", id, err}
+		return &httpError{status: http.StatusNotFound, err: err, code: "job_not_found", jobID: id}
 	case errors.Is(err, jobs.ErrBadSpec), errors.Is(err, jobs.ErrBadOffset):
 		return err // 400 bad_request
 	case errors.Is(err, jobs.ErrClosed):
-		return &httpError{http.StatusServiceUnavailable, err}
+		return &httpError{status: http.StatusServiceUnavailable, err: err}
 	}
-	return &httpError{http.StatusInternalServerError, err}
+	return &httpError{status: http.StatusInternalServerError, err: err}
 }
 
 // jobsList is GET /v1/jobs: one cursor page of jobs.
@@ -194,10 +194,12 @@ func (s *server) jobResults(w http.ResponseWriter, r *http.Request) {
 	}
 	switch st.State {
 	case jobs.StateCancelled:
-		fail(&apiError{http.StatusGone, "job_cancelled", id, fmt.Errorf("job %s was cancelled", id)})
+		fail(&httpError{status: http.StatusGone, code: "job_cancelled", jobID: id,
+			err: fmt.Errorf("job %s was cancelled", id)})
 		return
 	case jobs.StateFailed:
-		fail(&apiError{http.StatusGone, "job_failed", id, fmt.Errorf("job %s failed: %s", id, st.Error)})
+		fail(&httpError{status: http.StatusGone, code: "job_failed", jobID: id,
+			err: fmt.Errorf("job %s failed: %s", id, st.Error)})
 		return
 	}
 

@@ -115,14 +115,18 @@ func main() {
 	cli.SetUsage("oracled", "[-file graph | -dataset name | -load-snapshot file | -snapshot-dir dir | -shard-snapshot file | -cluster-plan file -cluster-shards urls] [-addr host:port] [flags]")
 	flag.Parse()
 
+	// The daemon's one metrics registry: every serving component records
+	// into it, and it is all /v1/stats and /debug/vars render.
+	reg := obs.NewRegistry()
+	reg.Attach("apsp.path.fallbacks", &apsp.PathFallbacks)
 	engineCfg := qe.Config{
 		MaxInflight:   *maxInflight,
 		QueueDepth:    *queueDepth,
 		Deadline:      *deadline,
 		MaxBatchPairs: *maxBatchPairs,
-		Reg:           obs.Default,
+		Reg:           reg,
 	}
-	rcfg := registry.Config{Dir: *snapshotDir, MaxGraphs: *maxGraphs, Engine: engineCfg, Reg: obs.Default}
+	rcfg := registry.Config{Dir: *snapshotDir, MaxGraphs: *maxGraphs, Engine: engineCfg, Reg: reg}
 	if err := validateServeOpts(serveOpts{
 		snapshotDir:   *snapshotDir,
 		file:          *file,
@@ -142,7 +146,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	obs.Default.Publish("obs")
+	reg.Publish("obs")
 
 	// Shard mode is a different daemon shape entirely: no /v1 surface, no
 	// registry — just the internal row RPC over one shard snapshot.
@@ -184,7 +188,7 @@ func main() {
 			MaxRetries:    retries,
 			RetryBackoff:  *shardBackoff,
 			ProbeInterval: *shardProbe,
-			Reg:           obs.Default,
+			Reg:           reg,
 		})
 		if err != nil {
 			cli.Fatalf("oracled", "cluster frontend: %v", err)
@@ -200,13 +204,15 @@ func main() {
 	} else {
 		// Single-graph mode: build (or snapshot-load) one oracle and pin it
 		// as the registry's default graph. Its engine metrics stay at the
-		// obs root, unprefixed, exactly as before multi-tenancy existed.
+		// metrics root, unprefixed, exactly as before multi-tenancy existed.
+		// The oracle and the basis report their own timings; recording
+		// them is this boot's job.
 		var (
 			g      *graph.Graph
 			oracle *apsp.Oracle
 		)
 		if *loadSnap != "" {
-			oracle = loadOracleSnapshot(*loadSnap)
+			oracle = loadOracleSnapshot(reg, *loadSnap)
 			// Serve — and, with -mcb, compute the basis over — the exact graph
 			// decoded from the snapshot; no other source can skew it.
 			g = oracle.G
@@ -221,11 +227,14 @@ func main() {
 			}
 			start := time.Now()
 			oracle = apsp.NewOracleParallel(g, *workers)
+			reg.Phases("apsp.build").Add(oracle.BuildPhases)
+			reg.Counter("apsp.builds").Inc()
+			reg.Counter("apsp.build.relaxations").Add(oracle.Relaxations)
 			fmt.Fprintf(os.Stderr, "oracled: graph %s (%d vertices, %d edges), oracle built in %v (phases %s)\n",
 				name, g.NumVertices(), g.NumEdges(), time.Since(start), oracle.BuildPhases)
 		}
 		if *saveSnap != "" {
-			if err := saveOracleSnapshot(*saveSnap, oracle); err != nil {
+			if err := saveOracleSnapshot(reg, *saveSnap, oracle); err != nil {
 				cli.Fatalf("oracled", "save snapshot: %v", err)
 			}
 			fmt.Fprintf(os.Stderr, "oracled: wrote oracle snapshot %s\n", *saveSnap)
@@ -237,6 +246,9 @@ func main() {
 			if err != nil {
 				cli.Fatalf("oracled", "cycle basis: %v", err)
 			}
+			reg.Phases("mcb").Add(basis.Timing)
+			reg.Counter("mcb.computes").Inc()
+			reg.Gauge("mcb.workers").Set(int64(max(*workers, 1)))
 			fmt.Fprintf(os.Stderr, "oracled: cycle basis: %d cycles, total weight %g, built in %v\n",
 				len(basis.Cycles), basis.TotalWeight, time.Since(start))
 		}
@@ -265,7 +277,7 @@ func main() {
 				return rg.Acquire(ctx, name)
 			},
 			Known: func(name string) bool { _, ok := rg.Info(name); return ok },
-			Reg:   obs.Default,
+			Reg:   reg,
 		})
 		if err != nil {
 			cli.Fatalf("oracled", "jobs: %v", err)
@@ -273,7 +285,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "oracled: async jobs enabled, checkpoints in %s\n", *jobsDir)
 	}
 
-	s := newServer(rg, basis, jm, obs.Default)
+	s := newServer(rg, basis, jm, reg)
 	if remote != nil {
 		s.enableCluster(remote)
 	}
@@ -392,8 +404,9 @@ func splitShardAddrs(s string) []string {
 }
 
 // loadOracleSnapshot restores a served oracle from an oracle snapshot
-// file, exiting with a diagnostic on any corruption or version skew.
-func loadOracleSnapshot(path string) *apsp.Oracle {
+// file and records the load in reg, exiting with a diagnostic on any
+// corruption or version skew.
+func loadOracleSnapshot(reg *obs.Registry, path string) *apsp.Oracle {
 	f, err := os.Open(path)
 	if err != nil {
 		cli.Fatalf("oracled", "load snapshot: %v", err)
@@ -403,16 +416,27 @@ func loadOracleSnapshot(path string) *apsp.Oracle {
 	if err != nil {
 		cli.Fatalf("oracled", "load snapshot %s: %v", path, err)
 	}
+	reg.Phases("snapshot").Record("load", o.BuildPhases.Get("snapshot.load"))
+	reg.Counter("snapshot.loads").Inc()
 	return o
 }
 
 // saveOracleSnapshot publishes the oracle snapshot durably, so a serving
-// fleet never reads a torn or unsynced one.
-func saveOracleSnapshot(path string, o *apsp.Oracle) error {
-	return snapshot.WriteFile(path, func(f *os.File) error {
+// fleet never reads a torn or unsynced one, and records the save in reg:
+// its timer covers writing the snapshot, not the fsync and rename.
+func saveOracleSnapshot(reg *obs.Registry, path string, o *apsp.Oracle) error {
+	var d time.Duration
+	if err := snapshot.WriteFile(path, func(f *os.File) error {
+		t0 := time.Now()
 		_, err := o.WriteTo(f)
+		d = time.Since(t0)
 		return err
-	})
+	}); err != nil {
+		return err
+	}
+	reg.Phases("snapshot").Record("save", d)
+	reg.Counter("snapshot.saves").Inc()
+	return nil
 }
 
 // Listener limits, the same for every boot mode. A peer gets

@@ -141,8 +141,8 @@ func mountRoutes(mux *http.ServeMux, routes []api.Route, binds map[string]http.H
 			mux.HandleFunc(p, func(w http.ResponseWriter, r *http.Request) {
 				rejected.Inc()
 				w.Header().Set("Allow", allow)
-				writeError(w, &httpError{http.StatusMethodNotAllowed,
-					fmt.Errorf("%s: method not allowed (allow: %s)", r.URL.Path, allow)})
+				writeError(w, &httpError{status: http.StatusMethodNotAllowed,
+					err: fmt.Errorf("%s: method not allowed (allow: %s)", r.URL.Path, allow)})
 			})
 		}
 	}
@@ -184,39 +184,31 @@ func graphError(err error) error {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		return err
 	case errors.Is(err, registry.ErrUnknownGraph):
-		return &httpError{http.StatusNotFound, err}
+		return &httpError{status: http.StatusNotFound, err: err}
 	case errors.Is(err, registry.ErrBadName), errors.Is(err, registry.ErrBadSnapshot):
 		return err // 400 bad_request
 	case errors.Is(err, registry.ErrReadOnly), errors.Is(err, registry.ErrPinned):
-		return &httpError{http.StatusForbidden, err}
+		return &httpError{status: http.StatusForbidden, err: err}
 	case errors.Is(err, registry.ErrClosed):
-		return &httpError{http.StatusServiceUnavailable, err}
+		return &httpError{status: http.StatusServiceUnavailable, err: err}
 	}
-	return &httpError{http.StatusInternalServerError, err}
+	return &httpError{status: http.StatusInternalServerError, err: err}
 }
 
-// httpError carries a status code through the handler return path.
+// httpError carries a status code through the handler return path. A
+// non-empty code pins the envelope's machine-readable code instead of
+// deriving it from the status, and jobID its job_id: the job routes
+// answer job_not_found / job_cancelled / job_failed with them, which
+// clients dispatch on.
 type httpError struct {
 	status int
 	err    error
+	code   string
+	jobID  string
 }
 
 func (e *httpError) Error() string { return e.err.Error() }
 func (e *httpError) Unwrap() error { return e.err }
-
-// apiError is an httpError that also pins the envelope's machine-readable
-// code (and, for job-scoped failures, the job id) instead of deriving the
-// code from the status. The job routes use it for job_not_found /
-// job_cancelled / job_failed, which clients dispatch on.
-type apiError struct {
-	status int
-	code   string
-	jobID  string
-	err    error
-}
-
-func (e *apiError) Error() string { return e.err.Error() }
-func (e *apiError) Unwrap() error { return e.err }
 
 // statusResponse lets a handler in the shared handle() path pick its
 // success status — POST /v1/jobs answers 202 Accepted with it.
@@ -296,15 +288,12 @@ func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
 	env := errorEnvelope{Error: err.Error()}
 	var he *httpError
-	var ae *apiError
 	var se *shard.Error
 	switch {
-	case errors.As(err, &ae):
-		status = ae.status
-		env.Code = ae.code
-		env.JobID = ae.jobID
 	case errors.As(err, &he):
 		status = he.status
+		env.Code = he.code
+		env.JobID = he.jobID
 	case errors.As(err, &se):
 		// A shard fan-out failed: the answer is unavailable, not wrong.
 		// 503 + Retry-After like load shedding, with the failing shard
@@ -518,12 +507,12 @@ func (s *server) path(e *registry.Entry, r *http.Request) (interface{}, error) {
 		// A cluster frontend has distances but no local ear reductions to
 		// walk; path reconstruction needs a shard-side witness protocol
 		// that does not exist yet.
-		return nil, &httpError{http.StatusServiceUnavailable,
-			fmt.Errorf("path reconstruction is not available on a cluster frontend; query a shard-backed monolith")}
+		return nil, &httpError{status: http.StatusServiceUnavailable,
+			err: fmt.Errorf("path reconstruction is not available on a cluster frontend; query a shard-backed monolith")}
 	}
 	walk, err := o.PathChecked(u, v)
 	if err != nil {
-		return nil, &httpError{http.StatusInternalServerError, err}
+		return nil, &httpError{status: http.StatusInternalServerError, err: err}
 	}
 	resp := pathResponse{U: u, V: v, Reachable: d < apsp.Inf}
 	if resp.Reachable {
@@ -586,8 +575,8 @@ func (s *server) mcbCycle(e *registry.Entry, r *http.Request) (interface{}, erro
 		basis = s.currentBasis()
 	}
 	if basis == nil {
-		return nil, &httpError{http.StatusServiceUnavailable,
-			fmt.Errorf("no cycle basis loaded (start with -mcb, invalidated by deltas)")}
+		return nil, &httpError{status: http.StatusServiceUnavailable,
+			err: fmt.Errorf("no cycle basis loaded (start with -mcb, invalidated by deltas)")}
 	}
 	g := e.Graph()
 	// ParseInt with a 32-bit size, like every other vertex/index parameter:
@@ -601,13 +590,13 @@ func (s *server) mcbCycle(e *registry.Entry, r *http.Request) (interface{}, erro
 	c, err := basis.CycleChecked(g, i)
 	if err != nil {
 		if errors.Is(err, mcb.ErrCycleIndex) {
-			return nil, &httpError{http.StatusNotFound, err}
+			return nil, &httpError{status: http.StatusNotFound, err: err}
 		}
-		return nil, &httpError{http.StatusInternalServerError, err}
+		return nil, &httpError{status: http.StatusInternalServerError, err: err}
 	}
 	seq, err := mcb.VertexSequenceChecked(g, c)
 	if err != nil {
-		return nil, &httpError{http.StatusInternalServerError, err}
+		return nil, &httpError{status: http.StatusInternalServerError, err: err}
 	}
 	edges := make([][2]int32, len(c.Edges))
 	for j, eid := range c.Edges {

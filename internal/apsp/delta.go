@@ -222,9 +222,9 @@ type DeltaResult struct {
 // work happens: on error (wrapping ErrBadDelta) or context cancellation
 // the receiver is the only oracle there is.
 //
-// On success it records the apply under obs.Default's "delta" phases and
-// bumps delta.applies (and delta.rebuild_fallback when structural); the
-// touched-block count feeds the delta.touched_blocks histogram.
+// The new oracle's BuildPhases holds the apply's time as "delta.apply";
+// with the DeltaResult, that is everything the serving layer records
+// about it.
 func (o *Oracle) ApplyDelta(ctx context.Context, deltas []Delta) (*Oracle, *DeltaResult, error) {
 	return o.ApplyDeltaParallel(ctx, deltas, par.Workers())
 }
@@ -252,19 +252,7 @@ func (o *Oracle) ApplyDeltaParallel(ctx context.Context, deltas []Delta, workers
 	if err != nil {
 		return nil, nil, err
 	}
-	d := time.Since(t0)
-	n.BuildPhases.Record("delta.apply", d)
-	obs.Default.Phases("delta").Record("apply", d)
-	obs.Default.Counter("delta.applies").Inc()
-	obs.Default.Counter("delta.deltas").Add(int64(len(deltas)))
-	obs.Default.Counter("delta.blocks.touched").Add(int64(res.TouchedBlocks))
-	obs.Default.Counter("delta.blocks.reused").Add(int64(res.ReusedBlocks))
-	if res.RebuildFallback {
-		obs.Default.Counter("delta.rebuild_fallback").Inc()
-	}
-	// Histogram buckets are exponential in the observed value; feeding the
-	// block count through the µs unit reuses them as count buckets.
-	obs.Default.Histogram("delta.touched_blocks").Observe(time.Duration(res.TouchedBlocks) * time.Microsecond)
+	n.BuildPhases.Record("delta.apply", time.Since(t0))
 	return n, res, nil
 }
 

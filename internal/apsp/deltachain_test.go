@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/obs"
 	"repro/internal/snapshot"
 )
 
@@ -35,13 +34,15 @@ func TestDeltaChainRoundTrip(t *testing.T) {
 	}
 	data := snapshotOf(t, applied)
 
-	appliesBefore := obs.Default.Counter("delta.applies").Value()
+	if got := recordedPhases(t, applied); got != "delta.apply" {
+		t.Fatalf("an apply recorded phases %q, want only delta.apply", got)
+	}
 	loaded, err := ReadOracle(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := obs.Default.Counter("delta.applies").Value(); got != appliesBefore {
-		t.Fatalf("ReadOracle applied deltas (delta.applies %d → %d)", appliesBefore, got)
+	if got := recordedPhases(t, loaded); got != "snapshot.load" {
+		t.Fatalf("ReadOracle recorded phases %q, want only snapshot.load: a load applies no delta", got)
 	}
 
 	mutated, err := MutateGraph(g, ds)

@@ -83,9 +83,10 @@ type Oracle struct {
 	// processing phases (EarAPSP.Relaxations).
 	Relaxations int64
 
-	// BuildPhases times the construction phases of this oracle
-	// (bcc/blocks/forest/aptable); the same durations accumulate into
-	// obs.Default under "apsp.build" for process-wide export.
+	// BuildPhases times what made this oracle: the construction phases
+	// (bcc/blocks/forest/aptable) of a build, "snapshot.load" of a load,
+	// "delta.apply" of a delta. The daemon records them into its registry;
+	// this package records nowhere else.
 	BuildPhases *obs.Phases
 }
 
@@ -136,12 +137,6 @@ func newOracle(ctx context.Context, g *graph.Graph, mk func(context.Context, *gr
 	stop = phases.Start("aptable")
 	o.buildAPTable()
 	stop()
-	global := obs.Default.Phases("apsp.build")
-	for _, name := range []string{"bcc", "blocks", "forest", "aptable"} {
-		global.Record(name, phases.Get(name))
-	}
-	obs.Default.Counter("apsp.builds").Inc()
-	obs.Default.Counter("apsp.build.relaxations").Add(o.Relaxations)
 	return o, nil
 }
 

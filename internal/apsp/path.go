@@ -34,10 +34,11 @@ import (
 // differently associated sums), far below any real weight difference.
 const pathTol64 = 1e-9
 
-// pathFallbacks counts greedy walks that gave up and re-ran Dijkstra
+// PathFallbacks counts greedy walks that gave up and re-ran Dijkstra
 // (keptPathExact) — orders of magnitude slower, so worth seeing without a
-// profile.
-var pathFallbacks = obs.Default.Counter("apsp.path.fallbacks")
+// profile. No returned value owns a walk, so it is the one process-wide
+// metric: the daemon attaches it to its registry as apsp.path.fallbacks.
+var PathFallbacks obs.Counter
 
 // pathTol returns the acceptance tolerance for a greedy step at remaining
 // distance r.
@@ -154,7 +155,7 @@ func (a *EarAPSP) keptPath(kx, ky int32) ([]int32, error) {
 // defeated by float drift or zero-weight plateaus. It allocates per call
 // and is only reached on degenerate inputs.
 func (a *EarAPSP) keptPathExact(kx, ky int32) ([]int32, error) {
-	pathFallbacks.Inc()
+	PathFallbacks.Inc()
 	res := sssp.Dijkstra(a.Red.R, kx, nil)
 	if res.Dist[ky] >= Inf {
 		return nil, ErrReconstruction

@@ -8,7 +8,6 @@ import (
 	"repro/internal/bcc"
 	"repro/internal/ear"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/snapshot"
 )
 
@@ -52,10 +51,8 @@ const chainSection = "deltas"
 // WriteTo serialises the oracle as a snapshot container, implementing
 // io.WriterTo. A post-delta oracle writes the same way as a built one:
 // the file holds the current state, and loading it replays nothing. It
-// records the time spent under obs.Default's "snapshot" phases ("save")
-// and bumps the snapshot.saves counter.
+// records no metric: the daemon counts the saves it publishes.
 func (o *Oracle) WriteTo(w io.Writer) (int64, error) {
-	t0 := time.Now()
 	sw := snapshot.NewWriter()
 
 	meta := sw.Section("meta")
@@ -80,22 +77,16 @@ func (o *Oracle) WriteTo(w io.Writer) (int64, error) {
 
 	EncodeTable(sw.Section("aptable"), o.A)
 
-	n, err := sw.WriteTo(w)
-	if err == nil {
-		obs.Default.Phases("snapshot").Record("save", time.Since(t0))
-		obs.Default.Counter("snapshot.saves").Inc()
-	}
-	return n, err
+	return sw.WriteTo(w)
 }
 
 // ReadOracle restores an oracle from a snapshot written by WriteTo. Corrupt,
 // truncated, or version-skewed input is rejected with an error wrapping one
 // of snapshot's typed sentinels (ErrBadMagic, ErrVersionSkew, ErrChecksum,
-// ErrCorrupt); ReadOracle never panics on hostile bytes. On success it
-// records the load under obs.Default's "snapshot" phases and bumps the
-// snapshot.loads counter — and, deliberately, touches none of the
-// "apsp.build" metrics, so a process that only loads snapshots shows zero
-// build activity.
+// ErrCorrupt); ReadOracle never panics on hostile bytes. The loaded
+// oracle's BuildPhases holds one phase, "snapshot.load", and none of a
+// build's, so a process that only loads snapshots shows zero build
+// activity.
 func ReadOracle(r io.Reader) (o *Oracle, err error) {
 	t0 := time.Now()
 	// Every decode path below validates before indexing, but a snapshot is
@@ -174,10 +165,7 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 		return nil, err
 	}
 
-	d := time.Since(t0)
-	o.BuildPhases.Record("snapshot.load", d)
-	obs.Default.Phases("snapshot").Record("load", d)
-	obs.Default.Counter("snapshot.loads").Inc()
+	o.BuildPhases.Record("snapshot.load", time.Since(t0))
 	return o, nil
 }
 

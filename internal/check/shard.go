@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/apsp"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/qe"
 	"repro/internal/shard"
 )
@@ -71,9 +70,7 @@ func newShardCluster(o *apsp.Oracle, shards int) (*shardCluster, error) {
 		c.servers = append(c.servers, ts)
 		addrs[s] = ts.URL
 	}
-	c.src, err = shard.NewRemoteSource(shard.SourceConfig{
-		Plan: p, Addrs: addrs, MaxRetries: -1, Reg: obs.NewRegistry(),
-	})
+	c.src, err = shard.NewRemoteSource(shard.SourceConfig{Plan: p, Addrs: addrs, MaxRetries: -1})
 	if err != nil {
 		c.close()
 		return nil, err
@@ -99,8 +96,8 @@ func ShardEquivalence(g *graph.Graph, shards int) error {
 	defer c.close()
 
 	ctx := context.Background()
-	mono := qe.New(o, qe.Config{Reg: obs.NewRegistry()})
-	front := qe.New(c.src, qe.Config{Reg: obs.NewRegistry()})
+	mono := qe.New(o, qe.Config{})
+	front := qe.New(c.src, qe.Config{})
 	if n == 0 {
 		return nil
 	}

@@ -4,8 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"strings"
-
-	"repro/internal/obs"
 )
 
 // Schedule is the outcome of running a unit set on the simulated platform.
@@ -104,9 +102,6 @@ func run(units []Unit, devices []*Device, exec func(u Unit, d *Device) Cost, onB
 		}
 		heap.Push(&h, sl)
 	}
-	obs.Default.Counter("hetero.runs").Inc()
-	obs.Default.Counter("hetero.units").Add(int64(len(units)))
-	obs.Default.Counter("hetero.ops").Add(s.TotalOps)
 	return s
 }
 

@@ -138,7 +138,7 @@ type Config struct {
 	// ChunkSize is the work units (sources) per checkpoint (default 64):
 	// the resume replay bound and the progress/cancellation granularity.
 	ChunkSize int
-	// Reg receives jobs.* metrics (default obs.Default).
+	// Reg receives jobs.* metrics (nil keeps them detached).
 	Reg *obs.Registry
 }
 
@@ -234,9 +234,6 @@ func Open(cfg Config) (*Manager, error) {
 	}
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 64
-	}
-	if cfg.Reg == nil {
-		cfg.Reg = obs.Default
 	}
 	m := &Manager{
 		cfg:       cfg,

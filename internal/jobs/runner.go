@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bc"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/qe"
 	"repro/internal/snapshot"
 )
@@ -164,7 +165,7 @@ func (m *Manager) overloadWait(ctx context.Context, step time.Duration) (time.Du
 // one admitted engine request reusing one flat buffer. Unreachable pairs
 // are -1, matching /v1/batch. Resume starts at the checkpointed source
 // index — rows and sources advance in lockstep for this kind.
-func (m *Manager) runBatchMatrix(ctx context.Context, j *Job, ref GraphRef, res *os.File, phases phaseRecorder) error {
+func (m *Manager) runBatchMatrix(ctx context.Context, j *Job, ref GraphRef, res *os.File, phases *obs.Phases) error {
 	g := ref.Graph()
 	n := g.NumVertices()
 	sources := j.spec.Sources
@@ -257,7 +258,7 @@ func appendMatrixRow(b []byte, i int64, source int32, dist []graph.Weight) []byt
 // mid-emission recomputes nothing — done == total and the persisted
 // accumulation replays the remaining rows from the checkpointed row
 // count.
-func (m *Manager) runBC(ctx context.Context, j *Job, ref GraphRef, res *os.File, phases phaseRecorder) error {
+func (m *Manager) runBC(ctx context.Context, j *Job, ref GraphRef, res *os.File, phases *obs.Phases) error {
 	g := ref.Graph()
 	n := g.NumVertices()
 	var sources []int32
@@ -361,10 +362,4 @@ func (m *Manager) restoreBC(j *Job, c *bc.Chunked) (bool, error) {
 		return false, err
 	}
 	return true, nil
-}
-
-// phaseRecorder is the slice of obs.Phases the runners use; a named type
-// keeps the runner signatures readable.
-type phaseRecorder interface {
-	Start(name string) func()
 }

@@ -41,23 +41,20 @@ func Compute(g *graph.Graph, opts Options) *Result {
 // context.DeadlineExceeded).
 func ComputeCtx(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
-	obs.Default.Counter("mcb.computes").Inc()
-	obs.Default.Gauge("mcb.workers").Set(int64(opts.Workers))
 	// The solves time their own phases; prepare is everything around them
 	// (split, ear reduction, perturbation, expanding the basis back) and
 	// price the virtual clock, so the phases add up to the call.
-	ph := obs.Default.Phases("mcb")
 	var solving time.Duration
 	t0 := time.Now()
 	total, err := solveComponents(ctx, g, opts.UseEar, opts.Seed, func(ctx context.Context, work *graph.Graph) ([][]int32, *Result, error) {
 		defer func(t time.Time) { solving += time.Since(t) }(time.Now())
 		return solveCoreCtx(ctx, work, opts)
 	})
-	ph.Record("prepare", time.Since(t0)-solving)
 	if err != nil {
 		return nil, fmt.Errorf("mcb: compute cancelled: %w", err)
 	}
-	defer ph.Start("price")()
+	total.Timing.Record("prepare", time.Since(t0)-solving)
+	defer total.Timing.Start("price")()
 	total.Phase = total.Price(opts.Platform)
 	total.SimSeconds = total.Phase.Total()
 	return total, nil
@@ -75,7 +72,7 @@ type coreSolver func(ctx context.Context, work *graph.Graph) ([][]int32, *Result
 // cycles back to g's edge IDs and original weights. A core error (only
 // cancellation) is returned as is.
 func solveComponents(ctx context.Context, g *graph.Graph, useEar bool, seed uint64, core coreSolver) (*Result, error) {
-	total := &Result{}
+	total := &Result{Timing: &obs.Phases{}}
 	dec := bcc.Compute(g)
 	for si, sub := range dec.Subgraphs(g) {
 		if err := ctx.Err(); err != nil {

@@ -20,13 +20,12 @@ type search interface {
 }
 
 // phaseTimes are one solve's wall-clock phase timers, accumulated locally
-// and recorded into the process registry once per solve (obs.Phases takes
-// a lock per Record). candidates is the processing phase: the trees, the
+// and recorded into the solve's Result.Timing once (obs.Phases takes a
+// lock per Record). candidates is the processing phase: the trees, the
 // candidate cycles and their flat layout.
 type phaseTimes struct{ candidates, labels, scan, witness time.Duration }
 
-func (p *phaseTimes) record() {
-	ph := obs.Default.Phases("mcb")
+func (p *phaseTimes) record(ph *obs.Phases) {
 	ph.Record("candidates", p.candidates)
 	ph.Record("labels", p.labels)
 	ph.Record("scan", p.scan)
@@ -49,7 +48,7 @@ func (p *phaseTimes) record() {
 // to a sequential run at any worker count. Cancelling ctx stops the solve
 // between phases and between work units and returns the context error.
 func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][]int32, res *Result, err error) {
-	res = &Result{}
+	res = &Result{Timing: &obs.Phases{}}
 	sp := buildSpanning(g)
 	f := sp.dim()
 	res.Dim = f
@@ -68,7 +67,7 @@ func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][
 
 	rec := work{n: g.NumVertices(), signed: opts.SignedSearch, search: make([]int64, 0, f)}
 	var tm phaseTimes
-	defer tm.record()
+	defer tm.record(res.Timing)
 
 	var (
 		find     search

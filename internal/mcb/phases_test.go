@@ -2,12 +2,12 @@ package mcb
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/datasets"
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
 
 // cyclesS is the benchmark's MCB instance (bench fixture cycles_s).
@@ -19,29 +19,32 @@ func cyclesS(t testing.TB) *graph.Graph {
 	return spec.Generate(0.02, 1)
 }
 
-// TestPhasesCoverCompute: the obs phases of a solve are a decomposition of
-// it, not a sample — what ComputeCtx spends outside every phase stays
-// under a tenth of the call (ROADMAP aim 1: attributable to a layer).
+// TestPhasesCoverCompute: the phases a solve reports in Result.Timing are
+// a decomposition of it, not a sample — what ComputeCtx spends outside
+// every phase stays under a tenth of the call (ROADMAP aim 1:
+// attributable to a layer).
 func TestPhasesCoverCompute(t *testing.T) {
 	g := cyclesS(t)
-	ph := obs.Default.Phases("mcb")
-	names := []string{"prepare", "candidates", "labels", "scan", "witness", "price"}
-	before := map[string]time.Duration{}
-	for _, name := range names {
-		before[name] = ph.Get(name)
-	}
 	t0 := time.Now()
-	if _, err := ComputeCtx(context.Background(), g, Options{UseEar: true, Workers: 2, Seed: 1}); err != nil {
+	res, err := ComputeCtx(context.Background(), g, Options{UseEar: true, Workers: 2, Seed: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
 	wall := time.Since(t0)
+	want := []string{"candidates", "labels", "scan", "witness", "prepare", "price"}
+	if got := res.Timing.String(); !strings.HasPrefix(got, `{"candidates_us":`) {
+		t.Errorf("Timing %s does not start with the first solve's phases", got)
+	}
 	var sum time.Duration
-	for _, name := range names {
-		d := ph.Get(name) - before[name]
+	for _, name := range want {
+		d := res.Timing.Get(name)
 		t.Logf("%-10s %v", name, d)
 		sum += d
 	}
 	t.Logf("phases %v of %v", sum, wall)
+	if total := res.Timing.Total(); total != sum {
+		t.Errorf("Timing holds %v outside the six phases %v", total-sum, want)
+	}
 	if sum < wall*9/10 || sum > wall {
 		t.Errorf("phases sum to %v, want between 90%% and 100%% of the %v call", sum, wall)
 	}

@@ -1,6 +1,9 @@
 package mcb
 
-import "repro/internal/graph"
+import (
+	"repro/internal/graph"
+	"repro/internal/obs"
+)
 
 // Platform selects which of the paper's four implementations (Table 2)
 // a solve is priced on (price.go). It never changes what the solve
@@ -120,6 +123,11 @@ type Result struct {
 	// NodesRemoved counts vertices eliminated by the ear reduction.
 	NodesRemoved int
 
+	// Timing is the wall-clock phases of the call that returned the
+	// result: prepare, candidates, labels, scan, witness and price for
+	// ComputeCtx. It is the only place a computation reports its time.
+	Timing *obs.Phases
+
 	// work is the per-component log Price replays, in component order.
 	work []work
 }
@@ -145,4 +153,5 @@ func (r *Result) merge(o *Result) {
 	r.RejectedCandidates += o.RejectedCandidates
 	r.Fallbacks += o.Fallbacks
 	r.NodesRemoved += o.NodesRemoved
+	r.Timing.Add(o.Timing)
 }

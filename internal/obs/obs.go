@@ -1,19 +1,24 @@
-// Package obs provides the lightweight observability primitives used by
-// oracle construction, the hetero scheduler, and the serving daemon:
-// monotonic counters, exponential-bucket latency histograms, and named
-// build-phase timers. Everything is safe for concurrent use and cheap
-// enough to leave enabled unconditionally (counters and histogram
-// observations are a handful of atomic adds).
+// Package obs provides the lightweight observability primitives of the
+// serving daemon and of the results the algorithms return: monotonic
+// counters, gauges, exponential-bucket latency histograms, and named phase
+// timers. Everything is safe for concurrent use and cheap enough to leave
+// enabled unconditionally (counters and histogram observations are a
+// handful of atomic adds).
 //
-// Metrics live in a Registry; the process-wide Default registry can be
-// exported over HTTP by publishing it into the expvar namespace, where it
-// renders as one JSON object under its published name.
+// There is no process-wide registry. The daemon creates its one Registry,
+// hands it (or a per-graph Sub view of it) to the serving components, and
+// publishes it into the expvar namespace, where it renders as one JSON
+// object. Algorithm packages write to no registry: they report on the
+// value they return — an oracle's BuildPhases, a cycle basis's Timing —
+// and the serving code that owns the value records it.
 package obs
 
 import (
 	"expvar"
 	"fmt"
+	"maps"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -139,7 +144,7 @@ func (h *Histogram) String() string {
 
 // Phases accumulates named durations in first-recorded order — the build
 // phases of an oracle, say. Recording the same name again adds to it, so a
-// process-wide Phases accumulates across repeated builds.
+// registry's Phases accumulates across every value recorded into it.
 type Phases struct {
 	mu    sync.Mutex
 	order []string
@@ -161,6 +166,20 @@ func (p *Phases) Record(name string, d time.Duration) {
 		p.order = append(p.order, name)
 	}
 	p.dur[name] += d
+}
+
+// Add records every phase of o into p, in o's recording order: the
+// timings a returned value carries, folded into a registry's phase set.
+func (p *Phases) Add(o *Phases) {
+	if o == nil {
+		return
+	}
+	o.mu.Lock()
+	order, dur := slices.Clone(o.order), maps.Clone(o.dur)
+	o.mu.Unlock()
+	for _, name := range order {
+		p.Record(name, dur[name])
+	}
 }
 
 // Start begins timing a phase; invoke the returned func to stop and record.
@@ -209,18 +228,19 @@ func (p *Phases) String() string {
 // Registry is a concurrent-safe namespace of metrics, itself an expvar.Var
 // rendering every member as one JSON object.
 //
-// A Registry is either a root (NewRegistry) owning the metric maps, or a
+// A Registry is either a root (NewRegistry) owning the metric map, or a
 // prefixed view of a root (Sub). Views delegate every lookup to the root
 // with their prefix prepended, so a component wired against a *Registry —
 // the query engine, say — works unmodified whether it was handed the root
 // or a per-tenant view: the same code registers "qe.pairs" either at the
 // root or as "g.<name>.qe.pairs".
+//
+// A nil *Registry is valid and records nowhere: every getter hands out a
+// fresh detached metric, Sub returns nil and String renders "{}", so a
+// component built from a zero-value config needs no fallback registry.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	phases   map[string]*Phases
+	mu   sync.Mutex
+	vars map[string]expvar.Var
 
 	// parent/prefix make this registry a view: non-nil parent means every
 	// operation delegates to parent with prefix prepended to the name.
@@ -232,16 +252,8 @@ type Registry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		phases:   make(map[string]*Phases),
-	}
+	return &Registry{vars: make(map[string]expvar.Var)}
 }
-
-// Default is the process-wide registry the library wires its metrics into.
-var Default = NewRegistry()
 
 // Sub returns a view of r that prepends prefix to every metric name: a
 // counter obtained as Sub("g.a.").Counter("qe.hits") is the same object
@@ -250,116 +262,104 @@ var Default = NewRegistry()
 // the prefixes (still one delegation hop), and the view's String renders
 // only the metrics under its prefix, with the prefix stripped.
 func (r *Registry) Sub(prefix string) *Registry {
-	root, base := r, ""
-	if r.parent != nil {
-		root, base = r.parent, r.prefix
+	if r == nil {
+		return nil
 	}
-	return &Registry{parent: root, prefix: base + prefix}
+	root, prefix := r.root(prefix)
+	return &Registry{parent: root, prefix: prefix}
+}
+
+// root resolves a view to its root and the name's full key there.
+func (r *Registry) root(name string) (*Registry, string) {
+	if r.parent != nil {
+		return r.parent, r.prefix + name
+	}
+	return r, name
+}
+
+// get returns the metric of kind *T named name, creating it on first use;
+// on a nil registry it returns a new detached one. A name already bound
+// to another kind panics: two components disagreeing about a metric is a
+// programming error, not something to render.
+func get[T any, P interface {
+	*T
+	expvar.Var
+}](r *Registry, name string) P {
+	if r == nil {
+		return new(T)
+	}
+	r, name = r.root(name)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v, ok := r.vars[name]
+	if !ok {
+		v = P(new(T))
+		r.vars[name] = v
+	}
+	m, ok := v.(P)
+	if !ok {
+		panic(fmt.Sprintf("obs: metric %q is a %T, requested as a %T", name, v, m))
+	}
+	return m
 }
 
 // Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	if r.parent != nil {
-		return r.parent.Counter(r.prefix + name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
+func (r *Registry) Counter(name string) *Counter { return get[Counter](r, name) }
 
 // Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r.parent != nil {
-		return r.parent.Gauge(r.prefix + name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
+func (r *Registry) Gauge(name string) *Gauge { return get[Gauge](r, name) }
 
 // Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	if r.parent != nil {
-		return r.parent.Histogram(r.prefix + name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
+func (r *Registry) Histogram(name string) *Histogram { return get[Histogram](r, name) }
 
 // Phases returns the named phase set, creating it on first use.
-func (r *Registry) Phases(name string) *Phases {
-	if r.parent != nil {
-		return r.parent.Phases(r.prefix + name)
+func (r *Registry) Phases(name string) *Phases { return get[Phases](r, name) }
+
+// Attach binds name to v, a metric that exists before any registry does —
+// a package-level counter no returned value owns. Attaching the same
+// metric again is a no-op; a name bound to anything else panics.
+func (r *Registry) Attach(name string, v expvar.Var) {
+	if r == nil {
+		return
 	}
+	r, name = r.root(name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	p := r.phases[name]
-	if p == nil {
-		p = &Phases{}
-		r.phases[name] = p
+	if old, ok := r.vars[name]; ok && old != v {
+		panic(fmt.Sprintf("obs: metric %q is already bound", name))
 	}
-	return p
-}
-
-// vars snapshots every registered metric of a root registry.
-func (r *Registry) vars() map[string]expvar.Var {
-	r.mu.Lock()
-	vars := make(map[string]expvar.Var, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.phases))
-	for n, c := range r.counters {
-		vars[n] = c
-	}
-	for n, g := range r.gauges {
-		vars[n] = g
-	}
-	for n, h := range r.hists {
-		vars[n] = h
-	}
-	for n, p := range r.phases {
-		vars[n] = p
-	}
-	r.mu.Unlock()
-	return vars
+	r.vars[name] = v
 }
 
 // String renders every metric, sorted by name, as one JSON object. On a
 // Sub view only the metrics under the view's prefix render, with the
 // prefix stripped, so every tenant's stats read with the same names.
 func (r *Registry) String() string {
-	root, prefix := r, ""
-	if r.parent != nil {
-		root, prefix = r.parent, r.prefix
+	if r == nil {
+		return "{}"
 	}
-	all := root.vars()
-	names := make([]string, 0, len(all))
-	for n := range all {
+	// Render outside the lock: an attached metric's String is not ours.
+	root, prefix := r.root("")
+	root.mu.Lock()
+	names := make([]string, 0, len(root.vars))
+	for n := range root.vars {
 		if strings.HasPrefix(n, prefix) {
 			names = append(names, n)
 		}
 	}
 	sort.Strings(names)
+	vars := make([]expvar.Var, len(names))
+	for i, n := range names {
+		vars[i] = root.vars[n]
+	}
+	root.mu.Unlock()
 	var b strings.Builder
 	b.WriteByte('{')
 	for i, n := range names {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%q:%s", strings.TrimPrefix(n, prefix), all[n].String())
+		fmt.Fprintf(&b, "%q:%s", strings.TrimPrefix(n, prefix), vars[i].String())
 	}
 	b.WriteByte('}')
 	return b.String()

@@ -268,3 +268,98 @@ func TestSubExpvarRendering(t *testing.T) {
 		t.Fatalf("expvar rendering missing sub metric: %v", all)
 	}
 }
+
+// TestNilRegistry: a nil registry hands out working, detached metrics —
+// a fresh one per call — and renders as an empty object, so a component
+// configured without a registry needs no fallback.
+func TestNilRegistry(t *testing.T) {
+	var r *Registry
+	c := r.Counter("c")
+	c.Inc()
+	if c.Value() != 1 || r.Counter("c").Value() != 0 {
+		t.Fatalf("nil registry counters: %d then %d, want 1 then a fresh 0", c.Value(), r.Counter("c").Value())
+	}
+	r.Gauge("g").Set(2)
+	r.Histogram("h").Observe(time.Millisecond)
+	r.Phases("p").Record("x", time.Millisecond)
+	r.Attach("a", &Counter{})
+	if sub := r.Sub("g.a."); sub != nil {
+		t.Fatalf("nil.Sub = %v, want nil", sub)
+	}
+	r.Sub("g.a.").Counter("qe.pairs").Inc()
+	if s := r.String(); s != "{}" {
+		t.Fatalf("nil registry renders %s, want {}", s)
+	}
+	if s := r.Sub("g.a.").String(); s != "{}" {
+		t.Fatalf("nil view renders %s, want {}", s)
+	}
+}
+
+// TestKindConflictPanics: one name is one metric; asking for it as
+// another kind is a programming error and panics, through a view too.
+func TestKindConflictPanics(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("x")
+	r.Sub("g.a.").Gauge("y")
+	for name, get := range map[string]func(){
+		"counter as gauge":      func() { r.Gauge("x") },
+		"counter as phases":     func() { r.Phases("x") },
+		"gauge as counter":      func() { r.Counter("g.a.y") },
+		"gauge as histogram":    func() { r.Sub("g.").Histogram("a.y") },
+		"attach over a counter": func() { r.Attach("x", &Counter{}) },
+		"attach over a gauge":   func() { r.Sub("g.a.").Attach("y", &Gauge{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			get()
+		}()
+	}
+	// The same kind again is the same metric.
+	if r.Counter("x") != r.Counter("x") {
+		t.Fatal("a counter requested twice is two counters")
+	}
+}
+
+// TestPhasesAdd: Add folds another phase set in, appending its new names
+// in its order and summing the ones already present; nil adds nothing.
+func TestPhasesAdd(t *testing.T) {
+	var p, o Phases
+	p.Record("bcc", time.Millisecond)
+	o.Record("blocks", 2*time.Millisecond)
+	o.Record("bcc", 3*time.Millisecond)
+	o.Record("aptable", 4*time.Millisecond)
+	p.Add(&o)
+	p.Add(nil)
+	if got, want := p.String(), `{"bcc_us":4000,"blocks_us":2000,"aptable_us":4000}`; got != want {
+		t.Fatalf("after Add: %s, want %s", got, want)
+	}
+	if got := o.String(); got != `{"blocks_us":2000,"bcc_us":3000,"aptable_us":4000}` {
+		t.Fatalf("Add changed its argument: %s", got)
+	}
+	p.Add(&p) // a set added to itself doubles
+	if got := p.Get("bcc"); got != 8*time.Millisecond {
+		t.Fatalf("self-Add: bcc = %v, want 8ms", got)
+	}
+}
+
+// TestAttachRenders: an attached metric renders under its name, at the
+// root and through a view, and attaching it again is a no-op.
+func TestAttachRenders(t *testing.T) {
+	var fallbacks Counter
+	fallbacks.Add(3)
+	r := NewRegistry()
+	r.Attach("apsp.path.fallbacks", &fallbacks)
+	r.Attach("apsp.path.fallbacks", &fallbacks)
+	r.Sub("g.a.").Attach("x", &fallbacks)
+	fallbacks.Inc()
+	if got, want := r.String(), `{"apsp.path.fallbacks":4,"g.a.x":4}`; got != want {
+		t.Fatalf("root renders %s, want %s", got, want)
+	}
+	if r.Counter("apsp.path.fallbacks") != &fallbacks {
+		t.Fatal("Counter does not return the attached counter")
+	}
+}

@@ -112,8 +112,8 @@ type Config struct {
 	// matrix. 0 resolves to DefaultMaxBatchPairs; negative removes the
 	// cap.
 	MaxBatchPairs int64
-	// Reg receives the engine's metrics under "qe.*"; nil resolves to
-	// obs.Default.
+	// Reg receives the engine's metrics under "qe.*"; nil keeps them
+	// detached, counted but rendered nowhere.
 	Reg *obs.Registry
 }
 
@@ -157,10 +157,6 @@ type liveSource struct {
 // New builds an engine over src. Metrics register immediately so they are
 // visible (at zero) before the first request.
 func New(src RowSource, cfg Config) *Engine {
-	reg := cfg.Reg
-	if reg == nil {
-		reg = obs.Default
-	}
 	workers := cfg.MaxInflight
 	if workers <= 0 {
 		workers = par.Workers()
@@ -174,19 +170,19 @@ func New(src RowSource, cfg Config) *Engine {
 		maxPairs = DefaultMaxBatchPairs
 	}
 	e := &Engine{
-		adm:      newAdmission(workers, queue, reg),
+		adm:      newAdmission(workers, queue, cfg.Reg),
 		deadline: cfg.Deadline,
 		workers:  workers,
 		maxPairs: maxPairs,
 
-		builds:       reg.Counter("qe.rows.built"),
-		buildOps:     reg.Counter("qe.rows.build.ops"),
-		buildErrs:    reg.Counter("qe.rows.build.errors"),
-		buildLat:     reg.Histogram("qe.rows.build.latency"),
-		pairs:        reg.Counter("qe.pairs"),
-		pairLat:      reg.Histogram("qe.pairs.latency"),
-		batchSources: reg.Counter("qe.batch.sources"),
-		batchPairs:   reg.Counter("qe.batch.pairs"),
+		builds:       cfg.Reg.Counter("qe.rows.built"),
+		buildOps:     cfg.Reg.Counter("qe.rows.build.ops"),
+		buildErrs:    cfg.Reg.Counter("qe.rows.build.errors"),
+		buildLat:     cfg.Reg.Histogram("qe.rows.build.latency"),
+		pairs:        cfg.Reg.Counter("qe.pairs"),
+		pairLat:      cfg.Reg.Histogram("qe.pairs.latency"),
+		batchSources: cfg.Reg.Counter("qe.batch.sources"),
+		batchPairs:   cfg.Reg.Counter("qe.batch.pairs"),
 	}
 	e.SwapSource(src)
 	e.scratch.New = func() any { return newBatchScratch(e) }

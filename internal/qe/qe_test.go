@@ -297,3 +297,20 @@ func TestUnreachableSentinel(t *testing.T) {
 		t.Fatal("Unreachable misclassifies")
 	}
 }
+
+// TestZeroConfigEngine: an engine built from a zero-value Config, as the
+// benchmark builds its in-process engines, answers and counts into
+// detached metrics of its own — two such engines share no counter.
+func TestZeroConfigEngine(t *testing.T) {
+	e, other := New(&stubSource{n: 4}, Config{}), New(&stubSource{n: 4}, Config{})
+	d, err := e.Query(context.Background(), 2, 3)
+	if err != nil || d != 2003 {
+		t.Fatalf("Query(2, 3) = %v, %v, want 2003", d, err)
+	}
+	if got := e.builds.Value(); got != 1 {
+		t.Fatalf("qe.rows.built = %d, want 1", got)
+	}
+	if got := other.builds.Value(); got != 0 {
+		t.Fatalf("an idle engine counted %d builds: zero-config engines share a counter", got)
+	}
+}

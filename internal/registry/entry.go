@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"sync"
+	"time"
 
 	"repro/internal/apsp"
 	"repro/internal/graph"
@@ -81,6 +82,9 @@ func (e *Entry) Engine() *qe.Engine { return e.engine }
 // different graphs never wait for each other. save runs under that lock,
 // so saved files follow the same order; it must not call Apply on the
 // entry. The entry must hold a local oracle (not an AddRemote entry).
+// A swapped-in apply is recorded under the entry's own metrics view:
+// delta.* at the root for the pinned default graph, g.<name>.delta.*
+// for a named one.
 func (e *Entry) Apply(ctx context.Context, ds []apsp.Delta, save func(*apsp.Oracle) error) (*apsp.Oracle, *apsp.DeltaResult, error) {
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
@@ -98,6 +102,17 @@ func (e *Entry) Apply(ctx context.Context, ds []apsp.Delta, save func(*apsp.Orac
 	e.oracle = next
 	e.g = next.G
 	e.reg.mu.Unlock()
+	e.sub.Phases("delta").Record("apply", next.BuildPhases.Get("delta.apply"))
+	e.sub.Counter("delta.applies").Inc()
+	e.sub.Counter("delta.deltas").Add(int64(len(ds)))
+	e.sub.Counter("delta.blocks.touched").Add(int64(res.TouchedBlocks))
+	e.sub.Counter("delta.blocks.reused").Add(int64(res.ReusedBlocks))
+	if res.RebuildFallback {
+		e.sub.Counter("delta.rebuild_fallback").Inc()
+	}
+	// Histogram buckets are exponential in the observed value; feeding the
+	// block count through the µs unit reuses them as count buckets.
+	e.sub.Histogram("delta.touched_blocks").Observe(time.Duration(res.TouchedBlocks) * time.Microsecond)
 	return next, res, nil
 }
 

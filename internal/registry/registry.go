@@ -17,9 +17,10 @@
 //   - per-graph limits: every hydrated graph gets its own engine built
 //     from one qe.Config (admission slots, queue depth, deadlines, batch
 //     pair cap), so tenants cannot starve each other;
-//   - per-graph metrics: each graph's qe.* metrics register under a
-//     "g.<name>." prefix via obs.Registry.Sub, next to the registry's own
-//     registry.{graphs,hydrations,evictions,misses}.
+//   - per-graph metrics: each graph's qe.* and delta.* metrics register
+//     under a "g.<name>." prefix via obs.Registry.Sub, next to the
+//     registry's own registry.{graphs,hydrations,evictions,misses} and
+//     the snapshot.loads of its hydrations.
 //
 // Registries are safe for concurrent use. The reserved name "default"
 // carries the single-graph compatibility surface: a daemon serving one
@@ -104,7 +105,7 @@ type Config struct {
 	// replaced per graph by this registry's "g.<name>." view.
 	Engine qe.Config
 	// Reg receives the registry's metrics and, under "g.<name>." views,
-	// each graph's engine metrics; nil resolves to obs.Default.
+	// each graph's engine and delta metrics; nil keeps them detached.
 	Reg *obs.Registry
 }
 
@@ -137,10 +138,6 @@ type Registry struct {
 // *.snap files to learn the initially known graph names. Hydration stays
 // lazy: nothing is loaded until a graph's first Acquire.
 func Open(cfg Config) (*Registry, error) {
-	reg := cfg.Reg
-	if reg == nil {
-		reg = obs.Default
-	}
 	max := cfg.MaxGraphs
 	if max == 0 {
 		max = DefaultMaxGraphs
@@ -152,15 +149,15 @@ func Open(cfg Config) (*Registry, error) {
 		dir:    cfg.Dir,
 		max:    max,
 		engine: cfg.Engine,
-		reg:    reg,
+		reg:    cfg.Reg,
 		known:  make(map[string]bool),
 		live:   make(map[string]*Entry),
 		lru:    list.New(),
 
-		graphs:     reg.Gauge("registry.graphs"),
-		hydrations: reg.Counter("registry.hydrations"),
-		evictions:  reg.Counter("registry.evictions"),
-		misses:     reg.Counter("registry.misses"),
+		graphs:     cfg.Reg.Gauge("registry.graphs"),
+		hydrations: cfg.Reg.Counter("registry.hydrations"),
+		evictions:  cfg.Reg.Counter("registry.evictions"),
+		misses:     cfg.Reg.Counter("registry.misses"),
 	}
 	if cfg.Dir != "" {
 		ents, err := os.ReadDir(cfg.Dir)
@@ -318,14 +315,16 @@ func (r *Registry) hydrate(e *Entry) (*Entry, error) {
 	r.mu.Unlock()
 	close(e.ready)
 	r.hydrations.Inc()
+	r.reg.Phases("snapshot").Record("load", o.BuildPhases.Get("snapshot.load"))
+	r.reg.Counter("snapshot.loads").Inc()
 	// If the entry was evicted while hydrating, it is already out of the
 	// table; this acquirer (and any waiters) still serve from it.
 	return e, nil
 }
 
-// readSnapshot decodes one snapshot file into an oracle. The load runs
-// apsp.ReadOracle, so obs.Default's snapshot.load timer and
-// snapshot.loads counter tick exactly once per hydration.
+// readSnapshot decodes one snapshot file into an oracle; hydrate records
+// the load (snapshot.loads and the "snapshot" phases' load timer), once
+// per hydration.
 func (r *Registry) readSnapshot(name string) (*apsp.Oracle, error) {
 	f, err := os.Open(r.snapPath(name))
 	if err != nil {

@@ -166,7 +166,6 @@ func TestSingleflightHydration(t *testing.T) {
 	gate := make(chan struct{})
 	r.hydrateHook = func(string) { close(started); <-gate }
 
-	loadsBefore := obs.Default.Counter("snapshot.loads").Value()
 	var wg sync.WaitGroup
 	errs := make(chan error, K)
 	for i := 0; i < K; i++ {
@@ -195,7 +194,7 @@ func TestSingleflightHydration(t *testing.T) {
 	if got := reg.Counter("registry.hydrations").Value(); got != 1 {
 		t.Fatalf("registry.hydrations = %d, want 1", got)
 	}
-	if got := obs.Default.Counter("snapshot.loads").Value() - loadsBefore; got != 1 {
+	if got := reg.Counter("snapshot.loads").Value(); got != 1 {
 		t.Fatalf("snapshot.loads ticked %d times for %d racers, want 1", got, K)
 	}
 	// All racers were misses on the resident table except the coalesced

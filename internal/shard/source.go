@@ -38,7 +38,7 @@ type SourceConfig struct {
 	// /internal/health at this interval. 0 relies on passive marking
 	// (fetch outcomes) only.
 	ProbeInterval time.Duration
-	// Reg receives shard.* metrics; nil uses obs.Default.
+	// Reg receives shard.* metrics; nil keeps them detached.
 	Reg *obs.Registry
 }
 
@@ -129,26 +129,22 @@ func NewRemoteSource(cfg SourceConfig) (*RemoteSource, error) {
 	if backoff <= 0 {
 		backoff = defaultRetryBackoff
 	}
-	reg := cfg.Reg
-	if reg == nil {
-		reg = obs.Default
-	}
 	s := &RemoteSource{
 		plan:       cfg.Plan,
 		client:     client,
 		maxRetries: maxRetries,
 		backoff:    backoff,
-		reqs:       reg.Counter("shard.rpc.requests"),
-		retries:    reg.Counter("shard.rpc.retries"),
-		errTotal:   reg.Counter("shard.rpc.errors"),
-		fetched:    reg.Counter("shard.rows.fetched"),
-		stitched:   reg.Counter("shard.rows.stitched"),
-		pairs:      reg.Counter("shard.pairs"),
+		reqs:       cfg.Reg.Counter("shard.rpc.requests"),
+		retries:    cfg.Reg.Counter("shard.rpc.retries"),
+		errTotal:   cfg.Reg.Counter("shard.rpc.errors"),
+		fetched:    cfg.Reg.Counter("shard.rows.fetched"),
+		stitched:   cfg.Reg.Counter("shard.rows.stitched"),
+		pairs:      cfg.Reg.Counter("shard.pairs"),
 		stop:       make(chan struct{}),
 	}
 	s.shards = make([]*shardState, len(cfg.Addrs))
 	for i, addr := range cfg.Addrs {
-		sub := reg.Sub(fmt.Sprintf("shard.%d.", i))
+		sub := cfg.Reg.Sub(fmt.Sprintf("shard.%d.", i))
 		st := &shardState{addr: addr, errs: sub.Counter("errors"), lat: sub.Histogram("rpc")}
 		st.healthy.Store(true) // optimistic until a fetch or probe says otherwise
 		s.shards[i] = st
