@@ -109,8 +109,8 @@ func identityReduction(g *graph.Graph) *ear.Reduced {
 // against NewOracle isolates exactly the contribution of the ear
 // decomposition, which is how the paper frames the comparison.
 func NewBanerjee(g *graph.Graph, workers int) *Oracle {
-	o, _ := newOracle(context.Background(), g, func(_ context.Context, sub *graph.Graph) (*EarAPSP, error) {
-		return NewFlatAPSP(sub, workers), nil
+	o, _ := newOracle(context.Background(), g, workers, func(_ context.Context, sub *graph.Graph, w int) (*EarAPSP, error) {
+		return NewFlatAPSP(sub, w), nil
 	})
 	return o
 }

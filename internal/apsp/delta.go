@@ -319,7 +319,7 @@ func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int
 		}
 	}
 	if apRebuild {
-		n.buildAPTable()
+		n.buildAPTable(workers)
 	}
 	res := &DeltaResult{
 		TouchedBlocks: len(touched),
@@ -385,29 +385,31 @@ func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int
 		reusable[h] = append(reusable[h], oldBlock{int32(bi), seq})
 	}
 
-	touched, fresh := 0, int64(0)
-	n, err := assemble(newG, dec, bcc.BuildBlockCutTree(newG, dec), nil, func(ci int, sub *graph.Subgraph) (*EarAPSP, error) {
+	reused := make([]bool, len(dec.Components))
+	n, err := assemble(ctx, newG, dec, bcc.BuildBlockCutTree(newG, dec), nil, workers, func(ci int, sub *graph.Subgraph) (*EarAPSP, error) {
 		comp := dec.Components[ci]
 		for _, ob := range reusable[hashI32s(seed, comp)] {
 			if old := o.Blocks[ob.bi].Ear; i32sEqual(ob.seq, comp) && old.G.NumVertices() == sub.G.NumVertices() {
+				reused[ci] = true
 				return old, nil
 			}
 		}
-		ea, err := NewEarAPSPParallelCtx(ctx, sub.G, workers)
-		if err != nil {
-			return nil, err
-		}
-		touched++
-		fresh += ea.Relaxations
-		return ea, nil
+		return NewEarAPSPParallelCtx(ctx, sub.G, workers)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	// Construction work accumulates across applies: what the old oracle
 	// cost plus the blocks this apply solved afresh; A relaxes nothing.
-	n.Relaxations = o.Relaxations + fresh
-	n.buildAPTable()
+	touched := 0
+	n.Relaxations = o.Relaxations
+	for ci, b := range n.Blocks {
+		if !reused[ci] {
+			touched++
+			n.Relaxations += b.Ear.Relaxations
+		}
+	}
+	n.buildAPTable(workers)
 
 	res := &DeltaResult{
 		TouchedBlocks:   touched,

@@ -1,12 +1,15 @@
 package apsp
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/bcc"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // BlockAPSP is the per-biconnected-component state of the general
@@ -93,49 +96,44 @@ type Oracle struct {
 // NewOracle builds the oracle sequentially.
 func NewOracle(g *graph.Graph) *Oracle { return NewOracleParallel(g, 1) }
 
-// NewOracleParallel builds the oracle with the per-block processing phase
-// parallelised over real goroutine workers (each block's per-source
-// Dijkstra loop is itself the unit of work, mirroring the paper's
-// per-component work-units).
+// NewOracleParallel builds the oracle on real goroutine workers: blocks
+// are the paper's per-component work-units, claimed largest first, each
+// block's per-source searches fan out again, and so do the AP table's
+// rows.
 func NewOracleParallel(g *graph.Graph, workers int) *Oracle {
 	o, _ := NewOracleParallelCtx(context.Background(), g, workers)
 	return o
 }
 
 // NewOracleParallelCtx is NewOracleParallel with cooperative cancellation:
-// the build checks ctx between biconnected components and between the
-// per-source Dijkstra units inside each component, so cancelling a request
-// or hitting a deadline abandons a long build promptly. On cancellation it
-// returns a nil oracle and the context error; no build metrics are
-// recorded for abandoned builds. With a background context it never fails.
-// workers < 1 resolves to 1 (sequential).
+// the build checks ctx before claiming each biconnected component and
+// between the per-source Dijkstra units inside each component, so
+// cancelling a request or hitting a deadline abandons a long build
+// promptly. On cancellation it returns a nil oracle and the context
+// error. With a background context it never fails. workers < 1 resolves
+// to 1 (sequential).
 func NewOracleParallelCtx(ctx context.Context, g *graph.Graph, workers int) (*Oracle, error) {
-	return newOracle(ctx, g, func(c context.Context, sub *graph.Graph) (*EarAPSP, error) {
-		return NewEarAPSPParallelCtx(c, sub, workers)
-	})
+	return newOracle(ctx, g, workers, NewEarAPSPParallelCtx)
 }
 
 // newOracle is a from-scratch build: the BCC partition, assemble with mk
 // solving every block, then the AP table. It is the only caller that
 // times phases — a loaded or delta-built oracle ran none of them.
-func newOracle(ctx context.Context, g *graph.Graph, mk func(context.Context, *graph.Graph) (*EarAPSP, error)) (*Oracle, error) {
+func newOracle(ctx context.Context, g *graph.Graph, workers int, mk func(context.Context, *graph.Graph, int) (*EarAPSP, error)) (*Oracle, error) {
 	phases := &obs.Phases{}
 	stop := phases.Start("bcc")
 	dec := bcc.Compute(g)
 	bct := bcc.BuildBlockCutTree(g, dec)
 	stop()
-	o, err := assemble(g, dec, bct, phases, func(_ int, sub *graph.Subgraph) (*EarAPSP, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return mk(ctx, sub.G)
+	o, err := assemble(ctx, g, dec, bct, phases, workers, func(_ int, sub *graph.Subgraph) (*EarAPSP, error) {
+		return mk(ctx, sub.G, workers)
 	})
 	if err != nil {
 		return nil, err
 	}
 	o.BuildPhases = phases
 	stop = phases.Start("aptable")
-	o.buildAPTable()
+	o.buildAPTable(workers)
 	stop()
 	return o, nil
 }
@@ -150,21 +148,49 @@ func newOracle(ctx context.Context, g *graph.Graph, mk func(context.Context, *gr
 // result's Relaxations is the sum over resident blocks. ph, which may be
 // nil, times the "blocks" and "forest" phases for the one caller that
 // builds from scratch.
-func assemble(g *graph.Graph, dec *bcc.Decomposition, bct *bcc.BlockCutTree, ph *obs.Phases,
+//
+// With workers > 1 the blocks are par tasks, largest (most edges) first,
+// so block must be safe to call concurrently. With one worker they run in
+// block order, which is what a decode reading its stream needs. No block
+// is claimed once ctx is done or a block has failed; the first failure
+// is returned.
+func assemble(ctx context.Context, g *graph.Graph, dec *bcc.Decomposition, bct *bcc.BlockCutTree, ph *obs.Phases, workers int,
 	block func(bi int, sub *graph.Subgraph) (*EarAPSP, error)) (*Oracle, error) {
 	o := &Oracle{G: g, Dec: dec, BCT: bct, numA: len(bct.CutVertices), BuildPhases: &obs.Phases{}}
 	stop := ph.Start("blocks")
 	subs := dec.Subgraphs(g)
 	o.Blocks = make([]*BlockAPSP, len(subs))
-	for bi, sub := range subs {
-		ea, err := block(bi, sub)
+	order := make([]int, len(subs))
+	for i := range order {
+		order[i] = i
+	}
+	if workers > 1 {
+		slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(len(dec.Components[y]), len(dec.Components[x])) })
+	}
+	var failed atomic.Pointer[error]
+	err := par.ParallelForCtx(ctx, workers, len(subs), func(_, i int) {
+		if failed.Load() != nil {
+			return
+		}
+		bi := order[i]
+		ea, err := block(bi, subs[bi])
 		if err != nil {
-			return nil, err
+			first := err // escapes only on this path, not once per block
+			failed.CompareAndSwap(nil, &first)
+			return
 		}
-		if ea != nil {
-			o.Relaxations += ea.Relaxations
+		o.Blocks[bi] = &BlockAPSP{Sub: subs[bi], Ear: ea}
+	})
+	if p := failed.Load(); p != nil {
+		err = *p
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, b := range o.Blocks {
+		if b.Ear != nil {
+			o.Relaxations += b.Ear.Relaxations
 		}
-		o.Blocks[bi] = &BlockAPSP{Sub: sub, Ear: ea}
 	}
 	o.buildLocIndex()
 	stop()
@@ -186,20 +212,21 @@ func assemble(g *graph.Graph, dec *bcc.Decomposition, bct *bcc.BlockCutTree, ph 
 // read with the cut listed first in BlockCuts[b] as its source — one fixed
 // orientation per pair, so A[s,·] and A[t,·] add the same d_b for the
 // same hop. Cuts in another component stay Inf. No shortest-path search
-// runs, so the table adds nothing to Relaxations.
-func (o *Oracle) buildAPTable() {
-	a := o.numA
+// runs, so the table adds nothing to Relaxations. Rows are independent
+// par tasks, each worker walking with its own gate and queue.
+func (o *Oracle) buildAPTable(workers int) {
+	a, nb := o.numA, len(o.Blocks)
 	o.A = make([]graph.Weight, a*a)
-	for i := range o.A {
-		o.A[i] = Inf
-	}
-	gate := make([]int32, len(o.Blocks))
-	var order []int32
-	for s := 0; s < a; s++ {
-		row := o.A[s*a : (s+1)*a]
+	workers = max(1, min(workers, a))
+	gates, orders := make([]int32, workers*nb), make([][]int32, workers)
+	par.ParallelFor(workers, a, func(w, s int) {
+		row, gate := o.A[s*a:(s+1)*a], gates[w*nb:(w+1)*nb]
+		for i := range row {
+			row[i] = Inf
+		}
 		row[s] = 0
-		order = walkForest(o.BCT.BlockCuts, o.BCT.CutBlocks, int32(s), -1, gate, order[:0])
-		for _, b := range order {
+		orders[w] = walkForest(o.BCT.BlockCuts, o.BCT.CutBlocks, int32(s), -1, gate, orders[w][:0])
+		for _, b := range orders[w] {
 			g := gate[b]
 			if g == gateSelf {
 				g = int32(s)
@@ -217,7 +244,7 @@ func (o *Oracle) buildAPTable() {
 				row[c] = addInf(row[g], o.Blocks[b].QueryParent(u, v), 0)
 			}
 		}
-	}
+	})
 }
 
 // Query returns d_G(u, v) for arbitrary vertices: the pair kernel's case

@@ -171,25 +171,121 @@ func (c *passCtx) Err() error {
 	}
 }
 
+// manyBlocks is cond_mat_2003 at scale 0.02: 596 vertices in 43 blocks,
+// one of them holding 386 vertices, and 39 articulation points.
+func manyBlocks(t *testing.T) *graph.Graph {
+	spec, err := datasets.ByName("cond_mat_2003")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec.Generate(0.02, 1)
+}
+
 // cancelBetweenPasses: a context cancelled at the first, second, third or
-// last of the fill's Done calls returns its error and no table.
+// last of a build's Done calls returns its error and nothing built, for
+// one block's fill and for a whole oracle over many blocks. Every
+// ParallelForCtx asks Done once, so each block claimed and each batch
+// started asks once. At one worker nothing asks after the cancel; at four,
+// each other block in flight may ask once more, between two of its
+// batches, and no block is claimed.
 func cancelBetweenPasses(t *testing.T) {
-	g := gen.Grid(8, 8, gen.Config{MaxWeight: 5}, gen.NewRNG(3))
-	for _, workers := range []int{1, 4} {
-		count := newPassCtx(0)
-		if _, err := apsp.NewEarAPSPParallelCtx(count, g, workers); err != nil {
-			t.Fatal(err)
+	grid := gen.Grid(8, 8, gen.Config{MaxWeight: 5}, gen.NewRNG(3))
+	many := manyBlocks(t)
+	builds := map[string]func(context.Context, int) (bool, error){
+		"fill": func(ctx context.Context, workers int) (bool, error) {
+			a, err := apsp.NewEarAPSPParallelCtx(ctx, grid, workers)
+			return a != nil, err
+		},
+		"oracle": func(ctx context.Context, workers int) (bool, error) {
+			o, err := apsp.NewOracleParallelCtx(ctx, many, workers)
+			return o != nil, err
+		},
+	}
+	for name, build := range builds {
+		for _, workers := range []int{1, 4} {
+			count := newPassCtx(0)
+			if _, err := build(count, workers); err != nil {
+				t.Fatal(err)
+			}
+			last := count.calls.Load()
+			if last < 4 {
+				t.Fatalf("%s, %d workers: %d Done calls, want one per pass", name, workers, last)
+			}
+			for _, at := range []int32{1, 2, 3, last} {
+				ctx := newPassCtx(at)
+				built, err := build(ctx, workers)
+				if built || !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s, %d workers, cancel at Done call %d of %d: built %v, err %v; want nothing and context.Canceled",
+						name, workers, at, last, built, err)
+				}
+				if after := ctx.calls.Load() - at; after > int32(workers-1) {
+					t.Fatalf("%s, %d workers, cancel at Done call %d of %d: %d Done calls after it, want at most %d",
+						name, workers, at, last, after, workers-1)
+				}
+			}
 		}
-		last := count.calls.Load()
-		if last < 4 {
-			t.Fatalf("%d workers: %d Done calls, want one per search", workers, last)
+	}
+}
+
+// sameOracle fails unless got answers with want's bits: A, every block's
+// S^r and Relaxations.
+func sameOracle(t *testing.T, what string, got, want *apsp.Oracle) {
+	t.Helper()
+	if got.Relaxations != want.Relaxations || len(got.Blocks) != len(want.Blocks) {
+		t.Fatalf("%s: %d relaxations over %d blocks, want %d over %d",
+			what, got.Relaxations, len(got.Blocks), want.Relaxations, len(want.Blocks))
+	}
+	tables := [][2][]graph.Weight{{got.A, want.A}}
+	for bi, b := range want.Blocks {
+		tables = append(tables, [2][]graph.Weight{got.Blocks[bi].Ear.SR, b.Ear.SR})
+	}
+	for i, tab := range tables {
+		if !slices.EqualFunc(tab[0], tab[1], func(x, y graph.Weight) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			t.Fatalf("%s: table %d (0 is A, then each block's S^r) differs", what, i)
 		}
-		for _, at := range []int32{1, 2, 3, last} {
-			ctx := newPassCtx(at)
-			a, err := apsp.NewEarAPSPParallelCtx(ctx, g, workers)
-			if a != nil || !errors.Is(err, context.Canceled) {
-				t.Fatalf("%d workers, cancel at Done call %d of %d: got a table %v and err %v, want no table and context.Canceled",
-					workers, at, last, a != nil, err)
+	}
+}
+
+// TestOracleSameOnAnySchedule: blocks are solved concurrently, largest
+// first, and the AP table's rows on several workers, yet the oracle and
+// what both ApplyDelta paths make of it (a reweight, and a delete plus an
+// insert) are bit-identical at 1, 2 and 8 workers, on every merge case
+// and a many-block graph.
+func TestOracleSameOnAnySchedule(t *testing.T) {
+	graphs := []check.NamedGraph{{Name: "many-blocks", G: manyBlocks(t)}}
+	for _, tc := range mergeCases() {
+		graphs = append(graphs, tc.NamedGraph)
+	}
+	for _, ng := range graphs {
+		m, n := ng.G.NumEdges(), int32(ng.G.NumVertices())
+		if m == 0 {
+			continue
+		}
+		scripts := [][]apsp.Delta{
+			{{Kind: apsp.DeltaWeight, Edge: int32(m / 3), W: 7}},
+			{{Kind: apsp.DeltaDelete, Edge: int32(m / 2)}, {Kind: apsp.DeltaInsert, U: 0, V: n - 1, W: 3}},
+		}
+		var ref []*apsp.Oracle
+		var refRes []apsp.DeltaResult
+		for _, workers := range []int{1, 2, 8} {
+			o := apsp.NewOracleParallel(ng.G, workers)
+			got, res := []*apsp.Oracle{o}, []apsp.DeltaResult(nil)
+			for _, s := range scripts {
+				d, r, err := o.ApplyDeltaParallel(context.Background(), s, workers)
+				if err != nil {
+					t.Fatalf("%s: %v", ng.Name, err)
+				}
+				got, res = append(got, d), append(res, *r)
+			}
+			if workers == 1 {
+				ref, refRes = got, res
+				continue
+			}
+			for i := range got {
+				sameOracle(t, fmt.Sprintf("%s, %d workers, oracle %d (0 built, then each delta)", ng.Name, workers, i), got[i], ref[i])
+			}
+			if !slices.Equal(res, refRes) {
+				t.Fatalf("%s, %d workers: delta results %+v, %+v at 1 worker", ng.Name, workers, res, refRes)
 			}
 		}
 	}

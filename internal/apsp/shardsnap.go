@@ -1,6 +1,7 @@
 package apsp
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -212,7 +213,7 @@ func ReadShardSnapshot(r io.Reader) (s *ShardBlocks, err error) {
 	// Unowned blocks are assembled too, just not resident: the shared
 	// vertex index spans every block, because BlockRow needs src lookup to
 	// mirror QueryParent exactly.
-	s.o, err = assemble(g, dec, bct, nil, func(bi int, sub *graph.Subgraph) (*EarAPSP, error) {
+	s.o, err = assemble(context.Background(), g, dec, bct, nil, 1, func(bi int, sub *graph.Subgraph) (*EarAPSP, error) {
 		if !owned[bi] {
 			return nil, nil
 		}

@@ -1,6 +1,7 @@
 package apsp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -132,7 +133,7 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 	if err != nil {
 		return nil, err
 	}
-	o, err = assemble(g, dec, bct, nil, func(bi int, sub *graph.Subgraph) (*EarAPSP, error) {
+	o, err = assemble(context.Background(), g, dec, bct, nil, 1, func(bi int, sub *graph.Subgraph) (*EarAPSP, error) {
 		ea, err := decodeBlock(bd, sub, bi)
 		if err != nil {
 			return nil, err

@@ -1,8 +1,11 @@
 package check
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/ear"
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -81,6 +84,73 @@ func TestInvariantsCorpus(t *testing.T) {
 		}
 		if err := BCCInvariants(ng.G); err != nil {
 			t.Fatalf("%s: %v", ng.Name, err)
+		}
+	}
+}
+
+// firstCheapest is the brute-force reference for APSP mode's reduced
+// edges: a chain stands for its kept pair iff it is no loop and no chain
+// of the same pair is cheaper, or as cheap and earlier in chain order.
+func firstCheapest(red *ear.Reduced) []int32 {
+	var out []int32
+	for i, c := range red.Chains {
+		keep := !c.Loop()
+		for j, d := range red.Chains {
+			samePair := c.A == d.A && c.B == d.B || c.A == d.B && c.B == d.A
+			if samePair && (d.Total < c.Total || d.Total == c.Total && j < i) {
+				keep = false
+			}
+		}
+		if keep {
+			out = append(out, int32(i))
+		}
+	}
+	return out
+}
+
+// TestReduceKeepsFirstTiedChain: among parallel chains of equal Total,
+// APSP mode keeps the first in chain order, as the brute-force reference
+// does, and MCB mode keeps every chain. The fixed case ties a two-edge
+// chain, a multi-edge and a later two-edge chain between kept vertices 0
+// and 1 at weight 3, beside a dearer multi-edge and a loop chain of the
+// same weight at 0; the random ones hang short chains of weight-0/1/2
+// edges between a few hubs, plus a pure cycle, so ties are common.
+func TestReduceKeepsFirstTiedChain(t *testing.T) {
+	graphs := []*graph.Graph{graph.FromEdges(7, []graph.Edge{
+		{U: 0, V: 1, W: 4}, {U: 0, V: 2, W: 1}, {U: 2, V: 1, W: 2}, {U: 0, V: 1, W: 3},
+		{U: 0, V: 3, W: 2}, {U: 3, V: 1, W: 1}, {U: 0, V: 5, W: 1}, {U: 5, V: 6, W: 1}, {U: 6, V: 0, W: 1},
+	})}
+	for seed := uint64(1); seed <= 300; seed++ {
+		rng := gen.NewRNG(seed)
+		hubs := 2 + rng.Intn(4)
+		n, edges := hubs, []graph.Edge(nil)
+		for range 3 + rng.Intn(12) {
+			prev := int32(rng.Intn(hubs))
+			for range rng.Intn(3) {
+				edges = append(edges, graph.Edge{U: prev, V: int32(n), W: graph.Weight(rng.Intn(2))})
+				prev, n = int32(n), n+1
+			}
+			edges = append(edges, graph.Edge{U: prev, V: int32(rng.Intn(hubs)), W: graph.Weight(1 + rng.Intn(2))})
+		}
+		for i := range 4 {
+			edges = append(edges, graph.Edge{U: int32(n + i), V: int32(n + (i+1)%4), W: 1})
+		}
+		graphs = append(graphs, graph.FromEdges(n+4, edges))
+	}
+	for i, g := range graphs {
+		red := ear.Reduce(g, ear.APSP)
+		if want := firstCheapest(red); !slices.Equal(red.EdgeChain, want) {
+			t.Fatalf("graph %d: APSP EdgeChain %v, want %v", i, red.EdgeChain, want)
+		}
+		if i == 0 && !slices.Equal(red.EdgeChain, []int32{1}) {
+			t.Fatalf("fixed case: EdgeChain %v, want [1] (the first chain of weight 3)", red.EdgeChain)
+		}
+		mcb := ear.Reduce(g, ear.MCB)
+		if len(mcb.EdgeChain) != len(mcb.Chains) || !slices.IsSorted(mcb.EdgeChain) {
+			t.Fatalf("graph %d: MCB EdgeChain %v over %d chains", i, mcb.EdgeChain, len(mcb.Chains))
+		}
+		if err := EarInvariants(g); err != nil {
+			t.Fatalf("graph %d: %v", i, err)
 		}
 	}
 }

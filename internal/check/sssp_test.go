@@ -169,7 +169,7 @@ func TestDistanceFingerprint(t *testing.T) {
 		long       bool
 	}{
 		{"blocks_m", 0.08, 0x96b9ad21, 0x2ac4bd88, 3479212, false},
-		{"blocks", 0.25, 0x1d6a47cf, 0x2cd9294c, 0, true},
+		{"blocks", 0.25, 0x1d6a47cf, 0x2cd9294c, 43130133, true},
 	} {
 		if c.long && (testing.Short() || raceEnabled) {
 			continue // 52 M queries

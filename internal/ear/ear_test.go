@@ -1,6 +1,7 @@
 package ear
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/gen"
@@ -256,6 +257,30 @@ func TestReduceSelfLoopAtKept(t *testing.T) {
 	}
 	if !(loopWeights[0] == 5 && loopWeights[1] == 3 || loopWeights[0] == 3 && loopWeights[1] == 5) {
 		t.Fatalf("loop weights %v", loopWeights)
+	}
+}
+
+// TestReduceAllocsFixed: every chain's slices are windows of arrays
+// sized up front, so Reduce allocates a fixed number of times in either
+// mode, the same on two subdivided cliques with 10 and 120 chains: the
+// Reduced and its four vertex maps, two flags, the three chain arrays,
+// the chain records, EdgeChain, R's edges, the used edges and the APSP
+// slots (15), and R's CSR (6). The collector is off while it counts.
+func TestReduceAllocsFixed(t *testing.T) {
+	cfg := gen.Config{MaxWeight: 6}
+	small := gen.Subdivide(gen.Complete(5, cfg, gen.NewRNG(1)), 0.5, 3, cfg, gen.NewRNG(2))
+	big := gen.Subdivide(gen.Complete(16, cfg, gen.NewRNG(3)), 0.5, 3, cfg, gen.NewRNG(4))
+	if cs, cb := len(Reduce(small, MCB).Chains), len(Reduce(big, MCB).Chains); cb < 10*cs {
+		t.Fatalf("%d and %d chains: want a 10× spread", cs, cb)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const want = 21
+	for _, mode := range []Mode{APSP, MCB} {
+		for name, g := range map[string]*graph.Graph{"small": small, "big": big} {
+			if got := testing.AllocsPerRun(5, func() { Reduce(g, mode) }); got != want {
+				t.Errorf("mode %d, %s (%d edges): %v allocations, want %d", mode, name, g.NumEdges(), got, want)
+			}
+		}
 	}
 }
 

@@ -70,63 +70,54 @@ const (
 // Reduce contracts all maximal degree-2 chains of g. The graph should be
 // connected; it does not need to be biconnected (chains are purely local),
 // but the APSP/MCB pipelines call it per biconnected component.
+//
+// Every chain's Edges, Interior and Prefix are windows of three arrays
+// sized up front (the m edges, and the n − kept removed vertices twice),
+// so the allocation count does not depend on how many chains there are.
 func Reduce(g *graph.Graph, mode Mode) *Reduced {
-	n := g.NumVertices()
+	n, m := g.NumVertices(), g.NumEdges()
 	r := &Reduced{
 		Original:   g,
 		OrigToKept: make([]int32, n),
 		ChainOf:    make([]int32, n),
 		PosOf:      make([]int32, n),
+		KeptToOrig: make([]int32, 0, n),
 	}
-	deg := make([]int32, n)
 	kept := make([]bool, n)
 	for v := int32(0); v < int32(n); v++ {
-		deg[v] = int32(g.Degree(v))
 		// Degree ≠ 2 vertices stay; this keeps pendants (deg 1) and
 		// isolated vertices too, which only occur when Reduce is applied
 		// to a non-biconnected graph directly.
-		kept[v] = deg[v] != 2
+		kept[v] = g.Degree(v) != 2
 		r.OrigToKept[v] = -1
 		r.ChainOf[v] = -1
 		r.PosOf[v] = -1
 	}
 	// A component in which every vertex has degree 2 is a simple cycle; no
-	// vertex would be kept. Designate its smallest vertex as kept so the
+	// vertex would be kept. Designate its smallest vertex s as kept so the
 	// component contributes a loop chain anchored there.
-	{
-		seen := make([]bool, n)
-		var stack []int32
-		for s := int32(0); s < int32(n); s++ {
-			if seen[s] || kept[s] {
-				continue
-			}
-			// walk the whole component; if we meet a kept vertex, fine.
-			comp := []int32{s}
-			seen[s] = true
-			stack = append(stack[:0], s)
-			hasKept := false
-			adj := g.AdjNode()
-			for len(stack) > 0 {
-				v := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				lo, hi := g.AdjacencyRange(v)
-				for i := lo; i < hi; i++ {
-					u := adj[i]
-					if kept[u] {
-						hasKept = true
-						continue
-					}
-					if !seen[u] {
-						seen[u] = true
-						comp = append(comp, u)
-						stack = append(stack, u)
-					}
+	adjNode, adjEdge := g.AdjNode(), g.AdjEdge()
+	seen := make([]bool, n)
+	var buf [2]int32 // a walk over degree-2 vertices stacks at most two
+	for s := int32(0); s < int32(n); s++ {
+		if seen[s] || kept[s] {
+			continue
+		}
+		seen[s] = true
+		stack, hasKept := append(buf[:0], s), false
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			lo, hi := g.AdjacencyRange(v)
+			for _, u := range adjNode[lo:hi] {
+				hasKept = hasKept || kept[u]
+				if !kept[u] && !seen[u] {
+					seen[u] = true
+					stack = append(stack, u)
 				}
 			}
-			if !hasKept {
-				kept[comp[0]] = true // cycle component: anchor at first-found
-			}
 		}
+		kept[s] = !hasKept
 	}
 	for v := int32(0); v < int32(n); v++ {
 		if kept[v] {
@@ -136,9 +127,11 @@ func Reduce(g *graph.Graph, mode Mode) *Reduced {
 	}
 
 	// Walk chains: from every kept vertex, follow each incident edge
-	// through degree-2 vertices until the next kept vertex.
-	usedEdge := make([]bool, g.NumEdges())
-	adjNode, adjEdge := g.AdjNode(), g.AdjEdge()
+	// through degree-2 vertices until the next kept vertex. A non-loop
+	// chain is found from whichever endpoint comes first in KeptToOrig, so
+	// the chains found from a form one run with A = a, and parallel chains
+	// share a run. Every self-loop sits at a kept vertex and is walked from
+	// it as a trivial loop chain.
 	nextStep := func(v, inEdge int32) (int32, int32) {
 		// v has degree 2 and is not kept: take its other incident edge.
 		lo, hi := g.AdjacencyRange(v)
@@ -151,84 +144,54 @@ func Reduce(g *graph.Graph, mode Mode) *Reduced {
 		// cannot occur at a degree-2 vertex mid-chain.
 		panic(fmt.Sprintf("ear: degree-2 vertex %d has no second edge", v))
 	}
+	removed, nk := n-len(r.KeptToOrig), len(r.KeptToOrig)
+	edges, interior, prefix := make([]int32, 0, m), make([]int32, 0, removed), make([]graph.Weight, 0, removed)
+	r.Chains, r.EdgeChain = make([]Chain, 0, m-removed), make([]int32, 0, m-removed)
+	redges := make([]graph.Edge, 0, m-removed)
+	usedEdge := make([]bool, m)
+	// slot[k] is 1 + the run's first cheapest chain to kept vertex k;
+	// values at or below the run's first index are an earlier run's.
+	slot := make([]int32, nk)
 	for _, a := range r.KeptToOrig {
+		run := int32(len(r.Chains))
 		lo, hi := g.AdjacencyRange(a)
 		for i := lo; i < hi; i++ {
-			first, firstEdge := adjNode[i], adjEdge[i]
-			if usedEdge[firstEdge] {
+			v, e := adjNode[i], adjEdge[i]
+			if usedEdge[e] {
 				continue
 			}
-			usedEdge[firstEdge] = true
-			c := Chain{A: a, Edges: []int32{firstEdge}}
-			w := g.Edge(firstEdge).W
-			v, e := first, firstEdge
+			ci, e0, i0 := int32(len(r.Chains)), len(edges), len(interior)
+			usedEdge[e] = true
+			edges = append(edges, e)
+			w := g.Edge(e).W
 			for !kept[v] {
-				c.Interior = append(c.Interior, v)
-				c.Prefix = append(c.Prefix, w)
-				r.ChainOf[v] = int32(len(r.Chains))
-				r.PosOf[v] = int32(len(c.Interior) - 1)
-				nv, ne := nextStep(v, e)
-				usedEdge[ne] = true
-				c.Edges = append(c.Edges, ne)
-				w += g.Edge(ne).W
-				v, e = nv, ne
+				r.ChainOf[v], r.PosOf[v] = ci, int32(len(interior)-i0)
+				interior = append(interior, v)
+				prefix = append(prefix, w)
+				v, e = nextStep(v, e)
+				usedEdge[e] = true
+				edges = append(edges, e)
+				w += g.Edge(e).W
 			}
-			c.B = v
-			c.Total = w
-			r.Chains = append(r.Chains, c)
+			r.Chains = append(r.Chains, Chain{A: a, B: v, Total: w,
+				Edges:    edges[e0:len(edges):len(edges)],
+				Interior: interior[i0:len(interior):len(interior)],
+				Prefix:   prefix[i0:len(prefix):len(prefix)]})
+			// APSP keeps, per kept pair, the first chain of least Total.
+			if k := r.OrigToKept[v]; v != a && (slot[k] <= run || w < r.Chains[slot[k]-1].Total) {
+				slot[k] = ci + 1
+			}
+		}
+		// Reduced edges follow chain order, so their IDs are deterministic.
+		for ci := run; ci < int32(len(r.Chains)); ci++ {
+			c := &r.Chains[ci]
+			if ka, kb := r.OrigToKept[c.A], r.OrigToKept[c.B]; mode == MCB || (ka != kb && slot[kb] == ci+1) {
+				redges = append(redges, graph.Edge{U: ka, V: kb, W: c.Total})
+				r.EdgeChain = append(r.EdgeChain, ci)
+			}
 		}
 	}
-	// Self-loops at kept vertices are trivial loop chains.
-	for id, e := range g.Edges() {
-		if e.U == e.V && !usedEdge[id] {
-			usedEdge[id] = true
-			r.Chains = append(r.Chains, Chain{A: e.U, B: e.U, Edges: []int32{int32(id)}, Total: e.W})
-		}
-	}
-
-	// Build R according to the mode.
-	b := graph.NewBuilder(len(r.KeptToOrig))
-	switch mode {
-	case MCB:
-		r.EdgeChain = make([]int32, 0, len(r.Chains))
-		for ci := range r.Chains {
-			c := &r.Chains[ci]
-			b.AddEdge(r.OrigToKept[c.A], r.OrigToKept[c.B], c.Total)
-			r.EdgeChain = append(r.EdgeChain, int32(ci))
-		}
-	case APSP:
-		best := make(map[[2]int32]int32) // kept endpoint pair -> chain idx
-		for ci := range r.Chains {
-			c := &r.Chains[ci]
-			if c.Loop() {
-				continue
-			}
-			u, v := r.OrigToKept[c.A], r.OrigToKept[c.B]
-			if u > v {
-				u, v = v, u
-			}
-			k := [2]int32{u, v}
-			if prev, ok := best[k]; !ok || c.Total < r.Chains[prev].Total {
-				best[k] = int32(ci)
-			}
-		}
-		// Emit edges in chain order (not map order) so reduced edge IDs are
-		// deterministic across runs.
-		selected := make([]bool, len(r.Chains))
-		for _, ci := range best {
-			selected[ci] = true
-		}
-		r.EdgeChain = make([]int32, 0, len(best))
-		for ci := range r.Chains {
-			if !selected[ci] {
-				continue
-			}
-			c := &r.Chains[ci]
-			b.AddEdge(r.OrigToKept[c.A], r.OrigToKept[c.B], c.Total)
-			r.EdgeChain = append(r.EdgeChain, int32(ci))
-		}
-	}
-	r.R = b.Build()
+	r.R = graph.FromEdges(nk, redges)
 	return r
 }
 
