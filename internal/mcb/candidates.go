@@ -1,9 +1,8 @@
 package mcb
 
 import (
-	"cmp"
 	"context"
-	"slices"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/par"
@@ -23,7 +22,6 @@ type candidate struct {
 // shortest path trees from every root and the weight-sorted candidate list.
 type candidateSet struct {
 	g     *graph.Graph
-	roots []int32
 	trees []*sssp.Tree
 	// depth[ri] is the height of tree ri (the number of level-synchronous
 	// sweeps a GPU label kernel needs).
@@ -41,76 +39,53 @@ type candidateSet struct {
 // T_z (Section 3.3.2), which prunes the Horton set to the isometric
 // candidates; Rejected records the pruned count.
 //
-// Both stages fan out over a workers-sized pool, one root per work unit:
+// The work fans out over a workers-sized pool, one root per work unit:
 // every root's tree and candidate list depend only on the (immutable) graph
-// and that root, so the per-root outputs land in pre-sized slots and are
-// merged in root order afterwards. The merged list — and therefore the
-// stable weight sort below — is bit-identical to a sequential run at any
-// worker count. Cancelling ctx stops the fan-out between work units and
-// returns the context error with no candidate set.
+// and that root. A root has no more candidates than its component has
+// non-tree edges, so root ri's land in all[ri*f:(ri+1)*f], f = Dim(g), and
+// are compacted in root order afterwards. The compacted list — and
+// therefore the stable weight sort below — is bit-identical to a
+// sequential run at any worker count. Cancelling ctx stops the fan-out
+// between work units and returns the context error with no candidate set.
 func buildCandidatesCtx(ctx context.Context, g *graph.Graph, roots []int32, workers int) (*candidateSet, error) {
-	cs := &candidateSet{g: g, roots: roots}
-	cs.trees = make([]*sssp.Tree, len(roots))
-	cs.depths = make([]int, len(roots))
-	treeOps := make([]int64, len(roots))
-	scratch := make([]*sssp.Scratch, max(workers, 1))
-	for i := range scratch {
-		scratch[i] = sssp.NewScratch(g.NumVertices())
-	}
+	cs := &candidateSet{g: g, trees: make([]*sssp.Tree, len(roots)), depths: make([]int, len(roots))}
+	treeOps, rejected, count := make([]int64, len(roots)), make([]int64, len(roots)), make([]int, len(roots))
+	f := Dim(g)
+	all := make([]candidate, len(roots)*f)
+	// Each worker keeps its Dijkstra scratch and its branch labels.
+	scratch, branch := make([]*sssp.Scratch, max(workers, 1)), make([][]int32, max(workers, 1))
 	err := par.ParallelForCtx(ctx, workers, len(roots), func(w, ri int) {
-		res := sssp.Dijkstra(g, roots[ri], scratch[w])
-		treeOps[ri] = res.Relaxations
-		t := sssp.BuildTree(res)
-		cs.trees[ri] = t
-		depth := 0
-		for _, v := range t.Order {
-			if int(t.Depth[v]) > depth {
-				depth = int(t.Depth[v])
-			}
+		if scratch[w] == nil {
+			scratch[w], branch[w] = sssp.NewScratch(g.NumVertices()), make([]int32, g.NumVertices())
 		}
-		cs.depths[ri] = depth + 1 // sweeps = height+1
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, ops := range treeOps {
-		cs.TreeOps += ops
-	}
-	perRoot := make([][]candidate, len(roots))
-	rejected := make([]int64, len(roots))
-	err = par.ParallelForCtx(ctx, workers, len(roots), func(_, ri int) {
-		z := roots[ri]
-		t := cs.trees[ri]
-		var out []candidate
+		res := sssp.Dijkstra(g, roots[ri], scratch[w])
+		t, b, out := sssp.BuildTree(res), branch[w], all[ri*f:(ri+1)*f]
+		cs.trees[ri], treeOps[ri] = t, res.Relaxations
+		// Level order ends at a deepest vertex; sweeps = height+1.
+		cs.depths[ri] = int(t.Depth[t.Order[len(t.Order)-1]]) + 1
+		branches(t, b)
 		for eid, e := range g.Edges() {
-			if e.U == e.V {
-				continue // self-loops handled once below
+			if e.U == e.V || t.ParentEdge[e.U] == int32(eid) || t.ParentEdge[e.V] == int32(eid) || !t.InTree(e.U) || !t.InTree(e.V) {
+				continue // self-loops come once below; tree edges of T_z and edges z does not reach are no candidates
 			}
-			if t.ParentEdge[e.U] == int32(eid) || t.ParentEdge[e.V] == int32(eid) {
-				continue // tree edge of T_z
-			}
-			if !t.InTree(e.U) || !t.InTree(e.V) {
-				continue // unreachable from z
-			}
-			if t.LCA(e.U, e.V) != z {
-				// Mehlhorn–Michail isometric filter: when z is not the
-				// least common ancestor, the two tree paths share edges
-				// and the candidate degenerates to a closed walk rather
-				// than a simple cycle. Rejected records how much of the
-				// raw Horton set the filter prunes.
+			if b[e.U] == b[e.V] {
+				// Mehlhorn–Michail isometric filter: when z is not the least
+				// common ancestor, the two tree paths share edges and the
+				// candidate degenerates to a closed walk, not a simple cycle.
 				rejected[ri]++
 				continue
 			}
-			w := t.Dist[e.U] + e.W + t.Dist[e.V]
-			out = append(out, candidate{root: int32(ri), edge: int32(eid), weight: w})
+			out[count[ri]] = candidate{root: int32(ri), edge: int32(eid), weight: t.Dist[e.U] + e.W + t.Dist[e.V]}
+			count[ri]++
 		}
-		perRoot[ri] = out
 	})
 	if err != nil {
 		return nil, err
 	}
-	for ri := range perRoot {
-		cs.cands = append(cs.cands, perRoot[ri]...)
+	cs.cands = all[:0]
+	for ri, k := range count {
+		cs.cands = append(cs.cands, all[ri*f:ri*f+k]...)
+		cs.TreeOps += treeOps[ri]
 		cs.Rejected += rejected[ri]
 	}
 	for eid, e := range g.Edges() {
@@ -119,15 +94,51 @@ func buildCandidatesCtx(ctx context.Context, g *graph.Graph, roots []int32, work
 		}
 	}
 	// Weight order, ties in the order listed above (roots in order, then
-	// self-loops; edges in ID order within each): a total order, so the
-	// unstable sort gives what a stable sort by weight alone would.
-	slices.SortFunc(cs.cands, func(a, b candidate) int {
-		if c := cmp.Compare(a.weight, b.weight); c != 0 {
-			return c
-		}
-		return cmp.Or(cmp.Compare(uint32(a.root), uint32(b.root)), cmp.Compare(a.edge, b.edge))
-	})
+	// self-loops; edges in ID order within each).
+	cs.cands = sortByWeight(cs.cands)
 	return cs, nil
+}
+
+// branches labels every vertex of t with the child of the root it hangs
+// under, and the root with itself, in one pass over the level order: the
+// root is the least common ancestor of two distinct tree vertices exactly
+// when their labels differ.
+func branches(t *sssp.Tree, branch []int32) {
+	for _, v := range t.Order {
+		if p := t.Parent[v]; p < 0 || p == t.Root {
+			branch[v] = v
+		} else {
+			branch[v] = branch[p]
+		}
+	}
+}
+
+// sortByWeight is a stable LSD radix sort of cs by weight, one byte of the
+// weight's bit pattern per pass, skipping a byte every candidate shares.
+// Weights are ≥ 0, so their bit patterns order as they do once w + 0 has
+// turned a -0 (whose pattern would sort last) into +0.
+func sortByWeight(cs []candidate) []candidate {
+	key := func(c candidate, shift uint) byte { return byte(math.Float64bits(c.weight+0) >> shift) }
+	buf := make([]candidate, len(cs))
+	for shift := uint(0); shift < 64 && len(cs) > 1; shift += 8 {
+		var at [256]int
+		for _, c := range cs {
+			at[key(c, shift)]++
+		}
+		if at[key(cs[0], shift)] == len(cs) {
+			continue
+		}
+		for b, sum := 0, 0; b < 256; b++ {
+			at[b], sum = sum, sum+at[b]
+		}
+		for _, c := range cs {
+			b := key(c, shift)
+			buf[at[b]] = c
+			at[b]++
+		}
+		cs, buf = buf, cs
+	}
+	return cs
 }
 
 // cycleEdges materialises the edge ID list of candidate c (tree path

@@ -10,13 +10,16 @@ import (
 	"repro/internal/par"
 )
 
-// search is step 3 of Algorithm 2: the minimum weight cycle C with
-// <C, S> = 1, as edge IDs of the working graph, and the primitive
+// search is step 3 of Algorithm 2 for phase i: the minimum weight cycle C
+// with <C, S_i> = 1, as edge IDs of the working graph, and the primitive
 // operations finding it took. ok is false when the search has no such
-// cycle to offer. The labelled-tree search (labels.go) is the paper's;
-// De Pina's signed-graph search (signed.go) is the cross-check.
+// cycle to offer. xor hears of every S_j ^= S_i the witness update applies
+// within i's block of 64 (labels.go). The labelled-tree search (labels.go)
+// is the paper's; De Pina's signed-graph search (signed.go) is the
+// cross-check.
 type search interface {
-	next(ctx context.Context, s *bitvec.Vector) (edges []int32, ops int64, ok bool, err error)
+	next(wit []*bitvec.Vector, i int) (edges []int32, ops int64, ok bool)
+	xor(j, i int)
 }
 
 // phaseTimes are one solve's wall-clock phase timers, accumulated locally
@@ -39,14 +42,15 @@ func (p *phaseTimes) record(ph *obs.Phases) {
 // graph and recomputes original weights.
 //
 // With opts.Workers > 1 the stages with enough work per unit to pay for a
-// fan-out run on a real goroutine pool: candidate trees and candidate
-// enumeration one root per unit, witness updates one contiguous range of
-// the remaining witnesses per unit once a range is witnessGrain words.
-// The per-phase relabel and scan run on the caller at every worker count
-// (labels.go). Every parallel stage writes disjoint slots merged in a
-// fixed order, so the basis — and the work counters — are bit-identical
-// to a sequential run at any worker count. Cancelling ctx stops the solve
-// between phases and between work units and returns the context error.
+// fan-out run on a real goroutine pool: a candidate tree and its
+// candidates one root per unit, witness updates after the current block
+// one contiguous range per unit once a range is witnessGrain words. The
+// relabel, the scans and the in-block updates run on the caller at every
+// worker count (labels.go). Every parallel stage writes disjoint slots
+// merged in a fixed order, so the basis — and the work counters — are
+// bit-identical to a sequential run at any worker count. Cancelling ctx
+// stops the solve between phases and between work units and returns the
+// context error.
 func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][]int32, res *Result, err error) {
 	res = &Result{Timing: &obs.Phases{}}
 	sp := buildSpanning(g)
@@ -77,7 +81,7 @@ func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][
 		// The signed-graph search needs no trees, candidates or labels.
 		find = newSignedSearcher(g, sp, roots)
 	} else {
-		ls, err := newLabelledSearch(ctx, g, sp, roots, opts.Workers, &tm)
+		ls, err := newLabelState(ctx, g, sp, roots, opts.Workers, &tm)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -105,10 +109,7 @@ func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		edges, ops, ok, err := find.next(ctx, s)
-		if err != nil {
-			return nil, nil, err
-		}
+		edges, ops, ok := find.next(wit, i)
 		res.LabelOps += labelOps
 		res.SearchOps += ops
 		rec.search = append(rec.search, ops)
@@ -123,7 +124,7 @@ func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][
 		cycles = append(cycles, edges)
 
 		// Independence test.
-		if err := updateWitnesses(ctx, opts.Workers, wit, sp.vector(edges), i, res, &tm.witness); err != nil {
+		if err := updateWitnesses(ctx, opts.Workers, wit, sp.vector(edges), i, res, &tm.witness, find); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -137,22 +138,27 @@ func solveCoreCtx(ctx context.Context, g *graph.Graph, opts Options) (cycles [][
 const witnessGrain = 1 << 14
 
 // updateWitnesses performs the independence test — make the witnesses after
-// S_i orthogonal to C_i (steps 4–6 of Algorithm 2). The remaining witnesses
-// are cut into contiguous ranges, one per unit; each witness is read and
-// written only by the worker that claimed its range, so the parallel
-// update touches disjoint vectors and stays deterministic.
+// S_i orthogonal to C_i (steps 4–6 of Algorithm 2). The rest of i's block
+// is updated on the caller, and each S_j ^= S_i there reported to find.
+// The witnesses after the block are cut into contiguous ranges, one per
+// unit; each witness is read and written only by the worker that claimed
+// its range, so the parallel update touches disjoint vectors and stays
+// deterministic.
 func updateWitnesses(ctx context.Context, workers int, wit []*bitvec.Vector, ci *bitvec.Vector, i int,
-	res *Result, dur *time.Duration) error {
-	f, s := len(wit), wit[i]
-	rest, words := f-i-1, (f+63)/64
-	if rest <= 0 {
-		return nil
-	}
+	res *Result, dur *time.Duration, find search) error {
+	f, s, end := len(wit), wit[i], min(len(wit), (i|63)+1)
+	rest, words := f-end, (f+63)/64
 	t0 := time.Now()
+	for j := i + 1; j < end; j++ {
+		if ci.Dot(wit[j]) {
+			wit[j].Xor(s)
+			find.xor(j, i)
+		}
+	}
 	chunks := max(1, min(workers, rest*words/witnessGrain))
-	per := (rest + chunks - 1) / chunks
+	per := max(1, (rest+chunks-1)/chunks)
 	err := par.ParallelForCtx(ctx, workers, (rest+per-1)/per, func(_, c int) {
-		for _, w := range wit[i+1+c*per : min(i+1+(c+1)*per, f)] {
+		for _, w := range wit[end+c*per : min(end+(c+1)*per, f)] {
 			if ci.Dot(w) {
 				w.Xor(s)
 			}
@@ -162,6 +168,6 @@ func updateWitnesses(ctx context.Context, workers int, wit []*bitvec.Vector, ci 
 	if err != nil {
 		return err
 	}
-	res.UpdateOps += int64(rest) * int64(words)
+	res.UpdateOps += int64(f-i-1) * int64(words)
 	return nil
 }

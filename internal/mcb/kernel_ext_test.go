@@ -8,7 +8,7 @@ import (
 	"repro/internal/mcb"
 )
 
-// TestFlatLabelsMatchDefinition runs the kernel's definitional check over
+// TestFlatLabelsMatchDefinition runs the block kernel's check over
 // the differential corpus, the shapes it under-represents (self-loops,
 // parallel edges, more than one component, no cycle at all) and random
 // graphs.
@@ -28,7 +28,7 @@ func TestFlatLabelsMatchDefinition(t *testing.T) {
 		graphs = append(graphs, check.NamedGraph{Name: "random", G: check.RandomGraph(seed, 14)})
 	}
 	for i, ng := range graphs {
-		t.Run(ng.Name, func(t *testing.T) { mcb.CheckLabelKernel(t, ng.G, uint64(i+1)) })
+		t.Run(ng.Name, func(t *testing.T) { mcb.CheckBlockKernel(t, ng.G, uint64(i+1)) })
 	}
 }
 
@@ -45,6 +45,6 @@ func FuzzLabelKernel(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		mcb.CheckLabelKernel(t, check.DecodeGraph(data, 24, 64), 1)
+		mcb.CheckBlockKernel(t, check.DecodeGraph(data, 24, 64), 1)
 	})
 }

@@ -1,8 +1,6 @@
 package mcb
 
 import (
-	"context"
-
 	"repro/internal/bitvec"
 	"repro/internal/ds"
 	"repro/internal/graph"
@@ -54,11 +52,10 @@ func newSignedSearcher(g *graph.Graph, sp *spanning, roots []int32) *signedSearc
 
 // next is De Pina's search behind the phase loop's seam: the edge IDs
 // (with cancellation applied) of a minimum weight cycle non-orthogonal to
-// s, or ok=false when none exists; ops are the relaxations it took. The
-// searcher is sequential and checks no context — the phase loop does,
-// between phases.
-func (ss *signedSearcher) next(_ context.Context, s *bitvec.Vector) (edges []int32, ops int64, ok bool, err error) {
-	before := ss.Ops
+// S_i, or ok=false when none exists; ops are the relaxations it took. It
+// reads S_i as it stands, so xor has nothing to track.
+func (ss *signedSearcher) next(wit []*bitvec.Vector, i int) (edges []int32, ops int64, ok bool) {
+	before, s := ss.Ops, wit[i]
 	g := ss.g
 	bestW := graph.Weight(0)
 	var bestVec *bitvec.Vector
@@ -89,14 +86,16 @@ func (ss *signedSearcher) next(_ context.Context, s *bitvec.Vector) (edges []int
 		}
 	}
 	if !found {
-		return nil, ss.Ops - before, false, nil
+		return nil, ss.Ops - before, false
 	}
 	edges = make([]int32, 0, bestVec.PopCount())
 	for _, idx := range bestVec.Ones() {
 		edges = append(edges, int32(idx))
 	}
-	return edges, ss.Ops - before, true, nil
+	return edges, ss.Ops - before, true
 }
+
+func (*signedSearcher) xor(int, int) {}
 
 // searchFrom runs Dijkstra from z⁺ in the signed graph and, if z⁻ is
 // reached (cheaper than the current best when bounded), extracts the

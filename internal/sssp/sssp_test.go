@@ -156,26 +156,6 @@ func TestBuildTreeOrderAndDepth(t *testing.T) {
 	}
 }
 
-func TestLCA(t *testing.T) {
-	// fixed small tree: 0-1, 0-2, 1-3, 1-4, 3-5
-	b := graph.NewBuilder(6)
-	b.AddEdge(0, 1, 1)
-	b.AddEdge(0, 2, 1)
-	b.AddEdge(1, 3, 1)
-	b.AddEdge(1, 4, 1)
-	b.AddEdge(3, 5, 1)
-	g := b.Build()
-	tr := BuildTree(Dijkstra(g, 0, nil))
-	cases := [][3]int32{
-		{3, 4, 1}, {5, 4, 1}, {5, 2, 0}, {3, 5, 3}, {0, 5, 0}, {4, 4, 4},
-	}
-	for _, c := range cases {
-		if got := tr.LCA(c[0], c[1]); got != c[2] {
-			t.Fatalf("LCA(%d,%d) = %d, want %d", c[0], c[1], got, c[2])
-		}
-	}
-}
-
 // Property: for any seeded random graph, every Dijkstra distance satisfies
 // the triangle inequality over every edge (the certificate of correctness
 // for shortest path labelings).

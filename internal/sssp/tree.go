@@ -6,7 +6,7 @@ import (
 
 // Tree is a rooted shortest path tree in a convenient form for the MCB
 // label computation (Algorithm 3): level order for root-to-leaf passes,
-// depths for LCA checks on candidate cycles.
+// depths for sizing candidate cycles.
 type Tree struct {
 	Root       int32
 	Parent     []int32
@@ -63,22 +63,4 @@ func BuildTree(res *Result) *Tree {
 // InTree reports whether v was reached from the root.
 func (t *Tree) InTree(v int32) bool {
 	return v == t.Root || t.Parent[v] >= 0
-}
-
-// LCA returns the least common ancestor of u and v by walking up from the
-// deeper endpoint. The MCB candidate filter calls it once per (root,
-// non-tree edge) pair; tree depths are small on the reduced graphs it runs
-// on, so the O(depth) walk beats precomputing jump tables.
-func (t *Tree) LCA(u, v int32) int32 {
-	for t.Depth[u] > t.Depth[v] {
-		u = t.Parent[u]
-	}
-	for t.Depth[v] > t.Depth[u] {
-		v = t.Parent[v]
-	}
-	for u != v {
-		u = t.Parent[u]
-		v = t.Parent[v]
-	}
-	return u
 }
