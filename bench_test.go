@@ -93,7 +93,7 @@ func BenchmarkFig2Djidjev(b *testing.B) {
 	buf := make([]graph.Weight, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := apsp.NewDjidjev(g, 8, 1)
+		d := exp.NewDjidjev(g, 8, 1)
 		for s := 0; s < n; s++ {
 			d.Row(int32(s), buf)
 		}

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 
 	"repro/internal/shard"
@@ -43,9 +42,8 @@ func errNotFrontend() error {
 }
 
 // clusterList serves GET /v1/cluster. The cursor is the last page's
-// highest shard id, keyset-style like the other collections; shard ids
-// are dense and stable for a plan's lifetime, so a page is never skewed
-// by concurrent changes.
+// highest shard id, in decimal; shard ids are dense and stable for a
+// plan's lifetime.
 func (s *server) clusterList(r *http.Request) (interface{}, error) {
 	if s.cluster == nil {
 		return nil, errNotFrontend()
@@ -54,30 +52,24 @@ func (s *server) clusterList(r *http.Request) (interface{}, error) {
 	if err != nil {
 		return nil, err
 	}
-	all := s.cluster.Status()
-	total := len(all)
+	after := -1
 	if cursor != "" {
-		after, err := strconv.Atoi(cursor)
-		if err != nil {
+		if after, err = strconv.Atoi(cursor); err != nil {
 			return nil, fmt.Errorf("malformed cursor %q", cursor)
 		}
-		i := sort.Search(len(all), func(k int) bool { return int(all[k].ID) > after })
-		all = all[i:]
 	}
-	next := ""
-	if len(all) > limit {
-		all = all[:limit]
-		next = strconv.Itoa(int(all[len(all)-1].ID))
-	}
+	all := s.cluster.Status()
+	items, next := keysetPage(all, func(st shard.ShardStatus) bool { return int(st.ID) > after },
+		func(st shard.ShardStatus) string { return strconv.Itoa(int(st.ID)) }, limit)
 	p := s.cluster.Plan()
 	return clusterResponse{
 		Epoch:      p.Epoch,
 		NumShards:  p.NumShards,
 		Blocks:     p.NumBlocks(),
 		Vertices:   p.NumVertices,
-		Items:      all,
+		Items:      items,
 		NextCursor: next,
-		Total:      total,
+		Total:      len(all),
 	}, nil
 }
 

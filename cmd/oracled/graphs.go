@@ -46,11 +46,10 @@ func (s *server) graphsList(r *http.Request) (interface{}, error) {
 	if err != nil {
 		return nil, err
 	}
-	items, next, total := s.registry.ListPage(cursor, limit)
-	if items == nil {
-		items = []registry.GraphInfo{}
-	}
-	return graphsResponse{Items: items, NextCursor: next, Total: total, MaxGraphs: s.registry.MaxGraphs()}, nil
+	all := s.registry.List()
+	items, next := keysetPage(all, func(g registry.GraphInfo) bool { return g.Name > cursor },
+		func(g registry.GraphInfo) string { return g.Name }, limit)
+	return graphsResponse{Items: items, NextCursor: next, Total: len(all), MaxGraphs: s.registry.MaxGraphs()}, nil
 }
 
 // adminName reads and validates the {name} of the per-graph admin

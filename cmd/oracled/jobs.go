@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"sort"
 	"strconv"
 
 	"repro/internal/jobs"
@@ -39,6 +40,23 @@ func pageParams(r *http.Request) (cursor string, limit int, err error) {
 		limit = n
 	}
 	return cursor, limit, nil
+}
+
+// keysetPage is the one paginator of the collection listings. all is
+// sorted by key, and past reports whether an item's key sorts strictly
+// after the cursor (every item is past the first page's "" cursor). The
+// page is the items past the cursor, at most limit of them (limit ≤ 0
+// means all); next is the page's last key when items were cut off, ""
+// on the last page. Keys are graph names, job IDs or decimal shard IDs.
+// A cursor is a key, not a position, so a page is never skewed by items
+// added or removed since the previous one.
+func keysetPage[T any](all []T, past func(T) bool, key func(T) string, limit int) (page []T, next string) {
+	page = all[sort.Search(len(all), func(k int) bool { return past(all[k]) }):]
+	if limit > 0 && len(page) > limit {
+		page = page[:limit]
+		next = key(page[len(page)-1])
+	}
+	return page, next
 }
 
 // jobsListResponse is the cursor page shape shared with /v1/graphs:
@@ -85,11 +103,10 @@ func (s *server) jobsList(r *http.Request) (interface{}, error) {
 	if err != nil {
 		return nil, err
 	}
-	items, next, total := m.ListPage(cursor, limit)
-	if items == nil {
-		items = []jobs.Status{}
-	}
-	return jobsListResponse{Items: items, NextCursor: next, Total: total}, nil
+	all := m.List()
+	items, next := keysetPage(all, func(j jobs.Status) bool { return j.ID > cursor },
+		func(j jobs.Status) string { return j.ID }, limit)
+	return jobsListResponse{Items: items, NextCursor: next, Total: len(all)}, nil
 }
 
 // jobSubmit is POST /v1/jobs: submit and answer 202 Accepted with the

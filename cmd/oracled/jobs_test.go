@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -265,4 +266,65 @@ func TestJobsDisabled(t *testing.T) {
 func itoa(n int) string {
 	b, _ := json.Marshal(n)
 	return string(b)
+}
+
+// TestKeysetPage holds the one paginator of /v1/graphs, /v1/jobs and
+// /v1/cluster to its contract, on each listing's cursor format: pages
+// start strictly after the cursor, limit ≤ 0 returns everything, and next
+// is the last key of a truncated page.
+func TestKeysetPage(t *testing.T) {
+	id := func(s string) string { return s }
+	// walk pages keys at limit and returns what it saw, page by page.
+	walk := func(keys []string, past func(key, cursor string) bool, limit int) (got []string, pages int) {
+		cursor := ""
+		for {
+			page, next := keysetPage(keys, func(k string) bool { return cursor == "" || past(k, cursor) }, id, limit)
+			got = append(got, page...)
+			pages++
+			if next == "" {
+				return got, pages
+			}
+			cursor = next
+		}
+	}
+	after := func(key, cursor string) bool { return key > cursor }
+
+	// Graph names.
+	names := []string{"a", "b", "c", "d", "e"}
+	if got, pages := walk(names, after, 2); pages != 3 || strings.Join(got, ",") != strings.Join(names, ",") {
+		t.Fatalf("paged names = %v over %d pages, want %v over 3", got, pages, names)
+	}
+	pageAfter := func(cursor string, limit int) ([]string, string) {
+		return keysetPage(names, func(k string) bool { return k > cursor }, id, limit)
+	}
+	if items, next := pageAfter("", 0); len(items) != len(names) || next != "" {
+		t.Fatalf("unlimited page: %d items, next %q", len(items), next)
+	}
+	if items, next := pageAfter("e", 2); len(items) != 0 || next != "" {
+		t.Fatalf("past-the-end page: %d items, next %q", len(items), next)
+	}
+	// A cursor naming a removed graph still lands between its neighbours.
+	if items, _ := pageAfter("bb", 2); strings.Join(items, ",") != "c,d" {
+		t.Fatalf("between-names cursor page = %v", items)
+	}
+
+	// Job IDs.
+	ids := []string{"j0000000001", "j0000000002", "j0000000003", "j0000000004", "j0000000005"}
+	if got, pages := walk(ids, after, 2); pages != 3 || strings.Join(got, ",") != strings.Join(ids, ",") {
+		t.Fatalf("paged ids = %v over %d pages, want %v over 3", got, pages, ids)
+	}
+
+	// Decimal shard IDs order as numbers: "10" follows "9".
+	var shards []string
+	for i := 0; i < 12; i++ {
+		shards = append(shards, strconv.Itoa(i))
+	}
+	numeric := func(key, cursor string) bool {
+		k, _ := strconv.Atoi(key)
+		c, _ := strconv.Atoi(cursor)
+		return k > c
+	}
+	if got, pages := walk(shards, numeric, 5); pages != 3 || strings.Join(got, ",") != strings.Join(shards, ",") {
+		t.Fatalf("paged shard ids = %v over %d pages, want %v over 3", got, pages, shards)
+	}
 }

@@ -51,7 +51,6 @@ func main() {
 		workers  = flag.Int("workers", par.Workers(), "parallel workers for the oracle build")
 		loadSnap = flag.String("load-snapshot", "", "plan from an oracle snapshot instead of building (replaces -file/-dataset)")
 		shards   = flag.Int("shards", 2, "number of shards to cut the graph into")
-		refine   = flag.Int("refine", 0, "balance refinement passes over the block quotient graph (0 = default)")
 		epoch    = flag.Uint64("epoch", 0, "explicit plan epoch (0 derives it from the plan's content)")
 		outDir   = flag.String("out", "", "output directory for the plan manifest and shard snapshots (required)")
 	)
@@ -89,9 +88,7 @@ func main() {
 			name, g.NumVertices(), g.NumEdges(), time.Since(start))
 	}
 
-	p, err := shard.PlanShards(o, shard.PlanOptions{
-		Shards: *shards, RefinePasses: *refine, Epoch: *epoch,
-	})
+	p, err := shard.PlanShards(o, shard.PlanOptions{Shards: *shards, Epoch: *epoch})
 	if err != nil {
 		cli.Fatalf("shardplan", "%v", err)
 	}

@@ -61,7 +61,7 @@ func TestIntegrationThreeAPSPImplementationsAgree(t *testing.T) {
 		g := integrationGraph(t, name)
 		ours := apsp.NewOracle(g)
 		ban := apsp.NewBanerjee(g, 1)
-		dji := apsp.NewDjidjev(g, 6, 1)
+		dji := exp.NewDjidjev(g, 6, 1)
 		n := int32(g.NumVertices())
 		for u := int32(0); u < n; u += 5 {
 			for v := int32(0); v < n; v += 3 {

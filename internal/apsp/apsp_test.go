@@ -97,32 +97,6 @@ func TestBanerjeeMatchesReference(t *testing.T) {
 	}
 }
 
-func TestDjidjevMatchesReference(t *testing.T) {
-	for name, g := range testGraphs(t) {
-		for _, k := range []int{1, 2, 4} {
-			d := NewDjidjev(g, k, 2)
-			checkAgainstReference(t, g, "djidjev/"+name, d.Query)
-		}
-	}
-}
-
-func TestDjidjevRowMatchesQuery(t *testing.T) {
-	cfg := gen.Config{MaxWeight: 5}
-	rng := gen.NewRNG(3)
-	g := gen.PlanarEars(60, 2, cfg, rng)
-	d := NewDjidjev(g, 4, 1)
-	n := g.NumVertices()
-	row := make([]graph.Weight, n)
-	for u := int32(0); u < int32(n); u++ {
-		d.Row(u, row)
-		for v := int32(0); v < int32(n); v++ {
-			if row[v] != d.Query(u, int32(v)) {
-				t.Fatalf("row/query mismatch at (%d,%d): %v vs %v", u, v, row[v], d.Query(u, int32(v)))
-			}
-		}
-	}
-}
-
 func TestFloydWarshallMatchesNaive(t *testing.T) {
 	cfg := gen.Config{MaxWeight: 9}
 	rng := gen.NewRNG(11)
@@ -272,10 +246,7 @@ func TestDegenerateGraphs(t *testing.T) {
 	if p := os.Path(0, 1); len(p) != 2 {
 		t.Fatalf("edge path %v", p)
 	}
-	// Djidjev and Banerjee on degenerate inputs
-	if d := NewDjidjev(two, 2, 1).Query(0, 1); d < Inf {
-		t.Fatalf("djidjev isolated pair %v", d)
-	}
+	// Banerjee on a degenerate input
 	if d := NewBanerjee(b2.Build(), 1).Query(0, 1); d != 7 {
 		t.Fatalf("banerjee edge %v", d)
 	}

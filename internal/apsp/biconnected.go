@@ -1,9 +1,10 @@
 // Package apsp implements the paper's all-pairs shortest path algorithms:
 // the ear-decomposition approach of Section 2 (Algorithm 1 for biconnected
 // graphs, the block-cut tree extension of Section 2.2 for general graphs)
-// and the three comparison baselines of Section 2.4.3 (plain per-source
-// Dijkstra, the Banerjee et al. BCC approach, and the Djidjev et al.
-// partition approach).
+// and two of the comparison baselines of Section 2.4.3 (plain per-source
+// Dijkstra and the Banerjee et al. BCC approach). The third, the Djidjev
+// et al. partition approach, lives beside its Figure 2 caller in
+// internal/exp.
 //
 // Panic-free query contract: once an oracle is built, its query surface
 // (Query, QueryChecked, Path, PathChecked, Row) never panics

@@ -251,6 +251,13 @@ func (o *Oracle) buildAPTable(workers int) {
 // analysis (pair.go) fed from the resident per-block tables. Out-of-range
 // vertices report Inf silently; new code should prefer QueryChecked, which
 // surfaces them as *QueryError instead.
+//
+// An oracle is immutable once its constructor returns: queries only read
+// the precomputed tables (S^r, the articulation table A, the block-cut
+// forest) and any scratch state is allocated per call. Every Query*/Path*
+// method is therefore safe for any number of concurrent goroutines, which
+// a long-lived serving process (cmd/oracled) relies on; a race-detector
+// test in internal/check hammers this property.
 func (o *Oracle) Query(u, v int32) graph.Weight {
 	p, err := o.StitchView().PlanPair(u, v)
 	if err != nil {
@@ -261,6 +268,16 @@ func (o *Oracle) Query(u, v int32) graph.Weight {
 		d[i] = o.Blocks[e.Block].QueryParent(e.Src, e.Dst)
 	}
 	return p.Distance(d[0], d[1])
+}
+
+// QueryChecked returns d_G(u, v), validating the pair first. The error is
+// a *QueryError wrapping ErrVertexRange when either vertex is outside
+// [0, n). Unreachable pairs are not an error: they report Inf.
+func (o *Oracle) QueryChecked(u, v int32) (graph.Weight, error) {
+	if err := checkPair("Query", u, v, o.G.NumVertices()); err != nil {
+		return Inf, err
+	}
+	return o.Query(u, v), nil
 }
 
 // NumArticulation returns a, the number of articulation points.

@@ -121,8 +121,3 @@ func (v *StitchView) EntryAt(e BlockEntry, row []graph.Weight) graph.Weight {
 func (o *Oracle) Pair(_ context.Context, u, v int32) (graph.Weight, error) {
 	return o.Query(u, v), nil
 }
-
-// Pair answers one pair from the resident tables; see Oracle.Pair.
-func (a *EarAPSP) Pair(_ context.Context, x, y int32) (graph.Weight, error) {
-	return a.Query(x, y), nil
-}

@@ -20,9 +20,6 @@ import "repro/internal/graph"
 // the graph.
 func (o *Oracle) NumVertices() int { return o.G.NumVertices() }
 
-// NumVertices returns the vertex count of the underlying graph.
-func (a *EarAPSP) NumVertices() int { return a.G.NumVertices() }
-
 // StitchView returns the stitch kernels' read-only view of the oracle's
 // block-cut topology and AP table. It shares the oracle's slices and is
 // built on first use: an oracle is immutable once its constructor returns,

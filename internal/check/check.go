@@ -23,6 +23,7 @@ package check
 
 import (
 	"repro/internal/apsp"
+	"repro/internal/exp"
 	"repro/internal/graph"
 )
 
@@ -38,17 +39,17 @@ type Impl struct {
 	// subgraph during witness minimisation.
 	Build func(g *graph.Graph) Oracle
 	// NeedsConnected marks implementations whose contract requires a
-	// connected input (EarAPSP on its own, Djidjev); the minimiser skips
-	// disconnected candidates for them.
+	// connected input (the bare apsp.EarAPSP, exp.Djidjev); the minimiser
+	// skips disconnected candidates for them.
 	NeedsConnected bool
 }
 
 // APSPImpls returns the implementations the differential harness compares:
 // the paper's ear-reduced block-cut oracle, the Banerjee baseline (blocks
 // without ear reduction), the flat per-source Dijkstra, and — for connected
-// inputs — the bare EarAPSP and the Djidjev partition oracle. The reference
-// they are all compared against (Floyd–Warshall) is a sixth, independent
-// algorithm family.
+// inputs — the bare EarAPSP and the Djidjev partition baseline of
+// internal/exp. The reference they are all compared against
+// (Floyd–Warshall) is a sixth, independent algorithm family.
 func APSPImpls() []Impl {
 	return []Impl{
 		{Name: "oracle", Build: func(g *graph.Graph) Oracle { return apsp.NewOracle(g) }},
@@ -56,6 +57,6 @@ func APSPImpls() []Impl {
 		{Name: "banerjee", Build: func(g *graph.Graph) Oracle { return apsp.NewBanerjee(g, 1) }},
 		{Name: "flat", Build: func(g *graph.Graph) Oracle { return apsp.NewFlatAPSP(g, 1) }},
 		{Name: "ear", Build: func(g *graph.Graph) Oracle { return apsp.NewEarAPSP(g) }, NeedsConnected: true},
-		{Name: "djidjev", Build: func(g *graph.Graph) Oracle { return apsp.NewDjidjev(g, 4, 1) }, NeedsConnected: true},
+		{Name: "djidjev", Build: func(g *graph.Graph) Oracle { return exp.NewDjidjev(g, 4, 1) }, NeedsConnected: true},
 	}
 }

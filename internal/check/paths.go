@@ -4,39 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/apsp"
 	"repro/internal/graph"
+	"repro/internal/verify"
 )
-
-// walkWeight sums the cheapest edge per hop, or returns an error if some
-// hop is not an edge of g.
-func walkWeight(g *graph.Graph, walk []int32) (graph.Weight, error) {
-	var total graph.Weight
-	for i := 0; i+1 < len(walk); i++ {
-		u, v := walk[i], walk[i+1]
-		best := apsp.Inf
-		g.Neighbors(u, func(nb, eid int32) bool {
-			if nb == v && g.Edge(eid).W < best {
-				best = g.Edge(eid).W
-			}
-			return true
-		})
-		if best >= apsp.Inf {
-			return 0, fmt.Errorf("step %d: %d–%d is not an edge", i, u, v)
-		}
-		total += best
-	}
-	return total, nil
-}
-
-// weightsAgree compares a reconstructed walk weight against the queried
-// distance with a relative tolerance: on non-integral weights the two are
-// float sums of the same edge multiset in different association orders.
-func weightsAgree(a, b graph.Weight) bool {
-	return a == b || math.Abs(a-b) <= 1e-9*(1+math.Abs(a)+math.Abs(b))
-}
 
 // pairPath exercises one (u, v) pair of the checked path surface and
 // returns a descriptive error on any contract violation: a panic, an
@@ -68,12 +40,8 @@ func pairPath(g *graph.Graph, o *apsp.Oracle, u, v int32) (err error) {
 	if w[0] != u || w[len(w)-1] != v {
 		return fmt.Errorf("pair (%d,%d): walk endpoints %d..%d", u, v, w[0], w[len(w)-1])
 	}
-	got, werr := walkWeight(g, w)
-	if werr != nil {
-		return fmt.Errorf("pair (%d,%d): %v", u, v, werr)
-	}
-	if !weightsAgree(got, d) {
-		return fmt.Errorf("pair (%d,%d): walk weight %v, query %v", u, v, got, d)
+	if err := verify.Walk(g, w, d); err != nil {
+		return fmt.Errorf("pair (%d,%d): %v", u, v, err)
 	}
 	return nil
 }

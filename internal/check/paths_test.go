@@ -11,6 +11,7 @@ import (
 	"repro/internal/apsp"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/verify"
 )
 
 // floatWeights rewrites every edge weight of g to a 0.1-step decimal in
@@ -205,9 +206,8 @@ func TestPathsFollowCutChain(t *testing.T) {
 						t.Errorf("%s: walk %v %v", ng.Name, walk, err)
 					}
 					entry := view.A[ia*len(view.CutVertices)+ib]
-					if got, err := walkWeight(o.G, walk); err != nil || !weightsAgree(got, entry) {
-						t.Errorf("%s: walk %v weighs %v (%v), A[%d,%d] = %v",
-							ng.Name, walk, got, err, ia, ib, entry)
+					if err := verify.Walk(o.G, walk, entry); err != nil {
+						t.Errorf("%s: walk %v against A[%d,%d]: %v", ng.Name, walk, ia, ib, err)
 					}
 				}
 			}

@@ -82,7 +82,7 @@ func runDjidjev(g *graph.Graph, workers int) (sec float64, work int64) {
 		k = 64
 	}
 	start := time.Now()
-	d := apsp.NewDjidjev(g, k, workers)
+	d := NewDjidjev(g, k, workers)
 	buf := make([]graph.Weight, n)
 	for s := 0; s < n; s++ {
 		d.Row(int32(s), buf)

@@ -322,36 +322,19 @@ func (m *Manager) Get(id string) (Status, error) {
 	return j.status(), nil
 }
 
-// ListPage returns one id-ordered page of job statuses, starting strictly
-// after cursor ("" for the first page), at most limit rows (limit <= 0
-// means everything); next is the cursor for the following page ("" on the
-// last), total the full job count. Keyset pagination, same contract as
-// registry.ListPage.
-func (m *Manager) ListPage(cursor string, limit int) (items []Status, next string, total int) {
+// List returns every job's status, sorted by id.
+func (m *Manager) List() []Status {
 	m.mu.Lock()
-	total = len(m.ids)
-	i := 0
-	if cursor != "" {
-		i = sort.SearchStrings(m.ids, cursor)
-		if i < len(m.ids) && m.ids[i] == cursor {
-			i++
-		}
-	}
-	page := m.ids[i:]
-	if limit > 0 && len(page) > limit {
-		page = page[:limit]
-		next = page[len(page)-1]
-	}
-	js := make([]*Job, len(page))
-	for k, id := range page {
+	js := make([]*Job, len(m.ids))
+	for k, id := range m.ids {
 		js[k] = m.jobs[id]
 	}
 	m.mu.Unlock()
-	items = make([]Status, len(js))
+	items := make([]Status, len(js))
 	for k, j := range js {
 		items[k] = j.status()
 	}
-	return items, next, total
+	return items
 }
 
 // Cancel requests cancellation: a pending job goes terminal immediately,

@@ -454,7 +454,8 @@ func TestFairScheduling(t *testing.T) {
 	}
 }
 
-// TestSubmitValidationAndListing covers spec rejection and cursor paging.
+// TestSubmitValidationAndListing covers spec rejection and the id-sorted
+// listing the daemon pages.
 func TestSubmitValidationAndListing(t *testing.T) {
 	f := newFixture(t, 10, 9, 0)
 	m, _ := openManager(t, t.TempDir(), map[string]*fixture{"g1": f}, 4)
@@ -486,23 +487,11 @@ func TestSubmitValidationAndListing(t *testing.T) {
 		ids = append(ids, st.ID)
 	}
 	var got []string
-	cursor, pages := "", 0
-	for {
-		items, next, total := m.ListPage(cursor, 2)
-		if total != 5 {
-			t.Fatalf("total = %d", total)
-		}
-		for _, it := range items {
-			got = append(got, it.ID)
-		}
-		pages++
-		if next == "" {
-			break
-		}
-		cursor = next
+	for _, it := range m.List() {
+		got = append(got, it.ID)
 	}
-	if pages != 3 || fmt.Sprint(got) != fmt.Sprint(ids) {
-		t.Fatalf("paged ids %v over %d pages, want %v", got, pages, ids)
+	if fmt.Sprint(got) != fmt.Sprint(ids) {
+		t.Fatalf("listed ids %v, want %v", got, ids)
 	}
 }
 

@@ -46,9 +46,9 @@ import (
 	"repro/internal/par"
 )
 
-// RowSource is the oracle surface the engine builds rows from.
-// apsp.Oracle and apsp.EarAPSP both satisfy it. Row must be safe for
-// concurrent callers and must fill out[:NumVertices()].
+// RowSource is the oracle surface the engine builds rows from:
+// apsp.Oracle, or shard.RemoteSource on a cluster frontend. Row must be
+// safe for concurrent callers and must fill out[:NumVertices()].
 type RowSource interface {
 	NumVertices() int
 	Row(src int32, out []graph.Weight) int64
@@ -68,8 +68,8 @@ type CtxRowSource interface {
 }
 
 // PairSource is the optional extension a RowSource implements when it can
-// answer one pair without building the row — apsp.Oracle and apsp.EarAPSP
-// from their resident tables, shard.RemoteSource by fetching only the
+// answer one pair without building the row — apsp.Oracle from its
+// resident tables, shard.RemoteSource by fetching only the
 // pair's own block rows. When the live source implements it, Query calls
 // Pair behind admission and builds no row; Batch keeps building rows. u
 // and v are already validated against NumVertices(); ctx is the admitted

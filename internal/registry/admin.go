@@ -60,30 +60,6 @@ func (r *Registry) List() []GraphInfo {
 	return out
 }
 
-// ListPage returns one name-ordered page of graphs, starting strictly
-// after cursor ("" for the first page), at most limit rows (limit <= 0
-// means everything). next is the cursor for the following page, "" when
-// this page is the last; total is the full number of known graphs. The
-// cursor is simply the last name of the page: stable under concurrent
-// register/remove because listing order is name order, so a retry or a
-// late page never repeats or double-counts a name — it just reflects
-// names added or removed since the previous page, like any keyset
-// paginator.
-func (r *Registry) ListPage(cursor string, limit int) (items []GraphInfo, next string, total int) {
-	all := r.List()
-	total = len(all)
-	i := 0
-	if cursor != "" {
-		i = sort.Search(len(all), func(k int) bool { return all[k].Name > cursor })
-	}
-	all = all[i:]
-	if limit > 0 && len(all) > limit {
-		all = all[:limit]
-		next = all[len(all)-1].Name
-	}
-	return all, next, total
-}
-
 // Info returns one graph's row and whether the name is known.
 func (r *Registry) Info(name string) (GraphInfo, bool) {
 	r.mu.Lock()

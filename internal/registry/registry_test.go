@@ -472,54 +472,6 @@ func TestListInfoAndStates(t *testing.T) {
 	}
 }
 
-func TestListPage(t *testing.T) {
-	dir := t.TempDir()
-	names := []string{"a", "b", "c", "d", "e"}
-	for i, name := range names {
-		writeSnap(t, dir, name, testGraph(uint64(20+i)))
-	}
-	r, _ := openTest(t, dir, 4)
-
-	var got []string
-	cursor, pages := "", 0
-	for {
-		items, next, total := r.ListPage(cursor, 2)
-		if total != len(names) {
-			t.Fatalf("total = %d, want %d", total, len(names))
-		}
-		for _, it := range items {
-			got = append(got, it.Name)
-		}
-		pages++
-		if next == "" {
-			break
-		}
-		cursor = next
-	}
-	if pages != 3 {
-		t.Fatalf("pages = %d, want 3", pages)
-	}
-	if strings.Join(got, ",") != strings.Join(names, ",") {
-		t.Fatalf("paged names = %v, want %v", got, names)
-	}
-
-	// limit <= 0: everything in one page, no cursor.
-	items, next, _ := r.ListPage("", 0)
-	if len(items) != len(names) || next != "" {
-		t.Fatalf("unlimited page: %d items, next %q", len(items), next)
-	}
-	// A cursor past the end yields an empty final page.
-	items, next, _ = r.ListPage("e", 2)
-	if len(items) != 0 || next != "" {
-		t.Fatalf("past-the-end page: %d items, next %q", len(items), next)
-	}
-	// A cursor naming a removed graph still lands between its neighbours.
-	items, _, _ = r.ListPage("bb", 2)
-	if len(items) != 2 || items[0].Name != "c" || items[1].Name != "d" {
-		t.Fatalf("between-names cursor page = %+v", items)
-	}
-}
-
 func TestStatsViewPrefix(t *testing.T) {
 	dir := t.TempDir()
 	writeSnap(t, dir, "a", testGraph(13))

@@ -88,9 +88,6 @@ type PlanOptions struct {
 	// Shards is the shard count; it must be at least 1. More shards than
 	// blocks leaves the surplus shards empty.
 	Shards int
-	// RefinePasses is the partitioner's boundary-refinement sweep count;
-	// < 1 resolves to 8.
-	RefinePasses int
 	// Epoch overrides the plan epoch; 0 derives it from the plan content.
 	Epoch uint64
 }
@@ -107,10 +104,6 @@ func PlanShards(o *apsp.Oracle, opts PlanOptions) (*Plan, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("shard: plan needs at least 1 shard, got %d", opts.Shards)
 	}
-	refine := opts.RefinePasses
-	if refine < 1 {
-		refine = 8
-	}
 	numB := len(o.Blocks)
 
 	// Serving cost of a block ≈ its resident table (nr²) plus its row
@@ -124,6 +117,7 @@ func PlanShards(o *apsp.Oracle, opts PlanOptions) (*Plan, error) {
 
 	// Quotient graph over blocks: for each AP, path-connect the blocks
 	// sharing it (a path, not a clique — same connectivity, linear size).
+	// The partitioner balances it in 8 boundary-refinement passes.
 	qb := graph.NewBuilder(numB)
 	for j := range o.BCT.CutVertices {
 		bs := o.BCT.CutBlocks[j]
@@ -131,7 +125,7 @@ func PlanShards(o *apsp.Oracle, opts PlanOptions) (*Plan, error) {
 			qb.AddEdge(bs[i-1], bs[i], 1)
 		}
 	}
-	assign := partition.PartitionWeighted(qb.Build(), opts.Shards, refine, weights)
+	assign := partition.PartitionWeighted(qb.Build(), opts.Shards, 8, weights)
 
 	// The oracle is immutable, so the plan shares its boundary slices.
 	v := o.StitchView()

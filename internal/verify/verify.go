@@ -15,8 +15,7 @@ import (
 	"repro/internal/sssp"
 )
 
-// DistanceQuerier is any all-pairs oracle (apsp.Oracle, apsp.EarAPSP,
-// apsp.Djidjev all satisfy it).
+// DistanceQuerier is any all-pairs oracle, such as apsp.Oracle.
 type DistanceQuerier interface {
 	Query(u, v int32) graph.Weight
 }
