@@ -154,25 +154,21 @@ func (s *ShardBlocks) BlockRow(b int32, src int32, out []graph.Weight) error {
 // input is rejected with an error wrapping one of snapshot's typed
 // sentinels; it never panics on hostile bytes.
 func ReadShardSnapshot(r io.Reader) (s *ShardBlocks, err error) {
+	var sr *snapshot.Reader
 	defer func() {
 		if rec := recover(); rec != nil {
-			s, err = nil, snapshot.Corruptf("apsp: shard snapshot decode panic: %v", rec)
+			err = snapshot.Corruptf("apsp: shard snapshot decode panic: %v", rec)
+		}
+		if err != nil && sr != nil {
+			s, err = nil, sr.Close(err)
 		}
 	}()
-	sr, err := snapshot.NewReader(r)
-	if err != nil {
+	if sr, err = snapshot.NewReader(r); err != nil {
 		return nil, err
 	}
 
-	md, err := sr.Section("meta")
-	if err != nil {
-		return nil, err
-	}
-	ver := md.U32()
-	if md.Err() == nil && ver != shardFormatVersion {
-		return nil, fmt.Errorf("apsp: shard snapshot format v%d, this build reads v%d: %w",
-			ver, shardFormatVersion, snapshot.ErrVersionSkew)
-	}
+	md := sr.Section("meta")
+	md.Version("apsp: shard snapshot", shardFormatVersion)
 	meta := ShardMeta{Epoch: md.U64(), Shard: md.I32(), NumShards: md.I32()}
 	n := md.U64()
 	numBlocks := md.U64()
@@ -190,10 +186,7 @@ func ReadShardSnapshot(r io.Reader) (s *ShardBlocks, err error) {
 		return nil, err
 	}
 
-	od, err := sr.Section("owned")
-	if err != nil {
-		return nil, err
-	}
+	od := sr.Section("owned")
 	owned := od.Bools()
 	if err := od.Err(); err != nil {
 		return nil, err
@@ -206,10 +199,7 @@ func ReadShardSnapshot(r io.Reader) (s *ShardBlocks, err error) {
 	}
 
 	s = &ShardBlocks{meta: meta, owned: owned}
-	bd, err := sr.Section("blocks")
-	if err != nil {
-		return nil, err
-	}
+	bd := sr.Section("blocks")
 	// Unowned blocks are assembled too, just not resident: the shared
 	// vertex index spans every block, because BlockRow needs src lookup to
 	// mirror QueryParent exactly.

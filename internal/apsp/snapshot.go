@@ -90,16 +90,20 @@ func (o *Oracle) WriteTo(w io.Writer) (int64, error) {
 // activity.
 func ReadOracle(r io.Reader) (o *Oracle, err error) {
 	t0 := time.Now()
+	var sr *snapshot.Reader
 	// Every decode path below validates before indexing, but a snapshot is
 	// an external input to a long-lived server: convert any escaped panic
 	// into the typed corruption error rather than taking the process down.
+	// A failure mid-section is ErrChecksum if the section's bytes say so.
 	defer func() {
 		if rec := recover(); rec != nil {
-			o, err = nil, snapshot.Corruptf("apsp: snapshot decode panic: %v", rec)
+			err = snapshot.Corruptf("apsp: snapshot decode panic: %v", rec)
+		}
+		if err != nil && sr != nil {
+			o, err = nil, sr.Close(err)
 		}
 	}()
-	sr, err := snapshot.NewReader(r)
-	if err != nil {
+	if sr, err = snapshot.NewReader(r); err != nil {
 		return nil, err
 	}
 	if sr.Has(chainSection) {
@@ -107,15 +111,8 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 			snapshot.ErrVersionSkew)
 	}
 
-	md, err := sr.Section("meta")
-	if err != nil {
-		return nil, err
-	}
-	ver := md.U32()
-	if md.Err() == nil && ver != oracleFormatVersion {
-		return nil, fmt.Errorf("apsp: oracle snapshot format v%d, this build reads v%d: %w",
-			ver, oracleFormatVersion, snapshot.ErrVersionSkew)
-	}
+	md := sr.Section("meta")
+	md.Version("apsp: oracle snapshot", oracleFormatVersion)
 	n := md.U64()
 	numBlocks := md.U64()
 	numA := md.U64()
@@ -129,10 +126,7 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 	if err != nil {
 		return nil, err
 	}
-	bd, err := sr.Section("blocks")
-	if err != nil {
-		return nil, err
-	}
+	bd := sr.Section("blocks")
 	o, err = assemble(context.Background(), g, dec, bct, nil, 1, func(bi int, sub *graph.Subgraph) (*EarAPSP, error) {
 		ea, err := decodeBlock(bd, sub, bi)
 		if err != nil {
@@ -155,10 +149,7 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 		return nil, err
 	}
 	o.Relaxations = relax // the stored total also carries the work of every delta applied
-	ad, err := sr.Section("aptable")
-	if err != nil {
-		return nil, err
-	}
+	ad := sr.Section("aptable")
 	if o.A, err = DecodeTable(ad, o.numA*o.numA, "AP table"); err != nil {
 		return nil, err
 	}
@@ -178,10 +169,10 @@ func EncodeTable(e *snapshot.Encoder, t []graph.Weight) {
 
 // DecodeTable reads a distance table of want entries; a non-zero kind is ErrCorrupt.
 func DecodeTable(d *snapshot.Decoder, want int, what string) ([]graph.Weight, error) {
-	d.Reserved(what + " table kind")
+	d.Reserved("table kind")
 	t := d.F64s()
 	if err := d.Err(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("apsp: %s: %w", what, err)
 	}
 	if len(t) != want {
 		return nil, snapshot.Corruptf("apsp: %s has %d table entries, want %d", what, len(t), want)
@@ -208,8 +199,10 @@ func decodeBlock(bd *snapshot.Decoder, sub *graph.Subgraph, bi int) (*EarAPSP, e
 	}
 	nr := red.R.NumVertices()
 	ea := &EarAPSP{G: sub.G, Red: red, nr: nr}
-	ea.SR, err = DecodeTable(bd, nr*nr, fmt.Sprintf("block %d", bi))
-	return ea, err
+	if ea.SR, err = DecodeTable(bd, nr*nr, "S^r"); err != nil {
+		return nil, fmt.Errorf("block %d: %w", bi, err)
+	}
+	return ea, nil
 }
 
 // decodeStructure reads what an oracle snapshot and a shard snapshot both
@@ -218,15 +211,8 @@ func decodeBlock(bd *snapshot.Decoder, sub *graph.Subgraph, bi int) (*EarAPSP, e
 // the three against the meta section's vertex, block and articulation
 // point counts.
 func decodeStructure(sr *snapshot.Reader, n, numBlocks, numA uint64) (*graph.Graph, *bcc.Decomposition, *bcc.BlockCutTree, error) {
-	gd, err := sr.Section("graph")
+	g, err := graph.DecodeSnapshot(sr.Section("graph"))
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	g, err := graph.DecodeSnapshot(gd)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if err := gd.Finish(); err != nil {
 		return nil, nil, nil, err
 	}
 	if uint64(g.NumVertices()) != n {
@@ -247,10 +233,7 @@ func decodeStructure(sr *snapshot.Reader, n, numBlocks, numA uint64) (*graph.Gra
 // decodeDecomposition reads the BCC section and checks it is a genuine
 // edge partition: every edge of g in exactly one component.
 func decodeDecomposition(sr *snapshot.Reader, g *graph.Graph, numBlocks uint64) (*bcc.Decomposition, error) {
-	bd, err := sr.Section("bcc")
-	if err != nil {
-		return nil, err
-	}
+	bd := sr.Section("bcc")
 	ncomp := bd.Count(8)
 	if err := bd.Err(); err != nil {
 		return nil, err

@@ -29,16 +29,22 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	}
 }
 
-// TestWriteToBorrowsTables pins the write's "no staging copy": writing a
-// blocks_m-sized oracle (cond_mat_2003 at scale 0.08, 5.7 MB of snapshot)
-// allocates less than a quarter of the bytes it writes, because every
-// large table goes from the oracle to the destination as it stands.
-func TestWriteToBorrowsTables(t *testing.T) {
+// blocksM builds the benchmark's blocks_m oracle: cond_mat_2003 at scale
+// 0.08, 5.7 MB of snapshot.
+func blocksM(t *testing.T) *Oracle {
 	spec, err := datasets.ByName("cond_mat_2003")
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := NewOracleParallel(spec.Generate(0.08, 1), 2)
+	return NewOracleParallel(spec.Generate(0.08, 1), 2)
+}
+
+// TestWriteToBorrowsTables pins the write's "no staging copy": writing a
+// blocks_m-sized oracle allocates less than a quarter of the bytes it
+// writes, because every large table goes from the oracle to the
+// destination as it stands.
+func TestWriteToBorrowsTables(t *testing.T) {
+	o := blocksM(t)
 	size, err := o.WriteTo(io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -51,5 +57,29 @@ func TestWriteToBorrowsTables(t *testing.T) {
 	t.Logf("WriteTo of a %d-byte snapshot allocates %d bytes", size, alloc)
 	if 4*alloc >= uint64(size) {
 		t.Errorf("WriteTo of a %d-byte snapshot allocates %d bytes, want < a quarter", size, alloc)
+	}
+}
+
+// TestReadOracleLoadsInPlace pins the load's "into place": reading a
+// blocks_m snapshot from memory allocates less than 1.6× its bytes,
+// because the container streams each section, every table is read
+// straight into its final slice, and each block's chains share three
+// arrays.
+func TestReadOracleLoadsInPlace(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := blocksM(t).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadOracle(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(buf.Len())
+	t.Logf("ReadOracle of a %d-byte snapshot allocates %.2f× its bytes, in %d allocations",
+		buf.Len(), ratio, after.Mallocs-before.Mallocs)
+	if ratio >= 1.6 {
+		t.Errorf("ReadOracle of a %d-byte snapshot allocates %.2f× its bytes, want < 1.6", buf.Len(), ratio)
 	}
 }

@@ -2,7 +2,6 @@ package bc
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -177,10 +176,7 @@ func (c *Chunked) EncodeState(e *snapshot.Encoder) {
 // Chunked. The graph and source list must match the ones the state was
 // encoded under; dimension mismatches are reported as corruption.
 func (c *Chunked) RestoreState(d *snapshot.Decoder) error {
-	if v := d.U32(); d.Err() == nil && v != chunkedStateVersion {
-		return fmt.Errorf("bc: chunked state version %d, this build reads %d: %w",
-			v, chunkedStateVersion, snapshot.ErrVersionSkew)
-	}
+	d.Version("bc: chunked state", chunkedStateVersion)
 	done := d.I64()
 	relax := d.I64()
 	scores := d.F64s()

@@ -62,11 +62,7 @@ func chunkedRoundTrip(t *testing.T, c *Chunked) *snapshot.Decoder {
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
-	d, err := r.Section("bcstate")
-	if err != nil {
-		t.Fatalf("Section: %v", err)
-	}
-	return d
+	return r.Section("bcstate")
 }
 
 func TestChunkedMatchesParallel(t *testing.T) {

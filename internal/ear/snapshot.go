@@ -44,9 +44,7 @@ func DecodeReduced(d *snapshot.Decoder, original *graph.Graph) (*Reduced, error)
 		PosOf:      make([]int32, n),
 	}
 	for i := range r.OrigToKept {
-		r.OrigToKept[i] = -1
-		r.ChainOf[i] = -1
-		r.PosOf[i] = -1
+		r.OrigToKept[i], r.ChainOf[i], r.PosOf[i] = -1, -1, -1
 	}
 	for k, v := range r.KeptToOrig {
 		if v < 0 || int(v) >= n {
@@ -61,16 +59,21 @@ func DecodeReduced(d *snapshot.Decoder, original *graph.Graph) (*Reduced, error)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
+	// Reduce's layout: every chain's slices are windows of three arrays.
+	removed, m := n-len(r.KeptToOrig), original.NumEdges()
+	interior, edges, prefix := make([]int32, 0, removed), make([]int32, 0, m), make([]graph.Weight, 0, removed)
 	r.Chains = make([]Chain, nch)
 	for ci := range r.Chains {
 		c := &r.Chains[ci]
 		c.A = d.I32()
 		c.B = d.I32()
-		c.Interior = d.I32s()
-		c.Edges = d.I32s()
+		i0, e0 := len(interior), len(edges)
+		interior = d.AppendI32s(interior)
+		edges = d.AppendI32s(edges)
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
+		c.Interior, c.Edges = interior[i0:len(interior):len(interior)], edges[e0:len(edges):len(edges)]
 		if c.A < 0 || int(c.A) >= n || c.B < 0 || int(c.B) >= n {
 			return nil, snapshot.Corruptf("ear: chain %d endpoints (%d,%d)", ci, c.A, c.B)
 		}
@@ -82,14 +85,13 @@ func DecodeReduced(d *snapshot.Decoder, original *graph.Graph) (*Reduced, error)
 				ci, len(c.Edges), len(c.Interior))
 		}
 		for _, eid := range c.Edges {
-			if eid < 0 || int(eid) >= original.NumEdges() {
+			if eid < 0 || int(eid) >= m {
 				return nil, snapshot.Corruptf("ear: chain %d edge id %d", ci, eid)
 			}
 		}
 		// Derive prefix distances and the total exactly as Reduce does:
 		// a left-to-right running sum over the chain's edge weights.
 		w := original.Edge(c.Edges[0]).W
-		c.Prefix = make([]graph.Weight, len(c.Interior))
 		for i, iv := range c.Interior {
 			if iv < 0 || int(iv) >= n {
 				return nil, snapshot.Corruptf("ear: chain %d interior vertex %d", ci, iv)
@@ -99,10 +101,10 @@ func DecodeReduced(d *snapshot.Decoder, original *graph.Graph) (*Reduced, error)
 			}
 			r.ChainOf[iv] = int32(ci)
 			r.PosOf[iv] = int32(i)
-			c.Prefix[i] = w
+			prefix = append(prefix, w)
 			w += original.Edge(c.Edges[i+1]).W
 		}
-		c.Total = w
+		c.Prefix, c.Total = prefix[len(prefix)-len(c.Interior):len(prefix):len(prefix)], w
 	}
 	r.EdgeChain = d.I32s()
 	if err := d.Err(); err != nil {
@@ -110,15 +112,15 @@ func DecodeReduced(d *snapshot.Decoder, original *graph.Graph) (*Reduced, error)
 	}
 	// Rebuild R: one edge per selected chain, in EdgeChain order, exactly
 	// as Reduce emits them.
-	b := graph.NewBuilder(len(r.KeptToOrig))
-	for _, ci := range r.EdgeChain {
+	redges := make([]graph.Edge, len(r.EdgeChain))
+	for i, ci := range r.EdgeChain {
 		if ci < 0 || int(ci) >= len(r.Chains) {
 			return nil, snapshot.Corruptf("ear: edge-chain index %d of %d chains", ci, len(r.Chains))
 		}
 		c := &r.Chains[ci]
-		b.AddEdge(r.OrigToKept[c.A], r.OrigToKept[c.B], c.Total)
+		redges[i] = graph.Edge{U: r.OrigToKept[c.A], V: r.OrigToKept[c.B], W: c.Total}
 	}
-	r.R = b.Build()
+	r.R = graph.FromEdges(len(r.KeptToOrig), redges)
 	if err := r.Validate(); err != nil {
 		return nil, snapshot.Corruptf("ear: decoded structure invalid: %v", err)
 	}

@@ -30,15 +30,11 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := sr.Section(binarySection)
+	g, err := DecodeSnapshot(sr.Section(binarySection))
 	if err != nil {
-		return nil, err
+		return nil, sr.Close(err)
 	}
-	g, err := DecodeSnapshot(d)
-	if err != nil {
-		return nil, err
-	}
-	return g, d.Finish()
+	return g, nil
 }
 
 // EncodeSnapshot appends the graph to a snapshot section: vertex
@@ -54,20 +50,18 @@ func (g *Graph) EncodeSnapshot(e *snapshot.Encoder) {
 	}
 }
 
-// DecodeSnapshot is EncodeSnapshot's inverse. It validates endpoint
-// ranges and weights, so a decoded graph satisfies every invariant a
-// Builder-built one does; failures wrap snapshot.ErrCorrupt.
+// DecodeSnapshot is EncodeSnapshot's inverse over a section that holds
+// the graph alone, which it finishes. It validates endpoint ranges and
+// weights, so a decoded graph satisfies every invariant a Builder-built
+// one does; failures wrap snapshot.ErrCorrupt.
 func DecodeSnapshot(d *snapshot.Decoder) (*Graph, error) {
 	n := d.U64()
-	m := d.U64()
+	m := d.Count(16) // u, v, w
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	if n > 1<<31 {
 		return nil, snapshot.Corruptf("graph: %d vertices", n)
-	}
-	if m > uint64(d.Remaining())/16 {
-		return nil, snapshot.Corruptf("graph: %d edges in %d bytes", m, d.Remaining())
 	}
 	edges := make([]Edge, m)
 	for i := range edges {
@@ -82,6 +76,11 @@ func DecodeSnapshot(d *snapshot.Decoder) (*Graph, error) {
 			return nil, snapshot.Corruptf("graph: edge %d weight %v", i, w)
 		}
 		edges[i] = Edge{U: u, V: v, W: w}
+	}
+	// No byte bounds the vertex count that sizes the adjacency: the
+	// section passes its checksum before n allocates anything.
+	if err := d.Finish(); err != nil {
+		return nil, err
 	}
 	return FromEdges(int(n), edges), nil
 }

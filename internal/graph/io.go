@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -40,59 +41,64 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 // header, trailing isolated vertices would be lost on a write/read round
 // trip. A missing weight column defaults to 1.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var edges []Edge
-	maxV := int32(-1)
-	declaredN := 0
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") || strings.HasPrefix(text, "%") {
+	maxV, declaredN := int32(-1), 0
+	err := scanLines(r, func(line int, text string) error {
+		if text[0] == '#' || text[0] == '%' {
 			if n, ok := parseVertexHeader(text); ok && n > declaredN {
 				declaredN = n
 			}
-			continue
+			return nil
 		}
 		f := strings.Fields(text)
 		if len(f) < 2 {
-			return nil, fmt.Errorf("graph: edge list line %d: need at least 2 fields, got %q", line, text)
+			return fmt.Errorf("graph: edge list line %d: need at least 2 fields, got %q", line, text)
 		}
-		u, err := strconv.ParseInt(f[0], 10, 32)
+		u, v, w, err := parseEdge(f, 0)
 		if err != nil {
-			return nil, fmt.Errorf("graph: edge list line %d: %v", line, err)
-		}
-		v, err := strconv.ParseInt(f[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: edge list line %d: %v", line, err)
-		}
-		w := 1.0
-		if len(f) >= 3 {
-			w, err = strconv.ParseFloat(f[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("graph: edge list line %d: %v", line, err)
-			}
+			return fmt.Errorf("graph: edge list line %d: %v", line, err)
 		}
 		if u < 0 || v < 0 {
-			return nil, fmt.Errorf("graph: edge list line %d: negative vertex", line)
+			return fmt.Errorf("graph: edge list line %d: negative vertex", line)
 		}
-		if int32(u) > maxV {
-			maxV = int32(u)
-		}
-		if int32(v) > maxV {
-			maxV = int32(v)
-		}
-		edges = append(edges, Edge{U: int32(u), V: int32(v), W: w})
-	}
-	if err := sc.Err(); err != nil {
+		maxV = max(maxV, u, v)
+		edges = append(edges, Edge{U: u, V: v, W: w})
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	n := int(maxV + 1)
-	if declaredN > n {
-		n = declaredN
+	return FromEdges(max(int(maxV+1), declaredN), edges), nil
+}
+
+// scanLines calls fn with each non-blank line of r, trimmed, and its
+// 1-based line number, until fn fails.
+func scanLines(r io.Reader, fn func(line int, text string) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for line := 1; sc.Scan(); line++ {
+		if text := strings.TrimSpace(sc.Text()); text != "" {
+			if err := fn(line, text); err != nil {
+				return err
+			}
+		}
 	}
-	return FromEdges(n, edges), nil
+	return sc.Err()
+}
+
+// parseEdge parses an edge line's "u v [w]" fields, numbering vertices
+// from base; a missing weight is 1.
+func parseEdge(f []string, base int64) (u, v int32, w float64, err error) {
+	var x [2]int64
+	for i := range x {
+		if x[i], err = strconv.ParseInt(f[i], 10, 32); err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	if w = 1; len(f) > 2 {
+		w, err = strconv.ParseFloat(f[2], 64)
+	}
+	return int32(x[0] - base), int32(x[1] - base), w, err
 }
 
 // parseVertexHeader recognises the "# vertices N edges M" comment emitted by
@@ -113,64 +119,38 @@ func parseVertexHeader(text string) (int, bool) {
 // a symmetric instance appears as two "a" lines; duplicates (v,u) after
 // (u,v) are collapsed.
 func ReadDIMACS(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	n := 0
 	var edges []Edge
 	seen := make(map[[2]int32]bool)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || text[0] == 'c' {
-			continue
-		}
-		f := strings.Fields(text)
-		switch f[0] {
+	err := scanLines(r, func(line int, text string) error {
+		switch f := strings.Fields(text); f[0] {
 		case "p":
 			if len(f) < 4 {
-				return nil, fmt.Errorf("graph: dimacs line %d: malformed problem line", line)
+				return fmt.Errorf("graph: dimacs line %d: malformed problem line", line)
 			}
 			var err error
-			n, err = strconv.Atoi(f[2])
-			if err != nil {
-				return nil, fmt.Errorf("graph: dimacs line %d: %v", line, err)
+			if n, err = strconv.Atoi(f[2]); err != nil {
+				return fmt.Errorf("graph: dimacs line %d: %v", line, err)
 			}
 		case "a", "e":
 			if len(f) < 3 {
-				return nil, fmt.Errorf("graph: dimacs line %d: malformed arc line", line)
+				return fmt.Errorf("graph: dimacs line %d: malformed arc line", line)
 			}
-			u64, err := strconv.ParseInt(f[1], 10, 32)
+			u, v, w, err := parseEdge(f[1:], 1) // DIMACS is 1-based
 			if err != nil {
-				return nil, fmt.Errorf("graph: dimacs line %d: %v", line, err)
+				return fmt.Errorf("graph: dimacs line %d: %v", line, err)
 			}
-			v64, err := strconv.ParseInt(f[2], 10, 32)
-			if err != nil {
-				return nil, fmt.Errorf("graph: dimacs line %d: %v", line, err)
-			}
-			w := 1.0
-			if len(f) >= 4 {
-				w, err = strconv.ParseFloat(f[3], 64)
-				if err != nil {
-					return nil, fmt.Errorf("graph: dimacs line %d: %v", line, err)
-				}
-			}
-			u, v := int32(u64-1), int32(v64-1) // DIMACS is 1-based
 			if u < 0 || v < 0 {
-				return nil, fmt.Errorf("graph: dimacs line %d: vertex below 1", line)
+				return fmt.Errorf("graph: dimacs line %d: vertex below 1", line)
 			}
-			a, b := u, v
-			if a > b {
-				a, b = b, a
+			if key := [2]int32{min(u, v), max(u, v)}; !seen[key] {
+				seen[key] = true
+				edges = append(edges, Edge{U: u, V: v, W: w})
 			}
-			if seen[[2]int32{a, b}] {
-				continue
-			}
-			seen[[2]int32{a, b}] = true
-			edges = append(edges, Edge{U: u, V: v, W: w})
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	if n == 0 {
@@ -186,86 +166,63 @@ func ReadDIMACS(r io.Reader) (*Graph, error) {
 // values are taken by absolute value since the paper's datasets are used as
 // positive-weight graphs.
 func ReadMatrixMarket(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	header := false
-	dims := false
+	header, dims, pattern := false, false, false
 	n := 0
-	pattern := false
 	var edges []Edge
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
+	err := scanLines(r, func(line int, text string) error {
 		if !header {
 			if !strings.HasPrefix(text, "%%MatrixMarket") {
-				return nil, fmt.Errorf("graph: not a MatrixMarket file")
+				return fmt.Errorf("graph: not a MatrixMarket file")
 			}
 			low := strings.ToLower(text)
 			if !strings.Contains(low, "coordinate") {
-				return nil, fmt.Errorf("graph: only coordinate MatrixMarket supported")
+				return fmt.Errorf("graph: only coordinate MatrixMarket supported")
 			}
-			pattern = strings.Contains(low, "pattern")
-			header = true
-			continue
+			pattern, header = strings.Contains(low, "pattern"), true
+			return nil
 		}
-		if strings.HasPrefix(text, "%") {
-			continue
+		if text[0] == '%' {
+			return nil
 		}
 		f := strings.Fields(text)
 		if !dims {
 			if len(f) < 3 {
-				return nil, fmt.Errorf("graph: mm line %d: malformed size line", line)
+				return fmt.Errorf("graph: mm line %d: malformed size line", line)
 			}
 			rows, err := strconv.Atoi(f[0])
 			if err != nil {
-				return nil, fmt.Errorf("graph: mm line %d: %v", line, err)
+				return fmt.Errorf("graph: mm line %d: %v", line, err)
 			}
 			cols, err := strconv.Atoi(f[1])
 			if err != nil {
-				return nil, fmt.Errorf("graph: mm line %d: %v", line, err)
+				return fmt.Errorf("graph: mm line %d: %v", line, err)
 			}
 			if rows != cols {
-				return nil, fmt.Errorf("graph: mm matrix must be square, got %dx%d", rows, cols)
+				return fmt.Errorf("graph: mm matrix must be square, got %dx%d", rows, cols)
 			}
-			n = rows
-			dims = true
-			continue
+			n, dims = rows, true
+			return nil
 		}
 		if len(f) < 2 {
-			return nil, fmt.Errorf("graph: mm line %d: malformed entry", line)
+			return fmt.Errorf("graph: mm line %d: malformed entry", line)
 		}
-		i64, err := strconv.ParseInt(f[0], 10, 32)
+		if pattern {
+			f = f[:2]
+		}
+		u, v, w, err := parseEdge(f, 1)
 		if err != nil {
-			return nil, fmt.Errorf("graph: mm line %d: %v", line, err)
+			return fmt.Errorf("graph: mm line %d: %v", line, err)
 		}
-		j64, err := strconv.ParseInt(f[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: mm line %d: %v", line, err)
+		if w = math.Abs(w); w == 0 {
+			return nil
 		}
-		w := 1.0
-		if !pattern && len(f) >= 3 {
-			w, err = strconv.ParseFloat(f[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("graph: mm line %d: %v", line, err)
-			}
-			if w < 0 {
-				w = -w
-			}
-			if w == 0 {
-				continue
-			}
-		}
-		u, v := int32(i64-1), int32(j64-1)
 		if u < 0 || v < 0 || int(u) >= n || int(v) >= n {
-			return nil, fmt.Errorf("graph: mm line %d: index out of range", line)
+			return fmt.Errorf("graph: mm line %d: index out of range", line)
 		}
 		edges = append(edges, Edge{U: u, V: v, W: w})
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	if !dims {

@@ -76,27 +76,22 @@ func (m *Manager) persist(j *Job, extra func(w *snapshot.Writer)) error {
 	return nil
 }
 
-// readJob decodes one job file into a fresh Job. The returned reader
-// still holds the container, so the caller can pull the bcstate section.
-func readJob(path string) (*Job, *snapshot.Reader, error) {
+// readJob decodes one job file into a fresh Job. restore, when non-nil,
+// decodes the file's bcstate section, if it has one; restored reports
+// whether it did.
+func readJob(path string, restore func(*snapshot.Decoder) error) (j *Job, restored bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, false, err
 	}
+	defer f.Close()
 	r, err := snapshot.NewReader(f)
-	f.Close()
 	if err != nil {
-		return nil, nil, err
+		return nil, false, err
 	}
-	d, err := r.Section(metaSec)
-	if err != nil {
-		return nil, nil, err
-	}
-	if v := d.U32(); d.Err() == nil && v != jobMetaVersion {
-		return nil, nil, fmt.Errorf("jobs: job meta version %d, this build reads %d: %w",
-			v, jobMetaVersion, snapshot.ErrVersionSkew)
-	}
-	j := &Job{wake: make(chan struct{})}
+	d := r.Section(metaSec)
+	d.Version("jobs: job meta", jobMetaVersion)
+	j = &Job{wake: make(chan struct{})}
 	j.id = d.Str()
 	j.spec.Kind = d.Str()
 	j.spec.Graph = d.Str()
@@ -113,9 +108,15 @@ func readJob(path string) (*Job, *snapshot.Reader, error) {
 	j.spec.Samples = int(d.I64())
 	j.spec.Seed = d.U64()
 	if err := d.Finish(); err != nil {
-		return nil, nil, err
+		return nil, false, err
 	}
-	return j, r, nil
+	if restore == nil || !r.Has(bcSec) {
+		return j, false, nil
+	}
+	if err := r.Close(restore(r.Section(bcSec))); err != nil {
+		return nil, false, err
+	}
+	return j, true, nil
 }
 
 // loadDir scans the state directory: every job file is decoded, terminal
@@ -142,7 +143,7 @@ func (m *Manager) loadDir() error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		j, _, err := readJob(filepath.Join(m.cfg.Dir, name))
+		j, _, err := readJob(filepath.Join(m.cfg.Dir, name), nil)
 		if err != nil {
 			return fmt.Errorf("jobs: load %s: %w", name, err)
 		}

@@ -344,22 +344,9 @@ func (m *Manager) runBC(ctx context.Context, j *Job, ref GraphRef, res *os.File,
 // restoreBC loads the bcstate section of j's on-disk checkpoint into c,
 // reporting whether there was one.
 func (m *Manager) restoreBC(j *Job, c *bc.Chunked) (bool, error) {
-	_, r, err := readJob(m.jobPath(j.id))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, err
-	}
-	if !r.Has(bcSec) {
+	_, restored, err := readJob(m.jobPath(j.id), c.RestoreState)
+	if os.IsNotExist(err) {
 		return false, nil
 	}
-	d, err := r.Section(bcSec)
-	if err != nil {
-		return false, err
-	}
-	if err := c.RestoreState(d); err != nil {
-		return false, err
-	}
-	return true, nil
+	return restored, err
 }

@@ -205,25 +205,21 @@ func (p *Plan) WriteTo(w io.Writer) (int64, error) {
 // version-skewed input is rejected with an error wrapping one of
 // snapshot's typed sentinels; it never panics on hostile bytes.
 func ReadPlan(r io.Reader) (p *Plan, err error) {
+	var sr *snapshot.Reader
 	defer func() {
 		if rec := recover(); rec != nil {
-			p, err = nil, snapshot.Corruptf("shard: plan decode panic: %v", rec)
+			err = snapshot.Corruptf("shard: plan decode panic: %v", rec)
+		}
+		if err != nil && sr != nil {
+			p, err = nil, sr.Close(err)
 		}
 	}()
-	sr, err := snapshot.NewReader(r)
-	if err != nil {
+	if sr, err = snapshot.NewReader(r); err != nil {
 		return nil, err
 	}
 
-	md, err := sr.Section("plan")
-	if err != nil {
-		return nil, err
-	}
-	ver := md.U32()
-	if md.Err() == nil && ver != planFormatVersion {
-		return nil, fmt.Errorf("shard: plan manifest format v%d, this build reads v%d: %w",
-			ver, planFormatVersion, snapshot.ErrVersionSkew)
-	}
+	md := sr.Section("plan")
+	md.Version("shard: plan manifest", planFormatVersion)
 	p = &Plan{Epoch: md.U64(), NumShards: md.I32()}
 	n := md.U64()
 	numB := md.U64()
@@ -240,10 +236,7 @@ func ReadPlan(r io.Reader) (p *Plan, err error) {
 	}
 	p.NumVertices = int(n)
 
-	ad, err := sr.Section("assign")
-	if err != nil {
-		return nil, err
-	}
+	ad := sr.Section("assign")
 	p.BlockShard = ad.I32s()
 	if err := ad.Finish(); err != nil {
 		return nil, err
@@ -257,10 +250,7 @@ func ReadPlan(r io.Reader) (p *Plan, err error) {
 		}
 	}
 
-	bd, err := sr.Section("bct")
-	if err != nil {
-		return nil, err
-	}
+	bd := sr.Section("bct")
 	p.CutVertices = bd.I32s()
 	p.BlockOf = bd.I32s()
 	p.BlockCuts = make([][]int32, numB)
@@ -268,9 +258,6 @@ func ReadPlan(r io.Reader) (p *Plan, err error) {
 	for b := uint64(0); b < numB; b++ {
 		p.BlockCuts[b] = bd.I32s()
 		p.BlockVerts[b] = bd.I32s()
-	}
-	if err := bd.Err(); err != nil {
-		return nil, err
 	}
 	if err := bd.Finish(); err != nil {
 		return nil, err
@@ -300,10 +287,7 @@ func ReadPlan(r io.Reader) (p *Plan, err error) {
 		}
 	}
 
-	at, err := sr.Section("aptable")
-	if err != nil {
-		return nil, err
-	}
+	at := sr.Section("aptable")
 	a := len(p.CutVertices)
 	if p.ap, err = apsp.DecodeTable(at, a*a, "plan AP table"); err != nil {
 		return nil, err

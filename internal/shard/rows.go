@@ -148,26 +148,22 @@ func rowsResponseLen(lens []int) int64 {
 // request that produced it: the epoch, the row count, each row's
 // (block, src) echo, and each row's length (from lens) must all match.
 // It reads at most one byte past the size the request implies; a longer
-// body is a corrupt response no retry can fix.
-func decodeRowsResponse(r io.Reader, wantEpoch uint64, reqs [][2]int32, lens []int) ([][]graph.Weight, error) {
+// body is a corrupt response no retry can fix, whatever else is wrong
+// with it.
+func decodeRowsResponse(r io.Reader, wantEpoch uint64, reqs [][2]int32, lens []int) (rows [][]graph.Weight, err error) {
 	limit := rowsResponseLen(lens)
 	body := &io.LimitedReader{R: r, N: limit + 1}
+	defer func() {
+		if io.Copy(io.Discard, body); body.N == 0 {
+			rows, err = nil, &noRetryError{snapshot.Corruptf("shard: rows response exceeds the %d bytes its request allows", limit)}
+		}
+	}()
 	sr, err := snapshot.NewReader(body)
-	if body.N == 0 {
-		return nil, &noRetryError{snapshot.Corruptf("shard: rows response exceeds the %d bytes its request allows", limit)}
-	}
 	if err != nil {
 		return nil, err
 	}
-	md, err := sr.Section("rmeta")
-	if err != nil {
-		return nil, err
-	}
-	ver := md.U32()
-	if md.Err() == nil && ver != rowsFormatVersion {
-		return nil, fmt.Errorf("shard: rows response format v%d, this build reads v%d: %w",
-			ver, rowsFormatVersion, snapshot.ErrVersionSkew)
-	}
+	md := sr.Section("rmeta")
+	md.Version("shard: rows response", rowsFormatVersion)
 	epoch := md.U64()
 	count := md.U64()
 	if err := md.Finish(); err != nil {
@@ -180,11 +176,8 @@ func decodeRowsResponse(r io.Reader, wantEpoch uint64, reqs [][2]int32, lens []i
 	if count != uint64(len(reqs)) {
 		return nil, snapshot.Corruptf("shard: rows response holds %d rows, request asked %d", count, len(reqs))
 	}
-	rd, err := sr.Section("rows")
-	if err != nil {
-		return nil, err
-	}
-	rows := make([][]graph.Weight, len(reqs))
+	rd := sr.Section("rows")
+	rows = make([][]graph.Weight, len(reqs))
 	for i, pair := range reqs {
 		b, src := rd.I32(), rd.I32()
 		vals := rd.F64s()

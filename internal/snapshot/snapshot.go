@@ -14,12 +14,12 @@
 //
 // where each table entry is a fixed 32-byte record (8-byte NUL-padded
 // name, uint64 offset, uint64 length, uint64 Checksum) and every integer
-// is little-endian. Each section's checksum is verified on
-// open, so corruption anywhere in a payload surfaces as ErrChecksum
-// before a single byte is decoded; truncation, bad offsets, and malformed
-// structure surface as ErrCorrupt; foreign files as ErrBadMagic; files
-// from an incompatible release as ErrVersionSkew. Loading never panics on
-// arbitrary bytes.
+// is little-endian. A Reader streams the sections and verifies each
+// one's checksum as it is read, so corruption anywhere in a payload
+// surfaces as ErrChecksum, even where the flipped byte also decodes to
+// nonsense; truncation, bad offsets, and malformed structure surface as
+// ErrCorrupt; foreign files as ErrBadMagic; files from an incompatible
+// release as ErrVersionSkew. Loading never panics on arbitrary bytes.
 //
 // Sections are built with an Encoder (append-only primitive writer) and
 // consumed with a Decoder (bounds-checked primitive reader with a sticky
@@ -36,6 +36,7 @@ import (
 	"io"
 	"io/fs"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -51,7 +52,8 @@ const (
 	headerLen  = len(Magic) + 4 + 4 // magic + version + section count
 	entryLen   = 32                 // name[8] + offset + length + checksum
 	nameLen    = 8
-	maxSection = 1 << 10 // sanity bound on the section count
+	maxSection = 1 << 10  // sanity bound on the section count
+	bufSize    = 64 << 10 // read-ahead of a section's scalars and short slices
 )
 
 // Typed failures of the snapshot surface. Callers match them with
@@ -166,94 +168,114 @@ func (w *Writer) WriteTo(out io.Writer) (int64, error) {
 // payload it expects from a peer can bound the read.
 func Overhead(sections int) int { return headerLen + entryLen*sections }
 
-// Reader parses a container, verifying every section checksum up front.
+// Reader streams a container's sections from its source in file order.
 type Reader struct {
-	secs map[string][]byte
+	src  io.Reader
+	ents []entry  // the section table, in file order
+	next int      // ents[next:] are unread
+	cur  *Decoder // the section being read, if any
 }
 
-// NewReader reads the whole stream and validates the container: magic,
-// version, table bounds, and the checksum of every section.
+type entry struct {
+	name             string
+	off, length, sum uint64
+}
+
+// NewReader reads the container's header and section table and holds
+// every entry against the size the source reports (Len, a regular file's
+// Stat, an *io.LimitedReader's N): the table must list the sections in
+// file order, within the source. A source that reports no size is read
+// whole first. Payload checksums are verified as each section is read.
 func NewReader(r io.Reader) (*Reader, error) {
-	data, err := readAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: read: %w", err)
+	size := int64(-1)
+	switch s := r.(type) {
+	case interface{ Len() int }:
+		size = int64(s.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := s.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = fi.Size()
+		}
+	case *io.LimitedReader:
+		size = s.N
 	}
-	if len(data) < len(Magic) {
-		return nil, fmt.Errorf("snapshot: %d-byte input: %w", len(data), ErrBadMagic)
+	if size < 0 {
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return nil, readErr("input", err)
+		}
+		r, size = bytes.NewReader(data), int64(len(data))
 	}
-	if string(data[:len(Magic)]) != Magic {
-		return nil, fmt.Errorf("snapshot: magic %q: %w", data[:len(Magic)], ErrBadMagic)
+	var head [headerLen]byte
+	if n, err := io.ReadFull(r, head[:]); n < len(Magic) || string(head[:len(Magic)]) != Magic {
+		return nil, fmt.Errorf("snapshot: magic %q: %w", head[:min(n, len(Magic))], ErrBadMagic)
+	} else if err != nil {
+		return nil, readErr("header", err)
 	}
-	if len(data) < headerLen {
-		return nil, fmt.Errorf("snapshot: truncated header: %w", ErrCorrupt)
-	}
-	if v := binary.LittleEndian.Uint32(data[len(Magic):]); v != Version {
+	if v := binary.LittleEndian.Uint32(head[len(Magic):]); v != Version {
 		return nil, fmt.Errorf("snapshot: container version %d, this build reads %d: %w", v, Version, ErrVersionSkew)
 	}
-	nsec := binary.LittleEndian.Uint32(data[len(Magic)+4:])
+	nsec := binary.LittleEndian.Uint32(head[len(Magic)+4:])
 	if nsec > maxSection {
 		return nil, fmt.Errorf("snapshot: %d sections: %w", nsec, ErrCorrupt)
 	}
-	tableEnd := headerLen + entryLen*int(nsec)
-	if len(data) < tableEnd {
-		return nil, fmt.Errorf("snapshot: truncated section table: %w", ErrCorrupt)
+	table := make([]byte, entryLen*nsec)
+	if _, err := io.ReadFull(r, table); err != nil {
+		return nil, readErr("section table", err)
 	}
-	rd := &Reader{secs: make(map[string][]byte, nsec)}
-	for i := 0; i < int(nsec); i++ {
-		ent := data[headerLen+entryLen*i:]
-		name := string(bytes.TrimRight(ent[:nameLen], "\x00"))
-		off := binary.LittleEndian.Uint64(ent[nameLen:])
-		length := binary.LittleEndian.Uint64(ent[nameLen+8:])
-		sum := binary.LittleEndian.Uint64(ent[nameLen+16:])
-		if off < uint64(tableEnd) || off > uint64(len(data)) || length > uint64(len(data))-off {
-			return nil, fmt.Errorf("snapshot: section %q spans [%d, %d+%d) outside the file: %w",
-				name, off, off, length, ErrCorrupt)
+	rd, end := &Reader{src: r, ents: make([]entry, nsec)}, uint64(headerLen+len(table))
+	for i := range rd.ents {
+		ent := table[entryLen*i:]
+		e := entry{string(bytes.TrimRight(ent[:nameLen], "\x00")), binary.LittleEndian.Uint64(ent[nameLen:]),
+			binary.LittleEndian.Uint64(ent[nameLen+8:]), binary.LittleEndian.Uint64(ent[nameLen+16:])}
+		if e.off != end || end > uint64(size) || e.length > uint64(size)-end {
+			return nil, fmt.Errorf("snapshot: section %q at [%d, %d+%d) is not the next %d-byte source's bytes: %w",
+				e.name, e.off, e.off, e.length, size, ErrCorrupt)
 		}
-		payload := data[off : off+length]
-		var got Checksum
-		if got.Write(payload); got.Sum64() != sum {
-			return nil, fmt.Errorf("snapshot: section %q: %w", name, ErrChecksum)
-		}
-		rd.secs[name] = payload
+		rd.ents[i], end = e, e.off+e.length
 	}
 	return rd, nil
 }
 
-// readAll is io.ReadAll with the buffer sized up front when the source
-// says how much it holds (a file, a bytes.Reader, a bytes.Buffer). The
-// size is only a capacity hint: a source that turns out shorter or longer
-// is still read to its end.
-func readAll(r io.Reader) ([]byte, error) {
-	size := -1
-	switch s := r.(type) {
-	case interface{ Len() int }:
-		size = s.Len()
-	case interface{ Stat() (fs.FileInfo, error) }:
-		if fi, err := s.Stat(); err == nil && fi.Mode().IsRegular() {
-			size = int(fi.Size())
-		}
-	}
-	if size < 0 {
-		return io.ReadAll(r)
-	}
-	// ReadFrom wants MinRead spare bytes before every Read, the one that
-	// returns io.EOF included.
-	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
-	_, err := buf.ReadFrom(r)
-	return buf.Bytes(), err
+// readErr types a failed read: the container is cut short or unreadable.
+func readErr(what string, err error) error {
+	return fmt.Errorf("snapshot: reading %s: %w: %w", what, err, ErrCorrupt)
 }
 
 // Has reports whether the container holds a section with that name.
-func (r *Reader) Has(name string) bool { _, ok := r.secs[name]; return ok }
+func (r *Reader) Has(name string) bool {
+	return slices.ContainsFunc(r.ents, func(e entry) bool { return e.name == name })
+}
 
-// Section returns a decoder over the named payload, or ErrCorrupt if the
-// section is absent.
-func (r *Reader) Section(name string) (*Decoder, error) {
-	b, ok := r.secs[name]
-	if !ok {
-		return nil, fmt.Errorf("snapshot: missing section %q: %w", name, ErrCorrupt)
+// Section returns a decoder over the named section, which must lie past
+// every section already opened: a missing one, or one behind, is a
+// decoder whose sticky error is ErrCorrupt. The section being read and
+// every section passed over are read through their checksums first; a
+// failure there is the sticky error.
+func (r *Reader) Section(name string) *Decoder {
+	i := slices.IndexFunc(r.ents, func(e entry) bool { return e.name == name })
+	if i < r.next {
+		return &Decoder{err: fmt.Errorf("snapshot: section %q missing or behind the read position: %w", name, ErrCorrupt)}
 	}
-	return &Decoder{b: b}, nil
+	for ; r.next <= i; r.next++ {
+		if err := r.Close(nil); err != nil {
+			return &Decoder{err: err}
+		}
+		r.cur = &Decoder{src: r.src, left: int(r.ents[r.next].length), ent: &r.ents[r.next]}
+	}
+	return r.cur
+}
+
+// Close reads the open section through its checksum and returns err,
+// unless the checksum fails: then a hook that found an impossible value
+// mid-section reports the flipped byte that explains it.
+func (r *Reader) Close(err error) error {
+	if d := r.cur; d != nil {
+		r.cur = nil
+		if cerr := d.drain(); cerr != nil && (err == nil || errors.Is(cerr, ErrChecksum)) {
+			return cerr
+		}
+	}
+	return err
 }
 
 // Encoder is an append-only little-endian primitive writer backing one
@@ -317,13 +339,19 @@ const borrowMin = 512
 // encoding, which is what lets F64s borrow a table.
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
+// bytesOf is s's memory as bytes: on a little-endian host, its encoding.
+// Encoder.F64s writes tables from it and Decoder.F64s reads them into it.
+func bytesOf(s []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 8*len(s))
+}
+
 // F64s appends a length-prefixed float64 slice. On a little-endian host a
 // slice of borrowMin values or more is borrowed, not copied: WriteTo reads
 // it in place, so s must not change until then (oracle tables never do).
 func (e *Encoder) F64s(s []float64) {
 	e.U64(uint64(len(s)))
 	if littleEndian && len(s) >= borrowMin {
-		e.runs = append(e.flush(), unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 8*len(s)))
+		e.runs = append(e.flush(), bytesOf(s))
 		return
 	}
 	raw := e.extend(8 * len(s))
@@ -353,43 +381,98 @@ func (e *Encoder) Bools(s []bool) {
 
 // Decoder is the bounds-checked mirror of Encoder. The first failed read
 // sets a sticky ErrCorrupt; subsequent reads return zero values, so decode
-// hooks can read a whole structure and check Err once at the end.
+// hooks can read a whole structure and check Err once at the end. A
+// section's decoder reads it from the source as it goes, through its
+// checksum. A decode that fails reads the rest of the section first, and
+// a checksum that does not match replaces the error: a flipped byte is
+// ErrChecksum, whatever it decoded to.
 type Decoder struct {
-	b   []byte
-	err error
+	b    []byte    // read, not yet decoded
+	src  io.Reader // the rest of the section; nil once drained
+	left int       // bytes src still holds of the section
+	buf  []byte    // b's storage
+	sum  Checksum  // of the bytes read from src
+	ent  *entry
+	err  error
 }
 
 // Err returns the sticky decode error, if any.
 func (d *Decoder) Err() error { return d.err }
 
-// Remaining returns the number of unread bytes.
-func (d *Decoder) Remaining() int { return len(d.b) }
+// remaining returns the number of unread bytes.
+func (d *Decoder) remaining() int { return len(d.b) + d.left }
 
 // Finish reports the sticky error, or ErrCorrupt if unread bytes remain —
-// a decoded structure must account for its whole section.
+// a decoded structure must account for its whole section — or
+// ErrChecksum.
 func (d *Decoder) Finish() error {
-	if d.err != nil {
-		return d.err
+	if n := d.remaining(); n != 0 {
+		d.failWith(fmt.Errorf("snapshot: %d trailing bytes after decode: %w", n, ErrCorrupt))
+	} else if d.err == nil {
+		d.err = d.drain()
 	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("snapshot: %d trailing bytes after decode: %w", len(d.b), ErrCorrupt)
+	return d.err
+}
+
+func (d *Decoder) fail(what string) {
+	d.failWith(fmt.Errorf("snapshot: truncated %s: %w", what, ErrCorrupt))
+}
+
+// failWith sets the sticky error, or ErrChecksum if the section fails it.
+func (d *Decoder) failWith(err error) {
+	if d.err == nil {
+		if cerr := d.drain(); errors.Is(cerr, ErrChecksum) {
+			err = cerr
+		}
+		d.err = err
+	}
+}
+
+// drain reads the rest of the section and checks its checksum, once.
+func (d *Decoder) drain() error {
+	if d.b = nil; d.src == nil {
+		return nil
+	}
+	_, err := io.CopyN(&d.sum, d.src, int64(d.left))
+	if d.src, d.left = nil, 0; err != nil {
+		return readErr(d.ent.name, err)
+	}
+	if d.sum.Sum64() != d.ent.sum {
+		return fmt.Errorf("snapshot: section %q: %w", d.ent.name, ErrChecksum)
 	}
 	return nil
 }
 
-func (d *Decoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("snapshot: truncated %s: %w", what, ErrCorrupt)
+// pull fills p with the section's next bytes, a read-ahead's worth at a
+// time: each chunk is checksummed while it is still in cache.
+func (d *Decoder) pull(p []byte) {
+	for len(p) > 0 && d.err == nil {
+		n, err := io.ReadFull(d.src, p[:min(len(p), bufSize)])
+		d.sum.Write(p[:n])
+		if d.left, p = d.left-n, p[n:]; err != nil {
+			d.src, d.err = nil, readErr(d.ent.name, err)
+		}
 	}
 }
 
+// take returns the next n bytes, valid until the next read.
 func (d *Decoder) take(n int, what string) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if len(d.b) < n {
+	if n > d.remaining() {
 		d.fail(what)
 		return nil
+	}
+	if len(d.b) < n { // keep the unread bytes, then read ahead
+		if cap(d.buf) < n {
+			d.buf = make([]byte, max(n, min(bufSize, d.remaining())))
+		}
+		k := copy(d.buf[:cap(d.buf)], d.b)
+		d.b = d.buf[:min(cap(d.buf), k+d.left)]
+		if d.pull(d.b[k:]); d.err != nil {
+			return nil
+		}
 	}
 	out := d.b[:n]
 	d.b = d.b[n:]
@@ -398,20 +481,18 @@ func (d *Decoder) take(n int, what string) []byte {
 
 // U32 reads a uint32.
 func (d *Decoder) U32() uint32 {
-	b := d.take(4, "uint32")
-	if b == nil {
-		return 0
+	if b := d.take(4, "uint32"); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b)
+	return 0
 }
 
 // U64 reads a uint64.
 func (d *Decoder) U64() uint64 {
-	b := d.take(8, "uint64")
-	if b == nil {
-		return 0
+	if b := d.take(8, "uint64"); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(b)
+	return 0
 }
 
 // I32 reads an int32.
@@ -423,11 +504,19 @@ func (d *Decoder) I64() int64 { return int64(d.U64()) }
 // F64 reads a float64.
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
+// Version reads a payload's format version: any value but want is a
+// sticky ErrVersionSkew, unless the section fails its checksum.
+func (d *Decoder) Version(what string, want uint32) {
+	if v := d.U32(); v != want && d.err == nil {
+		d.failWith(fmt.Errorf("%s format v%d, this build reads v%d: %w", what, v, want, ErrVersionSkew))
+	}
+}
+
 // Reserved reads a uint32 that every writer leaves 0; any other value is a
 // sticky ErrCorrupt.
 func (d *Decoder) Reserved(what string) {
 	if v := d.U32(); v != 0 && d.err == nil {
-		d.err = Corruptf("snapshot: %s %#x, reserved 0", what, v)
+		d.failWith(Corruptf("snapshot: %s %#x, reserved 0", what, v))
 	}
 }
 
@@ -442,37 +531,56 @@ func (d *Decoder) Count(elemBytes int) int {
 	if elemBytes < 1 {
 		elemBytes = 1
 	}
-	if n > uint64(len(d.b)/elemBytes) {
-		d.fail(fmt.Sprintf("count %d (elem %dB, %dB left)", n, elemBytes, len(d.b)))
+	if n > uint64(d.remaining()/elemBytes) {
+		d.fail(fmt.Sprintf("count %d (elem %dB, %dB left)", n, elemBytes, d.remaining()))
 		return 0
 	}
 	return int(n)
 }
 
 // I32s reads a length-prefixed int32 slice.
-func (d *Decoder) I32s() []int32 {
+func (d *Decoder) I32s() []int32 { return d.AppendI32s([]int32{}) }
+
+// AppendI32s reads a length-prefixed int32 slice onto the end of s, or
+// returns nil if the read fails: many slices decode into one array.
+func (d *Decoder) AppendI32s(s []int32) []int32 {
 	n := d.Count(4)
+	raw := d.take(4*n, "int32 slice")
 	if d.err != nil {
 		return nil
 	}
-	raw := d.take(4*n, "int32 slice")
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
+	s = slices.Grow(s, n)
+	for i := range n {
+		s = append(s, int32(binary.LittleEndian.Uint32(raw[4*i:])))
 	}
-	return out
+	return s
 }
 
-// F64s reads a length-prefixed float64 slice.
+// F64s reads a length-prefixed float64 slice into a new slice: a short
+// one through the read-ahead, a long one straight from the source. On a
+// little-endian host its bytes are its encoding.
 func (d *Decoder) F64s() []float64 {
 	n := d.Count(8)
 	if d.err != nil {
 		return nil
 	}
-	raw := d.take(8*n, "float64 slice")
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	raw := bytesOf(out)
+	if len(raw) < bufSize {
+		copy(raw, d.take(len(raw), "float64 slice"))
+	} else {
+		k := copy(raw, d.b)
+		if d.b = d.b[k:]; k < len(raw) {
+			d.pull(raw[k:])
+		}
+	}
+	if !littleEndian {
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+	}
+	if d.err != nil {
+		return nil
 	}
 	return out
 }
@@ -495,7 +603,7 @@ func (d *Decoder) Bools() []bool {
 	}
 	// Checked against the bytes left before the rounding below, which
 	// wraps to 0 for a count within 7 of 2⁶⁴.
-	if n64 > 8*uint64(len(d.b)) {
+	if n64 > 8*uint64(d.remaining()) {
 		d.fail(fmt.Sprintf("bool slice of %d", n64))
 		return nil
 	}

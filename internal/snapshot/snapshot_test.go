@@ -8,8 +8,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
+	"testing/iotest"
 	"unsafe"
 )
 
@@ -49,10 +51,7 @@ func TestRoundTrip(t *testing.T) {
 	if !r.Has("alpha") || !r.Has("beta") || r.Has("gamma") {
 		t.Fatalf("section presence wrong")
 	}
-	d, err := r.Section("alpha")
-	if err != nil {
-		t.Fatalf("Section: %v", err)
-	}
+	d := r.Section("alpha")
 	if got := d.U32(); got != 7 {
 		t.Errorf("U32 = %d", got)
 	}
@@ -87,7 +86,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := d.Finish(); err != nil {
 		t.Errorf("Finish: %v", err)
 	}
-	if _, err := r.Section("gamma"); !errors.Is(err, ErrCorrupt) {
+	if err := r.Section("gamma").Err(); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("missing section error = %v, want ErrCorrupt", err)
 	}
 }
@@ -108,13 +107,43 @@ func TestVersionSkew(t *testing.T) {
 	}
 }
 
+// decodeAll reads a buildContainer image the way a loader reads a file:
+// each section in turn, field by field, then Finish.
+func decodeAll(data []byte) error {
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	a := r.Section("alpha")
+	a.U32()
+	a.U64()
+	a.I32()
+	a.I64()
+	a.F64()
+	a.I32s()
+	a.F64s()
+	a.Bools()
+	if err := a.Finish(); err != nil {
+		return err
+	}
+	b := r.Section("beta")
+	b.I32s()
+	return b.Finish()
+}
+
+// Every payload flip is ErrChecksum, also one that turns a count into a
+// value the section cannot hold: a decode that fails mid-section reads
+// the rest and lets the checksum explain it.
 func TestChecksumCatchesPayloadFlips(t *testing.T) {
 	data := buildContainer(t)
+	if err := decodeAll(data); err != nil {
+		t.Fatal(err)
+	}
 	headerEnd := headerLen + 2*entryLen
 	for pos := headerEnd; pos < len(data); pos += 7 {
 		mut := append([]byte(nil), data...)
 		mut[pos] ^= 0x10
-		if _, err := NewReader(bytes.NewReader(mut)); !errors.Is(err, ErrChecksum) {
+		if err := decodeAll(mut); !errors.Is(err, ErrChecksum) {
 			t.Fatalf("flip at %d: err = %v, want ErrChecksum", pos, err)
 		}
 	}
@@ -123,13 +152,38 @@ func TestChecksumCatchesPayloadFlips(t *testing.T) {
 func TestTruncationIsTyped(t *testing.T) {
 	data := buildContainer(t)
 	for cut := 0; cut < len(data); cut += 5 {
-		_, err := NewReader(bytes.NewReader(data[:cut]))
+		err := decodeAll(data[:cut])
 		if err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 		if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrChecksum) {
 			t.Fatalf("truncation at %d: untyped error %v", cut, err)
 		}
+	}
+}
+
+// Sections stream in file order: a section passed over is still read
+// through its checksum, and one behind the read position is refused.
+func TestSectionsInFileOrder(t *testing.T) {
+	data := buildContainer(t)
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Section("beta").Err(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Section("alpha").Err(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("alpha after beta: err = %v, want ErrCorrupt", err)
+	}
+	mut := append([]byte(nil), data...)
+	mut[headerLen+2*entryLen+3] ^= 0x01 // in alpha
+	r, err = NewReader(bytes.NewReader(mut))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Section("beta").Err(); !errors.Is(err, ErrChecksum) {
+		t.Errorf("beta past a flipped alpha: err = %v, want ErrChecksum", err)
 	}
 }
 
@@ -248,8 +302,10 @@ type lenReader struct {
 
 func (l lenReader) Len() int { return l.n }
 
-// NewReader sizes its buffer from the source when it can; the size is a
-// hint, and every kind of source yields the same container.
+// NewReader holds the section table against the size its source reports.
+// A size that covers the container streams it; one that does not is
+// ErrCorrupt before a payload byte is read, and so is a table entry
+// longer than the file. A source that reports no size is read whole.
 func TestNewReaderSizedSources(t *testing.T) {
 	data := buildContainer(t)
 	path := filepath.Join(t.TempDir(), "c.snap")
@@ -261,36 +317,101 @@ func TestNewReaderSizedSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	sources := map[string]io.Reader{
-		"bytes.Reader":  bytes.NewReader(data),
-		"bytes.Buffer":  bytes.NewBuffer(data),
-		"no size":       io.MultiReader(bytes.NewReader(data)),
-		"Len too small": lenReader{bytes.NewReader(data), 1},
-		"Len too large": lenReader{bytes.NewReader(data), 4 * len(data)},
-		"Len negative":  lenReader{bytes.NewReader(data), -5},
-		"file":          f,
+	long := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(long[headerLen+entryLen+nameLen+8:], 1<<40) // beta's length
+	sources := map[string]struct {
+		src io.Reader
+		ok  bool
+	}{
+		"bytes.Reader":        {bytes.NewReader(data), true},
+		"bytes.Buffer":        {bytes.NewBuffer(data), true},
+		"no size":             {io.MultiReader(bytes.NewReader(data)), true},
+		"Len too large":       {lenReader{bytes.NewReader(data), 4 * len(data)}, true},
+		"Len negative":        {lenReader{bytes.NewReader(data), -5}, true},
+		"file":                {f, true},
+		"LimitedReader":       {&io.LimitedReader{R: bytes.NewReader(data), N: int64(len(data))}, true},
+		"Len too small":       {lenReader{bytes.NewReader(data), len(data) - 1}, false},
+		"LimitedReader short": {&io.LimitedReader{R: bytes.NewReader(data), N: int64(len(data) - 1)}, false},
+		"entry past the end":  {bytes.NewReader(long), false},
+		"entry past, no size": {io.MultiReader(bytes.NewReader(long)), false},
 	}
-	for name, src := range sources {
-		r, err := NewReader(src)
-		if err != nil {
-			t.Errorf("%s: %v", name, err)
-			continue
+	for name, c := range sources {
+		r, err := NewReader(c.src)
+		if err == nil {
+			if d := r.Section("alpha"); d.U32() != 7 {
+				t.Errorf("%s: first word wrong", name)
+			}
 		}
-		d, err := r.Section("alpha")
-		if err != nil {
+		if c.ok && err != nil {
 			t.Errorf("%s: %v", name, err)
-			continue
 		}
-		if got := d.U32(); got != 7 {
-			t.Errorf("%s: first word %d", name, got)
+		if !c.ok && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
-	// A file already read into: Stat's size overstates what is left.
-	if _, err := f.Seek(3, io.SeekStart); err != nil {
+	// The 2⁴⁰-byte entry is refused from the table alone.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = NewReader(bytes.NewReader(long))
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; !errors.Is(err, ErrCorrupt) || alloc > 4<<10 {
+		t.Errorf("entry past the end: err = %v after allocating %d bytes", err, alloc)
+	}
+}
+
+// A section longer than the read-ahead decodes the same from any source:
+// each primitive lands across a refill, and the source may hand over one
+// byte per Read.
+func TestDecodeAcrossReadAhead(t *testing.T) {
+	flags := make([]bool, 9*bufSize+5) // more bytes than one read-ahead holds
+	ints := make([]int32, bufSize/2+3)
+	short, long := make([]float64, 97), make([]float64, bufSize/4+1)
+	for i := range flags {
+		flags[i] = i%3 == 0
+	}
+	for i := range ints {
+		ints[i] = int32(i * 7)
+	}
+	for i := range long {
+		long[i] = float64(i) / 3
+	}
+	copy(short, long)
+	w := NewWriter()
+	e := w.Section("big")
+	pad := string(make([]byte, bufSize-13))
+	e.Str(pad)
+	e.U64(1 << 40)
+	e.Bools(flags)
+	e.Str(pad)
+	e.I32s(ints)
+	e.Str(pad[:bufSize-21])
+	e.F64s(short)
+	e.F64s(long)
+	e.Str("end")
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := readAll(f); err != nil || !bytes.Equal(got, data[3:]) {
-		t.Errorf("file read from offset 3: %d bytes, err %v, want %d", len(got), err, len(data)-3)
+	data := buf.Bytes()
+	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for name, src := range map[string]io.Reader{
+		"bytes.Reader":        bytes.NewReader(data),
+		"one byte per Read":   lenReader{iotest.OneByteReader(bytes.NewReader(data)), len(data)},
+		"read whole, unsized": iotest.HalfReader(bytes.NewReader(data)),
+	} {
+		r, err := NewReader(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		d := r.Section("big")
+		if d.Str() != pad || d.U64() != 1<<40 || !slices.Equal(d.Bools(), flags) || d.Str() != pad ||
+			!slices.Equal(d.I32s(), ints) || d.Str() != pad[:bufSize-21] ||
+			!slices.EqualFunc(d.F64s(), short, eq) || !slices.EqualFunc(d.F64s(), long, eq) || d.Str() != "end" {
+			t.Errorf("%s: decoded values differ (err %v)", name, d.Err())
+		}
+		if err := d.Finish(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }
 
@@ -384,10 +505,7 @@ func TestStrRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewReader: %v", err)
 	}
-	d, err := r.Section("strs")
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := r.Section("strs")
 	for _, want := range []string{"", "batch_matrix", "qe: overloaded, admission queue full", "héllo\x00world"} {
 		if got := d.Str(); got != want {
 			t.Errorf("Str() = %q, want %q", got, want)
