@@ -114,13 +114,22 @@ func (s *server) deltas(e *registry.Entry, r *http.Request) (interface{}, error)
 		return nil, &httpError{status: http.StatusServiceUnavailable,
 			err: fmt.Errorf("deltas are not available on a cluster frontend: re-plan with cmd/shardplan and roll the shards")}
 	}
-	isDefault := e.Name() == registry.DefaultGraph
+	// The default graph's save hook runs after a successful apply and
+	// before the swap: it rewrites -save-snapshot's file, then drops the
+	// basis, so no request can pair the old basis with the new graph.
 	var save func(*apsp.Oracle) error
-	if s.savePath != "" && isDefault {
+	var mcbInvalidated bool
+	if e.Name() == registry.DefaultGraph {
 		save = func(next *apsp.Oracle) error {
-			if err := saveOracleSnapshot(s.reg, s.savePath, next); err != nil {
-				return fmt.Errorf("save snapshot %s, nothing applied: %w", s.savePath, err)
+			if s.savePath != "" {
+				if err := saveOracleSnapshot(s.reg, s.savePath, next); err != nil {
+					return fmt.Errorf("save snapshot %s, nothing applied: %w", s.savePath, err)
+				}
 			}
+			s.mu.Lock()
+			mcbInvalidated = s.basis != nil
+			s.basis = nil
+			s.mu.Unlock()
 			return nil
 		}
 	}
@@ -130,14 +139,6 @@ func (s *server) deltas(e *registry.Entry, r *http.Request) (interface{}, error)
 			return nil, err // 400 bad_request, nothing applied
 		}
 		return nil, &httpError{status: http.StatusInternalServerError, err: err}
-	}
-
-	var mcbInvalidated bool
-	if isDefault {
-		s.mu.Lock()
-		mcbInvalidated = s.basis != nil
-		s.basis = nil
-		s.mu.Unlock()
 	}
 	return deltasResponse{
 		Applied:         len(ds),

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"net/http"
@@ -13,6 +14,8 @@ import (
 
 	"repro/internal/apsp"
 	"repro/internal/graph"
+	"repro/internal/registry"
+	"repro/internal/verify"
 )
 
 // TestDeltasEndpoint applies a mixed script over HTTP and asserts the
@@ -138,8 +141,14 @@ func TestDeltasInvalidateMCB(t *testing.T) {
 
 	getJSON(t, ts, "/v1/mcb/cycle?i=0", 200)
 	e0 := g.Edge(0)
-	out := postJSON(t, ts, "/v1/deltas",
-		fmt.Sprintf(`{"deltas":[{"op":"weight","edge":0,"weight":%g}]}`, float64(e0.W)+1), 200)
+	script := fmt.Sprintf(`{"deltas":[{"op":"weight","edge":0,"weight":%g}]}`, float64(e0.W)+1)
+	// The basis is dropped in the save hook, after the snapshot write: a
+	// failed save applies nothing and keeps it.
+	s.savePath = filepath.Join(t.TempDir(), "missing", "oracle.snap")
+	postJSON(t, ts, "/v1/deltas", script, 500)
+	getJSON(t, ts, "/v1/mcb/cycle?i=0", 200)
+	s.savePath = ""
+	out := postJSON(t, ts, "/v1/deltas", script, 200)
 	if out["mcb_invalidated"] != true {
 		t.Fatalf("response missing mcb_invalidated: %v", out)
 	}
@@ -147,6 +156,51 @@ func TestDeltasInvalidateMCB(t *testing.T) {
 	if h := getJSON(t, ts, "/v1/healthz", 200); h["mcb"] != false {
 		t.Fatalf("healthz still advertises mcb: %v", h)
 	}
+}
+
+// TestPathMidApply freezes a delta between Entry.Apply's two swaps: the
+// engine already serves the post-delta oracle, the entry still holds the
+// pre-delta one. Every /v1/path answer must still be a walk whose weight
+// is the distance it reports, and a vertex only the engine knows is a 400.
+func TestPathMidApply(t *testing.T) {
+	s, g, _ := testServer(t)
+	ts := httptest.NewServer(s.mux)
+	defer ts.Close()
+	n := int32(g.NumVertices())
+
+	e, err := s.registry.Acquire(context.Background(), registry.DefaultGraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Release()
+	ds := make([]apsp.Delta, 0, g.NumEdges()+1)
+	for i := int32(0); i < int32(g.NumEdges()); i++ {
+		ds = append(ds, apsp.Delta{Kind: apsp.DeltaWeight, Edge: i, W: 2*g.Edge(i).W + 1})
+	}
+	ds = append(ds, apsp.Delta{Kind: apsp.DeltaInsert, U: 0, V: n, W: 1})
+	next, _, err := e.Oracle().ApplyDelta(context.Background(), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Engine().SwapSource(next)
+
+	for u := int32(0); u < n; u++ {
+		for v := int32(0); v < n; v++ {
+			out := getJSON(t, ts, fmt.Sprintf("/v1/path?u=%d&v=%d", u, v), 200)
+			if out["reachable"] != true {
+				continue
+			}
+			raw := out["path"].([]interface{})
+			walk := make([]int32, len(raw))
+			for i, x := range raw {
+				walk[i] = int32(x.(float64))
+			}
+			if err := verify.Walk(g, walk, out["distance"].(float64)); err != nil {
+				t.Fatalf("path(%d,%d): %v", u, v, err)
+			}
+		}
+	}
+	getJSON(t, ts, fmt.Sprintf("/v1/path?u=0&v=%d", n), 400)
 }
 
 // TestDeltasUnderConcurrentTraffic hammers /v1/distance from several

@@ -495,11 +495,11 @@ func (s *server) path(e *registry.Entry, r *http.Request) (interface{}, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The distance goes through the engine — admission applies, and the
-	// pair is answered from the oracle's tables without building a row;
-	// reconstruction then walks the oracle directly.
-	d, err := e.Engine().Query(r.Context(), u, v)
-	if err != nil {
+	// The engine is the admission and validation gate; the distance and
+	// the walk then both come from one oracle read, so a delta swapping
+	// the engine's source and the entry's oracle one after the other
+	// cannot pair one oracle's distance with the other's walk.
+	if _, err := e.Engine().Query(r.Context(), u, v); err != nil {
 		return nil, err
 	}
 	o := e.Oracle()
@@ -510,8 +510,15 @@ func (s *server) path(e *registry.Entry, r *http.Request) (interface{}, error) {
 		return nil, &httpError{status: http.StatusServiceUnavailable,
 			err: fmt.Errorf("path reconstruction is not available on a cluster frontend; query a shard-backed monolith")}
 	}
-	walk, err := o.PathChecked(u, v)
-	if err != nil {
+	d, err := o.QueryChecked(u, v)
+	var walk []int32
+	if err == nil {
+		walk, err = o.PathChecked(u, v)
+	}
+	switch {
+	case errors.Is(err, apsp.ErrVertexRange):
+		return nil, err // 400 bad_request
+	case err != nil:
 		return nil, &httpError{status: http.StatusInternalServerError, err: err}
 	}
 	resp := pathResponse{U: u, V: v, Reachable: d < apsp.Inf}
@@ -570,6 +577,10 @@ func (s *server) batch(e *registry.Entry, r *http.Request) (interface{}, error) 
 // graph (built at boot with -mcb); named graphs answer 503 like a daemon
 // started without -mcb.
 func (s *server) mcbCycle(e *registry.Entry, r *http.Request) (interface{}, error) {
+	// The graph is read before the basis: a delta clears the basis before
+	// it swaps the graph, so a basis still present here was read with the
+	// graph it describes.
+	g := e.Graph()
 	var basis *mcb.Result
 	if e.Name() == registry.DefaultGraph {
 		basis = s.currentBasis()
@@ -578,7 +589,6 @@ func (s *server) mcbCycle(e *registry.Entry, r *http.Request) (interface{}, erro
 		return nil, &httpError{status: http.StatusServiceUnavailable,
 			err: fmt.Errorf("no cycle basis loaded (start with -mcb, invalidated by deltas)")}
 	}
-	g := e.Graph()
 	// ParseInt with a 32-bit size, like every other vertex/index parameter:
 	// Atoi on a 64-bit platform accepted values beyond int32 and let them
 	// reach the basis API as silently different numbers on 32-bit builds.

@@ -177,7 +177,7 @@ func (a *EarAPSP) Query(x, y int32) graph.Weight {
 	best = min3(best, dax, a.srAt(kax, kby), dby)
 	best = min3(best, dbx, a.srAt(kbx, kay), day)
 	best = min3(best, dbx, a.srAt(kbx, kby), dby)
-	if direct, _, ok := red.SameChain(x, y); ok && direct < best {
+	if direct, ok := red.SameChain(x, y); ok && direct < best {
 		best = direct
 	}
 	return best

@@ -1,7 +1,6 @@
 package apsp
 
 import (
-	"repro/internal/ear"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/sssp"
@@ -49,65 +48,70 @@ func pathTol(r graph.Weight) graph.Weight {
 	return pathTol64 * (1 + r)
 }
 
-// Path returns the vertices of a shortest x→y walk in the original graph,
-// including both endpoints, or nil if y is unreachable from x or either
-// vertex is out of range. Use PathChecked to distinguish those cases.
-func (a *EarAPSP) Path(x, y int32) []int32 {
-	w, err := a.PathChecked(x, y)
-	if err != nil {
-		return nil
-	}
-	return w
+// exit is one way from an in-block endpoint into G^r: kept vertex k,
+// reached at along-chain distance d by walking to chain position end.
+type exit struct {
+	k   int32
+	d   graph.Weight
+	end int32
 }
 
-// PathChecked is Path with validation: it returns ErrVertexRange (wrapped
-// in *QueryError) for out-of-range vertices, (nil, nil) when y is
-// unreachable from x, and otherwise the walk. It is safe for concurrent
-// callers.
-func (a *EarAPSP) PathChecked(x, y int32) ([]int32, error) {
-	if err := checkPair("Path", x, y, a.G.NumVertices()); err != nil {
-		return nil, err
+// exits returns v's exits and how many there are: a kept vertex is its own
+// one exit; a removed one leaves its chain at A (position 0) or B (position
+// L+1), at the Anchors distances.
+func (a *EarAPSP) exits(v int32) ([2]exit, int) {
+	red := a.Red
+	if k := red.OrigToKept[v]; k >= 0 {
+		return [2]exit{{k: k}}, 1
 	}
-	if x != y && a.Query(x, y) >= Inf {
-		return nil, nil
-	}
-	w, err := a.keptOrAnyPath(x, y)
-	if err != nil {
-		return nil, &QueryError{Op: "Path", U: x, V: y, N: a.G.NumVertices(), Err: ErrReconstruction}
-	}
-	return w, nil
+	av, bv, da, db := red.Anchors(v)
+	end := int32(len(red.Chains[red.ChainOf[v]].Interior)) + 1
+	return [2]exit{{red.OrigToKept[av], da, 0}, {red.OrigToKept[bv], db, end}}, 2
 }
 
-// keptOrAnyPath is the case analysis behind PathChecked and the oracle's
-// in-block hops: either endpoint may be kept or removed by the reduction.
-// The pair is in range; an unreachable one is ErrReconstruction.
-func (a *EarAPSP) keptOrAnyPath(x, y int32) ([]int32, error) {
+// appendPath appends the in-block x→y walk after x, which out already ends
+// with. It is the one in-block case analysis: the cheapest exit pair by
+// Query's sums — or the direct walk when x and y share a chain and that is
+// shorter — then x's chain segment to its exit, the kept walk between the
+// exits, and y's segment from its exit. The pair is in range; an
+// unreachable one is ErrReconstruction.
+func (a *EarAPSP) appendPath(out []int32, x, y int32) ([]int32, error) {
 	if x == y {
-		return []int32{x}, nil
-	}
-	if a.Query(x, y) >= Inf {
-		return nil, ErrReconstruction
+		return out, nil
 	}
 	red := a.Red
-	kx, ky := red.OrigToKept[x], red.OrigToKept[y]
-	switch {
-	case kx >= 0 && ky >= 0:
-		return a.keptPath(kx, ky)
-	case kx >= 0:
-		// walk from the kept side and reverse
-		w, err := a.removedToKeptPath(y, kx)
-		return reverseWalk(w), err
-	case ky >= 0:
-		return a.removedToKeptPath(x, ky)
+	ex, nx := a.exits(x)
+	ey, ny := a.exits(y)
+	best, bx, by := Inf, exit{}, exit{}
+	for _, e := range ex[:nx] {
+		for _, f := range ey[:ny] {
+			if s := addInf(e.d, a.srAt(e.k, f.k), f.d); s < best {
+				best, bx, by = s, e, f
+			}
+		}
 	}
-	return a.removedPairPath(x, y)
+	if direct, ok := red.SameChain(x, y); ok && direct < best {
+		return red.Chains[red.ChainOf[x]].AppendWalk(out, red.PosOf[x]+1, red.PosOf[y]+1), nil
+	}
+	if best >= Inf {
+		return out, ErrReconstruction
+	}
+	if ci := red.ChainOf[x]; ci >= 0 {
+		out = red.Chains[ci].AppendWalk(out, red.PosOf[x]+1, bx.end)
+	}
+	out, err := a.keptPath(out, bx.k, by.k)
+	if ci := red.ChainOf[y]; ci >= 0 && err == nil {
+		out = red.Chains[ci].AppendWalk(out, by.end, red.PosOf[y]+1)
+	}
+	return out, err
 }
 
-// keptPath reconstructs the walk between two kept vertices: a greedy
-// next-hop descent on the reduced graph, with every reduced edge expanded
-// to its chain. On greedy failure it falls back to keptPathExact.
-func (a *EarAPSP) keptPath(kx, ky int32) ([]int32, error) {
-	out := []int32{a.Red.KeptToOrig[kx]}
+// keptPath appends the walk between two kept vertices after kx's original
+// vertex, which out already ends with: a greedy next-hop descent on the
+// reduced graph, with every reduced edge expanded to its chain. On greedy
+// failure it falls back to keptPathExact.
+func (a *EarAPSP) keptPath(out []int32, kx, ky int32) ([]int32, error) {
+	start := len(out)
 	cur := kx
 	r := a.Red.R
 	adjNode, adjEdge := r.AdjNode(), r.AdjEdge()
@@ -115,7 +119,7 @@ func (a *EarAPSP) keptPath(kx, ky int32) ([]int32, error) {
 	// once; anything longer is a plateau oscillation.
 	for steps := 0; cur != ky; steps++ {
 		if steps > a.nr {
-			return a.keptPathExact(kx, ky)
+			return a.keptPathExact(out[:start], kx, ky)
 		}
 		remaining := a.srAt(cur, ky)
 		lo, hi := r.AdjacencyRange(cur)
@@ -142,35 +146,33 @@ func (a *EarAPSP) keptPath(kx, ky int32) ([]int32, error) {
 			}
 		}
 		if best < 0 {
-			return a.keptPathExact(kx, ky)
+			return a.keptPathExact(out[:start], kx, ky)
 		}
-		appendChainWalk(&out, a.Red, bestEdge, a.Red.KeptToOrig[cur])
+		out = a.appendChain(out, bestEdge, cur)
 		cur = best
 	}
 	return out, nil
 }
 
-// keptPathExact recomputes the kx→ky walk with a fresh Dijkstra run on the
-// reduced graph — the exact fallback when table-driven greedy descent is
-// defeated by float drift or zero-weight plateaus. It allocates per call
-// and is only reached on degenerate inputs.
-func (a *EarAPSP) keptPathExact(kx, ky int32) ([]int32, error) {
+// keptPathExact is keptPath by a fresh Dijkstra run on the reduced graph —
+// the exact fallback when table-driven greedy descent is defeated by float
+// drift or zero-weight plateaus. It allocates per call and is only reached
+// on degenerate inputs.
+func (a *EarAPSP) keptPathExact(out []int32, kx, ky int32) ([]int32, error) {
 	PathFallbacks.Inc()
 	res := sssp.Dijkstra(a.Red.R, kx, nil)
 	if res.Dist[ky] >= Inf {
-		return nil, ErrReconstruction
+		return out, ErrReconstruction
 	}
 	var redEdges []int32
 	for v := ky; v != kx; v = res.Parent[v] {
 		redEdges = append(redEdges, res.ParentEdge[v])
 	}
-	out := []int32{a.Red.KeptToOrig[kx]}
 	cur := kx
 	for i := len(redEdges) - 1; i >= 0; i-- {
 		eid := redEdges[i]
-		appendChainWalk(&out, a.Red, eid, a.Red.KeptToOrig[cur])
-		e := a.Red.R.Edge(eid)
-		if e.U == cur {
+		out = a.appendChain(out, eid, cur)
+		if e := a.Red.R.Edge(eid); e.U == cur {
 			cur = e.V
 		} else {
 			cur = e.U
@@ -179,116 +181,15 @@ func (a *EarAPSP) keptPathExact(kx, ky int32) ([]int32, error) {
 	return out, nil
 }
 
-// appendChainWalk expands reduced edge eid starting from original vertex
-// `from` (one of the chain's endpoints) and appends the walk, skipping the
-// duplicated first vertex.
-func appendChainWalk(out *[]int32, red *ear.Reduced, eid int32, from int32) {
-	c := &red.Chains[red.EdgeChain[eid]]
-	var walk []int32
-	if c.A == from {
-		walk = c.WalkFromA()
-	} else {
-		walk = c.WalkFromB()
+// appendChain appends reduced edge eid's chain walk after the end at kept
+// vertex k.
+func (a *EarAPSP) appendChain(out []int32, eid, k int32) []int32 {
+	c := &a.Red.Chains[a.Red.EdgeChain[eid]]
+	b := int32(len(c.Interior)) + 1
+	if c.A == a.Red.KeptToOrig[k] {
+		return c.AppendWalk(out, 0, b)
 	}
-	*out = append(*out, walk[1:]...)
-}
-
-// removedToKeptPath builds the walk from removed vertex x to kept vertex
-// (reduced ID kv).
-func (a *EarAPSP) removedToKeptPath(x int32, kv int32) ([]int32, error) {
-	red := a.Red
-	ax, bx, dax, dbx := red.Anchors(x)
-	ci := red.ChainOf[x]
-	c := &red.Chains[ci]
-	pos := red.PosOf[x]
-	viaA := addInf(dax, a.srAt(red.OrigToKept[ax], kv), 0)
-	viaB := addInf(dbx, a.srAt(red.OrigToKept[bx], kv), 0)
-	var out []int32
-	if viaA <= viaB {
-		out = append([]int32{}, c.SegmentToA(pos)...)
-		rest, err := a.keptPath(red.OrigToKept[ax], kv)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rest[1:]...)
-	} else {
-		out = append([]int32{}, c.SegmentToB(pos)...)
-		rest, err := a.keptPath(red.OrigToKept[bx], kv)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rest[1:]...)
-	}
-	return out, nil
-}
-
-// removedPairPath handles two removed vertices: the four anchor routes and
-// the direct along-chain walk when they share a chain.
-func (a *EarAPSP) removedPairPath(x, y int32) ([]int32, error) {
-	red := a.Red
-	ax, bx, dax, dbx := red.Anchors(x)
-	ay, by, day, dby := red.Anchors(y)
-	kax, kbx := red.OrigToKept[ax], red.OrigToKept[bx]
-	kay, kby := red.OrigToKept[ay], red.OrigToKept[by]
-	cx := &red.Chains[red.ChainOf[x]]
-	cy := &red.Chains[red.ChainOf[y]]
-	px, py := red.PosOf[x], red.PosOf[y]
-
-	type route struct {
-		cost     graph.Weight
-		xToA     bool // leave x toward chain endpoint A
-		yFromA   bool // enter y from chain endpoint A
-		anchorX  int32
-		anchorY  int32
-		sameWalk bool
-	}
-	best := route{cost: Inf}
-	consider := func(r route) {
-		if r.cost < best.cost {
-			best = r
-		}
-	}
-	consider(route{cost: addInf(dax, a.srAt(kax, kay), day), xToA: true, yFromA: true, anchorX: kax, anchorY: kay})
-	consider(route{cost: addInf(dax, a.srAt(kax, kby), dby), xToA: true, yFromA: false, anchorX: kax, anchorY: kby})
-	consider(route{cost: addInf(dbx, a.srAt(kbx, kay), day), xToA: false, yFromA: true, anchorX: kbx, anchorY: kay})
-	consider(route{cost: addInf(dbx, a.srAt(kbx, kby), dby), xToA: false, yFromA: false, anchorX: kbx, anchorY: kby})
-	if direct, _, ok := red.SameChain(x, y); ok {
-		consider(route{cost: direct, sameWalk: true})
-	}
-	if best.cost >= Inf {
-		return nil, nil
-	}
-	if best.sameWalk {
-		return cx.SegmentBetween(px, py), nil
-	}
-	var out []int32
-	if best.xToA {
-		out = append(out, cx.SegmentToA(px)...)
-	} else {
-		out = append(out, cx.SegmentToB(px)...)
-	}
-	mid, err := a.keptPath(best.anchorX, best.anchorY)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, mid[1:]...)
-	// enter y's chain from the chosen endpoint and walk to y
-	var entry []int32
-	if best.yFromA {
-		entry = reverseWalk(cy.SegmentToA(py)) // A ... y
-	} else {
-		entry = reverseWalk(cy.SegmentToB(py)) // B ... y
-	}
-	out = append(out, entry[1:]...)
-	return out, nil
-}
-
-func reverseWalk(w []int32) []int32 {
-	out := make([]int32, len(w))
-	for i, v := range w {
-		out[len(w)-1-i] = v
-	}
-	return out
+	return c.AppendWalk(out, b, 0)
 }
 
 // Path returns a shortest u→v walk in the full graph, stitched across
@@ -348,29 +249,26 @@ func (o *Oracle) path(u, v int32) ([]int32, error) {
 		if i+1 < len(nodes) {
 			to = o.BCT.CutVertices[nodes[i+1]-numB]
 		}
-		seg, err := o.blockPath(nd, out[len(out)-1], to)
-		if err != nil {
+		var err error
+		if out, err = o.blockPath(out, nd, out[len(out)-1], to); err != nil {
 			return nil, err
 		}
-		out = append(out, seg[1:]...)
 	}
 	return out, nil
 }
 
-// blockPath answers an in-block path in parent vertex IDs.
-func (o *Oracle) blockPath(bi int32, u, v int32) ([]int32, error) {
+// blockPath appends block bi's in-block u→v walk after u, in parent vertex
+// IDs.
+func (o *Oracle) blockPath(out []int32, bi int32, u, v int32) ([]int32, error) {
 	blk := o.Blocks[bi]
 	lu, lv := blk.local(u), blk.local(v)
 	if lu < 0 || lv < 0 {
-		return nil, ErrReconstruction
+		return out, ErrReconstruction
 	}
-	local, err := blk.Ear.keptOrAnyPath(lu, lv)
-	if err != nil {
-		return nil, err
+	start := len(out)
+	out, err := blk.Ear.appendPath(out, lu, lv)
+	for i := start; i < len(out); i++ {
+		out[i] = blk.Sub.ToParentVertex[out[i]]
 	}
-	out := make([]int32, len(local))
-	for i, x := range local {
-		out[i] = blk.Sub.ToParentVertex[x]
-	}
-	return out, nil
+	return out, err
 }

@@ -68,7 +68,8 @@ var benchWalk []int32
 // of the multi-block fixture — the forest chain plus one in-block greedy
 // walk per hop — with integral weights and with every weight divided by
 // 3. The ÷3 case is the one a tolerance too tight for the table's float
-// sums sends into the Dijkstra fallback. Recorded in CI, not gated.
+// sums sends into the Dijkstra fallback. CI gates its allocs/op: the walk
+// appends into one slice, so a per-segment copy would show.
 func BenchmarkOraclePath(b *testing.B) {
 	integral := benchBlocksGraph()
 	thirds := integral.Edges()

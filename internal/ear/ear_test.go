@@ -2,6 +2,7 @@ package ear
 
 import (
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -184,13 +185,33 @@ func TestReduceAnchors(t *testing.T) {
 		t.Fatalf("anchors %d/%d", a, bb)
 	}
 	// same-chain query
-	direct, chain, ok := red.SameChain(1, 3)
-	if !ok || direct != 7 || chain == nil {
-		t.Fatalf("same chain: %v %v %v", direct, chain, ok)
+	direct, ok := red.SameChain(1, 3)
+	if !ok || direct != 7 {
+		t.Fatalf("same chain: %v %v", direct, ok)
 	}
 	// different chains
-	if _, _, ok := red.SameChain(1, 5); ok {
+	if _, ok := red.SameChain(1, 5); ok {
 		t.Fatal("vertices on different chains reported as same")
+	}
+}
+
+func TestChainAppendWalk(t *testing.T) {
+	c := &Chain{A: 10, B: 20, Interior: []int32{1, 2, 3}}
+	for _, tc := range []struct {
+		i, j int32
+		want []int32
+	}{
+		{0, 4, []int32{1, 2, 3, 20}},
+		{4, 0, []int32{3, 2, 1, 10}},
+		{2, 0, []int32{1, 10}},
+		{2, 4, []int32{3, 20}},
+		{3, 1, []int32{2, 1}},
+		{2, 2, nil},
+	} {
+		got := c.AppendWalk([]int32{-1}, tc.i, tc.j)
+		if !slices.Equal(got, append([]int32{-1}, tc.want...)) {
+			t.Fatalf("AppendWalk(%d, %d) = %v, want -1 then %v", tc.i, tc.j, got, tc.want)
+		}
 	}
 }
 

@@ -212,18 +212,18 @@ func (r *Reduced) Anchors(x int32) (a, b int32, da, db graph.Weight) {
 }
 
 // SameChain reports whether two removed vertices lie on the same chain and,
-// if so, the absolute along-chain distance between them and the chain.
-func (r *Reduced) SameChain(x, y int32) (direct graph.Weight, c *Chain, ok bool) {
+// if so, the absolute along-chain distance between them.
+func (r *Reduced) SameChain(x, y int32) (direct graph.Weight, ok bool) {
 	cx, cy := r.ChainOf[x], r.ChainOf[y]
 	if cx < 0 || cx != cy {
-		return 0, nil, false
+		return 0, false
 	}
-	c = &r.Chains[cx]
+	c := &r.Chains[cx]
 	px, py := c.Prefix[r.PosOf[x]], c.Prefix[r.PosOf[y]]
 	if px > py {
 		px, py = py, px
 	}
-	return py - px, c, true
+	return py - px, true
 }
 
 // ExpandEdge rewrites a reduced edge back into the original edge IDs of its

@@ -1,60 +1,24 @@
 package ear
 
-// Chain segment extraction: the post-processing path reconstruction needs
-// the actual vertex sequences along a chain, not just distances. All
-// functions return original-graph vertex IDs in walking order, including
-// both endpoints.
-
-// SegmentToA returns the walk from interior position i to endpoint A:
-// Interior[i], Interior[i-1], ..., Interior[0], A.
-func (c *Chain) SegmentToA(i int32) []int32 {
-	out := make([]int32, 0, int(i)+2)
-	for j := i; j >= 0; j-- {
-		out = append(out, c.Interior[j])
-	}
-	return append(out, c.A)
-}
-
-// SegmentToB returns the walk from interior position i to endpoint B.
-func (c *Chain) SegmentToB(i int32) []int32 {
-	out := make([]int32, 0, len(c.Interior)-int(i)+1)
-	for j := int(i); j < len(c.Interior); j++ {
-		out = append(out, c.Interior[j])
-	}
-	return append(out, c.B)
-}
-
-// SegmentBetween returns the direct along-chain walk between interior
-// positions i and j (inclusive), in order from i to j.
-func (c *Chain) SegmentBetween(i, j int32) []int32 {
-	if i <= j {
-		out := make([]int32, 0, j-i+1)
-		for k := i; k <= j; k++ {
-			out = append(out, c.Interior[k])
+// AppendWalk appends the along-chain walk from position i to position j to
+// out, without i itself: the caller's walk already ends there. Positions
+// number the chain from A: A is 0, Interior[p] is p+1, and B is
+// len(Interior)+1. It returns original-graph vertex IDs in walking order.
+func (c *Chain) AppendWalk(out []int32, i, j int32) []int32 {
+	for i != j {
+		if i < j {
+			i++
+		} else {
+			i--
 		}
-		return out
-	}
-	out := make([]int32, 0, i-j+1)
-	for k := i; k >= j; k-- {
-		out = append(out, c.Interior[k])
+		switch {
+		case i == 0:
+			out = append(out, c.A)
+		case int(i) > len(c.Interior):
+			out = append(out, c.B)
+		default:
+			out = append(out, c.Interior[i-1])
+		}
 	}
 	return out
-}
-
-// WalkFromA returns the full chain walk A, Interior..., B.
-func (c *Chain) WalkFromA() []int32 {
-	out := make([]int32, 0, len(c.Interior)+2)
-	out = append(out, c.A)
-	out = append(out, c.Interior...)
-	return append(out, c.B)
-}
-
-// WalkFromB returns the full chain walk B, reversed Interior..., A.
-func (c *Chain) WalkFromB() []int32 {
-	out := make([]int32, 0, len(c.Interior)+2)
-	out = append(out, c.B)
-	for j := len(c.Interior) - 1; j >= 0; j-- {
-		out = append(out, c.Interior[j])
-	}
-	return append(out, c.A)
 }

@@ -648,10 +648,9 @@ func TestTreeInvariants(t *testing.T) {
 
 	// The round's trajectory (ROADMAP aim 2): non-test Go lines outside
 	// bench/, held under the bar the last PR to move it reached (lowered
-	// when the Djidjev baseline left internal/apsp and the collection
-	// listings took one paginator).
+	// when in-block paths took one route through endpoint exits).
 	t.Run("non-test LOC", func(t *testing.T) {
-		const bar = 20814
+		const bar = 20687
 		t.Logf("%d non-test lines outside bench/", loc)
 		if loc >= bar {
 			t.Errorf("%d non-test lines outside bench/, want < %d", loc, bar)
