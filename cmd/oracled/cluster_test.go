@@ -2,16 +2,19 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/apsp"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/qe"
 	"repro/internal/registry"
@@ -117,6 +120,71 @@ func TestClusterFrontendServes(t *testing.T) {
 	h := getJSON(t, ts, "/v1/healthz", 200)
 	if int(h["vertices"].(float64)) != n {
 		t.Fatalf("healthz vertices = %v, want %d", h["vertices"], n)
+	}
+}
+
+// TestClusterFrontendJobs runs jobs on a frontend, whose default graph
+// has an engine but no local graph: batch_matrix streams the fan-out's
+// rows, bc fails with jobs.ErrNoGraph, and the daemon keeps answering.
+func TestClusterFrontendJobs(t *testing.T) {
+	s, g, ref, _ := testFrontend(t, 0)
+	jm, err := jobs.Open(jobs.Config{
+		Dir: t.TempDir(),
+		Host: func(ctx context.Context, name string) (jobs.GraphRef, error) {
+			return s.registry.Acquire(ctx, name)
+		},
+		Known:       func(name string) bool { _, ok := s.registry.Info(name); return ok },
+		Concurrency: 1, Workers: 1, ChunkSize: 4,
+		Reg: s.reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		jm.Close(ctx)
+		cancel()
+	})
+	s.jobs = jm
+	ts := httptest.NewServer(s.mux)
+	defer ts.Close()
+
+	n := g.NumVertices()
+	id := postJSON(t, ts, "/v1/jobs", `{"kind":"batch_matrix"}`, 202)["id"].(string)
+	waitJobState(t, ts, id, "completed")
+	rr, err := ts.Client().Get(ts.URL + "/v1/jobs/" + id + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows int
+	for dec := json.NewDecoder(rr.Body); dec.More(); rows++ {
+		var row struct {
+			Source int
+			Dist   []float64
+		}
+		if err := dec.Decode(&row); err != nil {
+			t.Fatal(err)
+		}
+		if row.Source != rows || len(row.Dist) != n {
+			t.Fatalf("row %d: source %d, %d distances", rows, row.Source, len(row.Dist))
+		}
+		for v, d := range row.Dist {
+			if want := ref[row.Source*n+v]; d != want && !(want >= apsp.Inf && d == -1) {
+				t.Fatalf("d(%d,%d) = %v, want %v", row.Source, v, d, want)
+			}
+		}
+	}
+	rr.Body.Close()
+	if rows != n {
+		t.Fatalf("%d rows, want %d", rows, n)
+	}
+
+	id = postJSON(t, ts, "/v1/jobs", `{"kind":"bc"}`, 202)["id"].(string)
+	if st := waitJobState(t, ts, id, "failed"); st["error"] != jobs.ErrNoGraph.Error() {
+		t.Fatalf("bc on a frontend: error %v, want %q", st["error"], jobs.ErrNoGraph)
+	}
+	if got := getJSON(t, ts, "/v1/distance?u=0&v=5", 200)["distance"]; got != ref[5] {
+		t.Fatalf("distance(0,5) after the jobs = %v, want %v", got, ref[5])
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"time"
 
@@ -347,16 +346,6 @@ func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int
 	newG := graph.FromEdges(tr.n, tr.edges)
 	dec := bcc.Compute(newG)
 
-	oldToNew := make([]int32, o.G.NumEdges())
-	for i := range oldToNew {
-		oldToNew[i] = -1
-	}
-	for newID, oldID := range tr.origOf {
-		if oldID >= 0 {
-			oldToNew[oldID] = int32(newID)
-		}
-	}
-
 	edgeBlock := o.oldEdgeBlocks()
 	dirty := make(map[int32]bool)
 	for eid := range tr.weightChanged {
@@ -366,32 +355,22 @@ func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int
 		dirty[edgeBlock[eid]] = true
 	}
 
-	// Index clean old blocks by their remapped edge-ID sequence.
-	type oldBlock struct {
-		bi  int32
-		seq []int32
-	}
-	var seed maphash.Seed = maphash.MakeSeed()
-	reusable := make(map[uint64][]oldBlock)
-	for bi, comp := range o.Dec.Components {
-		if dirty[int32(bi)] {
-			continue
-		}
-		seq := make([]int32, len(comp))
-		for i, eid := range comp {
-			seq[i] = oldToNew[eid] // ≥ 0: a clean block has no deleted edge
-		}
-		h := hashI32s(seed, seq)
-		reusable[h] = append(reusable[h], oldBlock{int32(bi), seq})
-	}
-
+	// Old blocks share no edge, so the one old block a new component can
+	// reuse is the one its first edge came from: if no delta touched it
+	// and it holds the same edge sequence.
 	reused := make([]bool, len(dec.Components))
 	n, err := assemble(ctx, newG, dec, bcc.BuildBlockCutTree(newG, dec), nil, workers, func(ci int, sub *graph.Subgraph) (*EarAPSP, error) {
 		comp := dec.Components[ci]
-		for _, ob := range reusable[hashI32s(seed, comp)] {
-			if old := o.Blocks[ob.bi].Ear; i32sEqual(ob.seq, comp) && old.G.NumVertices() == sub.G.NumVertices() {
+		if first := tr.origOf[comp[0]]; first >= 0 && !dirty[edgeBlock[first]] {
+			bi := edgeBlock[first]
+			old := o.Dec.Components[bi]
+			same := len(old) == len(comp) && o.Blocks[bi].Ear.G.NumVertices() == sub.G.NumVertices()
+			for i := 0; same && i < len(comp); i++ {
+				same = tr.origOf[comp[i]] == old[i]
+			}
+			if same {
 				reused[ci] = true
-				return old, nil
+				return o.Blocks[bi].Ear, nil
 			}
 		}
 		return NewEarAPSPParallelCtx(ctx, sub.G, workers)
@@ -418,28 +397,4 @@ func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int
 		APRebuilt:       true,
 	}
 	return n, res, nil
-}
-
-func hashI32s(seed maphash.Seed, xs []int32) uint64 {
-	var h maphash.Hash
-	h.SetSeed(seed)
-	for _, x := range xs {
-		h.WriteByte(byte(x))
-		h.WriteByte(byte(x >> 8))
-		h.WriteByte(byte(x >> 16))
-		h.WriteByte(byte(x >> 24))
-	}
-	return h.Sum64()
-}
-
-func i32sEqual(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -15,8 +15,9 @@ import (
 // WriteShardSnapshot per shard. The carved snapshot keeps the full graph
 // and BCC partition — both cheap, and required so the shard rebuilds the
 // exact same subgraphs and vertex numbering as the monolith — but only
-// the owned blocks' ear reductions and S^r tables, which dominate the
-// oracle's memory.
+// the owned blocks' S^r tables, which dominate the oracle's memory. Each
+// owned block's ear reduction is re-derived on load with ear.Reduce, as
+// ReadOracle does.
 //
 // Because the tables are copied from the built oracle rather than
 // recomputed, a shard's in-block answers are bitwise identical to the
@@ -30,11 +31,11 @@ import (
 //	graph   the original graph's edge array
 //	bcc     per-component edge-ID lists + articulation flags
 //	owned   one flag per block: does this shard hold its tables
-//	blocks  for each owned block, ascending: ear reduction + S^r table
+//	blocks  for each owned block, ascending: S^r table
 
 // shardFormatVersion is the version of the shard snapshot payload layout,
 // checked independently of the container's own version.
-const shardFormatVersion = 1
+const shardFormatVersion = 2
 
 // ShardMeta identifies one shard's slice of a plan: which plan epoch the
 // tables were carved under, and which shard of how many this is. The
@@ -47,8 +48,8 @@ type ShardMeta struct {
 }
 
 // WriteShardSnapshot serialises the slice of the oracle owned by one
-// shard: the graph and BCC partition in full, plus ear reductions and
-// distance tables for exactly the blocks with owned[b] == true.
+// shard: the graph and BCC partition in full, plus the S^r tables of
+// exactly the blocks with owned[b] == true.
 func (o *Oracle) WriteShardSnapshot(w io.Writer, meta ShardMeta, owned []bool) (int64, error) {
 	if len(owned) != len(o.Blocks) {
 		return 0, fmt.Errorf("apsp: %d ownership flags for %d blocks", len(owned), len(o.Blocks))
@@ -79,7 +80,6 @@ func (o *Oracle) WriteShardSnapshot(w io.Writer, meta ShardMeta, owned []bool) (
 		if !owned[bi] {
 			continue
 		}
-		blk.Ear.Red.EncodeSnapshot(bl)
 		EncodeTable(bl, blk.Ear.SR)
 	}
 

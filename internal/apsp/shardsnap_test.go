@@ -34,7 +34,6 @@ func sealShard(t testing.TB, o *Oracle, flags uint32, owned func(*snapshot.Encod
 	bl := sw.Section("blocks")
 	for bi, blk := range o.Blocks {
 		if encoded[bi] {
-			blk.Ear.Red.EncodeSnapshot(bl)
 			table(bl, blk.Ear.SR)
 		}
 	}
@@ -43,6 +42,43 @@ func sealShard(t testing.TB, o *Oracle, flags uint32, owned func(*snapshot.Encod
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestShardSnapshotRejectsV1 hand-rolls a complete v1 shard payload, in
+// which every owned block's ear reduction precedes its table as chain
+// records, and checks it is refused as version skew: a shard carved by an
+// older planner is carved again.
+func TestShardSnapshotRejectsV1(t *testing.T) {
+	o := NewOracle(testGraphs(t)["chained-blocks"])
+	sw := snapshot.NewWriter()
+	md := sw.Section("meta")
+	md.U32(1)
+	md.U64(7) // epoch
+	md.I32(0)
+	md.I32(1)
+	md.U64(uint64(o.G.NumVertices()))
+	md.U64(uint64(len(o.Blocks)))
+	md.U64(uint64(o.numA))
+	md.U32(0) // flags
+	o.G.EncodeSnapshot(sw.Section("graph"))
+	o.encodeDecomposition(sw.Section("bcc"))
+	owned := make([]bool, len(o.Blocks))
+	for bi := range owned {
+		owned[bi] = true
+	}
+	sw.Section("owned").Bools(owned)
+	bl := sw.Section("blocks")
+	for _, blk := range o.Blocks {
+		encodeChains(bl, blk.Ear.Red)
+		EncodeTable(bl, blk.Ear.SR)
+	}
+	var buf bytes.Buffer
+	if _, err := sw.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadShardSnapshot(&buf); !errors.Is(err, snapshot.ErrVersionSkew) {
+		t.Fatalf("read shard v1: err = %v, want ErrVersionSkew", err)
+	}
 }
 
 // FuzzReadShardSnapshot: a shard snapshot is rejected with a typed error,

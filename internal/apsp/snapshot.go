@@ -14,12 +14,12 @@ import (
 
 // Oracle snapshots: build-once/serve-many persistence. WriteTo serialises
 // every expensive product of construction — the graph, the BCC edge
-// partition, the per-block ear reductions and S^r distance tables, and the
-// a×a articulation table — into one snapshot container. ReadOracle restores
-// an oracle that answers every query bit-identically to the one that was
-// written, without re-running any of the expensive build phases (no
-// Hopcroft–Tarjan, no ear reduction, no Dijkstra): the only work on load is
-// decoding plus cheap deterministic restructuring (CSR assembly, inverse
+// partition, the per-block S^r distance tables, and the a×a articulation
+// table — into one snapshot container. ReadOracle restores an oracle that
+// answers every query bit-identically to the one that was written,
+// without re-running the expensive build phases (no Hopcroft–Tarjan, no
+// Dijkstra): the only work on load is decoding plus cheap deterministic
+// derivation (CSR assembly, each block's linear ear reduction, inverse
 // maps, rooting the block-cut forest).
 //
 // Sections ("meta" first, the rest in fixed order):
@@ -27,21 +27,23 @@ import (
 //	meta    oracle format version, n, #blocks, a, total relaxations, flags (reserved 0)
 //	graph   the original graph's edge array
 //	bcc     per-component edge-ID lists + articulation flags
-//	blocks  per block: ear reduction, S^r table, relaxations, a sweep count (0)
+//	blocks  per block: S^r table, relaxations
 //	aptable the a×a table A behind its storage-kind tag
 //
 // Deliberately not stored, because each is a pure deterministic function
 // of the graph and the BCC partition that decode rebuilds with the same
 // code construction uses: the block-cut tree adjacency (bcc.BlockCutTree),
-// each block's Subgraph, the rooted block-cut forest (a stored forest could
-// disagree with the partition it is supposed to be derived from), and the
-// AP graph A was computed on (nothing reads it once A exists).
+// each block's Subgraph, each block's ear reduction (ear.Reduce, a linear
+// pass that re-derives faster than stored chain records decoded; DESIGN.md
+// §6 has the measurement), the rooted block-cut forest (a stored forest
+// could disagree with the partition it is supposed to be derived from),
+// and the AP graph A was computed on (nothing reads it once A exists).
 
 // oracleFormatVersion is the version of the oracle payload layout, checked
 // independently of the container's own version. Bump it whenever a
 // section's byte layout changes; readers reject any other version with
 // snapshot.ErrVersionSkew rather than guessing.
-const oracleFormatVersion = 3
+const oracleFormatVersion = 4
 
 // chainSection names the section older builds appended to a base oracle
 // to record the deltas applied since; a loader had to replay them. A
@@ -51,8 +53,11 @@ const chainSection = "deltas"
 
 // WriteTo serialises the oracle as a snapshot container, implementing
 // io.WriterTo. A post-delta oracle writes the same way as a built one:
-// the file holds the current state, and loading it replays nothing. It
-// records no metric: the daemon counts the saves it publishes.
+// the file holds the current state, and loading it replays nothing. No
+// block's ear reduction is written: ReadOracle re-derives it with
+// ear.Reduce, so an oracle whose blocks were reduced otherwise (the
+// identity reduction of NewBanerjee) does not load back. It records no
+// metric: the daemon counts the saves it publishes.
 func (o *Oracle) WriteTo(w io.Writer) (int64, error) {
 	sw := snapshot.NewWriter()
 
@@ -70,10 +75,8 @@ func (o *Oracle) WriteTo(w io.Writer) (int64, error) {
 
 	bl := sw.Section("blocks")
 	for _, blk := range o.Blocks {
-		blk.Ear.Red.EncodeSnapshot(bl)
 		EncodeTable(bl, blk.Ear.SR)
 		bl.I64(blk.Ear.Relaxations)
-		bl.U64(0) // frontier sweeps: no build runs the frontier kernel
 	}
 
 	EncodeTable(sw.Section("aptable"), o.A)
@@ -84,10 +87,12 @@ func (o *Oracle) WriteTo(w io.Writer) (int64, error) {
 // ReadOracle restores an oracle from a snapshot written by WriteTo. Corrupt,
 // truncated, or version-skewed input is rejected with an error wrapping one
 // of snapshot's typed sentinels (ErrBadMagic, ErrVersionSkew, ErrChecksum,
-// ErrCorrupt); ReadOracle never panics on hostile bytes. The loaded
-// oracle's BuildPhases holds one phase, "snapshot.load", and none of a
-// build's, so a process that only loads snapshots shows zero build
-// activity.
+// ErrCorrupt); ReadOracle never panics on hostile bytes. Each block's ear
+// reduction is re-run (ear.Reduce over the block's subgraph, as a build
+// does) and its stored S^r table must be nr×nr for it. The loaded
+// oracle's BuildPhases holds one phase, "snapshot.load", which covers
+// those reductions, and none of a build's, so a process that only loads
+// snapshots shows zero build activity.
 func ReadOracle(r io.Reader) (o *Oracle, err error) {
 	t0 := time.Now()
 	var sr *snapshot.Reader
@@ -133,14 +138,7 @@ func ReadOracle(r io.Reader) (o *Oracle, err error) {
 			return nil, err
 		}
 		ea.Relaxations = bd.I64()
-		sweeps := bd.U64()
-		if err := bd.Err(); err != nil {
-			return nil, err
-		}
-		if sweeps > 1<<40 {
-			return nil, snapshot.Corruptf("apsp: block %d sweep count %d", bi, sweeps)
-		}
-		return ea, nil
+		return ea, bd.Err()
 	})
 	if err != nil {
 		return nil, err
@@ -190,19 +188,17 @@ func (o *Oracle) encodeDecomposition(e *snapshot.Encoder) {
 	e.Bools(o.Dec.IsArticulation)
 }
 
-// decodeBlock reads one block's ear reduction and S^r table, the layout
-// oracle and shard snapshots share.
+// decodeBlock re-derives one block's ear reduction with the code a build
+// runs and reads its S^r table, the layout oracle and shard snapshots
+// share; the table must be nr×nr for the derived reduction.
 func decodeBlock(bd *snapshot.Decoder, sub *graph.Subgraph, bi int) (*EarAPSP, error) {
-	red, err := ear.DecodeReduced(bd, sub.G)
-	if err != nil {
-		return nil, err
-	}
+	red := ear.Reduce(sub.G, ear.APSP)
 	nr := red.R.NumVertices()
-	ea := &EarAPSP{G: sub.G, Red: red, nr: nr}
-	if ea.SR, err = DecodeTable(bd, nr*nr, "S^r"); err != nil {
+	sr, err := DecodeTable(bd, nr*nr, "S^r")
+	if err != nil {
 		return nil, fmt.Errorf("block %d: %w", bi, err)
 	}
-	return ea, nil
+	return &EarAPSP{G: sub.G, Red: red, SR: sr, nr: nr}, nil
 }
 
 // decodeStructure reads what an oracle snapshot and a shard snapshot both

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ear"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/snapshot"
@@ -161,16 +162,33 @@ func reservedWords(t testing.TB, o *Oracle) (oracles, shards [][]byte) {
 	return oracles, shards
 }
 
+// encodeChains writes red as the chain records payloads before v4
+// carried ahead of every block's table: the kept-vertex map, per chain its
+// anchors, interior vertices and edge IDs, then the reduced-edge→chain map.
+func encodeChains(e *snapshot.Encoder, red *ear.Reduced) {
+	e.I32s(red.KeptToOrig)
+	e.U64(uint64(len(red.Chains)))
+	for ci := range red.Chains {
+		c := &red.Chains[ci]
+		e.I32(c.A)
+		e.I32(c.B)
+		e.I32s(c.Interior)
+		e.I32s(c.Edges)
+	}
+	e.I32s(red.EdgeChain)
+}
+
 // TestOracleSnapshotRejectsV1 hand-rolls complete payloads in the
-// two retired layouts — v1 (no meta flags, untagged float64 tables) and v2
-// (flags and tagged tables); both with the stored forest and the AP graph
-// behind the table — and checks each is refused as version skew, not
-// half-decoded: there is no in-place migration, a snapshot from an older
-// release is rebuilt.
+// three retired layouts — v1 (no meta flags, untagged float64 tables), v2
+// (flags and tagged tables), both with the stored forest and the AP graph
+// behind the table, and v3 (neither) — each storing every block's ear
+// reduction as chain records ahead of its table, and checks each is
+// refused as version skew, not half-decoded: there is no in-place
+// migration, a snapshot from an older release is rebuilt.
 func TestOracleSnapshotRejectsV1(t *testing.T) {
 	o := NewOracle(testGraphs(t)["chained-blocks"])
 
-	// The AP graph of buildAPTable, which old payloads carried.
+	// The AP graph of buildAPTable, which v1 and v2 payloads carried.
 	apb := graph.NewBuilder(o.numA)
 	var edgeBlock []int32
 	for bi, blk := range o.Blocks {
@@ -186,7 +204,7 @@ func TestOracleSnapshotRejectsV1(t *testing.T) {
 	}
 	apGraph := apb.Build()
 
-	for _, version := range []uint32{1, 2} {
+	for _, version := range []uint32{1, 2, 3} {
 		table := func(e *snapshot.Encoder, f64 []graph.Weight) {
 			if version >= 2 {
 				e.U32(0) // table kind
@@ -207,20 +225,24 @@ func TestOracleSnapshotRejectsV1(t *testing.T) {
 		o.encodeDecomposition(sw.Section("bcc"))
 		bl := sw.Section("blocks")
 		for _, blk := range o.Blocks {
-			blk.Ear.Red.EncodeSnapshot(bl)
+			encodeChains(bl, blk.Ear.Red)
 			table(bl, blk.Ear.SR)
 			bl.I64(blk.Ear.Relaxations)
-			bl.U64(0)
+			bl.U64(0) // frontier sweeps
 		}
-		fe := sw.Section("forest")
-		fe.I32s(o.nodeParent)
-		fe.I32s(o.nodeDepth)
-		fe.I32s(o.nodeRoot)
+		if version < 3 {
+			fe := sw.Section("forest")
+			fe.I32s(o.nodeParent)
+			fe.I32s(o.nodeDepth)
+			fe.I32s(o.nodeRoot)
+		}
 		ae := sw.Section("aptable")
 		table(ae, o.A)
-		ae.U32(1)
-		apGraph.EncodeSnapshot(ae)
-		ae.I32s(edgeBlock)
+		if version < 3 {
+			ae.U32(1)
+			apGraph.EncodeSnapshot(ae)
+			ae.I32s(edgeBlock)
+		}
 		var buf bytes.Buffer
 		if _, err := sw.WriteTo(&buf); err != nil {
 			t.Fatalf("write v%d: %v", version, err)
@@ -286,10 +308,8 @@ func sealOracle(t testing.TB, o *Oracle, flags uint32, table func(*snapshot.Enco
 	decomp(sw.Section("bcc"))
 	bl := sw.Section("blocks")
 	for _, blk := range o.Blocks {
-		blk.Ear.Red.EncodeSnapshot(bl)
 		table(bl, blk.Ear.SR)
 		bl.I64(blk.Ear.Relaxations)
-		bl.U64(0)
 	}
 	apTable(sw.Section("aptable"))
 	if extra != nil {
@@ -302,7 +322,7 @@ func sealOracle(t testing.TB, o *Oracle, flags uint32, table func(*snapshot.Enco
 	return buf.Bytes()
 }
 
-// hostileSnapshot is a checksum-valid v3 container around an oracle's real
+// hostileSnapshot is a checksum-valid v4 container around an oracle's real
 // graph, partition and block tables that a writer never emits; corrupt
 // says whether ReadOracle must refuse it.
 type hostileSnapshot struct {
@@ -322,8 +342,9 @@ func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
 		// The v2 attack: a consistent rooted forest that is not the
 		// block-cut tree's — a leaf block re-hung under its grandparent
 		// block — passed every load check and CheckInvariants, then sent
-		// PlanPair's gate() - numB to -2. v3 derives the forest from the
-		// validated partition, so a stored one is an unknown section.
+		// PlanPair's gate() - numB to -2. Since v3 the forest is derived
+		// from the validated partition, so a stored one is an unknown
+		// section.
 		{"stored forest with a block under a block",
 			sealOracle(t, o, 0, EncodeTable, table, func(sw *snapshot.Writer) {
 				parent := append([]int32(nil), o.nodeParent...)

@@ -70,6 +70,9 @@ var (
 	ErrBadSpec    = errors.New("jobs: invalid spec")
 	ErrBadOffset  = errors.New("jobs: results offset not at a durable line boundary")
 	ErrClosed     = errors.New("jobs: manager closed")
+	// ErrNoGraph fails a job that needs the graph itself on a graph
+	// served without a local copy (a cluster frontend's).
+	ErrNoGraph = errors.New("jobs: graph has no local copy")
 )
 
 // Spec is the submitted description of a job. Graph names a registry
@@ -108,8 +111,9 @@ type Status struct {
 	UpdatedUnix  int64  `json:"updated_unix"`
 }
 
-// GraphRef is one acquired graph: the served graph, its query engine, and
-// the release of the reference that keeps both alive. registry.Entry
+// GraphRef is one acquired graph: the served graph (nil when it has no
+// local copy, as on a cluster frontend), its query engine, and the
+// release of the reference that keeps both alive. registry.Entry
 // satisfies it.
 type GraphRef interface {
 	Graph() *graph.Graph

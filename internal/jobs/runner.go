@@ -164,10 +164,10 @@ func (m *Manager) overloadWait(ctx context.Context, step time.Duration) (time.Du
 // NDJSON row per source, chunked through qe.BatchFlat so each chunk is
 // one admitted engine request reusing one flat buffer. Unreachable pairs
 // are -1, matching /v1/batch. Resume starts at the checkpointed source
-// index — rows and sources advance in lockstep for this kind.
+// index — rows and sources advance in lockstep for this kind. It reads
+// only the engine, so it runs on a cluster frontend's graph too.
 func (m *Manager) runBatchMatrix(ctx context.Context, j *Job, ref GraphRef, res *os.File, phases *obs.Phases) error {
-	g := ref.Graph()
-	n := g.NumVertices()
+	n := ref.Engine().NumVertices()
 	sources := j.spec.Sources
 	if len(sources) == 0 {
 		sources = bc.AllSources(n)
@@ -257,9 +257,13 @@ func appendMatrixRow(b []byte, i int64, source int32, dist []graph.Weight) []byt
 // restores the accumulation from the bcstate section; a restart
 // mid-emission recomputes nothing — done == total and the persisted
 // accumulation replays the remaining rows from the checkpointed row
-// count.
+// count. It runs Brandes over the graph itself, so a graph served with
+// no local copy (a cluster frontend's) fails the job with ErrNoGraph.
 func (m *Manager) runBC(ctx context.Context, j *Job, ref GraphRef, res *os.File, phases *obs.Phases) error {
 	g := ref.Graph()
+	if g == nil {
+		return ErrNoGraph
+	}
 	n := g.NumVertices()
 	var sources []int32
 	scale := 1.0

@@ -102,11 +102,11 @@ func ShortestPaths(g *Graph, workers int) (*APSPOracle, error) {
 
 // Oracle snapshots (build-once/serve-many persistence).
 //
-// A snapshot is one checksummed binary file holding everything oracle
-// construction produced — the graph, the per-block ear reductions and
-// distance tables, the block-cut forest, and the articulation table — so a
-// serving process can load it and answer its first query without running
-// any build phase. Corrupt, truncated, or version-skewed files are
+// A snapshot is one checksummed binary file holding what oracle
+// construction paid for — the graph, the BCC partition, the per-block
+// distance tables and the articulation table — so a serving process can
+// load it and answer its first query without running a build phase; the
+// per-block ear reductions and the block-cut forest are re-derived. Corrupt, truncated, or version-skewed files are
 // rejected with a typed error, never a panic.
 
 // WriteOracle serialises a built oracle to w.
