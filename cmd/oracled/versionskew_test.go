@@ -20,6 +20,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/jobs"
+	"repro/internal/registry"
 	"repro/internal/shard"
 	"repro/internal/snapshot"
 )
@@ -45,25 +46,8 @@ func asV1(data []byte) []byte {
 // the same bytes as a version-1 container are version skew — typed, and
 // over HTTP a 400 whose envelope names it.
 func TestV1ContainersRefused(t *testing.T) {
-	g := gen.ChainBlocks([]*graph.Graph{
-		gen.Ring(5, gen.Config{MaxWeight: 9}, gen.NewRNG(1)),
-		gen.Ring(6, gen.Config{MaxWeight: 9}, gen.NewRNG(2)),
-	}, gen.Config{MaxWeight: 9}, gen.NewRNG(3))
-	o := apsp.NewOracle(g)
-	p, err := shard.PlanShards(o, shard.PlanOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var oracle, shardSnap, plan, earg bytes.Buffer
-	if _, err := o.WriteTo(&oracle); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.WriteShardSnapshot(&shardSnap, apsp.ShardMeta{Epoch: p.Epoch, Shard: 0, NumShards: 2}, p.OwnedMask(0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.WriteTo(&plan); err != nil {
-		t.Fatal(err)
-	}
+	g, kinds := threeKinds(t)
+	var earg bytes.Buffer
 	if err := graph.WriteBinary(&earg, g); err != nil {
 		t.Fatal(err)
 	}
@@ -74,38 +58,22 @@ func TestV1ContainersRefused(t *testing.T) {
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 	put := func(data []byte) error {
-		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/graphs/up", bytes.NewReader(data))
-		if err != nil {
+		status, env, err := putGraph(ts, data)
+		if err != nil || status == http.StatusOK {
 			return err
 		}
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		var env struct{ Error, Code string }
-		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || resp.StatusCode == http.StatusOK {
-			return err
-		}
-		if resp.StatusCode == http.StatusBadRequest && env.Code == "bad_request" &&
+		if status == http.StatusBadRequest && env.Code == "bad_request" &&
 			strings.Contains(env.Error, snapshot.ErrVersionSkew.Error()) {
 			return fmt.Errorf("%s: %w", env.Error, snapshot.ErrVersionSkew)
 		}
-		return fmt.Errorf("HTTP %d %+v", resp.StatusCode, env)
+		return fmt.Errorf("HTTP %d %+v", status, env)
 	}
 
-	for _, c := range []struct {
-		name string
-		data []byte
-		read func([]byte) error
-	}{
-		{"oracle snapshot", oracle.Bytes(), func(b []byte) error { _, err := apsp.ReadOracle(bytes.NewReader(b)); return err }},
-		{"shard snapshot", shardSnap.Bytes(), func(b []byte) error { _, err := apsp.ReadShardSnapshot(bytes.NewReader(b)); return err }},
-		{"plan", plan.Bytes(), func(b []byte) error { _, err := shard.ReadPlan(bytes.NewReader(b)); return err }},
-		{".earg", earg.Bytes(), func(b []byte) error { _, err := graph.ReadBinary(bytes.NewReader(b)); return err }},
-		{"job file", job, openJobs},
-		{"PUT /v1/graphs/{name}", oracle.Bytes(), put},
-	} {
+	cases := append(kinds,
+		fileKind{name: ".earg", data: earg.Bytes(), read: func(b []byte) error { _, err := graph.ReadBinary(bytes.NewReader(b)); return err }},
+		fileKind{name: "job file", data: job, read: openJobs},
+		fileKind{name: "PUT /v1/graphs/{name}", data: kinds[0].data, read: put})
+	for _, c := range cases {
 		if err := c.read(c.data); err != nil {
 			t.Fatalf("%s as written: %v", c.name, err)
 		}
@@ -116,6 +84,103 @@ func TestV1ContainersRefused(t *testing.T) {
 	// The refused upload left the directory as the last good one did.
 	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != "up.snap" {
 		t.Errorf("snapshot directory after the refused upload: %v (%v)", ents, err)
+	}
+}
+
+// fileKind is one of the three files of a deployment: its bytes for a
+// small two-block oracle, its reader, and the oracled flag that loads it.
+type fileKind struct {
+	name, flag string
+	data       []byte
+	read       func([]byte) error
+}
+
+// threeKinds writes the oracle snapshot, shard 0's snapshot and the plan
+// manifest of a two-shard plan of one small graph.
+func threeKinds(t *testing.T) (*graph.Graph, []fileKind) {
+	g := gen.ChainBlocks([]*graph.Graph{
+		gen.Ring(5, gen.Config{MaxWeight: 9}, gen.NewRNG(1)),
+		gen.Ring(6, gen.Config{MaxWeight: 9}, gen.NewRNG(2)),
+	}, gen.Config{MaxWeight: 9}, gen.NewRNG(3))
+	o := apsp.NewOracle(g)
+	p, err := shard.PlanShards(o, shard.PlanOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var oracle, shardSnap, plan bytes.Buffer
+	if _, err := o.WriteTo(&oracle); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.WriteShardSnapshot(&shardSnap, apsp.ShardMeta{Epoch: p.Epoch, Shard: 0, NumShards: 2}, p.OwnedMask(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.WriteTo(&plan); err != nil {
+		t.Fatal(err)
+	}
+	return g, []fileKind{
+		{"oracle snapshot", "-load-snapshot", oracle.Bytes(),
+			func(b []byte) error { _, err := apsp.ReadOracle(bytes.NewReader(b)); return err }},
+		{"shard snapshot", "-shard-snapshot", shardSnap.Bytes(),
+			func(b []byte) error { _, err := apsp.ReadShardSnapshot(bytes.NewReader(b)); return err }},
+		{"plan manifest", "-cluster-plan", plan.Bytes(),
+			func(b []byte) error { _, err := shard.ReadPlan(bytes.NewReader(b)); return err }},
+	}
+}
+
+// putGraph uploads data as graph "up" and returns the status and, unless
+// it is 200, the error envelope.
+func putGraph(ts *httptest.Server, data []byte) (int, struct{ Error, Code string }, error) {
+	var env struct{ Error, Code string }
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/graphs/up", bytes.NewReader(data))
+	if err != nil {
+		return 0, env, err
+	}
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		return 0, env, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		err = json.NewDecoder(resp.Body).Decode(&env)
+	}
+	return resp.StatusCode, env, err
+}
+
+// TestWrongKindRefusedByName: the three files share one layout, and each
+// reader given either of the other two kinds refuses it with
+// snapshot.ErrWrongKind, naming the kind it found and the flag that
+// serves it. An upload of a shard snapshot or a plan stays a 400 whose
+// envelope says the snapshot is invalid.
+func TestWrongKindRefusedByName(t *testing.T) {
+	_, kinds := threeKinds(t)
+	for _, reader := range kinds {
+		for _, file := range kinds {
+			err := reader.read(file.data)
+			if reader.name == file.name {
+				if err != nil {
+					t.Errorf("%s: %v", file.name, err)
+				}
+				continue
+			}
+			if !errors.Is(err, snapshot.ErrWrongKind) || !strings.Contains(err.Error(), file.name) ||
+				!strings.Contains(err.Error(), file.flag) {
+				t.Errorf("%s given to the %s reader: err = %v, want ErrWrongKind naming %q and %s",
+					file.name, reader.name, err, file.name, file.flag)
+			}
+		}
+	}
+
+	dir, _, _ := snapDir(t)
+	s, _ := multiServer(t, dir, 4)
+	ts := httptest.NewServer(s.mux)
+	defer ts.Close()
+	for _, file := range kinds[1:] {
+		status, env, err := putGraph(ts, file.data)
+		if err != nil || status != http.StatusBadRequest || env.Code != "bad_request" ||
+			!strings.Contains(env.Error, registry.ErrBadSnapshot.Error()) || !strings.Contains(env.Error, file.flag) {
+			t.Errorf("PUT of a %s: HTTP %d %+v (%v), want 400 bad_request naming %q and %s",
+				file.name, status, env, err, registry.ErrBadSnapshot, file.flag)
+		}
 	}
 }
 

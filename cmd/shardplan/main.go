@@ -7,10 +7,14 @@
 //	shardplan -dataset Planar_1 -scale 0.02 -shards 4 -out cluster/
 //
 //	cluster/
-//	  plan.earplan    checksummed manifest: shard map, block-cut forest,
+//	  plan.earplan    checksummed manifest: shard map, graph + BCC partition
+//	                  (the frontend derives the block-cut forest from them),
 //	                  AP boundary table, content-derived plan epoch
-//	  shard-0.snap    shard 0's owned per-block ear reductions + tables
+//	  shard-0.snap    graph + BCC partition + shard 0's owned S^r tables
 //	  shard-1.snap    ...
+//
+// All three are the oracle snapshot's layout; each oracled flag refuses
+// the other kinds by name.
 //
 // Serve the result with one oracled per shard plus one frontend:
 //

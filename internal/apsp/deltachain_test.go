@@ -64,8 +64,8 @@ func TestDeltaChainRoundTrip(t *testing.T) {
 // appended for a loader to replay (chain format v1, no records: the
 // section's presence is what is refused, not its payload).
 func chainFile(t testing.TB, o *Oracle) []byte {
-	return sealOracle(t, o, 0, EncodeTable, func(e *snapshot.Encoder) { EncodeTable(e, o.A) }, func(sw *snapshot.Writer) {
-		d := sw.Section(chainSection)
+	return sealOracle(t, o, 0, encodeTable, func(e *snapshot.Encoder) { encodeTable(e, o.A) }, func(sw *snapshot.Writer) {
+		d := sw.Section("deltas")
 		d.U32(1)
 		d.U64(0)
 	}, nil)
@@ -85,5 +85,6 @@ func TestDeltaChainVersionSkew(t *testing.T) {
 // sentinels every hostile-input path must resolve to.
 func typedSnapshotErr(err error) bool {
 	return errors.Is(err, snapshot.ErrCorrupt) || errors.Is(err, snapshot.ErrChecksum) ||
-		errors.Is(err, snapshot.ErrBadMagic) || errors.Is(err, snapshot.ErrVersionSkew)
+		errors.Is(err, snapshot.ErrBadMagic) || errors.Is(err, snapshot.ErrVersionSkew) ||
+		errors.Is(err, snapshot.ErrWrongKind)
 }

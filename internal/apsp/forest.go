@@ -8,9 +8,9 @@ import "math/bits"
 // path between their blocks (Section 2.2). Node IDs: blocks are [0, B),
 // cut vertices are [B, B+a) by AP index.
 //
-// Both holders of a block-cut topology build it with BuildForest: the
-// oracle over its BlockCutTree, a shard plan over its manifest, so the
-// pair kernel (pair.go) looks gates up the same way on either.
+// assemble builds it over the oracle's BlockCutTree for every oracle —
+// built, loaded, or a plan manifest's table-less one — so the pair kernel
+// (pair.go) looks gates up the same way on a monolith and a frontend.
 type Forest struct {
 	nodeParent []int32
 	nodeDepth  []int32
@@ -21,12 +21,12 @@ type Forest struct {
 	upLevels int
 }
 
-// BuildForest roots the forest whose adjacency is blockCuts (block → AP
+// buildForest roots the forest whose adjacency is blockCuts (block → AP
 // indices on it) and cutBlocks (its reverse) by BFS from the lowest
 // unvisited node, and prepares binary lifting. Every node is visited once,
 // so the arrays are consistent — and navigation in bounds — even when a
-// hostile manifest's adjacency is not a forest.
-func BuildForest(blockCuts, cutBlocks [][]int32) Forest {
+// hostile snapshot's adjacency is not a forest.
+func buildForest(blockCuts, cutBlocks [][]int32) Forest {
 	numB := int32(len(blockCuts))
 	n := len(blockCuts) + len(cutBlocks)
 	f := Forest{

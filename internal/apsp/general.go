@@ -195,7 +195,7 @@ func assemble(ctx context.Context, g *graph.Graph, dec *bcc.Decomposition, bct *
 	o.buildLocIndex()
 	stop()
 	stop = ph.Start("forest")
-	o.Forest = BuildForest(bct.BlockCuts, bct.CutBlocks)
+	o.Forest = buildForest(bct.BlockCuts, bct.CutBlocks)
 	stop()
 	return o, nil
 }

@@ -116,7 +116,7 @@ func TestSnapshotLoadRecordsMetrics(t *testing.T) {
 
 func TestSnapshotVersionSkew(t *testing.T) {
 	w := snapshot.NewWriter()
-	w.Section("meta").U32(oracleFormatVersion + 7)
+	w.Section("meta").U32(formatVersion + 7)
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -136,30 +136,36 @@ func f32Table(e *snapshot.Encoder, t []graph.Weight) {
 	}
 }
 
-// reservedWords seals o's oracle and shard snapshots with a non-zero
-// reserved word: meta flag bit 0 over float64 tables, kind-1 tables under
-// flags 0, and both. ReadOracle and ReadShardSnapshot must refuse each as
-// corrupt.
-func reservedWords(t testing.TB, o *Oracle) (oracles, shards [][]byte) {
-	f64AP := func(e *snapshot.Encoder) { EncodeTable(e, o.A) }
+// reservedWords seals o's oracle snapshot, shard snapshot and plan
+// manifest with a non-zero reserved word: meta flag bit 0 over float64
+// tables, kind-1 tables under flags 0, and both. Each reader must refuse
+// each as corrupt.
+func reservedWords(t testing.TB, o *Oracle) (oracles, shards, plans [][]byte) {
+	f64AP := func(e *snapshot.Encoder) { encodeTable(e, o.A) }
 	f32AP := func(e *snapshot.Encoder) { f32Table(e, o.A) }
 	all := make([]bool, len(o.Blocks))
 	for bi := range all {
 		all[bi] = true
 	}
-	owned := func(e *snapshot.Encoder) { e.Bools(all) }
+	shard := clusterSection(7, 2, 0, fill(len(o.Blocks), 0))
+	plan := clusterSection(7, 2, Frontend, fill(len(o.Blocks), 0))
 	oracles = [][]byte{
-		sealOracle(t, o, 1, EncodeTable, f64AP, nil, nil),
+		sealOracle(t, o, 1, encodeTable, f64AP, nil, nil),
 		sealOracle(t, o, 0, f32Table, f32AP, nil, nil),
-		sealOracle(t, o, 0, EncodeTable, f32AP, nil, nil), // only the AP table
+		sealOracle(t, o, 0, encodeTable, f32AP, nil, nil), // only the AP table
 		sealOracle(t, o, 1, f32Table, f32AP, nil, nil),
 	}
 	shards = [][]byte{
-		sealShard(t, o, 1, owned, all, EncodeTable),
-		sealShard(t, o, 0, owned, all, f32Table),
-		sealShard(t, o, 1, owned, all, f32Table),
+		sealCluster(t, o, 1, shard, all, encodeTable, nil),
+		sealCluster(t, o, 0, shard, all, f32Table, nil),
+		sealCluster(t, o, 1, shard, all, f32Table, nil),
 	}
-	return oracles, shards
+	plans = [][]byte{
+		sealCluster(t, o, 1, plan, nil, nil, f64AP),
+		sealCluster(t, o, 0, plan, nil, nil, f32AP),
+		sealCluster(t, o, 1, plan, nil, nil, f32AP),
+	}
+	return oracles, shards, plans
 }
 
 // encodeChains writes red as the chain records payloads before v4
@@ -295,7 +301,7 @@ func sealOracle(t testing.TB, o *Oracle, flags uint32, table func(*snapshot.Enco
 	t.Helper()
 	sw := snapshot.NewWriter()
 	meta := sw.Section("meta")
-	meta.U32(oracleFormatVersion)
+	meta.U32(formatVersion)
 	meta.U64(uint64(o.G.NumVertices()))
 	meta.U64(uint64(len(o.Blocks)))
 	meta.U64(uint64(o.numA))
@@ -332,13 +338,13 @@ type hostileSnapshot struct {
 }
 
 func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
-	table := func(e *snapshot.Encoder) { EncodeTable(e, o.A) }
+	table := func(e *snapshot.Encoder) { encodeTable(e, o.A) }
 	return []hostileSnapshot{
 		{"AP table one entry short",
-			sealOracle(t, o, 0, EncodeTable, func(e *snapshot.Encoder) { EncodeTable(e, o.A[1:]) }, nil, nil), true},
+			sealOracle(t, o, 0, encodeTable, func(e *snapshot.Encoder) { encodeTable(e, o.A[1:]) }, nil, nil), true},
 		// Where v2 kept the AP graph.
 		{"bytes behind the AP table",
-			sealOracle(t, o, 0, EncodeTable, func(e *snapshot.Encoder) { table(e); e.U32(0) }, nil, nil), true},
+			sealOracle(t, o, 0, encodeTable, func(e *snapshot.Encoder) { table(e); e.U32(0) }, nil, nil), true},
 		// The v2 attack: a consistent rooted forest that is not the
 		// block-cut tree's — a leaf block re-hung under its grandparent
 		// block — passed every load check and CheckInvariants, then sent
@@ -346,7 +352,7 @@ func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
 		// from the validated partition, so a stored one is an unknown
 		// section.
 		{"stored forest with a block under a block",
-			sealOracle(t, o, 0, EncodeTable, table, func(sw *snapshot.Writer) {
+			sealOracle(t, o, 0, encodeTable, table, func(sw *snapshot.Writer) {
 				parent := append([]int32(nil), o.nodeParent...)
 				depth := append([]int32(nil), o.nodeDepth...)
 				leaf := int32(len(o.Blocks) - 1)
@@ -360,7 +366,7 @@ func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
 		// (count+7)/8 wraps to 0 bytes: a bounds check made after the
 		// rounding passes, and make([]bool, 2⁶⁴−1) panics.
 		{"articulation flag count that wraps the byte rounding",
-			sealOracle(t, o, 0, EncodeTable, table, nil, func(e *snapshot.Encoder) {
+			sealOracle(t, o, 0, encodeTable, table, nil, func(e *snapshot.Encoder) {
 				e.U64(uint64(len(o.Dec.Components)))
 				for _, comp := range o.Dec.Components {
 					e.I32s(comp)
@@ -377,7 +383,7 @@ func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
 func TestSnapshotHostilePayloads(t *testing.T) {
 	g := testGraphs(t)["chained-blocks"]
 	o := NewOracle(g)
-	oracles, shards := reservedWords(t, o)
+	oracles, shards, plans := reservedWords(t, o)
 	for i, data := range oracles {
 		if l, err := ReadOracle(bytes.NewReader(data)); l != nil || !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Errorf("reserved word oracle %d: err = %v, want ErrCorrupt", i, err)
@@ -386,6 +392,11 @@ func TestSnapshotHostilePayloads(t *testing.T) {
 	for i, data := range shards {
 		if s, err := ReadShardSnapshot(bytes.NewReader(data)); s != nil || !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Errorf("reserved word shard %d: err = %v, want ErrCorrupt", i, err)
+		}
+	}
+	for i, data := range plans {
+		if p, _, err := ReadPlan(bytes.NewReader(data)); p != nil || !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Errorf("reserved word plan %d: err = %v, want ErrCorrupt", i, err)
 		}
 	}
 	for _, h := range hostileSnapshots(t, o) {
@@ -405,7 +416,8 @@ func TestSnapshotHostilePayloads(t *testing.T) {
 
 // FuzzReadOracle: an oracle snapshot is rejected with a typed error, or
 // yields an oracle that passes CheckInvariants and answers every distance,
-// path and row without panicking.
+// path and row without panicking. The seeds hold the shard and plan kinds
+// too, so the wrong-kind refusal is mutated as well.
 func FuzzReadOracle(f *testing.F) {
 	cfg := gen.Config{MaxWeight: 7}
 	rng := gen.NewRNG(0xc0ffee)
@@ -421,7 +433,10 @@ func FuzzReadOracle(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 		f.Add(buf.Bytes()[:buf.Len()/2])
-		reserved, _ := reservedWords(f, o)
+		_, shard, plan := clusterFiles(f, o)
+		f.Add(shard)
+		f.Add(plan)
+		reserved, _, _ := reservedWords(f, o)
 		for _, data := range reserved {
 			f.Add(data)
 		}

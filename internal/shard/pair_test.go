@@ -34,7 +34,7 @@ func TestRemoteSourcePairMatchesMonolith(t *testing.T) {
 							tc.name, shards, u, v, got, want)
 					}
 					rows, calls := fetched.Value()-f0, rpcs.Value()-r0
-					bothAP := c.plan.cutIndex[u] >= 0 && c.plan.cutIndex[v] >= 0
+					bothAP := c.plan.StitchView().CutIndex[u] >= 0 && c.plan.StitchView().CutIndex[v] >= 0
 					if rows > 2 || calls > rows || (bothAP || u == v) && rows != 0 {
 						t.Fatalf("%s shards=%d Pair(%d,%d) fetched %d block rows in %d RPCs (both APs: %v)",
 							tc.name, shards, u, v, rows, calls, bothAP)
@@ -84,7 +84,7 @@ func TestPairShardUnavailableTyped(t *testing.T) {
 	failed, served := 0, 0
 	for u := int32(0); int(u) < p.NumVertices; u++ {
 		for v := int32(0); int(v) < p.NumVertices; v++ {
-			plan, _ := p.view.PlanPair(u, v)
+			plan, _ := p.StitchView().PlanPair(u, v)
 			needsDown := false
 			for _, e := range plan.Want[:plan.N] {
 				needsDown = needsDown || p.BlockShard[e.Block] == down

@@ -85,6 +85,10 @@ func TestPlanEpochDeterministic(t *testing.T) {
 	}
 }
 
+// TestPlanManifestRoundtrip: a plan read back from its manifest stitches
+// over the monolith's own view — every slice, A and the rooted forest —
+// because both come out of the one oracle assembly, and re-encodes to the
+// same bytes.
 func TestPlanManifestRoundtrip(t *testing.T) {
 	o := apsp.NewOracle(testGraph())
 	p, err := PlanShards(o, PlanOptions{Shards: 2})
@@ -99,20 +103,13 @@ func TestPlanManifestRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadPlan: %v", err)
 	}
-	if q.Epoch != p.Epoch || q.NumShards != p.NumShards || q.NumVertices != p.NumVertices {
-		t.Fatalf("header mismatch: %+v vs %+v", q, p)
+	if q.Epoch != p.Epoch || q.NumShards != p.NumShards || q.NumVertices != p.NumVertices ||
+		!reflect.DeepEqual(q.BlockOf, p.BlockOf) || !reflect.DeepEqual(q.BlockShard, p.BlockShard) {
+		t.Fatalf("plan fields differ after roundtrip: %+v vs %+v", q, p)
 	}
-	if !reflect.DeepEqual(q.CutVertices, p.CutVertices) ||
-		!reflect.DeepEqual(q.BlockOf, p.BlockOf) ||
-		!reflect.DeepEqual(q.BlockCuts, p.BlockCuts) ||
-		!reflect.DeepEqual(q.BlockVerts, p.BlockVerts) ||
-		!reflect.DeepEqual(q.BlockShard, p.BlockShard) {
-		t.Fatal("topology mismatch after roundtrip")
+	if !reflect.DeepEqual(q.StitchView(), o.StitchView()) {
+		t.Fatal("the loaded plan's stitch view differs from the monolith's")
 	}
-	if !reflect.DeepEqual(q.view, p.view) {
-		t.Fatal("stitch view (AP table, derived forest adjacency) differs after roundtrip")
-	}
-	// A second serialisation of the decoded plan is byte-identical.
 	var buf2 bytes.Buffer
 	if _, err := q.WriteTo(&buf2); err != nil {
 		t.Fatalf("re-encode: %v", err)
@@ -122,6 +119,11 @@ func TestPlanManifestRoundtrip(t *testing.T) {
 	}
 }
 
+// TestPlanManifestRejectsCorruption: a cut or flipped manifest is refused.
+// The hostile but checksum-valid manifests — epoch 0, no shards, an
+// assignment out of range, A of the wrong size or kind, a flags bit — are
+// apsp's: the reader that checks them is there (TestClusterSectionHostile,
+// TestSnapshotHostilePayloads).
 func TestPlanManifestRejectsCorruption(t *testing.T) {
 	o := apsp.NewOracle(testGraph())
 	p, err := PlanShards(o, PlanOptions{Shards: 2})
@@ -148,17 +150,6 @@ func TestPlanManifestRejectsCorruption(t *testing.T) {
 	}
 	if _, err := ReadPlan(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
-	}
-	// The flags word and the table kind are reserved zeros.
-	f64 := func(e *snapshot.Encoder) { apsp.EncodeTable(e, p.ap) }
-	if _, err := ReadPlan(bytes.NewReader(sealPlan(t, p, 0, f64))); err != nil {
-		t.Fatalf("hand-sealed manifest: %v", err)
-	}
-	kind1 := func(e *snapshot.Encoder) { e.U32(1); e.F64s(p.ap) }
-	for name, data := range map[string][]byte{"flag bit 0": sealPlan(t, p, 1, f64), "table kind 1": sealPlan(t, p, 0, kind1)} {
-		if q, err := ReadPlan(bytes.NewReader(data)); q != nil || !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
-		}
 	}
 }
 
@@ -194,7 +185,7 @@ func TestShardSnapshotRoundtrip(t *testing.T) {
 		// Owned block rows match the monolith's QueryParent bytes; unowned
 		// blocks refuse with the typed error.
 		for b := int32(0); int(b) < p.NumBlocks(); b++ {
-			verts := p.BlockVerts[b]
+			verts := p.StitchView().BlockVerts[b]
 			out := make([]graph.Weight, len(verts))
 			err := sb.BlockRow(b, verts[0], out)
 			if p.BlockShard[b] != s {
@@ -247,33 +238,4 @@ func TestReadPlanVersionSkew(t *testing.T) {
 	if !errors.Is(err, snapshot.ErrChecksum) && !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("err = %v, want a snapshot sentinel", err)
 	}
-}
-
-// sealPlan hand-writes p's manifest the way WriteTo does, except for the
-// flags word and the aptable section, which the caller supplies.
-func sealPlan(t *testing.T, p *Plan, flags uint32, apTable func(*snapshot.Encoder)) []byte {
-	t.Helper()
-	sw := snapshot.NewWriter()
-	md := sw.Section("plan")
-	md.U32(planFormatVersion)
-	md.U64(p.Epoch)
-	md.I32(p.NumShards)
-	md.U64(uint64(p.NumVertices))
-	md.U64(uint64(len(p.BlockShard)))
-	md.U64(uint64(len(p.CutVertices)))
-	md.U32(flags)
-	sw.Section("assign").I32s(p.BlockShard)
-	be := sw.Section("bct")
-	be.I32s(p.CutVertices)
-	be.I32s(p.BlockOf)
-	for b := range p.BlockShard {
-		be.I32s(p.BlockCuts[b])
-		be.I32s(p.BlockVerts[b])
-	}
-	apTable(sw.Section("aptable"))
-	var buf bytes.Buffer
-	if _, err := sw.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }

@@ -25,6 +25,7 @@ import (
 //	    rows   per row: block, src, in-block distance values
 //	→ 409 {"error": ..., "code": "plan_epoch_mismatch"} on epoch skew
 //	→ 400 {"error": ..., "code": "shard_misroute"} for unowned blocks
+//	→ 400 {"error": ..., "code": "bad_request"} for more rows than owned blocks
 //
 //	GET /internal/health
 //	→ 200 {"status": "ok", "epoch": ..., "shard": ..., ...}
@@ -79,6 +80,14 @@ func (h *Handler) Rows(w http.ResponseWriter, r *http.Request) {
 	if req.Epoch != meta.Epoch {
 		writeShardErr(w, http.StatusConflict, "plan_epoch_mismatch",
 			fmt.Sprintf("shard serves plan epoch %d, request carries %d", meta.Epoch, req.Epoch))
+		return
+	}
+	// A frontend asks one shard for at most one row per block (a stitched
+	// row wants each reached block once, a pair at most two blocks), so a
+	// longer batch is refused before any row is allocated.
+	if len(req.Rows) > h.sb.OwnedBlocks() {
+		writeShardErr(w, http.StatusBadRequest, "bad_request",
+			fmt.Sprintf("%d rows requested from a shard owning %d blocks", len(req.Rows), h.sb.OwnedBlocks()))
 		return
 	}
 

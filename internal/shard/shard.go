@@ -1,8 +1,8 @@
 // Package shard splits one oracle across processes along the block-cut
 // forest — the "millions of users" serving tier: N shard daemons each
-// hold the ear reductions and S^r tables of a subset of blocks, and one
-// frontend stitches their in-block answers at articulation points into
-// whole-graph distance rows that are byte-identical to the monolith's.
+// hold the S^r tables of a subset of blocks, and one frontend stitches
+// their in-block answers at articulation points into whole-graph distance
+// rows that are byte-identical to the monolith's.
 //
 // Why the block-cut forest is the shard boundary: a shortest path
 // between two vertices of one biconnected component never leaves it, and
@@ -10,27 +10,28 @@
 // pairwise distances live in the a×a table A. So the only state a whole-
 // graph row needs from block b is one in-block row — from the source if
 // the source lies on b, else from b's gateway cut vertex — and the
-// frontend can hold the (small) A table plus the forest topology while
-// the (large) per-block tables stay sharded. This is the Urakov–
+// frontend can hold the graph, its BCC partition and the (small) A table
+// while the (large) per-block tables stay sharded. This is the Urakov–
 // Timeryaev disassembly/assembly structure (PAPERS.md) applied to
 // serving rather than construction.
 //
 // The pieces:
 //
 //   - PlanShards cuts a built oracle into a Plan: block→shard assignment
-//     (balanced by table weight via internal/partition), the boundary
-//     table (articulation distances, forest topology, per-block vertex
-//     lists), and a content-derived plan epoch.
-//   - Plan.WriteTo / ReadPlan persist the plan manifest as a checksummed
-//     EARSNAPS container; apsp.WriteShardSnapshot carves the per-shard
-//     table snapshots.
+//     (balanced by table weight via internal/partition) and a
+//     content-derived plan epoch.
+//   - Plan.WriteTo / ReadPlan persist the plan manifest and
+//     apsp.WriteShardSnapshot carves the per-shard snapshots, all in the
+//     oracle snapshot's container layout. ReadPlan loads an oracle
+//     without block tables, so the frontend's stitch view is built by the
+//     code that builds the monolith's.
 //   - Handler serves POST /internal/rows on a shard daemon: batched
 //     per-block distance rows, plan-epoch validated, binary response so
 //     Inf and exact float bits survive the wire.
 //   - RemoteSource is the frontend's fan-out qe.CtxRowSource: it runs
 //     apsp's stitch kernel — the same code behind the monolith's Row —
-//     over the plan, supplying block rows from shard owners over HTTP
-//     (bounded retries with backoff, per-shard health), and surfaces
+//     over the plan's view, supplying block rows from shard owners over
+//     HTTP (bounded retries with backoff, per-shard health), and surfaces
 //     outages as typed errors instead of wrong answers.
 package shard
 

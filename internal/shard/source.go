@@ -75,10 +75,10 @@ func (st *shardState) markBad(msg string) {
 
 // RemoteSource is the frontend's distance-row source: it computes whole-
 // graph rows with apsp's stitch kernel — the code behind the monolith
-// oracle's Row — over the plan's view, fanning the block-row fetches the
-// kernel asks for out to the shard daemons that own them. The answers are
-// byte-identical to the monolith's, or a typed error; never silently
-// partial.
+// oracle's Row — over the plan's view, which is the monolith's (see
+// Plan), fanning the block-row fetches the kernel asks for out to the
+// shard daemons that own them. The answers are byte-identical to the
+// monolith's, or a typed error; never silently partial.
 //
 // It implements qe.RowSource, qe.CtxRowSource and qe.PairSource, so the
 // engine stack applies unchanged: Batch stitches one row per distinct
@@ -88,6 +88,7 @@ func (st *shardState) markBad(msg string) {
 // no rows, so the next request fetches afresh.
 type RemoteSource struct {
 	plan       *Plan
+	view       *apsp.StitchView // plan.StitchView()
 	client     *http.Client
 	maxRetries int
 	backoff    time.Duration
@@ -131,6 +132,7 @@ func NewRemoteSource(cfg SourceConfig) (*RemoteSource, error) {
 	}
 	s := &RemoteSource{
 		plan:       cfg.Plan,
+		view:       cfg.Plan.StitchView(),
 		client:     client,
 		maxRetries: maxRetries,
 		backoff:    backoff,
@@ -174,7 +176,7 @@ func (s *RemoteSource) NumVertices() int { return s.plan.NumVertices }
 
 // RowCost is the kernel's row-cost estimate, the same one the monolith
 // oracle reports; see apsp.StitchView.RowCost for why it is still here.
-func (s *RemoteSource) RowCost(u int32) int64 { return s.plan.view.RowCost(u) }
+func (s *RemoteSource) RowCost(u int32) int64 { return s.view.RowCost(u) }
 
 // ShardStatus is one shard's serving state, as reported by /v1/cluster.
 type ShardStatus struct {
@@ -223,7 +225,7 @@ func (s *RemoteSource) Row(u int32, out []graph.Weight) int64 {
 // is unspecified. An out-of-range u is a *apsp.QueryError wrapping
 // apsp.ErrVertexRange, with out untouched.
 func (s *RemoteSource) RowCtx(ctx context.Context, u int32, out []graph.Weight) (int64, error) {
-	return s.plan.view.Row(u, out, func(want []apsp.BlockWant, rows [][]graph.Weight) error {
+	return s.view.Row(u, out, func(want []apsp.BlockWant, rows [][]graph.Weight) error {
 		if err := s.fanOut(ctx, want, rows); err != nil {
 			return err
 		}
@@ -240,7 +242,7 @@ func (s *RemoteSource) RowCtx(ctx context.Context, u int32, out []graph.Weight) 
 // of them. Failures are typed exactly as RowCtx's; no distance is returned
 // with an error.
 func (s *RemoteSource) Pair(ctx context.Context, u, v int32) (graph.Weight, error) {
-	view := &s.plan.view
+	view := s.view
 	p, err := view.PlanPair(u, v)
 	if err != nil {
 		return apsp.Inf, err

@@ -173,7 +173,7 @@ func TestRemoteSourceMatchesMonolith(t *testing.T) {
 func pickCrossShardSource(t *testing.T, c *cluster, down int32) int32 {
 	p := c.plan
 	for u := int32(0); int(u) < p.NumVertices; u++ {
-		if p.cutIndex[u] >= 0 {
+		if p.StitchView().CutIndex[u] >= 0 {
 			continue
 		}
 		bu := p.BlockOf[u]
@@ -218,7 +218,7 @@ func TestShardUnavailableTyped(t *testing.T) {
 	// A source wholly on the surviving shard still answers exactly.
 	for u := int32(0); int(u) < c.plan.NumVertices; u++ {
 		bu := c.plan.BlockOf[u]
-		if c.plan.cutIndex[u] >= 0 || bu < 0 || c.plan.BlockShard[bu] == down {
+		if c.plan.StitchView().CutIndex[u] >= 0 || bu < 0 || c.plan.BlockShard[bu] == down {
 			continue
 		}
 		want := make([]graph.Weight, c.plan.NumVertices)

@@ -90,7 +90,7 @@ func TestOversizedResponseBounded(t *testing.T) {
 	}
 	// Every block of this plan is wanted by row 0's component at most once.
 	var lens []int
-	for _, vs := range c.plan.BlockVerts {
+	for _, vs := range c.plan.StitchView().BlockVerts {
 		lens = append(lens, len(vs))
 	}
 	if limit := int(rowsResponseLen(lens)); body.read > limit+1 {
@@ -116,10 +116,11 @@ func TestOversizedResponseBounded(t *testing.T) {
 // and the raw response body.
 func rowsExchange(t testing.TB, p *Plan, url string) (reqs [][2]int32, lens []int, raw []byte) {
 	t.Helper()
+	verts := p.StitchView().BlockVerts
 	for b := int32(0); int(b) < p.NumBlocks(); b++ {
 		if p.BlockShard[b] == 0 {
-			reqs = append(reqs, [2]int32{b, p.BlockVerts[b][0]})
-			lens = append(lens, len(p.BlockVerts[b]))
+			reqs = append(reqs, [2]int32{b, verts[b][0]})
+			lens = append(lens, len(verts[b]))
 		}
 	}
 	body, err := json.Marshal(rowsRequest{Epoch: p.Epoch, Rows: reqs})
@@ -144,9 +145,13 @@ func rowsExchange(t testing.TB, p *Plan, url string) (reqs [][2]int32, lens []in
 // container went to version 2: against v1 the bytes differ only in the
 // version word, the checksum slots and the content epoch those feed. The
 // shard snapshot alone was re-recorded when its payload went to v2 (no
-// ear reduction stored): the epoch, manifest and rows response did not
-// move, so frontends and shards of either build still interoperate. A
-// change here means old and new binaries no longer interoperate.
+// ear reduction stored). All four moved when the manifest and the shard
+// snapshot became the oracle snapshot's layout with a cluster section:
+// the manifest now holds the graph and partition instead of a block-cut
+// tree, so its content hash — the epoch — moved, and the rows response
+// differs from the one before only in the 8 bytes of that epoch in its
+// rmeta section and that section's checksum slot. A change here means old
+// and new binaries no longer interoperate.
 func TestWireGolden(t *testing.T) {
 	o := apsp.NewOracle(testGraph())
 	p, err := PlanShards(o, PlanOptions{Shards: 2})
@@ -175,10 +180,10 @@ func TestWireGolden(t *testing.T) {
 		what      string
 		got, want uint64
 	}{
-		{"plan epoch", p.Epoch, 0xacd0fa11d78880a2},
-		{"manifest bytes", crc64.Checksum(manifest.Bytes(), tab), 0xfe3f204c501f31ce},
-		{"shard 0 snapshot bytes", crc64.Checksum(snap.Bytes(), tab), 0x0b2ce7fe2d8fe686},
-		{"rows response bytes", crc64.Checksum(raw, tab), 0xc52434c570e04253},
+		{"plan epoch", p.Epoch, 0xfe610368d2a629d4},
+		{"manifest bytes", crc64.Checksum(manifest.Bytes(), tab), 0xd37b5a255f65327d},
+		{"shard 0 snapshot bytes", crc64.Checksum(snap.Bytes(), tab), 0xa043a15c18bb4ae4},
+		{"rows response bytes", crc64.Checksum(raw, tab), 0xc7bc96be629cdc0d},
 		{"rows response length", uint64(len(raw)), uint64(rowsResponseLen(lens))},
 	} {
 		if g.got != g.want {
@@ -187,10 +192,38 @@ func TestWireGolden(t *testing.T) {
 	}
 }
 
+// TestRowsBoundedByOwnedBlocks: a frontend asks a shard for at most one
+// row per block, so a batch longer than the shard's owned block count is
+// refused with 400 bad_request before a row is built, while one row per
+// owned block is served.
+func TestRowsBoundedByOwnedBlocks(t *testing.T) {
+	c := newCluster(t, testGraph(), 2, clusterOpts{})
+	p := c.plan
+	reqs, _, _ := rowsExchange(t, p, c.servers[0].URL) // one per owned block: 200
+	if len(reqs) != p.ShardBlockCount(0) {
+		t.Fatalf("exchange asked %d rows of a shard owning %d blocks", len(reqs), p.ShardBlockCount(0))
+	}
+	body, err := json.Marshal(rowsRequest{Epoch: p.Epoch, Rows: append(reqs, reqs[0])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(c.servers[0].URL+"/internal/rows", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env struct{ Error, Code string }
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil || resp.StatusCode != http.StatusBadRequest ||
+		env.Code != "bad_request" {
+		t.Fatalf("%d rows from a shard owning %d blocks: HTTP %d %+v (%v), want 400 bad_request",
+			len(reqs)+1, len(reqs), resp.StatusCode, env, err)
+	}
+}
+
 func typedWireErr(err error) bool {
 	return errors.Is(err, snapshot.ErrBadMagic) || errors.Is(err, snapshot.ErrVersionSkew) ||
 		errors.Is(err, snapshot.ErrChecksum) || errors.Is(err, snapshot.ErrCorrupt) ||
-		errors.Is(err, ErrEpochMismatch)
+		errors.Is(err, snapshot.ErrWrongKind) || errors.Is(err, ErrEpochMismatch)
 }
 
 // FuzzDecodeRowsResponse: whatever a shard sends back, the frontend's
@@ -222,34 +255,74 @@ func FuzzDecodeRowsResponse(f *testing.F) {
 	})
 }
 
+// cyclicManifest hand-writes a manifest that passes every load check yet
+// whose block-cut topology is no forest: a triangle whose three edges are
+// three components, every vertex flagged an articulation point, so three
+// blocks form a cycle through three APs. Its payload version is read off
+// a real manifest.
+func cyclicManifest(t testing.TB, manifest []byte) []byte {
+	sr, err := snapshot.NewReader(bytes.NewReader(manifest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	version := sr.Section("meta").U32()
+	sw := snapshot.NewWriter()
+	md := sw.Section("meta")
+	md.U32(version)
+	md.U64(3) // vertices
+	md.U64(3) // blocks
+	md.U64(3) // articulation points
+	md.I64(0) // relaxations
+	md.U32(0) // flags
+	ce := sw.Section("cluster")
+	ce.U64(1) // epoch
+	ce.I32(1) // shards
+	ce.I32(apsp.Frontend)
+	ce.I32s([]int32{0, 0, 0})
+	graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 0, W: 1}}).
+		EncodeSnapshot(sw.Section("graph"))
+	bd := sw.Section("bcc")
+	bd.U64(3)
+	for e := int32(0); e < 3; e++ {
+		bd.I32s([]int32{e})
+	}
+	bd.Bools([]bool{true, true, true})
+	sw.Section("blocks") // a plan holds no block tables
+	at := sw.Section("aptable")
+	at.U32(0) // table kind
+	at.F64s(make([]graph.Weight, 9))
+	var buf bytes.Buffer
+	if _, err := sw.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // FuzzReadPlan: a manifest is rejected with a typed error or yields a
-// plan the stitch kernel can walk from any source without panicking.
+// plan the stitch kernel can walk from any source without panicking. The
+// seeds hold an oracle and a shard snapshot too, so the wrong-kind
+// refusal is mutated as well.
 func FuzzReadPlan(f *testing.F) {
-	var mbuf bytes.Buffer
-	if _, err := newCluster(f, testGraph(), 1, clusterOpts{}).plan.WriteTo(&mbuf); err != nil {
+	c := newCluster(f, testGraph(), 1, clusterOpts{})
+	var mbuf, obuf, sbuf bytes.Buffer
+	if _, err := c.plan.WriteTo(&mbuf); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := c.o.WriteTo(&obuf); err != nil {
+		f.Fatal(err)
+	}
+	meta := apsp.ShardMeta{Epoch: c.plan.Epoch, Shard: 0, NumShards: 1}
+	if _, err := c.o.WriteShardSnapshot(&sbuf, meta, c.plan.OwnedMask(0)); err != nil {
 		f.Fatal(err)
 	}
 	manifest := mbuf.Bytes()
-	f.Add(manifest)
-	f.Add(manifest[:len(manifest)/3])
-	f.Add([]byte(snapshot.Magic))
-	// A manifest that passes every range check yet is no block-cut forest:
-	// three blocks in a cycle through three APs, and BlockOf naming blocks
-	// their vertices are not on.
-	hostile := &Plan{
-		Epoch: 1, NumShards: 1, NumVertices: 4,
-		CutVertices: []int32{1, 2, 3},
-		BlockOf:     []int32{0, 1, 2, 3},
-		BlockCuts:   [][]int32{{0, 1}, {1, 2}, {2, 0}, {}},
-		BlockVerts:  [][]int32{{1, 2}, {2, 3}, {3, 1}, {0}},
-		BlockShard:  []int32{0, 0, 0, 0},
-		ap:          make([]graph.Weight, 9),
+	cyclic := cyclicManifest(f, manifest)
+	if _, err := ReadPlan(bytes.NewReader(cyclic)); err != nil {
+		f.Fatalf("cyclic manifest refused: %v", err)
 	}
-	var hbuf bytes.Buffer
-	if _, err := hostile.WriteTo(&hbuf); err != nil {
-		f.Fatal(err)
+	for _, seed := range [][]byte{manifest, manifest[:len(manifest)/3], []byte(snapshot.Magic), cyclic, obuf.Bytes(), sbuf.Bytes()} {
+		f.Add(seed)
 	}
-	f.Add(hbuf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadPlan(bytes.NewReader(data))
 		if err != nil {
@@ -268,7 +341,7 @@ func FuzzReadPlan(f *testing.F) {
 			return nil
 		}
 		for u := 0; u < p.NumVertices && u < 64; u++ {
-			if _, err := p.view.Row(int32(u), out, zero); err != nil {
+			if _, err := p.StitchView().Row(int32(u), out, zero); err != nil {
 				t.Fatalf("kernel row %d over an accepted plan: %v", u, err)
 			}
 		}

@@ -71,6 +71,10 @@ var (
 	// section table entries, missing sections, or payloads that decode to
 	// impossible values.
 	ErrCorrupt = errors.New("snapshot: corrupt or truncated")
+	// ErrWrongKind reports a well-formed file of another kind than the
+	// reader loads: a shard snapshot given where an oracle snapshot is
+	// expected, say.
+	ErrWrongKind = errors.New("snapshot: wrong kind of file")
 )
 
 // Corruptf builds an error wrapping ErrCorrupt, for decode hooks that

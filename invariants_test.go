@@ -371,6 +371,7 @@ func TestTreeInvariants(t *testing.T) {
 			"apiError", "phaseRecorder",
 			"ListPage", "RefinePasses", "weightsAgree",
 			"DecodeReduced", "hashI32s", "i32sEqual",
+			"derive", "planFormatVersion", "shardFormatVersion", "oracleFormatVersion", "BuildForest",
 		} {
 			deleted[name] = true
 		}
@@ -387,6 +388,8 @@ func TestTreeInvariants(t *testing.T) {
 			"Encoder.F32s": true, "Decoder.F32s": true, "Oracle.Compact": true,
 			"EarAPSP.Pair": true, "EarAPSP.NumVertices": true, "EarAPSP.QueryChecked": true, "Djidjev.QueryChecked": true,
 			"Reduced.EncodeSnapshot": true}
+		// Struct fields whose names other types keep: banned on their type.
+		goneFields := map[string]bool{"Plan.CutVertices": true, "Plan.BlockCuts": true, "Plan.BlockVerts": true}
 		goneCalls := map[string]bool{"deprecated": true}
 		for path, f := range files {
 			check := func(id *ast.Ident) {
@@ -403,6 +406,15 @@ func TestTreeInvariants(t *testing.T) {
 					}
 				case *ast.TypeSpec:
 					check(d.Name)
+					if st, ok := d.Type.(*ast.StructType); ok {
+						for _, fl := range st.Fields.List {
+							for _, id := range fl.Names {
+								if goneFields[d.Name.Name+"."+id.Name] {
+									t.Errorf("%s: %s.%s is declared again", fset.Position(id.Pos()), d.Name.Name, id.Name)
+								}
+							}
+						}
+					}
 				case *ast.ValueSpec:
 					for _, id := range d.Names {
 						check(id)
@@ -650,9 +662,10 @@ func TestTreeInvariants(t *testing.T) {
 
 	// The round's trajectory (ROADMAP aim 2): non-test Go lines outside
 	// bench/, held under the bar the last PR to move it reached (lowered
-	// when snapshots stopped storing the ear reduction).
+	// when the plan manifest and the shard snapshot became the oracle
+	// snapshot's layout, and Plan.derive went).
 	t.Run("non-test LOC", func(t *testing.T) {
-		const bar = 20518
+		const bar = 20350
 		t.Logf("%d non-test lines outside bench/", loc)
 		if loc >= bar {
 			t.Errorf("%d non-test lines outside bench/, want < %d", loc, bar)

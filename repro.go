@@ -106,8 +106,9 @@ func ShortestPaths(g *Graph, workers int) (*APSPOracle, error) {
 // construction paid for — the graph, the BCC partition, the per-block
 // distance tables and the articulation table — so a serving process can
 // load it and answer its first query without running a build phase; the
-// per-block ear reductions and the block-cut forest are re-derived. Corrupt, truncated, or version-skewed files are
-// rejected with a typed error, never a panic.
+// per-block ear reductions and the block-cut forest are re-derived.
+// Corrupt, truncated, version-skewed or wrong-kind files are rejected
+// with a typed error, never a panic.
 
 // WriteOracle serialises a built oracle to w.
 func WriteOracle(w io.Writer, o *APSPOracle) (int64, error) { return o.WriteTo(w) }
@@ -222,12 +223,13 @@ func OpenRegistry(cfg RegistryConfig) (*Registry, error) { return registry.Open(
 
 // Horizontally sharded serving: a plan cuts an oracle's biconnected
 // blocks across shards along the block-cut forest, each shard daemon
-// serves its owned per-block reductions, and a frontend's
+// serves its owned blocks' distance tables, and a frontend's
 // RemoteRowSource fans row requests out over HTTP and stitches the
 // answers at articulation points — byte-identical to the monolith.
 type (
 	// ShardPlan is the cluster's manifest: block→shard assignment, the
-	// block-cut forest, the articulation-point boundary table, and a
+	// graph and its BCC partition (the frontend derives the block-cut
+	// forest from them), the articulation-point boundary table, and a
 	// content-derived plan epoch. Serialise with WriteShardPlan.
 	ShardPlan = shard.Plan
 	// ShardPlanOptions tunes PlanShards; the zero value of every field
@@ -247,7 +249,7 @@ type (
 	// count); WriteShardSnapshot stamps it, ReadShardSnapshot checks it.
 	ShardMeta = apsp.ShardMeta
 	// ShardBlocks is one daemon's loaded shard snapshot: the owned
-	// per-block ear reductions it serves rows from.
+	// blocks' distance tables it serves rows from.
 	ShardBlocks = apsp.ShardBlocks
 )
 
@@ -259,7 +261,7 @@ func PlanShards(o *APSPOracle, opts ShardPlanOptions) (*ShardPlan, error) {
 }
 
 // WriteShardPlan serialises a plan manifest (checksummed; the reader
-// rejects corruption and recomputes-or-verifies the epoch).
+// rejects corruption and epoch 0, and takes the stored epoch as is).
 func WriteShardPlan(w io.Writer, p *ShardPlan) (int64, error) { return p.WriteTo(w) }
 
 // NewRemoteRowSource builds the frontend's fan-out source over a plan
@@ -269,8 +271,9 @@ func NewRemoteRowSource(cfg ShardSourceConfig) (*RemoteRowSource, error) {
 	return shard.NewRemoteSource(cfg)
 }
 
-// WriteShardSnapshot serialises the per-block reductions owned[b]==true
-// selects, stamped with meta, for one shard daemon to serve.
+// WriteShardSnapshot serialises the S^r tables of the blocks
+// owned[b]==true selects, with the graph and its BCC partition, stamped
+// with meta, for one shard daemon to serve.
 func WriteShardSnapshot(w io.Writer, o *APSPOracle, meta ShardMeta, owned []bool) (int64, error) {
 	return o.WriteShardSnapshot(w, meta, owned)
 }
