@@ -104,7 +104,7 @@ func main() {
 	case "edgelist":
 		err = graph.WriteEdgeList(w, g)
 	case "dot":
-		err = graph.WriteDOT(w, g, graph.DOTOptions{ShowWeights: true})
+		err = graph.WriteDOT(w, g)
 	case "binary":
 		err = graph.WriteBinary(w, g)
 	default:

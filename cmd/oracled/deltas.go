@@ -109,8 +109,9 @@ func (s *server) deltas(e *registry.Entry, r *http.Request) (interface{}, error)
 	}
 
 	if e.Oracle() == nil {
-		// A cluster frontend holds no local oracle to mutate; deltas in a
-		// sharded deployment mean re-planning and restarting the shards.
+		// A cluster frontend's entry exposes no oracle to mutate (its plan
+		// holds no block tables); deltas in a sharded deployment mean
+		// re-planning and restarting the shards.
 		return nil, &httpError{status: http.StatusServiceUnavailable,
 			err: fmt.Errorf("deltas are not available on a cluster frontend: re-plan with cmd/shardplan and roll the shards")}
 	}

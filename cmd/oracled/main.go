@@ -169,8 +169,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "oracled: multi-tenant: %d snapshots in %s (max %d resident) — hydration is lazy\n",
 			len(rg.List()), rcfg.Dir, rg.MaxGraphs())
 	} else if *clusterPlan != "" {
-		// Frontend mode: no local oracle at all. Block rows come from the
-		// shard daemons through the fan-out source — all of a source's for a
+		// Frontend mode: the plan holds the graph, its partition, the
+		// block-cut forest and A, but no block tables, and the registry
+		// entry exposes no oracle. Block rows come from the shard daemons
+		// through the fan-out source — all of a source's for a
 		// batch row, at most two for a point query — and the engine stack
 		// (admission, per-batch rows) applies unchanged.
 		plan := loadClusterPlan(*clusterPlan)
@@ -349,7 +351,7 @@ func validateServeOpts(o serveOpts) error {
 		case o.file != "" || o.dataset != "" || o.loadSnap != "" || o.snapshotDir != "":
 			return fmt.Errorf("-cluster-plan serves rows from the shard daemons; it cannot be combined with -file, -dataset, -load-snapshot, or -snapshot-dir")
 		case o.withMCB || o.saveSnap != "":
-			return fmt.Errorf("a cluster frontend holds no local oracle; -mcb and -save-snapshot do not apply")
+			return fmt.Errorf("a cluster frontend holds no block tables and serves no local oracle; -mcb and -save-snapshot do not apply")
 		}
 	} else if o.clusterShards != "" {
 		return fmt.Errorf("-cluster-shards without -cluster-plan: the shard list is meaningless without the plan manifest")

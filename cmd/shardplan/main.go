@@ -55,7 +55,6 @@ func main() {
 		workers  = flag.Int("workers", par.Workers(), "parallel workers for the oracle build")
 		loadSnap = flag.String("load-snapshot", "", "plan from an oracle snapshot instead of building (replaces -file/-dataset)")
 		shards   = flag.Int("shards", 2, "number of shards to cut the graph into")
-		epoch    = flag.Uint64("epoch", 0, "explicit plan epoch (0 derives it from the plan's content)")
 		outDir   = flag.String("out", "", "output directory for the plan manifest and shard snapshots (required)")
 	)
 	cli.SetUsage("shardplan", "[-file graph | -dataset name | -load-snapshot file] -shards N -out dir [flags]")
@@ -92,7 +91,7 @@ func main() {
 			name, g.NumVertices(), g.NumEdges(), time.Since(start))
 	}
 
-	p, err := shard.PlanShards(o, shard.PlanOptions{Shards: *shards, Epoch: *epoch})
+	p, err := shard.PlanShards(o, shard.PlanOptions{Shards: *shards})
 	if err != nil {
 		cli.Fatalf("shardplan", "%v", err)
 	}

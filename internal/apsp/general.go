@@ -75,12 +75,8 @@ type Oracle struct {
 	loc *locIndex
 
 	// Forest is the rooted block-cut forest Query navigates for gateway
-	// articulation points and Path for the cut chain between them; the
-	// stitch view shares it.
+	// articulation points and Path for the cut chain between them.
 	Forest
-
-	// view caches StitchView(); see there.
-	view atomic.Pointer[StitchView]
 
 	// Relaxations is the work of construction, all of it in the blocks'
 	// processing phases (EarAPSP.Relaxations).
@@ -259,7 +255,7 @@ func (o *Oracle) buildAPTable(workers int) {
 // a long-lived serving process (cmd/oracled) relies on; a race-detector
 // test in internal/check hammers this property.
 func (o *Oracle) Query(u, v int32) graph.Weight {
-	p, err := o.StitchView().PlanPair(u, v)
+	p, err := o.PlanPair(u, v)
 	if err != nil {
 		return Inf
 	}

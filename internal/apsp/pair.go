@@ -47,51 +47,52 @@ type PairPlan struct {
 //
 // Isolated vertices and pairs in different components plan to Inf. An
 // out-of-range vertex comes back as a *QueryError wrapping ErrVertexRange.
-func (v *StitchView) PlanPair(u, w int32) (PairPlan, error) {
-	n := len(v.CutIndex)
+func (o *Oracle) PlanPair(u, w int32) (PairPlan, error) {
+	bct := o.BCT
+	n := len(bct.CutIndex)
 	if u < 0 || int(u) >= n || w < 0 || int(w) >= n {
 		return PairPlan{mid: Inf}, &QueryError{Op: "Pair", U: u, V: w, N: n, Err: ErrVertexRange}
 	}
 	if u == w {
 		return PairPlan{}, nil
 	}
-	numB := int32(len(v.BlockVerts))
-	iu, iw := v.CutIndex[u], v.CutIndex[w]
+	numB := int32(len(o.Blocks))
+	iu, iw := bct.CutIndex[u], bct.CutIndex[w]
 	if iu >= 0 && iw >= 0 {
-		return PairPlan{mid: v.ap(iu, iw)}, nil
+		return PairPlan{mid: o.ap(iu, iw)}, nil
 	}
 	if iu >= 0 || iw >= 0 {
 		ia, x := iu, w
 		if iw >= 0 {
 			ia, x = iw, u
 		}
-		bx, apNode := v.BlockOf[x], numB+ia
+		bx, apNode := bct.BlockOf[x], numB+ia
 		switch {
-		case bx < 0 || v.Forest.nodeRoot[bx] != v.Forest.nodeRoot[apNode]:
+		case bx < 0 || o.nodeRoot[bx] != o.nodeRoot[apNode]:
 			return PairPlan{mid: Inf}, nil
-		case v.Forest.adjacent(bx, apNode):
-			return PairPlan{Want: [2]BlockEntry{{bx, v.CutVertices[ia], x}}, N: 1}, nil
+		case o.adjacent(bx, apNode):
+			return PairPlan{Want: [2]BlockEntry{{bx, bct.CutVertices[ia], x}}, N: 1}, nil
 		}
-		a2 := v.Forest.gate(bx, apNode) - numB
+		a2 := o.gate(bx, apNode) - numB
 		return PairPlan{
-			Want: [2]BlockEntry{{bx, v.CutVertices[a2], x}}, N: 1,
-			mid: v.ap(ia, a2),
+			Want: [2]BlockEntry{{bx, bct.CutVertices[a2], x}}, N: 1,
+			mid: o.ap(ia, a2),
 		}, nil
 	}
-	bu, bw := v.BlockOf[u], v.BlockOf[w]
+	bu, bw := bct.BlockOf[u], bct.BlockOf[w]
 	switch {
 	case bu < 0 || bw < 0:
 		return PairPlan{mid: Inf}, nil // isolated vertex
 	case bu == bw:
 		return PairPlan{Want: [2]BlockEntry{{bu, u, w}}, N: 1}, nil
-	case v.Forest.nodeRoot[bu] != v.Forest.nodeRoot[bw]:
+	case o.nodeRoot[bu] != o.nodeRoot[bw]:
 		return PairPlan{mid: Inf}, nil // different connected components
 	}
-	a1 := v.Forest.gate(bu, bw) - numB
-	a2 := v.Forest.gate(bw, bu) - numB
+	a1 := o.gate(bu, bw) - numB
+	a2 := o.gate(bw, bu) - numB
 	return PairPlan{
-		Want: [2]BlockEntry{{bu, u, v.CutVertices[a1]}, {bw, v.CutVertices[a2], w}}, N: 2,
-		mid: v.ap(a1, a2),
+		Want: [2]BlockEntry{{bu, u, bct.CutVertices[a1]}, {bw, bct.CutVertices[a2], w}}, N: 2,
+		mid: o.ap(a1, a2),
 	}, nil
 }
 
@@ -103,11 +104,11 @@ func (p *PairPlan) Distance(d0, d1 graph.Weight) graph.Weight {
 }
 
 // EntryAt reads entry e out of the in-block row d_Block(e.Src, ·), given
-// in BlockVerts order — what a block-row provider returns. A Dst that is
+// in the order of the block's vertex list — what a block-row provider returns. A Dst that is
 // not on the block reads Inf, mirroring QueryParent. The scan is linear in
 // the row the caller already paid to fetch.
-func (v *StitchView) EntryAt(e BlockEntry, row []graph.Weight) graph.Weight {
-	for k, pv := range v.BlockVerts[e.Block] {
+func (o *Oracle) EntryAt(e BlockEntry, row []graph.Weight) graph.Weight {
+	for k, pv := range o.Blocks[e.Block].Sub.ToParentVertex {
 		if pv == e.Dst {
 			return row[k]
 		}

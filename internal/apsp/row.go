@@ -7,10 +7,10 @@ import "repro/internal/graph"
 // A distance row d_G(u, ·) is the natural unit of reuse for a serving
 // layer: queries sharing a source share almost all of their work, and the
 // stitch kernel (stitch.go) computes a row far cheaper than n calls to
-// Query. This file is only the oracle's side of that kernel: the view over
-// its block-cut tree and the provider that reads in-block rows from its own
-// tables. A sharded frontend (internal/shard) drives the same kernel with
-// rows fetched from shard daemons.
+// Query. This file is only the oracle's side of that kernel: the provider
+// that reads in-block rows from its own tables. A sharded frontend
+// (internal/shard) drives the same kernel with rows fetched from shard
+// daemons.
 //
 // Like Query, Row is pure: it only reads the immutable oracle tables, is
 // safe for any number of concurrent callers, and never panics.
@@ -19,39 +19,6 @@ import "repro/internal/graph"
 // oracle satisfies row-source interfaces (internal/qe) without exposing
 // the graph.
 func (o *Oracle) NumVertices() int { return o.G.NumVertices() }
-
-// StitchView returns the stitch kernels' read-only view of the oracle's
-// block-cut topology and AP table. It shares the oracle's slices and is
-// built on first use: an oracle is immutable once its constructor returns,
-// so every later caller reads the same view, and Query does not pay for
-// assembling one per pair.
-func (o *Oracle) StitchView() *StitchView {
-	if v := o.view.Load(); v != nil {
-		return v
-	}
-	return o.buildView()
-}
-
-// buildView is StitchView's first-use path, kept apart so the cached path
-// inlines into Query.
-func (o *Oracle) buildView() *StitchView {
-	v := &StitchView{
-		CutVertices: o.BCT.CutVertices,
-		CutIndex:    o.BCT.CutIndex,
-		BlockOf:     o.BCT.BlockOf,
-		BlockCuts:   o.BCT.BlockCuts,
-		CutBlocks:   o.BCT.CutBlocks,
-		BlockVerts:  o.loc.verts,
-		Forest:      &o.Forest,
-		A:           o.A,
-	}
-	o.view.Store(v)
-	return v
-}
-
-// RowCost estimates the table operations Row(u) will perform; see
-// StitchView.RowCost.
-func (o *Oracle) RowCost(u int32) int64 { return o.StitchView().RowCost(u) }
 
 // Row writes d_G(u, v) for every vertex v into out (len ≥ n) and returns
 // the number of table operations performed. An out-of-range u yields an
@@ -70,7 +37,7 @@ func (o *Oracle) Row(u int32, out []graph.Weight) int64 {
 // RowChecked is Row with vertex validation: an out-of-range u comes back
 // as a *QueryError wrapping ErrVertexRange and out is left untouched.
 func (o *Oracle) RowChecked(u int32, out []graph.Weight) (int64, error) {
-	return o.StitchView().Row(u, out, o.blockRows)
+	return o.StitchRow(u, out, o.blockRows)
 }
 
 // blockRows is the oracle's BlockRowsFunc: in-block rows straight from

@@ -51,9 +51,6 @@ func (s *ShardBlocks) Meta() ShardMeta { return s.meta }
 // NumVertices returns the full graph's vertex count.
 func (s *ShardBlocks) NumVertices() int { return s.o.G.NumVertices() }
 
-// NumEdges returns the full graph's edge count.
-func (s *ShardBlocks) NumEdges() int { return s.o.G.NumEdges() }
-
 // NumBlocks returns the total block count of the plan (owned or not).
 func (s *ShardBlocks) NumBlocks() int { return len(s.o.Blocks) }
 

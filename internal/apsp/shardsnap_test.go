@@ -154,7 +154,7 @@ func TestPlanManifestRejectsV1(t *testing.T) {
 	be.I32s(o.BCT.BlockOf)
 	for b := range o.Blocks {
 		be.I32s(o.BCT.BlockCuts[b])
-		be.I32s(o.loc.verts[b])
+		be.I32s(o.Blocks[b].Sub.ToParentVertex)
 	}
 	encodeTable(sw.Section("aptable"), o.A)
 	var buf bytes.Buffer
@@ -167,9 +167,10 @@ func TestPlanManifestRejectsV1(t *testing.T) {
 }
 
 // TestPlanViewIsTheMonolithView: a plan manifest loads to an oracle whose
-// stitch view — every slice, A and the rooted forest — is the monolith's,
-// and whose forest names the same gate for every block and cut node of a
-// tree. Both come out of the one assemble → buildForest → buildView path.
+// block-cut tree, rooted forest, A and block vertex lists — everything
+// the pair and row kernels read — are the monolith's, and whose forest
+// names the same gate for every block and cut node of a tree. Both come
+// out of the one assemble → buildForest path.
 func TestPlanViewIsTheMonolithView(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		o := NewOracle(g)
@@ -186,8 +187,14 @@ func TestPlanViewIsTheMonolithView(t *testing.T) {
 				t.Fatalf("%s: block %d has tables in a plan", name, bi)
 			}
 		}
-		if !reflect.DeepEqual(loaded.StitchView(), o.StitchView()) {
-			t.Fatalf("%s: the plan's stitch view differs from the monolith's", name)
+		if !reflect.DeepEqual(loaded.BCT, o.BCT) || !reflect.DeepEqual(loaded.Forest, o.Forest) ||
+			!reflect.DeepEqual(loaded.A, o.A) || loaded.numA != o.numA {
+			t.Fatalf("%s: the plan's block-cut tree, forest or A differs from the monolith's", name)
+		}
+		for bi, blk := range o.Blocks {
+			if !reflect.DeepEqual(loaded.Blocks[bi].Sub.ToParentVertex, blk.Sub.ToParentVertex) {
+				t.Fatalf("%s: block %d's vertex list differs on the plan", name, bi)
+			}
 		}
 		numB := int32(len(o.Blocks))
 		for b := int32(0); b < numB; b++ {

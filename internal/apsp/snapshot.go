@@ -201,9 +201,10 @@ func ReadOracle(r io.Reader) (*Oracle, error) {
 
 // ReadPlan restores a plan manifest written by WritePlan: an oracle with
 // A and the block-cut forest but no block tables (every Blocks[b].Ear is
-// nil), which answers no query itself but whose StitchView is the
-// monolith's, and the manifest's cluster section. Errors are typed as
-// ReadOracle's.
+// nil), which answers no query itself but runs the pair and row kernels
+// (PlanPair, EntryAt, StitchRow) over the monolith's topology and A given
+// block rows from elsewhere, and the manifest's cluster section. Errors
+// are typed as ReadOracle's.
 func ReadPlan(r io.Reader) (*Oracle, *Cluster, error) { return read(r, planKind) }
 
 // read is the one container reader: it loads a file of kind want and

@@ -29,31 +29,19 @@ import (
 // distance O(1) against the reduced tables S^r — a row never re-runs
 // Dijkstra (the paper's "compute once, extend per query" discipline).
 
-// StitchView is the read-only block-cut topology the kernel walks: the
-// articulation points, the forest adjacency in both directions, each
-// block's vertex list in the order its rows are emitted, and the a×a
-// table A. The slices are shared with their owner (an Oracle's
-// BlockCutTree, a shard plan) and never written.
-type StitchView struct {
-	CutVertices []int32   // AP index → vertex
-	CutIndex    []int32   // vertex → AP index, -1 for regular vertices; len n
-	BlockOf     []int32   // vertex → home block, -1 for isolated vertices
-	BlockCuts   [][]int32 // block → AP indices of the cut vertices on it
-	CutBlocks   [][]int32 // AP index → blocks it lies on (BlockCuts reversed)
-	BlockVerts  [][]int32 // block → its vertices, in row order
-
-	// Forest is the same adjacency rooted for O(log n) gateway lookup; the
-	// pair kernel navigates it where Row walks from the source instead.
-	Forest *Forest
-
-	A []graph.Weight // a×a row-major over CutVertices indices
-}
+// The kernels read only an oracle's block-cut topology: BCT's articulation
+// points and adjacency, each block's vertex list (its subgraph's
+// ToParentVertex, the order its rows are emitted in), the rooted Forest
+// and the a×a table A. A plan manifest's table-less oracle holds all of
+// them, so a frontend runs the same methods as the monolith; only the
+// in-block rows come from elsewhere.
 
 // ap reads entry (i, j) of A.
-func (v *StitchView) ap(i, j int32) graph.Weight { return v.A[int(i)*len(v.CutVertices)+int(j)] }
+func (o *Oracle) ap(i, j int32) graph.Weight { return o.A[int(i)*o.numA+int(j)] }
 
 // BlockWant names one in-block row the kernel needs: d_Block(Src, ·), in
-// BlockVerts[Block] order. Src is a parent-graph vertex lying on Block.
+// the order of Block's vertex list. Src is a parent-graph vertex lying on
+// Block.
 type BlockWant struct {
 	Block, Src int32
 }
@@ -135,29 +123,33 @@ func walkForest(blockCuts, cutBlocks [][]int32, iu, bu int32, gate, queue []int3
 // RowCost estimates the table operations Row(u) will perform: a cheap
 // upper bound, n for the extension pass plus the AP sweep. No scheduler
 // reads it any more (qe.Batch spreads rows with ParallelForCtx); it, and
-// its forwarders on Oracle and shard.RemoteSource, stay only because
-// bench/layers.go's rowSource interface names the method — delete all
-// three with ROADMAP item 1(b).
-func (v *StitchView) RowCost(u int32) int64 {
-	cost := int64(len(v.CutIndex))
-	if u >= 0 && int(u) < len(v.BlockOf) {
-		if b := v.BlockOf[u]; b >= 0 {
-			cost += int64(len(v.CutVertices)) * int64(len(v.BlockCuts[b])+1)
+// shard.RemoteSource's forwarder, stay only because bench/layers.go's
+// rowSource interface names the method — delete both with ROADMAP item
+// 1(b).
+func (o *Oracle) RowCost(u int32) int64 {
+	bct := o.BCT
+	cost := int64(len(bct.CutIndex))
+	if u >= 0 && int(u) < len(bct.BlockOf) {
+		if b := bct.BlockOf[u]; b >= 0 {
+			cost += int64(o.numA) * int64(len(bct.BlockCuts[b])+1)
 		}
 	}
 	return cost
 }
 
-// Row writes d_G(u, v) for every vertex v into out (len ≥ n) and returns
-// the number of table operations performed. An out-of-range u comes back
-// as a *QueryError wrapping ErrVertexRange with out untouched; a fetch
-// error is returned as is and leaves out unspecified.
+// StitchRow writes d_G(u, v) for every vertex v into out (len ≥ n),
+// reading the in-block rows it needs from fetch, and returns the number
+// of table operations performed. Row passes the oracle's own tables; a
+// sharded frontend passes rows fetched from the shards. An out-of-range
+// u comes back as a *QueryError wrapping ErrVertexRange with out
+// untouched; a fetch error is returned as is and leaves out unspecified.
 //
 // gate[b] is the first cut vertex on the forest path from block b back to
 // the source, so block b needs exactly one in-block row — from the source
 // itself if it lies on b, else from b's gate — and fetch supplies those.
-func (v *StitchView) Row(u int32, out []graph.Weight, fetch BlockRowsFunc) (int64, error) {
-	n := len(v.CutIndex)
+func (o *Oracle) StitchRow(u int32, out []graph.Weight, fetch BlockRowsFunc) (int64, error) {
+	bct := o.BCT
+	n := len(bct.CutIndex)
 	if u < 0 || int(u) >= n {
 		return 0, &QueryError{Op: "Row", U: u, V: u, N: n, Err: ErrVertexRange}
 	}
@@ -167,7 +159,7 @@ func (v *StitchView) Row(u int32, out []graph.Weight, fetch BlockRowsFunc) (int6
 	}
 	out[u] = 0
 	ops := int64(n)
-	iu, bu := v.CutIndex[u], v.BlockOf[u]
+	iu, bu := bct.CutIndex[u], bct.BlockOf[u]
 	if iu < 0 && bu < 0 {
 		return ops, nil // isolated vertex: everything else stays Inf
 	}
@@ -175,9 +167,9 @@ func (v *StitchView) Row(u int32, out []graph.Weight, fetch BlockRowsFunc) (int6
 	sc := stitchPool.Get().(*stitchScratch)
 	defer stitchPool.Put(sc)
 
-	sc.gate = grow(sc.gate, len(v.BlockVerts))
+	sc.gate = grow(sc.gate, len(o.Blocks))
 	gate := sc.gate
-	sc.queue = walkForest(v.BlockCuts, v.CutBlocks, iu, bu, gate, sc.queue[:0])
+	sc.queue = walkForest(bct.BlockCuts, bct.CutBlocks, iu, bu, gate, sc.queue[:0])
 
 	// One in-block row per reached block, ascending, so a provider's
 	// request order is deterministic.
@@ -189,12 +181,12 @@ func (v *StitchView) Row(u int32, out []graph.Weight, fetch BlockRowsFunc) (int6
 		}
 		src := u
 		if g >= 0 {
-			src = v.CutVertices[g]
+			src = bct.CutVertices[g]
 		} else if iu < 0 {
 			home = len(want)
 		}
 		want = append(want, BlockWant{Block: int32(b), Src: src})
-		total += len(v.BlockVerts[b])
+		total += len(o.Blocks[b].Sub.ToParentVertex)
 	}
 	sc.want = want
 	sc.flat = grow(sc.flat, total)
@@ -202,7 +194,7 @@ func (v *StitchView) Row(u int32, out []graph.Weight, fetch BlockRowsFunc) (int6
 	rows := sc.rows
 	off := 0
 	for i, w := range want {
-		k := len(v.BlockVerts[w.Block])
+		k := len(o.Blocks[w.Block].Sub.ToParentVertex)
 		rows[i] = sc.flat[off : off+k : off+k]
 		off += k
 	}
@@ -211,25 +203,25 @@ func (v *StitchView) Row(u int32, out []graph.Weight, fetch BlockRowsFunc) (int6
 	}
 
 	// Distance from the source to every articulation point.
-	a := len(v.CutVertices)
+	a := o.numA
 	sc.dAP = grow(sc.dAP, a)
 	dAP := sc.dAP
 	if iu >= 0 {
 		for j := range dAP {
-			dAP[j] = v.ap(iu, int32(j))
-			out[v.CutVertices[j]] = dAP[j]
+			dAP[j] = o.ap(iu, int32(j))
+			out[bct.CutVertices[j]] = dAP[j]
 		}
 		ops += int64(a)
 	} else {
 		// In-block distances, including the home block's own cut vertices,
 		// are exact: a shortest path between two vertices of one
 		// biconnected component never leaves it.
-		verts := v.BlockVerts[bu]
+		verts := o.Blocks[bu].Sub.ToParentVertex
 		for k, pv := range verts {
 			out[pv] = rows[home][k]
 		}
 		ops += int64(len(verts))
-		cuts := v.BlockCuts[bu]
+		cuts := bct.BlockCuts[bu]
 		if len(cuts) == 0 {
 			return ops, nil // the whole component is this one block
 		}
@@ -240,17 +232,17 @@ func (v *StitchView) Row(u int32, out []graph.Weight, fetch BlockRowsFunc) (int6
 		sc.dcut = grow(sc.dcut, len(cuts))
 		dcut := sc.dcut
 		for i, ci := range cuts {
-			dcut[i] = out[v.CutVertices[ci]]
+			dcut[i] = out[bct.CutVertices[ci]]
 		}
 		for j := range dAP {
 			best := Inf
 			for i, ci := range cuts {
-				if s := addInf(dcut[i], v.ap(ci, int32(j)), 0); s < best {
+				if s := addInf(dcut[i], o.ap(ci, int32(j)), 0); s < best {
 					best = s
 				}
 			}
 			dAP[j] = best
-			if cv := v.CutVertices[j]; best < out[cv] {
+			if cv := bct.CutVertices[j]; best < out[cv] {
 				out[cv] = best
 			}
 		}
@@ -264,13 +256,13 @@ func (v *StitchView) Row(u int32, out []graph.Weight, fetch BlockRowsFunc) (int6
 			continue // filled above
 		}
 		g := gate[w.Block]
-		verts, row := v.BlockVerts[w.Block], rows[i]
+		verts, row := o.Blocks[w.Block].Sub.ToParentVertex, rows[i]
 		ops += int64(len(verts))
 		if g == gateSelf {
 			// The AP source lies on this block: in-block distances are
 			// exact (its APs came from A).
 			for k, pv := range verts {
-				if v.CutIndex[pv] < 0 {
+				if bct.CutIndex[pv] < 0 {
 					out[pv] = row[k]
 				}
 			}
@@ -278,7 +270,7 @@ func (v *StitchView) Row(u int32, out []graph.Weight, fetch BlockRowsFunc) (int6
 		}
 		pre := dAP[g]
 		for k, pv := range verts {
-			if v.CutIndex[pv] < 0 {
+			if bct.CutIndex[pv] < 0 {
 				out[pv] = addInf(pre, row[k], 0)
 			}
 		}

@@ -63,37 +63,66 @@ func shardProvider(t *testing.T, o *apsp.Oracle) apsp.BlockRowsFunc {
 	}
 }
 
+// planOracle loads o's plan manifest: the table-less oracle a frontend
+// runs the kernels on, whose in-block rows must come from a provider.
+func planOracle(t *testing.T, o *apsp.Oracle) *apsp.Oracle {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := o.WritePlan(&buf, 1, 1, make([]int32, len(o.Blocks))); err != nil {
+		t.Fatalf("WritePlan: %v", err)
+	}
+	p, _, err := apsp.ReadPlan(&buf)
+	if err != nil {
+		t.Fatalf("ReadPlan: %v", err)
+	}
+	return p
+}
+
+// kernelOwners are the oracles the kernels run on: the monolith, and its
+// plan manifest loaded back without block tables, where a read of a
+// block's Ear would panic.
+func kernelOwners(t *testing.T, o *apsp.Oracle) map[string]*apsp.Oracle {
+	return map[string]*apsp.Oracle{"monolith": o, "plan": planOracle(t, o)}
+}
+
 // TestStitchKernelProviders drives the kernel through both providers —
-// the oracle's resident tables and a decoded shard snapshot — and holds
-// every row to the independent references bit for bit, with equal
-// operation counts on the two paths.
+// the oracle's resident tables and a decoded shard snapshot, the latter
+// on the monolith and on the plan's oracle — and holds every row to the
+// independent references bit for bit, with equal operation counts on
+// every path.
 func TestStitchKernelProviders(t *testing.T) {
 	for _, tc := range stitchCases() {
 		o := apsp.NewOracle(tc.G)
 		n := tc.G.NumVertices()
 		ref := apsp.FloydWarshall(tc.G)
 		fetch := shardProvider(t, o)
+		owners := kernelOwners(t, o)
 		mono := make([]graph.Weight, n)
 		got := make([]graph.Weight, n)
 		for u := int32(0); int(u) < n; u++ {
 			mops := o.Row(u, mono)
-			gops, err := o.StitchView().Row(u, got, fetch)
-			if err != nil {
-				t.Fatalf("%s: kernel row %d: %v", tc.Name, u, err)
-			}
-			if gops != mops {
-				t.Errorf("%s: row %d: %d ops via provider, %d via monolith", tc.Name, u, gops, mops)
-			}
 			for v := 0; v < n; v++ {
 				// Integral weights: the tables are exact.
 				want := o.Query(u, int32(v))
 				if fw := ref[int(u)*n+v]; math.Float64bits(float64(fw)) != math.Float64bits(float64(want)) {
 					t.Fatalf("%s: Query(%d,%d) = %v, Floyd–Warshall %v", tc.Name, u, v, want, fw)
 				}
-				if math.Float64bits(float64(got[v])) != math.Float64bits(float64(want)) ||
-					math.Float64bits(float64(mono[v])) != math.Float64bits(float64(want)) {
-					t.Fatalf("%s: d(%d,%d) = %v via provider, %v via monolith, reference %v",
-						tc.Name, u, v, got[v], mono[v], want)
+				if math.Float64bits(float64(mono[v])) != math.Float64bits(float64(want)) {
+					t.Fatalf("%s: d(%d,%d) = %v via monolith, reference %v", tc.Name, u, v, mono[v], want)
+				}
+			}
+			for owner, k := range owners {
+				gops, err := k.StitchRow(u, got, fetch)
+				if err != nil {
+					t.Fatalf("%s: kernel row %d on the %s: %v", tc.Name, u, owner, err)
+				}
+				if gops != mops {
+					t.Errorf("%s: row %d: %d ops via provider on the %s, %d via monolith", tc.Name, u, gops, owner, mops)
+				}
+				for v := 0; v < n; v++ {
+					if math.Float64bits(float64(got[v])) != math.Float64bits(float64(mono[v])) {
+						t.Fatalf("%s: d(%d,%d) = %v via provider on the %s, %v via monolith", tc.Name, u, v, got[v], owner, mono[v])
+					}
 				}
 			}
 		}
@@ -113,7 +142,7 @@ func TestStitchKernelErrors(t *testing.T) {
 		for i := range out {
 			out[i] = 42
 		}
-		_, kerr := o.StitchView().Row(u, out, shardProvider(t, o))
+		_, kerr := o.StitchRow(u, out, shardProvider(t, o))
 		_, cerr := o.RowChecked(u, out)
 		for _, err := range []error{kerr, cerr} {
 			var qe *apsp.QueryError
@@ -131,7 +160,7 @@ func TestStitchKernelErrors(t *testing.T) {
 		}
 	}
 	boom := errors.New("provider down")
-	_, err := o.StitchView().Row(0, out, func([]apsp.BlockWant, [][]graph.Weight) error { return boom })
+	_, err := o.StitchRow(0, out, func([]apsp.BlockWant, [][]graph.Weight) error { return boom })
 	if err != boom {
 		t.Fatalf("provider error came back as %v", err)
 	}
@@ -140,43 +169,46 @@ func TestStitchKernelErrors(t *testing.T) {
 // TestPairKernelProviders drives the pair kernel through both entry
 // providers: the oracle's resident tables (that is Oracle.Query) and block
 // rows from a decoded shard snapshot read through EntryAt — a frontend's
-// pair path without the HTTP. Every pair must agree bit for bit with the
-// row kernel and the independent reference, ask for at most two block
-// rows, and for none when both ends are articulation points.
+// pair path without the HTTP — on the monolith and on the plan's oracle.
+// Every pair must agree bit for bit with the row kernel and the
+// independent reference, ask for at most two block rows, and for none
+// when both ends are articulation points.
 func TestPairKernelProviders(t *testing.T) {
 	for _, tc := range stitchCases() {
 		o := apsp.NewOracle(tc.G)
 		n := tc.G.NumVertices()
 		ref := apsp.FloydWarshall(tc.G)
 		fetch := shardProvider(t, o)
-		view := o.StitchView()
+		owners := kernelOwners(t, o)
 		row := make([]graph.Weight, n)
 		for u := int32(0); int(u) < n; u++ {
 			o.Row(u, row)
 			for v := int32(0); int(v) < n; v++ {
-				p, err := view.PlanPair(u, v)
-				if err != nil {
-					t.Fatalf("%s: PlanPair(%d,%d): %v", tc.Name, u, v, err)
-				}
-				if bothAP := view.CutIndex[u] >= 0 && view.CutIndex[v] >= 0; p.N > 2 || (bothAP || u == v) && p.N != 0 {
-					t.Fatalf("%s: PlanPair(%d,%d) wants %d block rows (both APs: %v)", tc.Name, u, v, p.N, bothAP)
-				}
-				var d [2]graph.Weight
-				for i, e := range p.Want[:p.N] {
-					rows := [][]graph.Weight{make([]graph.Weight, len(view.BlockVerts[e.Block]))}
-					if err := fetch([]apsp.BlockWant{{Block: e.Block, Src: e.Src}}, rows); err != nil {
-						t.Fatalf("%s: block row (%d,%d): %v", tc.Name, e.Block, e.Src, err)
-					}
-					d[i] = view.EntryAt(e, rows[0])
-				}
-				got, want := p.Distance(d[0], d[1]), o.Query(u, v)
+				want := o.Query(u, v)
 				if fw := ref[int(u)*n+int(v)]; math.Float64bits(float64(fw)) != math.Float64bits(float64(want)) {
 					t.Fatalf("%s: Query(%d,%d) = %v, Floyd–Warshall %v", tc.Name, u, v, want, fw)
 				}
-				if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) ||
-					math.Float64bits(float64(row[v])) != math.Float64bits(float64(want)) {
-					t.Fatalf("%s: d(%d,%d) = %v via block rows, %v via Query, %v via the row kernel",
-						tc.Name, u, v, got, want, row[v])
+				for owner, k := range owners {
+					p, err := k.PlanPair(u, v)
+					if err != nil {
+						t.Fatalf("%s: PlanPair(%d,%d) on the %s: %v", tc.Name, u, v, owner, err)
+					}
+					if bothAP := k.BCT.CutIndex[u] >= 0 && k.BCT.CutIndex[v] >= 0; p.N > 2 || (bothAP || u == v) && p.N != 0 {
+						t.Fatalf("%s: PlanPair(%d,%d) on the %s wants %d block rows (both APs: %v)", tc.Name, u, v, owner, p.N, bothAP)
+					}
+					var d [2]graph.Weight
+					for i, e := range p.Want[:p.N] {
+						rows := [][]graph.Weight{make([]graph.Weight, len(k.Blocks[e.Block].Sub.ToParentVertex))}
+						if err := fetch([]apsp.BlockWant{{Block: e.Block, Src: e.Src}}, rows); err != nil {
+							t.Fatalf("%s: block row (%d,%d): %v", tc.Name, e.Block, e.Src, err)
+						}
+						d[i] = k.EntryAt(e, rows[0])
+					}
+					if got := p.Distance(d[0], d[1]); math.Float64bits(float64(got)) != math.Float64bits(float64(want)) ||
+						math.Float64bits(float64(row[v])) != math.Float64bits(float64(want)) {
+						t.Fatalf("%s: d(%d,%d) = %v via block rows on the %s, %v via Query, %v via the row kernel",
+							tc.Name, u, v, got, owner, want, row[v])
+					}
 				}
 			}
 		}
@@ -189,7 +221,7 @@ func TestPairKernelOutOfRange(t *testing.T) {
 	o := apsp.NewOracle(stitchCases()[4].G) // bridge-chain
 	n := int32(o.NumVertices())
 	for _, uv := range [][2]int32{{-1, 0}, {0, n}, {n, n}} {
-		_, err := o.StitchView().PlanPair(uv[0], uv[1])
+		_, err := o.PlanPair(uv[0], uv[1])
 		var qe *apsp.QueryError
 		if !errors.Is(err, apsp.ErrVertexRange) || !errors.As(err, &qe) {
 			t.Fatalf("PlanPair(%d,%d): err = %v, want *QueryError wrapping ErrVertexRange", uv[0], uv[1], err)

@@ -66,7 +66,7 @@ func TestPathsCorpus(t *testing.T) {
 // pairs (Ear.Query on two kept vertices is the S^r entry itself).
 func tableBits(o *apsp.Oracle) []uint64 {
 	var bits []uint64
-	for _, d := range o.StitchView().A {
+	for _, d := range o.A {
 		bits = append(bits, math.Float64bits(d))
 	}
 	for _, blk := range o.Blocks {
@@ -191,9 +191,9 @@ func TestPathsFollowCutChain(t *testing.T) {
 			oracles = append(oracles, applied)
 		}
 		for _, o := range oracles {
-			view := o.StitchView()
-			for ia, u := range view.CutVertices {
-				for ib, v := range view.CutVertices {
+			cuts := o.BCT.CutVertices
+			for ia, u := range cuts {
+				for ib, v := range cuts {
 					walk, err := o.PathChecked(u, v)
 					if err != nil {
 						t.Fatalf("%s: PathChecked(%d,%d): %v", ng.Name, u, v, err)
@@ -205,7 +205,7 @@ func TestPathsFollowCutChain(t *testing.T) {
 					if err := followsCutChain(o, walk); err != nil {
 						t.Errorf("%s: walk %v %v", ng.Name, walk, err)
 					}
-					entry := view.A[ia*len(view.CutVertices)+ib]
+					entry := o.A[ia*len(cuts)+ib]
 					if err := verify.Walk(o.G, walk, entry); err != nil {
 						t.Errorf("%s: walk %v against A[%d,%d]: %v", ng.Name, walk, ia, ib, err)
 					}

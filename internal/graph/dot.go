@@ -6,56 +6,20 @@ import (
 	"io"
 )
 
-// DOTOptions controls Graphviz export.
-type DOTOptions struct {
-	// Name is the graph name in the DOT header.
-	Name string
-	// ShowWeights adds edge weight labels.
-	ShowWeights bool
-	// Highlight marks a vertex set (drawn filled); the ear tooling uses it
-	// for reduced-graph vertices, examples for top-centrality vertices.
-	Highlight []int32
-	// EdgeColor assigns a color name per edge ID (nil for default).
-	EdgeColor map[int32]string
-}
-
 // WriteDOT renders g in Graphviz DOT format for quick visual inspection
-// of small graphs (dot -Tsvg graph.dot > graph.svg).
-func WriteDOT(w io.Writer, g *Graph, opt DOTOptions) error {
+// of small graphs (dot -Tsvg graph.dot > graph.svg): every edge labelled
+// with its weight, isolated vertices listed so they are drawn.
+func WriteDOT(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	name := opt.Name
-	if name == "" {
-		name = "G"
-	}
-	fmt.Fprintf(bw, "graph %s {\n", name)
+	fmt.Fprintf(bw, "graph G {\n")
 	fmt.Fprintf(bw, "  node [shape=circle fontsize=10];\n")
-	hi := make(map[int32]bool, len(opt.Highlight))
-	for _, v := range opt.Highlight {
-		hi[v] = true
-	}
 	for v := int32(0); v < int32(g.NumVertices()); v++ {
-		if hi[v] {
-			fmt.Fprintf(bw, "  %d [style=filled fillcolor=lightblue];\n", v)
-		} else if g.Degree(v) == 0 {
+		if g.Degree(v) == 0 {
 			fmt.Fprintf(bw, "  %d;\n", v)
 		}
 	}
-	for id, e := range g.Edges() {
-		fmt.Fprintf(bw, "  %d -- %d", e.U, e.V)
-		attrs := ""
-		if opt.ShowWeights {
-			attrs = fmt.Sprintf("label=\"%g\"", e.W)
-		}
-		if c, ok := opt.EdgeColor[int32(id)]; ok {
-			if attrs != "" {
-				attrs += " "
-			}
-			attrs += fmt.Sprintf("color=%s penwidth=2", c)
-		}
-		if attrs != "" {
-			fmt.Fprintf(bw, " [%s]", attrs)
-		}
-		fmt.Fprintln(bw, ";")
+	for _, e := range g.Edges() {
+		fmt.Fprintf(bw, "  %d -- %d [label=\"%g\"];\n", e.U, e.V, e.W)
 	}
 	fmt.Fprintln(bw, "}")
 	return bw.Flush()

@@ -13,22 +13,13 @@ func TestWriteDOT(t *testing.T) {
 	b.AddEdge(2, 0, 4)
 	g := b.Build() // vertex 3 isolated
 	var buf bytes.Buffer
-	err := WriteDOT(&buf, g, DOTOptions{
-		Name:        "test",
-		ShowWeights: true,
-		Highlight:   []int32{1},
-		EdgeColor:   map[int32]string{0: "red"},
-	})
-	if err != nil {
+	if err := WriteDOT(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"graph test {",
 		"0 -- 1",
 		"label=\"2\"",
-		"color=red",
-		"fillcolor=lightblue",
 		"  3;", // isolated vertex still present
 	} {
 		if !strings.Contains(out, want) {
@@ -41,13 +32,10 @@ func TestWriteDOTDefaults(t *testing.T) {
 	b := NewBuilder(2)
 	b.AddEdge(0, 1, 5)
 	var buf bytes.Buffer
-	if err := WriteDOT(&buf, b.Build(), DOTOptions{}); err != nil {
+	if err := WriteDOT(&buf, b.Build()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "graph G {") {
-		t.Fatal("default name missing")
-	}
-	if strings.Contains(buf.String(), "label=") {
-		t.Fatal("weights shown without ShowWeights")
+		t.Fatal("graph name missing")
 	}
 }

@@ -196,8 +196,9 @@ func (r *Registry) AddStatic(name string, o *apsp.Oracle, engine *qe.Engine) {
 }
 
 // AddRemote registers an engine-only pinned entry: a cluster frontend
-// serves its rows through a fan-out source (internal/shard) and holds no
-// local oracle or graph, so Entry.Oracle and Entry.Graph return nil for
+// serves its rows through a fan-out source (internal/shard), whose plan
+// holds the graph, partition, forest and A but no block tables. The entry
+// exposes none of them, so Entry.Oracle and Entry.Graph return nil for
 // it — endpoints that need local structure (path reconstruction, deltas,
 // the cycle basis) answer 503 against such an entry. vertices is the
 // plan's vertex count, reported by List/Info in place of the graph's.

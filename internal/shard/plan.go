@@ -15,19 +15,21 @@ import (
 // stitch per-block rows into whole-graph rows. That state is an
 // *apsp.Oracle without block tables — the graph, its BCC partition, the
 // block-cut forest assembled from them as any oracle's is, and the
-// articulation-point table A — so the plan's StitchView is the monolith's
-// by construction. The S^r tables live only in the per-shard snapshots.
+// articulation-point table A — so the pair and row kernels RemoteSource
+// runs on it are the monolith's methods over the monolith's topology by
+// construction. The S^r tables live only in the per-shard snapshots.
 //
 // A Plan answers no distance queries by itself; it is the routing map
-// (BlockShard) plus the apsp.StitchView the stitch kernel assembles rows
-// over. Fields are read-only after PlanShards/ReadPlan.
+// (BlockShard) plus the oracle the kernels run on, unexported so that a
+// table-less oracle is never queried outside this package. Fields are
+// read-only after PlanShards/ReadPlan.
 type Plan struct {
 	// Epoch identifies this plan's generation. Shard snapshots carved
 	// under the plan carry the same epoch, the row RPC validates it per
 	// request, and a mismatch is a deployment skew (ErrEpochMismatch),
-	// never silently stitched. Non-zero; by default a CRC-64 of the plan
-	// content, so re-planning the same oracle the same way reproduces
-	// the same epoch.
+	// never silently stitched. Non-zero: a CRC-64 of the plan content,
+	// so re-planning the same oracle the same way reproduces the same
+	// epoch, and two different plans do not share one.
 	Epoch uint64
 	// NumShards is how many shards the plan assigns blocks across.
 	NumShards int32
@@ -48,9 +50,6 @@ func newPlan(o *apsp.Oracle, epoch uint64, numShards int32, assign []int32) *Pla
 	return &Plan{Epoch: epoch, NumShards: numShards, NumVertices: o.NumVertices(),
 		BlockOf: o.BCT.BlockOf, BlockShard: assign, o: o}
 }
-
-// StitchView returns the view the stitch kernels walk: the oracle's own.
-func (p *Plan) StitchView() *apsp.StitchView { return p.o.StitchView() }
 
 // NumBlocks returns the block count of the plan.
 func (p *Plan) NumBlocks() int { return len(p.BlockShard) }
@@ -81,8 +80,6 @@ type PlanOptions struct {
 	// Shards is the shard count; it must be at least 1. More shards than
 	// blocks leaves the surplus shards empty.
 	Shards int
-	// Epoch overrides the plan epoch; 0 derives it from the plan content.
-	Epoch uint64
 }
 
 // PlanShards cuts a built oracle into a shard plan: blocks are assigned
@@ -119,17 +116,15 @@ func PlanShards(o *apsp.Oracle, opts PlanOptions) (*Plan, error) {
 	}
 	assign := partition.PartitionWeighted(qb.Build(), opts.Shards, 8, weights)
 
-	p := newPlan(o, opts.Epoch, int32(opts.Shards), assign)
-	if p.Epoch == 0 {
-		// The content epoch hashes the manifest written under epoch 0, so
-		// identical plans agree on an epoch without coordination; it is
-		// never 0, the "derive me" value.
-		var h snapshot.Checksum
-		if _, err := p.WriteTo(&h); err != nil {
-			return nil, err
-		}
-		p.Epoch = max(h.Sum64(), 1)
+	// The epoch hashes the manifest written under epoch 0, so identical
+	// plans agree on an epoch without coordination; it is never 0, the
+	// value a reader refuses.
+	p := newPlan(o, 0, int32(opts.Shards), assign)
+	var h snapshot.Checksum
+	if _, err := p.WriteTo(&h); err != nil {
+		return nil, err
 	}
+	p.Epoch = max(h.Sum64(), 1)
 	return p, nil
 }
 

@@ -76,19 +76,12 @@ func TestPlanEpochDeterministic(t *testing.T) {
 	if p3.Epoch == p1.Epoch {
 		t.Fatal("different shard counts produced the same content epoch")
 	}
-	p4, err := PlanShards(apsp.NewOracle(g), PlanOptions{Shards: 2, Epoch: 42})
-	if err != nil {
-		t.Fatalf("PlanShards: %v", err)
-	}
-	if p4.Epoch != 42 {
-		t.Fatalf("explicit epoch ignored: got %d", p4.Epoch)
-	}
 }
 
-// TestPlanManifestRoundtrip: a plan read back from its manifest stitches
-// over the monolith's own view — every slice, A and the rooted forest —
-// because both come out of the one oracle assembly, and re-encodes to the
-// same bytes.
+// TestPlanManifestRoundtrip: a plan read back from its manifest holds
+// what the kernels read on the monolith — the block-cut tree, the rooted
+// forest, A and every block's vertex list — because both come out of the
+// one oracle assembly, and re-encodes to the same bytes.
 func TestPlanManifestRoundtrip(t *testing.T) {
 	o := apsp.NewOracle(testGraph())
 	p, err := PlanShards(o, PlanOptions{Shards: 2})
@@ -107,8 +100,13 @@ func TestPlanManifestRoundtrip(t *testing.T) {
 		!reflect.DeepEqual(q.BlockOf, p.BlockOf) || !reflect.DeepEqual(q.BlockShard, p.BlockShard) {
 		t.Fatalf("plan fields differ after roundtrip: %+v vs %+v", q, p)
 	}
-	if !reflect.DeepEqual(q.StitchView(), o.StitchView()) {
-		t.Fatal("the loaded plan's stitch view differs from the monolith's")
+	if !reflect.DeepEqual(q.o.BCT, o.BCT) || !reflect.DeepEqual(q.o.Forest, o.Forest) || !reflect.DeepEqual(q.o.A, o.A) {
+		t.Fatal("the loaded plan's block-cut tree, forest or A differs from the monolith's")
+	}
+	for b, blk := range o.Blocks {
+		if !reflect.DeepEqual(q.o.Blocks[b].Sub.ToParentVertex, blk.Sub.ToParentVertex) {
+			t.Fatalf("block %d: the loaded plan's vertex list differs from the monolith's", b)
+		}
 	}
 	var buf2 bytes.Buffer
 	if _, err := q.WriteTo(&buf2); err != nil {
@@ -185,7 +183,7 @@ func TestShardSnapshotRoundtrip(t *testing.T) {
 		// Owned block rows match the monolith's QueryParent bytes; unowned
 		// blocks refuse with the typed error.
 		for b := int32(0); int(b) < p.NumBlocks(); b++ {
-			verts := p.StitchView().BlockVerts[b]
+			verts := p.o.Blocks[b].Sub.ToParentVertex
 			out := make([]graph.Weight, len(verts))
 			err := sb.BlockRow(b, verts[0], out)
 			if p.BlockShard[b] != s {

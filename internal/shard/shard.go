@@ -23,14 +23,14 @@
 //   - Plan.WriteTo / ReadPlan persist the plan manifest and
 //     apsp.WriteShardSnapshot carves the per-shard snapshots, all in the
 //     oracle snapshot's container layout. ReadPlan loads an oracle
-//     without block tables, so the frontend's stitch view is built by the
-//     code that builds the monolith's.
+//     without block tables, assembled by the code that assembles the
+//     monolith's.
 //   - Handler serves POST /internal/rows on a shard daemon: batched
 //     per-block distance rows, plan-epoch validated, binary response so
 //     Inf and exact float bits survive the wire.
 //   - RemoteSource is the frontend's fan-out qe.CtxRowSource: it runs
 //     apsp's stitch kernel — the same code behind the monolith's Row —
-//     over the plan's view, supplying block rows from shard owners over
+//     on the plan's table-less oracle, supplying block rows from shard owners over
 //     HTTP (bounded retries with backoff, per-shard health), and surfaces
 //     outages as typed errors instead of wrong answers.
 package shard

@@ -74,8 +74,8 @@ func (st *shardState) markBad(msg string) {
 }
 
 // RemoteSource is the frontend's distance-row source: it computes whole-
-// graph rows with apsp's stitch kernel — the code behind the monolith
-// oracle's Row — over the plan's view, which is the monolith's (see
+// graph rows with apsp's stitch kernel — Oracle.StitchRow, the code
+// behind the monolith oracle's Row — on the plan's table-less oracle (see
 // Plan), fanning the block-row fetches the kernel asks for out to the
 // shard daemons that own them. The answers are byte-identical to the
 // monolith's, or a typed error; never silently partial.
@@ -88,7 +88,6 @@ func (st *shardState) markBad(msg string) {
 // no rows, so the next request fetches afresh.
 type RemoteSource struct {
 	plan       *Plan
-	view       *apsp.StitchView // plan.StitchView()
 	client     *http.Client
 	maxRetries int
 	backoff    time.Duration
@@ -132,7 +131,6 @@ func NewRemoteSource(cfg SourceConfig) (*RemoteSource, error) {
 	}
 	s := &RemoteSource{
 		plan:       cfg.Plan,
-		view:       cfg.Plan.StitchView(),
 		client:     client,
 		maxRetries: maxRetries,
 		backoff:    backoff,
@@ -175,8 +173,8 @@ func (s *RemoteSource) Epoch() uint64 { return s.plan.Epoch }
 func (s *RemoteSource) NumVertices() int { return s.plan.NumVertices }
 
 // RowCost is the kernel's row-cost estimate, the same one the monolith
-// oracle reports; see apsp.StitchView.RowCost for why it is still here.
-func (s *RemoteSource) RowCost(u int32) int64 { return s.view.RowCost(u) }
+// oracle reports; see apsp.Oracle.RowCost for why it is still here.
+func (s *RemoteSource) RowCost(u int32) int64 { return s.plan.o.RowCost(u) }
 
 // ShardStatus is one shard's serving state, as reported by /v1/cluster.
 type ShardStatus struct {
@@ -219,13 +217,13 @@ func (s *RemoteSource) Row(u int32, out []graph.Weight) int64 {
 
 // RowCtx computes the whole-graph distance row d_G(u, ·) into out,
 // returning the stitch operation count. The row is apsp's stitch kernel
-// run over the plan's view, with the needed block rows fanned out to
+// run on the plan's oracle, with the needed block rows fanned out to
 // their owning shards in parallel; on any shard failure it returns a
 // typed error (wrapping ErrShardUnavailable or ErrEpochMismatch) and out
 // is unspecified. An out-of-range u is a *apsp.QueryError wrapping
 // apsp.ErrVertexRange, with out untouched.
 func (s *RemoteSource) RowCtx(ctx context.Context, u int32, out []graph.Weight) (int64, error) {
-	return s.view.Row(u, out, func(want []apsp.BlockWant, rows [][]graph.Weight) error {
+	return s.plan.o.StitchRow(u, out, func(want []apsp.BlockWant, rows [][]graph.Weight) error {
 		if err := s.fanOut(ctx, want, rows); err != nil {
 			return err
 		}
@@ -235,15 +233,15 @@ func (s *RemoteSource) RowCtx(ctx context.Context, u int32, out []graph.Weight) 
 }
 
 // Pair answers d_G(u, v) without building a row: apsp's pair kernel — the
-// case analysis behind the monolith's Query — plans the pair over the
-// plan's view, the ≤ 2 block rows it names (none for two articulation
+// case analysis behind the monolith's Query — plans the pair on the
+// plan's oracle, the ≤ 2 block rows it names (none for two articulation
 // points, whose answer is the frontend-resident A alone) are fetched from
 // their owning shards like any row's, and the kernel reads its entries out
 // of them. Failures are typed exactly as RowCtx's; no distance is returned
 // with an error.
 func (s *RemoteSource) Pair(ctx context.Context, u, v int32) (graph.Weight, error) {
-	view := s.view
-	p, err := view.PlanPair(u, v)
+	o := s.plan.o
+	p, err := o.PlanPair(u, v)
 	if err != nil {
 		return apsp.Inf, err
 	}
@@ -253,13 +251,13 @@ func (s *RemoteSource) Pair(ctx context.Context, u, v int32) (graph.Weight, erro
 		var rows [2][]graph.Weight
 		for i, e := range p.Want[:p.N] {
 			want[i] = apsp.BlockWant{Block: e.Block, Src: e.Src}
-			rows[i] = make([]graph.Weight, len(view.BlockVerts[e.Block]))
+			rows[i] = make([]graph.Weight, len(o.Blocks[e.Block].Sub.ToParentVertex))
 		}
 		if err := s.fanOut(ctx, want[:p.N], rows[:p.N]); err != nil {
 			return apsp.Inf, err
 		}
 		for i, e := range p.Want[:p.N] {
-			d[i] = view.EntryAt(e, rows[i])
+			d[i] = o.EntryAt(e, rows[i])
 		}
 	}
 	s.pairs.Inc()

@@ -90,8 +90,8 @@ func TestOversizedResponseBounded(t *testing.T) {
 	}
 	// Every block of this plan is wanted by row 0's component at most once.
 	var lens []int
-	for _, vs := range c.plan.StitchView().BlockVerts {
-		lens = append(lens, len(vs))
+	for _, blk := range c.plan.o.Blocks {
+		lens = append(lens, len(blk.Sub.ToParentVertex))
 	}
 	if limit := int(rowsResponseLen(lens)); body.read > limit+1 {
 		t.Fatalf("read %d bytes of a %d-byte body; the request allows at most %d", body.read, oversized, limit)
@@ -116,11 +116,10 @@ func TestOversizedResponseBounded(t *testing.T) {
 // and the raw response body.
 func rowsExchange(t testing.TB, p *Plan, url string) (reqs [][2]int32, lens []int, raw []byte) {
 	t.Helper()
-	verts := p.StitchView().BlockVerts
-	for b := int32(0); int(b) < p.NumBlocks(); b++ {
-		if p.BlockShard[b] == 0 {
-			reqs = append(reqs, [2]int32{b, verts[b][0]})
-			lens = append(lens, len(verts[b]))
+	for b, blk := range p.o.Blocks {
+		if verts := blk.Sub.ToParentVertex; p.BlockShard[b] == 0 {
+			reqs = append(reqs, [2]int32{int32(b), verts[0]})
+			lens = append(lens, len(verts))
 		}
 	}
 	body, err := json.Marshal(rowsRequest{Epoch: p.Epoch, Rows: reqs})
@@ -341,7 +340,7 @@ func FuzzReadPlan(f *testing.F) {
 			return nil
 		}
 		for u := 0; u < p.NumVertices && u < 64; u++ {
-			if _, err := p.StitchView().Row(int32(u), out, zero); err != nil {
+			if _, err := p.o.StitchRow(int32(u), out, zero); err != nil {
 				t.Fatalf("kernel row %d over an accepted plan: %v", u, err)
 			}
 		}

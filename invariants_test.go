@@ -333,7 +333,8 @@ func TestTreeInvariants(t *testing.T) {
 	// nothing to release on eviction, one table precision, one Phase II
 	// search with no arc mask or assembly beside it, one metrics registry,
 	// one HTTP error carrier, one keyset paginator, one walk certifier, a
-	// block engine that is no query source)
+	// block engine that is no query source, the stitch and pair kernels as
+	// oracle methods with no copied view of its topology)
 	// must not come back under the same name: a caller that needs one
 	// should say why first. A name too common to ban bare is matched where
 	// it would be used instead: as a selector or a call, or, for a facade
@@ -372,6 +373,7 @@ func TestTreeInvariants(t *testing.T) {
 			"ListPage", "RefinePasses", "weightsAgree",
 			"DecodeReduced", "hashI32s", "i32sEqual",
 			"derive", "planFormatVersion", "shardFormatVersion", "oracleFormatVersion", "BuildForest",
+			"StitchView", "buildView", "DOTOptions",
 		} {
 			deleted[name] = true
 		}
@@ -387,9 +389,10 @@ func TestTreeInvariants(t *testing.T) {
 			"ShardBlocks.Owned": true, "Entry.Swap": true, "Engine.Close": true,
 			"Encoder.F32s": true, "Decoder.F32s": true, "Oracle.Compact": true,
 			"EarAPSP.Pair": true, "EarAPSP.NumVertices": true, "EarAPSP.QueryChecked": true, "Djidjev.QueryChecked": true,
-			"Reduced.EncodeSnapshot": true}
+			"Reduced.EncodeSnapshot": true, "Plan.StitchView": true, "ShardBlocks.NumEdges": true}
 		// Struct fields whose names other types keep: banned on their type.
-		goneFields := map[string]bool{"Plan.CutVertices": true, "Plan.BlockCuts": true, "Plan.BlockVerts": true}
+		goneFields := map[string]bool{"Plan.CutVertices": true, "Plan.BlockCuts": true, "Plan.BlockVerts": true,
+			"locIndex.verts": true, "PlanOptions.Epoch": true}
 		goneCalls := map[string]bool{"deprecated": true}
 		for path, f := range files {
 			check := func(id *ast.Ident) {
@@ -662,10 +665,10 @@ func TestTreeInvariants(t *testing.T) {
 
 	// The round's trajectory (ROADMAP aim 2): non-test Go lines outside
 	// bench/, held under the bar the last PR to move it reached (lowered
-	// when the plan manifest and the shard snapshot became the oracle
-	// snapshot's layout, and Plan.derive went).
+	// when the stitch and pair kernels became oracle methods and the
+	// copied StitchView went).
 	t.Run("non-test LOC", func(t *testing.T) {
-		const bar = 20350
+		const bar = 20258
 		t.Logf("%d non-test lines outside bench/", loc)
 		if loc >= bar {
 			t.Errorf("%d non-test lines outside bench/, want < %d", loc, bar)
