@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/bcc"
@@ -26,7 +27,7 @@ import (
 // Two paths:
 //
 //   - cheap path — every delta is a weight change: the BCC partition, the
-//     block-cut forest, and all untouched BlockAPSPs are shared by
+//     block-cut forest, and all untouched blocks' EarAPSPs are shared by
 //     reference; only blocks containing a changed edge re-run ear
 //     reduction + S^r, and the AP table is recomputed only if one of them
 //     carries ≥ 2 articulation points.
@@ -273,14 +274,13 @@ func (o *Oracle) oldEdgeBlocks() []int32 {
 // at least two articulation points (otherwise it contributes no AP edge).
 //
 // It is the one oracle maker that does not go through assemble, on
-// purpose: sharing Sub, loc and Forest by pointer is the whole point of
-// the path. Folding it into assemble (partition still shared, everything
-// derived re-made) was measured on the benchmark's `blocks` fixture
-// (7 196 vertices, 579 blocks, a small-block reweight) at 1.1 ms → 4.5 ms
-// per delta when the fold was proposed and 0.5 ms → 2.6 ms when this
-// landed. The fork is selected from what the script is observed to
-// contain (editTrace.structural), never by an option; DESIGN.md §8 has
-// the measurement.
+// purpose: sharing the block-cut tree, loc, Forest and every untouched
+// block's EarAPSP by pointer is the whole point of the path. Folding it
+// into assemble (partition still shared, all else re-made) measured on
+// the benchmark's `blocks` fixture (7 196 vertices, 579 blocks, a
+// small-block reweight) 1.1 → 4.5 ms per delta when proposed, 0.5 → 2.6
+// ms when this landed. What the script is observed to contain selects
+// the fork (editTrace.structural), never an option; DESIGN.md §8.
 func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int) (*Oracle, *DeltaResult, error) {
 	newG := graph.FromEdges(tr.n, tr.edges)
 	edgeBlock := o.oldEdgeBlocks()
@@ -295,23 +295,20 @@ func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int
 		Relaxations: o.Relaxations,
 		BuildPhases: &obs.Phases{},
 	}
-	n.Blocks = make([]*BlockAPSP, len(o.Blocks))
-	copy(n.Blocks, o.Blocks)
+	n.Blocks = slices.Clone(o.Blocks)
 
 	apRebuild := false
 	for bi := range o.Blocks {
 		if !touched[int32(bi)] {
 			continue
 		}
-		sub := graph.InducedByEdges(newG, o.Dec.Components[bi])
-		ea, err := NewEarAPSPParallelCtx(ctx, sub.G, workers)
+		// The shared vertex index stays valid for the rebuilt block: the
+		// edge sequence, and so the block's vertex list, is unchanged.
+		ea, err := NewEarAPSPParallelCtx(ctx, n.blockGraph(bi), workers)
 		if err != nil {
 			return nil, nil, err
 		}
-		// The shared vertex index stays valid for the rebuilt block:
-		// InducedByEdges on the same edge sequence reproduces the same
-		// local-ID assignment, so the old stamp carries over.
-		n.Blocks[bi] = &BlockAPSP{Sub: sub, Ear: ea, bi: int32(bi), loc: n.loc}
+		n.Blocks[bi] = ea
 		n.Relaxations += ea.Relaxations
 		if len(o.BCT.BlockCuts[bi]) >= 2 {
 			apRebuild = true
@@ -338,10 +335,11 @@ func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int
 //
 // Why sequence equality suffices: Hopcroft–Tarjan ignores weights, CSR
 // adjacency preserves the relative order of surviving edges, and
-// InducedByEdges assigns local vertex IDs by first appearance in the edge
-// sequence — so an identical remapped sequence with identical endpoints
-// and weights yields a structurally identical component subgraph, and the
-// old reduced tables answer for it bit-identically.
+// BlockCutTree.BlockVerts orders a block's vertices by first appearance in
+// its edge sequence — so an identical remapped sequence with identical
+// endpoints and weights yields a structurally identical block graph, and
+// the old reduced tables answer for it bit-identically. A reused block's
+// graph is never built.
 func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int) (*Oracle, *DeltaResult, error) {
 	newG := graph.FromEdges(tr.n, tr.edges)
 	dec := bcc.Compute(newG)
@@ -359,21 +357,22 @@ func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int
 	// reuse is the one its first edge came from: if no delta touched it
 	// and it holds the same edge sequence.
 	reused := make([]bool, len(dec.Components))
-	n, err := assemble(ctx, newG, dec, bcc.BuildBlockCutTree(newG, dec), nil, workers, func(ci int, sub *graph.Subgraph) (*EarAPSP, error) {
+	n := &Oracle{G: newG, Dec: dec, BCT: bcc.BuildBlockCutTree(newG, dec)}
+	err := n.assemble(ctx, nil, workers, func(ci int) (*EarAPSP, error) {
 		comp := dec.Components[ci]
 		if first := tr.origOf[comp[0]]; first >= 0 && !dirty[edgeBlock[first]] {
 			bi := edgeBlock[first]
 			old := o.Dec.Components[bi]
-			same := len(old) == len(comp) && o.Blocks[bi].Ear.G.NumVertices() == sub.G.NumVertices()
+			same := len(old) == len(comp) && len(o.BCT.BlockVerts[bi]) == len(n.BCT.BlockVerts[ci])
 			for i := 0; same && i < len(comp); i++ {
 				same = tr.origOf[comp[i]] == old[i]
 			}
 			if same {
 				reused[ci] = true
-				return o.Blocks[bi].Ear, nil
+				return o.Blocks[bi], nil
 			}
 		}
-		return NewEarAPSPParallelCtx(ctx, sub.G, workers)
+		return NewEarAPSPParallelCtx(ctx, n.blockGraph(ci), workers)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -385,7 +384,7 @@ func (o *Oracle) applyStructural(ctx context.Context, tr *editTrace, workers int
 	for ci, b := range n.Blocks {
 		if !reused[ci] {
 			touched++
-			n.Relaxations += b.Ear.Relaxations
+			n.Relaxations += b.Relaxations
 		}
 	}
 	n.buildAPTable(workers)

@@ -121,7 +121,7 @@ func TestApplyDeltaInsertMergesBlocks(t *testing.T) {
 	sharedEar := false
 	for _, ob := range o.Blocks {
 		for _, nb := range n.Blocks {
-			if ob.Ear == nb.Ear {
+			if ob == nb {
 				sharedEar = true
 			}
 		}

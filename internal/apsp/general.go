@@ -12,46 +12,6 @@ import (
 	"repro/internal/par"
 )
 
-// BlockAPSP is the per-biconnected-component state of the general
-// algorithm: the component subgraph and its ear-reduced APSP. Parent→local
-// vertex resolution goes through the oracle's shared flat locIndex
-// (layout.go) instead of a per-block hash map.
-type BlockAPSP struct {
-	Sub *graph.Subgraph
-	Ear *EarAPSP
-
-	bi  int32     // this block's ID in the oracle's Blocks slice
-	loc *locIndex // shared flat parent→local index
-}
-
-// local resolves a parent vertex ID to this block's local ID (-1 outside).
-func (b *BlockAPSP) local(v int32) int32 { return b.loc.local(b.bi, v) }
-
-// row writes the in-block distance row d_b(src, v) for every vertex v of
-// the block, in ToParentVertex order, into out (len = the block's vertex
-// count). src is a parent vertex ID; one outside the block yields an
-// all-Inf row, mirroring QueryParent. It is the single inner loop behind
-// both the monolith's rows and a shard daemon's BlockRow.
-func (b *BlockAPSP) row(src int32, out []graph.Weight) {
-	lu := b.local(src)
-	if lu < 0 {
-		for i := range out {
-			out[i] = Inf
-		}
-		return
-	}
-	b.Ear.Row(lu, out)
-}
-
-// QueryParent answers an in-block distance query in parent vertex IDs.
-func (b *BlockAPSP) QueryParent(u, v int32) graph.Weight {
-	lu, lv := b.local(u), b.local(v)
-	if lu < 0 || lv < 0 {
-		return Inf
-	}
-	return b.Ear.Query(lu, lv)
-}
-
 // Oracle is the paper's general-graph APSP structure (Section 2.2): one
 // ear-reduced APSP per biconnected component, an a×a distance table A over
 // the articulation points, and one block-cut forest whose navigation finds,
@@ -61,17 +21,20 @@ func (b *BlockAPSP) QueryParent(u, v int32) graph.Weight {
 //
 // Storage is O(a² + Σ nr_i²), the paper's memory bound, rather than O(n²).
 type Oracle struct {
-	G      *graph.Graph
-	Dec    *bcc.Decomposition
-	BCT    *bcc.BlockCutTree
-	Blocks []*BlockAPSP
+	G   *graph.Graph
+	Dec *bcc.Decomposition
+	BCT *bcc.BlockCutTree
+	// Blocks[b] is block b's ear-reduced APSP over its graph in
+	// BCT.BlockVerts[b] order; nil when this oracle holds no table for
+	// the block (a plan, or a block another shard owns).
+	Blocks []*EarAPSP
 
 	// A is the articulation-point table, a×a row-major over BCT.CutVertices
 	// indices.
 	A    []graph.Weight
 	numA int
 
-	// loc is the flat parent→local vertex index shared by every block.
+	// loc is the flat parent→local vertex index over BCT.BlockVerts.
 	loc *locIndex
 
 	// Forest is the rooted block-cut forest Query navigates for gateway
@@ -119,10 +82,10 @@ func newOracle(ctx context.Context, g *graph.Graph, workers int, mk func(context
 	phases := &obs.Phases{}
 	stop := phases.Start("bcc")
 	dec := bcc.Compute(g)
-	bct := bcc.BuildBlockCutTree(g, dec)
+	o := &Oracle{G: g, Dec: dec, BCT: bcc.BuildBlockCutTree(g, dec)}
 	stop()
-	o, err := assemble(ctx, g, dec, bct, phases, workers, func(_ int, sub *graph.Subgraph) (*EarAPSP, error) {
-		return mk(ctx, sub.G, workers)
+	err := o.assemble(ctx, phases, workers, func(bi int) (*EarAPSP, error) {
+		return mk(ctx, o.blockGraph(bi), workers)
 	})
 	if err != nil {
 		return nil, err
@@ -134,66 +97,106 @@ func newOracle(ctx context.Context, g *graph.Graph, workers int, mk func(context
 	return o, nil
 }
 
-// assemble is the one maker of an oracle's derived structure, the fixed
-// order of PAPER.md §2.2: the partition's subgraphs, one EarAPSP per
-// block, the shared vertex index, the rooted block-cut forest. Every way
-// an oracle comes to exist — built, simulated, structurally updated,
-// loaded, carved for a shard — is this call plus where the AP table A
-// comes from; only what block does differs: it builds, reuses or decodes
-// block bi's tables, and a nil EarAPSP means "not resident here". The
-// result's Relaxations is the sum over resident blocks. ph, which may be
-// nil, times the "blocks" and "forest" phases for the one caller that
-// builds from scratch.
+// assemble is the one maker of an oracle's derived structure over its G,
+// Dec and BCT, the fixed order of PAPER.md §2.2: the shared vertex index,
+// one EarAPSP per block, the rooted block-cut forest. Every way an oracle
+// comes to exist — built, structurally updated, loaded, carved for a
+// shard — is this call plus where the AP table A comes from; only what
+// block does differs: it builds, reuses or decodes block bi's tables, and
+// a nil EarAPSP means "not resident here". A callback builds a block's
+// graph (blockGraph) only for a block it solves or decodes. The
+// Relaxations set is the sum over resident blocks. ph, which may be nil,
+// times the "blocks" and "forest" phases for the one caller that builds
+// from scratch.
 //
 // With workers > 1 the blocks are par tasks, largest (most edges) first,
 // so block must be safe to call concurrently. With one worker they run in
 // block order, which is what a decode reading its stream needs. No block
 // is claimed once ctx is done or a block has failed; the first failure
 // is returned.
-func assemble(ctx context.Context, g *graph.Graph, dec *bcc.Decomposition, bct *bcc.BlockCutTree, ph *obs.Phases, workers int,
-	block func(bi int, sub *graph.Subgraph) (*EarAPSP, error)) (*Oracle, error) {
-	o := &Oracle{G: g, Dec: dec, BCT: bct, numA: len(bct.CutVertices), BuildPhases: &obs.Phases{}}
+func (o *Oracle) assemble(ctx context.Context, ph *obs.Phases, workers int, block func(bi int) (*EarAPSP, error)) error {
+	o.numA, o.BuildPhases = len(o.BCT.CutVertices), &obs.Phases{}
 	stop := ph.Start("blocks")
-	subs := dec.Subgraphs(g)
-	o.Blocks = make([]*BlockAPSP, len(subs))
-	order := make([]int, len(subs))
+	o.loc = newLocIndex(o.BCT)
+	nb := len(o.Dec.Components)
+	o.Blocks = make([]*EarAPSP, nb)
+	order := make([]int, nb)
 	for i := range order {
 		order[i] = i
 	}
 	if workers > 1 {
-		slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(len(dec.Components[y]), len(dec.Components[x])) })
+		comps := o.Dec.Components
+		slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(len(comps[y]), len(comps[x])) })
 	}
 	var failed atomic.Pointer[error]
-	err := par.ParallelForCtx(ctx, workers, len(subs), func(_, i int) {
+	err := par.ParallelForCtx(ctx, workers, nb, func(_, i int) {
 		if failed.Load() != nil {
 			return
 		}
 		bi := order[i]
-		ea, err := block(bi, subs[bi])
+		ea, err := block(bi)
 		if err != nil {
 			first := err // escapes only on this path, not once per block
 			failed.CompareAndSwap(nil, &first)
 			return
 		}
-		o.Blocks[bi] = &BlockAPSP{Sub: subs[bi], Ear: ea}
+		o.Blocks[bi] = ea
 	})
 	if p := failed.Load(); p != nil {
 		err = *p
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, b := range o.Blocks {
-		if b.Ear != nil {
-			o.Relaxations += b.Ear.Relaxations
+		if b != nil {
+			o.Relaxations += b.Relaxations
 		}
 	}
-	o.buildLocIndex()
 	stop()
 	stop = ph.Start("forest")
-	o.Forest = buildForest(bct.BlockCuts, bct.CutBlocks)
+	o.Forest = buildForest(o.BCT.BlockCuts, o.BCT.CutBlocks)
 	stop()
-	return o, nil
+	return nil
+}
+
+// blockGraph builds block bi's graph in local vertex IDs: the component's
+// edges in order, endpoints mapped through the vertex index. It is the
+// graph graph.InducedByEdges builds over the component, without its maps.
+func (o *Oracle) blockGraph(bi int) *graph.Graph {
+	comp := o.Dec.Components[bi]
+	edges := make([]graph.Edge, len(comp))
+	for i, eid := range comp {
+		e := o.G.Edge(eid)
+		edges[i] = graph.Edge{U: o.loc.local(int32(bi), e.U), V: o.loc.local(int32(bi), e.V), W: e.W}
+	}
+	return graph.FromEdges(len(o.BCT.BlockVerts[bi]), edges)
+}
+
+// row writes the in-block distance row d_b(src, v) for every vertex v of
+// block b, in BCT.BlockVerts[b] order, into out (len = the block's vertex
+// count). src is a parent vertex ID; one outside the block yields an
+// all-Inf row, mirroring QueryParent. It is the single inner loop behind
+// both the monolith's rows and a shard daemon's BlockRow.
+func (o *Oracle) row(b, src int32, out []graph.Weight) {
+	lu := o.loc.local(b, src)
+	if lu < 0 {
+		for i := range out {
+			out[i] = Inf
+		}
+		return
+	}
+	o.Blocks[b].Row(lu, out)
+}
+
+// QueryParent answers the in-block distance d_b(u, v) in parent vertex
+// IDs; Inf when either vertex is not on block b.
+func (o *Oracle) QueryParent(b, u, v int32) graph.Weight {
+	lu, lv := o.loc.local(b, u), o.loc.local(b, v)
+	if lu < 0 || lv < 0 {
+		return Inf
+	}
+	return o.Blocks[b].Query(lu, lv)
 }
 
 // buildAPTable computes the a×a articulation point distance table
@@ -237,7 +240,7 @@ func (o *Oracle) buildAPTable(workers int) {
 				if gateFirst {
 					u, v = v, u
 				}
-				row[c] = addInf(row[g], o.Blocks[b].QueryParent(u, v), 0)
+				row[c] = addInf(row[g], o.QueryParent(b, u, v), 0)
 			}
 		}
 	})
@@ -261,7 +264,7 @@ func (o *Oracle) Query(u, v int32) graph.Weight {
 	}
 	var d [2]graph.Weight
 	for i, e := range p.Want[:p.N] {
-		d[i] = o.Blocks[e.Block].QueryParent(e.Src, e.Dst)
+		d[i] = o.QueryParent(e.Block, e.Src, e.Dst)
 	}
 	return p.Distance(d[0], d[1])
 }
@@ -295,8 +298,8 @@ func (m MemoryPlan) Bytes() (ours, max int64) { return m.OursEntries * 4, m.MaxE
 func (o *Oracle) Memory() MemoryPlan {
 	var ours int64
 	ours += int64(o.numA) * int64(o.numA)
-	for _, blk := range o.Blocks {
-		ni := int64(blk.Sub.G.NumVertices())
+	for _, verts := range o.BCT.BlockVerts {
+		ni := int64(len(verts))
 		ours += ni * ni
 	}
 	n := int64(o.G.NumVertices())
@@ -310,7 +313,7 @@ func (o *Oracle) ReducedMemory() int64 {
 	var ours int64
 	ours += int64(o.numA) * int64(o.numA)
 	for _, blk := range o.Blocks {
-		nr := int64(blk.Ear.Red.R.NumVertices())
+		nr := int64(blk.Red.R.NumVertices())
 		ours += nr * nr
 	}
 	return ours
@@ -324,7 +327,7 @@ func (o *Oracle) ReducedMemory() int64 {
 func (o *Oracle) NodesRemoved() int {
 	total := 0
 	for _, blk := range o.Blocks {
-		total += blk.Ear.Red.NumRemoved()
+		total += blk.Red.NumRemoved()
 	}
 	return total
 }

@@ -1,6 +1,8 @@
 package apsp
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/bcc"
@@ -11,7 +13,7 @@ import (
 // path (Row, Query, path reconstruction) resolves "local ID of parent
 // vertex v inside block b" millions of times, and a hash map per lookup is
 // both a pointer chase and an allocation-heavy structure to build. The flat
-// layout is two struct-of-arrays tables:
+// layout is two tables:
 //
 //   - home[v]: the local ID of v inside its home block BlockOf[v] — an O(1)
 //     array read that answers every lookup for single-block vertices (the
@@ -22,64 +24,40 @@ import (
 //     membership in several blocks does NOT imply being a cut vertex, so
 //     the overflow is keyed by vertex ID (binary search), not by cut index.
 //
-// The index is a pure function of (BlockCutTree, per-block subgraphs), both
-// deterministic products of the graph and its BCC partition, so snapshot
-// load and delta application rebuild or share it without storing it.
+// The index is the inverse of BlockCutTree.BlockVerts, a deterministic
+// product of the graph and its BCC partition, so snapshot load and delta
+// application rebuild or share it without storing it, before any block is
+// solved.
 type locIndex struct {
 	home    []int32 // per parent vertex: local ID in BlockOf[v], -1 outside
 	blockOf []int32 // shared with bcc.BlockCutTree.BlockOf
 
-	// Overflow memberships sorted by (vertex, block); ovStart[i] brackets
-	// runs via binary search on ovVert.
-	ovVert  []int32
-	ovBlock []int32
-	ovLocal []int32
+	// ov lists the memberships outside home blocks, sorted by (vertex,
+	// block): a vertex's run is found by binary search.
+	ov []membership
 }
 
-// newLocIndex builds the index over the given partition.
-func newLocIndex(bct *bcc.BlockCutTree, blocks []*BlockAPSP) *locIndex {
-	n := len(bct.BlockOf)
-	ix := &locIndex{
-		home:    make([]int32, n),
-		blockOf: bct.BlockOf,
-	}
+// membership places vertex vert at local ID local of block block.
+type membership struct{ vert, block, local int32 }
+
+// newLocIndex builds the index over the block-cut tree's vertex lists.
+func newLocIndex(bct *bcc.BlockCutTree) *locIndex {
+	ix := &locIndex{home: make([]int32, len(bct.BlockOf)), blockOf: bct.BlockOf}
 	for i := range ix.home {
 		ix.home[i] = -1
 	}
-	overflow := 0
-	for bi, blk := range blocks {
-		for _, parent := range blk.Sub.ToParentVertex {
-			if bct.BlockOf[parent] == int32(bi) {
-				continue
-			}
-			overflow++
-		}
-	}
-	type entry struct{ vert, block, local int32 }
-	entries := make([]entry, 0, overflow)
-	for bi, blk := range blocks {
-		for local, parent := range blk.Sub.ToParentVertex {
+	for bi, verts := range bct.BlockVerts {
+		for local, parent := range verts {
 			if bct.BlockOf[parent] == int32(bi) {
 				ix.home[parent] = int32(local)
-				continue
+			} else {
+				ix.ov = append(ix.ov, membership{parent, int32(bi), int32(local)})
 			}
-			entries = append(entries, entry{parent, int32(bi), int32(local)})
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].vert != entries[j].vert {
-			return entries[i].vert < entries[j].vert
-		}
-		return entries[i].block < entries[j].block
+	slices.SortFunc(ix.ov, func(x, y membership) int {
+		return cmp.Or(cmp.Compare(x.vert, y.vert), cmp.Compare(x.block, y.block))
 	})
-	ix.ovVert = make([]int32, len(entries))
-	ix.ovBlock = make([]int32, len(entries))
-	ix.ovLocal = make([]int32, len(entries))
-	for i, e := range entries {
-		ix.ovVert[i] = e.vert
-		ix.ovBlock[i] = e.block
-		ix.ovLocal[i] = e.local
-	}
 	return ix
 }
 
@@ -94,22 +72,11 @@ func (ix *locIndex) local(bi, v int32) int32 {
 	}
 	// Overflow: binary search the first entry for v, then scan its short
 	// contiguous run (a vertex sits on few blocks).
-	i := sort.Search(len(ix.ovVert), func(i int) bool { return ix.ovVert[i] >= v })
-	for ; i < len(ix.ovVert) && ix.ovVert[i] == v; i++ {
-		if ix.ovBlock[i] == bi {
-			return ix.ovLocal[i]
+	i := sort.Search(len(ix.ov), func(i int) bool { return ix.ov[i].vert >= v })
+	for ; i < len(ix.ov) && ix.ov[i].vert == v; i++ {
+		if ix.ov[i].block == bi {
+			return ix.ov[i].local
 		}
 	}
 	return -1
-}
-
-// buildLocIndex derives the oracle's flat vertex index and stamps every
-// block with its ID and a reference to the shared index; assemble calls
-// it once the block slice is final.
-func (o *Oracle) buildLocIndex() {
-	o.loc = newLocIndex(o.BCT, o.Blocks)
-	for bi, blk := range o.Blocks {
-		blk.bi = int32(bi)
-		blk.loc = o.loc
-	}
 }

@@ -73,7 +73,7 @@ func mergeCases() []mergeCase {
 func mergeTables(g *graph.Graph, workers int) []*apsp.EarAPSP {
 	var out []*apsp.EarAPSP
 	for _, b := range apsp.NewOracleParallel(g, workers).Blocks {
-		out = append(out, b.Ear)
+		out = append(out, b)
 	}
 	return append(out, apsp.NewFlatAPSP(g, workers))
 }
@@ -237,7 +237,7 @@ func sameOracle(t *testing.T, what string, got, want *apsp.Oracle) {
 	}
 	tables := [][2][]graph.Weight{{got.A, want.A}}
 	for bi, b := range want.Blocks {
-		tables = append(tables, [2][]graph.Weight{got.Blocks[bi].Ear.SR, b.Ear.SR})
+		tables = append(tables, [2][]graph.Weight{got.Blocks[bi].SR, b.SR})
 	}
 	for i, tab := range tables {
 		if !slices.EqualFunc(tab[0], tab[1], func(x, y graph.Weight) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
@@ -309,7 +309,7 @@ func TestEarRowMatchesQuery(t *testing.T) {
 	entries := 0
 	for name, g := range graphs {
 		for bi, b := range apsp.NewOracle(g).Blocks {
-			ea := b.Ear
+			ea := b
 			n := int32(ea.G.NumVertices())
 			row := make([]graph.Weight, n)
 			for x := int32(-1); x <= n; x++ {

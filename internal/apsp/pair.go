@@ -104,14 +104,12 @@ func (p *PairPlan) Distance(d0, d1 graph.Weight) graph.Weight {
 }
 
 // EntryAt reads entry e out of the in-block row d_Block(e.Src, ·), given
-// in the order of the block's vertex list — what a block-row provider returns. A Dst that is
-// not on the block reads Inf, mirroring QueryParent. The scan is linear in
-// the row the caller already paid to fetch.
+// in the order of the block's vertex list (BCT.BlockVerts) — what a
+// block-row provider returns. Dst's place in the row is one vertex-index
+// lookup; a Dst that is not on the block reads Inf, mirroring QueryParent.
 func (o *Oracle) EntryAt(e BlockEntry, row []graph.Weight) graph.Weight {
-	for k, pv := range o.Blocks[e.Block].Sub.ToParentVertex {
-		if pv == e.Dst {
-			return row[k]
-		}
+	if k := o.loc.local(e.Block, e.Dst); k >= 0 {
+		return row[k]
 	}
 	return Inf
 }

@@ -260,15 +260,15 @@ func (o *Oracle) path(u, v int32) ([]int32, error) {
 // blockPath appends block bi's in-block u→v walk after u, in parent vertex
 // IDs.
 func (o *Oracle) blockPath(out []int32, bi int32, u, v int32) ([]int32, error) {
-	blk := o.Blocks[bi]
-	lu, lv := blk.local(u), blk.local(v)
+	lu, lv := o.loc.local(bi, u), o.loc.local(bi, v)
 	if lu < 0 || lv < 0 {
 		return out, ErrReconstruction
 	}
 	start := len(out)
-	out, err := blk.Ear.appendPath(out, lu, lv)
+	out, err := o.Blocks[bi].appendPath(out, lu, lv)
+	verts := o.BCT.BlockVerts[bi]
 	for i := start; i < len(out); i++ {
-		out[i] = blk.Sub.ToParentVertex[out[i]]
+		out[i] = verts[out[i]]
 	}
 	return out, err
 }

@@ -44,7 +44,7 @@ func (o *Oracle) RowChecked(u int32, out []graph.Weight) (int64, error) {
 // the resident S^r tables. It cannot fail.
 func (o *Oracle) blockRows(want []BlockWant, rows [][]graph.Weight) error {
 	for i, w := range want {
-		o.Blocks[w.Block].row(w.Src, rows[i])
+		o.row(w.Block, w.Src, rows[i])
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package apsp
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -72,7 +73,7 @@ var benchWalk []int32
 // appends into one slice, so a per-segment copy would show.
 func BenchmarkOraclePath(b *testing.B) {
 	integral := benchBlocksGraph()
-	thirds := integral.Edges()
+	thirds := slices.Clone(integral.Edges())
 	for i := range thirds {
 		thirds[i].W /= 3
 	}

@@ -11,7 +11,7 @@ import (
 // daemon serves, in the oracle snapshot's layout (snapshot.go) with a
 // cluster section, only the owned blocks' S^r tables and no A. The tables
 // are the built oracle's bytes, so ShardBlocks.BlockRow and Oracle.Row
-// fill rows through the same BlockAPSP.row loop over the same bytes, and
+// fill rows through the same Oracle.row loop over the same bytes, and
 // both hand them to the one stitch kernel (stitch.go).
 
 // WriteShardSnapshot serialises the slice of the oracle owned by one
@@ -41,7 +41,7 @@ func (o *Oracle) WriteShardSnapshot(w io.Writer, meta ShardMeta, owned []bool) (
 // queries — stitching across blocks is the frontend's job.
 type ShardBlocks struct {
 	meta   ShardMeta
-	o      *Oracle // Blocks[b].Ear nil for blocks this shard does not own; A absent
+	o      *Oracle // Blocks[b] nil for blocks this shard does not own; A absent
 	ownedN int
 }
 
@@ -63,7 +63,7 @@ func (s *ShardBlocks) BlockLen(b int32) int {
 	if b < 0 || int(b) >= len(s.o.Blocks) {
 		return 0
 	}
-	return len(s.o.Blocks[b].Sub.ToParentVertex)
+	return len(s.o.BCT.BlockVerts[b])
 }
 
 // ErrNotOwned reports a BlockRow request for a block whose tables live
@@ -72,7 +72,7 @@ func (s *ShardBlocks) BlockLen(b int32) int {
 var ErrNotOwned = fmt.Errorf("apsp: block not owned by this shard")
 
 // BlockRow writes the in-block distance row d_b(src, v) for every vertex
-// v of block b, in the block's ToParentVertex order, into out (which
+// v of block b, in the block's BlockVerts order, into out (which
 // must hold exactly BlockLen(b) entries). src is a parent-graph vertex
 // ID; a src outside the block yields an all-Inf row, mirroring
 // QueryParent. The values are the exact bytes the monolith oracle
@@ -81,23 +81,21 @@ func (s *ShardBlocks) BlockRow(b int32, src int32, out []graph.Weight) error {
 	if b < 0 || int(b) >= len(s.o.Blocks) {
 		return fmt.Errorf("apsp: block %d of %d out of range", b, len(s.o.Blocks))
 	}
-	if s.o.Blocks[b].Ear == nil {
+	if s.o.Blocks[b] == nil {
 		return fmt.Errorf("%w: block %d on shard %d", ErrNotOwned, b, s.meta.Shard)
 	}
-	blk := s.o.Blocks[b]
-	if len(out) != len(blk.Sub.ToParentVertex) {
-		return fmt.Errorf("apsp: block %d row has %d vertices, buffer holds %d",
-			b, len(blk.Sub.ToParentVertex), len(out))
+	if k := len(s.o.BCT.BlockVerts[b]); len(out) != k {
+		return fmt.Errorf("apsp: block %d row has %d vertices, buffer holds %d", b, k, len(out))
 	}
-	blk.row(src, out)
+	s.o.row(b, src, out)
 	return nil
 }
 
 // ReadShardSnapshot restores a shard's serving state from a snapshot
 // written by WriteShardSnapshot. Errors are typed as ReadOracle's; it
-// never panics on hostile bytes. Unowned blocks are assembled too, just
-// not resident: the shared vertex index spans every block, because
-// BlockRow needs src lookup to mirror QueryParent exactly.
+// never panics on hostile bytes. Only owned blocks get a graph and
+// tables; the vertex index spans every block (it is the block-cut tree's),
+// so BlockRow's src lookup mirrors QueryParent exactly.
 func ReadShardSnapshot(r io.Reader) (*ShardBlocks, error) {
 	o, c, err := read(r, shardKind)
 	if err != nil {
@@ -105,7 +103,7 @@ func ReadShardSnapshot(r io.Reader) (*ShardBlocks, error) {
 	}
 	s := &ShardBlocks{meta: c.ShardMeta, o: o}
 	for _, blk := range o.Blocks {
-		if blk.Ear != nil {
+		if blk != nil {
 			s.ownedN++
 		}
 	}

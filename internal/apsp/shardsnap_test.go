@@ -35,8 +35,8 @@ func sealCluster(t testing.TB, o *Oracle, flags uint32, cluster func(*snapshot.E
 	bl := sw.Section("blocks")
 	for bi, blk := range o.Blocks {
 		if encoded != nil && encoded[bi] {
-			table(bl, blk.Ear.SR)
-			bl.I64(blk.Ear.Relaxations)
+			table(bl, blk.SR)
+			bl.I64(blk.Relaxations)
 		}
 	}
 	if apTable != nil {
@@ -120,9 +120,9 @@ func TestShardSnapshotRejectsV1(t *testing.T) {
 		bl := sw.Section("blocks")
 		for _, blk := range o.Blocks {
 			if version == 1 {
-				encodeChains(bl, blk.Ear.Red)
+				encodeChains(bl, blk.Red)
 			}
-			encodeTable(bl, blk.Ear.SR)
+			encodeTable(bl, blk.SR)
 		}
 		var buf bytes.Buffer
 		if _, err := sw.WriteTo(&buf); err != nil {
@@ -154,7 +154,7 @@ func TestPlanManifestRejectsV1(t *testing.T) {
 	be.I32s(o.BCT.BlockOf)
 	for b := range o.Blocks {
 		be.I32s(o.BCT.BlockCuts[b])
-		be.I32s(o.Blocks[b].Sub.ToParentVertex)
+		be.I32s(o.BCT.BlockVerts[b])
 	}
 	encodeTable(sw.Section("aptable"), o.A)
 	var buf bytes.Buffer
@@ -183,18 +183,13 @@ func TestPlanViewIsTheMonolithView(t *testing.T) {
 			t.Fatalf("%s: cluster section %+v", name, c)
 		}
 		for bi, blk := range loaded.Blocks {
-			if blk.Ear != nil {
+			if blk != nil {
 				t.Fatalf("%s: block %d has tables in a plan", name, bi)
 			}
 		}
 		if !reflect.DeepEqual(loaded.BCT, o.BCT) || !reflect.DeepEqual(loaded.Forest, o.Forest) ||
 			!reflect.DeepEqual(loaded.A, o.A) || loaded.numA != o.numA {
 			t.Fatalf("%s: the plan's block-cut tree, forest or A differs from the monolith's", name)
-		}
-		for bi, blk := range o.Blocks {
-			if !reflect.DeepEqual(loaded.Blocks[bi].Sub.ToParentVertex, blk.Sub.ToParentVertex) {
-				t.Fatalf("%s: block %d's vertex list differs on the plan", name, bi)
-			}
 		}
 		numB := int32(len(o.Blocks))
 		for b := int32(0); b < numB; b++ {
@@ -318,7 +313,7 @@ func FuzzReadShardSnapshot(f *testing.F) {
 		}
 		n := int32(s.NumVertices())
 		for b := int32(0); b < int32(s.NumBlocks()); b++ {
-			owned := s.o.Blocks[b].Ear != nil
+			owned := s.o.Blocks[b] != nil
 			row := make([]graph.Weight, s.BlockLen(b))
 			for src := int32(0); src < n && src < 64; src++ {
 				err := s.BlockRow(b, src, row)

@@ -37,11 +37,13 @@ import (
 //
 // Deliberately not stored, because each is a pure deterministic function
 // of the graph and the BCC partition that decode rebuilds with the same
-// code construction uses: the block-cut tree, each block's Subgraph and
-// ear reduction (ear.Reduce re-derives faster than stored chain records
-// decoded; DESIGN.md §6 has the measurement), the rooted block-cut forest
-// (a stored one could disagree with the partition), and the AP graph A
-// was computed on.
+// code construction uses: the block-cut tree with each block's vertex
+// list (BlockVerts, the order its S^r rows are indexed in), each resident
+// block's graph and ear reduction (ear.Reduce re-derives faster than
+// stored chain records decoded; DESIGN.md §6 has the measurement), the
+// rooted block-cut forest (a stored one could disagree with the
+// partition), and the AP graph A was computed on. A block whose table
+// the file does not hold gets no graph at all.
 
 // formatVersion is the version of the payload layout, checked
 // independently of the container's own version. Bump it whenever a
@@ -173,8 +175,8 @@ func (o *Oracle) write(w io.Writer, c *Cluster) (int64, error) {
 	bl := sw.Section("blocks")
 	for bi, blk := range o.Blocks {
 		if c.resident(bi) {
-			encodeTable(bl, blk.Ear.SR)
-			bl.I64(blk.Ear.Relaxations)
+			encodeTable(bl, blk.SR)
+			bl.I64(blk.Relaxations)
 		}
 	}
 	if c.kind() != shardKind {
@@ -189,7 +191,7 @@ func (o *Oracle) write(w io.Writer, c *Cluster) (int64, error) {
 // of snapshot's typed sentinels (ErrBadMagic, ErrVersionSkew, ErrChecksum,
 // ErrCorrupt), and a shard snapshot or plan manifest with ErrWrongKind;
 // ReadOracle never panics on hostile bytes. Each block's ear reduction is
-// re-run (ear.Reduce over the block's subgraph, as a build does) and its
+// re-run (ear.Reduce over the block's graph, as a build does) and its
 // stored S^r table must be nr×nr for it. The loaded oracle's BuildPhases
 // holds one phase, "snapshot.load", which covers those reductions, and
 // none of a build's, so a process that only loads snapshots shows zero
@@ -200,7 +202,7 @@ func ReadOracle(r io.Reader) (*Oracle, error) {
 }
 
 // ReadPlan restores a plan manifest written by WritePlan: an oracle with
-// A and the block-cut forest but no block tables (every Blocks[b].Ear is
+// A and the block-cut forest but no block tables (every Blocks[b] is
 // nil), which answers no query itself but runs the pair and row kernels
 // (PlanPair, EntryAt, StitchRow) over the monolith's topology and A given
 // block rows from elsewhere, and the manifest's cluster section. Errors
@@ -209,8 +211,8 @@ func ReadPlan(r io.Reader) (*Oracle, *Cluster, error) { return read(r, planKind)
 
 // read is the one container reader: it loads a file of kind want and
 // refuses the other two kinds by name. Blocks whose tables the file does
-// not hold are assembled without them (Ear nil), and only the kinds that
-// store A load it.
+// not hold are assembled without them (Blocks[b] nil, and no block
+// graph built), and only the kinds that store A load it.
 func read(r io.Reader, want kind) (o *Oracle, c *Cluster, err error) {
 	t0 := time.Now()
 	var sr *snapshot.Reader
@@ -272,17 +274,17 @@ func read(r io.Reader, want kind) (o *Oracle, c *Cluster, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	bct := bcc.BuildBlockCutTree(g, dec)
-	if uint64(len(bct.CutVertices)) != numA {
+	o = &Oracle{G: g, Dec: dec, BCT: bcc.BuildBlockCutTree(g, dec)}
+	if uint64(len(o.BCT.CutVertices)) != numA {
 		return nil, nil, snapshot.Corruptf("apsp: meta says %d articulation points, partition yields %d",
-			numA, len(bct.CutVertices))
+			numA, len(o.BCT.CutVertices))
 	}
 	bd := sr.Section("blocks")
-	o, err = assemble(context.Background(), g, dec, bct, nil, 1, func(bi int, sub *graph.Subgraph) (*EarAPSP, error) {
+	err = o.assemble(context.Background(), nil, 1, func(bi int) (*EarAPSP, error) {
 		if !c.resident(bi) {
 			return nil, nil
 		}
-		return decodeBlock(bd, sub, bi)
+		return decodeBlock(bd, o.blockGraph(bi), bi)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -337,14 +339,14 @@ func (o *Oracle) encodeDecomposition(e *snapshot.Encoder) {
 // decodeBlock re-derives one block's ear reduction with the code a build
 // runs and reads its S^r table and relaxation count; the table must be
 // nr×nr for the derived reduction.
-func decodeBlock(bd *snapshot.Decoder, sub *graph.Subgraph, bi int) (*EarAPSP, error) {
-	red := ear.Reduce(sub.G, ear.APSP)
+func decodeBlock(bd *snapshot.Decoder, g *graph.Graph, bi int) (*EarAPSP, error) {
+	red := ear.Reduce(g, ear.APSP)
 	nr := red.R.NumVertices()
 	sr, err := decodeTable(bd, nr*nr, "S^r")
 	if err != nil {
 		return nil, fmt.Errorf("block %d: %w", bi, err)
 	}
-	return &EarAPSP{G: sub.G, Red: red, SR: sr, nr: nr, Relaxations: bd.I64()}, bd.Err()
+	return &EarAPSP{G: g, Red: red, SR: sr, nr: nr, Relaxations: bd.I64()}, bd.Err()
 }
 
 // decodeDecomposition reads the BCC section and checks it is a genuine

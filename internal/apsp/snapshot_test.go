@@ -197,11 +197,11 @@ func TestOracleSnapshotRejectsV1(t *testing.T) {
 	// The AP graph of buildAPTable, which v1 and v2 payloads carried.
 	apb := graph.NewBuilder(o.numA)
 	var edgeBlock []int32
-	for bi, blk := range o.Blocks {
+	for bi := range o.Blocks {
 		cuts := o.BCT.BlockCuts[bi]
 		for i := range cuts {
 			for j := i + 1; j < len(cuts); j++ {
-				if w := blk.QueryParent(o.BCT.CutVertices[cuts[i]], o.BCT.CutVertices[cuts[j]]); w < Inf {
+				if w := o.QueryParent(int32(bi), o.BCT.CutVertices[cuts[i]], o.BCT.CutVertices[cuts[j]]); w < Inf {
 					apb.AddEdge(cuts[i], cuts[j], w)
 					edgeBlock = append(edgeBlock, int32(bi))
 				}
@@ -231,9 +231,9 @@ func TestOracleSnapshotRejectsV1(t *testing.T) {
 		o.encodeDecomposition(sw.Section("bcc"))
 		bl := sw.Section("blocks")
 		for _, blk := range o.Blocks {
-			encodeChains(bl, blk.Ear.Red)
-			table(bl, blk.Ear.SR)
-			bl.I64(blk.Ear.Relaxations)
+			encodeChains(bl, blk.Red)
+			table(bl, blk.SR)
+			bl.I64(blk.Relaxations)
 			bl.U64(0) // frontier sweeps
 		}
 		if version < 3 {
@@ -314,8 +314,8 @@ func sealOracle(t testing.TB, o *Oracle, flags uint32, table func(*snapshot.Enco
 	decomp(sw.Section("bcc"))
 	bl := sw.Section("blocks")
 	for _, blk := range o.Blocks {
-		table(bl, blk.Ear.SR)
-		bl.I64(blk.Ear.Relaxations)
+		table(bl, blk.SR)
+		bl.I64(blk.Relaxations)
 	}
 	apTable(sw.Section("aptable"))
 	if extra != nil {

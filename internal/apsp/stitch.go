@@ -186,7 +186,7 @@ func (o *Oracle) StitchRow(u int32, out []graph.Weight, fetch BlockRowsFunc) (in
 			home = len(want)
 		}
 		want = append(want, BlockWant{Block: int32(b), Src: src})
-		total += len(o.Blocks[b].Sub.ToParentVertex)
+		total += len(bct.BlockVerts[b])
 	}
 	sc.want = want
 	sc.flat = grow(sc.flat, total)
@@ -194,7 +194,7 @@ func (o *Oracle) StitchRow(u int32, out []graph.Weight, fetch BlockRowsFunc) (in
 	rows := sc.rows
 	off := 0
 	for i, w := range want {
-		k := len(o.Blocks[w.Block].Sub.ToParentVertex)
+		k := len(bct.BlockVerts[w.Block])
 		rows[i] = sc.flat[off : off+k : off+k]
 		off += k
 	}
@@ -216,7 +216,7 @@ func (o *Oracle) StitchRow(u int32, out []graph.Weight, fetch BlockRowsFunc) (in
 		// In-block distances, including the home block's own cut vertices,
 		// are exact: a shortest path between two vertices of one
 		// biconnected component never leaves it.
-		verts := o.Blocks[bu].Sub.ToParentVertex
+		verts := bct.BlockVerts[bu]
 		for k, pv := range verts {
 			out[pv] = rows[home][k]
 		}
@@ -256,7 +256,7 @@ func (o *Oracle) StitchRow(u int32, out []graph.Weight, fetch BlockRowsFunc) (in
 			continue // filled above
 		}
 		g := gate[w.Block]
-		verts, row := o.Blocks[w.Block].Sub.ToParentVertex, rows[i]
+		verts, row := bct.BlockVerts[w.Block], rows[i]
 		ops += int64(len(verts))
 		if g == gateSelf {
 			// The AP source lies on this block: in-block distances are

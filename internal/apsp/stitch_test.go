@@ -198,7 +198,7 @@ func TestPairKernelProviders(t *testing.T) {
 					}
 					var d [2]graph.Weight
 					for i, e := range p.Want[:p.N] {
-						rows := [][]graph.Weight{make([]graph.Weight, len(k.Blocks[e.Block].Sub.ToParentVertex))}
+						rows := [][]graph.Weight{make([]graph.Weight, len(k.BCT.BlockVerts[e.Block]))}
 						if err := fetch([]apsp.BlockWant{{Block: e.Block, Src: e.Src}}, rows); err != nil {
 							t.Fatalf("%s: block row (%d,%d): %v", tc.Name, e.Block, e.Src, err)
 						}

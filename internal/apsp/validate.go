@@ -3,7 +3,7 @@ package apsp
 import "fmt"
 
 // CheckInvariants audits the oracle's internal structure: the BCC edge
-// partition, block/subgraph consistency, table sizes, the rooted forest,
+// partition, block graphs and vertex lists, table sizes, the rooted forest,
 // and the AP table. It exists for the delta machinery — an incorrect
 // incremental update should fail loudly here (and in the differential
 // harness) rather than answer queries subtly wrong. It is read-only and
@@ -54,38 +54,45 @@ func (o *Oracle) CheckInvariants() error {
 		}
 	}
 
-	// Per block: subgraph matches its component, tables match the
-	// reduction, and the local index is the inverse of ToParentVertex.
-	for bi, blk := range o.Blocks {
-		if blk == nil || blk.Ear == nil || blk.Sub == nil {
-			return fmt.Errorf("apsp: block %d incomplete", bi)
+	// The vertex index is the inverse of the block vertex lists.
+	if o.loc == nil || len(o.loc.home) != n {
+		return fmt.Errorf("apsp: vertex index missing or not sized for %d vertices", n)
+	}
+	if len(o.BCT.BlockVerts) != len(o.Blocks) {
+		return fmt.Errorf("apsp: %d block vertex lists for %d blocks", len(o.BCT.BlockVerts), len(o.Blocks))
+	}
+	entries := len(o.loc.ov)
+	for _, l := range o.loc.home {
+		if l >= 0 {
+			entries++
 		}
-		if blk.Sub.G.NumEdges() != len(o.Dec.Components[bi]) {
-			return fmt.Errorf("apsp: block %d subgraph has %d edges for component of %d",
-				bi, blk.Sub.G.NumEdges(), len(o.Dec.Components[bi]))
-		}
-		if blk.Ear.G.NumVertices() != blk.Sub.G.NumVertices() {
-			return fmt.Errorf("apsp: block %d ear built on %d vertices, subgraph has %d",
-				bi, blk.Ear.G.NumVertices(), blk.Sub.G.NumVertices())
-		}
-		nr := blk.Ear.Red.R.NumVertices()
-		if blk.Ear.nr != nr || len(blk.Ear.SR) != nr*nr {
-			return fmt.Errorf("apsp: block %d has %d S^r entries for nr=%d", bi, len(blk.Ear.SR), nr)
-		}
-		if blk.loc != o.loc || blk.bi != int32(bi) {
-			return fmt.Errorf("apsp: block %d not stamped with the shared vertex index", bi)
-		}
-		for local, parent := range blk.Sub.ToParentVertex {
-			if got := blk.local(parent); got != int32(local) {
+	}
+	for bi, verts := range o.BCT.BlockVerts {
+		entries -= len(verts)
+		for local, parent := range verts {
+			if got := o.loc.local(int32(bi), parent); got != int32(local) {
 				return fmt.Errorf("apsp: block %d local index disagrees at parent vertex %d", bi, parent)
 			}
 		}
 	}
-	if o.loc == nil {
-		return fmt.Errorf("apsp: vertex index missing")
+	if entries != 0 {
+		return fmt.Errorf("apsp: vertex index holds %d memberships the block vertex lists do not", entries)
 	}
-	if len(o.loc.home) != n {
-		return fmt.Errorf("apsp: vertex index sized %d for %d vertices", len(o.loc.home), n)
+
+	// Per block: its graph is its component over its vertex list, and the
+	// tables match the reduction.
+	for bi, blk := range o.Blocks {
+		if blk == nil {
+			return fmt.Errorf("apsp: block %d has no tables", bi)
+		}
+		if blk.G.NumEdges() != len(o.Dec.Components[bi]) || blk.G.NumVertices() != len(o.BCT.BlockVerts[bi]) {
+			return fmt.Errorf("apsp: block %d graph has %d vertices and %d edges for %d and %d",
+				bi, blk.G.NumVertices(), blk.G.NumEdges(), len(o.BCT.BlockVerts[bi]), len(o.Dec.Components[bi]))
+		}
+		nr := blk.Red.R.NumVertices()
+		if blk.nr != nr || len(blk.SR) != nr*nr {
+			return fmt.Errorf("apsp: block %d has %d S^r entries for nr=%d", bi, len(blk.SR), nr)
+		}
 	}
 
 	// Rooted forest invariants — exactly what lca/ancestorAtDepth rely on.

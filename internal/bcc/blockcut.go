@@ -20,6 +20,12 @@ type BlockCutTree struct {
 	BlockCuts [][]int32
 	CutBlocks [][]int32
 
+	// BlockVerts[b] lists the vertices of block b in order of first
+	// appearance over its component's edges: the block's local vertex
+	// order, in which its tables are indexed. The lists share one backing
+	// slice.
+	BlockVerts [][]int32
+
 	// BlockOf[v] is a block containing vertex v (the unique one if v is not
 	// a cut vertex; an arbitrary incident block for cut vertices;
 	// -1 for isolated vertices).
@@ -45,6 +51,12 @@ func BuildBlockCutTree(g *graph.Graph, d *Decomposition) *BlockCutTree {
 	}
 	t.BlockCuts = make([][]int32, len(d.Components))
 	t.CutBlocks = make([][]int32, len(t.CutVertices))
+	t.BlockVerts = make([][]int32, len(d.Components))
+	// A vertex lies on one block per tree edge at it, plus a self-loop
+	// block: n + #blocks bounds the total on a genuine decomposition. A
+	// partition that is not one may outgrow it; its lists stay correct,
+	// just not on one backing slice.
+	verts := make([]int32, 0, n+len(d.Components))
 	stamp := make([]int32, n)
 	for i := range stamp {
 		stamp[i] = -1
@@ -54,6 +66,7 @@ func BuildBlockCutTree(g *graph.Graph, d *Decomposition) *BlockCutTree {
 		// block: it is isolated in the block-cut tree, so routing through
 		// it would wrongly report Inf for connected pairs.
 		loopBlock := len(comp) == 1 && g.Edge(comp[0]).U == g.Edge(comp[0]).V
+		start := len(verts)
 		for _, eid := range comp {
 			e := g.Edge(eid)
 			for _, v := range [2]int32{e.U, e.V} {
@@ -61,6 +74,7 @@ func BuildBlockCutTree(g *graph.Graph, d *Decomposition) *BlockCutTree {
 					continue
 				}
 				stamp[v] = int32(bi)
+				verts = append(verts, v)
 				if !loopBlock || t.BlockOf[v] < 0 {
 					t.BlockOf[v] = int32(bi)
 				}
@@ -70,6 +84,7 @@ func BuildBlockCutTree(g *graph.Graph, d *Decomposition) *BlockCutTree {
 				}
 			}
 		}
+		t.BlockVerts[bi] = verts[start:len(verts):len(verts)]
 	}
 	return t
 }

@@ -20,11 +20,11 @@ import (
 func referenceAPTable(o *apsp.Oracle) []graph.Weight {
 	a := o.NumArticulation()
 	b := graph.NewBuilder(a)
-	for bi, blk := range o.Blocks {
+	for bi := range o.Blocks {
 		cuts := o.BCT.BlockCuts[bi]
 		for i := range cuts {
 			for j := i + 1; j < len(cuts); j++ {
-				if w := blk.QueryParent(o.BCT.CutVertices[cuts[i]], o.BCT.CutVertices[cuts[j]]); w < apsp.Inf {
+				if w := o.QueryParent(int32(bi), o.BCT.CutVertices[cuts[i]], o.BCT.CutVertices[cuts[j]]); w < apsp.Inf {
 					b.AddEdge(cuts[i], cuts[j], w)
 				}
 			}

@@ -70,10 +70,10 @@ func tableBits(o *apsp.Oracle) []uint64 {
 		bits = append(bits, math.Float64bits(d))
 	}
 	for _, blk := range o.Blocks {
-		kept := blk.Ear.Red.KeptToOrig
+		kept := blk.Red.KeptToOrig
 		for _, x := range kept {
 			for _, y := range kept {
-				bits = append(bits, math.Float64bits(blk.Ear.Query(x, y)))
+				bits = append(bits, math.Float64bits(blk.Query(x, y)))
 			}
 		}
 	}
@@ -255,7 +255,7 @@ func followsCutChain(o *apsp.Oracle, walk []int32) error {
 		blk := from[cut]
 		cut = from[blk]
 		onBlock := make(map[int32]bool)
-		for _, v := range o.Blocks[blk].Sub.ToParentVertex {
+		for _, v := range o.BCT.BlockVerts[blk] {
 			onBlock[v] = true
 		}
 		for target := bct.CutVertices[cut-numB]; walk[pos] != target; {

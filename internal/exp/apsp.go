@@ -61,13 +61,13 @@ func runBanerjee(g *graph.Graph, workers int) (sec float64, work int64) {
 // (the paper's A_i tables), writing into a reusable buffer.
 func StreamBlockRows(o *apsp.Oracle) {
 	var buf []graph.Weight
-	for _, blk := range o.Blocks {
-		n := blk.Sub.G.NumVertices()
+	for b, blk := range o.Blocks {
+		n := len(o.BCT.BlockVerts[b])
 		if n > len(buf) {
 			buf = make([]graph.Weight, n)
 		}
 		for s := 0; s < n; s++ {
-			blk.Ear.Row(int32(s), buf[:n])
+			blk.Row(int32(s), buf[:n])
 		}
 	}
 }

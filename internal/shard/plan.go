@@ -100,8 +100,8 @@ func PlanShards(o *apsp.Oracle, opts PlanOptions) (*Plan, error) {
 	// component cannot dominate a shard.
 	weights := make([]int64, numB)
 	for b, blk := range o.Blocks {
-		nr := int64(blk.Ear.Red.R.NumVertices())
-		weights[b] = nr*nr + int64(len(blk.Sub.ToParentVertex))
+		nr := int64(blk.Red.R.NumVertices())
+		weights[b] = nr*nr + int64(len(o.BCT.BlockVerts[b]))
 	}
 
 	// Quotient graph over blocks: for each AP, path-connect the blocks

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/apsp"
+	"repro/internal/datasets"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/snapshot"
@@ -103,8 +105,8 @@ func TestPlanManifestRoundtrip(t *testing.T) {
 	if !reflect.DeepEqual(q.o.BCT, o.BCT) || !reflect.DeepEqual(q.o.Forest, o.Forest) || !reflect.DeepEqual(q.o.A, o.A) {
 		t.Fatal("the loaded plan's block-cut tree, forest or A differs from the monolith's")
 	}
-	for b, blk := range o.Blocks {
-		if !reflect.DeepEqual(q.o.Blocks[b].Sub.ToParentVertex, blk.Sub.ToParentVertex) {
+	for b := range o.Blocks {
+		if !reflect.DeepEqual(q.o.BCT.BlockVerts[b], o.BCT.BlockVerts[b]) {
 			t.Fatalf("block %d: the loaded plan's vertex list differs from the monolith's", b)
 		}
 	}
@@ -183,7 +185,7 @@ func TestShardSnapshotRoundtrip(t *testing.T) {
 		// Owned block rows match the monolith's QueryParent bytes; unowned
 		// blocks refuse with the typed error.
 		for b := int32(0); int(b) < p.NumBlocks(); b++ {
-			verts := p.o.Blocks[b].Sub.ToParentVertex
+			verts := p.o.BCT.BlockVerts[b]
 			out := make([]graph.Weight, len(verts))
 			err := sb.BlockRow(b, verts[0], out)
 			if p.BlockShard[b] != s {
@@ -196,7 +198,7 @@ func TestShardSnapshotRoundtrip(t *testing.T) {
 				t.Fatalf("shard %d BlockRow(%d): %v", s, b, err)
 			}
 			for i, pv := range verts {
-				if want := o.Blocks[b].QueryParent(verts[0], pv); out[i] != want {
+				if want := o.QueryParent(b, verts[0], pv); out[i] != want {
 					t.Fatalf("shard %d block %d row[%d] = %v, monolith %v", s, b, i, out[i], want)
 				}
 			}
@@ -236,4 +238,46 @@ func TestReadPlanVersionSkew(t *testing.T) {
 	if !errors.Is(err, snapshot.ErrChecksum) && !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("err = %v, want a snapshot sentinel", err)
 	}
+}
+
+// TestReadPlanRetainsNoBlockGraphs: a plan manifest holds no block table,
+// so loading one builds no block graph. ReadPlan of the benchmark's
+// `blocks` graph (cond_mat_2003 at 0.25) cut into 2 shards retains what
+// the frontend kernels read — the graph, partition, block-cut tree with
+// its vertex lists, forest and A (553² float64 ≈ 2.45 MB) — and under
+// 4.5 MB of heap in all; with a graph per block it retained 6.04 MB.
+func TestReadPlanRetainsNoBlockGraphs(t *testing.T) {
+	spec, err := datasets.ByName("cond_mat_2003")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := PlanShards(apsp.NewOracleParallel(spec.Generate(0.25, 1), 2), PlanOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := p.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	p = nil
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	q, err := ReadPlan(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / 1e6
+	t.Logf("ReadPlan of a %d-byte manifest retains %.2f MB", buf.Len(), retained)
+	if retained >= 4.5 {
+		t.Errorf("ReadPlan of a %d-byte manifest retains %.2f MB, want < 4.5", buf.Len(), retained)
+	}
+	for b, blk := range q.o.Blocks {
+		if blk != nil {
+			t.Fatalf("block %d has tables in a plan", b)
+		}
+	}
+	runtime.KeepAlive(q)
 }

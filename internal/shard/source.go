@@ -251,7 +251,7 @@ func (s *RemoteSource) Pair(ctx context.Context, u, v int32) (graph.Weight, erro
 		var rows [2][]graph.Weight
 		for i, e := range p.Want[:p.N] {
 			want[i] = apsp.BlockWant{Block: e.Block, Src: e.Src}
-			rows[i] = make([]graph.Weight, len(o.Blocks[e.Block].Sub.ToParentVertex))
+			rows[i] = make([]graph.Weight, len(o.BCT.BlockVerts[e.Block]))
 		}
 		if err := s.fanOut(ctx, want[:p.N], rows[:p.N]); err != nil {
 			return apsp.Inf, err

@@ -90,8 +90,8 @@ func TestOversizedResponseBounded(t *testing.T) {
 	}
 	// Every block of this plan is wanted by row 0's component at most once.
 	var lens []int
-	for _, blk := range c.plan.o.Blocks {
-		lens = append(lens, len(blk.Sub.ToParentVertex))
+	for _, verts := range c.plan.o.BCT.BlockVerts {
+		lens = append(lens, len(verts))
 	}
 	if limit := int(rowsResponseLen(lens)); body.read > limit+1 {
 		t.Fatalf("read %d bytes of a %d-byte body; the request allows at most %d", body.read, oversized, limit)
@@ -116,8 +116,8 @@ func TestOversizedResponseBounded(t *testing.T) {
 // and the raw response body.
 func rowsExchange(t testing.TB, p *Plan, url string) (reqs [][2]int32, lens []int, raw []byte) {
 	t.Helper()
-	for b, blk := range p.o.Blocks {
-		if verts := blk.Sub.ToParentVertex; p.BlockShard[b] == 0 {
+	for b, verts := range p.o.BCT.BlockVerts {
+		if p.BlockShard[b] == 0 {
 			reqs = append(reqs, [2]int32{int32(b), verts[0]})
 			lens = append(lens, len(verts))
 		}
