@@ -440,8 +440,8 @@ func largestBlockM(tb testing.TB) *graph.Graph {
 // worker: the ear reduction and the fill of S^r, a row-bounded Dijkstra
 // from every source of G^r that stops at the rows finished in earlier
 // batches and merges them. It reports ns per row of S^r; its allocations
-// are fixed (the table, the reduction and the fill's state, which
-// TestEarAPSPFillAllocs pins).
+// are fixed (the square the searches fill, the packed table, the
+// reduction and the fill's state, which TestEarAPSPFillAllocs pins).
 func BenchmarkEarAPSPFill(b *testing.B) {
 	g := largestBlockM(b)
 	nr := ear.Reduce(g, ear.APSP).R.NumVertices()
@@ -454,15 +454,16 @@ func BenchmarkEarAPSPFill(b *testing.B) {
 }
 
 // TestEarAPSPFillAllocs pins the fill's allocations exactly: a flat
-// table over that block's G^r is the identity reduction (5), the EarAPSP
-// and its table (2) and the fill's state, allocated once per worker or
-// once per fill, never per batch. The ear reduction is left out, and the
+// table over that block's G^r is the identity reduction (5), the EarAPSP,
+// the square the searches fill and the triangle it is packed into (3) and
+// the fill's state, allocated once per worker or once per fill, never per
+// batch. The ear reduction is left out, and the
 // collector is off while it counts: a GC cycle runs the unique package's
 // map cleanup, which allocates on whichever run it lands.
 func TestEarAPSPFillAllocs(t *testing.T) {
 	r := ear.Reduce(largestBlockM(t), ear.APSP).R
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const want = 18
+	const want = 19
 	if fill := testing.AllocsPerRun(3, func() { apsp.NewFlatAPSP(r, 1) }); fill != want {
 		t.Fatalf("the fill of %d reduced rows allocates %v times, want %d", r.NumVertices(), fill, want)
 	}

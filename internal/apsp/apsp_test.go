@@ -1,6 +1,8 @@
 package apsp
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -249,5 +251,47 @@ func TestDegenerateGraphs(t *testing.T) {
 	// Banerjee on a degenerate input
 	if d := NewBanerjee(b2.Build(), 1).Query(0, 1); d != 7 {
 		t.Fatalf("banerjee edge %v", d)
+	}
+}
+
+// TestTablesSymmetric: S^r and A store one value per pair, so the tables
+// are symmetric by construction, bit for bit, even on float weights,
+// where a search's sums round differently from each end. On every
+// testGraphs graph with its weights divided by 3, every in-block distance
+// between two kept vertices and every A entry, read through Query between
+// two cut vertices, reads the same both ways round.
+func TestTablesSymmetric(t *testing.T) {
+	pairs := 0
+	same := func(name, what string, u, v int32, d func(u, v int32) graph.Weight) {
+		t.Helper()
+		pairs++
+		if duv, dvu := d(u, v), d(v, u); math.Float64bits(duv) != math.Float64bits(dvu) {
+			t.Errorf("%s: %s d(%d,%d) = %v, d(%d,%d) = %v", name, what, u, v, duv, v, u, dvu)
+		}
+	}
+	for name, g := range testGraphs(t) {
+		edges := slices.Clone(g.Edges())
+		for i := range edges {
+			edges[i].W /= 3
+		}
+		o := NewOracle(graph.FromEdges(g.NumVertices(), edges))
+		for bi, blk := range o.Blocks {
+			verts, b := o.BCT.BlockVerts[bi], int32(bi)
+			in := func(u, v int32) graph.Weight { return o.QueryParent(b, u, v) }
+			for i, x := range blk.Red.KeptToOrig {
+				for _, y := range blk.Red.KeptToOrig[i+1:] {
+					same(name, "S^r", verts[x], verts[y], in)
+				}
+			}
+		}
+		cuts := o.BCT.CutVertices
+		for i, u := range cuts {
+			for _, v := range cuts[i+1:] {
+				same(name, "A", u, v, o.Query)
+			}
+		}
+	}
+	if pairs < 900 {
+		t.Fatalf("only %d pairs compared", pairs)
 	}
 }

@@ -36,8 +36,9 @@ const Inf = sssp.Inf
 type EarAPSP struct {
 	G   *graph.Graph
 	Red *ear.Reduced
-	// SR is the nr×nr row-major distance table over reduced vertices
-	// (S^r[s,t] in the paper).
+	// SR is the symmetric nr×nr distance table over reduced vertices
+	// (S^r[s,t] in the paper), stored once per pair as its upper
+	// triangle, row-major: nr(nr+1)/2 entries, read through triAt.
 	SR []graph.Weight
 	nr int
 	// Relaxations is the total work of the processing phase, the work
@@ -48,14 +49,22 @@ type EarAPSP struct {
 }
 
 // newEarAPSP is the start every constructor shares: Phase I of
-// Algorithm 1 (ear reduction; a nil red asks for it) and the empty nr×nr
-// table S^r the processing phase then fills.
+// Algorithm 1 (ear reduction; a nil red asks for it).
 func newEarAPSP(g *graph.Graph, red *ear.Reduced) *EarAPSP {
 	if red == nil {
 		red = ear.Reduce(g, ear.APSP)
 	}
-	nr := red.R.NumVertices()
-	return &EarAPSP{G: g, Red: red, nr: nr, SR: make([]graph.Weight, nr*nr)}
+	return &EarAPSP{G: g, Red: red, nr: red.R.NumVertices()}
+}
+
+// triLen is the entry count of a side-n table stored as its upper triangle.
+func triLen(n int) int { return n * (n + 1) / 2 }
+
+// triAt indexes a symmetric side-n table stored as its upper triangle,
+// row-major: the pair is swapped to i ≤ j; row i holds (i, i..n-1).
+func triAt(i, j int32, n int) int {
+	lo, hi := int(min(i, j)), int(max(i, j))
+	return lo*(2*n-lo-1)/2 + hi
 }
 
 // searchBatch is the number of sources searched between two points where
@@ -68,8 +77,10 @@ const searchBatch = 16
 // non-loop degree first in batches of searchBatch, and sets Relaxations.
 // A search stops at the rows finished in earlier batches and merges them
 // instead; a row counts as finished only once its batch has ended, so the
-// table and Relaxations do not depend on the worker count. It stops early
-// — with no usable table — once ctx is done.
+// table and Relaxations do not depend on the worker count. The searches
+// merge whole rows, so they fill a square; each row s's entries (s, t ≥ s)
+// are then packed into S^r and the square is dropped. It stops early —
+// with no usable table — once ctx is done.
 func (a *EarAPSP) fillDijkstra(ctx context.Context, workers int) error {
 	r, nr := a.Red.R, a.nr
 	workers = max(workers, 1)
@@ -78,9 +89,9 @@ func (a *EarAPSP) fillDijkstra(ctx context.Context, workers int) error {
 	for i := range scratch {
 		scratch[i] = sssp.NewScratch(nr)
 	}
-	order, finished := byDegree(r), make([]bool, nr)
+	order, finished, sq := byDegree(r), make([]bool, nr), make([]graph.Weight, nr*nr)
 	var batch []int32
-	search := func(w, i int) { relax[w] += sssp.RowBounded(r, batch[i], a.SR, finished, scratch[w]) }
+	search := func(w, i int) { relax[w] += sssp.RowBounded(r, batch[i], sq, finished, scratch[w]) }
 	for lo := 0; lo < nr; lo += searchBatch {
 		batch = order[lo:min(lo+searchBatch, nr)]
 		if err := par.ParallelForCtx(ctx, workers, len(batch), search); err != nil {
@@ -92,6 +103,10 @@ func (a *EarAPSP) fillDijkstra(ctx context.Context, workers int) error {
 	}
 	for _, k := range relax {
 		a.Relaxations += k
+	}
+	a.SR = make([]graph.Weight, 0, triLen(nr))
+	for s := range nr {
+		a.SR = append(a.SR, sq[s*nr+s:(s+1)*nr]...)
 	}
 	return nil
 }
@@ -139,8 +154,8 @@ func NewEarAPSPParallelCtx(ctx context.Context, g *graph.Graph, workers int) (*E
 	return a, nil
 }
 
-// srAt returns S^r between two reduced IDs.
-func (a *EarAPSP) srAt(x, y int32) graph.Weight { return a.SR[int(x)*a.nr+int(y)] }
+// srAt returns S^r between two reduced IDs, in either order.
+func (a *EarAPSP) srAt(x, y int32) graph.Weight { return a.SR[triAt(x, y, a.nr)] }
 
 // Query returns the shortest-path distance between any two original
 // vertices, applying the Section 2.1.3 case analysis:
@@ -212,12 +227,12 @@ func min3(best, a, b, c graph.Weight) graph.Weight {
 // Row writes the distances from source x to every vertex into out
 // (len ≥ n) — one UPDATE_DISTANCE work-unit of the post-processing phase.
 // It returns the number of table operations performed (the phase's work
-// measure). It is one sweep over the kept vertices and one over the
-// chains with an interior, with x's own work (its kept ID, or its
-// anchors' two rows) hoisted out of both. Every entry is Float64bits-equal
-// to Query(x, y): it reads the table in Query's orientation, and since
-// rounding is monotone, a minimum over sums sharing an addend is that
-// addend plus the minimum.
+// measure). It is one sweep over the kept vertices (x's S^r row, or the
+// lower of its anchors' two) and one over the chains with an interior,
+// each chain reading its anchors' distances from the first sweep. Every
+// entry is Float64bits-equal to Query(x, y): S^r is one value per pair,
+// and since rounding is monotone, a minimum over sums sharing an addend
+// is that addend plus the minimum.
 func (a *EarAPSP) Row(x int32, out []graph.Weight) int64 {
 	n := a.G.NumVertices()
 	out = out[:n]
@@ -227,31 +242,21 @@ func (a *EarAPSP) Row(x int32, out []graph.Weight) int64 {
 		}
 		return int64(n)
 	}
-	red, nr := a.Red, a.nr
-	// end(k) is d(x, k) for a kept k as Query reads it on the way to a
-	// removed vertex anchored at k.
-	var end func(k int32) graph.Weight
+	red := a.Red
 	if kx := red.OrigToKept[x]; kx >= 0 {
-		for k, d := range a.SR[int(kx)*nr:][:nr] {
-			out[red.KeptToOrig[k]] = d
-		}
-		end = func(k int32) graph.Weight { return a.srAt(k, kx) }
+		a.keptRow(kx, 0, out, false)
 	} else {
 		ax, bx, dax, dbx := red.Anchors(x)
-		rowA := a.SR[int(red.OrigToKept[ax])*nr:][:nr]
-		rowB := a.SR[int(red.OrigToKept[bx])*nr:][:nr]
-		end = func(k int32) graph.Weight { return min(addInf(dax, rowA[k], 0), addInf(dbx, rowB[k], 0)) }
-		for k, y := range red.KeptToOrig {
-			out[y] = end(int32(k))
-		}
+		a.keptRow(red.OrigToKept[ax], dax, out, false)
+		a.keptRow(red.OrigToKept[bx], dbx, out, true)
 	}
-	if nr < n { // some vertices were removed into chains
+	if a.nr < n { // some vertices were removed into chains
 		for y, ci := range red.ChainOf {
 			if ci < 0 || red.PosOf[y] != 0 {
 				continue // kept, or not its chain's first interior vertex
 			}
 			c := &red.Chains[ci]
-			ea, eb := end(red.OrigToKept[c.A]), end(red.OrigToKept[c.B])
+			ea, eb := out[c.A], out[c.B] // kept anchors: d(x, ·) as Query reads it
 			for j, z := range c.Interior {
 				p := c.Prefix[j]
 				out[z] = min(addInf(ea, p, 0), addInf(eb, c.Total-p, 0))
@@ -267,4 +272,24 @@ func (a *EarAPSP) Row(x int32, out []graph.Weight) int64 {
 	}
 	out[x] = 0
 	return int64(n)
+}
+
+// keptRow writes d + S^r[k, j] at every kept vertex j's original ID in
+// out, or lowers the entry there to it when lower is set. Row k of the
+// triangle comes in two parts: S^r[j, k] for j < k, gathered down column
+// k (row j+1's entry sits nr-j-1 after row j's), then the contiguous tail
+// S^r[k, k..nr).
+func (a *EarAPSP) keptRow(k int32, d graph.Weight, out []graph.Weight, lower bool) {
+	orig, nr, i := a.Red.KeptToOrig, a.nr, int(k)
+	for j, y := range orig[:k] {
+		if s := addInf(d, a.SR[i], 0); !lower || s < out[y] {
+			out[y] = s
+		}
+		i += nr - j - 1
+	}
+	for j, v := range a.SR[i:][:nr-int(k)] {
+		if s, y := addInf(d, v, 0), orig[int(k)+j]; !lower || s < out[y] {
+			out[y] = s
+		}
+	}
 }

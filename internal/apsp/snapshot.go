@@ -28,8 +28,8 @@ import (
 //	cluster  plan epoch, shard count, this file's shard (Frontend in a plan), block → shard   shard, plan
 //	graph    the original graph's edge array                                                 all
 //	bcc      per-component edge-ID lists + articulation flags                                all
-//	blocks   per resident block: S^r table, relaxations                                      all (empty in a plan)
-//	aptable  the a×a table A behind its storage-kind tag                                     oracle, plan
+//	blocks   per resident block: S^r as held (upper triangle, tableKind), relaxations        all (empty in a plan)
+//	aptable  A as held (upper triangle, tableKind)                                           oracle, plan
 //
 // An oracle snapshot has no cluster section; that is how a reader tells
 // the kinds apart and refuses the two it does not load by name
@@ -49,7 +49,11 @@ import (
 // independently of the container's own version. Bump it whenever a
 // section's byte layout changes; readers reject any other version with
 // snapshot.ErrVersionSkew rather than guessing.
-const formatVersion = 4
+const formatVersion = 5
+
+// tableKind is the one table layout, "upper triangle, row-major,
+// float64" (v4's square was 0); any other kind is ErrCorrupt.
+const tableKind = 1
 
 // Frontend is the shard id a plan manifest's cluster section carries: the
 // file serves the cluster frontend, which holds no block tables.
@@ -192,10 +196,10 @@ func (o *Oracle) write(w io.Writer, c *Cluster) (int64, error) {
 // ErrCorrupt), and a shard snapshot or plan manifest with ErrWrongKind;
 // ReadOracle never panics on hostile bytes. Each block's ear reduction is
 // re-run (ear.Reduce over the block's graph, as a build does) and its
-// stored S^r table must be nr×nr for it. The loaded oracle's BuildPhases
-// holds one phase, "snapshot.load", which covers those reductions, and
-// none of a build's, so a process that only loads snapshots shows zero
-// build activity.
+// stored S^r must be the nr×nr triangle for it. The loaded oracle's
+// BuildPhases holds one phase, "snapshot.load", which covers those
+// reductions, and none of a build's, so a process that only loads
+// snapshots shows zero build activity.
 func ReadOracle(r io.Reader) (*Oracle, error) {
 	o, _, err := read(r, oracleKind)
 	return o, err
@@ -295,7 +299,7 @@ func read(r io.Reader, want kind) (o *Oracle, c *Cluster, err error) {
 	o.Relaxations = relax // the stored total also carries the work of every delta applied
 	if want != shardKind {
 		ad := sr.Section("aptable")
-		if o.A, err = decodeTable(ad, o.numA*o.numA, "AP table"); err != nil {
+		if o.A, err = decodeTable(ad, o.numA, "AP table"); err != nil {
 			return nil, nil, err
 		}
 		if err := ad.Finish(); err != nil {
@@ -307,21 +311,24 @@ func read(r io.Reader, want kind) (o *Oracle, c *Cluster, err error) {
 	return o, c, nil
 }
 
-// encodeTable appends a distance table behind its reserved kind word.
+// encodeTable appends a distance table, an upper triangle, behind its kind word.
 func encodeTable(e *snapshot.Encoder, t []graph.Weight) {
-	e.U32(0) // storage kind: every table is float64
+	e.U32(tableKind)
 	e.F64s(t)
 }
 
-// decodeTable reads a distance table of want entries; a non-zero kind is ErrCorrupt.
-func decodeTable(d *snapshot.Decoder, want int, what string) ([]graph.Weight, error) {
-	d.Reserved("table kind")
+// decodeTable reads the upper triangle of a side-n distance table; any
+// kind but tableKind, or any length but triLen(n), is ErrCorrupt.
+func decodeTable(d *snapshot.Decoder, n int, what string) ([]graph.Weight, error) {
+	if k := d.U32(); k != tableKind && d.Err() == nil {
+		return nil, snapshot.Corruptf("apsp: %s kind %d, want %d", what, k, tableKind)
+	}
 	t := d.F64s()
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("apsp: %s: %w", what, err)
 	}
-	if len(t) != want {
-		return nil, snapshot.Corruptf("apsp: %s has %d table entries, want %d", what, len(t), want)
+	if len(t) != triLen(n) {
+		return nil, snapshot.Corruptf("apsp: %s has %d table entries, want %d", what, len(t), triLen(n))
 	}
 	return t, nil
 }
@@ -338,11 +345,11 @@ func (o *Oracle) encodeDecomposition(e *snapshot.Encoder) {
 
 // decodeBlock re-derives one block's ear reduction with the code a build
 // runs and reads its S^r table and relaxation count; the table must be
-// nr×nr for the derived reduction.
+// the nr×nr upper triangle for the derived reduction.
 func decodeBlock(bd *snapshot.Decoder, g *graph.Graph, bi int) (*EarAPSP, error) {
 	red := ear.Reduce(g, ear.APSP)
 	nr := red.R.NumVertices()
-	sr, err := decodeTable(bd, nr*nr, "S^r")
+	sr, err := decodeTable(bd, nr, "S^r")
 	if err != nil {
 		return nil, fmt.Errorf("block %d: %w", bi, err)
 	}

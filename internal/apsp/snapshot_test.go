@@ -126,23 +126,31 @@ func TestSnapshotVersionSkew(t *testing.T) {
 	}
 }
 
-// f32Table writes t in a float32 layout no release wrote: kind 1, then a
+// f32Table writes t in a float32 layout no release wrote: kind 2, then a
 // length-prefixed slice of float32 bit patterns.
 func f32Table(e *snapshot.Encoder, t []graph.Weight) {
-	e.U32(1)
+	e.U32(2)
 	e.U64(uint64(len(t)))
 	for _, v := range t {
 		e.U32(math.Float32bits(float32(v)))
 	}
 }
 
+// kind0Table writes t's entries behind kind 0, the square layout's kind
+// word in format v4.
+func kind0Table(e *snapshot.Encoder, t []graph.Weight) {
+	e.U32(0)
+	e.F64s(t)
+}
+
 // reservedWords seals o's oracle snapshot, shard snapshot and plan
-// manifest with a non-zero reserved word: meta flag bit 0 over float64
-// tables, kind-1 tables under flags 0, and both. Each reader must refuse
-// each as corrupt.
+// manifest with a non-zero reserved word or an unknown table kind: meta
+// flag bit 0 over upper-triangle tables, kind-2 tables under flags 0,
+// both, and kind-0 tables. Each reader must refuse each as corrupt.
 func reservedWords(t testing.TB, o *Oracle) (oracles, shards, plans [][]byte) {
 	f64AP := func(e *snapshot.Encoder) { encodeTable(e, o.A) }
 	f32AP := func(e *snapshot.Encoder) { f32Table(e, o.A) }
+	k0AP := func(e *snapshot.Encoder) { kind0Table(e, o.A) }
 	all := make([]bool, len(o.Blocks))
 	for bi := range all {
 		all[bi] = true
@@ -154,16 +162,19 @@ func reservedWords(t testing.TB, o *Oracle) (oracles, shards, plans [][]byte) {
 		sealOracle(t, o, 0, f32Table, f32AP, nil, nil),
 		sealOracle(t, o, 0, encodeTable, f32AP, nil, nil), // only the AP table
 		sealOracle(t, o, 1, f32Table, f32AP, nil, nil),
+		sealOracle(t, o, 0, kind0Table, k0AP, nil, nil),
 	}
 	shards = [][]byte{
 		sealCluster(t, o, 1, shard, all, encodeTable, nil),
 		sealCluster(t, o, 0, shard, all, f32Table, nil),
 		sealCluster(t, o, 1, shard, all, f32Table, nil),
+		sealCluster(t, o, 0, shard, all, kind0Table, nil),
 	}
 	plans = [][]byte{
 		sealCluster(t, o, 1, plan, nil, nil, f64AP),
 		sealCluster(t, o, 0, plan, nil, nil, f32AP),
 		sealCluster(t, o, 1, plan, nil, nil, f32AP),
+		sealCluster(t, o, 0, plan, nil, nil, k0AP),
 	}
 	return oracles, shards, plans
 }
@@ -184,13 +195,26 @@ func encodeChains(e *snapshot.Encoder, red *ear.Reduced) {
 	e.I32s(red.EdgeChain)
 }
 
+// squareOf expands a side-n upper triangle into the n×n row-major square
+// that payloads before v5 stored.
+func squareOf(tri []graph.Weight, n int) []graph.Weight {
+	sq := make([]graph.Weight, n*n)
+	for i := range int32(n) {
+		for j := range int32(n) {
+			sq[int(i)*n+int(j)] = tri[triAt(i, j, n)]
+		}
+	}
+	return sq
+}
+
 // TestOracleSnapshotRejectsV1 hand-rolls complete payloads in the
-// three retired layouts — v1 (no meta flags, untagged float64 tables), v2
+// four retired layouts — v1 (no meta flags, untagged float64 tables), v2
 // (flags and tagged tables), both with the stored forest and the AP graph
-// behind the table, and v3 (neither) — each storing every block's ear
-// reduction as chain records ahead of its table, and checks each is
-// refused as version skew, not half-decoded: there is no in-place
-// migration, a snapshot from an older release is rebuilt.
+// behind the table, v3 (neither), each storing every block's ear
+// reduction as chain records ahead of its table, and v4 (no chain
+// records, square tables under kind 0) — and checks each is refused as
+// version skew, not half-decoded: there is no in-place migration, a
+// snapshot from an older release is rebuilt.
 func TestOracleSnapshotRejectsV1(t *testing.T) {
 	o := NewOracle(testGraphs(t)["chained-blocks"])
 
@@ -210,7 +234,7 @@ func TestOracleSnapshotRejectsV1(t *testing.T) {
 	}
 	apGraph := apb.Build()
 
-	for _, version := range []uint32{1, 2, 3} {
+	for _, version := range []uint32{1, 2, 3, 4} {
 		table := func(e *snapshot.Encoder, f64 []graph.Weight) {
 			if version >= 2 {
 				e.U32(0) // table kind
@@ -231,10 +255,14 @@ func TestOracleSnapshotRejectsV1(t *testing.T) {
 		o.encodeDecomposition(sw.Section("bcc"))
 		bl := sw.Section("blocks")
 		for _, blk := range o.Blocks {
-			encodeChains(bl, blk.Red)
-			table(bl, blk.SR)
+			if version < 4 {
+				encodeChains(bl, blk.Red)
+			}
+			table(bl, squareOf(blk.SR, blk.nr))
 			bl.I64(blk.Relaxations)
-			bl.U64(0) // frontier sweeps
+			if version < 4 {
+				bl.U64(0) // frontier sweeps
+			}
 		}
 		if version < 3 {
 			fe := sw.Section("forest")
@@ -243,7 +271,7 @@ func TestOracleSnapshotRejectsV1(t *testing.T) {
 			fe.I32s(o.nodeRoot)
 		}
 		ae := sw.Section("aptable")
-		table(ae, o.A)
+		table(ae, squareOf(o.A, o.numA))
 		if version < 3 {
 			ae.U32(1)
 			apGraph.EncodeSnapshot(ae)
@@ -328,7 +356,7 @@ func sealOracle(t testing.TB, o *Oracle, flags uint32, table func(*snapshot.Enco
 	return buf.Bytes()
 }
 
-// hostileSnapshot is a checksum-valid v4 container around an oracle's real
+// hostileSnapshot is a checksum-valid v5 container around an oracle's real
 // graph, partition and block tables that a writer never emits; corrupt
 // says whether ReadOracle must refuse it.
 type hostileSnapshot struct {

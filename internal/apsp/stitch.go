@@ -36,8 +36,8 @@ import (
 // them, so a frontend runs the same methods as the monolith; only the
 // in-block rows come from elsewhere.
 
-// ap reads entry (i, j) of A.
-func (o *Oracle) ap(i, j int32) graph.Weight { return o.A[int(i)*o.numA+int(j)] }
+// ap reads entry (i, j) of A, in either order.
+func (o *Oracle) ap(i, j int32) graph.Weight { return o.A[triAt(i, j, o.numA)] }
 
 // BlockWant names one in-block row the kernel needs: d_Block(Src, ·), in
 // the order of Block's vertex list. Src is a parent-graph vertex lying on

@@ -90,7 +90,7 @@ func (o *Oracle) CheckInvariants() error {
 				bi, blk.G.NumVertices(), blk.G.NumEdges(), len(o.BCT.BlockVerts[bi]), len(o.Dec.Components[bi]))
 		}
 		nr := blk.Red.R.NumVertices()
-		if blk.nr != nr || len(blk.SR) != nr*nr {
+		if blk.nr != nr || len(blk.SR) != triLen(nr) {
 			return fmt.Errorf("apsp: block %d has %d S^r entries for nr=%d", bi, len(blk.SR), nr)
 		}
 	}
@@ -121,12 +121,12 @@ func (o *Oracle) CheckInvariants() error {
 			len(o.up), o.upLevels, nn)
 	}
 
-	// AP table: a×a, zero diagonal.
-	if len(o.A) != o.numA*o.numA {
+	// AP table: the a×a upper triangle, zero diagonal.
+	if len(o.A) != triLen(o.numA) {
 		return fmt.Errorf("apsp: AP table has %d entries for a=%d", len(o.A), o.numA)
 	}
-	for i := 0; i < o.numA; i++ {
-		if d := o.A[i*o.numA+i]; d != 0 {
+	for i := range int32(o.numA) {
+		if d := o.ap(i, i); d != 0 {
 			return fmt.Errorf("apsp: AP table diagonal %d is %v", i, d)
 		}
 	}

@@ -62,7 +62,9 @@ func forestOddball() *graph.Graph {
 // Dijkstra minimised over and float addition is monotone, so a walk entry
 // never reads below the reference (the lower bound is exact, not a
 // tolerance); it may read above it by the rounding Dijkstra saved when it
-// routed s → x → c through a third cut x of one block.
+// routed s → x → c through a third cut x of one block. A stores each pair
+// once, the entry (s, c ≥ s) of s's walk, read here through Query between
+// the two cut vertices and held to the reference's row s.
 func TestAPTableMatchesCliqueDijkstra(t *testing.T) {
 	integral := append(Corpus(), pathOddballs()...)
 	integral = append(integral, NamedGraph{"forest-oddball", forestOddball()})
@@ -95,20 +97,20 @@ func TestAPTableMatchesCliqueDijkstra(t *testing.T) {
 		for _, ng := range graphs {
 			o := apsp.NewOracle(ng.G)
 			ref := referenceAPTable(o)
-			if len(o.A) != len(ref) {
-				t.Fatalf("%s: A has %d entries, reference %d", ng.Name, len(o.A), len(ref))
-			}
-			a := o.NumArticulation()
-			for i, got := range o.A {
-				want := ref[i]
-				entries++
-				if math.Float64bits(got) == math.Float64bits(want) {
-					continue
-				}
-				moved++
-				if exact || want >= apsp.Inf || got < want || got > want*(1+1e-12) {
-					t.Fatalf("%s: A[%d,%d] = %v (%016x), clique Dijkstra %v (%016x)", ng.Name,
-						i/a, i%a, got, math.Float64bits(got), want, math.Float64bits(want))
+			cuts := o.BCT.CutVertices
+			a := len(cuts)
+			for s := range a {
+				for c := s; c < a; c++ {
+					got, want := o.Query(cuts[s], cuts[c]), ref[s*a+c]
+					entries++
+					if math.Float64bits(got) == math.Float64bits(want) {
+						continue
+					}
+					moved++
+					if exact || want >= apsp.Inf || got < want || got > want*(1+1e-12) {
+						t.Fatalf("%s: A[%d,%d] = %v (%016x), clique Dijkstra %v (%016x)", ng.Name,
+							s, c, got, math.Float64bits(got), want, math.Float64bits(want))
+					}
 				}
 			}
 		}

@@ -205,7 +205,7 @@ func TestPathsFollowCutChain(t *testing.T) {
 					if err := followsCutChain(o, walk); err != nil {
 						t.Errorf("%s: walk %v %v", ng.Name, walk, err)
 					}
-					entry := o.A[ia*len(cuts)+ib]
+					entry := o.Query(u, v) // A[ia,ib]
 					if err := verify.Walk(o.G, walk, entry); err != nil {
 						t.Errorf("%s: walk %v against A[%d,%d]: %v", ng.Name, walk, ia, ib, err)
 					}

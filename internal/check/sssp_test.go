@@ -122,13 +122,18 @@ func TestSSSPKernels(t *testing.T) {
 }
 
 // fingerprint is the CRC-32C (Castagnoli) of the little-endian Float64bits
-// of the AP table and of all n² Query results in u-major order.
+// of the AP table's a×a entries in row-major order — read through Query
+// between cut vertices, whatever layout A is stored in — and of all n²
+// Query results in u-major order.
 func fingerprint(o *apsp.Oracle) (a, queries uint32) {
 	tab := crc32.MakeTable(crc32.Castagnoli)
 	var word [8]byte
-	for _, d := range o.A {
-		binary.LittleEndian.PutUint64(word[:], math.Float64bits(d))
-		a = crc32.Update(a, tab, word[:])
+	cuts := o.BCT.CutVertices
+	for _, u := range cuts {
+		for _, v := range cuts {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(o.Query(u, v)))
+			a = crc32.Update(a, tab, word[:])
+		}
 	}
 	n := int32(o.NumVertices())
 	for u := int32(0); u < n; u++ {

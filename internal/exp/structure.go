@@ -27,8 +27,9 @@ type Structure struct {
 	// Memory model (4-byte distance entries, as in the paper):
 	// OursEntries = a² + Σ n_i², MaxEntries = n².
 	OursEntries, MaxEntries int64
-	// ReducedEntries = a² + Σ nr_i² — what this implementation actually
-	// stores (reduced blocks only).
+	// ReducedEntries = a(a+1)/2 + Σ nr_i(nr_i+1)/2 — what this
+	// implementation actually stores: reduced blocks only, and each
+	// symmetric table as its upper triangle.
 	ReducedEntries int64
 }
 
@@ -41,9 +42,9 @@ func AnalyzeStructure(g *graph.Graph) Structure {
 	s.LargestPct = 100 * dec.LargestComponentEdgeShare(g.NumEdges())
 	aps := dec.ArticulationPoints()
 	s.Articulation = len(aps)
-	a2 := int64(len(aps)) * int64(len(aps))
-	s.OursEntries = a2
-	s.ReducedEntries = a2
+	a := int64(len(aps))
+	s.OursEntries = a * a
+	s.ReducedEntries = a * (a + 1) / 2
 	removed := 0
 	for _, sub := range dec.Subgraphs(g) {
 		red := ear.Reduce(sub.G, ear.APSP)
@@ -51,7 +52,7 @@ func AnalyzeStructure(g *graph.Graph) Structure {
 		ni := int64(sub.G.NumVertices())
 		nr := int64(red.R.NumVertices())
 		s.OursEntries += ni * ni
-		s.ReducedEntries += nr * nr
+		s.ReducedEntries += nr * (nr + 1) / 2
 	}
 	s.RemovedPct = 100 * float64(removed) / float64(maxi(1, g.NumVertices()))
 	n := int64(g.NumVertices())

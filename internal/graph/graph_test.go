@@ -100,9 +100,9 @@ func TestClone(t *testing.T) {
 	if c.NumEdges() != g.NumEdges() || c.NumVertices() != g.NumVertices() {
 		t.Fatal("clone size wrong")
 	}
-	// mutating the clone's backing edges must not affect the original
-	c.Edges()[0].W = 99
-	if g.Edge(0).W == 99 {
+	// the clone must own its edges: Edges() is read-only, so compare
+	// the arrays' addresses rather than write through one
+	if &c.Edges()[0] == &g.Edges()[0] {
 		t.Fatal("clone shares edge storage")
 	}
 }

@@ -149,8 +149,17 @@ func rowsExchange(t testing.TB, p *Plan, url string) (reqs [][2]int32, lens []in
 // the manifest now holds the graph and partition instead of a block-cut
 // tree, so its content hash — the epoch — moved, and the rows response
 // differs from the one before only in the 8 bytes of that epoch in its
-// rmeta section and that section's checksum slot. A change here means old
-// and new binaries no longer interoperate.
+// rmeta section and that section's checksum slot. All four moved again
+// when every table became its upper triangle (payload v5): in the
+// manifest the meta version word (4 → 5), the aptable section's length
+// in the section table (300 → 180 bytes), the table's kind word (0 → 1)
+// and count (36 → 21 entries, a = 6) and its entries, the epoch those
+// feed, and the checksum slots of meta, cluster and aptable; in the shard
+// snapshot the same version word and epoch, each block table's kind word
+// and count (a two-vertex S^r 4 → 3 entries), the blocks section's
+// length (160 → 144 bytes) and the checksums; in the rows response the
+// epoch and its checksum, as before. A change here means old and new
+// binaries no longer interoperate.
 func TestWireGolden(t *testing.T) {
 	o := apsp.NewOracle(testGraph())
 	p, err := PlanShards(o, PlanOptions{Shards: 2})
@@ -179,10 +188,10 @@ func TestWireGolden(t *testing.T) {
 		what      string
 		got, want uint64
 	}{
-		{"plan epoch", p.Epoch, 0xfe610368d2a629d4},
-		{"manifest bytes", crc64.Checksum(manifest.Bytes(), tab), 0xd37b5a255f65327d},
-		{"shard 0 snapshot bytes", crc64.Checksum(snap.Bytes(), tab), 0xa043a15c18bb4ae4},
-		{"rows response bytes", crc64.Checksum(raw, tab), 0xc7bc96be629cdc0d},
+		{"plan epoch", p.Epoch, 0x601db4bb3c321467},
+		{"manifest bytes", crc64.Checksum(manifest.Bytes(), tab), 0x4fd571ef91edd458},
+		{"shard 0 snapshot bytes", crc64.Checksum(snap.Bytes(), tab), 0x71089af87ecc8cec},
+		{"rows response bytes", crc64.Checksum(raw, tab), 0x76e11858dcdbb8f7},
 		{"rows response length", uint64(len(raw)), uint64(rowsResponseLen(lens))},
 	} {
 		if g.got != g.want {
@@ -288,8 +297,8 @@ func cyclicManifest(t testing.TB, manifest []byte) []byte {
 	bd.Bools([]bool{true, true, true})
 	sw.Section("blocks") // a plan holds no block tables
 	at := sw.Section("aptable")
-	at.U32(0) // table kind
-	at.F64s(make([]graph.Weight, 9))
+	at.U32(1)                        // table kind: upper triangle, float64
+	at.F64s(make([]graph.Weight, 6)) // the 3×3 triangle
 	var buf bytes.Buffer
 	if _, err := sw.WriteTo(&buf); err != nil {
 		t.Fatal(err)

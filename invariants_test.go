@@ -277,6 +277,97 @@ func TestTreeInvariants(t *testing.T) {
 		}
 	})
 
+	// graph.Edges returns the graph's own edge array, the one its CSR
+	// weights (AdjWeight) were built from, so writing an element through
+	// it leaves the two disagreeing: a benchmark once divided an Edges()
+	// result by 3 in place and ran an "integral" oracle over thirds
+	// (ROADMAP 8(e)). Clone the slice first. Within each function, a name
+	// assigned an Edges() call is followed, and an element assignment or a
+	// copy into it, or straight into an Edges() call, fails.
+	t.Run("Edges() is read-only", func(t *testing.T) {
+		isEdges := func(e ast.Expr) bool {
+			call, ok := e.(*ast.CallExpr)
+			if !ok || len(call.Args) != 0 {
+				return false
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			return ok && sel.Sel.Name == "Edges"
+		}
+		check := func(f *ast.File) {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || fn.Body == nil {
+					continue
+				}
+				alias := map[string]bool{}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
+						for i, r := range as.Rhs {
+							if id, ok := as.Lhs[i].(*ast.Ident); ok && isEdges(r) {
+								alias[id.Name] = true
+							}
+						}
+					}
+					if vs, ok := n.(*ast.ValueSpec); ok && len(vs.Names) == len(vs.Values) {
+						for i, v := range vs.Values {
+							if isEdges(v) {
+								alias[vs.Names[i].Name] = true
+							}
+						}
+					}
+					return true
+				})
+				// through reports whether e reaches an Edges() result: the
+				// result itself, or, when elem is set, one of its elements.
+				through := func(e ast.Expr, elem bool) bool {
+					for indexed := false; ; {
+						switch x := e.(type) {
+						case *ast.ParenExpr:
+							e = x.X
+						case *ast.SelectorExpr:
+							e = x.X
+						case *ast.IndexExpr:
+							e, indexed = x.X, true
+						case *ast.SliceExpr:
+							e = x.X
+						case *ast.Ident:
+							return (indexed || !elem) && alias[x.Name]
+						default:
+							return (indexed || !elem) && isEdges(e)
+						}
+					}
+				}
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					var written []ast.Expr
+					switch s := n.(type) {
+					case *ast.AssignStmt:
+						if s.Tok != token.DEFINE {
+							written = s.Lhs
+						}
+					case *ast.IncDecStmt:
+						written = []ast.Expr{s.X}
+					case *ast.CallExpr:
+						if id, ok := s.Fun.(*ast.Ident); ok && id.Name == "copy" && len(s.Args) == 2 && through(s.Args[0], false) {
+							t.Errorf("%s: copy into an Edges() result; clone it first", fset.Position(s.Pos()))
+						}
+					}
+					for _, w := range written {
+						if through(w, true) {
+							t.Errorf("%s: element write through an Edges() result; clone it first", fset.Position(w.Pos()))
+						}
+					}
+					return true
+				})
+			}
+		}
+		for _, f := range files {
+			check(f)
+		}
+		for _, f := range benchFiles {
+			check(f)
+		}
+	})
+
 	// The snapshot slice codecs move a slice in one step: inside their
 	// loops there is no call back into the codec, element by element.
 	t.Run("slice codecs", func(t *testing.T) {
@@ -664,11 +755,12 @@ func TestTreeInvariants(t *testing.T) {
 	})
 
 	// The round's trajectory (ROADMAP aim 2): non-test Go lines outside
-	// bench/, held under the bar the last PR to move it reached (lowered
-	// when blocks came to hold only tables and the block-cut tree the
-	// vertex lists).
+	// bench/, held under the bar the last PR to move it reached (raised by
+	// the 37 lines that store each symmetric table as its upper triangle:
+	// the index helpers, the fill's pack, Row's two-part row read and the
+	// table kind).
 	t.Run("non-test LOC", func(t *testing.T) {
-		const bar = 20247
+		const bar = 20284
 		t.Logf("%d non-test lines outside bench/", loc)
 		if loc >= bar {
 			t.Errorf("%d non-test lines outside bench/, want < %d", loc, bar)
