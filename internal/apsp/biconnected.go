@@ -34,7 +34,6 @@ const Inf = sssp.Inf
 // for arbitrary vertex pairs via the post-processing formulas of
 // Section 2.1.3.
 type EarAPSP struct {
-	G   *graph.Graph
 	Red *ear.Reduced
 	// SR is the symmetric nr×nr distance table over reduced vertices
 	// (S^r[s,t] in the paper), stored once per pair as its upper
@@ -54,7 +53,7 @@ func newEarAPSP(g *graph.Graph, red *ear.Reduced) *EarAPSP {
 	if red == nil {
 		red = ear.Reduce(g, ear.APSP)
 	}
-	return &EarAPSP{G: g, Red: red, nr: red.R.NumVertices()}
+	return &EarAPSP{Red: red, nr: red.R.NumVertices()}
 }
 
 // triLen is the entry count of a side-n table stored as its upper triangle.
@@ -167,7 +166,7 @@ func (a *EarAPSP) srAt(x, y int32) graph.Weight { return a.SR[triAt(x, y, a.nr)]
 //     wrap-around on loop chains, which one of the four combinations
 //     covers).
 func (a *EarAPSP) Query(x, y int32) graph.Weight {
-	if x < 0 || int(x) >= a.G.NumVertices() || y < 0 || int(y) >= a.G.NumVertices() {
+	if n := a.Red.Original.NumVertices(); x < 0 || int(x) >= n || y < 0 || int(y) >= n {
 		return Inf
 	}
 	if x == y {
@@ -234,7 +233,7 @@ func min3(best, a, b, c graph.Weight) graph.Weight {
 // and since rounding is monotone, a minimum over sums sharing an addend
 // is that addend plus the minimum.
 func (a *EarAPSP) Row(x int32, out []graph.Weight) int64 {
-	n := a.G.NumVertices()
+	n := a.Red.Original.NumVertices()
 	out = out[:n]
 	if x < 0 || int(x) >= n {
 		for y := range out {

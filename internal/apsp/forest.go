@@ -1,15 +1,21 @@
 package apsp
 
-import "math/bits"
+import (
+	"math/bits"
 
-// Forest is the rooted bipartite block-cut forest with binary lifting for
-// LCA and level-ancestor queries — the O(log n) navigation that finds, for
-// a cross-block pair, the gateway articulation points of the unique tree
-// path between their blocks (Section 2.2). Node IDs: blocks are [0, B),
-// cut vertices are [B, B+a) by AP index.
+	"repro/internal/bcc"
+)
+
+// Forest is binary lifting over the rooted bipartite block-cut forest
+// for LCA and level-ancestor queries — the O(log n) navigation that finds,
+// for a cross-block pair, the gateway articulation points of the unique
+// tree path between their blocks (Section 2.2). Node IDs: blocks are
+// [0, B), cut vertices are [B, B+a) by AP index.
 //
-// assemble builds it over the oracle's BlockCutTree for every oracle —
-// built, loaded, or a plan manifest's table-less one — so the pair kernel
+// The rooting is the BlockCutTree's: nodeParent, nodeDepth and nodeRoot
+// are its Parent, Depth and Root slices, not copies. assemble builds the
+// lifting over the oracle's BlockCutTree for every oracle — built,
+// loaded, or a plan manifest's table-less one — so the pair kernel
 // (pair.go) looks gates up the same way on a monolith and a frontend.
 type Forest struct {
 	nodeParent []int32
@@ -21,60 +27,11 @@ type Forest struct {
 	upLevels int
 }
 
-// buildForest roots the forest whose adjacency is blockCuts (block → AP
-// indices on it) and cutBlocks (its reverse) by BFS from the lowest
-// unvisited node, and prepares binary lifting. Every node is visited once,
-// so the arrays are consistent — and navigation in bounds — even when a
-// hostile snapshot's adjacency is not a forest.
-func buildForest(blockCuts, cutBlocks [][]int32) Forest {
-	numB := int32(len(blockCuts))
-	n := len(blockCuts) + len(cutBlocks)
-	f := Forest{
-		nodeParent: make([]int32, n),
-		nodeDepth:  make([]int32, n),
-		nodeRoot:   make([]int32, n),
-	}
-	for i := range f.nodeParent {
-		f.nodeParent[i] = -1
-		f.nodeRoot[i] = -1
-	}
-	var queue []int32
-	visit := func(u, from int32) {
-		if f.nodeRoot[u] >= 0 {
-			return
-		}
-		f.nodeRoot[u] = f.nodeRoot[from]
-		f.nodeParent[u] = from
-		f.nodeDepth[u] = f.nodeDepth[from] + 1
-		queue = append(queue, u)
-	}
-	for start := 0; start < n; start++ {
-		if f.nodeRoot[start] >= 0 {
-			continue
-		}
-		f.nodeRoot[start] = int32(start)
-		queue = append(queue[:0], int32(start))
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			if v < numB {
-				for _, c := range blockCuts[v] {
-					visit(numB+c, v)
-				}
-			} else {
-				for _, b := range cutBlocks[v-numB] {
-					visit(b, v)
-				}
-			}
-		}
-	}
-	f.buildLifting()
-	return f
-}
-
-// buildLifting derives the binary-lifting ancestor table from nodeParent.
-// The table is one flat row-major array (level k at up[k*n : (k+1)*n]) — a
-// single allocation the LCA walk strides through without pointer hops.
-func (f *Forest) buildLifting() {
+// newForest prepares binary lifting over t's rooted forest. The table is
+// one flat row-major array (level k at up[k*n : (k+1)*n]) — a single
+// allocation the LCA walk strides through without pointer hops.
+func newForest(t *bcc.BlockCutTree) Forest {
+	f := Forest{nodeParent: t.Parent, nodeDepth: t.Depth, nodeRoot: t.Root}
 	n := len(f.nodeParent)
 	levels := 1
 	if n > 1 {
@@ -94,6 +51,7 @@ func (f *Forest) buildLifting() {
 			}
 		}
 	}
+	return f
 }
 
 func (f *Forest) ancestorAtDepth(v int32, depth int32) int32 {

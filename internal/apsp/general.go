@@ -156,7 +156,7 @@ func (o *Oracle) assemble(ctx context.Context, ph *obs.Phases, workers int, bloc
 	}
 	stop()
 	stop = ph.Start("forest")
-	o.Forest = buildForest(o.BCT.BlockCuts, o.BCT.CutBlocks)
+	o.Forest = newForest(o.BCT)
 	stop()
 	return nil
 }
@@ -311,26 +311,31 @@ func (o *Oracle) Memory() MemoryPlan {
 }
 
 // ReducedMemory counts the table entries this oracle stores: A and every
-// block's S^r over reduced vertices, each as its upper triangle
+// resident block's S^r over reduced vertices, each as its upper triangle
 // (a(a+1)/2 + Σ nr_i(nr_i+1)/2), shown alongside the paper's model in the
-// Table 1 harness.
+// Table 1 harness. A plan or a shard holds no tables for the blocks it
+// does not own, and counts none.
 func (o *Oracle) ReducedMemory() int64 {
 	ours := int64(len(o.A))
 	for _, blk := range o.Blocks {
-		ours += int64(len(blk.SR))
+		if blk != nil {
+			ours += int64(len(blk.SR))
+		}
 	}
 	return ours
 }
 
 // NodesRemoved returns the total vertices removed by ear reduction across
-// blocks — Table 1's "Nodes Removed" column. A vertex shared by several
-// blocks (an articulation point) is never removed; interior chain vertices
-// belong to exactly one block, so the per-block sum counts each removed
-// vertex once.
+// resident blocks — Table 1's "Nodes Removed" column. A vertex shared by
+// several blocks (an articulation point) is never removed; interior chain
+// vertices belong to exactly one block, so the per-block sum counts each
+// removed vertex once.
 func (o *Oracle) NodesRemoved() int {
 	total := 0
 	for _, blk := range o.Blocks {
-		total += blk.Red.NumRemoved()
+		if blk != nil {
+			total += blk.Red.NumRemoved()
+		}
 	}
 	return total
 }

@@ -41,7 +41,7 @@ func TestBlockVertsAreInducedOrder(t *testing.T) {
 			if !reflect.DeepEqual(o.BCT.BlockVerts[b], sub.ToParentVertex) {
 				t.Fatalf("%s: block %d lists %v, InducedByEdges %v", name, b, o.BCT.BlockVerts[b], sub.ToParentVertex)
 			}
-			if got := o.blockGraph(b); !reflect.DeepEqual(got, sub.G) || !reflect.DeepEqual(o.Blocks[b].G, sub.G) {
+			if got := o.blockGraph(b); !reflect.DeepEqual(got, sub.G) || !reflect.DeepEqual(o.Blocks[b].Red.Original, sub.G) {
 				t.Fatalf("%s: block %d graph %v, InducedByEdges %v", name, b, got.Edges(), sub.G.Edges())
 			}
 		}

@@ -311,7 +311,7 @@ func TestEarRowMatchesQuery(t *testing.T) {
 	for name, g := range graphs {
 		for bi, b := range apsp.NewOracle(g).Blocks {
 			ea := b
-			n := int32(ea.G.NumVertices())
+			n := int32(ea.Red.Original.NumVertices())
 			row := make([]graph.Weight, n)
 			for x := int32(-1); x <= n; x++ {
 				ea.Row(x, row)

@@ -166,11 +166,49 @@ func TestPlanManifestRejectsV1(t *testing.T) {
 	}
 }
 
+// TestPartialOracleCounts: ReducedMemory and NodesRemoved count only the
+// blocks an oracle holds tables for — none on a plan, the owned ones on a
+// shard — instead of dereferencing the nil blocks it does not.
+func TestPartialOracleCounts(t *testing.T) {
+	o := NewOracle(testGraphs(t)["chained-blocks"])
+	_, shard, plan := clusterFiles(t, o)
+	p, _, err := ReadPlan(bytes.NewReader(plan))
+	if err != nil {
+		t.Fatalf("ReadPlan: %v", err)
+	}
+	s, err := ReadShardSnapshot(bytes.NewReader(shard))
+	if err != nil {
+		t.Fatalf("ReadShardSnapshot: %v", err)
+	}
+	for _, c := range []struct {
+		kind   string
+		loaded *Oracle
+		holds  func(bi int) bool
+	}{
+		{"plan", p, func(int) bool { return false }},
+		{"shard 0", s.o, func(bi int) bool { return bi%2 == 0 }},
+	} {
+		mem, removed := int64(len(c.loaded.A)), 0
+		for bi, blk := range o.Blocks {
+			if c.holds(bi) {
+				mem += int64(len(blk.SR))
+				removed += blk.Red.NumRemoved()
+			}
+		}
+		if got := c.loaded.ReducedMemory(); got != mem {
+			t.Errorf("%s: ReducedMemory = %d, want %d", c.kind, got, mem)
+		}
+		if got := c.loaded.NodesRemoved(); got != removed {
+			t.Errorf("%s: NodesRemoved = %d, want %d", c.kind, got, removed)
+		}
+	}
+}
+
 // TestPlanViewIsTheMonolithView: a plan manifest loads to an oracle whose
 // block-cut tree, rooted forest, A and block vertex lists — everything
 // the pair and row kernels read — are the monolith's, and whose forest
 // names the same gate for every block and cut node of a tree. Both come
-// out of the one assemble → buildForest path.
+// out of the one BuildBlockCutTree → assemble path.
 func TestPlanViewIsTheMonolithView(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		o := NewOracle(g)

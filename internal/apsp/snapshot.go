@@ -353,7 +353,7 @@ func decodeBlock(bd *snapshot.Decoder, g *graph.Graph, bi int) (*EarAPSP, error)
 	if err != nil {
 		return nil, fmt.Errorf("block %d: %w", bi, err)
 	}
-	return &EarAPSP{G: g, Red: red, SR: sr, nr: nr, Relaxations: bd.I64()}, bd.Err()
+	return &EarAPSP{Red: red, SR: sr, nr: nr, Relaxations: bd.I64()}, bd.Err()
 }
 
 // decodeDecomposition reads the BCC section and checks it is a genuine

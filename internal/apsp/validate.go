@@ -85,9 +85,9 @@ func (o *Oracle) CheckInvariants() error {
 		if blk == nil {
 			return fmt.Errorf("apsp: block %d has no tables", bi)
 		}
-		if blk.G.NumEdges() != len(o.Dec.Components[bi]) || blk.G.NumVertices() != len(o.BCT.BlockVerts[bi]) {
+		if bg := blk.Red.Original; bg.NumEdges() != len(o.Dec.Components[bi]) || bg.NumVertices() != len(o.BCT.BlockVerts[bi]) {
 			return fmt.Errorf("apsp: block %d graph has %d vertices and %d edges for %d and %d",
-				bi, blk.G.NumVertices(), blk.G.NumEdges(), len(o.BCT.BlockVerts[bi]), len(o.Dec.Components[bi]))
+				bi, bg.NumVertices(), bg.NumEdges(), len(o.BCT.BlockVerts[bi]), len(o.Dec.Components[bi]))
 		}
 		nr := blk.Red.R.NumVertices()
 		if blk.nr != nr || len(blk.SR) != triLen(nr) {

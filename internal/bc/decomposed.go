@@ -35,53 +35,14 @@ func Decomposed(g *graph.Graph, workers int) *Result {
 	bct := bcc.BuildBlockCutTree(g, dec)
 	subs := dec.Subgraphs(g)
 
-	compLabels, _ := graph.ComponentLabels(g)
-	compSize := map[int32]int{}
-	for _, l := range compLabels {
-		compSize[l]++
-	}
-
-	// Rooted block-cut forest with per-subtree original-vertex counts.
+	// Per-subtree original-vertex counts over the rooted block-cut forest:
+	// block nodes count their non-articulation vertices, cut nodes count
+	// themselves, and children accumulate into parents in reverse BFS
+	// order, so the root of a cut node's tree ends up holding the size of
+	// the cut vertex's connected component.
 	numB := len(subs)
 	numC := len(bct.CutVertices)
-	nodes := numB + numC
-	parent := make([]int32, nodes)
-	order := make([]int32, 0, nodes)
-	seen := make([]bool, nodes)
-	for i := range parent {
-		parent[i] = -1
-	}
-	var queue []int32
-	for start := 0; start < nodes; start++ {
-		if seen[start] {
-			continue
-		}
-		seen[start] = true
-		queue = append(queue[:0], int32(start))
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			order = append(order, v)
-			var neigh []int32
-			if int(v) < numB {
-				for _, c := range bct.BlockCuts[v] {
-					neigh = append(neigh, int32(numB)+c)
-				}
-			} else {
-				neigh = bct.CutBlocks[v-int32(numB)]
-			}
-			for _, u := range neigh {
-				if !seen[u] {
-					seen[u] = true
-					parent[u] = v
-					queue = append(queue, u)
-				}
-			}
-		}
-	}
-	// vcount: block nodes count their non-articulation vertices; cut nodes
-	// count themselves. Children accumulate into parents in reverse BFS
-	// order.
-	vcount := make([]int64, nodes)
+	vcount := make([]int64, numB+numC)
 	for bi, sub := range subs {
 		for _, pv := range sub.ToParentVertex {
 			if bct.CutIndex[pv] < 0 {
@@ -92,27 +53,27 @@ func Decomposed(g *graph.Graph, workers int) *Result {
 	for ci := 0; ci < numC; ci++ {
 		vcount[numB+ci] = 1
 	}
-	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		if p := parent[v]; p >= 0 {
+	for i := len(bct.Order) - 1; i >= 0; i-- {
+		v := bct.Order[i]
+		if p := bct.Parent[v]; p >= 0 {
 			vcount[p] += vcount[v]
 		}
 	}
 
+	// total(a) is cut a's connected component size.
+	total := func(ci int32) int64 { return vcount[bct.Root[int32(numB)+ci]] }
 	// branch(a, B): for cut a with incident blocks, the branch on block
 	// B's side — the size of the component of G−a containing B∖{a}:
 	//   vcount[B-subtree]            if parent(B) == a's node
 	//   total − 1 − Σ child subtrees if B is a's parent block
 	branch := func(ci int32, bi int32) int64 {
 		cutNode := int32(numB) + ci
-		a := bct.CutVertices[ci]
-		total := int64(compSize[compLabels[a]])
-		if parent[bi] == cutNode {
+		if bct.Parent[bi] == cutNode {
 			return vcount[bi]
 		}
 		// B is the parent block of a: the branch is everything except a
 		// and the subtrees hanging below a.
-		return total - vcount[cutNode]
+		return total(ci) - vcount[cutNode]
 	}
 
 	// Per-block weighted Brandes, blocks as parallel work-units.
@@ -129,8 +90,7 @@ func Decomposed(g *graph.Graph, workers int) *Result {
 		weights := make([]float64, ln)
 		for lv, pv := range sub.ToParentVertex {
 			if ci := bct.CutIndex[pv]; ci >= 0 {
-				total := int64(compSize[compLabels[pv]])
-				weights[lv] = float64(total - branch(ci, int32(bi)))
+				weights[lv] = float64(total(ci) - branch(ci, int32(bi)))
 			} else {
 				weights[lv] = 1
 			}

@@ -208,6 +208,72 @@ func TestBlockCutTree(t *testing.T) {
 	}
 }
 
+// checkRooted holds the rooted forest to what navigation relies on: every
+// array spans the B+a nodes and is in range, a child is one deeper than
+// its parent and shares its root, a root is its own at depth 0, and Order
+// lists each node once with its parent before it.
+func checkRooted(t *testing.T, name string, bct *BlockCutTree) {
+	t.Helper()
+	nodes := bct.NumBlocks() + len(bct.CutVertices)
+	if len(bct.Parent) != nodes || len(bct.Depth) != nodes || len(bct.Root) != nodes || len(bct.Order) != nodes {
+		t.Fatalf("%s: forest arrays sized %d/%d/%d/%d for %d nodes",
+			name, len(bct.Parent), len(bct.Depth), len(bct.Root), len(bct.Order), nodes)
+	}
+	pos := make([]int, nodes)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, v := range bct.Order {
+		if v < 0 || int(v) >= nodes || pos[v] >= 0 {
+			t.Fatalf("%s: Order[%d] = %d is out of range or repeated", name, i, v)
+		}
+		pos[v] = i
+	}
+	for v, p := range bct.Parent {
+		r := bct.Root[v]
+		switch {
+		case r < 0 || int(r) >= nodes || bct.Parent[r] >= 0:
+			t.Fatalf("%s: node %d has root %d, not a root", name, v, r)
+		case p < 0:
+			if bct.Depth[v] != 0 || r != int32(v) {
+				t.Fatalf("%s: root %d has depth %d root %d", name, v, bct.Depth[v], r)
+			}
+		case int(p) >= nodes:
+			t.Fatalf("%s: node %d parent %d of %d", name, v, p, nodes)
+		case bct.Depth[v] != bct.Depth[p]+1 || r != bct.Root[p] || pos[p] >= pos[v]:
+			t.Fatalf("%s: node %d inconsistent with parent %d", name, v, p)
+		}
+	}
+}
+
+func TestBlockCutForestRooted(t *testing.T) {
+	for name, g := range testSuite() {
+		checkRooted(t, name, BuildBlockCutTree(g, Compute(g)))
+	}
+}
+
+// TestCyclicPartitionRooted: a partition whose incidence has a cycle — a
+// 4-cycle cut into two 2-edge paths, both shared vertices flagged as
+// articulation points — is not a tree, yet every node is still rooted
+// once and the arrays stay consistent.
+func TestCyclicPartitionRooted(t *testing.T) {
+	b := graph.NewBuilder(4)
+	b.AddEdge(0, 1, 1)
+	b.AddEdge(1, 2, 1)
+	b.AddEdge(2, 3, 1)
+	b.AddEdge(3, 0, 1)
+	g := b.Build()
+	d := &Decomposition{
+		Components:     [][]int32{{0, 1}, {2, 3}},
+		IsArticulation: []bool{true, false, true, false},
+	}
+	bct := BuildBlockCutTree(g, d)
+	if bct.IsTree() {
+		t.Fatal("cyclic incidence reported as a tree")
+	}
+	checkRooted(t, "4-cycle", bct)
+}
+
 func TestBlockOfPrefersRealBlocks(t *testing.T) {
 	// self-loop listed before the bridge: BlockOf must still choose the
 	// bridge block for vertex 0

@@ -30,9 +30,19 @@ type BlockCutTree struct {
 	// a cut vertex; an arbitrary incident block for cut vertices;
 	// -1 for isolated vertices).
 	BlockOf []int32
+
+	// Parent, Depth and Root root the block-cut forest over its nodes:
+	// blocks are [0, B), cut vertices are [B, B+a) by cut index. Parent is
+	// -1 at a root, and a root is its own Root at depth 0. Order lists
+	// every node once, parents before children (BFS order).
+	Parent []int32
+	Depth  []int32
+	Root   []int32
+	Order  []int32
 }
 
-// BuildBlockCutTree constructs the tree from a decomposition of g.
+// BuildBlockCutTree constructs the tree from a decomposition of g and
+// roots it: it is the one place the block-cut forest is rooted.
 func BuildBlockCutTree(g *graph.Graph, d *Decomposition) *BlockCutTree {
 	n := g.NumVertices()
 	t := &BlockCutTree{
@@ -86,62 +96,65 @@ func BuildBlockCutTree(g *graph.Graph, d *Decomposition) *BlockCutTree {
 		}
 		t.BlockVerts[bi] = verts[start:len(verts):len(verts)]
 	}
+	// Root the forest by BFS from the lowest unvisited node, visiting
+	// neighbours in BlockCuts/CutBlocks order. Every node is visited once,
+	// so the arrays are consistent even for a partition whose incidence is
+	// not a forest.
+	numB := int32(len(t.BlockCuts))
+	nodes := len(t.BlockCuts) + len(t.CutBlocks)
+	t.Parent = make([]int32, nodes)
+	t.Depth = make([]int32, nodes)
+	t.Root = make([]int32, nodes)
+	t.Order = make([]int32, 0, nodes)
+	for i := range t.Parent {
+		t.Parent[i] = -1
+		t.Root[i] = -1
+	}
+	visit := func(u, from int32) {
+		if t.Root[u] >= 0 {
+			return
+		}
+		t.Root[u] = t.Root[from]
+		t.Parent[u] = from
+		t.Depth[u] = t.Depth[from] + 1
+		t.Order = append(t.Order, u)
+	}
+	for start := int32(0); start < int32(nodes); start++ {
+		if t.Root[start] >= 0 {
+			continue
+		}
+		t.Root[start] = start
+		qi := len(t.Order)
+		for t.Order = append(t.Order, start); qi < len(t.Order); qi++ {
+			v := t.Order[qi]
+			if v < numB {
+				for _, c := range t.BlockCuts[v] {
+					visit(numB+c, v)
+				}
+			} else {
+				for _, b := range t.CutBlocks[v-numB] {
+					visit(b, v)
+				}
+			}
+		}
+	}
 	return t
 }
 
 // NumBlocks returns the number of blocks.
 func (t *BlockCutTree) NumBlocks() int { return len(t.BlockCuts) }
 
-// IsTree verifies the block/cut incidence structure is acyclic within each
-// connected component (a sanity check used by tests): #edges = #nodes −
-// #components when restricted to the bipartite incidence graph.
+// IsTree reports whether the block/cut incidence is acyclic (a sanity
+// check used by tests): a forest has exactly #nodes − #roots edges.
 func (t *BlockCutTree) IsTree() bool {
-	nodes := len(t.BlockCuts) + len(t.CutVertices)
-	edges := 0
+	edges, roots := 0, 0
 	for _, cs := range t.BlockCuts {
 		edges += len(cs)
 	}
-	// count components of the bipartite graph with a BFS
-	adjB := t.BlockCuts
-	adjC := t.CutBlocks
-	seenB := make([]bool, len(adjB))
-	seenC := make([]bool, len(adjC))
-	comps := 0
-	var qb, qc []int32
-	for s := range adjB {
-		if seenB[s] {
-			continue
-		}
-		comps++
-		seenB[s] = true
-		qb = append(qb[:0], int32(s))
-		qc = qc[:0]
-		for len(qb) > 0 || len(qc) > 0 {
-			if len(qb) > 0 {
-				b := qb[len(qb)-1]
-				qb = qb[:len(qb)-1]
-				for _, c := range adjB[b] {
-					if !seenC[c] {
-						seenC[c] = true
-						qc = append(qc, c)
-					}
-				}
-				continue
-			}
-			c := qc[len(qc)-1]
-			qc = qc[:len(qc)-1]
-			for _, b := range adjC[c] {
-				if !seenB[b] {
-					seenB[b] = true
-					qb = append(qb, b)
-				}
-			}
+	for _, p := range t.Parent {
+		if p < 0 {
+			roots++
 		}
 	}
-	for c := range adjC {
-		if !seenC[c] {
-			comps++ // isolated cut vertex cannot happen, but count defensively
-		}
-	}
-	return edges == nodes-comps
+	return edges == len(t.Parent)-roots
 }
