@@ -1,13 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/apsp"
 	"repro/internal/obs"
 )
 
@@ -111,5 +115,115 @@ func TestOpenAPIDeterministic(t *testing.T) {
 	}
 	if len(a) == 0 {
 		t.Fatal("api.OpenAPI() returned an empty document")
+	}
+}
+
+// TestOpsSendDeclaredTypes closes the last gap between the spec and the
+// daemon: a handler answering with a struct other than the one its op
+// declares. Every op of api.Routes that can answer 2xx on a test server
+// gets a valid request, and its body's top-level keys must be json names
+// of the declared Response type (a strict decode of the body into it)
+// and must include every member that type always encodes (only omitempty
+// members may be absent). Requests run in table order, so a job exists
+// before its status is read and a graph before it is removed.
+func TestOpsSendDeclaredTypes(t *testing.T) {
+	serve := func(s *server) *httptest.Server {
+		ts := httptest.NewServer(s.mux)
+		t.Cleanup(ts.Close)
+		return ts
+	}
+	single, _, _ := testServer(t)
+	dir, graphs, _ := snapDir(t, "east")
+	tenants, _ := multiServer(t, dir, 4)
+	async, _ := jobsServer(t, nil)
+	frontend, _, _, _ := testFrontend(t, 0)
+	one, multi, jobsTS, cluster := serve(single), serve(tenants), serve(async), serve(frontend)
+	var snap bytes.Buffer
+	if _, err := apsp.NewOracle(graphs["east"]).WriteTo(&snap); err != nil {
+		t.Fatal(err)
+	}
+
+	calls := map[string]struct {
+		ts         *httptest.Server
+		path, body string
+	}{
+		"GET /v1/distance":            {one, "/v1/distance?u=0&v=3", ""},
+		"GET /v1/path":                {one, "/v1/path?u=0&v=3", ""},
+		"POST /v1/batch":              {one, "/v1/batch", `{"sources":[0,1],"targets":[2,3]}`},
+		"GET /v1/mcb/cycle":           {one, "/v1/mcb/cycle?i=0", ""},
+		"POST /v1/deltas":             {one, "/v1/deltas", `{"deltas":[{"op":"weight","edge":0,"weight":5}]}`},
+		"GET /v1/graphs":              {one, "/v1/graphs", ""},
+		"GET /v1/graphs/{name}":       {one, "/v1/graphs/default", ""},
+		"PUT /v1/graphs/{name}":       {multi, "/v1/graphs/north", snap.String()},
+		"DELETE /v1/graphs/{name}":    {multi, "/v1/graphs/north", ""},
+		"GET /v1/cluster":             {cluster, "/v1/cluster", ""},
+		"GET /v1/cluster/shards/{id}": {cluster, "/v1/cluster/shards/1", ""},
+		"GET /v1/jobs":                {jobsTS, "/v1/jobs", ""},
+		"POST /v1/jobs":               {jobsTS, "/v1/jobs", `{"kind":"bc"}`},
+		"GET /v1/jobs/{id}":           {jobsTS, "/v1/jobs/{id}", ""},
+		"DELETE /v1/jobs/{id}":        {jobsTS, "/v1/jobs/{id}", ""},
+		"GET /v1/healthz":             {one, "/v1/healthz", ""},
+		"GET /v1/stats":               {one, "/v1/stats", ""},
+	}
+	var jobID string
+	for _, rt := range api.Routes() {
+		for _, op := range rt.Ops {
+			key := op.Method + " " + rt.Path
+			c, ok := calls[key]
+			delete(calls, key)
+			if op.NDJSON {
+				continue
+			}
+			if !ok {
+				t.Errorf("%s: no request for this op", key)
+				continue
+			}
+			req, err := http.NewRequest(op.Method, c.ts.URL+strings.ReplaceAll(c.path, "{id}", jobID), strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := c.ts.Client().Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := http.StatusOK
+			if op.Accepted {
+				want = http.StatusAccepted
+			}
+			if resp.StatusCode != want {
+				t.Errorf("%s: status %d, want %d: %s", key, resp.StatusCode, want, body)
+				continue
+			}
+			var got map[string]interface{}
+			if err := json.Unmarshal(body, &got); err != nil {
+				t.Errorf("%s: body is not a JSON object: %v", key, err)
+				continue
+			}
+			typ := reflect.TypeOf(op.Response)
+			dec := json.NewDecoder(bytes.NewReader(body))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(reflect.New(typ).Interface()); err != nil {
+				t.Errorf("%s: body does not decode as the declared %v: %v", key, typ, err)
+			}
+			zero, _ := json.Marshal(reflect.Zero(typ).Interface())
+			var always map[string]interface{}
+			json.Unmarshal(zero, &always)
+			for name := range always {
+				if _, ok := got[name]; !ok {
+					t.Errorf("%s: body lacks %q, which %v always encodes", key, name, typ)
+				}
+			}
+			if key == "POST /v1/jobs" {
+				jobID, _ = got["id"].(string)
+			}
+		}
+	}
+	for key := range calls {
+		t.Errorf("%s: request for an op the route table does not list", key)
 	}
 }

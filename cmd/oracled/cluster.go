@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/api"
 	"repro/internal/shard"
 )
 
@@ -12,26 +13,6 @@ import (
 // the /v1/cluster surface can report plan identity and shard health.
 // Called once, before serving starts; the field is read-only afterwards.
 func (s *server) enableCluster(src *shard.RemoteSource) { s.cluster = src }
-
-// clusterResponse is GET /v1/cluster: the plan's identity plus one
-// cursor page of shard statuses, in the uniform items/next_cursor
-// collection shape shared with /v1/graphs and /v1/jobs.
-type clusterResponse struct {
-	Epoch      uint64              `json:"epoch"`
-	NumShards  int32               `json:"num_shards"`
-	Blocks     int                 `json:"blocks"`
-	Vertices   int                 `json:"vertices"`
-	Items      []shard.ShardStatus `json:"items"`
-	NextCursor string              `json:"next_cursor,omitempty"`
-	Total      int                 `json:"total"`
-}
-
-// shardDetailResponse is GET /v1/cluster/shards/{id}: one shard's status
-// plus the plan epoch the frontend routes by.
-type shardDetailResponse struct {
-	shard.ShardStatus
-	Epoch uint64 `json:"epoch"`
-}
 
 // errNotFrontend is the 503 every cluster route answers on daemons that
 // are not cluster frontends — same idiom as the jobs routes without
@@ -62,7 +43,7 @@ func (s *server) clusterList(r *http.Request) (interface{}, error) {
 	items, next := keysetPage(all, func(st shard.ShardStatus) bool { return int(st.ID) > after },
 		func(st shard.ShardStatus) string { return strconv.Itoa(int(st.ID)) }, limit)
 	p := s.cluster.Plan()
-	return clusterResponse{
+	return api.ClusterResponse{
 		Epoch:      p.Epoch,
 		NumShards:  p.NumShards,
 		Blocks:     p.NumBlocks(),
@@ -87,5 +68,5 @@ func (s *server) clusterShard(r *http.Request) (interface{}, error) {
 		return nil, &httpError{status: http.StatusNotFound,
 			err: fmt.Errorf("no shard %d in a %d-shard plan", id64, len(all))}
 	}
-	return shardDetailResponse{ShardStatus: all[id64], Epoch: s.cluster.Epoch()}, nil
+	return api.ShardDetailResponse{ShardStatus: all[id64], Epoch: s.cluster.Epoch()}, nil
 }

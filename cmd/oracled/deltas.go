@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/internal/api"
 	"repro/internal/apsp"
 	"repro/internal/registry"
 )
@@ -16,34 +17,9 @@ const (
 	maxDeltasPerRequest = 4096
 )
 
-// deltaRecord is the wire form of one delta. Fields are pointers so a
-// missing field is distinguishable from a legal zero (edge 0, weight 0).
-type deltaRecord struct {
-	Op     string   `json:"op"` // "weight" | "insert" | "delete"
-	Edge   *int32   `json:"edge,omitempty"`
-	U      *int32   `json:"u,omitempty"`
-	V      *int32   `json:"v,omitempty"`
-	Weight *float64 `json:"weight,omitempty"`
-}
-
-// deltasRequest is the POST /v1/deltas JSON body.
-type deltasRequest struct {
-	Deltas []deltaRecord `json:"deltas"`
-}
-
-// deltasResponse is the POST /v1/deltas result body. MCBInvalidated
-// omits itself unless a basis was actually dropped.
-type deltasResponse struct {
-	Applied         int  `json:"applied"`
-	TouchedBlocks   int  `json:"touched_blocks"`
-	ReusedBlocks    int  `json:"reused_blocks"`
-	RebuildFallback bool `json:"rebuild_fallback"`
-	Vertices        int  `json:"vertices"`
-	Edges           int  `json:"edges"`
-	MCBInvalidated  bool `json:"mcb_invalidated,omitempty"`
-}
-
-func (rec *deltaRecord) decode(i int) (apsp.Delta, error) {
+// decodeDelta turns the i-th record of a script into an apsp.Delta,
+// refusing an unknown op or one missing a field it needs.
+func decodeDelta(i int, rec *api.DeltaRecord) (apsp.Delta, error) {
 	switch rec.Op {
 	case "weight":
 		if rec.Edge == nil || rec.Weight == nil {
@@ -88,7 +64,7 @@ func (rec *deltaRecord) decode(i int) (apsp.Delta, error) {
 // only — the snapshot file keeps the base state, so an evict/rehydrate
 // cycle resets them to it.
 func (s *server) deltas(e *registry.Entry, r *http.Request) (interface{}, error) {
-	var req deltasRequest
+	var req api.DeltaRequest
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxDeltasBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -103,7 +79,7 @@ func (s *server) deltas(e *registry.Entry, r *http.Request) (interface{}, error)
 	ds := make([]apsp.Delta, len(req.Deltas))
 	for i := range req.Deltas {
 		var err error
-		if ds[i], err = req.Deltas[i].decode(i); err != nil {
+		if ds[i], err = decodeDelta(i, &req.Deltas[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -141,7 +117,7 @@ func (s *server) deltas(e *registry.Entry, r *http.Request) (interface{}, error)
 		}
 		return nil, &httpError{status: http.StatusInternalServerError, err: err}
 	}
-	return deltasResponse{
+	return api.DeltaResponse{
 		Applied:         len(ds),
 		TouchedBlocks:   res.TouchedBlocks,
 		ReusedBlocks:    res.ReusedBlocks,

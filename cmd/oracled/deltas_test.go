@@ -3,15 +3,18 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/apsp"
 	"repro/internal/graph"
 	"repro/internal/registry"
@@ -386,4 +389,45 @@ func sameEveryPair(t *testing.T, got, want *apsp.Oracle) {
 			}
 		}
 	}
+}
+
+// FuzzDeltaRequest feeds arbitrary bytes to POST /v1/deltas. The handler
+// never panics and never answers 5xx; a 2xx body is a DeltaResponse, and
+// anything else is the 400 envelope with the served graph's edges
+// unchanged (a refused script applies nothing).
+func FuzzDeltaRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"deltas":[{"op":"weight","edge":0,"weight":5},{"op":"insert","u":0,"v":32,"weight":1},{"op":"delete","edge":2}]}`,
+		``, `{}`, `{"deltas":[]}`, `{"deltas":null}`, `[]`, `{"deltas":[{}]}`,
+		`{"deltas":[{"op":"rename","edge":0}]}`,
+		`{"deltas":[{"op":"weight","edge":0}]}`,
+		`{"deltas":[{"op":"insert","u":0,"weight":1}]}`,
+		`{"deltas":[{"op":"delete"}]}`,
+		`{"deltas":[{"op":"weight","edge":0,"weight":-1}]}`,
+		`{"deltas":[{"op":"delete","edge":0}],"extra":1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s, _, _ := testServer(t)
+		before := slices.Clone(liveOracle(t, s).G.Edges())
+		rec := httptest.NewRecorder()
+		s.mux.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/deltas", bytes.NewReader(body)))
+		dec := json.NewDecoder(rec.Body)
+		dec.DisallowUnknownFields()
+		if rec.Code == http.StatusOK {
+			var out api.DeltaResponse
+			if err := dec.Decode(&out); err != nil {
+				t.Fatalf("200 body does not decode as a DeltaResponse: %v", err)
+			}
+			return
+		}
+		var env api.ErrorEnvelope
+		if err := dec.Decode(&env); err != nil || rec.Code != http.StatusBadRequest || env.Code != "bad_request" || env.Error == "" {
+			t.Fatalf("status %d, envelope %+v (decode: %v), want the 400 bad_request envelope", rec.Code, env, err)
+		}
+		if after := liveOracle(t, s).G.Edges(); !slices.Equal(before, after) {
+			t.Fatalf("refused script changed the graph: %d edges before, %d after", len(before), len(after))
+		}
+	})
 }

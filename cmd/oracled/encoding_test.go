@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/apsp"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -117,7 +118,7 @@ func TestPairBodyMatchesEncodingJSON(t *testing.T) {
 		{math.MaxInt32, 0, 42}, {0, 1, math.MaxFloat64}, {1, 0, math.Inf(1)},
 	}
 	for _, c := range cases {
-		ref := pathResponse{U: c.u, V: c.v, Reachable: c.d < apsp.Inf}
+		ref := api.PairResponse{U: c.u, V: c.v, Reachable: c.d < apsp.Inf}
 		if ref.Reachable {
 			ref.Distance = &c.d
 		}

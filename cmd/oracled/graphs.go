@@ -5,40 +5,9 @@ import (
 	"fmt"
 	"net/http"
 
+	"repro/internal/api"
 	"repro/internal/registry"
 )
-
-// graphsResponse is GET /v1/graphs: one cursor page of known graphs,
-// resident or cold, in the uniform items/next_cursor collection shape
-// shared with /v1/jobs.
-type graphsResponse struct {
-	Items      []registry.GraphInfo `json:"items"`
-	NextCursor string               `json:"next_cursor,omitempty"`
-	Total      int                  `json:"total"`
-	MaxGraphs  int                  `json:"max_graphs"`
-}
-
-// graphDetailResponse is GET /v1/graphs/{name}: the graph's lifecycle row
-// plus its scoped metrics (the same names single-graph /stats exports,
-// rendered from the graph's "g.<name>." namespace).
-type graphDetailResponse struct {
-	registry.GraphInfo
-	Stats json.RawMessage `json:"stats"`
-}
-
-// registerResponse is PUT /v1/graphs/{name}: the validated snapshot's
-// dimensions.
-type registerResponse struct {
-	Name     string `json:"name"`
-	Vertices int    `json:"vertices"`
-	Edges    int    `json:"edges"`
-}
-
-// removeResponse is DELETE /v1/graphs/{name}.
-type removeResponse struct {
-	Name    string `json:"name"`
-	Removed bool   `json:"removed"`
-}
 
 // graphsList is GET /v1/graphs.
 func (s *server) graphsList(r *http.Request) (interface{}, error) {
@@ -49,7 +18,7 @@ func (s *server) graphsList(r *http.Request) (interface{}, error) {
 	all := s.registry.List()
 	items, next := keysetPage(all, func(g registry.GraphInfo) bool { return g.Name > cursor },
 		func(g registry.GraphInfo) string { return g.Name }, limit)
-	return graphsResponse{Items: items, NextCursor: next, Total: len(all), MaxGraphs: s.registry.MaxGraphs()}, nil
+	return api.GraphListResponse{Items: items, NextCursor: next, Total: len(all), MaxGraphs: s.registry.MaxGraphs()}, nil
 }
 
 // adminName reads and validates the {name} of the per-graph admin
@@ -63,7 +32,8 @@ func adminName(r *http.Request) (string, error) {
 }
 
 // graphInfo is GET /v1/graphs/{name}: one graph's lifecycle state and
-// scoped metrics.
+// scoped metrics (the same names single-graph /stats exports, rendered
+// from the graph's "g.<name>." namespace).
 func (s *server) graphInfo(r *http.Request) (interface{}, error) {
 	name, err := adminName(r)
 	if err != nil {
@@ -73,7 +43,7 @@ func (s *server) graphInfo(r *http.Request) (interface{}, error) {
 	if !ok {
 		return nil, graphError(fmt.Errorf("%q: %w", name, registry.ErrUnknownGraph))
 	}
-	return graphDetailResponse{
+	return api.GraphDetailResponse{
 		GraphInfo: info,
 		Stats:     json.RawMessage(s.registry.StatsView(name).String()),
 	}, nil
@@ -93,7 +63,7 @@ func (s *server) graphRegister(r *http.Request) (interface{}, error) {
 	if err != nil {
 		return nil, graphError(err)
 	}
-	return registerResponse{Name: name, Vertices: nv, Edges: ne}, nil
+	return api.RegisterResponse{Name: name, Vertices: nv, Edges: ne}, nil
 }
 
 // graphRemove is DELETE /v1/graphs/{name}: unregister the graph and
@@ -106,5 +76,5 @@ func (s *server) graphRemove(r *http.Request) (interface{}, error) {
 	if err := s.registry.Remove(name); err != nil {
 		return nil, graphError(err)
 	}
-	return removeResponse{Name: name, Removed: true}, nil
+	return api.RemoveResponse{Name: name, Removed: true}, nil
 }

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 
+	"repro/internal/api"
 	"repro/internal/jobs"
 	"repro/internal/registry"
 )
@@ -59,14 +60,6 @@ func keysetPage[T any](all []T, past func(T) bool, key func(T) string, limit int
 	return page, next
 }
 
-// jobsListResponse is the cursor page shape shared with /v1/graphs:
-// items plus an opaque next_cursor (absent on the last page).
-type jobsListResponse struct {
-	Items      []jobs.Status `json:"items"`
-	NextCursor string        `json:"next_cursor,omitempty"`
-	Total      int           `json:"total"`
-}
-
 // manager guards the async tier's presence: daemons started without
 // -jobs-dir have no manager and every /v1/jobs route answers 503.
 func (s *server) manager() (*jobs.Manager, error) {
@@ -106,7 +99,7 @@ func (s *server) jobsList(r *http.Request) (interface{}, error) {
 	all := m.List()
 	items, next := keysetPage(all, func(j jobs.Status) bool { return j.ID > cursor },
 		func(j jobs.Status) string { return j.ID }, limit)
-	return jobsListResponse{Items: items, NextCursor: next, Total: len(all)}, nil
+	return api.JobListResponse{Items: items, NextCursor: next, Total: len(all)}, nil
 }
 
 // jobSubmit is POST /v1/jobs: submit and answer 202 Accepted with the

@@ -217,20 +217,6 @@ type statusResponse struct {
 	body   interface{}
 }
 
-// errorEnvelope is the uniform JSON error body every endpoint returns:
-// a human-readable message, a stable machine-readable code, for
-// back-pressure responses how long to wait before retrying, for
-// job-scoped errors the job id, and for shard-scoped failures on a
-// cluster frontend the failing shard's id (a pointer, so shard 0
-// serialises while non-shard errors omit the field).
-type errorEnvelope struct {
-	Error        string `json:"error"`
-	Code         string `json:"code"`
-	RetryAfterMS int64  `json:"retry_after_ms,omitempty"`
-	JobID        string `json:"job_id,omitempty"`
-	ShardID      *int32 `json:"shard_id,omitempty"`
-}
-
 // bodyPool holds the response buffers writeJSON fills, so that a
 // response allocates no buffer at steady state.
 var bodyPool = sync.Pool{New: func() interface{} { return new(bytes.Buffer) }}
@@ -281,12 +267,12 @@ var errorCodes = map[int]string{
 	http.StatusInternalServerError: "internal",
 }
 
-// writeError renders err as the one errorEnvelope shape every endpoint
+// writeError renders err as the one api.ErrorEnvelope shape every endpoint
 // answers errors with, under the status its type maps to (400 when
 // nothing more specific matches).
 func writeError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
-	env := errorEnvelope{Error: err.Error()}
+	env := api.ErrorEnvelope{Error: err.Error()}
 	var he *httpError
 	var se *shard.Error
 	switch {
@@ -352,31 +338,8 @@ func (s *server) handle(name string, fn func(r *http.Request) (interface{}, erro
 	}
 }
 
-// Typed response bodies. Encoding structs instead of map[string]interface{}
-// keeps the wire field names pinned at compile time (TestResponseEncoding
-// and the internal/e2e scenarios read them) and spares the encoder the
-// per-request map sort and interface boxing.
-type healthResponse struct {
-	Status   string `json:"status"`
-	Vertices int    `json:"vertices"`
-	Edges    int    `json:"edges"`
-	MCB      bool   `json:"mcb"`
-	Graphs   int    `json:"graphs,omitempty"`
-}
-
-// pathResponse is /v1/path's body. Distance is a pointer so an
-// unreachable pair omits the field entirely while a legal zero distance
-// still serialises.
-type pathResponse struct {
-	U         int32         `json:"u"`
-	V         int32         `json:"v"`
-	Reachable bool          `json:"reachable"`
-	Distance  *graph.Weight `json:"distance,omitempty"`
-	Path      []int32       `json:"path,omitempty"`
-}
-
 // pairAnswer is /v1/distance's answer, which writeJSON appends as the
-// bytes encoding/json writes for pathResponse's first four fields.
+// bytes encoding/json writes for the same api.PairResponse.
 type pairAnswer struct {
 	u, v int32
 	d    graph.Weight
@@ -406,20 +369,6 @@ func (a pairAnswer) appendJSON(b []byte) []byte {
 	return append(b, "}\n"...)
 }
 
-type batchResponse struct {
-	Sources   int         `json:"sources"`
-	Targets   int         `json:"targets"`
-	Distances [][]float64 `json:"distances"`
-}
-
-type cycleResponse struct {
-	Index    int          `json:"index"`
-	Dim      int          `json:"dim"`
-	Weight   graph.Weight `json:"weight"`
-	Edges    [][2]int32   `json:"edges"`
-	Vertices []int32      `json:"vertices"`
-}
-
 // currentBasis snapshots the default graph's cycle basis pointer.
 func (s *server) currentBasis() *mcb.Result {
 	s.mu.RLock()
@@ -432,7 +381,7 @@ func (s *server) currentBasis() *mcb.Result {
 // count, so multi-tenant daemons (no default graph, vertices 0) still
 // report something meaningful.
 func (s *server) healthz(*http.Request) (interface{}, error) {
-	resp := healthResponse{Status: "ok", MCB: s.currentBasis() != nil}
+	resp := api.HealthResponse{Status: "ok", MCB: s.currentBasis() != nil}
 	list := s.registry.List()
 	resp.Graphs = len(list)
 	if info, ok := s.registry.Info(registry.DefaultGraph); ok {
@@ -521,18 +470,12 @@ func (s *server) path(e *registry.Entry, r *http.Request) (interface{}, error) {
 	case err != nil:
 		return nil, &httpError{status: http.StatusInternalServerError, err: err}
 	}
-	resp := pathResponse{U: u, V: v, Reachable: d < apsp.Inf}
+	resp := api.PathResponse{PairResponse: api.PairResponse{U: u, V: v, Reachable: d < apsp.Inf}}
 	if resp.Reachable {
 		resp.Distance = &d
 		resp.Path = walk
 	}
 	return resp, nil
-}
-
-// batchRequest is the /v1/batch JSON body.
-type batchRequest struct {
-	Sources []int32 `json:"sources"`
-	Targets []int32 `json:"targets"`
 }
 
 // batch answers a many-to-many distance matrix in one request:
@@ -543,7 +486,7 @@ type batchRequest struct {
 // Unreachable pairs come back as -1 (JSON has no Inf). Rows are built
 // once per distinct source, spread over the engine's workers.
 func (s *server) batch(e *registry.Entry, r *http.Request) (interface{}, error) {
-	var req batchRequest
+	var req api.BatchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBatchBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -566,7 +509,7 @@ func (s *server) batch(e *registry.Entry, r *http.Request) (interface{}, error) 
 			}
 		}
 	}
-	return batchResponse{
+	return api.BatchResponse{
 		Sources:   len(req.Sources),
 		Targets:   len(req.Targets),
 		Distances: dist,
@@ -613,7 +556,7 @@ func (s *server) mcbCycle(e *registry.Entry, r *http.Request) (interface{}, erro
 		e := g.Edge(eid)
 		edges[j] = [2]int32{e.U, e.V}
 	}
-	return cycleResponse{
+	return api.CycleResponse{
 		Index:    i,
 		Dim:      basis.Dim,
 		Weight:   c.Weight,

@@ -1,7 +1,9 @@
 package api
 
 import (
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -13,13 +15,11 @@ import (
 // trusting anyone to hand-sync the two. The emitter is deliberately tiny
 // (the repo takes no YAML dependency): two-space indentation, double-
 // quoted scalars, keys sorted where the source order isn't meaningful.
+// Every component schema is derived from the Go type an op names, so a
+// body's schema cannot drift from the struct the daemon encodes.
 func OpenAPI() []byte {
-	var b strings.Builder
-	w := func(indent int, format string, args ...interface{}) {
-		b.WriteString(strings.Repeat("  ", indent))
-		fmt.Fprintf(&b, format, args...)
-		b.WriteByte('\n')
-	}
+	d := &document{schemas: map[reflect.Type]string{}}
+	w := d.line
 	q := strconv.Quote
 
 	w(0, "# Generated from internal/api (go run ./cmd/apigen -out api/openapi.yaml).")
@@ -78,11 +78,11 @@ func OpenAPI() []byte {
 					w(6, "type: %s", p.Type)
 				}
 			}
-			if op.Body != "" {
+			if op.Body != nil {
 				w(3, "requestBody:")
 				w(4, "required: true")
 				w(4, "content:")
-				if op.Body == "SnapshotUpload" {
+				if _, raw := op.Body.([]byte); raw {
 					w(5, "application/octet-stream:")
 					w(6, "schema:")
 					w(7, "type: string")
@@ -90,7 +90,7 @@ func OpenAPI() []byte {
 				} else {
 					w(5, "application/json:")
 					w(6, "schema:")
-					w(7, "$ref: %s", q("#/components/schemas/"+op.Body))
+					d.schema(7, reflect.TypeOf(op.Body), "")
 				}
 			}
 			w(3, "responses:")
@@ -99,67 +99,42 @@ func OpenAPI() []byte {
 				status = "202"
 			}
 			w(4, "%s:", q(status))
-			switch {
-			case op.NDJSON:
+			if op.NDJSON {
 				w(5, "description: %s", q("newline-delimited JSON result rows; resume with the byte offset of the next row"))
 				w(5, "content:")
 				w(6, "application/x-ndjson:")
 				w(7, "schema:")
 				w(8, "type: string")
-			case op.Response != "":
+			} else {
 				w(5, "description: success")
 				w(5, "content:")
 				w(6, "application/json:")
 				w(7, "schema:")
-				w(8, "$ref: %s", q("#/components/schemas/"+op.Response))
-			default:
-				w(5, "description: success")
-				w(5, "content:")
-				w(6, "application/json:")
-				w(7, "schema:")
-				w(8, "type: object")
+				d.schema(8, reflect.TypeOf(op.Response), "")
 			}
 			w(4, "default:")
 			w(5, "description: %s", q("uniform error envelope"))
 			w(5, "content:")
 			w(6, "application/json:")
 			w(7, "schema:")
-			w(8, "$ref: %s", q("#/components/schemas/ErrorEnvelope"))
+			d.schema(8, reflect.TypeOf(ErrorEnvelope{}), "")
 		}
 	}
 
 	w(0, "components:")
 	w(1, "schemas:")
-	names := make([]string, 0, len(schemas))
-	for name := range schemas {
-		names = append(names, name)
+	types := make([]reflect.Type, 0, len(d.schemas))
+	for t := range d.schemas {
+		types = append(types, t)
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		w(2, "%s:", name)
-		w(3, "type: object")
-		props := schemas[name]
-		if len(props) == 0 {
-			continue
+	sort.Slice(types, func(i, j int) bool { return types[i].Name() < types[j].Name() })
+	for i, t := range types {
+		if i > 0 && types[i-1].Name() == t.Name() {
+			panic("api: two wire types named " + t.Name() + " would share one schema")
 		}
-		w(3, "properties:")
-		for _, p := range props {
-			w(4, "%s:", p.name)
-			w(5, "type: %s", p.typ)
-			if p.desc != "" {
-				w(5, "description: %s", q(p.desc))
-			}
-			if p.items != "" {
-				w(5, "items:")
-				if strings.HasPrefix(p.items, "#") {
-					w(6, "$ref: %s", q(p.items))
-				} else {
-					w(6, "type: %s", p.items)
-				}
-			}
-		}
+		d.WriteString(d.schemas[t])
 	}
-	return []byte(b.String())
+	return []byte(d.String())
 }
 
 // opID derives a unique operationId: method + path with separators
@@ -180,147 +155,97 @@ func pathParams(path string) []string {
 	return out
 }
 
-type prop struct{ name, typ, desc, items string }
+// document is the YAML being written plus, by type, the rendered
+// component schema of every struct it has referenced. A component is
+// named by its Go type name.
+type document struct {
+	strings.Builder
+	schemas map[reflect.Type]string
+}
 
-// schemas documents the wire shapes. Property lists mirror the Go structs
-// in cmd/oracled and internal/jobs; they are documentation-grade (types
-// and intent), not exhaustive validators.
-var schemas = map[string][]prop{
-	"ErrorEnvelope": {
-		{name: "error", typ: "string", desc: "human-readable message"},
-		{name: "code", typ: "string", desc: "stable machine-readable code (bad_request, not_found, overloaded, job_not_found, job_cancelled, job_failed, shard_unavailable, plan_epoch_mismatch, ...)"},
-		{name: "retry_after_ms", typ: "integer", desc: "present only on back-pressure responses"},
-		{name: "job_id", typ: "string", desc: "present on job-scoped errors"},
-		{name: "shard_id", typ: "integer", desc: "present on shard-scoped errors from a cluster frontend (shard_unavailable, plan_epoch_mismatch)"},
-	},
-	"PairResponse": {
-		{name: "u", typ: "integer"},
-		{name: "v", typ: "integer"},
-		{name: "reachable", typ: "boolean"},
-		{name: "distance", typ: "number", desc: "omitted when unreachable"},
-	},
-	"PathResponse": {
-		{name: "u", typ: "integer"},
-		{name: "v", typ: "integer"},
-		{name: "reachable", typ: "boolean"},
-		{name: "distance", typ: "number"},
-		{name: "path", typ: "array", items: "integer"},
-	},
-	"BatchRequest": {
-		{name: "sources", typ: "array", items: "integer"},
-		{name: "targets", typ: "array", items: "integer"},
-	},
-	"BatchResponse": {
-		{name: "sources", typ: "integer"},
-		{name: "targets", typ: "integer"},
-		{name: "distances", typ: "array", desc: "row-major matrix; unreachable pairs are -1", items: "array"},
-	},
-	"CycleResponse": {
-		{name: "index", typ: "integer"},
-		{name: "dim", typ: "integer"},
-		{name: "weight", typ: "number"},
-		{name: "edges", typ: "array", items: "array"},
-		{name: "vertices", typ: "array", items: "integer"},
-	},
-	"DeltaRequest": {
-		{name: "deltas", typ: "array", desc: "ordered edge-delta script (op: weight|insert|delete)", items: "object"},
-	},
-	"DeltaResponse": {
-		{name: "applied", typ: "integer"},
-		{name: "blocks_rebuilt", typ: "integer"},
-		{name: "rows_invalidated", typ: "integer"},
-		{name: "vertices", typ: "integer"},
-		{name: "edges", typ: "integer"},
-	},
-	"GraphListResponse": {
-		{name: "items", typ: "array", items: "#/components/schemas/GraphInfo"},
-		{name: "next_cursor", typ: "string", desc: "empty/absent on the last page"},
-		{name: "total", typ: "integer"},
-		{name: "max_graphs", typ: "integer"},
-	},
-	"GraphInfo": {
-		{name: "name", typ: "string"},
-		{name: "state", typ: "string", desc: "cold | hydrating | live"},
-		{name: "pinned", typ: "boolean"},
-		{name: "refs", typ: "integer"},
-		{name: "vertices", typ: "integer"},
-		{name: "edges", typ: "integer"},
-	},
-	"GraphDetailResponse": {
-		{name: "name", typ: "string"},
-		{name: "state", typ: "string"},
-		{name: "pinned", typ: "boolean"},
-		{name: "refs", typ: "integer"},
-		{name: "vertices", typ: "integer"},
-		{name: "edges", typ: "integer"},
-		{name: "stats", typ: "object", desc: "the graph's scoped metrics"},
-	},
-	"RegisterResponse": {
-		{name: "name", typ: "string"},
-		{name: "vertices", typ: "integer"},
-		{name: "edges", typ: "integer"},
-	},
-	"RemoveResponse": {
-		{name: "name", typ: "string"},
-		{name: "removed", typ: "boolean"},
-	},
-	"HealthResponse": {
-		{name: "status", typ: "string"},
-		{name: "vertices", typ: "integer"},
-		{name: "edges", typ: "integer"},
-		{name: "mcb", typ: "boolean"},
-		{name: "graphs", typ: "integer"},
-	},
-	"SnapshotUpload": nil,
-	"JobSpec": {
-		{name: "kind", typ: "string", desc: "batch_matrix | bc"},
-		{name: "graph", typ: "string", desc: "registry graph name; defaults to the pinned default graph"},
-		{name: "sources", typ: "array", desc: "batch_matrix: source vertices (empty = all)", items: "integer"},
-		{name: "targets", typ: "array", desc: "batch_matrix: target vertices (empty = all)", items: "integer"},
-		{name: "samples", typ: "integer", desc: "bc: sampled source count (0 = exact)"},
-		{name: "seed", typ: "integer", desc: "bc: sampling seed"},
-	},
-	"JobStatus": {
-		{name: "id", typ: "string"},
-		{name: "kind", typ: "string"},
-		{name: "graph", typ: "string"},
-		{name: "state", typ: "string", desc: "pending | running | completed | failed | cancelled"},
-		{name: "progress", typ: "number", desc: "done/total in [0,1]"},
-		{name: "done", typ: "integer"},
-		{name: "total", typ: "integer"},
-		{name: "rows", typ: "integer", desc: "durable NDJSON result rows"},
-		{name: "results_bytes", typ: "integer", desc: "durable result bytes; valid resume offset"},
-		{name: "error", typ: "string", desc: "terminal error (state failed)"},
-		{name: "created_unix", typ: "integer"},
-		{name: "updated_unix", typ: "integer"},
-	},
-	"JobListResponse": {
-		{name: "items", typ: "array", items: "#/components/schemas/JobStatus"},
-		{name: "next_cursor", typ: "string", desc: "empty/absent on the last page"},
-		{name: "total", typ: "integer"},
-	},
-	"ClusterResponse": {
-		{name: "epoch", typ: "integer", desc: "plan epoch the frontend routes and stitches by"},
-		{name: "num_shards", typ: "integer"},
-		{name: "blocks", typ: "integer", desc: "biconnected blocks in the plan"},
-		{name: "vertices", typ: "integer"},
-		{name: "items", typ: "array", items: "#/components/schemas/ShardStatus"},
-		{name: "next_cursor", typ: "string", desc: "empty/absent on the last page"},
-		{name: "total", typ: "integer", desc: "total shard count"},
-	},
-	"ShardStatus": {
-		{name: "id", typ: "integer"},
-		{name: "addr", typ: "string", desc: "shard daemon base URL"},
-		{name: "healthy", typ: "boolean", desc: "from fetch outcomes and the active prober"},
-		{name: "blocks", typ: "integer", desc: "blocks this shard owns"},
-		{name: "last_error", typ: "string", desc: "last failure observed against this shard; absent when healthy"},
-	},
-	"ShardDetailResponse": {
-		{name: "id", typ: "integer"},
-		{name: "addr", typ: "string"},
-		{name: "healthy", typ: "boolean"},
-		{name: "blocks", typ: "integer"},
-		{name: "last_error", typ: "string"},
-		{name: "epoch", typ: "integer", desc: "plan epoch the frontend routes by"},
-	},
+func (d *document) line(indent int, format string, args ...interface{}) {
+	d.WriteString(strings.Repeat("  ", indent))
+	fmt.Fprintf(d, format, args...)
+	d.WriteByte('\n')
+}
+
+var rawMessage = reflect.TypeOf(json.RawMessage(nil))
+
+// schema writes the schema of a value of type t at indent: for a struct
+// a $ref (which carries no description) to its component, rendered on
+// first reference; else its JSON type, desc, and for a slice or array the
+// schema of its items. json.RawMessage is an object.
+func (d *document) schema(indent int, t reflect.Type, desc string) {
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	if t.Kind() == reflect.Struct {
+		d.component(t)
+		d.line(indent, "$ref: %s", strconv.Quote("#/components/schemas/"+t.Name()))
+		return
+	}
+	typ := "object" // json.RawMessage, maps, interfaces
+	switch t.Kind() {
+	case reflect.Bool:
+		typ = "boolean"
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		typ = "integer"
+	case reflect.Float32, reflect.Float64:
+		typ = "number"
+	case reflect.String:
+		typ = "string"
+	case reflect.Slice, reflect.Array:
+		if t != rawMessage {
+			typ = "array"
+		}
+	}
+	d.line(indent, "type: %s", typ)
+	if desc != "" {
+		d.line(indent, "description: %s", strconv.Quote(desc))
+	}
+	if typ == "array" {
+		d.line(indent, "items:")
+		d.schema(indent+1, t.Elem(), "")
+	}
+}
+
+// component renders struct t's schema once: its JSON members in encoding
+// order, each described by its doc tag.
+func (d *document) component(t reflect.Type) {
+	if _, done := d.schemas[t]; done {
+		return
+	}
+	d.schemas[t] = "" // a self-referencing type stops here
+	c := &document{schemas: d.schemas}
+	c.line(2, "%s:", t.Name())
+	c.line(3, "type: object")
+	c.line(3, "properties:")
+	for _, f := range properties(t) {
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if name == "" {
+			name = f.Name
+		}
+		c.line(4, "%s:", name)
+		c.schema(5, f.Type, f.Tag.Get("doc"))
+	}
+	d.schemas[t] = c.String()
+}
+
+// properties lists the fields encoding/json writes for t, in order: an
+// untagged embedded struct is flattened into its parent, and unexported
+// and "-" fields are skipped.
+func properties(t reflect.Type) []reflect.StructField {
+	var out []reflect.StructField
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		tag := f.Tag.Get("json")
+		switch {
+		case f.Anonymous && tag == "" && f.Type.Kind() == reflect.Struct:
+			out = append(out, properties(f.Type)...)
+		case f.IsExported() && tag != "-":
+			out = append(out, f)
+		}
+	}
+	return out
 }

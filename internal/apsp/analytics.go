@@ -38,13 +38,17 @@ func ComputeAnalytics(o *Oracle, workers int) *Analytics {
 	}
 	type partial struct {
 		wiener graph.Weight
+		row    []graph.Weight
 	}
 	parts := make([]partial, workers)
 	par.ParallelFor(workers, n, func(w, src int) {
+		if parts[w].row == nil {
+			parts[w].row = make([]graph.Weight, n)
+		}
+		o.Row(int32(src), parts[w].row)
 		var ecc graph.Weight
 		var sum graph.Weight
-		for v := 0; v < n; v++ {
-			d := o.Query(int32(src), int32(v))
+		for _, d := range parts[w].row {
 			if d >= Inf {
 				continue
 			}

@@ -54,9 +54,9 @@ func newState(n int) *state {
 	}
 }
 
-// sourceBFS is the unit-weight fast path of source: the forward phase is a
-// plain BFS (O(n+m), no heap), with identical σ/predecessor bookkeeping.
-func (st *state) sourceBFS(g *graph.Graph, s int32, acc []float64) int64 {
+// forwardBFS is the unit-weight fast path of forward: a plain BFS
+// (O(n+m), no heap), with identical σ/predecessor bookkeeping.
+func (st *state) forwardBFS(g *graph.Graph, s int32) int64 {
 	st.reset(g.NumVertices(), s)
 	st.order = append(st.order, s)
 	adjNode := g.AdjNode()
@@ -83,16 +83,6 @@ func (st *state) sourceBFS(g *graph.Graph, s int32, acc []float64) int64 {
 			}
 		}
 	}
-	for i := len(st.order) - 1; i >= 0; i-- {
-		w := st.order[i]
-		coef := (1 + st.delta[w]) / st.sigma[w]
-		for _, v := range st.preds[w] {
-			st.delta[v] += st.sigma[v] * coef
-		}
-		if w != s {
-			acc[w] += st.delta[w]
-		}
-	}
 	return relax
 }
 
@@ -109,9 +99,9 @@ func (st *state) reset(n int, s int32) {
 	st.sigma[s] = 1
 }
 
-// forward is the weighted forward phase both accumulations share: a
-// Dijkstra from s that leaves the settled order, path counts and
-// predecessor DAG in st. It returns the relaxation count.
+// forward is the weighted forward phase: a Dijkstra from s that leaves
+// the settled order, path counts and predecessor DAG in st. It returns
+// the relaxation count.
 func (st *state) forward(g *graph.Graph, s int32) int64 {
 	st.reset(g.NumVertices(), s)
 	st.heap.Reset()
@@ -147,17 +137,41 @@ func (st *state) forward(g *graph.Graph, s int32) int64 {
 // synchronises). It returns the relaxation count.
 func (st *state) source(g *graph.Graph, s int32, acc []float64) int64 {
 	relax := st.forward(g, s)
+	st.accumulate(s, acc, nil, nil)
+	return relax
+}
+
+// accumulate is the dependency phase of the pass from s that the forward
+// phase left in st: it walks the settled order backwards and adds each
+// vertex's dependency into acc. weights, when non-nil, are per-vertex
+// source/target weights — the source's multiplies its dependencies and a
+// target's enters its own (decomposed.go) — and nil means every weight
+// is 1, which leaves each term (1+δ)/σ and 1·δ bit-identical to the
+// unweighted pass. toParent, when non-nil, maps st's vertices to acc's.
+func (st *state) accumulate(s int32, acc, weights []float64, toParent []int32) {
+	ws := 1.0
+	if weights != nil {
+		ws = weights[s]
+	}
 	for i := len(st.order) - 1; i >= 0; i-- {
 		w := st.order[i]
-		coef := (1 + st.delta[w]) / st.sigma[w]
+		wt := 1.0
+		if weights != nil {
+			wt = weights[w]
+		}
+		coef := (wt + st.delta[w]) / st.sigma[w]
 		for _, v := range st.preds[w] {
 			st.delta[v] += st.sigma[v] * coef
 		}
-		if w != s {
-			acc[w] += st.delta[w]
+		if w == s {
+			continue
+		}
+		if toParent != nil {
+			acc[toParent[w]] += ws * st.delta[w]
+		} else {
+			acc[w] += ws * st.delta[w]
 		}
 	}
-	return relax
 }
 
 const inf = graph.Weight(math.MaxFloat64)

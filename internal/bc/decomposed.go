@@ -99,10 +99,9 @@ func Decomposed(g *graph.Graph, workers int) *Result {
 			states[w] = newState(ln)
 		}
 		st := states[w]
-		for s := 0; s < ln; s++ {
-			relax[w] += st.sourceWeighted(local, int32(s), weights, func(lv int32, x float64) {
-				accs[w][sub.ToParentVertex[lv]] += x
-			})
+		for s := int32(0); s < int32(ln); s++ {
+			relax[w] += st.forward(local, s)
+			st.accumulate(s, accs[w], weights, sub.ToParentVertex)
 		}
 	})
 	for w := range accs {
@@ -125,23 +124,4 @@ func Decomposed(g *graph.Graph, workers int) *Result {
 		res.Scores[a] += float64(sum*sum - sumSq) // 2·Σ_{i<j} c_i·c_j
 	}
 	return res
-}
-
-// sourceWeighted runs one weighted Brandes pass: source weight w(s)
-// multiplies the dependencies; target weights enter the accumulation as
-// w(t).
-func (st *state) sourceWeighted(g *graph.Graph, s int32, weights []float64, credit func(v int32, x float64)) int64 {
-	relax := st.forward(g, s)
-	ws := weights[s]
-	for i := len(st.order) - 1; i >= 0; i-- {
-		w := st.order[i]
-		coef := (weights[w] + st.delta[w]) / st.sigma[w]
-		for _, v := range st.preds[w] {
-			st.delta[v] += st.sigma[v] * coef
-		}
-		if w != s {
-			credit(w, ws*st.delta[w])
-		}
-	}
-	return relax
 }

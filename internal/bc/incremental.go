@@ -115,11 +115,13 @@ func (c *Chunked) RunChunk(ctx context.Context, k int) (int, error) {
 	chunk := c.sources[c.done : c.done+k]
 	relax := make([]int64, c.workers)
 	err := par.ParallelForCtx(ctx, c.workers, k, func(w, i int) {
+		st, s := c.states[w], chunk[i]
 		if c.unit {
-			relax[w] += c.states[w].sourceBFS(c.g, chunk[i], c.accs[w])
+			relax[w] += st.forwardBFS(c.g, s)
 		} else {
-			relax[w] += c.states[w].source(c.g, chunk[i], c.accs[w])
+			relax[w] += st.forward(c.g, s)
 		}
+		st.accumulate(s, c.accs[w], nil, nil)
 	})
 	if err != nil {
 		// Which sources of the chunk completed is indeterminate: discard

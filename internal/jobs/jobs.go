@@ -83,12 +83,12 @@ var (
 // Seed (deterministic, so a resumed job re-derives the identical source
 // list from the spec instead of persisting it).
 type Spec struct {
-	Kind    string  `json:"kind"`
-	Graph   string  `json:"graph"`
-	Sources []int32 `json:"sources,omitempty"`
-	Targets []int32 `json:"targets,omitempty"`
-	Samples int     `json:"samples,omitempty"`
-	Seed    uint64  `json:"seed,omitempty"`
+	Kind    string  `json:"kind" doc:"batch_matrix | bc"`
+	Graph   string  `json:"graph" doc:"registry graph name; defaults to the pinned default graph"`
+	Sources []int32 `json:"sources,omitempty" doc:"batch_matrix: source vertices (empty = all)"`
+	Targets []int32 `json:"targets,omitempty" doc:"batch_matrix: target vertices (empty = all)"`
+	Samples int     `json:"samples,omitempty" doc:"bc: sampled source count (0 = exact)"`
+	Seed    uint64  `json:"seed,omitempty" doc:"bc: sampling seed"`
 }
 
 // Status is one job's externally visible state, safe to marshal.
@@ -96,17 +96,17 @@ type Status struct {
 	ID    string `json:"id"`
 	Kind  string `json:"kind"`
 	Graph string `json:"graph"`
-	State string `json:"state"`
+	State string `json:"state" doc:"pending | running | completed | failed | cancelled"`
 	// Progress is Done/Total in [0,1]; 0 while Total is still unknown
 	// (before the graph is first hydrated), 1 exactly on completion.
-	Progress float64 `json:"progress"`
+	Progress float64 `json:"progress" doc:"done/total in [0,1]"`
 	Done     int     `json:"done"`  // work units finished (sources)
 	Total    int     `json:"total"` // work units overall; 0 = not yet known
 	// Rows and ResultsBytes describe the durable results stream: rows of
 	// NDJSON and the byte offset a reconnecting client may resume from.
-	Rows         int64  `json:"rows"`
-	ResultsBytes int64  `json:"results_bytes"`
-	Error        string `json:"error,omitempty"` // terminal error (state failed)
+	Rows         int64  `json:"rows" doc:"durable NDJSON result rows"`
+	ResultsBytes int64  `json:"results_bytes" doc:"durable result bytes; valid resume offset"`
+	Error        string `json:"error,omitempty" doc:"terminal error (state failed)"`
 	CreatedUnix  int64  `json:"created_unix"`
 	UpdatedUnix  int64  `json:"updated_unix"`
 }

@@ -15,7 +15,7 @@ import (
 // resident, the served graph's current size.
 type GraphInfo struct {
 	Name   string `json:"name"`
-	State  string `json:"state"` // "cold" | "hydrating" | "live"
+	State  string `json:"state" doc:"cold | hydrating | live"`
 	Pinned bool   `json:"pinned,omitempty"`
 	Refs   int    `json:"refs"`
 	// Vertices/Edges are the resident graph's current dimensions (they

@@ -179,10 +179,10 @@ func (s *RemoteSource) RowCost(u int32) int64 { return s.plan.o.RowCost(u) }
 // ShardStatus is one shard's serving state, as reported by /v1/cluster.
 type ShardStatus struct {
 	ID        int32  `json:"id"`
-	Addr      string `json:"addr"`
-	Healthy   bool   `json:"healthy"`
-	Blocks    int    `json:"blocks"`
-	LastError string `json:"last_error,omitempty"`
+	Addr      string `json:"addr" doc:"shard daemon base URL"`
+	Healthy   bool   `json:"healthy" doc:"from fetch outcomes and the active prober"`
+	Blocks    int    `json:"blocks" doc:"blocks this shard owns"`
+	LastError string `json:"last_error,omitempty" doc:"last failure observed against this shard; absent when healthy"`
 }
 
 // Status snapshots every shard's health for the cluster surface.
