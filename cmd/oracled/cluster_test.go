@@ -62,9 +62,7 @@ func testFrontend(t *testing.T, epochSkew uint64) (*server, *graph.Graph, []grap
 		}
 	})
 	reg := obs.NewRegistry()
-	src, err := shard.NewRemoteSource(shard.SourceConfig{
-		Plan: p, Addrs: addrs, MaxRetries: -1, Reg: reg,
-	})
+	src, err := shard.NewRemoteSource(shard.SourceConfig{Plan: p, Addrs: addrs, Reg: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +131,9 @@ func TestClusterFrontendJobs(t *testing.T) {
 		Host: func(ctx context.Context, name string) (jobs.GraphRef, error) {
 			return s.registry.Acquire(ctx, name)
 		},
-		Known:       func(name string) bool { _, ok := s.registry.Info(name); return ok },
-		Concurrency: 1, Workers: 1, ChunkSize: 4,
-		Reg: s.reg,
+		Known:     func(name string) bool { _, ok := s.registry.Info(name); return ok },
+		ChunkSize: 4,
+		Reg:       s.reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -59,18 +59,29 @@ func TestResponseEncoding(t *testing.T) {
 	}
 }
 
-// TestBatchTooLargeHTTP drives the engine's MaxBatchPairs cap through the
-// HTTP surface: an over-cap matrix is a 400 with the uniform envelope,
-// and nothing is computed.
+// TestBatchTooLargeHTTP drives the engine's 1<<20-pair cap through the
+// HTTP surface: a 1025×1024 matrix, a body of about 5 KB, is a 400 with
+// the uniform envelope, and nothing is computed.
 func TestBatchTooLargeHTTP(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, _ := testServerEngine(t, func(_ *graph.Graph, o *apsp.Oracle) *qe.Engine {
-		return qe.New(o, qe.Config{MaxInflight: 2, MaxBatchPairs: 8, Reg: reg})
+	s, g := testServerEngine(t, func(_ *graph.Graph, o *apsp.Oracle) *qe.Engine {
+		return qe.New(o, qe.Config{MaxInflight: 2, Reg: reg})
 	})
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 
-	out := postJSON(t, ts, "/v1/batch", `{"sources":[0,1,2],"targets":[0,1,2]}`, 400)
+	ids := func(k int) []int32 {
+		out := make([]int32, k)
+		for i := range out {
+			out[i] = int32(i % g.NumVertices())
+		}
+		return out
+	}
+	body, err := json.Marshal(api.BatchRequest{Sources: ids(1025), Targets: ids(1024)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := postJSON(t, ts, "/v1/batch", string(body), 400)
 	if out["code"] != "bad_request" || out["error"] == "" {
 		t.Fatalf("over-cap envelope: %v", out)
 	}

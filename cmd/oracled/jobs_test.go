@@ -23,7 +23,7 @@ import (
 // jobsServer builds a single-graph server with the async tier enabled:
 // the jobs manager resolves graphs through the same registry the
 // interactive routes use. gate, when non-nil, is closed by the test to
-// unblock the first Host acquisition — the hook for holding a job in the
+// unblock every Host acquisition — the hook for holding jobs in the
 // running state deterministically.
 func jobsServer(t *testing.T, gate chan struct{}) (*server, *registry.Registry) {
 	t.Helper()
@@ -37,12 +37,10 @@ func jobsServer(t *testing.T, gate chan struct{}) (*server, *registry.Registry) 
 	}
 	rg.AddStatic(registry.DefaultGraph, oracle, engine)
 
-	first := true
 	jm, err := jobs.Open(jobs.Config{
 		Dir: t.TempDir(),
 		Host: func(ctx context.Context, name string) (jobs.GraphRef, error) {
-			if gate != nil && first {
-				first = false
+			if gate != nil {
 				select {
 				case <-gate:
 				case <-ctx.Done():
@@ -51,9 +49,9 @@ func jobsServer(t *testing.T, gate chan struct{}) (*server, *registry.Registry) 
 			}
 			return rg.Acquire(ctx, name)
 		},
-		Known:       func(name string) bool { _, ok := rg.Info(name); return ok },
-		Concurrency: 1, Workers: 2, ChunkSize: 8,
-		Reg: reg,
+		Known:     func(name string) bool { _, ok := rg.Info(name); return ok },
+		ChunkSize: 8,
+		Reg:       reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,11 +192,12 @@ func TestJobsHTTPCancelGone(t *testing.T) {
 	ts := httptest.NewServer(s.mux)
 	defer ts.Close()
 
-	// First job blocks in Host on the gate (running, no progress);
-	// Concurrency 1 keeps the second queued.
+	// The first two jobs take both run slots and block in Host on the gate
+	// (running, no progress), which keeps the third queued.
 	first := postJSON(t, ts, "/v1/jobs", `{"kind":"bc"}`, 202)
-	second := postJSON(t, ts, "/v1/jobs", `{"kind":"bc","samples":4,"seed":7}`, 202)
-	sid := second["id"].(string)
+	postJSON(t, ts, "/v1/jobs", `{"kind":"bc"}`, 202)
+	queued := postJSON(t, ts, "/v1/jobs", `{"kind":"bc","samples":4,"seed":7}`, 202)
+	sid := queued["id"].(string)
 
 	// Cancel the pending job: DELETE answers its terminal status and is
 	// idempotent.

@@ -65,7 +65,6 @@ func main() {
 		dataset   = flag.String("dataset", "", "named synthetic dataset")
 		scale     = flag.Float64("scale", 0.03, "dataset scale")
 		seed      = flag.Uint64("seed", 1, "dataset seed")
-		workers   = flag.Int("workers", par.Workers(), "parallel workers for the oracle build")
 		withMCB   = flag.Bool("mcb", false, "also compute a minimum cycle basis and serve /v1/mcb/cycle")
 		saveSnap  = flag.String("save-snapshot", "", "write the oracle as a snapshot file at boot and again after every /v1/deltas apply")
 		loadSnap  = flag.String("load-snapshot", "", "serve from an oracle snapshot, skipping the build entirely (replaces -file/-dataset)")
@@ -85,8 +84,6 @@ func main() {
 			"admitted requests that may wait beyond max-inflight before load-shedding (0 sheds immediately)")
 		deadline = flag.Duration("deadline", 2*time.Second,
 			"per-request deadline covering queue wait and row computation (0 disables)")
-		maxBatchPairs = flag.Int64("max-batch-pairs", qe.DefaultMaxBatchPairs,
-			"largest sources×targets result matrix one batch may request (negative removes the cap)")
 
 		// Multi-tenant registry.
 		snapshotDir = flag.String("snapshot-dir", "",
@@ -97,20 +94,8 @@ func main() {
 		// Async job tier; an empty -jobs-dir leaves it disabled.
 		jobsDir = flag.String("jobs-dir", "",
 			"enable the async job tier, persisting job checkpoints and NDJSON results here (empty = disabled)")
-		jobConc = flag.Int("job-concurrency", 2,
-			"jobs running at once; queued jobs dispatch fairly round-robin across graphs")
 		jobChunk = flag.Int("job-chunk", 64,
 			"sources per checkpointed chunk — the replay bound after a crash, and the granularity of progress, cancellation, and admission-control yielding")
-		jobWorkers = flag.Int("job-workers", 0,
-			"worker goroutines per running bc job (0 = GOMAXPROCS)")
-
-		// Fan-out tuning of a sharded frontend.
-		shardRetries = flag.Int("shard-retries", 2,
-			"retries after a failed shard fetch before the row errors (negative disables retries)")
-		shardBackoff = flag.Duration("shard-retry-backoff", 50*time.Millisecond,
-			"sleep before the first shard retry, doubling per retry")
-		shardProbe = flag.Duration("shard-probe-interval", 2*time.Second,
-			"active shard health-probe interval (0 relies on fetch outcomes only)")
 	)
 	cli.SetUsage("oracled", "[-file graph | -dataset name | -load-snapshot file | -snapshot-dir dir | -shard-snapshot file | -cluster-plan file -cluster-shards urls] [-addr host:port] [flags]")
 	flag.Parse()
@@ -120,11 +105,10 @@ func main() {
 	reg := obs.NewRegistry()
 	reg.Attach("apsp.path.fallbacks", &apsp.PathFallbacks)
 	engineCfg := qe.Config{
-		MaxInflight:   *maxInflight,
-		QueueDepth:    *queueDepth,
-		Deadline:      *deadline,
-		MaxBatchPairs: *maxBatchPairs,
-		Reg:           reg,
+		MaxInflight: *maxInflight,
+		QueueDepth:  *queueDepth,
+		Deadline:    *deadline,
+		Reg:         reg,
 	}
 	rcfg := registry.Config{Dir: *snapshotDir, MaxGraphs: *maxGraphs, Engine: engineCfg, Reg: reg}
 	if err := validateServeOpts(serveOpts{
@@ -176,20 +160,11 @@ func main() {
 		// batch row, at most two for a point query — and the engine stack
 		// (admission, per-batch rows) applies unchanged.
 		plan := loadClusterPlan(*clusterPlan)
-		retries := *shardRetries
-		if retries == 0 {
-			// The config treats 0 as "use the default"; an explicit
-			// -shard-retries=0 means no retries, so map it to the
-			// config's negative-disables convention.
-			retries = -1
-		}
 		var err error
 		remote, err = shard.NewRemoteSource(shard.SourceConfig{
 			Plan:          plan,
 			Addrs:         splitShardAddrs(*clusterShards),
-			MaxRetries:    retries,
-			RetryBackoff:  *shardBackoff,
-			ProbeInterval: *shardProbe,
+			ProbeInterval: shardProbeInterval,
 			Reg:           reg,
 		})
 		if err != nil {
@@ -228,7 +203,7 @@ func main() {
 				cli.Exit("oracled", err)
 			}
 			start := time.Now()
-			oracle = apsp.NewOracleParallel(g, *workers)
+			oracle = apsp.NewOracleParallel(g, par.Workers())
 			reg.Phases("apsp.build").Add(oracle.BuildPhases)
 			reg.Counter("apsp.builds").Inc()
 			reg.Counter("apsp.build.relaxations").Add(oracle.Relaxations)
@@ -244,13 +219,13 @@ func main() {
 		if *withMCB {
 			start := time.Now()
 			var err error
-			basis, err = mcb.ComputeCtx(ctx, g, mcb.Options{UseEar: true, Workers: *workers, Seed: *seed})
+			basis, err = mcb.ComputeCtx(ctx, g, mcb.Options{UseEar: true, Workers: par.Workers(), Seed: *seed})
 			if err != nil {
 				cli.Fatalf("oracled", "cycle basis: %v", err)
 			}
 			reg.Phases("mcb").Add(basis.Timing)
 			reg.Counter("mcb.computes").Inc()
-			reg.Gauge("mcb.workers").Set(int64(max(*workers, 1)))
+			reg.Gauge("mcb.workers").Set(int64(par.Workers()))
 			fmt.Fprintf(os.Stderr, "oracled: cycle basis: %d cycles, total weight %g, built in %v\n",
 				len(basis.Cycles), basis.TotalWeight, time.Since(start))
 		}
@@ -271,10 +246,8 @@ func main() {
 	if *jobsDir != "" {
 		var err error
 		jm, err = jobs.Open(jobs.Config{
-			Dir:         *jobsDir,
-			Concurrency: *jobConc,
-			ChunkSize:   *jobChunk,
-			Workers:     *jobWorkers,
+			Dir:       *jobsDir,
+			ChunkSize: *jobChunk,
 			Host: func(ctx context.Context, name string) (jobs.GraphRef, error) {
 				return rg.Acquire(ctx, name)
 			},
@@ -440,6 +413,11 @@ func saveOracleSnapshot(reg *obs.Registry, path string, o *apsp.Oracle) error {
 	reg.Counter("snapshot.saves").Inc()
 	return nil
 }
+
+// shardProbeInterval is how often a cluster frontend probes each shard
+// daemon's /internal/health, so a dead shard shows unhealthy before a
+// query runs into it.
+const shardProbeInterval = 2 * time.Second
 
 // Listener limits, the same for every boot mode. A peer gets
 // readHeaderTimeout to deliver its request line and headers (a stalled or

@@ -28,8 +28,8 @@ import (
 )
 
 // maxBatchBody bounds one /v1/batch request's JSON body; the N×M result
-// cells it may demand are bounded by the engine's MaxBatchPairs cap
-// (-max-batch-pairs), whose typed ErrBatchTooLarge maps to 400 below.
+// cells it may demand are bounded by the engine's pair cap, whose typed
+// ErrBatchTooLarge maps to 400 below.
 const maxBatchBody = 8 << 20
 
 // maxSnapshotBody bounds one PUT /v1/graphs/{name} snapshot upload.
@@ -492,8 +492,8 @@ func (s *server) batch(e *registry.Entry, r *http.Request) (interface{}, error) 
 	if err := dec.Decode(&req); err != nil {
 		return nil, fmt.Errorf("batch body: %w", err)
 	}
-	// Oversized matrices are rejected by the engine's MaxBatchPairs cap
-	// (typed qe.ErrBatchTooLarge → 400) before anything is allocated.
+	// Oversized matrices are rejected by the engine's pair cap (typed
+	// qe.ErrBatchTooLarge → 400) before anything is allocated.
 	rows, err := e.Engine().Batch(r.Context(), req.Sources, req.Targets)
 	if err != nil {
 		return nil, err

@@ -70,7 +70,7 @@ func newShardCluster(o *apsp.Oracle, shards int) (*shardCluster, error) {
 		c.servers = append(c.servers, ts)
 		addrs[s] = ts.URL
 	}
-	c.src, err = shard.NewRemoteSource(shard.SourceConfig{Plan: p, Addrs: addrs, MaxRetries: -1})
+	c.src, err = shard.NewRemoteSource(shard.SourceConfig{Plan: p, Addrs: addrs})
 	if err != nil {
 		c.close()
 		return nil, err

@@ -29,6 +29,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -36,6 +37,16 @@ import (
 
 // binDir holds the binaries TestMain built; empty under -short.
 var binDir string
+
+// binSources lists the module's Go files the built binaries compile from.
+// The go build subprocess is invisible to go test's result cache, which
+// keys a cached pass on the files a test opens, and only while tests run:
+// opening these once from inside a test makes an edit to any of them
+// rerun the package instead of replaying a pass of the old binaries.
+var (
+	binSources     []string
+	binSourcesOnce sync.Once
+)
 
 // bootTimeout bounds how long a daemon may take to print its address or
 // to exit, and a test's polling loops; race-instrumented daemons are
@@ -57,26 +68,43 @@ func TestMain(m *testing.M) {
 		args = append(args, "-race")
 		bootTimeout *= 3
 	}
-	args = append(args, "./cmd/oracled", "./cmd/graphgen", "./cmd/apsp", "./cmd/shardplan")
-	cmd := exec.Command("go", args...)
-	cmd.Dir = filepath.Join("..", "..")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		fmt.Fprintf(os.Stderr, "go %s: %v\n%s", strings.Join(args, " "), err, out)
-		os.RemoveAll(dir)
-		os.Exit(1)
+	cmds := []string{"./cmd/oracled", "./cmd/graphgen", "./cmd/apsp", "./cmd/shardplan"}
+	goTool := func(args ...string) []byte {
+		cmd := exec.Command("go", args...)
+		cmd.Dir = filepath.Join("..", "..")
+		cmd.Stderr = os.Stderr
+		out, err := cmd.Output()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "go %s: %v\n", strings.Join(args, " "), err)
+			os.RemoveAll(dir)
+			os.Exit(1)
+		}
+		return out
 	}
+	goTool(append(args, cmds...)...)
+	files := goTool(append([]string{"list", "-deps", "-f",
+		`{{if not .Standard}}{{range .GoFiles}}{{$.Dir}}/{{.}}{{"\n"}}{{end}}{{end}}`}, cmds...)...)
+	binSources = append(strings.Fields(string(files)), filepath.Join("..", "..", "go.mod"))
 	binDir = dir
 	code := m.Run()
 	os.RemoveAll(dir)
 	os.Exit(code)
 }
 
-// needBinaries skips the calling test under -short.
+// needBinaries skips the calling test under -short. The first call opens
+// binSources, so go test's cache tracks them.
 func needBinaries(t *testing.T) {
 	t.Helper()
 	if binDir == "" {
 		t.Skip("boots real processes; skipped under -short")
 	}
+	binSourcesOnce.Do(func() {
+		for _, name := range binSources {
+			if f, err := os.Open(name); err == nil {
+				f.Close()
+			}
+		}
+	})
 }
 
 // procAttr puts a child in its own process group, so one kill reaches

@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/qe"
 )
 
@@ -135,10 +134,6 @@ type Config struct {
 	// Known validates graph names at submit time; nil accepts any name
 	// (the job then fails at run time if the host cannot resolve it).
 	Known func(name string) bool
-	// Concurrency is how many jobs run simultaneously (default 2).
-	Concurrency int
-	// Workers is the per-job compute parallelism (default par.Workers).
-	Workers int
 	// ChunkSize is the work units (sources) per checkpoint (default 64):
 	// the resume replay bound and the progress/cancellation granularity.
 	ChunkSize int
@@ -146,10 +141,15 @@ type Config struct {
 	Reg *obs.Registry
 }
 
+// maxRunning is how many jobs run at once; each bc job computes on
+// par.Workers() goroutines.
+const maxRunning = 2
+
 // Manager owns the job table, the per-graph fair scheduler, and the state
 // directory.
 type Manager struct {
-	cfg Config
+	cfg        Config
+	maxRunning int // maxRunning, or what a test opened the manager with
 
 	submitted *obs.Counter
 	completed *obs.Counter
@@ -226,30 +226,28 @@ func (j *Job) broadcastLocked() {
 // jobs are listed, pending jobs are queued, and jobs that were running
 // when the previous process died are re-queued to resume from their last
 // checkpoint.
-func Open(cfg Config) (*Manager, error) {
+func Open(cfg Config) (*Manager, error) { return open(cfg, maxRunning) }
+
+// open is Open running at most maxRunning jobs at once.
+func open(cfg Config, maxRunning int) (*Manager, error) {
 	if cfg.Host == nil {
 		return nil, fmt.Errorf("jobs: Config.Host is required")
-	}
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 2
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = par.Workers()
 	}
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 64
 	}
 	m := &Manager{
-		cfg:       cfg,
-		submitted: cfg.Reg.Counter("jobs.submitted"),
-		completed: cfg.Reg.Counter("jobs.completed"),
-		failed:    cfg.Reg.Counter("jobs.failed"),
-		cancelled: cfg.Reg.Counter("jobs.cancelled"),
-		resumed:   cfg.Reg.Counter("jobs.resumed"),
-		backoffs:  cfg.Reg.Counter("jobs.overload_backoffs"),
-		running:   cfg.Reg.Gauge("jobs.running"),
-		jobs:      make(map[string]*Job),
-		queues:    make(map[string][]*Job),
+		cfg:        cfg,
+		maxRunning: maxRunning,
+		submitted:  cfg.Reg.Counter("jobs.submitted"),
+		completed:  cfg.Reg.Counter("jobs.completed"),
+		failed:     cfg.Reg.Counter("jobs.failed"),
+		cancelled:  cfg.Reg.Counter("jobs.cancelled"),
+		resumed:    cfg.Reg.Counter("jobs.resumed"),
+		backoffs:   cfg.Reg.Counter("jobs.overload_backoffs"),
+		running:    cfg.Reg.Gauge("jobs.running"),
+		jobs:       make(map[string]*Job),
+		queues:     make(map[string][]*Job),
 	}
 	m.base, m.stop = context.WithCancel(context.Background())
 	if err := m.loadDir(); err != nil {
@@ -464,7 +462,7 @@ func (m *Manager) dispatchLocked() {
 	if m.closed {
 		return
 	}
-	for m.active < m.cfg.Concurrency && len(m.ring) > 0 {
+	for m.active < m.maxRunning && len(m.ring) > 0 {
 		g := m.ring[0]
 		q := m.queues[g]
 		j := q[0]

@@ -90,7 +90,7 @@ func openManager(t testing.TB, dir string, fs map[string]*fixture, chunk int) (*
 	known := func(name string) bool { _, ok := fs[name]; return ok }
 	m, err := jobs.Open(jobs.Config{
 		Dir: dir, Host: host(fs), Known: known,
-		Concurrency: 2, Workers: 2, ChunkSize: chunk, Reg: reg,
+		ChunkSize: chunk, Reg: reg,
 	})
 	if err != nil {
 		t.Fatalf("jobs.Open: %v", err)
@@ -421,8 +421,8 @@ func TestFairScheduling(t *testing.T) {
 		mu.Unlock()
 		return fixtureRef{fs[name]}, nil
 	}
-	m, err := jobs.Open(jobs.Config{
-		Dir: t.TempDir(), Host: h, Concurrency: 1, Workers: 1, ChunkSize: 4, Reg: obs.NewRegistry(),
+	m, err := jobs.OpenOneAtATime(jobs.Config{
+		Dir: t.TempDir(), Host: h, ChunkSize: 4, Reg: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)

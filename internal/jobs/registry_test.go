@@ -43,7 +43,7 @@ func TestEvictionDrainsBehindJob(t *testing.T) {
 	known := func(name string) bool { _, ok := rg.Info(name); return ok }
 	m, err := jobs.Open(jobs.Config{
 		Dir: t.TempDir(), Host: h, Known: known,
-		Concurrency: 1, Workers: 2, ChunkSize: 4, Reg: obs.NewRegistry(),
+		ChunkSize: 4, Reg: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestHostFailureFailsJob(t *testing.T) {
 		return nil, os.ErrNotExist
 	}
 	m, err := jobs.Open(jobs.Config{
-		Dir: t.TempDir(), Host: h, Concurrency: 1, ChunkSize: 4, Reg: obs.NewRegistry(),
+		Dir: t.TempDir(), Host: h, ChunkSize: 4, Reg: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)

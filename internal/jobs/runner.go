@@ -11,6 +11,7 @@ import (
 	"repro/internal/bc"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/qe"
 	"repro/internal/snapshot"
 )
@@ -272,7 +273,7 @@ func (m *Manager) runBC(ctx context.Context, j *Job, ref GraphRef, res *os.File,
 	} else {
 		sources = bc.AllSources(n)
 	}
-	c := bc.NewChunked(g, sources, scale, m.cfg.Workers)
+	c := bc.NewChunked(g, sources, scale, par.Workers())
 
 	// Resume: the job file on disk may carry a bcstate section from the
 	// last checkpoint.

@@ -77,7 +77,7 @@ func (sc *batchScratch) fill(w, i int) {
 //
 // The whole batch is one admitted request (one admission slot, one
 // deadline) answered by one source; its result matrix is bounded by
-// Config.MaxBatchPairs, and an over-cap request fails with
+// maxBatchPairs, and an over-cap request fails with
 // ErrBatchTooLarge before anything is allocated. Each distinct source's
 // row is built once, into a per-worker scratch row, across a pool of
 // workers (par.ParallelForCtx), and only the requested targets are copied
@@ -87,6 +87,9 @@ func (sc *batchScratch) fill(w, i int) {
 // On deadline expiry mid-batch the remaining rows are skipped and the
 // context error is returned; no partial matrix is produced.
 func (e *Engine) Batch(ctx context.Context, sources, targets []int32) ([][]graph.Weight, error) {
+	if err := checkPairs(sources, targets); err != nil {
+		return nil, err
+	}
 	nt := len(targets)
 	out := make([][]graph.Weight, len(sources))
 	flat := make([]graph.Weight, len(sources)*nt)
@@ -97,6 +100,17 @@ func (e *Engine) Batch(ctx context.Context, sources, targets []int32) ([][]graph
 		out[i] = flat[i*nt : (i+1)*nt]
 	}
 	return out, nil
+}
+
+// checkPairs refuses a matrix over maxBatchPairs, the guard on Batch's
+// result allocation. The division form cannot overflow, unlike the
+// product.
+func checkPairs(sources, targets []int32) error {
+	if len(targets) > 0 && len(sources) > maxBatchPairs/len(targets) {
+		return fmt.Errorf("qe: batch %d×%d exceeds %d pairs: %w",
+			len(sources), len(targets), maxBatchPairs, ErrBatchTooLarge)
+	}
+	return nil
 }
 
 // BatchFlat is Batch writing into a caller-provided row-major matrix:
@@ -126,13 +140,9 @@ func (e *Engine) BatchFlat(ctx context.Context, sources, targets []int32, flat [
 			return err
 		}
 	}
-	// The pair cap guards the result-matrix allocation in Batch; check it
-	// before admission so an oversized request cannot occupy a slot. The
-	// division form cannot overflow, unlike the product.
-	if e.maxPairs >= 0 && len(sources) > 0 && len(targets) > 0 &&
-		int64(len(sources)) > e.maxPairs/int64(len(targets)) {
-		return fmt.Errorf("qe: batch %d×%d exceeds %d pairs: %w",
-			len(sources), len(targets), e.maxPairs, ErrBatchTooLarge)
+	// Before admission, so an oversized request cannot occupy a slot.
+	if err := checkPairs(sources, targets); err != nil {
+		return err
 	}
 	ctx, cancel := e.withDeadline(ctx)
 	defer cancel()

@@ -3,6 +3,7 @@ package qe
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -74,33 +75,34 @@ func TestBatchWarmAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchPairCap covers the Batch size guard: an over-cap request fails
-// with ErrBatchTooLarge before any work, an at-cap request succeeds, and
-// a negative cap disables the guard.
+// TestBatchPairCap covers the Batch size guard at the real 1<<20-pair
+// cap: an over-cap request fails with ErrBatchTooLarge before any work
+// and before its result matrix is allocated, and an at-cap request
+// succeeds.
 func TestBatchPairCap(t *testing.T) {
 	src := &stubSource{n: 16}
-	e, reg := newTestEngine(src, Config{MaxInflight: 2, MaxBatchPairs: 12})
+	e, reg := newTestEngine(src, Config{MaxInflight: 2})
 	ctx := context.Background()
 
-	over := make([]int32, 5) // 5×3 = 15 > 12
-	if _, err := e.Batch(ctx, over, []int32{0, 1, 2}); !errors.Is(err, ErrBatchTooLarge) {
+	targets := make([]int32, 1024)
+	for i := range targets {
+		targets[i] = int32(i % src.n)
+	}
+	over := make([]int32, 1025) // 1025×1024 > 1<<20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := e.Batch(ctx, over, targets)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBatchTooLarge) {
 		t.Fatalf("over-cap batch: err = %v, want ErrBatchTooLarge", err)
 	}
 	if got := reg.Counter("qe.batch.pairs").Value(); got != 0 {
 		t.Fatalf("rejected batch counted %d pairs, want 0", got)
 	}
-	if out, err := e.Batch(ctx, []int32{0, 1, 2, 3}, []int32{4, 5, 6}); err != nil || len(out) != 4 {
-		t.Fatalf("at-cap 4×3 batch: %v", err)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("rejected batch allocated %d bytes: the matrix was allocated before the cap check", alloc)
 	}
-
-	uncapped, _ := newTestEngine(src, Config{MaxInflight: 2, MaxBatchPairs: -1})
-	big := make([]int32, 16)
-	if _, err := uncapped.Batch(ctx, big, big); err != nil {
-		t.Fatalf("uncapped batch: %v", err)
-	}
-
-	defaulted, _ := newTestEngine(src, Config{MaxInflight: 2})
-	if defaulted.maxPairs != DefaultMaxBatchPairs {
-		t.Fatalf("zero MaxBatchPairs resolved to %d, want %d", defaulted.maxPairs, DefaultMaxBatchPairs)
+	if out, err := e.Batch(ctx, over[:1024], targets); err != nil || len(out) != 1024 {
+		t.Fatalf("at-cap 1024×1024 batch: %v", err)
 	}
 }

@@ -16,7 +16,7 @@
 //     source's row once, into a per-worker scratch row, over the engine's
 //     workers, and copying the requested targets straight into the
 //     result. No row outlives the request that built it. A matrix over
-//     MaxBatchPairs is refused with the typed ErrBatchTooLarge before
+//     maxBatchPairs is refused with the typed ErrBatchTooLarge before
 //     anything is allocated;
 //   - admission control: at most MaxInflight requests are served
 //     concurrently, at most QueueDepth more may wait (until the engine
@@ -88,8 +88,8 @@ var (
 	// ErrVertexRange reports a source or target outside [0, n).
 	ErrVertexRange = errors.New("qe: vertex out of range")
 	// ErrBatchTooLarge reports a Batch whose |sources|×|targets| result
-	// matrix exceeds the engine's MaxBatchPairs cap. The request is
-	// rejected before any allocation.
+	// matrix exceeds maxBatchPairs. The request is rejected before any
+	// allocation.
 	ErrBatchTooLarge = errors.New("qe: batch result matrix over pair cap")
 )
 
@@ -107,11 +107,6 @@ type Config struct {
 	// deadline where it can wait: queued for admission, or in a call to a
 	// CtxRowSource. ≤ 0 means no engine-imposed deadline.
 	Deadline time.Duration
-	// MaxBatchPairs bounds |sources|×|targets| for one Batch call; larger
-	// requests fail with ErrBatchTooLarge before allocating the result
-	// matrix. 0 resolves to DefaultMaxBatchPairs; negative removes the
-	// cap.
-	MaxBatchPairs int64
 	// Reg receives the engine's metrics under "qe.*"; nil keeps them
 	// detached, counted but rendered nowhere.
 	Reg *obs.Registry
@@ -122,16 +117,16 @@ type Config struct {
 // (bench/workloads.go) and leaves when the benchmark stops doing so.
 const DefaultCacheRows = 4096
 
-// DefaultMaxBatchPairs is the Batch pair cap when Config.MaxBatchPairs is
-// 0: one million pairs ≈ an 8 MB float64 result matrix.
-const DefaultMaxBatchPairs = 1 << 20
+// maxBatchPairs bounds |sources|×|targets| for one Batch call: one
+// million pairs ≈ an 8 MB float64 result matrix. A larger request fails
+// with ErrBatchTooLarge before the matrix is allocated.
+const maxBatchPairs = 1 << 20
 
 // Engine answers point and bulk distance queries over one RowSource.
 type Engine struct {
 	adm      *admission
 	deadline time.Duration
 	workers  int
-	maxPairs int64
 	scratch  sync.Pool // *batchScratch
 	live     atomic.Pointer[liveSource]
 
@@ -165,15 +160,10 @@ func New(src RowSource, cfg Config) *Engine {
 	if queue < 0 {
 		queue = 0
 	}
-	maxPairs := cfg.MaxBatchPairs
-	if maxPairs == 0 {
-		maxPairs = DefaultMaxBatchPairs
-	}
 	e := &Engine{
 		adm:      newAdmission(workers, queue, cfg.Reg),
 		deadline: cfg.Deadline,
 		workers:  workers,
-		maxPairs: maxPairs,
 
 		builds:       cfg.Reg.Counter("qe.rows.built"),
 		buildOps:     cfg.Reg.Counter("qe.rows.build.ops"),

@@ -15,8 +15,8 @@
 //     and engine — from the table; a request that still holds it
 //     finishes on it, and the garbage collector takes it after that;
 //   - per-graph limits: every hydrated graph gets its own engine built
-//     from one qe.Config (admission slots, queue depth, deadlines, batch
-//     pair cap), so tenants cannot starve each other;
+//     from one qe.Config (admission slots, queue depth, deadlines), so
+//     tenants cannot starve each other;
 //   - per-graph metrics: each graph's qe.* and delta.* metrics register
 //     under a "g.<name>." prefix via obs.Registry.Sub, next to the
 //     registry's own registry.{graphs,hydrations,evictions,misses} and

@@ -17,23 +17,12 @@ import (
 	"repro/internal/obs"
 )
 
-// SourceConfig configures a RemoteSource. Plan and Addrs are required;
-// everything else has serving-grade defaults.
+// SourceConfig configures a RemoteSource. Plan and Addrs are required.
 type SourceConfig struct {
 	// Plan is the cluster's manifest; Addrs[i] is the base URL of shard
 	// i's daemon (e.g. "http://10.0.0.5:9090"), one per plan shard.
 	Plan  *Plan
 	Addrs []string
-	// Client is the HTTP client for row RPCs and probes; nil gets a
-	// client with a 10s overall timeout (per-query deadlines still come
-	// from the request context).
-	Client *http.Client
-	// MaxRetries is how many times a failed shard fetch is retried after
-	// the first attempt (default 2; negative disables retries).
-	MaxRetries int
-	// RetryBackoff is the sleep before the first retry, doubling per
-	// retry (default 50ms).
-	RetryBackoff time.Duration
 	// ProbeInterval enables an active health prober hitting each shard's
 	// /internal/health at this interval. 0 relies on passive marking
 	// (fetch outcomes) only.
@@ -42,9 +31,15 @@ type SourceConfig struct {
 	Reg *obs.Registry
 }
 
+// A failed shard fetch is retried maxRetries times after the first
+// attempt, sleeping retryBackoff before the first retry and doubling it
+// per retry. Row RPCs and probes share one HTTP client with a
+// clientTimeout overall timeout; per-query deadlines still come from the
+// request context.
 const (
-	defaultMaxRetries   = 2
-	defaultRetryBackoff = 50 * time.Millisecond
+	maxRetries    = 2
+	retryBackoff  = 50 * time.Millisecond
+	clientTimeout = 10 * time.Second
 )
 
 // shardState is the frontend's view of one shard daemon.
@@ -87,7 +82,9 @@ func (st *shardState) markBad(msg string) {
 // error wrapping ErrShardUnavailable or ErrEpochMismatch; the engine keeps
 // no rows, so the next request fetches afresh.
 type RemoteSource struct {
-	plan       *Plan
+	plan *Plan
+	// client, maxRetries and backoff start as the constants above; they
+	// are fields so a test can fault the wire or retry differently.
 	client     *http.Client
 	maxRetries int
 	backoff    time.Duration
@@ -115,25 +112,11 @@ func NewRemoteSource(cfg SourceConfig) (*RemoteSource, error) {
 		return nil, fmt.Errorf("shard: %d shard addresses for a %d-shard plan",
 			len(cfg.Addrs), cfg.Plan.NumShards)
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 10 * time.Second}
-	}
-	maxRetries := cfg.MaxRetries
-	if maxRetries == 0 {
-		maxRetries = defaultMaxRetries
-	} else if maxRetries < 0 {
-		maxRetries = 0
-	}
-	backoff := cfg.RetryBackoff
-	if backoff <= 0 {
-		backoff = defaultRetryBackoff
-	}
 	s := &RemoteSource{
 		plan:       cfg.Plan,
-		client:     client,
+		client:     &http.Client{Timeout: clientTimeout},
 		maxRetries: maxRetries,
-		backoff:    backoff,
+		backoff:    retryBackoff,
 		reqs:       cfg.Reg.Counter("shard.rpc.requests"),
 		retries:    cfg.Reg.Counter("shard.rpc.retries"),
 		errTotal:   cfg.Reg.Counter("shard.rpc.errors"),

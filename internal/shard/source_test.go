@@ -33,7 +33,8 @@ type cluster struct {
 type clusterOpts struct {
 	epochSkew uint64 // added to shard snapshot epochs only
 	wrap      func(i int, h http.Handler) http.Handler
-	sourceMod func(*SourceConfig)
+	retries   int           // the source's retries after a failed fetch, 1ms apart
+	probe     time.Duration // the source's probe interval; 0 runs no prober
 }
 
 func newCluster(t testing.TB, g *graph.Graph, shards int, opts clusterOpts) *cluster {
@@ -80,17 +81,11 @@ func newCluster(t testing.TB, g *graph.Graph, shards int, opts clusterOpts) *clu
 		}
 	})
 
-	cfg := SourceConfig{
-		Plan: p, Addrs: addrs, Reg: c.reg,
-		MaxRetries: -1, RetryBackoff: time.Millisecond,
-	}
-	if opts.sourceMod != nil {
-		opts.sourceMod(&cfg)
-	}
-	src, err := NewRemoteSource(cfg)
+	src, err := NewRemoteSource(SourceConfig{Plan: p, Addrs: addrs, ProbeInterval: opts.probe, Reg: c.reg})
 	if err != nil {
 		t.Fatalf("NewRemoteSource: %v", err)
 	}
+	src.maxRetries, src.backoff = opts.retries, time.Millisecond
 	c.src = src
 	t.Cleanup(func() { _ = src.Close() })
 	return c
@@ -246,7 +241,7 @@ func TestEpochMismatchTyped(t *testing.T) {
 	g := gen.BridgeChain(4, 3, cfg, rng)
 	c := newCluster(t, g, 2, clusterOpts{
 		epochSkew: 1,
-		sourceMod: func(cfg *SourceConfig) { cfg.MaxRetries = 3 },
+		retries:   3,
 	})
 	got := make([]graph.Weight, c.plan.NumVertices)
 	_, err := c.src.RowCtx(context.Background(), 0, got)
@@ -276,7 +271,7 @@ func TestRetryRecovers(t *testing.T) {
 				h.ServeHTTP(w, r)
 			})
 		},
-		sourceMod: func(cfg *SourceConfig) { cfg.MaxRetries = 3 },
+		retries: 3,
 	})
 	n := c.plan.NumVertices
 	want := make([]graph.Weight, n)
@@ -302,7 +297,7 @@ func TestProbeMarksHealth(t *testing.T) {
 	rng := gen.NewRNG(0x9a1e)
 	g := gen.BridgeChain(4, 3, cfg, rng)
 	c := newCluster(t, g, 2, clusterOpts{
-		sourceMod: func(cfg *SourceConfig) { cfg.ProbeInterval = 2 * time.Millisecond },
+		probe: 2 * time.Millisecond,
 	})
 	c.servers[1].Close()
 	deadline := time.Now().Add(5 * time.Second)
@@ -357,16 +352,14 @@ func TestProbeReadIsBounded(t *testing.T) {
 				}
 			})
 		},
-		sourceMod: func(cfg *SourceConfig) {
-			cfg.Client = &http.Client{Timeout: timeout, Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
-				resp, err := http.DefaultTransport.RoundTrip(r)
-				if err == nil {
-					resp.Body = readCounter{resp.Body, &read}
-				}
-				return resp, err
-			})}
-		},
 	})
+	c.src.client = &http.Client{Timeout: timeout, Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		resp, err := http.DefaultTransport.RoundTrip(r)
+		if err == nil {
+			resp.Body = readCounter{resp.Body, &read}
+		}
+		return resp, err
+	})}
 	start := time.Now()
 	c.src.probeShard(0)
 	if st := c.src.Status()[0]; st.Healthy || !strings.Contains(st.LastError, "health probe") {

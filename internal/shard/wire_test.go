@@ -75,7 +75,7 @@ func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { retu
 // unhealthy.
 func TestOversizedResponseBounded(t *testing.T) {
 	c := newCluster(t, testGraph(), 1, clusterOpts{
-		sourceMod: func(cfg *SourceConfig) { cfg.MaxRetries = 3 },
+		retries: 3,
 	})
 	const oversized = 32 << 20
 	body := &countingBody{size: oversized}
@@ -226,6 +226,78 @@ func TestRowsBoundedByOwnedBlocks(t *testing.T) {
 		t.Fatalf("%d rows from a shard owning %d blocks: HTTP %d %+v (%v), want 400 bad_request",
 			len(reqs)+1, len(reqs), resp.StatusCode, env, err)
 	}
+}
+
+// FuzzRowsRequest: whatever a frontend, or anything else, POSTs to
+// /internal/rows, the shard handler answers without a panic and without a
+// 5xx, and a 200 carries one well-formed row per requested pair, no more
+// rows than the shard owns blocks.
+func FuzzRowsRequest(f *testing.F) {
+	o := apsp.NewOracle(testGraph())
+	p, err := PlanShards(o, PlanOptions{Shards: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if _, err := o.WriteShardSnapshot(&snap, apsp.ShardMeta{Epoch: p.Epoch, Shard: 0, NumShards: 2}, p.OwnedMask(0)); err != nil {
+		f.Fatal(err)
+	}
+	sb, err := apsp.ReadShardSnapshot(bytes.NewReader(snap.Bytes()))
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := NewHandler(sb)
+
+	var owned [][2]int32
+	unowned := int32(-1)
+	for b, verts := range p.o.BCT.BlockVerts {
+		if p.BlockShard[b] == 0 {
+			owned = append(owned, [2]int32{int32(b), verts[0]})
+		} else {
+			unowned = int32(b)
+		}
+	}
+	for _, req := range []rowsRequest{
+		{Epoch: p.Epoch, Rows: owned},
+		{Epoch: p.Epoch, Rows: append(owned[1:], owned[0], owned[0])},
+		{Epoch: p.Epoch + 1, Rows: owned},
+		{Epoch: p.Epoch, Rows: [][2]int32{{unowned, 0}}},
+		{Epoch: p.Epoch, Rows: [][2]int32{{int32(len(p.BlockShard)), 0}, {-1, -1}}},
+		{Epoch: p.Epoch, Rows: [][2]int32{{owned[0][0], 1 << 30}}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	for _, seed := range []string{"", "{}", "null", "[]", `{"epoch":-1}`, `{"rows":[[0]]}`, `{"rows":[[0,0,0]]} trailing`} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w := httptest.NewRecorder()
+		h.Rows(w, httptest.NewRequest(http.MethodPost, "/internal/rows", bytes.NewReader(data)))
+		if w.Code >= 500 {
+			t.Fatalf("HTTP %d: %s", w.Code, w.Body.Bytes())
+		}
+		if w.Code != http.StatusOK {
+			return
+		}
+		var req rowsRequest // decoded as the handler decodes it
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
+			t.Fatalf("HTTP 200 for a body that does not decode: %v", err)
+		}
+		if len(req.Rows) > sb.OwnedBlocks() {
+			t.Fatalf("HTTP 200 for %d rows from a shard owning %d blocks", len(req.Rows), sb.OwnedBlocks())
+		}
+		lens := make([]int, len(req.Rows))
+		for i, pair := range req.Rows {
+			lens[i] = sb.BlockLen(pair[0])
+		}
+		if _, err := decodeRowsResponse(w.Body, p.Epoch, req.Rows, lens); err != nil {
+			t.Fatalf("HTTP 200 body does not decode as the %d requested rows: %v", len(req.Rows), err)
+		}
+	})
 }
 
 func typedWireErr(err error) bool {

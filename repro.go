@@ -206,7 +206,7 @@ type (
 	// exactly once.
 	Registry = registry.Registry
 	// RegistryConfig configures OpenRegistry; its Engine field is the
-	// EngineConfig (admission, deadlines, batch caps) every
+	// EngineConfig (admission and deadlines) every
 	// hydrated graph's own engine is built from.
 	RegistryConfig = registry.Config
 )
@@ -236,7 +236,7 @@ type (
 	// except Shards is usable.
 	ShardPlanOptions = shard.PlanOptions
 	// ShardSourceConfig configures NewRemoteRowSource: the plan, one
-	// address per shard, and retry/probing knobs.
+	// address per shard, and the health-probe interval.
 	ShardSourceConfig = shard.SourceConfig
 	// RemoteRowSource is the frontend's fan-out RowSource: it fetches
 	// block rows from their owning shard daemons — every reached block
