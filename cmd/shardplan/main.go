@@ -7,10 +7,10 @@
 //	shardplan -dataset Planar_1 -scale 0.02 -shards 4 -out cluster/
 //
 //	cluster/
-//	  plan.earplan    checksummed manifest: shard map, graph + BCC partition
-//	                  (the frontend derives the block-cut forest from them),
+//	  plan.earplan    checksummed manifest: shard map, graph (the frontend
+//	                  derives the BCC partition and block-cut forest from it),
 //	                  AP boundary table, content-derived plan epoch
-//	  shard-0.snap    graph + BCC partition + shard 0's owned S^r tables
+//	  shard-0.snap    graph + shard 0's owned S^r tables
 //	  shard-1.snap    ...
 //
 // All three are the oracle snapshot's layout; each oracled flag refuses

@@ -68,7 +68,7 @@ func chainFile(t testing.TB, o *Oracle) []byte {
 		d := sw.Section("deltas")
 		d.U32(1)
 		d.U64(0)
-	}, nil)
+	})
 }
 
 // TestDeltaChainVersionSkew: a delta-chain file is version skew, not its

@@ -15,8 +15,8 @@ import (
 // both hand them to the one stitch kernel (stitch.go).
 
 // WriteShardSnapshot serialises the slice of the oracle owned by one
-// shard: the graph and BCC partition in full, plus the S^r tables of
-// exactly the blocks with owned[b] == true.
+// shard: the graph in full, plus the S^r tables of exactly the blocks
+// with owned[b] == true.
 func (o *Oracle) WriteShardSnapshot(w io.Writer, meta ShardMeta, owned []bool) (int64, error) {
 	if len(owned) != len(o.Blocks) {
 		return 0, fmt.Errorf("apsp: %d ownership flags for %d blocks", len(owned), len(o.Blocks))

@@ -27,11 +27,11 @@ func sealCluster(t testing.TB, o *Oracle, flags uint32, cluster func(*snapshot.E
 	md.U64(uint64(o.G.NumVertices()))
 	md.U64(uint64(len(o.Blocks)))
 	md.U64(uint64(o.numA))
+	md.U64(o.Dec.Sum())
 	md.I64(o.Relaxations)
 	md.U32(flags)
 	cluster(sw.Section("cluster"))
 	o.G.EncodeSnapshot(sw.Section("graph"))
-	o.encodeDecomposition(sw.Section("bcc"))
 	bl := sw.Section("blocks")
 	for bi, blk := range o.Blocks {
 		if encoded != nil && encoded[bi] {
@@ -92,11 +92,12 @@ func clusterFiles(t testing.TB, o *Oracle) (oracle, shard, plan []byte) {
 	return ob.Bytes(), sb.Bytes(), pb.Bytes()
 }
 
-// TestShardSnapshotRejectsV1 hand-rolls complete payloads of the retired
-// shard layouts — v1 (each owned block's ear reduction as chain records
-// ahead of its table) and v2 (tables only), both with their own meta and
-// an "owned" flag section — and checks each is refused as version skew: a
-// shard carved by an older planner is carved again.
+// TestShardSnapshotRejectsV1 hand-rolls payloads of the retired shard
+// layouts — v1 (each owned block's ear reduction as chain records ahead
+// of its table) and v2 (tables only), both with their own meta — and
+// checks each is refused as version skew: a shard carved by an older
+// planner is carved again. Their bcc and "owned" flag sections are left
+// out: meta's version word refuses the file before either is read.
 func TestShardSnapshotRejectsV1(t *testing.T) {
 	o := NewOracle(testGraphs(t)["chained-blocks"])
 	for _, version := range []uint32{1, 2} {
@@ -111,12 +112,6 @@ func TestShardSnapshotRejectsV1(t *testing.T) {
 		md.U64(uint64(o.numA))
 		md.U32(0) // flags
 		o.G.EncodeSnapshot(sw.Section("graph"))
-		o.encodeDecomposition(sw.Section("bcc"))
-		owned := make([]bool, len(o.Blocks))
-		for bi := range owned {
-			owned[bi] = true
-		}
-		sw.Section("owned").Bools(owned)
 		bl := sw.Section("blocks")
 		for _, blk := range o.Blocks {
 			if version == 1 {

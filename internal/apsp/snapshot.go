@@ -19,37 +19,38 @@ import (
 // query bit-identically; a shard snapshot (WriteShardSnapshot/
 // ReadShardSnapshot) holds only the owned blocks' S^r tables and no A; a
 // plan manifest (WritePlan/ReadPlan) holds A and no block tables. A load
-// runs no build phase (no Hopcroft–Tarjan, no Dijkstra), only decoding and
-// the assemble call a build makes, so all three kinds hold one topology.
+// runs the linear-time phases a build does — bcc.Compute on the stored
+// graph, the block-cut forest, ear.Reduce per resident block — and no
+// Dijkstra, then the assemble call a build makes, so all three kinds hold
+// one topology.
 //
 // Sections ("meta" first, the rest in fixed order; the files holding each):
 //
-//	meta     payload format version, n, #blocks, a, total relaxations, flags (reserved 0)   all
-//	cluster  plan epoch, shard count, this file's shard (Frontend in a plan), block → shard   shard, plan
-//	graph    the original graph's edge array                                                 all
-//	bcc      per-component edge-ID lists + articulation flags                                all
-//	blocks   per resident block: S^r as held (upper triangle, tableKind), relaxations        all (empty in a plan)
-//	aptable  A as held (upper triangle, tableKind)                                           oracle, plan
+//	meta     payload format version, n, #blocks, a, partition sum, total relaxations, flags (reserved 0)   all
+//	cluster  plan epoch, shard count, this file's shard (Frontend in a plan), block → shard                 shard, plan
+//	graph    the original graph's edge array                                                               all
+//	blocks   per resident block: S^r as held (upper triangle, tableKind), relaxations                      all (empty in a plan)
+//	aptable  A as held (upper triangle, tableKind)                                                         oracle, plan
 //
 // An oracle snapshot has no cluster section; that is how a reader tells
 // the kinds apart and refuses the two it does not load by name
 // (snapshot.ErrWrongKind).
 //
 // Deliberately not stored, because each is a pure deterministic function
-// of the graph and the BCC partition that decode rebuilds with the same
-// code construction uses: the block-cut tree with each block's vertex
-// list (BlockVerts, the order its S^r rows are indexed in), each resident
+// of the graph that decode rebuilds with the same code construction uses:
+// the BCC partition (meta keeps its Sum: the block order every
+// block-indexed table was written in), the block-cut tree with each block's vertex list
+// (BlockVerts, the order its S^r rows are indexed in), each resident
 // block's graph and ear reduction (ear.Reduce re-derives faster than
 // stored chain records decoded; DESIGN.md §6 has the measurement), the
-// rooted block-cut forest (a stored one could disagree with the
-// partition), and the AP graph A was computed on. A block whose table
-// the file does not hold gets no graph at all.
+// rooted block-cut forest, and the AP graph A was computed on. A block
+// whose table the file does not hold gets no graph at all.
 
 // formatVersion is the version of the payload layout, checked
 // independently of the container's own version. Bump it whenever a
 // section's byte layout changes; readers reject any other version with
 // snapshot.ErrVersionSkew rather than guessing.
-const formatVersion = 5
+const formatVersion = 6
 
 // tableKind is the one table layout, "upper triangle, row-major,
 // float64" (v4's square was 0); any other kind is ErrCorrupt.
@@ -139,7 +140,7 @@ func (c *Cluster) validate(numBlocks uint64) error {
 func (o *Oracle) WriteTo(w io.Writer) (int64, error) { return o.write(w, nil) }
 
 // WritePlan serialises the plan manifest a cluster frontend loads: the
-// oracle's graph, partition and A without block tables, and the cluster
+// oracle's graph and A without block tables, and the cluster
 // section of a plan epoch over numShards shards, assign mapping each
 // block to its owner.
 func (o *Oracle) WritePlan(w io.Writer, epoch uint64, numShards int32, assign []int32) (int64, error) {
@@ -161,6 +162,7 @@ func (o *Oracle) write(w io.Writer, c *Cluster) (int64, error) {
 	meta.U64(uint64(o.G.NumVertices()))
 	meta.U64(uint64(len(o.Blocks)))
 	meta.U64(uint64(o.numA))
+	meta.U64(o.Dec.Sum())
 	meta.I64(o.Relaxations)
 	meta.U32(0) // flags
 
@@ -173,8 +175,6 @@ func (o *Oracle) write(w io.Writer, c *Cluster) (int64, error) {
 	}
 
 	o.G.EncodeSnapshot(sw.Section("graph"))
-
-	o.encodeDecomposition(sw.Section("bcc"))
 
 	bl := sw.Section("blocks")
 	for bi, blk := range o.Blocks {
@@ -194,12 +194,14 @@ func (o *Oracle) write(w io.Writer, c *Cluster) (int64, error) {
 // truncated, or version-skewed input is rejected with an error wrapping one
 // of snapshot's typed sentinels (ErrBadMagic, ErrVersionSkew, ErrChecksum,
 // ErrCorrupt), and a shard snapshot or plan manifest with ErrWrongKind;
-// ReadOracle never panics on hostile bytes. Each block's ear reduction is
-// re-run (ear.Reduce over the block's graph, as a build does) and its
+// ReadOracle never panics on hostile bytes. The BCC partition is derived
+// from the stored graph (bcc.Compute, as a build does) and must match
+// meta's block count, articulation count and partition sum; each block's
+// ear reduction is re-run (ear.Reduce over the block's graph) and its
 // stored S^r must be the nr×nr triangle for it. The loaded oracle's
-// BuildPhases holds one phase, "snapshot.load", which covers those
-// reductions, and none of a build's, so a process that only loads
-// snapshots shows zero build activity.
+// BuildPhases holds one phase, "snapshot.load", which covers the
+// partition and those reductions, and none of a build's, so a process
+// that only loads snapshots shows zero build activity.
 func ReadOracle(r io.Reader) (*Oracle, error) {
 	o, _, err := read(r, oracleKind)
 	return o, err
@@ -244,7 +246,7 @@ func read(r io.Reader, want kind) (o *Oracle, c *Cluster, err error) {
 
 	md := sr.Section("meta")
 	md.Version("apsp: snapshot", formatVersion)
-	n, numBlocks, numA, relax := md.U64(), md.U64(), md.U64(), md.I64()
+	n, numBlocks, numA, sum, relax := md.U64(), md.U64(), md.U64(), md.U64(), md.I64()
 	md.Reserved("snapshot flags")
 	if err := md.Finish(); err != nil {
 		return nil, nil, err
@@ -274,9 +276,13 @@ func read(r io.Reader, want kind) (o *Oracle, c *Cluster, err error) {
 	if uint64(g.NumVertices()) != n {
 		return nil, nil, snapshot.Corruptf("apsp: meta says %d vertices, graph has %d", n, g.NumVertices())
 	}
-	dec, err := decodeDecomposition(sr, g, numBlocks)
-	if err != nil {
-		return nil, nil, err
+	dec := bcc.Compute(g)
+	if uint64(len(dec.Components)) != numBlocks {
+		return nil, nil, snapshot.Corruptf("apsp: meta says %d blocks, the graph has %d", numBlocks, len(dec.Components))
+	}
+	if dec.Sum() != sum {
+		return nil, nil, fmt.Errorf("apsp: partition sum %#x, this build derives %#x; rebuild the file with this build: %w",
+			sum, dec.Sum(), snapshot.ErrVersionSkew)
 	}
 	o = &Oracle{G: g, Dec: dec, BCT: bcc.BuildBlockCutTree(g, dec)}
 	if uint64(len(o.BCT.CutVertices)) != numA {
@@ -333,16 +339,6 @@ func decodeTable(d *snapshot.Decoder, n int, what string) ([]graph.Weight, error
 	return t, nil
 }
 
-// encodeDecomposition writes the BCC section: per-component edge-ID
-// lists plus articulation flags.
-func (o *Oracle) encodeDecomposition(e *snapshot.Encoder) {
-	e.U64(uint64(len(o.Dec.Components)))
-	for _, comp := range o.Dec.Components {
-		e.I32s(comp)
-	}
-	e.Bools(o.Dec.IsArticulation)
-}
-
 // decodeBlock re-derives one block's ear reduction with the code a build
 // runs and reads its S^r table and relaxation count; the table must be
 // the nr×nr upper triangle for the derived reduction.
@@ -354,50 +350,4 @@ func decodeBlock(bd *snapshot.Decoder, g *graph.Graph, bi int) (*EarAPSP, error)
 		return nil, fmt.Errorf("block %d: %w", bi, err)
 	}
 	return &EarAPSP{Red: red, SR: sr, nr: nr, Relaxations: bd.I64()}, bd.Err()
-}
-
-// decodeDecomposition reads the BCC section and checks it is a genuine
-// edge partition: every edge of g in exactly one component.
-func decodeDecomposition(sr *snapshot.Reader, g *graph.Graph, numBlocks uint64) (*bcc.Decomposition, error) {
-	bd := sr.Section("bcc")
-	ncomp := bd.Count(8)
-	if err := bd.Err(); err != nil {
-		return nil, err
-	}
-	if uint64(ncomp) != numBlocks {
-		return nil, snapshot.Corruptf("apsp: meta says %d blocks, bcc section has %d", numBlocks, ncomp)
-	}
-	m := g.NumEdges()
-	seen := make([]bool, m)
-	covered := 0
-	dec := &bcc.Decomposition{Components: make([][]int32, ncomp)}
-	for i := range dec.Components {
-		comp := bd.I32s()
-		if err := bd.Err(); err != nil {
-			return nil, err
-		}
-		for _, eid := range comp {
-			if eid < 0 || int(eid) >= m {
-				return nil, snapshot.Corruptf("apsp: component %d references edge %d of %d", i, eid, m)
-			}
-			if seen[eid] {
-				return nil, snapshot.Corruptf("apsp: edge %d in two components", eid)
-			}
-			seen[eid] = true
-			covered++
-		}
-		dec.Components[i] = comp
-	}
-	if covered != m {
-		return nil, snapshot.Corruptf("apsp: components cover %d of %d edges", covered, m)
-	}
-	dec.IsArticulation = bd.Bools()
-	if err := bd.Err(); err != nil {
-		return nil, err
-	}
-	if len(dec.IsArticulation) != g.NumVertices() {
-		return nil, snapshot.Corruptf("apsp: %d articulation flags for %d vertices",
-			len(dec.IsArticulation), g.NumVertices())
-	}
-	return dec, bd.Finish()
 }

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/bcc"
 	"repro/internal/ear"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -158,11 +160,11 @@ func reservedWords(t testing.TB, o *Oracle) (oracles, shards, plans [][]byte) {
 	shard := clusterSection(7, 2, 0, fill(len(o.Blocks), 0))
 	plan := clusterSection(7, 2, Frontend, fill(len(o.Blocks), 0))
 	oracles = [][]byte{
-		sealOracle(t, o, 1, encodeTable, f64AP, nil, nil),
-		sealOracle(t, o, 0, f32Table, f32AP, nil, nil),
-		sealOracle(t, o, 0, encodeTable, f32AP, nil, nil), // only the AP table
-		sealOracle(t, o, 1, f32Table, f32AP, nil, nil),
-		sealOracle(t, o, 0, kind0Table, k0AP, nil, nil),
+		sealOracle(t, o, 1, encodeTable, f64AP, nil),
+		sealOracle(t, o, 0, f32Table, f32AP, nil),
+		sealOracle(t, o, 0, encodeTable, f32AP, nil), // only the AP table
+		sealOracle(t, o, 1, f32Table, f32AP, nil),
+		sealOracle(t, o, 0, kind0Table, k0AP, nil),
 	}
 	shards = [][]byte{
 		sealCluster(t, o, 1, shard, all, encodeTable, nil),
@@ -207,14 +209,15 @@ func squareOf(tri []graph.Weight, n int) []graph.Weight {
 	return sq
 }
 
-// TestOracleSnapshotRejectsV1 hand-rolls complete payloads in the
-// four retired layouts — v1 (no meta flags, untagged float64 tables), v2
-// (flags and tagged tables), both with the stored forest and the AP graph
-// behind the table, v3 (neither), each storing every block's ear
-// reduction as chain records ahead of its table, and v4 (no chain
-// records, square tables under kind 0) — and checks each is refused as
-// version skew, not half-decoded: there is no in-place migration, a
-// snapshot from an older release is rebuilt.
+// TestOracleSnapshotRejectsV1 hand-rolls payloads in the four retired
+// layouts — v1 (no meta flags, untagged float64 tables), v2 (flags and
+// tagged tables), both with the stored forest and the AP graph behind the
+// table, v3 (neither), each storing every block's ear reduction as chain
+// records ahead of its table, and v4 (no chain records, square tables
+// under kind 0) — and checks each is refused as version skew, not
+// half-decoded: there is no in-place migration, a snapshot from an older
+// release is rebuilt. The bcc section every retired layout also held is
+// left out: meta's version word refuses the file before it is read.
 func TestOracleSnapshotRejectsV1(t *testing.T) {
 	o := NewOracle(testGraphs(t)["chained-blocks"])
 
@@ -252,7 +255,6 @@ func TestOracleSnapshotRejectsV1(t *testing.T) {
 			meta.U32(0) // flags
 		}
 		o.G.EncodeSnapshot(sw.Section("graph"))
-		o.encodeDecomposition(sw.Section("bcc"))
 		bl := sw.Section("blocks")
 		for _, blk := range o.Blocks {
 			if version < 4 {
@@ -320,12 +322,11 @@ func TestSnapshotCorruptionTyped(t *testing.T) {
 
 // sealOracle hand-writes an oracle snapshot the way WriteTo does,
 // except for the meta flags word, the block table writer, the aptable
-// payload, any extra sections
-// and (when decomp is non-nil) the bcc payload, which the caller supplies —
-// the hostile seeds of FuzzReadOracle are checksum-valid containers a real
-// writer never emits.
+// payload and any extra sections, which the caller supplies — the hostile
+// seeds of FuzzReadOracle are checksum-valid containers a real writer
+// never emits.
 func sealOracle(t testing.TB, o *Oracle, flags uint32, table func(*snapshot.Encoder, []graph.Weight),
-	apTable func(*snapshot.Encoder), extra func(*snapshot.Writer), decomp func(*snapshot.Encoder)) []byte {
+	apTable func(*snapshot.Encoder), extra func(*snapshot.Writer)) []byte {
 	t.Helper()
 	sw := snapshot.NewWriter()
 	meta := sw.Section("meta")
@@ -333,13 +334,10 @@ func sealOracle(t testing.TB, o *Oracle, flags uint32, table func(*snapshot.Enco
 	meta.U64(uint64(o.G.NumVertices()))
 	meta.U64(uint64(len(o.Blocks)))
 	meta.U64(uint64(o.numA))
+	meta.U64(o.Dec.Sum())
 	meta.I64(o.Relaxations)
 	meta.U32(flags)
 	o.G.EncodeSnapshot(sw.Section("graph"))
-	if decomp == nil {
-		decomp = o.encodeDecomposition
-	}
-	decomp(sw.Section("bcc"))
 	bl := sw.Section("blocks")
 	for _, blk := range o.Blocks {
 		table(bl, blk.SR)
@@ -356,23 +354,33 @@ func sealOracle(t testing.TB, o *Oracle, flags uint32, table func(*snapshot.Enco
 	return buf.Bytes()
 }
 
-// hostileSnapshot is a checksum-valid v5 container around an oracle's real
-// graph, partition and block tables that a writer never emits; corrupt
-// says whether ReadOracle must refuse it.
+// hostileSnapshot is a checksum-valid v6 container around an oracle's real
+// graph and block tables that a writer never emits; want is the sentinel
+// ReadOracle must refuse it with, nil if it must load.
 type hostileSnapshot struct {
-	name    string
-	data    []byte
-	corrupt bool
+	name string
+	data []byte
+	want error
 }
 
 func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
 	table := func(e *snapshot.Encoder) { encodeTable(e, o.A) }
+	// A build that orders the blocks otherwise: the same tables under
+	// the partition sum of the reversed block order.
+	reversed := *o
+	reversed.Dec = &bcc.Decomposition{Components: slices.Clone(o.Dec.Components)}
+	slices.Reverse(reversed.Dec.Components)
+	var skew bytes.Buffer
+	if _, err := reversed.WriteTo(&skew); err != nil {
+		t.Fatal(err)
+	}
 	return []hostileSnapshot{
 		{"AP table one entry short",
-			sealOracle(t, o, 0, encodeTable, func(e *snapshot.Encoder) { encodeTable(e, o.A[1:]) }, nil, nil), true},
+			sealOracle(t, o, 0, encodeTable, func(e *snapshot.Encoder) { encodeTable(e, o.A[1:]) }, nil), snapshot.ErrCorrupt},
 		// Where v2 kept the AP graph.
 		{"bytes behind the AP table",
-			sealOracle(t, o, 0, encodeTable, func(e *snapshot.Encoder) { table(e); e.U32(0) }, nil, nil), true},
+			sealOracle(t, o, 0, encodeTable, func(e *snapshot.Encoder) { table(e); e.U32(0) }, nil), snapshot.ErrCorrupt},
+		{"partition sum of another block order", skew.Bytes(), snapshot.ErrVersionSkew},
 		// The v2 attack: a consistent rooted forest that is not the
 		// block-cut tree's — a leaf block re-hung under its grandparent
 		// block — passed every load check and CheckInvariants, then sent
@@ -390,17 +398,7 @@ func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
 				fe.I32s(parent)
 				fe.I32s(depth)
 				fe.I32s(o.nodeRoot)
-			}, nil), false},
-		// (count+7)/8 wraps to 0 bytes: a bounds check made after the
-		// rounding passes, and make([]bool, 2⁶⁴−1) panics.
-		{"articulation flag count that wraps the byte rounding",
-			sealOracle(t, o, 0, encodeTable, table, nil, func(e *snapshot.Encoder) {
-				e.U64(uint64(len(o.Dec.Components)))
-				for _, comp := range o.Dec.Components {
-					e.I32s(comp)
-				}
-				e.U64(^uint64(0))
-			}), true},
+			}), nil},
 	}
 }
 
@@ -429,9 +427,9 @@ func TestSnapshotHostilePayloads(t *testing.T) {
 	}
 	for _, h := range hostileSnapshots(t, o) {
 		loaded, err := ReadOracle(bytes.NewReader(h.data))
-		if h.corrupt {
-			if !errors.Is(err, snapshot.ErrCorrupt) {
-				t.Errorf("%s: err = %v, want ErrCorrupt", h.name, err)
+		if h.want != nil {
+			if !errors.Is(err, h.want) {
+				t.Errorf("%s: err = %v, want %v", h.name, err, h.want)
 			}
 			continue
 		}

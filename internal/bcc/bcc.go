@@ -102,16 +102,18 @@ func Compute(g *graph.Graph) *Decomposition {
 				low[p.v] = low[v]
 			}
 			if low[v] >= disc[p.v] {
-				// p.v separates v's subtree: pop one component.
-				var comp []int32
-				for {
-					e := edgeStack[len(edgeStack)-1]
-					edgeStack = edgeStack[:len(edgeStack)-1]
-					comp = append(comp, e)
-					if e == parentEdge {
-						break
-					}
+				// p.v separates v's subtree: pop one component, down to
+				// and including parentEdge, into an exact-size slice in
+				// popped (top-first) order.
+				j := len(edgeStack) - 1
+				for edgeStack[j] != parentEdge {
+					j--
 				}
+				comp := make([]int32, len(edgeStack)-j)
+				for i := range comp {
+					comp[i] = edgeStack[len(edgeStack)-1-i]
+				}
+				edgeStack = edgeStack[:j]
 				d.Components = append(d.Components, comp)
 			}
 		}
@@ -148,6 +150,29 @@ func Compute(g *graph.Graph) *Decomposition {
 		}
 	}
 	return d
+}
+
+// Sum is a checksum of the partition in the order Compute emits it:
+// 64-bit FNV-1a over the component count, then each component's length
+// and edge IDs, as 32-bit words. Whatever is indexed by block (a
+// snapshot's S^r tables and A, a plan's shard map) is stored beside it,
+// so a load whose Compute orders the blocks otherwise is refused rather
+// than misindexing rows. It allocates nothing.
+func (d *Decomposition) Sum() uint64 {
+	h := uint64(14695981039346656037)
+	word := func(x int) {
+		for i := 0; i < 32; i += 8 {
+			h = (h ^ uint64(uint8(x>>i))) * 1099511628211
+		}
+	}
+	word(len(d.Components))
+	for _, comp := range d.Components {
+		word(len(comp))
+		for _, e := range comp {
+			word(int(e))
+		}
+	}
+	return h
 }
 
 // ArticulationPoints returns the articulation vertices in increasing order.

@@ -1,6 +1,8 @@
 package bcc
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/gen"
@@ -101,6 +103,47 @@ func TestComponentsPartitionEdges(t *testing.T) {
 		for e, c := range seen {
 			if c != 1 {
 				t.Fatalf("%s: edge %d in %d components", name, e, c)
+			}
+		}
+	}
+}
+
+// TestSumIsFNVOfTheOrder: Sum is hash/fnv's 64-bit FNV-1a of the
+// little-endian words count, then length and edge IDs per component; it
+// allocates nothing, and moving one edge between components or swapping
+// two components changes it.
+func TestSumIsFNVOfTheOrder(t *testing.T) {
+	for name, g := range testSuite() {
+		d := Compute(g)
+		h := fnv.New64a()
+		word := func(x int) { h.Write(binary.LittleEndian.AppendUint32(nil, uint32(x))) }
+		word(len(d.Components))
+		for _, comp := range d.Components {
+			word(len(comp))
+			for _, e := range comp {
+				word(int(e))
+			}
+		}
+		if got, want := d.Sum(), h.Sum64(); got != want {
+			t.Errorf("%s: Sum = %#x, want %#x", name, got, want)
+		}
+		if a := testing.AllocsPerRun(10, func() { d.Sum() }); a != 0 {
+			t.Errorf("%s: Sum allocates %v times", name, a)
+		}
+		if len(d.Components) < 2 {
+			continue
+		}
+		sum := d.Sum()
+		c := d.Components
+		c[0], c[1] = c[1], c[0]
+		if d.Sum() == sum {
+			t.Errorf("%s: swapping two components keeps the sum", name)
+		}
+		c[0], c[1] = c[1], c[0]
+		if len(c[0]) > 1 {
+			moved := &Decomposition{Components: append([][]int32{c[0][1:], append([]int32{c[0][0]}, c[1]...)}, c[2:]...)}
+			if moved.Sum() == sum {
+				t.Errorf("%s: moving an edge keeps the sum", name)
 			}
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/apsp"
+	"repro/internal/bcc"
 	"repro/internal/graph"
 	"repro/internal/snapshot"
 )
@@ -158,7 +159,15 @@ func rowsExchange(t testing.TB, p *Plan, url string) (reqs [][2]int32, lens []in
 // snapshot the same version word and epoch, each block table's kind word
 // and count (a two-vertex S^r 4 → 3 entries), the blocks section's
 // length (160 → 144 bytes) and the checksums; in the rows response the
-// epoch and its checksum, as before. A change here means old and new
+// epoch and its checksum, as before. All four moved again when files
+// stopped storing the partition (payload v6): in both files the meta
+// version word (5 → 6), a partition sum word after the articulation
+// count (meta 40 → 48 bytes), no bcc section (150 bytes and one 32-byte
+// table entry: the manifest 950 → 776 bytes, the shard snapshot 882 →
+// 708), every later section's offset, the epoch those feed (8 bytes of
+// the cluster section) and the checksums of meta and cluster; the graph,
+// blocks and aptable sections are byte-identical. In the rows response
+// the epoch and its checksum, as before. A change here means old and new
 // binaries no longer interoperate.
 func TestWireGolden(t *testing.T) {
 	o := apsp.NewOracle(testGraph())
@@ -188,10 +197,10 @@ func TestWireGolden(t *testing.T) {
 		what      string
 		got, want uint64
 	}{
-		{"plan epoch", p.Epoch, 0x601db4bb3c321467},
-		{"manifest bytes", crc64.Checksum(manifest.Bytes(), tab), 0x4fd571ef91edd458},
-		{"shard 0 snapshot bytes", crc64.Checksum(snap.Bytes(), tab), 0x71089af87ecc8cec},
-		{"rows response bytes", crc64.Checksum(raw, tab), 0x76e11858dcdbb8f7},
+		{"plan epoch", p.Epoch, 0x77c4ce8e778ce765},
+		{"manifest bytes", crc64.Checksum(manifest.Bytes(), tab), 0xbda30f2879578c8d},
+		{"shard 0 snapshot bytes", crc64.Checksum(snap.Bytes(), tab), 0xac962fb75e84f2a6},
+		{"rows response bytes", crc64.Checksum(raw, tab), 0xb479a35cbddcd663},
 		{"rows response length", uint64(len(raw)), uint64(rowsResponseLen(lens))},
 	} {
 		if g.got != g.want {
@@ -335,23 +344,26 @@ func FuzzDecodeRowsResponse(f *testing.F) {
 	})
 }
 
-// cyclicManifest hand-writes a manifest that passes every load check yet
-// whose block-cut topology is no forest: a triangle whose three edges are
-// three components, every vertex flagged an articulation point, so three
-// blocks form a cycle through three APs. Its payload version is read off
-// a real manifest.
+// cyclicManifest hand-writes a manifest whose meta claims a triangle
+// split into its three edges: three blocks through three articulation
+// points, a block-cut topology that is no forest. While files stored the
+// partition this one passed every load check; the partition a load
+// derives is one block, so it must be refused. Its payload version is
+// read off a real manifest.
 func cyclicManifest(t testing.TB, manifest []byte) []byte {
 	sr, err := snapshot.NewReader(bytes.NewReader(manifest))
 	if err != nil {
 		t.Fatal(err)
 	}
 	version := sr.Section("meta").U32()
+	split := &bcc.Decomposition{Components: [][]int32{{0}, {1}, {2}}}
 	sw := snapshot.NewWriter()
 	md := sw.Section("meta")
 	md.U32(version)
 	md.U64(3) // vertices
 	md.U64(3) // blocks
 	md.U64(3) // articulation points
+	md.U64(split.Sum())
 	md.I64(0) // relaxations
 	md.U32(0) // flags
 	ce := sw.Section("cluster")
@@ -361,12 +373,6 @@ func cyclicManifest(t testing.TB, manifest []byte) []byte {
 	ce.I32s([]int32{0, 0, 0})
 	graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 0, W: 1}}).
 		EncodeSnapshot(sw.Section("graph"))
-	bd := sw.Section("bcc")
-	bd.U64(3)
-	for e := int32(0); e < 3; e++ {
-		bd.I32s([]int32{e})
-	}
-	bd.Bools([]bool{true, true, true})
 	sw.Section("blocks") // a plan holds no block tables
 	at := sw.Section("aptable")
 	at.U32(1)                        // table kind: upper triangle, float64
@@ -397,8 +403,8 @@ func FuzzReadPlan(f *testing.F) {
 	}
 	manifest := mbuf.Bytes()
 	cyclic := cyclicManifest(f, manifest)
-	if _, err := ReadPlan(bytes.NewReader(cyclic)); err != nil {
-		f.Fatalf("cyclic manifest refused: %v", err)
+	if _, err := ReadPlan(bytes.NewReader(cyclic)); !errors.Is(err, snapshot.ErrCorrupt) {
+		f.Fatalf("cyclic manifest: err = %v, want ErrCorrupt", err)
 	}
 	for _, seed := range [][]byte{manifest, manifest[:len(manifest)/3], []byte(snapshot.Magic), cyclic, obuf.Bytes(), sbuf.Bytes()} {
 		f.Add(seed)

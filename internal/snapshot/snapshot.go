@@ -371,18 +371,6 @@ func (e *Encoder) Str(s string) {
 	copy(e.extend(len(s)), s)
 }
 
-// Bools appends a length-prefixed bit-packed bool slice.
-func (e *Encoder) Bools(s []bool) {
-	e.U64(uint64(len(s)))
-	raw := e.extend((len(s) + 7) / 8)
-	clear(raw)
-	for i, v := range s {
-		if v {
-			raw[i/8] |= 1 << (i % 8)
-		}
-	}
-}
-
 // Decoder is the bounds-checked mirror of Encoder. The first failed read
 // sets a sticky ErrCorrupt; subsequent reads return zero values, so decode
 // hooks can read a whole structure and check Err once at the end. A
@@ -597,24 +585,4 @@ func (d *Decoder) Str() string {
 	}
 	b := d.take(n, "string")
 	return string(b)
-}
-
-// Bools reads a length-prefixed bit-packed bool slice.
-func (d *Decoder) Bools() []bool {
-	n64 := d.U64()
-	if d.err != nil {
-		return nil
-	}
-	// Checked against the bytes left before the rounding below, which
-	// wraps to 0 for a count within 7 of 2⁶⁴.
-	if n64 > 8*uint64(d.remaining()) {
-		d.fail(fmt.Sprintf("bool slice of %d", n64))
-		return nil
-	}
-	raw := d.take(int((n64+7)/8), "bool slice")
-	out := make([]bool, n64)
-	for i := range out {
-		out[i] = raw[i/8]&(1<<(i%8)) != 0
-	}
-	return out
 }

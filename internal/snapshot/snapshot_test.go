@@ -28,7 +28,6 @@ func buildContainer(t *testing.T) []byte {
 	a.F64(math.Pi)
 	a.I32s([]int32{1, -2, 3})
 	a.F64s([]float64{0, math.Inf(1), -0.5})
-	a.Bools([]bool{true, false, true, true, false, false, true, false, true})
 	b := w.Section("beta")
 	b.I32s(nil)
 	var buf bytes.Buffer
@@ -73,16 +72,6 @@ func TestRoundTrip(t *testing.T) {
 	if got := d.F64s(); len(got) != 3 || got[0] != 0 || !math.IsInf(got[1], 1) || got[2] != -0.5 {
 		t.Errorf("F64s = %v", got)
 	}
-	want := []bool{true, false, true, true, false, false, true, false, true}
-	got := d.Bools()
-	if len(got) != len(want) {
-		t.Fatalf("Bools length %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Bools[%d] = %v", i, got[i])
-		}
-	}
 	if err := d.Finish(); err != nil {
 		t.Errorf("Finish: %v", err)
 	}
@@ -122,7 +111,6 @@ func decodeAll(data []byte) error {
 	a.F64()
 	a.I32s()
 	a.F64s()
-	a.Bools()
 	if err := a.Finish(); err != nil {
 		return err
 	}
@@ -208,32 +196,6 @@ func TestDecoderSticky(t *testing.T) {
 	d3.U32()
 	if err := d3.Finish(); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("Finish with trailing bytes = %v", err)
-	}
-}
-
-// A bool count within 7 of 2⁶⁴ wraps the round-up to whole bytes to 0; the
-// count has to be refused before that arithmetic, not after it.
-func TestBoolsCountOverflow(t *testing.T) {
-	for _, n := range []uint64{^uint64(0), ^uint64(0) - 6, 1 << 63, 9} {
-		e := &Encoder{}
-		e.U64(n)
-		e.b = append(e.b, 0xff)
-		d := &Decoder{b: e.b}
-		if got := d.Bools(); got != nil {
-			t.Errorf("count %d: Bools returned %d flags", n, len(got))
-		}
-		if !errors.Is(d.Err(), ErrCorrupt) {
-			t.Errorf("count %d: Err = %v, want ErrCorrupt", n, d.Err())
-		}
-	}
-	// The largest count one byte does hold still decodes.
-	e := &Encoder{}
-	e.U64(8)
-	e.b = append(e.b, 0x81)
-	d := &Decoder{b: e.b}
-	got := d.Bools()
-	if err := d.Finish(); err != nil || len(got) != 8 || !got[0] || got[1] || !got[7] {
-		t.Errorf("8 flags in one byte: %v, err %v", got, err)
 	}
 }
 
@@ -363,12 +325,8 @@ func TestNewReaderSizedSources(t *testing.T) {
 // each primitive lands across a refill, and the source may hand over one
 // byte per Read.
 func TestDecodeAcrossReadAhead(t *testing.T) {
-	flags := make([]bool, 9*bufSize+5) // more bytes than one read-ahead holds
 	ints := make([]int32, bufSize/2+3)
 	short, long := make([]float64, 97), make([]float64, bufSize/4+1)
-	for i := range flags {
-		flags[i] = i%3 == 0
-	}
 	for i := range ints {
 		ints[i] = int32(i * 7)
 	}
@@ -379,9 +337,10 @@ func TestDecodeAcrossReadAhead(t *testing.T) {
 	w := NewWriter()
 	e := w.Section("big")
 	pad := string(make([]byte, bufSize-13))
+	mid := string(make([]byte, bufSize+bufSize/8+1)) // more bytes than one read-ahead holds
 	e.Str(pad)
 	e.U64(1 << 40)
-	e.Bools(flags)
+	e.Str(mid)
 	e.Str(pad)
 	e.I32s(ints)
 	e.Str(pad[:bufSize-21])
@@ -404,7 +363,7 @@ func TestDecodeAcrossReadAhead(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		d := r.Section("big")
-		if d.Str() != pad || d.U64() != 1<<40 || !slices.Equal(d.Bools(), flags) || d.Str() != pad ||
+		if d.Str() != pad || d.U64() != 1<<40 || d.Str() != mid || d.Str() != pad ||
 			!slices.Equal(d.I32s(), ints) || d.Str() != pad[:bufSize-21] ||
 			!slices.EqualFunc(d.F64s(), short, eq) || !slices.EqualFunc(d.F64s(), long, eq) || d.Str() != "end" {
 			t.Errorf("%s: decoded values differ (err %v)", name, d.Err())

@@ -103,9 +103,9 @@ func ShortestPaths(g *Graph, workers int) (*APSPOracle, error) {
 // Oracle snapshots (build-once/serve-many persistence).
 //
 // A snapshot is one checksummed binary file holding what oracle
-// construction paid for — the graph, the BCC partition, the per-block
-// distance tables and the articulation table — so a serving process can
-// load it and answer its first query without running a build phase; the
+// construction paid for — the graph, the per-block distance tables and
+// the articulation table — so a serving process can load it and answer
+// its first query without running a Dijkstra; the BCC partition, the
 // per-block ear reductions and the block-cut forest are re-derived.
 // Corrupt, truncated, version-skewed or wrong-kind files are rejected
 // with a typed error, never a panic.
@@ -272,7 +272,7 @@ func NewRemoteRowSource(cfg ShardSourceConfig) (*RemoteRowSource, error) {
 }
 
 // WriteShardSnapshot serialises the S^r tables of the blocks
-// owned[b]==true selects, with the graph and its BCC partition, stamped
+// owned[b]==true selects, with the graph, stamped
 // with meta, for one shard daemon to serve.
 func WriteShardSnapshot(w io.Writer, o *APSPOracle, meta ShardMeta, owned []bool) (int64, error) {
 	return o.WriteShardSnapshot(w, meta, owned)
