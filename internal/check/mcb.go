@@ -103,24 +103,3 @@ func sameBasis(a, b *mcb.Result) error {
 	}
 	return nil
 }
-
-// MCBWitness runs MCB and, on failure, shrinks g to a locally edge-minimal
-// subgraph on which the comparison still fails. It returns the witness (nil
-// if the failure did not reproduce while shrinking) and the original error.
-func MCBWitness(g *graph.Graph, seed uint64) (*graph.Graph, error) {
-	err := MCB(g, seed)
-	if err == nil {
-		return nil, nil
-	}
-	kept := MinimizeEdges(g.Edges(), func(edges []graph.Edge) bool {
-		return MCB(graph.FromEdges(g.NumVertices(), edges), seed) != nil
-	})
-	if kept == nil {
-		return nil, err
-	}
-	w, _ := CompactVertices(graph.FromEdges(g.NumVertices(), kept))
-	if MCB(w, seed) == nil {
-		return nil, err
-	}
-	return w, err
-}

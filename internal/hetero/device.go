@@ -1,7 +1,5 @@
 package hetero
 
-import "fmt"
-
 // Device describes one execution resource of the simulated platform. The
 // virtual clock charges a work-unit of measured cost c executed in one of
 // the device's slots as c/OpsPerSec seconds plus LaunchOverhead per batch.
@@ -18,8 +16,8 @@ type Device struct {
 	OpsPerSec       float64 // random-access operations per second per slot
 	StreamOpsPerSec float64 // sequential (bandwidth-bound) operations per second per slot
 	LaunchOverhead  float64 // seconds charged per batch (kernel launch)
-	BatchSize       int     // units popped from the deque per request
-	Big             bool    // pops from the big end of the deque
+	BatchSize       int     // units claimed from the work queue per batch
+	Big             bool    // claims from the queue's big end
 }
 
 // Cost is the measured cost of executing one work-unit: Ops primitive
@@ -62,10 +60,6 @@ func MulticoreCPU() *Device {
 // the queue's large end is also what the paper's work-queue policy does.
 func TeslaK40c() *Device {
 	return &Device{Name: "gpu-k40c", Slots: 1, OpsPerSec: seqOpsPerSec * 9, StreamOpsPerSec: seqStreamOpsPerSec * 8, LaunchOverhead: 10e-6, BatchSize: 256, Big: true}
-}
-
-func (d *Device) String() string {
-	return fmt.Sprintf("%s{slots=%d, %.0f Mops/s}", d.Name, d.Slots, d.OpsPerSec/1e6)
 }
 
 // slotTime charges a batch of unit costs to one slot and returns the

@@ -2,88 +2,174 @@ package hetero
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// The work queue lives inside run: units sorted ascending by size, a
+// non-Big slot claiming from the small end and a Big slot from the big end.
+// These tests watch it through the order in which exec sees the units.
+
+// claim is one exec call: the unit and the device it ran on.
+type claim struct {
+	Unit
+	dev string
+}
+
+// runOrder runs units on devs, every unit costing one op, and returns the
+// exec calls in order with the trace of the run.
+func runOrder(units []Unit, devs ...*Device) ([]claim, *Trace) {
+	var got []claim
+	tr := RunTraced(units, devs, func(u Unit, d *Device) Cost {
+		got = append(got, claim{u, d.Name})
+		return Cost{Ops: 1, Launches: 1}
+	})
+	return got, tr
+}
+
+// small and big are unit-speed devices with one slot each, claiming batch
+// units at a time from the small and the big end.
+func small(batch int) *Device {
+	return &Device{Name: "small", Slots: 1, OpsPerSec: 1, BatchSize: batch}
+}
+
+func big(batch int) *Device {
+	return &Device{Name: "big", Slots: 1, OpsPerSec: 1, BatchSize: batch, Big: true}
+}
+
+func sizes(cs []claim) []int64 {
+	out := make([]int64, len(cs))
+	for i, c := range cs {
+		out[i] = c.Size
+	}
+	return out
+}
+
 func TestDequeSortedAndEnds(t *testing.T) {
 	units := []Unit{{ID: 0, Size: 5}, {ID: 1, Size: 1}, {ID: 2, Size: 9}, {ID: 3, Size: 3}}
-	d := NewDeque(units)
-	small := d.PopSmall(1)
-	if len(small) != 1 || small[0].Size != 1 {
-		t.Fatalf("small end wrong: %+v", small)
+	if got, _ := runOrder(units, small(1)); !slices.Equal(sizes(got), []int64{1, 3, 5, 9}) {
+		t.Errorf("small end runs sizes %v, want ascending", sizes(got))
 	}
-	big := d.PopBig(1)
-	if len(big) != 1 || big[0].Size != 9 {
-		t.Fatalf("big end wrong: %+v", big)
+	if got, _ := runOrder(units, big(1)); !slices.Equal(sizes(got), []int64{9, 5, 3, 1}) {
+		t.Errorf("big end runs sizes %v, want descending", sizes(got))
 	}
-	if d.Remaining() != 2 {
-		t.Fatalf("remaining %d", d.Remaining())
-	}
-	rest := d.PopSmall(10)
-	if len(rest) != 2 || rest[0].Size != 3 || rest[1].Size != 5 {
-		t.Fatalf("rest wrong: %+v", rest)
-	}
-	if d.PopSmall(1) != nil || d.PopBig(1) != nil {
-		t.Fatal("empty deque should return nil")
+	// Equal clocks: the slot listed first claims first, then the ends alternate.
+	got, _ := runOrder(units, small(1), big(1))
+	want := []claim{{units[1], "small"}, {units[2], "big"}, {units[3], "small"}, {units[0], "big"}}
+	if !slices.Equal(got, want) {
+		t.Errorf("two ends claimed %v, want %v", got, want)
 	}
 }
 
+// Property: for arbitrary sizes the small end runs every unit once, in
+// ascending size with ties in input order, and the big end runs them in
+// exactly the reverse order.
+func TestDequeSortProperty(t *testing.T) {
+	f := func(raw []int8) bool {
+		units := make([]Unit, len(raw))
+		for i, s := range raw {
+			units[i] = Unit{ID: int32(i), Size: int64(s % 4)} // few sizes, many ties
+		}
+		up, _ := runOrder(units, small(1))
+		want := slices.Clone(units)
+		slices.SortStableFunc(want, func(a, b Unit) int { return int(a.Size - b.Size) })
+		for i, c := range up {
+			if c.Unit != want[i] {
+				return false
+			}
+		}
+		down, _ := runOrder(units, big(1))
+		slices.Reverse(down)
+		for i := range down {
+			down[i].dev = "small"
+		}
+		return len(up) == len(units) && slices.Equal(up, down)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BatchSize 0 claims one unit per batch, from either end.
 func TestDequeBatchClamping(t *testing.T) {
-	d := NewDeque([]Unit{{ID: 0, Size: 1}, {ID: 1, Size: 2}})
-	if got := d.PopBig(0); len(got) != 1 {
-		t.Fatal("batch 0 should clamp to 1")
-	}
-	if got := d.PopSmall(99); len(got) != 1 {
-		t.Fatal("oversized batch should clamp to remaining")
+	units := []Unit{{ID: 0, Size: 1}, {ID: 1, Size: 2}, {ID: 2, Size: 3}}
+	for _, dev := range []*Device{small(0), big(0)} {
+		got, tr := runOrder(units, dev)
+		if len(got) != len(units) || len(tr.Events) != len(units) {
+			t.Fatalf("%s: %d units in %d batches, want %d in %d", dev.Name, len(got), len(tr.Events), len(units), len(units))
+		}
+		for _, e := range tr.Events {
+			if e.Units != 1 {
+				t.Fatalf("%s: batch of %d units", dev.Name, e.Units)
+			}
+		}
 	}
 }
 
-// Property: under concurrent mixed pops, every unit is delivered exactly
-// once — the queue never loses or duplicates work.
-func TestDequeConcurrentExactlyOnce(t *testing.T) {
-	for trial := 0; trial < 5; trial++ {
-		n := 500
-		units := make([]Unit, n)
-		for i := range units {
-			units[i] = Unit{ID: int32(i), Size: int64(i % 37)}
+// A batch larger than the queue is one event holding every unit, run in
+// ascending size from either end.
+func TestDequePopSmallOversizedBatch(t *testing.T) { testOversizedBatch(t, small(10)) }
+
+func TestDequePopBigOversizedBatch(t *testing.T) { testOversizedBatch(t, big(10)) }
+
+func testOversizedBatch(t *testing.T, dev *Device) {
+	got, tr := runOrder([]Unit{{ID: 0, Size: 2}, {ID: 1, Size: 1}, {ID: 2, Size: 3}}, dev)
+	if len(tr.Events) != 1 || tr.Events[0].Units != 3 {
+		t.Fatalf("events %+v, want one batch of 3 units", tr.Events)
+	}
+	if !slices.Equal(sizes(got), []int64{1, 2, 3}) {
+		t.Fatalf("batch ran sizes %v, want ascending", sizes(got))
+	}
+}
+
+func TestDequeEmpty(t *testing.T) {
+	for _, units := range [][]Unit{nil, {}} {
+		calls := 0
+		sched := Run(units, []*Device{small(1), big(1)}, func(Unit, *Device) Cost {
+			calls++
+			return Cost{Ops: 1, Launches: 1}
+		})
+		if calls != 0 || sched.Makespan != 0 || sched.TotalOps != 0 || len(sched.BusyByDevice) != 0 || len(sched.UnitsByDevice) != 0 {
+			t.Fatalf("%v units: %d exec calls, schedule %+v", units, calls, sched)
 		}
-		d := NewDeque(units)
-		var seen sync.Map
-		var dup int32
-		var wg sync.WaitGroup
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for {
-					var batch []Unit
-					if w%2 == 0 {
-						batch = d.PopSmall(3)
-					} else {
-						batch = d.PopBig(7)
-					}
-					if len(batch) == 0 {
-						return
-					}
-					for _, u := range batch {
-						if _, loaded := seen.LoadOrStore(u.ID, true); loaded {
-							atomic.AddInt32(&dup, 1)
-						}
-					}
-				}
-			}(w)
+	}
+}
+
+// The two ends drain the queue between them: every unit runs once, the
+// small end's units all below the big end's.
+func TestDequeInterleavedDrainToZero(t *testing.T) {
+	const n = 25
+	units := make([]Unit, n)
+	for i := range units {
+		units[i] = Unit{ID: int32(i), Size: int64(i)}
+	}
+	got, _ := runOrder(units, small(2), big(3))
+	seen := make([]bool, n)
+	lo, hi := int64(-1), int64(n)
+	for _, c := range got {
+		if seen[c.ID] {
+			t.Fatalf("unit %d ran twice", c.ID)
 		}
-		wg.Wait()
-		if dup != 0 {
-			t.Fatalf("%d duplicated units", dup)
+		seen[c.ID] = true
+		if c.dev == "small" {
+			lo = max(lo, c.Size)
+		} else {
+			hi = min(hi, c.Size)
 		}
-		count := 0
-		seen.Range(func(k, v interface{}) bool { count++; return true })
-		if count != n {
-			t.Fatalf("delivered %d of %d units", count, n)
+	}
+	if len(got) != n || lo >= hi {
+		t.Fatalf("%d of %d units ran; small end reached size %d, big end %d", len(got), n, lo, hi)
+	}
+}
+
+// One unit runs once, on the slot listed first.
+func TestDequeSingleUnitBothEnds(t *testing.T) {
+	u := Unit{ID: 7, Size: 42}
+	for _, devs := range [][]*Device{{small(1), big(1)}, {big(1), small(1)}} {
+		got, _ := runOrder([]Unit{u}, devs...)
+		if want := []claim{{u, devs[0].Name}}; !slices.Equal(got, want) {
+			t.Errorf("ran %v, want %v", got, want)
 		}
 	}
 }
@@ -121,9 +207,6 @@ func TestRunSchedulesEveryUnitOnce(t *testing.T) {
 	}
 	if sched.Makespan > busy+1e-12 {
 		t.Fatal("makespan exceeds total busy time")
-	}
-	if sched.String() == "" {
-		t.Fatal("empty schedule description")
 	}
 }
 
@@ -179,30 +262,6 @@ func TestGreedyBalance(t *testing.T) {
 	})
 	if sched.UnitsByDevice["fast"] <= 5*sched.UnitsByDevice["slow"] {
 		t.Fatalf("balance wrong: %+v", sched.UnitsByDevice)
-	}
-}
-
-// Property: sorting by size is stable and complete for arbitrary inputs.
-func TestDequeSortProperty(t *testing.T) {
-	f := func(sizes []int64) bool {
-		units := make([]Unit, len(sizes))
-		for i, s := range sizes {
-			units[i] = Unit{ID: int32(i), Size: s}
-		}
-		d := NewDeque(units)
-		out := d.PopSmall(len(units) + 1)
-		if len(out) != len(units) {
-			return len(units) == 0
-		}
-		for i := 1; i < len(out); i++ {
-			if out[i-1].Size > out[i].Size {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

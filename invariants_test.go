@@ -425,7 +425,8 @@ func TestTreeInvariants(t *testing.T) {
 	// search with no arc mask or assembly beside it, one metrics registry,
 	// one HTTP error carrier, one keyset paginator, one walk certifier, a
 	// block engine that is no query source, the stitch and pair kernels as
-	// oracle methods with no copied view of its topology)
+	// oracle methods with no copied view of its topology, the work queue as
+	// two indices in the one scheduler loop)
 	// must not come back under the same name: a caller that needs one
 	// should say why first. A name too common to ban bare is matched where
 	// it would be used instead: as a selector or a call, or, for a facade
@@ -465,6 +466,7 @@ func TestTreeInvariants(t *testing.T) {
 			"DecodeReduced", "hashI32s", "i32sEqual",
 			"derive", "planFormatVersion", "shardFormatVersion", "oracleFormatVersion", "BuildForest",
 			"StitchView", "buildView", "DOTOptions", "BlockAPSP",
+			"Deque", "NewDeque", "PopSmall", "PopBig", "slotHeap", "MCBWitness",
 		} {
 			deleted[name] = true
 		}
@@ -480,7 +482,8 @@ func TestTreeInvariants(t *testing.T) {
 			"ShardBlocks.Owned": true, "Entry.Swap": true, "Engine.Close": true,
 			"Encoder.F32s": true, "Decoder.F32s": true, "Oracle.Compact": true,
 			"EarAPSP.Pair": true, "EarAPSP.NumVertices": true, "EarAPSP.QueryChecked": true, "Djidjev.QueryChecked": true,
-			"Reduced.EncodeSnapshot": true, "Plan.StitchView": true, "ShardBlocks.NumEdges": true}
+			"Reduced.EncodeSnapshot": true, "Plan.StitchView": true, "ShardBlocks.NumEdges": true,
+			"Schedule.String": true, "Device.String": true}
 		// Struct fields whose names other types keep: banned on their type.
 		goneFields := map[string]bool{"Plan.CutVertices": true, "Plan.BlockCuts": true, "Plan.BlockVerts": true,
 			"locIndex.verts": true, "PlanOptions.Epoch": true}
@@ -840,9 +843,9 @@ func TestTreeInvariants(t *testing.T) {
 
 	// The round's trajectory (ROADMAP aim 2): non-test Go lines outside
 	// bench/, held under the bar the last PR to move it reached (lowered
-	// when snapshots stopped storing the BCC partition).
+	// when hetero's scheduler loop took in its work queue).
 	t.Run("non-test LOC", func(t *testing.T) {
-		const bar = 20049
+		const bar = 19927
 		t.Logf("%d non-test lines outside bench/", loc)
 		if loc >= bar {
 			t.Errorf("%d non-test lines outside bench/, want < %d", loc, bar)
