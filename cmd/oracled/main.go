@@ -135,7 +135,7 @@ func main() {
 	// Shard mode is a different daemon shape entirely: no /v1 surface, no
 	// registry — just the internal row RPC over one shard snapshot.
 	if *shardSnap != "" {
-		runShardMode(ctx, *addr, *shardSnap, *drain)
+		runShardMode(ctx, reg, *addr, *shardSnap, *drain)
 		return
 	}
 
@@ -272,6 +272,7 @@ func main() {
 	}
 	srv := newHTTPServer(s.mux)
 	fmt.Printf("oracled: serving on http://%s\n", ln.Addr())
+	startPacer(reg, os.Getenv)
 	if err := serve(ctx, srv, ln, *drain); err != nil {
 		cli.Fatalf("oracled", "%v", err)
 	}
@@ -451,9 +452,9 @@ func newHTTPServer(h http.Handler) *http.Server {
 func serve(ctx context.Context, srv *http.Server, ln net.Listener, drain time.Duration) error {
 	// Boot's garbage — a snapshot's file image, a build's scratch — is dead
 	// by now, in every boot mode. Collecting it here sets the serving heap
-	// goal from what stays resident; left alone, the goal is twice whatever
-	// the last collection during boot found live (a file image plus
-	// half-decoded tables, say), and the daemon's peak RSS follows it.
+	// goal and the first limit of the pacer started just before (pace.go)
+	// from what stays resident, not from whatever the last collection during
+	// boot found live (a file image plus half-decoded tables, say).
 	runtime.GC()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

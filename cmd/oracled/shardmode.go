@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/apsp"
 	"repro/internal/cli"
+	"repro/internal/obs"
 	"repro/internal/shard"
 )
 
@@ -21,7 +22,7 @@ import (
 // its own minimal mux — none of the /v1 routes exist here, because a
 // shard daemon holds only its owned blocks and cannot answer whole-graph
 // queries; that is the frontend's job.
-func runShardMode(ctx context.Context, addr, path string, drain time.Duration) {
+func runShardMode(ctx context.Context, reg *obs.Registry, addr, path string, drain time.Duration) {
 	f, err := os.Open(path)
 	if err != nil {
 		cli.Fatalf("oracled", "shard snapshot: %v", err)
@@ -46,6 +47,7 @@ func runShardMode(ctx context.Context, addr, path string, drain time.Duration) {
 	}
 	srv := newHTTPServer(mux)
 	fmt.Printf("oracled: shard %d serving on http://%s\n", meta.Shard, ln.Addr())
+	startPacer(reg, os.Getenv)
 	if err := serve(ctx, srv, ln, drain); err != nil {
 		cli.Fatalf("oracled", "%v", err)
 	}

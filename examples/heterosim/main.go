@@ -11,6 +11,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/ear"
@@ -36,21 +37,17 @@ func main() {
 	dist := make([]float64, r.NumVertices())
 	sc := sssp.NewScratch(r.NumVertices())
 
-	run := func(name string, devices []*hetero.Device) *hetero.Schedule {
-		sched := hetero.Run(units, devices, func(u hetero.Unit, d *hetero.Device) hetero.Cost {
-			if d.Big { // GPU side runs the frontier-structured kernel
-				res, sweeps := sssp.FrontierSweeps(r, u.ID)
-				_ = res
-				return hetero.Cost{Ops: res.Relaxations, Launches: sweeps}
-			}
-			ops := sssp.DistancesOnly(r, u.ID, dist, sc)
-			return hetero.Cost{Ops: ops, Launches: 1}
-		})
-		fmt.Printf("%-22s makespan %8.4f s", name, sched.Makespan)
-		for dev, n := range sched.UnitsByDevice {
-			fmt.Printf("  [%s: %d units, %.4fs busy]", dev, n, sched.BusyByDevice[dev])
+	exec := func(u hetero.Unit, d *hetero.Device) hetero.Cost {
+		if d.Big { // GPU side runs the frontier-structured kernel
+			res, sweeps := sssp.FrontierSweeps(r, u.ID)
+			return hetero.Cost{Ops: res.Relaxations, Launches: sweeps}
 		}
-		fmt.Println()
+		return hetero.Cost{Ops: sssp.DistancesOnly(r, u.ID, dist, sc), Launches: 1}
+	}
+	run := func(name string, devices []*hetero.Device) *hetero.Schedule {
+		sched := hetero.Run(units, devices, exec)
+		fmt.Printf("%-22s makespan %8.4f s", name, sched.Makespan)
+		printDevices(os.Stdout, sched, devices)
 		return sched
 	}
 
@@ -67,18 +64,27 @@ func main() {
 	// end of the queue while the 20 CPU slots drain the small end.
 	fmt.Println("\nheterogeneous schedule (traced):")
 	devs := []*hetero.Device{hetero.MulticoreCPU(), hetero.TeslaK40c()}
-	tr := hetero.RunTraced(units, devs, func(u hetero.Unit, d *hetero.Device) hetero.Cost {
-		if d.Big {
-			res, sweeps := sssp.FrontierSweeps(r, u.ID)
-			return hetero.Cost{Ops: res.Relaxations, Launches: sweeps}
-		}
-		ops := sssp.DistancesOnly(r, u.ID, dist, sc)
-		return hetero.Cost{Ops: ops, Launches: 1}
-	})
+	tr := hetero.RunTraced(units, devs, exec)
 	if err := tr.WriteGantt(os.Stdout, 72); err != nil {
 		fmt.Println("gantt:", err)
 	}
-	for name, u := range tr.Utilization(devs) {
-		fmt.Printf("utilization %-9s %.0f%%\n", name, 100*u)
+	printUtilization(os.Stdout, tr, devs)
+}
+
+// printDevices ends a schedule's line with each device's units and busy
+// time, and printUtilization writes a line per device: both in the order
+// of devices, since ranging over the schedule's per-device maps would
+// print them in an order Go leaves unspecified.
+func printDevices(w io.Writer, sched *hetero.Schedule, devices []*hetero.Device) {
+	for _, d := range devices {
+		fmt.Fprintf(w, "  [%s: %d units, %.4fs busy]", d.Name, sched.UnitsByDevice[d.Name], sched.BusyByDevice[d.Name])
+	}
+	fmt.Fprintln(w)
+}
+
+func printUtilization(w io.Writer, tr *hetero.Trace, devices []*hetero.Device) {
+	util := tr.Utilization(devices)
+	for _, d := range devices {
+		fmt.Fprintf(w, "utilization %-9s %.0f%%\n", d.Name, 100*util[d.Name])
 	}
 }

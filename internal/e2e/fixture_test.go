@@ -141,6 +141,14 @@ type daemon struct {
 // group and reaps it.
 func spawn(t *testing.T, dir string, args ...string) *daemon {
 	t.Helper()
+	return spawnEnv(t, dir, nil, args...)
+}
+
+// spawnEnv is spawn with env added to the daemon's environment. The test's
+// own GOGC and GOMEMLIMIT never reach a daemon, so a daemon paces its
+// collector itself unless env sets one of them.
+func spawnEnv(t *testing.T, dir string, env []string, args ...string) *daemon {
+	t.Helper()
 	if !slices.Contains(args, "-addr") {
 		args = append([]string{"-addr", "127.0.0.1:0"}, args...)
 	}
@@ -154,9 +162,14 @@ func spawn(t *testing.T, dir string, args ...string) *daemon {
 	d.cmd.Dir = dir
 	d.cmd.Stderr = errf
 	d.cmd.SysProcAttr = procAttr()
+	for _, kv := range os.Environ() {
+		if !strings.HasPrefix(kv, "GOGC=") && !strings.HasPrefix(kv, "GOMEMLIMIT=") {
+			d.cmd.Env = append(d.cmd.Env, kv)
+		}
+	}
 	// A race-built daemon dies at its first race, so a race fails the
 	// request that ran into it; cleanup reports the race itself.
-	d.cmd.Env = append(os.Environ(), "GORACE=halt_on_error=1")
+	d.cmd.Env = append(append(d.cmd.Env, "GORACE=halt_on_error=1"), env...)
 	stdout, err := d.cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +207,14 @@ func spawn(t *testing.T, dir string, args ...string) *daemon {
 // requests from then on.
 func serve(t *testing.T, dir string, args ...string) *daemon {
 	t.Helper()
-	d := spawn(t, dir, args...)
+	return serveEnv(t, dir, nil, args...)
+}
+
+// serveEnv is serve with env added to the daemon's environment (see
+// spawnEnv).
+func serveEnv(t *testing.T, dir string, env []string, args ...string) *daemon {
+	t.Helper()
+	d := spawnEnv(t, dir, env, args...)
 	select {
 	case d.url = <-d.urlc:
 	case <-d.exited:

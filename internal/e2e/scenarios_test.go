@@ -159,6 +159,57 @@ func TestSnapshotBoot(t *testing.T) {
 	}
 }
 
+// TestGCPacer: a snapshot boot of blocks (cond_mat_2003 at scale 0.25,
+// the point workloads' graph, whose live heap is mostly pointer-free
+// tables) paces its collector. After 2 000 point queries its memory limit
+// sits at or above the live heap and below twice it, where GOGC=100 alone
+// puts the heap goal. With GOMEMLIMIT in its environment a daemon leaves
+// the runtime alone and sets no gc.* gauge, and it answers every query as
+// the paced daemon did.
+func TestGCPacer(t *testing.T) {
+	needBinaries(t)
+	dir := t.TempDir()
+	run(t, dir, "apsp", "-dataset", "cond_mat_2003", "-scale", "0.25", "-snapshot", "blocks.snap")
+	gauges := []string{"gc.live_bytes", "gc.scan_bytes", "gc.limit_bytes", "gc.cycles", "gc.cpu_ms"}
+	query := func(d *daemon) [][]byte {
+		n := int(num(d.json("/v1/healthz"), "vertices"))
+		out := make([][]byte, 2000)
+		for i := range out {
+			out[i] = d.must(fmt.Sprintf("/v1/distance?u=%d&v=%d", i*7919%n, i*104729%n))
+		}
+		return out
+	}
+
+	paced := serve(t, dir, "-load-snapshot", "blocks.snap")
+	want := query(paced)
+	var st map[string]any
+	eventually(t, func() (bool, string) {
+		st = paced.stats()
+		return num(st, "gc.limit_bytes") > 0, fmt.Sprintf("the pacer set no limit: gc.limit_bytes = %v", num(st, "gc.limit_bytes"))
+	})
+	live, limit := num(st, "gc.live_bytes"), num(st, "gc.limit_bytes")
+	if num(st, "gc.cycles") < 1 || live <= 0 || limit < live || limit >= 2*live {
+		t.Errorf("paced: want gc.cycles > 0 and live ≤ limit < 2·live, got")
+		for _, k := range gauges {
+			t.Errorf("  %s = %v", k, num(st, k))
+		}
+	}
+	paced.kill()
+
+	tuned := serveEnv(t, dir, []string{"GOMEMLIMIT=1GiB"}, "-load-snapshot", "blocks.snap")
+	for i, b := range query(tuned) {
+		if !bytes.Equal(b, want[i]) {
+			t.Fatalf("query %d: %s with GOMEMLIMIT, %s paced", i, b, want[i])
+		}
+	}
+	st = tuned.stats()
+	for _, k := range gauges {
+		if v := num(st, k); v > 0 {
+			t.Errorf("GOMEMLIMIT set: %s = %v, want it unset", k, v)
+		}
+	}
+}
+
 // TestDeltaReboot: /v1/deltas rewrites the -save-snapshot file, and a
 // reboot from it serves the post-delta answers with no build and no
 // delta applied.

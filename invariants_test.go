@@ -563,6 +563,31 @@ func TestTreeInvariants(t *testing.T) {
 		}
 	})
 
+	// The collector's settings are the process's: only the daemon's pacer
+	// sets them, so none leaks into a test binary or into bench's
+	// in-process build.
+	t.Run("one pacer", func(t *testing.T) {
+		const pacer = "cmd/oracled/pace.go"
+		for _, tree := range []map[string]*ast.File{files, benchFiles} {
+			for path, f := range tree {
+				if isTest(path) || path == pacer {
+					continue
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "SetMemoryLimit" || sel.Sel.Name == "SetGCPercent") {
+						if x, ok := sel.X.(*ast.Ident); ok && x.Name == "debug" {
+							t.Errorf("%s: debug.%s outside %s", fset.Position(sel.Pos()), sel.Sel.Name, pacer)
+						}
+					}
+					return true
+				})
+			}
+		}
+		if len(calls(pacer, "debug", "SetMemoryLimit")) == 0 {
+			t.Errorf("%s no longer sets the memory limit: the rule guards nothing", pacer)
+		}
+	})
+
 	// The AP table is a forest walk over the block tables: the file that
 	// builds it searches nothing and builds no graph.
 	t.Run("no AP graph", func(t *testing.T) {
@@ -842,10 +867,11 @@ func TestTreeInvariants(t *testing.T) {
 	})
 
 	// The round's trajectory (ROADMAP aim 2): non-test Go lines outside
-	// bench/, held under the bar the last PR to move it reached (lowered
-	// when hetero's scheduler loop took in its work queue).
+	// bench/, held under the bar the last PR to move it reached (raised by
+	// exactly the 73 lines of the daemon's GC pacer and the heterosim
+	// example's ordered printing).
 	t.Run("non-test LOC", func(t *testing.T) {
-		const bar = 19927
+		const bar = 20000
 		t.Logf("%d non-test lines outside bench/", loc)
 		if loc >= bar {
 			t.Errorf("%d non-test lines outside bench/, want < %d", loc, bar)
