@@ -70,9 +70,9 @@ func main() {
 	oursB, maxB := mem.Bytes()
 	fmt.Printf("oracle built in %v: %d blocks, %d articulation points, %d nodes removed by ear reduction\n",
 		build, len(o.Blocks), o.NumArticulation(), o.NodesRemoved())
-	stored := o.ReducedMemory()
-	fmt.Printf("memory: %.1f MB (paper model a²+Σnᵢ²) vs %.1f MB dense; %d entries stored (upper triangles of A and each S^r, %.1f MB as float64)\n",
-		float64(oursB)/(1<<20), float64(maxB)/(1<<20), stored, float64(stored*8)/(1<<20))
+	held, narrow, tables := o.TableBytes()
+	fmt.Printf("memory: %.1f MB (paper model a²+Σnᵢ²) vs %.1f MB dense; %d entries stored (upper triangles of A and each S^r) in %.1f MB, %d of %d tables as float32\n",
+		float64(oursB)/(1<<20), float64(maxB)/(1<<20), o.ReducedMemory(), float64(held)/(1<<20), narrow, tables)
 
 	if *snapOut != "" {
 		n, err := writeSnapshot(*snapOut, o)

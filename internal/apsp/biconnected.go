@@ -35,10 +35,9 @@ const Inf = sssp.Inf
 // Section 2.1.3.
 type EarAPSP struct {
 	Red *ear.Reduced
-	// SR is the symmetric nr×nr distance table over reduced vertices
-	// (S^r[s,t] in the paper), stored once per pair as its upper
-	// triangle, row-major: nr(nr+1)/2 entries, read through triAt.
-	SR []graph.Weight
+	// sr is the symmetric nr×nr distance table over reduced vertices
+	// (S^r[s,t] in the paper), as its upper triangle.
+	sr table
 	nr int
 	// Relaxations is the total work of the processing phase, the work
 	// measure the virtual-clock devices charge: the heap relaxations of
@@ -56,16 +55,6 @@ func newEarAPSP(g *graph.Graph, red *ear.Reduced) *EarAPSP {
 	return &EarAPSP{Red: red, nr: red.R.NumVertices()}
 }
 
-// triLen is the entry count of a side-n table stored as its upper triangle.
-func triLen(n int) int { return n * (n + 1) / 2 }
-
-// triAt indexes a symmetric side-n table stored as its upper triangle,
-// row-major: the pair is swapped to i ≤ j; row i holds (i, i..n-1).
-func triAt(i, j int32, n int) int {
-	lo, hi := int(min(i, j)), int(max(i, j))
-	return lo*(2*n-lo-1)/2 + hi
-}
-
 // searchBatch is the number of sources searched between two points where
 // their rows become readable. It is a constant, not an option: the table
 // and Relaxations depend on R alone.
@@ -78,7 +67,8 @@ const searchBatch = 16
 // instead; a row counts as finished only once its batch has ended, so the
 // table and Relaxations do not depend on the worker count. The searches
 // merge whole rows, so they fill a square; each row s's entries (s, t ≥ s)
-// are then packed into S^r and the square is dropped. It stops early —
+// are then packed into S^r at the width they allow (packTable) and the
+// square is dropped. It stops early —
 // with no usable table — once ctx is done.
 func (a *EarAPSP) fillDijkstra(ctx context.Context, workers int) error {
 	r, nr := a.Red.R, a.nr
@@ -103,10 +93,7 @@ func (a *EarAPSP) fillDijkstra(ctx context.Context, workers int) error {
 	for _, k := range relax {
 		a.Relaxations += k
 	}
-	a.SR = make([]graph.Weight, 0, triLen(nr))
-	for s := range nr {
-		a.SR = append(a.SR, sq[s*nr+s:(s+1)*nr]...)
-	}
+	a.sr = packTable(sq, nr)
 	return nil
 }
 
@@ -154,7 +141,7 @@ func NewEarAPSPParallelCtx(ctx context.Context, g *graph.Graph, workers int) (*E
 }
 
 // srAt returns S^r between two reduced IDs, in either order.
-func (a *EarAPSP) srAt(x, y int32) graph.Weight { return a.SR[triAt(x, y, a.nr)] }
+func (a *EarAPSP) srAt(x, y int32) graph.Weight { return a.sr.at(triAt(x, y, a.nr)) }
 
 // Query returns the shortest-path distance between any two original
 // vertices, applying the Section 2.1.3 case analysis:
@@ -165,7 +152,16 @@ func (a *EarAPSP) srAt(x, y int32) graph.Weight { return a.SR[triAt(x, y, a.nr)]
 //     along-chain path when both lie on the same ear (including the
 //     wrap-around on loop chains, which one of the four combinations
 //     covers).
+//
+// It picks the table's width once and reads the typed triangle.
 func (a *EarAPSP) Query(x, y int32) graph.Weight {
+	if t := a.sr.f32; t != nil {
+		return query(a, t, x, y)
+	}
+	return query(a, a.sr.f64, x, y)
+}
+
+func query[T weight](a *EarAPSP, sr []T, x, y int32) graph.Weight {
 	if n := a.Red.Original.NumVertices(); x < 0 || int(x) >= n || y < 0 || int(y) >= n {
 		return Inf
 	}
@@ -176,21 +172,22 @@ func (a *EarAPSP) Query(x, y int32) graph.Weight {
 	kx, ky := red.OrigToKept[x], red.OrigToKept[y]
 	switch {
 	case kx >= 0 && ky >= 0:
-		return a.srAt(kx, ky)
+		return atT(sr, kx, ky, a.nr)
 	case kx >= 0:
-		return a.queryKeptRemoved(kx, y)
+		return queryKeptRemoved(a, sr, kx, y)
 	case ky >= 0:
-		return a.queryKeptRemoved(ky, x)
+		return queryKeptRemoved(a, sr, ky, x)
 	}
 	// both removed
 	ax, bx, dax, dbx := red.Anchors(x)
 	ay, by, day, dby := red.Anchors(y)
 	kax, kbx := red.OrigToKept[ax], red.OrigToKept[bx]
 	kay, kby := red.OrigToKept[ay], red.OrigToKept[by]
-	best := addInf(dax, a.srAt(kax, kay), day)
-	best = min3(best, dax, a.srAt(kax, kby), dby)
-	best = min3(best, dbx, a.srAt(kbx, kay), day)
-	best = min3(best, dbx, a.srAt(kbx, kby), dby)
+	nr := a.nr
+	best := addInf(dax, atT(sr, kax, kay, nr), day)
+	best = min3(best, dax, atT(sr, kax, kby, nr), dby)
+	best = min3(best, dbx, atT(sr, kbx, kay, nr), day)
+	best = min3(best, dbx, atT(sr, kbx, kby, nr), dby)
 	if direct, ok := red.SameChain(x, y); ok && direct < best {
 		best = direct
 	}
@@ -198,11 +195,11 @@ func (a *EarAPSP) Query(x, y int32) graph.Weight {
 }
 
 // queryKeptRemoved computes d(v, x) for kept (reduced ID kv) and removed x.
-func (a *EarAPSP) queryKeptRemoved(kv, x int32) graph.Weight {
+func queryKeptRemoved[T weight](a *EarAPSP, sr []T, kv, x int32) graph.Weight {
 	red := a.Red
 	ax, bx, dax, dbx := red.Anchors(x)
-	da := addInf(dax, a.srAt(red.OrigToKept[ax], kv), 0)
-	db := addInf(dbx, a.srAt(red.OrigToKept[bx], kv), 0)
+	da := addInf(dax, atT(sr, red.OrigToKept[ax], kv, a.nr), 0)
+	db := addInf(dbx, atT(sr, red.OrigToKept[bx], kv, a.nr), 0)
 	if da < db {
 		return da
 	}
@@ -231,8 +228,16 @@ func min3(best, a, b, c graph.Weight) graph.Weight {
 // each chain reading its anchors' distances from the first sweep. Every
 // entry is Float64bits-equal to Query(x, y): S^r is one value per pair,
 // and since rounding is monotone, a minimum over sums sharing an addend
-// is that addend plus the minimum.
+// is that addend plus the minimum. Like Query, it picks the table's
+// width once.
 func (a *EarAPSP) Row(x int32, out []graph.Weight) int64 {
+	if t := a.sr.f32; t != nil {
+		return row(a, t, x, out)
+	}
+	return row(a, a.sr.f64, x, out)
+}
+
+func row[T weight](a *EarAPSP, sr []T, x int32, out []graph.Weight) int64 {
 	n := a.Red.Original.NumVertices()
 	out = out[:n]
 	if x < 0 || int(x) >= n {
@@ -243,11 +248,11 @@ func (a *EarAPSP) Row(x int32, out []graph.Weight) int64 {
 	}
 	red := a.Red
 	if kx := red.OrigToKept[x]; kx >= 0 {
-		a.keptRow(kx, 0, out, false)
+		keptRow(a, sr, kx, 0, out, false)
 	} else {
 		ax, bx, dax, dbx := red.Anchors(x)
-		a.keptRow(red.OrigToKept[ax], dax, out, false)
-		a.keptRow(red.OrigToKept[bx], dbx, out, true)
+		keptRow(a, sr, red.OrigToKept[ax], dax, out, false)
+		keptRow(a, sr, red.OrigToKept[bx], dbx, out, true)
 	}
 	if a.nr < n { // some vertices were removed into chains
 		for y, ci := range red.ChainOf {
@@ -278,16 +283,16 @@ func (a *EarAPSP) Row(x int32, out []graph.Weight) int64 {
 // triangle comes in two parts: S^r[j, k] for j < k, gathered down column
 // k (row j+1's entry sits nr-j-1 after row j's), then the contiguous tail
 // S^r[k, k..nr).
-func (a *EarAPSP) keptRow(k int32, d graph.Weight, out []graph.Weight, lower bool) {
+func keptRow[T weight](a *EarAPSP, sr []T, k int32, d graph.Weight, out []graph.Weight, lower bool) {
 	orig, nr, i := a.Red.KeptToOrig, a.nr, int(k)
 	for j, y := range orig[:k] {
-		if s := addInf(d, a.SR[i], 0); !lower || s < out[y] {
+		if s := addInf(d, graph.Weight(sr[i]), 0); !lower || s < out[y] {
 			out[y] = s
 		}
 		i += nr - j - 1
 	}
-	for j, v := range a.SR[i:][:nr-int(k)] {
-		if s, y := addInf(d, v, 0), orig[int(k)+j]; !lower || s < out[y] {
+	for j, v := range sr[i:][:nr-int(k)] {
+		if s, y := addInf(d, graph.Weight(v), 0), orig[int(k)+j]; !lower || s < out[y] {
 			out[y] = s
 		}
 	}

@@ -290,7 +290,7 @@ func (o *Oracle) applyWeightOnly(ctx context.Context, tr *editTrace, workers int
 	}
 
 	n := &Oracle{
-		G: newG, Dec: o.Dec, BCT: o.BCT, A: o.A, numA: o.numA,
+		G: newG, Dec: o.Dec, BCT: o.BCT, apTab: o.apTab, numA: o.numA,
 		Forest: o.Forest, loc: o.loc,
 		Relaxations: o.Relaxations,
 		BuildPhases: &obs.Phases{},

@@ -64,7 +64,7 @@ func TestDeltaChainRoundTrip(t *testing.T) {
 // appended for a loader to replay (chain format v1, no records: the
 // section's presence is what is refused, not its payload).
 func chainFile(t testing.TB, o *Oracle) []byte {
-	return sealOracle(t, o, 0, encodeTable, func(e *snapshot.Encoder) { encodeTable(e, o.A) }, func(sw *snapshot.Writer) {
+	return sealOracle(t, o, 0, encodeTable, func(e *snapshot.Encoder) { encodeTable(e, o.apTab) }, func(sw *snapshot.Writer) {
 		d := sw.Section("deltas")
 		d.U32(1)
 		d.U64(0)

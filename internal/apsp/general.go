@@ -29,11 +29,10 @@ type Oracle struct {
 	// the block (a plan, or a block another shard owns).
 	Blocks []*EarAPSP
 
-	// A is the symmetric a×a articulation-point table over BCT.CutVertices
-	// indices, stored once per pair as its upper triangle, row-major:
-	// a(a+1)/2 entries, read through triAt.
-	A    []graph.Weight
-	numA int
+	// apTab is A, the symmetric a×a articulation-point table over
+	// BCT.CutVertices indices, as its upper triangle.
+	apTab table
+	numA  int
 
 	// loc is the flat parent→local vertex index over BCT.BlockVerts.
 	loc *locIndex
@@ -191,13 +190,18 @@ func (o *Oracle) row(b, src int32, out []graph.Weight) {
 }
 
 // QueryParent answers the in-block distance d_b(u, v) in parent vertex
-// IDs; Inf when either vertex is not on block b.
+// IDs; Inf when either vertex is not on block b. It is EarAPSP.Query
+// with the width picked here, one call shallower on the pair path.
 func (o *Oracle) QueryParent(b, u, v int32) graph.Weight {
 	lu, lv := o.loc.local(b, u), o.loc.local(b, v)
 	if lu < 0 || lv < 0 {
 		return Inf
 	}
-	return o.Blocks[b].Query(lu, lv)
+	blk := o.Blocks[b]
+	if t := blk.sr.f32; t != nil {
+		return query(blk, t, lu, lv)
+	}
+	return query(blk, blk.sr.f64, lu, lv)
 }
 
 // buildAPTable computes the a×a articulation point distance table
@@ -213,16 +217,16 @@ func (o *Oracle) QueryParent(b, u, v int32) graph.Weight {
 // orientation per pair, so A[s,·] and A[t,·] add the same d_b for the
 // same hop. Cuts in another component stay Inf. No shortest-path search
 // runs, so the table adds nothing to Relaxations. Rows are independent
-// par tasks, each worker walking into its own scratch row with its own
-// gate and queue; row s keeps its entries (s, c ≥ s), so the lower cut
+// par tasks, each worker walking row s of a square with its own gate and
+// queue; the square is then packed as the S^r fill packs its own
+// (packTable), keeping row s's entries (s, c ≥ s), so the lower cut
 // index's walk gives each pair its one stored value.
 func (o *Oracle) buildAPTable(workers int) {
 	a, nb := o.numA, len(o.Blocks)
-	o.A = make([]graph.Weight, triLen(a))
 	workers = max(1, min(workers, a))
-	rows, gates, orders := make([]graph.Weight, workers*a), make([]int32, workers*nb), make([][]int32, workers)
+	sq, gates, orders := make([]graph.Weight, a*a), make([]int32, workers*nb), make([][]int32, workers)
 	par.ParallelFor(workers, a, func(w, s int) {
-		row, gate := rows[w*a:(w+1)*a], gates[w*nb:(w+1)*nb]
+		row, gate := sq[s*a:(s+1)*a], gates[w*nb:(w+1)*nb]
 		for i := range row {
 			row[i] = Inf
 		}
@@ -246,8 +250,8 @@ func (o *Oracle) buildAPTable(workers int) {
 				row[c] = addInf(row[g], o.QueryParent(b, u, v), 0)
 			}
 		}
-		copy(o.A[triAt(int32(s), int32(s), a):], row[s:])
 	})
+	o.apTab = packTable(sq, a)
 }
 
 // Query returns d_G(u, v) for arbitrary vertices: the pair kernel's case
@@ -316,13 +320,39 @@ func (o *Oracle) Memory() MemoryPlan {
 // Table 1 harness. A plan or a shard holds no tables for the blocks it
 // does not own, and counts none.
 func (o *Oracle) ReducedMemory() int64 {
-	ours := int64(len(o.A))
-	for _, blk := range o.Blocks {
-		if blk != nil {
-			ours += int64(len(blk.SR))
+	var entries int64
+	for _, t := range o.tables() {
+		entries += int64(t.len())
+	}
+	return entries
+}
+
+// TableBytes returns the bytes the tables ReducedMemory counts take at
+// their stored widths, how many of those tables (A and each resident
+// S^r) are narrow, and how many there are.
+func (o *Oracle) TableBytes() (bytes int64, narrow, tables int) {
+	ts := o.tables()
+	for _, t := range ts {
+		if bytes += t.bytes(); t.narrow() {
+			narrow++
 		}
 	}
-	return ours
+	return bytes, narrow, len(ts)
+}
+
+// tables lists A, unless the oracle is a shard's, which holds none, and
+// every resident S^r.
+func (o *Oracle) tables() []table {
+	var ts []table
+	if o.apTab.f32 != nil || o.apTab.f64 != nil {
+		ts = append(ts, o.apTab)
+	}
+	for _, blk := range o.Blocks {
+		if blk != nil {
+			ts = append(ts, blk.sr)
+		}
+	}
+	return ts
 }
 
 // NodesRemoved returns the total vertices removed by ear reduction across

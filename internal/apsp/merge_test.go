@@ -89,7 +89,7 @@ func checkFilled(t *testing.T, name string, ea *apsp.EarAPSP, integral bool) (di
 	nr := r.NumVertices()
 	sc := sssp.NewScratch(nr)
 	want := make([]graph.Weight, nr)
-	for s, row := 0, ea.SR; s < nr; s, row = s+1, row[nr-s:] {
+	for s, row := 0, ea.SREntries(); s < nr; s, row = s+1, row[nr-s:] {
 		sssp.DistancesOnly(r, int32(s), want, sc)
 		for j, got := range row[:nr-s] {
 			x := s + j
@@ -128,9 +128,10 @@ func TestMergedRowsMatchDijkstra(t *testing.T) {
 					t.Fatalf("%s table %d, %d workers: %d relaxations, %d at 1 worker",
 						tc.Name, i, workers, ea.Relaxations, ref.Relaxations)
 				}
-				for j, d := range ea.SR {
-					if math.Float64bits(d) != math.Float64bits(ref.SR[j]) {
-						t.Fatalf("%s table %d, %d workers: S^r entry %d = %v, %v at 1 worker", tc.Name, i, workers, j, d, ref.SR[j])
+				want := ref.SREntries()
+				for j, d := range ea.SREntries() {
+					if math.Float64bits(d) != math.Float64bits(want[j]) {
+						t.Fatalf("%s table %d, %d workers: S^r entry %d = %v, %v at 1 worker", tc.Name, i, workers, j, d, want[j])
 					}
 				}
 			}
@@ -236,9 +237,9 @@ func sameOracle(t *testing.T, what string, got, want *apsp.Oracle) {
 		t.Fatalf("%s: %d relaxations over %d blocks, want %d over %d",
 			what, got.Relaxations, len(got.Blocks), want.Relaxations, len(want.Blocks))
 	}
-	tables := [][2][]graph.Weight{{got.A, want.A}}
+	tables := [][2][]graph.Weight{{got.AEntries(), want.AEntries()}}
 	for bi, b := range want.Blocks {
-		tables = append(tables, [2][]graph.Weight{got.Blocks[bi].SR, b.SR})
+		tables = append(tables, [2][]graph.Weight{got.Blocks[bi].SREntries(), b.SREntries()})
 	}
 	for i, tab := range tables {
 		if !slices.EqualFunc(tab[0], tab[1], func(x, y graph.Weight) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
@@ -293,8 +294,12 @@ func TestOracleSameOnAnySchedule(t *testing.T) {
 }
 
 // TestEarRowMatchesQuery holds the row sweep to Query, bit for bit, on
-// every block of every merge case and of three scale-0.01 datasets, from
-// every source, plus an all-Inf row for an out-of-range one.
+// every block of every merge case, of three scale-0.01 datasets and of
+// blocks_m with every weight divided by 3, from every source, plus an
+// all-Inf row for an out-of-range one; and every row to a Dijkstra on the
+// block, within 1e-12 relative (merged rows add in another order), which
+// a table rounded to float32 would miss by about 6e-8: S^r stays float64
+// wherever one entry does not round-trip.
 func TestEarRowMatchesQuery(t *testing.T) {
 	graphs := map[string]*graph.Graph{}
 	for _, tc := range mergeCases() {
@@ -307,22 +312,40 @@ func TestEarRowMatchesQuery(t *testing.T) {
 		}
 		graphs[name] = spec.Generate(0.01, 1)
 	}
-	entries := 0
+	spec, err := datasets.ByName("cond_mat_2003")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := spec.Generate(0.08, 1)
+	graphs["blocks_m/3"] = reweight(g, func(i int) graph.Weight { return g.Edge(int32(i)).W / 3 })
+	entries, wide := 0, 0
 	for name, g := range graphs {
 		for bi, b := range apsp.NewOracle(g).Blocks {
 			ea := b
+			if !ea.Narrow() {
+				wide++
+			}
 			n := int32(ea.Red.Original.NumVertices())
-			row := make([]graph.Weight, n)
+			row, ref, sc := make([]graph.Weight, n), make([]graph.Weight, n), sssp.NewScratch(int(n))
 			for x := int32(-1); x <= n; x++ {
 				ea.Row(x, row)
+				if x >= 0 && x < n {
+					sssp.DistancesOnly(ea.Red.Original, x, ref, sc)
+				}
 				for y := range n {
 					if got, want := row[y], ea.Query(x, y); math.Float64bits(got) != math.Float64bits(want) {
 						t.Fatalf("%s block %d: Row(%d)[%d] = %v, Query %v", name, bi, x, y, got, want)
+					}
+					if x >= 0 && x < n && math.Abs(row[y]-ref[y]) > 1e-12*ref[y] {
+						t.Fatalf("%s block %d: Row(%d)[%d] = %v, Dijkstra %v", name, bi, x, y, row[y], ref[y])
 					}
 				}
 				entries += int(n)
 			}
 		}
 	}
-	t.Logf("%d entries", entries)
+	t.Logf("%d entries, %d float64 tables", entries, wide)
+	if wide == 0 {
+		t.Fatal("every S^r is float32: no row read a float64 table")
+	}
 }

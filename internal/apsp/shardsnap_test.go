@@ -19,7 +19,7 @@ import (
 // a nil apTable no aptable section. The results are checksum-valid containers a
 // real planner never emits.
 func sealCluster(t testing.TB, o *Oracle, flags uint32, cluster func(*snapshot.Encoder), encoded []bool,
-	table func(*snapshot.Encoder, []graph.Weight), apTable func(*snapshot.Encoder)) []byte {
+	table func(*snapshot.Encoder, table), apTable func(*snapshot.Encoder)) []byte {
 	t.Helper()
 	sw := snapshot.NewWriter()
 	md := sw.Section("meta")
@@ -35,7 +35,7 @@ func sealCluster(t testing.TB, o *Oracle, flags uint32, cluster func(*snapshot.E
 	bl := sw.Section("blocks")
 	for bi, blk := range o.Blocks {
 		if encoded != nil && encoded[bi] {
-			table(bl, blk.SR)
+			table(bl, blk.sr)
 			bl.I64(blk.Relaxations)
 		}
 	}
@@ -117,7 +117,7 @@ func TestShardSnapshotRejectsV1(t *testing.T) {
 			if version == 1 {
 				encodeChains(bl, blk.Red)
 			}
-			encodeTable(bl, blk.SR)
+			encodeTable(bl, blk.sr)
 		}
 		var buf bytes.Buffer
 		if _, err := sw.WriteTo(&buf); err != nil {
@@ -151,7 +151,7 @@ func TestPlanManifestRejectsV1(t *testing.T) {
 		be.I32s(o.BCT.BlockCuts[b])
 		be.I32s(o.BCT.BlockVerts[b])
 	}
-	encodeTable(sw.Section("aptable"), o.A)
+	encodeTable(sw.Section("aptable"), o.apTab)
 	var buf bytes.Buffer
 	if _, err := sw.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -183,10 +183,10 @@ func TestPartialOracleCounts(t *testing.T) {
 		{"plan", p, func(int) bool { return false }},
 		{"shard 0", s.o, func(bi int) bool { return bi%2 == 0 }},
 	} {
-		mem, removed := int64(len(c.loaded.A)), 0
+		mem, removed := int64(c.loaded.apTab.len()), 0
 		for bi, blk := range o.Blocks {
 			if c.holds(bi) {
-				mem += int64(len(blk.SR))
+				mem += int64(blk.sr.len())
 				removed += blk.Red.NumRemoved()
 			}
 		}
@@ -221,7 +221,7 @@ func TestPlanViewIsTheMonolithView(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(loaded.BCT, o.BCT) || !reflect.DeepEqual(loaded.Forest, o.Forest) ||
-			!reflect.DeepEqual(loaded.A, o.A) || loaded.numA != o.numA {
+			!reflect.DeepEqual(loaded.apTab, o.apTab) || loaded.numA != o.numA {
 			t.Fatalf("%s: the plan's block-cut tree, forest or A differs from the monolith's", name)
 		}
 		numB := int32(len(o.Blocks))
@@ -250,7 +250,7 @@ func TestClusterSectionHostile(t *testing.T) {
 	for bi := range all {
 		all[bi] = true
 	}
-	ap := func(e *snapshot.Encoder) { encodeTable(e, o.A) }
+	ap := func(e *snapshot.Encoder) { encodeTable(e, o.apTab) }
 	plan := func(cluster func(*snapshot.Encoder), apTable func(*snapshot.Encoder)) []byte {
 		return sealCluster(t, o, 0, cluster, nil, nil, apTable)
 	}
@@ -273,7 +273,7 @@ func TestClusterSectionHostile(t *testing.T) {
 		{"plan assigning a block to shard 2 of 2", plan(clusterSection(7, 2, Frontend, fill(nb, 2)), ap)},
 		{"plan assigning a block to no shard", plan(clusterSection(7, 2, Frontend, fill(nb, -1)), ap)},
 		{"plan assignment one block short", plan(clusterSection(7, 2, Frontend, fill(nb-1, 1)), ap)},
-		{"plan A one entry short", plan(good, func(e *snapshot.Encoder) { encodeTable(e, o.A[1:]) })},
+		{"plan A one entry short", plan(good, func(e *snapshot.Encoder) { asKind(kind64, 1)(e, o.apTab) })},
 		{"shard 2 of 2", shard(clusterSection(7, 2, 2, fill(nb, 2)))},
 		{"shard of epoch 0", shard(clusterSection(0, 2, 1, fill(nb, 1)))},
 		{"shard naming another shard's block", shard(clusterSection(7, 2, 1, fill(nb, 0)))},
@@ -310,6 +310,11 @@ func FuzzReadShardSnapshot(f *testing.F) {
 		for _, data := range reserved {
 			f.Add(data)
 		}
+		_, v6, _ := v6Files(f, o)
+		if _, err := ReadShardSnapshot(bytes.NewReader(v6)); !errors.Is(err, snapshot.ErrVersionSkew) {
+			f.Fatalf("v6 shard snapshot: err = %v, want ErrVersionSkew", err)
+		}
+		f.Add(v6)
 	}
 	f.Add([]byte(snapshot.Magic))
 

@@ -29,8 +29,14 @@ import (
 //	meta     payload format version, n, #blocks, a, partition sum, total relaxations, flags (reserved 0)   all
 //	cluster  plan epoch, shard count, this file's shard (Frontend in a plan), block → shard                 shard, plan
 //	graph    the original graph's edge array                                                               all
-//	blocks   per resident block: S^r as held (upper triangle, tableKind), relaxations                      all (empty in a plan)
-//	aptable  A as held (upper triangle, tableKind)                                                         oracle, plan
+//	blocks   per resident block: S^r as held (upper triangle behind its kind), relaxations                 all (empty in a plan)
+//	aptable  A as held (upper triangle behind its kind)                                                    oracle, plan
+//
+// A table is written at the width it is held in (table): kind 1 is the
+// upper triangle, row-major, as float64, kind 2 the same entries as
+// float32, each of which round-trips to the float64 it was computed as.
+// Each loads back at its own width; any other kind is ErrCorrupt (v4's
+// square was kind 0).
 //
 // An oracle snapshot has no cluster section; that is how a reader tells
 // the kinds apart and refuses the two it does not load by name
@@ -50,11 +56,13 @@ import (
 // independently of the container's own version. Bump it whenever a
 // section's byte layout changes; readers reject any other version with
 // snapshot.ErrVersionSkew rather than guessing.
-const formatVersion = 6
+const formatVersion = 7
 
-// tableKind is the one table layout, "upper triangle, row-major,
-// float64" (v4's square was 0); any other kind is ErrCorrupt.
-const tableKind = 1
+// The two table kinds: the upper triangle as float64 or as float32.
+const (
+	kind64 = 1
+	kind32 = 2
+)
 
 // Frontend is the shard id a plan manifest's cluster section carries: the
 // file serves the cluster frontend, which holds no block tables.
@@ -179,12 +187,12 @@ func (o *Oracle) write(w io.Writer, c *Cluster) (int64, error) {
 	bl := sw.Section("blocks")
 	for bi, blk := range o.Blocks {
 		if c.resident(bi) {
-			encodeTable(bl, blk.SR)
+			encodeTable(bl, blk.sr)
 			bl.I64(blk.Relaxations)
 		}
 	}
 	if c.kind() != shardKind {
-		encodeTable(sw.Section("aptable"), o.A)
+		encodeTable(sw.Section("aptable"), o.apTab)
 	}
 
 	return sw.WriteTo(w)
@@ -305,7 +313,7 @@ func read(r io.Reader, want kind) (o *Oracle, c *Cluster, err error) {
 	o.Relaxations = relax // the stored total also carries the work of every delta applied
 	if want != shardKind {
 		ad := sr.Section("aptable")
-		if o.A, err = decodeTable(ad, o.numA, "AP table"); err != nil {
+		if o.apTab, err = decodeTable(ad, o.numA, "AP table"); err != nil {
 			return nil, nil, err
 		}
 		if err := ad.Finish(); err != nil {
@@ -317,24 +325,37 @@ func read(r io.Reader, want kind) (o *Oracle, c *Cluster, err error) {
 	return o, c, nil
 }
 
-// encodeTable appends a distance table, an upper triangle, behind its kind word.
-func encodeTable(e *snapshot.Encoder, t []graph.Weight) {
-	e.U32(tableKind)
-	e.F64s(t)
+// encodeTable appends a distance table, an upper triangle, behind the
+// kind word of its width; the entries are borrowed, not copied.
+func encodeTable(e *snapshot.Encoder, t table) {
+	if t.narrow() {
+		e.U32(kind32)
+		e.F32s(t.f32)
+		return
+	}
+	e.U32(kind64)
+	e.F64s(t.f64)
 }
 
-// decodeTable reads the upper triangle of a side-n distance table; any
-// kind but tableKind, or any length but triLen(n), is ErrCorrupt.
-func decodeTable(d *snapshot.Decoder, n int, what string) ([]graph.Weight, error) {
-	if k := d.U32(); k != tableKind && d.Err() == nil {
-		return nil, snapshot.Corruptf("apsp: %s kind %d, want %d", what, k, tableKind)
+// decodeTable reads the upper triangle of a side-n distance table
+// straight into a slice of its kind's width; any other kind, or any
+// length but triLen(n), is ErrCorrupt.
+func decodeTable(d *snapshot.Decoder, n int, what string) (table, error) {
+	var t table
+	switch k := d.U32(); {
+	case d.Err() != nil:
+	case k == kind64:
+		t.f64 = d.F64s()
+	case k == kind32:
+		t.f32 = d.F32s()
+	default:
+		return t, snapshot.Corruptf("apsp: %s kind %d, want %d or %d", what, k, kind64, kind32)
 	}
-	t := d.F64s()
 	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("apsp: %s: %w", what, err)
+		return table{}, fmt.Errorf("apsp: %s: %w", what, err)
 	}
-	if len(t) != triLen(n) {
-		return nil, snapshot.Corruptf("apsp: %s has %d table entries, want %d", what, len(t), triLen(n))
+	if t.len() != triLen(n) {
+		return table{}, snapshot.Corruptf("apsp: %s has %d table entries, want %d", what, t.len(), triLen(n))
 	}
 	return t, nil
 }
@@ -349,5 +370,5 @@ func decodeBlock(bd *snapshot.Decoder, g *graph.Graph, bi int) (*EarAPSP, error)
 	if err != nil {
 		return nil, fmt.Errorf("block %d: %w", bi, err)
 	}
-	return &EarAPSP{Red: red, SR: sr, nr: nr, Relaxations: bd.I64()}, bd.Err()
+	return &EarAPSP{Red: red, sr: sr, nr: nr, Relaxations: bd.I64()}, bd.Err()
 }

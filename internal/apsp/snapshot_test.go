@@ -2,9 +2,9 @@ package apsp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -128,31 +128,63 @@ func TestSnapshotVersionSkew(t *testing.T) {
 	}
 }
 
-// f32Table writes t in a float32 layout no release wrote: kind 2, then a
-// length-prefixed slice of float32 bit patterns.
-func f32Table(e *snapshot.Encoder, t []graph.Weight) {
-	e.U32(2)
-	e.U64(uint64(len(t)))
-	for _, v := range t {
-		e.U32(math.Float32bits(float32(v)))
+// asKind is a table writer behind kind word k that drops the first drop
+// entries: kind 2 writes them as float32, any other kind as float64.
+// Kind 0 was v4's square and kind 3 no release wrote; a dropped entry is
+// any kind's wrong length.
+func asKind(k uint32, drop int) func(*snapshot.Encoder, table) {
+	return func(e *snapshot.Encoder, t table) {
+		d := t.entries()
+		d = d[min(drop, len(d)):]
+		e.U32(k)
+		if k != kind32 {
+			e.F64s(d)
+			return
+		}
+		f := make([]float32, len(d))
+		for i, v := range d {
+			f[i] = float32(v)
+		}
+		e.F32s(f)
 	}
 }
 
-// kind0Table writes t's entries behind kind 0, the square layout's kind
-// word in format v4.
-func kind0Table(e *snapshot.Encoder, t []graph.Weight) {
-	e.U32(0)
-	e.F64s(t)
+// asVersion returns a copy of data, a container whose first section is
+// meta, with meta's payload version word set to v and the section's
+// checksum recomputed: a file of v's writer, if its layout was this one.
+func asVersion(t testing.TB, data []byte, v uint32) []byte {
+	out := slices.Clone(data)
+	le := binary.LittleEndian
+	ent := out[snapshot.Overhead(0):] // section table entry 0: name, offset, length, checksum
+	if string(bytes.TrimRight(ent[:8], "\x00")) != "meta" {
+		t.Fatalf("first section %q, want meta", ent[:8])
+	}
+	off, n := le.Uint64(ent[8:]), le.Uint64(ent[16:])
+	le.PutUint32(out[off:], v)
+	var sum snapshot.Checksum
+	sum.Write(out[off : off+n])
+	le.PutUint64(ent[24:], sum.Sum64())
+	return out
+}
+
+// v6Files are o's oracle snapshot, shard snapshot and plan manifest as
+// payload v6 wrote them: this layout with every table float64 (kind 1),
+// under version word 6. Each reader must refuse its kind as version skew.
+func v6Files(t testing.TB, o *Oracle) (oracle, shard, plan []byte) {
+	oracle, shard, plan = clusterFiles(t, widened(o))
+	return asVersion(t, oracle, 6), asVersion(t, shard, 6), asVersion(t, plan, 6)
 }
 
 // reservedWords seals o's oracle snapshot, shard snapshot and plan
-// manifest with a non-zero reserved word or an unknown table kind: meta
-// flag bit 0 over upper-triangle tables, kind-2 tables under flags 0,
-// both, and kind-0 tables. Each reader must refuse each as corrupt.
+// manifest with a non-zero reserved word, an unknown table kind or a
+// table of the wrong length: meta flag bit 0 over tables of either kind,
+// kind-0 and kind-3 tables, and float32 tables one entry short. Each
+// reader must refuse each as corrupt.
 func reservedWords(t testing.TB, o *Oracle) (oracles, shards, plans [][]byte) {
-	f64AP := func(e *snapshot.Encoder) { encodeTable(e, o.A) }
-	f32AP := func(e *snapshot.Encoder) { f32Table(e, o.A) }
-	k0AP := func(e *snapshot.Encoder) { kind0Table(e, o.A) }
+	ap := func(w func(*snapshot.Encoder, table)) func(*snapshot.Encoder) {
+		return func(e *snapshot.Encoder) { w(e, o.apTab) }
+	}
+	k0, k2, k3, short32 := asKind(0, 0), asKind(kind32, 0), asKind(3, 0), asKind(kind32, 1)
 	all := make([]bool, len(o.Blocks))
 	for bi := range all {
 		all[bi] = true
@@ -160,23 +192,25 @@ func reservedWords(t testing.TB, o *Oracle) (oracles, shards, plans [][]byte) {
 	shard := clusterSection(7, 2, 0, fill(len(o.Blocks), 0))
 	plan := clusterSection(7, 2, Frontend, fill(len(o.Blocks), 0))
 	oracles = [][]byte{
-		sealOracle(t, o, 1, encodeTable, f64AP, nil),
-		sealOracle(t, o, 0, f32Table, f32AP, nil),
-		sealOracle(t, o, 0, encodeTable, f32AP, nil), // only the AP table
-		sealOracle(t, o, 1, f32Table, f32AP, nil),
-		sealOracle(t, o, 0, kind0Table, k0AP, nil),
+		sealOracle(t, o, 1, encodeTable, ap(encodeTable), nil),
+		sealOracle(t, o, 1, k2, ap(k2), nil),
+		sealOracle(t, o, 0, k0, ap(k0), nil),
+		sealOracle(t, o, 0, k3, ap(k3), nil),
+		sealOracle(t, o, 0, encodeTable, ap(k3), nil), // only the AP table
+		sealOracle(t, o, 0, short32, ap(encodeTable), nil),
+		sealOracle(t, o, 0, encodeTable, ap(short32), nil),
 	}
 	shards = [][]byte{
 		sealCluster(t, o, 1, shard, all, encodeTable, nil),
-		sealCluster(t, o, 0, shard, all, f32Table, nil),
-		sealCluster(t, o, 1, shard, all, f32Table, nil),
-		sealCluster(t, o, 0, shard, all, kind0Table, nil),
+		sealCluster(t, o, 0, shard, all, k0, nil),
+		sealCluster(t, o, 0, shard, all, k3, nil),
+		sealCluster(t, o, 0, shard, all, short32, nil),
 	}
 	plans = [][]byte{
-		sealCluster(t, o, 1, plan, nil, nil, f64AP),
-		sealCluster(t, o, 0, plan, nil, nil, f32AP),
-		sealCluster(t, o, 1, plan, nil, nil, f32AP),
-		sealCluster(t, o, 0, plan, nil, nil, k0AP),
+		sealCluster(t, o, 1, plan, nil, nil, ap(encodeTable)),
+		sealCluster(t, o, 0, plan, nil, nil, ap(k0)),
+		sealCluster(t, o, 0, plan, nil, nil, ap(k3)),
+		sealCluster(t, o, 0, plan, nil, nil, ap(short32)),
 	}
 	return oracles, shards, plans
 }
@@ -260,7 +294,7 @@ func TestOracleSnapshotRejectsV1(t *testing.T) {
 			if version < 4 {
 				encodeChains(bl, blk.Red)
 			}
-			table(bl, squareOf(blk.SR, blk.nr))
+			table(bl, squareOf(blk.sr.entries(), blk.nr))
 			bl.I64(blk.Relaxations)
 			if version < 4 {
 				bl.U64(0) // frontier sweeps
@@ -273,7 +307,7 @@ func TestOracleSnapshotRejectsV1(t *testing.T) {
 			fe.I32s(o.nodeRoot)
 		}
 		ae := sw.Section("aptable")
-		table(ae, squareOf(o.A, o.numA))
+		table(ae, squareOf(o.apTab.entries(), o.numA))
 		if version < 3 {
 			ae.U32(1)
 			apGraph.EncodeSnapshot(ae)
@@ -325,7 +359,7 @@ func TestSnapshotCorruptionTyped(t *testing.T) {
 // payload and any extra sections, which the caller supplies — the hostile
 // seeds of FuzzReadOracle are checksum-valid containers a real writer
 // never emits.
-func sealOracle(t testing.TB, o *Oracle, flags uint32, table func(*snapshot.Encoder, []graph.Weight),
+func sealOracle(t testing.TB, o *Oracle, flags uint32, table func(*snapshot.Encoder, table),
 	apTable func(*snapshot.Encoder), extra func(*snapshot.Writer)) []byte {
 	t.Helper()
 	sw := snapshot.NewWriter()
@@ -340,7 +374,7 @@ func sealOracle(t testing.TB, o *Oracle, flags uint32, table func(*snapshot.Enco
 	o.G.EncodeSnapshot(sw.Section("graph"))
 	bl := sw.Section("blocks")
 	for _, blk := range o.Blocks {
-		table(bl, blk.SR)
+		table(bl, blk.sr)
 		bl.I64(blk.Relaxations)
 	}
 	apTable(sw.Section("aptable"))
@@ -354,7 +388,7 @@ func sealOracle(t testing.TB, o *Oracle, flags uint32, table func(*snapshot.Enco
 	return buf.Bytes()
 }
 
-// hostileSnapshot is a checksum-valid v6 container around an oracle's real
+// hostileSnapshot is a checksum-valid container around an oracle's real
 // graph and block tables that a writer never emits; want is the sentinel
 // ReadOracle must refuse it with, nil if it must load.
 type hostileSnapshot struct {
@@ -364,7 +398,11 @@ type hostileSnapshot struct {
 }
 
 func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
-	table := func(e *snapshot.Encoder) { encodeTable(e, o.A) }
+	table := func(e *snapshot.Encoder) { encodeTable(e, o.apTab) }
+	kind := func(k uint32, drop int) func(*snapshot.Encoder) {
+		return func(e *snapshot.Encoder) { asKind(k, drop)(e, o.apTab) }
+	}
+	v6, _, _ := v6Files(t, o)
 	// A build that orders the blocks otherwise: the same tables under
 	// the partition sum of the reversed block order.
 	reversed := *o
@@ -376,7 +414,15 @@ func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
 	}
 	return []hostileSnapshot{
 		{"AP table one entry short",
-			sealOracle(t, o, 0, encodeTable, func(e *snapshot.Encoder) { encodeTable(e, o.A[1:]) }, nil), snapshot.ErrCorrupt},
+			sealOracle(t, o, 0, encodeTable, kind(kind64, 1), nil), snapshot.ErrCorrupt},
+		{"float32 S^r one entry short", sealOracle(t, o, 0, asKind(kind32, 1), table, nil), snapshot.ErrCorrupt},
+		{"float32 AP table one entry short", sealOracle(t, o, 0, encodeTable, kind(kind32, 1), nil), snapshot.ErrCorrupt},
+		{"kind-3 AP table", sealOracle(t, o, 0, encodeTable, kind(3, 0), nil), snapshot.ErrCorrupt},
+		{"payload v6", v6, snapshot.ErrVersionSkew},
+		// Either width loads whatever the data: a reader keeps the width
+		// it finds, and a writer picks it.
+		{"every table float32", sealOracle(t, o, 0, asKind(kind32, 0), kind(kind32, 0), nil), nil},
+		{"every table float64", sealOracle(t, o, 0, asKind(kind64, 0), kind(kind64, 0), nil), nil},
 		// Where v2 kept the AP graph.
 		{"bytes behind the AP table",
 			sealOracle(t, o, 0, encodeTable, func(e *snapshot.Encoder) { table(e); e.U32(0) }, nil), snapshot.ErrCorrupt},
@@ -404,8 +450,9 @@ func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
 
 // TestSnapshotHostilePayloads pins what the fuzzers' hand-sealed seeds
 // are for: the aptable section is the tagged table and nothing else, a
-// stored forest cannot reach navigation, and the reserved flags and table
-// kind words are zero or the snapshot is corrupt.
+// stored forest cannot reach navigation, the reserved flags word is zero
+// and each table's kind word is 1 or 2 with the triangle's length behind
+// it, or the snapshot is corrupt, and a v6 file is version skew.
 func TestSnapshotHostilePayloads(t *testing.T) {
 	g := testGraphs(t)["chained-blocks"]
 	o := NewOracle(g)
@@ -424,6 +471,13 @@ func TestSnapshotHostilePayloads(t *testing.T) {
 		if p, _, err := ReadPlan(bytes.NewReader(data)); p != nil || !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Errorf("reserved word plan %d: err = %v, want ErrCorrupt", i, err)
 		}
+	}
+	_, v6shard, v6plan := v6Files(t, o)
+	if _, err := ReadShardSnapshot(bytes.NewReader(v6shard)); !errors.Is(err, snapshot.ErrVersionSkew) {
+		t.Errorf("v6 shard snapshot: err = %v, want ErrVersionSkew", err)
+	}
+	if _, _, err := ReadPlan(bytes.NewReader(v6plan)); !errors.Is(err, snapshot.ErrVersionSkew) {
+		t.Errorf("v6 plan manifest: err = %v, want ErrVersionSkew", err)
 	}
 	for _, h := range hostileSnapshots(t, o) {
 		loaded, err := ReadOracle(bytes.NewReader(h.data))

@@ -37,7 +37,7 @@ import (
 // in-block rows come from elsewhere.
 
 // ap reads entry (i, j) of A, in either order.
-func (o *Oracle) ap(i, j int32) graph.Weight { return o.A[triAt(i, j, o.numA)] }
+func (o *Oracle) ap(i, j int32) graph.Weight { return o.apTab.at(triAt(i, j, o.numA)) }
 
 // BlockWant names one in-block row the kernel needs: d_Block(Src, ·), in
 // the order of Block's vertex list. Src is a parent-graph vertex lying on
@@ -118,6 +118,25 @@ func walkForest(blockCuts, cutBlocks [][]int32, iu, bu int32, gate, queue []int3
 		}
 	}
 	return queue
+}
+
+// sweepAP sets dAP[j] to min over i of dcut[i] + A[cuts[i], j] for every
+// articulation point j, and lowers out at j's vertex to it; a is A at its
+// width. This a × |cuts| loop dominates a row.
+func sweepAP[T weight](o *Oracle, a []T, cuts []int32, dcut, dAP, out []graph.Weight) {
+	n, cvs := o.numA, o.BCT.CutVertices[:len(dAP)]
+	for j, cv := range cvs {
+		best := Inf
+		for i, ci := range cuts {
+			if s := addInf(dcut[i], atT(a, ci, int32(j), n), 0); s < best {
+				best = s
+			}
+		}
+		dAP[j] = best
+		if best < out[cv] {
+			out[cv] = best
+		}
+	}
 }
 
 // RowCost estimates the table operations Row(u) will perform: a cheap
@@ -202,17 +221,12 @@ func (o *Oracle) StitchRow(u int32, out []graph.Weight, fetch BlockRowsFunc) (in
 		return 0, err
 	}
 
-	// Distance from the source to every articulation point.
-	a := o.numA
-	sc.dAP = grow(sc.dAP, a)
-	dAP := sc.dAP
-	if iu >= 0 {
-		for j := range dAP {
-			dAP[j] = o.ap(iu, int32(j))
-			out[bct.CutVertices[j]] = dAP[j]
-		}
-		ops += int64(a)
-	} else {
+	// Distance from the source to every articulation point: an AP source
+	// is its own one cut at distance 0, whose sums are its row of A.
+	cuts := []int32{iu}
+	sc.dcut = grow(sc.dcut, 1)
+	sc.dcut[0] = 0
+	if iu < 0 {
 		// In-block distances, including the home block's own cut vertices,
 		// are exact: a shortest path between two vertices of one
 		// biconnected component never leaves it.
@@ -221,33 +235,26 @@ func (o *Oracle) StitchRow(u int32, out []graph.Weight, fetch BlockRowsFunc) (in
 			out[pv] = rows[home][k]
 		}
 		ops += int64(len(verts))
-		cuts := bct.BlockCuts[bu]
-		if len(cuts) == 0 {
+		if cuts = bct.BlockCuts[bu]; len(cuts) == 0 {
 			return ops, nil // the whole component is this one block
 		}
 		// Any path out of bu passes one of its cut vertices, so the min
 		// over cuts of (in-block leg + A row) is exact — and for bu's own
 		// cuts it degenerates to the in-block value. dcut is gathered
-		// dense: this a × |cuts| loop dominates the row.
+		// dense.
 		sc.dcut = grow(sc.dcut, len(cuts))
-		dcut := sc.dcut
 		for i, ci := range cuts {
-			dcut[i] = out[bct.CutVertices[ci]]
+			sc.dcut[i] = out[bct.CutVertices[ci]]
 		}
-		for j := range dAP {
-			best := Inf
-			for i, ci := range cuts {
-				if s := addInf(dcut[i], o.ap(ci, int32(j)), 0); s < best {
-					best = s
-				}
-			}
-			dAP[j] = best
-			if cv := bct.CutVertices[j]; best < out[cv] {
-				out[cv] = best
-			}
-		}
-		ops += int64(a) * int64(len(cuts))
 	}
+	sc.dAP = grow(sc.dAP, o.numA)
+	dAP := sc.dAP
+	if t := o.apTab.f32; t != nil {
+		sweepAP(o, t, cuts, sc.dcut, dAP, out)
+	} else {
+		sweepAP(o, o.apTab.f64, cuts, sc.dcut, dAP, out)
+	}
+	ops += int64(o.numA) * int64(len(cuts))
 
 	// Interior (non-AP) vertices of every other reached block: the gate's
 	// distance from the source plus one in-block entry each.

@@ -90,8 +90,8 @@ func (o *Oracle) CheckInvariants() error {
 				bi, bg.NumVertices(), bg.NumEdges(), len(o.BCT.BlockVerts[bi]), len(o.Dec.Components[bi]))
 		}
 		nr := blk.Red.R.NumVertices()
-		if blk.nr != nr || len(blk.SR) != triLen(nr) {
-			return fmt.Errorf("apsp: block %d has %d S^r entries for nr=%d", bi, len(blk.SR), nr)
+		if blk.nr != nr || blk.sr.len() != triLen(nr) {
+			return fmt.Errorf("apsp: block %d has %d S^r entries for nr=%d", bi, blk.sr.len(), nr)
 		}
 	}
 
@@ -122,8 +122,8 @@ func (o *Oracle) CheckInvariants() error {
 	}
 
 	// AP table: the a×a upper triangle, zero diagonal.
-	if len(o.A) != triLen(o.numA) {
-		return fmt.Errorf("apsp: AP table has %d entries for a=%d", len(o.A), o.numA)
+	if o.apTab.len() != triLen(o.numA) {
+		return fmt.Errorf("apsp: AP table has %d entries for a=%d", o.apTab.len(), o.numA)
 	}
 	for i := range int32(o.numA) {
 		if d := o.ap(i, i); d != 0 {

@@ -62,12 +62,16 @@ func TestPathsCorpus(t *testing.T) {
 }
 
 // tableBits reads every stored distance of o through its exported
-// surface, in a fixed order: A, then each block's S^r over reduced-vertex
-// pairs (Ear.Query on two kept vertices is the S^r entry itself).
+// surface, in a fixed order: A over cut-vertex pairs (Query between two
+// cut vertices is the A entry itself), then each block's S^r over
+// reduced-vertex pairs (Ear.Query on two kept vertices is the S^r entry).
 func tableBits(o *apsp.Oracle) []uint64 {
 	var bits []uint64
-	for _, d := range o.A {
-		bits = append(bits, math.Float64bits(d))
+	cuts := o.BCT.CutVertices
+	for i, u := range cuts {
+		for _, v := range cuts[i:] {
+			bits = append(bits, math.Float64bits(o.Query(u, v)))
+		}
 	}
 	for _, blk := range o.Blocks {
 		kept := blk.Red.KeptToOrig

@@ -102,8 +102,17 @@ func TestPlanManifestRoundtrip(t *testing.T) {
 		!reflect.DeepEqual(q.BlockOf, p.BlockOf) || !reflect.DeepEqual(q.BlockShard, p.BlockShard) {
 		t.Fatalf("plan fields differ after roundtrip: %+v vs %+v", q, p)
 	}
-	if !reflect.DeepEqual(q.o.BCT, o.BCT) || !reflect.DeepEqual(q.o.Forest, o.Forest) || !reflect.DeepEqual(q.o.A, o.A) {
-		t.Fatal("the loaded plan's block-cut tree, forest or A differs from the monolith's")
+	if !reflect.DeepEqual(q.o.BCT, o.BCT) || !reflect.DeepEqual(q.o.Forest, o.Forest) {
+		t.Fatal("the loaded plan's block-cut tree or forest differs from the monolith's")
+	}
+	for i, u := range o.BCT.CutVertices { // a pair of cut vertices plans to its A entry alone
+		for _, v := range o.BCT.CutVertices[i:] {
+			got, _ := q.o.PlanPair(u, v)
+			want, _ := o.PlanPair(u, v)
+			if got.Distance(0, 0) != want.Distance(0, 0) {
+				t.Fatalf("A between cut vertices %d and %d: %v on the plan, %v on the monolith", u, v, got.Distance(0, 0), want.Distance(0, 0))
+			}
+		}
 	}
 	for b := range o.Blocks {
 		if !reflect.DeepEqual(q.o.BCT.BlockVerts[b], o.BCT.BlockVerts[b]) {

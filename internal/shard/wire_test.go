@@ -167,8 +167,16 @@ func rowsExchange(t testing.TB, p *Plan, url string) (reqs [][2]int32, lens []in
 // 708), every later section's offset, the epoch those feed (8 bytes of
 // the cluster section) and the checksums of meta and cluster; the graph,
 // blocks and aptable sections are byte-identical. In the rows response
-// the epoch and its checksum, as before. A change here means old and new
-// binaries no longer interoperate.
+// the epoch and its checksum, as before. All four moved again when tables
+// were written at the width they are held in (payload v7): the fixture's
+// weights are integers, so every table is float32 behind kind 2 — in the
+// manifest the meta version word (6 → 7), the aptable section (kind 1 →
+// 2, 21 entries of 4 bytes: 180 → 96 bytes, the manifest 776 → 692), in
+// the shard snapshot each block table the same way (the blocks section
+// 144 → 112 bytes, the file 708 → 676), every later section's offset,
+// the epoch and the checksums; in the rows response the epoch and its
+// checksum, as before. A change here means old and new binaries no
+// longer interoperate.
 func TestWireGolden(t *testing.T) {
 	o := apsp.NewOracle(testGraph())
 	p, err := PlanShards(o, PlanOptions{Shards: 2})
@@ -197,10 +205,10 @@ func TestWireGolden(t *testing.T) {
 		what      string
 		got, want uint64
 	}{
-		{"plan epoch", p.Epoch, 0x77c4ce8e778ce765},
-		{"manifest bytes", crc64.Checksum(manifest.Bytes(), tab), 0xbda30f2879578c8d},
-		{"shard 0 snapshot bytes", crc64.Checksum(snap.Bytes(), tab), 0xac962fb75e84f2a6},
-		{"rows response bytes", crc64.Checksum(raw, tab), 0xb479a35cbddcd663},
+		{"plan epoch", p.Epoch, 0xad11c5deebba67bd},
+		{"manifest bytes", crc64.Checksum(manifest.Bytes(), tab), 0xe1864c32fb8d0de6},
+		{"shard 0 snapshot bytes", crc64.Checksum(snap.Bytes(), tab), 0xb85c9cc1eaa3b6b5},
+		{"rows response bytes", crc64.Checksum(raw, tab), 0xeaaf706dad89dd14},
 		{"rows response length", uint64(len(raw)), uint64(rowsResponseLen(lens))},
 	} {
 		if g.got != g.want {
@@ -351,37 +359,90 @@ func FuzzDecodeRowsResponse(f *testing.F) {
 // derives is one block, so it must be refused. Its payload version is
 // read off a real manifest.
 func cyclicManifest(t testing.TB, manifest []byte) []byte {
+	split := &bcc.Decomposition{Components: [][]int32{{0}, {1}, {2}}}
+	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 0, W: 1}})
+	return sealPlan(t, payloadVersion(t, manifest), g, split, 3, func(e *snapshot.Encoder) {
+		e.U32(1)                        // table kind: upper triangle, float64
+		e.F64s(make([]graph.Weight, 6)) // the 3×3 triangle
+	})
+}
+
+// payloadVersion reads the payload version off a real manifest.
+func payloadVersion(t testing.TB, manifest []byte) uint32 {
 	sr, err := snapshot.NewReader(bytes.NewReader(manifest))
 	if err != nil {
 		t.Fatal(err)
 	}
-	version := sr.Section("meta").U32()
-	split := &bcc.Decomposition{Components: [][]int32{{0}, {1}, {2}}}
+	return sr.Section("meta").U32()
+}
+
+// sealPlan hand-writes a one-shard plan manifest of g under payload
+// version, with the partition dec and the articulation count numA as
+// given rather than derived, and the aptable section the caller's.
+func sealPlan(t testing.TB, version uint32, g *graph.Graph, dec *bcc.Decomposition, numA int, aptable func(*snapshot.Encoder)) []byte {
 	sw := snapshot.NewWriter()
 	md := sw.Section("meta")
 	md.U32(version)
-	md.U64(3) // vertices
-	md.U64(3) // blocks
-	md.U64(3) // articulation points
-	md.U64(split.Sum())
+	md.U64(uint64(g.NumVertices()))
+	md.U64(uint64(len(dec.Components)))
+	md.U64(uint64(numA))
+	md.U64(dec.Sum())
 	md.I64(0) // relaxations
 	md.U32(0) // flags
 	ce := sw.Section("cluster")
 	ce.U64(1) // epoch
 	ce.I32(1) // shards
 	ce.I32(apsp.Frontend)
-	ce.I32s([]int32{0, 0, 0})
-	graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 2, V: 0, W: 1}}).
-		EncodeSnapshot(sw.Section("graph"))
+	ce.I32s(make([]int32, len(dec.Components)))
+	g.EncodeSnapshot(sw.Section("graph"))
 	sw.Section("blocks") // a plan holds no block tables
-	at := sw.Section("aptable")
-	at.U32(1)                        // table kind: upper triangle, float64
-	at.F64s(make([]graph.Weight, 6)) // the 3×3 triangle
+	aptable(sw.Section("aptable"))
 	var buf bytes.Buffer
 	if _, err := sw.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// tableKinds seals a plan of the path 0–1–2 (two blocks, one
+// articulation point, so A is one entry) under the current payload
+// version and v6, with A behind each table kind, and the error ReadPlan
+// must return for each: a float32 A of the right length loads, one of
+// the wrong length or behind kind 3 is ErrCorrupt, and a v6 file is
+// version skew.
+func tableKinds(t testing.TB, manifest []byte) []struct {
+	name string
+	data []byte
+	want error
+} {
+	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}})
+	v := payloadVersion(t, manifest)
+	seal := func(version, kind uint32, a []float32) []byte {
+		return sealPlan(t, version, g, bcc.Compute(g), 1, func(e *snapshot.Encoder) {
+			e.U32(kind)
+			if kind == 2 {
+				e.F32s(a)
+				return
+			}
+			wide := make([]graph.Weight, len(a))
+			for i, x := range a {
+				wide[i] = graph.Weight(x)
+			}
+			e.F64s(wide)
+		})
+	}
+	return []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"float32 A", seal(v, 2, []float32{0}), nil},
+		{"float64 A", seal(v, 1, []float32{0}), nil},
+		{"float32 A one entry short", seal(v, 2, nil), snapshot.ErrCorrupt},
+		{"float32 A one entry long", seal(v, 2, []float32{0, 0}), snapshot.ErrCorrupt},
+		{"kind-3 A", seal(v, 3, []float32{0}), snapshot.ErrCorrupt},
+		{"payload v6, float64 tables", seal(6, 1, []float32{0}), snapshot.ErrVersionSkew},
+	}
 }
 
 // FuzzReadPlan: a manifest is rejected with a typed error or yields a
@@ -408,6 +469,12 @@ func FuzzReadPlan(f *testing.F) {
 	}
 	for _, seed := range [][]byte{manifest, manifest[:len(manifest)/3], []byte(snapshot.Magic), cyclic, obuf.Bytes(), sbuf.Bytes()} {
 		f.Add(seed)
+	}
+	for _, k := range tableKinds(f, manifest) {
+		if _, err := ReadPlan(bytes.NewReader(k.data)); !errors.Is(err, k.want) {
+			f.Fatalf("%s: err = %v, want %v", k.name, err, k.want)
+		}
+		f.Add(k.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadPlan(bytes.NewReader(data))

@@ -284,7 +284,7 @@ func (r *Reader) Close(err error) error {
 
 // Encoder is an append-only little-endian primitive writer backing one
 // section. The section is a sequence of runs: the bytes the encoder wrote
-// and the tables F64s borrows instead of copying.
+// and the tables F64s and F32s borrow instead of copying.
 type Encoder struct {
 	runs [][]byte // finished runs
 	b    []byte   // the open run
@@ -336,31 +336,55 @@ func (e *Encoder) I32s(s []int32) {
 	}
 }
 
-// borrowMin is the shortest table F64s borrows; shorter ones copy cheaper.
+// borrowMin is the shortest table F64s or F32s borrows; shorter ones copy
+// cheaper.
 const borrowMin = 512
 
-// littleEndian reports whether a float64's bytes in memory are its
-// encoding, which is what lets F64s borrow a table.
+// littleEndian reports whether a float's bytes in memory are its
+// encoding, which is what lets F64s and F32s borrow a table.
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
+// float is an element type of a distance table.
+type float interface{ float32 | float64 }
+
 // bytesOf is s's memory as bytes: on a little-endian host, its encoding.
-// Encoder.F64s writes tables from it and Decoder.F64s reads them into it.
-func bytesOf(s []float64) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 8*len(s))
+// The encoders write tables from it and the decoders read tables into it.
+func bytesOf[T float](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), int(unsafe.Sizeof(T(0)))*len(s))
+}
+
+// swapOrder turns b, size-byte floats, from the host's byte order into
+// the little-endian encoding or back: a byte swap per element on a
+// big-endian host, nothing on a little-endian one.
+func swapOrder(b []byte, size int) {
+	le, ne := binary.LittleEndian, binary.NativeEndian
+	for i := 0; i < len(b); i += size {
+		if size == 8 {
+			le.PutUint64(b[i:], ne.Uint64(b[i:]))
+		} else {
+			le.PutUint32(b[i:], ne.Uint32(b[i:]))
+		}
+	}
 }
 
 // F64s appends a length-prefixed float64 slice. On a little-endian host a
 // slice of borrowMin values or more is borrowed, not copied: WriteTo reads
 // it in place, so s must not change until then (oracle tables never do).
-func (e *Encoder) F64s(s []float64) {
+func (e *Encoder) F64s(s []float64) { appendFloats(e, s) }
+
+// F32s appends a length-prefixed float32 slice, borrowed as F64s borrows.
+func (e *Encoder) F32s(s []float32) { appendFloats(e, s) }
+
+func appendFloats[T float](e *Encoder, s []T) {
 	e.U64(uint64(len(s)))
+	raw := bytesOf(s)
 	if littleEndian && len(s) >= borrowMin {
-		e.runs = append(e.flush(), bytesOf(s))
+		e.runs = append(e.flush(), raw)
 		return
 	}
-	raw := e.extend(8 * len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(v))
+	dst := e.extend(len(raw))
+	if copy(dst, raw); !littleEndian {
+		swapOrder(dst, int(unsafe.Sizeof(T(0))))
 	}
 }
 
@@ -551,28 +575,32 @@ func (d *Decoder) AppendI32s(s []int32) []int32 {
 // F64s reads a length-prefixed float64 slice into a new slice: a short
 // one through the read-ahead, a long one straight from the source. On a
 // little-endian host its bytes are its encoding.
-func (d *Decoder) F64s() []float64 {
-	n := d.Count(8)
+func (d *Decoder) F64s() []float64 { return readFloats[float64](d, "float64 slice") }
+
+// F32s reads a length-prefixed float32 slice, as F64s reads float64s.
+func (d *Decoder) F32s() []float32 { return readFloats[float32](d, "float32 slice") }
+
+func readFloats[T float](d *Decoder, what string) []T {
+	size := int(unsafe.Sizeof(T(0)))
+	n := d.Count(size)
 	if d.err != nil {
 		return nil
 	}
-	out := make([]float64, n)
+	out := make([]T, n)
 	raw := bytesOf(out)
 	if len(raw) < bufSize {
-		copy(raw, d.take(len(raw), "float64 slice"))
+		copy(raw, d.take(len(raw), what))
 	} else {
 		k := copy(raw, d.b)
 		if d.b = d.b[k:]; k < len(raw) {
 			d.pull(raw[k:])
 		}
 	}
-	if !littleEndian {
-		for i := range out {
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-		}
-	}
 	if d.err != nil {
 		return nil
+	}
+	if !littleEndian {
+		swapOrder(raw, size)
 	}
 	return out
 }

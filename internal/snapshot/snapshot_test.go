@@ -200,15 +200,16 @@ func TestDecoderSticky(t *testing.T) {
 }
 
 // Slices move as one block; the bytes are those of the per-element
-// writers, whether F64s borrows the table (a little-endian host, borrowMin
-// values or more) or copies it (shorter tables, and every table on a
-// big-endian host).
+// writers, whether F64s or F32s borrows the table (a little-endian host,
+// borrowMin values or more) or copies it (shorter tables, and every table
+// on a big-endian host).
 func TestSliceCodecMatchesElements(t *testing.T) {
 	i32 := []int32{0, -1, 1 << 30, math.MinInt32}
 	f64 := []float64{0, -0.0, 1.5, math.Inf(1), math.MaxFloat64}
-	long := make([]float64, borrowMin)
+	f32 := []float32{0, float32(math.Copysign(0, -1)), 1.5, float32(math.Inf(1)), math.MaxFloat32}
+	long, long32 := make([]float64, borrowMin), make([]float32, borrowMin)
 	for i := range long {
-		long[i] = float64(i) / 3
+		long[i], long32[i] = float64(i)/3, float32(i)/3
 	}
 	defer func(le bool) { littleEndian = le }(littleEndian)
 	for _, le := range []bool{littleEndian, false} {
@@ -217,6 +218,8 @@ func TestSliceCodecMatchesElements(t *testing.T) {
 		got.I32s(i32)
 		got.F64s(f64)
 		got.F64s(long)
+		got.F32s(f32)
+		got.F32s(long32)
 		got.I32s(nil)
 		want.U64(uint64(len(i32)))
 		for _, v := range i32 {
@@ -228,22 +231,30 @@ func TestSliceCodecMatchesElements(t *testing.T) {
 				want.F64(v)
 			}
 		}
+		for _, s := range [][]float32{f32, long32} {
+			want.U64(uint64(len(s)))
+			for _, v := range s {
+				want.U32(math.Float32bits(v))
+			}
+		}
 		want.U64(0)
 		flat := bytes.Join(got.flush(), nil)
 		if w := bytes.Join(want.flush(), nil); !bytes.Equal(flat, w) {
 			t.Fatalf("little-endian %v: slice encoders wrote\n%x\nelement encoders wrote\n%x", le, flat, w)
 		}
-		borrowed := slices.ContainsFunc(got.runs, func(r []byte) bool {
-			return unsafe.SliceData(r) == (*byte)(unsafe.Pointer(&long[0]))
-		})
-		if borrowed != le {
-			t.Errorf("little-endian %v: table of %d borrowed = %v", le, len(long), borrowed)
+		for _, p := range []*byte{(*byte)(unsafe.Pointer(&long[0])), (*byte)(unsafe.Pointer(&long32[0]))} {
+			borrowed := slices.ContainsFunc(got.runs, func(r []byte) bool { return unsafe.SliceData(r) == p })
+			if borrowed != le {
+				t.Errorf("little-endian %v: table of %d borrowed = %v", le, borrowMin, borrowed)
+			}
 		}
 		d := &Decoder{b: flat[1:]}
 		eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-		if a, b, c, e := d.I32s(), d.F64s(), d.F64s(), d.I32s(); !slices.Equal(a, i32) ||
-			!slices.EqualFunc(b, f64, eq) || !slices.EqualFunc(c, long, eq) || len(e) != 0 {
-			t.Fatalf("decoded %v %v %d values %v", a, b, len(c), e)
+		eq32 := func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) }
+		if a, b, c, b32, c32, e := d.I32s(), d.F64s(), d.F64s(), d.F32s(), d.F32s(), d.I32s(); !slices.Equal(a, i32) ||
+			!slices.EqualFunc(b, f64, eq) || !slices.EqualFunc(c, long, eq) ||
+			!slices.EqualFunc(b32, f32, eq32) || !slices.EqualFunc(c32, long32, eq32) || len(e) != 0 {
+			t.Fatalf("decoded %v %v %d values %v %d values %v", a, b, len(c), b32, len(c32), e)
 		}
 		if err := d.Finish(); err != nil {
 			t.Fatal(err)

@@ -223,10 +223,11 @@ func TestTreeInvariants(t *testing.T) {
 	})
 
 	// One checksum: snapshot.Checksum (CRC-32C‖CRC-32) guards every
-	// container and derives every plan epoch. A float64 table's byte view
-	// (snapshot's bytesOf) is the tree's one use of unsafe, at two sites:
-	// Encoder.F64s borrows a table into a write, and Decoder.F64s reads a
-	// table's bytes straight into its new slice.
+	// container and derives every plan epoch. A table's byte view
+	// (snapshot's bytesOf, float32 or float64) is the tree's one use of
+	// unsafe, at two sites: Encoder.F64s/F32s borrow a table into a write,
+	// and Decoder.F64s/F32s read a table's bytes straight into its new
+	// slice.
 	t.Run("one checksum, one unsafe", func(t *testing.T) {
 		for path, f := range files {
 			if !isTest(path) && imports(f, "hash/crc64") {
@@ -479,8 +480,7 @@ func TestTreeInvariants(t *testing.T) {
 		// Methods with names too common to ban bare: banned on their receiver.
 		goneMethods := map[string]bool{"Vector.Words": true, "Vector.Clear": true, "Vector.IsZero": true, "Vector.Equal": true,
 			"UnionFind.Connected": true, "UnionFind.Sets": true, "Graph.Other": true, "Encoder.F32": true, "Decoder.F32": true,
-			"ShardBlocks.Owned": true, "Entry.Swap": true, "Engine.Close": true,
-			"Encoder.F32s": true, "Decoder.F32s": true, "Oracle.Compact": true,
+			"ShardBlocks.Owned": true, "Entry.Swap": true, "Engine.Close": true, "Oracle.Compact": true,
 			"EarAPSP.Pair": true, "EarAPSP.NumVertices": true, "EarAPSP.QueryChecked": true, "Djidjev.QueryChecked": true,
 			"Reduced.EncodeSnapshot": true, "Plan.StitchView": true, "ShardBlocks.NumEdges": true,
 			"Schedule.String": true, "Device.String": true}
@@ -869,9 +869,11 @@ func TestTreeInvariants(t *testing.T) {
 	// The round's trajectory (ROADMAP aim 2): non-test Go lines outside
 	// bench/, held under the bar the last PR to move it reached (raised by
 	// exactly the 73 lines of the daemon's GC pacer and the heterosim
-	// example's ordered printing).
+	// example's ordered printing, then by exactly the 172 lines of the
+	// tables held at the width their entries allow: the table type, its
+	// kind-2 codec and the width-generic reads).
 	t.Run("non-test LOC", func(t *testing.T) {
-		const bar = 20000
+		const bar = 20172
 		t.Logf("%d non-test lines outside bench/", loc)
 		if loc >= bar {
 			t.Errorf("%d non-test lines outside bench/, want < %d", loc, bar)
