@@ -70,9 +70,9 @@ func main() {
 	oursB, maxB := mem.Bytes()
 	fmt.Printf("oracle built in %v: %d blocks, %d articulation points, %d nodes removed by ear reduction\n",
 		build, len(o.Blocks), o.NumArticulation(), o.NodesRemoved())
-	held, narrow, tables := o.TableBytes()
-	fmt.Printf("memory: %.1f MB (paper model a²+Σnᵢ²) vs %.1f MB dense; %d entries stored (upper triangles of A and each S^r) in %.1f MB, %d of %d tables as float32\n",
-		float64(oursB)/(1<<20), float64(maxB)/(1<<20), o.ReducedMemory(), float64(held)/(1<<20), narrow, tables)
+	held, kinds := o.TableBytes()
+	fmt.Printf("memory: %.1f MB (paper model a²+Σnᵢ²) vs %.1f MB dense; %d entries stored (upper triangles of A and each S^r) in %.1f MB: %v tables\n",
+		float64(oursB)/(1<<20), float64(maxB)/(1<<20), o.ReducedMemory(), float64(held)/(1<<20), kinds)
 
 	if *snapOut != "" {
 		n, err := writeSnapshot(*snapOut, o)

@@ -14,6 +14,11 @@ func TestMemLimit(t *testing.T) {
 		want       int64
 	}{
 		{0, 0, paceFloor},
+		{3 << 20, 1 << 19, 7<<19 + paceFloor},         // 2·live leaves under paceMin
+		{11 << 20, 3 << 20, 22<<20 - 11<<16},          // 31/32 of 2·live
+		{16 << 20, 9 << 20, 31 << 20},                 // 31/32 of 2·live is live + scan + paceMin
+		{16 << 20, 9<<20 + 1, 25<<20 + 1 + paceFloor}, // one byte short of paceMin
+		{24 << 20, 3 << 20, 27<<20 + paceFloor},       // live + scan + paceFloor is under 2·live
 		{33 << 20, 3 << 20, 36<<20 + paceFloor},
 		{math.MaxInt64 - paceFloor - 2, 1, math.MaxInt64 - 1},
 		{math.MaxInt64 - paceFloor - 1, 1, math.MaxInt64},

@@ -153,15 +153,10 @@ func (a *EarAPSP) srAt(x, y int32) graph.Weight { return a.sr.at(triAt(x, y, a.n
 //     wrap-around on loop chains, which one of the four combinations
 //     covers).
 //
-// It picks the table's width once and reads the typed triangle.
-func (a *EarAPSP) Query(x, y int32) graph.Weight {
-	if t := a.sr.f32; t != nil {
-		return query(a, t, x, y)
-	}
-	return query(a, a.sr.f64, x, y)
-}
+// It picks the table's type once and reads the typed triangle.
+func (a *EarAPSP) Query(x, y int32) graph.Weight { return a.sr.query(a, x, y) }
 
-func query[T weight](a *EarAPSP, sr []T, x, y int32) graph.Weight {
+func (sr tri[T]) query(a *EarAPSP, x, y int32) graph.Weight {
 	if n := a.Red.Original.NumVertices(); x < 0 || int(x) >= n || y < 0 || int(y) >= n {
 		return Inf
 	}
@@ -172,11 +167,11 @@ func query[T weight](a *EarAPSP, sr []T, x, y int32) graph.Weight {
 	kx, ky := red.OrigToKept[x], red.OrigToKept[y]
 	switch {
 	case kx >= 0 && ky >= 0:
-		return atT(sr, kx, ky, a.nr)
+		return sr.get(kx, ky, a.nr)
 	case kx >= 0:
-		return queryKeptRemoved(a, sr, kx, y)
+		return sr.keptRemoved(a, kx, y)
 	case ky >= 0:
-		return queryKeptRemoved(a, sr, ky, x)
+		return sr.keptRemoved(a, ky, x)
 	}
 	// both removed
 	ax, bx, dax, dbx := red.Anchors(x)
@@ -184,22 +179,22 @@ func query[T weight](a *EarAPSP, sr []T, x, y int32) graph.Weight {
 	kax, kbx := red.OrigToKept[ax], red.OrigToKept[bx]
 	kay, kby := red.OrigToKept[ay], red.OrigToKept[by]
 	nr := a.nr
-	best := addInf(dax, atT(sr, kax, kay, nr), day)
-	best = min3(best, dax, atT(sr, kax, kby, nr), dby)
-	best = min3(best, dbx, atT(sr, kbx, kay, nr), day)
-	best = min3(best, dbx, atT(sr, kbx, kby, nr), dby)
+	best := addInf(dax, sr.get(kax, kay, nr), day)
+	best = min3(best, dax, sr.get(kax, kby, nr), dby)
+	best = min3(best, dbx, sr.get(kbx, kay, nr), day)
+	best = min3(best, dbx, sr.get(kbx, kby, nr), dby)
 	if direct, ok := red.SameChain(x, y); ok && direct < best {
 		best = direct
 	}
 	return best
 }
 
-// queryKeptRemoved computes d(v, x) for kept (reduced ID kv) and removed x.
-func queryKeptRemoved[T weight](a *EarAPSP, sr []T, kv, x int32) graph.Weight {
+// keptRemoved computes d(v, x) for kept (reduced ID kv) and removed x.
+func (sr tri[T]) keptRemoved(a *EarAPSP, kv, x int32) graph.Weight {
 	red := a.Red
 	ax, bx, dax, dbx := red.Anchors(x)
-	da := addInf(dax, atT(sr, red.OrigToKept[ax], kv, a.nr), 0)
-	db := addInf(dbx, atT(sr, red.OrigToKept[bx], kv, a.nr), 0)
+	da := addInf(dax, sr.get(red.OrigToKept[ax], kv, a.nr), 0)
+	db := addInf(dbx, sr.get(red.OrigToKept[bx], kv, a.nr), 0)
 	if da < db {
 		return da
 	}
@@ -229,15 +224,10 @@ func min3(best, a, b, c graph.Weight) graph.Weight {
 // entry is Float64bits-equal to Query(x, y): S^r is one value per pair,
 // and since rounding is monotone, a minimum over sums sharing an addend
 // is that addend plus the minimum. Like Query, it picks the table's
-// width once.
-func (a *EarAPSP) Row(x int32, out []graph.Weight) int64 {
-	if t := a.sr.f32; t != nil {
-		return row(a, t, x, out)
-	}
-	return row(a, a.sr.f64, x, out)
-}
+// type once.
+func (a *EarAPSP) Row(x int32, out []graph.Weight) int64 { return a.sr.row(a, x, out) }
 
-func row[T weight](a *EarAPSP, sr []T, x int32, out []graph.Weight) int64 {
+func (sr tri[T]) row(a *EarAPSP, x int32, out []graph.Weight) int64 {
 	n := a.Red.Original.NumVertices()
 	out = out[:n]
 	if x < 0 || int(x) >= n {
@@ -248,11 +238,11 @@ func row[T weight](a *EarAPSP, sr []T, x int32, out []graph.Weight) int64 {
 	}
 	red := a.Red
 	if kx := red.OrigToKept[x]; kx >= 0 {
-		keptRow(a, sr, kx, 0, out, false)
+		sr.keptRow(a, kx, 0, out, false)
 	} else {
 		ax, bx, dax, dbx := red.Anchors(x)
-		keptRow(a, sr, red.OrigToKept[ax], dax, out, false)
-		keptRow(a, sr, red.OrigToKept[bx], dbx, out, true)
+		sr.keptRow(a, red.OrigToKept[ax], dax, out, false)
+		sr.keptRow(a, red.OrigToKept[bx], dbx, out, true)
 	}
 	if a.nr < n { // some vertices were removed into chains
 		for y, ci := range red.ChainOf {
@@ -283,7 +273,7 @@ func row[T weight](a *EarAPSP, sr []T, x int32, out []graph.Weight) int64 {
 // triangle comes in two parts: S^r[j, k] for j < k, gathered down column
 // k (row j+1's entry sits nr-j-1 after row j's), then the contiguous tail
 // S^r[k, k..nr).
-func keptRow[T weight](a *EarAPSP, sr []T, k int32, d graph.Weight, out []graph.Weight, lower bool) {
+func (sr tri[T]) keptRow(a *EarAPSP, k int32, d graph.Weight, out []graph.Weight, lower bool) {
 	orig, nr, i := a.Red.KeptToOrig, a.nr, int(k)
 	for j, y := range orig[:k] {
 		if s := addInf(d, graph.Weight(sr[i]), 0); !lower || s < out[y] {

@@ -3,7 +3,9 @@ package apsp
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"slices"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/bcc"
@@ -191,17 +193,14 @@ func (o *Oracle) row(b, src int32, out []graph.Weight) {
 
 // QueryParent answers the in-block distance d_b(u, v) in parent vertex
 // IDs; Inf when either vertex is not on block b. It is EarAPSP.Query
-// with the width picked here, one call shallower on the pair path.
+// with the type picked here, one call shallower on the pair path.
 func (o *Oracle) QueryParent(b, u, v int32) graph.Weight {
 	lu, lv := o.loc.local(b, u), o.loc.local(b, v)
 	if lu < 0 || lv < 0 {
 		return Inf
 	}
 	blk := o.Blocks[b]
-	if t := blk.sr.f32; t != nil {
-		return query(blk, t, lu, lv)
-	}
-	return query(blk, blk.sr.f64, lu, lv)
+	return blk.sr.query(blk, lu, lv)
 }
 
 // buildAPTable computes the a×a articulation point distance table
@@ -328,23 +327,36 @@ func (o *Oracle) ReducedMemory() int64 {
 }
 
 // TableBytes returns the bytes the tables ReducedMemory counts take at
-// their stored widths, how many of those tables (A and each resident
-// S^r) are narrow, and how many there are.
-func (o *Oracle) TableBytes() (bytes int64, narrow, tables int) {
-	ts := o.tables()
-	for _, t := range ts {
-		if bytes += t.bytes(); t.narrow() {
-			narrow++
+// their stored types, and how many of those tables (A and each resident
+// S^r) each kind holds.
+func (o *Oracle) TableBytes() (bytes int64, kinds TableCounts) {
+	for _, t := range o.tables() {
+		bytes += tableKinds[t.kind()].size * int64(t.len())
+		kinds[t.kind()]++
+	}
+	return bytes, kinds
+}
+
+// TableCounts counts tables by kind word.
+type TableCounts [len(tableKinds)]int
+
+// String lists each kind an oracle holds a table of, with its count, as
+// "579 uint8, 1 uint16".
+func (c TableCounts) String() string {
+	var parts []string
+	for k, n := range c {
+		if n > 0 {
+			parts = append(parts, fmt.Sprintf("%d %s", n, tableKinds[k].name))
 		}
 	}
-	return bytes, narrow, len(ts)
+	return strings.Join(parts, ", ")
 }
 
 // tables lists A, unless the oracle is a shard's, which holds none, and
 // every resident S^r.
 func (o *Oracle) tables() []table {
 	var ts []table
-	if o.apTab.f32 != nil || o.apTab.f64 != nil {
+	if o.apTab != nil {
 		ts = append(ts, o.apTab)
 	}
 	for _, blk := range o.Blocks {

@@ -1,7 +1,6 @@
 package apsp
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -23,42 +22,64 @@ func benchBlocksGraph() *graph.Graph {
 	return gen.AttachPendants(gen.Subdivide(g, 0.4, 2, cfg, rng), 40, 3, cfg, rng)
 }
 
+// benchWeights is the multi-block fixture with integral weights, whose
+// tables are uint8 and uint16, and with every weight divided by 3, whose
+// tables are float64: the benchmarks read one integer kind and the
+// widest.
+func benchWeights() []struct {
+	name string
+	g    *graph.Graph
+} {
+	integral := benchBlocksGraph()
+	return []struct {
+		name string
+		g    *graph.Graph
+	}{{"integral", integral}, {"thirds", thirds(integral)}}
+}
+
 // BenchmarkOracleRow measures one whole-graph row through the stitch
-// kernel on the multi-block fixture, cycling through every source. CI
-// gates it at 0 allocs/op: the kernel's scratch is pooled. (No custom
-// metrics: benchgate parses ns/op directly followed by B/op.)
+// kernel on the multi-block fixture, cycling through every source, at
+// either weighting. CI gates both at 0 allocs/op: the kernel's scratch is
+// pooled. (No custom metrics: benchgate parses ns/op directly followed by
+// B/op.)
 func BenchmarkOracleRow(b *testing.B) {
-	o, row := warmRowOracle()
-	n := int32(o.NumVertices())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.Row(int32(i)%n, row)
+	for _, w := range benchWeights() {
+		o, row := warmRowOracle(w.g)
+		n := int32(o.NumVertices())
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				o.Row(int32(i)%n, row)
+			}
+		})
 	}
 }
 
-// warmRowOracle is BenchmarkOracleRow's set-up: the oracle on the
-// multi-block fixture and a row buffer, with the pooled scratch sized.
-func warmRowOracle() (*Oracle, []graph.Weight) {
-	o := NewOracle(benchBlocksGraph())
+// warmRowOracle is BenchmarkOracleRow's set-up: the oracle on g and a row
+// buffer, with the pooled scratch sized.
+func warmRowOracle(g *graph.Graph) (*Oracle, []graph.Weight) {
+	o := NewOracle(g)
 	row := make([]graph.Weight, o.NumVertices())
 	o.Row(0, row)
 	return o, row
 }
 
-// TestOracleRowZeroAllocs is BenchmarkOracleRow's 0 allocs/op as a test.
+// TestOracleRowZeroAllocs is BenchmarkOracleRow's 0 allocs/op as a test,
+// at both weightings.
 func TestOracleRowZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under -race")
 	}
-	o, row := warmRowOracle()
-	n := int32(o.NumVertices())
-	src := int32(0)
-	if allocs := testing.AllocsPerRun(50, func() {
-		o.Row(src, row)
-		src = (src + 1) % n
-	}); allocs != 0 {
-		t.Fatalf("Oracle.Row with warm scratch allocates %v times per row", allocs)
+	for _, w := range benchWeights() {
+		o, row := warmRowOracle(w.g)
+		n := int32(o.NumVertices())
+		src := int32(0)
+		if allocs := testing.AllocsPerRun(50, func() {
+			o.Row(src, row)
+			src = (src + 1) % n
+		}); allocs != 0 {
+			t.Fatalf("%s: Oracle.Row with warm scratch allocates %v times per row", w.name, allocs)
+		}
 	}
 }
 
@@ -72,15 +93,7 @@ var benchWalk []int32
 // sums sends into the Dijkstra fallback. CI gates its allocs/op: the walk
 // appends into one slice, so a per-segment copy would show.
 func BenchmarkOraclePath(b *testing.B) {
-	integral := benchBlocksGraph()
-	thirds := slices.Clone(integral.Edges())
-	for i := range thirds {
-		thirds[i].W /= 3
-	}
-	for _, w := range []struct {
-		name string
-		g    *graph.Graph
-	}{{"integral", integral}, {"thirds", graph.FromEdges(integral.NumVertices(), thirds)}} {
+	for _, w := range benchWeights() {
 		o := NewOracle(w.g)
 		n := o.NumVertices()
 		rng := gen.NewRNG(7)

@@ -183,7 +183,7 @@ func TestPartialOracleCounts(t *testing.T) {
 		{"plan", p, func(int) bool { return false }},
 		{"shard 0", s.o, func(bi int) bool { return bi%2 == 0 }},
 	} {
-		mem, removed := int64(c.loaded.apTab.len()), 0
+		mem, removed := int64(len(c.loaded.AEntries())), 0
 		for bi, blk := range o.Blocks {
 			if c.holds(bi) {
 				mem += int64(blk.sr.len())
@@ -273,7 +273,7 @@ func TestClusterSectionHostile(t *testing.T) {
 		{"plan assigning a block to shard 2 of 2", plan(clusterSection(7, 2, Frontend, fill(nb, 2)), ap)},
 		{"plan assigning a block to no shard", plan(clusterSection(7, 2, Frontend, fill(nb, -1)), ap)},
 		{"plan assignment one block short", plan(clusterSection(7, 2, Frontend, fill(nb-1, 1)), ap)},
-		{"plan A one entry short", plan(good, func(e *snapshot.Encoder) { asKind(kind64, 1)(e, o.apTab) })},
+		{"plan A one entry short", plan(good, func(e *snapshot.Encoder) { asKind(kind64, -1)(e, o.apTab) })},
 		{"shard 2 of 2", shard(clusterSection(7, 2, 2, fill(nb, 2)))},
 		{"shard of epoch 0", shard(clusterSection(0, 2, 1, fill(nb, 1)))},
 		{"shard naming another shard's block", shard(clusterSection(7, 2, 1, fill(nb, 0)))},
@@ -310,11 +310,11 @@ func FuzzReadShardSnapshot(f *testing.F) {
 		for _, data := range reserved {
 			f.Add(data)
 		}
-		_, v6, _ := v6Files(f, o)
-		if _, err := ReadShardSnapshot(bytes.NewReader(v6)); !errors.Is(err, snapshot.ErrVersionSkew) {
-			f.Fatalf("v6 shard snapshot: err = %v, want ErrVersionSkew", err)
+		_, prev, _ := prevFiles(f, o)
+		if _, err := ReadShardSnapshot(bytes.NewReader(prev)); !errors.Is(err, snapshot.ErrVersionSkew) {
+			f.Fatalf("v7 shard snapshot: err = %v, want ErrVersionSkew", err)
 		}
-		f.Add(v6)
+		f.Add(prev)
 	}
 	f.Add([]byte(snapshot.Magic))
 

@@ -32,14 +32,14 @@ import (
 //	blocks   per resident block: S^r as held (upper triangle behind its kind), relaxations                 all (empty in a plan)
 //	aptable  A as held (upper triangle behind its kind)                                                    oracle, plan
 //
-// A table is written at the width it is held in (table): kind 1 is the
-// upper triangle, row-major, as float64, kind 2 the same entries as
-// float32, each of which round-trips to the float64 it was computed as.
-// Each loads back at its own width; any other kind is ErrCorrupt (v4's
-// square was kind 0).
+// A table is written at the type it is held in (table): kind 1 is the
+// upper triangle, row-major, as float64; kinds 2, 3 and 4 are the same
+// entries as float32, uint8 and uint16, each of which round-trips to the
+// float64 it was computed as. Each loads back at its own type; any other
+// kind is ErrCorrupt (v4's square was kind 0).
 //
 // An oracle snapshot has no cluster section; that is how a reader tells
-// the kinds apart and refuses the two it does not load by name
+// the file kinds apart and refuses the two it does not load by name
 // (snapshot.ErrWrongKind).
 //
 // Deliberately not stored, because each is a pure deterministic function
@@ -56,13 +56,7 @@ import (
 // independently of the container's own version. Bump it whenever a
 // section's byte layout changes; readers reject any other version with
 // snapshot.ErrVersionSkew rather than guessing.
-const formatVersion = 7
-
-// The two table kinds: the upper triangle as float64 or as float32.
-const (
-	kind64 = 1
-	kind32 = 2
-)
+const formatVersion = 8
 
 // Frontend is the shard id a plan manifest's cluster section carries: the
 // file serves the cluster frontend, which holds no block tables.
@@ -187,12 +181,12 @@ func (o *Oracle) write(w io.Writer, c *Cluster) (int64, error) {
 	bl := sw.Section("blocks")
 	for bi, blk := range o.Blocks {
 		if c.resident(bi) {
-			encodeTable(bl, blk.sr)
+			blk.sr.encode(bl)
 			bl.I64(blk.Relaxations)
 		}
 	}
 	if c.kind() != shardKind {
-		encodeTable(sw.Section("aptable"), o.apTab)
+		o.apTab.encode(sw.Section("aptable"))
 	}
 
 	return sw.WriteTo(w)
@@ -325,37 +319,23 @@ func read(r io.Reader, want kind) (o *Oracle, c *Cluster, err error) {
 	return o, c, nil
 }
 
-// encodeTable appends a distance table, an upper triangle, behind the
-// kind word of its width; the entries are borrowed, not copied.
-func encodeTable(e *snapshot.Encoder, t table) {
-	if t.narrow() {
-		e.U32(kind32)
-		e.F32s(t.f32)
-		return
-	}
-	e.U32(kind64)
-	e.F64s(t.f64)
-}
-
 // decodeTable reads the upper triangle of a side-n distance table
-// straight into a slice of its kind's width; any other kind, or any
-// length but triLen(n), is ErrCorrupt.
+// straight into a slice of its kind's type; any other kind, or any length
+// but triLen(n), is ErrCorrupt.
 func decodeTable(d *snapshot.Decoder, n int, what string) (table, error) {
+	k := d.U32()
+	if d.Err() == nil && (k < kind64 || k > kind16) {
+		return nil, snapshot.Corruptf("apsp: %s kind %d, want %d to %d", what, k, kind64, kind16)
+	}
 	var t table
-	switch k := d.U32(); {
-	case d.Err() != nil:
-	case k == kind64:
-		t.f64 = d.F64s()
-	case k == kind32:
-		t.f32 = d.F32s()
-	default:
-		return t, snapshot.Corruptf("apsp: %s kind %d, want %d or %d", what, k, kind64, kind32)
+	if d.Err() == nil {
+		t = tableKinds[k].read(d)
 	}
 	if err := d.Err(); err != nil {
-		return table{}, fmt.Errorf("apsp: %s: %w", what, err)
+		return nil, fmt.Errorf("apsp: %s: %w", what, err)
 	}
 	if t.len() != triLen(n) {
-		return table{}, snapshot.Corruptf("apsp: %s has %d table entries, want %d", what, t.len(), triLen(n))
+		return nil, snapshot.Corruptf("apsp: %s has %d table entries, want %d", what, t.len(), triLen(n))
 	}
 	return t, nil
 }

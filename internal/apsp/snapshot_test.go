@@ -128,25 +128,39 @@ func TestSnapshotVersionSkew(t *testing.T) {
 	}
 }
 
-// asKind is a table writer behind kind word k that drops the first drop
-// entries: kind 2 writes them as float32, any other kind as float64.
-// Kind 0 was v4's square and kind 3 no release wrote; a dropped entry is
-// any kind's wrong length.
-func asKind(k uint32, drop int) func(*snapshot.Encoder, table) {
+// asKind is a table writer behind kind word k with delta entries more
+// than the table holds: the first -delta dropped, or delta zeros added.
+// Kinds 2, 3 and 4 write the entries as float32, uint8 and uint16, any
+// other kind as float64. Kind 0 was v4's square and kind 5 no release
+// wrote; a dropped or added entry is any kind's wrong length.
+func asKind(k uint32, delta int) func(*snapshot.Encoder, table) {
 	return func(e *snapshot.Encoder, t table) {
-		d := t.entries()
-		d = d[min(drop, len(d)):]
+		d := entries(t)
+		if delta < 0 {
+			d = d[min(-delta, len(d)):]
+		}
+		d = append(d, make([]graph.Weight, max(delta, 0))...)
 		e.U32(k)
-		if k != kind32 {
+		switch k {
+		case kind32:
+			snapshot.AppendTable(e, convert[float32](d))
+		case kind8:
+			snapshot.AppendTable(e, convert[uint8](d))
+		case kind16:
+			snapshot.AppendTable(e, convert[uint16](d))
+		default:
 			e.F64s(d)
-			return
 		}
-		f := make([]float32, len(d))
-		for i, v := range d {
-			f[i] = float32(v)
-		}
-		e.F32s(f)
 	}
+}
+
+// convert is d at type T, entry by entry.
+func convert[T snapshot.Entry](d []graph.Weight) []T {
+	out := make([]T, len(d))
+	for i, v := range d {
+		out[i] = T(v)
+	}
+	return out
 }
 
 // asVersion returns a copy of data, a container whose first section is
@@ -167,24 +181,26 @@ func asVersion(t testing.TB, data []byte, v uint32) []byte {
 	return out
 }
 
-// v6Files are o's oracle snapshot, shard snapshot and plan manifest as
-// payload v6 wrote them: this layout with every table float64 (kind 1),
-// under version word 6. Each reader must refuse its kind as version skew.
-func v6Files(t testing.TB, o *Oracle) (oracle, shard, plan []byte) {
+// prevFiles are o's oracle snapshot, shard snapshot and plan manifest as
+// payload v7 wrote them: this layout with every table float64 (kind 1,
+// which v7 wrote where float32 did not hold an entry), under version
+// word 7. Each reader must refuse its kind as version skew.
+func prevFiles(t testing.TB, o *Oracle) (oracle, shard, plan []byte) {
 	oracle, shard, plan = clusterFiles(t, widened(o))
-	return asVersion(t, oracle, 6), asVersion(t, shard, 6), asVersion(t, plan, 6)
+	return asVersion(t, oracle, 7), asVersion(t, shard, 7), asVersion(t, plan, 7)
 }
 
 // reservedWords seals o's oracle snapshot, shard snapshot and plan
 // manifest with a non-zero reserved word, an unknown table kind or a
-// table of the wrong length: meta flag bit 0 over tables of either kind,
-// kind-0 and kind-3 tables, and float32 tables one entry short. Each
-// reader must refuse each as corrupt.
+// table of the wrong length: meta flag bit 0 over tables of two kinds,
+// kind-0 and kind-5 tables, and tables of every narrow kind one entry
+// short or long. Each reader must refuse each as corrupt.
 func reservedWords(t testing.TB, o *Oracle) (oracles, shards, plans [][]byte) {
 	ap := func(w func(*snapshot.Encoder, table)) func(*snapshot.Encoder) {
 		return func(e *snapshot.Encoder) { w(e, o.apTab) }
 	}
-	k0, k2, k3, short32 := asKind(0, 0), asKind(kind32, 0), asKind(3, 0), asKind(kind32, 1)
+	k0, k2, k5 := asKind(0, 0), asKind(kind32, 0), asKind(5, 0)
+	short32, short8, long8, short16, long16 := asKind(kind32, -1), asKind(kind8, -1), asKind(kind8, 1), asKind(kind16, -1), asKind(kind16, 1)
 	all := make([]bool, len(o.Blocks))
 	for bi := range all {
 		all[bi] = true
@@ -195,22 +211,30 @@ func reservedWords(t testing.TB, o *Oracle) (oracles, shards, plans [][]byte) {
 		sealOracle(t, o, 1, encodeTable, ap(encodeTable), nil),
 		sealOracle(t, o, 1, k2, ap(k2), nil),
 		sealOracle(t, o, 0, k0, ap(k0), nil),
-		sealOracle(t, o, 0, k3, ap(k3), nil),
-		sealOracle(t, o, 0, encodeTable, ap(k3), nil), // only the AP table
+		sealOracle(t, o, 0, k5, ap(k5), nil),
+		sealOracle(t, o, 0, encodeTable, ap(k5), nil), // only the AP table
 		sealOracle(t, o, 0, short32, ap(encodeTable), nil),
 		sealOracle(t, o, 0, encodeTable, ap(short32), nil),
+		sealOracle(t, o, 0, short8, ap(encodeTable), nil),
+		sealOracle(t, o, 0, long16, ap(encodeTable), nil),
+		sealOracle(t, o, 0, encodeTable, ap(long8), nil),
+		sealOracle(t, o, 0, encodeTable, ap(short16), nil),
 	}
 	shards = [][]byte{
 		sealCluster(t, o, 1, shard, all, encodeTable, nil),
 		sealCluster(t, o, 0, shard, all, k0, nil),
-		sealCluster(t, o, 0, shard, all, k3, nil),
+		sealCluster(t, o, 0, shard, all, k5, nil),
 		sealCluster(t, o, 0, shard, all, short32, nil),
+		sealCluster(t, o, 0, shard, all, long8, nil),
+		sealCluster(t, o, 0, shard, all, short16, nil),
 	}
 	plans = [][]byte{
 		sealCluster(t, o, 1, plan, nil, nil, ap(encodeTable)),
 		sealCluster(t, o, 0, plan, nil, nil, ap(k0)),
-		sealCluster(t, o, 0, plan, nil, nil, ap(k3)),
+		sealCluster(t, o, 0, plan, nil, nil, ap(k5)),
 		sealCluster(t, o, 0, plan, nil, nil, ap(short32)),
+		sealCluster(t, o, 0, plan, nil, nil, ap(short8)),
+		sealCluster(t, o, 0, plan, nil, nil, ap(long16)),
 	}
 	return oracles, shards, plans
 }
@@ -294,7 +318,7 @@ func TestOracleSnapshotRejectsV1(t *testing.T) {
 			if version < 4 {
 				encodeChains(bl, blk.Red)
 			}
-			table(bl, squareOf(blk.sr.entries(), blk.nr))
+			table(bl, squareOf(entries(blk.sr), blk.nr))
 			bl.I64(blk.Relaxations)
 			if version < 4 {
 				bl.U64(0) // frontier sweeps
@@ -307,7 +331,7 @@ func TestOracleSnapshotRejectsV1(t *testing.T) {
 			fe.I32s(o.nodeRoot)
 		}
 		ae := sw.Section("aptable")
-		table(ae, squareOf(o.apTab.entries(), o.numA))
+		table(ae, squareOf(entries(o.apTab), o.numA))
 		if version < 3 {
 			ae.U32(1)
 			apGraph.EncodeSnapshot(ae)
@@ -399,10 +423,10 @@ type hostileSnapshot struct {
 
 func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
 	table := func(e *snapshot.Encoder) { encodeTable(e, o.apTab) }
-	kind := func(k uint32, drop int) func(*snapshot.Encoder) {
-		return func(e *snapshot.Encoder) { asKind(k, drop)(e, o.apTab) }
+	kind := func(k uint32, delta int) func(*snapshot.Encoder) {
+		return func(e *snapshot.Encoder) { asKind(k, delta)(e, o.apTab) }
 	}
-	v6, _, _ := v6Files(t, o)
+	prev, _, _ := prevFiles(t, o)
 	// A build that orders the blocks otherwise: the same tables under
 	// the partition sum of the reversed block order.
 	reversed := *o
@@ -414,13 +438,18 @@ func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
 	}
 	return []hostileSnapshot{
 		{"AP table one entry short",
-			sealOracle(t, o, 0, encodeTable, kind(kind64, 1), nil), snapshot.ErrCorrupt},
-		{"float32 S^r one entry short", sealOracle(t, o, 0, asKind(kind32, 1), table, nil), snapshot.ErrCorrupt},
-		{"float32 AP table one entry short", sealOracle(t, o, 0, encodeTable, kind(kind32, 1), nil), snapshot.ErrCorrupt},
-		{"kind-3 AP table", sealOracle(t, o, 0, encodeTable, kind(3, 0), nil), snapshot.ErrCorrupt},
-		{"payload v6", v6, snapshot.ErrVersionSkew},
-		// Either width loads whatever the data: a reader keeps the width
-		// it finds, and a writer picks it.
+			sealOracle(t, o, 0, encodeTable, kind(kind64, -1), nil), snapshot.ErrCorrupt},
+		{"float32 S^r one entry short", sealOracle(t, o, 0, asKind(kind32, -1), table, nil), snapshot.ErrCorrupt},
+		{"float32 AP table one entry short", sealOracle(t, o, 0, encodeTable, kind(kind32, -1), nil), snapshot.ErrCorrupt},
+		{"uint8 S^r one entry short", sealOracle(t, o, 0, asKind(kind8, -1), table, nil), snapshot.ErrCorrupt},
+		{"uint8 AP table one entry long", sealOracle(t, o, 0, encodeTable, kind(kind8, 1), nil), snapshot.ErrCorrupt},
+		{"uint16 S^r one entry long", sealOracle(t, o, 0, asKind(kind16, 1), table, nil), snapshot.ErrCorrupt},
+		{"uint16 AP table one entry short", sealOracle(t, o, 0, encodeTable, kind(kind16, -1), nil), snapshot.ErrCorrupt},
+		{"kind-5 AP table", sealOracle(t, o, 0, encodeTable, kind(5, 0), nil), snapshot.ErrCorrupt},
+		{"payload v7", prev, snapshot.ErrVersionSkew},
+		// Every kind that holds the entries loads: a reader keeps the
+		// type it finds, and a writer picks it.
+		{"every table uint16", sealOracle(t, o, 0, asKind(kind16, 0), kind(kind16, 0), nil), nil},
 		{"every table float32", sealOracle(t, o, 0, asKind(kind32, 0), kind(kind32, 0), nil), nil},
 		{"every table float64", sealOracle(t, o, 0, asKind(kind64, 0), kind(kind64, 0), nil), nil},
 		// Where v2 kept the AP graph.
@@ -451,8 +480,8 @@ func hostileSnapshots(t testing.TB, o *Oracle) []hostileSnapshot {
 // TestSnapshotHostilePayloads pins what the fuzzers' hand-sealed seeds
 // are for: the aptable section is the tagged table and nothing else, a
 // stored forest cannot reach navigation, the reserved flags word is zero
-// and each table's kind word is 1 or 2 with the triangle's length behind
-// it, or the snapshot is corrupt, and a v6 file is version skew.
+// and each table's kind word is 1 to 4 with the triangle's length behind
+// it, or the snapshot is corrupt, and a v7 file is version skew.
 func TestSnapshotHostilePayloads(t *testing.T) {
 	g := testGraphs(t)["chained-blocks"]
 	o := NewOracle(g)
@@ -472,12 +501,12 @@ func TestSnapshotHostilePayloads(t *testing.T) {
 			t.Errorf("reserved word plan %d: err = %v, want ErrCorrupt", i, err)
 		}
 	}
-	_, v6shard, v6plan := v6Files(t, o)
-	if _, err := ReadShardSnapshot(bytes.NewReader(v6shard)); !errors.Is(err, snapshot.ErrVersionSkew) {
-		t.Errorf("v6 shard snapshot: err = %v, want ErrVersionSkew", err)
+	_, prevShard, prevPlan := prevFiles(t, o)
+	if _, err := ReadShardSnapshot(bytes.NewReader(prevShard)); !errors.Is(err, snapshot.ErrVersionSkew) {
+		t.Errorf("v7 shard snapshot: err = %v, want ErrVersionSkew", err)
 	}
-	if _, _, err := ReadPlan(bytes.NewReader(v6plan)); !errors.Is(err, snapshot.ErrVersionSkew) {
-		t.Errorf("v6 plan manifest: err = %v, want ErrVersionSkew", err)
+	if _, _, err := ReadPlan(bytes.NewReader(prevPlan)); !errors.Is(err, snapshot.ErrVersionSkew) {
+		t.Errorf("v7 plan manifest: err = %v, want ErrVersionSkew", err)
 	}
 	for _, h := range hostileSnapshots(t, o) {
 		loaded, err := ReadOracle(bytes.NewReader(h.data))

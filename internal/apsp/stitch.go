@@ -66,6 +66,7 @@ type stitchScratch struct {
 	rows        [][]graph.Weight
 	flat        []graph.Weight // backing store of rows
 	dcut, dAP   []graph.Weight
+	self        [1]int32 // an AP source's one cut: the sweep's cuts, off the stack
 }
 
 var stitchPool = sync.Pool{New: func() any { return new(stitchScratch) }}
@@ -122,13 +123,13 @@ func walkForest(blockCuts, cutBlocks [][]int32, iu, bu int32, gate, queue []int3
 
 // sweepAP sets dAP[j] to min over i of dcut[i] + A[cuts[i], j] for every
 // articulation point j, and lowers out at j's vertex to it; a is A at its
-// width. This a × |cuts| loop dominates a row.
-func sweepAP[T weight](o *Oracle, a []T, cuts []int32, dcut, dAP, out []graph.Weight) {
+// type. This a × |cuts| loop dominates a row.
+func (a tri[T]) sweepAP(o *Oracle, cuts []int32, dcut, dAP, out []graph.Weight) {
 	n, cvs := o.numA, o.BCT.CutVertices[:len(dAP)]
 	for j, cv := range cvs {
 		best := Inf
 		for i, ci := range cuts {
-			if s := addInf(dcut[i], atT(a, ci, int32(j), n), 0); s < best {
+			if s := addInf(dcut[i], a.get(ci, int32(j), n), 0); s < best {
 				best = s
 			}
 		}
@@ -223,7 +224,8 @@ func (o *Oracle) StitchRow(u int32, out []graph.Weight, fetch BlockRowsFunc) (in
 
 	// Distance from the source to every articulation point: an AP source
 	// is its own one cut at distance 0, whose sums are its row of A.
-	cuts := []int32{iu}
+	sc.self[0] = iu
+	cuts := sc.self[:]
 	sc.dcut = grow(sc.dcut, 1)
 	sc.dcut[0] = 0
 	if iu < 0 {
@@ -249,11 +251,7 @@ func (o *Oracle) StitchRow(u int32, out []graph.Weight, fetch BlockRowsFunc) (in
 	}
 	sc.dAP = grow(sc.dAP, o.numA)
 	dAP := sc.dAP
-	if t := o.apTab.f32; t != nil {
-		sweepAP(o, t, cuts, sc.dcut, dAP, out)
-	} else {
-		sweepAP(o, o.apTab.f64, cuts, sc.dcut, dAP, out)
-	}
+	o.apTab.sweepAP(o, cuts, sc.dcut, dAP, out)
 	ops += int64(o.numA) * int64(len(cuts))
 
 	// Interior (non-AP) vertices of every other reached block: the gate's

@@ -4,23 +4,82 @@ import (
 	"math"
 
 	"repro/internal/graph"
+	"repro/internal/snapshot"
 )
 
 // table is a symmetric side-n distance table (S^r or A) stored once per
 // pair as its upper triangle, row-major: n(n+1)/2 entries, indexed by
-// triAt. Its width is chosen from the data, never by an option: float32
-// when every entry round-trips through float32 bit for bit, float64
-// otherwise. f32 is non-nil exactly when the table is narrow, and f64
-// then nil; both are nil where an oracle holds no such table (a shard's
-// A). A read returns the float64 the entry was computed as, whichever
-// width holds it.
-type table struct {
-	f32 []float32
-	f64 []float64
+// triAt. Its element type is chosen from the data, never by an option:
+// the narrowest of uint8, uint16, float32 and float64 that holds every
+// entry bit for bit (packTable). It is a tri of that type, and nil where
+// an oracle holds no such table (a shard's A). A read returns the float64
+// the entry was computed as, whichever type holds it; the reads that run
+// once per entry in a loop are tri methods, so a call picks the type once.
+// No integer kind holds a sentinel: a table holding Inf is float64.
+type table interface {
+	len() int
+	kind() uint32
+	at(i int) graph.Weight
+	query(a *EarAPSP, x, y int32) graph.Weight
+	row(a *EarAPSP, x int32, out []graph.Weight) int64
+	sweepAP(o *Oracle, cuts []int32, dcut, dAP, out []graph.Weight)
+	encode(e *snapshot.Encoder)
 }
 
-// weight is the element type of a table's entries.
-type weight interface{ float32 | float64 }
+// tri is a table's upper triangle at element type T.
+type tri[T snapshot.Entry] []T
+
+// The table kinds, by the kind word a snapshot writes each behind:
+// float64 since payload v5, float32 since v7, uint8 and uint16 since v8.
+const (
+	kind64 = 1 + iota
+	kind32
+	kind8
+	kind16
+)
+
+// tableKinds holds, by kind word, each kind's element type name, its
+// bytes per entry, the range of values it holds and its snapshot reader.
+var tableKinds = [...]struct {
+	name   string
+	size   int64
+	lo, hi float64
+	read   func(*snapshot.Decoder) table
+}{
+	kind64: {"float64", 8, math.Inf(-1), math.Inf(1), readTri[float64]},
+	kind32: {"float32", 4, -math.MaxFloat32, math.MaxFloat32, readTri[float32]},
+	kind8:  {"uint8", 1, 0, math.MaxUint8, readTri[uint8]},
+	kind16: {"uint16", 2, 0, math.MaxUint16, readTri[uint16]},
+}
+
+// readTri reads a table's entries at type T, in place.
+func readTri[T snapshot.Entry](d *snapshot.Decoder) table { return tri[T](snapshot.ReadTable[T](d)) }
+
+func (t tri[T]) len() int { return len(t) }
+
+func (t tri[T]) kind() uint32 {
+	switch any(T(0)).(type) {
+	case uint8:
+		return kind8
+	case uint16:
+		return kind16
+	case float32:
+		return kind32
+	}
+	return kind64
+}
+
+func (t tri[T]) at(i int) graph.Weight { return graph.Weight(t[i]) }
+
+// get reads entry (i, j) of the side-n triangle.
+func (t tri[T]) get(i, j int32, n int) graph.Weight { return graph.Weight(t[triAt(i, j, n)]) }
+
+// encode appends the table behind its kind word; the entries are
+// borrowed, not copied.
+func (t tri[T]) encode(e *snapshot.Encoder) {
+	e.U32(t.kind())
+	snapshot.AppendTable(e, t)
+}
 
 // triLen is the entry count of a side-n table stored as its upper triangle.
 func triLen(n int) int { return n * (n + 1) / 2 }
@@ -32,50 +91,59 @@ func triAt(i, j int32, n int) int {
 	return lo*(2*n-lo-1)/2 + hi
 }
 
-// exact32 reports whether v survives float32 bit for bit.
-func exact32(v float64) bool { return math.Float64bits(float64(float32(v))) == math.Float64bits(v) }
-
 // packTable packs the upper triangle of the side-n row-major square sq
-// into a table, choosing its width in the same pass: entries go into a
-// float32 triangle while each round-trips, and the first that does not
-// packs the square again, into a float64 triangle.
+// into a table of the narrowest kind that holds every entry, reading each
+// entry once: it packs as uint8 until an entry does not fit, then widens
+// the entries packed so far to the narrowest kind that holds that entry
+// and goes on. A table of small integers — every S^r of the fixtures'
+// blocks — allocates only its own triangle.
 func packTable(sq []float64, n int) table {
-	t32 := make([]float32, triLen(n))
-	k := 0
-	for s := range n {
-		for _, v := range sq[s*n+s : (s+1)*n] {
-			if !exact32(v) {
-				t64 := make([]float64, 0, triLen(n))
-				for s := range n {
-					t64 = append(t64, sq[s*n+s:(s+1)*n]...)
+	return packFrom(make(tri[uint8], triLen(n)), sq, n, 0, 0, 0)
+}
+
+// packFrom packs sq's upper triangle from row s, column j on into t from
+// index k on; t[:k] holds the entries before.
+func packFrom[T snapshot.Entry](t tri[T], sq []float64, n, s, j, k int) table {
+	kd := tableKinds[t.kind()]
+	for ; s < n; s, j = s+1, s+1 {
+		for ; j < n; j, k = j+1, k+1 {
+			v := sq[s*n+j]
+			if !holds[T](v, kd.lo, kd.hi) {
+				switch {
+				case tri[uint16](nil).fits(v):
+					return packFrom(widen[uint16](t, k), sq, n, s, j, k)
+				case tri[float32](nil).fits(v):
+					return packFrom(widen[float32](t, k), sq, n, s, j, k)
 				}
-				return table{f64: t64}
+				return packFrom(widen[float64](t, k), sq, n, s, j, k)
 			}
-			t32[k] = float32(v)
-			k++
+			t[k] = T(v)
 		}
 	}
-	return table{f32: t32}
+	return t
 }
 
-// narrow reports whether the table holds float32 entries.
-func (t table) narrow() bool { return t.f32 != nil }
+// fits reports whether v survives T bit for bit.
+func (t tri[T]) fits(v float64) bool {
+	kd := tableKinds[t.kind()]
+	return holds[T](v, kd.lo, kd.hi)
+}
 
-// len is the table's entry count.
-func (t table) len() int { return len(t.f32) + len(t.f64) }
+// holds reports whether v is not outside [lo, hi], T's range, and
+// survives T bit for bit. The range comes first: Go leaves a conversion
+// out of range implementation-defined. float64 holds every v, NaN too.
+func holds[T snapshot.Entry](v, lo, hi float64) bool {
+	return !(v < lo || v > hi) && same(v, float64(T(v)))
+}
 
-// bytes is the memory the table's entries take.
-func (t table) bytes() int64 { return 4*int64(len(t.f32)) + 8*int64(len(t.f64)) }
-
-// at reads entry i of either width. A read that runs once per table
-// entry in a loop dispatches on the width once instead and reads the
-// typed slice (atT).
-func (t table) at(i int) graph.Weight {
-	if t.f32 != nil {
-		return graph.Weight(t.f32[i])
+// widen returns t's first k entries at type U in a triangle of t's length.
+func widen[U, T snapshot.Entry](t tri[T], k int) tri[U] {
+	u := make(tri[U], len(t))
+	for i, v := range t[:k] {
+		u[i] = U(v)
 	}
-	return t.f64[i]
+	return u
 }
 
-// atT reads entry (i, j) of a side-n triangle of either element type.
-func atT[T weight](t []T, i, j int32, n int) graph.Weight { return graph.Weight(t[triAt(i, j, n)]) }
+// same reports whether v and w are one float64, bit for bit.
+func same(v, w float64) bool { return math.Float64bits(v) == math.Float64bits(w) }

@@ -253,9 +253,10 @@ func TestReadPlanVersionSkew(t *testing.T) {
 // so loading one builds no block graph. ReadPlan of the benchmark's
 // `blocks` graph (cond_mat_2003 at 0.25) cut into 2 shards retains what
 // the frontend kernels read — the graph, partition, block-cut tree with
-// its vertex lists, forest and A (553·554/2 float64 ≈ 1.23 MB, its upper
-// triangle) — 3.11 MB of heap in all, pinned under 3.2 MB; with a graph
-// per block it retained 6.04 MB, and 4.33 MB while A was a square.
+// its vertex lists, forest and A (its upper triangle, 553·554/2 uint16
+// ≈ 0.31 MB) — 2.20 MB of heap in all, pinned under 3.2 MB; 3.11 MB
+// while A was float64, 6.04 MB with a graph per block, and 4.33 MB while
+// A was a square.
 func TestReadPlanRetainsNoBlockGraphs(t *testing.T) {
 	spec, err := datasets.ByName("cond_mat_2003")
 	if err != nil {

@@ -175,6 +175,14 @@ func rowsExchange(t testing.TB, p *Plan, url string) (reqs [][2]int32, lens []in
 // the shard snapshot each block table the same way (the blocks section
 // 144 → 112 bytes, the file 708 → 676), every later section's offset,
 // the epoch and the checksums; in the rows response the epoch and its
+// checksum, as before. All four moved again when tables went to the
+// narrowest type that holds them (payload v8): the fixture's distances
+// are integers below 256, so every table is uint8 behind kind 3 — in the
+// manifest the meta version word (7 → 8), the aptable section (kind 2 →
+// 3, 21 entries of 1 byte: 96 → 33 bytes, the manifest 692 → 629), in
+// the shard snapshot each block table the same way (the blocks section
+// 112 → 88 bytes, the file 676 → 652), every later section's offset, the
+// epoch and the checksums; in the rows response the epoch and its
 // checksum, as before. A change here means old and new binaries no
 // longer interoperate.
 func TestWireGolden(t *testing.T) {
@@ -205,10 +213,10 @@ func TestWireGolden(t *testing.T) {
 		what      string
 		got, want uint64
 	}{
-		{"plan epoch", p.Epoch, 0xad11c5deebba67bd},
-		{"manifest bytes", crc64.Checksum(manifest.Bytes(), tab), 0xe1864c32fb8d0de6},
-		{"shard 0 snapshot bytes", crc64.Checksum(snap.Bytes(), tab), 0xb85c9cc1eaa3b6b5},
-		{"rows response bytes", crc64.Checksum(raw, tab), 0xeaaf706dad89dd14},
+		{"plan epoch", p.Epoch, 0xfa1a4c86f2edc063},
+		{"manifest bytes", crc64.Checksum(manifest.Bytes(), tab), 0x547c53040c3afe1c},
+		{"shard 0 snapshot bytes", crc64.Checksum(snap.Bytes(), tab), 0x50bae888f60f705b},
+		{"rows response bytes", crc64.Checksum(raw, tab), 0x217a82d81c504d36},
 		{"rows response length", uint64(len(raw)), uint64(rowsResponseLen(lens))},
 	} {
 		if g.got != g.want {
@@ -406,10 +414,10 @@ func sealPlan(t testing.TB, version uint32, g *graph.Graph, dec *bcc.Decompositi
 
 // tableKinds seals a plan of the path 0–1–2 (two blocks, one
 // articulation point, so A is one entry) under the current payload
-// version and v6, with A behind each table kind, and the error ReadPlan
-// must return for each: a float32 A of the right length loads, one of
-// the wrong length or behind kind 3 is ErrCorrupt, and a v6 file is
-// version skew.
+// version and v7, with A behind each table kind, and the error ReadPlan
+// must return for each: an A of the right length loads at every kind
+// (1 float64, 2 float32, 3 uint8, 4 uint16), one of the wrong length or
+// behind kind 5 is ErrCorrupt, and a v7 file is version skew.
 func tableKinds(t testing.TB, manifest []byte) []struct {
 	name string
 	data []byte
@@ -417,18 +425,19 @@ func tableKinds(t testing.TB, manifest []byte) []struct {
 } {
 	g := graph.FromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}})
 	v := payloadVersion(t, manifest)
-	seal := func(version, kind uint32, a []float32) []byte {
+	seal := func(version, kind uint32, n int) []byte {
 		return sealPlan(t, version, g, bcc.Compute(g), 1, func(e *snapshot.Encoder) {
 			e.U32(kind)
-			if kind == 2 {
-				e.F32s(a)
-				return
+			switch kind {
+			case 2:
+				snapshot.AppendTable(e, make([]float32, n))
+			case 3:
+				snapshot.AppendTable(e, make([]uint8, n))
+			case 4:
+				snapshot.AppendTable(e, make([]uint16, n))
+			default:
+				e.F64s(make([]graph.Weight, n))
 			}
-			wide := make([]graph.Weight, len(a))
-			for i, x := range a {
-				wide[i] = graph.Weight(x)
-			}
-			e.F64s(wide)
 		})
 	}
 	return []struct {
@@ -436,12 +445,18 @@ func tableKinds(t testing.TB, manifest []byte) []struct {
 		data []byte
 		want error
 	}{
-		{"float32 A", seal(v, 2, []float32{0}), nil},
-		{"float64 A", seal(v, 1, []float32{0}), nil},
-		{"float32 A one entry short", seal(v, 2, nil), snapshot.ErrCorrupt},
-		{"float32 A one entry long", seal(v, 2, []float32{0, 0}), snapshot.ErrCorrupt},
-		{"kind-3 A", seal(v, 3, []float32{0}), snapshot.ErrCorrupt},
-		{"payload v6, float64 tables", seal(6, 1, []float32{0}), snapshot.ErrVersionSkew},
+		{"float64 A", seal(v, 1, 1), nil},
+		{"float32 A", seal(v, 2, 1), nil},
+		{"uint8 A", seal(v, 3, 1), nil},
+		{"uint16 A", seal(v, 4, 1), nil},
+		{"float32 A one entry short", seal(v, 2, 0), snapshot.ErrCorrupt},
+		{"float32 A one entry long", seal(v, 2, 2), snapshot.ErrCorrupt},
+		{"uint8 A one entry short", seal(v, 3, 0), snapshot.ErrCorrupt},
+		{"uint8 A one entry long", seal(v, 3, 2), snapshot.ErrCorrupt},
+		{"uint16 A one entry short", seal(v, 4, 0), snapshot.ErrCorrupt},
+		{"uint16 A one entry long", seal(v, 4, 2), snapshot.ErrCorrupt},
+		{"kind-5 A", seal(v, 5, 1), snapshot.ErrCorrupt},
+		{"payload v7, float32 tables", seal(7, 2, 1), snapshot.ErrVersionSkew},
 	}
 }
 

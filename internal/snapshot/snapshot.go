@@ -284,7 +284,7 @@ func (r *Reader) Close(err error) error {
 
 // Encoder is an append-only little-endian primitive writer backing one
 // section. The section is a sequence of runs: the bytes the encoder wrote
-// and the tables F64s and F32s borrow instead of copying.
+// and the tables AppendTable borrows instead of copying.
 type Encoder struct {
 	runs [][]byte // finished runs
 	b    []byte   // the open run
@@ -336,46 +336,50 @@ func (e *Encoder) I32s(s []int32) {
 	}
 }
 
-// borrowMin is the shortest table F64s or F32s borrows; shorter ones copy
+// borrowMin is the shortest table AppendTable borrows; shorter ones copy
 // cheaper.
 const borrowMin = 512
 
-// littleEndian reports whether a float's bytes in memory are its
-// encoding, which is what lets F64s and F32s borrow a table.
+// littleEndian reports whether a table's bytes in memory are its
+// encoding, which is what lets AppendTable borrow it.
 var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
-// float is an element type of a distance table.
-type float interface{ float32 | float64 }
+// Entry is an element type of a distance table.
+type Entry interface {
+	uint8 | uint16 | float32 | float64
+}
 
 // bytesOf is s's memory as bytes: on a little-endian host, its encoding.
 // The encoders write tables from it and the decoders read tables into it.
-func bytesOf[T float](s []T) []byte {
+func bytesOf[T Entry](s []T) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), int(unsafe.Sizeof(T(0)))*len(s))
 }
 
-// swapOrder turns b, size-byte floats, from the host's byte order into
+// swapOrder turns b, size-byte entries, from the host's byte order into
 // the little-endian encoding or back: a byte swap per element on a
 // big-endian host, nothing on a little-endian one.
 func swapOrder(b []byte, size int) {
 	le, ne := binary.LittleEndian, binary.NativeEndian
 	for i := 0; i < len(b); i += size {
-		if size == 8 {
+		switch size {
+		case 8:
 			le.PutUint64(b[i:], ne.Uint64(b[i:]))
-		} else {
+		case 4:
 			le.PutUint32(b[i:], ne.Uint32(b[i:]))
+		case 2:
+			le.PutUint16(b[i:], ne.Uint16(b[i:]))
 		}
 	}
 }
 
-// F64s appends a length-prefixed float64 slice. On a little-endian host a
-// slice of borrowMin values or more is borrowed, not copied: WriteTo reads
-// it in place, so s must not change until then (oracle tables never do).
-func (e *Encoder) F64s(s []float64) { appendFloats(e, s) }
+// F64s appends a length-prefixed float64 slice, as AppendTable does.
+func (e *Encoder) F64s(s []float64) { AppendTable(e, s) }
 
-// F32s appends a length-prefixed float32 slice, borrowed as F64s borrows.
-func (e *Encoder) F32s(s []float32) { appendFloats(e, s) }
-
-func appendFloats[T float](e *Encoder, s []T) {
+// AppendTable appends a length-prefixed slice of table entries. On a
+// little-endian host a slice of borrowMin values or more is borrowed, not
+// copied: WriteTo reads it in place, so s must not change until then
+// (oracle tables never do).
+func AppendTable[T Entry](e *Encoder, s []T) {
 	e.U64(uint64(len(s)))
 	raw := bytesOf(s)
 	if littleEndian && len(s) >= borrowMin {
@@ -572,15 +576,13 @@ func (d *Decoder) AppendI32s(s []int32) []int32 {
 	return s
 }
 
-// F64s reads a length-prefixed float64 slice into a new slice: a short
-// one through the read-ahead, a long one straight from the source. On a
-// little-endian host its bytes are its encoding.
-func (d *Decoder) F64s() []float64 { return readFloats[float64](d, "float64 slice") }
+// F64s reads a length-prefixed float64 slice, as ReadTable does.
+func (d *Decoder) F64s() []float64 { return ReadTable[float64](d) }
 
-// F32s reads a length-prefixed float32 slice, as F64s reads float64s.
-func (d *Decoder) F32s() []float32 { return readFloats[float32](d, "float32 slice") }
-
-func readFloats[T float](d *Decoder, what string) []T {
+// ReadTable reads a length-prefixed slice of table entries into a new
+// slice: a short one through the read-ahead, a long one straight from the
+// source. On a little-endian host its bytes are its encoding.
+func ReadTable[T Entry](d *Decoder) []T {
 	size := int(unsafe.Sizeof(T(0)))
 	n := d.Count(size)
 	if d.err != nil {
@@ -589,7 +591,7 @@ func readFloats[T float](d *Decoder, what string) []T {
 	out := make([]T, n)
 	raw := bytesOf(out)
 	if len(raw) < bufSize {
-		copy(raw, d.take(len(raw), what))
+		copy(raw, d.take(len(raw), "table"))
 	} else {
 		k := copy(raw, d.b)
 		if d.b = d.b[k:]; k < len(raw) {

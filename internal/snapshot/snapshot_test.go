@@ -200,17 +200,20 @@ func TestDecoderSticky(t *testing.T) {
 }
 
 // Slices move as one block; the bytes are those of the per-element
-// writers, whether F64s or F32s borrows the table (a little-endian host,
+// writers, whether AppendTable borrows the table (a little-endian host,
 // borrowMin values or more) or copies it (shorter tables, and every table
-// on a big-endian host).
+// on a big-endian host), at each table entry type.
 func TestSliceCodecMatchesElements(t *testing.T) {
 	i32 := []int32{0, -1, 1 << 30, math.MinInt32}
 	f64 := []float64{0, -0.0, 1.5, math.Inf(1), math.MaxFloat64}
 	f32 := []float32{0, float32(math.Copysign(0, -1)), 1.5, float32(math.Inf(1)), math.MaxFloat32}
+	u8, u16 := []uint8{0, 1, 255}, []uint16{0, 1, 256, 65535}
 	long, long32 := make([]float64, borrowMin), make([]float32, borrowMin)
+	long8, long16 := make([]uint8, borrowMin), make([]uint16, borrowMin)
 	for i := range long {
-		long[i], long32[i] = float64(i)/3, float32(i)/3
+		long[i], long32[i], long8[i], long16[i] = float64(i)/3, float32(i)/3, uint8(i), uint16(i*127)
 	}
+	le16 := binary.LittleEndian.PutUint16
 	defer func(le bool) { littleEndian = le }(littleEndian)
 	for _, le := range []bool{littleEndian, false} {
 		littleEndian = le
@@ -218,8 +221,12 @@ func TestSliceCodecMatchesElements(t *testing.T) {
 		got.I32s(i32)
 		got.F64s(f64)
 		got.F64s(long)
-		got.F32s(f32)
-		got.F32s(long32)
+		AppendTable(got, f32)
+		AppendTable(got, long32)
+		AppendTable(got, u8)
+		AppendTable(got, long8)
+		AppendTable(got, u16)
+		AppendTable(got, long16)
 		got.I32s(nil)
 		want.U64(uint64(len(i32)))
 		for _, v := range i32 {
@@ -237,12 +244,22 @@ func TestSliceCodecMatchesElements(t *testing.T) {
 				want.U32(math.Float32bits(v))
 			}
 		}
+		for _, s := range [][]uint8{u8, long8} {
+			want.U64(uint64(len(s)))
+			copy(want.extend(len(s)), s)
+		}
+		for _, s := range [][]uint16{u16, long16} {
+			want.U64(uint64(len(s)))
+			for _, v := range s {
+				le16(want.extend(2), v)
+			}
+		}
 		want.U64(0)
 		flat := bytes.Join(got.flush(), nil)
 		if w := bytes.Join(want.flush(), nil); !bytes.Equal(flat, w) {
 			t.Fatalf("little-endian %v: slice encoders wrote\n%x\nelement encoders wrote\n%x", le, flat, w)
 		}
-		for _, p := range []*byte{(*byte)(unsafe.Pointer(&long[0])), (*byte)(unsafe.Pointer(&long32[0]))} {
+		for _, p := range []*byte{(*byte)(unsafe.Pointer(&long[0])), (*byte)(unsafe.Pointer(&long32[0])), &long8[0], (*byte)(unsafe.Pointer(&long16[0]))} {
 			borrowed := slices.ContainsFunc(got.runs, func(r []byte) bool { return unsafe.SliceData(r) == p })
 			if borrowed != le {
 				t.Errorf("little-endian %v: table of %d borrowed = %v", le, borrowMin, borrowed)
@@ -251,10 +268,14 @@ func TestSliceCodecMatchesElements(t *testing.T) {
 		d := &Decoder{b: flat[1:]}
 		eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 		eq32 := func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) }
-		if a, b, c, b32, c32, e := d.I32s(), d.F64s(), d.F64s(), d.F32s(), d.F32s(), d.I32s(); !slices.Equal(a, i32) ||
+		if a, b, c, b32, c32 := d.I32s(), d.F64s(), d.F64s(), ReadTable[float32](d), ReadTable[float32](d); !slices.Equal(a, i32) ||
 			!slices.EqualFunc(b, f64, eq) || !slices.EqualFunc(c, long, eq) ||
-			!slices.EqualFunc(b32, f32, eq32) || !slices.EqualFunc(c32, long32, eq32) || len(e) != 0 {
-			t.Fatalf("decoded %v %v %d values %v %d values %v", a, b, len(c), b32, len(c32), e)
+			!slices.EqualFunc(b32, f32, eq32) || !slices.EqualFunc(c32, long32, eq32) {
+			t.Fatalf("decoded %v %v %d values %v %d values", a, b, len(c), b32, len(c32))
+		}
+		if b8, c8, b16, c16, e := ReadTable[uint8](d), ReadTable[uint8](d), ReadTable[uint16](d), ReadTable[uint16](d), d.I32s(); !slices.Equal(b8, u8) ||
+			!slices.Equal(c8, long8) || !slices.Equal(b16, u16) || !slices.Equal(c16, long16) || len(e) != 0 {
+			t.Fatalf("decoded %v %d values %v %d values %v", b8, len(c8), b16, len(c16), e)
 		}
 		if err := d.Finish(); err != nil {
 			t.Fatal(err)

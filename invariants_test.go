@@ -224,10 +224,9 @@ func TestTreeInvariants(t *testing.T) {
 
 	// One checksum: snapshot.Checksum (CRC-32C‖CRC-32) guards every
 	// container and derives every plan epoch. A table's byte view
-	// (snapshot's bytesOf, float32 or float64) is the tree's one use of
-	// unsafe, at two sites: Encoder.F64s/F32s borrow a table into a write,
-	// and Decoder.F64s/F32s read a table's bytes straight into its new
-	// slice.
+	// (snapshot's bytesOf, at any table entry type) is the tree's one use
+	// of unsafe, at two sites: AppendTable borrows a table into a write,
+	// and ReadTable reads a table's bytes straight into its new slice.
 	t.Run("one checksum, one unsafe", func(t *testing.T) {
 		for path, f := range files {
 			if !isTest(path) && imports(f, "hash/crc64") {
@@ -871,9 +870,15 @@ func TestTreeInvariants(t *testing.T) {
 	// exactly the 73 lines of the daemon's GC pacer and the heterosim
 	// example's ordered printing, then by exactly the 172 lines of the
 	// tables held at the width their entries allow: the table type, its
-	// kind-2 codec and the width-generic reads).
+	// kind-2 codec and the width-generic reads, then by exactly the 66
+	// lines of the uint8 and uint16 kinds and what rode with them: the
+	// table interface over tri[T], its kind table and the one-pass pack
+	// that widens at a misfit (+68 in table.go, −20 in snapshot.go, −12
+	// in biconnected.go and stitch.go, +2 in the snapshot codec),
+	// TableBytes' per-kind counts (+12) and the pacer's limit pulled just
+	// under twice the live heap, with its guard for small heaps (+16)).
 	t.Run("non-test LOC", func(t *testing.T) {
-		const bar = 20172
+		const bar = 20238
 		t.Logf("%d non-test lines outside bench/", loc)
 		if loc >= bar {
 			t.Errorf("%d non-test lines outside bench/, want < %d", loc, bar)
