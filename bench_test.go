@@ -6,7 +6,9 @@ package repro
 // stays tractable; cmd/earbench regenerates the full tables at any scale.
 
 import (
+	"cmp"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"repro/internal/apsp"
@@ -420,6 +422,12 @@ func BenchmarkDistancesOnly(b *testing.B) {
 // largestBlockM is the largest biconnected block of blocks_m
 // (cond_mat_2003 at scale 0.08), the block the build spends its time in.
 func largestBlockM(tb testing.TB) *graph.Graph {
+	return slices.MaxFunc(blocksM(tb), func(g, h *graph.Graph) int { return cmp.Compare(g.NumEdges(), h.NumEdges()) })
+}
+
+// blocksM returns the graph of every block of blocks_m, cond_mat_2003 at
+// scale 0.08.
+func blocksM(tb testing.TB) []*graph.Graph {
 	tb.Helper()
 	spec, err := datasets.ByName("cond_mat_2003")
 	if err != nil {
@@ -427,13 +435,27 @@ func largestBlockM(tb testing.TB) *graph.Graph {
 	}
 	g := spec.Generate(0.08, 1)
 	dec := bcc.Compute(g)
-	largest := 0
+	blocks := make([]*graph.Graph, len(dec.Components))
 	for i, c := range dec.Components {
-		if len(c) > len(dec.Components[largest]) {
-			largest = i
-		}
+		blocks[i] = graph.InducedByEdges(g, c).G
 	}
-	return graph.InducedByEdges(g, dec.Components[largest]).G
+	return blocks
+}
+
+// BenchmarkEarReduce is the ear reduction a build and every snapshot load
+// run per block: every block of blocks_m in APSP mode, then the largest in
+// MCB mode. Each reduction allocates a fixed number of times, whatever its
+// chain count (ear.TestReduceAllocsFixed); CI gates the sum.
+func BenchmarkEarReduce(b *testing.B) {
+	blocks, largest := blocksM(b), largestBlockM(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, g := range blocks {
+			ear.Reduce(g, ear.APSP)
+		}
+		ear.Reduce(largest, ear.MCB)
+	}
 }
 
 // BenchmarkEarAPSPFill is the whole of Algorithm 1 on that block at one

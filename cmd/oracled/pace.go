@@ -9,28 +9,21 @@ import (
 	"repro/internal/obs"
 )
 
-// paceFloor is the headroom every cycle gets beyond the scannable bytes.
-// Measured on blocks (33.2 MB live, 3.1 MB scannable; 2-vCPU VM, three
-// alternated 32 s pairs each): point_hot rss_mb 73.6–74.2 → 49.8–49.9 MiB
-// at 12 MiB, 46.3–46.4 at 8, qps unmoved at both; a 16 s point_cold run
-// collected 11 times with no limit, 41 times at 12 MiB and 72 times at 8.
-const paceFloor = 12 << 20
-
-// paceMin is the least headroom beyond the scannable bytes that pulling
-// the limit under twice the live heap may leave (memLimit). A cluster
-// frontend (2.8 MB live, 0.5 MB scannable) whose limit was live + scan +
-// 6 MiB collected 6 480 times in 3 000 queries: the runtime's non-heap
-// memory, which the limit also bounds, outweighs so small a heap.
-const paceMin = 6 << 20
+// paceHeadroom is the headroom every cycle gets beyond the live heap, the
+// scannable bytes and the runtime's non-heap memory (memLimit). Measured
+// on blocks (7.5 MB live, 0.7 MB scannable, 5.2 MB non-heap; DESIGN §9).
+const paceHeadroom = 4 << 20
 
 // startPacer paces the collector on the scannable heap: after every cycle
 // it sets the memory limit (all the memory the runtime maps) to live +
-// scan + paceFloor, or just under twice the live heap (memLimit). The
-// live heap is mostly pointer-free distance tables, marked as single
-// objects, so GOGC=100's headroom over them buys only RSS; headroom on
-// the scannable bytes follows a cycle's mark work. GOGC stays, so the
-// limit only lowers the goal. It starts just before serve, not during
-// boot (DESIGN §9). With GOGC or GOMEMLIMIT set it does nothing, reports false.
+// scan + non-heap + paceHeadroom (memLimit). The live heap is mostly
+// pointer-free distance tables, marked as single objects, so GOGC=100's
+// headroom over them buys only RSS; headroom on the scannable bytes
+// follows a cycle's mark work. The limit bounds the runtime's non-heap
+// memory (stacks, metadata, buffers) too, so it is counted in. GOGC
+// stays, so the limit only lowers the goal. It starts just before serve,
+// not during boot (DESIGN §9). With GOGC or GOMEMLIMIT set it does
+// nothing, reports false.
 func startPacer(reg *obs.Registry, getenv func(string) string) bool {
 	if getenv("GOGC") != "" || getenv("GOMEMLIMIT") != "" {
 		return false
@@ -47,34 +40,33 @@ type gcSentinel struct{ reg *obs.Registry }
 func (s *gcSentinel) fire() {
 	m := []metrics.Sample{{Name: "/gc/heap/live:bytes"}, {Name: "/gc/scan/heap:bytes"},
 		{Name: "/gc/scan/stack:bytes"}, {Name: "/gc/scan/globals:bytes"},
-		{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/cpu/classes/gc/total:cpu-seconds"}}
+		{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/memory/classes/total:bytes"}, {Name: "/memory/classes/heap/free:bytes"},
+		{Name: "/memory/classes/heap/objects:bytes"}, {Name: "/memory/classes/heap/released:bytes"},
+		{Name: "/memory/classes/heap/unused:bytes"}}
 	metrics.Read(m)
-	live := m[0].Value.Uint64()
-	scan := m[1].Value.Uint64() + m[2].Value.Uint64() + m[3].Value.Uint64()
-	limit := memLimit(live, scan)
+	v := func(i int) uint64 { return m[i].Value.Uint64() }
+	live, scan := v(0), v(1)+v(2)+v(3)
+	nonheap := v(6) - v(7) - v(8) - v(9) - v(10) // the classes partition the total
+	limit := memLimit(live, scan, nonheap)
 	debug.SetMemoryLimit(limit)
 	s.reg.Gauge("gc.live_bytes").Set(int64(live))
 	s.reg.Gauge("gc.scan_bytes").Set(int64(scan))
+	s.reg.Gauge("gc.nonheap_bytes").Set(int64(nonheap))
 	s.reg.Gauge("gc.limit_bytes").Set(limit)
-	s.reg.Gauge("gc.cycles").Set(int64(m[4].Value.Uint64()))
+	s.reg.Gauge("gc.cycles").Set(int64(v(4)))
 	s.reg.Gauge("gc.cpu_ms").Set(int64(m[5].Value.Float64() * 1000))
 	runtime.SetFinalizer(s, (*gcSentinel).fire)
 }
 
-// memLimit is live + scan + paceFloor, saturated at math.MaxInt64: the
-// runtime's "no limit". Where that reaches twice the live heap, the goal
-// GOGC=100 already sets, a limit would bound nothing the runtime does not,
-// so it is pulled to 31/32 of it instead, if that still leaves paceMin
-// over live + scan. A heap of small tables (blocks since its distances
-// are one or two bytes: 11.4 MB live, 3.1 MB scannable) takes that limit.
-func memLimit(live, scan uint64) int64 {
-	sum := live + scan
-	if sum < live || sum > math.MaxInt64-paceFloor {
-		return math.MaxInt64
-	}
-	limit := sum + paceFloor
-	if under := 2*live - live/16; under < limit && under >= sum+paceMin {
-		limit = under
+// memLimit is live + scan + nonheap + paceHeadroom, saturated at
+// math.MaxInt64: the runtime's "no limit".
+func memLimit(live, scan, nonheap uint64) int64 {
+	limit := uint64(paceHeadroom)
+	for _, b := range []uint64{live, scan, nonheap} {
+		if limit += b; limit < b || limit > math.MaxInt64 {
+			return math.MaxInt64
+		}
 	}
 	return int64(limit)
 }

@@ -9,27 +9,27 @@ import (
 )
 
 func TestMemLimit(t *testing.T) {
+	const h = paceHeadroom
 	for _, c := range []struct {
-		live, scan uint64
-		want       int64
+		live, scan, nonheap uint64
+		want                int64
 	}{
-		{0, 0, paceFloor},
-		{3 << 20, 1 << 19, 7<<19 + paceFloor},         // 2·live leaves under paceMin
-		{11 << 20, 3 << 20, 22<<20 - 11<<16},          // 31/32 of 2·live
-		{16 << 20, 9 << 20, 31 << 20},                 // 31/32 of 2·live is live + scan + paceMin
-		{16 << 20, 9<<20 + 1, 25<<20 + 1 + paceFloor}, // one byte short of paceMin
-		{24 << 20, 3 << 20, 27<<20 + paceFloor},       // live + scan + paceFloor is under 2·live
-		{33 << 20, 3 << 20, 36<<20 + paceFloor},
-		{math.MaxInt64 - paceFloor - 2, 1, math.MaxInt64 - 1},
-		{math.MaxInt64 - paceFloor - 1, 1, math.MaxInt64},
-		{math.MaxInt64 - paceFloor, 1, math.MaxInt64},
-		{math.MaxInt64, 0, math.MaxInt64},
-		{math.MaxUint64, 0, math.MaxInt64},
-		{1 << 63, 1 << 63, math.MaxInt64}, // the sum wraps to 0
-		{math.MaxUint64, math.MaxUint64, math.MaxInt64},
+		{0, 0, 0, h},
+		{7 << 20, 1 << 20, 6 << 20, 14<<20 + h}, // blocks-sized: above 2·live, which no longer caps it
+		{3 << 20, 1 << 19, 6 << 20, 19<<19 + h}, // a cluster frontend: the non-heap bytes outweigh the heap
+		{33 << 20, 3 << 20, 5 << 20, 41<<20 + h},
+		{math.MaxInt64 - h - 2, 1, 0, math.MaxInt64 - 1},
+		{math.MaxInt64 - h - 1, 0, 1, math.MaxInt64},
+		{math.MaxInt64 - h, 1, 0, math.MaxInt64},
+		{0, 0, math.MaxInt64 - h + 1, math.MaxInt64},
+		{math.MaxInt64, 0, 0, math.MaxInt64},
+		{math.MaxUint64, 0, 0, math.MaxInt64},
+		{1 << 63, 1 << 63, 0, math.MaxInt64}, // the sum wraps to 0
+		{0, 1 << 63, 1 << 63, math.MaxInt64},
+		{math.MaxUint64, math.MaxUint64, math.MaxUint64, math.MaxInt64},
 	} {
-		if got := memLimit(c.live, c.scan); got != c.want {
-			t.Errorf("memLimit(%d, %d) = %d, want %d", c.live, c.scan, got, c.want)
+		if got := memLimit(c.live, c.scan, c.nonheap); got != c.want {
+			t.Errorf("memLimit(%d, %d, %d) = %d, want %d", c.live, c.scan, c.nonheap, got, c.want)
 		}
 	}
 }

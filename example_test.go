@@ -97,7 +97,7 @@ func ExampleReduceGraph() {
 
 	red, _ := repro.ReduceGraph(g)
 	fmt.Println("kept:", red.R.NumVertices(), "of", g.NumVertices())
-	fmt.Println("chains:", len(red.Chains))
+	fmt.Println("chains:", red.NumChains())
 	// Output:
 	// kept: 2 of 6
 	// chains: 3

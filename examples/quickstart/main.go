@@ -48,7 +48,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("reduced graph: %d of %d vertices kept, %d chains\n",
-		red.R.NumVertices(), g.NumVertices(), len(red.Chains))
+		red.R.NumVertices(), g.NumVertices(), red.NumChains())
 
 	// All-pairs shortest paths: processing runs on the reduced graph only;
 	// queries for removed vertices go through their chain anchors.

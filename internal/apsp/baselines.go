@@ -85,8 +85,9 @@ func NewFlatAPSP(g *graph.Graph, workers int) *EarAPSP {
 func identityReduction(g *graph.Graph) *ear.Reduced {
 	n := g.NumVertices()
 	red := &ear.Reduced{
-		Original:   g,
 		R:          g,
+		N:          n,
+		M:          g.NumEdges(),
 		KeptToOrig: make([]int32, n),
 		OrigToKept: make([]int32, n),
 		ChainOf:    make([]int32, n),

@@ -157,7 +157,7 @@ func (a *EarAPSP) srAt(x, y int32) graph.Weight { return a.sr.at(triAt(x, y, a.n
 func (a *EarAPSP) Query(x, y int32) graph.Weight { return a.sr.query(a, x, y) }
 
 func (sr tri[T]) query(a *EarAPSP, x, y int32) graph.Weight {
-	if n := a.Red.Original.NumVertices(); x < 0 || int(x) >= n || y < 0 || int(y) >= n {
+	if n := a.Red.N; x < 0 || int(x) >= n || y < 0 || int(y) >= n {
 		return Inf
 	}
 	if x == y {
@@ -228,7 +228,7 @@ func min3(best, a, b, c graph.Weight) graph.Weight {
 func (a *EarAPSP) Row(x int32, out []graph.Weight) int64 { return a.sr.row(a, x, out) }
 
 func (sr tri[T]) row(a *EarAPSP, x int32, out []graph.Weight) int64 {
-	n := a.Red.Original.NumVertices()
+	n := a.Red.N
 	out = out[:n]
 	if x < 0 || int(x) >= n {
 		for y := range out {
@@ -244,24 +244,17 @@ func (sr tri[T]) row(a *EarAPSP, x int32, out []graph.Weight) int64 {
 		sr.keptRow(a, red.OrigToKept[ax], dax, out, false)
 		sr.keptRow(a, red.OrigToKept[bx], dbx, out, true)
 	}
-	if a.nr < n { // some vertices were removed into chains
-		for y, ci := range red.ChainOf {
-			if ci < 0 || red.PosOf[y] != 0 {
-				continue // kept, or not its chain's first interior vertex
-			}
-			c := &red.Chains[ci]
-			ea, eb := out[c.A], out[c.B] // kept anchors: d(x, ·) as Query reads it
-			for j, z := range c.Interior {
-				p := c.Prefix[j]
-				out[z] = min(addInf(ea, p, 0), addInf(eb, c.Total-p, 0))
-			}
+	for ci, lo := range red.ChainStart[:len(red.ChainA)] {
+		hi := red.ChainStart[ci+1]
+		ea, eb, t := out[red.ChainA[ci]], out[red.ChainB[ci]], red.ChainTotal[ci] // kept anchors: d(x, ·) as Query reads it
+		for j, p := range red.Prefix[lo:hi] {
+			out[red.Interior[lo+int32(j)]] = min(addInf(ea, p, 0), addInf(eb, t-p, 0))
 		}
-		if ci := red.ChainOf[x]; ci >= 0 { // the along-chain path between two removed vertices
-			c := &red.Chains[ci]
-			px := c.Prefix[red.PosOf[x]]
-			for j, z := range c.Interior {
-				out[z] = min(out[z], math.Abs(c.Prefix[j]-px))
-			}
+	}
+	if ci := red.ChainOf[x]; ci >= 0 { // the along-chain path between two removed vertices
+		lo, hi, px := red.ChainStart[ci], red.ChainStart[ci+1], red.Prefix[red.PosOf[x]]
+		for j, z := range red.Interior[lo:hi] {
+			out[z] = min(out[z], math.Abs(red.Prefix[lo+int32(j)]-px))
 		}
 	}
 	out[x] = 0

@@ -1,6 +1,7 @@
 package apsp
 
 import (
+	"repro/internal/ear"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/sssp"
@@ -49,7 +50,8 @@ func pathTol(r graph.Weight) graph.Weight {
 }
 
 // exit is one way from an in-block endpoint into G^r: kept vertex k,
-// reached at along-chain distance d by walking to chain position end.
+// reached at along-chain distance d by walking to chain position end
+// (appendWalk's positions).
 type exit struct {
 	k   int32
 	d   graph.Weight
@@ -57,16 +59,16 @@ type exit struct {
 }
 
 // exits returns v's exits and how many there are: a kept vertex is its own
-// one exit; a removed one leaves its chain at A (position 0) or B (position
-// L+1), at the Anchors distances.
+// one exit; a removed one leaves its chain at A or B, at the Anchors
+// distances.
 func (a *EarAPSP) exits(v int32) ([2]exit, int) {
 	red := a.Red
 	if k := red.OrigToKept[v]; k >= 0 {
 		return [2]exit{{k: k}}, 1
 	}
 	av, bv, da, db := red.Anchors(v)
-	end := int32(len(red.Chains[red.ChainOf[v]].Interior)) + 1
-	return [2]exit{{red.OrigToKept[av], da, 0}, {red.OrigToKept[bv], db, end}}, 2
+	ci := red.ChainOf[v]
+	return [2]exit{{red.OrigToKept[av], da, red.ChainStart[ci] - 1}, {red.OrigToKept[bv], db, red.ChainStart[ci+1]}}, 2
 }
 
 // appendPath appends the in-block x→y walk after x, which out already ends
@@ -91,17 +93,17 @@ func (a *EarAPSP) appendPath(out []int32, x, y int32) ([]int32, error) {
 		}
 	}
 	if direct, ok := red.SameChain(x, y); ok && direct < best {
-		return red.Chains[red.ChainOf[x]].AppendWalk(out, red.PosOf[x]+1, red.PosOf[y]+1), nil
+		return appendWalk(out, red, red.ChainOf[x], red.PosOf[x], red.PosOf[y]), nil
 	}
 	if best >= Inf {
 		return out, ErrReconstruction
 	}
 	if ci := red.ChainOf[x]; ci >= 0 {
-		out = red.Chains[ci].AppendWalk(out, red.PosOf[x]+1, bx.end)
+		out = appendWalk(out, red, ci, red.PosOf[x], bx.end)
 	}
 	out, err := a.keptPath(out, bx.k, by.k)
 	if ci := red.ChainOf[y]; ci >= 0 && err == nil {
-		out = red.Chains[ci].AppendWalk(out, by.end, red.PosOf[y]+1)
+		out = appendWalk(out, red, ci, by.end, red.PosOf[y])
 	}
 	return out, err
 }
@@ -182,14 +184,42 @@ func (a *EarAPSP) keptPathExact(out []int32, kx, ky int32) ([]int32, error) {
 }
 
 // appendChain appends reduced edge eid's chain walk after the end at kept
-// vertex k.
+// vertex k. A trivial chain is one step, to the far end of eid in R.
 func (a *EarAPSP) appendChain(out []int32, eid, k int32) []int32 {
-	c := &a.Red.Chains[a.Red.EdgeChain[eid]]
-	b := int32(len(c.Interior)) + 1
-	if c.A == a.Red.KeptToOrig[k] {
-		return c.AppendWalk(out, 0, b)
+	red := a.Red
+	ci := red.EdgeChain[eid]
+	if ci < 0 {
+		far := red.R.Edge(eid).U
+		if far == k {
+			far = red.R.Edge(eid).V
+		}
+		return append(out, red.KeptToOrig[far])
 	}
-	return c.AppendWalk(out, b, 0)
+	lo, hi := red.ChainStart[ci]-1, red.ChainStart[ci+1]
+	if red.ChainA[ci] == red.KeptToOrig[k] {
+		return appendWalk(out, red, ci, lo, hi)
+	}
+	return appendWalk(out, red, ci, hi, lo)
+}
+
+// appendWalk appends the walk along chain ci from position i to position
+// j to out, without i itself: the caller's walk already ends there.
+// Interior vertex Interior[p] is at position p, and the chain's anchors A
+// and B one before and one after its window. It returns original-graph
+// vertex IDs in walking order.
+func appendWalk(out []int32, red *ear.Reduced, ci, i, j int32) []int32 {
+	lo, hi := red.ChainStart[ci], red.ChainStart[ci+1]
+	for i != j {
+		switch i += min(max(j-i, -1), 1); i {
+		case lo - 1:
+			out = append(out, red.ChainA[ci])
+		case hi:
+			out = append(out, red.ChainB[ci])
+		default:
+			out = append(out, red.Interior[i])
+		}
+	}
+	return out
 }
 
 // Path returns a shortest u→v walk in the full graph, stitched across

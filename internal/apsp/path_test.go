@@ -1,8 +1,10 @@
 package apsp
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/ear"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -134,5 +136,30 @@ func TestPathTrivialCases(t *testing.T) {
 	o := NewOracle(g)
 	if p := o.Path(4, 4); len(p) != 1 || p[0] != 4 {
 		t.Fatalf("self path %v", p)
+	}
+}
+
+// TestChainWalk: appendWalk steps along a chain's positions in either
+// direction, leaving out the start. Chain 1 runs from 10 through 1, 2, 3
+// (Interior[2:5]) to 20, so A is position 1 and B position 5; chain 0
+// only takes up the first two interior slots.
+func TestChainWalk(t *testing.T) {
+	red := &ear.Reduced{ChainA: []int32{7, 10}, ChainB: []int32{8, 20}, ChainStart: []int32{0, 2, 5},
+		Interior: []int32{5, 6, 1, 2, 3}}
+	for _, tc := range []struct {
+		i, j int32
+		want []int32
+	}{
+		{1, 5, []int32{1, 2, 3, 20}},
+		{5, 1, []int32{3, 2, 1, 10}},
+		{3, 1, []int32{1, 10}},
+		{3, 5, []int32{3, 20}},
+		{4, 2, []int32{2, 1}},
+		{3, 3, nil},
+	} {
+		got := appendWalk([]int32{-1}, red, 1, tc.i, tc.j)
+		if !slices.Equal(got, append([]int32{-1}, tc.want...)) {
+			t.Fatalf("appendWalk(%d, %d) = %v, want -1 then %v", tc.i, tc.j, got, tc.want)
+		}
 	}
 }

@@ -239,18 +239,20 @@ func reservedWords(t testing.TB, o *Oracle) (oracles, shards, plans [][]byte) {
 	return oracles, shards, plans
 }
 
-// encodeChains writes red as the chain records payloads before v4
-// carried ahead of every block's table: the kept-vertex map, per chain its
-// anchors, interior vertices and edge IDs, then the reduced-edge→chain map.
+// encodeChains writes red in the shape of the chain records payloads
+// before v4 carried ahead of every block's table: the kept-vertex map, per
+// chain its anchors, interior vertices and edge IDs, then the
+// reduced-edge→chain map. Trivial chains, which red holds no record of,
+// are left out; the reader refuses these versions before it gets here.
 func encodeChains(e *snapshot.Encoder, red *ear.Reduced) {
 	e.I32s(red.KeptToOrig)
-	e.U64(uint64(len(red.Chains)))
-	for ci := range red.Chains {
-		c := &red.Chains[ci]
-		e.I32(c.A)
-		e.I32(c.B)
-		e.I32s(c.Interior)
-		e.I32s(c.Edges)
+	e.U64(uint64(len(red.ChainA)))
+	for ci := range int32(len(red.ChainA)) {
+		e.I32(red.ChainA[ci])
+		e.I32(red.ChainB[ci])
+		lo, hi := red.ChainStart[ci], red.ChainStart[ci+1]
+		e.I32s(red.Interior[lo:hi])
+		e.I32s(red.Edges[lo+ci : hi+ci+1])
 	}
 	e.I32s(red.EdgeChain)
 }

@@ -89,20 +89,23 @@ func TestInvariantsCorpus(t *testing.T) {
 }
 
 // firstCheapest is the brute-force reference for APSP mode's reduced
-// edges: a chain stands for its kept pair iff it is no loop and no chain
-// of the same pair is cheaper, or as cheap and earlier in chain order.
-func firstCheapest(red *ear.Reduced) []int32 {
+// edges, read off the MCB reduction mcb, whose reduced edges are every
+// chain in chain order: a chain stands for its kept pair iff it is no loop
+// and no chain of the same pair is cheaper, or as cheap and earlier in
+// chain order. It returns the kept chains' EdgeChain entries.
+func firstCheapest(mcb *ear.Reduced) []int32 {
 	var out []int32
-	for i, c := range red.Chains {
-		keep := !c.Loop()
-		for j, d := range red.Chains {
-			samePair := c.A == d.A && c.B == d.B || c.A == d.B && c.B == d.A
-			if samePair && (d.Total < c.Total || d.Total == c.Total && j < i) {
+	edges := mcb.R.Edges()
+	for i, c := range edges {
+		keep := c.U != c.V
+		for j, d := range edges {
+			samePair := c.U == d.U && c.V == d.V || c.U == d.V && c.V == d.U
+			if samePair && (d.W < c.W || d.W == c.W && j < i) {
 				keep = false
 			}
 		}
 		if keep {
-			out = append(out, int32(i))
+			out = append(out, mcb.EdgeChain[i])
 		}
 	}
 	return out
@@ -138,16 +141,28 @@ func TestReduceKeepsFirstTiedChain(t *testing.T) {
 		graphs = append(graphs, graph.FromEdges(n+4, edges))
 	}
 	for i, g := range graphs {
-		red := ear.Reduce(g, ear.APSP)
-		if want := firstCheapest(red); !slices.Equal(red.EdgeChain, want) {
+		red, mcb := ear.Reduce(g, ear.APSP), ear.Reduce(g, ear.MCB)
+		if want := firstCheapest(mcb); !slices.Equal(red.EdgeChain, want) {
 			t.Fatalf("graph %d: APSP EdgeChain %v, want %v", i, red.EdgeChain, want)
 		}
-		if i == 0 && !slices.Equal(red.EdgeChain, []int32{1}) {
-			t.Fatalf("fixed case: EdgeChain %v, want [1] (the first chain of weight 3)", red.EdgeChain)
+		if i == 0 && !slices.Equal(red.EdgeChain, []int32{0}) {
+			t.Fatalf("fixed case: EdgeChain %v, want [0] (the first chain of weight 3, 0–2–1)", red.EdgeChain)
 		}
-		mcb := ear.Reduce(g, ear.MCB)
-		if len(mcb.EdgeChain) != len(mcb.Chains) || !slices.IsSorted(mcb.EdgeChain) {
-			t.Fatalf("graph %d: MCB EdgeChain %v over %d chains", i, mcb.EdgeChain, len(mcb.Chains))
+		if len(mcb.EdgeChain) != mcb.NumChains() {
+			t.Fatalf("graph %d: MCB EdgeChain %v over %d chains", i, mcb.EdgeChain, mcb.NumChains())
+		}
+		next := int32(0) // MCB names every chain with an interior once, in order
+		for _, ref := range mcb.EdgeChain {
+			if ref < 0 {
+				continue
+			}
+			if ref != next {
+				t.Fatalf("graph %d: MCB EdgeChain %v skips chain %d", i, mcb.EdgeChain, next)
+			}
+			next++
+		}
+		if int(next) != len(mcb.ChainA) {
+			t.Fatalf("graph %d: MCB EdgeChain %v names %d of %d chains", i, mcb.EdgeChain, next, len(mcb.ChainA))
 		}
 		if err := EarInvariants(g); err != nil {
 			t.Fatalf("graph %d: %v", i, err)

@@ -38,7 +38,7 @@ func EarInvariants(g *graph.Graph) error {
 
 func earInvariantsMode(g *graph.Graph, mode ear.Mode) error {
 	red := ear.Reduce(g, mode)
-	if err := red.Validate(); err != nil {
+	if err := red.Validate(g); err != nil {
 		return err
 	}
 	n := g.NumVertices()
@@ -64,8 +64,8 @@ func earInvariantsMode(g *graph.Graph, mode ear.Mode) error {
 		if g.Degree(v) != 2 {
 			return fmt.Errorf("removed vertex %d has degree %d, want 2", v, g.Degree(v))
 		}
-		c := &red.Chains[red.ChainOf[v]]
-		if c.Interior[red.PosOf[v]] != v {
+		if ci, p := red.ChainOf[v], red.PosOf[v]; int(ci) >= len(red.ChainA) || int(p) >= len(red.Interior) ||
+			p < red.ChainStart[ci] || p >= red.ChainStart[ci+1] || red.Interior[p] != v {
 			return fmt.Errorf("chain coordinates of %d do not point back at it", v)
 		}
 	}
@@ -95,27 +95,23 @@ func earInvariantsMode(g *graph.Graph, mode ear.Mode) error {
 		}
 	}
 
-	// Chain endpoints kept, interiors removed.
-	for ci := range red.Chains {
-		c := &red.Chains[ci]
-		if red.OrigToKept[c.A] < 0 || red.OrigToKept[c.B] < 0 {
+	// Chain endpoints kept. Interiors are removed: Validate holds them to
+	// as many slots as there are removed vertices, and each one's
+	// coordinates point back at it.
+	for ci := range red.ChainA {
+		if red.OrigToKept[red.ChainA[ci]] < 0 || red.OrigToKept[red.ChainB[ci]] < 0 {
 			return fmt.Errorf("chain %d has removed endpoint", ci)
-		}
-		for _, x := range c.Interior {
-			if red.OrigToKept[x] >= 0 {
-				return fmt.Errorf("chain %d interior vertex %d is kept", ci, x)
-			}
 		}
 	}
 
 	// Reduced edges stand for chains with exact weights.
 	for re := int32(0); re < int32(red.R.NumEdges()); re++ {
-		c := &red.Chains[red.EdgeChain[re]]
+		a, b, total := chainOf(g, red, red.EdgeChain[re])
 		e := red.R.Edge(re)
-		if e.W != c.Total {
-			return fmt.Errorf("reduced edge %d weight %v, chain total %v", re, e.W, c.Total)
+		if e.W != total {
+			return fmt.Errorf("reduced edge %d weight %v, chain total %v", re, e.W, total)
 		}
-		ru, rv := red.OrigToKept[c.A], red.OrigToKept[c.B]
+		ru, rv := red.OrigToKept[a], red.OrigToKept[b]
 		if !((e.U == ru && e.V == rv) || (e.U == rv && e.V == ru)) {
 			return fmt.Errorf("reduced edge %d endpoints (%d,%d) do not match chain (%d,%d)", re, e.U, e.V, ru, rv)
 		}
@@ -125,8 +121,8 @@ func earInvariantsMode(g *graph.Graph, mode ear.Mode) error {
 	case ear.MCB:
 		// Every chain becomes exactly one reduced edge; the cycle space
 		// dimension m − n is preserved (Lemma 3.1: bases transfer 1:1).
-		if red.R.NumEdges() != len(red.Chains) {
-			return fmt.Errorf("mcb reduction has %d edges for %d chains", red.R.NumEdges(), len(red.Chains))
+		if red.R.NumEdges() != red.NumChains() {
+			return fmt.Errorf("mcb reduction has %d edges for %d chains", red.R.NumEdges(), red.NumChains())
 		}
 		if red.R.NumEdges()-red.R.NumVertices() != g.NumEdges()-n {
 			return fmt.Errorf("cycle space dimension changed: m'-n' = %d, m-n = %d",
@@ -135,15 +131,16 @@ func earInvariantsMode(g *graph.Graph, mode ear.Mode) error {
 	case ear.APSP:
 		// The retained chain between each kept endpoint pair is the
 		// cheapest of its parallel group, and no loop chains survive.
+		// Every chain is one with an interior, or an edge with kept ends.
 		cheapest := map[[2]int32]graph.Weight{}
-		for ci := range red.Chains {
-			c := &red.Chains[ci]
-			if c.Loop() {
-				continue
+		for ref := -int32(g.NumEdges()); ref < int32(len(red.ChainA)); ref++ {
+			a, b, total := chainOf(g, red, ref)
+			if a == b || red.OrigToKept[a] < 0 || red.OrigToKept[b] < 0 {
+				continue // a loop, or no trivial chain
 			}
-			k := normPair(red.OrigToKept[c.A], red.OrigToKept[c.B])
-			if w, ok := cheapest[k]; !ok || c.Total < w {
-				cheapest[k] = c.Total
+			k := normPair(red.OrigToKept[a], red.OrigToKept[b])
+			if w, ok := cheapest[k]; !ok || total < w {
+				cheapest[k] = total
 			}
 		}
 		if red.R.NumEdges() != len(cheapest) {
@@ -160,6 +157,16 @@ func earInvariantsMode(g *graph.Graph, mode ear.Mode) error {
 		}
 	}
 	return nil
+}
+
+// chainOf returns the anchors and total of the chain an EdgeChain entry
+// names: chain ref of red's arrays, or the trivial chain of g's edge ^ref.
+func chainOf(g *graph.Graph, red *ear.Reduced, ref int32) (a, b int32, total graph.Weight) {
+	if ref >= 0 {
+		return red.ChainA[ref], red.ChainB[ref], red.ChainTotal[ref]
+	}
+	e := g.Edge(^ref)
+	return e.U, e.V, e.W
 }
 
 func normPair(u, v int32) [2]int32 {

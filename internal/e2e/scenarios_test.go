@@ -162,15 +162,17 @@ func TestSnapshotBoot(t *testing.T) {
 // TestGCPacer: a snapshot boot of blocks (cond_mat_2003 at scale 0.25,
 // the point workloads' graph, whose live heap is mostly pointer-free
 // tables) paces its collector. After 2 000 point queries its memory limit
-// sits at or above the live heap and below twice it, where GOGC=100 alone
-// puts the heap goal. With GOMEMLIMIT in its environment a daemon leaves
-// the runtime alone and sets no gc.* gauge, and it answers every query as
-// the paced daemon did.
+// sits at or above the live heap and below twice it plus the runtime's
+// non-heap bytes, the whole footprint at which GOGC=100 alone puts the
+// heap goal, and those queries ran at most 40 cycles: a limit the
+// runtime's own memory crowds collects every few requests. With
+// GOMEMLIMIT in its environment a daemon leaves the runtime alone and sets
+// no gc.* gauge, and it answers every query as the paced daemon did.
 func TestGCPacer(t *testing.T) {
 	needBinaries(t)
 	dir := t.TempDir()
 	run(t, dir, "apsp", "-dataset", "cond_mat_2003", "-scale", "0.25", "-snapshot", "blocks.snap")
-	gauges := []string{"gc.live_bytes", "gc.scan_bytes", "gc.limit_bytes", "gc.cycles", "gc.cpu_ms"}
+	gauges := []string{"gc.live_bytes", "gc.scan_bytes", "gc.nonheap_bytes", "gc.limit_bytes", "gc.cycles", "gc.cpu_ms"}
 	query := func(d *daemon) [][]byte {
 		n := int(num(d.json("/v1/healthz"), "vertices"))
 		out := make([][]byte, 2000)
@@ -181,15 +183,19 @@ func TestGCPacer(t *testing.T) {
 	}
 
 	paced := serve(t, dir, "-load-snapshot", "blocks.snap")
+	cycles := num(paced.stats(), "gc.cycles") // 0 until the pacer's first cycle
 	want := query(paced)
 	var st map[string]any
 	eventually(t, func() (bool, string) {
 		st = paced.stats()
 		return num(st, "gc.limit_bytes") > 0, fmt.Sprintf("the pacer set no limit: gc.limit_bytes = %v", num(st, "gc.limit_bytes"))
 	})
-	live, limit := num(st, "gc.live_bytes"), num(st, "gc.limit_bytes")
-	if num(st, "gc.cycles") < 1 || live <= 0 || limit < live || limit >= 2*live {
-		t.Errorf("paced: want gc.cycles > 0 and live ≤ limit < 2·live, got")
+	live, limit, nonheap := num(st, "gc.live_bytes"), num(st, "gc.limit_bytes"), num(st, "gc.nonheap_bytes")
+	for _, k := range gauges {
+		t.Logf("%s = %v", k, num(st, k))
+	}
+	if ran := num(st, "gc.cycles") - cycles; ran > 40 || live <= 0 || nonheap <= 0 || limit < live || limit >= 2*live+nonheap {
+		t.Errorf("paced: want at most 40 cycles in the queries and live ≤ limit < 2·live + non-heap, got (gc.cycles %v before them)", cycles)
 		for _, k := range gauges {
 			t.Errorf("  %s = %v", k, num(st, k))
 		}

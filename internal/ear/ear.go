@@ -11,7 +11,7 @@
 //   - Reduce: the reduced graph G^r whose vertices are the degree-≥3
 //     vertices of G, with every maximal chain of degree-2 vertices
 //     contracted to a single weighted edge, plus the left/right anchor
-//     tables the APSP post-processing needs and the chain records the MCB
+//     tables the APSP post-processing needs and the chain arrays the MCB
 //     post-processing uses to expand basis cycles (Lemma 3.1).
 package ear
 

@@ -2,7 +2,6 @@ package ear
 
 import (
 	"runtime/debug"
-	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -126,7 +125,7 @@ func TestReduceBasics(t *testing.T) {
 	b.AddEdge(6, 4, 3) // chain 0-6-4
 	g := b.Build()
 	red := Reduce(g, APSP)
-	if err := red.Validate(); err != nil {
+	if err := red.Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	if len(red.KeptToOrig) != 2 {
@@ -135,8 +134,8 @@ func TestReduceBasics(t *testing.T) {
 	if red.NumRemoved() != 5 {
 		t.Fatalf("removed %d, want 5", red.NumRemoved())
 	}
-	if len(red.Chains) != 3 {
-		t.Fatalf("chains %d, want 3", len(red.Chains))
+	if red.NumChains() != 3 {
+		t.Fatalf("chains %d, want 3", red.NumChains())
 	}
 	// APSP mode keeps only the cheapest parallel chain (weight 4 path is
 	// the chain 0..4 with weight 4, the 0-5-4 chain weighs 4 too, 0-6-4
@@ -152,7 +151,7 @@ func TestReduceBasics(t *testing.T) {
 	if redM.R.NumEdges() != 3 {
 		t.Fatalf("MCB reduced edges %d, want 3", redM.R.NumEdges())
 	}
-	if err := redM.Validate(); err != nil {
+	if err := redM.Validate(g); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -168,7 +167,7 @@ func TestReduceAnchors(t *testing.T) {
 	b.AddEdge(5, 4, 7)
 	g := b.Build()
 	red := Reduce(g, APSP)
-	if err := red.Validate(); err != nil {
+	if err := red.Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	// vertex 2 sits on chain 0-1-2-3-4 at prefix 5 from 0
@@ -195,32 +194,12 @@ func TestReduceAnchors(t *testing.T) {
 	}
 }
 
-func TestChainAppendWalk(t *testing.T) {
-	c := &Chain{A: 10, B: 20, Interior: []int32{1, 2, 3}}
-	for _, tc := range []struct {
-		i, j int32
-		want []int32
-	}{
-		{0, 4, []int32{1, 2, 3, 20}},
-		{4, 0, []int32{3, 2, 1, 10}},
-		{2, 0, []int32{1, 10}},
-		{2, 4, []int32{3, 20}},
-		{3, 1, []int32{2, 1}},
-		{2, 2, nil},
-	} {
-		got := c.AppendWalk([]int32{-1}, tc.i, tc.j)
-		if !slices.Equal(got, append([]int32{-1}, tc.want...)) {
-			t.Fatalf("AppendWalk(%d, %d) = %v, want -1 then %v", tc.i, tc.j, got, tc.want)
-		}
-	}
-}
-
 func TestReduceCycleComponent(t *testing.T) {
 	cfg := gen.Config{MaxWeight: 4}
 	rng := gen.NewRNG(37)
 	ring := gen.Ring(9, cfg, rng)
 	red := Reduce(ring, MCB)
-	if err := red.Validate(); err != nil {
+	if err := red.Validate(ring); err != nil {
 		t.Fatal(err)
 	}
 	if len(red.KeptToOrig) != 1 {
@@ -237,7 +216,7 @@ func TestReduceCycleComponent(t *testing.T) {
 		t.Fatalf("loop weight %v, want %v", e.W, ring.TotalWeight())
 	}
 	// expansion recovers all 9 edges
-	exp := red.ExpandEdge(0)
+	exp := red.ExpandEdge(nil, 0)
 	if len(exp) != 9 {
 		t.Fatalf("expanded %d edges", len(exp))
 	}
@@ -256,7 +235,7 @@ func TestReduceSelfLoopAtKept(t *testing.T) {
 	b.AddEdge(1, 2, 1)
 	g := b.Build()
 	red := Reduce(g, MCB)
-	if err := red.Validate(); err != nil {
+	if err := red.Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	// only vertex 0 is kept (degree 4 counting the loop twice); vertices
@@ -281,21 +260,21 @@ func TestReduceSelfLoopAtKept(t *testing.T) {
 	}
 }
 
-// TestReduceAllocsFixed: every chain's slices are windows of arrays
-// sized up front, so Reduce allocates a fixed number of times in either
-// mode, the same on two subdivided cliques with 10 and 120 chains: the
-// Reduced and its four vertex maps, two flags, the three chain arrays,
-// the chain records, EdgeChain, R's edges, the used edges and the APSP
-// slots (15), and R's CSR (6). The collector is off while it counts.
+// TestReduceAllocsFixed: the chain arrays are windows of arrays sized up
+// front, so Reduce allocates a fixed number of times in either mode, the
+// same on two subdivided cliques with 10 and 120 chains: the Reduced and
+// its four vertex maps, the flags, the int32 and the weight chain arrays,
+// EdgeChain, R's edges, the used edges and the APSP slots (12), and R's
+// CSR (6). The collector is off while it counts.
 func TestReduceAllocsFixed(t *testing.T) {
 	cfg := gen.Config{MaxWeight: 6}
 	small := gen.Subdivide(gen.Complete(5, cfg, gen.NewRNG(1)), 0.5, 3, cfg, gen.NewRNG(2))
 	big := gen.Subdivide(gen.Complete(16, cfg, gen.NewRNG(3)), 0.5, 3, cfg, gen.NewRNG(4))
-	if cs, cb := len(Reduce(small, MCB).Chains), len(Reduce(big, MCB).Chains); cb < 10*cs {
+	if cs, cb := Reduce(small, MCB).NumChains(), Reduce(big, MCB).NumChains(); cb < 10*cs {
 		t.Fatalf("%d and %d chains: want a 10× spread", cs, cb)
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	const want = 21
+	const want = 18
 	for _, mode := range []Mode{APSP, MCB} {
 		for name, g := range map[string]*graph.Graph{"small": small, "big": big} {
 			if got := testing.AllocsPerRun(5, func() { Reduce(g, mode) }); got != want {
@@ -313,19 +292,16 @@ func TestReducePreservesKeptDistances(t *testing.T) {
 		rng := gen.NewRNG(seed)
 		g := gen.Subdivide(gen.GNM(12, 24, cfg, rng), 0.8, 3, cfg, rng)
 		red := Reduce(g, MCB)
-		if err := red.Validate(); err != nil {
+		if err := red.Validate(g); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if g.NumEdges()-g.NumVertices() != red.R.NumEdges()-red.R.NumVertices() {
 			t.Fatalf("seed %d: m-n not preserved: %d vs %d",
 				seed, g.NumEdges()-g.NumVertices(), red.R.NumEdges()-red.R.NumVertices())
 		}
-		// total weight preserved: chain sums equal original sums
-		var chainTotal graph.Weight
-		for _, c := range red.Chains {
-			chainTotal += c.Total
-		}
-		if chainTotal != g.TotalWeight() {
+		// total weight preserved: MCB mode's reduced edges are every
+		// chain, each weighing its chain's total
+		if chainTotal := red.R.TotalWeight(); chainTotal != g.TotalWeight() {
 			t.Fatalf("seed %d: chain weight %v vs graph %v", seed, chainTotal, g.TotalWeight())
 		}
 	}
@@ -373,20 +349,21 @@ func TestReduceValidateCatchesCorruption(t *testing.T) {
 	rng := gen.NewRNG(51)
 	g := gen.Subdivide(gen.Ring(6, cfg, rng), 1, 2, cfg, rng)
 	red := Reduce(g, MCB)
-	if err := red.Validate(); err != nil {
+	if err := red.Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	// corrupt a prefix and expect Validate to notice
-	if len(red.Chains) > 0 && len(red.Chains[0].Prefix) > 0 {
-		red.Chains[0].Prefix[0] += 1
-		if err := red.Validate(); err == nil {
-			t.Fatal("corrupted prefix accepted")
-		}
-		red.Chains[0].Prefix[0] -= 1
+	if len(red.Prefix) == 0 {
+		t.Fatal("no chain has an interior")
 	}
+	red.Prefix[0] += 1
+	if err := red.Validate(g); err == nil {
+		t.Fatal("corrupted prefix accepted")
+	}
+	red.Prefix[0] -= 1
 	// corrupt the total
-	red.Chains[0].Total += 5
-	if err := red.Validate(); err == nil {
+	red.ChainTotal[0] += 5
+	if err := red.Validate(g); err == nil {
 		t.Fatal("corrupted total accepted")
 	}
 }

@@ -38,16 +38,12 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 }
 
 // EncodeSnapshot appends the graph to a snapshot section: vertex
-// count, edge count, then the raw edge array. The CSR adjacency is not
-// stored; FromEdges rebuilds it deterministically on decode.
+// count, edge count, then the raw edge array, u, v and w per edge, as one
+// run of records. The CSR adjacency is not stored; FromEdges rebuilds it
+// deterministically on decode.
 func (g *Graph) EncodeSnapshot(e *snapshot.Encoder) {
 	e.U64(uint64(g.n))
-	e.U64(uint64(len(g.edges)))
-	for _, ed := range g.edges {
-		e.I32(ed.U)
-		e.I32(ed.V)
-		e.F64(ed.W)
-	}
+	snapshot.AppendRecords(e, g.edges, 4, 4, 8)
 }
 
 // DecodeSnapshot is EncodeSnapshot's inverse over a section that holds
@@ -56,26 +52,20 @@ func (g *Graph) EncodeSnapshot(e *snapshot.Encoder) {
 // one does; failures wrap snapshot.ErrCorrupt.
 func DecodeSnapshot(d *snapshot.Decoder) (*Graph, error) {
 	n := d.U64()
-	m := d.Count(16) // u, v, w
+	edges := snapshot.ReadRecords[Edge](d, 4, 4, 8)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	if n > 1<<31 {
 		return nil, snapshot.Corruptf("graph: %d vertices", n)
 	}
-	edges := make([]Edge, m)
-	for i := range edges {
-		u, v, w := d.I32(), d.I32(), d.F64()
-		if err := d.Err(); err != nil {
-			return nil, err
+	for i, e := range edges {
+		if e.U < 0 || uint64(e.U) >= n || e.V < 0 || uint64(e.V) >= n {
+			return nil, snapshot.Corruptf("graph: edge %d endpoints (%d,%d) outside [0,%d)", i, e.U, e.V, n)
 		}
-		if u < 0 || uint64(u) >= n || v < 0 || uint64(v) >= n {
-			return nil, snapshot.Corruptf("graph: edge %d endpoints (%d,%d) outside [0,%d)", i, u, v, n)
+		if e.W < 0 || math.IsNaN(e.W) {
+			return nil, snapshot.Corruptf("graph: edge %d weight %v", i, e.W)
 		}
-		if w < 0 || math.IsNaN(w) {
-			return nil, snapshot.Corruptf("graph: edge %d weight %v", i, w)
-		}
-		edges[i] = Edge{U: u, V: v, W: w}
 	}
 	// No byte bounds the vertex count that sizes the adjacency: the
 	// section passes its checksum before n allocates anything.

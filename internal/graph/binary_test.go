@@ -102,7 +102,7 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 			e.U64(1)
 			e.I32(0)
 			e.I32(5)
-			e.F64(1)
+			e.U64(math.Float64bits(1))
 		}), snapshot.ErrCorrupt},
 		{"edge count beyond the bytes", sealGraph(t, func(e *snapshot.Encoder) {
 			e.U64(2)

@@ -108,7 +108,7 @@ func solveComponents(ctx context.Context, g *graph.Graph, useEar bool, seed uint
 			for i, rc := range localCycles {
 				var expanded []int32
 				for _, re := range rc {
-					expanded = append(expanded, red.ExpandEdge(re)...)
+					expanded = red.ExpandEdge(expanded, re)
 				}
 				localCycles[i] = expanded
 			}

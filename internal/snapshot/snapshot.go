@@ -35,7 +35,6 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
-	"math"
 	"slices"
 	"unsafe"
 )
@@ -324,17 +323,8 @@ func (e *Encoder) I32(v int32) { e.U32(uint32(v)) }
 // I64 appends an int64.
 func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
 
-// F64 appends a float64 by bit pattern.
-func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
-
-// I32s appends a length-prefixed int32 slice.
-func (e *Encoder) I32s(s []int32) {
-	e.U64(uint64(len(s)))
-	raw := e.extend(4 * len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint32(raw[4*i:], uint32(v))
-	}
-}
+// I32s appends a length-prefixed int32 slice, as AppendRecords does.
+func (e *Encoder) I32s(s []int32) { AppendRecords(e, s, 4) }
 
 // borrowMin is the shortest table AppendTable borrows; shorter ones copy
 // cheaper.
@@ -349,25 +339,30 @@ type Entry interface {
 	uint8 | uint16 | float32 | float64
 }
 
-// bytesOf is s's memory as bytes: on a little-endian host, its encoding.
-// The encoders write tables from it and the decoders read tables into it.
-func bytesOf[T Entry](s []T) []byte {
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), int(unsafe.Sizeof(T(0)))*len(s))
+// bytesOf is s's memory as bytes: on a little-endian host, its encoding
+// (T is a table entry, or a record of them with no padding). The encoders
+// write tables and records from it and the decoders read tables into it.
+func bytesOf[T any](s []T) []byte {
+	var z T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), int(unsafe.Sizeof(z))*len(s))
 }
 
-// swapOrder turns b, size-byte entries, from the host's byte order into
-// the little-endian encoding or back: a byte swap per element on a
-// big-endian host, nothing on a little-endian one.
-func swapOrder(b []byte, size int) {
+// swapOrder turns b, records of fields of the given byte widths, from the
+// host's byte order into the little-endian encoding or back: a byte swap
+// per field on a big-endian host, nothing on a little-endian one.
+func swapOrder(b []byte, widths ...int) {
 	le, ne := binary.LittleEndian, binary.NativeEndian
-	for i := 0; i < len(b); i += size {
-		switch size {
-		case 8:
-			le.PutUint64(b[i:], ne.Uint64(b[i:]))
-		case 4:
-			le.PutUint32(b[i:], ne.Uint32(b[i:]))
-		case 2:
-			le.PutUint16(b[i:], ne.Uint16(b[i:]))
+	for !littleEndian && len(b) > 0 {
+		for _, w := range widths {
+			switch w {
+			case 8:
+				le.PutUint64(b, ne.Uint64(b))
+			case 4:
+				le.PutUint32(b, ne.Uint32(b))
+			case 2:
+				le.PutUint16(b, ne.Uint16(b))
+			}
+			b = b[w:]
 		}
 	}
 }
@@ -375,11 +370,18 @@ func swapOrder(b []byte, size int) {
 // F64s appends a length-prefixed float64 slice, as AppendTable does.
 func (e *Encoder) F64s(s []float64) { AppendTable(e, s) }
 
-// AppendTable appends a length-prefixed slice of table entries. On a
-// little-endian host a slice of borrowMin values or more is borrowed, not
-// copied: WriteTo reads it in place, so s must not change until then
-// (oracle tables never do).
-func AppendTable[T Entry](e *Encoder, s []T) {
+// AppendTable appends a length-prefixed slice of table entries, as
+// AppendRecords does.
+func AppendTable[T Entry](e *Encoder, s []T) { AppendRecords(e, s, int(unsafe.Sizeof(T(0)))) }
+
+// AppendRecords appends a length-prefixed slice of records whose fields,
+// in order and with no padding, are the given byte widths (a graph edge
+// is 4, 4, 8), each in its little-endian encoding. On a little-endian host
+// a slice of borrowMin records or more is borrowed, not copied: WriteTo
+// reads it in place, so s must not change until then (oracle tables and
+// graph edges never do). On a big-endian one each field of the copy is
+// swapped.
+func AppendRecords[T any](e *Encoder, s []T, widths ...int) {
 	e.U64(uint64(len(s)))
 	raw := bytesOf(s)
 	if littleEndian && len(s) >= borrowMin {
@@ -387,9 +389,8 @@ func AppendTable[T Entry](e *Encoder, s []T) {
 		return
 	}
 	dst := e.extend(len(raw))
-	if copy(dst, raw); !littleEndian {
-		swapOrder(dst, int(unsafe.Sizeof(T(0))))
-	}
+	copy(dst, raw)
+	swapOrder(dst, widths...)
 }
 
 // Str appends a length-prefixed byte string (job metadata: identifiers,
@@ -521,9 +522,6 @@ func (d *Decoder) I32() int32 { return int32(d.U32()) }
 // I64 reads an int64.
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
 
-// F64 reads a float64.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
 // Version reads a payload's format version: any value but want is a
 // sticky ErrVersionSkew, unless the section fails its checksum.
 func (d *Decoder) Version(what string, want uint32) {
@@ -558,33 +556,23 @@ func (d *Decoder) Count(elemBytes int) int {
 	return int(n)
 }
 
-// I32s reads a length-prefixed int32 slice.
-func (d *Decoder) I32s() []int32 { return d.AppendI32s([]int32{}) }
-
-// AppendI32s reads a length-prefixed int32 slice onto the end of s, or
-// returns nil if the read fails: many slices decode into one array.
-func (d *Decoder) AppendI32s(s []int32) []int32 {
-	n := d.Count(4)
-	raw := d.take(4*n, "int32 slice")
-	if d.err != nil {
-		return nil
-	}
-	s = slices.Grow(s, n)
-	for i := range n {
-		s = append(s, int32(binary.LittleEndian.Uint32(raw[4*i:])))
-	}
-	return s
-}
+// I32s reads a length-prefixed int32 slice, as ReadRecords does.
+func (d *Decoder) I32s() []int32 { return ReadRecords[int32](d, 4) }
 
 // F64s reads a length-prefixed float64 slice, as ReadTable does.
 func (d *Decoder) F64s() []float64 { return ReadTable[float64](d) }
 
-// ReadTable reads a length-prefixed slice of table entries into a new
-// slice: a short one through the read-ahead, a long one straight from the
-// source. On a little-endian host its bytes are its encoding.
-func ReadTable[T Entry](d *Decoder) []T {
-	size := int(unsafe.Sizeof(T(0)))
-	n := d.Count(size)
+// ReadTable reads a length-prefixed slice of table entries, as
+// ReadRecords does.
+func ReadTable[T Entry](d *Decoder) []T { return ReadRecords[T](d, int(unsafe.Sizeof(T(0)))) }
+
+// ReadRecords reads a length-prefixed slice of records AppendRecords
+// wrote, fields of the given widths, into a new slice: a short one
+// through the read-ahead, a long one straight from the source. On a
+// little-endian host its bytes are its encoding.
+func ReadRecords[T any](d *Decoder, widths ...int) []T {
+	var z T
+	n := d.Count(int(unsafe.Sizeof(z)))
 	if d.err != nil {
 		return nil
 	}
@@ -601,9 +589,7 @@ func ReadTable[T Entry](d *Decoder) []T {
 	if d.err != nil {
 		return nil
 	}
-	if !littleEndian {
-		swapOrder(raw, size)
-	}
+	swapOrder(raw, widths...)
 	return out
 }
 

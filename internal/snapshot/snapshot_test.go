@@ -25,7 +25,7 @@ func buildContainer(t *testing.T) []byte {
 	a.U64(1 << 40)
 	a.I32(-3)
 	a.I64(-1 << 40)
-	a.F64(math.Pi)
+	a.U64(math.Float64bits(math.Pi))
 	a.I32s([]int32{1, -2, 3})
 	a.F64s([]float64{0, math.Inf(1), -0.5})
 	b := w.Section("beta")
@@ -63,7 +63,7 @@ func TestRoundTrip(t *testing.T) {
 	if got := d.I64(); got != -1<<40 {
 		t.Errorf("I64 = %d", got)
 	}
-	if got := d.F64(); got != math.Pi {
+	if got := math.Float64frombits(d.U64()); got != math.Pi {
 		t.Errorf("F64 = %v", got)
 	}
 	if got := d.I32s(); len(got) != 3 || got[0] != 1 || got[1] != -2 || got[2] != 3 {
@@ -108,7 +108,7 @@ func decodeAll(data []byte) error {
 	a.U64()
 	a.I32()
 	a.I64()
-	a.F64()
+	a.U64()
 	a.I32s()
 	a.F64s()
 	if err := a.Finish(); err != nil {
@@ -235,7 +235,7 @@ func TestSliceCodecMatchesElements(t *testing.T) {
 		for _, s := range [][]float64{f64, long} {
 			want.U64(uint64(len(s)))
 			for _, v := range s {
-				want.F64(v)
+				want.U64(math.Float64bits(v))
 			}
 		}
 		for _, s := range [][]float32{f32, long32} {
